@@ -73,7 +73,7 @@ func BenchmarkUnseenDeviceDG(b *testing.B) { runExperiment(b, "unseen-dg") }
 // benchServer builds a K-client federation over a ~10k-parameter dense model
 // with tiny per-client datasets, so weight-snapshot traffic dominates the
 // allocation profile of a round.
-func benchServer(b *testing.B, k, workers int, barrier bool) *fl.Server {
+func benchServer(b *testing.B, k, workers int) *fl.Server {
 	b.Helper()
 	r := frand.New(99)
 	clients := make([]*fl.Client, k)
@@ -91,7 +91,7 @@ func benchServer(b *testing.B, k, workers int, barrier bool) *fl.Server {
 	}
 	cfg := fl.Config{
 		Rounds: 1, ClientsPerRound: k, BatchSize: 2, LocalEpochs: 1,
-		LR: 0.1, Seed: 1, Workers: workers, DisableStreaming: barrier,
+		LR: 0.1, Seed: 1, Workers: workers,
 	}
 	srv, err := fl.NewServer(cfg, builder, nn.SoftmaxCrossEntropy{}, fl.FedAvg{}, clients)
 	if err != nil {
@@ -101,32 +101,26 @@ func benchServer(b *testing.B, k, workers int, barrier bool) *fl.Server {
 }
 
 // BenchmarkServerRound measures one communication round at K∈{8,64,512}
-// participants on both aggregation paths. The acceptance target: on the
-// streaming path, weight-buffer allocations scale with Workers, not K
-// (compare B/op of streaming vs barrier at K=512).
+// participants. The acceptance target: weight-buffer allocations scale with
+// Workers, not K (compare B/op across K).
 func BenchmarkServerRound(b *testing.B) {
 	const workers = 4
 	for _, k := range []int{8, 64, 512} {
-		for _, mode := range []struct {
-			name    string
-			barrier bool
-		}{{"streaming", false}, {"barrier", true}} {
-			b.Run(fmt.Sprintf("K=%d/W=%d/%s", k, workers, mode.name), func(b *testing.B) {
-				srv := benchServer(b, k, workers, mode.barrier)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					srv.RunRound(i)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("K=%d/W=%d", k, workers), func(b *testing.B) {
+			srv := benchServer(b, k, workers)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				srv.RunRound(i)
+			}
+		})
 	}
 }
 
 // BenchmarkAsyncServerRound measures one asynchronous aggregation window
 // (admit + Buffer staleness-discounted folds + finalize) under a straggler
 // latency distribution with a depth-2 pipeline. The acceptance target
-// mirrors the streaming path's: steady-state weight allocations bounded by
+// mirrors the synchronous server's: steady-state weight allocations bounded by
 // the version store's recycling, not by K.
 func BenchmarkAsyncServerRound(b *testing.B) {
 	for _, k := range []int{8, 64} {

@@ -9,8 +9,8 @@
 //	flsim -method fedavg -async -staleness-alpha 0.5 -latency-model straggler:0.5,2,0.15,8
 //
 // Methods: fedavg, fedprox, qfedavg, scaffold, heteroswitch, isp-transform,
-// isp-swad. -async switches streaming-capable methods to staleness-aware
-// asynchronous aggregation on a deterministic virtual-time simulation.
+// isp-swad. -async switches any method to staleness-aware asynchronous
+// aggregation on a deterministic virtual-time simulation.
 package main
 
 import (
@@ -66,12 +66,11 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "random seed")
 		workers  = flag.Int("workers", 4, "parallel client trainers")
 		intraop  = flag.Int("intraop", 0, "total intra-op kernel parallelism budget, split across workers (0 = GOMAXPROCS, 1 = serial kernels; results are bit-identical at every setting)")
-		barrier  = flag.Bool("barrier", false, "force legacy barrier aggregation (materialize all K snapshots)")
 		fused    = flag.Bool("fused-eval", true, "evaluate through the frozen inference fast path (BN folded, activations fused); -fused-eval=false keeps the reference layer-by-layer eval forward")
 		backend  = flag.String("kernel-backend", tensor.ActiveBackend().String(), "matmul kernel backend for the frozen eval path: auto (packed when profitable), serial (bit-identical oracle kernels), packed (force the cache-blocked kernel), int8 (force the quantized weight-stationary kernel, documented-tolerance tier); training always uses the oracle kernels; default honors HETEROSWITCH_KERNEL_BACKEND")
 		logEvery = flag.Int("log-every", 10, "print loss every N rounds")
 
-		async      = flag.Bool("async", false, "asynchronous staleness-aware aggregation on a deterministic virtual-time simulation (no round barrier)")
+		async      = flag.Bool("async", false, "asynchronous staleness-aware aggregation on a deterministic virtual-time simulation (no round waits for its stragglers)")
 		alpha      = flag.Float64("staleness-alpha", 0.5, "polynomial staleness discount 1/(1+s)^alpha for async folds (0 = no discount)")
 		latency    = flag.String("latency-model", "straggler:0.5,2,0.15,8", "virtual client latency: zero, const:D, uniform:LO,HI, straggler:LO,HI,P,FACTOR")
 		asyncDepth = flag.Int("async-depth", 2, "in-flight async jobs as a multiple of K (1 = no overlap, so no staleness)")
@@ -90,6 +89,10 @@ func main() {
 		fatal(err)
 	}
 	tensor.SetBackend(kb)
+	strat, err := strategyFor(*method, *clients)
+	if err != nil {
+		fatal(err)
+	}
 
 	opts := experiments.DefaultOptions()
 	opts.Seed = *seed
@@ -104,20 +107,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	strat, err := strategyFor(*method, *clients)
-	if err != nil {
-		fatal(err)
-	}
 	cfg := fl.Config{
-		Rounds:           *rounds,
-		ClientsPerRound:  *k,
-		BatchSize:        *batch,
-		LocalEpochs:      *epochs,
-		LR:               *lr,
-		Seed:             *seed,
-		Workers:          *workers,
-		IntraOp:          *intraop,
-		DisableStreaming: *barrier,
+		Rounds:          *rounds,
+		ClientsPerRound: *k,
+		BatchSize:       *batch,
+		LocalEpochs:     *epochs,
+		LR:              *lr,
+		Seed:            *seed,
+		Workers:         *workers,
+		IntraOp:         *intraop,
 	}
 	fm, err := faults.ParseSpec(*faultSpec, *seed)
 	if err != nil {

@@ -34,12 +34,11 @@ func main() {
 		seed    = flag.Uint64("seed", 42, "master random seed")
 		workers = flag.Int("workers", 0, "parallel workers (0 = auto)")
 		intraop = flag.Int("intraop", 0, "total intra-op kernel parallelism budget, split across workers (0 = GOMAXPROCS, 1 = serial kernels; results are bit-identical at every setting)")
-		barrier = flag.Bool("barrier", false, "force legacy barrier aggregation instead of streaming")
 		fused   = flag.Bool("fused-eval", true, "evaluate through the frozen inference fast path (BN folded, activations fused); -fused-eval=false keeps the reference layer-by-layer eval forward")
 		backend = flag.String("kernel-backend", tensor.ActiveBackend().String(), "matmul kernel backend for the frozen eval path: auto (packed when profitable), serial (bit-identical oracle kernels), packed (force the cache-blocked kernel), int8 (force the quantized weight-stationary kernel, documented-tolerance tier); training always uses the oracle kernels; default honors HETEROSWITCH_KERNEL_BACKEND")
 		list    = flag.Bool("list", false, "list available experiments")
 
-		async      = flag.Bool("async", false, "run streaming-capable harness strategies on the asynchronous staleness-aware server (virtual-time simulation)")
+		async      = flag.Bool("async", false, "run every harness strategy on the asynchronous staleness-aware server (virtual-time simulation)")
 		alpha      = flag.Float64("staleness-alpha", 0.5, "polynomial staleness discount 1/(1+s)^alpha for async folds (0 = no discount); also parameterizes async-sweep")
 		latency    = flag.String("latency-model", "", "virtual client latency for -async runs: zero, const:D, uniform:LO,HI, straggler:LO,HI,P,FACTOR (default zero; async-sweep overrides with its arms)")
 		asyncDepth = flag.Int("async-depth", 2, "in-flight async jobs as a multiple of each harness's K")
@@ -71,7 +70,6 @@ func main() {
 	if *workers > 0 {
 		opts.Workers = *workers
 	}
-	opts.DisableStreaming = *barrier
 	opts.IntraOp = *intraop
 	opts.KernelBackend = *backend
 	opts.Async = experiments.AsyncOptions{

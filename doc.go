@@ -14,36 +14,39 @@
 //
 // # Streaming shard-parallel aggregation
 //
-// The server's round loop (internal/fl.Server.RunRound) aggregates on a
-// streaming pipeline rather than a barrier. Strategies whose aggregation
-// rule is a per-client fold — FedAvg, FedProx, and HeteroSwitch — implement
-// the optional fl.StreamingAggregator capability:
+// Both servers aggregate on one streaming path; nothing ever materializes a
+// round's client snapshots. A strategy's server side is a fold —
+// fl.Strategy.NewAccumulator returns an fl.Accumulator, the one interface
+// every strategy implements in full:
 //
-//	NewAccumulator(global, cfg) → Accumulator
-//	Accumulator.Accumulate(result)   // fold one client, buffers reusable after
-//	Accumulator.Merge(other)         // absorb a sibling shard
-//	Accumulator.Finalize() → Weights // new global model
+//	Accumulator.Fold(result, scale)       // fold one client, buffers reusable after
+//	Accumulator.Merge(other)              // absorb a sibling shard
+//	Accumulator.FinalizeInto(dst) → bool  // write the new global, or report "no update"
+//	Accumulator.Reset(global, cfg)        // rewind for the next round
 //
-// Each worker goroutine trains its contiguous block of the round's sampled
-// clients, snapshots into a pooled per-worker scratch buffer, and folds the
-// result into a private shard accumulator in place; the shards are merged
-// tree-style at round end. Peak weight memory is therefore O(workers)
-// instead of O(K) — at K=512, W=4 the streaming path allocates ~78% fewer
-// bytes per round than the barrier path (BenchmarkServerRound). Shard sums
-// are kept in float64, confining the merge order's effect to
-// double-precision rounding (below float32 resolution in practice), and
-// client→worker assignment on this path is static (contiguous index
-// blocks), so runs with a fixed config are bit-reproducible. The barrier
-// fallback keeps the original dynamic work queue, since it aggregates in
-// client order regardless of scheduling.
+// The synchronous round loop (internal/fl.Server.RunRound) partitions the
+// round's sampled clients over its workers, balanced on sample count
+// (longest-first greedy, so every shard's load is within one client of the
+// mean — what a dynamic job queue would achieve, without its scheduling
+// dependence). Each worker goroutine trains its shard in sampling order,
+// snapshots into a pooled per-worker scratch buffer, and folds the result
+// into a private shard accumulator in place; the shards are merged
+// tree-style at round end and finalized into a recycled weight buffer. Peak
+// weight memory is therefore O(workers) instead of O(K), and a round
+// allocates no model-sized buffer in steady state (BenchmarkServerRound).
+// Shard sums are kept in float64, confining the merge order's effect to
+// double-precision rounding (below float32 resolution in practice), and the
+// partition is a pure function of the sampled list, so runs with a fixed
+// config are bit-reproducible at every worker count.
 //
-// HeteroSwitch's accumulator additionally folds the eq. 1 inputs
-// (Σ L_train·n, Σ n) per-result, so the L_EMA switching signal is identical
-// to the barrier path's. Strategies that genuinely need every result at
-// once (q-FedAvg's normalized step, SCAFFOLD's control-variate update) do
-// not implement the capability and keep the legacy Strategy.Aggregate
-// barrier; fl.Config.DisableStreaming forces that fallback everywhere for
-// A/B comparisons (flsim -barrier, experiments.Options.DisableStreaming).
+// All five strategies share one float64 weighted-sum core. FedAvg and
+// FedProx fold Σ n_k·w_k; HeteroSwitch additionally folds the eq. 1 inputs
+// (Σ L_train·n, Σ n) per-result, so the L_EMA switching signal is updated at
+// finalize; q-FedAvg folds Σ F_k^q·w_k and its scalar denominator — both of
+// q-FFL's sums are per-client, normalized once; SCAFFOLD folds FedAvg's sums
+// plus Σ Δc_k, committing each client's control variate only when its result
+// is admitted to the fold, so an update the validation gate rejects leaves
+// no trace.
 //
 // # Arena-backed zero-allocation training hot path
 //
@@ -121,16 +124,17 @@
 //
 // fl.AsyncServer removes the round barrier entirely: the server keeps a
 // configurable number of client jobs in flight, folds each completed result
-// into the streaming accumulator the moment it arrives, and applies an
+// into the strategy's accumulator the moment it arrives, and applies an
 // aggregated update every Buffer folds (FedBuff-style windows). A result's
 // staleness is the number of global updates applied between its dispatch and
 // its arrival; its fold weight is discounted by a pluggable
-// fl.StalenessPolicy (PolynomialStaleness 1/(1+s)^α, ConstantStaleness) via
-// the fl.WeightedAccumulator capability — FedAvg, FedProx, and HeteroSwitch
-// implement it, and HeteroSwitch discounts the eq. 1 L_EMA inputs by the
-// same factor, so a stale client influences the switching signal exactly as
-// much as it influences the model. Barrier-only strategies (q-FedAvg,
-// SCAFFOLD) are rejected by NewAsyncServer.
+// fl.StalenessPolicy (PolynomialStaleness 1/(1+s)^α, ConstantStaleness),
+// passed as Accumulator.Fold's scale. Every strategy runs here, on the same
+// accumulators as the synchronous server: HeteroSwitch discounts the eq. 1
+// L_EMA inputs by the same factor, so a stale client influences the
+// switching signal exactly as much as it influences the model; q-FedAvg and
+// SCAFFOLD discount their q-FFL weights and control-variate steps likewise,
+// and a stale result folds as absolute weights against the window's global.
 //
 // Time is simulated, never measured: internal/simclock provides a
 // virtual-time event heap (ties at one instant break by dispatch sequence)
@@ -151,7 +155,7 @@
 //     the sync server's spare double-buffer).
 //   - Contract (asserted at tolerance 0 by tests in fl and core): zero
 //     latency + discount ≡ 1 + Concurrency == Buffer == K is bit-identical
-//     to the synchronous streaming server with Workers = 1, and any two
+//     to the synchronous server with Workers = 1, and any two
 //     async runs with equal seeds and latency models are bit-identical.
 //
 // Entry points: flsim -async -staleness-alpha -latency-model -async-depth,

@@ -240,11 +240,18 @@ func TestLEMAFollowsEq1(t *testing.T) {
 	global := nn.Weights{Params: []*tensor.Tensor{tensor.Full(1, 2)}}
 	cfg := fl.Default()
 
-	hs.Aggregate(global, mk(2.0), cfg)
+	aggregate := func(results []fl.ClientResult) {
+		acc := hs.NewAccumulator(global, cfg)
+		for _, r := range results {
+			acc.Fold(r, 1)
+		}
+		acc.FinalizeInto(global.Zero())
+	}
+	aggregate(mk(2.0))
 	if l, has := hs.LEMA(); !has || l != 2.0 {
 		t.Fatalf("first LEMA = %v (has=%v), want 2.0", l, has)
 	}
-	hs.Aggregate(global, mk(1.0), cfg)
+	aggregate(mk(1.0))
 	want := 0.9*1.0 + 0.1*2.0
 	if l, _ := hs.LEMA(); math.Abs(l-want) > 1e-9 {
 		t.Fatalf("second LEMA = %v, want %v", l, want)

@@ -179,28 +179,8 @@ func (h *HeteroSwitch) updateLEMA(lcur float64) {
 	h.mu.Unlock()
 }
 
-// Aggregate implements fl.Strategy: FedAvg aggregation plus the eq. 1 EMA
-// update over the round's sample-weighted mean train loss. This is the
-// barrier fallback; the streaming path below computes the same quantities
-// per-result.
-func (h *HeteroSwitch) Aggregate(global nn.Weights, results []fl.ClientResult, cfg fl.Config) nn.Weights {
-	if len(results) == 0 {
-		return global
-	}
-	out := fl.FedAvg{}.Aggregate(global, results, cfg)
-
-	var lcur, total float64
-	for _, r := range results {
-		lcur += r.TrainLoss * float64(r.NumSamples)
-		total += float64(r.NumSamples)
-	}
-	h.updateLEMA(lcur / total)
-	return out
-}
-
-// accumulator streams HeteroSwitch aggregation: the weight fold is FedAvg's,
-// and the eq. 1 inputs (Σ L_train·n, Σ n) fold per-result alongside it, so
-// switching semantics are identical to the barrier path.
+// accumulator is HeteroSwitch's server side: the weight fold is FedAvg's, and
+// the eq. 1 inputs (Σ L_train·n, Σ n) fold per-result alongside it.
 type accumulator struct {
 	weights fl.Accumulator
 	h       *HeteroSwitch
@@ -208,34 +188,23 @@ type accumulator struct {
 	total   float64 // Σ n_k over this shard
 }
 
-// NewAccumulator implements fl.StreamingAggregator.
+// NewAccumulator implements fl.Strategy.
 func (h *HeteroSwitch) NewAccumulator(global nn.Weights, cfg fl.Config) fl.Accumulator {
 	return &accumulator{weights: fl.FedAvg{}.NewAccumulator(global, cfg), h: h}
 }
 
-// Reset implements fl.ResettableAccumulator, so the server reuses one
-// accumulator (and its model-sized float64 sums) per worker across rounds.
+// Reset implements fl.Accumulator.
 func (a *accumulator) Reset(global nn.Weights, cfg fl.Config) {
-	if ra, ok := a.weights.(fl.ResettableAccumulator); ok {
-		ra.Reset(global, cfg)
-	} else {
-		a.weights = fl.FedAvg{}.NewAccumulator(global, cfg)
-	}
+	a.weights.Reset(global, cfg)
 	a.lossSum = 0
 	a.total = 0
 }
 
-// Accumulate implements fl.Accumulator.
-func (a *accumulator) Accumulate(r fl.ClientResult) {
-	a.AccumulateWeighted(r, 1)
-}
-
-// AccumulateWeighted implements fl.WeightedAccumulator: the staleness
-// discount scales the FedAvg weight fold AND the eq. 1 loss inputs, so a
-// stale client influences the switching signal exactly as much as it
-// influences the model. scale = 1 is byte-for-byte the synchronous fold.
-func (a *accumulator) AccumulateWeighted(r fl.ClientResult, scale float64) {
-	a.weights.(fl.WeightedAccumulator).AccumulateWeighted(r, scale)
+// Fold implements fl.Accumulator: the staleness discount scales the FedAvg
+// weight fold AND the eq. 1 loss inputs, so a stale client influences the
+// switching signal exactly as much as it influences the model.
+func (a *accumulator) Fold(r fl.ClientResult, scale float64) {
+	a.weights.Fold(r, scale)
 	if scale == 0 {
 		return // contributes nothing; keeps 0·Inf off the L_EMA sums too
 	}
@@ -252,31 +221,14 @@ func (a *accumulator) Merge(other fl.Accumulator) {
 	a.total += b.total
 }
 
-// Finalize implements fl.Accumulator.
-func (a *accumulator) Finalize() nn.Weights {
-	out := a.weights.Finalize()
-	if a.total > 0 {
-		a.h.updateLEMA(a.lossSum / a.total)
-	}
-	return out
-}
-
-// FinalizeInto implements fl.IntoFinalizer by forwarding to the FedAvg
-// weight fold, so the server's recycled global buffer serves HeteroSwitch
-// rounds too; the L_EMA update happens exactly as in Finalize.
+// FinalizeInto implements fl.Accumulator: FedAvg's average plus the eq. 1
+// EMA update over the round's sample-weighted mean train loss.
 func (a *accumulator) FinalizeInto(dst nn.Weights) bool {
-	ok := a.weights.(fl.IntoFinalizer).FinalizeInto(dst)
+	ok := a.weights.FinalizeInto(dst)
 	if a.total > 0 {
 		a.h.updateLEMA(a.lossSum / a.total)
 	}
 	return ok
 }
 
-// interface conformance checks
-var (
-	_ fl.Strategy              = (*HeteroSwitch)(nil)
-	_ fl.StreamingAggregator   = (*HeteroSwitch)(nil)
-	_ fl.ResettableAccumulator = (*accumulator)(nil)
-	_ fl.WeightedAccumulator   = (*accumulator)(nil)
-	_ fl.IntoFinalizer         = (*accumulator)(nil)
-)
+var _ fl.Strategy = (*HeteroSwitch)(nil)

@@ -90,15 +90,14 @@ func AsyncSweep(opts Options) (*AsyncSweepResult, error) {
 	}
 	const k = 8
 	cfg := fl.Config{
-		Rounds:           opts.scaled(30),
-		ClientsPerRound:  k,
-		BatchSize:        10,
-		LocalEpochs:      1,
-		LR:               0.1,
-		Seed:             opts.Seed,
-		Workers:          opts.Workers,
-		DisableStreaming: opts.DisableStreaming,
-		IntraOp:          opts.IntraOp,
+		Rounds:          opts.scaled(30),
+		ClientsPerRound: k,
+		BatchSize:       10,
+		LocalEpochs:     1,
+		LR:              0.1,
+		Seed:            opts.Seed,
+		Workers:         opts.Workers,
+		IntraOp:         opts.IntraOp,
 	}
 	builder := SimpleCNNBuilder(opts.Seed, dd.Classes)
 	counts := MarketShareCounts(dd, 24)

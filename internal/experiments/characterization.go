@@ -43,15 +43,14 @@ func Fig1(opts Options) (*Fig1Result, error) {
 		return nil, err
 	}
 	cfg := fl.Config{
-		Rounds:           opts.scaled(60),
-		ClientsPerRound:  8,
-		BatchSize:        10,
-		LocalEpochs:      1,
-		LR:               0.1,
-		Seed:             opts.Seed,
-		Workers:          opts.Workers,
-		DisableStreaming: opts.DisableStreaming,
-		IntraOp:          opts.IntraOp,
+		Rounds:          opts.scaled(60),
+		ClientsPerRound: 8,
+		BatchSize:       10,
+		LocalEpochs:     1,
+		LR:              0.1,
+		Seed:            opts.Seed,
+		Workers:         opts.Workers,
+		IntraOp:         opts.IntraOp,
 	}
 	builder := SimpleCNNBuilder(opts.Seed, dd.Classes)
 

@@ -40,11 +40,6 @@ type Options struct {
 	Workers int
 	// OutRes is the model input resolution.
 	OutRes int
-	// DisableStreaming forces the legacy barrier aggregation in every
-	// harness (fl.Config.DisableStreaming): all K client snapshots are
-	// materialized before aggregating. The streaming shard-parallel path is
-	// the default; this is the A/B knob for memory/latency comparisons.
-	DisableStreaming bool
 	// IntraOp is the total intra-op kernel parallelism budget
 	// (fl.Config.IntraOp): cores the tensor kernels may occupy across all
 	// client workers combined. 0 = auto (GOMAXPROCS, split evenly across
@@ -78,10 +73,8 @@ type Options struct {
 // a simclock virtual-time simulation). The zero value keeps every harness
 // synchronous.
 type AsyncOptions struct {
-	// Enabled switches RunFL/RunFLWithLoss to the asynchronous server for
-	// strategies that can stream; barrier-only strategies (q-FedAvg,
-	// SCAFFOLD) silently keep the synchronous round loop, mirroring how
-	// DisableStreaming is a per-capability knob.
+	// Enabled switches RunFL/RunFLWithLoss to the asynchronous server, for
+	// every strategy.
 	Enabled bool
 	// StalenessAlpha is the polynomial discount exponent 1/(1+s)^α; 0
 	// disables discounting.
@@ -313,8 +306,7 @@ type Trainer interface {
 
 // RunFL builds a population from dd.Train according to counts, runs the
 // strategy for cfg.Rounds (synchronously, or on the async server when
-// opts.Async.Enabled and the strategy streams), and returns the trained
-// server.
+// opts.Async.Enabled), and returns the trained server.
 func RunFL(opts Options, strategy fl.Strategy, dd *DeviceData, counts []int, cfg fl.Config, builder models.Builder) (Trainer, error) {
 	return RunFLWithLoss(opts, strategy, dd.Train, counts, cfg, builder, nn.SoftmaxCrossEntropy{})
 }
@@ -333,7 +325,7 @@ func RunFLWithLoss(opts Options, strategy fl.Strategy, perDevice map[int]*datase
 	if err := opts.applyRobustness(&cfg); err != nil {
 		return nil, err
 	}
-	if _, streams := strategy.(fl.StreamingAggregator); opts.Async.Enabled && streams {
+	if opts.Async.Enabled {
 		async, err := opts.Async.Config(cfg.ClientsPerRound, cfg.Seed)
 		if err != nil {
 			return nil, err

@@ -48,15 +48,14 @@ func ECG(opts Options) (*ECGResult, error) {
 
 	builder := models.ECGConvBuilder(opts.Seed, ecg.WindowLen)
 	cfg := fl.Config{
-		Rounds:           opts.scaled(150),
-		ClientsPerRound:  8,
-		BatchSize:        16,
-		LocalEpochs:      1,
-		LR:               0.05,
-		Seed:             opts.Seed,
-		Workers:          opts.Workers,
-		DisableStreaming: opts.DisableStreaming,
-		IntraOp:          opts.IntraOp,
+		Rounds:          opts.scaled(150),
+		ClientsPerRound: 8,
+		BatchSize:       16,
+		LocalEpochs:     1,
+		LR:              0.05,
+		Seed:            opts.Seed,
+		Workers:         opts.Workers,
+		IntraOp:         opts.IntraOp,
 	}
 	counts := EqualCounts(int(ecg.NumSensors), 12)
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"heteroswitch/internal/core"
 	"heteroswitch/internal/dataset"
 	"heteroswitch/internal/fl"
 )
@@ -266,9 +267,8 @@ func TestAsyncSweepStructure(t *testing.T) {
 	}
 }
 
-// Options.Async must reroute streaming-capable strategies through the async
-// server inside the shared RunFL funnel (and leave barrier-only strategies
-// on the synchronous path).
+// Options.Async must reroute every strategy through the async server inside
+// the shared RunFL funnel, and its zero value none.
 func TestRunFLHonorsAsyncOptions(t *testing.T) {
 	opts := tinyOpts(0.1)
 	opts.Async = AsyncOptions{Enabled: true, StalenessAlpha: 0.5, LatencyModel: "uniform:0.5,2"}
@@ -279,19 +279,24 @@ func TestRunFLHonorsAsyncOptions(t *testing.T) {
 	cfg := fl.Config{Rounds: 2, ClientsPerRound: 4, BatchSize: 4, LocalEpochs: 1,
 		LR: 0.1, Seed: opts.Seed, Workers: 2}
 	counts := MarketShareCounts(dd, 9)
-	srv, err := RunFL(opts, fl.FedAvg{}, dd, counts, cfg, SimpleCNNBuilder(opts.Seed, dd.Classes))
-	if err != nil {
-		t.Fatal(err)
+	var srv Trainer
+	for _, strat := range []fl.Strategy{fl.FedAvg{}, &fl.FedProx{Mu: 0.1}, &fl.QFedAvg{Q: 1e-6},
+		&fl.Scaffold{TotalClients: 9}, core.New()} {
+		srv, err = RunFL(opts, strat, dd, counts, cfg, SimpleCNNBuilder(opts.Seed, dd.Classes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := srv.(*fl.AsyncServer); !ok {
+			t.Fatalf("%s: async options ignored: got %T", strat.Name(), srv)
+		}
 	}
-	if _, ok := srv.(*fl.AsyncServer); !ok {
-		t.Fatalf("async options ignored: got %T", srv)
-	}
+	opts.Async = AsyncOptions{}
 	srv, err = RunFL(opts, &fl.QFedAvg{Q: 1e-6}, dd, counts, cfg, SimpleCNNBuilder(opts.Seed, dd.Classes))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := srv.(*fl.Server); !ok {
-		t.Fatalf("barrier-only strategy must stay synchronous: got %T", srv)
+		t.Fatalf("zero async options must stay synchronous: got %T", srv)
 	}
 	if srv.GlobalNet() == nil {
 		t.Fatal("trained server returned no network")

@@ -44,15 +44,14 @@ func Fig4(opts Options) (*Fig4Result, error) {
 		return nil, err
 	}
 	cfg := fl.Config{
-		Rounds:           opts.scaled(80),
-		ClientsPerRound:  10,
-		BatchSize:        10,
-		LocalEpochs:      1,
-		LR:               0.1,
-		Seed:             opts.Seed,
-		Workers:          opts.Workers,
-		DisableStreaming: opts.DisableStreaming,
-		IntraOp:          opts.IntraOp,
+		Rounds:          opts.scaled(80),
+		ClientsPerRound: 10,
+		BatchSize:       10,
+		LocalEpochs:     1,
+		LR:              0.1,
+		Seed:            opts.Seed,
+		Workers:         opts.Workers,
+		IntraOp:         opts.IntraOp,
 	}
 	srv, err := RunFL(opts, fl.FedAvg{}, dd, MarketShareCounts(dd, opts.scaled(50)), cfg, SimpleCNNBuilder(opts.Seed, dd.Classes))
 	if err != nil {
@@ -111,15 +110,14 @@ func Fig5(opts Options) (*Fig5Result, error) {
 	}
 	n := len(dd.Profiles)
 	cfg := fl.Config{
-		Rounds:           opts.scaled(60),
-		ClientsPerRound:  9,
-		BatchSize:        10,
-		LocalEpochs:      1,
-		LR:               0.1,
-		Seed:             opts.Seed,
-		Workers:          opts.Workers,
-		DisableStreaming: opts.DisableStreaming,
-		IntraOp:          opts.IntraOp,
+		Rounds:          opts.scaled(60),
+		ClientsPerRound: 9,
+		BatchSize:       10,
+		LocalEpochs:     1,
+		LR:              0.1,
+		Seed:            opts.Seed,
+		Workers:         opts.Workers,
+		IntraOp:         opts.IntraOp,
 	}
 	builder := SimpleCNNBuilder(opts.Seed, dd.Classes)
 

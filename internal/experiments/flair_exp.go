@@ -52,15 +52,14 @@ func Table6(opts Options) (*Table6Result, error) {
 		return nil, err
 	}
 	flCfg := fl.Config{
-		Rounds:           opts.scaled(80),
-		ClientsPerRound:  min(12, cfg.NumDeviceTypes),
-		BatchSize:        6,
-		LocalEpochs:      1,
-		LR:               0.1,
-		Seed:             opts.Seed,
-		Workers:          opts.Workers,
-		DisableStreaming: opts.DisableStreaming,
-		IntraOp:          opts.IntraOp,
+		Rounds:          opts.scaled(80),
+		ClientsPerRound: min(12, cfg.NumDeviceTypes),
+		BatchSize:       6,
+		LocalEpochs:     1,
+		LR:              0.1,
+		Seed:            opts.Seed,
+		Workers:         opts.Workers,
+		IntraOp:         opts.IntraOp,
 	}
 	counts := EqualCounts(cfg.NumDeviceTypes, cfg.NumDeviceTypes) // one client per device type
 

@@ -73,15 +73,14 @@ func table4Methods(totalClients int) []fl.Strategy {
 // table4Config is the §6 configuration with scaled rounds.
 func table4Config(opts Options) fl.Config {
 	return fl.Config{
-		Rounds:           opts.scaled(120),
-		ClientsPerRound:  20,
-		BatchSize:        10,
-		LocalEpochs:      1,
-		LR:               0.1,
-		Seed:             opts.Seed,
-		Workers:          opts.Workers,
-		DisableStreaming: opts.DisableStreaming,
-		IntraOp:          opts.IntraOp,
+		Rounds:          opts.scaled(120),
+		ClientsPerRound: 20,
+		BatchSize:       10,
+		LocalEpochs:     1,
+		LR:              0.1,
+		Seed:            opts.Seed,
+		Workers:         opts.Workers,
+		IntraOp:         opts.IntraOp,
 	}
 }
 

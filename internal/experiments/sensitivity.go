@@ -47,15 +47,14 @@ func Fig9(opts Options) (*Fig9Result, error) {
 	baseRounds := opts.scaled(80)
 
 	base := fl.Config{
-		Rounds:           baseRounds,
-		ClientsPerRound:  10,
-		BatchSize:        10,
-		LocalEpochs:      1,
-		LR:               0.1,
-		Seed:             opts.Seed,
-		Workers:          opts.Workers,
-		DisableStreaming: opts.DisableStreaming,
-		IntraOp:          opts.IntraOp,
+		Rounds:          baseRounds,
+		ClientsPerRound: 10,
+		BatchSize:       10,
+		LocalEpochs:     1,
+		LR:              0.1,
+		Seed:            opts.Seed,
+		Workers:         opts.Workers,
+		IntraOp:         opts.IntraOp,
 	}
 	eval := func(cfg fl.Config) (float64, error) {
 		srv, err := RunFL(opts, fl.FedAvg{}, dd, counts, cfg, builder)

@@ -136,15 +136,14 @@ func Fig8(opts Options) (*Fig8Result, error) {
 		return nil, err
 	}
 	cfg := fl.Config{
-		Rounds:           opts.scaled(80),
-		ClientsPerRound:  10,
-		BatchSize:        10,
-		LocalEpochs:      1,
-		LR:               0.1,
-		Seed:             opts.Seed,
-		Workers:          opts.Workers,
-		DisableStreaming: opts.DisableStreaming,
-		IntraOp:          opts.IntraOp,
+		Rounds:          opts.scaled(80),
+		ClientsPerRound: 10,
+		BatchSize:       10,
+		LocalEpochs:     1,
+		LR:              0.1,
+		Seed:            opts.Seed,
+		Workers:         opts.Workers,
+		IntraOp:         opts.IntraOp,
 	}
 	counts := EqualCounts(numDevices, opts.scaled(20))
 

@@ -113,15 +113,14 @@ func TrainWhileServe(opts Options) (*TrainServeReport, error) {
 	}
 	const k = 4
 	cfg := fl.Config{
-		Rounds:           opts.scaled(12),
-		ClientsPerRound:  k,
-		BatchSize:        8,
-		LocalEpochs:      1,
-		LR:               0.1,
-		Seed:             opts.Seed,
-		Workers:          opts.Workers,
-		DisableStreaming: opts.DisableStreaming,
-		IntraOp:          opts.IntraOp,
+		Rounds:          opts.scaled(12),
+		ClientsPerRound: k,
+		BatchSize:       8,
+		LocalEpochs:     1,
+		LR:              0.1,
+		Seed:            opts.Seed,
+		Workers:         opts.Workers,
+		IntraOp:         opts.IntraOp,
 	}
 	if err := opts.applyRobustness(&cfg); err != nil {
 		return nil, err

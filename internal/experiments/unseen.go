@@ -65,15 +65,14 @@ func UnseenDG(opts Options) (*UnseenResult, error) {
 	}
 
 	cfg := fl.Config{
-		Rounds:           opts.scaled(80),
-		ClientsPerRound:  12,
-		BatchSize:        10,
-		LocalEpochs:      1,
-		LR:               0.1,
-		Seed:             opts.Seed,
-		Workers:          opts.Workers,
-		DisableStreaming: opts.DisableStreaming,
-		IntraOp:          opts.IntraOp,
+		Rounds:          opts.scaled(80),
+		ClientsPerRound: 12,
+		BatchSize:       10,
+		LocalEpochs:     1,
+		LR:              0.1,
+		Seed:            opts.Seed,
+		Workers:         opts.Workers,
+		IntraOp:         opts.IntraOp,
 	}
 	counts := MarketShareCounts(dd, opts.scaled(60))
 	builder := SimpleCNNBuilder(opts.Seed, dd.Classes)

@@ -108,7 +108,7 @@ func (m *Model) Enabled() bool {
 // NeedsVirtualTime reports whether the model includes processes that only
 // make sense on a virtual-time event loop (crash and transient failure need
 // timeouts and reissue; churn needs a clock to gate duty cycles against).
-// The synchronous barrier server rejects such models; corruption-only models
+// The synchronous server rejects such models; corruption-only models
 // run on both engines.
 func (m *Model) NeedsVirtualTime() bool {
 	return m != nil && (m.CrashP > 0 || m.FlakyP > 0 || m.churning())

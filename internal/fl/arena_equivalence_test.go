@@ -116,61 +116,48 @@ func TestEvalLossArenaBitIdentical(t *testing.T) {
 }
 
 // A reset accumulator must behave exactly like a freshly constructed one —
-// the contract that lets the server pool model-sized float64 sum buffers
-// across rounds.
+// the contract that lets the server keep one accumulator (and its model-sized
+// float64 sum buffers) per worker for its whole lifetime — for every strategy.
 func TestFedAvgAccumulatorResetMatchesFresh(t *testing.T) {
-	r := frand.New(77)
-	round1 := randResults(r, 5, 12)
-	round2 := randResults(r, 7, 12)
-	global := round1[0].Weights.Zero()
+	for i, s := range allStrategies() {
+		r := frand.New(77)
+		round1 := randResults(r, 5, 12)
+		round2 := randResults(r, 7, 12)
+		global := round1[0].Weights.Zero()
+		next := randWeightsLike(r, global, 1)
 
-	pooled := FedAvg{}.NewAccumulator(global, Default())
-	for _, res := range round1 {
-		pooled.Accumulate(res)
-	}
-	_ = pooled.Finalize()
-
-	ra, ok := pooled.(ResettableAccumulator)
-	if !ok {
-		t.Fatal("FedAvg accumulator must be resettable")
-	}
-	ra.Reset(global, Default())
-	for _, res := range round2 {
-		ra.Accumulate(res)
-	}
-	got := ra.Finalize()
-
-	fresh := FedAvg{}.NewAccumulator(global, Default())
-	for _, res := range round2 {
-		fresh.Accumulate(res)
-	}
-	want := fresh.Finalize()
-
-	for i := range want.Params {
-		if !got.Params[i].AllClose(want.Params[i], 0) {
-			t.Fatalf("param %d: reset accumulator diverged from fresh one", i)
+		pooled := s.NewAccumulator(global, Default())
+		for _, res := range round1 {
+			pooled.Fold(res, 1)
 		}
-	}
-	for i := range want.States {
-		if !got.States[i].AllClose(want.States[i], 0) {
-			t.Fatalf("state %d: reset accumulator diverged from fresh one", i)
+		_ = finalize(pooled, global)
+		pooled.Reset(next, Default())
+		for _, res := range round2 {
+			pooled.Fold(res, 1)
 		}
+		got := finalize(pooled, next)
+
+		fresh := allStrategies()[i].NewAccumulator(next, Default())
+		for _, res := range round2 {
+			fresh.Fold(res, 1)
+		}
+		requireWeightsBitIdentical(t, s.Name()+": reset vs fresh accumulator", got, finalize(fresh, next))
 	}
 }
 
-// A reset-to-empty accumulator must finalize to the (new) global weights.
+// A reset-to-empty accumulator must report "no update", keeping the (new)
+// global weights.
 func TestResetAccumulatorEmptyRound(t *testing.T) {
 	global := nn.Weights{Params: []*tensor.Tensor{tensor.Full(3, 4)}}
 	acc := FedAvg{}.NewAccumulator(global, Default())
-	acc.Accumulate(ClientResult{
+	acc.Fold(ClientResult{
 		NumSamples: 2,
 		Weights:    nn.Weights{Params: []*tensor.Tensor{tensor.Full(9, 4)}},
-	})
-	_ = acc.Finalize()
+	}, 1)
+	_ = finalize(acc, global)
 	next := nn.Weights{Params: []*tensor.Tensor{tensor.Full(5, 4)}}
-	acc.(ResettableAccumulator).Reset(next, Default())
-	out := acc.Finalize()
-	if !out.Params[0].AllClose(next.Params[0], 0) {
-		t.Fatal("reset accumulator with no results did not return the new global weights")
+	acc.Reset(next, Default())
+	if out := finalize(acc, next); !out.SharesStorage(next) {
+		t.Fatal("reset accumulator with no results did not keep the new global weights")
 	}
 }

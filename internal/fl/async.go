@@ -65,7 +65,7 @@ type AsyncConfig struct {
 	// Latency models each dispatched job's virtual duration. nil means zero
 	// latency: every job completes at its dispatch instant, which (with the
 	// default Concurrency/Buffer) makes the async run bit-identical to the
-	// synchronous streaming server.
+	// synchronous server at Workers = 1.
 	Latency simclock.LatencyModel
 	// Concurrency is the number of jobs kept in flight. 0 means
 	// cfg.ClientsPerRound. Values above Buffer overlap aggregation windows:
@@ -199,7 +199,7 @@ type asyncEvent struct {
 // deterministic virtual-time simulation. There is no round barrier: the
 // server keeps Concurrency jobs in flight, a simclock heap orders their
 // completions in virtual time, and every completed result folds into the
-// streaming accumulator immediately — discounted by the staleness policy —
+// strategy's accumulator immediately — discounted by the staleness policy —
 // with an aggregation (a new global version) every Buffer folds. New work is
 // admitted at aggregation boundaries, so each job trains against a
 // well-defined broadcast version; with Concurrency > Buffer the windows
@@ -211,7 +211,7 @@ type asyncEvent struct {
 // sequence. Two runs with the same Config, AsyncConfig, and population are
 // bit-identical, and a run with zero latency, no discount, and
 // Concurrency == Buffer == ClientsPerRound is bit-identical to the
-// synchronous streaming server with Workers = 1. No wall-clock time is read
+// synchronous server with Workers = 1, for every strategy. No wall-clock time is read
 // anywhere in the loop.
 //
 // Training is evaluated lazily at completion time on a single replica that
@@ -242,8 +242,7 @@ type AsyncServer struct {
 	builder Builder
 	rng     *frand.RNG
 	net     *nn.Network
-	sa      StreamingAggregator
-	acc     WeightedAccumulator
+	acc     Accumulator
 	clock   simclock.Clock
 	pool    weightsPool
 	store   nn.VersionStore
@@ -263,10 +262,8 @@ type AsyncServer struct {
 }
 
 // NewAsyncServer builds an asynchronous server with a fresh global model.
-// The strategy must support streaming aggregation with weighted folds
-// (FedAvg, FedProx, HeteroSwitch); barrier-only strategies (q-FedAvg,
-// SCAFFOLD) need every result of a round at once and cannot aggregate
-// asynchronously.
+// Every strategy runs here: aggregation is the same Accumulator fold the
+// synchronous server uses, scaled by the staleness discount.
 func NewAsyncServer(cfg Config, builder Builder, loss nn.Loss, strategy Strategy,
 	clients []*Client, async AsyncConfig) (*AsyncServer, error) {
 	if err := cfg.Validate(); err != nil {
@@ -285,17 +282,9 @@ func NewAsyncServer(cfg Config, builder Builder, loss nn.Loss, strategy Strategy
 	if cfg.Faults.NeedsTimeout() && async.Timeout <= 0 {
 		return nil, fmt.Errorf("fl: fault model %q can lose dispatched jobs; AsyncConfig.Timeout must be > 0", cfg.Faults)
 	}
-	sa, ok := strategy.(StreamingAggregator)
-	if !ok {
-		return nil, fmt.Errorf("fl: strategy %s cannot aggregate asynchronously (no streaming fold)", strategy.Name())
-	}
 	net := builder()
 	net.SetIntraOp(intraOpShare(cfg, 1))
 	global := net.Snapshot()
-	acc, ok := sa.NewAccumulator(global, cfg).(WeightedAccumulator)
-	if !ok {
-		return nil, fmt.Errorf("fl: strategy %s's accumulator cannot fold weighted results", strategy.Name())
-	}
 	return &AsyncServer{
 		Cfg:      cfg,
 		Async:    async,
@@ -308,8 +297,7 @@ func NewAsyncServer(cfg Config, builder Builder, loss nn.Loss, strategy Strategy
 		// latency and no discount the two draw identical client sequences.
 		rng:    frand.New(cfg.Seed ^ 0x5ca1ab1e),
 		net:    net,
-		sa:     sa,
-		acc:    acc,
+		acc:    strategy.NewAccumulator(global, cfg),
 		events: make(map[int]asyncEvent),
 	}, nil
 }
@@ -392,7 +380,7 @@ func (s *AsyncServer) dispatch(job asyncJob, delay float64, st *AsyncRoundStats,
 // scalar stats; its weights aliased the recycled scratch buffer.
 //
 // A discount of 0 skips training entirely: the fold would contribute nothing
-// (AccumulateWeighted at weight 0 is a no-op by contract), so paying all
+// (Fold at scale 0 is a no-op by contract), so paying all
 // LocalEpochs of SGD for it is pure waste. The skip is invisible to
 // everything downstream — the client's RoundRNG is a pure function of
 // (client, version) so no shared RNG stream advances, the zero-weight
@@ -414,7 +402,7 @@ func (s *AsyncServer) runJob(job asyncJob, discount float64, st *AsyncRoundStats
 		corruptUpdate(m, global, res.Weights)
 	}
 	if updateValid(global, res.Weights, s.Cfg.MaxDeltaNorm) {
-		s.acc.AccumulateWeighted(res, discount)
+		s.acc.Fold(res, discount)
 	} else {
 		st.Rejected = append(st.Rejected, job.client.ID)
 		st.BytesWasted += wb
@@ -516,35 +504,25 @@ func (s *AsyncServer) RunRound() AsyncRoundStats {
 }
 
 // finalizeWindow turns the window's accumulator into the next global
-// version. Like the synchronous server it prefers FinalizeInto on a recycled
-// buffer; the buffer pool here is the version store's, fed by retired globals
-// once their last in-flight reader completes. A window whose folds all
-// carried zero weight (every discount was 0) leaves the global — and the
-// version counter — unchanged, so staleness keeps measuring real model drift.
+// version. Like the synchronous server it finalizes into a recycled buffer;
+// the buffer pool here is the version store's, fed by retired globals once
+// their last in-flight reader completes. A window whose folds all carried
+// zero weight (every discount was 0) leaves the global — and the version
+// counter — unchanged, so staleness keeps measuring real model drift.
 func (s *AsyncServer) finalizeWindow() {
-	old := s.Global
-	if fi, ok := s.acc.(IntoFinalizer); ok {
-		buf := s.store.TakeBuffer(old)
-		if fi.FinalizeInto(buf) {
-			s.Global = buf
-		} else {
-			s.store.GiveBuffer(buf)
-		}
-	} else {
-		s.Global = s.acc.Finalize()
-	}
-	if !s.Global.SharesStorage(old) {
+	buf := s.store.TakeBuffer(s.Global)
+	if s.acc.FinalizeInto(buf) {
+		old := s.Global
+		s.Global = buf
 		s.Version++
 		s.store.Retire(old)
 		if s.OnPublish != nil {
 			s.OnPublish(s.Version, s.Global, s.clock.Now())
 		}
-	}
-	if ra, ok := s.acc.(ResettableAccumulator); ok {
-		ra.Reset(s.Global, s.Cfg)
 	} else {
-		s.acc = s.sa.NewAccumulator(s.Global, s.Cfg).(WeightedAccumulator)
+		s.store.GiveBuffer(buf)
 	}
+	s.acc.Reset(s.Global, s.Cfg)
 }
 
 // Run executes cfg.Rounds aggregation windows, invoking callback (if

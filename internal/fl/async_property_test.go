@@ -13,10 +13,11 @@ import (
 // discount) inputs — any two arrival permutations aggregate to the same
 // weights far below float32 precision (float64 sums make the order's effect
 // double-precision rounding only), mirroring the shard-invariance property
-// of the synchronous streaming path.
+// of the synchronous path — for every strategy.
 func TestAsyncWeightedFoldOrderInvariance(t *testing.T) {
 	policy := PolynomialStaleness{Alpha: 0.6}
 	f := func(seed uint16, kRaw uint8) bool {
+		strat := allStrategies()[int(seed)%len(allStrategies())]
 		r := frand.New(uint64(seed) + 31)
 		k := int(kRaw)%16 + 2
 		results := randResults(r, k, 9)
@@ -29,11 +30,11 @@ func TestAsyncWeightedFoldOrderInvariance(t *testing.T) {
 		global := results[0].Weights.Zero()
 
 		fold := func(order []int) Weights {
-			acc := FedAvg{}.NewAccumulator(global, Default()).(WeightedAccumulator)
+			acc := strat.NewAccumulator(global, Default())
 			for _, i := range order {
-				acc.AccumulateWeighted(results[i], discounts[i])
+				acc.Fold(results[i], discounts[i])
 			}
-			return acc.Finalize()
+			return finalize(acc, global)
 		}
 		identity := make([]int, k)
 		for i := range identity {
@@ -58,39 +59,6 @@ func TestAsyncWeightedFoldOrderInvariance(t *testing.T) {
 	}
 }
 
-// Property: AccumulateWeighted with scale 1 is bit-identical to Accumulate —
-// the identity that makes the zero-staleness async path exactly the sync
-// fold.
-func TestAccumulateWeightedScaleOneIsAccumulate(t *testing.T) {
-	f := func(seed uint16, kRaw uint8) bool {
-		r := frand.New(uint64(seed) + 41)
-		k := int(kRaw)%12 + 1
-		results := randResults(r, k, 7)
-		global := results[0].Weights.Zero()
-		plain := FedAvg{}.NewAccumulator(global, Default())
-		scaled := FedAvg{}.NewAccumulator(global, Default()).(WeightedAccumulator)
-		for _, res := range results {
-			plain.Accumulate(res)
-			scaled.AccumulateWeighted(res, 1)
-		}
-		a, b := plain.Finalize(), scaled.Finalize()
-		for i := range a.Params {
-			if !a.Params[i].AllClose(b.Params[i], 0) {
-				return false
-			}
-		}
-		for i := range a.States {
-			if !a.States[i].AllClose(b.States[i], 0) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: the polynomial policy is a valid discount — Weight(0) = 1,
 // positive, and non-increasing in staleness — for arbitrary α ≥ 0.
 func TestPolynomialStalenessProperties(t *testing.T) {
@@ -111,29 +79,34 @@ func TestPolynomialStalenessProperties(t *testing.T) {
 // Property: a fold scaled by 0 contributes nothing — folding any result at
 // scale 0 leaves the aggregate exactly where it was, even when the dropped
 // result is diverged (Inf weights would poison the sums as 0·Inf = NaN if
-// the fold were merely multiplied through instead of skipped).
+// the fold were merely multiplied through instead of skipped) — and a
+// uniform scale cancels out of the aggregate. Both for every strategy.
 func TestZeroScaleFoldIsNoOp(t *testing.T) {
 	f := func(seed uint16) bool {
 		r := frand.New(uint64(seed) + 53)
 		results := randResults(r, 4, 5)
+		global := randWeightsLike(r, results[0].Weights, 1)
+		var kept []ClientResult
 		for i := range results {
 			if i%2 == 0 { // the zero-scaled folds carry diverged weights
 				results[i].Weights.Params[0].Data()[0] = float32(math.Inf(1))
+			} else {
+				kept = append(kept, results[i])
 			}
 		}
-		global := results[0].Weights.Zero()
-		with := FedAvg{}.NewAccumulator(global, Default()).(WeightedAccumulator)
-		without := FedAvg{}.NewAccumulator(global, Default()).(WeightedAccumulator)
-		for i, res := range results {
-			with.AccumulateWeighted(res, float64(i%2)) // every other fold zeroed
-			if i%2 == 1 {
-				without.AccumulateWeighted(res, 1)
+		for i := range allStrategies() {
+			with := allStrategies()[i].NewAccumulator(global, Default())
+			for i, res := range results {
+				with.Fold(res, float64(i%2)) // every other fold zeroed
 			}
-		}
-		a, b := with.Finalize(), without.Finalize()
-		for i := range a.Params {
-			if !a.Params[i].AllClose(b.Params[i], 0) {
-				return false
+			a := finalize(with, global)
+			b := streamAggregate(allStrategies()[i], global, kept, 1, 1, Default())
+			halved := streamAggregate(allStrategies()[i], global, kept, 1, 0.5, Default())
+			for i := range a.Params {
+				if a.Params[i].HasNaN() || !a.Params[i].AllClose(b.Params[i], 0) ||
+					!halved.Params[i].AllClose(b.Params[i], 1e-6) {
+					return false
+				}
 			}
 		}
 		return true

@@ -44,9 +44,9 @@ func requireBitIdentical(t *testing.T, a, b nn.Weights, what string) {
 
 // The async contract: with zero latency, discount ≡ 1, and
 // Concurrency == Buffer == K, the asynchronous server is BIT-identical
-// (tolerance 0) to the synchronous streaming server — weights and per-round
-// scalar stats — for every strategy that folds. This is what keeps the async
-// path honest.
+// (tolerance 0) to the synchronous server at Workers = 1 — weights, strategy
+// state, and per-round scalar stats — for every strategy. This is what keeps
+// the async path honest.
 func TestAsyncZeroLatencyMatchesSyncStreaming(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -54,14 +54,17 @@ func TestAsyncZeroLatencyMatchesSyncStreaming(t *testing.T) {
 	}{
 		{"FedAvg", func() Strategy { return FedAvg{} }},
 		{"FedProx", func() Strategy { return &FedProx{Mu: 0.1} }},
+		{"q-FedAvg", func() Strategy { return &QFedAvg{Q: 0.1} }},
+		{"Scaffold", func() Strategy { return &Scaffold{TotalClients: 6} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sync := fixtureServer(t, tc.strat(), 1)
+			syncStrat, asyncStrat := tc.strat(), tc.strat()
+			sync := fixtureServer(t, syncStrat, 1)
 			var syncStats []RoundStats
 			sync.Run(func(s RoundStats) { syncStats = append(syncStats, s) })
 
 			// PolynomialStaleness{Alpha: 0} makes the discount identically 1.
-			async := asyncFixtureServer(t, tc.strat(), AsyncConfig{
+			async := asyncFixtureServer(t, asyncStrat, AsyncConfig{
 				Staleness: PolynomialStaleness{Alpha: 0},
 				Latency:   simclock.Constant{D: 0},
 			})
@@ -69,6 +72,9 @@ func TestAsyncZeroLatencyMatchesSyncStreaming(t *testing.T) {
 			async.Run(func(s AsyncRoundStats) { asyncStats = append(asyncStats, s) })
 
 			requireBitIdentical(t, sync.Global, async.Global, tc.name)
+			if sc, ok := syncStrat.(*Scaffold); ok {
+				requireBitIdentical(t, sc.c, asyncStrat.(*Scaffold).c, "server control variate")
+			}
 			if len(syncStats) != len(asyncStats) {
 				t.Fatalf("round counts differ: %d vs %d", len(syncStats), len(asyncStats))
 			}
@@ -238,10 +244,10 @@ func TestNewAsyncServerValidation(t *testing.T) {
 	builder := fixtureBuilder(1)
 	loss := nn.SoftmaxCrossEntropy{}
 
-	// Barrier-only strategies cannot aggregate asynchronously.
-	for _, strat := range []Strategy{&QFedAvg{Q: 1}, &Scaffold{}} {
-		if _, err := NewAsyncServer(cfg, builder, loss, strat, clients, AsyncConfig{}); err == nil {
-			t.Fatalf("%s must be rejected by the async server", strat.Name())
+	// Every strategy aggregates asynchronously.
+	for _, strat := range allStrategies() {
+		if _, err := NewAsyncServer(cfg, builder, loss, strat, clients, AsyncConfig{}); err != nil {
+			t.Fatalf("%s rejected by the async server: %v", strat.Name(), err)
 		}
 	}
 	// A window larger than the in-flight set could never fill.
@@ -472,5 +478,10 @@ func TestAsyncAllDropoutRefill(t *testing.T) {
 		if sst.Dropped[i] != firstDraw[i] {
 			t.Fatalf("sync/async all-dropout draws diverged: %v vs %v", sst.Dropped, firstDraw)
 		}
+	}
+	// The lost round still paid its broadcasts, exactly as the async server
+	// charged the same draw.
+	if want := wb * int64(len(firstDraw)); sst.BytesDown != want || sst.BytesUp != 0 {
+		t.Fatalf("sync lost round bytes down/up = %d/%d, want %d/0", sst.BytesDown, sst.BytesUp, want)
 	}
 }

@@ -1,8 +1,10 @@
 package fl
 
 import (
+	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"heteroswitch/internal/faults"
@@ -10,41 +12,78 @@ import (
 	"heteroswitch/internal/simclock"
 )
 
-// corruptingFedAvg poisons the target client's returned update with a fixed
-// mode — the adversarial client of the gate tests. Embedding FedAvg keeps
-// the streaming/weighted fold capabilities the engines type-assert for.
-type corruptingFedAvg struct {
-	FedAvg
+// corrupting poisons the target client's returned update with a fixed mode
+// — the adversarial client of the gate tests, for any strategy.
+type corrupting struct {
+	Strategy
 	target int
 	mode   faults.Mode
 }
 
-func (c corruptingFedAvg) LocalUpdate(ctx *ClientContext) ClientResult {
-	res := c.FedAvg.LocalUpdate(ctx)
+func (c corrupting) LocalUpdate(ctx *ClientContext) ClientResult {
+	res := c.Strategy.LocalUpdate(ctx)
 	if ctx.Client.ID == c.target {
 		corruptUpdate(c.mode, ctx.Global, res.Weights)
 	}
 	return res
 }
 
-// absentFedAvg is the ground truth the gate must reproduce: the target
-// client reports a zero-sample, zero-delta result, which every engine folds
-// as an exact no-op (all sums are sample-weighted, and n = 0 terms add
-// nothing bit-for-bit) — i.e. the client's update never happened, while the
-// sampling and latency streams stay untouched.
-type absentFedAvg struct {
-	FedAvg
+// absent is the ground truth the gate must reproduce: the target client
+// trains like everyone else, but its result never reaches a fold — i.e. the
+// client's update never happened, while the sampling and latency streams
+// stay untouched.
+type absent struct {
+	Strategy
 	target int
 }
 
-func (a absentFedAvg) LocalUpdate(ctx *ClientContext) ClientResult {
-	if ctx.Client.ID == a.target {
-		return ClientResult{
-			ClientID: ctx.Client.ID, DeviceIdx: ctx.Client.Device,
-			Weights: ctx.SnapshotWeights(),
-		}
+func (a absent) NewAccumulator(global nn.Weights, cfg Config) Accumulator {
+	return absentAccumulator{a.Strategy.NewAccumulator(global, cfg), a.target}
+}
+
+type absentAccumulator struct {
+	Accumulator
+	target int
+}
+
+func (a absentAccumulator) Fold(r ClientResult, scale float64) {
+	if r.ClientID != a.target {
+		a.Accumulator.Fold(r, scale)
 	}
-	return a.FedAvg.LocalUpdate(ctx)
+}
+
+func (a absentAccumulator) Merge(other Accumulator) {
+	a.Accumulator.Merge(other.(absentAccumulator).Accumulator)
+}
+
+// requireScaffoldUntouchedBy checks that SCAFFOLD kept no trace of the target
+// client's rejected updates: its control variate is still the zero it was
+// created as, nothing is left staged, and the server variate equals the
+// absent-client run's bit for bit. A no-op for other strategies.
+func requireScaffoldUntouchedBy(t *testing.T, ref, got Strategy, target int) {
+	t.Helper()
+	sc, ok := got.(*Scaffold)
+	if !ok {
+		return
+	}
+	requireBitIdentical(t, ref.(*Scaffold).c, sc.c, "server control variate")
+	var others float64
+	for id, ck := range sc.clients {
+		var normSq float64
+		for _, p := range ck.Params {
+			normSq += p.L2NormSq()
+		}
+		if id == target && normSq != 0 {
+			t.Fatalf("rejected updates moved client %d's control variate (|c_k|² = %g)", id, normSq)
+		}
+		others += normSq
+	}
+	if others == 0 {
+		t.Fatal("no honest client ever committed a control variate; fixture broken")
+	}
+	if len(sc.pending) != 0 {
+		t.Fatalf("%d control-variate steps still staged after the run", len(sc.pending))
+	}
 }
 
 // gateServer is fixtureServer with a config hook (fault model, gate, paths).
@@ -91,59 +130,54 @@ func gateAsyncServer(t *testing.T, strat Strategy, async AsyncConfig, mutate fun
 	return srv
 }
 
-// The validation-gate contract on the synchronous engine, both aggregation
-// paths: a NaN/Inf/huge-norm delta from one client never perturbs the
+// The validation-gate contract on the synchronous engine, for every
+// strategy: a NaN/Inf/huge-norm delta from one client never perturbs the
 // global weights — bit-identical (tol 0) to a run where that client's
 // update never happened — and lands in Rejected/BytesWasted instead.
 func TestGateRejectsCorruptUpdateSyncEngine(t *testing.T) {
 	const target = 2
 	for _, mode := range []faults.Mode{faults.NaN, faults.Inf, faults.Blowup} {
-		for _, barrier := range []bool{false, true} {
-			name := mode.String()
-			if barrier {
-				name += "/barrier"
-			} else {
-				name += "/streaming"
-			}
-			t.Run(name, func(t *testing.T) {
-				ref := gateServer(t, absentFedAvg{target: target}, func(c *Config) {
-					c.DisableStreaming = barrier
-				})
-				ref.Run(nil)
+		t.Run(mode.String()+"/streaming", func(t *testing.T) {
+			for i, strat := range allStrategies() {
+				t.Run(strat.Name(), func(t *testing.T) {
+					refStrat := allStrategies()[i]
+					ref := gateServer(t, absent{refStrat, target}, nil)
+					ref.Run(nil)
 
-				srv := gateServer(t, corruptingFedAvg{target: target, mode: mode}, func(c *Config) {
-					c.DisableStreaming = barrier
-					c.MaxDeltaNorm = 50
-				})
-				sampledTarget, rejected := 0, 0
-				var wasted, up int64
-				srv.Run(func(st RoundStats) {
-					for _, id := range st.Sampled {
-						if id == target {
-							sampledTarget++
+					srv := gateServer(t, corrupting{strat, target, mode}, func(c *Config) {
+						c.MaxDeltaNorm = 50
+					})
+					sampledTarget, rejected := 0, 0
+					var wasted, up int64
+					srv.Run(func(st RoundStats) {
+						for _, id := range st.Sampled {
+							if id == target {
+								sampledTarget++
+							}
 						}
-					}
-					for _, id := range st.Rejected {
-						if id != target {
-							t.Fatalf("round %d rejected honest client %d", st.Round, id)
+						for _, id := range st.Rejected {
+							if id != target {
+								t.Fatalf("round %d rejected honest client %d", st.Round, id)
+							}
+							rejected++
 						}
-						rejected++
+						wasted += st.BytesWasted
+						up += st.BytesUp
+					})
+					if sampledTarget == 0 {
+						t.Fatal("target client never sampled; fixture broken")
 					}
-					wasted += st.BytesWasted
-					up += st.BytesUp
+					if rejected != sampledTarget {
+						t.Fatalf("target sampled %d times but rejected %d", sampledTarget, rejected)
+					}
+					if wasted != int64(rejected)*weightBytes(srv.Global) || wasted > up {
+						t.Fatalf("wasted-bytes accounting off: wasted=%d rejected=%d up=%d", wasted, rejected, up)
+					}
+					requireBitIdentical(t, ref.Global, srv.Global, mode.String())
+					requireScaffoldUntouchedBy(t, refStrat, strat, target)
 				})
-				if sampledTarget == 0 {
-					t.Fatal("target client never sampled; fixture broken")
-				}
-				if rejected != sampledTarget {
-					t.Fatalf("target sampled %d times but rejected %d", sampledTarget, rejected)
-				}
-				if wasted != int64(rejected)*weightBytes(srv.Global) || wasted > up {
-					t.Fatalf("wasted-bytes accounting off: wasted=%d rejected=%d up=%d", wasted, rejected, up)
-				}
-				requireBitIdentical(t, ref.Global, srv.Global, name)
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -159,30 +193,36 @@ func TestGateRejectsCorruptUpdateAsyncEngine(t *testing.T) {
 	}
 	for _, mode := range []faults.Mode{faults.NaN, faults.Inf, faults.Blowup} {
 		t.Run(mode.String(), func(t *testing.T) {
-			ref := gateAsyncServer(t, absentFedAvg{target: target}, async, nil)
-			ref.Run(nil)
+			for i, strat := range allStrategies() {
+				t.Run(strat.Name(), func(t *testing.T) {
+					refStrat := allStrategies()[i]
+					ref := gateAsyncServer(t, absent{refStrat, target}, async, nil)
+					ref.Run(nil)
 
-			srv := gateAsyncServer(t, corruptingFedAvg{target: target, mode: mode}, async, func(c *Config) {
-				c.MaxDeltaNorm = 50
-			})
-			sampledTarget, rejected := 0, 0
-			srv.Run(func(st AsyncRoundStats) {
-				for _, id := range st.Sampled {
-					if id == target {
-						sampledTarget++
+					srv := gateAsyncServer(t, corrupting{strat, target, mode}, async, func(c *Config) {
+						c.MaxDeltaNorm = 50
+					})
+					sampledTarget, rejected := 0, 0
+					srv.Run(func(st AsyncRoundStats) {
+						for _, id := range st.Sampled {
+							if id == target {
+								sampledTarget++
+							}
+						}
+						for _, id := range st.Rejected {
+							if id != target {
+								t.Fatalf("window %d rejected honest client %d", st.Round, id)
+							}
+							rejected++
+						}
+					})
+					if sampledTarget == 0 || rejected != sampledTarget {
+						t.Fatalf("target folded %d times, rejected %d; want equal and > 0", sampledTarget, rejected)
 					}
-				}
-				for _, id := range st.Rejected {
-					if id != target {
-						t.Fatalf("window %d rejected honest client %d", st.Round, id)
-					}
-					rejected++
-				}
-			})
-			if sampledTarget == 0 || rejected != sampledTarget {
-				t.Fatalf("target folded %d times, rejected %d; want equal and > 0", sampledTarget, rejected)
+					requireBitIdentical(t, ref.Global, srv.Global, mode.String())
+					requireScaffoldUntouchedBy(t, refStrat, strat, target)
+				})
 			}
-			requireBitIdentical(t, ref.Global, srv.Global, mode.String())
 		})
 	}
 }
@@ -206,6 +246,57 @@ func TestSyncAllCorruptFreezesGlobal(t *testing.T) {
 		}
 	})
 	requireBitIdentical(t, before, srv.Global, "all-corrupt freeze")
+}
+
+// SCAFFOLD commits a client's control-variate step only when its update is
+// admitted: under a fault model that corrupts every update, on either
+// engine, the gate rejects everything and neither c, any c_k, nor the staging
+// area keeps a trace — and the global stays frozen.
+func TestScaffoldRejectedUpdatesLeaveNoTrace(t *testing.T) {
+	m, err := faults.ParseSpec("corrupt:1,nan", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arm := func(c *Config) {
+		c.Faults = m
+		c.MaxDeltaNorm = math.Inf(1) // non-finite check only
+	}
+	check := func(engine string, sc *Scaffold, before, after nn.Weights) {
+		t.Helper()
+		requireBitIdentical(t, before, after, engine+" all-corrupt freeze")
+		if len(sc.clients) == 0 {
+			t.Fatalf("%s: no client ever trained; fixture broken", engine)
+		}
+		for _, w := range append([]nn.Weights{sc.c}, slices.Collect(maps.Values(sc.clients))...) {
+			for _, p := range w.Params {
+				if p.L2NormSq() != 0 {
+					t.Fatalf("%s: a rejected update moved a control variate", engine)
+				}
+			}
+		}
+		if len(sc.pending) != 0 {
+			t.Fatalf("%s: %d rejected control-variate steps still staged", engine, len(sc.pending))
+		}
+	}
+
+	sc := &Scaffold{TotalClients: 6}
+	sync := gateServer(t, sc, arm)
+	before := sync.Global.Clone()
+	sync.Run(nil)
+	check("sync", sc, before, sync.Global)
+
+	sc = &Scaffold{TotalClients: 6}
+	async := gateAsyncServer(t, sc, AsyncConfig{
+		Latency:     simclock.Uniform{Lo: 0.5, Hi: 2, Seed: 17},
+		Concurrency: 8,
+		Buffer:      4,
+	}, arm)
+	before = async.Global.Clone()
+	async.Run(nil)
+	check("async", sc, before, async.Global)
+	if async.Version != 0 {
+		t.Fatalf("async installed %d versions from rejected updates", async.Version)
+	}
 }
 
 // Engine/fault-model compatibility is enforced at construction.

@@ -5,8 +5,10 @@
 // extension point that HeteroSwitch (internal/core) plugs into.
 //
 // Determinism: given the same Config.Seed, population, and strategy, every
-// run produces identical results even with Workers > 1 — workers only
-// compute; aggregation always happens in client order on the main goroutine.
+// run produces identical results even with Workers > 1 — clients are
+// partitioned over the workers as a pure function of the sampled list, each
+// worker folds its shard in sampling order, and the shards merge in a fixed
+// tree on the main goroutine.
 package fl
 
 import (
@@ -44,11 +46,6 @@ type Config struct {
 	// report back this round (device offline, battery, network) — the
 	// partial-participation regime of production FL. 0 disables dropout.
 	ClientDropout float64
-	// DisableStreaming forces the legacy barrier aggregation (materialize
-	// all K client snapshots, then Strategy.Aggregate) even when the
-	// strategy implements StreamingAggregator. Used for A/B memory
-	// comparisons and debugging; leave false in production runs.
-	DisableStreaming bool
 	// Faults injects seeded client failures (see internal/faults). nil
 	// injects nothing and is the bit-identical pre-fault behavior. The
 	// synchronous Server accepts corruption-only models; crash, transient
@@ -131,15 +128,15 @@ type ClientContext struct {
 	RNG    *frand.RNG // deterministic per (client, round)
 	// Scratch, when non-nil, points at a per-worker weight buffer the
 	// strategy may return from LocalUpdate instead of allocating a fresh
-	// snapshot (via SnapshotWeights). The server only sets it on the
-	// streaming path, where each result is folded into the shard
-	// accumulator before the buffer is reused for the next client.
+	// snapshot (via SnapshotWeights). Both servers set it: each result is
+	// folded into an accumulator before the buffer is reused for the next
+	// client. Only direct callers of LocalUpdate leave it nil.
 	Scratch *nn.Weights
 }
 
 // SnapshotWeights returns the network's post-training weights: written into
-// the per-worker scratch buffer when the server is streaming (the result is
-// folded immediately, so the buffer can be recycled), or a fresh snapshot
+// the per-worker scratch buffer when there is one (the server folds the
+// result immediately, so the buffer can be recycled), or a fresh snapshot
 // otherwise. Strategies should prefer this over Net.Snapshot for the
 // weights they return. A scratch buffer that no longer matches the network
 // is an invariant violation, reported the same way as an incompatible
@@ -165,19 +162,18 @@ type ClientResult struct {
 }
 
 // Strategy couples a client-side local update rule with a server-side
-// aggregation rule. Strategies whose rule is a streamable fold should also
-// implement StreamingAggregator; the server then never materializes all K
-// client snapshots and Aggregate serves only as the barrier fallback.
+// aggregation rule, expressed as a fold (see Accumulator): the servers never
+// materialize a round's client snapshots.
 type Strategy interface {
 	Name() string
 	// LocalUpdate trains ctx.Net (which holds the global weights) on the
 	// client's data and returns the updated weights plus losses.
 	LocalUpdate(ctx *ClientContext) ClientResult
-	// Aggregate merges the round's client results into new global weights.
-	// results arrive in sampling order. On the streaming path the server
-	// bypasses Aggregate in favor of the strategy's Accumulators; results
-	// then carry empty Weights.
-	Aggregate(global nn.Weights, results []ClientResult, cfg Config) nn.Weights
+	// NewAccumulator returns an empty accumulator for a round against the
+	// given global weights. The synchronous server calls it once per worker
+	// and the asynchronous server once, each for its whole lifetime; an
+	// accumulator is used from one goroutine at a time.
+	NewAccumulator(global nn.Weights, cfg Config) Accumulator
 }
 
 // RoundStats summarizes one communication round.

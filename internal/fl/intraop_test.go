@@ -83,11 +83,11 @@ func TestTrainLocalIntraOpBitIdentical(t *testing.T) {
 }
 
 // newConvServer builds a small conv federation for round-level tests.
-func newConvServer(t *testing.T, workers, intraOp int, barrier bool) *Server {
+func newConvServer(t *testing.T, workers, intraOp int) *Server {
 	t.Helper()
 	cfg := Config{
 		Rounds: 3, ClientsPerRound: 6, BatchSize: 4, LocalEpochs: 1,
-		LR: 0.1, Seed: 5, Workers: workers, IntraOp: intraOp, DisableStreaming: barrier,
+		LR: 0.1, Seed: 5, Workers: workers, IntraOp: intraOp,
 	}
 	srv, err := NewServer(cfg, convBuilder, nn.SoftmaxCrossEntropy{}, FedAvg{}, convClients(8, 8))
 	if err != nil {
@@ -102,8 +102,8 @@ func newConvServer(t *testing.T, workers, intraOp int, barrier bool) *Server {
 // Running this test under -race additionally validates the pool dispatch
 // from concurrent worker goroutines (the CI race lane does).
 func TestServerRoundNestedIntraOpBitIdentical(t *testing.T) {
-	serial := newConvServer(t, 2, 1, false)
-	nested := newConvServer(t, 2, 8, false) // share of 4 per worker
+	serial := newConvServer(t, 2, 1)
+	nested := newConvServer(t, 2, 8) // share of 4 per worker
 	for round := 0; round < 3; round++ {
 		serial.RunRound(round)
 		nested.RunRound(round)
@@ -138,11 +138,10 @@ func TestIntraOpShare(t *testing.T) {
 // TestFinalizeRecyclingRetention locks the double-buffered Finalize
 // invariant: weight sets handed out before the recycled buffer cycles back —
 // checkpoint serializations and GlobalNet copies — must be unaffected by
-// later rounds. It also confirms the streaming path matches the barrier path
-// bit-for-bit with recycling active, over enough rounds for the ping-pong
-// buffers to be reused twice.
+// later rounds, over enough rounds for the ping-pong buffers to be reused
+// twice.
 func TestFinalizeRecyclingRetention(t *testing.T) {
-	srv := newConvServer(t, 2, 1, false)
+	srv := newConvServer(t, 2, 1)
 	srv.RunRound(0)
 
 	// Capture everything an external consumer could retain at round 0.
@@ -159,7 +158,7 @@ func TestFinalizeRecyclingRetention(t *testing.T) {
 	srv.RunRound(2)
 
 	requireWeightsBitIdentical(t, "GlobalNet copy after recycling", gnet.Snapshot(), snap)
-	restore := newConvServer(t, 2, 1, false)
+	restore := newConvServer(t, 2, 1)
 	round, err := restore.LoadCheckpoint(&ckpt)
 	if err != nil {
 		t.Fatal(err)
@@ -168,38 +167,4 @@ func TestFinalizeRecyclingRetention(t *testing.T) {
 		t.Fatalf("checkpoint round %d, want 0", round)
 	}
 	requireWeightsBitIdentical(t, "checkpoint after recycling", restore.Global, snap)
-
-	// And recycling must not change the aggregate: a run whose accumulators
-	// hide the IntoFinalizer capability (forcing the allocating Finalize
-	// every round) produces bit-identical globals.
-	mk := func(strategy Strategy) *Server {
-		cfg := Config{
-			Rounds: 3, ClientsPerRound: 6, BatchSize: 4, LocalEpochs: 1,
-			LR: 0.1, Seed: 5, Workers: 1,
-		}
-		srv, err := NewServer(cfg, convBuilder, nn.SoftmaxCrossEntropy{}, strategy, convClients(8, 8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return srv
-	}
-	recycled := mk(FedAvg{})
-	allocating := mk(noRecycleAgg{})
-	for round := 0; round < 3; round++ {
-		recycled.RunRound(round)
-		allocating.RunRound(round)
-		requireWeightsBitIdentical(t, fmt.Sprintf("round %d recycled vs allocating Finalize", round),
-			recycled.Global, allocating.Global)
-	}
 }
-
-// noRecycleAgg is FedAvg with the accumulator's IntoFinalizer (and
-// ResettableAccumulator) capabilities hidden behind a plain Accumulator
-// embedding, so the server must take the allocating Finalize path.
-type noRecycleAgg struct{ FedAvg }
-
-func (noRecycleAgg) NewAccumulator(global nn.Weights, cfg Config) Accumulator {
-	return noRecycleAcc{FedAvg{}.NewAccumulator(global, cfg)}
-}
-
-type noRecycleAcc struct{ Accumulator }

@@ -21,7 +21,7 @@ func TestFedAvgIdempotentProperty(t *testing.T) {
 			{NumSamples: n1, Weights: w.Clone()},
 			{NumSamples: n2, Weights: w.Clone()},
 		}
-		out := FedAvg{}.Aggregate(w, results, Default())
+		out := streamAggregate(FedAvg{}, w, results, 1, 1, Default())
 		return out.Params[0].AllClose(w.Params[0], 1e-5)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -44,7 +44,7 @@ func TestFedAvgConvexityProperty(t *testing.T) {
 				Weights:    nn.Weights{Params: []*tensor.Tensor{tensors[i]}},
 			})
 		}
-		out := FedAvg{}.Aggregate(results[0].Weights, results, Default())
+		out := streamAggregate(FedAvg{}, results[0].Weights, results, 1, 1, Default())
 		for j := 0; j < 7; j++ {
 			lo, hi := tensors[0].At(j), tensors[0].At(j)
 			for i := 1; i < 3; i++ {

@@ -24,15 +24,16 @@ type Server struct {
 	rng     *frand.RNG
 	// worker-owned network replicas, one per worker
 	nets []*nn.Network
-	// pool recycles per-worker snapshot scratch buffers on the streaming
-	// path; it holds at most len(nets) buffers at rest.
+	// pool recycles per-worker snapshot scratch buffers; it holds at most
+	// len(nets) buffers at rest.
 	pool weightsPool
-	// accs holds one shard accumulator per worker, reused across rounds
-	// when the strategy's accumulators are resettable (so the model-sized
-	// float64 sum buffers are allocated once per worker, not per round).
+	// accs holds one shard accumulator per worker, reused across rounds (so
+	// the model-sized float64 sum buffers are allocated once per worker, not
+	// per round); plan is the scratch of the round's client→worker split.
 	accs []Accumulator
-	// spare double-buffers the streaming path's outgoing global weights:
-	// Finalize writes each round's new global into the weight set retired
+	plan shardPlan
+	// spare double-buffers the outgoing global weights: FinalizeInto
+	// writes each round's new global into the weight set retired
 	// two rounds ago instead of allocating a model-sized nn.Weights per
 	// round. Safe because nothing retains a global weight set across rounds
 	// — checkpoints serialize immediately and GlobalNet/replicas copy.
@@ -146,16 +147,14 @@ func localUpdate(strategy Strategy, net *nn.Network, global nn.Weights, client *
 
 // RunRound executes one communication round and returns its stats.
 //
-// When the strategy implements StreamingAggregator (and streaming is not
-// disabled), each worker folds its clients' results into a private shard
-// accumulator as they finish — reusing one pooled snapshot buffer per
-// worker — and the shards are merged tree-style at round end. Peak weight
-// memory is then O(workers) instead of O(K). On this path clients are
-// assigned to workers in contiguous index blocks, not via a dynamic queue,
-// so shard contents (and thus the fold order) are deterministic across
-// runs. The barrier fallback keeps the original dynamic work queue:
-// aggregation there happens in client order on the main goroutine, so
-// scheduling cannot affect results and load balancing is free.
+// The sampled clients are partitioned over the workers (shardPlan.split:
+// balanced on sample count, a pure function of the sampled list); each
+// worker trains its shard in sampling order and folds every result into its
+// private accumulator as it finishes — reusing one pooled snapshot buffer
+// per worker — and the shards are merged tree-style at round end. Peak
+// weight memory is O(workers), not O(K), and because no shard's contents
+// depend on scheduling, a fixed Config is bit-reproducible at every worker
+// count.
 func (s *Server) RunRound(round int) RoundStats {
 	sampled := s.SampleClients()
 	var dropped []int
@@ -170,105 +169,65 @@ func (s *Server) RunRound(round int) RoundStats {
 		}
 		sampled = kept
 	}
+	wb := weightBytes(s.Global)
+	stats := RoundStats{Round: round, Dropped: dropped}
+	stats.BytesDown = wb * int64(len(sampled)+len(dropped)) // broadcast before dropout is known
 	if len(sampled) == 0 {
 		// Everyone dropped: the round is lost; global model unchanged.
-		return RoundStats{Round: round, Dropped: dropped}
+		return stats
 	}
 	results := make([]ClientResult, len(sampled))
-
-	workers := len(s.nets)
-	if workers > len(sampled) {
-		workers = len(sampled)
-	}
-	sa, streaming := s.Strategy.(StreamingAggregator)
-	streaming = streaming && !s.Cfg.DisableStreaming
-
-	runClient := func(net *nn.Network, i int, scratch *nn.Weights) ClientResult {
-		return localUpdate(s.Strategy, net, s.Global, sampled[i], s.Cfg, s.Loss, round, scratch)
-	}
 	// rejected[i] marks a result the validation gate kept out of aggregation;
 	// workers write disjoint indices, stats are collected in client order.
 	rejected := make([]bool, len(sampled))
 
-	var wg sync.WaitGroup
-	if streaming {
-		// Reuse one accumulator per worker across rounds (resetting when the
-		// strategy supports it), selected on the main goroutine so the shard
-		// state lives in exactly one place.
-		if s.accs == nil {
-			s.accs = make([]Accumulator, len(s.nets))
-		}
-		for w := 0; w < workers; w++ {
-			if ra, ok := s.accs[w].(ResettableAccumulator); ok {
-				ra.Reset(s.Global, s.Cfg)
-			} else {
-				s.accs[w] = sa.NewAccumulator(s.Global, s.Cfg)
-			}
-		}
-		for w := 0; w < workers; w++ {
-			lo := w * len(sampled) / workers
-			hi := (w + 1) * len(sampled) / workers
-			wg.Add(1)
-			go func(acc Accumulator, lo, hi int, net *nn.Network) {
-				defer wg.Done()
-				scratch := s.pool.get(s.Global)
-				defer s.pool.put(scratch)
-				for i := lo; i < hi; i++ {
-					res := runClient(net, i, &scratch)
-					if s.admitUpdate(&res, round) {
-						acc.Accumulate(res)
-					} else {
-						rejected[i] = true
-					}
-					// The weights may alias the scratch buffer and have
-					// been folded already; keep only the scalar stats.
-					res.Weights = Weights{}
-					results[i] = res
-				}
-			}(s.accs[w], lo, hi, s.nets[w])
-		}
-		wg.Wait()
-		s.Global = s.finalizeRound(mergeShards(s.accs[:workers]))
-	} else {
-		jobs := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(net *nn.Network) {
-				defer wg.Done()
-				for i := range jobs {
-					results[i] = runClient(net, i, nil)
-				}
-			}(s.nets[w])
-		}
-		for i := range sampled {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-		agg := results
-		nrej := 0
-		for i := range results {
-			if !s.admitUpdate(&results[i], round) {
-				rejected[i] = true
-				nrej++
-			}
-		}
-		if nrej > 0 {
-			agg = make([]ClientResult, 0, len(results)-nrej)
-			for i, r := range results {
-				if !rejected[i] {
-					agg = append(agg, r)
-				}
-			}
-		}
-		if len(agg) > 0 {
-			s.Global = s.Strategy.Aggregate(s.Global, agg, s.Cfg)
+	workers := min(len(s.nets), len(sampled))
+	// One accumulator per worker for the server's lifetime, rewound on the
+	// main goroutine so the shard state lives in exactly one place.
+	if s.accs == nil {
+		s.accs = make([]Accumulator, len(s.nets))
+	}
+	for w := 0; w < workers; w++ {
+		if s.accs[w] == nil {
+			s.accs[w] = s.Strategy.NewAccumulator(s.Global, s.Cfg)
+		} else {
+			s.accs[w].Reset(s.Global, s.Cfg)
 		}
 	}
+	var wg sync.WaitGroup
+	for w, shard := range s.plan.split(sampled, workers) {
+		wg.Add(1)
+		go func(acc Accumulator, shard []int, net *nn.Network) {
+			defer wg.Done()
+			scratch := s.pool.get(s.Global)
+			defer s.pool.put(scratch)
+			for _, i := range shard {
+				res := localUpdate(s.Strategy, net, s.Global, sampled[i], s.Cfg, s.Loss, round, &scratch)
+				if s.admitUpdate(&res, round) {
+					acc.Fold(res, 1)
+				} else {
+					rejected[i] = true
+				}
+				// The weights may alias the scratch buffer and have
+				// been folded already; keep only the scalar stats.
+				res.Weights = Weights{}
+				results[i] = res
+			}
+		}(s.accs[w], shard, s.nets[w])
+	}
+	wg.Wait()
+	// The new global is written into the spare weight buffer — the set
+	// retired as global two rounds ago — so the steady state allocates no
+	// model-sized weights at all; the previous global becomes the next
+	// spare. A round that aggregated nothing (every update rejected) keeps
+	// both untouched.
+	if s.spare.Params == nil {
+		s.spare = s.Global.Zero()
+	}
+	if mergeShards(s.accs[:workers]).FinalizeInto(s.spare) {
+		s.Global, s.spare = s.spare, s.Global
+	}
 
-	stats := RoundStats{Round: round, Dropped: dropped}
-	wb := weightBytes(s.Global)
-	stats.BytesDown = wb * int64(len(sampled)+len(dropped)) // broadcast before dropout is known
 	stats.BytesUp = wb * int64(len(sampled))
 	var totalSamples float64
 	for i, r := range results {
@@ -288,30 +247,6 @@ func (s *Server) RunRound(round int) RoundStats {
 	}
 	stats.TotalEpochs = len(sampled) * s.Cfg.LocalEpochs
 	return stats
-}
-
-// finalizeRound turns the round's merged root accumulator into the new
-// global weights. When the accumulator supports IntoFinalizer, the new
-// global is written into the server's spare weight buffer — the set retired
-// as global two rounds ago — so the steady state of the streaming path
-// allocates no model-sized weights at all. The previous global (still
-// referenced by this round's results until now) becomes the next spare.
-// Rounds that aggregated nothing (total dropout) keep the global and the
-// spare untouched.
-func (s *Server) finalizeRound(root Accumulator) nn.Weights {
-	fi, ok := root.(IntoFinalizer)
-	if !ok {
-		return root.Finalize()
-	}
-	if s.spare.Params == nil {
-		s.spare = s.Global.Zero()
-	}
-	if !fi.FinalizeInto(s.spare) {
-		return s.Global
-	}
-	neww := s.spare
-	s.spare = s.Global
-	return neww
 }
 
 // SaveCheckpoint serializes the current round counter and global weights so

@@ -7,24 +7,8 @@ import (
 	"heteroswitch/internal/nn"
 )
 
-// weightedAverage returns the sample-count-weighted average of client
-// weights (params and states) — the FedAvg aggregation rule.
-func weightedAverage(results []ClientResult) nn.Weights {
-	var total float64
-	for _, r := range results {
-		total += float64(r.NumSamples)
-	}
-	avg := results[0].Weights.Zero()
-	for _, r := range results {
-		avg.Axpy(float32(float64(r.NumSamples)/total), r.Weights)
-	}
-	return avg
-}
-
 // FedAvg is McMahan et al.'s federated averaging: plain local SGD and
-// sample-weighted model averaging. The paper's baseline. It implements
-// StreamingAggregator (see streaming.go), so the server aggregates it
-// shard-parallel without materializing all K snapshots.
+// sample-weighted model averaging (streaming.go). The paper's baseline.
 type FedAvg struct{}
 
 // Name implements Strategy.
@@ -40,14 +24,6 @@ func (FedAvg) LocalUpdate(ctx *ClientContext) ClientResult {
 		Weights:    ctx.SnapshotWeights(),
 		TrainLoss:  trainLoss, InitLoss: init,
 	}
-}
-
-// Aggregate implements Strategy.
-func (FedAvg) Aggregate(global nn.Weights, results []ClientResult, cfg Config) nn.Weights {
-	if len(results) == 0 {
-		return global
-	}
-	return weightedAverage(results)
 }
 
 // FedProx (Li et al. 2020) adds a proximal term μ/2·||w - w_global||² to the
@@ -81,17 +57,20 @@ func (p *FedProx) LocalUpdate(ctx *ClientContext) ClientResult {
 	}
 }
 
-// Aggregate implements Strategy (same rule as FedAvg).
-func (p *FedProx) Aggregate(global nn.Weights, results []ClientResult, cfg Config) nn.Weights {
-	if len(results) == 0 {
-		return global
-	}
-	return weightedAverage(results)
-}
-
 // QFedAvg implements q-FFL (Li et al. 2019): clients with higher loss get
 // up-weighted updates, trading average accuracy for fairness. q=0 reduces to
 // (unweighted) FedAvg.
+//
+//	Δ_k = (w_global - w_k)/η,  F_k = L_k + ε
+//	w ← w_global - Σ_k F_k^q Δ_k / Σ_k (q F_k^{q-1} ||Δ_k||² + F_k^q/η)
+//
+// Numerator and denominator are both per-client sums normalized once, so the
+// rule streams: the accumulator keeps Σ p_k·w_k with p_k = F_k^q (whence
+// Σ_k F_k^q Δ_k = (Σp_k·w_global − Σ p_k·w_k)/η) and the scalar denominator.
+// On the async engine a stale result folds as absolute weights against the
+// window's global — Δ_k is measured from the model the window will update,
+// not the older one the client trained from — exactly as FedAvg's stale
+// folds already are.
 type QFedAvg struct {
 	Q float64
 }
@@ -99,48 +78,77 @@ type QFedAvg struct {
 // Name implements Strategy.
 func (q *QFedAvg) Name() string { return "q-FedAvg" }
 
-// LocalUpdate implements Strategy: standard local SGD; the magic is in
-// Aggregate.
+// LocalUpdate implements Strategy: standard local SGD; the magic is in the
+// accumulator.
 func (q *QFedAvg) LocalUpdate(ctx *ClientContext) ClientResult {
 	return FedAvg{}.LocalUpdate(ctx)
 }
 
-// Aggregate implements the q-FFL update:
-//
-//	Δ_k = (w_global - w_k)/η,  F_k = L_k + ε
-//	w ← w_global - Σ_k F_k^q Δ_k / Σ_k (q F_k^{q-1} ||Δ_k||² + F_k^q/η)
-func (q *QFedAvg) Aggregate(global nn.Weights, results []ClientResult, cfg Config) nn.Weights {
-	if len(results) == 0 {
-		return global
+// NewAccumulator implements Strategy.
+func (q *QFedAvg) NewAccumulator(global nn.Weights, cfg Config) Accumulator {
+	return &qFedAvgAccumulator{
+		fedAvgAccumulator: newFedAvgAccumulator(global),
+		q:                 q.Q, lr: cfg.LR, global: global,
+	}
+}
+
+// qFedAvgAccumulator reuses FedAvg's sums with q-FFL's weights: params holds
+// Σ p_k·w_k with p_k = scale·F_k^q (its total is Σ p_k); states — BN
+// statistics, not part of the q-FFL objective — average as FedAvg's do
+// (weight scale·n_k) so inference stays calibrated.
+type qFedAvgAccumulator struct {
+	fedAvgAccumulator
+	q, lr  float64
+	global nn.Weights
+	denom  float64 // Σ scale·(q F_k^{q-1} ||Δ_k||² + F_k^q/η)
+}
+
+// Fold implements Accumulator.
+func (a *qFedAvgAccumulator) Fold(r ClientResult, scale float64) {
+	if scale == 0 {
+		return
 	}
 	const eps = 1e-10
-	invLR := 1.0 / cfg.LR
-	num := global.Zero()
-	var denom float64
-	for _, r := range results {
-		delta := global.Sub(r.Weights) // w_global - w_k
-		delta.Scale(float32(invLR))
-		f := r.InitLoss + eps
-		fq := math.Pow(f, q.Q)
-		var normSq float64
-		for _, p := range delta.Params {
-			normSq += p.L2NormSq()
+	f := r.InitLoss + eps
+	fq := math.Pow(f, a.q)
+	a.params.add(r.Weights.Params, scale*fq)
+	a.states.add(r.Weights.States, scale*float64(r.NumSamples))
+	normSq := a.global.L2DistSq(r.Weights) / (a.lr * a.lr) // ||Δ_k||²
+	a.denom += scale * (a.q*math.Pow(f, a.q-1)*normSq + fq/a.lr)
+}
+
+// Merge implements Accumulator.
+func (a *qFedAvgAccumulator) Merge(other Accumulator) {
+	b := other.(*qFedAvgAccumulator)
+	a.fedAvgAccumulator.Merge(&b.fedAvgAccumulator)
+	a.denom += b.denom
+}
+
+// FinalizeInto implements Accumulator. Every denominator term is at least
+// F_k^q/η > 0 for Q ≥ 0 and finite non-negative losses, so a non-positive
+// denominator means nothing was folded (or a negative Q overshot); either
+// way the round has no usable step and the global is kept.
+func (a *qFedAvgAccumulator) FinalizeInto(dst nn.Weights) bool {
+	if a.denom <= 0 {
+		return false
+	}
+	a.params.mustMatch(dst.Params)
+	step, p := 1/(a.lr*a.denom), a.params.total
+	for i, sum := range a.params.sums {
+		g, d := a.global.Params[i].Data(), dst.Params[i].Data()
+		for j, v := range sum {
+			gj := float64(g[j])
+			d[j] = float32(gj - (p*gj-v)*step)
 		}
-		num.Axpy(float32(fq), delta)
-		denom += q.Q*math.Pow(f, q.Q-1)*normSq + fq*invLR
 	}
-	if denom <= 0 {
-		return weightedAverage(results)
-	}
-	out := global.Clone()
-	out.Axpy(float32(-1.0/denom), num)
-	// States (BN statistics) are not part of the q-FFL objective; average
-	// them as FedAvg does so inference stays calibrated.
-	avg := weightedAverage(results)
-	for i := range out.States {
-		out.States[i].CopyFrom(avg.States[i])
-	}
-	return out
+	a.states.meanInto(dst.States)
+	return true
+}
+
+// Reset implements Accumulator.
+func (a *qFedAvgAccumulator) Reset(global nn.Weights, cfg Config) {
+	a.fedAvgAccumulator.Reset(global, cfg)
+	a.lr, a.global, a.denom = cfg.LR, global, 0
 }
 
 // Scaffold implements SCAFFOLD (Karimireddy et al. 2020): client and server
@@ -152,8 +160,17 @@ type Scaffold struct {
 	mu      sync.Mutex
 	c       nn.Weights         // server control variate
 	clients map[int]nn.Weights // per-client control variates c_k
-	deltas  map[int]nn.Weights // per-round c_k deltas, keyed by client
-	stepCnt map[int]int        // local step counts per client
+	// pending holds what LocalUpdate computed but the server has not yet
+	// admitted: the accumulator's Fold — the only place an admitted result
+	// reaches — commits it, so an update the validation gate rejects never
+	// touches c_k or c.
+	pending map[int]scaffoldUpdate
+}
+
+// scaffoldUpdate is one client's staged control-variate step.
+type scaffoldUpdate struct {
+	ck  nn.Weights // new c_k
+	dck nn.Weights // Δc_k = new c_k − old c_k
 }
 
 // Name implements Strategy.
@@ -164,8 +181,7 @@ func (s *Scaffold) ensure(global nn.Weights, clientID int) (c, ck nn.Weights) {
 	defer s.mu.Unlock()
 	if s.clients == nil {
 		s.clients = map[int]nn.Weights{}
-		s.deltas = map[int]nn.Weights{}
-		s.stepCnt = map[int]int{}
+		s.pending = map[int]scaffoldUpdate{}
 	}
 	if s.c.Params == nil {
 		s.c = global.Zero()
@@ -179,7 +195,8 @@ func (s *Scaffold) ensure(global nn.Weights, clientID int) (c, ck nn.Weights) {
 }
 
 // LocalUpdate implements Strategy. Local steps use w ← w - η(g - c_k + c);
-// afterwards c_k ← c_k - c + (w_global - w_local)/(Sη).
+// afterwards c_k ← c_k - c + (w_global - w_local)/(Sη), staged until the
+// result is folded.
 func (s *Scaffold) LocalUpdate(ctx *ClientContext) ClientResult {
 	c, ck := s.ensure(ctx.Global, ctx.Client.ID)
 	init := EvalLoss(ctx.Net, ctx.Loss, ctx.Client.Data, ctx.Cfg.BatchSize)
@@ -194,7 +211,7 @@ func (s *Scaffold) LocalUpdate(ctx *ClientContext) ClientResult {
 		steps++
 	}
 	trainLoss := TrainLocal(ctx.Net, ctx.Client.Data, ctx.Cfg, ctx.Loss, ctx.RNG, hook, nil)
-	w := ctx.Net.Snapshot()
+	w := ctx.SnapshotWeights()
 
 	if steps > 0 {
 		// c_k_new = c_k - c + (w_global - w_local)/(S·η)
@@ -208,9 +225,7 @@ func (s *Scaffold) LocalUpdate(ctx *ClientContext) ClientResult {
 		dck := ckNew.Clone()
 		dck.Axpy(-1, ck)
 		s.mu.Lock()
-		s.clients[ctx.Client.ID] = ckNew
-		s.deltas[ctx.Client.ID] = dck
-		s.stepCnt[ctx.Client.ID] = steps
+		s.pending[ctx.Client.ID] = scaffoldUpdate{ck: ckNew, dck: dck}
 		s.mu.Unlock()
 	}
 	return ClientResult{
@@ -221,30 +236,82 @@ func (s *Scaffold) LocalUpdate(ctx *ClientContext) ClientResult {
 	}
 }
 
-// Aggregate implements Strategy: average client models, then advance the
-// server control variate by |S|/N of the mean client-variate delta.
-func (s *Scaffold) Aggregate(global nn.Weights, results []ClientResult, cfg Config) nn.Weights {
-	if len(results) == 0 {
-		return global
+// NewAccumulator implements Strategy.
+func (s *Scaffold) NewAccumulator(global nn.Weights, cfg Config) Accumulator {
+	return &scaffoldAccumulator{
+		fedAvgAccumulator: newFedAvgAccumulator(global),
+		s:                 s,
+		dc:                newWeightedSum(global.Params),
 	}
-	out := weightedAverage(results)
+}
+
+// scaffoldAccumulator averages client models as FedAvg does and advances the
+// server control variate by (1/N) Σ scale·Δc_k over the folded clients.
+type scaffoldAccumulator struct {
+	fedAvgAccumulator
+	s      *Scaffold
+	dc     weightedSum // Σ scale·Δc_k
+	folded int
+}
+
+// Fold implements Accumulator: the client's staged control-variate step is
+// committed with its model, or discarded with it at scale 0.
+func (a *scaffoldAccumulator) Fold(r ClientResult, scale float64) {
+	s := a.s
+	s.mu.Lock()
+	up, staged := s.pending[r.ClientID]
+	delete(s.pending, r.ClientID)
+	if staged && scale != 0 {
+		s.clients[r.ClientID] = up.ck
+	}
+	s.mu.Unlock()
+	if scale == 0 {
+		return
+	}
+	a.fedAvgAccumulator.Fold(r, scale)
+	a.folded++
+	if staged {
+		a.dc.add(up.dck.Params, scale)
+	}
+}
+
+// Merge implements Accumulator.
+func (a *scaffoldAccumulator) Merge(other Accumulator) {
+	b := other.(*scaffoldAccumulator)
+	a.fedAvgAccumulator.Merge(&b.fedAvgAccumulator)
+	a.dc.merge(&b.dc)
+	a.folded += b.folded
+}
+
+// FinalizeInto implements Accumulator. Whatever is still staged by now
+// belongs to results the round never folded (the gate rejected them); it is
+// dropped, so a rejected update leaves no trace.
+func (a *scaffoldAccumulator) FinalizeInto(dst nn.Weights) bool {
+	ok := a.fedAvgAccumulator.FinalizeInto(dst)
+	s := a.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	clear(s.pending)
+	if !ok || s.c.Params == nil {
+		return ok
+	}
 	n := s.TotalClients
 	if n <= 0 {
-		n = len(results)
+		n = a.folded
 	}
-	if s.c.Params != nil {
-		scale := float32(1.0 / float64(n))
-		for _, r := range results {
-			if d, ok := s.deltas[r.ClientID]; ok {
-				// c += (1/N) Σ Δc_k over sampled clients.
-				for i := range s.c.Params {
-					s.c.Params[i].Axpy(scale, d.Params[i])
-				}
-				delete(s.deltas, r.ClientID)
-			}
+	inv := 1 / float64(n)
+	for i, sum := range a.dc.sums {
+		d := s.c.Params[i].Data()
+		for j, v := range sum {
+			d[j] += float32(v * inv)
 		}
 	}
-	return out
+	return true
+}
+
+// Reset implements Accumulator.
+func (a *scaffoldAccumulator) Reset(global nn.Weights, cfg Config) {
+	a.fedAvgAccumulator.Reset(global, cfg)
+	a.dc.reset()
+	a.folded = 0
 }

@@ -1,128 +1,146 @@
 package fl
 
 import (
+	"slices"
 	"sync"
 
 	"heteroswitch/internal/nn"
+	"heteroswitch/internal/tensor"
 )
 
-// StreamingAggregator is an optional Strategy capability: strategies whose
-// aggregation rule folds one client result at a time (FedAvg and friends)
-// implement it so the server can stream aggregation instead of materializing
-// all K client weight snapshots behind a round barrier. Each worker goroutine
-// folds its clients into a private shard Accumulator; shards are merged
-// tree-style at round end. Peak weight memory is then O(workers), not O(K).
-//
-// Strategies that genuinely need every result at once (q-FedAvg's normalized
-// step) simply don't implement this interface and keep the legacy
-// Strategy.Aggregate path.
-type StreamingAggregator interface {
-	// NewAccumulator returns a fresh shard accumulator for one round. It is
-	// called once per worker; the returned accumulator is used from that
-	// worker's goroutine only, until Merge/Finalize on the main goroutine.
-	NewAccumulator(global nn.Weights, cfg Config) Accumulator
-}
-
-// Accumulator folds client results into running aggregation state.
+// Accumulator folds client results into running aggregation state — the one
+// aggregation path of both engines. The synchronous server gives every
+// worker goroutine a private shard accumulator, folds each client's result
+// as it finishes, and merges the shards tree-style at round end, so peak
+// weight memory is O(workers), not O(K); the asynchronous server folds every
+// completion into a single accumulator. Accumulators live as long as their
+// server: Reset rewinds them between rounds.
 type Accumulator interface {
-	// Accumulate folds one client's result into the shard. The result's
-	// weight buffers may be reused by the caller immediately afterwards, so
+	// Fold adds one admitted client result at the given scale, which
+	// multiplies the result's native fold weight (its sample count, for the
+	// FedAvg family): 1 on the synchronous server, the staleness discount on
+	// the asynchronous one. A scale of 0 contributes nothing. The caller
+	// reuses the result's weight buffers immediately afterwards, so
 	// implementations must not retain them.
-	Accumulate(result ClientResult)
-	// Merge absorbs another accumulator produced by the same
-	// StreamingAggregator for the same round.
+	Fold(result ClientResult, scale float64)
+	// Merge absorbs another accumulator produced by the same strategy for
+	// the same round.
 	Merge(other Accumulator)
-	// Finalize returns the round's new global weights. Called once, on the
-	// root accumulator after all shards are merged. With no accumulated
-	// results it returns the unchanged global weights.
-	Finalize() nn.Weights
-}
-
-// IntoFinalizer is an optional Accumulator capability: accumulators that can
-// write the round's new global weights into a caller-provided buffer
-// implement it so the server can double-buffer the outgoing global instead
-// of allocating a model-sized nn.Weights every round. dst must be shaped
-// like the round's global weights; every element is overwritten on success.
-// FinalizeInto returns false — leaving dst untouched — when nothing was
-// accumulated (the round lost every client), in which case the caller keeps
-// the old global, exactly as Finalize would have returned it.
-type IntoFinalizer interface {
+	// FinalizeInto writes the round's new global weights into dst, which is
+	// shaped like the global weights and distinct from them; every element
+	// is overwritten. It returns false — leaving dst untouched — when the
+	// round produced no update (nothing was folded), in which case the
+	// caller keeps the old global. Called once per round, on the root
+	// accumulator after all shards are merged.
 	FinalizeInto(dst nn.Weights) bool
-}
-
-// WeightedAccumulator is an optional Accumulator capability: accumulators
-// that can fold a client result with an extra multiplicative weight implement
-// it so the asynchronous server can discount stale results. scale multiplies
-// the result's native fold weight (its sample count, for the FedAvg family);
-// AccumulateWeighted(r, 1) must be exactly Accumulate(r), bit for bit — that
-// identity is what keeps the zero-staleness async path equivalent to the
-// synchronous one. A scale of 0 contributes nothing to the aggregate.
-type WeightedAccumulator interface {
-	Accumulator
-	AccumulateWeighted(result ClientResult, scale float64)
-}
-
-// ResettableAccumulator is an optional Accumulator capability: accumulators
-// whose state can be rewound implement it so the server reuses one
-// accumulator per worker for its whole lifetime instead of allocating
-// model-sized float64 sum buffers every round. Reset must leave the
-// accumulator exactly as NewAccumulator(global, cfg) would have.
-type ResettableAccumulator interface {
-	Accumulator
+	// Reset rewinds the accumulator for a new round against the given global
+	// weights, leaving it exactly as NewAccumulator(global, cfg) would have.
 	Reset(global nn.Weights, cfg Config)
 }
 
-// fedAvgAccumulator streams the sample-count-weighted average. Sums are kept
-// in float64 and rounded to float32 exactly once, in Finalize, so the
-// shard-merge order (which depends on the worker count) perturbs the result
-// by at most double-precision rounding — in practice below float32
-// resolution. Combined with the server's static client→worker assignment,
-// runs with a fixed config are bit-reproducible, matching what the barrier
-// path guaranteed by aggregating in client order on one goroutine.
+// weightedSum is the float64 core every accumulator is built on: Σ w_k·t_k
+// over a fixed list of tensors, and Σ w_k. Sums are rounded to float32
+// exactly once, at finalize, so the shard-merge order (which depends on the
+// worker count) perturbs the result by at most double-precision rounding —
+// in practice below float32 resolution. Combined with the server's static
+// client→worker partition, runs with a fixed config are bit-reproducible.
+type weightedSum struct {
+	sums  [][]float64
+	total float64
+}
+
+func newWeightedSum(like []*tensor.Tensor) weightedSum {
+	s := weightedSum{sums: make([][]float64, len(like))}
+	for i, t := range like {
+		s.sums[i] = make([]float64, t.Size())
+	}
+	return s
+}
+
+// mustMatch panics unless ts has the sums' shape. Failing loudly matters: a
+// short result would otherwise grow total without touching the sums,
+// silently shrinking the aggregate toward zero.
+func (s *weightedSum) mustMatch(ts []*tensor.Tensor) {
+	if len(ts) != len(s.sums) {
+		panic("fl: weight count incompatible with accumulator")
+	}
+	for i, t := range ts {
+		if t.Size() != len(s.sums[i]) {
+			panic("fl: weight size incompatible with accumulator")
+		}
+	}
+}
+
+// add folds w·ts into the sums.
+func (s *weightedSum) add(ts []*tensor.Tensor, w float64) {
+	s.mustMatch(ts)
+	for i, t := range ts {
+		src := t.Data()
+		dst := s.sums[i][:len(src)]
+		for j, v := range src {
+			dst[j] += w * float64(v)
+		}
+	}
+	s.total += w
+}
+
+func (s *weightedSum) merge(o *weightedSum) {
+	for i, src := range o.sums {
+		dst := s.sums[i][:len(src)]
+		for j, v := range src {
+			dst[j] += v
+		}
+	}
+	s.total += o.total
+}
+
+func (s *weightedSum) reset() {
+	for _, sum := range s.sums {
+		clear(sum)
+	}
+	s.total = 0
+}
+
+// meanInto writes sums/total into dst, the single float32 rounding.
+func (s *weightedSum) meanInto(dst []*tensor.Tensor) {
+	s.mustMatch(dst)
+	inv := 1.0 / s.total
+	for i, sum := range s.sums {
+		d := dst[i].Data()[:len(sum)]
+		for j, v := range sum {
+			d[j] = float32(v * inv)
+		}
+	}
+}
+
+// fedAvgAccumulator streams the sample-count-weighted average of parameters
+// and states.
 type fedAvgAccumulator struct {
-	global nn.Weights
-	params [][]float64 // Σ n_k · w_k per param tensor
-	states [][]float64 // Σ n_k · s_k per state tensor
-	total  float64     // Σ n_k
+	params, states weightedSum // Σ scale·n_k · w_k
 }
 
-// NewAccumulator implements StreamingAggregator for FedAvg.
+func newFedAvgAccumulator(global nn.Weights) fedAvgAccumulator {
+	return fedAvgAccumulator{
+		params: newWeightedSum(global.Params),
+		states: newWeightedSum(global.States),
+	}
+}
+
+// NewAccumulator implements Strategy.
 func (FedAvg) NewAccumulator(global nn.Weights, cfg Config) Accumulator {
-	a := &fedAvgAccumulator{
-		global: global,
-		params: make([][]float64, len(global.Params)),
-		states: make([][]float64, len(global.States)),
-	}
-	for i, p := range global.Params {
-		a.params[i] = make([]float64, p.Size())
-	}
-	for i, s := range global.States {
-		a.states[i] = make([]float64, s.Size())
-	}
-	return a
+	a := newFedAvgAccumulator(global)
+	return &a
 }
 
-// NewAccumulator implements StreamingAggregator: FedProx aggregates exactly
-// like FedAvg (the proximal term only changes the local objective).
+// NewAccumulator implements Strategy: FedProx aggregates exactly like FedAvg
+// (the proximal term only changes the local objective).
 func (p *FedProx) NewAccumulator(global nn.Weights, cfg Config) Accumulator {
 	return FedAvg{}.NewAccumulator(global, cfg)
 }
 
-// Accumulate implements Accumulator.
-func (a *fedAvgAccumulator) Accumulate(r ClientResult) {
-	a.AccumulateWeighted(r, 1)
-}
-
-// AccumulateWeighted implements WeightedAccumulator: the fold weight is
-// scale·n_k, so the async server's staleness discount composes with FedAvg's
-// sample weighting. scale = 1 is byte-for-byte the synchronous fold.
-func (a *fedAvgAccumulator) AccumulateWeighted(r ClientResult, scale float64) {
-	// Fail as loudly as the barrier path's weightedAverage would: a short
-	// result would otherwise grow total without touching the sums, silently
-	// shrinking the aggregate toward zero.
-	if len(r.Weights.Params) != len(a.params) || len(r.Weights.States) != len(a.states) {
-		panic("fl: streamed result weight count incompatible with accumulator")
-	}
+// Fold implements Accumulator: the fold weight is scale·n_k, so the async
+// server's staleness discount composes with FedAvg's sample weighting.
+func (a *fedAvgAccumulator) Fold(r ClientResult, scale float64) {
 	// A zero scale contributes nothing: skip the model-sized fold entirely,
 	// also keeping 0·±Inf/0·NaN from a diverged (and deliberately zeroed-out)
 	// result off the sums.
@@ -130,107 +148,32 @@ func (a *fedAvgAccumulator) AccumulateWeighted(r ClientResult, scale float64) {
 		return
 	}
 	n := scale * float64(r.NumSamples)
-	for i, p := range r.Weights.Params {
-		dst, src := a.params[i], p.Data()
-		if len(src) != len(dst) {
-			panic("fl: streamed result param size incompatible with accumulator")
-		}
-		for j, v := range src {
-			dst[j] += n * float64(v)
-		}
-	}
-	for i, s := range r.Weights.States {
-		dst, src := a.states[i], s.Data()
-		if len(src) != len(dst) {
-			panic("fl: streamed result state size incompatible with accumulator")
-		}
-		for j, v := range src {
-			dst[j] += n * float64(v)
-		}
-	}
-	a.total += n
-}
-
-// Reset implements ResettableAccumulator: the float64 sum buffers are kept
-// and zeroed, so one accumulator per worker serves every round.
-func (a *fedAvgAccumulator) Reset(global nn.Weights, cfg Config) {
-	a.global = global
-	a.total = 0
-	for _, sum := range a.params {
-		clear(sum)
-	}
-	for _, sum := range a.states {
-		clear(sum)
-	}
+	a.params.add(r.Weights.Params, n)
+	a.states.add(r.Weights.States, n)
 }
 
 // Merge implements Accumulator.
 func (a *fedAvgAccumulator) Merge(other Accumulator) {
 	b := other.(*fedAvgAccumulator)
-	for i, src := range b.params {
-		dst := a.params[i]
-		for j, v := range src {
-			dst[j] += v
-		}
-	}
-	for i, src := range b.states {
-		dst := a.states[i]
-		for j, v := range src {
-			dst[j] += v
-		}
-	}
-	a.total += b.total
+	a.params.merge(&b.params)
+	a.states.merge(&b.states)
 }
 
-// Finalize implements Accumulator.
-func (a *fedAvgAccumulator) Finalize() nn.Weights {
-	if a.total == 0 {
-		return a.global
-	}
-	out := a.global.Zero()
-	a.FinalizeInto(out)
-	return out
-}
-
-// FinalizeInto implements IntoFinalizer: the sample-weighted average is
-// rounded from the float64 sums straight into dst's float32 tensors, the
-// same single rounding Finalize performs, so the recycled and allocating
-// paths are bit-identical.
+// FinalizeInto implements Accumulator.
 func (a *fedAvgAccumulator) FinalizeInto(dst nn.Weights) bool {
-	if a.total == 0 {
+	if a.params.total == 0 {
 		return false
 	}
-	if len(dst.Params) != len(a.params) || len(dst.States) != len(a.states) {
-		panic("fl: FinalizeInto buffer incompatible with accumulator")
-	}
-	inv := 1.0 / a.total
-	for i, sum := range a.params {
-		d := dst.Params[i].Data()
-		if len(d) != len(sum) {
-			panic("fl: FinalizeInto param size incompatible with accumulator")
-		}
-		for j, v := range sum {
-			d[j] = float32(v * inv)
-		}
-	}
-	for i, sum := range a.states {
-		d := dst.States[i].Data()
-		if len(d) != len(sum) {
-			panic("fl: FinalizeInto state size incompatible with accumulator")
-		}
-		for j, v := range sum {
-			d[j] = float32(v * inv)
-		}
-	}
+	a.params.meanInto(dst.Params)
+	a.states.meanInto(dst.States)
 	return true
 }
 
-// interface conformance checks
-var (
-	_ WeightedAccumulator   = (*fedAvgAccumulator)(nil)
-	_ ResettableAccumulator = (*fedAvgAccumulator)(nil)
-	_ IntoFinalizer         = (*fedAvgAccumulator)(nil)
-)
+// Reset implements Accumulator: the float64 sum buffers are kept and zeroed.
+func (a *fedAvgAccumulator) Reset(nn.Weights, Config) {
+	a.params.reset()
+	a.states.reset()
+}
 
 // mergeShards folds accs[1:] into accs[0] tree-style (pairwise, doubling
 // stride) and returns the root, ready to finalize. Tree order keeps the
@@ -245,9 +188,63 @@ func mergeShards(accs []Accumulator) Accumulator {
 	return accs[0]
 }
 
+// shardPlan is the server-owned scratch of the round's client→worker
+// partition, reused every round so planning allocates nothing.
+type shardPlan struct {
+	order  []int   // sampling indices, largest client first
+	owner  []int   // sampling index → shard
+	load   []int   // samples assigned per shard
+	shards [][]int // per shard: its sampling indices, ascending
+}
+
+// split partitions the sampled clients over the workers, balanced on sample
+// count: longest-first greedy (each client, largest first, goes to the
+// least-loaded shard; ties break to the lower sampling index and the lower
+// shard), which bounds every shard's load by the mean plus one client. Local
+// training time is proportional to samples, so this balances what a dynamic
+// job queue would — but as a pure function of the sampled list, so shard
+// contents, and with them the fold order, never depend on scheduling. Each
+// shard lists its sampling indices in ascending order; with one worker that
+// is the identity.
+func (p *shardPlan) split(sampled []*Client, workers int) [][]int {
+	p.order, p.owner, p.load = p.order[:0], p.owner[:0], p.load[:0]
+	for i := range sampled {
+		p.order = append(p.order, i)
+		p.owner = append(p.owner, 0)
+	}
+	for len(p.shards) < workers {
+		p.shards = append(p.shards, nil)
+	}
+	shards := p.shards[:workers]
+	for w := range shards {
+		shards[w] = shards[w][:0]
+		p.load = append(p.load, 0)
+	}
+	slices.SortFunc(p.order, func(a, b int) int {
+		if d := sampled[b].Data.Len() - sampled[a].Data.Len(); d != 0 {
+			return d
+		}
+		return a - b
+	})
+	for _, i := range p.order {
+		best := 0
+		for w, l := range p.load {
+			if l < p.load[best] {
+				best = w
+			}
+		}
+		p.load[best] += sampled[i].Data.Len()
+		p.owner[i] = best
+	}
+	for i, w := range p.owner {
+		shards[w] = append(shards[w], i)
+	}
+	return shards
+}
+
 // weightsPool recycles weight-snapshot buffers across rounds so the
-// streaming path's per-worker scratch costs one allocation per worker for
-// the server's lifetime, not one per client per round.
+// per-worker scratch costs one allocation per worker for the server's
+// lifetime, not one per client per round.
 type weightsPool struct {
 	mu   sync.Mutex
 	free []nn.Weights
