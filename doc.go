@@ -53,11 +53,22 @@
 // Every nn.Network owns a tensor.Arena, a shape-keyed recycler of per-batch
 // tensors. Layers draw their outputs, input gradients, and scratch tensors
 // from it, and the network resets the arena at the top of each Forward; the
-// im2col-lowered convolution kernels and the register-tiled matmuls
-// (tensor.MatMul*, 4-wide column unrolling, bit-identical op order per
-// accumulation target) run on those recycled buffers, so the steady state of
-// fl.TrainLocal performs no heap allocation at all (BenchmarkTrainLocal:
-// ≥99% fewer allocs/op than per-batch allocation).
+// convolution kernels and the register-tiled matmuls (tensor.MatMul*, 4-wide
+// column unrolling, bit-identical op order per accumulation target) run on
+// those recycled buffers, so the steady state of fl.TrainLocal performs no
+// heap allocation at all (BenchmarkTrainLocal: ≥99% fewer allocs/op than
+// per-batch allocation).
+//
+// Convolutions pick their kernel from the layer geometry alone, by one rule
+// (nn.Conv2D's type comment) that training — forward, dW and dx — and the
+// frozen inference op share: a 1×1 stride-1 unpadded conv matmuls the image
+// slice directly (its im2col matrix IS the image), a depthwise conv runs the
+// tap-outer plane kernels (tensor.DepthwiseConvPlane, ...GradW, ...GradX),
+// and every other shape lowers to im2col + matmul, caching one column matrix
+// per sample×group for backward. The two direct shapes size no column cache
+// at all and accumulate in the lowered kernels' per-target order, so they
+// are bit-identical to the lowering for finite inputs (the zero-skip caveat
+// is stated once, on tensor.DepthwiseConvPlane).
 //
 // Ownership rules — who may retain a tensor across a Reset:
 //
@@ -73,8 +84,8 @@
 //     parameters, gradient accumulators, optimizer state, running BN
 //     statistics, and weight snapshots all use plain tensor.New.
 //   - Layer caches written in Forward and read in the matching Backward
-//     (BatchNorm's xhat, Dense's input reference, conv's column matrices)
-//     MAY live in the arena: within one Reset-to-Reset window the arena
+//     (BatchNorm's xhat, Dense's and conv's input reference, a lowered
+//     conv's column matrices) MAY live in the arena: within one Reset-to-Reset window the arena
 //     never hands out the same buffer twice.
 //   - A nested Network embedded as a layer adopts its parent's arena via
 //     SetArena and neither resets it nor detaches gradients — exactly one
@@ -179,11 +190,10 @@
 //     Sigmoid) is fused into the kernel as a tensor.RowEpilogue: bias + act
 //     are applied to each output row inside the parallel chunk that computed
 //     it, so the output is never re-traversed by a separate layer pass.
-//   - 1×1 stride-1 unpadded convs matmul the image slice directly (their
-//     im2col matrix IS the image); depthwise convs run a direct tap-outer
-//     plane kernel (tensor.DepthwiseConvPlane) with no lowering. Remaining
-//     convs keep one im2col scratch per parallel chunk instead of caching
-//     every sample×group column matrix for a backward pass.
+//   - Convs follow the training layer's geometry rule (see the arena
+//     section): pointwise and depthwise shapes skip the lowering; the rest
+//     keep one im2col scratch per parallel chunk instead of caching every
+//     sample×group column matrix for a backward pass.
 //   - Pooling, activations, and the standalone BN path are parallel under
 //     the intra-op budget (parallel.GrainFor); nested Networks are inlined;
 //     Dropout and Identity compile away.

@@ -14,8 +14,22 @@ import (
 // convolution (the MobileNet building block); 1<Groups<InC gives the grouped
 // convolutions used by ShuffleNet.
 //
-// The implementation lowers each sample and group to an im2col matrix and a
-// single matmul, caching the column matrices for the backward pass.
+// The general implementation lowers each sample and group to an im2col
+// matrix and a single matmul, caching the column matrices for the backward
+// pass. Two geometries skip the lowering in all three passes (forward, dW,
+// dx) — one rule, the kernel method below, for this layer and for its frozen
+// inference op alike:
+//
+//   - pointwise (1×1, stride 1, no pad): the im2col matrix IS the input
+//     slice, so the matmuls read x and write dx directly;
+//   - depthwise (Groups == InC == OutC): the tap-outer plane kernels
+//     tensor.DepthwiseConvPlane / GradW / GradX, whose lowering would cost
+//     more than the arithmetic.
+//
+// Neither sizes cols or dcol. Both accumulate every output, dW and dx
+// element in the lowered kernels' per-target order, so for finite inputs
+// they are bit-identical to the lowered path (the caveat is spelled out on
+// tensor.DepthwiseConvPlane).
 //
 // Under an intra-op budget (SetIntraOp), the sample×group loops run in
 // parallel: forward iterations and the input-gradient iterations write
@@ -35,8 +49,8 @@ type Conv2D struct {
 	W, B        *Param
 	inH, inW    int // geometry captured at Forward time
 	dims        tensor.ConvDims
-	cols        []float32 // cached im2col matrices: [N][G][rows*cols]
-	dcol        []float32 // backward scratch: one [rows*cols] column gradient per parallel chunk
+	cols        []float32 // cached im2col matrices: [N][G][rows*cols] (lowered path only)
+	dcol        []float32 // backward scratch: one [rows*cols] column gradient per parallel chunk (lowered path only)
 	batch       int
 	x           *tensor.Tensor
 	// persistent parallel.Runner values (avoid per-batch allocation)
@@ -45,12 +59,37 @@ type Conv2D struct {
 	dxTask  convDxTask
 }
 
+// convKernel names the kernel family a conv geometry runs on; see the
+// Conv2D type comment.
+type convKernel uint8
+
+const (
+	convLowered   convKernel = iota // im2col + matmul (stem, grouped, everything else)
+	convPointwise                   // matmul on the input slice itself
+	convDepthwise                   // direct plane kernels, no matmul
+)
+
+// kernel is the one geometry dispatch shared by the training passes and
+// frozenConv. A layer that is both depthwise and 1×1 takes the plane kernels.
+func (l *Conv2D) kernel() convKernel {
+	switch {
+	case l.Groups == l.InC && l.OutC == l.InC:
+		return convDepthwise
+	case l.KH == 1 && l.KW == 1 && l.Stride == 1 && l.Pad == 0:
+		return convPointwise
+	}
+	return convLowered
+}
+
 // NewConv2D builds a grouped convolution with He-normal init. It panics if
-// channel counts are not divisible by groups (a construction-time programmer
-// error).
+// channel counts are not divisible by groups, or on a kernel or stride below
+// 1 or a negative pad (construction-time programmer errors).
 func NewConv2D(r *frand.RNG, inC, outC, k, stride, pad, groups int) *Conv2D {
 	if groups < 1 || inC%groups != 0 || outC%groups != 0 {
 		panic(fmt.Sprintf("nn: Conv2D groups=%d incompatible with channels %d→%d", groups, inC, outC))
+	}
+	if k < 1 || stride < 1 || pad < 0 {
+		panic(fmt.Sprintf("nn: Conv2D %d→%d invalid geometry k=%d stride=%d pad=%d", inC, outC, k, stride, pad))
 	}
 	fanIn := (inC / groups) * k * k
 	std := math.Sqrt(2.0 / float64(fanIn))
@@ -86,11 +125,13 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	g := l.Groups
 	gcIn := l.InC / g
 	gcOut := l.OutC / g
-	need := n * g * rows * cols
-	if cap(l.cols) < need {
-		l.cols = make([]float32, need)
+	if l.kernel() == convLowered {
+		need := n * g * rows * cols
+		if cap(l.cols) < need {
+			l.cols = make([]float32, need)
+		}
+		l.cols = l.cols[:need]
 	}
-	l.cols = l.cols[:need]
 	l.batch = n
 	l.x = x
 
@@ -109,9 +150,11 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// forwardIter runs one sample×group forward iteration: im2col, the group
-// matmul (row-parallel under par), and the bias add. Iterations write
-// disjoint col and output slices, so any subset may run concurrently.
+// forwardIter runs one sample×group forward iteration through the layer's
+// kernel — im2col + the group matmul (row-parallel under par), the matmul on
+// the input slice, or the depthwise plane kernel — then the bias add.
+// Iterations write disjoint col and output slices, so any subset may run
+// concurrently.
 func (l *Conv2D) forwardIter(it, par int, xd, od []float32) {
 	d := l.dims
 	rows, cols := d.ColRows(), d.ColCols()
@@ -126,12 +169,19 @@ func (l *Conv2D) forwardIter(it, par int, xd, od []float32) {
 	i, gi := it/g, it%g
 
 	img := xd[i*imgStride+gi*gcIn*h*w : i*imgStride+(gi+1)*gcIn*h*w]
-	col := l.cols[(i*g+gi)*rows*cols : (i*g+gi+1)*rows*cols]
-	tensor.Im2Col(col, img, d)
-	// y[gcOut, cols] = Wg[gcOut, fanIn] @ col[fanIn, cols]
 	wg := wd[gi*gcOut*fanIn : (gi+1)*gcOut*fanIn]
 	y := od[i*outStride+gi*gcOut*cols : i*outStride+(gi+1)*gcOut*cols]
-	tensor.MatMulSlicesP(par, y, wg, col, gcOut, fanIn, cols)
+	// y[gcOut, cols] = Wg[gcOut, fanIn] @ col[fanIn, cols]
+	switch l.kernel() {
+	case convDepthwise:
+		tensor.DepthwiseConvPlane(y, img, wg, d)
+	case convPointwise:
+		tensor.MatMulSlicesP(par, y, wg, img, gcOut, fanIn, cols)
+	default:
+		col := l.cols[(i*g+gi)*rows*cols : (i*g+gi+1)*rows*cols]
+		tensor.Im2Col(col, img, d)
+		tensor.MatMulSlicesP(par, y, wg, col, gcOut, fanIn, cols)
+	}
 	for oc := 0; oc < gcOut; oc++ {
 		b := bd[gi*gcOut+oc]
 		row := y[oc*cols : (oc+1)*cols]
@@ -162,8 +212,8 @@ func (t *convFwdTask) Run(_, lo, hi int) {
 //     samples in ascending order — the same per-target order as the serial
 //     i-outer loop, so results are bit-identical.
 //  2. Input gradients, parallel over sample×group iterations. Iterations
-//     write disjoint dx slices; each parallel chunk owns a private dcol
-//     scratch.
+//     write disjoint dx slices; on the lowered path each parallel chunk owns
+//     a private dcol scratch.
 func (l *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	d := l.dims
 	rows, cols := d.ColRows(), d.ColCols()
@@ -174,7 +224,7 @@ func (l *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n := l.batch
 	h, w := l.inH, l.inW
 
-	// Col2Im accumulates, so dx must start zeroed.
+	// Col2Im and the direct dx kernels accumulate, so dx must start zeroed.
 	dx := l.alloc(n, l.InC, h, w)
 	gd, dxd := grad.Data(), dx.Data()
 
@@ -183,18 +233,21 @@ func (l *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	l.rowTask = convRowTask{l: l, gd: gd}
 	parallel.Run(l.budget(), l.OutC, parallel.GrainFor(n*cols*fanIn), &l.rowTask)
 
-	// Phase 2: dx, parallel over sample×group iterations with one dcol
-	// scratch per chunk (sized to the partition Run will actually use).
+	// Phase 2: dx, parallel over sample×group iterations; the lowered path
+	// gets one dcol scratch per chunk (sized to the partition Run will
+	// actually use).
 	iters := n * g
 	perIter := gcOut * fanIn * cols
-	chunks := parallel.Chunks(l.budget(), iters, parallel.GrainFor(perIter))
-	if cap(l.dcol) < chunks*rows*cols {
-		l.dcol = make([]float32, chunks*rows*cols)
+	if l.kernel() == convLowered {
+		chunks := parallel.Chunks(l.budget(), iters, parallel.GrainFor(perIter))
+		if cap(l.dcol) < chunks*rows*cols {
+			l.dcol = make([]float32, chunks*rows*cols)
+		}
+		l.dcol = l.dcol[:chunks*rows*cols]
 	}
-	l.dcol = l.dcol[:chunks*rows*cols]
 	if iters == 1 {
 		// Single iteration: hand the budget to the row-parallel kernel.
-		l.backwardIter(0, l.budget(), l.dcol[:rows*cols], gd, dxd)
+		l.backwardIter(0, l.budget(), l.dcol, gd, dxd)
 		return dx
 	}
 	l.dxTask = convDxTask{l: l, gd: gd, dxd: dxd}
@@ -212,8 +265,12 @@ func (l *Conv2D) backwardRows(gd []float32, lo, hi int) {
 	gcOut := l.OutC / g
 	fanIn := gcIn * l.KH * l.KW
 	n := l.batch
+	h, w := l.inH, l.inW
+	imgStride := l.InC * h * w
 	outStride := l.OutC * d.OutH * d.OutW
 	dwd, dbd := l.W.Grad.Data(), l.B.Grad.Data()
+	xd := l.x.Data()
+	kern := l.kernel()
 
 	for oc := lo; oc < hi; {
 		gi := oc / gcOut
@@ -223,10 +280,19 @@ func (l *Conv2D) backwardRows(gd []float32, lo, hi int) {
 		dwg := dwd[gi*gcOut*fanIn : (gi+1)*gcOut*fanIn]
 		for i := 0; i < n; i++ {
 			dy := gd[i*outStride+gi*gcOut*cols : i*outStride+(gi+1)*gcOut*cols]
-			col := l.cols[(i*g+gi)*rows*cols : (i*g+gi+1)*rows*cols]
+			img := xd[i*imgStride+gi*gcIn*h*w : i*imgStride+(gi+1)*gcIn*h*w]
 			// dWg rows [o0, o0+segRows) += dy rows @ colᵀ, in place.
-			tensor.MatMulTransBAccSlices(dwg[o0*fanIn:(o0+segRows)*fanIn],
-				dy[o0*cols:(o0+segRows)*cols], col, segRows, cols, fanIn)
+			switch kern {
+			case convDepthwise:
+				tensor.DepthwiseConvPlaneGradW(dwg, dy, img, d)
+			case convPointwise:
+				tensor.MatMulTransBAccSlices(dwg[o0*fanIn:(o0+segRows)*fanIn],
+					dy[o0*cols:(o0+segRows)*cols], img, segRows, cols, fanIn)
+			default:
+				col := l.cols[(i*g+gi)*rows*cols : (i*g+gi+1)*rows*cols]
+				tensor.MatMulTransBAccSlices(dwg[o0*fanIn:(o0+segRows)*fanIn],
+					dy[o0*cols:(o0+segRows)*cols], col, segRows, cols, fanIn)
+			}
 			// db += Σ spatial dy for the same rows
 			for r := o0; r < o0+segRows; r++ {
 				var s float32
@@ -241,11 +307,13 @@ func (l *Conv2D) backwardRows(gd []float32, lo, hi int) {
 	}
 }
 
-// backwardIter computes one sample×group input-gradient iteration:
+// backwardIter computes one sample×group input-gradient iteration. Lowered:
 // dcol = Wgᵀ @ dy (row-parallel under par), scattered back to dx via the
 // column-blocked Col2ImP (parallel over disjoint image columns under the
-// same budget — the single-iteration case where par > 1). The transposed-A
-// kernel reads Wg in place instead of materializing Wgᵀ.
+// same budget — the single-iteration case where par > 1). Pointwise: the
+// same matmul accumulates straight into the zeroed dx slice. Depthwise: the
+// plane kernel. The transposed-A kernel reads Wg in place instead of
+// materializing Wgᵀ. dcol is read only on the lowered path.
 func (l *Conv2D) backwardIter(it, par int, dcol, gd, dxd []float32) {
 	d := l.dims
 	cols := d.ColCols()
@@ -261,10 +329,17 @@ func (l *Conv2D) backwardIter(it, par int, dcol, gd, dxd []float32) {
 
 	dy := gd[i*outStride+gi*gcOut*cols : i*outStride+(gi+1)*gcOut*cols]
 	wg := wd[gi*gcOut*fanIn : (gi+1)*gcOut*fanIn]
-	clear(dcol)
-	tensor.MatMulTransAAccSlicesP(par, dcol, wg, dy, gcOut, fanIn, cols)
 	dimg := dxd[i*imgStride+gi*gcIn*h*w : i*imgStride+(gi+1)*gcIn*h*w]
-	tensor.Col2ImP(par, dimg, dcol, d)
+	switch l.kernel() {
+	case convDepthwise:
+		tensor.DepthwiseConvPlaneGradX(dimg, dy, wg, d)
+	case convPointwise:
+		tensor.MatMulTransAAccSlicesP(par, dimg, wg, dy, gcOut, fanIn, cols)
+	default:
+		clear(dcol)
+		tensor.MatMulTransAAccSlicesP(par, dcol, wg, dy, gcOut, fanIn, cols)
+		tensor.Col2ImP(par, dimg, dcol, d)
+	}
 }
 
 // convRowTask is the parallel.Runner for the weight/bias gradient rows.
@@ -276,8 +351,9 @@ type convRowTask struct {
 // Run implements parallel.Runner over a contiguous output-channel row range.
 func (t *convRowTask) Run(_, lo, hi int) { t.l.backwardRows(t.gd, lo, hi) }
 
-// convDxTask is the parallel.Runner for the input-gradient iterations; each
-// chunk owns the dcol scratch slice matching its chunk index.
+// convDxTask is the parallel.Runner for the input-gradient iterations; on
+// the lowered path each chunk owns the dcol scratch slice matching its chunk
+// index.
 type convDxTask struct {
 	l       *Conv2D
 	gd, dxd []float32
@@ -285,8 +361,11 @@ type convDxTask struct {
 
 // Run implements parallel.Runner over a contiguous iteration range.
 func (t *convDxTask) Run(chunk, lo, hi int) {
-	rc := t.l.dims.ColRows() * t.l.dims.ColCols()
-	dcol := t.l.dcol[chunk*rc : (chunk+1)*rc]
+	var dcol []float32
+	if t.l.kernel() == convLowered {
+		rc := t.l.dims.ColRows() * t.l.dims.ColCols()
+		dcol = t.l.dcol[chunk*rc : (chunk+1)*rc]
+	}
 	for it := lo; it < hi; it++ {
 		t.l.backwardIter(it, 1, dcol, t.gd, t.dxd)
 	}

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"heteroswitch/internal/frand"
@@ -51,7 +52,7 @@ func exactSlice(t *testing.T, name string, got, want []float32) {
 		t.Fatalf("%s: length %d != %d", name, len(got), len(want))
 	}
 	for i := range got {
-		if got[i] != want[i] {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) { // bits: tells -0 from +0
 			t.Fatalf("%s: element %d differs: %v != %v (must be bit-identical)", name, i, got[i], want[i])
 		}
 	}

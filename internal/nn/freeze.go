@@ -232,7 +232,7 @@ func (c *opCompiler) compile(flat []Layer) []frozenOp {
 		switch l := flat[i].(type) {
 		case *Conv2D:
 			op := &frozenConv{l: l, slot: -1}
-			if !(l.Groups == l.InC && l.OutC == l.InC) {
+			if l.kernel() != convDepthwise {
 				// Every non-depthwise conv runs a matmul and owns a
 				// packed-weight slot; the depthwise tap loop never does.
 				op.slot = c.nextSlot()

@@ -132,16 +132,10 @@ func (e *convEpilogue) Apply(row []float32, r int) { applyBiasAct(row, e.bias[r]
 // epilogue adds the (BN-folded) bias and applies the fused activation inside
 // each parallel chunk. Unlike the training layer it keeps ONE im2col scratch
 // per parallel chunk instead of caching every sample×group column matrix
-// for a backward pass — and two layer shapes skip the lowering entirely:
-//
-//   - 1×1 stride-1 unpadded convs matmul the image slice directly (the
-//     im2col matrix of such a conv IS the image, so the copy is pure waste);
-//   - depthwise groups (one input and output channel per group) run the
-//     direct tap loop tensor.DepthwiseConvPlane, whose im2col copy would
-//     cost more than the arithmetic.
-//
-// Both shortcuts accumulate in the im2col matmul's per-target order, so
-// they are bit-identical to the lowered kernel.
+// for a backward pass. It follows the training layer's geometry dispatch
+// (Conv2D.kernel, rule and bit-identity argument on the Conv2D type
+// comment): pointwise convs matmul the image slice directly, depthwise
+// groups run tensor.DepthwiseConvPlane, everything else lowers.
 type frozenConv struct {
 	l   *Conv2D
 	bn  *BatchNorm2D // folded into wf/bf when non-nil
@@ -241,7 +235,7 @@ func (c *frozenConv) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 	par := f.budget()
 	iters := n * g
 	grain := parallel.GrainFor(gcOut * fanIn * cols)
-	if c.needsCol() {
+	if l.kernel() == convLowered {
 		chunks := parallel.Chunks(par, iters, grain)
 		if cap(c.cols) < chunks*rows*cols {
 			c.cols = make([]float32, chunks*rows*cols)
@@ -260,20 +254,11 @@ func (c *frozenConv) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// needsCol reports whether this layer shape still requires the im2col
-// scratch (neither pointwise nor depthwise).
-func (c *frozenConv) needsCol() bool {
-	l := c.l
-	pointwise := l.KH == 1 && l.KW == 1 && l.Stride == 1 && l.Pad == 0
-	depthwise := l.Groups == l.InC && l.OutC == l.InC
-	return !pointwise && !depthwise
-}
-
 // Run implements parallel.Runner over a contiguous sample×group range; each
 // chunk owns the im2col scratch slice matching its chunk index.
 func (c *frozenConv) Run(chunk, lo, hi int) {
 	var col []float32
-	if len(c.cols) > 0 {
+	if c.l.kernel() == convLowered {
 		rc := c.dims.ColRows() * c.dims.ColCols()
 		col = c.cols[chunk*rc : (chunk+1)*rc]
 	}
@@ -300,13 +285,13 @@ func (c *frozenConv) inferIter(it, par int, col []float32) {
 	img := c.xd[i*imgStride+gi*gcIn*h*w : i*imgStride+(gi+1)*gcIn*h*w]
 	wg := c.wf[gi*gcOut*fanIn : (gi+1)*gcOut*fanIn]
 	y := c.od[i*outStride+gi*gcOut*cols : i*outStride+(gi+1)*gcOut*cols]
-	switch {
-	case gcIn == 1 && gcOut == 1 && g == l.InC:
-		// Depthwise: direct tap loop on the plane, no lowering at all.
+	switch l.kernel() {
+	case convDepthwise:
+		// Direct tap loop on the plane, no lowering at all.
 		tensor.DepthwiseConvPlane(y, img, wg, d)
 		applyBiasAct(y, c.bf[gi], c.act)
-	case l.KH == 1 && l.KW == 1 && l.Stride == 1 && l.Pad == 0:
-		// Pointwise: the im2col matrix IS the image slice.
+	case convPointwise:
+		// The im2col matrix IS the image slice.
 		tensor.MatMulWASlicesPEp(par, y, wg, c.pw, gi*gcOut, gcOut, img, cols, false, &c.eps[gi])
 	default:
 		tensor.Im2Col(col, img, d)

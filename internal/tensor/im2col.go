@@ -18,13 +18,19 @@ type ConvDims struct {
 }
 
 // NewConvDims computes output sizes for the given geometry. It returns an
-// error if the geometry produces a non-positive output size.
+// error for a kernel or stride below 1, a negative pad, or a geometry that
+// produces a non-positive output size — the direct plane kernels' ox-range
+// arithmetic relies on all four.
 func NewConvDims(inC, inH, inW, kh, kw, stride, pad int) (ConvDims, error) {
 	d := ConvDims{
 		InC: inC, InH: inH, InW: inW,
 		KH: kh, KW: kw,
 		StrideH: stride, StrideW: stride,
 		PadH: pad, PadW: pad,
+	}
+	if kh < 1 || kw < 1 || stride < 1 || pad < 0 {
+		return d, fmt.Errorf("tensor: conv geometry k%dx%d s%d p%d: kernel and stride must be >= 1, pad >= 0",
+			kh, kw, stride, pad)
 	}
 	d.OutH = (inH+2*pad-kh)/stride + 1
 	d.OutW = (inW+2*pad-kw)/stride + 1
@@ -135,6 +141,34 @@ func col2imCols(img, col []float32, d ConvDims, xlo, xhi int) {
 	}
 }
 
+// tapOxRange returns the ox interval [lo, hi) whose tap column stays inside
+// the image for kernel column kx: 0 <= ox*StrideW - PadW + kx < InW. The three
+// direct plane kernels share it, so their inner loops need no bounds check.
+// (Pointer receivers on the plane helpers: a value receiver copies the
+// 11-word ConvDims at every inlined call inside the tap loop, which measured
+// 5–20 % on DepthwiseConvPlane.)
+func (d *ConvDims) tapOxRange(kx int) (lo, hi int) {
+	hi = d.OutW
+	if num := d.PadW - kx; num > 0 {
+		lo = (num + d.StrideW - 1) / d.StrideW
+	}
+	if num := d.InW + d.PadW - kx; num > 0 {
+		hi = min(hi, (num+d.StrideW-1)/d.StrideW)
+	} else {
+		hi = 0
+	}
+	return lo, hi
+}
+
+// checkPlane panics unless d is a single-channel geometry and the image,
+// output and tap slices of a plane kernel have exactly its sizes.
+func (d *ConvDims) checkPlane(kernel string, img, out, taps []float32) {
+	if d.InC != 1 || len(img) != d.InH*d.InW || len(out) != d.OutH*d.OutW || len(taps) != d.KH*d.KW {
+		panic(fmt.Sprintf("tensor: %s: InC %d with img %d, out %d, taps %d; want InC 1 with %d, %d, %d",
+			kernel, d.InC, len(img), len(out), len(taps), d.InH*d.InW, d.OutH*d.OutW, d.KH*d.KW))
+	}
+}
+
 // DepthwiseConvPlane convolves ONE channel plane directly, without the
 // im2col lowering: y[OutH*OutW] = w[KH*KW] ⊛ img[InH*InW] for a d with
 // InC == 1. The loop is tap-outer: each of the KH·KW taps sweeps the output
@@ -144,25 +178,17 @@ func col2imCols(img, col []float32, d ConvDims, xlo, xhi int) {
 // Per output pixel the taps still accumulate in ascending (ky, kx) order —
 // the same per-target order as the im2col matmul, whose skipped
 // zero-padding and zero-weight products are exact no-ops — so the result is
-// bit-identical to Im2Col + MatMulSlices on the same plane. The inference
-// fast path uses it for depthwise convolutions, where the im2col copy costs
-// more than the arithmetic.
+// bit-identical to Im2Col + MatMulSlices on the same plane. Depthwise
+// convolutions use it (and the two gradient siblings below) in training and
+// inference alike: their im2col copy costs more than the arithmetic.
+//
+// The bit-identity of all three plane kernels holds for finite inputs: a
+// skipped term is a ±0 add onto a sum that started at +0, the same zero-skip
+// convention as the oracle matmul kernels' av != 0 test, while an Inf or NaN
+// operand would have turned that skipped 0·Inf into a NaN.
 func DepthwiseConvPlane(y, img, w []float32, d ConvDims) {
-	clear(y[:d.OutH*d.OutW])
-	// oxRange returns the ox interval whose tap column stays in bounds:
-	// 0 <= ox*StrideW - PadW + kx < InW.
-	oxRange := func(kx int) (int, int) {
-		lo, hi := 0, d.OutW
-		if num := d.PadW - kx; num > 0 {
-			lo = (num + d.StrideW - 1) / d.StrideW
-		}
-		if num := d.InW + d.PadW - kx; num > 0 {
-			hi = min(hi, (num+d.StrideW-1)/d.StrideW)
-		} else {
-			hi = 0
-		}
-		return lo, hi
-	}
+	d.checkPlane("DepthwiseConvPlane", img, y, w)
+	clear(y)
 	t := 0
 	for ky := 0; ky < d.KH; ky++ {
 		for kx := 0; kx < d.KW; kx++ {
@@ -171,7 +197,7 @@ func DepthwiseConvPlane(y, img, w []float32, d ConvDims) {
 			if wt == 0 {
 				continue // exact no-op, as in the matmul kernel's zero skip
 			}
-			oxLo, oxHi := oxRange(kx)
+			oxLo, oxHi := d.tapOxRange(kx)
 			if oxLo >= oxHi {
 				continue
 			}
@@ -191,6 +217,99 @@ func DepthwiseConvPlane(y, img, w []float32, d ConvDims) {
 				} else {
 					for ox := oxLo; ox < oxHi; ox++ {
 						yrow[ox] += wt * img[ibase+ox*d.StrideW]
+					}
+				}
+			}
+		}
+	}
+}
+
+// DepthwiseConvPlaneGradW accumulates ONE channel plane's weight gradient
+// directly: dw[t] += Σ dy[oy,ox]·img[tap t's shifted pixel] for a d with
+// InC == 1. Each tap is one dot product held in a single accumulator that
+// starts at +0 and runs over the output positions in ascending order — the
+// order of the lowered dW += dy @ colᵀ, whose padding columns only contribute
+// ±0 — so the result is bit-identical to Im2Col + MatMulTransBAccSlices.
+func DepthwiseConvPlaneGradW(dw, dy, img []float32, d ConvDims) {
+	d.checkPlane("DepthwiseConvPlaneGradW", img, dy, dw)
+	t := 0
+	for ky := 0; ky < d.KH; ky++ {
+		for kx := 0; kx < d.KW; kx++ {
+			dw[t] += d.tapDot(dy, img, ky, kx)
+			t++
+		}
+	}
+}
+
+// tapDot is tap (ky, kx)'s dot product of dy with the shifted plane: one
+// accumulator from +0 over the output positions in ascending order. A tap
+// that never lands inside the image returns that +0.
+func (d *ConvDims) tapDot(dy, img []float32, ky, kx int) float32 {
+	oxLo, oxHi := d.tapOxRange(kx)
+	if oxLo >= oxHi {
+		return 0
+	}
+	var s float32
+	for oy := 0; oy < d.OutH; oy++ {
+		iy := oy*d.StrideH - d.PadH + ky
+		if iy < 0 || iy >= d.InH {
+			continue
+		}
+		dyrow := dy[oy*d.OutW+oxLo : oy*d.OutW+oxHi]
+		ibase := iy*d.InW - d.PadW + kx
+		if d.StrideW == 1 {
+			irow := img[ibase+oxLo : ibase+oxHi]
+			for j, g := range dyrow {
+				s += g * irow[j]
+			}
+		} else {
+			ii := ibase + oxLo*d.StrideW
+			for _, g := range dyrow {
+				s += g * img[ii]
+				ii += d.StrideW
+			}
+		}
+	}
+	return s
+}
+
+// DepthwiseConvPlaneGradX accumulates ONE channel plane's input gradient
+// directly: dimg[tap t's shifted pixel] += w[t]·dy[oy,ox] for a d with
+// InC == 1, one bounds-free AXPY per tap with the taps ascending. A pixel
+// receives its contributions in the same (ky, kx, oy, ox) order as
+// MatMulTransAAccSlices + Col2Im on the plane, so the result is bit-identical
+// to the lowered path. Like Col2Im it accumulates: dimg is NOT zeroed first.
+func DepthwiseConvPlaneGradX(dimg, dy, w []float32, d ConvDims) {
+	d.checkPlane("DepthwiseConvPlaneGradX", dimg, dy, w)
+	t := 0
+	for ky := 0; ky < d.KH; ky++ {
+		for kx := 0; kx < d.KW; kx++ {
+			wt := w[t]
+			t++
+			if wt == 0 {
+				continue // the lowered dcol row is all +0: an exact no-op
+			}
+			oxLo, oxHi := d.tapOxRange(kx)
+			if oxLo >= oxHi {
+				continue
+			}
+			for oy := 0; oy < d.OutH; oy++ {
+				iy := oy*d.StrideH - d.PadH + ky
+				if iy < 0 || iy >= d.InH {
+					continue
+				}
+				dyrow := dy[oy*d.OutW+oxLo : oy*d.OutW+oxHi]
+				ibase := iy*d.InW - d.PadW + kx
+				if d.StrideW == 1 {
+					drow := dimg[ibase+oxLo : ibase+oxHi]
+					for j, g := range dyrow {
+						drow[j] += wt * g
+					}
+				} else {
+					ii := ibase + oxLo*d.StrideW
+					for _, g := range dyrow {
+						dimg[ii] += wt * g
+						ii += d.StrideW
 					}
 				}
 			}

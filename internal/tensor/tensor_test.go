@@ -258,6 +258,27 @@ func TestConvDims(t *testing.T) {
 	}
 }
 
+// TestConvDimsRejectsBadGeometry: a stride, kernel or pad the plane kernels'
+// ox-range arithmetic cannot handle is an error, not a divide-by-zero panic or
+// a silently accepted output size.
+func TestConvDimsRejectsBadGeometry(t *testing.T) {
+	for _, c := range []struct {
+		name                string
+		kh, kw, stride, pad int
+	}{
+		{"stride 0", 3, 3, 0, 1},
+		{"stride -1", 3, 3, -1, 1},
+		{"kh 0", 0, 3, 1, 0},
+		{"kw 0", 3, 0, 1, 0},
+		{"k -1", -1, -1, 1, 0},
+		{"pad -1", 3, 3, 1, -1},
+	} {
+		if d, err := NewConvDims(1, 8, 8, c.kh, c.kw, c.stride, c.pad); err == nil {
+			t.Errorf("%s: accepted with output %dx%d, want an error", c.name, d.OutH, d.OutW)
+		}
+	}
+}
+
 func TestIm2ColIdentityKernel(t *testing.T) {
 	// 1x1 kernel, stride 1, no pad: col matrix equals the image itself.
 	d, _ := NewConvDims(2, 3, 3, 1, 1, 1, 0)
