@@ -239,12 +239,37 @@
 //     kernels with their exact float-op order; they never dispatch. Every
 //     tol-0 contract in the repo — training bit-reproducibility across
 //     budgets and worker counts, async equivalence, gradient checks — rides
-//     on this tier and is untouched by backend selection.
+//     on this tier and is untouched by backend selection. The tier has a
+//     vector implementation with the same bits, described next.
 //   - TOLERANCE tier — the fused epilogue entry points the frozen path
 //     compiles to (MatMulSlicesPEp, MatMulIntoPEp, MatMulAccSlicesPEp).
 //     These dispatch on the active backend and promise ≤1e-5-per-unit
 //     closeness to the oracle result with identical argmax, the same
 //     contract the BN fold already imposes on frozen outputs.
+//
+// Vector oracle kernels. On amd64 the oracle tier runs 8-lane AVX2 Go
+// assembly (internal/tensor/vec_amd64.s: the strided row-AXPY GEMM behind
+// a@b and aᵀ@b, the dot-form a@bᵀ with an in-register transpose, the
+// depthwise stride-1 tap AXPY; internal/nn/vec_amd64.s: the conv bias add,
+// hard-swish forward/backward, the batch-norm normalise and input-gradient
+// sweeps, the frozen conv epilogue). Selection is the program's own: a
+// CPUID/XGETBV probe at init (AVX2 present, OS saves YMM state) sets an
+// unexported switch; there is no flag and no environment variable, and
+// `go build -tags purego` (or any non-amd64 target) builds the pure-Go
+// kernels only. The assembly is bit-identical to the Go loops by
+// construction, not by tolerance, under two rules. Lane-across-targets:
+// vector lanes hold independent accumulation targets (output columns; for
+// the dot form eight (i,j) chains), never slices of one reduction, so every
+// target receives its terms in the same ascending order with the same
+// zero-skip (±0 skipped, NaN not). No FMA in the oracle tier: each step is a
+// separate VMULPS and VADDPS — the two roundings of the compiler's
+// MULSS+ADDSS — because a fused multiply-add rounds once. So every tol-0
+// contract, every cmp smoke, and cross-machine reproducibility hold across
+// the two implementations; the Go loops stay as the portable path and as the
+// reference of the differential tests and FuzzVecMatchesGeneric, which flip
+// the switch. What stays scalar: reductions whose order IS the result and
+// cannot be spread over lanes without gathers — batch norm's float64 sums,
+// the depthwise weight-gradient dot (tapDot), stride-2 depthwise taps.
 //
 // The packed backend is a cache-blocked GEBP kernel: it packs B once into
 // panel-major 4-wide column panels (zero-padded tail), k-blocks at 256 so
@@ -264,7 +289,10 @@
 // tensor.ParseBackend, the HETEROSWITCH_KERNEL_BACKEND environment variable
 // (read at init), and the -kernel-backend flag on flsim, heterobench, and
 // flserve (experiments.Options.KernelBackend for library callers). The
-// default, BackendAuto, packs only when the shape profits (m ≥ 8 rows and
+// default, BackendAuto, stays on the oracle kernels whenever their vector
+// implementation is live — it beats the scalar packed and int8 kernels on
+// every measured frozen shape — and then packs no panels either. On a
+// pure-Go build it packs only when the shape profits (m ≥ 8 rows and
 // m·k·n ≥ 16384): packing costs O(k·n) writes, so tiny matmuls — the serve
 // smoke model's 4×9×64, say — stay on the oracle kernels, and forcing
 // -kernel-backend=packed on such shapes measurably loses to serial.

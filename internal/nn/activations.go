@@ -136,6 +136,10 @@ func (l *HardSwish) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.x = x
 	y := l.allocUninit(x.Shape()...)
 	xd, yd := x.Data(), y.Data()
+	if vecLive {
+		hardSwishVec(yd, xd)
+		return y
+	}
 	for i, v := range xd {
 		yd[i] = v * hardSigmoid(v)
 	}
@@ -146,6 +150,10 @@ func (l *HardSwish) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (l *HardSwish) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	g := l.allocUninit(grad.Shape()...)
 	gd, dd, xd := grad.Data(), g.Data(), l.x.Data()
+	if vecLive {
+		hardSwishGradVec(dd, gd, xd[:len(gd)])
+		return g
+	}
 	for i := range gd {
 		v := xd[i]
 		der := hardSigmoid(v)

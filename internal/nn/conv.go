@@ -182,6 +182,10 @@ func (l *Conv2D) forwardIter(it, par int, xd, od []float32) {
 		tensor.Im2Col(col, img, d)
 		tensor.MatMulSlicesP(par, y, wg, col, gcOut, fanIn, cols)
 	}
+	if vecLive {
+		biasActVec(y, gcOut, cols, bd[gi*gcOut:], false)
+		return
+	}
 	for oc := 0; oc < gcOut; oc++ {
 		b := bd[gi*gcOut+oc]
 		row := y[oc*cols : (oc+1)*cols]

@@ -59,6 +59,10 @@ func loweredConv(l *Conv2D, x, dy *tensor.Tensor, dW, db []float32) (out, dx []f
 }
 
 func TestConv2DMatchesLoweredReference(t *testing.T) {
+	bothVecSettings(t, testConv2DMatchesLoweredReference)
+}
+
+func testConv2DMatchesLoweredReference(t *testing.T) {
 	for _, c := range []struct {
 		name                                  string
 		inC, outC, k, stride, pad, groups, hw int
@@ -194,13 +198,14 @@ func BenchmarkConv2DTrain(b *testing.B) {
 			l.SetArena(tensor.NewArena())
 			x := tensor.Randn(r, 1, 10, c.inC, c.hw, c.hw)
 			dy := tensor.Randn(r, 1, l.Forward(x, true).Shape()...)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				l.arena.Reset()
-				l.Forward(x, true)
-				l.Backward(dy)
-			}
+			benchVecArms(b, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					l.arena.Reset()
+					l.Forward(x, true)
+					l.Backward(dy)
+				}
+			})
 		})
 	}
 }

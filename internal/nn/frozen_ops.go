@@ -22,8 +22,13 @@ const (
 	epSigmoid
 )
 
-// applyBiasAct computes row[j] = act(row[j] + b) in one sweep.
-func applyBiasAct(row []float32, b float32, act epAct) {
+// applyBiasAct computes row[j] = act(row[j] + bias[0]) in one sweep.
+func applyBiasAct(row, bias []float32, act epAct) {
+	if vecLive && (act == epNone || act == epHardSwish) {
+		biasActVec(row, 1, len(row), bias, act == epHardSwish)
+		return
+	}
+	b := bias[0]
 	switch act {
 	case epNone:
 		for j := range row {
@@ -98,6 +103,10 @@ func applyAct(yd, xd []float32, lo, hi int, act epAct) {
 			}
 		}
 	case epHardSwish:
+		if vecLive {
+			hardSwishVec(yd[lo:hi], xd[lo:hi])
+			return
+		}
 		for i := lo; i < hi; i++ {
 			v := xd[i]
 			yd[i] = v * hardSigmoid(v)
@@ -126,7 +135,7 @@ type convEpilogue struct {
 }
 
 // Apply implements tensor.RowEpilogue.
-func (e *convEpilogue) Apply(row []float32, r int) { applyBiasAct(row, e.bias[r], e.act) }
+func (e *convEpilogue) Apply(row []float32, r int) { applyBiasAct(row, e.bias[r:], e.act) }
 
 // frozenConv is Conv2D's inference op: im2col + a fused matmul whose
 // epilogue adds the (BN-folded) bias and applies the fused activation inside
@@ -289,7 +298,7 @@ func (c *frozenConv) inferIter(it, par int, col []float32) {
 	case convDepthwise:
 		// Direct tap loop on the plane, no lowering at all.
 		tensor.DepthwiseConvPlane(y, img, wg, d)
-		applyBiasAct(y, c.bf[gi], c.act)
+		applyBiasAct(y, c.bf[gi:], c.act)
 	case convPointwise:
 		// The im2col matrix IS the image slice.
 		tensor.MatMulWASlicesPEp(par, y, wg, c.pw, gi*gcOut, gcOut, img, cols, false, &c.eps[gi])

@@ -89,6 +89,10 @@ func (l *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			rv[c] = float32((1-l.Momentum)*float64(rv[c]) + l.Momentum*variance)
 			g, b := gd[c], bd[c]
 			mf, invf := float32(mean), float32(inv)
+			if vecLive {
+				bnNormalizeVec(od[c*hw:], xh[c*hw:], xd[c*hw:], l.C*hw, n, hw, mf, invf, g, b)
+				continue
+			}
 			for i := 0; i < n; i++ {
 				base := (i*l.C + c) * hw
 				for j := 0; j < hw; j++ {
@@ -142,6 +146,10 @@ func (l *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		g := gammaD[c]
 		inv := l.invStd[c]
 		sDy, sDyXh := float32(sumDy), float32(sumDyXhat)
+		if vecLive {
+			bnGradXVec(dxd[c*hw:], gd[c*hw:], xh[c*hw:], l.C*hw, n, hw, g, inv/m, m, sDy*g, sDyXh)
+			continue
+		}
 		for i := 0; i < n; i++ {
 			base := (i*l.C + c) * hw
 			for j := 0; j < hw; j++ {

@@ -1,0 +1,330 @@
+//go:build amd64 && !purego
+
+#include "textflag.h"
+
+// AVX2 forms of this package's elementwise training sweeps, under the same
+// rules as internal/tensor/vec_amd64.s: every element is its own target, the
+// arithmetic is the Go loop's operation for operation (separate VMULPS /
+// VADDPS / VSUBPS / VDIVPS, never an FMA, compares as ordered-quiet
+// predicates feeding blends so NaN and −0 take the Go branches), and every
+// routine ends in VZEROUPPER. The Go wrappers in vec.go validate lengths;
+// rows, n ≥ 1 is a precondition.
+
+// nnVecMask: eight all-ones lanes then eight zero lanes; the mask of the
+// first r lanes starts at lane 8-r.
+DATA nnVecMask<>+0(SB)/8, $0xffffffffffffffff
+DATA nnVecMask<>+8(SB)/8, $0xffffffffffffffff
+DATA nnVecMask<>+16(SB)/8, $0xffffffffffffffff
+DATA nnVecMask<>+24(SB)/8, $0xffffffffffffffff
+DATA nnVecMask<>+32(SB)/8, $0
+DATA nnVecMask<>+40(SB)/8, $0
+DATA nnVecMask<>+48(SB)/8, $0
+DATA nnVecMask<>+56(SB)/8, $0
+GLOBL nnVecMask<>(SB), RODATA|NOPTR, $64
+
+// The hard-sigmoid constants 3, 6, 1, −3 as float32 bits.
+DATA nnVecConst<>+0(SB)/4, $0x40400000
+DATA nnVecConst<>+4(SB)/4, $0x40c00000
+DATA nnVecConst<>+8(SB)/4, $0x3f800000
+DATA nnVecConst<>+12(SB)/4, $0xc0400000
+GLOBL nnVecConst<>(SB), RODATA|NOPTR, $16
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv0() uint32
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
+	XORL CX, CX
+	XGETBV
+	MOVL AX, ret+0(FP)
+	RET
+
+// TAILMASK loads the mask of the first n%8 lanes into Y9 (n in reg).
+#define TAILMASK(reg, tmp) \
+	MOVQ reg, tmp; \
+	ANDQ $7, tmp; \
+	NEGQ tmp; \
+	LEAQ nnVecMask<>(SB), reg; \
+	VMOVDQU 32(reg)(tmp*4), Y9
+
+// HSCONST loads 3, 6, 1, 0 into Y12–Y15.
+#define HSCONST \
+	VBROADCASTSS nnVecConst<>+0(SB), Y12; \
+	VBROADCASTSS nnVecConst<>+4(SB), Y13; \
+	VBROADCASTSS nnVecConst<>+8(SB), Y14; \
+	VXORPS Y15, Y15, Y15
+
+// HARDSIG leaves hardSigmoid(Y0) in Y1: s = (v+3)/6; s < 0 → 0; s > 1 → 1.
+// Clobbers Y2, Y3.
+#define HARDSIG \
+	VADDPS Y12, Y0, Y1; \
+	VDIVPS Y13, Y1, Y1; \
+	VCMPPS $0x11, Y15, Y1, Y2; \
+	VCMPPS $0x1e, Y14, Y1, Y3; \
+	VBLENDVPS Y2, Y15, Y1, Y1; \
+	VBLENDVPS Y3, Y14, Y1, Y1
+
+// HSWGRAD turns v = Y0, dy = Y5 into dy·(hs(v) + [−3 < v < 3]·v/6) in Y5.
+// Y11 holds −3. Clobbers Y1–Y4.
+#define HSWGRAD \
+	HARDSIG; \
+	VCMPPS $0x1e, Y11, Y0, Y2; \
+	VCMPPS $0x11, Y12, Y0, Y3; \
+	VANDPS Y3, Y2, Y2; \
+	VDIVPS Y13, Y0, Y4; \
+	VADDPS Y4, Y1, Y4; \
+	VBLENDVPS Y2, Y4, Y1, Y1; \
+	VMULPS Y1, Y5, Y5
+
+// func vecHardSwish(y, x *float32, n int)
+//
+// y[i] = x[i] · hardSigmoid(x[i])
+TEXT ·vecHardSwish(SB), NOSPLIT, $0-24
+	MOVQ y+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), BX
+	HSCONST
+	XORQ AX, AX
+
+hswBlk:
+	CMPQ BX, $8
+	JLT  hswTail
+	VMOVUPS (SI)(AX*1), Y0
+	HARDSIG
+	VMULPS Y1, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ $32, AX
+	SUBQ $8, BX
+	JMP  hswBlk
+
+hswTail:
+	TESTQ BX, BX
+	JZ    hswDone
+	TAILMASK(BX, CX)
+	VMASKMOVPS (SI)(AX*1), Y9, Y0
+	HARDSIG
+	VMULPS Y1, Y0, Y0
+	VMASKMOVPS Y0, Y9, (DI)(AX*1)
+
+hswDone:
+	VZEROUPPER
+	RET
+
+// func vecHardSwishGrad(dx, dy, x *float32, n int)
+//
+// dx[i] = dy[i] · (hardSigmoid(x[i]) + x[i]/6 inside (−3, 3))
+TEXT ·vecHardSwishGrad(SB), NOSPLIT, $0-32
+	MOVQ dx+0(FP), DI
+	MOVQ dy+8(FP), DX
+	MOVQ x+16(FP), SI
+	MOVQ n+24(FP), BX
+	HSCONST
+	VBROADCASTSS nnVecConst<>+12(SB), Y11
+	XORQ AX, AX
+
+hsgBlk:
+	CMPQ BX, $8
+	JLT  hsgTail
+	VMOVUPS (SI)(AX*1), Y0
+	VMOVUPS (DX)(AX*1), Y5
+	HSWGRAD
+	VMOVUPS Y5, (DI)(AX*1)
+	ADDQ $32, AX
+	SUBQ $8, BX
+	JMP  hsgBlk
+
+hsgTail:
+	TESTQ BX, BX
+	JZ    hsgDone
+	TAILMASK(BX, CX)
+	VMASKMOVPS (SI)(AX*1), Y9, Y0
+	VMASKMOVPS (DX)(AX*1), Y9, Y5
+	HSWGRAD
+	VMASKMOVPS Y5, Y9, (DI)(AX*1)
+
+hsgDone:
+	VZEROUPPER
+	RET
+
+// func vecBiasAct(y *float32, rows, n int, bias *float32, hswish bool)
+//
+// y[r·n + j] = act(y[r·n + j] + bias[r]), act the identity or hard-swish:
+// the conv bias add of training and the frozen conv epilogue.
+TEXT ·vecBiasAct(SB), NOSPLIT, $0-33
+	MOVQ y+0(FP), DI
+	MOVQ rows+8(FP), R13
+	MOVQ n+16(FP), R10
+	MOVQ bias+24(FP), SI
+	MOVBLZX hswish+32(FP), R8
+	HSCONST
+	MOVQ R10, BX
+	TAILMASK(BX, CX)
+	MOVQ R10, R11
+	SHLQ $2, R11            // row step, bytes
+
+baRow:
+	VBROADCASTSS (SI), Y10
+	XORQ AX, AX
+	MOVQ R10, BX
+
+baBlk:
+	CMPQ BX, $8
+	JLT  baTail
+	VMOVUPS (DI)(AX*1), Y0
+	VADDPS Y10, Y0, Y0
+	TESTQ R8, R8
+	JZ   baStore
+	HARDSIG
+	VMULPS Y1, Y0, Y0
+
+baStore:
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ $32, AX
+	SUBQ $8, BX
+	JMP  baBlk
+
+baTail:
+	TESTQ BX, BX
+	JZ    baNext
+	VMASKMOVPS (DI)(AX*1), Y9, Y0
+	VADDPS Y10, Y0, Y0
+	TESTQ R8, R8
+	JZ   baStoreTail
+	HARDSIG
+	VMULPS Y1, Y0, Y0
+
+baStoreTail:
+	VMASKMOVPS Y0, Y9, (DI)(AX*1)
+
+baNext:
+	ADDQ R11, DI
+	ADDQ $4, SI
+	DECQ R13
+	JNZ  baRow
+	VZEROUPPER
+	RET
+
+// func vecBNNormalize(out, xhat, x *float32, stride, rows, n int, mean, inv, gamma, beta float32)
+//
+// For r < rows, j < n at offset r·stride + j (one channel across the batch):
+// xhat = (x − mean)·inv; out = g·xhat + b.
+TEXT ·vecBNNormalize(SB), NOSPLIT, $0-64
+	MOVQ out+0(FP), DI
+	MOVQ xhat+8(FP), DX
+	MOVQ x+16(FP), SI
+	MOVQ stride+24(FP), R11
+	SHLQ $2, R11
+	MOVQ rows+32(FP), R13
+	MOVQ n+40(FP), R10
+	VBROADCASTSS mean+48(FP), Y12
+	VBROADCASTSS inv+52(FP), Y13
+	VBROADCASTSS gamma+56(FP), Y14
+	VBROADCASTSS beta+60(FP), Y15
+	MOVQ R10, BX
+	TAILMASK(BX, CX)
+
+bnfRow:
+	XORQ AX, AX
+	MOVQ R10, BX
+
+bnfBlk:
+	CMPQ BX, $8
+	JLT  bnfTail
+	VMOVUPS (SI)(AX*1), Y0
+	VSUBPS Y12, Y0, Y0
+	VMULPS Y13, Y0, Y0
+	VMOVUPS Y0, (DX)(AX*1)
+	VMULPS Y0, Y14, Y1
+	VADDPS Y15, Y1, Y1
+	VMOVUPS Y1, (DI)(AX*1)
+	ADDQ $32, AX
+	SUBQ $8, BX
+	JMP  bnfBlk
+
+bnfTail:
+	TESTQ BX, BX
+	JZ    bnfNext
+	VMASKMOVPS (SI)(AX*1), Y9, Y0
+	VSUBPS Y12, Y0, Y0
+	VMULPS Y13, Y0, Y0
+	VMASKMOVPS Y0, Y9, (DX)(AX*1)
+	VMULPS Y0, Y14, Y1
+	VADDPS Y15, Y1, Y1
+	VMASKMOVPS Y1, Y9, (DI)(AX*1)
+
+bnfNext:
+	ADDQ R11, DI
+	ADDQ R11, DX
+	ADDQ R11, SI
+	DECQ R13
+	JNZ  bnfRow
+	VZEROUPPER
+	RET
+
+// BNGRAD turns dy = Y0, xhat = Y1 into the batch-norm input gradient in Y0:
+// scale·((m·(dy·g) − sDyG) − (xhat·sDyXh)·g), constants in Y10–Y14.
+#define BNGRAD \
+	VMULPS Y10, Y0, Y0; \
+	VMULPS Y0, Y12, Y0; \
+	VSUBPS Y13, Y0, Y0; \
+	VMULPS Y14, Y1, Y1; \
+	VMULPS Y10, Y1, Y1; \
+	VSUBPS Y1, Y0, Y0; \
+	VMULPS Y0, Y11, Y0
+
+// func vecBNGradX(dx, dy, xhat *float32, stride, rows, n int, gamma, scale, m, sDyG, sDyXh float32)
+TEXT ·vecBNGradX(SB), NOSPLIT, $0-68
+	MOVQ dx+0(FP), DI
+	MOVQ dy+8(FP), DX
+	MOVQ xhat+16(FP), SI
+	MOVQ stride+24(FP), R11
+	SHLQ $2, R11
+	MOVQ rows+32(FP), R13
+	MOVQ n+40(FP), R10
+	VBROADCASTSS gamma+48(FP), Y10
+	VBROADCASTSS scale+52(FP), Y11
+	VBROADCASTSS m+56(FP), Y12
+	VBROADCASTSS sDyG+60(FP), Y13
+	VBROADCASTSS sDyXh+64(FP), Y14
+	MOVQ R10, BX
+	TAILMASK(BX, CX)
+
+bnbRow:
+	XORQ AX, AX
+	MOVQ R10, BX
+
+bnbBlk:
+	CMPQ BX, $8
+	JLT  bnbTail
+	VMOVUPS (DX)(AX*1), Y0
+	VMOVUPS (SI)(AX*1), Y1
+	BNGRAD
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ $32, AX
+	SUBQ $8, BX
+	JMP  bnbBlk
+
+bnbTail:
+	TESTQ BX, BX
+	JZ    bnbNext
+	VMASKMOVPS (DX)(AX*1), Y9, Y0
+	VMASKMOVPS (SI)(AX*1), Y9, Y1
+	BNGRAD
+	VMASKMOVPS Y0, Y9, (DI)(AX*1)
+
+bnbNext:
+	ADDQ R11, DI
+	ADDQ R11, DX
+	ADDQ R11, SI
+	DECQ R13
+	JNZ  bnbRow
+	VZEROUPPER
+	RET

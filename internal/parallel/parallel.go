@@ -34,8 +34,16 @@ import (
 
 // minChunkWork is the floor on per-chunk work (in multiply-add-like units)
 // below which parallel dispatch costs more than it saves; GrainFor derives
-// per-item grains from it.
-const minChunkWork = 1 << 15
+// per-item grains from it. A dispatch that finds its worker parked costs a
+// futex wake and a wait — 10–20 µs measured, not the ~0.7 µs of back-to-back
+// dispatches — so a chunk must carry several times that: 1<<19 multiply-adds
+// is ≈ 50 µs on the AVX2 oracle kernels (≈ 10 GMAC/s; the scalar-era 1<<15
+// had shrunk to ≈ 3 µs there, and intra-op 2 ran TinyMobileNetV3 training 13 %
+// slower than intra-op 1). Chunking never changes bits, so the value is a
+// pure speed knob. It is a variable only so the tensor, nn and fl test
+// binaries can lower it (grain_test.go): their intra-op determinism tests use
+// small shapes that must still split into chunks to test anything.
+var minChunkWork = 1 << 19
 
 // Runner is one data-parallel loop body. Run invokes Run(chunk, lo, hi) once
 // per chunk of the fixed partition; chunk indexes the partition (0-based,

@@ -240,28 +240,36 @@ func BenchmarkMatMul(b *testing.B) {
 			return fmt.Sprintf("%s/%dx%dx%d", op, sz.m, sz.k, sz.n)
 		}
 		b.Run(name("Into"), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				MatMulInto(out, a, bb)
-			}
+			benchVecArms(b, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					MatMulInto(out, a, bb)
+				}
+			})
 		})
 		b.Run(name("TransBInto"), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				MatMulTransBInto(out, a, bt)
-			}
+			benchVecArms(b, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					MatMulTransBInto(out, a, bt)
+				}
+			})
 		})
 		b.Run(name("TransAAccInto"), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				MatMulTransAAccInto(out, at, bb)
-			}
+			benchVecArms(b, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					MatMulTransAAccInto(out, at, bb)
+				}
+			})
 		})
 		b.Run(name("TransBAccInto"), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				MatMulTransBAccInto(out, a, bt)
-			}
+			benchVecArms(b, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					MatMulTransBAccInto(out, a, bt)
+				}
+			})
 		})
 	}
 }

@@ -17,6 +17,29 @@ import (
 //     at every intra-op budget. They never dispatch — the tol-0 training
 //     and aggregation reproducibility contracts stand on them.
 //
+//     The tier has two implementations of the same bits. The Go loops
+//     (matmul.go, im2col.go) are the portable path and the test reference.
+//     On amd64 the AVX2 routines of vec_amd64.s replace them when vecLive
+//     is true (vec.go): the build is not tagged purego and a CPUID/XGETBV
+//     probe at init found AVX2 with OS-saved YMM state. There is no flag
+//     and no environment variable; `go build -tags purego` is the way to
+//     a binary without assembly. The vector routines are bit-identical to
+//     the Go loops BY CONSTRUCTION, under two rules:
+//
+//       1. Lanes lie across independent accumulation targets (output
+//          columns j; for the dot form, eight (i,j) chains fed by an
+//          in-register transpose), never along the reduction axis, so
+//          every target still receives its partial products one at a time
+//          in ascending inner-index order — with the same av != 0 skip in
+//          the AXPY forms (±0 skipped, NaN not) and no skip in the dot
+//          form.
+//       2. No FMA in the oracle tier: each step is one VMULPS and one
+//          VADDPS, two roundings like the Go compiler's MULSS + ADDSS
+//          (GOAMD64=v1 never fuses). A fused multiply-add rounds once and
+//          would change bits.
+//
+//     One ISA, one selection: no AVX-512 variant, no FMA variant.
+//
 //   - The TOLERANCE tier: the epilogue-fused entry points the frozen
 //     inference path compiles to (MatMulSlicesPEp, MatMulIntoPEp,
 //     MatMulAccSlicesPEp). These dispatch through the process-wide Backend
@@ -40,9 +63,13 @@ import (
 type Backend uint8
 
 const (
-	// BackendAuto picks per call: the packed GEBP kernel when the matmul is
-	// large enough to amortize packing, the oracle kernels otherwise. The
-	// default.
+	// BackendAuto picks per call. With the vector oracle kernels live it
+	// always stays on them: they beat the scalar packed GEBP and the int8
+	// SWAR kernel on every measured frozen shape by 3–8×, so auto neither
+	// dispatches to a packed kernel nor packs panels for one. Without them
+	// (purego, non-amd64, no AVX2) it picks the packed GEBP kernel when the
+	// matmul is large enough to amortize packing, the oracle kernels
+	// otherwise. The default.
 	BackendAuto Backend = iota
 	// BackendSerial forces the oracle kernels everywhere — bit-identical to
 	// the pre-backend behavior at every budget.
@@ -139,7 +166,8 @@ func init() {
 // amortize the pack (m ≥ packAutoMinRows ⇒ pack ≤ 1/packAutoMinRows of
 // compute) and enough total work for the panel loop's bookkeeping to
 // vanish. Below either bound the oracle kernels win and auto stays on
-// them.
+// them. The thresholds apply only when the oracle kernels are the scalar Go
+// loops; with the vector kernels live auto never packs (see BackendAuto).
 const (
 	packAutoMinRows = 8
 	packAutoMinWork = 1 << 14
@@ -163,6 +191,6 @@ func usePacked(m, k, n int) bool {
 	case BackendSerial:
 		return false
 	default:
-		return m >= packAutoMinRows && m*k*n >= packAutoMinWork
+		return !vecLive && m >= packAutoMinRows && m*k*n >= packAutoMinWork
 	}
 }

@@ -16,6 +16,10 @@ import (
 // the matmul kernels' 4-wide tile (plus two planes smaller than the kernel),
 // with a zero tap in every weight vector so the zero-skip branches run.
 func TestDepthwisePlaneKernelsMatchLowered(t *testing.T) {
+	bothVecSettings(t, testDepthwisePlaneKernelsMatchLowered)
+}
+
+func testDepthwisePlaneKernelsMatchLowered(t *testing.T) {
 	r := frand.New(131)
 	// The 1×1 and 2×3 planes have taps that never land inside the image.
 	for _, hw := range [][2]int{{7, 11}, {9, 5}, {13, 10}, {1, 1}, {2, 3}} {

@@ -141,23 +141,34 @@ func col2imCols(img, col []float32, d ConvDims, xlo, xhi int) {
 	}
 }
 
-// tapOxRange returns the ox interval [lo, hi) whose tap column stays inside
-// the image for kernel column kx: 0 <= ox*StrideW - PadW + kx < InW. The three
-// direct plane kernels share it, so their inner loops need no bounds check.
-// (Pointer receivers on the plane helpers: a value receiver copies the
-// 11-word ConvDims at every inlined call inside the tap loop, which measured
-// 5–20 % on DepthwiseConvPlane.)
-func (d *ConvDims) tapOxRange(kx int) (lo, hi int) {
-	hi = d.OutW
-	if num := d.PadW - kx; num > 0 {
-		lo = (num + d.StrideW - 1) / d.StrideW
+// tapRange returns the output interval [lo, hi) along one axis whose tap k
+// stays inside the input: 0 <= o*stride - pad + k < in, clipped to [0, out).
+func tapRange(k, pad, stride, in, out int) (lo, hi int) {
+	hi = out
+	if num := pad - k; num > 0 {
+		lo = (num + stride - 1) / stride
 	}
-	if num := d.InW + d.PadW - kx; num > 0 {
-		hi = min(hi, (num+d.StrideW-1)/d.StrideW)
+	if num := in + pad - k; num > 0 {
+		hi = min(hi, (num+stride-1)/stride)
 	} else {
 		hi = 0
 	}
 	return lo, hi
+}
+
+// tapOxRange is the ox interval whose tap column kx stays inside the image.
+// The three direct plane kernels share it, so their inner loops need no
+// bounds check. (Pointer receivers on the plane helpers: a value receiver
+// copies the 11-word ConvDims at every inlined call inside the tap loop, which
+// measured 5–20 % on DepthwiseConvPlane.)
+func (d *ConvDims) tapOxRange(kx int) (lo, hi int) {
+	return tapRange(kx, d.PadW, d.StrideW, d.InW, d.OutW)
+}
+
+// tapOyRange is the oy interval whose tap row ky stays inside the image; the
+// vector plane kernels sweep it as the rows of one strided 2-D AXPY per tap.
+func (d *ConvDims) tapOyRange(ky int) (lo, hi int) {
+	return tapRange(ky, d.PadH, d.StrideH, d.InH, d.OutH)
 }
 
 // checkPlane panics unless d is a single-channel geometry and the image,
@@ -191,6 +202,7 @@ func DepthwiseConvPlane(y, img, w []float32, d ConvDims) {
 	clear(y)
 	t := 0
 	for ky := 0; ky < d.KH; ky++ {
+		oyLo, oyHi := d.tapOyRange(ky)
 		for kx := 0; kx < d.KW; kx++ {
 			wt := w[t]
 			t++
@@ -199,6 +211,15 @@ func DepthwiseConvPlane(y, img, w []float32, d ConvDims) {
 			}
 			oxLo, oxHi := d.tapOxRange(kx)
 			if oxLo >= oxHi {
+				continue
+			}
+			if vecLive && d.StrideW == 1 {
+				// The whole tap as one strided 2-D AXPY over its valid rows.
+				if oyLo < oyHi {
+					ibase := (oyLo*d.StrideH-d.PadH+ky)*d.InW - d.PadW + kx
+					axpyPlaneVec(y[oyLo*d.OutW+oxLo:], d.OutW, img[ibase+oxLo:], d.StrideH*d.InW,
+						wt, oyHi-oyLo, oxHi-oxLo)
+				}
 				continue
 			}
 			for oy := 0; oy < d.OutH; oy++ {
@@ -283,6 +304,7 @@ func DepthwiseConvPlaneGradX(dimg, dy, w []float32, d ConvDims) {
 	d.checkPlane("DepthwiseConvPlaneGradX", dimg, dy, w)
 	t := 0
 	for ky := 0; ky < d.KH; ky++ {
+		oyLo, oyHi := d.tapOyRange(ky)
 		for kx := 0; kx < d.KW; kx++ {
 			wt := w[t]
 			t++
@@ -291,6 +313,14 @@ func DepthwiseConvPlaneGradX(dimg, dy, w []float32, d ConvDims) {
 			}
 			oxLo, oxHi := d.tapOxRange(kx)
 			if oxLo >= oxHi {
+				continue
+			}
+			if vecLive && d.StrideW == 1 {
+				if oyLo < oyHi {
+					ibase := (oyLo*d.StrideH-d.PadH+ky)*d.InW - d.PadW + kx
+					axpyPlaneVec(dimg[ibase+oxLo:], d.StrideH*d.InW, dy[oyLo*d.OutW+oxLo:], d.OutW,
+						wt, oyHi-oyLo, oxHi-oxLo)
+				}
 				continue
 			}
 			for oy := 0; oy < d.OutH; oy++ {

@@ -18,6 +18,15 @@ const mmBlock = 64
 // flight at once, never the order of adds into one target, so results are
 // bit-identical to the straightforward loops and independent of tiling.
 //
+// The three kernel bodies (matmulAcc, matMulTransB, matMulTransAAccRange)
+// hand over to the AVX2 routines of vec_amd64.s when vecLive is set. Those
+// widen the same idea from 4 targets in flight to 32: lanes across targets,
+// a separate multiply and add per step (never an FMA), the same zero-skip —
+// so they produce the Go loops' bits exactly, and the loops below remain the
+// portable path (-tags purego, other architectures, CPUs without AVX2) and
+// the reference the differential tests compare against. backend.go's tier
+// comment states the rule in full.
+//
 // The *P variants additionally split the output rows (the M dimension, or
 // the transposed-A result's row dimension) into parallel.Chunks-fixed
 // contiguous blocks, one goroutine per block. Every output element is still
@@ -77,6 +86,10 @@ func MatMulSlices(out, a, b []float32, m, k, n int) {
 // columns are accumulated in registers across the whole block, quartering
 // the load/store traffic on out relative to a scalar j sweep.
 func matmulAcc(out, a, b []float32, m, k, n int) {
+	if vecLive {
+		gemmAccVec(out, n, a, k, 1, b, n, m, n, k)
+		return
+	}
 	for i0 := 0; i0 < m; i0 += mmBlock {
 		iMax := min(i0+mmBlock, m)
 		for k0 := 0; k0 < k; k0 += mmBlock {
@@ -165,6 +178,10 @@ func transBDims(a, b *Tensor) (m, n int) {
 // is a dot product of two contiguous rows; four dot products run at once so
 // every load of a's row feeds four accumulators.
 func matMulTransB(out, a, b []float32, m, k, n int, acc bool) {
+	if vecLive && n >= vecDotMinCols {
+		dotTransBVec(out, a, b, m, k, n, acc)
+		return
+	}
 	for i := 0; i < m; i++ {
 		arow := a[i*k : i*k+k]
 		orow := out[i*n : i*n+n]
@@ -246,6 +263,12 @@ func MatMulTransAAccSlices(out, a, b []float32, k, m, n int) {
 // [i0, i1) — the row-parallel building block. out is still indexed with full
 // row stride n from row 0.
 func matMulTransAAccRange(out, a, b []float32, k, m, n, i0, i1 int) {
+	if vecLive {
+		if i0 < i1 && k > 0 && n > 0 {
+			gemmAccVec(out[i0*n:], n, a[i0:], 1, m, b, n, i1-i0, n, k)
+		}
+		return
+	}
 	// out[i,j] += Σ_x a[x,i]·b[x,j], with x ascending per target and four
 	// output columns held in registers across each x block. Blocking over x
 	// keeps the strided a column (stride m) and the touched b rows resident

@@ -158,22 +158,28 @@ func BenchmarkMatMulParallel(b *testing.B) {
 				return fmt.Sprintf("%s/%dx%dx%d/par=%d", op, sz.m, sz.k, sz.n, par)
 			}
 			b.Run(name("Into"), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					MatMulIntoP(par, out, a, bb)
-				}
+				benchVecArms(b, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						MatMulIntoP(par, out, a, bb)
+					}
+				})
 			})
 			b.Run(name("TransBInto"), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					MatMulTransBIntoP(par, out, a, bt)
-				}
+				benchVecArms(b, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						MatMulTransBIntoP(par, out, a, bt)
+					}
+				})
 			})
 			b.Run(name("TransAAccInto"), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					MatMulTransAAccIntoP(par, out, at, bb)
-				}
+				benchVecArms(b, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						MatMulTransAAccIntoP(par, out, at, bb)
+					}
+				})
 			})
 		}
 	}

@@ -146,6 +146,10 @@ func TestPackedAccMatchesOracle(t *testing.T) {
 // bit-identical to the oracle kernels plus a separate epilogue pass — the
 // pre-dispatch behavior, tol 0.
 func TestSerialBackendBitIdentical(t *testing.T) {
+	bothVecSettings(t, testSerialBackendBitIdentical)
+}
+
+func testSerialBackendBitIdentical(t *testing.T) {
 	forceBackend(t, BackendSerial)
 	r := frand.New(93)
 	for _, sz := range packedShapes {
@@ -209,6 +213,7 @@ func TestBackendParse(t *testing.T) {
 // oracle kernels, frozen-eval-shaped ones go packed, and k == 0 never
 // dispatches (the packed driver needs one k-block to initialize the output).
 func TestAutoDispatch(t *testing.T) {
+	setVecLive(t, false) // the scalar thresholds; the vector side is TestAutoStaysOnOracleWhenVectorLive
 	forceBackend(t, BackendAuto)
 	for _, tc := range []struct {
 		m, k, n int
@@ -279,10 +284,17 @@ func BenchmarkMatMulPacked(b *testing.B) {
 				prev := ActiveBackend()
 				SetBackend(be)
 				defer SetBackend(prev)
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					MatMulSlicesPEp(1, out, a.Data(), bb.Data(), sz.m, sz.k, sz.n, nil)
+				run := func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						MatMulSlicesPEp(1, out, a.Data(), bb.Data(), sz.m, sz.k, sz.n, nil)
+					}
 				}
+				if be == BackendSerial {
+					benchVecArms(b, run) // only the oracle kernels have a vector form
+					return
+				}
+				run(b)
 			})
 		}
 	}

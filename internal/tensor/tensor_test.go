@@ -428,10 +428,11 @@ func BenchmarkMatMul64(b *testing.B) {
 	x := Randn(r, 1, 64, 64)
 	y := Randn(r, 1, 64, 64)
 	out := New(64, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulInto(out, x, y)
-	}
+	benchVecArms(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			MatMulInto(out, x, y)
+		}
+	})
 }
 
 func BenchmarkMatMul256(b *testing.B) {
@@ -439,10 +440,11 @@ func BenchmarkMatMul256(b *testing.B) {
 	x := Randn(r, 1, 256, 256)
 	y := Randn(r, 1, 256, 256)
 	out := New(256, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulInto(out, x, y)
-	}
+	benchVecArms(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			MatMulInto(out, x, y)
+		}
+	})
 }
 
 func BenchmarkIm2Col32(b *testing.B) {

@@ -1,0 +1,79 @@
+package tensor
+
+import "fmt"
+
+// Vector oracle kernels -------------------------------------------------------
+//
+// vecLive routes the oracle kernels (matmulAcc, matMulTransAAccRange,
+// matMulTransB, the stride-1 depthwise plane AXPYs) onto the AVX2 routines of
+// vec_amd64.s. It is true exactly when the build carries them (amd64 without
+// the purego tag) and the CPUID/XGETBV probe passed at init — the program's
+// own choice from the machine it runs on, with no flag or environment
+// variable. The routines are bit-identical to the Go loops by construction
+// (backend.go states the rule), so vecLive never changes a result; the Go
+// loops stay as the portable path and as the reference the differential tests
+// compare against by flipping this variable.
+var vecLive = vecAvailable
+
+// The wrappers below are the only callers of the assembly. Each returns
+// before touching a pointer when a dimension is zero and panics when a slice
+// is shorter than the extent the routine will read or write: an undersized
+// slice is a bounds-check panic in the Go loops and must not become a silent
+// out-of-bounds write here.
+
+// gemmAccVec computes out[i·ldc+j] += Σ_x a[i·ars+x·acs]·b[x·ldb+j] for
+// i < m, j < n, x < k ascending, skipping a == ±0 terms. (ars, acs) = (k, 1)
+// is a @ b; (1, m) reads a transposed in place.
+func gemmAccVec(out []float32, ldc int, a []float32, ars, acs int, b []float32, ldb, m, n, k int) {
+	if m <= 0 || n <= 0 || k <= 0 {
+		return
+	}
+	if ldc < n || ldb < n || ars < 1 || acs < 1 ||
+		len(out) < (m-1)*ldc+n || len(a) < (m-1)*ars+(k-1)*acs+1 || len(b) < (k-1)*ldb+n {
+		panic(fmt.Sprintf("tensor: vector matmul %dx%dx%d: out %d (ld %d), a %d (strides %d,%d), b %d (ld %d) too short",
+			m, k, n, len(out), ldc, len(a), ars, acs, len(b), ldb))
+	}
+	vecGemmAcc(&out[0], ldc, &a[0], ars, acs, &b[0], ldb, m, n, k)
+}
+
+// axpyPlaneVec computes dst[r·dstStride+j] += w·src[r·srcStride+j] for
+// r < rows, j < n: one depthwise tap swept over a plane.
+func axpyPlaneVec(dst []float32, dstStride int, src []float32, srcStride int, w float32, rows, n int) {
+	if rows <= 0 || n <= 0 {
+		return
+	}
+	if dstStride < n || srcStride < n ||
+		len(dst) < (rows-1)*dstStride+n || len(src) < (rows-1)*srcStride+n {
+		panic(fmt.Sprintf("tensor: vector plane axpy %dx%d: dst %d (stride %d), src %d (stride %d) too short",
+			rows, n, len(dst), dstStride, len(src), srcStride))
+	}
+	vecAxpyPlane(&dst[0], dstStride, &src[0], srcStride, w, rows, n)
+}
+
+// vecDotMinCols is the narrowest output the dot-form routine takes: its lanes
+// lie across eight output columns.
+const vecDotMinCols = 8
+
+// dotTransBVec computes out[i·n+j] (+)= Σ_x a[i·k+x]·b[j·k+x] for i < m,
+// j < n ≥ vecDotMinCols: one accumulator per target from +0, x ascending,
+// nothing skipped, then the single add (acc) or store into out.
+func dotTransBVec(out, a, b []float32, m, k, n int, acc bool) {
+	if m <= 0 || n <= 0 {
+		return
+	}
+	if n < vecDotMinCols || k < 0 || len(out) < m*n || len(a) < m*k || len(b) < n*k {
+		panic(fmt.Sprintf("tensor: vector matmul-transB %dx%dx%d: out %d, a %d, b %d too short (or n < %d)",
+			m, k, n, len(out), len(a), len(b), vecDotMinCols))
+	}
+	if k == 0 { // every sum is the +0 it started from; += +0 still turns a -0 into +0
+		for i := range out[:m*n] {
+			if acc {
+				out[i] += 0
+			} else {
+				out[i] = 0
+			}
+		}
+		return
+	}
+	vecDotTransB(&out[0], &a[0], &b[0], m, k, n, acc)
+}

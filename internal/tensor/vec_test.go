@@ -1,0 +1,303 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"strings"
+	"testing"
+
+	"heteroswitch/internal/frand"
+)
+
+// The vector oracle kernels promise BIT-identical results to the Go loops —
+// not a tolerance. Everything here compares math.Float32bits between the two
+// settings of vecLive, the unexported switch only tests flip.
+
+// setVecLive pins the switch for one test (on only where the build and CPU
+// have the kernels) and restores it afterwards.
+func setVecLive(t testing.TB, on bool) {
+	t.Helper()
+	prev := vecLive
+	vecLive = on && vecAvailable
+	t.Cleanup(func() { vecLive = prev })
+}
+
+// bothVecSettings runs f as a subtest under the Go loops and, where the
+// vector kernels exist, under them too.
+func bothVecSettings(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	for _, on := range []bool{false, true} {
+		if on && !vecAvailable {
+			continue
+		}
+		t.Run(fmt.Sprintf("vec=%v", on), func(t *testing.T) {
+			setVecLive(t, on)
+			f(t)
+		})
+	}
+}
+
+// benchVecArms runs f as the "default" sub-benchmark and, where the vector
+// kernels exist, again as "generic" on the Go loops, so every kernel's
+// speed-up is a recorded pair of rows.
+func benchVecArms(b *testing.B, f func(b *testing.B)) {
+	b.Run("default", f)
+	if vecAvailable {
+		b.Run("generic", func(b *testing.B) {
+			setVecLive(b, false)
+			f(b)
+		})
+	}
+}
+
+// requireVec skips a test that needs both implementations to compare.
+func requireVec(t testing.TB) {
+	t.Helper()
+	if !vecAvailable {
+		t.Skip("no vector kernels in this build or on this CPU")
+	}
+}
+
+// vecSpecials are the values the zero-skip and rounding contracts turn on:
+// exact zeros of both signs, denormals, and magnitudes whose products round.
+var vecSpecials = []float32{
+	0, float32(math.Copysign(0, -1)),
+	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-39, -3e-41,
+	1, -1, 0.1, -0.3, 3.1415927, 1e-20, -1e20, 16777217,
+}
+
+// vecOperand fills n values from r, replacing about one in four with a
+// special so every run mixes zeros, −0 and denormals into ordinary data.
+func vecOperand(r *frand.RNG, n int) []float32 {
+	v := Randn(r, 1, n).Data()
+	for i := range v {
+		if r.Intn(4) == 0 {
+			v[i] = vecSpecials[r.Intn(len(vecSpecials))]
+		}
+	}
+	return v
+}
+
+// vecCase is one differential shape; the fuzz target draws the same fields.
+type vecCase struct{ m, k, n int }
+
+// vecTable is the issue's sweep: n around the 8- and 32-lane block edges,
+// k across 0, 1, the mmBlock edge and beyond, a few row counts.
+func vecTable() []vecCase {
+	var cs []vecCase
+	for _, n := range []int{1, 7, 8, 9, 31, 32, 33, 40, 256} {
+		for _, k := range []int{0, 1, 27, 64, 65, 300} {
+			for _, m := range []int{1, 2, 9} {
+				cs = append(cs, vecCase{m, k, n})
+			}
+		}
+	}
+	return cs
+}
+
+// runVecCase computes every oracle kernel on one shape under both settings of
+// the switch and requires identical bits: a@b (+acc), aᵀ@b over the full row
+// range and a sub-range, a@bᵀ (store and accumulate).
+func runVecCase(t *testing.T, c vecCase, seed uint64) {
+	t.Helper()
+	r := frand.New(seed)
+	m, k, n := c.m, c.k, c.n
+	name := fmt.Sprintf("%dx%dx%d seed %d", m, k, n, seed)
+	a := vecOperand(r, m*k)  // [m,k]
+	at := vecOperand(r, k*m) // [k,m], read transposed
+	b := vecOperand(r, k*n)  // [k,n]
+	bt := vecOperand(r, n*k) // [n,k], read transposed
+	base := vecOperand(r, m*n)
+	i0, i1 := m/3, m-m/4 // a proper sub-range once m ≥ 4, else the whole
+
+	run := func(on bool) [][]float32 {
+		setVecLive(t, on)
+		acc := slices.Clone(base)
+		matmulAcc(acc, a, b, m, k, n)
+		ta := slices.Clone(base)
+		matMulTransAAccRange(ta, at, b, k, m, n, 0, m)
+		tr := slices.Clone(base)
+		matMulTransAAccRange(tr, at, b, k, m, n, i0, i1)
+		tb := slices.Clone(base)
+		matMulTransB(tb, a, bt, m, k, n, false)
+		tbAcc := slices.Clone(base)
+		matMulTransB(tbAcc, a, bt, m, k, n, true)
+		return [][]float32{acc, ta, tr, tb, tbAcc}
+	}
+	want, got := run(false), run(true)
+	for i, kernel := range []string{"matmulAcc", "transA", "transA range", "transB", "transB acc"} {
+		exactEqual(t, name+" "+kernel, got[i], want[i])
+	}
+}
+
+func TestVecMatchesGeneric(t *testing.T) {
+	requireVec(t)
+	for i, c := range vecTable() {
+		runVecCase(t, c, uint64(1000+i))
+	}
+}
+
+// TestVecZeroSkipParity: a == ±0 must skip its term in both implementations
+// even against b = ±Inf or NaN (the product would be NaN), and a NaN in a
+// must NOT be skipped.
+func TestVecZeroSkipParity(t *testing.T) {
+	requireVec(t)
+	inf := float32(math.Inf(1))
+	nan := float32(math.NaN())
+	negZero := float32(math.Copysign(0, -1))
+	for _, n := range []int{1, 7, 8, 33, 40} {
+		const m, k = 3, 5
+		a := make([]float32, m*k)
+		b := make([]float32, k*n)
+		for i := range a {
+			a[i] = float32(i%7) - 2.5
+		}
+		for i := range b {
+			b[i] = float32(i%5) - 1.5
+		}
+		// Row 0: zeros of both signs opposite non-finite b rows.
+		a[1], a[3] = 0, negZero
+		for j := 0; j < n; j++ {
+			b[1*n+j] = []float32{inf, -inf, nan}[j%3]
+			b[3*n+j] = nan
+		}
+		// Row 2: one NaN in a, which must poison the whole output row.
+		a[2*k+2] = nan
+		base := make([]float32, m*n)
+		run := func(on bool) []float32 {
+			setVecLive(t, on)
+			out := slices.Clone(base)
+			matmulAcc(out, a, b, m, k, n)
+			return out
+		}
+		want, got := run(false), run(true)
+		exactEqual(t, fmt.Sprintf("zero-skip n=%d", n), got, want)
+		for j := 0; j < n; j++ {
+			if v := got[j]; v != v || math.IsInf(float64(v), 0) {
+				t.Fatalf("n=%d: row 0 col %d = %v, the ±0 terms were not skipped", n, j, v)
+			}
+			if v := got[2*n+j]; v == v {
+				t.Fatalf("n=%d: row 2 col %d = %v, the NaN term was skipped", n, j, v)
+			}
+		}
+	}
+}
+
+// FuzzVecMatchesGeneric is ROADMAP hardening item (b) for the oracle tier:
+// random shapes and seeds through both implementations at tol 0, seeded with
+// the table above.
+func FuzzVecMatchesGeneric(f *testing.F) {
+	for i, c := range vecTable() {
+		f.Add(uint16(c.m), uint16(c.k), uint16(c.n), uint64(i))
+	}
+	f.Fuzz(func(t *testing.T, m, k, n uint16, seed uint64) {
+		requireVec(t)
+		c := vecCase{int(m%12) + 1, int(k % 320), int(n%300) + 1}
+		runVecCase(t, c, seed)
+	})
+}
+
+// TestVecPlaneAxpyMatchesGeneric drives the strided 2-D tap kernel directly
+// against the scalar row loop it replaces.
+func TestVecPlaneAxpyMatchesGeneric(t *testing.T) {
+	requireVec(t)
+	r := frand.New(77)
+	for _, n := range []int{1, 6, 7, 8, 9, 15, 16, 31, 32, 33, 40, 70} {
+		for _, rows := range []int{1, 2, 5} {
+			dstStride, srcStride := n+3, 2*n+1
+			dst := vecOperand(r, rows*dstStride)
+			src := vecOperand(r, rows*srcStride)
+			for _, w := range []float32{1.5, -0.3, 1e-30} {
+				want := slices.Clone(dst)
+				for y := 0; y < rows; y++ {
+					for j := 0; j < n; j++ {
+						want[y*dstStride+j] += w * src[y*srcStride+j]
+					}
+				}
+				got := slices.Clone(dst)
+				axpyPlaneVec(got, dstStride, src, srcStride, w, rows, n)
+				exactEqual(t, fmt.Sprintf("plane axpy %dx%d w=%g", rows, n, w), got, want)
+			}
+		}
+	}
+}
+
+// TestVecKernelsRejectShortSlices: the Go loops panic on an undersized slice
+// through their bounds checks; the assembly would write past it, so every
+// wrapper must panic before it takes a pointer. The wrappers are shared code,
+// so this runs in every build.
+func TestVecKernelsRejectShortSlices(t *testing.T) {
+	const m, k, n = 3, 5, 9
+	full := func(sz int) []float32 { return make([]float32, sz) }
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"gemm out", func() { gemmAccVec(full(m*n-1), n, full(m*k), k, 1, full(k*n), n, m, n, k) }},
+		{"gemm a", func() { gemmAccVec(full(m*n), n, full(m*k-1), k, 1, full(k*n), n, m, n, k) }},
+		{"gemm b", func() { gemmAccVec(full(m*n), n, full(m*k), k, 1, full(k*n-1), n, m, n, k) }},
+		{"gemm a transposed", func() { gemmAccVec(full(m*n), n, full(k*m-1), 1, m, full(k*n), n, m, n, k) }},
+		{"gemm stride", func() { gemmAccVec(full(m*n), n, full(m*k), 0, 1, full(k*n), n, m, n, k) }},
+		{"plane dst", func() { axpyPlaneVec(full(2*12+n-1), 12, full(2*20+n), 20, 1, 3, n) }},
+		{"plane src", func() { axpyPlaneVec(full(2*12+n), 12, full(2*20+n-1), 20, 1, 3, n) }},
+		{"transB out", func() { dotTransBVec(full(m*n-1), full(m*k), full(n*k), m, k, n, false) }},
+		{"transB a", func() { dotTransBVec(full(m*n), full(m*k-1), full(n*k), m, k, n, false) }},
+		{"transB b", func() { dotTransBVec(full(m*n), full(m*k), full(n*k-1), m, k, n, true) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "too short") {
+					t.Fatalf("%s: recovered %q, want the wrapper's length panic", tc.name, msg)
+				}
+			}()
+			tc.call()
+		}()
+	}
+	// A zero dimension returns before any slice is touched, nil included.
+	gemmAccVec(nil, 4, nil, 1, 1, nil, 4, 0, 4, 3)
+	gemmAccVec(nil, 4, nil, 1, 1, nil, 4, 2, 4, 0)
+	axpyPlaneVec(nil, 4, nil, 4, 1, 0, 4)
+	dotTransBVec(nil, nil, nil, 0, 3, 4, true)
+}
+
+// TestAutoStaysOnOracleWhenVectorLive: with the vector kernels live the
+// oracle tier beats the packed float and int8 kernels on every frozen shape,
+// so auto neither dispatches to them nor packs anything for them; forcing a
+// backend behaves as before.
+func TestAutoStaysOnOracleWhenVectorLive(t *testing.T) {
+	requireVec(t)
+	setVecLive(t, true)
+	forceBackend(t, BackendAuto)
+	for _, sz := range [][3]int{{16, 768, 256}, {48, 48, 256}, {1024, 1024, 1024}} {
+		if usePacked(sz[0], sz[1], sz[2]) {
+			t.Fatalf("auto dispatches %v to the packed kernel with the vector oracle live", sz)
+		}
+	}
+	if f, q := needForms(false); f || q {
+		t.Fatalf("auto asks for forms (float %v, int8 %v) with the vector oracle live", f, q)
+	}
+	// Fused auto output is then the serial backend's, bit for bit — including
+	// k > packKC, where the packed kernel reassociates.
+	r := frand.New(7)
+	const m, k, n = 16, 768, 40
+	a, b := Randn(r, 1, m*k).Data(), Randn(r, 1, k*n).Data()
+	got, want := make([]float32, m*n), make([]float32, m*n)
+	MatMulSlicesPEp(2, got, a, b, m, k, n, nil)
+	SetBackend(BackendSerial)
+	MatMulSlicesPEp(2, want, a, b, m, k, n, nil)
+	exactEqual(t, "auto vs serial", got, want)
+
+	SetBackend(BackendPacked)
+	if !usePacked(16, 768, 256) {
+		t.Fatal("a forced packed backend must still dispatch")
+	}
+	if f, _ := needForms(false); !f {
+		t.Fatal("a forced packed backend must still pack float panels")
+	}
+	SetBackend(BackendInt8)
+	if _, q := needForms(true); !q {
+		t.Fatal("a forced int8 backend must still quantize")
+	}
+}

@@ -93,16 +93,20 @@ func (pw *PackedWeights) Dims() (int, int) {
 }
 
 // needForms maps the active backend onto the forms worth building now.
-// Serial never touches a cached form; auto and packed use float panels;
-// int8 uses the quantized form. Building only what the current backend can
-// consume keeps the refold pass from paying for kernels that will not run.
+// Serial never touches a cached form, and neither does auto while the vector
+// oracle kernels are live (usePacked is then always false); packed, and auto
+// on the scalar kernels, use float panels; int8 uses the quantized form.
+// Building only what the current backend can consume keeps the refold pass
+// from paying for kernels that will not run.
 func needForms(asA bool) (wantFloat, wantInt8 bool) {
 	switch ActiveBackend() {
 	case BackendInt8:
 		return false, true
 	case BackendSerial:
 		return false, false
-	default: // auto, packed
+	case BackendAuto:
+		return !asA && !vecLive, false
+	default: // packed
 		return !asA, false
 	}
 }
