@@ -4,8 +4,8 @@ package heteroswitch
 // design-choice ablations and substrate micro-benchmarks. Each experiment
 // benchmark runs its full harness at a reduced scale per iteration, so
 // b.N=1 (the default for these run times) measures one end-to-end
-// regeneration of the artifact; raise -scale via EXPBENCH_SCALE-style runs
-// with cmd/heterobench for the recorded EXPERIMENTS.md numbers.
+// regeneration of the artifact; cmd/heterobench -exp <id> -scale 1 runs the
+// full-size configuration of any id in experiments.Names().
 
 import (
 	"fmt"

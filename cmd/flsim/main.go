@@ -16,18 +16,15 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
 	"heteroswitch/internal/core"
 	"heteroswitch/internal/dataset"
 	"heteroswitch/internal/experiments"
-	"heteroswitch/internal/faults"
 	"heteroswitch/internal/fl"
 	"heteroswitch/internal/metrics"
 	"heteroswitch/internal/models"
 	"heteroswitch/internal/nn"
-	"heteroswitch/internal/simclock"
 	"heteroswitch/internal/tensor"
 )
 
@@ -66,7 +63,6 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "random seed")
 		workers  = flag.Int("workers", 4, "parallel client trainers")
 		intraop  = flag.Int("intraop", 0, "total intra-op kernel parallelism budget, split across workers (0 = GOMAXPROCS, 1 = serial kernels; results are bit-identical at every setting)")
-		fused    = flag.Bool("fused-eval", true, "evaluate through the frozen inference fast path (BN folded, activations fused); -fused-eval=false keeps the reference layer-by-layer eval forward")
 		backend  = flag.String("kernel-backend", tensor.ActiveBackend().String(), "matmul kernel backend for the frozen eval path: auto (packed when profitable), serial (bit-identical oracle kernels), packed (force the cache-blocked kernel), int8 (force the quantized weight-stationary kernel, documented-tolerance tier); training always uses the oracle kernels; default honors HETEROSWITCH_KERNEL_BACKEND")
 		logEvery = flag.Int("log-every", 10, "print loss every N rounds")
 
@@ -83,7 +79,6 @@ func main() {
 		maxStale      = flag.Int("max-staleness", 0, "drop async results staler than this many aggregation windows instead of folding them (0 = fold everything)")
 	)
 	flag.Parse()
-	nn.SetFusedEval(*fused)
 	kb, err := tensor.ParseBackend(*backend)
 	if err != nil {
 		fatal(err)
@@ -117,14 +112,9 @@ func main() {
 		Workers:         *workers,
 		IntraOp:         *intraop,
 	}
-	fm, err := faults.ParseSpec(*faultSpec, *seed)
-	if err != nil {
+	opts.Faults, opts.MaxDeltaNorm = *faultSpec, *maxNorm
+	if err := opts.ApplyRobustness(&cfg); err != nil {
 		fatal(err)
-	}
-	cfg.Faults = fm
-	cfg.MaxDeltaNorm = *maxNorm
-	if fm != nil && cfg.MaxDeltaNorm == 0 {
-		cfg.MaxDeltaNorm = math.Inf(1)
 	}
 	counts := experiments.MarketShareCounts(dd, *clients)
 	pop, err := fl.BuildPopulation(dd.Train, counts, *seed)
@@ -136,20 +126,19 @@ func main() {
 	}
 	var net *nn.Network
 	if *async {
-		lat, err := simclock.ParseModel(*latency, *seed)
+		acfg, err := experiments.AsyncOptions{
+			StalenessAlpha: *alpha,
+			LatencyModel:   *latency,
+			Depth:          *asyncDepth,
+			Timeout:        *faultTimeout,
+			RetryBackoff:   *faultBackoff,
+			MaxAttempts:    *faultAttempts,
+			MaxStaleness:   *maxStale,
+		}.Config(cfg.ClientsPerRound, *seed)
 		if err != nil {
 			fatal(err)
 		}
-		srv, err := fl.NewAsyncServer(cfg, builder, nn.SoftmaxCrossEntropy{}, strat, pop, fl.AsyncConfig{
-			Staleness:    fl.PolynomialStaleness{Alpha: *alpha},
-			Latency:      lat,
-			Concurrency:  *asyncDepth * cfg.ClientsPerRound,
-			Buffer:       cfg.ClientsPerRound,
-			Timeout:      *faultTimeout,
-			RetryBackoff: *faultBackoff,
-			MaxAttempts:  *faultAttempts,
-			MaxStaleness: *maxStale,
-		})
+		srv, err := fl.NewAsyncServer(cfg, builder, nn.SoftmaxCrossEntropy{}, strat, pop, acfg)
 		if err != nil {
 			fatal(err)
 		}

@@ -7,10 +7,10 @@
 //	heterobench -exp table4 [-scale 1.0] [-seed 42] [-workers 8]
 //	heterobench -exp all -scale 0.3
 //
-// Experiment ids follow DESIGN.md's per-experiment index (fig1, table2,
-// fig2, fig3, fig4, fig5, fig7, table4, table5, table6, fig8, ecg, fig9,
-// ablation-*, async-sweep). Scale 1.0 is the configuration recorded in
-// EXPERIMENTS.md; smaller scales run faster and preserve trends. -async
+// Experiment ids are the registry's (experiments.Names(), printed by -list:
+// fig1, table2, fig2, fig3, fig4, fig5, fig7, table4, table5, table6, fig8,
+// ecg, fig9, ablation-*, async-sweep). Scale 1.0 is the full-size
+// configuration; smaller scales run faster and preserve trends. -async
 // reruns the FL-driving harnesses on the asynchronous staleness-aware server
 // (deterministic virtual-time simulation); async-sweep compares the two
 // regimes under straggler latency distributions directly.
@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"heteroswitch/internal/experiments"
-	"heteroswitch/internal/nn"
 	"heteroswitch/internal/tensor"
 )
 
@@ -34,7 +33,6 @@ func main() {
 		seed    = flag.Uint64("seed", 42, "master random seed")
 		workers = flag.Int("workers", 0, "parallel workers (0 = auto)")
 		intraop = flag.Int("intraop", 0, "total intra-op kernel parallelism budget, split across workers (0 = GOMAXPROCS, 1 = serial kernels; results are bit-identical at every setting)")
-		fused   = flag.Bool("fused-eval", true, "evaluate through the frozen inference fast path (BN folded, activations fused); -fused-eval=false keeps the reference layer-by-layer eval forward")
 		backend = flag.String("kernel-backend", tensor.ActiveBackend().String(), "matmul kernel backend for the frozen eval path: auto (packed when profitable), serial (bit-identical oracle kernels), packed (force the cache-blocked kernel), int8 (force the quantized weight-stationary kernel, documented-tolerance tier); training always uses the oracle kernels; default honors HETEROSWITCH_KERNEL_BACKEND")
 		list    = flag.Bool("list", false, "list available experiments")
 
@@ -51,7 +49,6 @@ func main() {
 		maxStale      = flag.Int("max-staleness", 0, "drop async results staler than this many aggregation windows instead of folding them (0 = fold everything)")
 	)
 	flag.Parse()
-	nn.SetFusedEval(*fused)
 
 	if *list {
 		for _, name := range experiments.Names() {

@@ -209,14 +209,13 @@
 // itself bit-identical across intra-op budgets. Training paths are
 // untouched: every tol-0 training bit-reproducibility contract (arena,
 // intra-op, async) holds unchanged. Consumers route through nn.EvalView,
-// which returns the frozen replica when fused eval is enabled (the default)
-// and the reference forward under -fused-eval=false (flsim, heterobench) or
-// nn.SetFusedEval(false): metrics.Accuracy / MeanLoss / PerDeviceAccuracy /
-// MultiLabelScores, fl.EvalLoss (per-client L_init, including inside server
-// workers and the async completion loop), and the experiment eval sweeps.
-// The reference path also remains the only path for anything that needs
-// batch statistics or backward passes — training, gradient checks — and for
-// exact A/B measurements (BenchmarkEval fused vs reference).
+// which always returns the frozen replica: metrics.Accuracy / MeanLoss /
+// PerDeviceAccuracy / MultiLabelScores, fl.EvalLoss (per-client L_init,
+// including inside server workers and the async completion loop), and the
+// experiment eval sweeps. The reference forward ((*Network).Infer) remains
+// the only path for anything that needs batch statistics or backward passes
+// — training, gradient checks — and the oracle the frozen path is tested
+// against (BenchmarkEval A/Bs the two).
 //
 // Loss evaluation on this path is value-only: losses implement nn.LossValuer
 // (EvalValue), which computes the scalar loss with exactly the float-op
@@ -233,19 +232,19 @@
 // one of two numerics tiers (with the int8 backend occupying a documented
 // looser corner of the tolerance tier):
 //
-//   - ORACLE tier — the unfused entry points (tensor.MatMul, MatMulSlices,
-//     MatMulP, the transpose variants, and everything the training stack
-//     touches). These always run the original register-tiled serial/parallel
-//     kernels with their exact float-op order; they never dispatch. Every
-//     tol-0 contract in the repo — training bit-reproducibility across
-//     budgets and worker counts, async equivalence, gradient checks — rides
-//     on this tier and is untouched by backend selection. The tier has a
-//     vector implementation with the same bits, described next.
-//   - TOLERANCE tier — the fused epilogue entry points the frozen path
-//     compiles to (MatMulSlicesPEp, MatMulIntoPEp, MatMulAccSlicesPEp).
-//     These dispatch on the active backend and promise ≤1e-5-per-unit
-//     closeness to the oracle result with identical argmax, the same
-//     contract the BN fold already imposes on frozen outputs.
+//   - ORACLE tier — the six unfused entry points training uses
+//     (tensor.MatMulIntoP, MatMulSlicesP, MatMulTransBIntoP,
+//     MatMulTransBAccSlices, MatMulTransAAccIntoP, MatMulTransAAccSlicesP),
+//     each a few lines filling one internal descriptor. They run the
+//     register-tiled kernels with their exact float-op order and never
+//     dispatch: every tol-0 contract in the repo rides on this tier,
+//     untouched by backend selection. The tier has a vector implementation
+//     with the same bits, described next.
+//   - TOLERANCE tier — the two fused-epilogue, weight-stationary entry
+//     points the frozen path compiles to (MatMulWASlicesPEp,
+//     MatMulWBSlicesPEp). These dispatch on the active backend and promise
+//     ≤1e-5-per-unit closeness to the oracle result with identical argmax,
+//     the same contract the BN fold already imposes on frozen outputs.
 //
 // Vector oracle kernels. On amd64 the oracle tier runs 8-lane AVX2 Go
 // assembly (internal/tensor/vec_amd64.s: the strided row-AXPY GEMM behind

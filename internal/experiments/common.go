@@ -31,8 +31,8 @@ import (
 
 // Options control workload sizing shared by all harnesses.
 type Options struct {
-	// Scale multiplies sample counts, epochs, and rounds. 1.0 reproduces the
-	// recorded EXPERIMENTS.md numbers.
+	// Scale multiplies sample counts, epochs, and rounds. 1.0 is the
+	// full-size configuration of every harness in the registry.
 	Scale float64
 	// Seed drives all randomness.
 	Seed uint64
@@ -117,11 +117,11 @@ func (a AsyncOptions) Config(k int, seed uint64) (fl.AsyncConfig, error) {
 	}, nil
 }
 
-// applyRobustness resolves the fault-injection and validation-gate options
+// ApplyRobustness resolves the fault-injection and validation-gate options
 // into cfg. A configured fault model defaults the gate to +Inf (reject
 // non-finite updates) so injected corruption can never silently poison the
 // global model; an explicit MaxDeltaNorm always wins.
-func (o Options) applyRobustness(cfg *fl.Config) error {
+func (o Options) ApplyRobustness(cfg *fl.Config) error {
 	m, err := faults.ParseSpec(o.Faults, cfg.Seed)
 	if err != nil {
 		return err
@@ -322,7 +322,7 @@ func RunFLWithLoss(opts Options, strategy fl.Strategy, perDevice map[int]*datase
 	if cfg.ClientsPerRound > len(clients) {
 		cfg.ClientsPerRound = len(clients)
 	}
-	if err := opts.applyRobustness(&cfg); err != nil {
+	if err := opts.ApplyRobustness(&cfg); err != nil {
 		return nil, err
 	}
 	if opts.Async.Enabled {

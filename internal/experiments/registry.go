@@ -15,7 +15,7 @@ func wrap[T fmt.Stringer](f func(Options) (T, error)) Runner {
 	return func(o Options) (fmt.Stringer, error) { return f(o) }
 }
 
-// registry maps experiment ids (the DESIGN.md index) to harnesses.
+// registry maps experiment ids (listed by Names) to harnesses.
 var registry = map[string]Runner{
 	"fig1":             wrap(Fig1),
 	"table2":           wrap(Table2),

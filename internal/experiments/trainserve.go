@@ -122,7 +122,7 @@ func TrainWhileServe(opts Options) (*TrainServeReport, error) {
 		Workers:         opts.Workers,
 		IntraOp:         opts.IntraOp,
 	}
-	if err := opts.applyRobustness(&cfg); err != nil {
+	if err := opts.ApplyRobustness(&cfg); err != nil {
 		return nil, err
 	}
 	aopts := opts.Async

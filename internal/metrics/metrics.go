@@ -15,10 +15,9 @@ import (
 
 // Accuracy returns the single-label classification accuracy of net on ds,
 // evaluated with the given batch size through one frozen inference replica
-// (nn.EvalView: BN folded, activations fused; the reference forward when
-// fused eval is disabled). Batches recycle through the pooled
-// dataset.BatchScratch, so sweeps over many devices or degrees allocate no
-// per-batch buffers.
+// (nn.EvalView: BN folded, activations fused). Batches recycle through the
+// pooled dataset.BatchScratch, so sweeps over many devices or degrees
+// allocate no per-batch buffers.
 func Accuracy(net *nn.Network, ds *dataset.Dataset, batch int) float64 {
 	if ds.Len() == 0 {
 		return 0
@@ -58,10 +57,14 @@ func accuracyOn(inf nn.Inference, bs *dataset.BatchScratch, ds *dataset.Dataset,
 // fl.EvalLoss it takes the value-only loss path (nn.LossValuer): no gradient
 // tensor is computed or allocated per batch.
 func MeanLoss(net *nn.Network, loss nn.Loss, ds *dataset.Dataset, batch int) float64 {
+	return meanLossOn(nn.EvalView(net), loss, ds, batch)
+}
+
+// meanLossOn is the loss loop on one inference surface.
+func meanLossOn(inf nn.Inference, loss nn.Loss, ds *dataset.Dataset, batch int) float64 {
 	if ds.Len() == 0 {
 		return 0
 	}
-	inf := nn.EvalView(net)
 	bs := dataset.GetBatchScratch()
 	defer dataset.PutBatchScratch(bs)
 	var total float64

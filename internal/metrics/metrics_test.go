@@ -206,19 +206,22 @@ func makeConvEvalFixture() (*nn.Network, *dataset.Dataset) {
 
 // TestFusedEvalMatchesReference: every metrics entry point must return
 // identical decisions (accuracy, per-device accuracy) and near-identical
-// losses whether it routes through the frozen fast path or the reference
-// forward — the -fused-eval A/B contract.
+// losses through the frozen fast path as the same loops give on the
+// reference forward, (*nn.Network).Infer.
 func TestFusedEvalMatchesReference(t *testing.T) {
 	net, ds := makeConvEvalFixture()
 	fusedAcc := Accuracy(net, ds, 7)
 	fusedPer := PerDeviceAccuracy(net, ds, 7)
 	fusedLoss := MeanLoss(net, nn.SoftmaxCrossEntropy{}, ds, 7)
 
-	nn.SetFusedEval(false)
-	defer nn.SetFusedEval(true)
-	refAcc := Accuracy(net, ds, 7)
-	refPer := PerDeviceAccuracy(net, ds, 7)
-	refLoss := MeanLoss(net, nn.SoftmaxCrossEntropy{}, ds, 7)
+	bs := dataset.GetBatchScratch()
+	defer dataset.PutBatchScratch(bs)
+	refAcc := accuracyOn(net, bs, ds, 7)
+	refPer := map[int]float64{}
+	for dev, sub := range ds.ByDevice() {
+		refPer[dev] = accuracyOn(net, bs, sub, 7)
+	}
+	refLoss := meanLossOn(net, nn.SoftmaxCrossEntropy{}, ds, 7)
 
 	if fusedAcc != refAcc {
 		t.Fatalf("fused accuracy %v != reference %v (argmax must be identical)", fusedAcc, refAcc)

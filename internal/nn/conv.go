@@ -228,7 +228,7 @@ func (l *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	n := l.batch
 	h, w := l.inH, l.inW
 
-	// Col2Im and the direct dx kernels accumulate, so dx must start zeroed.
+	// Col2ImP and the direct dx kernels accumulate, so dx must start zeroed.
 	dx := l.alloc(n, l.InC, h, w)
 	gd, dxd := grad.Data(), dx.Data()
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"heteroswitch/internal/frand"
+	"heteroswitch/internal/israce"
 	"heteroswitch/internal/tensor"
 )
 
@@ -40,7 +41,7 @@ func loweredConv(l *Conv2D, x, dy *tensor.Tensor, dW, db []float32) (out, dx []f
 			o := (i*l.OutC + gi*gcOut) * cols
 			y, gy := out[o:o+gcOut*cols], gd[o:o+gcOut*cols]
 			tensor.Im2Col(col, img, d)
-			tensor.MatMulSlices(y, wg, col, gcOut, rows, cols)
+			tensor.MatMulSlicesP(1, y, wg, col, gcOut, rows, cols)
 			for oc := 0; oc < gcOut; oc++ {
 				var s float32
 				for j := oc * cols; j < (oc+1)*cols; j++ {
@@ -51,8 +52,8 @@ func loweredConv(l *Conv2D, x, dy *tensor.Tensor, dW, db []float32) (out, dx []f
 			}
 			tensor.MatMulTransBAccSlices(dW[gi*gcOut*rows:(gi+1)*gcOut*rows], gy, col, gcOut, cols, rows)
 			clear(dcol)
-			tensor.MatMulTransAAccSlices(dcol, wg, gy, gcOut, rows, cols)
-			tensor.Col2Im(dx[(i*l.InC+gi*gcIn)*h*w:(i*l.InC+(gi+1)*gcIn)*h*w], dcol, d)
+			tensor.MatMulTransAAccSlicesP(1, dcol, wg, gy, gcOut, rows, cols)
+			tensor.Col2ImP(1, dx[(i*l.InC+gi*gcIn)*h*w:(i*l.InC+(gi+1)*gcIn)*h*w], dcol, d)
 		}
 	}
 	return out, dx
@@ -145,7 +146,7 @@ func TestConvTrainForwardMatchesFrozenSerial(t *testing.T) {
 // every conv kernel family allocates nothing (arena tensors, cached column
 // scratch only where the lowered path needs it, pooled dispatch).
 func TestConvTrainStepAllocFree(t *testing.T) {
-	if raceEnabled {
+	if israce.Enabled {
 		t.Skip("sync.Pool drops items randomly under -race; alloc counts are nondeterministic")
 	}
 	r := frand.New(22)

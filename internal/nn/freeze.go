@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"heteroswitch/internal/tensor"
 )
@@ -138,24 +137,10 @@ func refoldOps(ops []frozenOp, ps *panelSet) {
 	}
 }
 
-// Fused-eval toggle -----------------------------------------------------------
-
-// fusedEvalOff is the process-wide kill switch for the frozen fast path
-// (zero value = fused eval ENABLED, the default). It exists so the
-// -fused-eval=false CLI flag can force every evaluation back onto the
-// reference layer-by-layer forward for A/B comparison.
-var fusedEvalOff atomic.Bool
-
-// SetFusedEval enables or disables the frozen inference fast path for every
-// subsequent EvalView call. Fused eval is on by default.
-func SetFusedEval(enabled bool) { fusedEvalOff.Store(!enabled) }
-
-// FusedEval reports whether EvalView routes through Freeze.
-func FusedEval() bool { return !fusedEvalOff.Load() }
-
 // Inference is the forward-only surface shared by *Network and *Frozen —
 // what evaluation loops (metrics, fl.EvalLoss, the experiment sweeps)
-// consume, so one loop serves both the fused and the reference path.
+// consume, so one loop serves both the fused path and the reference forward
+// the tests hold it against.
 type Inference interface {
 	Infer(x *tensor.Tensor) *tensor.Tensor
 }
@@ -163,15 +148,9 @@ type Inference interface {
 // Infer implements Inference as the reference eval forward.
 func (n *Network) Infer(x *tensor.Tensor) *tensor.Tensor { return n.Forward(x, false) }
 
-// EvalView returns the surface an evaluation pass should forward through:
-// one frozen replica of the network when fused eval is enabled (the
-// default), the network's reference forward otherwise.
-func EvalView(n *Network) Inference {
-	if FusedEval() {
-		return n.Freeze()
-	}
-	return n
-}
+// EvalView returns the surface an evaluation pass forwards through: one
+// frozen replica of the network.
+func EvalView(n *Network) Inference { return n.Freeze() }
 
 // Compilation -----------------------------------------------------------------
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"heteroswitch/internal/frand"
+	"heteroswitch/internal/israce"
 	"heteroswitch/internal/nn"
 	"heteroswitch/internal/tensor"
 )
@@ -380,20 +381,6 @@ func TestFrozenConcurrentReplicas(t *testing.T) {
 	}
 }
 
-// TestEvalViewToggle checks the -fused-eval routing contract.
-func TestEvalViewToggle(t *testing.T) {
-	r := frand.New(5)
-	net := nn.NewNetwork(nn.NewFlatten(), nn.NewDense(r, 3*8*8, 4))
-	if _, ok := nn.EvalView(net).(*nn.Frozen); !ok {
-		t.Fatal("fused eval should be the default")
-	}
-	nn.SetFusedEval(false)
-	defer nn.SetFusedEval(true)
-	if _, ok := nn.EvalView(net).(*nn.Network); !ok {
-		t.Fatal("SetFusedEval(false) must route EvalView to the reference network")
-	}
-}
-
 // TestFrozenPureFusionBitIdentical: without any BatchNorm there is no float
 // reordering, so the frozen forward must match the reference eval forward
 // exactly (the SqueezeNet-shaped contract). The net covers all three conv
@@ -437,7 +424,7 @@ func TestFrozenPureFusionBitIdentical(t *testing.T) {
 // steady-state heap allocation (arena outputs, pooled dispatch, cached
 // im2col scratch).
 func TestFrozenAllocFree(t *testing.T) {
-	if raceExtEnabled {
+	if israce.Enabled {
 		t.Skip("sync.Pool drops items randomly under -race; alloc counts are nondeterministic")
 	}
 	fx := frozenFixtures()[0]

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"heteroswitch/internal/frand"
+	"heteroswitch/internal/israce"
 	"heteroswitch/internal/tensor"
 )
 
@@ -215,7 +216,7 @@ func TestReplicaPoolPanelLifecycleUnderChurn(t *testing.T) {
 // TestReplicaInferSteadyStateZeroAlloc: with panels packed and scratch pools
 // warm, the int8 inference path allocates nothing per batch.
 func TestReplicaInferSteadyStateZeroAlloc(t *testing.T) {
-	if raceEnabled {
+	if israce.Enabled {
 		t.Skip("sync.Pool drops items randomly under -race; alloc counts are nondeterministic")
 	}
 	forceNNBackend(t, tensor.BackendInt8)

@@ -66,10 +66,9 @@ func (r *Replica) Ensure(v int, w Weights) error {
 	return nil
 }
 
-// Infer runs one batch through the replica's inference surface (the fused
-// frozen view unless SetFusedEval(false) routed evaluation back to the
-// reference forward). The output aliases the replica's arena: valid until
-// the next Infer on this replica, so copy out before Put-ing it back.
+// Infer runs one batch through the replica's fused frozen view. The output
+// aliases the replica's arena: valid until the next Infer on this replica, so
+// copy out before Put-ing it back.
 func (r *Replica) Infer(x *tensor.Tensor) *tensor.Tensor {
 	if r.inf == nil {
 		panic("nn: Replica.Infer before Ensure")

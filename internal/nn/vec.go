@@ -1,6 +1,10 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+
+	"heteroswitch/internal/tensor"
+)
 
 // Vector elementwise sweeps ---------------------------------------------------
 //
@@ -8,11 +12,15 @@ import "fmt"
 // conv bias add, hard-swish forward and backward, the batch-norm normalise
 // and input-gradient passes, and the frozen conv epilogue — onto the AVX2
 // routines of vec_amd64.s. Like tensor's switch of the same name it is true
-// exactly when the build carries the routines and the CPU probe passed, the
-// routines perform the Go loops' float32 operations one for one (so flipping
-// it never changes a bit), and only tests flip it. Batch norm's float64
-// reductions stay in Go: their order is the result.
-var vecLive = vecAvailable
+// exactly when the build carries the routines (the two packages share one
+// build constraint) and tensor's CPU probe passed, the routines perform the Go
+// loops' float32 operations one for one (so flipping it never changes a
+// bit), and only tests flip it. Batch norm's float64 reductions stay in Go:
+// their order is the result.
+var (
+	vecAvailable = tensor.VectorAvailable()
+	vecLive      = vecAvailable
+)
 
 // The wrappers are the only callers of the assembly: they return before
 // taking a pointer when there is nothing to do and panic when a slice is

@@ -29,24 +29,6 @@ DATA nnVecConst<>+8(SB)/4, $0x3f800000
 DATA nnVecConst<>+12(SB)/4, $0xc0400000
 GLOBL nnVecConst<>(SB), RODATA|NOPTR, $16
 
-// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL leaf+0(FP), AX
-	MOVL sub+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbv0() uint32
-TEXT ·xgetbv0(SB), NOSPLIT, $0-4
-	XORL CX, CX
-	XGETBV
-	MOVL AX, ret+0(FP)
-	RET
-
 // TAILMASK loads the mask of the first n%8 lanes into Y9 (n in reg).
 #define TAILMASK(reg, tmp) \
 	MOVQ reg, tmp; \

@@ -2,10 +2,9 @@
 
 package nn
 
-// Portable builds carry no vector kernels: vecLive can never turn on, and
-// the entries below exist only so the shared wrappers in vec.go compile.
-const vecAvailable = false
-
+// Portable builds carry no vector kernels: tensor.VectorAvailable is false, so
+// vecLive can never turn on, and the entries below exist only so the shared
+// wrappers in vec.go compile.
 const noVec = "nn: vector kernel called in a build without one"
 
 func vecHardSwish(y, x *float32, n int) { panic(noVec) }

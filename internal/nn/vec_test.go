@@ -63,14 +63,6 @@ func requireVec(t testing.TB) {
 	}
 }
 
-// TestVecProbesAgree: this package and tensor each probe the CPU; the two
-// answers must be the same one.
-func TestVecProbesAgree(t *testing.T) {
-	if vecLive != tensorVecLive {
-		t.Fatalf("nn vecLive = %v, tensor vecLive = %v", vecLive, tensorVecLive)
-	}
-}
-
 // vecSweepSpecials sit on every branch of the hard-sigmoid family and on the
 // rounding edges: zeros of both signs, denormals, the ±3 knees and their
 // neighbours, values past both clamps, infinities and a NaN.
@@ -96,74 +88,120 @@ func sweepOperand(r *frand.RNG, n int, scale float64) []float32 {
 
 var vecSweepLens = []int{1, 2, 7, 8, 9, 15, 16, 17, 31, 33, 64, 100, 257}
 
-// TestVecActivationSweepsMatchGeneric: hard-swish forward and backward, the
-// standalone frozen activation, and the conv bias / bias+hard-swish epilogue
-// on lengths around the 8-lane edge, specials included.
+// runVecActCase runs every vectorised activation sweep on length n under both
+// settings of the switch and requires identical bits: hard-swish forward and
+// backward, the standalone frozen activation, the one-row conv epilogue
+// (bias, bias + hard-swish) and the rows × n training bias add of a
+// pointwise Conv2D.
+func runVecActCase(t *testing.T, n, rows int, seed uint64) {
+	t.Helper()
+	r := frand.New(seed)
+	x := sweepOperand(r, n, 2)
+	dy := sweepOperand(r, n, 1)
+	bias := []float32{0.7, -1.3, float32(math.Copysign(0, -1))}
+	conv := NewConv2D(r, 1, rows, 1, 1, 0, 1)
+	for i := range conv.B.W.Data() {
+		conv.B.W.Data()[i] = bias[i%len(bias)]
+	}
+	run := func(on bool) [][]float32 {
+		setVecLive(t, on)
+		l := NewHardSwish()
+		xt := tensor.FromSlice(slices.Clone(x), 1, n)
+		y := slices.Clone(l.Forward(xt, true).Data())
+		dx := slices.Clone(l.Backward(tensor.FromSlice(slices.Clone(dy), 1, n)).Data())
+		act := make([]float32, n)
+		applyAct(act, x, 0, n, epHardSwish)
+		planes := slices.Clone(conv.Forward(tensor.FromSlice(slices.Clone(x), 1, 1, 1, n), true).Data())
+		res := [][]float32{y, dx, act, planes}
+		for _, a := range []epAct{epNone, epHardSwish} {
+			for i := range bias {
+				row := slices.Clone(x)
+				applyBiasAct(row, bias[i:], a)
+				res = append(res, row)
+			}
+		}
+		return res
+	}
+	want, got := run(false), run(true)
+	for i := range want {
+		exactSlice(t, fmt.Sprintf("n=%d rows=%d seed %d sweep %d", n, rows, seed, i), got[i], want[i])
+	}
+}
+
+// TestVecActivationSweepsMatchGeneric: runVecActCase on lengths around the
+// 8-lane edge, specials included.
 func TestVecActivationSweepsMatchGeneric(t *testing.T) {
 	requireVec(t)
-	r := frand.New(811)
-	for _, n := range vecSweepLens {
-		x := sweepOperand(r, n, 2)
-		dy := sweepOperand(r, n, 1)
-		bias := []float32{0.7, -1.3, float32(math.Copysign(0, -1))}
-		run := func(on bool) [][]float32 {
-			setVecLive(t, on)
-			l := NewHardSwish()
-			xt := tensor.FromSlice(slices.Clone(x), 1, n)
-			y := slices.Clone(l.Forward(xt, true).Data())
-			dx := slices.Clone(l.Backward(tensor.FromSlice(slices.Clone(dy), 1, n)).Data())
-			act := make([]float32, n)
-			applyAct(act, x, 0, n, epHardSwish)
-			res := [][]float32{y, dx, act}
-			for _, a := range []epAct{epNone, epHardSwish} {
-				for i := range bias {
-					row := slices.Clone(x)
-					applyBiasAct(row, bias[i:], a)
-					res = append(res, row)
-				}
-			}
-			return res
+	for i, n := range vecSweepLens {
+		runVecActCase(t, n, 1+i%4, uint64(811+i))
+	}
+}
+
+// vecBNPlanes are plane sizes around the lane edge.
+var vecBNPlanes = [][2]int{{1, 1}, {1, 7}, {2, 4}, {3, 3}, {5, 5}, {4, 8}, {7, 9}, {16, 16}}
+
+// runVecBNCase runs the training forward (xhat, out, running statistics) and
+// backward (dx, dγ, dβ) of BatchNorm2D on an [n, c, h, w] batch under both
+// settings. The float64 reductions stay in Go; the elementwise passes, which
+// walk n planes of h·w elements c·h·w apart, are the vectorised ones.
+func runVecBNCase(t *testing.T, n, c, h, w int, seed uint64) {
+	t.Helper()
+	r := frand.New(seed)
+	size := n * c * h * w
+	x := tensor.Randn(r, 1.5, size).Data()
+	dy := tensor.Randn(r, 1, size).Data()
+	x[0], dy[size-1] = float32(math.Copysign(0, -1)), 1e-39
+	x[size/2], dy[size/3] = -1e-41, 0
+	gamma := []float32{1.25, -0.5, 0, 3}[:c]
+	beta := []float32{0.1, -2, 3, 1e-39}[:c]
+	run := func(on bool) [][]float32 {
+		setVecLive(t, on)
+		l := NewBatchNorm2D(c)
+		l.Gamma.W.CopyFrom(tensor.FromSlice(gamma, c))
+		l.Beta.W.CopyFrom(tensor.FromSlice(beta, c))
+		out := l.Forward(tensor.FromSlice(slices.Clone(x), n, c, h, w), true)
+		dx := l.Backward(tensor.FromSlice(slices.Clone(dy), n, c, h, w))
+		return [][]float32{
+			slices.Clone(out.Data()), slices.Clone(l.xhat.Data()), slices.Clone(dx.Data()),
+			slices.Clone(l.RunMean.Data()), slices.Clone(l.RunVar.Data()),
+			slices.Clone(l.Gamma.Grad.Data()), slices.Clone(l.Beta.Grad.Data()),
 		}
-		want, got := run(false), run(true)
-		for i := range want {
-			exactSlice(t, fmt.Sprintf("n=%d sweep %d", n, i), got[i], want[i])
+	}
+	want, got := run(false), run(true)
+	for i, what := range []string{"out", "xhat", "dx", "runMean", "runVar", "dGamma", "dBeta"} {
+		exactSlice(t, fmt.Sprintf("bn n=%d c=%d %dx%d seed %d %s", n, c, h, w, seed, what), got[i], want[i])
+	}
+}
+
+// TestVecBatchNormMatchesGeneric: runVecBNCase on the plane table at batch 1
+// and 3.
+func TestVecBatchNormMatchesGeneric(t *testing.T) {
+	requireVec(t)
+	for i, hw := range vecBNPlanes {
+		for _, n := range []int{1, 3} {
+			runVecBNCase(t, n, 3, hw[0], hw[1], uint64(812+i))
 		}
 	}
 }
 
-// TestVecBatchNormMatchesGeneric: the training forward (xhat, out, running
-// statistics) and backward (dx, dγ, dβ) of BatchNorm2D, whose float64
-// reductions stay in Go and whose elementwise passes are vectorised, on plane
-// sizes around the lane edge.
-func TestVecBatchNormMatchesGeneric(t *testing.T) {
-	requireVec(t)
-	r := frand.New(812)
-	for _, hw := range [][2]int{{1, 1}, {1, 7}, {2, 4}, {3, 3}, {5, 5}, {4, 8}, {7, 9}, {16, 16}} {
-		for _, n := range []int{1, 3} {
-			const c = 3
-			size := n * c * hw[0] * hw[1]
-			x := tensor.Randn(r, 1.5, size).Data()
-			dy := tensor.Randn(r, 1, size).Data()
-			x[0], dy[size-1] = float32(math.Copysign(0, -1)), 1e-39
-			run := func(on bool) [][]float32 {
-				setVecLive(t, on)
-				l := NewBatchNorm2D(c)
-				l.Gamma.W.CopyFrom(tensor.FromSlice([]float32{1.25, -0.5, 0}, c))
-				l.Beta.W.CopyFrom(tensor.FromSlice([]float32{0.1, -2, 3}, c))
-				out := l.Forward(tensor.FromSlice(slices.Clone(x), n, c, hw[0], hw[1]), true)
-				dx := l.Backward(tensor.FromSlice(slices.Clone(dy), n, c, hw[0], hw[1]))
-				return [][]float32{
-					slices.Clone(out.Data()), slices.Clone(l.xhat.Data()), slices.Clone(dx.Data()),
-					slices.Clone(l.RunMean.Data()), slices.Clone(l.RunVar.Data()),
-					slices.Clone(l.Gamma.Grad.Data()), slices.Clone(l.Beta.Grad.Data()),
-				}
-			}
-			want, got := run(false), run(true)
-			for i, what := range []string{"out", "xhat", "dx", "runMean", "runVar", "dGamma", "dBeta"} {
-				exactSlice(t, fmt.Sprintf("bn n=%d %dx%d %s", n, hw[0], hw[1], what), got[i], want[i])
-			}
-		}
+// FuzzVecSweepsMatchGeneric is ROADMAP hardening item (b) for this package's
+// vector sweeps (hardSwishVec, hardSwishGradVec, biasActVec, bnNormalizeVec,
+// bnGradXVec): random lengths, row counts, plane strides and seeds through
+// the routines and the layers' Go loops at tol 0, seeded with the two
+// block-edge tables above.
+func FuzzVecSweepsMatchGeneric(f *testing.F) {
+	for i, n := range vecSweepLens {
+		f.Add(uint16(n), uint8(i), uint8(2), uint64(811+i))
 	}
+	for i, hw := range vecBNPlanes {
+		f.Add(uint16(hw[0]*hw[1]), uint8(i), uint8(i), uint64(812+i))
+	}
+	f.Fuzz(func(t *testing.T, n uint16, rows, chans uint8, seed uint64) {
+		requireVec(t)
+		length, batch, c := int(n%300)+1, int(rows%4)+1, int(chans%4)+1
+		runVecActCase(t, length, batch, seed)
+		runVecBNCase(t, batch, c, 1, length, seed)
+	})
 }
 
 // vecTrainNet has one layer of every vectorised kind — stem, pointwise and

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"heteroswitch/internal/frand"
+	"heteroswitch/internal/israce"
 	"heteroswitch/internal/nn"
 	"heteroswitch/internal/tensor"
 )
@@ -230,7 +231,7 @@ func TestLoadSteadyStateZeroAlloc(t *testing.T) {
 			t.Fatal("run finished during warmup; raise Requests")
 		}
 	}
-	if raceEnabled {
+	if israce.Enabled {
 		t.Skip("sync.Pool drops items randomly under -race; alloc counts are nondeterministic")
 	}
 	allocs := testing.AllocsPerRun(2000, func() {

@@ -143,7 +143,7 @@ func TestTiledMatMulMatchesReference(t *testing.T) {
 	for _, sz := range kernelSizes {
 		a := Randn(r, 1, sz.m, sz.k)
 		b := Randn(r, 1, sz.k, sz.n)
-		got := MatMul(a, b)
+		got := mm(a, b)
 		want := refMatMul(a, b)
 		if !got.AllClose(want, 1e-5) {
 			t.Fatalf("MatMul %dx%dx%d diverged from reference", sz.m, sz.k, sz.n)
@@ -158,20 +158,17 @@ func TestMatMulTransBVariants(t *testing.T) {
 		b := Randn(r, 1, sz.n, sz.k)
 		want := refMatMulTransB(a, b)
 
-		if got := MatMulTransB(a, b); !got.AllClose(want, 1e-5) {
-			t.Fatalf("MatMulTransB %v diverged", sz)
-		}
 		into := New(sz.m, sz.n)
 		into.Fill(7) // must be fully overwritten
-		MatMulTransBInto(into, a, b)
+		MatMulTransBIntoP(1, into, a, b)
 		if !into.AllClose(want, 1e-5) {
-			t.Fatalf("MatMulTransBInto %v diverged", sz)
+			t.Fatalf("MatMulTransBIntoP %v diverged", sz)
 		}
 		acc := Randn(r, 1, sz.m, sz.n)
 		wantAcc := acc.Add(want)
-		MatMulTransBAccInto(acc, a, b)
+		MatMulTransBAccSlices(acc.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n)
 		if !acc.AllClose(wantAcc, 1e-4) {
-			t.Fatalf("MatMulTransBAccInto %v diverged", sz)
+			t.Fatalf("MatMulTransBAccSlices %v diverged", sz)
 		}
 	}
 }
@@ -183,14 +180,14 @@ func TestMatMulTransAAccMatchesReference(t *testing.T) {
 		b := Randn(r, 1, sz.k, sz.n)
 		want := refMatMulTransA(a, b)
 		got := New(sz.m, sz.n)
-		MatMulTransAAccInto(got, a, b)
+		MatMulTransAAccIntoP(1, got, a, b)
 		if !got.AllClose(want, 1e-5) {
-			t.Fatalf("MatMulTransAAccInto %v diverged", sz)
+			t.Fatalf("MatMulTransAAccIntoP %v diverged", sz)
 		}
 		// Accumulation: a second pass must exactly double the result.
-		MatMulTransAAccInto(got, a, b)
+		MatMulTransAAccIntoP(1, got, a, b)
 		if !got.AllClose(want.Scaled(2), 1e-4) {
-			t.Fatalf("MatMulTransAAccInto %v did not accumulate", sz)
+			t.Fatalf("MatMulTransAAccIntoP %v did not accumulate", sz)
 		}
 	}
 }
@@ -203,12 +200,12 @@ func TestMatMulSliceEntryPoints(t *testing.T) {
 	b := Randn(r, 1, 7, 6)
 	out := make([]float32, 5*6)
 	for i := range out {
-		out[i] = 3 // MatMulSlices must overwrite
+		out[i] = 3 // MatMulSlicesP must overwrite
 	}
-	MatMulSlices(out, a.Data(), b.Data(), 5, 7, 6)
+	MatMulSlicesP(1, out, a.Data(), b.Data(), 5, 7, 6)
 	want := refMatMul(a, b)
 	if !FromSlice(out, 5, 6).AllClose(want, 1e-5) {
-		t.Fatal("MatMulSlices diverged")
+		t.Fatal("MatMulSlicesP diverged")
 	}
 
 	bt := Randn(r, 1, 6, 7)
@@ -220,9 +217,9 @@ func TestMatMulSliceEntryPoints(t *testing.T) {
 
 	at := Randn(r, 1, 7, 5)
 	accA := New(5, 6)
-	MatMulTransAAccSlices(accA.Data(), at.Data(), b.Data(), 7, 5, 6)
+	MatMulTransAAccSlicesP(1, accA.Data(), at.Data(), b.Data(), 7, 5, 6)
 	if !accA.AllClose(refMatMulTransA(at, b), 1e-5) {
-		t.Fatal("MatMulTransAAccSlices diverged")
+		t.Fatal("MatMulTransAAccSlicesP diverged")
 	}
 }
 
@@ -243,7 +240,7 @@ func BenchmarkMatMul(b *testing.B) {
 			benchVecArms(b, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					MatMulInto(out, a, bb)
+					MatMulIntoP(1, out, a, bb)
 				}
 			})
 		})
@@ -251,7 +248,7 @@ func BenchmarkMatMul(b *testing.B) {
 			benchVecArms(b, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					MatMulTransBInto(out, a, bt)
+					MatMulTransBIntoP(1, out, a, bt)
 				}
 			})
 		})
@@ -259,15 +256,15 @@ func BenchmarkMatMul(b *testing.B) {
 			benchVecArms(b, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					MatMulTransAAccInto(out, at, bb)
+					MatMulTransAAccIntoP(1, out, at, bb)
 				}
 			})
 		})
-		b.Run(name("TransBAccInto"), func(b *testing.B) {
+		b.Run(name("TransBAccSlices"), func(b *testing.B) {
 			benchVecArms(b, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					MatMulTransBAccInto(out, a, bt)
+					MatMulTransBAccSlices(out.Data(), a.Data(), bt.Data(), sz.m, sz.k, sz.n)
 				}
 			})
 		})

@@ -10,12 +10,13 @@ import (
 //
 // The matmul entry points are split into two numerics tiers:
 //
-//   - The ORACLE tier: every kernel the training path uses (MatMul*,
-//     MatMulTransB*, MatMulTransAAcc*, and their *P row-parallel forms).
-//     These always run the serial/parallel register-tiled kernels with a
-//     strict per-target ascending-k accumulation order and are bit-exact
-//     at every intra-op budget. They never dispatch — the tol-0 training
-//     and aggregation reproducibility contracts stand on them.
+//   - The ORACLE tier: the six entry points training uses — MatMulIntoP,
+//     MatMulSlicesP, MatMulTransBIntoP, MatMulTransBAccSlices,
+//     MatMulTransAAccIntoP, MatMulTransAAccSlicesP — all thin fills of one
+//     descriptor run by gemm (matmul.go). They run the register-tiled
+//     kernels with a strict per-target ascending-k accumulation order, are
+//     bit-exact at every intra-op budget and never dispatch — the tol-0
+//     training and aggregation reproducibility contracts stand on them.
 //
 //     The tier has two implementations of the same bits. The Go loops
 //     (matmul.go, im2col.go) are the portable path and the test reference.
@@ -40,14 +41,13 @@ import (
 //
 //     One ISA, one selection: no AVX-512 variant, no FMA variant.
 //
-//   - The TOLERANCE tier: the epilogue-fused entry points the frozen
-//     inference path compiles to (MatMulSlicesPEp, MatMulIntoPEp,
-//     MatMulAccSlicesPEp). These dispatch through the process-wide Backend
-//     below and may run the packed, cache-blocked GEBP kernel, whose
-//     k-blocking reassociates partial sums. nn.Freeze's contract (≤1e-5
-//     max-abs vs the reference forward, identical argmax) absorbs that;
-//     BackendSerial forces the oracle kernels and is bit-identical to the
-//     pre-dispatch behavior.
+//   - The TOLERANCE tier: the two epilogue-fused, weight-stationary entry
+//     points the frozen inference path compiles to (MatMulWASlicesPEp,
+//     MatMulWBSlicesPEp, over matMulEp). These dispatch through the
+//     process-wide Backend below and may run the packed, cache-blocked GEBP
+//     kernel, whose k-blocking reassociates partial sums. nn.Freeze's
+//     contract (≤1e-5 max-abs vs the reference forward, identical argmax)
+//     absorbs that; BackendSerial forces the oracle kernels.
 //
 // The int8-quantized tier sits one step further out on the same seam: the
 // frozen path's fused matmuls carry a PackedWeights handle (weights.go)
@@ -120,7 +120,7 @@ func ParseBackend(s string) (Backend, error) {
 
 // activeBackend is the process-wide selection; the zero value is
 // BackendAuto. Reads sit on the matmul hot path, so it is a lock-free
-// atomic like the fused-eval toggle.
+// atomic.
 var activeBackend atomic.Uint32
 
 // SetBackend selects the kernel backend for every subsequent

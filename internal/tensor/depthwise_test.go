@@ -9,9 +9,9 @@ import (
 )
 
 // The three direct depthwise plane kernels promise BIT-identical results to
-// the lowered path on one channel plane: forward vs. Im2Col + MatMulSlices,
+// the lowered path on one channel plane: forward vs. Im2Col + MatMulSlicesP,
 // the weight gradient vs. Im2Col + MatMulTransBAccSlices, the input gradient
-// vs. MatMulTransAAccSlices + Col2Im. The sweep covers kernels 1/3/5, strides
+// vs. MatMulTransAAccSlicesP + Col2ImP. The sweep covers kernels 1/3/5, strides
 // 1/2, pads 0/1/2 on odd non-square planes whose widths are not multiples of
 // the matmul kernels' 4-wide tile (plus two planes smaller than the kernel),
 // with a zero tap in every weight vector so the zero-skip branches run.
@@ -40,7 +40,7 @@ func testDepthwisePlaneKernelsMatchLowered(t *testing.T) {
 					Im2Col(col, img, d)
 
 					want := make([]float32, cols)
-					MatMulSlices(want, w, col, 1, taps, cols)
+					MatMulSlicesP(1, want, w, col, 1, taps, cols)
 					got := Randn(r, 1, cols).Data() // junk: the kernel must overwrite
 					DepthwiseConvPlane(got, img, w, d)
 					exactEqual(t, name+" forward", got, want)
@@ -53,9 +53,9 @@ func testDepthwisePlaneKernelsMatchLowered(t *testing.T) {
 					exactEqual(t, name+" dW", got, want)
 
 					dcol := make([]float32, taps*cols)
-					MatMulTransAAccSlices(dcol, w, dy, 1, taps, cols)
+					MatMulTransAAccSlicesP(1, dcol, w, dy, 1, taps, cols)
 					want = make([]float32, len(img))
-					Col2Im(want, dcol, d)
+					Col2ImP(1, want, dcol, d)
 					got = make([]float32, len(img))
 					DepthwiseConvPlaneGradX(got, dy, w, d)
 					exactEqual(t, name+" dx", got, want)

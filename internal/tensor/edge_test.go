@@ -122,5 +122,5 @@ func TestMatMulShapePanics(t *testing.T) {
 			t.Fatal("expected panic for inner dim mismatch")
 		}
 	}()
-	MatMul(a, b)
+	MatMulIntoP(1, New(2, 5), a, b)
 }

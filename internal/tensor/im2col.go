@@ -94,13 +94,13 @@ func Im2Col(col, img []float32, d ConvDims) {
 	}
 }
 
-// col2imCols is Col2Im restricted to image columns ix ∈ [xlo, xhi) — the
-// column-blocked parallel building block. For every (channel, tap) row of
-// col it computes the ox range whose target column lands inside the block,
-// so the inner loop needs no per-element bounds check. A pixel's
-// contributions arrive in the same (ky, kx, oy, ox) order as the serial
-// scatter — restricting ix never reorders adds into one pixel, and every
-// pixel lives in exactly one block — so results are bit-identical to Col2Im
+// col2imCols is the col2im scatter restricted to image columns
+// ix ∈ [xlo, xhi) — the whole scatter at [0, InW), and the column-blocked
+// parallel building block. For every (channel, tap) row of col it computes
+// the ox range whose target column lands inside the block, so the inner loop
+// needs no per-element bounds check. A pixel's contributions arrive in
+// (ky, kx, oy, ox) order — restricting ix never reorders adds into one pixel,
+// and every pixel lives in exactly one block — so results are bit-identical
 // at any partition.
 func col2imCols(img, col []float32, d ConvDims, xlo, xhi int) {
 	cols := d.ColCols()
@@ -189,7 +189,7 @@ func (d *ConvDims) checkPlane(kernel string, img, out, taps []float32) {
 // Per output pixel the taps still accumulate in ascending (ky, kx) order —
 // the same per-target order as the im2col matmul, whose skipped
 // zero-padding and zero-weight products are exact no-ops — so the result is
-// bit-identical to Im2Col + MatMulSlices on the same plane. Depthwise
+// bit-identical to Im2Col + MatMulSlicesP on the same plane. Depthwise
 // convolutions use it (and the two gradient siblings below) in training and
 // inference alike: their im2col copy costs more than the arithmetic.
 //
@@ -298,8 +298,8 @@ func (d *ConvDims) tapDot(dy, img []float32, ky, kx int) float32 {
 // directly: dimg[tap t's shifted pixel] += w[t]·dy[oy,ox] for a d with
 // InC == 1, one bounds-free AXPY per tap with the taps ascending. A pixel
 // receives its contributions in the same (ky, kx, oy, ox) order as
-// MatMulTransAAccSlices + Col2Im on the plane, so the result is bit-identical
-// to the lowered path. Like Col2Im it accumulates: dimg is NOT zeroed first.
+// MatMulTransAAccSlicesP + Col2ImP on the plane, so the result is bit-identical
+// to the lowered path. Like Col2ImP it accumulates: dimg is NOT zeroed first.
 func DepthwiseConvPlaneGradX(dimg, dy, w []float32, d ConvDims) {
 	d.checkPlane("DepthwiseConvPlaneGradX", dimg, dy, w)
 	t := 0
@@ -358,61 +358,28 @@ var col2imTaskPool = sync.Pool{New: func() any { return new(col2imTask) }}
 // Run implements parallel.Runner over a range of image columns.
 func (t *col2imTask) Run(_, lo, hi int) { col2imCols(t.img, t.col, t.d, lo, hi) }
 
-// Col2ImP is Col2Im with the scatter parallelized over blocks of image
-// columns under the given intra-op budget: each chunk owns a disjoint set of
-// output pixels (all rows and channels of its column range), so chunks never
-// write the same element and results are bit-identical to the serial scatter
-// at every budget. Budget 1 — or a geometry too small for the grain — runs
-// the serial kernel.
+// Col2ImP scatters the column matrix back into an image, accumulating
+// overlapping contributions: the adjoint of Im2Col, used for convolution's
+// input gradient. img is NOT zeroed first. Under an intra-op budget above 1
+// the scatter is split over blocks of image columns: each chunk owns a
+// disjoint set of output pixels (all rows and channels of its column range),
+// so chunks never write the same element and results are bit-identical at
+// every budget. Budget 1 — or a geometry too small for the grain — is the
+// one block [0, InW).
 func Col2ImP(par int, img, col []float32, d ConvDims) {
-	if par <= 1 || d.InW <= 1 {
-		Col2Im(img, col, d)
-		return
-	}
-	// Per-column work: the whole scatter costs about InC·KH·KW·OutH·OutW
-	// adds, spread over the InW columns.
-	perCol := d.InC * d.KH * d.KW * d.OutH * d.OutW / d.InW
-	grain := parallel.GrainFor(perCol)
-	if parallel.Chunks(par, d.InW, grain) <= 1 {
-		Col2Im(img, col, d)
-		return
-	}
-	t := col2imTaskPool.Get().(*col2imTask)
-	t.img, t.col, t.d = img, col, d
-	parallel.Run(par, d.InW, grain, t)
-	t.img, t.col = nil, nil
-	col2imTaskPool.Put(t)
-}
-
-// Col2Im scatters the column matrix back into an image, accumulating
-// overlapping contributions. It is the adjoint of Im2Col and is used to
-// compute input gradients of convolution. img is NOT zeroed first.
-func Col2Im(img, col []float32, d ConvDims) {
-	cols := d.ColCols()
-	row := 0
-	for c := 0; c < d.InC; c++ {
-		chanBase := c * d.InH * d.InW
-		for ky := 0; ky < d.KH; ky++ {
-			for kx := 0; kx < d.KW; kx++ {
-				src := col[row*cols : (row+1)*cols]
-				i := 0
-				for oy := 0; oy < d.OutH; oy++ {
-					iy := oy*d.StrideH - d.PadH + ky
-					if iy < 0 || iy >= d.InH {
-						i += d.OutW
-						continue
-					}
-					rowBase := chanBase + iy*d.InW
-					for ox := 0; ox < d.OutW; ox++ {
-						ix := ox*d.StrideW - d.PadW + kx
-						if ix >= 0 && ix < d.InW {
-							img[rowBase+ix] += src[i]
-						}
-						i++
-					}
-				}
-				row++
-			}
+	if par > 1 {
+		// Per-column work: the whole scatter costs about InC·KH·KW·OutH·OutW
+		// adds, spread over the InW columns.
+		perCol := d.InC * d.KH * d.KW * d.OutH * d.OutW / d.InW
+		grain := parallel.GrainFor(perCol)
+		if parallel.Chunks(par, d.InW, grain) > 1 {
+			t := col2imTaskPool.Get().(*col2imTask)
+			t.img, t.col, t.d = img, col, d
+			parallel.Run(par, d.InW, grain, t)
+			t.img, t.col = nil, nil
+			col2imTaskPool.Put(t)
+			return
 		}
 	}
+	col2imCols(img, col, d, 0, d.InW)
 }

@@ -7,8 +7,8 @@ import (
 	"heteroswitch/internal/frand"
 )
 
-// Col2ImP promises BIT-identical results to the serial scatter at every
-// budget: image-column blocks own disjoint output pixels, and restricting
+// Col2ImP promises BIT-identical results to the plain scatter (col2imRef) at
+// every budget: image-column blocks own disjoint output pixels, and restricting
 // the (c, ky, kx, oy, ox) sweep to a column range never reorders the adds
 // into any one pixel. Geometries cover stride 1/2, pad 0/1/2, kernels 1-5,
 // and widths that split raggedly across budgets.
@@ -25,6 +25,38 @@ var col2imGeoms = []struct {
 	{2, 6, 64, 3, 1, 1}, // wide enough that every budget actually splits
 }
 
+// col2imRef is the plain (c, ky, kx, oy, ox) scatter with a per-element
+// bounds check: the add order into every pixel that Col2ImP must reproduce.
+func col2imRef(img, col []float32, d ConvDims) {
+	cols := d.ColCols()
+	row := 0
+	for c := 0; c < d.InC; c++ {
+		chanBase := c * d.InH * d.InW
+		for ky := 0; ky < d.KH; ky++ {
+			for kx := 0; kx < d.KW; kx++ {
+				src := col[row*cols : (row+1)*cols]
+				i := 0
+				for oy := 0; oy < d.OutH; oy++ {
+					iy := oy*d.StrideH - d.PadH + ky
+					if iy < 0 || iy >= d.InH {
+						i += d.OutW
+						continue
+					}
+					rowBase := chanBase + iy*d.InW
+					for ox := 0; ox < d.OutW; ox++ {
+						ix := ox*d.StrideW - d.PadW + kx
+						if ix >= 0 && ix < d.InW {
+							img[rowBase+ix] += src[i]
+						}
+						i++
+					}
+				}
+				row++
+			}
+		}
+	}
+}
+
 func TestCol2ImPBitIdentical(t *testing.T) {
 	r := frand.New(77)
 	for _, g := range col2imGeoms {
@@ -33,9 +65,9 @@ func TestCol2ImPBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		col := Randn(r, 1, d.ColRows(), d.ColCols())
-		base := Randn(r, 1, g.inC, g.inH, g.inW) // non-zero: Col2Im accumulates
+		base := Randn(r, 1, g.inC, g.inH, g.inW) // non-zero: the scatter accumulates
 		want := base.Clone()
-		Col2Im(want.Data(), col.Data(), d)
+		col2imRef(want.Data(), col.Data(), d)
 		for _, par := range []int{1, 2, 3, 4, 8} {
 			got := base.Clone()
 			Col2ImP(par, got.Data(), col.Data(), d)
@@ -58,7 +90,7 @@ func TestCol2ImColsCoverage(t *testing.T) {
 		}
 		col := Randn(r, 1, d.ColRows(), d.ColCols())
 		want := New(g.inC, g.inH, g.inW)
-		Col2Im(want.Data(), col.Data(), d)
+		col2imRef(want.Data(), col.Data(), d)
 		for _, splits := range [][]int{{0, g.inW}, {0, 1, g.inW}, {0, g.inW / 2, g.inW - 1, g.inW}} {
 			got := New(g.inC, g.inH, g.inW)
 			for i := 0; i+1 < len(splits); i++ {
@@ -86,14 +118,14 @@ func TestMatMulEpilogueBitIdentical(t *testing.T) {
 		bias := Randn(r, 1, sz.m)
 		ep := &testEpilogue{bias: bias.Data()}
 		want := New(sz.m, sz.n)
-		MatMulInto(want, a, b)
+		matmulAcc(want.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n)
 		for i := 0; i < sz.m; i++ {
 			ep.Apply(want.Data()[i*sz.n:(i+1)*sz.n], i)
 		}
 		for _, par := range parBudgets {
 			got := Randn(r, 1, sz.m, sz.n)
-			MatMulIntoPEp(par, got, a, b, ep)
-			exactEqual(t, fmt.Sprintf("MatMulIntoPEp(%d) %dx%dx%d", par, sz.m, sz.k, sz.n),
+			matMulEp(par, got.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n, false, ep)
+			exactEqual(t, fmt.Sprintf("matMulEp(%d) %dx%dx%d", par, sz.m, sz.k, sz.n),
 				got.Data(), want.Data())
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"heteroswitch/internal/frand"
+	"heteroswitch/internal/israce"
 )
 
 // The int8 backend's contract (int8.go): quantized results track the oracle
@@ -81,7 +82,7 @@ func TestInt8MatchesOracle(t *testing.T) {
 		ep := &testEpilogue{bias: Randn(r, 1, n).Data()}
 
 		forceBackend(t, BackendSerial)
-		MatMulSlicesPEp(1, want, a.Data(), w.Data(), m, k, n, ep)
+		matMulEp(1, want, a.Data(), w.Data(), m, k, n, false, ep)
 
 		forceBackend(t, BackendInt8)
 		pwB := refreshB(w, k, n)
@@ -125,7 +126,7 @@ func TestInt8MatchesOracle(t *testing.T) {
 		seed := Randn(r, 1, m, n)
 		copy(want, seed.Data())
 		forceBackend(t, BackendSerial)
-		MatMulAccSlicesPEp(1, want, a.Data(), w.Data(), m, k, n, nil)
+		matMulEp(1, want, a.Data(), w.Data(), m, k, n, true, nil)
 		forceBackend(t, BackendInt8)
 		copy(got, seed.Data())
 		MatMulWBSlicesPEp(1, got, a.Data(), w.Data(), pwB, m, true, nil)
@@ -220,7 +221,7 @@ func TestWeightStationaryFallbacks(t *testing.T) {
 	for _, be := range []Backend{BackendSerial, BackendPacked, BackendAuto, BackendInt8} {
 		forceBackend(t, be)
 		clear(want)
-		MatMulSlicesPEp(2, want, a.Data(), w.Data(), m, k, n, nil)
+		matMulEp(2, want, a.Data(), w.Data(), m, k, n, false, nil)
 		clear(got)
 		MatMulWBSlicesPEp(2, got, a.Data(), w.Data(), pwB, m, false, nil)
 		for i := range got {
@@ -238,7 +239,7 @@ func TestWeightStationaryFallbacks(t *testing.T) {
 		if usePacked(m, k, n) {
 			matMulPackedEp(2, want, a.Data(), w.Data(), m, k, n, false, nil)
 		} else {
-			MatMulSlicesPEp(2, want, a.Data(), w.Data(), m, k, n, nil)
+			matMulEp(2, want, a.Data(), w.Data(), m, k, n, false, nil)
 		}
 		for i := range got {
 			if math.Abs(float64(got[i]-want[i])) > 1e-5 {
@@ -287,7 +288,7 @@ func TestWeightPackCount(t *testing.T) {
 // quantization buffers included — performs zero heap allocations on both
 // orientations.
 func TestInt8AllocFree(t *testing.T) {
-	if raceEnabled {
+	if israce.Enabled {
 		t.Skip("sync.Pool drops items randomly under -race; alloc counts are nondeterministic")
 	}
 	r := frand.New(157)

@@ -26,60 +26,6 @@ const mmBlock = 64
 // portable path (-tags purego, other architectures, CPUs without AVX2) and
 // the reference the differential tests compare against. backend.go's tier
 // comment states the rule in full.
-//
-// The *P variants additionally split the output rows (the M dimension, or
-// the transposed-A result's row dimension) into parallel.Chunks-fixed
-// contiguous blocks, one goroutine per block. Every output element is still
-// computed entirely by one goroutine running the serial inner loops, so the
-// per-target operation order — and therefore the result — is bit-identical
-// to the serial kernels at every budget. Budget 1 (or a matrix too small
-// for its grain) takes the serial code path byte-for-byte.
-
-// MatMul returns a @ b for 2-D tensors a[m,k] and b[k,n] as a new [m,n]
-// tensor.
-func MatMul(a, b *Tensor) *Tensor {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic(fmt.Sprintf("tensor: MatMul needs 2-D tensors, have %v @ %v", a.shape, b.shape))
-	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dims %d != %d", k, k2))
-	}
-	out := New(m, n)
-	MatMulInto(out, a, b)
-	return out
-}
-
-// MatMulInto computes out = a @ b, overwriting out. out must be [m,n].
-func MatMulInto(out, a, b *Tensor) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if out.shape[0] != m || out.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulInto out shape %v, want [%d %d]", out.shape, m, n))
-	}
-	MatMulSlices(out.data, a.data, b.data, m, k, n)
-}
-
-// MatMulAccInto computes out += a @ b without zeroing out first.
-func MatMulAccInto(out, a, b *Tensor) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if b.shape[0] != k || out.shape[0] != m || out.shape[1] != n {
-		panic("tensor: MatMulAccInto shape mismatch")
-	}
-	matmulAcc(out.data, a.data, b.data, m, k, n)
-}
-
-// MatMulSlices computes out = a @ b on raw row-major slices: out[m,n],
-// a[m,k], b[k,n]. It is the header-free entry point used by layers that
-// multiply sub-slices of larger buffers (e.g. grouped convolution) on the
-// per-batch hot path, where wrapping every operand in a Tensor would
-// allocate.
-func MatMulSlices(out, a, b []float32, m, k, n int) {
-	clear(out[:m*n])
-	matmulAcc(out, a, b, m, k, n)
-}
 
 // matmulAcc is the blocked, register-tiled kernel: out[m,n] += a[m,k] @
 // b[k,n], all row-major flat slices. Within each k-block, four output
@@ -127,51 +73,6 @@ func matmulAcc(out, a, b []float32, m, k, n int) {
 			}
 		}
 	}
-}
-
-// MatMulTransB returns a @ bᵀ for a[m,k] and b[n,k] as [m,n]. This avoids
-// materializing the transpose in backward passes.
-func MatMulTransB(a, b *Tensor) *Tensor {
-	m, n := transBDims(a, b)
-	out := New(m, n)
-	matMulTransB(out.data, a.data, b.data, m, a.shape[1], n, false)
-	return out
-}
-
-// MatMulTransBInto computes out = a @ bᵀ into the existing [m,n] tensor.
-func MatMulTransBInto(out, a, b *Tensor) {
-	m, n := transBDims(a, b)
-	if out.shape[0] != m || out.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransBInto out shape %v, want [%d %d]", out.shape, m, n))
-	}
-	matMulTransB(out.data, a.data, b.data, m, a.shape[1], n, false)
-}
-
-// MatMulTransBAccInto computes out += a @ bᵀ for a[m,k] and b[n,k] into the
-// existing [m,n] tensor — the allocation-free weight-gradient accumulation
-// for convolution (dW += dy @ colᵀ) on the per-batch training hot path.
-func MatMulTransBAccInto(out, a, b *Tensor) {
-	m, n := transBDims(a, b)
-	if out.shape[0] != m || out.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransBAccInto out shape %v, want [%d %d]", out.shape, m, n))
-	}
-	matMulTransB(out.data, a.data, b.data, m, a.shape[1], n, true)
-}
-
-// MatMulTransBAccSlices is MatMulTransBAccInto on raw row-major slices:
-// out[m,n] += a[m,k] @ b[n,k]ᵀ.
-func MatMulTransBAccSlices(out, a, b []float32, m, k, n int) {
-	matMulTransB(out, a, b, m, k, n, true)
-}
-
-func transBDims(a, b *Tensor) (m, n int) {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic("tensor: MatMulTransB needs 2-D tensors")
-	}
-	if a.shape[1] != b.shape[1] {
-		panic(fmt.Sprintf("tensor: MatMulTransB inner dims %d != %d", a.shape[1], b.shape[1]))
-	}
-	return a.shape[0], b.shape[0]
 }
 
 // matMulTransB computes out[m,n] (+)= a[m,k] @ b[n,k]ᵀ. Each output element
@@ -222,46 +123,9 @@ func matMulTransB(out, a, b []float32, m, k, n int, acc bool) {
 	}
 }
 
-// MatMulTransA returns aᵀ @ b for a[k,m] and b[k,n] as [m,n], used for
-// weight-gradient computation (xᵀ @ dy).
-func MatMulTransA(a, b *Tensor) *Tensor {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic("tensor: MatMulTransA needs 2-D tensors")
-	}
-	out := New(a.shape[1], b.shape[1])
-	MatMulTransAAccInto(out, a, b)
-	return out
-}
-
-// MatMulTransAAccInto computes out += aᵀ @ b for a[k,m] and b[k,n] into the
-// existing [m,n] tensor — the allocation-free weight-gradient accumulation
-// (Grad += xᵀ @ dy) on the per-batch training hot path.
-func MatMulTransAAccInto(out, a, b *Tensor) {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic("tensor: MatMulTransAAccInto needs 2-D tensors")
-	}
-	k, m := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransAAccInto inner dims %d != %d", k, k2))
-	}
-	if out.shape[0] != m || out.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransAAccInto out shape %v, want [%d %d]", out.shape, m, n))
-	}
-	MatMulTransAAccSlices(out.data, a.data, b.data, k, m, n)
-}
-
-// MatMulTransAAccSlices is MatMulTransAAccInto on raw row-major slices:
-// out[m,n] += a[k,m]ᵀ @ b[k,n]. Convolution's input-gradient lowering
-// (dcol += Wᵀ @ dy) uses it directly, instead of materializing the weight
-// transpose per sample.
-func MatMulTransAAccSlices(out, a, b []float32, k, m, n int) {
-	matMulTransAAccRange(out, a, b, k, m, n, 0, m)
-}
-
-// matMulTransAAccRange is MatMulTransAAccSlices restricted to output rows
-// [i0, i1) — the row-parallel building block. out is still indexed with full
-// row stride n from row 0.
+// matMulTransAAccRange computes rows [i0, i1) of out[m,n] += a[k,m]ᵀ @ b[k,n] —
+// the row-parallel building block. out is still indexed with full row stride
+// n from row 0.
 func matMulTransAAccRange(out, a, b []float32, k, m, n, i0, i1 int) {
 	if vecLive {
 		if i0 < i1 && k > 0 && n > 0 {
@@ -311,23 +175,14 @@ func matMulTransAAccRange(out, a, b []float32, k, m, n, i0, i1 int) {
 	}
 }
 
-// Parallel kernel entry points ------------------------------------------------
-//
-// Each *P function is the corresponding serial kernel parallelized over
-// output rows under an intra-op budget: par is the maximum number of chunks
-// in flight (1 ⇒ the serial kernel, byte for byte). Work-based grains keep
-// small matmuls serial, so callers can pass their budget unconditionally.
-
-// mmGrain converts one output row's work (k·n multiply-adds) into the
-// minimum rows per parallel chunk.
-func mmGrain(k, n int) int { return parallel.GrainFor(k * n) }
+// Descriptor and dispatcher ---------------------------------------------------
 
 // RowEpilogue post-processes completed output rows of a matmul in place —
-// bias adds and activation functions fused into the kernel call. The *PEp
-// kernels apply it INSIDE each parallel chunk, right after the chunk's rows
-// are computed, so the epilogue runs on cache-warm data and the output is
-// never re-traversed by a separate layer pass. Apply receives the global row
-// index r and the row slice out[r*n : (r+1)*n].
+// bias adds and activation functions fused into the kernel call. It is
+// applied INSIDE each parallel chunk, right after the chunk's rows are
+// computed, so the epilogue runs on cache-warm data and the output is never
+// re-traversed by a separate layer pass. Apply receives the global row index
+// r and the row slice out[r*n : (r+1)*n].
 //
 // Apply must be safe for concurrent calls on distinct rows (chunks run in
 // parallel): implementations read shared state but mutate only the row.
@@ -337,27 +192,31 @@ type RowEpilogue interface {
 	Apply(row []float32, r int)
 }
 
-// mmTask is the pooled parallel.Runner behind the *P kernels; recycling it
-// keeps the parallel dispatch path free of steady-state allocation.
+type mmKind uint8
+
+const (
+	mmAB     mmKind = iota // out[m,n] (+)= a[m,k] @ b[k,n]
+	mmTransB               // out[m,n] (+)= a[m,k] @ b[n,k]ᵀ
+	mmTransA               // out[m,n] += a[k,m]ᵀ @ b[k,n]; always accumulates
+)
+
+func (kind mmKind) String() string { return [...]string{"a @ b", "a @ bᵀ", "aᵀ @ b"}[kind] }
+
+// mmTask is the one GEMM descriptor: every entry point fills one and hands it
+// to gemm. out is [m,n] and k the reduction depth for every kind; acc keeps
+// out's contents instead of overwriting them; ep, when non-nil, is fused per
+// completed row range. It is also the parallel.Runner gemm pools.
 type mmTask struct {
 	kind      mmKind
 	out, a, b []float32
-	k, n, m   int
+	m, k, n   int
 	acc       bool
 	ep        RowEpilogue
 }
 
-type mmKind uint8
-
-const (
-	mmAB     mmKind = iota // out[rows] = a[rows] @ b
-	mmTransB               // out[rows] (+)= a[rows] @ bᵀ
-	mmTransA               // out[rows] += aᵀ @ b, rows of the result
-)
-
 var mmTaskPool = sync.Pool{New: func() any { return new(mmTask) }}
 
-// Run implements parallel.Runner on a row range of the output.
+// Run implements parallel.Runner on rows [lo, hi) of the output.
 func (t *mmTask) Run(_, lo, hi int) {
 	switch t.kind {
 	case mmAB:
@@ -383,144 +242,99 @@ func applyEpilogue(ep RowEpilogue, out []float32, n, lo, hi int) {
 	}
 }
 
-func runMMTask(par, rows int, fill mmTask) {
-	t := mmTaskPool.Get().(*mmTask)
-	*t = fill
-	parallel.Run(par, rows, mmGrain(t.k, t.n), t)
-	*t = mmTask{} // drop slice references before pooling
-	mmTaskPool.Put(t)
+// mmGrain converts one output row's work (k·n multiply-adds) into the
+// minimum rows per parallel chunk.
+func mmGrain(k, n int) int { return parallel.GrainFor(k * n) }
+
+// gemm is the one way in to the oracle kernels. It holds the operand check,
+// the serial branch and the pool: budget 1 runs the descriptor in place —
+// the serial kernel byte for byte, nothing pooled, nothing allocated — and a
+// larger budget splits the output rows into parallel.Chunks-fixed contiguous
+// blocks, one goroutine per block. Every output element is still computed
+// entirely by one goroutine running the serial inner loops, so the result is
+// bit-identical at every budget, and the work-based grain keeps small
+// matmuls serial, so callers pass their budget unconditionally.
+func gemm(par int, t mmTask) {
+	if t.m < 0 || t.k < 0 || t.n < 0 || len(t.out) < t.m*t.n || len(t.a) < t.m*t.k || len(t.b) < t.k*t.n {
+		panic(fmt.Sprintf("tensor: matmul %v with m=%d k=%d n=%d needs out %d, a %d, b %d elements, have %d, %d, %d",
+			t.kind, t.m, t.k, t.n, t.m*t.n, t.m*t.k, t.k*t.n, len(t.out), len(t.a), len(t.b)))
+	}
+	if par <= 1 {
+		t.Run(0, 0, t.m)
+		return
+	}
+	p := mmTaskPool.Get().(*mmTask)
+	*p = t
+	parallel.Run(par, t.m, mmGrain(t.k, t.n), p)
+	*p = mmTask{} // drop slice references before pooling
+	mmTaskPool.Put(p)
 }
 
-// MatMulSlicesP is MatMulSlices with output rows computed in parallel under
-// the given intra-op budget.
+// gemmTensors is gemm on 2-D tensor headers: it reads m, k and n off the
+// operands for the given kind and panics unless all three shapes agree.
+func gemmTensors(par int, kind mmKind, acc bool, out, a, b *Tensor) {
+	if len(out.shape) != 2 || len(a.shape) != 2 || len(b.shape) != 2 {
+		panic(fmt.Sprintf("tensor: matmul %v needs 2-D tensors, have out %v, a %v, b %v", kind, out.shape, a.shape, b.shape))
+	}
+	m, k := a.shape[0], a.shape[1]
+	kb, n := b.shape[0], b.shape[1]
+	switch kind {
+	case mmTransB:
+		kb, n = n, kb
+	case mmTransA:
+		m, k = k, m
+	}
+	if kb != k || out.shape[0] != m || out.shape[1] != n {
+		panic(fmt.Sprintf("tensor: matmul %v shapes disagree: out %v, a %v, b %v", kind, out.shape, a.shape, b.shape))
+	}
+	gemm(par, mmTask{kind: kind, out: out.data, a: a.data, b: b.data, m: m, k: k, n: n, acc: acc})
+}
+
+// Entry points ----------------------------------------------------------------
+//
+// par is the intra-op budget: the maximum number of row chunks in flight.
+// The slice forms take sub-slices of larger buffers (grouped convolution)
+// where wrapping every operand in a Tensor would allocate per batch.
+
+// MatMulIntoP computes out = a @ b for a[m,k], b[k,n], out[m,n].
+func MatMulIntoP(par int, out, a, b *Tensor) { gemmTensors(par, mmAB, false, out, a, b) }
+
+// MatMulSlicesP is MatMulIntoP on raw row-major slices.
 func MatMulSlicesP(par int, out, a, b []float32, m, k, n int) {
-	if par <= 1 {
-		MatMulSlices(out, a, b, m, k, n)
-		return
-	}
-	runMMTask(par, m, mmTask{kind: mmAB, out: out, a: a, b: b, k: k, n: n})
+	gemm(par, mmTask{kind: mmAB, out: out, a: a, b: b, m: m, k: k, n: n})
 }
 
-// MatMulIntoP is MatMulInto with output rows computed in parallel under the
-// given intra-op budget.
-func MatMulIntoP(par int, out, a, b *Tensor) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if b.shape[0] != k || out.shape[0] != m || out.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulIntoP out shape %v, want [%d %d]", out.shape, m, n))
-	}
-	MatMulSlicesP(par, out.data, a.data, b.data, m, k, n)
+// MatMulTransBIntoP computes out = a @ bᵀ for a[m,k], b[n,k], out[m,n],
+// without materializing the transpose (dense input gradient dx = dy @ Wᵀ).
+func MatMulTransBIntoP(par int, out, a, b *Tensor) { gemmTensors(par, mmTransB, false, out, a, b) }
+
+// MatMulTransBAccSlices computes out[m,n] += a[m,k] @ b[n,k]ᵀ on raw
+// row-major slices — convolution's weight gradient dW += dy @ colᵀ, called
+// from inside an already row-parallel region, hence serial.
+func MatMulTransBAccSlices(out, a, b []float32, m, k, n int) {
+	gemm(1, mmTask{kind: mmTransB, out: out, a: a, b: b, m: m, k: k, n: n, acc: true})
 }
 
-// MatMulTransBIntoP is MatMulTransBInto with output rows computed in
-// parallel under the given intra-op budget.
-func MatMulTransBIntoP(par int, out, a, b *Tensor) {
-	m, n := transBDims(a, b)
-	if out.shape[0] != m || out.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransBIntoP out shape %v, want [%d %d]", out.shape, m, n))
-	}
-	k := a.shape[1]
-	if par <= 1 {
-		matMulTransB(out.data, a.data, b.data, m, k, n, false)
-		return
-	}
-	runMMTask(par, m, mmTask{kind: mmTransB, out: out.data, a: a.data, b: b.data, k: k, n: n})
-}
+// MatMulTransAAccIntoP computes out += aᵀ @ b for a[k,m], b[k,n], out[m,n] —
+// the dense weight gradient Grad += xᵀ @ dy, with no temporary.
+func MatMulTransAAccIntoP(par int, out, a, b *Tensor) { gemmTensors(par, mmTransA, true, out, a, b) }
 
-// MatMulTransBAccSlicesP is MatMulTransBAccSlices with output rows computed
-// in parallel under the given intra-op budget.
-func MatMulTransBAccSlicesP(par int, out, a, b []float32, m, k, n int) {
-	if par <= 1 {
-		matMulTransB(out, a, b, m, k, n, true)
-		return
-	}
-	runMMTask(par, m, mmTask{kind: mmTransB, out: out, a: a, b: b, k: k, n: n, acc: true})
-}
-
-// MatMulTransAAccIntoP is MatMulTransAAccInto with the result's rows
-// computed in parallel under the given intra-op budget.
-func MatMulTransAAccIntoP(par int, out, a, b *Tensor) {
-	if par <= 1 {
-		MatMulTransAAccInto(out, a, b)
-		return
-	}
-	k, m := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransAAccIntoP inner dims %d != %d", k, k2))
-	}
-	if out.shape[0] != m || out.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransAAccIntoP out shape %v, want [%d %d]", out.shape, m, n))
-	}
-	MatMulTransAAccSlicesP(par, out.data, a.data, b.data, k, m, n)
-}
-
-// MatMulTransAAccSlicesP is MatMulTransAAccSlices with the result's rows
-// computed in parallel under the given intra-op budget. The per-row work is
-// k·n multiply-adds (a full strided column of a), the same grain unit as the
-// other kernels.
+// MatMulTransAAccSlicesP is MatMulTransAAccIntoP on raw row-major slices.
+// Convolution's input-gradient lowering (dcol += Wᵀ @ dy) reads the weights
+// in place through it instead of materializing their transpose per sample.
 func MatMulTransAAccSlicesP(par int, out, a, b []float32, k, m, n int) {
-	if par <= 1 {
-		matMulTransAAccRange(out, a, b, k, m, n, 0, m)
-		return
-	}
-	runMMTask(par, m, mmTask{kind: mmTransA, out: out, a: a, b: b, k: k, m: m, n: n})
+	gemm(par, mmTask{kind: mmTransA, out: out, a: a, b: b, m: m, k: k, n: n, acc: true})
 }
 
-// Epilogue-fused kernel entry points ------------------------------------------
-//
-// The *PEp kernels are the inference fast path's fused matmuls: out = a @ b
-// with ep applied to each completed output row inside the chunk that computed
-// it. Bias adds and activations therefore cost one extra sweep over rows that
-// are still cache-resident, instead of whole separate layer passes over the
-// output tensor. A nil ep degrades to the plain kernel.
-//
-// These entry points — and only these — are the TOLERANCE tier: they
-// dispatch through the process-wide Backend (see backend.go) and may run
-// the packed GEBP kernel instead of the oracle kernels. Every unfused entry
-// point above stays on the oracle kernels unconditionally.
-
-// MatMulSlicesPEp is MatMulSlicesP with a fused row epilogue.
-func MatMulSlicesPEp(par int, out, a, b []float32, m, k, n int, ep RowEpilogue) {
+// matMulEp is the TOLERANCE tier's raw-slice entry, reached only through the
+// weight-stationary MatMulW{A,B}SlicesPEp of weights.go: out[m,n] (+)= a @ b
+// with ep fused per completed row chunk. It — and nothing above — dispatches
+// through the process-wide Backend (backend.go) and may run the packed GEBP
+// kernel instead of the oracle kernels.
+func matMulEp(par int, out, a, b []float32, m, k, n int, acc bool, ep RowEpilogue) {
 	if usePacked(m, k, n) {
-		matMulPackedEp(par, out, a, b, m, k, n, false, ep)
+		matMulPackedEp(par, out, a, b, m, k, n, acc, ep)
 		return
 	}
-	if par <= 1 {
-		MatMulSlices(out, a, b, m, k, n)
-		if ep != nil {
-			applyEpilogue(ep, out, n, 0, m)
-		}
-		return
-	}
-	runMMTask(par, m, mmTask{kind: mmAB, out: out, a: a, b: b, k: k, n: n, ep: ep})
-}
-
-// MatMulIntoPEp is MatMulIntoP with a fused row epilogue.
-func MatMulIntoPEp(par int, out, a, b *Tensor, ep RowEpilogue) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if b.shape[0] != k || out.shape[0] != m || out.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulIntoPEp out shape %v, want [%d %d]", out.shape, m, n))
-	}
-	MatMulSlicesPEp(par, out.data, a.data, b.data, m, k, n, ep)
-}
-
-// MatMulAccSlicesPEp is MatMulSlicesPEp without the initial clear:
-// out[m,n] += a[m,k] @ b[k,n], ep fused per completed row chunk. The frozen
-// Residual skip-path fold uses it to add the projected input onto the body
-// output in one pass.
-func MatMulAccSlicesPEp(par int, out, a, b []float32, m, k, n int, ep RowEpilogue) {
-	if usePacked(m, k, n) {
-		matMulPackedEp(par, out, a, b, m, k, n, true, ep)
-		return
-	}
-	if par <= 1 {
-		matmulAcc(out, a, b, m, k, n)
-		if ep != nil {
-			applyEpilogue(ep, out, n, 0, m)
-		}
-		return
-	}
-	runMMTask(par, m, mmTask{kind: mmAB, acc: true, out: out, a: a, b: b, k: k, n: n, ep: ep})
+	gemm(par, mmTask{kind: mmAB, out: out, a: a, b: b, m: m, k: k, n: n, acc: acc, ep: ep})
 }

@@ -8,12 +8,13 @@ import (
 	"heteroswitch/internal/frand"
 )
 
-// The parallel kernels promise BIT-identical results to the serial kernels
-// at every budget: row partitioning never splits a single output element's
-// accumulation, so not even float rounding may differ. Every comparison here
-// is exact equality, across shapes chosen to produce ragged partitions (M
-// and N not multiples of the tile width, the worker count, or each other)
-// and budgets from serial to beyond the machine.
+// The entry points promise BIT-identical results to the serial kernel bodies
+// (called directly here as the reference) at every budget: row partitioning
+// never splits a single output element's accumulation, so not even float
+// rounding may differ. Every comparison here is exact equality, across shapes
+// chosen to produce ragged partitions (M and N not multiples of the tile
+// width, the worker count, or each other) and budgets from serial to beyond
+// the machine.
 
 var parShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
@@ -47,7 +48,7 @@ func TestMatMulIntoPBitIdentical(t *testing.T) {
 		a := Randn(r, 1, sz.m, sz.k)
 		b := Randn(r, 1, sz.k, sz.n)
 		want := New(sz.m, sz.n)
-		MatMulInto(want, a, b)
+		matmulAcc(want.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n)
 		for _, par := range parBudgets {
 			got := Randn(r, 1, sz.m, sz.n) // junk, must be fully overwritten
 			MatMulIntoP(par, got, a, b)
@@ -65,10 +66,10 @@ func TestMatMulTransBIntoPBitIdentical(t *testing.T) {
 		a := Randn(r, 1, sz.m, sz.k)
 		b := Randn(r, 1, sz.n, sz.k)
 		want := New(sz.m, sz.n)
-		MatMulTransBInto(want, a, b)
+		matMulTransB(want.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n, false)
 		base := Randn(r, 1, sz.m, sz.n)
 		wantAcc := base.Clone()
-		MatMulTransBAccSlices(wantAcc.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n)
+		matMulTransB(wantAcc.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n, true)
 		for _, par := range parBudgets {
 			got := Randn(r, 1, sz.m, sz.n)
 			MatMulTransBIntoP(par, got, a, b)
@@ -76,8 +77,8 @@ func TestMatMulTransBIntoPBitIdentical(t *testing.T) {
 				got.Data(), want.Data())
 
 			gotAcc := base.Clone()
-			MatMulTransBAccSlicesP(par, gotAcc.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n)
-			exactEqual(t, fmt.Sprintf("MatMulTransBAccSlicesP(%d) %dx%dx%d", par, sz.m, sz.k, sz.n),
+			gemm(par, mmTask{kind: mmTransB, out: gotAcc.Data(), a: a.Data(), b: b.Data(), m: sz.m, k: sz.k, n: sz.n, acc: true})
+			exactEqual(t, fmt.Sprintf("gemm(%d) out += a @ bᵀ %dx%dx%d", par, sz.m, sz.k, sz.n),
 				gotAcc.Data(), wantAcc.Data())
 		}
 	}
@@ -92,7 +93,7 @@ func TestMatMulTransAAccPBitIdentical(t *testing.T) {
 		b := Randn(r, 1, sz.k, sz.n)
 		base := Randn(r, 1, sz.m, sz.n)
 		want := base.Clone()
-		MatMulTransAAccInto(want, a, b)
+		matMulTransAAccRange(want.Data(), a.Data(), b.Data(), sz.k, sz.m, sz.n, 0, sz.m)
 		for _, par := range parBudgets {
 			got := base.Clone()
 			MatMulTransAAccIntoP(par, got, a, b)
@@ -115,7 +116,7 @@ func TestMatMulSlicesPBitIdentical(t *testing.T) {
 		a := Randn(r, 1, sz.m, sz.k)
 		b := Randn(r, 1, sz.k, sz.n)
 		want := make([]float32, sz.m*sz.n)
-		MatMulSlices(want, a.Data(), b.Data(), sz.m, sz.k, sz.n)
+		matmulAcc(want, a.Data(), b.Data(), sz.m, sz.k, sz.n)
 		for _, par := range parBudgets {
 			got := Randn(r, 1, sz.m, sz.n)
 			MatMulSlicesP(par, got.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n)

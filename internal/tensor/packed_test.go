@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"heteroswitch/internal/frand"
+	"heteroswitch/internal/israce"
 )
 
 // The packed backend's contract (backend.go): forced serial is bit-identical
@@ -51,12 +52,12 @@ func rowArgmax(row []float32) int {
 	return best
 }
 
-// runFusedEp computes out via MatMulSlicesPEp under a forced backend.
+// runFusedEp computes out via matMulEp under a forced backend.
 func runFusedEp(b Backend, par int, out, a, bb []float32, m, k, n int, ep RowEpilogue) {
 	prev := ActiveBackend()
 	SetBackend(b)
 	defer SetBackend(prev)
-	MatMulSlicesPEp(par, out, a, bb, m, k, n, ep)
+	matMulEp(par, out, a, bb, m, k, n, false, ep)
 }
 
 // fanInScaled builds a k×n "weight" operand with Kaiming-style 1/sqrt(k)
@@ -125,12 +126,12 @@ func TestPackedAccMatchesOracle(t *testing.T) {
 		want := append([]float32(nil), base.Data()...)
 		prev := ActiveBackend()
 		SetBackend(BackendSerial)
-		MatMulAccSlicesPEp(1, want, a.Data(), b.Data(), sz.m, sz.k, sz.n, ep)
+		matMulEp(1, want, a.Data(), b.Data(), sz.m, sz.k, sz.n, true, ep)
 		SetBackend(prev)
 		for _, par := range packedBudgets {
 			got := append([]float32(nil), base.Data()...)
 			SetBackend(BackendPacked)
-			MatMulAccSlicesPEp(par, got, a.Data(), b.Data(), sz.m, sz.k, sz.n, ep)
+			matMulEp(par, got, a.Data(), b.Data(), sz.m, sz.k, sz.n, true, ep)
 			SetBackend(prev)
 			name := fmt.Sprintf("packedAcc(%d) %dx%dx%d", par, sz.m, sz.k, sz.n)
 			for i := range got {
@@ -158,13 +159,13 @@ func testSerialBackendBitIdentical(t *testing.T) {
 		bias := Randn(r, 1, sz.m)
 		ep := &testEpilogue{bias: bias.Data()}
 		want := make([]float32, sz.m*sz.n)
-		MatMulSlices(want, a.Data(), b.Data(), sz.m, sz.k, sz.n)
+		matmulAcc(want, a.Data(), b.Data(), sz.m, sz.k, sz.n)
 		for i := 0; i < sz.m; i++ {
 			ep.Apply(want[i*sz.n:(i+1)*sz.n], i)
 		}
 		for _, par := range packedBudgets {
 			got := make([]float32, sz.m*sz.n)
-			MatMulSlicesPEp(par, got, a.Data(), b.Data(), sz.m, sz.k, sz.n, ep)
+			matMulEp(par, got, a.Data(), b.Data(), sz.m, sz.k, sz.n, false, ep)
 			exactEqual(t, fmt.Sprintf("serial backend(%d) %dx%dx%d", par, sz.m, sz.k, sz.n), got, want)
 		}
 	}
@@ -181,10 +182,10 @@ func TestPackedBudgetsBitIdentical(t *testing.T) {
 		a := Randn(r, 1, sz.m, sz.k)
 		b := Randn(r, 1, sz.k, sz.n)
 		want := make([]float32, sz.m*sz.n)
-		MatMulSlicesPEp(1, want, a.Data(), b.Data(), sz.m, sz.k, sz.n, nil)
+		matMulEp(1, want, a.Data(), b.Data(), sz.m, sz.k, sz.n, false, nil)
 		for _, par := range packedBudgets[1:] {
 			got := make([]float32, sz.m*sz.n)
-			MatMulSlicesPEp(par, got, a.Data(), b.Data(), sz.m, sz.k, sz.n, nil)
+			matMulEp(par, got, a.Data(), b.Data(), sz.m, sz.k, sz.n, false, nil)
 			exactEqual(t, fmt.Sprintf("packed budgets(%d) %dx%dx%d", par, sz.m, sz.k, sz.n), got, want)
 		}
 	}
@@ -243,7 +244,7 @@ func TestAutoDispatch(t *testing.T) {
 // TestPackedZeroAllocSteadyState: a warm packed dispatch recycles its pack
 // buffer and task through pools — 0 allocs/op, serial and parallel.
 func TestPackedZeroAllocSteadyState(t *testing.T) {
-	if raceEnabled {
+	if israce.Enabled {
 		t.Skip("sync.Pool drops items randomly under -race; alloc counts are nondeterministic")
 	}
 	forceBackend(t, BackendPacked)
@@ -254,9 +255,9 @@ func TestPackedZeroAllocSteadyState(t *testing.T) {
 	ep := &testEpilogue{bias: bias.Data()}
 	out := make([]float32, 48*256)
 	for _, par := range []int{1, 4} {
-		MatMulSlicesPEp(par, out, a.Data(), b.Data(), 48, 48, 256, ep) // warm pools
+		matMulEp(par, out, a.Data(), b.Data(), 48, 48, 256, false, ep) // warm pools
 		allocs := testing.AllocsPerRun(20, func() {
-			MatMulSlicesPEp(par, out, a.Data(), b.Data(), 48, 48, 256, ep)
+			matMulEp(par, out, a.Data(), b.Data(), 48, 48, 256, false, ep)
 		})
 		if allocs != 0 {
 			t.Fatalf("packed dispatch par=%d steady state allocates %.1f/op, want 0", par, allocs)
@@ -287,7 +288,7 @@ func BenchmarkMatMulPacked(b *testing.B) {
 				run := func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						MatMulSlicesPEp(1, out, a.Data(), bb.Data(), sz.m, sz.k, sz.n, nil)
+						matMulEp(1, out, a.Data(), bb.Data(), sz.m, sz.k, sz.n, false, nil)
 					}
 				}
 				if be == BackendSerial {

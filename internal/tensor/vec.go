@@ -15,6 +15,11 @@ import "fmt"
 // compare against by flipping this variable.
 var vecLive = vecAvailable
 
+// VectorAvailable reports whether this build carries the AVX2 kernels and the
+// CPU probe found them runnable — the answer internal/nn's own vector sweeps
+// start from. It is read-only: nothing outside the tests switches kernels.
+func VectorAvailable() bool { return vecAvailable }
+
 // The wrappers below are the only callers of the assembly. Each returns
 // before touching a pointer when a dimension is zero and panics when a slice
 // is shorter than the extent the routine will read or write: an undersized

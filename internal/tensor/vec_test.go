@@ -198,6 +198,56 @@ func FuzzVecMatchesGeneric(f *testing.F) {
 	})
 }
 
+// runVecPlaneCase runs the three depthwise plane kernels on one geometry
+// under both settings of the switch and requires identical bits. The forward
+// overwrites junk; both gradients accumulate onto it.
+func runVecPlaneCase(t *testing.T, h, w, k, stride, pad int, seed uint64) {
+	t.Helper()
+	d, err := NewConvDims(1, h, w, k, k, stride, pad)
+	if err != nil {
+		return // kernel larger than the padded plane
+	}
+	r := frand.New(seed)
+	taps, cols := d.ColRows(), d.ColCols()
+	img, wt, dy := vecOperand(r, h*w), vecOperand(r, taps), vecOperand(r, cols)
+	junkY, junkW, junkX := vecOperand(r, cols), vecOperand(r, taps), vecOperand(r, h*w)
+	run := func(on bool) [][]float32 {
+		setVecLive(t, on)
+		y, dw, dx := slices.Clone(junkY), slices.Clone(junkW), slices.Clone(junkX)
+		DepthwiseConvPlane(y, img, wt, d)
+		DepthwiseConvPlaneGradW(dw, dy, img, d)
+		DepthwiseConvPlaneGradX(dx, dy, wt, d)
+		return [][]float32{y, dw, dx}
+	}
+	want, got := run(false), run(true)
+	for i, kernel := range []string{"forward", "dW", "dx"} {
+		exactEqual(t, fmt.Sprintf("plane %dx%d k%d s%d p%d seed %d %s", h, w, k, stride, pad, seed, kernel), got[i], want[i])
+	}
+}
+
+// FuzzVecPlanesMatchGeneric is FuzzVecMatchesGeneric's sibling for the
+// depthwise plane kernels (DepthwiseConvPlane, …GradW, …GradX): random plane
+// sizes, kernels, strides, pads and seeds at tol 0, seeded with the lowered
+// sweep's geometries (depthwise_test.go) and the plane-AXPY block-edge widths.
+func FuzzVecPlanesMatchGeneric(f *testing.F) {
+	for i, hw := range [][2]int{{7, 11}, {9, 5}, {13, 10}, {1, 1}, {2, 3}} {
+		for _, k := range []int{1, 3, 5} {
+			for _, stride := range []int{1, 2} {
+				for _, pad := range []int{0, 1, 2} {
+					f.Add(uint8(hw[0]), uint8(hw[1]), uint8(k), uint8(stride), uint8(pad), uint64(i))
+				}
+			}
+		}
+	}
+	for i, w := range []int{1, 6, 7, 8, 9, 15, 16, 31, 32, 33, 40, 70} {
+		f.Add(uint8(1+i%5), uint8(w), uint8(3), uint8(1), uint8(1), uint64(77+i))
+	}
+	f.Fuzz(func(t *testing.T, h, w, k, stride, pad uint8, seed uint64) {
+		requireVec(t)
+		runVecPlaneCase(t, int(h%24)+1, int(w%80)+1, int(k%6)+1, int(stride%3)+1, int(pad%4), seed)
+	})
+}
+
 // TestVecPlaneAxpyMatchesGeneric drives the strided 2-D tap kernel directly
 // against the scalar row loop it replaces.
 func TestVecPlaneAxpyMatchesGeneric(t *testing.T) {
@@ -284,9 +334,9 @@ func TestAutoStaysOnOracleWhenVectorLive(t *testing.T) {
 	const m, k, n = 16, 768, 40
 	a, b := Randn(r, 1, m*k).Data(), Randn(r, 1, k*n).Data()
 	got, want := make([]float32, m*n), make([]float32, m*n)
-	MatMulSlicesPEp(2, got, a, b, m, k, n, nil)
+	matMulEp(2, got, a, b, m, k, n, false, nil)
 	SetBackend(BackendSerial)
-	MatMulSlicesPEp(2, want, a, b, m, k, n, nil)
+	matMulEp(2, want, a, b, m, k, n, false, nil)
 	exactEqual(t, "auto vs serial", got, want)
 
 	SetBackend(BackendPacked)

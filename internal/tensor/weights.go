@@ -283,11 +283,7 @@ func MatMulWBSlicesPEp(par int, out, a, w []float32, pw *PackedWeights, m int, a
 		runPackedPanels(par, out, a, pw.fpanels, m, k, n, accum, ep)
 		return
 	}
-	if accum {
-		MatMulAccSlicesPEp(par, out, a, w, m, k, n, ep)
-		return
-	}
-	MatMulSlicesPEp(par, out, a, w, m, k, n, ep)
+	matMulEp(par, out, a, w, m, k, n, accum, ep)
 }
 
 // MatMulWASlicesPEp computes out[rows,n] (+)= W[rowOff:rowOff+rows] @ b for
@@ -301,9 +297,5 @@ func MatMulWASlicesPEp(par int, out, w []float32, pw *PackedWeights, rowOff, row
 		matMulInt8A(par, out, pw, rowOff, rows, b, n, accum, ep)
 		return
 	}
-	if accum {
-		MatMulAccSlicesPEp(par, out, w, b, rows, k, n, ep)
-		return
-	}
-	MatMulSlicesPEp(par, out, w, b, rows, k, n, ep)
+	matMulEp(par, out, w, b, rows, k, n, accum, ep)
 }
