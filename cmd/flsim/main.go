@@ -65,19 +65,9 @@ func main() {
 		intraop  = flag.Int("intraop", 0, "total intra-op kernel parallelism budget, split across workers (0 = GOMAXPROCS, 1 = serial kernels; results are bit-identical at every setting)")
 		backend  = flag.String("kernel-backend", tensor.ActiveBackend().String(), "matmul kernel backend for the frozen eval path: auto (packed when profitable), serial (bit-identical oracle kernels), packed (force the cache-blocked kernel), int8 (force the quantized weight-stationary kernel, documented-tolerance tier); training always uses the oracle kernels; default honors HETEROSWITCH_KERNEL_BACKEND")
 		logEvery = flag.Int("log-every", 10, "print loss every N rounds")
-
-		async      = flag.Bool("async", false, "asynchronous staleness-aware aggregation on a deterministic virtual-time simulation (no round waits for its stragglers)")
-		alpha      = flag.Float64("staleness-alpha", 0.5, "polynomial staleness discount 1/(1+s)^alpha for async folds (0 = no discount)")
-		latency    = flag.String("latency-model", "straggler:0.5,2,0.15,8", "virtual client latency: zero, const:D, uniform:LO,HI, straggler:LO,HI,P,FACTOR")
-		asyncDepth = flag.Int("async-depth", 2, "in-flight async jobs as a multiple of K (1 = no overlap, so no staleness)")
-
-		faultSpec     = flag.String("faults", "", "seeded fault injection: crash:P, flaky:P,R, corrupt:P,MODE, churn:PERIOD,ON, combined with '+' (empty = fault-free; crash/flaky/churn need -async, crash/flaky also -fault-timeout)")
-		maxNorm       = flag.Float64("max-delta-norm", 0, "update validation gate: reject client deltas with non-finite values or L2 norm above this (0 = gate off, unless -faults is set, then +Inf = non-finite check only)")
-		faultTimeout  = flag.Float64("fault-timeout", 0, "async per-job virtual timeout before deterministic reissue (0 = no timeouts, the pre-fault behavior)")
-		faultBackoff  = flag.Float64("fault-backoff", 0, "base virtual reissue backoff, doubled each attempt (needs -fault-timeout)")
-		faultAttempts = flag.Int("fault-attempts", 0, "max dispatch attempts per job before its client counts failed (0 = 3 when timeouts are on)")
-		maxStale      = flag.Int("max-staleness", 0, "drop async results staler than this many aggregation windows instead of folding them (0 = fold everything)")
 	)
+	opts := experiments.DefaultOptions()
+	opts.BindFlags(flag.CommandLine, "straggler:0.5,2,0.15,8")
 	flag.Parse()
 	kb, err := tensor.ParseBackend(*backend)
 	if err != nil {
@@ -89,7 +79,6 @@ func main() {
 		fatal(err)
 	}
 
-	opts := experiments.DefaultOptions()
 	opts.Seed = *seed
 	opts.Workers = *workers
 
@@ -112,7 +101,6 @@ func main() {
 		Workers:         *workers,
 		IntraOp:         *intraop,
 	}
-	opts.Faults, opts.MaxDeltaNorm = *faultSpec, *maxNorm
 	if err := opts.ApplyRobustness(&cfg); err != nil {
 		fatal(err)
 	}
@@ -124,66 +112,53 @@ func main() {
 	if cfg.ClientsPerRound > len(pop) {
 		cfg.ClientsPerRound = len(pop)
 	}
-	var net *nn.Network
-	if *async {
-		acfg, err := experiments.AsyncOptions{
-			StalenessAlpha: *alpha,
-			LatencyModel:   *latency,
-			Depth:          *asyncDepth,
-			Timeout:        *faultTimeout,
-			RetryBackoff:   *faultBackoff,
-			MaxAttempts:    *faultAttempts,
-			MaxStaleness:   *maxStale,
-		}.Config(cfg.ClientsPerRound, *seed)
+	var srv experiments.Trainer
+	async := opts.Async
+	if async.Enabled {
+		acfg, err := async.Config(cfg.ClientsPerRound, *seed)
 		if err != nil {
 			fatal(err)
 		}
-		srv, err := fl.NewAsyncServer(cfg, builder, nn.SoftmaxCrossEntropy{}, strat, pop, acfg)
-		if err != nil {
+		if srv, err = fl.NewAsyncServer(cfg, builder, nn.SoftmaxCrossEntropy{}, strat, pop, acfg); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("running %s / %s ASYNC: N=%d K=%d depth=%d alpha=%g latency=%s T=%d lr=%g faults=%s\n",
-			strat.Name(), *model, len(pop), cfg.ClientsPerRound, *asyncDepth, *alpha, *latency, *rounds, *lr, cfg.Faults.String())
-		var reissues, failed, rejected, staleDropped, deferred int
-		var wasted int64
-		srv.Run(func(s fl.AsyncRoundStats) {
-			reissues += s.Reissues
-			failed += s.Failed
-			rejected += len(s.Rejected)
-			staleDropped += s.StaleDropped
-			deferred += s.Deferred
-			wasted += s.BytesWasted
-			if (*logEvery > 0 && (s.Round+1)%*logEvery == 0) || s.Round == *rounds-1 {
-				fmt.Printf("round %4d  train-loss %.4f  init-loss %.4f  vtime %8.1f  staleness %.2f (max %d)  discount %.3f\n",
-					s.Round+1, s.MeanLoss, s.MeanInit, s.VirtualTime, s.MeanStaleness, s.MaxStaleness, s.MeanDiscount)
-			}
-		})
-		if cfg.Faults.Enabled() || *faultTimeout > 0 || *maxStale > 0 || cfg.MaxDeltaNorm > 0 {
-			fmt.Printf("chaos: reissues=%d failed=%d rejected=%d stale-dropped=%d deferred=%d bytes-wasted=%d\n",
-				reissues, failed, rejected, staleDropped, deferred, wasted)
-		}
-		net = srv.GlobalNet()
+			strat.Name(), *model, len(pop), cfg.ClientsPerRound, async.Depth, async.StalenessAlpha, async.LatencyModel, *rounds, *lr, cfg.Faults.String())
 	} else {
-		srv, err := fl.NewServer(cfg, builder, nn.SoftmaxCrossEntropy{}, strat, pop)
-		if err != nil {
+		if srv, err = fl.NewServer(cfg, builder, nn.SoftmaxCrossEntropy{}, strat, pop); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("running %s / %s: N=%d K=%d B=%d E=%d T=%d lr=%g\n",
 			strat.Name(), *model, len(pop), cfg.ClientsPerRound, *batch, *epochs, *rounds, *lr)
-		var rejected int
-		var wasted int64
-		srv.Run(func(s fl.RoundStats) {
-			rejected += len(s.Rejected)
-			wasted += s.BytesWasted
-			if (*logEvery > 0 && (s.Round+1)%*logEvery == 0) || s.Round == *rounds-1 {
-				fmt.Printf("round %4d  train-loss %.4f  init-loss %.4f\n", s.Round+1, s.MeanLoss, s.MeanInit)
-			}
-		})
-		if cfg.Faults.Enabled() || cfg.MaxDeltaNorm > 0 {
-			fmt.Printf("chaos: rejected=%d bytes-wasted=%d\n", rejected, wasted)
-		}
-		net = srv.GlobalNet()
 	}
+	var reissues, failed, rejected, staleDropped, deferred int
+	var wasted int64
+	srv.Run(func(s fl.RoundStats) {
+		reissues += s.Reissues
+		failed += s.Failed
+		rejected += len(s.Rejected)
+		staleDropped += s.StaleDropped
+		deferred += s.Deferred
+		wasted += s.BytesWasted
+		if (*logEvery > 0 && (s.Round+1)%*logEvery == 0) || s.Round == *rounds-1 {
+			fmt.Printf("round %4d  train-loss %.4f  init-loss %.4f", s.Round+1, s.MeanLoss, s.MeanInit)
+			if async.Enabled {
+				fmt.Printf("  vtime %8.1f  staleness %.2f (max %d)  discount %.3f",
+					s.VirtualTime, s.MeanStaleness, s.MaxStaleness, s.MeanDiscount)
+			}
+			fmt.Println()
+		}
+	})
+	chaos := cfg.Faults.Enabled() || cfg.MaxDeltaNorm > 0
+	if async.Enabled {
+		if chaos || async.Timeout > 0 || async.MaxStaleness > 0 {
+			fmt.Printf("chaos: reissues=%d failed=%d rejected=%d stale-dropped=%d deferred=%d bytes-wasted=%d\n",
+				reissues, failed, rejected, staleDropped, deferred, wasted)
+		}
+	} else if chaos {
+		fmt.Printf("chaos: rejected=%d bytes-wasted=%d\n", rejected, wasted)
+	}
+	net := srv.GlobalNet()
 	acc := experiments.PerDeviceAccuracies(net, dd, 16)
 	fmt.Println("\nper-device test accuracy:")
 	var accs []float64

@@ -35,19 +35,9 @@ func main() {
 		intraop = flag.Int("intraop", 0, "total intra-op kernel parallelism budget, split across workers (0 = GOMAXPROCS, 1 = serial kernels; results are bit-identical at every setting)")
 		backend = flag.String("kernel-backend", tensor.ActiveBackend().String(), "matmul kernel backend for the frozen eval path: auto (packed when profitable), serial (bit-identical oracle kernels), packed (force the cache-blocked kernel), int8 (force the quantized weight-stationary kernel, documented-tolerance tier); training always uses the oracle kernels; default honors HETEROSWITCH_KERNEL_BACKEND")
 		list    = flag.Bool("list", false, "list available experiments")
-
-		async      = flag.Bool("async", false, "run every harness strategy on the asynchronous staleness-aware server (virtual-time simulation)")
-		alpha      = flag.Float64("staleness-alpha", 0.5, "polynomial staleness discount 1/(1+s)^alpha for async folds (0 = no discount); also parameterizes async-sweep")
-		latency    = flag.String("latency-model", "", "virtual client latency for -async runs: zero, const:D, uniform:LO,HI, straggler:LO,HI,P,FACTOR (default zero; async-sweep overrides with its arms)")
-		asyncDepth = flag.Int("async-depth", 2, "in-flight async jobs as a multiple of each harness's K")
-
-		faultSpec     = flag.String("faults", "", "seeded fault injection for the FL harnesses: crash:P, flaky:P,R, corrupt:P,MODE, churn:PERIOD,ON, combined with '+' (empty = fault-free; crash/flaky/churn need -async, crash/flaky also -fault-timeout)")
-		maxNorm       = flag.Float64("max-delta-norm", 0, "update validation gate: reject client deltas with non-finite values or L2 norm above this (0 = gate off, unless -faults is set, then +Inf = non-finite check only)")
-		faultTimeout  = flag.Float64("fault-timeout", 0, "async per-job virtual timeout before deterministic reissue (0 = no timeouts)")
-		faultBackoff  = flag.Float64("fault-backoff", 0, "base virtual reissue backoff, doubled each attempt (needs -fault-timeout)")
-		faultAttempts = flag.Int("fault-attempts", 0, "max dispatch attempts per job before its client counts failed (0 = 3 when timeouts are on)")
-		maxStale      = flag.Int("max-staleness", 0, "drop async results staler than this many aggregation windows instead of folding them (0 = fold everything)")
 	)
+	opts := experiments.DefaultOptions()
+	opts.BindFlags(flag.CommandLine, "")
 	flag.Parse()
 
 	if *list {
@@ -61,7 +51,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := experiments.DefaultOptions()
 	opts.Scale = *scale
 	opts.Seed = *seed
 	if *workers > 0 {
@@ -69,18 +58,6 @@ func main() {
 	}
 	opts.IntraOp = *intraop
 	opts.KernelBackend = *backend
-	opts.Async = experiments.AsyncOptions{
-		Enabled:        *async,
-		StalenessAlpha: *alpha,
-		LatencyModel:   *latency,
-		Depth:          *asyncDepth,
-		Timeout:        *faultTimeout,
-		RetryBackoff:   *faultBackoff,
-		MaxAttempts:    *faultAttempts,
-		MaxStaleness:   *maxStale,
-	}
-	opts.Faults = *faultSpec
-	opts.MaxDeltaNorm = *maxNorm
 
 	names := []string{*exp}
 	if *exp == "all" {

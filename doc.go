@@ -12,41 +12,72 @@
 // cmd/heterobench, cmd/flsim, cmd/flserve, cmd/ispdemo, and the runnable
 // examples/.
 //
-// # Streaming shard-parallel aggregation
+// # Aggregation: one core, two window drivers
 //
-// Both servers aggregate on one streaming path; nothing ever materializes a
-// round's client snapshots. A strategy's server side is a fold —
-// fl.Strategy.NewAccumulator returns an fl.Accumulator, the one interface
-// every strategy implements in full:
+// internal/fl has one aggregation core (the unexported engine that fl.Server
+// and fl.AsyncServer embed) and two short drivers that differ only in how a
+// window of client steps is run. The core owns construction and validation,
+// the client-sampling stream (one K-draw with dropout coins spent at draw
+// time), the training replicas with their accumulators and pooled snapshot
+// buffers, the RoundStats fold, GlobalNet, and the client step itself:
+//
+//	train on a replica against the job's global → corrupt (faults draw) →
+//	validation gate → Accumulator.Fold(result, scale) → keep only scalars
+//
+// What differs between the drivers reaches the step as arguments — which
+// global, which RNG and corruption keys, which scale, which replica — never
+// as a mode. A strategy's server side is a fold: fl.Strategy.NewAccumulator
+// returns an fl.Accumulator, the one interface every strategy implements:
 //
 //	Accumulator.Fold(result, scale)       // fold one client, buffers reusable after
 //	Accumulator.Merge(other)              // absorb a sibling shard
 //	Accumulator.FinalizeInto(dst) → bool  // write the new global, or report "no update"
 //	Accumulator.Reset(global, cfg)        // rewind for the next round
 //
-// The synchronous round loop (internal/fl.Server.RunRound) partitions the
-// round's sampled clients over its workers, balanced on sample count
-// (longest-first greedy, so every shard's load is within one client of the
-// mean — what a dynamic job queue would achieve, without its scheduling
-// dependence). Each worker goroutine trains its shard in sampling order,
-// snapshots into a pooled per-worker scratch buffer, and folds the result
-// into a private shard accumulator in place; the shards are merged
-// tree-style at round end and finalized into a recycled weight buffer. Peak
-// weight memory is therefore O(workers) instead of O(K), and a round
-// allocates no model-sized buffer in steady state (BenchmarkServerRound).
-// Shard sums are kept in float64, confining the merge order's effect to
-// double-precision rounding (below float32 resolution in practice), and the
-// partition is a pure function of the sampled list, so runs with a fixed
-// config are bit-reproducible at every worker count.
-//
 // All five strategies share one float64 weighted-sum core. FedAvg and
-// FedProx fold Σ n_k·w_k; HeteroSwitch additionally folds the eq. 1 inputs
-// (Σ L_train·n, Σ n) per-result, so the L_EMA switching signal is updated at
-// finalize; q-FedAvg folds Σ F_k^q·w_k and its scalar denominator — both of
-// q-FFL's sums are per-client, normalized once; SCAFFOLD folds FedAvg's sums
-// plus Σ Δc_k, committing each client's control variate only when its result
-// is admitted to the fold, so an update the validation gate rejects leaves
-// no trace.
+// FedProx fold Σ n_k·w_k; HeteroSwitch also folds the eq. 1 inputs, so L_EMA
+// updates at finalize; q-FedAvg folds Σ F_k^q·w_k and its scalar denominator;
+// SCAFFOLD folds FedAvg's sums plus Σ Δc_k, committing a client's control
+// variate only when its result is folded, so a gate-rejected update leaves
+// no trace. On the event loop scale is the staleness discount, and it scales
+// every one of those sums alike.
+//
+// The barrier driver (fl.Server.RunRound): draw K, partition them over W
+// workers balanced on sample count (longest-first greedy — a pure function
+// of the sampled list, so shard contents never depend on scheduling), run
+// each shard's steps in sampling order on its own replica and accumulator,
+// merge the shards tree-style, finalize into a recycled weight buffer. Peak
+// weight memory is O(W), not O(K); a round allocates no model-sized buffer
+// in steady state; float64 shard sums confine the merge order to
+// double-precision rounding, so a fixed config is bit-reproducible at every
+// worker count. Checkpoints (SaveCheckpoint/LoadCheckpoint) live here only;
+// the loader treats its input as untrusted (FuzzLoadCheckpoint).
+//
+// The event-loop driver (fl.AsyncServer.RunRound): keep Concurrency jobs in
+// flight on a virtual clock, pop completions in virtual-time order, run each
+// one's step inline — against the exact version broadcast at its dispatch,
+// scaled by a pluggable fl.StalenessPolicy of how many versions it is behind
+// (PolynomialStaleness 1/(1+s)^α, ConstantStaleness) — and install a new
+// version every Buffer folds (FedBuff-style windows). Timeouts, reissues,
+// the MaxStaleness drop rule and churn deferral are its own; a refcounted
+// nn.VersionStore keeps each broadcast global until its last in-flight
+// reader completes, then recycles it as the next finalize buffer. Time is
+// simulated, never measured: internal/simclock provides the event heap (ties
+// break by dispatch sequence) and hash-seeded latency models that are pure
+// functions of (seed, client, step); nothing in the loop calls time.Now.
+//
+// Both drivers return the same fl.RoundStats (the event loop's clock,
+// staleness and reissue fields stay zero on the barrier server) and both
+// Run methods take func(fl.RoundStats), so experiments.Trainer, every
+// harness and flsim consume either through one code path. The contract that
+// keeps the pair honest, asserted at tolerance 0 in fl and core for every
+// strategy, gate on and off: zero latency + discount ≡ 1 +
+// Concurrency == Buffer == K makes the event loop bit-identical to the
+// barrier driver at Workers = 1 — weights, strategy state and the whole
+// stats struct — and any two runs of either with equal seeds are
+// bit-identical. Entry points: flsim -async -staleness-alpha -latency-model
+// -async-depth, heterobench -exp async-sweep, and experiments.Options.Async,
+// which reroutes every harness's RunFL funnel through the event loop.
 //
 // # Arena-backed zero-allocation training hot path
 //
@@ -130,49 +161,6 @@
 // nested parallelism (intra-op kernels inside fl workers) deadlock-free.
 // The dispatch path allocates nothing in steady state — kernels recycle
 // their parallel.Runner state, preserving the zero-allocation hot path.
-//
-// # Asynchronous aggregation & virtual time
-//
-// fl.AsyncServer removes the round barrier entirely: the server keeps a
-// configurable number of client jobs in flight, folds each completed result
-// into the strategy's accumulator the moment it arrives, and applies an
-// aggregated update every Buffer folds (FedBuff-style windows). A result's
-// staleness is the number of global updates applied between its dispatch and
-// its arrival; its fold weight is discounted by a pluggable
-// fl.StalenessPolicy (PolynomialStaleness 1/(1+s)^α, ConstantStaleness),
-// passed as Accumulator.Fold's scale. Every strategy runs here, on the same
-// accumulators as the synchronous server: HeteroSwitch discounts the eq. 1
-// L_EMA inputs by the same factor, so a stale client influences the
-// switching signal exactly as much as it influences the model; q-FedAvg and
-// SCAFFOLD discount their q-FFL weights and control-variate steps likewise,
-// and a stale result folds as absolute weights against the window's global.
-//
-// Time is simulated, never measured: internal/simclock provides a
-// virtual-time event heap (ties at one instant break by dispatch sequence)
-// and hash-seeded latency models (constant, uniform, straggler-tail with a
-// persistent slow client cohort) that are pure functions of
-// (seed, client, step). No code in the async loop or its tests calls
-// time.Now. Determinism rules:
-//
-//   - Client sampling consumes the same RNG stream, in the same order, as
-//     the synchronous server; dropout coins are spent at draw time.
-//   - New work is admitted at aggregation boundaries, so every job trains
-//     against a well-defined broadcast version; Concurrency > Buffer
-//     overlaps windows, which is the only source of staleness.
-//   - Training is evaluated lazily at completion time on one replica with
-//     the full intra-op budget; a refcounted version store retains each
-//     broadcast global until its last in-flight reader completes, then
-//     recycles the buffer into the FinalizeInto pool (the async analogue of
-//     the sync server's spare double-buffer).
-//   - Contract (asserted at tolerance 0 by tests in fl and core): zero
-//     latency + discount ≡ 1 + Concurrency == Buffer == K is bit-identical
-//     to the synchronous server with Workers = 1, and any two
-//     async runs with equal seeds and latency models are bit-identical.
-//
-// Entry points: flsim -async -staleness-alpha -latency-model -async-depth,
-// heterobench -exp async-sweep (sync vs async rounds-to-accuracy and virtual
-// wall-clock under straggler distributions), and experiments.Options.Async,
-// which reroutes every harness's RunFL funnel through the async server.
 //
 // # Inference fast path
 //
@@ -428,15 +416,15 @@
 //     to MaxAttempts, after which the client counts failed and its window
 //     slot is refilled. Churned-off clients have their dispatch deferred to
 //     the next on-window. AsyncConfig.MaxStaleness drops results staler
-//     than the bound instead of folding them. AsyncRoundStats accounts for
+//     than the bound instead of folding them. RoundStats accounts for
 //     all of it: Reissues, Failed, Deferred, StaleDropped, Rejected,
 //     BytesWasted.
-//   - Both engines gate every update before it reaches the global
+//   - The core's client step gates every update before it reaches an
 //     accumulator: fl.Config.MaxDeltaNorm rejects deltas containing NaN/Inf
 //     or with float64 L2 norm beyond the bound (+Inf = non-finite check
 //     only; 0 = gate off). The gate tests prove a corrupted client's
 //     update never perturbs the global weights — bit-identical (tol 0) to a
-//     run where that client contributes nothing — on both engines.
+//     run where that client contributes nothing — under both drivers.
 //   - internal/serve gains admission control (Config.Admission,
 //     serve.ParseAdmission "DEPTH,DEADLINE"): arrivals beyond Depth pending
 //     requests are shed immediately, and queued requests whose wait exceeds
@@ -449,7 +437,7 @@
 // The load-bearing contract, asserted by the fault tests and the CI chaos
 // smoke (seeded crash+flaky+corrupt+churn runs diffed byte-for-byte): with
 // no faults configured every output is bit-identical to the pre-fault
-// engines, and WITH faults configured a run is still a pure function of
+// servers, and WITH faults configured a run is still a pure function of
 // (config, seed) — chaos is deterministic. Flags: flsim/heterobench
 // -faults, -max-delta-norm, -fault-timeout, -fault-backoff,
 // -fault-attempts, -max-staleness; flserve -admission

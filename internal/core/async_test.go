@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"heteroswitch/internal/fl"
@@ -8,46 +11,102 @@ import (
 	"heteroswitch/internal/simclock"
 )
 
+// normProbe records the L2 norm of every honest update's delta — the quantity
+// the validation gate bounds.
+type normProbe struct {
+	fl.Strategy
+	norms *[]float64
+}
+
+func (p normProbe) LocalUpdate(ctx *fl.ClientContext) fl.ClientResult {
+	res := p.Strategy.LocalUpdate(ctx)
+	*p.norms = append(*p.norms, math.Sqrt(ctx.Global.L2DistSq(res.Weights)))
+	return res
+}
+
 // HeteroSwitch's async contract: with zero latency, discount ≡ 1, and
 // Concurrency == Buffer == K, the asynchronous run must be bit-identical
-// (tolerance 0) to the synchronous streaming run — the aggregated weights
-// AND the L_EMA switching signal, since the accumulator folds the eq. 1
-// inputs with the same discount as the weights.
+// (tolerance 0) to the synchronous streaming run — the aggregated weights,
+// the whole RoundStats, AND the L_EMA switching signal, since the accumulator
+// folds the eq. 1 inputs with the same discount as the weights.
+//
+// The gated arm mirrors fl's TestAsyncZeroLatencyMatchesSyncStreaming: the
+// validation gate at the measured median honest delta norm of round 0, no
+// fault model, two rounds (the bound stops rejecting once deltas shrink),
+// so each round rejects some updates and folds the rest, and a rejected
+// client must stay out of L_EMA on both servers alike. An all-rejected round
+// is excluded for the reason given there: it leaves Version behind the round
+// number, and the two servers' RNG keys diverge by design.
 func TestHeteroSwitchAsyncZeroLatencyMatchesSync(t *testing.T) {
 	cfg := fl.Config{
 		Rounds: 8, ClientsPerRound: 4, BatchSize: 4, LocalEpochs: 1,
 		LR: 0.1, Seed: 13, Workers: 1,
 	}
-
-	hsSync := New()
-	clients, _ := toyPopulation(33)
-	sync, err := fl.NewServer(cfg, toyBuilder(), nn.SoftmaxCrossEntropy{}, hsSync, clients)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sync.Run(nil)
-
-	hsAsync := New()
-	clients, _ = toyPopulation(33)
-	async, err := fl.NewAsyncServer(cfg, toyBuilder(), nn.SoftmaxCrossEntropy{}, hsAsync, clients,
-		fl.AsyncConfig{Staleness: fl.PolynomialStaleness{Alpha: 0}, Latency: simclock.Constant{D: 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	async.Run(nil)
-
-	for i := range sync.Global.Params {
-		if !sync.Global.Params[i].AllClose(async.Global.Params[i], 0) {
-			t.Fatalf("param %d not bit-identical between sync and async HeteroSwitch", i)
+	for _, gated := range []bool{false, true} {
+		cfg := cfg
+		if gated {
+			var norms []float64
+			clients, _ := toyPopulation(33)
+			probe, err := fl.NewServer(cfg, toyBuilder(), nn.SoftmaxCrossEntropy{}, normProbe{New(), &norms}, clients)
+			if err != nil {
+				t.Fatal(err)
+			}
+			probe.RunRound(0)
+			sort.Float64s(norms)
+			cfg.MaxDeltaNorm, cfg.Rounds = (norms[1]+norms[2])/2, 2
 		}
-	}
-	ls, okS := hsSync.LEMA()
-	la, okA := hsAsync.LEMA()
-	if !okS || !okA {
-		t.Fatal("L_EMA not initialized")
-	}
-	if ls != la {
-		t.Fatalf("L_EMA diverged: sync %v, async %v", ls, la)
+
+		hsSync := New()
+		clients, _ := toyPopulation(33)
+		sync, err := fl.NewServer(cfg, toyBuilder(), nn.SoftmaxCrossEntropy{}, hsSync, clients)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var syncStats []fl.RoundStats
+		sync.Run(func(s fl.RoundStats) { syncStats = append(syncStats, s) })
+
+		hsAsync := New()
+		clients, _ = toyPopulation(33)
+		async, err := fl.NewAsyncServer(cfg, toyBuilder(), nn.SoftmaxCrossEntropy{}, hsAsync, clients,
+			fl.AsyncConfig{Staleness: fl.PolynomialStaleness{Alpha: 0}, Latency: simclock.Constant{D: 0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var asyncStats []fl.RoundStats
+		async.Run(func(s fl.RoundStats) { asyncStats = append(asyncStats, s) })
+
+		if len(syncStats) != cfg.Rounds || len(asyncStats) != cfg.Rounds {
+			t.Fatalf("gated=%v: %d sync and %d async rounds, want %d", gated, len(syncStats), len(asyncStats), cfg.Rounds)
+		}
+		for i, ss := range syncStats {
+			as := asyncStats[i]
+			if gated && (len(ss.Rejected) == 0 || len(ss.Rejected) == len(ss.Sampled)) {
+				t.Fatalf("round %d: gate at the median norm rejected %d of %d updates; the arm needs some but not all",
+					i, len(ss.Rejected), len(ss.Sampled))
+			}
+			// The event loop's own fields must read "no clock, no staleness,
+			// one version per window"; every other field must be identical.
+			if as.VirtualTime != 0 || as.MeanStaleness != 0 || as.MaxStaleness != 0 || as.MeanDiscount != 1 || as.Version != i+1 {
+				t.Fatalf("gated=%v round %d saw time or staleness at zero latency: %+v", gated, i, as)
+			}
+			as.MeanDiscount, as.Version = 0, 0
+			if !reflect.DeepEqual(ss, as) {
+				t.Fatalf("gated=%v round %d stats diverged:\n sync  %+v\n async %+v", gated, i, ss, as)
+			}
+		}
+		for i := range sync.Global.Params {
+			if !sync.Global.Params[i].AllClose(async.Global.Params[i], 0) {
+				t.Fatalf("gated=%v: param %d not bit-identical between sync and async HeteroSwitch", gated, i)
+			}
+		}
+		ls, okS := hsSync.LEMA()
+		la, okA := hsAsync.LEMA()
+		if !okS || !okA {
+			t.Fatal("L_EMA not initialized")
+		}
+		if ls != la {
+			t.Fatalf("gated=%v: L_EMA diverged: sync %v, async %v", gated, ls, la)
+		}
 	}
 }
 
@@ -104,7 +163,7 @@ func TestHeteroSwitchAsyncDiscountedLEMAFinite(t *testing.T) {
 		t.Fatal(err)
 	}
 	sawStale := false
-	srv.Run(func(s fl.AsyncRoundStats) {
+	srv.Run(func(s fl.RoundStats) {
 		if s.MaxStaleness > 0 {
 			sawStale = true
 		}

@@ -169,7 +169,7 @@ func TestHeteroSwitchGateKeepsPoisonOut(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv.Run(func(st fl.AsyncRoundStats) { rejected += len(st.Rejected) })
+			srv.Run(func(st fl.RoundStats) { rejected += len(st.Rejected) })
 			return srv.Global, rejected
 		}
 		ref, hs := New(), New()

@@ -33,16 +33,7 @@ func ablationRig(opts Options) (func(name string, strat fl.Strategy) (MethodScor
 	if err != nil {
 		return nil, err
 	}
-	cfg := fl.Config{
-		Rounds:          opts.scaled(80),
-		ClientsPerRound: 12,
-		BatchSize:       10,
-		LocalEpochs:     1,
-		LR:              0.1,
-		Seed:            opts.Seed,
-		Workers:         opts.Workers,
-		IntraOp:         opts.IntraOp,
-	}
+	cfg := opts.flConfig(opts.scaled(80), 12, 10, 0.1)
 	counts := MarketShareCounts(dd, opts.scaled(60))
 	builder := SimpleCNNBuilder(opts.Seed, dd.Classes)
 	return func(name string, strat fl.Strategy) (MethodScore, error) {

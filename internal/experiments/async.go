@@ -89,16 +89,7 @@ func AsyncSweep(opts Options) (*AsyncSweepResult, error) {
 		return nil, err
 	}
 	const k = 8
-	cfg := fl.Config{
-		Rounds:          opts.scaled(30),
-		ClientsPerRound: k,
-		BatchSize:       10,
-		LocalEpochs:     1,
-		LR:              0.1,
-		Seed:            opts.Seed,
-		Workers:         opts.Workers,
-		IntraOp:         opts.IntraOp,
-	}
+	cfg := opts.flConfig(opts.scaled(30), k, 10, 0.1)
 	builder := SimpleCNNBuilder(opts.Seed, dd.Classes)
 	counts := MarketShareCounts(dd, 24)
 	test := dd.AllTest()
@@ -127,54 +118,33 @@ func AsyncSweep(opts Options) (*AsyncSweepResult, error) {
 		}
 	}
 
-	runSync := func() (*asyncTrajectory, error) {
+	// run trains one arm — the barrier server when async is nil — and records
+	// its trajectory.
+	run := func(async *fl.AsyncConfig) (*asyncTrajectory, error) {
 		clients, err := fl.BuildPopulation(dd.Train, counts, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		srv, err := fl.NewServer(cfg, builder, nn.SoftmaxCrossEntropy{}, fl.FedAvg{}, clients)
+		srv, err := newTrainer(cfg, builder, nn.SoftmaxCrossEntropy{}, fl.FedAvg{}, clients, async)
 		if err != nil {
 			return nil, err
 		}
 		tr := &asyncTrajectory{}
 		step := 0
 		srv.Run(func(s fl.RoundStats) {
-			// The barrier pays the slowest sampled client every round; the
-			// sync arm's virtual clock accrues that max so the time axis is
-			// comparable with the async arms (same model, same step keying).
-			var worst float64
-			for i, id := range append(append([]int{}, s.Sampled...), s.Dropped...) {
-				if d := straggler.Sample(id, step+i); d > worst {
-					worst = d
+			if async == nil {
+				// The barrier pays the slowest sampled client every round; the
+				// sync arm's virtual clock accrues that max so the time axis is
+				// comparable with the async arms (same model, same step keying).
+				var worst float64
+				for i, id := range append(append([]int{}, s.Sampled...), s.Dropped...) {
+					if d := straggler.Sample(id, step+i); d > worst {
+						worst = d
+					}
 				}
+				step += len(s.Sampled) + len(s.Dropped)
+				s.VirtualTime = tr.virtualTime + worst
 			}
-			step += len(s.Sampled) + len(s.Dropped)
-			tr.virtualTime += worst
-			if (s.Round+1)%evalEvery == 0 || s.Round == cfg.Rounds-1 {
-				tr.rounds = append(tr.rounds, s.Round+1)
-				tr.accs = append(tr.accs, metrics.Accuracy(srv.GlobalNet(), test, 16))
-			}
-		})
-		return tr, nil
-	}
-
-	runAsync := func(lat simclock.LatencyModel, a float64, depth int) (*asyncTrajectory, error) {
-		clients, err := fl.BuildPopulation(dd.Train, counts, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		srv, err := fl.NewAsyncServer(cfg, builder, nn.SoftmaxCrossEntropy{}, fl.FedAvg{}, clients,
-			fl.AsyncConfig{
-				Staleness:   fl.PolynomialStaleness{Alpha: a},
-				Latency:     lat,
-				Concurrency: depth * k,
-				Buffer:      k,
-			})
-		if err != nil {
-			return nil, err
-		}
-		tr := &asyncTrajectory{}
-		srv.Run(func(s fl.AsyncRoundStats) {
 			tr.meanStaleness += s.MeanStaleness / float64(cfg.Rounds)
 			tr.virtualTime = s.VirtualTime
 			if (s.Round+1)%evalEvery == 0 || s.Round == cfg.Rounds-1 {
@@ -184,13 +154,22 @@ func AsyncSweep(opts Options) (*AsyncSweepResult, error) {
 		})
 		return tr, nil
 	}
+	runAsync := func(lat simclock.LatencyModel, a float64, depth int) (*asyncTrajectory, error) {
+		return run(&fl.AsyncConfig{
+			Staleness:   fl.PolynomialStaleness{Alpha: a},
+			Latency:     lat,
+			Concurrency: depth * k,
+			Buffer:      k,
+		})
+	}
 
 	type armSpec struct {
 		name, latency string
 		run           func() (*asyncTrajectory, error)
 	}
 	arms := []armSpec{
-		{"sync (barrier pays tail)", "straggler", runSync},
+		{"sync (barrier pays tail)", "straggler",
+			func() (*asyncTrajectory, error) { return run(nil) }},
 		{"async zero-latency (sanity ≡ sync)", "zero",
 			func() (*asyncTrajectory, error) { return runAsync(simclock.Constant{}, 0, 1) }},
 		{"async uniform, poly discount", "uniform",

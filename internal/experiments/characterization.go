@@ -42,16 +42,7 @@ func Fig1(opts Options) (*Fig1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := fl.Config{
-		Rounds:          opts.scaled(60),
-		ClientsPerRound: 8,
-		BatchSize:       10,
-		LocalEpochs:     1,
-		LR:              0.1,
-		Seed:            opts.Seed,
-		Workers:         opts.Workers,
-		IntraOp:         opts.IntraOp,
-	}
+	cfg := opts.flConfig(opts.scaled(60), 8, 10, 0.1)
 	builder := SimpleCNNBuilder(opts.Seed, dd.Classes)
 
 	// Homogeneous: re-capture the scene set with eight more S9 replicas so

@@ -9,6 +9,7 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
 	"math"
 	"runtime"
@@ -134,6 +135,25 @@ func (o Options) ApplyRobustness(cfg *fl.Config) error {
 	return nil
 }
 
+// BindFlags declares the aggregation-engine and fault-injection flags shared
+// by the binaries — -async, -staleness-alpha, -latency-model, -async-depth,
+// -faults, -max-delta-norm, -fault-timeout, -fault-backoff, -fault-attempts,
+// -max-staleness — on fs, bound straight to o's fields. latencyDefault is
+// -latency-model's default, the one thing the binaries disagree on.
+func (o *Options) BindFlags(fs *flag.FlagSet, latencyDefault string) {
+	a := &o.Async
+	fs.BoolVar(&a.Enabled, "async", false, "asynchronous staleness-aware aggregation on a deterministic virtual-time simulation (no round waits for its stragglers)")
+	fs.Float64Var(&a.StalenessAlpha, "staleness-alpha", 0.5, "polynomial staleness discount 1/(1+s)^alpha for async folds (0 = no discount); also parameterizes heterobench's async-sweep")
+	fs.StringVar(&a.LatencyModel, "latency-model", latencyDefault, "virtual client latency for -async runs: zero, const:D, uniform:LO,HI, straggler:LO,HI,P,FACTOR (empty = zero; heterobench's async-sweep replaces its matching arm with it)")
+	fs.IntVar(&a.Depth, "async-depth", 2, "in-flight async jobs as a multiple of K (1 = no overlap, so no staleness)")
+	fs.StringVar(&o.Faults, "faults", "", "seeded fault injection: crash:P, flaky:P,R, corrupt:P,MODE, churn:PERIOD,ON, combined with '+' (empty = fault-free; crash/flaky/churn need -async, crash/flaky also -fault-timeout)")
+	fs.Float64Var(&o.MaxDeltaNorm, "max-delta-norm", 0, "update validation gate: reject client deltas with non-finite values or L2 norm above this (0 = gate off, unless -faults is set, then +Inf = non-finite check only)")
+	fs.Float64Var(&a.Timeout, "fault-timeout", 0, "async per-job virtual timeout before deterministic reissue (0 = no timeouts)")
+	fs.Float64Var(&a.RetryBackoff, "fault-backoff", 0, "base virtual reissue backoff, doubled each attempt (needs -fault-timeout)")
+	fs.IntVar(&a.MaxAttempts, "fault-attempts", 0, "max dispatch attempts per job before its client counts failed (0 = 3 when timeouts are on)")
+	fs.IntVar(&a.MaxStaleness, "max-staleness", 0, "drop async results staler than this many aggregation windows instead of folding them (0 = fold everything)")
+}
+
 // DefaultOptions returns the standard configuration (Scale 1).
 func DefaultOptions() Options {
 	w := runtime.NumCPU() - 1
@@ -144,6 +164,22 @@ func DefaultOptions() Options {
 		w = 8
 	}
 	return Options{Scale: 1, Seed: 42, Workers: w, OutRes: 32}
+}
+
+// flConfig is the fl.Config every harness runs: E=1 with the harness's own
+// rounds, K, batch size and learning rate, and the seed, worker count and
+// intra-op budget of the options.
+func (o Options) flConfig(rounds, k, batch int, lr float64) fl.Config {
+	return fl.Config{
+		Rounds:          rounds,
+		ClientsPerRound: k,
+		BatchSize:       batch,
+		LocalEpochs:     1,
+		LR:              lr,
+		Seed:            o.Seed,
+		Workers:         o.Workers,
+		IntraOp:         o.IntraOp,
+	}
 }
 
 // IntraOpBudget returns the kernel budget for single-client training and
@@ -297,11 +333,24 @@ func EqualCounts(numDevices, n int) []int {
 	return counts
 }
 
-// Trainer is the surface the harnesses consume after federated training —
+// Trainer is the surface the harnesses consume from federated training —
 // satisfied by both fl.Server and fl.AsyncServer, so every harness runs
 // unchanged under Options.Async.
 type Trainer interface {
+	// Run executes the configured rounds (or aggregation windows), invoking
+	// callback, when non-nil, with each one's stats.
+	Run(callback func(fl.RoundStats))
 	GlobalNet() *nn.Network
+}
+
+// newTrainer builds the barrier server, or the event-loop server when async
+// is non-nil.
+func newTrainer(cfg fl.Config, builder models.Builder, loss nn.Loss, strategy fl.Strategy,
+	clients []*fl.Client, async *fl.AsyncConfig) (Trainer, error) {
+	if async != nil {
+		return fl.NewAsyncServer(cfg, builder, loss, strategy, clients, *async)
+	}
+	return fl.NewServer(cfg, builder, loss, strategy, clients)
 }
 
 // RunFL builds a population from dd.Train according to counts, runs the
@@ -325,19 +374,15 @@ func RunFLWithLoss(opts Options, strategy fl.Strategy, perDevice map[int]*datase
 	if err := opts.ApplyRobustness(&cfg); err != nil {
 		return nil, err
 	}
+	var async *fl.AsyncConfig
 	if opts.Async.Enabled {
-		async, err := opts.Async.Config(cfg.ClientsPerRound, cfg.Seed)
+		acfg, err := opts.Async.Config(cfg.ClientsPerRound, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
-		srv, err := fl.NewAsyncServer(cfg, builder, loss, strategy, clients, async)
-		if err != nil {
-			return nil, err
-		}
-		srv.Run(nil)
-		return srv, nil
+		async = &acfg
 	}
-	srv, err := fl.NewServer(cfg, builder, loss, strategy, clients)
+	srv, err := newTrainer(cfg, builder, loss, strategy, clients, async)
 	if err != nil {
 		return nil, err
 	}

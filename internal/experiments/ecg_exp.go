@@ -47,16 +47,7 @@ func ECG(opts Options) (*ECGResult, error) {
 	}
 
 	builder := models.ECGConvBuilder(opts.Seed, ecg.WindowLen)
-	cfg := fl.Config{
-		Rounds:          opts.scaled(150),
-		ClientsPerRound: 8,
-		BatchSize:       16,
-		LocalEpochs:     1,
-		LR:              0.05,
-		Seed:            opts.Seed,
-		Workers:         opts.Workers,
-		IntraOp:         opts.IntraOp,
-	}
+	cfg := opts.flConfig(opts.scaled(150), 8, 16, 0.05)
 	counts := EqualCounts(int(ecg.NumSensors), 12)
 
 	hetero := core.New()

@@ -43,16 +43,7 @@ func Fig4(opts Options) (*Fig4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := fl.Config{
-		Rounds:          opts.scaled(80),
-		ClientsPerRound: 10,
-		BatchSize:       10,
-		LocalEpochs:     1,
-		LR:              0.1,
-		Seed:            opts.Seed,
-		Workers:         opts.Workers,
-		IntraOp:         opts.IntraOp,
-	}
+	cfg := opts.flConfig(opts.scaled(80), 10, 10, 0.1)
 	srv, err := RunFL(opts, fl.FedAvg{}, dd, MarketShareCounts(dd, opts.scaled(50)), cfg, SimpleCNNBuilder(opts.Seed, dd.Classes))
 	if err != nil {
 		return nil, err
@@ -109,16 +100,7 @@ func Fig5(opts Options) (*Fig5Result, error) {
 		return nil, err
 	}
 	n := len(dd.Profiles)
-	cfg := fl.Config{
-		Rounds:          opts.scaled(60),
-		ClientsPerRound: 9,
-		BatchSize:       10,
-		LocalEpochs:     1,
-		LR:              0.1,
-		Seed:            opts.Seed,
-		Workers:         opts.Workers,
-		IntraOp:         opts.IntraOp,
-	}
+	cfg := opts.flConfig(opts.scaled(60), 9, 10, 0.1)
 	builder := SimpleCNNBuilder(opts.Seed, dd.Classes)
 
 	perDeviceClients := 2

@@ -51,16 +51,7 @@ func Table6(opts Options) (*Table6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	flCfg := fl.Config{
-		Rounds:          opts.scaled(80),
-		ClientsPerRound: min(12, cfg.NumDeviceTypes),
-		BatchSize:       6,
-		LocalEpochs:     1,
-		LR:              0.1,
-		Seed:            opts.Seed,
-		Workers:         opts.Workers,
-		IntraOp:         opts.IntraOp,
-	}
+	flCfg := opts.flConfig(opts.scaled(80), min(12, cfg.NumDeviceTypes), 6, 0.1)
 	counts := EqualCounts(cfg.NumDeviceTypes, cfg.NumDeviceTypes) // one client per device type
 
 	strategies := []fl.Strategy{

@@ -70,27 +70,13 @@ func table4Methods(totalClients int) []fl.Strategy {
 	}
 }
 
-// table4Config is the §6 configuration with scaled rounds.
-func table4Config(opts Options) fl.Config {
-	return fl.Config{
-		Rounds:          opts.scaled(120),
-		ClientsPerRound: 20,
-		BatchSize:       10,
-		LocalEpochs:     1,
-		LR:              0.1,
-		Seed:            opts.Seed,
-		Workers:         opts.Workers,
-		IntraOp:         opts.IntraOp,
-	}
-}
-
 // Table4 runs the full main-evaluation sweep with TinyMobileNetV3.
 func Table4(opts Options) (*Table4Result, error) {
 	dd, err := BuildDeviceData(opts, opts.scaled(12), opts.scaled(4), dataset.ModeProcessed)
 	if err != nil {
 		return nil, err
 	}
-	cfg := table4Config(opts)
+	cfg := opts.flConfig(opts.scaled(120), 20, 10, 0.1) // §6: K=20, B=10, η=0.1
 	n := opts.scaled(100)
 	counts := MarketShareCounts(dd, n)
 	builder := MobileNetBuilder(opts.Seed, dd.Classes)
@@ -136,7 +122,7 @@ func Table5(opts Options) (*Table5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := table4Config(opts)
+	cfg := opts.flConfig(opts.scaled(120), 20, 10, 0.1) // Table 4's configuration
 	n := opts.scaled(100)
 	counts := MarketShareCounts(dd, n)
 

@@ -46,16 +46,7 @@ func Fig9(opts Options) (*Fig9Result, error) {
 	counts := MarketShareCounts(dd, opts.scaled(50))
 	baseRounds := opts.scaled(80)
 
-	base := fl.Config{
-		Rounds:          baseRounds,
-		ClientsPerRound: 10,
-		BatchSize:       10,
-		LocalEpochs:     1,
-		LR:              0.1,
-		Seed:            opts.Seed,
-		Workers:         opts.Workers,
-		IntraOp:         opts.IntraOp,
-	}
+	base := opts.flConfig(baseRounds, 10, 10, 0.1)
 	eval := func(cfg fl.Config) (float64, error) {
 		srv, err := RunFL(opts, fl.FedAvg{}, dd, counts, cfg, builder)
 		if err != nil {

@@ -135,16 +135,7 @@ func Fig8(opts Options) (*Fig8Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := fl.Config{
-		Rounds:          opts.scaled(80),
-		ClientsPerRound: 10,
-		BatchSize:       10,
-		LocalEpochs:     1,
-		LR:              0.1,
-		Seed:            opts.Seed,
-		Workers:         opts.Workers,
-		IntraOp:         opts.IntraOp,
-	}
+	cfg := opts.flConfig(opts.scaled(80), 10, 10, 0.1)
 	counts := EqualCounts(numDevices, opts.scaled(20))
 
 	run := func(strat fl.Strategy) ([]float64, MethodScore, error) {

@@ -86,7 +86,7 @@ func RunTrainServe(spec TrainServeSpec) (*TrainServeReport, error) {
 		}
 		rep.Published++
 	}
-	async.Run(func(st fl.AsyncRoundStats) {
+	async.Run(func(st fl.RoundStats) {
 		rep.Windows++
 		rep.TrainTime = st.VirtualTime
 	})
@@ -112,16 +112,7 @@ func TrainWhileServe(opts Options) (*TrainServeReport, error) {
 		return nil, err
 	}
 	const k = 4
-	cfg := fl.Config{
-		Rounds:          opts.scaled(12),
-		ClientsPerRound: k,
-		BatchSize:       8,
-		LocalEpochs:     1,
-		LR:              0.1,
-		Seed:            opts.Seed,
-		Workers:         opts.Workers,
-		IntraOp:         opts.IntraOp,
-	}
+	cfg := opts.flConfig(opts.scaled(12), k, 8, 0.1)
 	if err := opts.ApplyRobustness(&cfg); err != nil {
 		return nil, err
 	}

@@ -64,16 +64,7 @@ func UnseenDG(opts Options) (*UnseenResult, error) {
 		unseenTests[i] = ds
 	}
 
-	cfg := fl.Config{
-		Rounds:          opts.scaled(80),
-		ClientsPerRound: 12,
-		BatchSize:       10,
-		LocalEpochs:     1,
-		LR:              0.1,
-		Seed:            opts.Seed,
-		Workers:         opts.Workers,
-		IntraOp:         opts.IntraOp,
-	}
+	cfg := opts.flConfig(opts.scaled(80), 12, 10, 0.1)
 	counts := MarketShareCounts(dd, opts.scaled(60))
 	builder := SimpleCNNBuilder(opts.Seed, dd.Classes)
 

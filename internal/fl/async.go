@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"heteroswitch/internal/faults"
-	"heteroswitch/internal/frand"
 	"heteroswitch/internal/nn"
 	"heteroswitch/internal/simclock"
 )
@@ -88,13 +86,13 @@ type AsyncConfig struct {
 	RetryBackoff float64
 	// MaxAttempts caps dispatch attempts per job: when the last allowed
 	// attempt times out the client is counted failed for the window
-	// (AsyncRoundStats.Failed) and a replacement admitted. 0 means 3
+	// (RoundStats.Failed) and a replacement admitted. 0 means 3
 	// whenever Timeout > 0.
 	MaxAttempts int
 	// MaxStaleness, when > 0, is the drop rule: a completion whose
 	// staleness exceeds it is discarded before training — it consumes its
 	// fold slot like a zero-discount skip, its upload bytes are wasted
-	// (AsyncRoundStats.BytesWasted), and no replacement draw happens, so
+	// (RoundStats.BytesWasted), and no replacement draw happens, so
 	// the sampling stream stays pinned to the no-drop server's.
 	MaxStaleness int
 }
@@ -137,45 +135,6 @@ func (a AsyncConfig) validate() error {
 	return nil
 }
 
-// AsyncRoundStats extends RoundStats with the asynchronous path's
-// observability: where the virtual clock stood when the aggregation fired and
-// how stale (and therefore how discounted) the folded results were.
-type AsyncRoundStats struct {
-	RoundStats
-	// VirtualTime is the simulated clock at this aggregation, in the latency
-	// model's units.
-	VirtualTime float64
-	// MeanStaleness is the mean number of global updates applied between
-	// dispatch and arrival across this window's results; MaxStaleness the
-	// worst case.
-	MeanStaleness float64
-	MaxStaleness  int
-	// MeanDiscount is the mean staleness weight applied to this window's
-	// folds (1 when nothing was stale or discounting is off).
-	MeanDiscount float64
-	// Version is the number of global model updates applied through this
-	// aggregation.
-	Version int
-	// Skipped counts this window's completions whose staleness discount was 0:
-	// their uploads were discarded without paying local training (the fold at
-	// weight 0 is a no-op, so the result could never matter). Skipped clients
-	// still appear in Sampled and in the byte accounting.
-	Skipped int
-	// StaleDropped counts completions discarded by the AsyncConfig.
-	// MaxStaleness drop rule: like Skipped they consume a fold slot without
-	// training, but their upload bytes additionally count as BytesWasted.
-	StaleDropped int
-	// Reissues counts timed-out attempts that were redispatched (with
-	// exponential backoff) this window.
-	Reissues int
-	// Failed counts jobs abandoned after MaxAttempts timed-out attempts;
-	// each failed client never uploads and a replacement job is admitted.
-	Failed int
-	// Deferred counts dispatches delayed by availability churn to the
-	// client's next duty window.
-	Deferred int
-}
-
 // asyncJob is one dispatched unit of client work: who trains, against which
 // global version, on which attempt. key is the job's first dispatch sequence
 // number — the stable identity under which the fault model draws the job's
@@ -195,8 +154,9 @@ type asyncEvent struct {
 	timeout bool
 }
 
-// AsyncServer drives staleness-aware asynchronous federated training on a
-// deterministic virtual-time simulation. There is no round barrier: the
+// AsyncServer is the event-loop driver of the aggregation core:
+// staleness-aware asynchronous federated training on a deterministic
+// virtual-time simulation. There is no round barrier: the
 // server keeps Concurrency jobs in flight, a simclock heap orders their
 // completions in virtual time, and every completed result folds into the
 // strategy's accumulator immediately — discounted by the staleness policy —
@@ -205,26 +165,22 @@ type asyncEvent struct {
 // well-defined broadcast version; with Concurrency > Buffer the windows
 // overlap and results arrive stale.
 //
-// Determinism: the only randomness is the client-sampling stream (the same
-// stream, in the same order, as the synchronous server's) and the hash-seeded
-// latency model; completion ties at one virtual instant break by dispatch
-// sequence. Two runs with the same Config, AsyncConfig, and population are
-// bit-identical, and a run with zero latency, no discount, and
+// Determinism: the only randomness is the client-sampling stream (the core's
+// draw, consumed exactly as the barrier server consumes it) and the
+// hash-seeded latency model; completion ties at one virtual instant break by
+// dispatch sequence. Two runs with the same Config, AsyncConfig, and
+// population are bit-identical, and a run with zero latency, no discount, and
 // Concurrency == Buffer == ClientsPerRound is bit-identical to the
 // synchronous server with Workers = 1, for every strategy. No wall-clock time is read
 // anywhere in the loop.
 //
-// Training is evaluated lazily at completion time on a single replica that
+// Steps are evaluated lazily at completion time on a single replica that
 // gets the full intra-op kernel budget (Config.Workers is ignored): the
 // simulation's parallelism lives inside the kernels, where it is bit-exact,
 // not across clients, where fold order would become scheduling-dependent.
 type AsyncServer struct {
-	Cfg      Config
-	Async    AsyncConfig
-	Strategy Strategy
-	Loss     nn.Loss
-	Clients  []*Client
-	Global   nn.Weights
+	engine
+	Async AsyncConfig
 	// Version counts applied global updates. A window whose folds all carried
 	// zero weight leaves the model — and so the version — unchanged.
 	Version int
@@ -239,13 +195,8 @@ type AsyncServer struct {
 	// Windows whose folds all carried zero weight publish nothing.
 	OnPublish func(version int, w nn.Weights, vtime float64)
 
-	builder Builder
-	rng     *frand.RNG
-	net     *nn.Network
-	acc     Accumulator
-	clock   simclock.Clock
-	pool    weightsPool
-	store   nn.VersionStore
+	clock simclock.Clock
+	store nn.VersionStore
 
 	// queue holds drawn-but-undispatched clients in sampling order; qhead
 	// avoids re-slicing the backing array away.
@@ -257,89 +208,50 @@ type AsyncServer struct {
 	events map[int]asyncEvent
 	seq    int
 	// window counts completed aggregation windows (== RoundStats.Round).
-	window  int
-	dropped []int
+	window int
 }
 
 // NewAsyncServer builds an asynchronous server with a fresh global model.
-// Every strategy runs here: aggregation is the same Accumulator fold the
-// synchronous server uses, scaled by the staleness discount.
 func NewAsyncServer(cfg Config, builder Builder, loss nn.Loss, strategy Strategy,
 	clients []*Client, async AsyncConfig) (*AsyncServer, error) {
-	if err := cfg.Validate(); err != nil {
+	s := &AsyncServer{events: make(map[int]asyncEvent)}
+	if err := s.init(cfg, builder, loss, strategy, clients, 1); err != nil {
 		return nil, err
 	}
-	if len(clients) == 0 {
-		return nil, fmt.Errorf("fl: no clients")
-	}
-	if cfg.ClientsPerRound > len(clients) {
-		return nil, fmt.Errorf("fl: K=%d exceeds population %d", cfg.ClientsPerRound, len(clients))
-	}
-	async = async.withDefaults(cfg)
-	if err := async.validate(); err != nil {
+	s.Async = async.withDefaults(cfg)
+	if err := s.Async.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Faults.NeedsTimeout() && async.Timeout <= 0 {
+	if cfg.Faults.NeedsTimeout() && s.Async.Timeout <= 0 {
 		return nil, fmt.Errorf("fl: fault model %q can lose dispatched jobs; AsyncConfig.Timeout must be > 0", cfg.Faults)
 	}
-	net := builder()
-	net.SetIntraOp(intraOpShare(cfg, 1))
-	global := net.Snapshot()
-	return &AsyncServer{
-		Cfg:      cfg,
-		Async:    async,
-		Strategy: strategy,
-		Loss:     loss,
-		Clients:  clients,
-		Global:   global,
-		builder:  builder,
-		// The same sampling stream as the synchronous server: with zero
-		// latency and no discount the two draw identical client sequences.
-		rng:    frand.New(cfg.Seed ^ 0x5ca1ab1e),
-		net:    net,
-		acc:    strategy.NewAccumulator(global, cfg),
-		events: make(map[int]asyncEvent),
-	}, nil
+	return s, nil
 }
 
-// nextClient pops the dispatch queue, refilling it with a fresh K-client
-// draw — consuming the sampling RNG exactly as the synchronous server's
-// SampleClients + dropout pass does — whenever it runs dry. Clients lost to
-// dropout are recorded and never dispatched (their broadcast still counts,
-// since dropout is only observed after the round trip).
-func (s *AsyncServer) nextClient(st *AsyncRoundStats, wb int64) *Client {
-	for {
-		if s.qhead < len(s.queue) {
-			c := s.queue[s.qhead]
-			s.queue[s.qhead] = nil
-			s.qhead++
-			if s.qhead == len(s.queue) {
-				s.queue = s.queue[:0]
-				s.qhead = 0
-			}
-			return c
-		}
-		for _, j := range s.rng.Choice(len(s.Clients), s.Cfg.ClientsPerRound) {
-			c := s.Clients[j]
-			if s.Cfg.ClientDropout > 0 && s.rng.Float64() < s.Cfg.ClientDropout {
-				s.dropped = append(s.dropped, c.ID)
-				st.BytesDown += wb
-				continue
-			}
-			s.queue = append(s.queue, c)
-		}
+// nextClient pops the dispatch queue, refilling it with a fresh draw whenever
+// it runs dry. Clients lost to dropout are recorded in the window that drew
+// them and never dispatched; their broadcast still counts.
+func (s *AsyncServer) nextClient(st *tally) *Client {
+	for s.qhead == len(s.queue) {
+		lost := len(st.Dropped)
+		s.queue, st.Dropped = s.draw(s.queue[:0], st.Dropped)
+		s.qhead = 0
+		st.BytesDown += st.wb * int64(len(st.Dropped)-lost)
 	}
+	c := s.queue[s.qhead]
+	s.queue[s.qhead] = nil
+	s.qhead++
+	return c
 }
 
 // admit tops the in-flight set up to Concurrency at the current virtual
 // time, broadcasting the current global version to each new job.
-func (s *AsyncServer) admit(st *AsyncRoundStats) {
-	wb := weightBytes(s.Global)
+func (s *AsyncServer) admit(st *tally) {
 	for len(s.events) < s.Async.Concurrency {
-		c := s.nextClient(st, wb)
+		c := s.nextClient(st)
 		job := asyncJob{client: c, version: s.Version, attempt: 1, key: s.seq}
 		s.store.Retain(s.Version, s.Global)
-		s.dispatch(job, 0, st, wb)
+		s.dispatch(job, 0, st)
 	}
 }
 
@@ -353,7 +265,7 @@ func (s *AsyncServer) admit(st *AsyncRoundStats) {
 // drawn latency overruns it; a failing attempt schedules only its reissue
 // deadline, a succeeding one only its completion. With no faults and no
 // timeout this is byte-for-byte the pre-fault dispatch.
-func (s *AsyncServer) dispatch(job asyncJob, delay float64, st *AsyncRoundStats, wb int64) {
+func (s *AsyncServer) dispatch(job asyncJob, delay float64, st *tally) {
 	id := s.seq
 	s.seq++
 	at := s.clock.Now() + delay
@@ -371,56 +283,38 @@ func (s *AsyncServer) dispatch(job asyncJob, delay float64, st *AsyncRoundStats,
 		s.events[id] = asyncEvent{job: job}
 		s.clock.Schedule(at+lat, id)
 	}
-	st.BytesDown += wb
+	st.BytesDown += st.wb
 }
 
-// runJob lazily evaluates one completed job — training against the exact
-// global version broadcast at its dispatch — and folds the result into the
-// round accumulator at the given discount. The returned result carries only
-// scalar stats; its weights aliased the recycled scratch buffer.
+// runJob lazily evaluates one completed job: the core's client step against
+// the exact global version broadcast at the job's dispatch — which also keys
+// the client's RNG — with corruption drawn under the job's stable key and the
+// fold scaled by the staleness discount.
 //
-// A discount of 0 skips training entirely: the fold would contribute nothing
-// (Fold at scale 0 is a no-op by contract), so paying all
-// LocalEpochs of SGD for it is pure waste. The skip is invisible to
-// everything downstream — the client's RoundRNG is a pure function of
-// (client, version) so no shared RNG stream advances, the zero-weight
-// accumulator state is unchanged, and the caller still releases the version
-// and accounts BytesUp (the client uploaded; the server discarded).
-// The corruption process and the validation gate sit between training and
-// the fold: a poisoned update is detected against the exact global version
-// the client trained from and never reaches the accumulator — its client
-// lands in Rejected and its upload in BytesWasted.
-func (s *AsyncServer) runJob(job asyncJob, discount float64, st *AsyncRoundStats, wb int64) ClientResult {
+// A discount of 0 skips the step entirely: the fold would contribute nothing
+// (Fold at scale 0 is a no-op by contract), so paying all LocalEpochs of SGD
+// for it is pure waste. The skip is invisible to everything downstream — the
+// client's RoundRNG is a pure function of (client, version) so no shared RNG
+// stream advances, the accumulator is unchanged, and the caller still
+// releases the version and accounts the upload (the client uploaded; the
+// server discarded).
+func (s *AsyncServer) runJob(job asyncJob, discount float64) (res ClientResult, rejected bool) {
 	if discount == 0 {
-		return ClientResult{ClientID: job.client.ID, DeviceIdx: job.client.Device}
+		return ClientResult{ClientID: job.client.ID, DeviceIdx: job.client.Device}, false
 	}
 	global := s.store.Weights(job.version)
 	scratch := s.pool.get(global)
 	defer s.pool.put(scratch)
-	res := localUpdate(s.Strategy, s.net, global, job.client, s.Cfg, s.Loss, job.version, &scratch)
-	if m := s.Cfg.Faults.Corruption(job.client.ID, job.key); m != faults.None {
-		corruptUpdate(m, global, res.Weights)
-	}
-	if updateValid(global, res.Weights, s.Cfg.MaxDeltaNorm) {
-		s.acc.Fold(res, discount)
-	} else {
-		st.Rejected = append(st.Rejected, job.client.ID)
-		st.BytesWasted += wb
-	}
-	res.Weights = Weights{}
-	return res
+	return s.step(0, global, &scratch, job.client, job.version, job.key, discount)
 }
 
-// RunRound executes one aggregation window: admit new jobs, fold the next
+// RunRound executes one aggregation window: admit new jobs, run the next
 // Buffer completions in virtual-time order, and apply the aggregated update.
-func (s *AsyncServer) RunRound() AsyncRoundStats {
-	var st AsyncRoundStats
-	st.Round = s.window
+func (s *AsyncServer) RunRound() RoundStats {
+	st := s.tally(s.window)
 	s.window++
 	s.admit(&st)
 
-	wb := weightBytes(s.Global)
-	var totalSamples, staleSum, discSum float64
 	for fold := 0; fold < s.Async.Buffer; fold++ {
 		ev, ok := s.clock.Next()
 		if !ok {
@@ -450,57 +344,39 @@ func (s *AsyncServer) RunRound() AsyncRoundStats {
 			job.attempt++
 			job.version = s.Version
 			s.store.Retain(s.Version, s.Global)
-			s.dispatch(job, delay, &st, wb)
+			s.dispatch(job, delay, &st)
 			st.Reissues++
 			fold--
 			continue
 		}
 		staleness := s.Version - job.version
 		discount := s.Async.Staleness.Weight(staleness)
-		dropStale := s.Async.MaxStaleness > 0 && staleness > s.Async.MaxStaleness
-		if dropStale {
+		if s.Async.MaxStaleness > 0 && staleness > s.Async.MaxStaleness {
 			// The MaxStaleness drop rule fires before training: the upload
 			// already happened (BytesUp) but is discarded (BytesWasted), and
 			// the fold slot is consumed without a replacement draw, keeping
 			// the sampling stream pinned to the no-drop server's.
 			st.StaleDropped++
-			st.BytesWasted += wb
+			st.BytesWasted += st.wb
 			discount = 0
 		} else if discount == 0 {
 			st.Skipped++
 		}
-		res := s.runJob(job, discount, &st, wb)
+		res, rejected := s.runJob(job, discount)
 		s.store.Release(job.version, s.Global)
 
-		n := float64(res.NumSamples)
-		st.MeanLoss += res.TrainLoss * n
-		st.MeanInit += res.InitLoss * n
-		totalSamples += n
-		st.Sampled = append(st.Sampled, res.ClientID)
-		st.BytesUp += wb
-		staleSum += float64(staleness)
-		discSum += discount
-		if staleness > st.MaxStaleness {
-			st.MaxStaleness = staleness
-		}
+		st.add(res, discount != 0, rejected)
+		st.MeanStaleness += float64(staleness)
+		st.MeanDiscount += discount
+		st.MaxStaleness = max(st.MaxStaleness, staleness)
 	}
-	// Collected after the fold loop so dropout observed while admitting
-	// replacements for failed jobs lands in this window's stats (with no
-	// faults, admission only happens up front and this is the same value).
-	st.Dropped = s.dropped
-	s.dropped = nil
-	if totalSamples > 0 {
-		st.MeanLoss /= totalSamples
-		st.MeanInit /= totalSamples
-	}
-	st.MeanStaleness = staleSum / float64(s.Async.Buffer)
-	st.MeanDiscount = discSum / float64(s.Async.Buffer)
-	st.TotalEpochs = (s.Async.Buffer - st.Skipped - st.StaleDropped) * s.Cfg.LocalEpochs
+	st.MeanStaleness /= float64(s.Async.Buffer)
+	st.MeanDiscount /= float64(s.Async.Buffer)
 
 	s.finalizeWindow()
 	st.VirtualTime = s.clock.Now()
 	st.Version = s.Version
-	return st
+	return st.finish()
 }
 
 // finalizeWindow turns the window's accumulator into the next global
@@ -511,7 +387,7 @@ func (s *AsyncServer) RunRound() AsyncRoundStats {
 // counter — unchanged, so staleness keeps measuring real model drift.
 func (s *AsyncServer) finalizeWindow() {
 	buf := s.store.TakeBuffer(s.Global)
-	if s.acc.FinalizeInto(buf) {
+	if s.accs[0].FinalizeInto(buf) {
 		old := s.Global
 		s.Global = buf
 		s.Version++
@@ -522,12 +398,12 @@ func (s *AsyncServer) finalizeWindow() {
 	} else {
 		s.store.GiveBuffer(buf)
 	}
-	s.acc.Reset(s.Global, s.Cfg)
+	s.accs[0].Reset(s.Global, s.Cfg)
 }
 
 // Run executes cfg.Rounds aggregation windows, invoking callback (if
 // non-nil) after each.
-func (s *AsyncServer) Run(callback func(AsyncRoundStats)) {
+func (s *AsyncServer) Run(callback func(RoundStats)) {
 	for w := 0; w < s.Cfg.Rounds; w++ {
 		st := s.RunRound()
 		if callback != nil {
@@ -548,14 +424,3 @@ func (s *AsyncServer) Now() float64 { return s.clock.Now() }
 
 // InFlight returns the number of dispatched-but-unfolded jobs.
 func (s *AsyncServer) InFlight() int { return len(s.events) }
-
-// GlobalNet returns a network loaded with the current global weights, for
-// evaluation; it gets the full intra-op budget like the synchronous server's.
-func (s *AsyncServer) GlobalNet() *nn.Network {
-	net := s.builder()
-	if err := net.LoadWeights(s.Global); err != nil {
-		panic("fl: builder incompatible with global weights: " + err.Error())
-	}
-	net.SetIntraOp(intraOpShare(s.Cfg, 1))
-	return net
-}

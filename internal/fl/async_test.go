@@ -1,6 +1,9 @@
 package fl
 
 import (
+	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"heteroswitch/internal/frand"
@@ -42,24 +45,71 @@ func requireBitIdentical(t *testing.T, a, b nn.Weights, what string) {
 	}
 }
 
+// normProbe records the L2 norm of every honest update's delta — the quantity
+// the validation gate bounds.
+type normProbe struct {
+	Strategy
+	norms *[]float64
+}
+
+func (p normProbe) LocalUpdate(ctx *ClientContext) ClientResult {
+	res := p.Strategy.LocalUpdate(ctx)
+	*p.norms = append(*p.norms, math.Sqrt(ctx.Global.L2DistSq(res.Weights)))
+	return res
+}
+
+// medianDeltaNorm measures the median honest delta norm of the fixture's
+// first round under the strategy, with the gate off.
+func medianDeltaNorm(t *testing.T, strat Strategy) float64 {
+	t.Helper()
+	var norms []float64
+	srv := fixtureServer(t, normProbe{strat, &norms}, 1)
+	srv.RunRound(0)
+	sort.Float64s(norms)
+	n := len(norms)
+	return (norms[(n-1)/2] + norms[n/2]) / 2
+}
+
 // The async contract: with zero latency, discount ≡ 1, and
 // Concurrency == Buffer == K, the asynchronous server is BIT-identical
 // (tolerance 0) to the synchronous server at Workers = 1 — weights, strategy
-// state, and per-round scalar stats — for every strategy. This is what keeps
-// the async path honest.
+// state, and the whole RoundStats — for every strategy. This is what keeps
+// the two window drivers honest about the core they share.
+//
+// The gated arms arm the validation gate with no fault model (corruption is
+// keyed by round on one server and by job on the other, so poisoned clients
+// legitimately differ): MaxDeltaNorm is the measured median honest delta
+// norm of round 0, so every round rejects some honest updates and folds the
+// rest, and both servers must reject the same clients. They run three
+// rounds: honest deltas shrink as training converges, and past that a bound
+// fixed at round 0's median stops rejecting anything. A bound that rejected
+// a whole round is deliberately out of scope: that round installs no global,
+// so Version falls behind the round number, and from then on the async
+// server keys client RNGs by a different number than the barrier server —
+// the two diverge by design, not by bug.
 func TestAsyncZeroLatencyMatchesSyncStreaming(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		strat func() Strategy
+		gated bool
 	}{
-		{"FedAvg", func() Strategy { return FedAvg{} }},
-		{"FedProx", func() Strategy { return &FedProx{Mu: 0.1} }},
-		{"q-FedAvg", func() Strategy { return &QFedAvg{Q: 0.1} }},
-		{"Scaffold", func() Strategy { return &Scaffold{TotalClients: 6} }},
+		{"FedAvg", func() Strategy { return FedAvg{} }, false},
+		{"FedProx", func() Strategy { return &FedProx{Mu: 0.1} }, false},
+		{"q-FedAvg", func() Strategy { return &QFedAvg{Q: 0.1} }, false},
+		{"Scaffold", func() Strategy { return &Scaffold{TotalClients: 6} }, false},
+		{"FedAvg gated", func() Strategy { return FedAvg{} }, true},
+		{"Scaffold gated", func() Strategy { return &Scaffold{TotalClients: 6} }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			var maxNorm float64
+			if tc.gated {
+				maxNorm = medianDeltaNorm(t, tc.strat())
+			}
 			syncStrat, asyncStrat := tc.strat(), tc.strat()
 			sync := fixtureServer(t, syncStrat, 1)
+			if tc.gated {
+				sync.Cfg.MaxDeltaNorm, sync.Cfg.Rounds = maxNorm, 3
+			}
 			var syncStats []RoundStats
 			sync.Run(func(s RoundStats) { syncStats = append(syncStats, s) })
 
@@ -68,36 +118,38 @@ func TestAsyncZeroLatencyMatchesSyncStreaming(t *testing.T) {
 				Staleness: PolynomialStaleness{Alpha: 0},
 				Latency:   simclock.Constant{D: 0},
 			})
-			var asyncStats []AsyncRoundStats
-			async.Run(func(s AsyncRoundStats) { asyncStats = append(asyncStats, s) })
-
-			requireBitIdentical(t, sync.Global, async.Global, tc.name)
-			if sc, ok := syncStrat.(*Scaffold); ok {
-				requireBitIdentical(t, sc.c, asyncStrat.(*Scaffold).c, "server control variate")
+			if tc.gated {
+				async.Cfg.MaxDeltaNorm, async.Cfg.Rounds = maxNorm, 3
 			}
+			var asyncStats []RoundStats
+			async.Run(func(s RoundStats) { asyncStats = append(asyncStats, s) })
+
 			if len(syncStats) != len(asyncStats) {
 				t.Fatalf("round counts differ: %d vs %d", len(syncStats), len(asyncStats))
 			}
 			for i := range syncStats {
 				ss, as := syncStats[i], asyncStats[i]
-				if ss.MeanLoss != as.MeanLoss || ss.MeanInit != as.MeanInit {
-					t.Fatalf("round %d losses diverged: sync %v/%v async %v/%v",
-						i, ss.MeanLoss, ss.MeanInit, as.MeanLoss, as.MeanInit)
+				if tc.gated && (len(ss.Rejected) == 0 || len(ss.Rejected) == len(ss.Sampled)) {
+					t.Fatalf("round %d: gate at the median norm rejected %d of %d updates; the arm needs some but not all",
+						i, len(ss.Rejected), len(ss.Sampled))
 				}
-				if len(ss.Sampled) != len(as.Sampled) {
-					t.Fatalf("round %d sampled %d vs %d", i, len(ss.Sampled), len(as.Sampled))
+				// What only the event loop reports must read as "no clock, no
+				// staleness, one version per window" ...
+				if as.VirtualTime != 0 || as.MeanStaleness != 0 || as.MaxStaleness != 0 || as.MeanDiscount != 1 || as.Version != i+1 {
+					t.Fatalf("round %d saw time or staleness at zero latency: %+v", i, as)
 				}
-				for j := range ss.Sampled {
-					if ss.Sampled[j] != as.Sampled[j] {
-						t.Fatalf("round %d sampled client order diverged: %v vs %v", i, ss.Sampled, as.Sampled)
-					}
+				// ... and everything else — Round, MeanLoss, MeanInit, Sampled,
+				// Dropped, TotalEpochs, BytesDown, BytesUp, Rejected,
+				// BytesWasted, and the chaos counters both leave zero — must be
+				// identical, field for field.
+				as.MeanDiscount, as.Version = 0, 0
+				if !reflect.DeepEqual(ss, as) {
+					t.Fatalf("round %d stats diverged:\n sync  %+v\n async %+v", i, ss, as)
 				}
-				if ss.BytesDown != as.BytesDown || ss.BytesUp != as.BytesUp {
-					t.Fatalf("round %d communication accounting diverged", i)
-				}
-				if as.MeanStaleness != 0 || as.MaxStaleness != 0 || as.MeanDiscount != 1 {
-					t.Fatalf("round %d saw staleness at zero latency: %+v", i, as)
-				}
+			}
+			requireBitIdentical(t, sync.Global, async.Global, tc.name)
+			if sc, ok := syncStrat.(*Scaffold); ok {
+				requireBitIdentical(t, sc.c, asyncStrat.(*Scaffold).c, "server control variate")
 			}
 		})
 	}
@@ -106,15 +158,15 @@ func TestAsyncZeroLatencyMatchesSyncStreaming(t *testing.T) {
 // Two async runs with the same seed and latency model must be bit-identical:
 // weights, virtual clock, and staleness telemetry.
 func TestAsyncRunsAreBitReproducible(t *testing.T) {
-	mk := func() (*AsyncServer, []AsyncRoundStats) {
+	mk := func() (*AsyncServer, []RoundStats) {
 		srv := asyncFixtureServer(t, FedAvg{}, AsyncConfig{
 			Staleness:   PolynomialStaleness{Alpha: 0.5},
 			Latency:     simclock.StragglerTail{Lo: 0.5, Hi: 2, TailProb: 0.3, TailFactor: 8, Seed: 17},
 			Concurrency: 8,
 			Buffer:      4,
 		})
-		var stats []AsyncRoundStats
-		srv.Run(func(s AsyncRoundStats) { stats = append(stats, s) })
+		var stats []RoundStats
+		srv.Run(func(s RoundStats) { stats = append(stats, s) })
 		return srv, stats
 	}
 	a, sa := mk()
@@ -142,7 +194,7 @@ func TestAsyncStalenessEngagesUnderStragglers(t *testing.T) {
 	})
 	sawStale, sawDiscount := false, false
 	var lastTime float64
-	srv.Run(func(s AsyncRoundStats) {
+	srv.Run(func(s RoundStats) {
 		if s.VirtualTime < lastTime {
 			t.Fatalf("virtual time went backwards: %v after %v", s.VirtualTime, lastTime)
 		}
@@ -200,7 +252,7 @@ func TestAsyncDropoutAccounting(t *testing.T) {
 	})
 	srv.Cfg.ClientDropout = 0.3
 	folded, dropped := 0, 0
-	srv.Run(func(s AsyncRoundStats) {
+	srv.Run(func(s RoundStats) {
 		folded += len(s.Sampled)
 		dropped += len(s.Dropped)
 	})
@@ -228,7 +280,7 @@ func TestAsyncIntraOpParallelRace(t *testing.T) {
 		Buffer:      4,
 	})
 	srv.Cfg.IntraOp = 4
-	srv.net.SetIntraOp(4)
+	srv.nets[0].SetIntraOp(4)
 	srv.Run(nil)
 	for _, p := range srv.Global.Params {
 		if p.HasNaN() {
@@ -285,14 +337,14 @@ func TestNewAsyncServerValidation(t *testing.T) {
 // function of (client, version) — the sampling stream advances exactly as it
 // does when training runs, which a C=1 twin run pins down.
 func TestAsyncZeroDiscountSkipsTraining(t *testing.T) {
-	mk := func(c float64) (*AsyncServer, []AsyncRoundStats) {
+	mk := func(c float64) (*AsyncServer, []RoundStats) {
 		srv := asyncFixtureServer(t, FedAvg{}, AsyncConfig{
 			Staleness: ConstantStaleness{C: c},
 			Latency:   simclock.Uniform{Lo: 0.5, Hi: 2, Seed: 9},
 		})
 		srv.Cfg.ClientDropout = 0.3 // exercise the refill loop's dropout coins too
-		var stats []AsyncRoundStats
-		srv.Run(func(s AsyncRoundStats) { stats = append(stats, s) })
+		var stats []RoundStats
+		srv.Run(func(s RoundStats) { stats = append(stats, s) })
 		return srv, stats
 	}
 
@@ -302,8 +354,8 @@ func TestAsyncZeroDiscountSkipsTraining(t *testing.T) {
 	})
 	zeroSrv.Cfg.ClientDropout = 0.3
 	initial := zeroSrv.Global.Clone()
-	var zeroStats []AsyncRoundStats
-	zeroSrv.Run(func(s AsyncRoundStats) { zeroStats = append(zeroStats, s) })
+	var zeroStats []RoundStats
+	zeroSrv.Run(func(s RoundStats) { zeroStats = append(zeroStats, s) })
 
 	requireBitIdentical(t, zeroSrv.Global, initial, "zero-discount global")
 	if zeroSrv.Version != 0 {

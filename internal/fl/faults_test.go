@@ -203,7 +203,7 @@ func TestGateRejectsCorruptUpdateAsyncEngine(t *testing.T) {
 						c.MaxDeltaNorm = 50
 					})
 					sampledTarget, rejected := 0, 0
-					srv.Run(func(st AsyncRoundStats) {
+					srv.Run(func(st RoundStats) {
 						for _, id := range st.Sampled {
 							if id == target {
 								sampledTarget++
@@ -337,7 +337,7 @@ func TestFaultModelEngineRequirements(t *testing.T) {
 // bit-reproducible run-to-run: weights and the entire stats stream,
 // including every fault counter.
 func TestAsyncChaosBitReproducible(t *testing.T) {
-	mk := func() (*AsyncServer, []AsyncRoundStats) {
+	mk := func() (*AsyncServer, []RoundStats) {
 		m, err := faults.ParseSpec("crash:0.25+flaky:0.3,1+corrupt:0.3,mix+churn:30,0.5", 99)
 		if err != nil {
 			t.Fatal(err)
@@ -355,8 +355,8 @@ func TestAsyncChaosBitReproducible(t *testing.T) {
 			c.Faults = m
 			c.MaxDeltaNorm = 50
 		})
-		var stats []AsyncRoundStats
-		srv.Run(func(s AsyncRoundStats) { stats = append(stats, s) })
+		var stats []RoundStats
+		srv.Run(func(s RoundStats) { stats = append(stats, s) })
 		return srv, stats
 	}
 	a, sa := mk()
@@ -404,10 +404,10 @@ func TestAsyncMaxStalenessTwinRun(t *testing.T) {
 	drop := base
 	drop.MaxStaleness = 1
 
-	run := func(async AsyncConfig) []AsyncRoundStats {
+	run := func(async AsyncConfig) []RoundStats {
 		srv := gateAsyncServer(t, FedAvg{}, async, func(c *Config) { c.ClientDropout = 0.2 })
-		var stats []AsyncRoundStats
-		srv.Run(func(s AsyncRoundStats) { stats = append(stats, s) })
+		var stats []RoundStats
+		srv.Run(func(s RoundStats) { stats = append(stats, s) })
 		return stats
 	}
 	plain := run(base)
@@ -444,7 +444,7 @@ func TestAsyncMaxStalenessTwinRun(t *testing.T) {
 // deadline, the job is redispatched with exponential backoff, and the whole
 // schedule is bit-reproducible.
 func TestAsyncTimeoutReissueDeterministic(t *testing.T) {
-	run := func() (*AsyncServer, []AsyncRoundStats) {
+	run := func() (*AsyncServer, []RoundStats) {
 		srv := gateAsyncServer(t, FedAvg{}, AsyncConfig{
 			Staleness:    PolynomialStaleness{Alpha: 0.5},
 			Latency:      simclock.StragglerTail{Lo: 0.5, Hi: 2, TailProb: 0.3, TailFactor: 8, Seed: 17},
@@ -454,8 +454,8 @@ func TestAsyncTimeoutReissueDeterministic(t *testing.T) {
 			RetryBackoff: 0.25,
 			MaxAttempts:  3,
 		}, nil)
-		var stats []AsyncRoundStats
-		srv.Run(func(s AsyncRoundStats) { stats = append(stats, s) })
+		var stats []RoundStats
+		srv.Run(func(s RoundStats) { stats = append(stats, s) })
 		return srv, stats
 	}
 	a, sa := run()

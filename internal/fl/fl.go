@@ -1,14 +1,24 @@
 // Package fl implements the federated-learning engine of the paper's
-// evaluation: a simulated server/client round loop over a population of
-// device-typed clients, with pluggable aggregation strategies (FedAvg,
-// FedProx, q-FedAvg, SCAFFOLD — the baselines of §6.2) and a LocalUpdate
-// extension point that HeteroSwitch (internal/core) plugs into.
+// evaluation over a population of device-typed clients, with pluggable
+// aggregation strategies (FedAvg, FedProx, q-FedAvg, SCAFFOLD — the baselines
+// of §6.2) and a LocalUpdate extension point that HeteroSwitch
+// (internal/core) plugs into.
+//
+// There is one aggregation core (engine.go): the client-sampling stream, the
+// client step — train, corrupt, gate, fold — the training replicas with
+// their accumulators, and the RoundStats accounting. Two drivers run windows
+// of steps on it and are otherwise thin: Server is the paper's synchronous
+// round (K clients on W shard goroutines behind a barrier, plus
+// checkpointing), AsyncServer a staleness-aware event loop on a simulated
+// clock. Every strategy, and every comparison between strategies, therefore
+// passes through the same step and the same accounting.
 //
 // Determinism: given the same Config.Seed, population, and strategy, every
 // run produces identical results even with Workers > 1 — clients are
 // partitioned over the workers as a pure function of the sampled list, each
 // worker folds its shard in sampling order, and the shards merge in a fixed
-// tree on the main goroutine.
+// tree on the main goroutine. The event loop reads no wall-clock time, and at
+// zero latency is bit-identical to the barrier server at Workers = 1.
 package fl
 
 import (
@@ -126,10 +136,10 @@ type ClientContext struct {
 	Loss   nn.Loss
 	Round  int
 	RNG    *frand.RNG // deterministic per (client, round)
-	// Scratch, when non-nil, points at a per-worker weight buffer the
-	// strategy may return from LocalUpdate instead of allocating a fresh
-	// snapshot (via SnapshotWeights). Both servers set it: each result is
-	// folded into an accumulator before the buffer is reused for the next
+	// Scratch, when non-nil, points at a pooled weight buffer the strategy
+	// may return from LocalUpdate instead of allocating a fresh snapshot (via
+	// SnapshotWeights). The server's client step always sets it: each result
+	// is folded into an accumulator before the buffer is reused for the next
 	// client. Only direct callers of LocalUpdate leave it nil.
 	Scratch *nn.Weights
 }
@@ -162,21 +172,22 @@ type ClientResult struct {
 }
 
 // Strategy couples a client-side local update rule with a server-side
-// aggregation rule, expressed as a fold (see Accumulator): the servers never
-// materialize a round's client snapshots.
+// aggregation rule, expressed as a fold (see Accumulator): a round's client
+// snapshots are never materialized.
 type Strategy interface {
 	Name() string
 	// LocalUpdate trains ctx.Net (which holds the global weights) on the
 	// client's data and returns the updated weights plus losses.
 	LocalUpdate(ctx *ClientContext) ClientResult
 	// NewAccumulator returns an empty accumulator for a round against the
-	// given global weights. The synchronous server calls it once per worker
-	// and the asynchronous server once, each for its whole lifetime; an
+	// given global weights. A server calls it once per training replica, at
+	// construction, and keeps the accumulator for its whole lifetime; an
 	// accumulator is used from one goroutine at a time.
 	NewAccumulator(global nn.Weights, cfg Config) Accumulator
 }
 
-// RoundStats summarizes one communication round.
+// RoundStats summarizes one communication round — a barrier round of Server
+// or an aggregation window of AsyncServer.
 type RoundStats struct {
 	Round       int
 	MeanLoss    float64 // sample-weighted mean of client train losses
@@ -193,9 +204,45 @@ type RoundStats struct {
 	// their upload never touches the global accumulator.
 	Rejected []int
 	// BytesWasted counts upload bytes the server received but discarded:
-	// gate-rejected updates, and on the async engine also results dropped
+	// gate-rejected updates, and on the async server also results dropped
 	// by the MaxStaleness rule. Always a subset of BytesUp.
 	BytesWasted int64
+
+	// The fields below are the event loop's observability. The barrier
+	// server has no clock, no staleness and no reissue, and leaves them zero.
+
+	// VirtualTime is the simulated clock at this aggregation, in the latency
+	// model's units.
+	VirtualTime float64
+	// MeanStaleness is the mean number of global updates applied between
+	// dispatch and arrival across this window's results; MaxStaleness the
+	// worst case.
+	MeanStaleness float64
+	MaxStaleness  int
+	// MeanDiscount is the mean staleness weight applied to this window's
+	// folds (1 when nothing was stale or discounting is off).
+	MeanDiscount float64
+	// Version is the number of global model updates applied through this
+	// aggregation.
+	Version int
+	// Skipped counts this window's completions whose staleness discount was 0:
+	// their uploads were discarded without paying local training (the fold at
+	// weight 0 is a no-op, so the result could never matter). Skipped clients
+	// still appear in Sampled and in the byte accounting.
+	Skipped int
+	// StaleDropped counts completions discarded by the AsyncConfig.
+	// MaxStaleness drop rule: like Skipped they consume a fold slot without
+	// training, but their upload bytes additionally count as BytesWasted.
+	StaleDropped int
+	// Reissues counts timed-out attempts that were redispatched (with
+	// exponential backoff) this window.
+	Reissues int
+	// Failed counts jobs abandoned after MaxAttempts timed-out attempts;
+	// each failed client never uploads and a replacement job is admitted.
+	Failed int
+	// Deferred counts dispatches delayed by availability churn to the
+	// client's next duty window.
+	Deferred int
 }
 
 // Population helpers ---------------------------------------------------------

@@ -42,7 +42,7 @@ func fixtureBuilder(seed uint64) Builder {
 	}
 }
 
-func fixtureServer(t *testing.T, strat Strategy, workers int) *Server {
+func fixtureServer(t testing.TB, strat Strategy, workers int) *Server {
 	t.Helper()
 	perDevice := fixtureData(24, 3)
 	clients, err := BuildPopulation(perDevice, []int{3, 3}, 7)
@@ -276,7 +276,7 @@ func TestScaffoldLearnsAndMaintainsVariates(t *testing.T) {
 func TestSampleClientsDistinct(t *testing.T) {
 	srv := fixtureServer(t, FedAvg{}, 1)
 	for round := 0; round < 5; round++ {
-		sampled := srv.SampleClients()
+		sampled, _ := srv.draw(nil, nil)
 		if len(sampled) != srv.Cfg.ClientsPerRound {
 			t.Fatalf("sampled %d clients", len(sampled))
 		}

@@ -3,8 +3,8 @@ package fl
 // This file holds update validation and corruption injection: the
 // server-side gate that keeps poisoned client updates out of the global
 // accumulator, and the helper that applies a faults.Mode to a finished
-// result so chaos runs can exercise that gate end to end. Both engines
-// share these: the sync Server gates per round, the AsyncServer per fold.
+// result so chaos runs can exercise that gate end to end. Both run inside
+// the core's one client step (engine.step).
 
 import (
 	"math"
@@ -43,18 +43,6 @@ func updateValid(global, w nn.Weights, maxNorm float64) bool {
 	// compares false; +Inf exceeds any finite bound and maxNorm = +Inf
 	// admits every finite delta).
 	return ss <= maxNorm*maxNorm
-}
-
-// admitUpdate applies the configured corruption process to a finished
-// client update (keyed by client and round, so every run replays the same
-// poisonings) and passes it through the validation gate, reporting whether
-// the result may be folded. Safe to call concurrently from round workers:
-// it only reads the round's global weights and mutates the result.
-func (s *Server) admitUpdate(res *ClientResult, round int) bool {
-	if m := s.Cfg.Faults.Corruption(res.ClientID, round); m != faults.None {
-		corruptUpdate(m, s.Global, res.Weights)
-	}
-	return updateValid(s.Global, res.Weights, s.Cfg.MaxDeltaNorm)
 }
 
 // corruptUpdate poisons a completed client update in place according to the

@@ -25,8 +25,8 @@ func TestOnPublishFiresPerInstalledVersion(t *testing.T) {
 		}
 		pubs = append(pubs, pub{v, vt})
 	}
-	var stats []AsyncRoundStats
-	srv.Run(func(st AsyncRoundStats) { stats = append(stats, st) })
+	var stats []RoundStats
+	srv.Run(func(st RoundStats) { stats = append(stats, st) })
 
 	if len(pubs) == 0 {
 		t.Fatal("OnPublish never fired")

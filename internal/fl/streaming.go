@@ -9,17 +9,16 @@ import (
 )
 
 // Accumulator folds client results into running aggregation state — the one
-// aggregation path of both engines. The synchronous server gives every
-// worker goroutine a private shard accumulator, folds each client's result
-// as it finishes, and merges the shards tree-style at round end, so peak
-// weight memory is O(workers), not O(K); the asynchronous server folds every
-// completion into a single accumulator. Accumulators live as long as their
-// server: Reset rewinds them between rounds.
+// aggregation path. The server core keeps one per training replica and the
+// client step folds each admitted result into its replica's accumulator as
+// it finishes, so peak weight memory is O(replicas), not O(K); a driver with
+// several replicas merges them tree-style before finalizing. Accumulators
+// live as long as their server: Reset rewinds them between rounds.
 type Accumulator interface {
 	// Fold adds one admitted client result at the given scale, which
 	// multiplies the result's native fold weight (its sample count, for the
-	// FedAvg family): 1 on the synchronous server, the staleness discount on
-	// the asynchronous one. A scale of 0 contributes nothing. The caller
+	// FedAvg family): 1 under the barrier driver, the staleness discount
+	// under the event loop. A scale of 0 contributes nothing. The caller
 	// reuses the result's weight buffers immediately afterwards, so
 	// implementations must not retain them.
 	Fold(result ClientResult, scale float64)

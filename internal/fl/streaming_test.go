@@ -455,7 +455,7 @@ func TestStreamingCapabilityMatrix(t *testing.T) {
 				t.Fatal("async run never installed a global version")
 			}
 
-			runChaos := func() (*AsyncServer, []AsyncRoundStats) {
+			runChaos := func() (*AsyncServer, []RoundStats) {
 				m, err := faults.ParseSpec("crash:0.2+flaky:0.25,1+corrupt:0.25,mix+churn:20,0.5", 99)
 				if err != nil {
 					t.Fatal(err)
@@ -464,8 +464,8 @@ func TestStreamingCapabilityMatrix(t *testing.T) {
 					c.Faults = m
 					c.MaxDeltaNorm = 100
 				})
-				var stats []AsyncRoundStats
-				srv.Run(func(st AsyncRoundStats) { stats = append(stats, st) })
+				var stats []RoundStats
+				srv.Run(func(st RoundStats) { stats = append(stats, st) })
 				return srv, stats
 			}
 			a, sa := runChaos()

@@ -415,23 +415,28 @@ func ReadWeights(in io.Reader) (Weights, error) {
 	if err != nil {
 		return Weights{}, err
 	}
-	w := Weights{
-		Params: make([]*tensor.Tensor, np),
-		States: make([]*tensor.Tensor, ns),
+	if np < 0 || ns < 0 {
+		return Weights{}, fmt.Errorf("nn: negative tensor counts %d/%d", np, ns)
 	}
-	for i := range w.Params {
-		t := tensor.New()
-		if _, err := t.ReadFrom(in); err != nil {
-			return Weights{}, err
+	// The counts are untrusted: the lists grow as tensors are actually read,
+	// never to a length the stream has not paid for.
+	readList := func(n int64) ([]*tensor.Tensor, error) {
+		list := []*tensor.Tensor{}
+		for ; n > 0; n-- {
+			t := tensor.New()
+			if _, err := t.ReadFrom(in); err != nil {
+				return nil, err
+			}
+			list = append(list, t)
 		}
-		w.Params[i] = t
+		return list, nil
 	}
-	for i := range w.States {
-		t := tensor.New()
-		if _, err := t.ReadFrom(in); err != nil {
-			return Weights{}, err
-		}
-		w.States[i] = t
+	var w Weights
+	if w.Params, err = readList(np); err != nil {
+		return Weights{}, err
+	}
+	if w.States, err = readList(ns); err != nil {
+		return Weights{}, err
 	}
 	return w, nil
 }

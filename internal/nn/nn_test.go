@@ -125,6 +125,19 @@ func TestWeightsSerializationRoundtrip(t *testing.T) {
 	}
 }
 
+// Untrusted tensor counts are an error, not a makeslice panic, and are never
+// pre-allocated.
+func TestReadWeightsRejectsBogusCounts(t *testing.T) {
+	for _, hdr := range [][]byte{
+		bytes.Repeat([]byte{0xff}, 16),                                // both counts −1
+		append([]byte{0, 0, 0, 0, 0, 0, 0, 0x40}, make([]byte, 8)...), // 2⁶² params, empty stream
+	} {
+		if _, err := ReadWeights(bytes.NewReader(hdr)); err == nil {
+			t.Fatalf("bogus counts % x accepted", hdr)
+		}
+	}
+}
+
 func TestSoftmaxCrossEntropyKnownValue(t *testing.T) {
 	logits := tensor.FromSlice([]float32{0, 0, 0}, 1, 3)
 	loss, grad := SoftmaxCrossEntropy{}.Eval(logits, ClassTarget([]int{1}))

@@ -90,6 +90,36 @@ func TestReadFromCorruptedStreams(t *testing.T) {
 	if _, err := x.ReadFrom(bytes.NewReader(bogus)); err == nil {
 		t.Error("implausible ndim accepted")
 	}
+
+	// Dimensions whose product overflows must be rejected, not multiplied
+	// into a makeslice panic.
+	huge := []byte{2, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
+	if _, err := x.ReadFrom(bytes.NewReader(huge)); err == nil {
+		t.Error("overflowing shape accepted")
+	}
+}
+
+// A tensor longer than one read chunk decodes across chunk boundaries into
+// exactly the written values, with no capacity beyond its size.
+func TestReadFromMultiChunkRoundtrip(t *testing.T) {
+	for _, n := range []int{readChunk - 1, readChunk, readChunk + 1, 5*readChunk + 3} {
+		want := New(n)
+		for i := range want.Data() {
+			want.Data()[i] = float32(i%251) - 125.5
+		}
+		var buf bytes.Buffer
+		if _, err := want.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var got Tensor
+		read, err := got.ReadFrom(&buf)
+		if err != nil || read != int64(8+4*n) {
+			t.Fatalf("n=%d: read %d bytes, err %v", n, read, err)
+		}
+		if !got.AllClose(want, 0) || cap(got.Data()) != n {
+			t.Fatalf("n=%d: roundtrip differs (cap %d)", n, cap(got.Data()))
+		}
+	}
 }
 
 func TestPanicsOnBadShapes(t *testing.T) {

@@ -262,6 +262,9 @@ func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
 	return written, err
 }
 
+// readChunk is the number of elements ReadFrom decodes per read.
+const readChunk = 4096
+
 // ReadFrom deserializes a tensor previously written with WriteTo, replacing
 // t's shape and contents.
 func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
@@ -285,18 +288,33 @@ func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
 	shape := make([]int, nd)
 	size := 1
 	for i := range shape {
-		shape[i] = int(binary.LittleEndian.Uint32(shapeBuf[4*i:]))
-		size *= shape[i]
+		d := int(binary.LittleEndian.Uint32(shapeBuf[4*i:]))
+		if d < 0 || (d > 0 && size > math.MaxInt32/d) {
+			return read, fmt.Errorf("tensor: implausible shape: dimension %d of %d overflows the element count", i, nd)
+		}
+		shape[i] = d
+		size *= d
 	}
-	buf := make([]byte, 4*size)
-	n, err = io.ReadFull(r, buf)
-	read += int64(n)
-	if err != nil {
-		return read, err
-	}
-	data := make([]float32, size)
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+	// The header is untrusted, so memory follows the bytes actually present:
+	// the payload is decoded a chunk at a time into a slice that doubles up
+	// to size, and a header promising more than the stream holds fails in
+	// ReadFull having allocated no more than about twice what it read.
+	chunk := min(size, readChunk)
+	buf := make([]byte, 4*chunk)
+	data := make([]float32, 0, chunk)
+	for len(data) < size {
+		b := buf[:4*min(size-len(data), chunk)]
+		n, err = io.ReadFull(r, b)
+		read += int64(n)
+		if err != nil {
+			return read, err
+		}
+		if len(data) == cap(data) {
+			data = append(make([]float32, 0, min(size, 2*cap(data))), data...)
+		}
+		for i := 0; i < len(b); i += 4 {
+			data = append(data, math.Float32frombits(binary.LittleEndian.Uint32(b[i:])))
+		}
 	}
 	t.shape = shape
 	t.data = data
