@@ -65,10 +65,17 @@ func (s *Sensor) Capture(scene *isp.Image, rng *frand.RNG) (*isp.RAW, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	im := scene.Resize(s.Resolution, s.Resolution)
+	return s.Expose(scene, rng, nil), nil
+}
 
+// Expose is Capture for a capture loop: the caller has Validated the sensor
+// once, and the frame and its intermediates live in sc (nil allocates them)
+// until sc's next Reset. The scene is only read, so a loop may hand every
+// sensor of one resolution the same pre-resized scene. The rng is consumed
+// exactly as by Capture: two normal draws per RAW sample, in scan order.
+func (s *Sensor) Expose(scene *isp.Image, rng *frand.RNG, sc *isp.Scratch) *isp.RAW {
 	// Spectral response: channel crosstalk then illuminant gains.
-	im = isp.ApplyColorMatrix(im, s.ColorMatrix)
+	im := sc.ColorMatrix(sc.Resize(scene, s.Resolution, s.Resolution), s.ColorMatrix)
 	n := im.W * im.H
 	for i := 0; i < n; i++ {
 		for c := 0; c < 3; c++ {
@@ -92,7 +99,7 @@ func (s *Sensor) Capture(scene *isp.Image, rng *frand.RNG) (*isp.RAW, error) {
 		}
 	}
 
-	raw := isp.Mosaic(im, s.Pattern)
+	raw := sc.Mosaic(im, s.Pattern)
 
 	// Noise, pedestal, and quantization.
 	levels := float64(int(1)<<s.BitDepth - 1)
@@ -110,7 +117,7 @@ func (s *Sensor) Capture(scene *isp.Image, rng *frand.RNG) (*isp.RAW, error) {
 		}
 		raw.Pix[i] = v
 	}
-	return raw, nil
+	return raw
 }
 
 // CrosstalkMatrix builds a row-normalized color mixing matrix with diagonal

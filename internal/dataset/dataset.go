@@ -5,6 +5,8 @@ package dataset
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"heteroswitch/internal/device"
 	"heteroswitch/internal/frand"
@@ -176,26 +178,12 @@ const (
 // provided device index.
 func Capture(scenes []scene.Scene, dev *device.Profile, devIndex int,
 	mode CaptureMode, outRes, numClasses int, rng *frand.RNG) (*Dataset, error) {
-	ds := &Dataset{NumClasses: numClasses, Samples: make([]Sample, 0, len(scenes))}
-	for _, sc := range scenes {
-		var im *isp.Image
-		var err error
-		switch mode {
-		case ModeRAW:
-			im, err = dev.CaptureRAW(sc.Image, rng)
-		default:
-			im, err = dev.CaptureProcessed(sc.Image, rng)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: capture class %d: %w", sc.Class, err)
-		}
-		ds.Samples = append(ds.Samples, Sample{
-			X:      im.Resize(outRes, outRes).ToTensor(),
-			Label:  sc.Class,
-			Device: devIndex,
-		})
+	sets, err := captureGrid(scenes, []*device.Profile{dev}, []int{devIndex}, mode.develop(),
+		outRes, numClasses, []*frand.RNG{rng}, 1)
+	if err != nil {
+		return nil, err
 	}
-	return ds, nil
+	return sets[0], nil
 }
 
 // CaptureWithPipeline photographs every scene with the device's sensor but a
@@ -203,19 +191,155 @@ func Capture(scenes []scene.Scene, dev *device.Profile, devIndex int,
 // path (§3.4).
 func CaptureWithPipeline(scenes []scene.Scene, dev *device.Profile, devIndex int,
 	pipe isp.Pipeline, outRes, numClasses int, rng *frand.RNG) (*Dataset, error) {
-	ds := &Dataset{NumClasses: numClasses, Samples: make([]Sample, 0, len(scenes))}
-	for _, sc := range scenes {
-		im, err := dev.CaptureWithPipeline(sc.Image, pipe, rng)
+	develop := func(dev *device.Profile, raw *isp.RAW, sc *isp.Scratch) (*isp.Image, error) {
+		im, err := sc.Process(pipe, raw)
 		if err != nil {
-			return nil, fmt.Errorf("dataset: capture class %d: %w", sc.Class, err)
+			return nil, fmt.Errorf("device %s: %w", dev.Name, err)
 		}
-		ds.Samples = append(ds.Samples, Sample{
-			X:      im.Resize(outRes, outRes).ToTensor(),
-			Label:  sc.Class,
-			Device: devIndex,
-		})
+		return im, nil
 	}
-	return ds, nil
+	sets, err := captureGrid(scenes, []*device.Profile{dev}, []int{devIndex}, develop,
+		outRes, numClasses, []*frand.RNG{rng}, 1)
+	if err != nil {
+		return nil, err
+	}
+	return sets[0], nil
+}
+
+// CaptureDevices is Capture for a whole device population photographing the
+// same scenes: device i captures every scene in order on its own stream
+// rngs[i] and is tagged with index i. The images, not the devices, are
+// spread over the workers, so unequal devices keep every worker busy, and
+// the result is the one len(devs) Capture calls would give at any worker
+// count.
+func CaptureDevices(scenes []scene.Scene, devs []*device.Profile, mode CaptureMode,
+	outRes, numClasses int, rngs []*frand.RNG, workers int) ([]*Dataset, error) {
+	index := make([]int, len(devs))
+	for i := range index {
+		index[i] = i
+	}
+	return captureGrid(scenes, devs, index, mode.develop(), outRes, numClasses, rngs, workers)
+}
+
+// developFunc develops one RAW frame of a device into scratch storage.
+type developFunc func(dev *device.Profile, raw *isp.RAW, sc *isp.Scratch) (*isp.Image, error)
+
+func (m CaptureMode) develop() developFunc {
+	if m == ModeRAW {
+		return func(_ *device.Profile, raw *isp.RAW, sc *isp.Scratch) (*isp.Image, error) {
+			return sc.ProcessRAWOnly(raw), nil
+		}
+	}
+	return (*device.Profile).Develop
+}
+
+// captureGrid is the one capture loop: every device photographs every scene.
+// A capture has two halves. Exposure draws the sensor noise from the
+// device's RNG stream, so a device's exposures run one after another, in
+// scene order, under the device's lock. Development (ISP, tuning, resize,
+// tensor) is a pure function of the exposed frame, so it runs outside the
+// lock, and any worker may develop any image. Work is handed out scene-major
+// (scene 0 on every device, then scene 1, …): image t belongs to device
+// t mod D, and the k-th worker to reach a device exposes that device's k-th
+// scene, which is what makes the result independent of scheduling.
+//
+// Each worker owns one isp.Scratch, reset per image, holding every
+// intermediate; the sample tensor is the only per-image allocation that
+// outlives the image.
+func captureGrid(scenes []scene.Scene, devs []*device.Profile, devIndex []int, develop developFunc,
+	outRes, numClasses int, rngs []*frand.RNG, workers int) ([]*Dataset, error) {
+	// A scene is resized once per sensor resolution that several devices
+	// share, not once per device; a resolution with one device is resized
+	// per image inside Expose, through the scratch.
+	users := map[int]int{}
+	for _, dev := range devs {
+		if err := dev.Sensor.Validate(); err != nil {
+			return nil, fmt.Errorf("dataset: capture: device %s: %w", dev.Name, err)
+		}
+		users[dev.Sensor.Resolution]++
+	}
+	shared := map[int][]*isp.Image{}
+	for res, n := range users {
+		if n < 2 {
+			continue
+		}
+		resized := make([]*isp.Image, len(scenes))
+		for j, sc := range scenes {
+			resized[j] = (*isp.Scratch)(nil).Resize(sc.Image, res, res)
+		}
+		shared[res] = resized
+	}
+
+	type chain struct {
+		mu   sync.Mutex
+		next int // scene the device exposes next
+	}
+	chains := make([]chain, len(devs))
+	sets := make([]*Dataset, len(devs))
+	for i := range sets {
+		sets[i] = &Dataset{NumClasses: numClasses, Samples: make([]Sample, len(scenes))}
+	}
+	var (
+		errMu    sync.Mutex
+		firstErr error
+		ticket   atomic.Int64
+	)
+	total := int64(len(devs) * len(scenes))
+	work := func() {
+		var sc isp.Scratch
+		for {
+			t := ticket.Add(1) - 1
+			if t >= total {
+				return
+			}
+			i := int(t % int64(len(devs)))
+			dev, c := devs[i], &chains[i]
+			sc.Reset()
+
+			c.mu.Lock()
+			j := c.next
+			c.next++
+			view := scenes[j].Image
+			if resized := shared[dev.Sensor.Resolution]; resized != nil {
+				view = resized[j]
+			}
+			raw := dev.Sensor.Expose(view, rngs[i], &sc)
+			c.mu.Unlock()
+
+			im, err := develop(dev, raw, &sc)
+			if err != nil {
+				errMu.Lock()
+				if firstErr == nil {
+					firstErr = fmt.Errorf("dataset: capture class %d: %w", scenes[j].Class, err)
+				}
+				errMu.Unlock()
+				ticket.Store(total) // hand out no more work
+				return
+			}
+			sets[i].Samples[j] = Sample{
+				X:      sc.Resize(im, outRes, outRes).ToTensor(),
+				Label:  scenes[j].Class,
+				Device: devIndex[i],
+			}
+		}
+	}
+	if workers <= 1 {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return sets, nil
 }
 
 // PartitionIID deals the dataset round-robin into n client shards after a

@@ -67,11 +67,27 @@ func (p *Profile) CaptureProcessed(scene *isp.Image, rng *frand.RNG) (*isp.Image
 	if err != nil {
 		return nil, fmt.Errorf("device %s: %w", p.Name, err)
 	}
-	im, err := p.ISP.Process(raw)
+	return p.Develop(raw, nil)
+}
+
+// Develop turns a RAW frame of the device's sensor into the image the stock
+// camera app would save: the device's ISP, then its vendor tuning. It is a
+// pure function of the frame, so a capture loop may develop frames
+// concurrently (one scratch each) while exposing them in sequence. The
+// result lives in sc (nil allocates it) until sc's next Reset.
+func (p *Profile) Develop(raw *isp.RAW, sc *isp.Scratch) (*isp.Image, error) {
+	im, err := sc.Process(p.ISP, raw)
 	if err != nil {
 		return nil, fmt.Errorf("device %s: %w", p.Name, err)
 	}
-	return p.applyVendorTuning(im), nil
+	// Vendor rendering tuning, in place on the image Process handed over.
+	if p.ToneGamma != 0 && p.ToneGamma != 1 {
+		sc.Gamma(im, p.ToneGamma)
+	}
+	if p.Saturation != 0 && p.Saturation != 1 {
+		applySaturation(im, p.Saturation)
+	}
+	return im, nil
 }
 
 // CaptureWithPipeline photographs a scene but develops it with an arbitrary
@@ -98,19 +114,9 @@ func (p *Profile) CaptureRAW(scene *isp.Image, rng *frand.RNG) (*isp.Image, erro
 	return isp.ProcessRAWOnly(raw), nil
 }
 
-func (p *Profile) applyVendorTuning(im *isp.Image) *isp.Image {
-	out := im
-	if p.ToneGamma != 0 && p.ToneGamma != 1 {
-		out = isp.ApplyGamma(out, p.ToneGamma)
-	}
-	if p.Saturation != 0 && p.Saturation != 1 {
-		out = applySaturation(out, p.Saturation)
-	}
-	return out
-}
-
-func applySaturation(im *isp.Image, sat float64) *isp.Image {
-	out := im.Clone()
+// applySaturation scales every pixel's distance from its own Rec.601 luma by
+// sat, in place.
+func applySaturation(im *isp.Image, sat float64) {
 	n := im.W * im.H
 	for i := 0; i < n; i++ {
 		l := im.Luma(i)
@@ -121,10 +127,9 @@ func applySaturation(im *isp.Image, sat float64) *isp.Image {
 			} else if v > 1 {
 				v = 1
 			}
-			out.Pix[i*3+c] = v
+			im.Pix[i*3+c] = v
 		}
 	}
-	return out
 }
 
 // tierSensor builds a sensor for the given tier with vendor spectral traits.

@@ -15,7 +15,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"heteroswitch/internal/dataset"
 	"heteroswitch/internal/device"
@@ -231,7 +230,9 @@ func (dd *DeviceData) AllTest() *dataset.Dataset {
 }
 
 // BuildDeviceData renders perClassTrain+perClassTest scenes per class and
-// captures them with every Table-1 device (in parallel across devices).
+// captures them with every Table-1 device: each device photographs the
+// train scenes and then the test scenes on its own noise stream, with the
+// images spread over opts.Workers (dataset.CaptureDevices).
 func BuildDeviceData(opts Options, perClassTrain, perClassTest int, mode dataset.CaptureMode) (*DeviceData, error) {
 	gen := scene.NewImageNet12(64)
 	rng := frand.New(opts.Seed)
@@ -239,43 +240,25 @@ func BuildDeviceData(opts Options, perClassTrain, perClassTest int, mode dataset
 	testScenes := gen.RenderSet(perClassTest, rng.SplitNamed("test-scenes"))
 	profiles := device.Profiles()
 
+	rngs := make([]*frand.RNG, len(profiles))
+	for i := range rngs {
+		rngs[i] = frand.New(opts.Seed ^ uint64(i+1)*0x9e3779b97f4a7c15)
+	}
+	scenes := append(trainScenes[:len(trainScenes):len(trainScenes)], testScenes...)
+	sets, err := dataset.CaptureDevices(scenes, profiles, mode, opts.OutRes, gen.NumClasses(), rngs, opts.Workers)
+	if err != nil {
+		return nil, err
+	}
 	dd := &DeviceData{
 		Profiles: profiles,
 		Train:    map[int]*dataset.Dataset{},
 		Test:     map[int]*dataset.Dataset{},
 		Classes:  gen.NumClasses(),
 	}
-	type result struct {
-		idx      int
-		tr, te   *dataset.Dataset
-		captured error
-	}
-	results := make([]result, len(profiles))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, max(opts.Workers, 1))
-	for i, p := range profiles {
-		wg.Add(1)
-		go func(i int, p *device.Profile) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			crng := frand.New(opts.Seed ^ uint64(i+1)*0x9e3779b97f4a7c15)
-			tr, err := dataset.Capture(trainScenes, p, i, mode, opts.OutRes, gen.NumClasses(), crng)
-			if err != nil {
-				results[i] = result{idx: i, captured: err}
-				return
-			}
-			te, err := dataset.Capture(testScenes, p, i, mode, opts.OutRes, gen.NumClasses(), crng)
-			results[i] = result{idx: i, tr: tr, te: te, captured: err}
-		}(i, p)
-	}
-	wg.Wait()
-	for _, r := range results {
-		if r.captured != nil {
-			return nil, r.captured
-		}
-		dd.Train[r.idx] = r.tr
-		dd.Test[r.idx] = r.te
+	n := len(trainScenes)
+	for i, ds := range sets {
+		dd.Train[i] = &dataset.Dataset{Samples: ds.Samples[:n:n], NumClasses: ds.NumClasses}
+		dd.Test[i] = &dataset.Dataset{Samples: ds.Samples[n:], NumClasses: ds.NumClasses}
 	}
 	return dd, nil
 }

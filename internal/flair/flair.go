@@ -12,6 +12,7 @@ import (
 	"heteroswitch/internal/dataset"
 	"heteroswitch/internal/device"
 	"heteroswitch/internal/frand"
+	"heteroswitch/internal/isp"
 	"heteroswitch/internal/scene"
 )
 
@@ -62,17 +63,25 @@ func Build(cfg Config) (*Federation, error) {
 	}
 	for d := 0; d < cfg.NumDeviceTypes; d++ {
 		prof := device.Random(rng.Split(), fmt.Sprintf("flair-dev-%03d", d))
+		if err := prof.Sensor.Validate(); err != nil {
+			return nil, fmt.Errorf("flair: device %d: %w", d, err)
+		}
 		fed.Devices = append(fed.Devices, prof)
+		// One capture loop per device: scene generation and sensor noise
+		// share rng, so images are exposed and developed in sequence, on
+		// one scratch that lives as long as the device's gamma table.
+		var sc isp.Scratch
 		capture := func(n int) (*dataset.Dataset, error) {
 			ds := &dataset.Dataset{NumClasses: cfg.Classes}
 			for i := 0; i < n; i++ {
 				im, labels := gen.MultiLabelScene(rng)
-				shot, err := prof.CaptureProcessed(im, rng)
+				sc.Reset()
+				shot, err := prof.Develop(prof.Sensor.Expose(im, rng, &sc), &sc)
 				if err != nil {
 					return nil, fmt.Errorf("flair: device %d: %w", d, err)
 				}
 				ds.Samples = append(ds.Samples, dataset.Sample{
-					X:      shot.Resize(cfg.OutRes, cfg.OutRes).ToTensor(),
+					X:      sc.Resize(shot, cfg.OutRes, cfg.OutRes).ToTensor(),
 					Label:  -1,
 					Multi:  labels,
 					Device: d,

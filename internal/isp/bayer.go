@@ -60,29 +60,42 @@ func (r *RAW) Set(x, y int, v float64) { r.Pix[y*r.W+x] = v }
 func (r *RAW) ColorAt(x, y int) int { return cfaColor(r.Pattern, x, y) }
 
 func cfaColor(p BayerPattern, x, y int) int {
-	// Channel layout of the 2x2 CFA tile, row-major.
-	var tile [4]int
+	tile := cfaTile(p)
+	return tile[(y&1)*2+(x&1)]
+}
+
+// cfaTile returns the channel layout of the 2x2 CFA tile, row-major.
+func cfaTile(p BayerPattern) [4]int {
 	switch p {
 	case RGGB:
-		tile = [4]int{0, 1, 1, 2}
+		return [4]int{0, 1, 1, 2}
 	case BGGR:
-		tile = [4]int{2, 1, 1, 0}
+		return [4]int{2, 1, 1, 0}
 	case GRBG:
-		tile = [4]int{1, 0, 2, 1}
+		return [4]int{1, 0, 2, 1}
 	case GBRG:
-		tile = [4]int{1, 2, 0, 1}
+		return [4]int{1, 2, 0, 1}
 	}
-	return tile[(y&1)*2+(x&1)]
+	return [4]int{}
 }
 
 // Mosaic samples a full-color image through the CFA, producing the RAW frame
 // an ideal noiseless sensor would record.
-func Mosaic(im *Image, p BayerPattern) *RAW {
-	r := NewRAW(im.W, im.H, p)
+func Mosaic(im *Image, p BayerPattern) *RAW { return (*Scratch)(nil).Mosaic(im, p) }
+
+// Mosaic is the package-level Mosaic into scratch storage.
+func (s *Scratch) Mosaic(im *Image, p BayerPattern) *RAW {
+	r := s.raw(im.W, im.H, p)
+	tile := cfaTile(p)
 	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			r.Set(x, y, im.At(x, y, cfaColor(p, x, y)))
+		src, dst := im.row(y), r.row(y)
+		t := tile[(y&1)*2:]
+		for x := range dst {
+			dst[x] = src[x*3+t[x&1]]
 		}
 	}
 	return r
 }
+
+// row returns the samples of frame row y.
+func (r *RAW) row(y int) []float64 { return r.Pix[y*r.W : (y+1)*r.W] }

@@ -1,9 +1,6 @@
 package isp
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // WBAlg selects the white-balance algorithm (Table 3 "Color transformation").
 type WBAlg int
@@ -31,22 +28,27 @@ func (a WBAlg) String() string {
 
 // WhiteBalance corrects the illuminant color cast, returning a new image.
 func WhiteBalance(im *Image, alg WBAlg) *Image {
+	out := im.Clone()
+	(*Scratch)(nil).whiteBalance(out, alg)
+	return out
+}
+
+// whiteBalance corrects im in place.
+func (s *Scratch) whiteBalance(im *Image, alg WBAlg) {
 	switch alg {
 	case WBNone:
-		return im.Clone()
 	case WBWhitePatch:
-		return wbWhitePatch(im)
+		s.wbWhitePatch(im)
 	default:
-		return wbGrayWorld(im)
+		wbGrayWorld(im)
 	}
 }
 
-// wbGrayWorld scales each channel so all channel means equal their average
-// (the gray-world assumption).
-func wbGrayWorld(im *Image) *Image {
+// wbGrayWorld scales each channel in place so all channel means equal their
+// average (the gray-world assumption).
+func wbGrayWorld(im *Image) {
 	means := im.ChannelMeans()
 	avg := (means[0] + means[1] + means[2]) / 3
-	out := im.Clone()
 	var gains [3]float64
 	for c := 0; c < 3; c++ {
 		if means[c] > 1e-9 {
@@ -55,25 +57,26 @@ func wbGrayWorld(im *Image) *Image {
 			gains[c] = 1
 		}
 	}
-	applyGains(out, gains)
-	return out
+	applyGains(im, gains)
 }
 
-// wbWhitePatch scales each channel so its 99th percentile maps to the
-// overall 99th percentile (robust max-RGB).
-func wbWhitePatch(im *Image) *Image {
+// wbWhitePatch scales each channel in place so its 99th percentile maps to
+// the overall 99th percentile (robust max-RGB). An empty image has no
+// percentile and is left alone.
+func (s *Scratch) wbWhitePatch(im *Image) {
 	n := im.W * im.H
+	if n == 0 {
+		return
+	}
 	var highs [3]float64
-	tmp := make([]float64, n)
+	tmp := s.plane(n)
 	for c := 0; c < 3; c++ {
 		for i := 0; i < n; i++ {
 			tmp[i] = im.Pix[i*3+c]
 		}
-		sort.Float64s(tmp)
-		highs[c] = tmp[(n*99)/100]
+		highs[c] = selectKth(tmp, (n*99)/100)
 	}
 	target := math.Max(highs[0], math.Max(highs[1], highs[2]))
-	out := im.Clone()
 	var gains [3]float64
 	for c := 0; c < 3; c++ {
 		if highs[c] > 1e-9 {
@@ -82,8 +85,7 @@ func wbWhitePatch(im *Image) *Image {
 			gains[c] = 1
 		}
 	}
-	applyGains(out, gains)
-	return out
+	applyGains(im, gains)
 }
 
 func applyGains(im *Image, g [3]float64) {
@@ -144,16 +146,19 @@ var (
 	}
 )
 
-// GamutMap converts the image to the selected working gamut.
+// GamutMap converts the image to the selected working gamut, returning a
+// new image.
 func GamutMap(im *Image, alg GamutAlg) *Image {
-	switch alg {
-	case GamutProPhoto:
-		m := matMul3(xyzToProPhoto, srgbToXYZ)
-		out := im.Clone()
-		applyMatrix(out, m)
-		return out
-	default: // sRGB working space and "none" are both identity here.
-		return im.Clone()
+	out := im.Clone()
+	gamutMap(out, alg)
+	return out
+}
+
+// gamutMap converts im in place.
+func gamutMap(im *Image, alg GamutAlg) {
+	// sRGB working space and "none" are both identity here.
+	if alg == GamutProPhoto {
+		applyMatrix(im, im, matMul3(xyzToProPhoto, srgbToXYZ))
 	}
 }
 
@@ -171,22 +176,29 @@ func matMul3(a, b [9]float64) [9]float64 {
 	return out
 }
 
-func applyMatrix(im *Image, m [9]float64) {
-	n := im.W * im.H
+// applyMatrix writes m · src, clamped to [0,1], into dst (same size; dst may
+// be src).
+func applyMatrix(dst, src *Image, m [9]float64) {
+	n := src.W * src.H
 	for i := 0; i < n; i++ {
-		r := im.Pix[i*3]
-		g := im.Pix[i*3+1]
-		b := im.Pix[i*3+2]
-		im.Pix[i*3] = clamp01(m[0]*r + m[1]*g + m[2]*b)
-		im.Pix[i*3+1] = clamp01(m[3]*r + m[4]*g + m[5]*b)
-		im.Pix[i*3+2] = clamp01(m[6]*r + m[7]*g + m[8]*b)
+		r := src.Pix[i*3]
+		g := src.Pix[i*3+1]
+		b := src.Pix[i*3+2]
+		dst.Pix[i*3] = clamp01(m[0]*r + m[1]*g + m[2]*b)
+		dst.Pix[i*3+1] = clamp01(m[3]*r + m[4]*g + m[5]*b)
+		dst.Pix[i*3+2] = clamp01(m[6]*r + m[7]*g + m[8]*b)
 	}
 }
 
 // ApplyColorMatrix applies an arbitrary 3x3 color matrix (used by the sensor
-// model for channel crosstalk).
+// model for channel crosstalk), returning a new image.
 func ApplyColorMatrix(im *Image, m [9]float64) *Image {
-	out := im.Clone()
-	applyMatrix(out, m)
+	return (*Scratch)(nil).ColorMatrix(im, m)
+}
+
+// ColorMatrix is ApplyColorMatrix into scratch storage; im is only read.
+func (s *Scratch) ColorMatrix(im *Image, m [9]float64) *Image {
+	out := s.image(im.W, im.H)
+	applyMatrix(out, im, m)
 	return out
 }

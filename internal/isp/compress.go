@@ -32,31 +32,58 @@ func (a CompressAlg) String() string {
 
 // Compress runs the image through a real JPEG encode/decode roundtrip at the
 // selected quality, reproducing the block, quantization, and chroma
-// subsampling artefacts the paper attributes to this stage. The error path
-// only triggers on malformed geometry.
+// subsampling artefacts the paper attributes to this stage, and returns a
+// new image. The error path only triggers on malformed geometry.
 func Compress(im *Image, alg CompressAlg) (*Image, error) {
-	var q int
-	switch alg {
-	case CompressNone:
+	if alg == CompressNone {
 		return im.Clone(), nil
-	case CompressJPEG50:
-		q = 50
-	default:
-		q = 85
 	}
-	return JPEGRoundtrip(im, q)
+	out := NewImage(im.W, im.H)
+	if err := (*Scratch)(nil).jpegRoundtrip(out, im, alg.quality()); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// quality is the JPEG quality of a compressing variant.
+func (a CompressAlg) quality() int {
+	if a == CompressJPEG50 {
+		return 50
+	}
+	return 85
 }
 
 // JPEGRoundtrip encodes the image as JPEG at the given quality using the
 // standard library codec and decodes it back to float.
 func JPEGRoundtrip(im *Image, quality int) (*Image, error) {
-	var buf bytes.Buffer
-	if err := jpeg.Encode(&buf, im.ToNRGBA(), &jpeg.Options{Quality: quality}); err != nil {
-		return nil, fmt.Errorf("isp: jpeg encode: %w", err)
+	out := NewImage(im.W, im.H)
+	if err := (*Scratch)(nil).jpegRoundtrip(out, im, quality); err != nil {
+		return nil, err
 	}
-	decoded, err := jpeg.Decode(&buf)
+	return out, nil
+}
+
+// jpegRoundtrip writes the decoded roundtrip of src into dst (same size; dst
+// may be src). The encoder is handed an opaque *image.RGBA, which it reads
+// byte-wise and encodes to the same stream as the equal *image.NRGBA.
+func (s *Scratch) jpegRoundtrip(dst, src *Image, quality int) error {
+	rgba := s.rgbaFor(src.W, src.H)
+	src.fill8(rgba.Pix)
+	buf := new(bytes.Buffer)
+	if s != nil {
+		buf = &s.jpeg
+		buf.Reset()
+	}
+	if err := jpeg.Encode(buf, rgba, &jpeg.Options{Quality: quality}); err != nil {
+		return fmt.Errorf("isp: jpeg encode: %w", err)
+	}
+	decoded, err := jpeg.Decode(buf)
 	if err != nil {
-		return nil, fmt.Errorf("isp: jpeg decode: %w", err)
+		return fmt.Errorf("isp: jpeg decode: %w", err)
 	}
-	return FromGoImage(decoded), nil
+	if b := decoded.Bounds(); b.Dx() != dst.W || b.Dy() != dst.H {
+		return fmt.Errorf("isp: jpeg decode: %dx%d image from a %dx%d frame", b.Dx(), b.Dy(), dst.W, dst.H)
+	}
+	fromGoImage(dst, decoded)
+	return nil
 }

@@ -28,21 +28,27 @@ func (a DemosaicAlg) String() string {
 }
 
 // Demosaic reconstructs a full-color image from a Bayer RAW frame.
-func Demosaic(r *RAW, alg DemosaicAlg) *Image {
+func Demosaic(r *RAW, alg DemosaicAlg) *Image { return (*Scratch)(nil).demosaic(r, alg) }
+
+func (s *Scratch) demosaic(r *RAW, alg DemosaicAlg) *Image {
 	switch alg {
 	case DemosaicBinning:
-		return demosaicBinning(r)
+		return s.demosaicBinning(r)
 	case DemosaicAHD:
-		return demosaicAHD(r)
+		return s.demosaicAHD(r)
 	default:
-		return demosaicPPG(r)
+		return s.demosaicPPG(r)
 	}
 }
 
 // reflect mirrors an out-of-range coordinate back into [0, n). Mirror
-// reflection (without repeating the edge sample) preserves CFA parity for
-// even-sized frames, which keeps demosaicing correct at the borders.
+// reflection (without repeating the edge sample) preserves CFA parity, which
+// keeps demosaicing correct at the borders. A one-sample axis has nothing to
+// mirror around and maps everything to 0.
 func reflect(v, n int) int {
+	if n == 1 {
+		return 0
+	}
 	for v < 0 || v >= n {
 		if v < 0 {
 			v = -v
@@ -54,44 +60,68 @@ func reflect(v, n int) int {
 	return v
 }
 
-// rawAt reads the RAW with mirror-reflected borders.
-func rawAt(r *RAW, x, y int) float64 {
-	return r.At(reflect(x, r.W), reflect(y, r.H))
+// cfaTaps lists, for each (row, column) parity of a pixel and each channel,
+// which positions of the pixel's 3×3 window pass that channel, in scan
+// order — the order the window sums add them in. Reflection preserves
+// parity, so one table serves interior and border pixels alike.
+type cfaTaps [2][2][3]struct {
+	n      int
+	dy, dx [9]uint8 // window row and column, 0..2
 }
 
-// neighborAvg averages the CFA samples of channel c in the (2k+1)² window
-// centred at (x, y), excluding the centre unless it is channel c.
-func neighborAvg(r *RAW, x, y, c, k int) float64 {
-	var sum float64
-	n := 0
-	for dy := -k; dy <= k; dy++ {
-		for dx := -k; dx <= k; dx++ {
-			xx, yy := reflect(x+dx, r.W), reflect(y+dy, r.H)
-			if cfaColor(r.Pattern, xx, yy) == c {
-				sum += r.At(xx, yy)
-				n++
+func newCFATaps(p BayerPattern) (t cfaTaps) {
+	tile := cfaTile(p)
+	for py := 0; py < 2; py++ {
+		for px := 0; px < 2; px++ {
+			for dy := 0; dy < 3; dy++ {
+				for dx := 0; dx < 3; dx++ {
+					e := &t[py][px][tile[((py+dy-1)&1)*2+((px+dx-1)&1)]]
+					e.dy[e.n], e.dx[e.n] = uint8(dy), uint8(dx)
+					e.n++
+				}
 			}
 		}
 	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
+	return t
+}
+
+// reflectRows3 returns rows y-1, y, y+1 of the frame, and reflectCols3 the
+// columns x-1, x, x+1, both mirror-reflected at the borders: the 3×3 RAW
+// neighbourhood the tap lists index.
+func (r *RAW) reflectRows3(y int) [3][]float64 {
+	return [3][]float64{r.row(reflect(y-1, r.H)), r.row(y), r.row(reflect(y+1, r.H))}
+}
+
+func (r *RAW) reflectCols3(x int) [3]int {
+	return [3]int{reflect(x-1, r.W), x, reflect(x+1, r.W)}
 }
 
 // demosaicBilinear is the plain per-channel neighborhood average used as the
 // base layer of the fancier variants and exported for RAW-mode training
-// (Section 3.3 trains on demosaic-only data).
-func demosaicBilinear(r *RAW) *Image {
-	im := NewImage(r.W, r.H)
+// (Section 3.3 trains on demosaic-only data): a channel the site does not
+// sample is the mean of the 3×3 window's sites that do.
+func (s *Scratch) demosaicBilinear(r *RAW) *Image {
+	im := s.image(r.W, r.H)
+	tile, taps := cfaTile(r.Pattern), newCFATaps(r.Pattern)
 	for y := 0; y < r.H; y++ {
+		rows, out := r.reflectRows3(y), im.row(y)
 		for x := 0; x < r.W; x++ {
-			site := cfaColor(r.Pattern, x, y)
+			xs := r.reflectCols3(x)
+			site := tile[(y&1)*2+(x&1)]
 			for c := 0; c < 3; c++ {
 				if c == site {
-					im.Set(x, y, c, r.At(x, y))
+					out[x*3+c] = rows[1][x]
+					continue
+				}
+				e := &taps[y&1][x&1][c]
+				var sum float64
+				for k := 0; k < e.n; k++ {
+					sum += rows[e.dy[k]][xs[e.dx[k]]]
+				}
+				if e.n == 0 {
+					out[x*3+c] = 0
 				} else {
-					im.Set(x, y, c, neighborAvg(r, x, y, c, 1))
+					out[x*3+c] = sum / float64(e.n)
 				}
 			}
 		}
@@ -101,23 +131,23 @@ func demosaicBilinear(r *RAW) *Image {
 
 // DemosaicBilinearOnly exposes the minimal bilinear reconstruction, used for
 // the paper's RAW-data experiments where the rest of the ISP is bypassed.
-func DemosaicBilinearOnly(r *RAW) *Image { return demosaicBilinear(r) }
+func DemosaicBilinearOnly(r *RAW) *Image { return (*Scratch)(nil).demosaicBilinear(r) }
 
 // demosaicPPG approximates Pixel Grouping: bilinear interpolation with a
 // same-channel Laplacian gradient correction (Malvar-style), which is what
 // PPG's pattern classification converges to on smooth regions.
-func demosaicPPG(r *RAW) *Image {
-	im := demosaicBilinear(r)
+func (s *Scratch) demosaicPPG(r *RAW) *Image {
+	im := s.demosaicBilinear(r)
+	tile := cfaTile(r.Pattern)
 	for y := 0; y < r.H; y++ {
+		row, up, down := r.row(y), r.row(reflect(y-2, r.H)), r.row(reflect(y+2, r.H))
+		out := im.row(y)
 		for x := 0; x < r.W; x++ {
-			site := cfaColor(r.Pattern, x, y)
-			center := r.At(x, y)
 			// Correct the interpolated green at R/B sites using the local
 			// curvature of the site's own channel.
-			if site != 1 {
-				lap := 4*center - rawAt(r, x-2, y) - rawAt(r, x+2, y) - rawAt(r, x, y-2) - rawAt(r, x, y+2)
-				g := im.At(x, y, 1) + lap/8
-				im.Set(x, y, 1, clamp01(g))
+			if tile[(y&1)*2+(x&1)] != 1 {
+				lap := 4*row[x] - row[reflect(x-2, r.W)] - row[reflect(x+2, r.W)] - up[x] - down[x]
+				out[x*3+1] = clamp01(out[x*3+1] + lap/8)
 			}
 		}
 	}
@@ -127,20 +157,24 @@ func demosaicPPG(r *RAW) *Image {
 // demosaicAHD approximates Adaptive Homogeneity-Directed demosaicing: green
 // is interpolated along the direction of least gradient, then chroma is
 // reconstructed from bilinear color differences.
-func demosaicAHD(r *RAW) *Image {
-	im := NewImage(r.W, r.H)
+func (s *Scratch) demosaicAHD(r *RAW) *Image {
+	im := s.image(r.W, r.H)
+	tile, taps := cfaTile(r.Pattern), newCFATaps(r.Pattern)
 	// Pass 1: green plane, edge-directed at non-green sites.
 	for y := 0; y < r.H; y++ {
+		near := r.reflectRows3(y)
+		row, up2, down2 := near[1], r.row(reflect(y-2, r.H)), r.row(reflect(y+2, r.H))
+		out := im.row(y)
 		for x := 0; x < r.W; x++ {
-			if cfaColor(r.Pattern, x, y) == 1 {
-				im.Set(x, y, 1, r.At(x, y))
+			if tile[(y&1)*2+(x&1)] == 1 {
+				out[x*3+1] = row[x]
 				continue
 			}
-			gl, gr := rawAt(r, x-1, y), rawAt(r, x+1, y)
-			gu, gd := rawAt(r, x, y-1), rawAt(r, x, y+1)
-			center := r.At(x, y)
-			gradH := math.Abs(gl-gr) + math.Abs(2*center-rawAt(r, x-2, y)-rawAt(r, x+2, y))
-			gradV := math.Abs(gu-gd) + math.Abs(2*center-rawAt(r, x, y-2)-rawAt(r, x, y+2))
+			gl, gr := row[reflect(x-1, r.W)], row[reflect(x+1, r.W)]
+			gu, gd := near[0][x], near[2][x]
+			center := row[x]
+			gradH := math.Abs(gl-gr) + math.Abs(2*center-row[reflect(x-2, r.W)]-row[reflect(x+2, r.W)])
+			gradV := math.Abs(gu-gd) + math.Abs(2*center-up2[x]-down2[x])
 			var g float64
 			switch {
 			case gradH < gradV:
@@ -150,34 +184,33 @@ func demosaicAHD(r *RAW) *Image {
 			default:
 				g = (gl + gr + gu + gd) / 4
 			}
-			im.Set(x, y, 1, clamp01(g))
+			out[x*3+1] = clamp01(g)
 		}
 	}
 	// Pass 2: chroma via color-difference interpolation against green.
 	for y := 0; y < r.H; y++ {
+		rows, out := r.reflectRows3(y), im.row(y)
+		green := [3][]float64{im.row(reflect(y-1, r.H)), out, im.row(reflect(y+1, r.H))}
 		for x := 0; x < r.W; x++ {
-			site := cfaColor(r.Pattern, x, y)
-			for _, c := range []int{0, 2} {
+			xs := r.reflectCols3(x)
+			site := tile[(y&1)*2+(x&1)]
+			for c := 0; c < 3; c += 2 {
 				if c == site {
-					im.Set(x, y, c, r.At(x, y))
+					out[x*3+c] = rows[1][x]
 					continue
 				}
 				// Average the color difference (C - G) over CFA sites of
 				// channel c in the 3x3 neighborhood.
+				e := &taps[y&1][x&1][c]
 				var sum float64
-				n := 0
-				for dy := -1; dy <= 1; dy++ {
-					for dx := -1; dx <= 1; dx++ {
-						xx := reflect(x+dx, r.W)
-						yy := reflect(y+dy, r.H)
-						if cfaColor(r.Pattern, xx, yy) == c {
-							sum += r.At(xx, yy) - im.At(xx, yy, 1)
-							n++
-						}
-					}
+				for k := 0; k < e.n; k++ {
+					xx := xs[e.dx[k]]
+					sum += rows[e.dy[k]][xx] - green[e.dy[k]][xx*3+1]
 				}
-				if n > 0 {
-					im.Set(x, y, c, clamp01(im.At(x, y, 1)+sum/float64(n)))
+				if e.n == 0 {
+					out[x*3+c] = 0
+				} else {
+					out[x*3+c] = clamp01(out[x*3+1] + sum/float64(e.n))
 				}
 			}
 		}
@@ -188,10 +221,12 @@ func demosaicAHD(r *RAW) *Image {
 // demosaicBinning merges each 2x2 CFA tile into one RGB superpixel at half
 // resolution and bilinearly upsamples back, trading detail for noise — the
 // behaviour of sensor pixel binning.
-func demosaicBinning(r *RAW) *Image {
+func (s *Scratch) demosaicBinning(r *RAW) *Image {
 	hw, hh := (r.W+1)/2, (r.H+1)/2
-	small := NewImage(hw, hh)
+	small := s.image(hw, hh)
+	tile := cfaTile(r.Pattern)
 	for ty := 0; ty < hh; ty++ {
+		out := small.row(ty)
 		for tx := 0; tx < hw; tx++ {
 			var sums [3]float64
 			var counts [3]int
@@ -201,17 +236,19 @@ func demosaicBinning(r *RAW) *Image {
 					if x >= r.W || y >= r.H {
 						continue
 					}
-					c := cfaColor(r.Pattern, x, y)
-					sums[c] += r.At(x, y)
+					c := tile[dy*2+dx]
+					sums[c] += r.Pix[y*r.W+x]
 					counts[c]++
 				}
 			}
 			for c := 0; c < 3; c++ {
 				if counts[c] > 0 {
-					small.Set(tx, ty, c, sums[c]/float64(counts[c]))
+					out[tx*3+c] = sums[c] / float64(counts[c])
+				} else {
+					out[tx*3+c] = 0
 				}
 			}
 		}
 	}
-	return small.Resize(r.W, r.H)
+	return s.Resize(small, r.W, r.H)
 }

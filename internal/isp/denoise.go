@@ -1,9 +1,6 @@
 package isp
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // DenoiseAlg selects the denoising algorithm (Table 3 row "Denoising").
 type DenoiseAlg int
@@ -31,67 +28,121 @@ func (a DenoiseAlg) String() string {
 
 // Denoise applies the selected denoiser, returning a new image.
 func Denoise(im *Image, alg DenoiseAlg) *Image {
+	if alg == DenoiseNone {
+		return im.Clone()
+	}
+	return (*Scratch)(nil).denoise(im, alg)
+}
+
+// denoise leaves im untouched; DenoiseNone returns im itself.
+func (s *Scratch) denoise(im *Image, alg DenoiseAlg) *Image {
 	switch alg {
 	case DenoiseNone:
-		return im.Clone()
+		return im
 	case DenoiseWavelet:
-		return denoiseWaveletBayesShrink(im)
+		return s.denoiseWaveletBayesShrink(im)
 	default:
-		return denoiseFBDD(im)
+		return s.denoiseFBDD(im)
 	}
+}
+
+// clampRows3 returns rows y-1, y, y+1 of the image with the edge row
+// repeated, and clampCols3 the matching sample offsets of columns x-1, x,
+// x+1: the clamp-to-edge 3×3 neighbourhood of the smoothing filters.
+func (im *Image) clampRows3(y int) [3][]float64 {
+	return [3][]float64{im.row(max(y-1, 0)), im.row(y), im.row(min(y+1, im.H-1))}
+}
+
+func (im *Image) clampCols3(x int) [3]int {
+	return [3]int{max(x-1, 0) * 3, x * 3, min(x+1, im.W-1) * 3}
 }
 
 // denoiseFBDD approximates FBDD (Fake Before Demosaicing Denoising as used
 // by LibRaw/dcraw): an impulse-suppression pass (median of the 3x3
 // neighborhood when the centre is an outlier) followed by a light Gaussian
 // smoothing of chroma-like high frequencies.
-func denoiseFBDD(im *Image) *Image {
-	out := im.Clone()
-	var window [9]float64
-	for c := 0; c < 3; c++ {
-		for y := 0; y < im.H; y++ {
-			for x := 0; x < im.W; x++ {
-				k := 0
-				for dy := -1; dy <= 1; dy++ {
-					for dx := -1; dx <= 1; dx++ {
-						window[k] = im.At(clampInt(x+dx, 0, im.W-1), clampInt(y+dy, 0, im.H-1), c)
-						k++
-					}
-				}
-				v := im.At(x, y, c)
-				w := window[:]
-				sort.Float64s(w)
-				med := w[4]
+func (s *Scratch) denoiseFBDD(im *Image) *Image {
+	out := s.image(im.W, im.H)
+	for y := 0; y < im.H; y++ {
+		rows, o := im.clampRows3(y), out.row(y)
+		for x := 0; x < im.W; x++ {
+			xs := im.clampCols3(x)
+			for c := 0; c < 3; c++ {
+				l, m, r := xs[0]+c, xs[1]+c, xs[2]+c
+				v := rows[1][m]
+				med := median9(
+					rows[0][l], rows[0][m], rows[0][r],
+					rows[1][l], v, rows[1][r],
+					rows[2][l], rows[2][m], rows[2][r])
 				// Impulse test: centre far outside the local range.
 				if math.Abs(v-med) > 0.15 {
-					out.Set(x, y, c, med)
+					v = med
 				}
+				o[m] = v
 			}
 		}
 	}
-	return gaussian3(out, 0.35)
+	return s.gaussian3(out, 0.35)
+}
+
+// median9 returns the median of nine values by the 19-exchange selection
+// network (Paeth 1990): the same value sorting them and taking the fifth
+// would give, without the sort. The values must not be NaN — images are
+// finite by construction — and when the median is a zero its sign is the
+// network's pick; the only consumer is gaussian3, whose sums start from +0
+// and so read both zeros alike.
+func median9(p0, p1, p2, p3, p4, p5, p6, p7, p8 float64) float64 {
+	p1, p2 = minmax(p1, p2)
+	p4, p5 = minmax(p4, p5)
+	p7, p8 = minmax(p7, p8)
+	p0, p1 = minmax(p0, p1)
+	p3, p4 = minmax(p3, p4)
+	p6, p7 = minmax(p6, p7)
+	p1, p2 = minmax(p1, p2)
+	p4, p5 = minmax(p4, p5)
+	p7, p8 = minmax(p7, p8)
+	p0, p3 = minmax(p0, p3)
+	p5, p8 = minmax(p5, p8)
+	p4, p7 = minmax(p4, p7)
+	p3, p6 = minmax(p3, p6)
+	p1, p4 = minmax(p1, p4)
+	p2, p5 = minmax(p2, p5)
+	p4, p7 = minmax(p4, p7)
+	p4, p2 = minmax(p4, p2)
+	_, p4 = minmax(p6, p4)
+	p4, _ = minmax(p4, p2)
+	return p4
+}
+
+// minmax is one compare-exchange: (a, b) in ascending order. The builtins
+// keep it branch-free — sensor noise makes the comparisons unpredictable.
+func minmax(a, b float64) (float64, float64) {
+	return min(a, b), max(a, b)
 }
 
 // gaussian3 applies a 3x3 blur with centre weight (1-a) and the remaining
-// mass a spread over the 8 neighbors — a cheap separable-ish smoother.
-func gaussian3(im *Image, a float64) *Image {
-	out := NewImage(im.W, im.H)
-	side := a / 8
-	for c := 0; c < 3; c++ {
-		for y := 0; y < im.H; y++ {
-			for x := 0; x < im.W; x++ {
-				var s float64
-				for dy := -1; dy <= 1; dy++ {
-					for dx := -1; dx <= 1; dx++ {
-						v := im.At(clampInt(x+dx, 0, im.W-1), clampInt(y+dy, 0, im.H-1), c)
-						if dx == 0 && dy == 0 {
-							s += v * (1 - a)
-						} else {
-							s += v * side
-						}
-					}
-				}
-				out.Set(x, y, c, s)
+// mass a spread over the 8 neighbors — a cheap separable-ish smoother. The
+// nine products are added in window scan order from +0.
+func (s *Scratch) gaussian3(im *Image, a float64) *Image {
+	out := s.image(im.W, im.H)
+	side, centre := a/8, 1-a
+	for y := 0; y < im.H; y++ {
+		rows, o := im.clampRows3(y), out.row(y)
+		for x := 0; x < im.W; x++ {
+			xs := im.clampCols3(x)
+			for c := 0; c < 3; c++ {
+				l, m, r := xs[0]+c, xs[1]+c, xs[2]+c
+				var sum float64
+				sum += rows[0][l] * side
+				sum += rows[0][m] * side
+				sum += rows[0][r] * side
+				sum += rows[1][l] * side
+				sum += rows[1][m] * centre
+				sum += rows[1][r] * side
+				sum += rows[2][l] * side
+				sum += rows[2][m] * side
+				sum += rows[2][r] * side
+				o[m] = sum
 			}
 		}
 	}
@@ -102,24 +153,23 @@ func gaussian3(im *Image, a float64) *Image {
 // transform per channel, soft-thresholds the detail coefficients with the
 // BayesShrink threshold T = σ²/σ_x (noise σ estimated from the diagonal
 // subband median), and reconstructs.
-func denoiseWaveletBayesShrink(im *Image) *Image {
-	out := im.Clone()
+func (s *Scratch) denoiseWaveletBayesShrink(im *Image) *Image {
+	out := s.image(im.W, im.H)
+	copy(out.Pix, im.Pix)
 	w2, h2 := im.W/2, im.H/2
 	if w2 == 0 || h2 == 0 {
 		return out
 	}
-	ll := make([]float64, w2*h2)
-	lh := make([]float64, w2*h2)
-	hl := make([]float64, w2*h2)
-	hh := make([]float64, w2*h2)
+	n := w2 * h2
+	sub := s.plane(5 * n)
+	ll, lh, hl, hh, abs := sub[:n], sub[n:2*n], sub[2*n:3*n], sub[3*n:4*n], sub[4*n:]
 	for c := 0; c < 3; c++ {
 		// Forward Haar on 2x2 blocks.
 		for y := 0; y < h2; y++ {
+			top, bottom := im.row(2*y), im.row(min(2*y+1, im.H-1))
 			for x := 0; x < w2; x++ {
-				a := im.At(2*x, 2*y, c)
-				b := im.At(clampInt(2*x+1, 0, im.W-1), 2*y, c)
-				d := im.At(2*x, clampInt(2*y+1, 0, im.H-1), c)
-				e := im.At(clampInt(2*x+1, 0, im.W-1), clampInt(2*y+1, 0, im.H-1), c)
+				x0, x1 := 2*x*3+c, min(2*x+1, im.W-1)*3+c
+				a, b, d, e := top[x0], top[x1], bottom[x0], bottom[x1]
 				i := y*w2 + x
 				ll[i] = (a + b + d + e) / 2
 				lh[i] = (a - b + d - e) / 2
@@ -128,42 +178,86 @@ func denoiseWaveletBayesShrink(im *Image) *Image {
 			}
 		}
 		// BayesShrink threshold from the HH subband.
-		sigma := medianAbs(hh) / 0.6745
+		sigma := medianAbs(hh, abs) / 0.6745
 		t := bayesThreshold(hh, sigma)
 		softThreshold(lh, t)
 		softThreshold(hl, t)
 		softThreshold(hh, t)
-		// Inverse Haar.
+		// Inverse Haar. 2x+1 < W and 2y+1 < H for every block, since
+		// w2 = W/2 and h2 = H/2 round down.
 		for y := 0; y < h2; y++ {
+			top, bottom := out.row(2*y), out.row(2*y+1)
 			for x := 0; x < w2; x++ {
 				i := y*w2 + x
-				a := (ll[i] + lh[i] + hl[i] + hh[i]) / 2
-				b := (ll[i] - lh[i] + hl[i] - hh[i]) / 2
-				d := (ll[i] + lh[i] - hl[i] - hh[i]) / 2
-				e := (ll[i] - lh[i] - hl[i] + hh[i]) / 2
-				out.Set(2*x, 2*y, c, clamp01(a))
-				if 2*x+1 < im.W {
-					out.Set(2*x+1, 2*y, c, clamp01(b))
-				}
-				if 2*y+1 < im.H {
-					out.Set(2*x, 2*y+1, c, clamp01(d))
-				}
-				if 2*x+1 < im.W && 2*y+1 < im.H {
-					out.Set(2*x+1, 2*y+1, c, clamp01(e))
-				}
+				x0, x1 := 2*x*3+c, (2*x+1)*3+c
+				top[x0] = clamp01((ll[i] + lh[i] + hl[i] + hh[i]) / 2)
+				top[x1] = clamp01((ll[i] - lh[i] + hl[i] - hh[i]) / 2)
+				bottom[x0] = clamp01((ll[i] + lh[i] - hl[i] - hh[i]) / 2)
+				bottom[x1] = clamp01((ll[i] - lh[i] - hl[i] + hh[i]) / 2)
 			}
 		}
 	}
 	return out
 }
 
-func medianAbs(v []float64) float64 {
-	tmp := make([]float64, len(v))
+// medianAbs returns the upper median of |v|, using tmp (len(v)) as working
+// storage.
+func medianAbs(v, tmp []float64) float64 {
 	for i, x := range v {
 		tmp[i] = math.Abs(x)
 	}
-	sort.Float64s(tmp)
-	return tmp[len(tmp)/2]
+	return selectKth(tmp, len(tmp)/2)
+}
+
+// selectKth returns the k-th smallest element of v (0-based) — the value
+// sort.Float64s(v); v[k] would give — by quickselect, reordering v. v must
+// not contain NaN.
+func selectKth(v []float64, k int) float64 {
+	lo, hi := 0, len(v)-1
+	for hi-lo > 8 {
+		// Median-of-three pivot, then Hoare partition.
+		mid := lo + (hi-lo)/2
+		if v[mid] < v[lo] {
+			v[mid], v[lo] = v[lo], v[mid]
+		}
+		if v[hi] < v[lo] {
+			v[hi], v[lo] = v[lo], v[hi]
+		}
+		if v[hi] < v[mid] {
+			v[hi], v[mid] = v[mid], v[hi]
+		}
+		pivot := v[mid]
+		i, j := lo, hi
+		for i <= j {
+			for v[i] < pivot {
+				i++
+			}
+			for v[j] > pivot {
+				j--
+			}
+			if i <= j {
+				v[i], v[j] = v[j], v[i]
+				i++
+				j--
+			}
+		}
+		// v[lo..j] <= pivot <= v[i..hi], and anything between is the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return v[k]
+		}
+	}
+	// Insertion sort of the short remainder.
+	for i := lo + 1; i <= hi; i++ {
+		for j := i; j > lo && v[j] < v[j-1]; j-- {
+			v[j], v[j-1] = v[j-1], v[j]
+		}
+	}
+	return v[k]
 }
 
 // bayesThreshold computes σ²/σ_x where σ_x² = max(var(subband) - σ², 0).

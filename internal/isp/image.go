@@ -56,10 +56,13 @@ func (im *Image) Clamp() {
 }
 
 // ChannelMeans returns the per-channel means (used by gray-world WB and by
-// tests asserting color-cast behaviour).
+// tests asserting color-cast behaviour); all zero for an empty image.
 func (im *Image) ChannelMeans() [3]float64 {
 	var sums [3]float64
 	n := im.W * im.H
+	if n == 0 {
+		return sums
+	}
 	for i := 0; i < n; i++ {
 		for c := 0; c < 3; c++ {
 			sums[c] += im.Pix[i*3+c]
@@ -109,34 +112,51 @@ func FromTensor(t *tensor.Tensor) (*Image, error) {
 // ToNRGBA converts to an 8-bit standard-library image (values clamped).
 func (im *Image) ToNRGBA() *image.NRGBA {
 	out := image.NewNRGBA(image.Rect(0, 0, im.W, im.H))
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			i := (y*im.W + x) * 3
-			out.SetNRGBA(x, y, color.NRGBA{
-				R: to8(im.Pix[i]),
-				G: to8(im.Pix[i+1]),
-				B: to8(im.Pix[i+2]),
-				A: 255,
-			})
-		}
-	}
+	im.fill8(out.Pix)
 	return out
+}
+
+// fill8 writes the image as opaque 8-bit RGBA quadruples, the byte layout of
+// both image.NRGBA and image.RGBA at alpha 255.
+func (im *Image) fill8(pix []uint8) {
+	for i, n := 0, im.W*im.H; i < n; i++ {
+		pix[i*4] = to8(im.Pix[i*3])
+		pix[i*4+1] = to8(im.Pix[i*3+1])
+		pix[i*4+2] = to8(im.Pix[i*3+2])
+		pix[i*4+3] = 255
+	}
 }
 
 // FromGoImage converts any stdlib image into a float Image.
 func FromGoImage(src image.Image) *Image {
 	b := src.Bounds()
 	im := NewImage(b.Dx(), b.Dy())
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			r, g, bl, _ := src.At(b.Min.X+x, b.Min.Y+y).RGBA()
-			i := (y*im.W + x) * 3
-			im.Pix[i] = float64(r) / 65535
-			im.Pix[i+1] = float64(g) / 65535
-			im.Pix[i+2] = float64(bl) / 65535
+	fromGoImage(im, src)
+	return im
+}
+
+// fromGoImage fills dst, which has src's size, with src's 16-bit samples
+// scaled to [0,1]. The JPEG decoder's *image.YCbCr is read plane by plane
+// through the same color.YCbCr conversion its At method boxes per pixel;
+// every other type takes the generic At loop.
+func fromGoImage(dst *Image, src image.Image) {
+	b := src.Bounds()
+	ycc, _ := src.(*image.YCbCr)
+	for y := 0; y < dst.H; y++ {
+		row := dst.Pix[y*dst.W*3 : (y+1)*dst.W*3]
+		for x := 0; x < dst.W; x++ {
+			var r, g, bl uint32
+			if ycc != nil {
+				yi, ci := ycc.YOffset(b.Min.X+x, b.Min.Y+y), ycc.COffset(b.Min.X+x, b.Min.Y+y)
+				r, g, bl, _ = color.YCbCr{Y: ycc.Y[yi], Cb: ycc.Cb[ci], Cr: ycc.Cr[ci]}.RGBA()
+			} else {
+				r, g, bl, _ = src.At(b.Min.X+x, b.Min.Y+y).RGBA()
+			}
+			row[x*3] = float64(r) / 65535
+			row[x*3+1] = float64(g) / 65535
+			row[x*3+2] = float64(bl) / 65535
 		}
 	}
-	return im
 }
 
 func to8(v float64) uint8 {
@@ -150,12 +170,21 @@ func to8(v float64) uint8 {
 	return uint8(v)
 }
 
-// Resize bilinearly resamples the image to (w, h).
+// Resize bilinearly resamples the image to (w, h), returning a new image.
 func (im *Image) Resize(w, h int) *Image {
 	if w == im.W && h == im.H {
 		return im.Clone()
 	}
-	out := NewImage(w, h)
+	return (*Scratch)(nil).Resize(im, w, h)
+}
+
+// Resize is Image.Resize into scratch storage, except that an image already
+// at (w, h) is returned as it is rather than copied.
+func (s *Scratch) Resize(im *Image, w, h int) *Image {
+	if w == im.W && h == im.H {
+		return im
+	}
+	out := s.image(w, h)
 	sx := float64(im.W) / float64(w)
 	sy := float64(im.H) / float64(h)
 	for y := 0; y < h; y++ {
@@ -163,28 +192,30 @@ func (im *Image) Resize(w, h int) *Image {
 		y0 := int(math.Floor(fy))
 		ty := fy - float64(y0)
 		y1 := y0 + 1
-		y0 = clampInt(y0, 0, im.H-1)
-		y1 = clampInt(y1, 0, im.H-1)
+		r0 := im.row(clampInt(y0, 0, im.H-1))
+		r1 := im.row(clampInt(y1, 0, im.H-1))
+		o := out.row(y)
 		for x := 0; x < w; x++ {
 			fx := (float64(x)+0.5)*sx - 0.5
 			x0 := int(math.Floor(fx))
 			tx := fx - float64(x0)
 			x1 := x0 + 1
-			x0 = clampInt(x0, 0, im.W-1)
-			x1 = clampInt(x1, 0, im.W-1)
+			i0 := clampInt(x0, 0, im.W-1) * 3
+			i1 := clampInt(x1, 0, im.W-1) * 3
 			for c := 0; c < 3; c++ {
-				v00 := im.At(x0, y0, c)
-				v10 := im.At(x1, y0, c)
-				v01 := im.At(x0, y1, c)
-				v11 := im.At(x1, y1, c)
+				v00, v10 := r0[i0+c], r0[i1+c]
+				v01, v11 := r1[i0+c], r1[i1+c]
 				top := v00 + (v10-v00)*tx
 				bot := v01 + (v11-v01)*tx
-				out.Set(x, y, c, top+(bot-top)*ty)
+				o[x*3+c] = top + (bot-top)*ty
 			}
 		}
 	}
 	return out
 }
+
+// row returns the interleaved samples of image row y.
+func (im *Image) row(y int) []float64 { return im.Pix[y*im.W*3 : (y+1)*im.W*3] }
 
 // MSE returns the mean squared error between two same-sized images.
 func (im *Image) MSE(o *Image) float64 {

@@ -92,15 +92,22 @@ func (p Pipeline) String() string {
 
 // Process runs a RAW frame through the full pipeline, producing the
 // display-referred image a device's camera app would save.
-func (p Pipeline) Process(raw *RAW) (*Image, error) {
-	im := Demosaic(raw, p.Demosaic)
-	im = Denoise(im, p.Denoise)
-	im = WhiteBalance(im, p.WB)
-	im = GamutMap(im, p.Gamut)
-	im = ToneTransform(im, p.Tone)
-	im, err := Compress(im, p.Compress)
-	if err != nil {
-		return nil, err
+func (p Pipeline) Process(raw *RAW) (*Image, error) { return (*Scratch)(nil).Process(p, raw) }
+
+// Process is Pipeline.Process on scratch storage. Demosaic and the
+// neighbourhood denoisers write fresh planes; every later stage is pointwise
+// (or, for JPEG, reads all of the image before writing any of it) and works
+// in place on the plane it is handed.
+func (s *Scratch) Process(p Pipeline, raw *RAW) (*Image, error) {
+	im := s.demosaic(raw, p.Demosaic)
+	im = s.denoise(im, p.Denoise)
+	s.whiteBalance(im, p.WB)
+	gamutMap(im, p.Gamut)
+	toneTransform(im, p.Tone)
+	if p.Compress != CompressNone {
+		if err := s.jpegRoundtrip(im, im, p.Compress.quality()); err != nil {
+			return nil, err
+		}
 	}
 	im.Clamp()
 	return im, nil
@@ -109,8 +116,11 @@ func (p Pipeline) Process(raw *RAW) (*Image, error) {
 // ProcessRAWOnly converts a RAW frame with the minimal bilinear demosaic and
 // no further processing — the "RAW data" condition of Section 3.3, which
 // exposes the sensor's uncorrected output to the model.
-func ProcessRAWOnly(raw *RAW) *Image {
-	im := DemosaicBilinearOnly(raw)
+func ProcessRAWOnly(raw *RAW) *Image { return (*Scratch)(nil).ProcessRAWOnly(raw) }
+
+// ProcessRAWOnly is the package-level ProcessRAWOnly on scratch storage.
+func (s *Scratch) ProcessRAWOnly(raw *RAW) *Image {
+	im := s.demosaicBilinear(raw)
 	im.Clamp()
 	return im
 }

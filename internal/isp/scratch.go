@@ -1,0 +1,103 @@
+package isp
+
+import (
+	"bytes"
+	"image"
+)
+
+// Scratch recycles the per-image intermediates of a capture loop: the
+// resized scene, the RAW frame, the demosaic and denoise planes, the 8-bit
+// JPEG hand-off and its byte buffer, and the vendor-gamma tables. A loop
+// calls Reset once per image; every image or frame a method hands out after
+// that belongs to the scratch, never aliases another one handed out since
+// the same Reset, and is overwritten after the next. The only thing a loop
+// keeps per image is what it copies out (Image.ToTensor).
+//
+// A nil *Scratch allocates every result instead, which is exactly what the
+// package-level functions do: each of them is the nil-scratch form of the
+// method of the same name, so the two paths share one implementation and
+// one byte-for-byte result. A Scratch is not safe for concurrent use.
+type Scratch struct {
+	images []*Image
+	raws   []*RAW
+	planes [][]float64
+	nImage int
+	nRAW   int
+	nPlane int
+
+	rgba   *image.RGBA
+	jpeg   bytes.Buffer
+	gammas []*gammaTable
+}
+
+// Reset recycles everything handed out since the previous Reset.
+func (s *Scratch) Reset() {
+	s.nImage, s.nRAW, s.nPlane = 0, 0, 0
+}
+
+// fit returns buf resized to n samples, reallocating only to grow. The
+// contents are whatever the previous image left there.
+func fit(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+// image returns a w×h image whose samples are undefined under a scratch
+// (callers write every one) and zero without.
+func (s *Scratch) image(w, h int) *Image {
+	if s == nil {
+		return NewImage(w, h)
+	}
+	if s.nImage == len(s.images) {
+		s.images = append(s.images, &Image{})
+	}
+	im := s.images[s.nImage]
+	s.nImage++
+	im.W, im.H, im.Pix = w, h, fit(im.Pix, w*h*3)
+	return im
+}
+
+// raw is image for Bayer frames.
+func (s *Scratch) raw(w, h int, p BayerPattern) *RAW {
+	if s == nil {
+		return NewRAW(w, h, p)
+	}
+	if s.nRAW == len(s.raws) {
+		s.raws = append(s.raws, &RAW{})
+	}
+	r := s.raws[s.nRAW]
+	s.nRAW++
+	r.W, r.H, r.Pattern, r.Pix = w, h, p, fit(r.Pix, w*h)
+	return r
+}
+
+// plane returns n float64s of working storage, contents undefined.
+func (s *Scratch) plane(n int) []float64 {
+	if s == nil {
+		return make([]float64, n)
+	}
+	if s.nPlane == len(s.planes) {
+		s.planes = append(s.planes, nil)
+	}
+	p := fit(s.planes[s.nPlane], n)
+	s.planes[s.nPlane] = p
+	s.nPlane++
+	return p
+}
+
+// rgbaFor returns an opaque w×h 8-bit image for the JPEG encoder; callers
+// overwrite every pixel, alpha included.
+func (s *Scratch) rgbaFor(w, h int) *image.RGBA {
+	if s == nil {
+		return image.NewRGBA(image.Rect(0, 0, w, h))
+	}
+	if s.rgba == nil || cap(s.rgba.Pix) < w*h*4 {
+		s.rgba = image.NewRGBA(image.Rect(0, 0, w, h))
+	}
+	s.rgba.Pix = s.rgba.Pix[:w*h*4]
+	s.rgba.Stride = w * 4
+	s.rgba.Rect = image.Rect(0, 0, w, h)
+	return s.rgba
+}
