@@ -180,3 +180,51 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		}
 	}
 }
+
+// Expose is Capture without the per-call Validate: the same frame and the
+// same stream position, whether its buffers are fresh or recycled and
+// whether the scene arrives at scene size or already at sensor resolution.
+// The scene is only read.
+func TestExposeMatchesCapture(t *testing.T) {
+	s := idealSensor(12)
+	s.ColorMatrix = CrosstalkMatrix(0.1)
+	s.IlluminantGains = [3]float64{1.3, 1, 0.7}
+	s.Vignetting, s.ShotNoise, s.ReadNoise, s.BlackLevel = 0.2, 0.03, 0.01, 0.004
+	scene := isp.NewImage(20, 20)
+	fill := frand.New(3)
+	for i := range scene.Pix {
+		scene.Pix[i] = fill.Float64()
+	}
+	pristine := scene.Clone()
+
+	ref := frand.New(9)
+	want, err := s.Capture(scene, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := ref.Uint64() // where Capture left the stream
+	var sc isp.Scratch
+	sc.Mosaic(flatScene(30, 30, 1, 1, 1), isp.RGGB) // leave something in the buffers
+	views := []*isp.Image{scene, scene.Resize(12, 12)}
+	for _, view := range views {
+		for _, scratch := range []*isp.Scratch{nil, &sc} {
+			scratch.Reset()
+			rng := frand.New(9)
+			got := s.Expose(view, rng, scratch)
+			if got.W != want.W || got.H != want.H || got.Pattern != want.Pattern {
+				t.Fatalf("frame %dx%d %v", got.W, got.H, got.Pattern)
+			}
+			for i := range want.Pix {
+				if math.Float64bits(got.Pix[i]) != math.Float64bits(want.Pix[i]) {
+					t.Fatalf("sample %d differs from Capture", i)
+				}
+			}
+			if rng.Uint64() != next {
+				t.Fatal("Expose consumed the stream differently")
+			}
+		}
+	}
+	if scene.MSE(pristine) != 0 {
+		t.Fatal("Expose wrote to the scene")
+	}
+}

@@ -1,6 +1,10 @@
 package dataset
 
 import (
+	"errors"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"heteroswitch/internal/device"
@@ -195,5 +199,126 @@ func TestCaptureWithPipeline(t *testing.T) {
 	}
 	if a.Samples[0].X.AllClose(b.Samples[0].X, 1e-5) {
 		t.Fatal("tone-omitted pipeline produced identical tensors")
+	}
+}
+
+// refCapture is the capture loop as it was before captureGrid: the public,
+// allocating device calls, one image after another.
+func refCapture(t *testing.T, scenes []scene.Scene, dev *device.Profile, devIndex int,
+	mode CaptureMode, outRes int, rng *frand.RNG) []Sample {
+	t.Helper()
+	var out []Sample
+	for _, sc := range scenes {
+		capture := dev.CaptureProcessed
+		if mode == ModeRAW {
+			capture = dev.CaptureRAW
+		}
+		im, err := capture(sc.Image, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, Sample{X: im.Resize(outRes, outRes).ToTensor(), Label: sc.Class, Device: devIndex})
+	}
+	return out
+}
+
+func sameSamples(t *testing.T, what string, got, want []Sample) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d samples, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Label != want[i].Label || got[i].Device != want[i].Device {
+			t.Fatalf("%s: sample %d tagged (%d,%d), want (%d,%d)", what, i,
+				got[i].Label, got[i].Device, want[i].Label, want[i].Device)
+		}
+		g, w := got[i].X.Data(), want[i].X.Data()
+		if len(g) != len(w) {
+			t.Fatalf("%s: sample %d has %d values, want %d", what, i, len(g), len(w))
+		}
+		for k := range w {
+			if math.Float32bits(g[k]) != math.Float32bits(w[k]) {
+				t.Fatalf("%s: sample %d value %d differs", what, i, k)
+			}
+		}
+	}
+}
+
+// Image-grain scheduling must not show in the data: at every worker count,
+// CaptureDevices gives what one allocating capture loop per device gives.
+// The population repeats a resolution (the shared pre-resized scenes), has
+// a lone one (resized per image) and one at scene size (no resize at all),
+// and more workers than devices.
+func TestCaptureDevicesMatchesPerDeviceLoops(t *testing.T) {
+	gen := scene.NewImageNet12(64)
+	scenes := gen.RenderSet(1, frand.New(51))[:5]
+	var devs []*device.Profile
+	for _, name := range []string{"S9", "Pixel5", "G7", "S6"} { // 48, 64, 48, 32
+		dev, err := device.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		devs = append(devs, dev)
+	}
+	streams := func() []*frand.RNG {
+		rngs := make([]*frand.RNG, len(devs))
+		for i := range rngs {
+			rngs[i] = frand.New(uint64(100 + i))
+		}
+		return rngs
+	}
+	for _, mode := range []CaptureMode{ModeProcessed, ModeRAW} {
+		rngs := streams()
+		want := make([][]Sample, len(devs))
+		for i, dev := range devs {
+			want[i] = refCapture(t, scenes, dev, i, mode, 32, rngs[i])
+		}
+		for _, workers := range []int{0, 1, 2, 3, 8} {
+			got, err := CaptureDevices(scenes, devs, mode, 32, 12, streams(), workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range devs {
+				if got[i].NumClasses != 12 {
+					t.Fatalf("NumClasses %d", got[i].NumClasses)
+				}
+				sameSamples(t, fmt.Sprintf("mode %d workers %d %s", mode, workers, devs[i].Name), got[i].Samples, want[i])
+			}
+		}
+		// Capture is the one-device case and leaves the stream where the
+		// allocating loop leaves it.
+		rng, ref := frand.New(100), frand.New(100)
+		one, err := Capture(scenes, devs[0], 9, mode, 32, 12, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameSamples(t, "Capture", one.Samples, refCapture(t, scenes, devs[0], 9, mode, 32, ref))
+		if rng.Uint64() != ref.Uint64() {
+			t.Fatal("Capture consumed its stream differently")
+		}
+	}
+}
+
+// A develop error from any worker surfaces once, with class and device.
+func TestCaptureGridPropagatesDevelopErrors(t *testing.T) {
+	gen := scene.NewImageNet12(16)
+	scenes := gen.RenderSet(1, frand.New(1))
+	dev, err := device.ByName("S6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	develop := func(dev *device.Profile, raw *isp.RAW, sc *isp.Scratch) (*isp.Image, error) {
+		if raw.Pix[0] >= 0 { // always
+			return nil, fmt.Errorf("device %s: %w", dev.Name, boom)
+		}
+		return sc.ProcessRAWOnly(raw), nil
+	}
+	for _, workers := range []int{1, 4} {
+		_, err := captureGrid(scenes, []*device.Profile{dev, dev}, []int{0, 1}, develop, 16, 12,
+			[]*frand.RNG{frand.New(1), frand.New(2)}, workers)
+		if !errors.Is(err, boom) || !strings.Contains(err.Error(), "capture class") {
+			t.Fatalf("workers %d: error %v", workers, err)
+		}
 	}
 }

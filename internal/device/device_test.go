@@ -232,3 +232,91 @@ func TestVendorTuningApplied(t *testing.T) {
 		t.Error("vendor tuning has no effect")
 	}
 }
+
+// One scratch serves every profile in turn (three sensor resolutions, five
+// gamma tables): exposing and developing through it gives the bits of the
+// allocating CaptureProcessed, and the shared scene is never written.
+func TestScratchCaptureMatchesCaptureProcessed(t *testing.T) {
+	gen := scene.NewImageNet12(64)
+	scenes := []*isp.Image{gen.Render(2, frand.New(17)), gen.Render(7, frand.New(18))}
+	pristine := []*isp.Image{scenes[0].Clone(), scenes[1].Clone()}
+	var sc isp.Scratch
+	for rep := 0; rep < 2; rep++ {
+		for i, p := range Profiles() {
+			scn := scenes[(i+rep)%2]
+			want, err := p.CaptureProcessed(scn, frand.New(uint64(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.Reset()
+			got, err := p.Develop(p.Sensor.Expose(scn, frand.New(uint64(i)), &sc), &sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range want.Pix {
+				if math.Float64bits(got.Pix[k]) != math.Float64bits(want.Pix[k]) {
+					t.Fatalf("%s: sample %d differs between the scratch and allocating paths", p.Name, k)
+				}
+			}
+		}
+	}
+	for i := range scenes {
+		if scenes[i].MSE(pristine[i]) != 0 {
+			t.Fatal("capture wrote to the shared scene")
+		}
+	}
+}
+
+// In steady state a capture on a scratch allocates nothing of its own: with
+// the JPEG stage off the count is exactly zero, so a stage that goes back to
+// cloning its input fails here; with it on, what remains is the stdlib
+// codec's per-call state (encoder buffer, decoder tables, YCbCr planes).
+func TestScratchCaptureSteadyStateAllocs(t *testing.T) {
+	gen := scene.NewImageNet12(64)
+	scn := gen.Render(2, frand.New(17))
+	for _, p := range Profiles() {
+		for _, jpeg := range []bool{false, true} {
+			q := *p
+			limit := 16.0
+			if !jpeg {
+				q.ISP.Compress = isp.CompressNone
+				limit = 0
+			}
+			rng := frand.New(1)
+			var sc isp.Scratch
+			allocs := testing.AllocsPerRun(10, func() {
+				sc.Reset()
+				im, err := q.Develop(q.Sensor.Expose(scn, rng, &sc), &sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sc.Resize(im, 32, 32)
+			})
+			if allocs > limit {
+				t.Errorf("%s (jpeg %v): %v allocations per capture, want at most %v", p.Name, jpeg, allocs, limit)
+			}
+		}
+	}
+}
+
+// BenchmarkSensorCapture times one exposure (resize, crosstalk, gains,
+// vignetting, mosaic, noise, quantization) per sensor tier, on the scratch
+// path the capture loops run.
+func BenchmarkSensorCapture(b *testing.B) {
+	scn := scene.NewImageNet12(64).Render(4, frand.New(42))
+	for _, name := range []string{"S22", "S9", "S6"} {
+		p, err := ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(string(p.Tier), func(b *testing.B) {
+			rng := frand.New(1)
+			var sc isp.Scratch
+			b.ReportAllocs()
+			for b.Loop() {
+				sc.Reset()
+				p.Sensor.Expose(scn, rng, &sc)
+			}
+		})
+	}
+}

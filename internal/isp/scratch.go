@@ -30,8 +30,12 @@ type Scratch struct {
 	gammas []*gammaTable
 }
 
-// Reset recycles everything handed out since the previous Reset.
+// Reset recycles everything handed out since the previous Reset (nothing,
+// for a nil scratch).
 func (s *Scratch) Reset() {
+	if s == nil {
+		return
+	}
 	s.nImage, s.nRAW, s.nPlane = 0, 0, 0
 }
 
