@@ -12,6 +12,46 @@
 // cmd/heterobench, cmd/flsim, cmd/flserve, cmd/ispdemo, and the runnable
 // examples/.
 //
+// # Capture path
+//
+// Every dataset starts as captures: a camera.Sensor exposes a shared scene
+// into a RAW frame, an isp.Pipeline (plus the device's vendor tuning)
+// develops it, and the result is resized into the sample tensor. The path is
+// written to cost what its float64 arithmetic costs, and every rewrite of it
+// is held to the bytes it produced before (pinned per Table-1 device, per
+// Table-3 cell and for random profiles in
+// internal/experiments/capture_pin_test.go; each primitive against its old
+// implementation at tolerance zero in internal/isp/differential_test.go).
+//
+// What is memoised, and why that is exact: the vendor tone gamma runs on
+// JPEG-decoder output, whose samples are exactly code/65535 for a 16-bit
+// code, so isp.Scratch keeps one lazily filled 65 536-entry table of
+// math.Pow(code/65535, gamma) per exponent and uses an entry only when
+// float64(code)/65535 == v holds for the sample; any other sample (a
+// pipeline without JPEG) calls math.Pow. The table entry IS the math.Pow
+// result for that very argument. The sRGB encode sees continuous values and
+// keeps its math.Pow per sample — the remaining floor of the path, with the
+// stdlib JPEG codec and demosaicing. The 3×3 median is a 19-exchange
+// selection network and the percentiles are quickselect: both return the
+// order statistic a full sort would. Scenes are resized once per sensor
+// resolution that several devices share.
+//
+// Who owns scratch: a capture loop (dataset.Capture*, flair.Build) owns one
+// isp.Scratch per worker, Reset once per image; every intermediate — resized
+// scene, RAW frame, demosaic and denoise planes, the 8-bit JPEG hand-off and
+// its byte buffer — lives there, the pointwise stages work in place, and the
+// sample tensor is the only per-image allocation that survives. A nil
+// *Scratch allocates instead: the package-level isp, camera and device
+// functions are the nil-scratch form of the same code and keep their
+// "returns a new image, input untouched" contract.
+//
+// Why exposure is sequential and development is not: exposure draws the
+// sensor noise from the device's RNG stream, so a device's frames are
+// exposed in scene order, under that device's lock; development is a pure
+// function of the exposed frame. dataset.CaptureDevices therefore hands out
+// images, not devices, to opts.Workers, and the data is identical at every
+// worker count.
+//
 // # Aggregation: one core, two window drivers
 //
 // internal/fl has one aggregation core (the unexported engine that fl.Server

@@ -178,12 +178,7 @@ const (
 // provided device index.
 func Capture(scenes []scene.Scene, dev *device.Profile, devIndex int,
 	mode CaptureMode, outRes, numClasses int, rng *frand.RNG) (*Dataset, error) {
-	sets, err := captureGrid(scenes, []*device.Profile{dev}, []int{devIndex}, mode.develop(),
-		outRes, numClasses, []*frand.RNG{rng}, 1)
-	if err != nil {
-		return nil, err
-	}
-	return sets[0], nil
+	return captureOne(scenes, dev, devIndex, mode.develop(), outRes, numClasses, rng)
 }
 
 // CaptureWithPipeline photographs every scene with the device's sensor but a
@@ -198,7 +193,13 @@ func CaptureWithPipeline(scenes []scene.Scene, dev *device.Profile, devIndex int
 		}
 		return im, nil
 	}
-	sets, err := captureGrid(scenes, []*device.Profile{dev}, []int{devIndex}, develop,
+	return captureOne(scenes, dev, devIndex, develop, outRes, numClasses, rng)
+}
+
+// captureOne is captureGrid for a single device, on the calling goroutine.
+func captureOne(scenes []scene.Scene, dev *device.Profile, devIndex int, develop developFunc,
+	outRes, numClasses int, rng *frand.RNG) (*Dataset, error) {
+	sets, err := captureGrid(scenes, []*device.Profile{dev}, devIndex, develop,
 		outRes, numClasses, []*frand.RNG{rng}, 1)
 	if err != nil {
 		return nil, err
@@ -214,11 +215,7 @@ func CaptureWithPipeline(scenes []scene.Scene, dev *device.Profile, devIndex int
 // count.
 func CaptureDevices(scenes []scene.Scene, devs []*device.Profile, mode CaptureMode,
 	outRes, numClasses int, rngs []*frand.RNG, workers int) ([]*Dataset, error) {
-	index := make([]int, len(devs))
-	for i := range index {
-		index[i] = i
-	}
-	return captureGrid(scenes, devs, index, mode.develop(), outRes, numClasses, rngs, workers)
+	return captureGrid(scenes, devs, 0, mode.develop(), outRes, numClasses, rngs, workers)
 }
 
 // developFunc develops one RAW frame of a device into scratch storage.
@@ -245,8 +242,8 @@ func (m CaptureMode) develop() developFunc {
 //
 // Each worker owns one isp.Scratch, reset per image, holding every
 // intermediate; the sample tensor is the only per-image allocation that
-// outlives the image.
-func captureGrid(scenes []scene.Scene, devs []*device.Profile, devIndex []int, develop developFunc,
+// outlives the image. Device i's samples are tagged firstIndex+i.
+func captureGrid(scenes []scene.Scene, devs []*device.Profile, firstIndex int, develop developFunc,
 	outRes, numClasses int, rngs []*frand.RNG, workers int) ([]*Dataset, error) {
 	// A scene is resized once per sensor resolution that several devices
 	// share, not once per device; a resolution with one device is resized
@@ -319,7 +316,7 @@ func captureGrid(scenes []scene.Scene, devs []*device.Profile, devIndex []int, d
 			sets[i].Samples[j] = Sample{
 				X:      sc.Resize(im, outRes, outRes).ToTensor(),
 				Label:  scenes[j].Class,
-				Device: devIndex[i],
+				Device: firstIndex + i,
 			}
 		}
 	}

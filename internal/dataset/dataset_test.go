@@ -315,7 +315,7 @@ func TestCaptureGridPropagatesDevelopErrors(t *testing.T) {
 		return sc.ProcessRAWOnly(raw), nil
 	}
 	for _, workers := range []int{1, 4} {
-		_, err := captureGrid(scenes, []*device.Profile{dev, dev}, []int{0, 1}, develop, 16, 12,
+		_, err := captureGrid(scenes, []*device.Profile{dev, dev}, 0, develop, 16, 12,
 			[]*frand.RNG{frand.New(1), frand.New(2)}, workers)
 		if !errors.Is(err, boom) || !strings.Contains(err.Error(), "capture class") {
 			t.Fatalf("workers %d: error %v", workers, err)
