@@ -38,11 +38,7 @@ func Compress(im *Image, alg CompressAlg) (*Image, error) {
 	if alg == CompressNone {
 		return im.Clone(), nil
 	}
-	out := NewImage(im.W, im.H)
-	if err := (*Scratch)(nil).jpegRoundtrip(out, im, alg.quality()); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return JPEGRoundtrip(im, alg.quality())
 }
 
 // quality is the JPEG quality of a compressing variant.

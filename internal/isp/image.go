@@ -143,7 +143,7 @@ func fromGoImage(dst *Image, src image.Image) {
 	b := src.Bounds()
 	ycc, _ := src.(*image.YCbCr)
 	for y := 0; y < dst.H; y++ {
-		row := dst.Pix[y*dst.W*3 : (y+1)*dst.W*3]
+		row := dst.row(y)
 		for x := 0; x < dst.W; x++ {
 			var r, g, bl uint32
 			if ycc != nil {

@@ -20,7 +20,7 @@ import (
 type Scratch struct {
 	images []*Image
 	raws   []*RAW
-	planes [][]float64
+	planes []*[]float64
 	nImage int
 	nRAW   int
 	nPlane int
@@ -48,17 +48,23 @@ func fit(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
+// next hands out the pool's next header, growing the pool when a loop first
+// needs that many at once.
+func next[T any](pool *[]*T, used *int) *T {
+	if *used == len(*pool) {
+		*pool = append(*pool, new(T))
+	}
+	*used++
+	return (*pool)[*used-1]
+}
+
 // image returns a w×h image whose samples are undefined under a scratch
 // (callers write every one) and zero without.
 func (s *Scratch) image(w, h int) *Image {
 	if s == nil {
 		return NewImage(w, h)
 	}
-	if s.nImage == len(s.images) {
-		s.images = append(s.images, &Image{})
-	}
-	im := s.images[s.nImage]
-	s.nImage++
+	im := next(&s.images, &s.nImage)
 	im.W, im.H, im.Pix = w, h, fit(im.Pix, w*h*3)
 	return im
 }
@@ -68,11 +74,7 @@ func (s *Scratch) raw(w, h int, p BayerPattern) *RAW {
 	if s == nil {
 		return NewRAW(w, h, p)
 	}
-	if s.nRAW == len(s.raws) {
-		s.raws = append(s.raws, &RAW{})
-	}
-	r := s.raws[s.nRAW]
-	s.nRAW++
+	r := next(&s.raws, &s.nRAW)
 	r.W, r.H, r.Pattern, r.Pix = w, h, p, fit(r.Pix, w*h)
 	return r
 }
@@ -82,13 +84,9 @@ func (s *Scratch) plane(n int) []float64 {
 	if s == nil {
 		return make([]float64, n)
 	}
-	if s.nPlane == len(s.planes) {
-		s.planes = append(s.planes, nil)
-	}
-	p := fit(s.planes[s.nPlane], n)
-	s.planes[s.nPlane] = p
-	s.nPlane++
-	return p
+	p := next(&s.planes, &s.nPlane)
+	*p = fit(*p, n)
+	return *p
 }
 
 // rgbaFor returns an opaque w×h 8-bit image for the JPEG encoder; callers
