@@ -121,8 +121,9 @@
 //
 // # Arena-backed zero-allocation training hot path
 //
-// Every nn.Network owns a tensor.Arena, a shape-keyed recycler of per-batch
-// tensors. Layers draw their outputs, input gradients, and scratch tensors
+// Every nn.Network owns a tensor.Arena, a recycler of per-batch tensors keyed
+// by shape below the batch dimension (a client's short final batch runs in
+// the full batch's buffers). Layers draw their outputs, input gradients, and scratch tensors
 // from it, and the network resets the arena at the top of each Forward; the
 // convolution kernels and the register-tiled matmuls (tensor.MatMul*, 4-wide
 // column unrolling, bit-identical op order per accumulation target) run on
@@ -274,29 +275,35 @@
 //     ≤1e-5-per-unit closeness to the oracle result with identical argmax,
 //     the same contract the BN fold already imposes on frozen outputs.
 //
-// Vector oracle kernels. On amd64 the oracle tier runs 8-lane AVX2 Go
-// assembly (internal/tensor/vec_amd64.s: the strided row-AXPY GEMM behind
-// a@b and aᵀ@b, the dot-form a@bᵀ with an in-register transpose, the
-// depthwise stride-1 tap AXPY; internal/nn/vec_amd64.s: the conv bias add,
-// hard-swish forward/backward, the batch-norm normalise and input-gradient
+// Vector oracle kernels. On amd64 the oracle tier runs AVX2 Go assembly
+// (internal/tensor/vec_amd64.s: the strided row-AXPY GEMM behind a@b and
+// aᵀ@b, the dot-form a@bᵀ with an in-register transpose, the depthwise tap
+// AXPY at stride 1 and — de-interleaving — at stride 2, the 3×3 depthwise
+// weight gradient; internal/nn/vec_amd64.s: the conv bias add, hard-swish
+// forward/backward, the batch-norm reductions, normalise and input-gradient
 // sweeps, the frozen conv epilogue). Selection is the program's own: a
 // CPUID/XGETBV probe at init (AVX2 present, OS saves YMM state) sets an
 // unexported switch; there is no flag and no environment variable, and
 // `go build -tags purego` (or any non-amd64 target) builds the pure-Go
 // kernels only. The assembly is bit-identical to the Go loops by
-// construction, not by tolerance, under two rules. Lane-across-targets:
-// vector lanes hold independent accumulation targets (output columns; for
-// the dot form eight (i,j) chains), never slices of one reduction, so every
-// target receives its terms in the same ascending order with the same
-// zero-skip (±0 skipped, NaN not). No FMA in the oracle tier: each step is a
-// separate VMULPS and VADDPS — the two roundings of the compiler's
+// construction, not by tolerance, under two rules. Chains and lanes across
+// independent targets: a Go loop's side-by-side accumulators and a vector's
+// lanes hold independent accumulation targets — output columns; eight (i,j)
+// chains of the dot form; eight channels of a batch-norm sum; the nine taps
+// of a depthwise weight gradient — never slices of one reduction, so every
+// target receives its terms one at a time in the same ascending order with
+// the same zero-skip (±0 skipped, NaN not). Where a reduction's order IS the
+// result (batch norm's float64 sums, a tap's dot product over the plane), the
+// targets beside it are what fills the machine, fed by an in-register
+// transpose or a masked neighbouring read. No FMA in the oracle tier: each
+// step is a separate multiply and add — the two roundings of the compiler's
 // MULSS+ADDSS — because a fused multiply-add rounds once. So every tol-0
 // contract, every cmp smoke, and cross-machine reproducibility hold across
 // the two implementations; the Go loops stay as the portable path and as the
-// reference of the differential tests and FuzzVecMatchesGeneric, which flip
-// the switch. What stays scalar: reductions whose order IS the result and
-// cannot be spread over lanes without gathers — batch norm's float64 sums,
-// the depthwise weight-gradient dot (tapDot), stride-2 depthwise taps.
+// reference of the differential tests and the FuzzVec* targets, which flip
+// the switch, and the single-chain loops they replaced stay in the tests as
+// oracles. What stays scalar on the training path: the im2col copy, the conv
+// bias-gradient row sums (four chains in Go), the squeeze-excite block.
 //
 // The packed backend is a cache-blocked GEBP kernel: it packs B once into
 // panel-major 4-wide column panels (zero-padded tail), k-blocks at 256 so

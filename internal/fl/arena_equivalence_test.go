@@ -1,10 +1,12 @@
 package fl
 
 import (
+	"runtime"
 	"testing"
 
 	"heteroswitch/internal/dataset"
 	"heteroswitch/internal/frand"
+	"heteroswitch/internal/israce"
 	"heteroswitch/internal/nn"
 	"heteroswitch/internal/tensor"
 )
@@ -67,6 +69,54 @@ func TestTrainLocalArenaBitIdenticalWeights(t *testing.T) {
 		if !wa.States[i].AllClose(wb.States[i], 0) {
 			t.Fatalf("state %d not bit-identical with arena enabled", i)
 		}
+	}
+}
+
+// A client's short final batch runs in the full batch's arena buffers: 27
+// samples at batch size 10 train as 10, 10, 7 per epoch, bit-identically to a
+// network without an arena, and once the first full batch has warmed the
+// arena up the first 7-then-10 sequence of train steps allocates no activation
+// (it used to allocate the whole set again per distinct batch size).
+func TestTrainLocalPartialBatchReusesArena(t *testing.T) {
+	cfg := Config{
+		Rounds: 1, ClientsPerRound: 1, BatchSize: 10, LocalEpochs: 2,
+		LR: 0.05, Momentum: 0.9, WeightDecay: 1e-4, Seed: 1,
+	}
+	ds := arenaTestData(23, 27)
+	withArena := arenaTestNet(9)
+	noArena := arenaTestNet(9)
+	noArena.SetArena(nil)
+	lossA := TrainLocal(withArena, ds, cfg, nn.SoftmaxCrossEntropy{}, frand.New(4), nil, nil)
+	lossB := TrainLocal(noArena, ds, cfg, nn.SoftmaxCrossEntropy{}, frand.New(4), nil, nil)
+	if lossA != lossB {
+		t.Fatalf("train losses diverged: %v (arena) vs %v (no arena)", lossA, lossB)
+	}
+	requireWeightsBitIdentical(t, "10-10-7 batches, arena vs none", withArena.Snapshot(), noArena.Snapshot())
+
+	if israce.Enabled {
+		return // sync.Pool drops items randomly under -race; alloc counts are nondeterministic
+	}
+	r := frand.New(5)
+	net := arenaTestNet(9)
+	step := func(x, dy *tensor.Tensor) {
+		net.Forward(x, true)
+		net.Backward(dy)
+	}
+	x10, x7 := tensor.Randn(r, 0.5, 10, 1, 8, 8), tensor.Randn(r, 0.5, 7, 1, 8, 8)
+	dy10, dy7 := tensor.Randn(r, 1, 10, 3), tensor.Randn(r, 1, 7, 3)
+	step(x10, dy10)
+	// The first batch of 7 is the measured call: no warm-up run of its own.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	step(x7, dy7)
+	step(x10, dy10)
+	runtime.ReadMemStats(&after)
+	// Network.Backward keeps one detached copy of the input gradient per batch
+	// size, outside the arena: a header, a shape and a buffer for the new 7.
+	const dxCopy = 3
+	if n := after.Mallocs - before.Mallocs; n > dxCopy {
+		t.Fatalf("the first 7-then-10 batch sequence after a batch of 10 allocates %d objects, want the input-gradient copy's %d", n, dxCopy)
 	}
 }
 

@@ -297,18 +297,46 @@ func (l *Conv2D) backwardRows(gd []float32, lo, hi int) {
 				tensor.MatMulTransBAccSlices(dwg[o0*fanIn:(o0+segRows)*fanIn],
 					dy[o0*cols:(o0+segRows)*cols], col, segRows, cols, fanIn)
 			}
-			// db += Σ spatial dy for the same rows
-			for r := o0; r < o0+segRows; r++ {
-				var s float32
-				row := dy[r*cols : (r+1)*cols]
-				for _, v := range row {
-					s += v
-				}
-				dbd[gi*gcOut+r] += s
-			}
+		}
+		// db += Σ spatial dy for the same rows, samples ascending. Row r of
+		// sample i starts at gd[i·outStride + r·cols].
+		for r := oc; r < segHi; r++ {
+			dbd[r] = foldRowSums(dbd[r], gd[r*cols:], outStride, n, cols)
 		}
 		oc = segHi
 	}
+}
+
+// foldRowSums adds the sums of n rows of cols elements, stride apart, onto s
+// in ascending row order: s += Σ rows[i·stride : i·stride+cols] for i < n.
+// Each row's sum is its own accumulator from +0 over its elements ascending —
+// an independent chain — so four rows run side by side.
+func foldRowSums(s float32, rows []float32, stride, n, cols int) float32 {
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		r0 := rows[i*stride:][:cols]
+		// Re-sliced to len(r0) so the compiler drops the inner bounds checks.
+		r1, r2, r3 := rows[(i+1)*stride:][:len(r0)], rows[(i+2)*stride:][:len(r0)], rows[(i+3)*stride:][:len(r0)]
+		var s0, s1, s2, s3 float32
+		for j, v := range r0 {
+			s0 += v
+			s1 += r1[j]
+			s2 += r2[j]
+			s3 += r3[j]
+		}
+		s += s0
+		s += s1
+		s += s2
+		s += s3
+	}
+	for ; i < n; i++ {
+		var si float32
+		for _, v := range rows[i*stride:][:cols] {
+			si += v
+		}
+		s += si
+	}
+	return s
 }
 
 // backwardIter computes one sample×group input-gradient iteration. Lowered:

@@ -2,7 +2,9 @@ package nn
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"heteroswitch/internal/frand"
@@ -313,6 +315,62 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 	if math.Abs(yTrain.Mean()) > 0.2 {
 		t.Fatalf("train-mode output mean = %v, want ~0", yTrain.Mean())
 	}
+}
+
+// TestBatchNormRejectsUnusableCalls: a training batch with no elements has no
+// statistics (it used to divide by zero and write NaN into the running
+// statistics), and Backward has nothing to differentiate before a training
+// Forward or after an eval-mode one (it used to dereference nil, or reuse the
+// previous batch's x̂).
+func TestBatchNormRejectsUnusableCalls(t *testing.T) {
+	mustPanic := func(name, want string, f func()) {
+		t.Helper()
+		defer func() {
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+				t.Fatalf("%s: recovered %q, want a panic mentioning %q", name, msg, want)
+			}
+		}()
+		f()
+	}
+	x := tensor.Randn(frand.New(32), 1, 2, 3, 4, 4)
+	for _, shape := range [][]int{{0, 3, 4, 4}, {2, 3, 0, 4}} {
+		l := NewBatchNorm2D(3)
+		mustPanic(fmt.Sprint("empty batch ", shape), fmt.Sprint(shape), func() { l.Forward(tensor.New(shape...), true) })
+		for i, v := range l.RunMean.Data() {
+			if v != 0 || l.RunVar.Data()[i] != 1 {
+				t.Fatalf("empty batch %v touched the running statistics: mean %v var %v", shape, l.RunMean.Data(), l.RunVar.Data())
+			}
+		}
+		l.Forward(tensor.New(shape...), false) // eval mode needs no statistics
+	}
+	l := NewBatchNorm2D(3)
+	mustPanic("backward first", "training Forward", func() { l.Backward(x) })
+	l.Forward(x, true)
+	l.Backward(x)
+	l.Forward(x, false)
+	mustPanic("backward after eval", "training Forward", func() { l.Backward(x) })
+}
+
+// TestBatchNormTrainStepAllocFree: after a warm-up batch, BatchNorm2D's
+// forward + backward allocate nothing — the per-channel inverse deviations and
+// the reduction scratch are sized once per channel count.
+func TestBatchNormTrainStepAllocFree(t *testing.T) {
+	bothVecSettings(t, func(t *testing.T) {
+		r := frand.New(33)
+		l := NewBatchNorm2D(12) // a vector tile, a Go tile
+		l.SetArena(tensor.NewArena())
+		x := tensor.Randn(r, 1, 4, 12, 5, 5)
+		dy := tensor.Randn(r, 1, 4, 12, 5, 5)
+		step := func() {
+			l.arena.Reset()
+			l.Forward(x, true)
+			l.Backward(dy)
+		}
+		step()
+		if avg := testing.AllocsPerRun(20, step); avg != 0 {
+			t.Fatalf("batch-norm train step allocates %.1f objects in steady state, want 0", avg)
+		}
+	})
 }
 
 func TestDropoutTrainEval(t *testing.T) {

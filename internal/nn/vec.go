@@ -6,17 +6,19 @@ import (
 	"heteroswitch/internal/tensor"
 )
 
-// Vector elementwise sweeps ---------------------------------------------------
+// Vector sweeps ---------------------------------------------------------------
 //
-// vecLive routes this package's hottest elementwise training sweeps — the
-// conv bias add, hard-swish forward and backward, the batch-norm normalise
-// and input-gradient passes, and the frozen conv epilogue — onto the AVX2
+// vecLive routes this package's hottest training sweeps — the conv bias add,
+// hard-swish forward and backward, the batch-norm reductions, normalise and
+// input-gradient passes, and the frozen conv epilogue — onto the AVX2
 // routines of vec_amd64.s. Like tensor's switch of the same name it is true
 // exactly when the build carries the routines (the two packages share one
 // build constraint) and tensor's CPU probe passed, the routines perform the Go
-// loops' float32 operations one for one (so flipping it never changes a
-// bit), and only tests flip it. Batch norm's float64 reductions stay in Go:
-// their order is the result.
+// loops' operations one for one (so flipping it never changes a bit), and
+// only tests flip it. The one rule, as in tensor: chains and lanes lie across
+// independent targets. An elementwise sweep's targets are its elements; batch
+// norm's float64 reductions, whose order is the result, put eight channels in
+// the lanes and still fold each channel's elements one at a time.
 var (
 	vecAvailable = tensor.VectorAvailable()
 	vecLive      = vecAvailable
@@ -90,4 +92,36 @@ func bnGradXVec(dx, dy, xhat []float32, stride, rows, n int, g, scale, m, sDyG, 
 	}
 	vecShort("batch-norm gradient", planesExtent(stride, rows, n), min(len(dx), len(dy), len(xhat)))
 	vecBNGradX(&dx[0], &dy[0], &xhat[0], stride, rows, n, g, scale, m, sDyG, sDyXh)
+}
+
+// bnSumSqVec folds sum[c] = Σ x and sq[c] = Σ x·x in float64 for the
+// 2·bnTile channels whose planes of n elements start c·n into x, over rows
+// samples stride apart.
+func bnSumSqVec(sum, sq []float64, x []float32, stride, rows, n int) {
+	if bnSumsEmpty(sum, sq, rows, n) {
+		return
+	}
+	vecShort("batch-norm sums", planesExtent(stride, rows, 2*bnTile*n), len(x))
+	vecBNSumSq(&sum[0], &sq[0], &x[0], stride, rows, n)
+}
+
+// bnSumDotVec folds sum[c] = Σ a and dot[c] = Σ a·b over the same layout.
+func bnSumDotVec(sum, dot []float64, a, b []float32, stride, rows, n int) {
+	if bnSumsEmpty(sum, dot, rows, n) {
+		return
+	}
+	vecShort("batch-norm gradient sums", planesExtent(stride, rows, 2*bnTile*n), min(len(a), len(b)))
+	vecBNSumDot(&sum[0], &dot[0], &a[0], &b[0], stride, rows, n)
+}
+
+// bnSumsEmpty checks the 2·bnTile outputs of each reduction and reports
+// whether there is nothing to fold, in which case it leaves them at +0.
+func bnSumsEmpty(sum, dot []float64, rows, n int) bool {
+	vecShort("batch-norm sums (outputs)", 2*bnTile, min(len(sum), len(dot)))
+	if rows > 0 && n > 0 {
+		return false
+	}
+	clear(sum[:2*bnTile])
+	clear(dot[:2*bnTile])
+	return true
 }

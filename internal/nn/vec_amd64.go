@@ -16,3 +16,9 @@ func vecBNNormalize(out, xhat, x *float32, stride, rows, n int, mean, inv, gamma
 
 //go:noescape
 func vecBNGradX(dx, dy, xhat *float32, stride, rows, n int, gamma, scale, m, sDyG, sDyXh float32)
+
+//go:noescape
+func vecBNSumSq(sum, dot *float64, a *float32, stride, rows, n int)
+
+//go:noescape
+func vecBNSumDot(sum, dot *float64, a, b *float32, stride, rows, n int)

@@ -2,13 +2,14 @@
 
 #include "textflag.h"
 
-// AVX2 forms of this package's elementwise training sweeps, under the same
-// rules as internal/tensor/vec_amd64.s: every element is its own target, the
-// arithmetic is the Go loop's operation for operation (separate VMULPS /
-// VADDPS / VSUBPS / VDIVPS, never an FMA, compares as ordered-quiet
-// predicates feeding blends so NaN and −0 take the Go branches), and every
-// routine ends in VZEROUPPER. The Go wrappers in vec.go validate lengths;
-// rows, n ≥ 1 is a precondition.
+// AVX2 forms of this package's training sweeps, under the same rules as
+// internal/tensor/vec_amd64.s: lanes lie across independent targets — the
+// elements of an elementwise sweep, eight channels of a batch-norm reduction —
+// the arithmetic is the Go loop's operation for operation (separate VMULPS /
+// VADDPS / VSUBPS / VDIVPS, VMULPD / VADDPD in the float64 sums, never an
+// FMA, compares as ordered-quiet predicates feeding blends so NaN and −0 take
+// the Go branches), and every routine ends in VZEROUPPER. The Go wrappers in
+// vec.go validate lengths; rows, n ≥ 1 is a precondition.
 
 // nnVecMask: eight all-ones lanes then eight zero lanes; the mask of the
 // first r lanes starts at lane 8-r.
@@ -309,4 +310,226 @@ bnbNext:
 	DECQ R13
 	JNZ  bnbRow
 	VZEROUPPER
+	RET
+
+// The batch-norm reductions. A channel's float64 sums fold its elements one
+// at a time — that order is the result — but the channels are independent
+// targets, so the lanes are channels: eight neighbouring channels' planes
+// (n elements each, n apart) are read four consecutive j at a time, channels
+// k and k+4 in the two halves of one register, transposed in place so that
+// each register holds ONE j for the eight channels, widened (VCVTPS2PD, low
+// and high half) and folded with one VADDPD per sum, VMULPD before the second
+// — four float64 chains, each channel's j ascending, samples ascending.
+//
+// Register plan: SI / R8 channels 0–3 / 4–7 of a, DX / R12 of b, R9 = 4n
+// (channel pitch, bytes), R10 = 12n, R11 = sample stride (bytes), AX bytes
+// advanced along j, CX j left, R13 samples left. Y12/Y13 Σa (channels 0–3 /
+// 4–7), Y14/Y15 Σa·b.
+
+// BNLOAD fills Y0–Y3 with p[k][j..j+3] | q[k][j..j+3], k = 0..3.
+#define BNLOAD(p, q) \
+	VMOVUPS (p), X0; \
+	VINSERTF128 $1, (q), Y0, Y0; \
+	VMOVUPS (p)(R9*1), X1; \
+	VINSERTF128 $1, (q)(R9*1), Y1, Y1; \
+	VMOVUPS (p)(R9*2), X2; \
+	VINSERTF128 $1, (q)(R9*2), Y2, Y2; \
+	VMOVUPS (p)(R10*1), X3; \
+	VINSERTF128 $1, (q)(R10*1), Y3, Y3
+
+// BNLOADMASK is BNLOAD for the last n%4 j through the lane mask m (masked-off
+// lanes read as zero and never touch memory); t is a scratch register.
+#define BNLOADMASK(p, q, m, t) \
+	VMASKMOVPS (p), m, X0; \
+	VMASKMOVPS (q), m, t; \
+	VINSERTF128 $1, t, Y0, Y0; \
+	VMASKMOVPS (p)(R9*1), m, X1; \
+	VMASKMOVPS (q)(R9*1), m, t; \
+	VINSERTF128 $1, t, Y1, Y1; \
+	VMASKMOVPS (p)(R9*2), m, X2; \
+	VMASKMOVPS (q)(R9*2), m, t; \
+	VINSERTF128 $1, t, Y2, Y2; \
+	VMASKMOVPS (p)(R10*1), m, X3; \
+	VMASKMOVPS (q)(R10*1), m, t; \
+	VINSERTF128 $1, t, Y3, Y3
+
+// BNTRANSPOSE turns rows Y0–Y3 into columns c0–c3 (j, j+1, j+2, j+3), each
+// holding that j for the eight channels in lane order. c2 and c3 double as
+// scratch; Y0 and Y1 are clobbered.
+#define BNTRANSPOSE(c0, c1, c2, c3) \
+	VUNPCKLPS Y1, Y0, c2; \
+	VUNPCKHPS Y1, Y0, c3; \
+	VUNPCKLPS Y3, Y2, Y0; \
+	VUNPCKHPS Y3, Y2, Y1; \
+	VUNPCKLPD Y0, c2, c0; \
+	VUNPCKHPD Y0, c2, c1; \
+	VUNPCKLPD Y1, c3, c2; \
+	VUNPCKHPD Y1, c3, c3
+
+// BNWIDEN leaves column (ay, its low half ax) as float64 in Y0 (channels 0–3)
+// and Y1 (4–7) and folds it into Σa.
+#define BNWIDEN(ay, ax) \
+	VCVTPS2PD ax, Y0; \
+	VEXTRACTF128 $1, ay, X1; \
+	VCVTPS2PD X1, Y1; \
+	VADDPD Y0, Y12, Y12; \
+	VADDPD Y1, Y13, Y13
+
+// BNSQ folds one column of a into Σa and Σa·a.
+#define BNSQ(ay, ax) \
+	BNWIDEN(ay, ax); \
+	VMULPD Y0, Y0, Y2; \
+	VMULPD Y1, Y1, Y3; \
+	VADDPD Y2, Y14, Y14; \
+	VADDPD Y3, Y15, Y15
+
+// BNDOT folds one column of a and the same column of b into Σa and Σa·b.
+#define BNDOT(ay, ax, by, bx) \
+	BNWIDEN(ay, ax); \
+	VCVTPS2PD bx, Y2; \
+	VEXTRACTF128 $1, by, X3; \
+	VCVTPS2PD X3, Y3; \
+	VMULPD Y2, Y0, Y2; \
+	VMULPD Y3, Y1, Y3; \
+	VADDPD Y2, Y14, Y14; \
+	VADDPD Y3, Y15, Y15
+
+// BNSETUP loads the shared registers of both reductions.
+#define BNSETUP(aArg, strideArg, rowsArg, nArg) \
+	MOVQ aArg, SI; \
+	MOVQ strideArg, R11; \
+	SHLQ $2, R11; \
+	MOVQ rowsArg, R13; \
+	MOVQ nArg, R9; \
+	SHLQ $2, R9; \
+	LEAQ (R9)(R9*2), R10; \
+	VXORPD Y12, Y12, Y12; \
+	VXORPD Y13, Y13, Y13; \
+	VXORPD Y14, Y14, Y14; \
+	VXORPD Y15, Y15, Y15
+
+// BNSTORE writes the eight Σa and the eight Σa·b.
+#define BNSTORE(sumArg, dotArg) \
+	MOVQ sumArg, DI; \
+	VMOVUPD Y12, (DI); \
+	VMOVUPD Y13, 32(DI); \
+	MOVQ dotArg, DI; \
+	VMOVUPD Y14, (DI); \
+	VMOVUPD Y15, 32(DI); \
+	VZEROUPPER
+
+// BNTAILMASK loads the mask of the first CX (1..3) of four lanes into m.
+#define BNTAILMASK(m) \
+	LEAQ nnVecMask<>(SB), BX; \
+	NEGQ CX; \
+	VMOVDQU 32(BX)(CX*4), m; \
+	NEGQ CX
+
+// func vecBNSumSq(sum, dot *float64, a *float32, stride, rows, n int)
+//
+// sum[c] = Σ a, dot[c] = Σ a·a over rows samples of n elements for the eight
+// channels c·n into a: the training forward's (Σx, Σx²).
+TEXT ·vecBNSumSq(SB), NOSPLIT, $0-48
+	BNSETUP(a+16(FP), stride+24(FP), rows+32(FP), n+40(FP))
+
+bnqRow:
+	LEAQ (SI)(R9*4), R8
+	XORQ AX, AX
+	MOVQ n+40(FP), CX
+
+bnqBlk:
+	CMPQ CX, $4
+	JLT  bnqTail
+	BNLOAD(SI, R8)
+	BNTRANSPOSE(Y4, Y5, Y6, Y7)
+	BNSQ(Y4, X4)
+	BNSQ(Y5, X5)
+	BNSQ(Y6, X6)
+	BNSQ(Y7, X7)
+	ADDQ $16, SI
+	ADDQ $16, R8
+	ADDQ $16, AX
+	SUBQ $4, CX
+	JMP  bnqBlk
+
+bnqTail:
+	TESTQ CX, CX
+	JZ    bnqNext
+	BNTAILMASK(X4)
+	BNLOADMASK(SI, R8, X4, X5)
+	BNTRANSPOSE(Y4, Y5, Y6, Y7)
+	BNSQ(Y4, X4)
+	CMPQ CX, $2
+	JLT  bnqNext
+	BNSQ(Y5, X5)
+	CMPQ CX, $3
+	JLT  bnqNext
+	BNSQ(Y6, X6)
+
+bnqNext:
+	SUBQ AX, SI
+	ADDQ R11, SI
+	DECQ R13
+	JNZ  bnqRow
+	BNSTORE(sum+0(FP), dot+8(FP))
+	RET
+
+// func vecBNSumDot(sum, dot *float64, a, b *float32, stride, rows, n int)
+//
+// sum[c] = Σ a, dot[c] = Σ a·b over the same layout: the backward's
+// (Σdy, Σdy·x̂).
+TEXT ·vecBNSumDot(SB), NOSPLIT, $0-56
+	BNSETUP(a+16(FP), stride+32(FP), rows+40(FP), n+48(FP))
+	MOVQ b+24(FP), DX
+
+bndRow:
+	LEAQ (SI)(R9*4), R8
+	LEAQ (DX)(R9*4), R12
+	XORQ AX, AX
+	MOVQ n+48(FP), CX
+
+bndBlk:
+	CMPQ CX, $4
+	JLT  bndTail
+	BNLOAD(SI, R8)
+	BNTRANSPOSE(Y4, Y5, Y6, Y7)
+	BNLOAD(DX, R12)
+	BNTRANSPOSE(Y8, Y9, Y10, Y11)
+	BNDOT(Y4, X4, Y8, X8)
+	BNDOT(Y5, X5, Y9, X9)
+	BNDOT(Y6, X6, Y10, X10)
+	BNDOT(Y7, X7, Y11, X11)
+	ADDQ $16, SI
+	ADDQ $16, R8
+	ADDQ $16, DX
+	ADDQ $16, R12
+	ADDQ $16, AX
+	SUBQ $4, CX
+	JMP  bndBlk
+
+bndTail:
+	TESTQ CX, CX
+	JZ    bndNext
+	BNTAILMASK(X4)
+	BNLOADMASK(SI, R8, X4, X5)
+	BNTRANSPOSE(Y4, Y5, Y6, Y7)
+	BNTAILMASK(X8)
+	BNLOADMASK(DX, R12, X8, X9)
+	BNTRANSPOSE(Y8, Y9, Y10, Y11)
+	BNDOT(Y4, X4, Y8, X8)
+	CMPQ CX, $2
+	JLT  bndNext
+	BNDOT(Y5, X5, Y9, X9)
+	CMPQ CX, $3
+	JLT  bndNext
+	BNDOT(Y6, X6, Y10, X10)
+
+bndNext:
+	SUBQ AX, SI
+	SUBQ AX, DX
+	ADDQ R11, SI
+	ADDQ R11, DX
+	DECQ R13
+	JNZ  bndRow
+	BNSTORE(sum+0(FP), dot+8(FP))
 	RET

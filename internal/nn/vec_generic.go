@@ -20,3 +20,7 @@ func vecBNNormalize(out, xhat, x *float32, stride, rows, n int, mean, inv, gamma
 func vecBNGradX(dx, dy, xhat *float32, stride, rows, n int, gamma, scale, m, sDyG, sDyXh float32) {
 	panic(noVec)
 }
+
+func vecBNSumSq(sum, dot *float64, a *float32, stride, rows, n int) { panic(noVec) }
+
+func vecBNSumDot(sum, dot *float64, a, b *float32, stride, rows, n int) { panic(noVec) }

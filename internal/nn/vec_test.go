@@ -6,9 +6,11 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 	_ "unsafe" // for go:linkname
 
 	"heteroswitch/internal/frand"
+	"heteroswitch/internal/guardmem"
 	"heteroswitch/internal/tensor"
 )
 
@@ -140,10 +142,80 @@ func TestVecActivationSweepsMatchGeneric(t *testing.T) {
 // vecBNPlanes are plane sizes around the lane edge.
 var vecBNPlanes = [][2]int{{1, 1}, {1, 7}, {2, 4}, {3, 3}, {5, 5}, {4, 8}, {7, 9}, {16, 16}}
 
+// refBNTrain is BatchNorm2D's training forward and backward as they ran
+// before the reductions were tiled: per channel, ONE float64 accumulator pair
+// over the batch (samples, then positions, ascending), then the scalar
+// normalise and input-gradient loops. It is the oracle both settings of the
+// layer must match bit for bit; rm and rv are updated in place, dgamma and
+// dbeta accumulated onto.
+func refBNTrain(xd, gd []float32, n, ch, hw int, gamma, beta, rm, rv, dgamma, dbeta []float32, eps, momentum float64) (out, xh, dx []float32) {
+	m := n * hw
+	out, xh, dx = make([]float32, len(xd)), make([]float32, len(xd)), make([]float32, len(xd))
+	invStd := make([]float32, ch)
+	for c := 0; c < ch; c++ {
+		var sum, sumsq float64
+		for i := 0; i < n; i++ {
+			base := (i*ch + c) * hw
+			for j := 0; j < hw; j++ {
+				v := float64(xd[base+j])
+				sum += v
+				sumsq += v * v
+			}
+		}
+		mean := sum / float64(m)
+		variance := sumsq/float64(m) - mean*mean
+		if variance < 0 {
+			variance = 0
+		}
+		inv := 1 / math.Sqrt(variance+eps)
+		invStd[c] = float32(inv)
+		rm[c] = float32((1-momentum)*float64(rm[c]) + momentum*mean)
+		rv[c] = float32((1-momentum)*float64(rv[c]) + momentum*variance)
+		g, b := gamma[c], beta[c]
+		mf, invf := float32(mean), float32(inv)
+		for i := 0; i < n; i++ {
+			base := (i*ch + c) * hw
+			for j := 0; j < hw; j++ {
+				xv := (xd[base+j] - mf) * invf
+				xh[base+j] = xv
+				out[base+j] = g*xv + b
+			}
+		}
+	}
+	mf := float32(m)
+	for c := 0; c < ch; c++ {
+		var sumDy, sumDyXhat float64
+		for i := 0; i < n; i++ {
+			base := (i*ch + c) * hw
+			for j := 0; j < hw; j++ {
+				dy := float64(gd[base+j])
+				sumDy += dy
+				sumDyXhat += dy * float64(xh[base+j])
+			}
+		}
+		dgamma[c] += float32(sumDyXhat)
+		dbeta[c] += float32(sumDy)
+		g := gamma[c]
+		inv := invStd[c]
+		sDy, sDyXh := float32(sumDy), float32(sumDyXhat)
+		for i := 0; i < n; i++ {
+			base := (i*ch + c) * hw
+			for j := 0; j < hw; j++ {
+				dxhat := gd[base+j] * g
+				dx[base+j] = inv / mf * (mf*dxhat - sDy*g - xh[base+j]*sDyXh*g)
+			}
+		}
+	}
+	return out, xh, dx
+}
+
 // runVecBNCase runs the training forward (xhat, out, running statistics) and
 // backward (dx, dγ, dβ) of BatchNorm2D on an [n, c, h, w] batch under both
-// settings. The float64 reductions stay in Go; the elementwise passes, which
-// walk n planes of h·w elements c·h·w apart, are the vectorised ones.
+// settings of the switch and requires refBNTrain's bits of both. The inputs
+// carry ±0 and denormals, one γ in four is zero, and the gradients accumulate
+// onto junk. The reductions run four channels a sweep in Go and eight a sweep
+// in the vector kernel, each channel still folded one element at a time; the
+// elementwise passes walk n planes of h·w elements c·h·w apart.
 func runVecBNCase(t *testing.T, n, c, h, w int, seed uint64) {
 	t.Helper()
 	r := frand.New(seed)
@@ -152,31 +224,42 @@ func runVecBNCase(t *testing.T, n, c, h, w int, seed uint64) {
 	dy := tensor.Randn(r, 1, size).Data()
 	x[0], dy[size-1] = float32(math.Copysign(0, -1)), 1e-39
 	x[size/2], dy[size/3] = -1e-41, 0
-	gamma := []float32{1.25, -0.5, 0, 3}[:c]
-	beta := []float32{0.1, -2, 3, 1e-39}[:c]
-	run := func(on bool) [][]float32 {
+	x[size-1], dy[0] = 0, float32(math.Copysign(0, -1))
+	gamma, beta := make([]float32, c), make([]float32, c)
+	junkG, junkB := tensor.Randn(r, 1, c).Data(), tensor.Randn(r, 1, c).Data()
+	for i := range gamma {
+		gamma[i] = []float32{1.25, -0.5, 0, 3}[i%4] + float32(i/4)*0.125
+		beta[i] = []float32{0.1, -2, 3, 1e-39}[i%4]
+	}
+	gamma[2%c] = 0
+	what := []string{"out", "xhat", "dx", "runMean", "runVar", "dGamma", "dBeta"}
+	wantRM, wantRV := make([]float32, c), slices.Repeat([]float32{1}, c)
+	wantDG, wantDB := slices.Clone(junkG), slices.Clone(junkB)
+	l := NewBatchNorm2D(c)
+	wantOut, wantXh, wantDx := refBNTrain(x, dy, n, c, h*w, gamma, beta, wantRM, wantRV, wantDG, wantDB, l.Eps, l.Momentum)
+	want := [][]float32{wantOut, wantXh, wantDx, wantRM, wantRV, wantDG, wantDB}
+	for _, on := range []bool{false, true} {
 		setVecLive(t, on)
 		l := NewBatchNorm2D(c)
 		l.Gamma.W.CopyFrom(tensor.FromSlice(gamma, c))
 		l.Beta.W.CopyFrom(tensor.FromSlice(beta, c))
+		l.Gamma.Grad.CopyFrom(tensor.FromSlice(junkG, c))
+		l.Beta.Grad.CopyFrom(tensor.FromSlice(junkB, c))
 		out := l.Forward(tensor.FromSlice(slices.Clone(x), n, c, h, w), true)
 		dx := l.Backward(tensor.FromSlice(slices.Clone(dy), n, c, h, w))
-		return [][]float32{
-			slices.Clone(out.Data()), slices.Clone(l.xhat.Data()), slices.Clone(dx.Data()),
-			slices.Clone(l.RunMean.Data()), slices.Clone(l.RunVar.Data()),
-			slices.Clone(l.Gamma.Grad.Data()), slices.Clone(l.Beta.Grad.Data()),
+		got := [][]float32{
+			out.Data(), l.xhat.Data(), dx.Data(), l.RunMean.Data(), l.RunVar.Data(),
+			l.Gamma.Grad.Data(), l.Beta.Grad.Data(),
 		}
-	}
-	want, got := run(false), run(true)
-	for i, what := range []string{"out", "xhat", "dx", "runMean", "runVar", "dGamma", "dBeta"} {
-		exactSlice(t, fmt.Sprintf("bn n=%d c=%d %dx%d seed %d %s", n, c, h, w, seed, what), got[i], want[i])
+		for i := range want {
+			exactSlice(t, fmt.Sprintf("bn n=%d c=%d %dx%d seed %d vec=%v %s", n, c, h, w, seed, on, what[i]), got[i], want[i])
+		}
 	}
 }
 
 // TestVecBatchNormMatchesGeneric: runVecBNCase on the plane table at batch 1
 // and 3.
 func TestVecBatchNormMatchesGeneric(t *testing.T) {
-	requireVec(t)
 	for i, hw := range vecBNPlanes {
 		for _, n := range []int{1, 3} {
 			runVecBNCase(t, n, 3, hw[0], hw[1], uint64(812+i))
@@ -184,11 +267,113 @@ func TestVecBatchNormMatchesGeneric(t *testing.T) {
 	}
 }
 
+// TestBatchNormReductionTiles sweeps the channel counts around the four-
+// channel Go tile and the eight-channel vector tile (a tile plus every
+// remainder, and TinyMobileNetV3's 16 and 24) against plane sizes around the
+// four-j block of the transposing read, at batch 1, 3 and 10.
+func TestBatchNormReductionTiles(t *testing.T) {
+	seed := uint64(900)
+	for _, c := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 24} {
+		for _, hw := range []int{1, 3, 4, 5, 7, 64, 256} {
+			for _, n := range []int{1, 3, 10} {
+				if testing.Short() && hw == 256 && n == 10 && c < 16 {
+					continue
+				}
+				seed++
+				runVecBNCase(t, n, c, 1, hw, seed)
+			}
+		}
+	}
+}
+
+// TestVecBNSumsStayInsideSlices: the transposing reduction reads four
+// consecutive j of eight channels at a time; on planes of every length mod 4
+// whose batch ends at an inaccessible page, it must read the last element and
+// nothing after it.
+func TestVecBNSumsStayInsideSlices(t *testing.T) {
+	requireVec(t)
+	r := frand.New(83)
+	for _, hw := range []int{1, 2, 3, 4, 5, 6, 7, 9, 64} {
+		const n, ch = 3, 8
+		a, b := guardmem.Float32s(t, n*ch*hw), guardmem.Float32s(t, n*ch*hw)
+		copy(a, tensor.Randn(r, 1, len(a)).Data())
+		copy(b, tensor.Randn(r, 1, len(b)).Data())
+		for _, pass := range [][]float32{nil, b} {
+			var sums [2][2 * ch]float64
+			for i, on := range []bool{false, true} {
+				setVecLive(t, on)
+				bnSums(sums[i][:ch], sums[i][ch:], a, pass, n, ch, hw)
+			}
+			for i := range sums[0] {
+				if math.Float64bits(sums[1][i]) != math.Float64bits(sums[0][i]) {
+					t.Fatalf("hw=%d pair=%v: sum %d = %v, want %v", hw, pass != nil, i, sums[1][i], sums[0][i])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkBNReduce times the two float64 reductions of a batch-norm pass —
+// fwd (Σx, Σx²) and bwd (Σdy, Σdy·x̂) — at batch 10 on TinyMobileNetV3's
+// channel counts and plane sizes, under the vector kernel ("default") and the
+// tiled Go loop ("generic"), and the single-chain oracle loop as a third arm
+// ("ref"). ns/elem is per element of the batch; x-ref is how many times
+// faster than the oracle the arm ran, both timed in the same arm.
+func BenchmarkBNReduce(b *testing.B) {
+	const n = 10
+	for _, c := range []struct{ ch, hw int }{{8, 256}, {16, 256}, {24, 64}, {32, 64}} {
+		r := frand.New(7)
+		x := tensor.Randn(r, 1, n*c.ch*c.hw).Data()
+		y := tensor.Randn(r, 1, n*c.ch*c.hw).Data()
+		sum, dot := make([]float64, c.ch), make([]float64, c.ch)
+		for _, pass := range []struct {
+			name string
+			b    []float32
+		}{{"fwd", nil}, {"bwd", y}} {
+			ref := func() {
+				for ch := 0; ch < c.ch; ch++ {
+					var s, d float64
+					for i := 0; i < n; i++ {
+						base := (i*c.ch + ch) * c.hw
+						for j := 0; j < c.hw; j++ {
+							v := float64(x[base+j])
+							s += v
+							if pass.b == nil {
+								d += v * v
+							} else {
+								d += v * float64(pass.b[base+j])
+							}
+						}
+					}
+					sum[ch], dot[ch] = s, d
+				}
+			}
+			perElem := func(b *testing.B, g func()) float64 {
+				t0 := time.Now()
+				for i := 0; i < b.N; i++ {
+					g()
+				}
+				return float64(time.Since(t0).Nanoseconds()) / float64(b.N) / float64(len(x))
+			}
+			b.Run(fmt.Sprintf("%s/%dx%d", pass.name, c.ch, c.hw), func(b *testing.B) {
+				benchVecArms(b, func(b *testing.B) {
+					per := perElem(b, func() { bnSums(sum, dot, x, pass.b, n, c.ch, c.hw) })
+					b.StopTimer()
+					b.ReportMetric(per, "ns/elem")
+					b.ReportMetric(perElem(b, ref)/per, "x-ref")
+				})
+				b.Run("ref", func(b *testing.B) { b.ReportMetric(perElem(b, ref), "ns/elem") })
+			})
+		}
+	}
+}
+
 // FuzzVecSweepsMatchGeneric is ROADMAP hardening item (b) for this package's
 // vector sweeps (hardSwishVec, hardSwishGradVec, biasActVec, bnNormalizeVec,
-// bnGradXVec): random lengths, row counts, plane strides and seeds through
-// the routines and the layers' Go loops at tol 0, seeded with the two
-// block-edge tables above.
+// bnGradXVec, bnSumSqVec, bnSumDotVec): random lengths, row counts, channel
+// counts through both reduction tiles and their remainders, plane strides and
+// seeds through the routines, the layers' Go loops and the single-chain
+// oracle at tol 0, seeded with the block-edge tables above.
 func FuzzVecSweepsMatchGeneric(f *testing.F) {
 	for i, n := range vecSweepLens {
 		f.Add(uint16(n), uint8(i), uint8(2), uint64(811+i))
@@ -196,17 +381,22 @@ func FuzzVecSweepsMatchGeneric(f *testing.F) {
 	for i, hw := range vecBNPlanes {
 		f.Add(uint16(hw[0]*hw[1]), uint8(i), uint8(i), uint64(812+i))
 	}
+	for i, c := range []int{4, 7, 8, 9, 12, 16, 23, 24} {
+		f.Add(uint16(5+i), uint8(i), uint8(c-1), uint64(813+i))
+	}
 	f.Fuzz(func(t *testing.T, n uint16, rows, chans uint8, seed uint64) {
-		requireVec(t)
-		length, batch, c := int(n%300)+1, int(rows%4)+1, int(chans%4)+1
-		runVecActCase(t, length, batch, seed)
+		length, batch, c := int(n%300)+1, int(rows%4)+1, int(chans%26)+1
+		if vecAvailable {
+			runVecActCase(t, length, batch, seed)
+		}
 		runVecBNCase(t, batch, c, 1, length, seed)
 	})
 }
 
 // vecTrainNet has one layer of every vectorised kind — stem, pointwise and
-// depthwise convs (stride 1 and 2), batch norm, hard-swish, squeeze-excite,
-// a residual, dense — in TinyMobileNetV3's arrangement.
+// depthwise convs (stride 1 and 2, 8 and 24 channels), batch norm over one,
+// two and three vector tiles, hard-swish, squeeze-excite, a residual, dense —
+// in TinyMobileNetV3's arrangement.
 func vecTrainNet(r *frand.RNG) *Network {
 	block := NewResidual(NewNetwork(
 		NewConv2D(r, 8, 16, 1, 1, 0, 1), NewBatchNorm2D(16), NewHardSwish(),
@@ -217,6 +407,10 @@ func vecTrainNet(r *frand.RNG) *Network {
 	return NewNetwork(
 		NewConv2D(r, 3, 8, 3, 2, 1, 1), NewBatchNorm2D(8), NewHardSwish(),
 		block,
+		// TinyMobileNetV3's down-sampling bottleneck: 24 channels at stride 2.
+		NewConv2D(r, 8, 24, 1, 1, 0, 1), NewBatchNorm2D(24), NewHardSwish(),
+		NewDepthwiseConv2D(r, 24, 3, 2, 1), NewBatchNorm2D(24), NewHardSwish(),
+		NewConv2D(r, 24, 8, 1, 1, 0, 1), NewBatchNorm2D(8),
 		NewDepthwiseConv2D(r, 8, 3, 2, 1), NewBatchNorm2D(8), NewHardSwish(),
 		NewGlobalAvgPool(),
 		NewDense(r, 8, 5),
@@ -268,6 +462,7 @@ func TestVecTrainingMatchesGeneric(t *testing.T) {
 // every build.
 func TestVecSweepsRejectShortSlices(t *testing.T) {
 	f := func(n int) []float32 { return make([]float32, n) }
+	d := func(n int) []float64 { return make([]float64, n) }
 	for _, tc := range []struct {
 		name string
 		call func()
@@ -284,6 +479,14 @@ func TestVecSweepsRejectShortSlices(t *testing.T) {
 		{"bn grad dx", func() { bnGradXVec(f(2*20+9-1), f(2*20+9), f(2*20+9), 20, 3, 9, 1, 1, 27, 0, 0) }},
 		{"bn grad dy", func() { bnGradXVec(f(2*20+9), f(2*20+9-1), f(2*20+9), 20, 3, 9, 1, 1, 27, 0, 0) }},
 		{"bn grad xhat", func() { bnGradXVec(f(2*20+9), f(2*20+9), f(2*20+9-1), 20, 3, 9, 1, 1, 27, 0, 0) }},
+		{"bn sums x", func() { bnSumSqVec(d(8), d(8), f(2*50+8*5-1), 50, 3, 5) }},
+		{"bn sums sum", func() { bnSumSqVec(d(7), d(8), f(2*50+8*5), 50, 3, 5) }},
+		{"bn sums sq", func() { bnSumSqVec(d(8), d(7), f(2*50+8*5), 50, 3, 5) }},
+		{"bn sums stride", func() { bnSumSqVec(d(8), d(8), f(200), 39, 3, 5) }},
+		{"bn grad sums a", func() { bnSumDotVec(d(8), d(8), f(2*50+8*5-1), f(2*50+8*5), 50, 3, 5) }},
+		{"bn grad sums b", func() { bnSumDotVec(d(8), d(8), f(2*50+8*5), f(2*50+8*5-1), 50, 3, 5) }},
+		{"bn grad sums dot", func() { bnSumDotVec(d(8), d(7), f(2*50+8*5), f(2*50+8*5), 50, 3, 5) }},
+		{"bn grad sums empty", func() { bnSumDotVec(d(8), d(7), nil, nil, 50, 0, 5) }},
 	} {
 		func() {
 			defer func() {
@@ -301,6 +504,15 @@ func TestVecSweepsRejectShortSlices(t *testing.T) {
 	biasActVec(nil, 3, 0, nil, false)
 	bnNormalizeVec(nil, nil, nil, 4, 0, 4, 0, 1, 1, 0)
 	bnGradXVec(nil, nil, nil, 4, 2, 0, 1, 1, 8, 0, 0)
+	// An empty reduction still defines its sixteen sums: +0.
+	sum, dot := []float64{1, 2, 3, 4, 5, 6, 7, 8}, []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	bnSumSqVec(sum, dot, nil, 40, 0, 5)
+	bnSumDotVec(sum[:8], dot, nil, nil, 40, 3, 0)
+	for i := range sum {
+		if math.Float64bits(sum[i]) != 0 || math.Float64bits(dot[i]) != 0 {
+			t.Fatalf("empty reduction left sum[%d] = %v, dot[%d] = %v, want +0", i, sum[i], i, dot[i])
+		}
+	}
 }
 
 // TestFrozenAutoIsSerialWhenVectorLive: with the vector kernels live, auto

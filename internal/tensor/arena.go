@@ -1,6 +1,7 @@
 package tensor
 
-// Arena is a shape-keyed recycler of per-batch tensors. Training hot loops
+// Arena is a recycler of per-batch tensors, keyed by shape below the batch
+// dimension. Training hot loops
 // allocate every layer output, gradient, and scratch tensor from an arena and
 // call Reset once per batch; after the first batch warms the arena up, the
 // steady state performs no heap allocation at all.
@@ -11,8 +12,11 @@ package tensor
 //     A caller that needs a tensor to survive Reset must Clone it (or copy
 //     into storage it owns) before Reset runs.
 //   - Reset marks every buffer free again without releasing memory; the next
-//     Get of the same shape returns a recycled buffer. Within one
-//     Reset-to-Reset window all returned tensors are distinct (no aliasing).
+//     Get of the same trailing dimensions returns a recycled buffer, re-headed
+//     to the requested leading dimension — so a client's short final batch
+//     runs in the full batch's buffers instead of allocating its own set.
+//     Within one Reset-to-Reset window all returned tensors are distinct (no
+//     aliasing).
 //   - An Arena is NOT safe for concurrent use. Use one arena per goroutine
 //     (in practice: per network replica).
 //
@@ -22,14 +26,16 @@ type Arena struct {
 	classes map[arenaKey]*arenaClass
 }
 
-// arenaKey identifies a size class: tensors are recycled only into requests
-// with the exact same shape, so Get never has to re-shape a buffer.
+// arenaKey identifies a size class: the rank and every dimension but the
+// leading one (a 1-D tensor's class is its one dimension). Requests of one
+// class differ only in how many leading slices they need, so a free buffer
+// serves any of them by re-heading its leading dimension.
 type arenaKey struct {
-	nd             int
-	d0, d1, d2, d3 int
+	nd         int
+	d1, d2, d3 int
 }
 
-// arenaClass is one shape's free list: tensors[:next] are handed out,
+// arenaClass is one class's free list: tensors[:next] are handed out,
 // tensors[next:] are free. Reset rewinds next to 0.
 type arenaClass struct {
 	tensors []*Tensor
@@ -46,13 +52,13 @@ func arenaKeyOf(shape []int) (arenaKey, bool) {
 	switch len(shape) {
 	case 0:
 	case 1:
-		k.d0 = shape[0]
+		k.d1 = shape[0]
 	case 2:
-		k.d0, k.d1 = shape[0], shape[1]
+		k.d1 = shape[1]
 	case 3:
-		k.d0, k.d1, k.d2 = shape[0], shape[1], shape[2]
+		k.d1, k.d2 = shape[1], shape[2]
 	case 4:
-		k.d0, k.d1, k.d2, k.d3 = shape[0], shape[1], shape[2], shape[3]
+		k.d1, k.d2, k.d3 = shape[1], shape[2], shape[3]
 	default:
 		return k, false
 	}
@@ -81,14 +87,24 @@ func (a *Arena) GetUninit(shape ...int) *Tensor {
 		c = &arenaClass{}
 		a.classes[key] = c
 	}
-	if c.next < len(c.tensors) {
-		t := c.tensors[c.next]
-		c.next++
-		return t
+	if c.next == len(c.tensors) {
+		c.tensors = append(c.tensors, New(shape...))
 	}
-	t := New(shape...)
-	c.tensors = append(c.tensors, t)
+	t := c.tensors[c.next]
 	c.next++
+	if len(shape) > 0 && t.shape[0] != shape[0] {
+		// Same class, another leading dimension: re-head the buffer, growing
+		// it once if this request is the largest the slot has seen.
+		n := 1
+		for _, d := range shape {
+			n *= d
+		}
+		if shape[0] < 0 || n > cap(t.data) {
+			*t = *New(shape...) // New rejects a negative dimension
+		} else {
+			t.shape[0], t.data = shape[0], t.data[:n]
+		}
+	}
 	return t
 }
 

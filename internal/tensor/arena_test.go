@@ -83,6 +83,75 @@ func TestArenaLive(t *testing.T) {
 	}
 }
 
+// A short final batch must run in the full batch's buffers: requests that
+// differ only in their leading dimension share a class, so a 10-then-7-then-10
+// sequence allocates once, each Get re-heads shape and length, Get zeroes
+// exactly the requested elements, and the tensors of one window stay distinct.
+func TestArenaPartialBatchReusesFullBatchBuffers(t *testing.T) {
+	a := NewArena()
+	x, y := a.Get(10, 4, 3, 3), a.GetUninit(10, 4, 3, 3)
+	v := a.Get(10, 6)
+	x.Fill(7)
+	y.Fill(8)
+	base := [3]*float32{&x.Data()[0], &y.Data()[0], &v.Data()[0]}
+	for _, n := range []int{7, 10, 1, 0, 10} {
+		a.Reset()
+		x2, y2 := a.Get(n, 4, 3, 3), a.GetUninit(n, 4, 3, 3)
+		v2 := a.Get(n, 6)
+		for i, tn := range []*Tensor{x2, y2} {
+			if tn.NDim() != 4 || tn.Dim(0) != n || tn.Dim(1) != 4 || tn.Dim(2) != 3 || tn.Dim(3) != 3 || tn.Size() != n*36 {
+				t.Fatalf("batch %d: tensor %d has shape %v, size %d", n, i, tn.Shape(), tn.Size())
+			}
+		}
+		if v2.Dim(0) != n || v2.Dim(1) != 6 || v2.Size() != n*6 {
+			t.Fatalf("batch %d: 2-D tensor has shape %v, size %d", n, v2.Shape(), v2.Size())
+		}
+		if n == 0 {
+			continue
+		}
+		if &x2.Data()[0] != base[0] || &y2.Data()[0] != base[1] || &v2.Data()[0] != base[2] {
+			t.Fatalf("batch %d did not reuse the batch-10 buffers", n)
+		}
+		for _, e := range x2.Data() {
+			if e != 0 {
+				t.Fatalf("batch %d: Get returned dirty value %v", n, e)
+			}
+		}
+		x2.Fill(7)
+		y2.Fill(8)
+		if a.Live() != 3 {
+			t.Fatalf("batch %d: Live = %d, want 3", n, a.Live())
+		}
+	}
+	a.Reset()
+	if allocs := testing.AllocsPerRun(10, func() {
+		for _, n := range []int{10, 7, 10} {
+			a.Reset()
+			a.Get(n, 4, 3, 3)
+			a.GetUninit(n, 4, 3, 3)
+			a.Get(n, 6)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm 10-7-10 batch sequence allocates %.1f objects per run, want 0", allocs)
+	}
+	// A slot grows once when a larger batch arrives, then serves both sizes.
+	a.Reset()
+	big := a.Get(16, 4, 3, 3)
+	if big.Size() != 16*36 || big.Dim(0) != 16 {
+		t.Fatalf("grown tensor has shape %v, size %d", big.Shape(), big.Size())
+	}
+	a.Reset()
+	if again := a.Get(10, 4, 3, 3); &again.Data()[0] != &big.Data()[0] {
+		t.Fatal("a batch-10 request did not reuse the grown batch-16 buffer")
+	}
+	// A 1-D tensor has no batch dimension to re-head: its class is its length.
+	a.Reset()
+	p, q := a.Get(5), a.Get(9)
+	if p.Size() != 5 || q.Size() != 9 || a.Live() != 2 {
+		t.Fatalf("1-D sizes %d, %d, Live %d", p.Size(), q.Size(), a.Live())
+	}
+}
+
 // Reference kernels for the tiled matmul variants: straightforward triple
 // loops with ascending-k accumulation per output element — the op order the
 // optimized kernels must reproduce bit-for-bit.

@@ -19,7 +19,8 @@ import (
 //     training and aggregation reproducibility contracts stand on them.
 //
 //     The tier has two implementations of the same bits. The Go loops
-//     (matmul.go, im2col.go) are the portable path and the test reference.
+//     (matmul.go, im2col.go) are the portable path and the test reference;
+//     the single-chain loops they once were are kept in the tests as oracles.
 //     On amd64 the AVX2 routines of vec_amd64.s replace them when vecLive
 //     is true (vec.go): the build is not tagged purego and a CPUID/XGETBV
 //     probe at init found AVX2 with OS-saved YMM state. There is no flag
@@ -27,13 +28,17 @@ import (
 //     a binary without assembly. The vector routines are bit-identical to
 //     the Go loops BY CONSTRUCTION, under two rules:
 //
-//       1. Lanes lie across independent accumulation targets (output
-//          columns j; for the dot form, eight (i,j) chains fed by an
-//          in-register transpose), never along the reduction axis, so
-//          every target still receives its partial products one at a time
+//       1. Chains and lanes lie across independent accumulation targets,
+//          never along a reduction. A vector's lanes — and a Go loop's
+//          side-by-side accumulators — are output columns j; for the dot
+//          form, eight (i,j) chains fed by an in-register transpose; for a
+//          depthwise weight gradient, the taps of the kernel (three per
+//          walk in Go, all nine of a 3×3 in the vector routine); for a
+//          depthwise tap, the output positions, de-interleaved at stride 2.
+//          Every target still receives its partial products one at a time
 //          in ascending inner-index order — with the same av != 0 skip in
 //          the AXPY forms (±0 skipped, NaN not) and no skip in the dot
-//          form.
+//          forms.
 //       2. No FMA in the oracle tier: each step is one VMULPS and one
 //          VADDPS, two roundings like the Go compiler's MULSS + ADDSS
 //          (GOAMD64=v1 never fuses). A fused multiply-add rounds once and

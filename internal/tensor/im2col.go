@@ -52,7 +52,9 @@ func (d ConvDims) ColCols() int { return d.OutH * d.OutW }
 // single matrix multiply: W[outC, inC*kh*kw] @ col.
 //
 // col must have length ColRows()*ColCols(). Out-of-bounds taps (padding)
-// are written as zeros.
+// are written as zeros: per (channel, tap) row the padded margins are cleared
+// and the valid span — tapOyRange × tapOxRange, as in the plane kernels — is
+// copied without a bounds test per element.
 func Im2Col(col, img []float32, d ConvDims) {
 	if len(col) != d.ColRows()*d.ColCols() {
 		panic(fmt.Sprintf("tensor: Im2Col col size %d, want %d", len(col), d.ColRows()*d.ColCols()))
@@ -65,30 +67,36 @@ func Im2Col(col, img []float32, d ConvDims) {
 	for c := 0; c < d.InC; c++ {
 		chanBase := c * d.InH * d.InW
 		for ky := 0; ky < d.KH; ky++ {
+			oyLo, oyHi := d.tapOyRange(ky)
 			for kx := 0; kx < d.KW; kx++ {
 				dst := col[row*cols : (row+1)*cols]
-				i := 0
-				for oy := 0; oy < d.OutH; oy++ {
-					iy := oy*d.StrideH - d.PadH + ky
-					if iy < 0 || iy >= d.InH {
-						for ox := 0; ox < d.OutW; ox++ {
-							dst[i] = 0
-							i++
-						}
+				row++
+				oxLo, oxHi := d.tapOxRange(kx)
+				if oyLo >= oyHi || oxLo >= oxHi {
+					clear(dst) // the tap never lands inside the image
+					continue
+				}
+				clear(dst[:oyLo*d.OutW])
+				clear(dst[oyHi*d.OutW:])
+				for oy := oyLo; oy < oyHi; oy++ {
+					drow := dst[oy*d.OutW : (oy+1)*d.OutW]
+					for ox := 0; ox < oxLo; ox++ { // at most PadW elements: a loop beats a memclr call
+						drow[ox] = 0
+					}
+					for ox := oxHi; ox < len(drow); ox++ {
+						drow[ox] = 0
+					}
+					ibase := chanBase + (oy*d.StrideH-d.PadH+ky)*d.InW - d.PadW + kx
+					if d.StrideW == 1 {
+						copy(drow[oxLo:oxHi], img[ibase+oxLo:ibase+oxHi])
 						continue
 					}
-					rowBase := chanBase + iy*d.InW
-					for ox := 0; ox < d.OutW; ox++ {
-						ix := ox*d.StrideW - d.PadW + kx
-						if ix < 0 || ix >= d.InW {
-							dst[i] = 0
-						} else {
-							dst[i] = img[rowBase+ix]
-						}
-						i++
+					ii := ibase + oxLo*d.StrideW
+					for ox := oxLo; ox < oxHi; ox++ {
+						drow[ox] = img[ii]
+						ii += d.StrideW
 					}
 				}
-				row++
 			}
 		}
 	}
@@ -146,14 +154,27 @@ func col2imCols(img, col []float32, d ConvDims, xlo, xhi int) {
 func tapRange(k, pad, stride, in, out int) (lo, hi int) {
 	hi = out
 	if num := pad - k; num > 0 {
-		lo = (num + stride - 1) / stride
+		lo = ceilDiv(num, stride)
 	}
 	if num := in + pad - k; num > 0 {
-		hi = min(hi, (num+stride-1)/stride)
+		hi = min(hi, ceilDiv(num, stride))
 	} else {
 		hi = 0
 	}
 	return lo, hi
+}
+
+// ceilDiv is ⌈num/stride⌉ for num > 0. The plane kernels ask per tap, and a
+// 64-bit divide costs more than a short tap's arithmetic, so the two strides
+// in use take no division.
+func ceilDiv(num, stride int) int {
+	switch stride {
+	case 1:
+		return num
+	case 2:
+		return (num + 1) >> 1
+	}
+	return (num + stride - 1) / stride
 }
 
 // tapOxRange is the ox interval whose tap column kx stays inside the image.
@@ -213,11 +234,16 @@ func DepthwiseConvPlane(y, img, w []float32, d ConvDims) {
 			if oxLo >= oxHi {
 				continue
 			}
-			if vecLive && d.StrideW == 1 {
-				// The whole tap as one strided 2-D AXPY over its valid rows.
+			if vecLive && d.StrideW <= 2 {
+				// The whole tap as one strided 2-D AXPY over its valid rows,
+				// reading every second pixel at stride 2.
 				if oyLo < oyHi {
 					ibase := (oyLo*d.StrideH-d.PadH+ky)*d.InW - d.PadW + kx
-					axpyPlaneVec(y[oyLo*d.OutW+oxLo:], d.OutW, img[ibase+oxLo:], d.StrideH*d.InW,
+					tapVec := axpyPlaneVec
+					if d.StrideW == 2 {
+						tapVec = axpyGather2Vec
+					}
+					tapVec(y[oyLo*d.OutW+oxLo:], d.OutW, img[ibase+oxLo*d.StrideW:], d.StrideH*d.InW,
 						wt, oyHi-oyLo, oxHi-oxLo)
 				}
 				continue
@@ -251,11 +277,29 @@ func DepthwiseConvPlane(y, img, w []float32, d ConvDims) {
 // starts at +0 and runs over the output positions in ascending order — the
 // order of the lowered dW += dy @ colᵀ, whose padding columns only contribute
 // ±0 — so the result is bit-identical to Im2Col + MatMulTransBAccSlices.
+//
+// One accumulator per tap is one floating-point dependency chain per tap, and
+// the taps are independent targets: tapDot3 walks the plane once for three
+// neighbouring taps of a kernel row, three chains side by side, and the last
+// KW mod 3 taps of a row go one by one. With the vector kernels live a 3×3
+// kernel takes gradW3x3Vec, whose lanes are all nine taps.
 func DepthwiseConvPlaneGradW(dw, dy, img []float32, d ConvDims) {
 	d.checkPlane("DepthwiseConvPlaneGradW", img, dy, dw)
+	if vecLive && d.KH == 3 && d.KW == 3 {
+		gradW3x3Vec(dw, dy, img, &d)
+		return
+	}
 	t := 0
 	for ky := 0; ky < d.KH; ky++ {
-		for kx := 0; kx < d.KW; kx++ {
+		kx := 0
+		for ; kx+3 <= d.KW; kx += 3 {
+			s0, s1, s2 := d.tapDot3(dy, img, ky, kx)
+			dw[t] += s0
+			dw[t+1] += s1
+			dw[t+2] += s2
+			t += 3
+		}
+		for ; kx < d.KW; kx++ {
 			dw[t] += d.tapDot(dy, img, ky, kx)
 			t++
 		}
@@ -270,28 +314,73 @@ func (d *ConvDims) tapDot(dy, img []float32, ky, kx int) float32 {
 	if oxLo >= oxHi {
 		return 0
 	}
+	oyLo, oyHi := d.tapOyRange(ky)
 	var s float32
-	for oy := 0; oy < d.OutH; oy++ {
-		iy := oy*d.StrideH - d.PadH + ky
-		if iy < 0 || iy >= d.InH {
-			continue
-		}
-		dyrow := dy[oy*d.OutW+oxLo : oy*d.OutW+oxHi]
-		ibase := iy*d.InW - d.PadW + kx
-		if d.StrideW == 1 {
-			irow := img[ibase+oxLo : ibase+oxHi]
-			for j, g := range dyrow {
-				s += g * irow[j]
-			}
-		} else {
-			ii := ibase + oxLo*d.StrideW
-			for _, g := range dyrow {
-				s += g * img[ii]
-				ii += d.StrideW
-			}
-		}
+	for oy := oyLo; oy < oyHi; oy++ {
+		at := (oy*d.StrideH-d.PadH+ky)*d.InW - d.PadW + kx
+		s = tapRowDot(s, dy[oy*d.OutW+oxLo:oy*d.OutW+oxHi], img, at+oxLo*d.StrideW, d.StrideW)
 	}
 	return s
+}
+
+// tapRowDot continues one tap's accumulator s over a run of one output row:
+// s += dy[j]·img[at + j·step], j ascending.
+func tapRowDot(s float32, dy, img []float32, at, step int) float32 {
+	for _, g := range dy {
+		s += g * img[at]
+		at += step
+	}
+	return s
+}
+
+// tapRowDot3 is tapRowDot for three taps one pixel apart:
+// s_c += dy[j]·img[at + c + j·step] for c < 3, j ascending in every chain.
+// (Not inlined: inside tapDot3 the loop's eleven live values spill.)
+//
+//go:noinline
+func tapRowDot3(s0, s1, s2 float32, dy, img []float32, at, step int) (float32, float32, float32) {
+	for _, g := range dy {
+		s0 += g * img[at]
+		s1 += g * img[at+1]
+		s2 += g * img[at+2]
+		at += step
+	}
+	return s0, s1, s2
+}
+
+// tapDot3 is tapDot for the three taps (ky, kx), (ky, kx+1), (ky, kx+2) in one
+// walk over the plane. Along the columns [c0, c1) of an output row where all
+// three land inside the image, a position feeds the three accumulators from
+// three neighbouring pixels; the columns where only the later taps (left of
+// c0) or the earlier ones (right of c1) are inside go tap by tap, so each
+// tap still meets its own positions in ascending (oy, ox) order.
+func (d *ConvDims) tapDot3(dy, img []float32, ky, kx int) (s0, s1, s2 float32) {
+	// A tap range's lo and hi both fall as kx rises.
+	lo0, hi0 := d.tapOxRange(kx)
+	lo1, hi1 := d.tapOxRange(kx + 1)
+	lo2, hi2 := d.tapOxRange(kx + 2)
+	c0 := min(lo0, hi0) // an empty range may start past the row
+	c1 := max(c0, hi2)
+	oyLo, oyHi := d.tapOyRange(ky)
+	sw := d.StrideW
+	for oy := oyLo; oy < oyHi; oy++ {
+		dyrow := dy[oy*d.OutW : (oy+1)*d.OutW]
+		at := (oy*d.StrideH-d.PadH+ky)*d.InW - d.PadW + kx // tap kx's pixel at ox = 0
+		if l, h := lo1, min(hi1, c0); l < h {
+			s1 = tapRowDot(s1, dyrow[l:h], img, at+1+l*sw, sw)
+		}
+		if l, h := lo2, min(hi2, c0); l < h {
+			s2 = tapRowDot(s2, dyrow[l:h], img, at+2+l*sw, sw)
+		}
+		s0, s1, s2 = tapRowDot3(s0, s1, s2, dyrow[c0:c1], img, at+c0*sw, sw)
+		if l, h := c1, hi0; l < h {
+			s0 = tapRowDot(s0, dyrow[l:h], img, at+l*sw, sw)
+		}
+		if l, h := max(lo1, c1), hi1; l < h {
+			s1 = tapRowDot(s1, dyrow[l:h], img, at+1+l*sw, sw)
+		}
+	}
+	return s0, s1, s2
 }
 
 // DepthwiseConvPlaneGradX accumulates ONE channel plane's input gradient
@@ -315,10 +404,14 @@ func DepthwiseConvPlaneGradX(dimg, dy, w []float32, d ConvDims) {
 			if oxLo >= oxHi {
 				continue
 			}
-			if vecLive && d.StrideW == 1 {
+			if vecLive && d.StrideW <= 2 {
 				if oyLo < oyHi {
 					ibase := (oyLo*d.StrideH-d.PadH+ky)*d.InW - d.PadW + kx
-					axpyPlaneVec(dimg[ibase+oxLo:], d.StrideH*d.InW, dy[oyLo*d.OutW+oxLo:], d.OutW,
+					tapVec := axpyPlaneVec
+					if d.StrideW == 2 {
+						tapVec = axpyScatter2Vec
+					}
+					tapVec(dimg[ibase+oxLo*d.StrideW:], d.StrideH*d.InW, dy[oyLo*d.OutW+oxLo:], d.OutW,
 						wt, oyHi-oyLo, oxHi-oxLo)
 				}
 				continue

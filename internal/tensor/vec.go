@@ -5,11 +5,11 @@ import "fmt"
 // Vector oracle kernels -------------------------------------------------------
 //
 // vecLive routes the oracle kernels (matmulAcc, matMulTransAAccRange,
-// matMulTransB, the stride-1 depthwise plane AXPYs) onto the AVX2 routines of
-// vec_amd64.s. It is true exactly when the build carries them (amd64 without
-// the purego tag) and the CPUID/XGETBV probe passed at init — the program's
-// own choice from the machine it runs on, with no flag or environment
-// variable. The routines are bit-identical to the Go loops by construction
+// matMulTransB, the depthwise plane taps at stride 1 and 2, the 3×3 depthwise
+// weight gradient) onto the AVX2 routines of vec_amd64.s. It is true exactly
+// when the build carries them (amd64 without the purego tag) and the
+// CPUID/XGETBV probe passed at init — the program's own choice from the
+// machine it runs on, with no flag or environment variable. The routines are bit-identical to the Go loops by construction
 // (backend.go states the rule), so vecLive never changes a result; the Go
 // loops stay as the portable path and as the reference the differential tests
 // compare against by flipping this variable.
@@ -53,6 +53,56 @@ func axpyPlaneVec(dst []float32, dstStride int, src []float32, srcStride int, w 
 			rows, n, len(dst), dstStride, len(src), srcStride))
 	}
 	vecAxpyPlane(&dst[0], dstStride, &src[0], srcStride, w, rows, n)
+}
+
+// axpyGather2Vec computes dst[r·dstStride+j] += w·src[r·srcStride+2j] for
+// r < rows, j < n: one tap of a stride-2 depthwise forward.
+func axpyGather2Vec(dst []float32, dstStride int, src []float32, srcStride int, w float32, rows, n int) {
+	if rows <= 0 || n <= 0 {
+		return
+	}
+	if dstStride < n || srcStride < 2*n-1 ||
+		len(dst) < (rows-1)*dstStride+n || len(src) < (rows-1)*srcStride+2*n-1 {
+		panic(fmt.Sprintf("tensor: vector stride-2 gather %dx%d: dst %d (stride %d), src %d (stride %d) too short",
+			rows, n, len(dst), dstStride, len(src), srcStride))
+	}
+	vecAxpyGather2(&dst[0], dstStride, &src[0], srcStride, w, rows, n)
+}
+
+// axpyScatter2Vec computes dst[r·dstStride+2j] += w·src[r·srcStride+j] for
+// r < rows, j < n: one tap of a stride-2 depthwise input gradient. The odd
+// elements of dst keep their bits.
+func axpyScatter2Vec(dst []float32, dstStride int, src []float32, srcStride int, w float32, rows, n int) {
+	if rows <= 0 || n <= 0 {
+		return
+	}
+	if dstStride < 2*n-1 || srcStride < n ||
+		len(dst) < (rows-1)*dstStride+2*n-1 || len(src) < (rows-1)*srcStride+n {
+		panic(fmt.Sprintf("tensor: vector stride-2 scatter %dx%d: dst %d (stride %d), src %d (stride %d) too short",
+			rows, n, len(dst), dstStride, len(src), srcStride))
+	}
+	vecAxpyScatter2(&dst[0], dstStride, &src[0], srcStride, w, rows, n)
+}
+
+// gradW3x3Vec accumulates one plane's 3×3 depthwise weight gradient,
+// dw[t] += Σ dy·(tap t's pixel) with every tap's sum from +0 in ascending
+// (oy, ox) order: DepthwiseConvPlaneGradW's bits with the nine taps in lanes.
+func gradW3x3Vec(dw, dy, img []float32, d *ConvDims) {
+	if d.OutH <= 0 || d.OutW <= 0 {
+		return
+	}
+	if d.InH < 1 || d.InW < 1 || d.StrideH < 1 || d.StrideW < 1 ||
+		len(dw) < 9 || len(dy) < d.OutH*d.OutW || len(img) < d.InH*d.InW {
+		panic(fmt.Sprintf("tensor: vector 3x3 weight gradient on %dx%d → %dx%d: dw %d, dy %d, img %d too short",
+			d.InH, d.InW, d.OutH, d.OutW, len(dw), len(dy), len(img)))
+	}
+	var acc [12]float32 // kernel row ky in lanes 4ky .. 4ky+2
+	vecGradW3x3(&acc[0], &dy[0], &img[0], d.OutH, d.OutW, d.InH, d.InW, d.StrideH, d.StrideW, d.PadH, d.PadW)
+	for ky := 0; ky < 3; ky++ {
+		for kx := 0; kx < 3; kx++ {
+			dw[ky*3+kx] += acc[ky*4+kx]
+		}
+	}
 }
 
 // vecDotMinCols is the narrowest output the dot-form routine takes: its lanes

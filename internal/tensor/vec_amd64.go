@@ -39,3 +39,12 @@ func vecAxpyPlane(dst *float32, dstStride int, src *float32, srcStride int, w fl
 
 //go:noescape
 func vecDotTransB(out, a, b *float32, m, k, n int, acc bool)
+
+//go:noescape
+func vecAxpyGather2(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int)
+
+//go:noescape
+func vecAxpyScatter2(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int)
+
+//go:noescape
+func vecGradW3x3(acc, dy, img *float32, outH, outW, inH, inW, strideH, strideW, padH, padW int)

@@ -5,13 +5,16 @@
 // AVX2 oracle-tier kernels. The rules every routine here keeps (see the
 // tier comment in backend.go):
 //
-//   - lanes lie across INDEPENDENT accumulation targets, never along the
-//     reduction axis, so each target still sees its partial products in
-//     ascending inner-index order;
+//   - lanes lie across INDEPENDENT accumulation targets — output columns,
+//     output positions, (i,j) dot chains, the taps of a kernel — never along
+//     a reduction axis, so each target still sees its partial products one at
+//     a time in ascending inner-index order;
 //   - one VMULPS, then one VADDPS with the accumulator as first source —
 //     never an FMA, whose single rounding would change bits;
 //   - the AXPY forms skip a[x] == ±0 (NaN is not skipped) exactly like the
-//     Go loops' av != 0 test; the dot form skips nothing;
+//     Go loops' av != 0 test; the dot forms skip nothing;
+//   - a lane that has no element (a row tail, a tap outside the image) is
+//     masked out of every read and write, so no access leaves the slices;
 //   - every routine ends in VZEROUPPER.
 //
 // The Go wrappers in vec.go validate every length before taking a pointer;
@@ -498,5 +501,298 @@ dotNextBlock:
 	JMP  dotBlock
 
 dotDone:
+	VZEROUPPER
+	RET
+
+// The stride-2 depthwise taps. A tap of a stride-2 plane kernel touches every
+// second element of the wide side: y[j] += w·img[2j] forward, dimg[2j] +=
+// w·dy[j] for the input gradient. Every element is still its own target with
+// one multiply-add, so the lanes are eight consecutive j; what is new is the
+// de-interleave. Fifteen wide elements cover eight j, and they are read as
+// elements 0–7 and 7–14 — never a sixteenth, which the slice need not have.
+// A last block of n%8 j goes through lane masks, so nothing is read or
+// written past element 2(n−1).
+
+// vecEven holds the VPERMPS indices that spread p0..p3 (then p4..p7) over
+// lane pairs: [0 0 1 1 2 2 3 3] and [4 4 5 5 6 6 7 7].
+DATA vecEven<>+0(SB)/8, $0x0000000000000000
+DATA vecEven<>+8(SB)/8, $0x0000000100000001
+DATA vecEven<>+16(SB)/8, $0x0000000200000002
+DATA vecEven<>+24(SB)/8, $0x0000000300000003
+DATA vecEven<>+32(SB)/8, $0x0000000400000004
+DATA vecEven<>+40(SB)/8, $0x0000000500000005
+DATA vecEven<>+48(SB)/8, $0x0000000600000006
+DATA vecEven<>+56(SB)/8, $0x0000000700000007
+GLOBL vecEven<>(SB), RODATA|NOPTR, $64
+
+// S2SETUP loads the shared registers of both stride-2 routines: DI/R8 dst
+// and its row step, SI/R9 src and its row step, Y15 = w, R13 rows, R10 = n,
+// and for a tail of r = n%8: Y9 the first r lanes (the narrow side), Y10 the
+// first min(8, 2r−1) lanes and Y11 the first max(0, 2r−8) lanes (the wide
+// side's two reads).
+#define S2SETUP \
+	MOVQ dst+0(FP), DI; \
+	MOVQ dstStride+8(FP), R8; \
+	SHLQ $2, R8; \
+	MOVQ src+16(FP), SI; \
+	MOVQ srcStride+24(FP), R9; \
+	SHLQ $2, R9; \
+	VBROADCASTSS w+32(FP), Y15; \
+	MOVQ rows+40(FP), R13; \
+	MOVQ n+48(FP), R10; \
+	MOVQ R10, R11; \
+	ANDQ $7, R11; \
+	LEAQ vecMask<>(SB), R12; \
+	MOVQ R11, BX; \
+	NEGQ BX; \
+	VMOVDQU 32(R12)(BX*4), Y9; \
+	LEAQ -1(R11)(R11*1), BX; \
+	MOVQ $8, CX; \
+	CMPQ BX, CX; \
+	CMOVQGT CX, BX; \
+	MOVQ $0, CX; \
+	CMPQ BX, CX; \
+	CMOVQLT CX, BX; \
+	NEGQ BX; \
+	VMOVDQU 32(R12)(BX*4), Y10; \
+	LEAQ -8(R11)(R11*1), BX; \
+	CMPQ BX, CX; \
+	CMOVQLT CX, BX; \
+	NEGQ BX; \
+	VMOVDQU 32(R12)(BX*4), Y11
+
+// func vecAxpyGather2(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int)
+//
+// dst[r·dstStride + j] += w · src[r·srcStride + 2j]   (r < rows, j < n)
+TEXT ·vecAxpyGather2(SB), NOSPLIT, $0-56
+	S2SETUP
+
+g2Row:
+	XORQ AX, AX             // dst offset, bytes; src is at twice that
+	MOVQ R10, BX
+
+g2Blk:
+	CMPQ BX, $8
+	JLT  g2Tail
+	VMOVUPS (SI)(AX*2), Y0
+	VMOVUPS 28(SI)(AX*2), Y1
+	VSHUFPS $0xD8, Y1, Y0, Y0   // e0 e2 e8 e10 | e4 e6 e12 e14
+	VPERMPD $0xD8, Y0, Y0       // e0 e2 e4 e6 e8 e10 e12 e14
+	VMULPS Y0, Y15, Y0
+	VMOVUPS (DI)(AX*1), Y4
+	VADDPS Y0, Y4, Y4
+	VMOVUPS Y4, (DI)(AX*1)
+	ADDQ $32, AX
+	SUBQ $8, BX
+	JMP  g2Blk
+
+g2Tail:
+	TESTQ BX, BX
+	JZ    g2Next
+	VMASKMOVPS (SI)(AX*2), Y10, Y0
+	VMASKMOVPS 28(SI)(AX*2), Y11, Y1
+	VSHUFPS $0xD8, Y1, Y0, Y0
+	VPERMPD $0xD8, Y0, Y0
+	VMULPS Y0, Y15, Y0
+	VMASKMOVPS (DI)(AX*1), Y9, Y4
+	VADDPS Y0, Y4, Y4
+	VMASKMOVPS Y4, Y9, (DI)(AX*1)
+
+g2Next:
+	ADDQ R8, DI
+	ADDQ R9, SI
+	DECQ R13
+	JNZ  g2Row
+	VZEROUPPER
+	RET
+
+// func vecAxpyScatter2(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int)
+//
+// dst[r·dstStride + 2j] += w · src[r·srcStride + j]   (r < rows, j < n)
+//
+// The odd elements between the targets are re-stored from what was loaded,
+// blended in unchanged, so they keep their bits (a −0 stays −0).
+TEXT ·vecAxpyScatter2(SB), NOSPLIT, $0-56
+	S2SETUP
+	VMOVDQU vecEven<>+0(SB), Y13
+	VMOVDQU vecEven<>+32(SB), Y14
+
+s2Row:
+	XORQ AX, AX             // src offset, bytes; dst is at twice that
+	MOVQ R10, BX
+
+s2Blk:
+	CMPQ BX, $8
+	JLT  s2Tail
+	VMULPS (SI)(AX*1), Y15, Y0
+	VPERMPS Y0, Y13, Y1         // p0 p0 p1 p1 p2 p2 p3 p3
+	VPERMPS Y0, Y14, Y2         // p4 p4 p5 p5 p6 p6 p7 p7
+	VMOVUPS (DI)(AX*2), Y4      // elements 0–7: targets in the even lanes
+	VMOVUPS 28(DI)(AX*2), Y5    // elements 7–14: targets in the odd lanes
+	VADDPS Y1, Y4, Y1
+	VADDPS Y2, Y5, Y2
+	VBLENDPS $0x55, Y1, Y4, Y4
+	VBLENDPS $0xAA, Y2, Y5, Y5
+	VMOVUPS Y4, (DI)(AX*2)
+	VMOVUPS Y5, 28(DI)(AX*2)
+	ADDQ $32, AX
+	SUBQ $8, BX
+	JMP  s2Blk
+
+s2Tail:
+	TESTQ BX, BX
+	JZ    s2Next
+	VMASKMOVPS (SI)(AX*1), Y9, Y0
+	VMULPS Y0, Y15, Y0
+	VPERMPS Y0, Y13, Y1
+	VPERMPS Y0, Y14, Y2
+	VMASKMOVPS (DI)(AX*2), Y10, Y4
+	VMASKMOVPS 28(DI)(AX*2), Y11, Y5
+	VADDPS Y1, Y4, Y1
+	VADDPS Y2, Y5, Y2
+	VBLENDPS $0x55, Y1, Y4, Y4
+	VBLENDPS $0xAA, Y2, Y5, Y5
+	VMASKMOVPS Y4, Y10, (DI)(AX*2)
+	VMASKMOVPS Y5, Y11, 28(DI)(AX*2)
+
+s2Next:
+	ADDQ R8, DI
+	ADDQ R9, SI
+	DECQ R13
+	JNZ  s2Row
+	VZEROUPPER
+	RET
+
+// func vecGradW3x3(acc, dy, img *float32, outH, outW, inH, inW, strideH, strideW, padH, padW int)
+//
+// One plane's 3×3 depthwise weight gradient. A tap's sum folds its output
+// positions one at a time in ascending (oy, ox) order — that order is the
+// result — but the nine taps are independent targets, so the lanes are the
+// taps: X0, X1, X2 hold kernel rows 0, 1, 2 (lanes kx = 0, 1, 2; lane 3
+// idle), and a position adds dy[oy,ox] · (the three pixels of each kernel
+// row, one unaligned read) into them, VMULPS then VADDPS. A tap outside the
+// image at this position must add nothing: its lane is masked out of the read
+// (which therefore never leaves the plane) and its product is ANDed to +0,
+// and s + (+0) is s for every sum that began at +0. A kernel row outside the
+// image is skipped. acc receives the twelve lanes.
+//
+// Register plan: DI dy, SI pixel of tap (0,0) at this position, R11 = 4·inW,
+// R10 = 4·strideW, DX = ix0 (the tap-(0,0) column, signed), R9 positions left
+// in the row, R13 = iy0, BX bit k set when kernel row k is inside, R8 = the
+// bound below which (unsigned) ix0 has all three columns inside, R12 the mask
+// table, X6 the three-lane mask, X3 this position's mask, X5 dy broadcast.
+TEXT ·vecGradW3x3(SB), NOSPLIT, $8-88
+	MOVQ dy+8(FP), DI
+	MOVQ inW+48(FP), R11
+	LEAQ -2(R11), R8
+	XORQ AX, AX
+	CMPQ R8, AX
+	CMOVQLT AX, R8          // max(0, inW−2)
+	SHLQ $2, R11
+	MOVQ strideW+64(FP), R10
+	SHLQ $2, R10
+	LEAQ vecMask<>(SB), R12
+	VMOVDQU 20(R12), X6     // the first three of four lanes
+	VXORPS X0, X0, X0
+	VXORPS X1, X1, X1
+	VXORPS X2, X2, X2
+	MOVQ outH+24(FP), AX
+	MOVQ AX, rowsLeft-8(SP)
+	MOVQ padH+72(FP), R13
+	NEGQ R13                // iy0 of output row 0
+
+gwRow:
+	XORQ BX, BX
+	MOVQ inH+40(FP), CX
+	CMPQ R13, CX            // unsigned: 0 ≤ iy0 < inH
+	JAE  gwRow1
+	ORQ  $1, BX
+
+gwRow1:
+	LEAQ 1(R13), AX
+	CMPQ AX, CX
+	JAE  gwRow2
+	ORQ  $2, BX
+
+gwRow2:
+	LEAQ 2(R13), AX
+	CMPQ AX, CX
+	JAE  gwRowGo
+	ORQ  $4, BX
+
+gwRowGo:
+	MOVQ padW+80(FP), DX
+	NEGQ DX                 // ix0 of output column 0
+	MOVQ R13, SI
+	IMULQ inW+48(FP), SI
+	ADDQ DX, SI
+	SHLQ $2, SI
+	ADDQ img+16(FP), SI
+	MOVQ outW+32(FP), R9
+
+gwPos:
+	VMOVAPS X6, X3
+	CMPQ DX, R8
+	JB   gwTaps             // all three columns inside
+	// lanes [lo, hi): lo = clamp(−ix0, 0, 4), hi = clamp(inW − ix0, 0, 3)
+	MOVQ DX, AX
+	NEGQ AX
+	MOVQ $0, CX
+	CMPQ AX, CX
+	CMOVQLT CX, AX
+	MOVQ $4, CX
+	CMPQ AX, CX
+	CMOVQGT CX, AX
+	NEGQ AX
+	VMOVDQU 64(R12)(AX*4), X3   // lanes ≥ lo
+	MOVQ inW+48(FP), AX
+	SUBQ DX, AX
+	MOVQ $0, CX
+	CMPQ AX, CX
+	CMOVQLT CX, AX
+	MOVQ $3, CX
+	CMPQ AX, CX
+	CMOVQGT CX, AX
+	NEGQ AX
+	VANDPS 32(R12)(AX*4), X3, X3    // … and < hi
+
+gwTaps:
+	VBROADCASTSS (DI), X5
+	TESTQ $1, BX
+	JZ    gwTaps1
+	VMASKMOVPS (SI), X3, X4
+	VMULPS X4, X5, X4
+	VANDPS X3, X4, X4
+	VADDPS X4, X0, X0
+
+gwTaps1:
+	TESTQ $2, BX
+	JZ    gwTaps2
+	VMASKMOVPS (SI)(R11*1), X3, X4
+	VMULPS X4, X5, X4
+	VANDPS X3, X4, X4
+	VADDPS X4, X1, X1
+
+gwTaps2:
+	TESTQ $4, BX
+	JZ    gwNext
+	VMASKMOVPS (SI)(R11*2), X3, X4
+	VMULPS X4, X5, X4
+	VANDPS X3, X4, X4
+	VADDPS X4, X2, X2
+
+gwNext:
+	ADDQ $4, DI
+	ADDQ R10, SI
+	ADDQ strideW+64(FP), DX
+	DECQ R9
+	JNZ  gwPos
+	ADDQ strideH+56(FP), R13
+	DECQ rowsLeft-8(SP)
+	JNZ  gwRow
+	MOVQ acc+0(FP), DI
+	VMOVUPS X0, (DI)
+	VMOVUPS X1, 16(DI)
+	VMOVUPS X2, 32(DI)
 	VZEROUPPER
 	RET

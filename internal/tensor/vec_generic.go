@@ -18,3 +18,15 @@ func vecAxpyPlane(dst *float32, dstStride int, src *float32, srcStride int, w fl
 func vecDotTransB(out, a, b *float32, m, k, n int, acc bool) {
 	panic("tensor: vector kernel called in a build without one")
 }
+
+func vecAxpyGather2(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int) {
+	panic("tensor: vector kernel called in a build without one")
+}
+
+func vecAxpyScatter2(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int) {
+	panic("tensor: vector kernel called in a build without one")
+}
+
+func vecGradW3x3(acc, dy, img *float32, outH, outW, inH, inW, strideH, strideW, padH, padW int) {
+	panic("tensor: vector kernel called in a build without one")
+}

@@ -223,12 +223,17 @@ func runVecPlaneCase(t *testing.T, h, w, k, stride, pad int, seed uint64) {
 	for i, kernel := range []string{"forward", "dW", "dx"} {
 		exactEqual(t, fmt.Sprintf("plane %dx%d k%d s%d p%d seed %d %s", h, w, k, stride, pad, seed, kernel), got[i], want[i])
 	}
+	tapOuter := slices.Clone(junkW)
+	refDepthwiseGradW(tapOuter, dy, img, d)
+	exactEqual(t, fmt.Sprintf("plane %dx%d k%d s%d p%d seed %d dW vs tap-outer", h, w, k, stride, pad, seed), got[1], tapOuter)
 }
 
 // FuzzVecPlanesMatchGeneric is FuzzVecMatchesGeneric's sibling for the
-// depthwise plane kernels (DepthwiseConvPlane, …GradW, …GradX): random plane
-// sizes, kernels, strides, pads and seeds at tol 0, seeded with the lowered
-// sweep's geometries (depthwise_test.go) and the plane-AXPY block-edge widths.
+// depthwise plane kernels (DepthwiseConvPlane, …GradW, …GradX) and the routines
+// under them (axpyPlaneVec, axpyGather2Vec, axpyScatter2Vec, gradW3x3Vec):
+// random plane sizes, kernels, strides, pads and seeds at tol 0 — dW against
+// the tap-outer oracle too — seeded with the lowered sweep's geometries
+// (depthwise_test.go) and the block-edge widths of both strides.
 func FuzzVecPlanesMatchGeneric(f *testing.F) {
 	for i, hw := range [][2]int{{7, 11}, {9, 5}, {13, 10}, {1, 1}, {2, 3}} {
 		for _, k := range []int{1, 3, 5} {
@@ -241,6 +246,11 @@ func FuzzVecPlanesMatchGeneric(f *testing.F) {
 	}
 	for i, w := range []int{1, 6, 7, 8, 9, 15, 16, 31, 32, 33, 40, 70} {
 		f.Add(uint8(1+i%5), uint8(w), uint8(3), uint8(1), uint8(1), uint64(77+i))
+	}
+	// Stride 2 around the eight-output block of the de-interleaving taps (odd
+	// and even widths), and the 3×3 weight gradient's margins at every pad.
+	for i, w := range []int{2, 3, 13, 14, 15, 16, 17, 18, 29, 31, 32, 33, 34, 35, 63, 65} {
+		f.Add(uint8(2+i%6), uint8(w), uint8(3), uint8(2), uint8(i%3), uint64(91+i))
 	}
 	f.Fuzz(func(t *testing.T, h, w, k, stride, pad uint8, seed uint64) {
 		requireVec(t)
@@ -273,6 +283,55 @@ func TestVecPlaneAxpyMatchesGeneric(t *testing.T) {
 	}
 }
 
+// TestVecStride2TapsMatchGeneric drives the de-interleaving tap kernels
+// directly against the scalar row loops they replace, on slices that END at
+// the last element a row loop touches (2(n−1) past the row start, never the
+// odd element after it). The scatter's odd elements — between and beside its
+// targets — hold −0, NaN and denormals and must keep their bits.
+func TestVecStride2TapsMatchGeneric(t *testing.T) {
+	requireVec(t)
+	r := frand.New(78)
+	odd := []float32{float32(math.Copysign(0, -1)), float32(math.NaN()), -1e-41, 0}
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 23, 24, 25, 40} {
+		for _, rows := range []int{1, 2, 5} {
+			narrow, wide := n+3, 2*n+4
+			for _, w := range []float32{1.5, -0.3, 1e-30} {
+				// gather: y[j] += w·img[2j]
+				src := vecOperand(r, (rows-1)*wide+2*n-1)
+				dst := vecOperand(r, (rows-1)*narrow+n)
+				want := slices.Clone(dst)
+				for y := 0; y < rows; y++ {
+					for j := 0; j < n; j++ {
+						want[y*narrow+j] += w * src[y*wide+2*j]
+					}
+				}
+				got := slices.Clone(dst)
+				axpyGather2Vec(got, narrow, src, wide, w, rows, n)
+				exactEqual(t, fmt.Sprintf("gather %dx%d w=%g", rows, n, w), got, want)
+
+				// scatter: dimg[2j] += w·dy[j]
+				src = vecOperand(r, (rows-1)*narrow+n)
+				dst = vecOperand(r, (rows-1)*wide+2*n-1)
+				for i := range dst {
+					if i%wide%2 == 1 || i%wide >= 2*n-1 {
+						dst[i] = odd[i%len(odd)]
+					}
+				}
+				dst[0] = float32(math.Copysign(0, -1)) // a target holding −0
+				want = slices.Clone(dst)
+				for y := 0; y < rows; y++ {
+					for j := 0; j < n; j++ {
+						want[y*wide+2*j] += w * src[y*narrow+j]
+					}
+				}
+				got = slices.Clone(dst)
+				axpyScatter2Vec(got, wide, src, narrow, w, rows, n)
+				exactEqual(t, fmt.Sprintf("scatter %dx%d w=%g", rows, n, w), got, want)
+			}
+		}
+	}
+}
+
 // TestVecKernelsRejectShortSlices: the Go loops panic on an undersized slice
 // through their bounds checks; the assembly would write past it, so every
 // wrapper must panic before it takes a pointer. The wrappers are shared code,
@@ -280,6 +339,10 @@ func TestVecPlaneAxpyMatchesGeneric(t *testing.T) {
 func TestVecKernelsRejectShortSlices(t *testing.T) {
 	const m, k, n = 3, 5, 9
 	full := func(sz int) []float32 { return make([]float32, sz) }
+	plane3x3, err := NewConvDims(1, 6, 7, 3, 3, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		call func()
@@ -294,6 +357,15 @@ func TestVecKernelsRejectShortSlices(t *testing.T) {
 		{"transB out", func() { dotTransBVec(full(m*n-1), full(m*k), full(n*k), m, k, n, false) }},
 		{"transB a", func() { dotTransBVec(full(m*n), full(m*k-1), full(n*k), m, k, n, false) }},
 		{"transB b", func() { dotTransBVec(full(m*n), full(m*k), full(n*k-1), m, k, n, true) }},
+		{"gather dst", func() { axpyGather2Vec(full(2*12+n-1), 12, full(2*20+2*n-1), 20, 1, 3, n) }},
+		{"gather src", func() { axpyGather2Vec(full(2*12+n), 12, full(2*20+2*n-2), 20, 1, 3, n) }},
+		{"gather src stride", func() { axpyGather2Vec(full(2*12+n), 12, full(80), 2*n-2, 1, 3, n) }},
+		{"scatter dst", func() { axpyScatter2Vec(full(2*20+2*n-2), 20, full(2*12+n), 12, 1, 3, n) }},
+		{"scatter src", func() { axpyScatter2Vec(full(2*20+2*n-1), 20, full(2*12+n-1), 12, 1, 3, n) }},
+		{"scatter dst stride", func() { axpyScatter2Vec(full(80), 2*n-2, full(2*12+n), 12, 1, 3, n) }},
+		{"dW 3x3 dw", func() { gradW3x3Vec(full(8), full(6*7), full(6*7), &plane3x3) }},
+		{"dW 3x3 dy", func() { gradW3x3Vec(full(9), full(6*7-1), full(6*7), &plane3x3) }},
+		{"dW 3x3 img", func() { gradW3x3Vec(full(9), full(6*7), full(6*7-1), &plane3x3) }},
 	} {
 		func() {
 			defer func() {
@@ -310,6 +382,9 @@ func TestVecKernelsRejectShortSlices(t *testing.T) {
 	gemmAccVec(nil, 4, nil, 1, 1, nil, 4, 2, 4, 0)
 	axpyPlaneVec(nil, 4, nil, 4, 1, 0, 4)
 	dotTransBVec(nil, nil, nil, 0, 3, 4, true)
+	axpyGather2Vec(nil, 4, nil, 8, 1, 0, 4)
+	axpyScatter2Vec(nil, 8, nil, 4, 1, 2, 0)
+	gradW3x3Vec(nil, nil, nil, &ConvDims{KH: 3, KW: 3})
 }
 
 // TestAutoStaysOnOracleWhenVectorLive: with the vector kernels live the
