@@ -347,16 +347,19 @@ func BenchmarkEval(b *testing.B) {
 
 var benchEvalSink *tensor.Tensor
 
-// gradPathLoss hides the LossValuer capability of a loss, forcing eval loops
-// back onto the gradient (LossInto) path — the "before" arm of
-// BenchmarkEvalLoss.
-type gradPathLoss struct{ nn.LossInto }
+// gradPathLoss materializes dL/d(pred) even when the eval loop asks for the
+// value only — the "before" arm of BenchmarkEvalLoss.
+type gradPathLoss struct{ nn.Loss }
+
+func (g gradPathLoss) Eval(_, pred *tensor.Tensor, target nn.Target) float64 {
+	return g.Loss.Eval(tensor.New(pred.Shape()...), pred, target)
+}
 
 // BenchmarkEvalLoss measures fl.EvalLoss — the pure-inference loss sweep —
-// on the value-only path (nn.LossValuer, the default) against the former
-// gradient path (LossInto materializing dL/d(pred) per batch). Acceptance:
-// value-only is no slower and allocates no gradient tensors; the loss values
-// are bit-identical by the LossValuer contract.
+// on the value-only path (nil grad, what EvalLoss passes) against the
+// gradient path (dL/d(pred) materialized per batch). Acceptance: value-only
+// is no slower and allocates no gradient tensors; the loss values are
+// bit-identical because both paths are one loop.
 func BenchmarkEvalLoss(b *testing.B) {
 	r := frand.New(17)
 	ds := &dataset.Dataset{NumClasses: 12}

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"os"
 
-	"heteroswitch/internal/core"
 	"heteroswitch/internal/dataset"
 	"heteroswitch/internal/experiments"
 	"heteroswitch/internal/fl"
@@ -27,27 +26,6 @@ import (
 	"heteroswitch/internal/nn"
 	"heteroswitch/internal/tensor"
 )
-
-func strategyFor(name string, totalClients int) (fl.Strategy, error) {
-	switch name {
-	case "fedavg":
-		return fl.FedAvg{}, nil
-	case "fedprox":
-		return &fl.FedProx{Mu: 1e-1}, nil
-	case "qfedavg":
-		return &fl.QFedAvg{Q: 1e-6}, nil
-	case "scaffold":
-		return &fl.Scaffold{TotalClients: totalClients}, nil
-	case "heteroswitch":
-		return core.New(), nil
-	case "isp-transform":
-		return core.NewWithMode(core.ModeTransformOnly), nil
-	case "isp-swad":
-		return core.NewWithMode(core.ModeTransformSWAD), nil
-	default:
-		return nil, fmt.Errorf("unknown method %q", name)
-	}
-}
 
 func main() {
 	var (
@@ -74,7 +52,7 @@ func main() {
 		fatal(err)
 	}
 	tensor.SetBackend(kb)
-	strat, err := strategyFor(*method, *clients)
+	strat, err := experiments.Method(*method, *clients)
 	if err != nil {
 		fatal(err)
 	}
@@ -101,35 +79,18 @@ func main() {
 		Workers:         *workers,
 		IntraOp:         *intraop,
 	}
-	if err := opts.ApplyRobustness(&cfg); err != nil {
-		fatal(err)
-	}
-	counts := experiments.MarketShareCounts(dd, *clients)
-	pop, err := fl.BuildPopulation(dd.Train, counts, *seed)
+	srv, cfg, err := experiments.NewFL(opts, strat, dd.Train, experiments.MarketShareCounts(dd, *clients),
+		cfg, builder, nn.SoftmaxCrossEntropy{})
 	if err != nil {
 		fatal(err)
 	}
-	if cfg.ClientsPerRound > len(pop) {
-		cfg.ClientsPerRound = len(pop)
-	}
-	var srv experiments.Trainer
 	async := opts.Async
 	if async.Enabled {
-		acfg, err := async.Config(cfg.ClientsPerRound, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		if srv, err = fl.NewAsyncServer(cfg, builder, nn.SoftmaxCrossEntropy{}, strat, pop, acfg); err != nil {
-			fatal(err)
-		}
 		fmt.Printf("running %s / %s ASYNC: N=%d K=%d depth=%d alpha=%g latency=%s T=%d lr=%g faults=%s\n",
-			strat.Name(), *model, len(pop), cfg.ClientsPerRound, async.Depth, async.StalenessAlpha, async.LatencyModel, *rounds, *lr, cfg.Faults.String())
+			strat.Name(), *model, *clients, cfg.ClientsPerRound, async.Depth, async.StalenessAlpha, async.LatencyModel, *rounds, *lr, cfg.Faults.String())
 	} else {
-		if srv, err = fl.NewServer(cfg, builder, nn.SoftmaxCrossEntropy{}, strat, pop); err != nil {
-			fatal(err)
-		}
 		fmt.Printf("running %s / %s: N=%d K=%d B=%d E=%d T=%d lr=%g\n",
-			strat.Name(), *model, len(pop), cfg.ClientsPerRound, *batch, *epochs, *rounds, *lr)
+			strat.Name(), *model, *clients, cfg.ClientsPerRound, *batch, *epochs, *rounds, *lr)
 	}
 	var reissues, failed, rejected, staleDropped, deferred int
 	var wasted int64

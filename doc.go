@@ -57,9 +57,10 @@
 // internal/fl has one aggregation core (the unexported engine that fl.Server
 // and fl.AsyncServer embed) and two short drivers that differ only in how a
 // window of client steps is run. The core owns construction and validation,
-// the client-sampling stream (one K-draw with dropout coins spent at draw
-// time), the training replicas with their accumulators and pooled snapshot
-// buffers, the RoundStats fold, GlobalNet, and the client step itself:
+// the client-sampling stream (one Choice per K-draw; losing a sampled client
+// is the fault model's job), the training replicas with their accumulators
+// and pooled snapshot buffers, the RoundStats fold, GlobalNet, and the client
+// step itself:
 //
 //	train on a replica against the job's global → corrupt (faults draw) →
 //	validation gate → Accumulator.Fold(result, scale) → keep only scalars
@@ -97,7 +98,7 @@
 // flight on a virtual clock, pop completions in virtual-time order, run each
 // one's step inline — against the exact version broadcast at its dispatch,
 // scaled by a pluggable fl.StalenessPolicy of how many versions it is behind
-// (PolynomialStaleness 1/(1+s)^α, ConstantStaleness) — and install a new
+// (PolynomialStaleness 1/(1+s)^α) — and install a new
 // version every Buffer folds (FedBuff-style windows). Timeouts, reissues,
 // the MaxStaleness drop rule and churn deferral are its own; a refcounted
 // nn.VersionStore keeps each broadcast global until its last in-flight
@@ -166,7 +167,7 @@
 //     require bit-identical weights).
 //   - Networks (and so arenas) are per-goroutine; the fl server keeps one
 //     replica per worker. The loop-side batch buffers (inputs, targets,
-//     loss gradient via nn.LossInto.EvalInto) recycle through a pooled
+//     loss gradient nn.Loss.Eval writes into) recycle through a pooled
 //     scratch arena in fl, reset per batch before Forward runs.
 //
 // # Parallelism & determinism
@@ -215,8 +216,8 @@
 //     (W′ = W·γ/√(var+ε), b′ = b·γ/√(var+ε) + β − mean·γ/√(var+ε)), so no
 //     normalization pass runs at all. A BN with no matmul predecessor (after
 //     a residual sum or pooling) stays a standalone channel-parallel affine.
-//   - The activation following a matmul layer (ReLU, HardSwish, HardSigmoid,
-//     Sigmoid) is fused into the kernel as a tensor.RowEpilogue: bias + act
+//   - The activation following a matmul layer (ReLU, HardSwish,
+//     HardSigmoid) is fused into the kernel as a tensor.RowEpilogue: bias + act
 //     are applied to each output row inside the parallel chunk that computed
 //     it, so the output is never re-traversed by a separate layer pass.
 //   - Convs follow the training layer's geometry rule (see the arena
@@ -225,7 +226,7 @@
 //     sample×group column matrix for a backward pass.
 //   - Pooling, activations, and the standalone BN path are parallel under
 //     the intra-op budget (parallel.GrainFor); nested Networks are inlined;
-//     Dropout and Identity compile away.
+//     Identity compiles away.
 //
 // A frozen view shares its source network's arena and intra-op budget like
 // any layer, is re-folded (not recompiled) on every Freeze call so it
@@ -237,22 +238,19 @@
 // without folded BN (SqueezeNet) are bit-exact, and the frozen forward is
 // itself bit-identical across intra-op budgets. Training paths are
 // untouched: every tol-0 training bit-reproducibility contract (arena,
-// intra-op, async) holds unchanged. Consumers route through nn.EvalView,
-// which always returns the frozen replica: metrics.Accuracy / MeanLoss /
-// PerDeviceAccuracy / MultiLabelScores, fl.EvalLoss (per-client L_init,
-// including inside server workers and the async completion loop), and the
-// experiment eval sweeps. The reference forward ((*Network).Infer) remains
-// the only path for anything that needs batch statistics or backward passes
-// — training, gradient checks — and the oracle the frozen path is tested
-// against (BenchmarkEval A/Bs the two).
+// intra-op, async) holds unchanged. Consumers forward through
+// (*Network).Freeze: metrics.Accuracy / MeanLoss / MultiLabelScores,
+// fl.EvalLoss (per-client L_init, including inside server workers and the
+// async completion loop), and the experiment eval sweeps. The reference
+// forward ((*Network).Infer) remains the only path for anything that needs
+// batch statistics or backward passes — training, gradient checks — and the
+// oracle the frozen path is tested against (BenchmarkEval A/Bs the two).
 //
-// Loss evaluation on this path is value-only: losses implement nn.LossValuer
-// (EvalValue), which computes the scalar loss with exactly the float-op
-// order of the gradient path's EvalInto but elides the dL/d(pred) writes, so
-// the value is bit-identical while the eval loops (fl.EvalLoss,
-// metrics.MeanLoss) allocate and compute no gradient tensor at all.
-// nn.LossValue is the routing helper: LossValuer when available, otherwise
-// the LossInto/Eval fallbacks (BenchmarkEvalLoss A/Bs the two paths).
+// Loss evaluation on this path is value-only: nn.Loss has one method,
+// Eval(grad, pred, target), and a nil grad skips the dL/d(pred) writes of the
+// same loop, so the value is bit-identical while the eval loops (fl.EvalLoss,
+// metrics.MeanLoss) allocate and compute no gradient tensor at all
+// (BenchmarkEvalLoss A/Bs nil against a materialized gradient).
 //
 // # Kernel backends & numerics tiers
 //
@@ -398,12 +396,13 @@
 //   - Flush order: flushed batches start in FIFO order by default.
 //     Config.Flush = FlushEDF (flserve -flush edf) starts them earliest-
 //     deadline-first instead, deadline = oldest member's arrival +
-//     Admission.Deadline, ties broken by flush sequence. Without version
-//     churn the two orders coincide (flush order is already deadline
-//     order, asserted bit-for-bit); under churn FIFO's publish-triggered
-//     flush lets the forming batch (the newest arrivals) jump older queued
-//     batches onto the freed worker, so under overload EDF sheds strictly
-//     fewer deadline-expired requests at equal offered load.
+//     Admission.Deadline. There is one forming batch and a monotone clock,
+//     so flush order already is deadline order and both policies share one
+//     FIFO ring (TestFlushEDFQueueIsDeadlineOrdered); they differ in one
+//     decision. Under churn FIFO's publish-triggered flush lets the forming
+//     batch (the newest arrivals) jump older queued batches onto the freed
+//     worker; EDF never jumps the queue, so under overload it sheds
+//     strictly fewer deadline-expired requests at equal offered load.
 //   - Load harness: Server.RunLoad drives the stack in virtual time on a
 //     single goroutine — seeded open-loop (Poisson) or closed-loop
 //     (exponential think time) arrivals, an affine virtual service-time

@@ -118,7 +118,7 @@ func TestHeteroSwitchAsyncStragglerRace(t *testing.T) {
 	clients, _ := toyPopulation(47)
 	cfg := fl.Config{
 		Rounds: 6, ClientsPerRound: 4, BatchSize: 4, LocalEpochs: 1,
-		LR: 0.1, Seed: 29, Workers: 1, IntraOp: 4, ClientDropout: 0.2,
+		LR: 0.1, Seed: 29, Workers: 1, IntraOp: 4,
 	}
 	hs := New()
 	srv, err := fl.NewAsyncServer(cfg, toyBuilder(), nn.SoftmaxCrossEntropy{}, hs, clients,

@@ -192,13 +192,14 @@ func TestHeteroSwitchGateKeepsPoisonOut(t *testing.T) {
 }
 
 // Race coverage for the lema mutex and the shard-merge path: parallel
-// workers, dropout, and full switching (LocalUpdate reads LEMA while
-// FinalizeInto writes it). Run with -race in CI.
+// workers and full switching (LocalUpdate reads LEMA while FinalizeInto
+// writes it). Run with -race in CI. (The name dates from when the sampler
+// could also drop clients.)
 func TestHeteroSwitchParallelDropoutRace(t *testing.T) {
 	clients, _ := toyPopulation(47)
 	cfg := fl.Config{
 		Rounds: 10, ClientsPerRound: 5, BatchSize: 4, LocalEpochs: 1,
-		LR: 0.1, Seed: 29, Workers: 4, ClientDropout: 0.25,
+		LR: 0.1, Seed: 29, Workers: 4,
 	}
 	hs := New()
 	srv, err := fl.NewServer(cfg, toyBuilder(), nn.SoftmaxCrossEntropy{}, hs, clients)

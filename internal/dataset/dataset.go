@@ -32,13 +32,6 @@ type Dataset struct {
 // Len returns the number of samples.
 func (d *Dataset) Len() int { return len(d.Samples) }
 
-// Shuffle permutes the samples in place.
-func (d *Dataset) Shuffle(rng *frand.RNG) {
-	rng.Shuffle(len(d.Samples), func(i, j int) {
-		d.Samples[i], d.Samples[j] = d.Samples[j], d.Samples[i]
-	})
-}
-
 // Split divides the dataset into a training set with the given fraction and
 // a test set with the remainder (no shuffling; shuffle first if needed).
 func (d *Dataset) Split(trainFrac float64) (train, test *Dataset) {
@@ -77,23 +70,6 @@ func Concat(ds ...*Dataset) *Dataset {
 	return out
 }
 
-// StratifiedSplit splits per class so train and test both contain every
-// class in proportion. Samples of each class keep their original order.
-func (d *Dataset) StratifiedSplit(trainFrac float64) (train, test *Dataset) {
-	byClass := map[int][]int{}
-	for i, s := range d.Samples {
-		byClass[s.Label] = append(byClass[s.Label], i)
-	}
-	var trIdx, teIdx []int
-	for c := 0; c < d.NumClasses; c++ {
-		idx := byClass[c]
-		n := int(float64(len(idx)) * trainFrac)
-		trIdx = append(trIdx, idx[:n]...)
-		teIdx = append(teIdx, idx[n:]...)
-	}
-	return d.Subset(trIdx), d.Subset(teIdx)
-}
-
 // Batch materializes samples [lo, hi) as a stacked input tensor and labels.
 func (d *Dataset) Batch(lo, hi int) (*tensor.Tensor, []int) {
 	n := hi - lo
@@ -126,20 +102,9 @@ func (d *Dataset) BatchInto(x *tensor.Tensor, labels []int, lo, hi int) {
 	}
 }
 
-// BatchMulti materializes samples [lo, hi) with their multi-label targets.
-func (d *Dataset) BatchMulti(lo, hi int) (*tensor.Tensor, *tensor.Tensor) {
-	n := hi - lo
-	first := d.Samples[lo].X
-	shape := append([]int{n}, first.Shape()...)
-	x := tensor.New(shape...)
-	y := tensor.New(n, d.NumClasses)
-	d.BatchMultiInto(x, y, lo, hi)
-	return x, y
-}
-
-// BatchMultiInto is the reuse-a-buffer form of BatchMulti: x must be
-// [hi-lo, sample...] and y must be [hi-lo, NumClasses]; every element of
-// both is overwritten.
+// BatchMultiInto materializes samples [lo, hi) with their multi-label
+// targets into caller-owned buffers: x must be [hi-lo, sample...] and y must
+// be [hi-lo, NumClasses]; every element of both is overwritten.
 func (d *Dataset) BatchMultiInto(x, y *tensor.Tensor, lo, hi int) {
 	n := hi - lo
 	per := d.Samples[lo].X.Size()
@@ -352,18 +317,4 @@ func (d *Dataset) PartitionIID(n int, rng *frand.RNG) []*Dataset {
 		s.Samples = append(s.Samples, d.Samples[j])
 	}
 	return shards
-}
-
-// ByDevice groups samples by their capturing device index.
-func (d *Dataset) ByDevice() map[int]*Dataset {
-	out := map[int]*Dataset{}
-	for _, s := range d.Samples {
-		g, ok := out[s.Device]
-		if !ok {
-			g = &Dataset{NumClasses: d.NumClasses}
-			out[s.Device] = g
-		}
-		g.Samples = append(g.Samples, s)
-	}
-	return out
 }

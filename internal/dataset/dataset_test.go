@@ -35,6 +35,23 @@ func TestSplit(t *testing.T) {
 	}
 }
 
+// Test-only: no harness splits per class (Split and PartitionIID are the live
+// ones).
+func (d *Dataset) StratifiedSplit(trainFrac float64) (train, test *Dataset) {
+	byClass := map[int][]int{}
+	for i, s := range d.Samples {
+		byClass[s.Label] = append(byClass[s.Label], i)
+	}
+	var trIdx, teIdx []int
+	for c := 0; c < d.NumClasses; c++ {
+		idx := byClass[c]
+		n := int(float64(len(idx)) * trainFrac)
+		trIdx = append(trIdx, idx[:n]...)
+		teIdx = append(teIdx, idx[n:]...)
+	}
+	return d.Subset(trIdx), d.Subset(teIdx)
+}
+
 func TestStratifiedSplitKeepsAllClasses(t *testing.T) {
 	d := synthDataset(40, 4)
 	tr, te := d.StratifiedSplit(0.5)
@@ -55,7 +72,7 @@ func TestShuffleKeepsMultiset(t *testing.T) {
 	for _, s := range d.Samples {
 		sum += s.Label
 	}
-	d.Shuffle(frand.New(3))
+	d = d.Subset(frand.New(3).Perm(d.Len()))
 	sum2 := 0
 	for _, s := range d.Samples {
 		sum2 += s.Label
@@ -80,6 +97,14 @@ func TestBatchStacksCorrectly(t *testing.T) {
 	}
 }
 
+// batchMulti is BatchMultiInto into fresh buffers.
+func batchMulti(d *Dataset, lo, hi int) (*tensor.Tensor, *tensor.Tensor) {
+	x := tensor.New(append([]int{hi - lo}, d.Samples[lo].X.Shape()...)...)
+	y := tensor.New(hi-lo, d.NumClasses)
+	d.BatchMultiInto(x, y, lo, hi)
+	return x, y
+}
+
 func TestBatchMulti(t *testing.T) {
 	d := &Dataset{NumClasses: 3}
 	for i := 0; i < 4; i++ {
@@ -88,7 +113,7 @@ func TestBatchMulti(t *testing.T) {
 		m[i%3] = 1
 		d.Samples = append(d.Samples, Sample{X: x, Label: -1, Multi: m})
 	}
-	x, y := d.BatchMulti(1, 3)
+	x, y := batchMulti(d, 1, 3)
 	if x.Dim(0) != 2 || y.Dim(0) != 2 || y.Dim(1) != 3 {
 		t.Fatalf("shapes %v %v", x.Shape(), y.Shape())
 	}
@@ -110,6 +135,21 @@ func TestPartitionIIDCoversAll(t *testing.T) {
 	if total != 23 {
 		t.Fatalf("partition lost samples: %d", total)
 	}
+}
+
+// ByDevice groups samples by capturing device. Test-only: the harnesses keep
+// per-device sets apart from the start (DeviceData.Test).
+func (d *Dataset) ByDevice() map[int]*Dataset {
+	out := map[int]*Dataset{}
+	for _, s := range d.Samples {
+		g, ok := out[s.Device]
+		if !ok {
+			g = &Dataset{NumClasses: d.NumClasses}
+			out[s.Device] = g
+		}
+		g.Samples = append(g.Samples, s)
+	}
+	return out
 }
 
 func TestByDevice(t *testing.T) {

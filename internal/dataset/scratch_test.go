@@ -8,7 +8,7 @@ import (
 )
 
 // TestBatchScratchMatchesBatch verifies Next fills exactly what the
-// allocating Batch/BatchMulti would, for both label kinds, and that Alloc
+// allocating Batch/BatchMultiInto would, for both label kinds, and that Alloc
 // tensors never alias the batch buffers within one batch.
 func TestBatchScratchMatchesBatch(t *testing.T) {
 	r := frand.New(3)
@@ -49,9 +49,9 @@ func TestBatchScratchMatchesBatch(t *testing.T) {
 	if labels != nil {
 		t.Fatal("multi-label batch returned labels")
 	}
-	wantX, wantY := multi.BatchMulti(1, 5)
+	wantX, wantY := batchMulti(multi, 1, 5)
 	if !x.AllClose(wantX, 0) || !y.AllClose(wantY, 0) {
-		t.Fatal("multi-label batch differs from BatchMulti")
+		t.Fatal("multi-label batch differs from BatchMultiInto")
 	}
 }
 

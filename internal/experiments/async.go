@@ -137,12 +137,12 @@ func AsyncSweep(opts Options) (*AsyncSweepResult, error) {
 				// sync arm's virtual clock accrues that max so the time axis is
 				// comparable with the async arms (same model, same step keying).
 				var worst float64
-				for i, id := range append(append([]int{}, s.Sampled...), s.Dropped...) {
+				for i, id := range s.Sampled {
 					if d := straggler.Sample(id, step+i); d > worst {
 						worst = d
 					}
 				}
-				step += len(s.Sampled) + len(s.Dropped)
+				step += len(s.Sampled)
 				s.VirtualTime = tr.virtualTime + worst
 			}
 			tr.meanStaleness += s.MeanStaleness / float64(cfg.Rounds)

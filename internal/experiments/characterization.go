@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"heteroswitch/internal/dataset"
+	"heteroswitch/internal/device"
 	"heteroswitch/internal/fl"
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/isp"
@@ -49,7 +50,7 @@ func Fig1(opts Options) (*Fig1Result, error) {
 	// the pool matches the heterogeneous arm's size, then give it to all
 	// clients and evaluate on S9.
 	s9 := dd.DeviceIndex("S9")
-	gen := newSceneGen()
+	gen := scene.NewImageNet12(64)
 	rng := frand.New(opts.Seed)
 	trainScenes := gen.RenderSet(opts.scaled(8), rng.SplitNamed("train-scenes"))
 	pool := []*dataset.Dataset{dd.Train[s9]}
@@ -64,7 +65,7 @@ func Fig1(opts Options) (*Fig1Result, error) {
 	homoTrain := map[int]*dataset.Dataset{s9: dataset.Concat(pool...)}
 	homoCounts := make([]int, len(dd.Profiles))
 	homoCounts[s9] = 20
-	srv, err := RunFLWithLoss(opts, fl.FedAvg{}, homoTrain, homoCounts, cfg, builder, lossCE())
+	srv, err := RunFLWithLoss(opts, fl.FedAvg{}, homoTrain, homoCounts, cfg, builder, nn.SoftmaxCrossEntropy{})
 	if err != nil {
 		return nil, err
 	}
@@ -127,31 +128,6 @@ func (r *CrossDeviceResult) String() string {
 	col = append(col, "")
 	t.AddRow(col...)
 	return t.String()
-}
-
-// TargetStats returns, for test device j, the mean/min/max degradation
-// across training devices i≠j — Fig 2's bar + error bars.
-func (r *CrossDeviceResult) TargetStats(j int) (mean, minV, maxV float64) {
-	n := len(r.DeviceNames)
-	first := true
-	var sum float64
-	cnt := 0
-	for i := 0; i < n; i++ {
-		if i == j {
-			continue
-		}
-		d := r.Degradation[i][j]
-		sum += d
-		cnt++
-		if first || d < minV {
-			minV = d
-		}
-		if first || d > maxV {
-			maxV = d
-		}
-		first = false
-	}
-	return sum / float64(cnt), minV, maxV
 }
 
 // CrossDevice trains one centralized model per device type and evaluates it
@@ -247,7 +223,7 @@ func Fig3(opts Options) (*Fig3Result, error) {
 	rng := frand.New(opts.Seed)
 	trainScenes := gen.RenderSet(opts.scaled(8), rng.SplitNamed("train-scenes"))
 	testScenes := gen.RenderSet(opts.scaled(4), rng.SplitNamed("test-scenes"))
-	profiles := deviceProfiles()
+	profiles := device.Profiles()
 
 	base := isp.Baseline()
 	captureAll := func(scenes []scene.Scene, pipe isp.Pipeline, salt uint64) (*dataset.Dataset, error) {

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"strings"
 
 	"heteroswitch/internal/dataset"
@@ -347,25 +346,7 @@ func RunFL(opts Options, strategy fl.Strategy, dd *DeviceData, counts []int, cfg
 // (the multi-label and regression experiments use BCE / MSE).
 func RunFLWithLoss(opts Options, strategy fl.Strategy, perDevice map[int]*dataset.Dataset, counts []int,
 	cfg fl.Config, builder models.Builder, loss nn.Loss) (Trainer, error) {
-	clients, err := fl.BuildPopulation(perDevice, counts, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.ClientsPerRound > len(clients) {
-		cfg.ClientsPerRound = len(clients)
-	}
-	if err := opts.ApplyRobustness(&cfg); err != nil {
-		return nil, err
-	}
-	var async *fl.AsyncConfig
-	if opts.Async.Enabled {
-		acfg, err := opts.Async.Config(cfg.ClientsPerRound, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		async = &acfg
-	}
-	srv, err := newTrainer(cfg, builder, loss, strategy, clients, async)
+	srv, _, err := NewFL(opts, strategy, perDevice, counts, cfg, builder, loss)
 	if err != nil {
 		return nil, err
 	}
@@ -373,12 +354,34 @@ func RunFLWithLoss(opts Options, strategy fl.Strategy, perDevice map[int]*datase
 	return srv, nil
 }
 
-// deviceProfiles returns the Table-1 profiles (alias kept local so harness
-// files read naturally).
-func deviceProfiles() []*device.Profile { return device.Profiles() }
-
-// newSceneGen returns the 12-class scene generator at capture resolution.
-func newSceneGen() *scene.Generator { return scene.NewImageNet12(64) }
+// NewFL is the one way to stand up a federation: it builds the population
+// from perDevice according to counts and returns the trainer for strategy —
+// the barrier server, or the event-loop server when opts.Async.Enabled —
+// without running it, together with the configuration it resolved (K clamped
+// to the population, the robustness options applied).
+func NewFL(opts Options, strategy fl.Strategy, perDevice map[int]*dataset.Dataset, counts []int,
+	cfg fl.Config, builder models.Builder, loss nn.Loss) (Trainer, fl.Config, error) {
+	clients, err := fl.BuildPopulation(perDevice, counts, cfg.Seed)
+	if err != nil {
+		return nil, cfg, err
+	}
+	if cfg.ClientsPerRound > len(clients) {
+		cfg.ClientsPerRound = len(clients)
+	}
+	if err := opts.ApplyRobustness(&cfg); err != nil {
+		return nil, cfg, err
+	}
+	var async *fl.AsyncConfig
+	if opts.Async.Enabled {
+		acfg, err := opts.Async.Config(cfg.ClientsPerRound, cfg.Seed)
+		if err != nil {
+			return nil, cfg, err
+		}
+		async = &acfg
+	}
+	srv, err := newTrainer(cfg, builder, loss, strategy, clients, async)
+	return srv, cfg, err
+}
 
 // PerDeviceAccuracies evaluates the network on each device's test set,
 // returning accuracies indexed by device.
@@ -442,17 +445,3 @@ func (t *Table) String() string {
 
 // pct formats a fraction as a percentage with one decimal.
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
-
-// sortedKeys returns the sorted keys of an int-keyed map.
-func sortedKeys[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
-// lossCE returns the standard classification loss (helper so harness files
-// read declaratively).
-func lossCE() nn.Loss { return nn.SoftmaxCrossEntropy{} }

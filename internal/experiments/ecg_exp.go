@@ -54,7 +54,7 @@ func ECG(opts Options) (*ECGResult, error) {
 	hetero.Transform = core.RandomGaussianFilter(0.5, 2.5)
 
 	evalRig := func(srv Trainer) (deviation, spread float64) {
-		inf := nn.EvalView(srv.GlobalNet())
+		inf := srv.GlobalNet().Freeze()
 		windows, truths := ecg.PairedRecordings(opts.scaled(60), frand.New(opts.Seed^0xeca))
 		var devSum, sprSum float64
 		n := 0

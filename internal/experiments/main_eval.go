@@ -56,18 +56,31 @@ func (r *Table4Result) String() string {
 	return t.String()
 }
 
-// table4Methods builds the method list in the paper's row order. Fresh
-// strategy values are constructed per call because several carry state.
-func table4Methods(totalClients int) []fl.Strategy {
-	return []fl.Strategy{
-		fl.FedAvg{},
-		core.NewWithMode(core.ModeTransformOnly),
-		core.NewWithMode(core.ModeTransformSWAD),
-		core.New(),
-		&fl.QFedAvg{Q: 1e-6}, // paper's tuned q (App. A.2)
-		&fl.FedProx{Mu: 1e-1},
-		&fl.Scaffold{TotalClients: totalClients},
+// methods is the one name → strategy table, in Table 4's row order: the rows
+// the paper harness trains and the -method values flsim accepts. Strategies
+// are built fresh per call because several carry state.
+var methods = []struct {
+	name  string
+	build func(totalClients int) fl.Strategy
+}{
+	{"fedavg", func(int) fl.Strategy { return fl.FedAvg{} }},
+	{"isp-transform", func(int) fl.Strategy { return core.NewWithMode(core.ModeTransformOnly) }},
+	{"isp-swad", func(int) fl.Strategy { return core.NewWithMode(core.ModeTransformSWAD) }},
+	{"heteroswitch", func(int) fl.Strategy { return core.New() }},
+	{"qfedavg", func(int) fl.Strategy { return &fl.QFedAvg{Q: 1e-6} }}, // paper's tuned q (App. A.2)
+	{"fedprox", func(int) fl.Strategy { return &fl.FedProx{Mu: 1e-1} }},
+	{"scaffold", func(n int) fl.Strategy { return &fl.Scaffold{TotalClients: n} }},
+}
+
+// Method builds the named aggregation method for a population of
+// totalClients.
+func Method(name string, totalClients int) (fl.Strategy, error) {
+	for _, m := range methods {
+		if m.name == name {
+			return m.build(totalClients), nil
+		}
 	}
+	return nil, fmt.Errorf("unknown method %q", name)
 }
 
 // Table4 runs the full main-evaluation sweep with TinyMobileNetV3.
@@ -82,7 +95,8 @@ func Table4(opts Options) (*Table4Result, error) {
 	builder := MobileNetBuilder(opts.Seed, dd.Classes)
 
 	res := &Table4Result{}
-	for _, strat := range table4Methods(n) {
+	for _, m := range methods {
+		strat := m.build(n)
 		srv, err := RunFL(opts, strat, dd, counts, cfg, builder)
 		if err != nil {
 			return nil, fmt.Errorf("table4 %s: %w", strat.Name(), err)

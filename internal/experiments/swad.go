@@ -8,6 +8,7 @@ import (
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/metrics"
 	"heteroswitch/internal/nn"
+	"heteroswitch/internal/scene"
 )
 
 // Fig7Method identifies the three training regimes compared in Fig. 7.
@@ -61,7 +62,7 @@ func (r *Fig7Result) String() string {
 // sceneDataset renders the 12-class scenes directly to tensors (Fig. 7 uses
 // the original dataset, not device captures).
 func sceneDataset(opts Options, perClass int, salt string) *dataset.Dataset {
-	gen := newSceneGen()
+	gen := scene.NewImageNet12(64)
 	rng := frand.New(opts.Seed).SplitNamed(salt)
 	ds := &dataset.Dataset{NumClasses: gen.NumClasses()}
 	for c := 0; c < gen.NumClasses(); c++ {
@@ -81,7 +82,7 @@ func sceneDataset(opts Options, perClass int, salt string) *dataset.Dataset {
 func trainWithAveraging(opts Options, train *dataset.Dataset, method Fig7Method, epochs int) *nn.Network {
 	net := SimpleCNNBuilder(opts.Seed, train.NumClasses)()
 	net.SetIntraOp(opts.IntraOpBudget())
-	opt := nn.NewSGD(0.05, 0.9, 0)
+	opt := nn.NewSGD(0.05, 0.9)
 	rng := frand.New(opts.Seed ^ 0xf16)
 	transforms := trainTransforms(0.3)
 
@@ -119,7 +120,8 @@ func trainWithAveraging(opts Options, train *dataset.Dataset, method Fig7Method,
 			hi := min(lo+batch, aug.Len())
 			x, _, labels := bs.Next(aug, lo, hi)
 			out := net.Forward(x, true)
-			_, grad := nn.SoftmaxCrossEntropy{}.Eval(out, nn.ClassTarget(labels))
+			grad := bs.Alloc(out.Shape()...)
+			nn.SoftmaxCrossEntropy{}.Eval(grad, out, nn.ClassTarget(labels))
 			net.Backward(grad)
 			opt.Step(net.Params())
 			if method == Fig7SWAD && e >= warmup {

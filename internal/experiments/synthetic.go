@@ -9,6 +9,7 @@ import (
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/metrics"
 	"heteroswitch/internal/models"
+	"heteroswitch/internal/nn"
 	"heteroswitch/internal/scene"
 	"heteroswitch/internal/tensor"
 )
@@ -139,7 +140,7 @@ func Fig8(opts Options) (*Fig8Result, error) {
 	counts := EqualCounts(numDevices, opts.scaled(20))
 
 	run := func(strat fl.Strategy) ([]float64, MethodScore, error) {
-		srv, err := RunFLWithLoss(opts, strat, train, counts, cfg, builder, lossCE())
+		srv, err := RunFLWithLoss(opts, strat, train, counts, cfg, builder, nn.SoftmaxCrossEntropy{})
 		if err != nil {
 			return nil, MethodScore{}, err
 		}

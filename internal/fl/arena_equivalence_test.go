@@ -45,7 +45,7 @@ func arenaTestData(seed uint64, n int) *dataset.Dataset {
 func TestTrainLocalArenaBitIdenticalWeights(t *testing.T) {
 	cfg := Config{
 		Rounds: 1, ClientsPerRound: 1, BatchSize: 8, LocalEpochs: 3,
-		LR: 0.05, Momentum: 0.9, WeightDecay: 1e-4, Seed: 1,
+		LR: 0.05, Seed: 1,
 	}
 	ds := arenaTestData(21, 22)
 
@@ -80,7 +80,7 @@ func TestTrainLocalArenaBitIdenticalWeights(t *testing.T) {
 func TestTrainLocalPartialBatchReusesArena(t *testing.T) {
 	cfg := Config{
 		Rounds: 1, ClientsPerRound: 1, BatchSize: 10, LocalEpochs: 2,
-		LR: 0.05, Momentum: 0.9, WeightDecay: 1e-4, Seed: 1,
+		LR: 0.05, Seed: 1,
 	}
 	ds := arenaTestData(23, 27)
 	withArena := arenaTestNet(9)

@@ -13,28 +13,12 @@ import (
 // multiplicative discount on its fold weight. Weight must be a deterministic
 // function of staleness, and policies that preserve the synchronous
 // equivalence contract keep Weight(0) == 1 so fresh results fold exactly as
-// the synchronous server folds them (PolynomialStaleness does;
-// ConstantStaleness only at C = 1). A weight of 0 drops the result.
+// the synchronous server folds them (PolynomialStaleness does). A weight of 0
+// drops the result.
 type StalenessPolicy interface {
 	Name() string
 	Weight(staleness int) float64
 }
-
-// ConstantStaleness applies the same weight C to every result regardless of
-// staleness — FedAsync's "constant" policy. C = 1 disables discounting; any
-// other C also rescales FRESH results (Weight(0) = C ≠ 1), deliberately
-// trading away the sync-equivalence contract, and C = 0 discards every
-// result, freezing the global model. Use PolynomialStaleness when staleness
-// alone should drive the discount.
-type ConstantStaleness struct {
-	C float64
-}
-
-// Name implements StalenessPolicy.
-func (p ConstantStaleness) Name() string { return fmt.Sprintf("const(%g)", p.C) }
-
-// Weight implements StalenessPolicy.
-func (p ConstantStaleness) Weight(int) float64 { return p.C }
 
 // PolynomialStaleness is the polynomial discount 1/(1+s)^Alpha: fresh results
 // fold at full weight and weight decays polynomially with staleness. Alpha = 0
@@ -228,15 +212,11 @@ func NewAsyncServer(cfg Config, builder Builder, loss nn.Loss, strategy Strategy
 	return s, nil
 }
 
-// nextClient pops the dispatch queue, refilling it with a fresh draw whenever
-// it runs dry. Clients lost to dropout are recorded in the window that drew
-// them and never dispatched; their broadcast still counts.
-func (s *AsyncServer) nextClient(st *tally) *Client {
-	for s.qhead == len(s.queue) {
-		lost := len(st.Dropped)
-		s.queue, st.Dropped = s.draw(s.queue[:0], st.Dropped)
-		s.qhead = 0
-		st.BytesDown += st.wb * int64(len(st.Dropped)-lost)
+// nextClient pops the dispatch queue, refilling it with a fresh draw when it
+// runs dry.
+func (s *AsyncServer) nextClient() *Client {
+	if s.qhead == len(s.queue) {
+		s.queue, s.qhead = s.draw(s.queue[:0]), 0
 	}
 	c := s.queue[s.qhead]
 	s.queue[s.qhead] = nil
@@ -248,7 +228,7 @@ func (s *AsyncServer) nextClient(st *tally) *Client {
 // time, broadcasting the current global version to each new job.
 func (s *AsyncServer) admit(st *tally) {
 	for len(s.events) < s.Async.Concurrency {
-		c := s.nextClient(st)
+		c := s.nextClient()
 		job := asyncJob{client: c, version: s.Version, attempt: 1, key: s.seq}
 		s.store.Retain(s.Version, s.Global)
 		s.dispatch(job, 0, st)

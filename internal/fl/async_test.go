@@ -1,12 +1,12 @@
 package fl
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
 	"testing"
 
-	"heteroswitch/internal/frand"
 	"heteroswitch/internal/nn"
 	"heteroswitch/internal/simclock"
 )
@@ -244,27 +244,29 @@ func TestAsyncVersionStoreBounded(t *testing.T) {
 	}
 }
 
-// Client dropout on the async path: dropped clients are drawn, recorded, and
-// never dispatched; every fold still comes from a live client.
+// Async accounting: every fold comes from a dispatched client, and every
+// broadcast byte belongs to a dispatch — a refill draw charges nothing until
+// its clients are actually sent the model. (The name dates from when the
+// sampler could drop drawn clients, whose broadcasts were charged here.)
 func TestAsyncDropoutAccounting(t *testing.T) {
 	srv := asyncFixtureServer(t, FedAvg{}, AsyncConfig{
 		Latency: simclock.Uniform{Lo: 0.5, Hi: 2, Seed: 9},
 	})
-	srv.Cfg.ClientDropout = 0.3
-	folded, dropped := 0, 0
+	folded := 0
+	var down int64
 	srv.Run(func(s RoundStats) {
 		folded += len(s.Sampled)
-		dropped += len(s.Dropped)
+		down += s.BytesDown
 	})
 	if folded != srv.Cfg.Rounds*srv.Async.Buffer {
 		t.Fatalf("folded %d results, want %d", folded, srv.Cfg.Rounds*srv.Async.Buffer)
 	}
-	if dropped == 0 {
-		t.Fatal("30% dropout over 80 draws never dropped a client")
+	if want := srv.wb * int64(srv.seq); down != want {
+		t.Fatalf("broadcast %d bytes over %d dispatches, want %d", down, srv.seq, want)
 	}
 	for _, p := range srv.Global.Params {
 		if p.HasNaN() {
-			t.Fatal("NaN weights under async dropout")
+			t.Fatal("NaN weights after the async run")
 		}
 	}
 }
@@ -336,23 +338,28 @@ func TestNewAsyncServerValidation(t *testing.T) {
 // weight), the version never bumps, and — because client RNG is a pure
 // function of (client, version) — the sampling stream advances exactly as it
 // does when training runs, which a C=1 twin run pins down.
+// constantStaleness weighs every result C regardless of staleness (FedAsync's
+// "constant" policy); C = 0 discards them all.
+type constantStaleness struct{ C float64 }
+
+func (p constantStaleness) Name() string       { return fmt.Sprintf("const(%g)", p.C) }
+func (p constantStaleness) Weight(int) float64 { return p.C }
+
 func TestAsyncZeroDiscountSkipsTraining(t *testing.T) {
 	mk := func(c float64) (*AsyncServer, []RoundStats) {
 		srv := asyncFixtureServer(t, FedAvg{}, AsyncConfig{
-			Staleness: ConstantStaleness{C: c},
+			Staleness: constantStaleness{C: c},
 			Latency:   simclock.Uniform{Lo: 0.5, Hi: 2, Seed: 9},
 		})
-		srv.Cfg.ClientDropout = 0.3 // exercise the refill loop's dropout coins too
 		var stats []RoundStats
 		srv.Run(func(s RoundStats) { stats = append(stats, s) })
 		return srv, stats
 	}
 
 	zeroSrv := asyncFixtureServer(t, FedAvg{}, AsyncConfig{
-		Staleness: ConstantStaleness{C: 0},
+		Staleness: constantStaleness{C: 0},
 		Latency:   simclock.Uniform{Lo: 0.5, Hi: 2, Seed: 9},
 	})
-	zeroSrv.Cfg.ClientDropout = 0.3
 	initial := zeroSrv.Global.Clone()
 	var zeroStats []RoundStats
 	zeroSrv.Run(func(s RoundStats) { zeroStats = append(zeroStats, s) })
@@ -378,22 +385,14 @@ func TestAsyncZeroDiscountSkipsTraining(t *testing.T) {
 			t.Fatalf("window %d of the C=1 run skipped %d folds", i, os.Skipped)
 		}
 		// The sampling RNG stream must be unperturbed by the skip: both runs
-		// draw the same clients, drop the same clients, and account the same
-		// bytes in the same windows.
+		// draw the same clients and account the same bytes in the same
+		// windows.
 		if len(zs.Sampled) != len(os.Sampled) {
 			t.Fatalf("window %d sampled %d vs %d clients", i, len(zs.Sampled), len(os.Sampled))
 		}
 		for j := range zs.Sampled {
 			if zs.Sampled[j] != os.Sampled[j] {
 				t.Fatalf("window %d sampling stream diverged: %v vs %v", i, zs.Sampled, os.Sampled)
-			}
-		}
-		if len(zs.Dropped) != len(os.Dropped) {
-			t.Fatalf("window %d dropped %d vs %d clients", i, len(zs.Dropped), len(os.Dropped))
-		}
-		for j := range zs.Dropped {
-			if zs.Dropped[j] != os.Dropped[j] {
-				t.Fatalf("window %d dropout stream diverged: %v vs %v", i, zs.Dropped, os.Dropped)
 			}
 		}
 		if zs.BytesDown != os.BytesDown || zs.BytesUp != os.BytesUp {
@@ -403,137 +402,5 @@ func TestAsyncZeroDiscountSkipsTraining(t *testing.T) {
 		if zs.VirtualTime != os.VirtualTime {
 			t.Fatalf("window %d virtual clocks diverged: %v vs %v", i, zs.VirtualTime, os.VirtualTime)
 		}
-	}
-}
-
-// The refill loop's boundary case: an entire K-client draw lost to dropout.
-// The synchronous server declares a lost round; the asynchronous server
-// redraws until it can keep Concurrency jobs in flight. This test pins the
-// RNG-stream contract at that boundary — the async server consumes the
-// sampling stream (Choice + one dropout coin per drawn client) exactly as
-// the sync server does, so the all-dropout draw's IDs match the sync
-// server's lost round, and every redraw's dropped/admitted IDs and byte
-// accounting replay from the seed by hand.
-func TestAsyncAllDropoutRefill(t *testing.T) {
-	const drop = 0.9
-	perDevice := fixtureData(24, 3)
-	clients, err := BuildPopulation(perDevice, []int{3, 3}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := len(clients)
-	const k = 4
-
-	// Find a seed whose FIRST draw is entirely lost to dropout, replaying the
-	// server's sampling stream: one Choice(n, k), then one coin per drawn
-	// client (the stream both servers share, seeded cfg.Seed ^ 0x5ca1ab1e).
-	var seed uint64
-	for s := uint64(1); ; s++ {
-		if s > 100000 {
-			t.Fatal("no all-dropout seed found in search range")
-		}
-		r := frand.New(s ^ 0x5ca1ab1e)
-		r.Choice(n, k)
-		all := true
-		for i := 0; i < k; i++ {
-			if r.Float64() >= drop {
-				all = false
-			}
-		}
-		if all {
-			seed = s
-			break
-		}
-	}
-
-	// Hand-replay the refill loop: k-client draws, each client costing one
-	// coin, until k survivors exist to fill the in-flight set.
-	r := frand.New(seed ^ 0x5ca1ab1e)
-	var expDropped, expAdmitted []int
-	var firstDraw []int
-	for len(expAdmitted) < k {
-		first := firstDraw == nil
-		for _, j := range r.Choice(n, k) {
-			c := clients[j]
-			if first {
-				firstDraw = append(firstDraw, c.ID)
-			}
-			if r.Float64() < drop {
-				expDropped = append(expDropped, c.ID)
-			} else {
-				expAdmitted = append(expAdmitted, c.ID)
-			}
-		}
-	}
-	if len(firstDraw) != len(expDropped) && len(expDropped) < k {
-		t.Fatalf("seed search broken: first draw %v not all-dropout (dropped %v)", firstDraw, expDropped)
-	}
-
-	cfg := Config{
-		Rounds: 1, ClientsPerRound: k, BatchSize: 4, LocalEpochs: 1,
-		LR: 0.2, Seed: seed, Workers: 1, ClientDropout: drop,
-	}
-	srv, err := NewAsyncServer(cfg, fixtureBuilder(5), nn.SoftmaxCrossEntropy{}, FedAvg{}, clients, AsyncConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wb := weightBytes(srv.Global)
-	st := srv.RunRound()
-
-	if len(st.Dropped) != len(expDropped) {
-		t.Fatalf("dropped %v, want %v", st.Dropped, expDropped)
-	}
-	for i := range expDropped {
-		if st.Dropped[i] != expDropped[i] {
-			t.Fatalf("dropped order diverged: %v, want %v", st.Dropped, expDropped)
-		}
-	}
-	for i := range firstDraw {
-		if st.Dropped[i] != firstDraw[i] {
-			t.Fatalf("all-dropout draw %v not recorded first in %v", firstDraw, st.Dropped)
-		}
-	}
-	// Zero latency: fold order is dispatch order, so Sampled is the first k
-	// survivors of the replayed stream.
-	if len(st.Sampled) != k {
-		t.Fatalf("folded %d results, want %d", len(st.Sampled), k)
-	}
-	for i := 0; i < k; i++ {
-		if st.Sampled[i] != expAdmitted[i] {
-			t.Fatalf("admitted %v, want %v", st.Sampled, expAdmitted[:k])
-		}
-	}
-	// Every drawn client costs one broadcast — dropout is only observed after
-	// the round trip — and every dispatched client one more model down+up.
-	if want := wb * int64(len(expDropped)+k); st.BytesDown != want {
-		t.Fatalf("BytesDown = %d, want %d (%d dropped + %d dispatched broadcasts)",
-			st.BytesDown, want, len(expDropped), k)
-	}
-	if want := wb * int64(k); st.BytesUp != want {
-		t.Fatalf("BytesUp = %d, want %d", st.BytesUp, want)
-	}
-
-	// The sync server's round 0 consumes the identical stream prefix, so its
-	// lost round drops exactly the async server's first draw.
-	ssrv, err := NewServer(cfg, fixtureBuilder(5), nn.SoftmaxCrossEntropy{}, FedAvg{}, clients)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sst := ssrv.RunRound(0)
-	if len(sst.Sampled) != 0 {
-		t.Fatalf("sync round with an all-dropout draw still trained %v", sst.Sampled)
-	}
-	if len(sst.Dropped) != len(firstDraw) {
-		t.Fatalf("sync lost round dropped %v, want the full draw %v", sst.Dropped, firstDraw)
-	}
-	for i := range firstDraw {
-		if sst.Dropped[i] != firstDraw[i] {
-			t.Fatalf("sync/async all-dropout draws diverged: %v vs %v", sst.Dropped, firstDraw)
-		}
-	}
-	// The lost round still paid its broadcasts, exactly as the async server
-	// charged the same draw.
-	if want := wb * int64(len(firstDraw)); sst.BytesDown != want || sst.BytesUp != 0 {
-		t.Fatalf("sync lost round bytes down/up = %d/%d, want %d/0", sst.BytesDown, sst.BytesUp, want)
 	}
 }

@@ -101,21 +101,15 @@ func weightBytes(w Weights) int64 {
 	return n
 }
 
-// draw appends one K-client draw to kept, and the IDs of the clients it lost
-// to dropout to dropped (their broadcast still counts: dropout is only
-// observed after the round trip). It is the sampling stream's only reader, so
-// both servers consume it identically: one Choice, then one Float64 per drawn
-// client while dropout is on.
-func (e *engine) draw(kept []*Client, dropped []int) ([]*Client, []int) {
+// draw appends one K-client draw to kept. It is the sampling stream's only
+// reader, so both servers consume it identically: one Choice per draw. Losing
+// a sampled client is the fault model's job (crash, flaky, churn), not the
+// sampler's.
+func (e *engine) draw(kept []*Client) []*Client {
 	for _, j := range e.rng.Choice(len(e.Clients), e.Cfg.ClientsPerRound) {
-		c := e.Clients[j]
-		if e.Cfg.ClientDropout > 0 && e.rng.Float64() < e.Cfg.ClientDropout {
-			dropped = append(dropped, c.ID)
-		} else {
-			kept = append(kept, c)
-		}
+		kept = append(kept, e.Clients[j])
 	}
-	return kept, dropped
+	return kept
 }
 
 // localUpdate runs one client's local training on replica w against the given

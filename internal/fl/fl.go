@@ -39,9 +39,7 @@ type Config struct {
 	ClientsPerRound int     // K: participants per round
 	BatchSize       int     // B: local minibatch size
 	LocalEpochs     int     // E: local epochs
-	LR              float64 // η: local learning rate
-	Momentum        float64 // local SGD momentum (0 in the paper's setup)
-	WeightDecay     float64 // local L2 weight decay
+	LR              float64 // η: local learning rate (plain SGD, the paper's setup)
 	Seed            uint64  // master seed
 	Workers         int     // parallel client trainers (<=1 means serial)
 	// IntraOp is the total intra-op kernel parallelism budget: the number of
@@ -52,10 +50,6 @@ type Config struct {
 	// a share of 1 byte-for-byte selects the serial kernels. Results are
 	// bit-identical at every setting.
 	IntraOp int
-	// ClientDropout is the probability that a sampled client fails to
-	// report back this round (device offline, battery, network) — the
-	// partial-participation regime of production FL. 0 disables dropout.
-	ClientDropout float64
 	// Faults injects seeded client failures (see internal/faults). nil
 	// injects nothing and is the bit-identical pre-fault behavior. The
 	// synchronous Server accepts corruption-only models; crash, transient
@@ -93,9 +87,6 @@ func (c Config) Validate() error {
 	if c.LR <= 0 {
 		return fmt.Errorf("fl: non-positive learning rate %v", c.LR)
 	}
-	if c.ClientDropout < 0 || c.ClientDropout >= 1 {
-		return fmt.Errorf("fl: client dropout %v outside [0,1)", c.ClientDropout)
-	}
 	if c.IntraOp < 0 {
 		return fmt.Errorf("fl: negative intra-op budget %d", c.IntraOp)
 	}
@@ -106,25 +97,23 @@ func (c Config) Validate() error {
 }
 
 // Client is one federated participant: a local dataset captured by a device
-// of some type, plus a private RNG stream.
+// of some type.
 type Client struct {
 	ID     int
 	Device int // device profile index (groups clients for fairness metrics)
 	Data   *dataset.Dataset
-	rng    *frand.RNG
 }
 
-// NewClient builds a client with its own deterministic RNG stream.
-func NewClient(id, deviceIdx int, data *dataset.Dataset, seed uint64) *Client {
-	return &Client{ID: id, Device: deviceIdx, Data: data, rng: frand.New(seed ^ (uint64(id)+1)*0x9e3779b97f4a7c15)}
+// NewClient builds a client. Its randomness is RoundRNG, a pure function of
+// (ID, round), so the population seed is not part of a client's identity.
+func NewClient(id, deviceIdx int, data *dataset.Dataset, _ uint64) *Client {
+	return &Client{ID: id, Device: deviceIdx, Data: data}
 }
 
 // RoundRNG derives the client's deterministic RNG for a given round,
 // independent of scheduling order.
 func (c *Client) RoundRNG(round int) *frand.RNG {
-	child := frand.New(uint64(c.ID+1)*0xc2b2ae3d27d4eb4f ^ uint64(round+1)*0x9e3779b97f4a7c15)
-	_ = c.rng // the stable per-client stream seeds identity; round stream is pure
-	return child
+	return frand.New(uint64(c.ID+1)*0xc2b2ae3d27d4eb4f ^ uint64(round+1)*0x9e3779b97f4a7c15)
 }
 
 // ClientContext is everything a strategy's LocalUpdate can see.
@@ -193,7 +182,6 @@ type RoundStats struct {
 	MeanLoss    float64 // sample-weighted mean of client train losses
 	MeanInit    float64 // sample-weighted mean of client initial losses
 	Sampled     []int   // client IDs that participated
-	Dropped     []int   // client IDs sampled but lost to dropout
 	TotalEpochs int
 	// Communication accounting: bytes broadcast to clients (down) and
 	// reported back (up) this round, assuming float32 tensors on the wire.

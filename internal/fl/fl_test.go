@@ -42,6 +42,15 @@ func fixtureBuilder(seed uint64) Builder {
 	}
 }
 
+// l2NormSq is the squared L2 norm, accumulated in float64.
+func l2NormSq(t *tensor.Tensor) float64 {
+	var s float64
+	for _, v := range t.Data() {
+		s += float64(v) * float64(v)
+	}
+	return s
+}
+
 func fixtureServer(t testing.TB, strat Strategy, workers int) *Server {
 	t.Helper()
 	perDevice := fixtureData(24, 3)
@@ -266,7 +275,7 @@ func TestScaffoldLearnsAndMaintainsVariates(t *testing.T) {
 	}
 	var norm float64
 	for _, p := range strat.c.Params {
-		norm += p.L2NormSq()
+		norm += l2NormSq(p)
 	}
 	if math.IsNaN(norm) || math.IsInf(norm, 0) {
 		t.Fatal("control variate diverged")
@@ -276,7 +285,7 @@ func TestScaffoldLearnsAndMaintainsVariates(t *testing.T) {
 func TestSampleClientsDistinct(t *testing.T) {
 	srv := fixtureServer(t, FedAvg{}, 1)
 	for round := 0; round < 5; round++ {
-		sampled, _ := srv.draw(nil, nil)
+		sampled := srv.draw(nil)
 		if len(sampled) != srv.Cfg.ClientsPerRound {
 			t.Fatalf("sampled %d clients", len(sampled))
 		}

@@ -48,14 +48,9 @@ func NewServer(cfg Config, builder Builder, loss nn.Loss, strategy Strategy, cli
 // depend on scheduling, a fixed Config is bit-reproducible at every worker
 // count.
 func (s *Server) RunRound(round int) RoundStats {
-	sampled, dropped := s.draw(make([]*Client, 0, s.Cfg.ClientsPerRound), nil)
+	sampled := s.draw(make([]*Client, 0, s.Cfg.ClientsPerRound))
 	st := s.tally(round)
-	st.Dropped = dropped
-	st.BytesDown = st.wb * int64(len(sampled)+len(dropped)) // broadcast before dropout is known
-	if len(sampled) == 0 {
-		// Everyone dropped: the round is lost; global model unchanged.
-		return st.finish()
-	}
+	st.BytesDown = st.wb * int64(len(sampled))
 	// Workers write disjoint indices; the stats are folded in client order.
 	results := make([]ClientResult, len(sampled))
 	rejected := make([]bool, len(sampled))

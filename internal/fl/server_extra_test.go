@@ -2,57 +2,32 @@ package fl
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
+	"slices"
 	"testing"
 
 	"heteroswitch/internal/nn"
 )
 
-func TestClientDropoutReducesParticipation(t *testing.T) {
-	srv := fixtureServer(t, FedAvg{}, 1)
-	srv.Cfg.ClientDropout = 0.5
-	var sampled, dropped int
-	srv.Run(func(s RoundStats) {
-		sampled += len(s.Sampled)
-		dropped += len(s.Dropped)
-	})
-	if dropped == 0 {
-		t.Fatal("50% dropout never dropped a client")
-	}
-	if sampled == 0 {
-		t.Fatal("50% dropout killed every round")
-	}
-	// Dropped + sampled should equal K per round in expectation; exactly per
-	// round by construction.
-	if sampled+dropped != srv.Cfg.Rounds*srv.Cfg.ClientsPerRound {
-		t.Fatalf("accounting mismatch: %d+%d != %d", sampled, dropped, srv.Cfg.Rounds*srv.Cfg.ClientsPerRound)
-	}
-}
-
+// The sampler once flipped a per-client dropout coin after each draw; with
+// the coin off it consumed nothing, and with the coin gone the stream must
+// still be that one: one Choice per round. The digest was recorded on the
+// last tree that had the coin (dropout 0).
 func TestDropoutZeroPreservesLegacyStreams(t *testing.T) {
-	// ClientDropout=0 must not consume RNG draws: results identical to a
-	// server built before the feature existed (regression lock via the
-	// deterministic fixture).
-	a := fixtureServer(t, FedAvg{}, 1)
-	b := fixtureServer(t, FedAvg{}, 1)
-	b.Cfg.ClientDropout = 0
-	a.Run(nil)
-	b.Run(nil)
-	for i := range a.Global.Params {
-		if !a.Global.Params[i].AllClose(b.Global.Params[i], 0) {
-			t.Fatal("dropout=0 changed results")
+	srv := fixtureServer(t, FedAvg{}, 1)
+	h := fnv.New64a()
+	srv.Run(func(s RoundStats) {
+		if s.Round == 0 && !slices.Equal(s.Sampled, []int{2, 1, 0, 5}) {
+			t.Fatalf("round 0 sampled %v, want [2 1 0 5]", s.Sampled)
 		}
-	}
-}
-
-func TestConfigRejectsBadDropout(t *testing.T) {
-	cfg := Default()
-	cfg.ClientDropout = 1.0
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("dropout=1 must be rejected")
-	}
-	cfg.ClientDropout = -0.1
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("negative dropout must be rejected")
+		for _, id := range s.Sampled {
+			fmt.Fprintf(h, "%d,", id)
+		}
+		fmt.Fprint(h, ";")
+	})
+	if got := h.Sum64(); got != 0x90f174448dbf5508 {
+		t.Fatalf("sampling stream digest %016x, want 90f174448dbf5508", got)
 	}
 }
 

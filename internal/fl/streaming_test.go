@@ -93,7 +93,7 @@ func qFFLReference(q float64, global nn.Weights, results []ClientResult, cfg Con
 		fq := math.Pow(f, q)
 		var normSq float64
 		for _, p := range delta.Params {
-			normSq += p.L2NormSq()
+			normSq += l2NormSq(p)
 		}
 		num.Axpy(float32(fq), delta)
 		denom += q*math.Pow(f, q-1)*normSq + fq*invLR
@@ -479,19 +479,15 @@ func TestStreamingCapabilityMatrix(t *testing.T) {
 	}
 }
 
-// Race coverage: parallel workers with dropout exercise the shard-merge
-// path, the scratch-buffer pool, and per-worker accumulators concurrently.
-// Run with -race in CI.
+// Race coverage: parallel workers exercise the shard-merge path, the
+// scratch-buffer pool, and per-worker accumulators concurrently. Run with
+// -race in CI. (The name dates from when the sampler could also drop clients.)
 func TestRunRoundParallelDropoutRace(t *testing.T) {
 	srv := fixtureServer(t, FedAvg{}, 4)
-	srv.Cfg.ClientDropout = 0.3
-	var sampled, dropped int
-	srv.Run(func(s RoundStats) {
-		sampled += len(s.Sampled)
-		dropped += len(s.Dropped)
-	})
-	if sampled+dropped != srv.Cfg.Rounds*srv.Cfg.ClientsPerRound {
-		t.Fatalf("participation accounting broke under streaming: %d+%d", sampled, dropped)
+	var sampled int
+	srv.Run(func(s RoundStats) { sampled += len(s.Sampled) })
+	if sampled != srv.Cfg.Rounds*srv.Cfg.ClientsPerRound {
+		t.Fatalf("participation accounting broke under streaming: %d", sampled)
 	}
 	for _, p := range srv.Global.Params {
 		if p.HasNaN() {

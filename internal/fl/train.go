@@ -9,19 +9,16 @@ import (
 
 // trainBatch runs one training-mode loss evaluation on samples [lo, hi),
 // batching through the pooled dataset.BatchScratch (shared with the
-// eval-side harnesses in internal/metrics). When the loss supports LossInto
-// the gradient lands in a recycled scratch buffer; the caller may pass it to
-// net.Backward before the next batch.
+// eval-side harnesses in internal/metrics). The gradient lands in a recycled
+// scratch buffer; the caller may pass it to net.Backward before the next
+// batch.
 func trainBatch(bs *dataset.BatchScratch, net *nn.Network, loss nn.Loss, ds *dataset.Dataset,
 	lo, hi int) (float64, *tensor.Tensor) {
 	x, y, labels := bs.Next(ds, lo, hi)
 	target := batchTarget(y, labels)
 	out := net.Forward(x, true)
-	if li, ok := loss.(nn.LossInto); ok {
-		grad := bs.Alloc(out.Shape()...)
-		return li.EvalInto(grad, out, target), grad
-	}
-	return loss.Eval(out, target)
+	grad := bs.Alloc(out.Shape()...)
+	return loss.Eval(grad, out, target), grad
 }
 
 // batchTarget wraps a BatchScratch window's targets: dense for multi-label,
@@ -35,23 +32,21 @@ func batchTarget(y *tensor.Tensor, labels []int) nn.Target {
 
 // EvalLoss computes the mean loss of the network on ds in inference mode —
 // L_init in Algorithm 1 terms. It handles both single- and multi-label data
-// and forwards through one frozen inference replica (nn.EvalView): BN
-// folded to the running statistics, activations fused, no backward caches.
-// The loss is evaluated value-only (nn.LossValuer) — no gradient is computed
-// or materialized on this pure-inference path.
+// and forwards through one frozen inference replica: BN folded to the running
+// statistics, activations fused, no backward caches. The loss is evaluated
+// value-only (nil grad) — no gradient is computed or materialized on this
+// pure-inference path.
 func EvalLoss(net *nn.Network, loss nn.Loss, ds *dataset.Dataset, batch int) float64 {
 	if ds.Len() == 0 {
 		return 0
 	}
-	inf := nn.EvalView(net)
+	inf := net.Freeze()
 	bs := dataset.GetBatchScratch()
 	defer dataset.PutBatchScratch(bs)
 	var total float64
 	bs.ForBatches(ds, batch, func(lo, hi int, x, y *tensor.Tensor, labels []int) {
 		out := inf.Infer(x)
-		target := batchTarget(y, labels)
-		l := nn.LossValue(loss, func() *tensor.Tensor { return bs.Alloc(out.Shape()...) }, out, target)
-		total += l * float64(hi-lo)
+		total += loss.Eval(nil, out, batchTarget(y, labels)) * float64(hi-lo)
 	})
 	return total / float64(ds.Len())
 }
@@ -73,7 +68,7 @@ type BatchHook func(net *nn.Network, batchIdx int)
 // layer's outputs/gradients recycle through the network's own arena.
 func TrainLocal(net *nn.Network, ds *dataset.Dataset, cfg Config, loss nn.Loss,
 	rng *frand.RNG, stepHook StepHook, batchHook BatchHook) float64 {
-	opt := nn.NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay)
+	opt := nn.SGD{LR: cfg.LR}
 	params := net.Params()
 	var lossSum float64
 	batchIdx := 0

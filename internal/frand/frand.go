@@ -86,11 +86,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
 }
 
-// Float32 returns a uniform float32 in [0, 1).
-func (r *RNG) Float32() float32 {
-	return float32(r.Uint64()>>40) * (1.0 / (1 << 24))
-}
-
 // Uniform returns a uniform float64 in [lo, hi).
 func (r *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
@@ -150,11 +145,6 @@ func (r *RNG) NormFloat64() float64 {
 	return u * f
 }
 
-// Normal returns a normal variate with the given mean and standard deviation.
-func (r *RNG) Normal(mean, std float64) float64 {
-	return mean + std*r.NormFloat64()
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
@@ -173,15 +163,6 @@ func (r *RNG) ShuffleInts(p []int) {
 	}
 }
 
-// Shuffle randomizes the order of n elements using the provided swap
-// function, mirroring math/rand's Shuffle contract.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Choice returns k distinct indices sampled uniformly without replacement
 // from [0, n). It panics if k > n or k < 0.
 func (r *RNG) Choice(n, k int) []int {
@@ -190,54 +171,4 @@ func (r *RNG) Choice(n, k int) []int {
 	}
 	p := r.Perm(n)
 	return p[:k]
-}
-
-// WeightedChoice returns one index in [0, len(w)) sampled proportionally to
-// the non-negative weights w. It panics if all weights are zero or negative.
-func (r *RNG) WeightedChoice(w []float64) int {
-	var total float64
-	for _, x := range w {
-		if x > 0 {
-			total += x
-		}
-	}
-	if total <= 0 {
-		panic("frand: WeightedChoice with no positive weights")
-	}
-	t := r.Float64() * total
-	for i, x := range w {
-		if x <= 0 {
-			continue
-		}
-		t -= x
-		if t < 0 {
-			return i
-		}
-	}
-	return len(w) - 1
-}
-
-// WeightedSample returns k indices sampled with replacement, proportional to
-// the weights w.
-func (r *RNG) WeightedSample(w []float64, k int) []int {
-	out := make([]int, k)
-	for i := range out {
-		out[i] = r.WeightedChoice(w)
-	}
-	return out
-}
-
-// WeightedSampleNoReplace returns k distinct indices sampled without
-// replacement proportional to w (sequential removal). Panics if fewer than k
-// weights are positive.
-func (r *RNG) WeightedSampleNoReplace(w []float64, k int) []int {
-	cp := make([]float64, len(w))
-	copy(cp, w)
-	out := make([]int, 0, k)
-	for len(out) < k {
-		i := r.WeightedChoice(cp)
-		out = append(out, i)
-		cp[i] = 0
-	}
-	return out
 }

@@ -271,11 +271,14 @@ func TestShuffleSwapContract(t *testing.T) {
 	for _, v := range s {
 		orig[v] = true
 	}
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	for _, v := range s {
-		if !orig[v] {
-			t.Fatalf("shuffle lost element, got %v", s)
-		}
+	idx := []int{0, 1, 2, 3, 4}
+	r.ShuffleInts(idx)
+	seen := map[string]bool{}
+	for _, i := range idx {
+		seen[s[i]] = true
+	}
+	if len(seen) != len(orig) {
+		t.Fatalf("shuffle lost element, got %v", idx)
 	}
 }
 
@@ -291,4 +294,58 @@ func BenchmarkNormFloat64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = r.NormFloat64()
 	}
+}
+
+// Draws no binary makes. They stay test-side, each under the test that pins
+// it, so the statistical contracts above keep running against the same
+// Uint64/Float64/NormFloat64 streams.
+
+// Float32 returns a uniform float32 in [0, 1).
+func (r *RNG) Float32() float32 {
+	return float32(r.Uint64()>>40) * (1.0 / (1 << 24))
+}
+
+// Normal returns a normal variate with the given mean and standard deviation.
+func (r *RNG) Normal(mean, std float64) float64 {
+	return mean + std*r.NormFloat64()
+}
+
+// WeightedChoice returns one index in [0, len(w)) sampled proportionally to
+// the non-negative weights w. It panics if all weights are zero or negative.
+func (r *RNG) WeightedChoice(w []float64) int {
+	var total float64
+	for _, x := range w {
+		if x > 0 {
+			total += x
+		}
+	}
+	if total <= 0 {
+		panic("frand: WeightedChoice with no positive weights")
+	}
+	t := r.Float64() * total
+	for i, x := range w {
+		if x <= 0 {
+			continue
+		}
+		t -= x
+		if t < 0 {
+			return i
+		}
+	}
+	return len(w) - 1
+}
+
+// WeightedSampleNoReplace returns k distinct indices sampled without
+// replacement proportional to w (sequential removal). Panics if fewer than k
+// weights are positive.
+func (r *RNG) WeightedSampleNoReplace(w []float64, k int) []int {
+	cp := make([]float64, len(w))
+	copy(cp, w)
+	out := make([]int, 0, k)
+	for len(out) < k {
+		i := r.WeightedChoice(cp)
+		out = append(out, i)
+		cp[i] = 0
+	}
+	return out
 }

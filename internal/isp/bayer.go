@@ -55,15 +55,6 @@ func (r *RAW) At(x, y int) float64 { return r.Pix[y*r.W+x] }
 // Set writes the sample at (x, y).
 func (r *RAW) Set(x, y int, v float64) { r.Pix[y*r.W+x] = v }
 
-// ColorAt returns which color channel (0=R, 1=G, 2=B) the CFA passes at
-// pixel (x, y).
-func (r *RAW) ColorAt(x, y int) int { return cfaColor(r.Pattern, x, y) }
-
-func cfaColor(p BayerPattern, x, y int) int {
-	tile := cfaTile(p)
-	return tile[(y&1)*2+(x&1)]
-}
-
 // cfaTile returns the channel layout of the 2x2 CFA tile, row-major.
 func cfaTile(p BayerPattern) [4]int {
 	switch p {

@@ -26,13 +26,6 @@ func (a WBAlg) String() string {
 	return "wb?"
 }
 
-// WhiteBalance corrects the illuminant color cast, returning a new image.
-func WhiteBalance(im *Image, alg WBAlg) *Image {
-	out := im.Clone()
-	(*Scratch)(nil).whiteBalance(out, alg)
-	return out
-}
-
 // whiteBalance corrects im in place.
 func (s *Scratch) whiteBalance(im *Image, alg WBAlg) {
 	switch alg {
@@ -97,14 +90,6 @@ func applyGains(im *Image, g [3]float64) {
 	}
 }
 
-// ApplyWBGains exposes raw per-channel gain application (used by device ISP
-// presets and by HeteroSwitch's random-WB transformation, eq. 2).
-func ApplyWBGains(im *Image, r, g, b float64) *Image {
-	out := im.Clone()
-	applyGains(out, [3]float64{r, g, b})
-	return out
-}
-
 // GamutAlg selects the gamut mapping (Table 3 row "Gamut mapping").
 type GamutAlg int
 
@@ -146,14 +131,6 @@ var (
 	}
 )
 
-// GamutMap converts the image to the selected working gamut, returning a
-// new image.
-func GamutMap(im *Image, alg GamutAlg) *Image {
-	out := im.Clone()
-	gamutMap(out, alg)
-	return out
-}
-
 // gamutMap converts im in place.
 func gamutMap(im *Image, alg GamutAlg) {
 	// sRGB working space and "none" are both identity here.
@@ -190,13 +167,8 @@ func applyMatrix(dst, src *Image, m [9]float64) {
 	}
 }
 
-// ApplyColorMatrix applies an arbitrary 3x3 color matrix (used by the sensor
-// model for channel crosstalk), returning a new image.
-func ApplyColorMatrix(im *Image, m [9]float64) *Image {
-	return (*Scratch)(nil).ColorMatrix(im, m)
-}
-
-// ColorMatrix is ApplyColorMatrix into scratch storage; im is only read.
+// ColorMatrix applies an arbitrary 3x3 color matrix (the sensor model's
+// channel crosstalk) into scratch storage; im is only read.
 func (s *Scratch) ColorMatrix(im *Image, m [9]float64) *Image {
 	out := s.image(im.W, im.H)
 	applyMatrix(out, im, m)

@@ -30,33 +30,12 @@ func (a CompressAlg) String() string {
 	return "compress?"
 }
 
-// Compress runs the image through a real JPEG encode/decode roundtrip at the
-// selected quality, reproducing the block, quantization, and chroma
-// subsampling artefacts the paper attributes to this stage, and returns a
-// new image. The error path only triggers on malformed geometry.
-func Compress(im *Image, alg CompressAlg) (*Image, error) {
-	if alg == CompressNone {
-		return im.Clone(), nil
-	}
-	return JPEGRoundtrip(im, alg.quality())
-}
-
 // quality is the JPEG quality of a compressing variant.
 func (a CompressAlg) quality() int {
 	if a == CompressJPEG50 {
 		return 50
 	}
 	return 85
-}
-
-// JPEGRoundtrip encodes the image as JPEG at the given quality using the
-// standard library codec and decodes it back to float.
-func JPEGRoundtrip(im *Image, quality int) (*Image, error) {
-	out := NewImage(im.W, im.H)
-	if err := (*Scratch)(nil).jpegRoundtrip(out, im, quality); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // jpegRoundtrip writes the decoded roundtrip of src into dst (same size; dst

@@ -27,9 +27,6 @@ func (a DemosaicAlg) String() string {
 	return "demosaic?"
 }
 
-// Demosaic reconstructs a full-color image from a Bayer RAW frame.
-func Demosaic(r *RAW, alg DemosaicAlg) *Image { return (*Scratch)(nil).demosaic(r, alg) }
-
 func (s *Scratch) demosaic(r *RAW, alg DemosaicAlg) *Image {
 	switch alg {
 	case DemosaicBinning:
@@ -128,10 +125,6 @@ func (s *Scratch) demosaicBilinear(r *RAW) *Image {
 	}
 	return im
 }
-
-// DemosaicBilinearOnly exposes the minimal bilinear reconstruction, used for
-// the paper's RAW-data experiments where the rest of the ISP is bypassed.
-func DemosaicBilinearOnly(r *RAW) *Image { return (*Scratch)(nil).demosaicBilinear(r) }
 
 // demosaicPPG approximates Pixel Grouping: bilinear interpolation with a
 // same-channel Laplacian gradient correction (Malvar-style), which is what

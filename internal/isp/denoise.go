@@ -26,14 +26,6 @@ func (a DenoiseAlg) String() string {
 	return "denoise?"
 }
 
-// Denoise applies the selected denoiser, returning a new image.
-func Denoise(im *Image, alg DenoiseAlg) *Image {
-	if alg == DenoiseNone {
-		return im.Clone()
-	}
-	return (*Scratch)(nil).denoise(im, alg)
-}
-
 // denoise leaves im untouched; DenoiseNone returns im itself.
 func (s *Scratch) denoise(im *Image, alg DenoiseAlg) *Image {
 	switch alg {

@@ -144,7 +144,7 @@ func TestDemosaicOneSampleAxisTerminates(t *testing.T) {
 		im := DemosaicBilinearOnly(raw)
 		for y := 0; y < raw.H; y++ {
 			for x := 0; x < raw.W; x++ {
-				if im.At(x, y, raw.ColorAt(x, y)) != raw.At(x, y) {
+				if im.At(x, y, cfaColor(raw.Pattern, x, y)) != raw.At(x, y) {
 					t.Fatalf("bilinear on %v lost the site sample at (%d,%d)", sz, x, y)
 				}
 			}

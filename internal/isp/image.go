@@ -10,7 +10,6 @@
 package isp
 
 import (
-	"fmt"
 	"image"
 	"image/color"
 	"math"
@@ -92,23 +91,6 @@ func (im *Image) ToTensor() *tensor.Tensor {
 	return t
 }
 
-// FromTensor converts a [3, H, W] tensor back into an Image.
-func FromTensor(t *tensor.Tensor) (*Image, error) {
-	if t.NDim() != 3 || t.Dim(0) != 3 {
-		return nil, fmt.Errorf("isp: FromTensor wants [3 H W], have %v", t.Shape())
-	}
-	h, w := t.Dim(1), t.Dim(2)
-	im := NewImage(w, h)
-	d := t.Data()
-	hw := w * h
-	for i := 0; i < hw; i++ {
-		for c := 0; c < 3; c++ {
-			im.Pix[i*3+c] = float64(d[c*hw+i])
-		}
-	}
-	return im, nil
-}
-
 // ToNRGBA converts to an 8-bit standard-library image (values clamped).
 func (im *Image) ToNRGBA() *image.NRGBA {
 	out := image.NewNRGBA(image.Rect(0, 0, im.W, im.H))
@@ -125,14 +107,6 @@ func (im *Image) fill8(pix []uint8) {
 		pix[i*4+2] = to8(im.Pix[i*3+2])
 		pix[i*4+3] = 255
 	}
-}
-
-// FromGoImage converts any stdlib image into a float Image.
-func FromGoImage(src image.Image) *Image {
-	b := src.Bounds()
-	im := NewImage(b.Dx(), b.Dy())
-	fromGoImage(im, src)
-	return im
 }
 
 // fromGoImage fills dst, which has src's size, with src's 16-bit samples

@@ -358,11 +358,7 @@ func TestToTensorFromTensorRoundtrip(t *testing.T) {
 	if tt.Dim(0) != 3 || tt.Dim(1) != 8 || tt.Dim(2) != 8 {
 		t.Fatalf("tensor shape %v", tt.Shape())
 	}
-	back, err := FromTensor(tt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.MSE(im) > 1e-12 {
+	if back := FromTensor(tt); back.MSE(im) > 1e-12 {
 		t.Fatal("ToTensor/FromTensor roundtrip lossy beyond float32")
 	}
 }

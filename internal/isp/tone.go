@@ -36,21 +36,6 @@ func SRGBEncode(v float64) float64 {
 	return 1.055*math.Pow(v, 1/2.4) - 0.055
 }
 
-// SRGBDecode inverts SRGBEncode.
-func SRGBDecode(v float64) float64 {
-	if v <= 0.04045 {
-		return v / 12.92
-	}
-	return math.Pow((v+0.055)/1.055, 2.4)
-}
-
-// ToneTransform applies the selected tone curve, returning a new image.
-func ToneTransform(im *Image, alg ToneAlg) *Image {
-	out := im.Clone()
-	toneTransform(out, alg)
-	return out
-}
-
 // toneTransform applies the curve in place.
 func toneTransform(im *Image, alg ToneAlg) {
 	switch alg {
@@ -108,15 +93,6 @@ func equalizeTone(im *Image, amount float64) {
 			}
 		}
 	}
-}
-
-// ApplyGamma raises every channel value to the given exponent (used by the
-// device tone presets and HeteroSwitch's random gamma transform, eq. 3),
-// returning a new image.
-func ApplyGamma(im *Image, gamma float64) *Image {
-	out := im.Clone()
-	(*Scratch)(nil).Gamma(out, gamma)
-	return out
 }
 
 // gammaTable memoises v^gamma on the 65 536 values a 16-bit sample can take.

@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"math"
 	"sort"
 
 	"heteroswitch/internal/dataset"
@@ -15,7 +14,7 @@ import (
 
 // Accuracy returns the single-label classification accuracy of net on ds,
 // evaluated with the given batch size through one frozen inference replica
-// (nn.EvalView: BN folded, activations fused). Batches recycle through the
+// (BN folded, activations fused). Batches recycle through the
 // pooled dataset.BatchScratch, so sweeps over many devices or degrees
 // allocate no per-batch buffers.
 func Accuracy(net *nn.Network, ds *dataset.Dataset, batch int) float64 {
@@ -24,7 +23,7 @@ func Accuracy(net *nn.Network, ds *dataset.Dataset, batch int) float64 {
 	}
 	bs := dataset.GetBatchScratch()
 	defer dataset.PutBatchScratch(bs)
-	return accuracyOn(nn.EvalView(net), bs, ds, batch)
+	return accuracyOn(net.Freeze(), bs, ds, batch)
 }
 
 // accuracyOn is the shared accuracy loop: one inference surface, one
@@ -54,10 +53,10 @@ func accuracyOn(inf nn.Inference, bs *dataset.BatchScratch, ds *dataset.Dataset,
 // MeanLoss returns the mean loss of net on ds without updating anything —
 // the quantity HeteroSwitch compares against its EMA (L_init). Like
 // Accuracy it forwards through one frozen replica per evaluation, and like
-// fl.EvalLoss it takes the value-only loss path (nn.LossValuer): no gradient
+// fl.EvalLoss it takes the value-only loss path (nil grad): no gradient
 // tensor is computed or allocated per batch.
 func MeanLoss(net *nn.Network, loss nn.Loss, ds *dataset.Dataset, batch int) float64 {
-	return meanLossOn(nn.EvalView(net), loss, ds, batch)
+	return meanLossOn(net.Freeze(), loss, ds, batch)
 }
 
 // meanLossOn is the loss loop on one inference surface.
@@ -75,28 +74,10 @@ func meanLossOn(inf nn.Inference, loss nn.Loss, ds *dataset.Dataset, batch int) 
 		if y != nil {
 			target = nn.DenseTarget(y)
 		}
-		l := nn.LossValue(loss, func() *tensor.Tensor { return bs.Alloc(out.Shape()...) }, out, target)
-		total += l * float64(hi-lo)
+		total += loss.Eval(nil, out, target) * float64(hi-lo)
 		count += hi - lo
 	})
 	return total / float64(count)
-}
-
-// PerDeviceAccuracy evaluates accuracy separately on each device's test
-// samples, keyed by device index. One frozen replica and one pooled batch
-// scratch serve every device's sweep.
-func PerDeviceAccuracy(net *nn.Network, ds *dataset.Dataset, batch int) map[int]float64 {
-	out := map[int]float64{}
-	if ds.Len() == 0 {
-		return out
-	}
-	inf := nn.EvalView(net)
-	bs := dataset.GetBatchScratch()
-	defer dataset.PutBatchScratch(bs)
-	for dev, sub := range ds.ByDevice() {
-		out[dev] = accuracyOn(inf, bs, sub, batch)
-	}
-	return out
 }
 
 // Mean returns the arithmetic mean of vs (0 for empty input).
@@ -126,9 +107,6 @@ func Variance(vs []float64) float64 {
 	}
 	return s / float64(len(vs))
 }
-
-// Std returns the population standard deviation.
-func Std(vs []float64) float64 { return math.Sqrt(Variance(vs)) }
 
 // Worst returns the minimum value (the worst-case accuracy used as the DG
 // metric). Returns 0 for empty input.
@@ -233,7 +211,7 @@ func MultiLabelScores(net *nn.Network, ds *dataset.Dataset, batch int) (scores, 
 	n := ds.Len()
 	scores = tensor.New(n, ds.NumClasses)
 	labels = tensor.New(n, ds.NumClasses)
-	inf := nn.EvalView(net)
+	inf := net.Freeze()
 	bs := dataset.GetBatchScratch()
 	defer dataset.PutBatchScratch(bs)
 	bs.ForBatches(ds, batch, func(lo, hi int, x, y *tensor.Tensor, _ []int) {
@@ -242,22 +220,4 @@ func MultiLabelScores(net *nn.Network, ds *dataset.Dataset, batch int) (scores, 
 		copy(labels.Data()[lo*ds.NumClasses:hi*ds.NumClasses], y.Data())
 	})
 	return scores, labels
-}
-
-// MeanAbsRelDeviation returns mean(|pred - truth| / truth) — the heart-rate
-// deviation metric of §6.6. Entries with non-positive truth are skipped.
-func MeanAbsRelDeviation(pred, truth []float64) float64 {
-	var s float64
-	n := 0
-	for i := range pred {
-		if truth[i] <= 0 {
-			continue
-		}
-		s += math.Abs(pred[i]-truth[i]) / truth[i]
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return s / float64(n)
 }

@@ -7,7 +7,7 @@
 //   - TinySqueezeNet: fire modules, faithful to the original's lack of
 //     normalization layers (Table 5).
 //   - SimpleCNN: the plain CNN of the synthetic CIFAR experiment (§6.5).
-//   - MLPRegressor: the "simple DNN" heart-rate regressor (§6.6).
+//   - ECGConvNet: the 1-D convolutional heart-rate regressor (§6.6).
 //
 // Every constructor is deterministic in the provided seed, so federated
 // workers can build bit-identical replicas.
@@ -211,25 +211,6 @@ func SimpleCNN(r *frand.RNG, inC, classes int) *nn.Network {
 		nn.NewFlatten(),
 		nn.NewDense(r, 16*8*8, classes),
 	)
-}
-
-// MLPRegressor is the "simple DNN" used for ECG heart-rate estimation
-// (§6.6): a fully-connected network with ReLU hidden layers and a linear
-// output of width out.
-func MLPRegressor(r *frand.RNG, in int, hidden []int, out int) *nn.Network {
-	var layers []nn.Layer
-	prev := in
-	for _, h := range hidden {
-		layers = append(layers, nn.NewDense(r, prev, h), nn.NewReLU())
-		prev = h
-	}
-	layers = append(layers, nn.NewDense(r, prev, out))
-	return nn.NewNetwork(layers...)
-}
-
-// MLPBuilder returns a deterministic builder for MLPRegressor.
-func MLPBuilder(seed uint64, in int, hidden []int, out int) Builder {
-	return func() *nn.Network { return MLPRegressor(frand.New(seed), in, hidden, out) }
 }
 
 // ECGConvNet is a 1-D convolutional heart-rate regressor: the flat window of

@@ -22,18 +22,24 @@ func forwardShape(t *testing.T, net *nn.Network, inC, classes int) {
 	}
 }
 
+// evalGrad is Loss.Eval into a freshly allocated gradient buffer.
+func evalGrad(l nn.Loss, pred *tensor.Tensor, target nn.Target) (float64, *tensor.Tensor) {
+	grad := tensor.New(pred.Shape()...)
+	return l.Eval(grad, pred, target), grad
+}
+
 func trainStepWorks(t *testing.T, net *nn.Network, inC, classes int) {
 	t.Helper()
 	r := frand.New(3)
 	x := tensor.Randn(r, 1, 4, inC, 32, 32)
 	labels := []int{0, 1, 2 % classes, 0}
 	out := net.Forward(x, true)
-	loss, grad := nn.SoftmaxCrossEntropy{}.Eval(out, nn.ClassTarget(labels))
+	loss, grad := evalGrad(nn.SoftmaxCrossEntropy{}, out, nn.ClassTarget(labels))
 	if loss <= 0 {
 		t.Fatalf("implausible loss %v", loss)
 	}
 	net.Backward(grad)
-	opt := nn.NewSGD(0.01, 0, 0)
+	opt := nn.NewSGD(0.01, 0)
 	opt.Step(net.Params())
 	out2 := net.Forward(x, true)
 	if out2.HasNaN() {
@@ -63,16 +69,6 @@ func TestSimpleCNN(t *testing.T) {
 	net := SimpleCNN(frand.New(1), 3, 20)
 	forwardShape(t, net, 3, 20)
 	trainStepWorks(t, net, 3, 20)
-}
-
-func TestMLPRegressor(t *testing.T) {
-	net := MLPRegressor(frand.New(1), 64, []int{32, 16}, 1)
-	r := frand.New(2)
-	x := tensor.Randn(r, 1, 5, 64)
-	y := net.Forward(x, false)
-	if y.Dim(0) != 5 || y.Dim(1) != 1 {
-		t.Fatalf("MLP output shape %v", y.Shape())
-	}
 }
 
 func TestBuilderDeterministic(t *testing.T) {
@@ -105,7 +101,7 @@ func TestWeightsTransferAcrossBuilds(t *testing.T) {
 	n1 := b()
 	n2 := b()
 	// Perturb n1, snapshot, load into n2, confirm identical outputs.
-	n1.Params()[0].W.AddScalar(0.1)
+	n1.Params()[0].W.Apply(func(v float32) float32 { return v + 0.1 })
 	if err := n2.LoadWeights(n1.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
@@ -165,12 +161,12 @@ func TestECGConvNet(t *testing.T) {
 	out := net.Forward(x, true)
 	target := tensor.New(5, 1)
 	target.Fill(0.4)
-	loss, grad := nn.MSE{}.Eval(out, nn.DenseTarget(target))
+	loss, grad := evalGrad(nn.MSE{}, out, nn.DenseTarget(target))
 	if loss <= 0 {
 		t.Fatalf("loss %v", loss)
 	}
 	net.Backward(grad)
-	opt := nn.NewSGD(0.01, 0, 0)
+	opt := nn.NewSGD(0.01, 0)
 	opt.Step(net.Params())
 	if net.Forward(x, true).HasNaN() {
 		t.Fatal("NaN after step")
@@ -201,12 +197,12 @@ func TestFrozenMatchesReferencePerArch(t *testing.T) {
 			}
 			net := builder()
 			r := frand.New(4)
-			opt := nn.NewSGD(0.01, 0.9, 0)
+			opt := nn.NewSGD(0.01, 0.9)
 			for step := 0; step < 4; step++ {
 				x := tensor.Randn(r, 1, 4, 3, 32, 32)
 				labels := []int{step % 12, (step + 3) % 12, (step + 5) % 12, (step + 7) % 12}
 				out := net.Forward(x, true)
-				_, grad := nn.SoftmaxCrossEntropy{}.Eval(out, nn.ClassTarget(labels))
+				_, grad := evalGrad(nn.SoftmaxCrossEntropy{}, out, nn.ClassTarget(labels))
 				net.Backward(grad)
 				opt.Step(net.Params())
 			}
@@ -284,12 +280,12 @@ func TestFrozenMatchesReferencePerArch(t *testing.T) {
 func TestFrozenECGConvNet(t *testing.T) {
 	net := ECGConvNet(frand.New(9), 64)
 	r := frand.New(10)
-	opt := nn.NewSGD(0.05, 0.9, 0)
+	opt := nn.NewSGD(0.05, 0.9)
 	for step := 0; step < 3; step++ {
 		x := tensor.Randn(r, 1, 4, 64)
 		target := tensor.Randn(r, 1, 4, 1)
 		out := net.Forward(x, true)
-		_, grad := nn.MSE{}.Eval(out, nn.DenseTarget(target))
+		_, grad := evalGrad(nn.MSE{}, out, nn.DenseTarget(target))
 		net.Backward(grad)
 		opt.Step(net.Params())
 	}

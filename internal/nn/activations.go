@@ -6,15 +6,8 @@ import (
 	"heteroswitch/internal/tensor"
 )
 
-// sigmoid64 is the one logistic implementation in this package: every
-// sigmoid consumer — the Sigmoid layer, BCEWithLogits, and the fused
-// inference epilogues — routes through it, so the numerics live in exactly
-// one place.
+// sigmoid64 is the logistic function BCEWithLogits' gradient uses.
 func sigmoid64(z float64) float64 { return 1 / (1 + math.Exp(-z)) }
-
-// sigmoid32 is sigmoid64 round-tripped through float32, the elementwise form
-// used on tensor data.
-func sigmoid32(v float32) float32 { return float32(sigmoid64(float64(v))) }
 
 // ReLU is the rectified linear activation.
 type ReLU struct {
@@ -173,42 +166,3 @@ func (l *HardSwish) States() []*tensor.Tensor { return nil }
 
 // Name implements Layer.
 func (l *HardSwish) Name() string { return "HardSwish" }
-
-// Sigmoid is the logistic activation.
-type Sigmoid struct {
-	arenaScratch
-	y *tensor.Tensor
-}
-
-// NewSigmoid returns a Sigmoid layer.
-func NewSigmoid() *Sigmoid { return &Sigmoid{} }
-
-// Forward implements Layer.
-func (l *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := l.allocUninit(x.Shape()...)
-	xd, yd := x.Data(), y.Data()
-	for i, v := range xd {
-		yd[i] = sigmoid32(v)
-	}
-	l.y = y
-	return y
-}
-
-// Backward implements Layer: dx = dy · y(1-y).
-func (l *Sigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	g := l.allocUninit(grad.Shape()...)
-	gd, dd, yd := grad.Data(), g.Data(), l.y.Data()
-	for i := range gd {
-		dd[i] = gd[i] * yd[i] * (1 - yd[i])
-	}
-	return g
-}
-
-// Params implements Layer.
-func (l *Sigmoid) Params() []*Param { return nil }
-
-// States implements Layer.
-func (l *Sigmoid) States() []*tensor.Tensor { return nil }
-
-// Name implements Layer.
-func (l *Sigmoid) Name() string { return "Sigmoid" }

@@ -386,65 +386,3 @@ func (l *SEBlock) States() []*tensor.Tensor { return nil }
 
 // Name implements Layer.
 func (l *SEBlock) Name() string { return fmt.Sprintf("SEBlock(%d,%d)", l.C, l.Hidden) }
-
-// Dropout randomly zeroes activations during training, scaling survivors by
-// 1/(1-p) (inverted dropout). It holds its own RNG so a network instance is
-// self-contained; pass a split of the model seed.
-type Dropout struct {
-	arenaScratch
-	P    float64
-	rng  *frand.RNG
-	mask []float32
-}
-
-// NewDropout builds a dropout layer with drop probability p.
-func NewDropout(r *frand.RNG, p float64) *Dropout {
-	return &Dropout{P: p, rng: r}
-}
-
-// Forward implements Layer.
-func (l *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train || l.P <= 0 {
-		l.mask = nil
-		return x
-	}
-	y := l.allocUninit(x.Shape()...)
-	xd, d := x.Data(), y.Data()
-	if cap(l.mask) < len(d) {
-		l.mask = make([]float32, len(d))
-	}
-	l.mask = l.mask[:len(d)]
-	scale := float32(1 / (1 - l.P))
-	for i := range d {
-		if l.rng.Float64() < l.P {
-			l.mask[i] = 0
-			d[i] = 0
-		} else {
-			l.mask[i] = scale
-			d[i] = xd[i] * scale
-		}
-	}
-	return y
-}
-
-// Backward implements Layer.
-func (l *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if l.mask == nil {
-		return grad
-	}
-	g := l.allocUninit(grad.Shape()...)
-	gd, d := grad.Data(), g.Data()
-	for i := range d {
-		d[i] = gd[i] * l.mask[i]
-	}
-	return g
-}
-
-// Params implements Layer.
-func (l *Dropout) Params() []*Param { return nil }
-
-// States implements Layer.
-func (l *Dropout) States() []*tensor.Tensor { return nil }
-
-// Name implements Layer.
-func (l *Dropout) Name() string { return fmt.Sprintf("Dropout(%.2f)", l.P) }

@@ -98,7 +98,7 @@ func NewConv2D(r *frand.RNG, inC, outC, k, stride, pad, groups int) *Conv2D {
 	return &Conv2D{
 		InC: inC, OutC: outC, KH: k, KW: k, Stride: stride, Pad: pad, Groups: groups,
 		W: &Param{Name: name + ".W", W: w, Grad: tensor.New(outC, fanIn)},
-		B: &Param{Name: name + ".b", W: tensor.New(outC), Grad: tensor.New(outC), NoDecay: true},
+		B: &Param{Name: name + ".b", W: tensor.New(outC), Grad: tensor.New(outC)},
 	}
 }
 

@@ -96,8 +96,8 @@ func TestNetworkParallelTrainingBitIdentical(t *testing.T) {
 	}
 
 	r := frand.New(77)
-	optS := NewSGD(0.05, 0.9, 1e-4)
-	optP := NewSGD(0.05, 0.9, 1e-4)
+	optS := NewSGD(0.05, 0.9)
+	optP := NewSGD(0.05, 0.9)
 	loss := SoftmaxCrossEntropy{}
 	for step := 0; step < 4; step++ {
 		x := tensor.Randn(r, 1, 5, 3, 12, 12)
@@ -105,8 +105,8 @@ func TestNetworkParallelTrainingBitIdentical(t *testing.T) {
 		outS := serial.Forward(x, true)
 		outP := parl.Forward(x, true)
 		exactSlice(t, fmt.Sprintf("step%d/out", step), outP.Data(), outS.Data())
-		_, gS := loss.Eval(outS, ClassTarget(labels))
-		_, gP := loss.Eval(outP, ClassTarget(labels))
+		_, gS := evalGrad(loss, outS, ClassTarget(labels))
+		_, gP := evalGrad(loss, outP, ClassTarget(labels))
 		serial.Backward(gS)
 		parl.Backward(gP)
 		optS.Step(serial.Params())

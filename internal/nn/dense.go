@@ -24,7 +24,7 @@ func NewDense(r *frand.RNG, in, out int) *Dense {
 	return &Dense{
 		In: in, Out: out,
 		W: &Param{Name: fmt.Sprintf("dense%dx%d.W", in, out), W: w, Grad: tensor.New(in, out)},
-		B: &Param{Name: fmt.Sprintf("dense%dx%d.b", in, out), W: tensor.New(out), Grad: tensor.New(out), NoDecay: true},
+		B: &Param{Name: fmt.Sprintf("dense%dx%d.b", in, out), W: tensor.New(out), Grad: tensor.New(out)},
 	}
 }
 

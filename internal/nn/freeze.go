@@ -85,7 +85,7 @@ func (n *Network) Freeze() *Frozen {
 
 // SetPanelSource attaches the shared panel cache and the weight version the
 // next Freeze folds for. Serving replicas call this from Ensure before
-// EvalView; networks without a panel source keep private per-op handles.
+// Freeze; networks without a panel source keep private per-op handles.
 func (n *Network) SetPanelSource(pc *PanelCache, version int) {
 	n.panelCache, n.panelVersion = pc, version
 }
@@ -148,10 +148,6 @@ type Inference interface {
 // Infer implements Inference as the reference eval forward.
 func (n *Network) Infer(x *tensor.Tensor) *tensor.Tensor { return n.Forward(x, false) }
 
-// EvalView returns the surface an evaluation pass forwards through: one
-// frozen replica of the network.
-func EvalView(n *Network) Inference { return n.Freeze() }
-
 // Compilation -----------------------------------------------------------------
 
 // flattenLayers expands nested *Network layers into one linear sequence, so
@@ -177,8 +173,6 @@ func actKindOf(l Layer) (epAct, bool) {
 		return epHardSwish, true
 	case *HardSigmoid:
 		return epHardSigmoid, true
-	case *Sigmoid:
-		return epSigmoid, true
 	}
 	return epNone, false
 }
@@ -256,12 +250,8 @@ func (c *opCompiler) compile(flat []Layer) []frozenOp {
 			ops = append(ops, &frozenAct{kind: epHardSwish})
 		case *HardSigmoid:
 			ops = append(ops, &frozenAct{kind: epHardSigmoid})
-		case *Sigmoid:
-			ops = append(ops, &frozenAct{kind: epSigmoid})
 		case *MaxPool2D:
 			ops = append(ops, &frozenMaxPool{k: l.K, stride: l.Stride})
-		case *AvgPool2D:
-			ops = append(ops, &frozenAvgPool{k: l.K, stride: l.Stride})
 		case *GlobalAvgPool:
 			ops = append(ops, &frozenGAP{})
 		case *SEBlock:
@@ -281,8 +271,8 @@ func (c *opCompiler) compile(flat []Layer) []frozenOp {
 			op.outCs = make([]int, len(l.Branches))
 			op.outs = make([]*tensor.Tensor, len(l.Branches))
 			ops = append(ops, op)
-		case *Dropout, *Identity:
-			// Identity in eval mode: compiles to nothing.
+		case *Identity:
+			// Compiles to nothing.
 		default:
 			// Pure view/permutation layers (Flatten, Reshape,
 			// ChannelShuffle) and any layer type this compiler does not

@@ -91,8 +91,7 @@ func frozenFixtures() []frozenFixture {
 			return nn.NewNetwork(
 				nn.NewFlatten(),
 				nn.NewDense(r, 3*8*8, 16),
-				nn.NewSigmoid(),
-				nn.NewDropout(r.SplitNamed("drop"), 0.3),
+				nn.NewHardSigmoid(),
 				nn.NewDense(r, 16, 5),
 			)
 		}},
@@ -179,7 +178,7 @@ func frozenFixtures() []frozenFixture {
 			b2 := nn.NewNetwork(nn.NewConv2D(r, 3, 4, 3, 1, 1, 1), nn.NewHardSigmoid())
 			return nn.NewNetwork(
 				nn.NewParallel(false, b1, b2),
-				nn.NewAvgPool2D(2, 2),
+				nn.NewMaxPool2D(2, 2),
 				nn.NewFlatten(),
 				nn.NewDense(r, 8*4*4, 5),
 			)
@@ -207,7 +206,7 @@ func frozenFixtures() []frozenFixture {
 // statistics leave their initialization.
 func trainFixture(net *nn.Network, r *frand.RNG, inC, steps int) {
 	loss := nn.SoftmaxCrossEntropy{}
-	opt := nn.NewSGD(0.05, 0.9, 0)
+	opt := nn.NewSGD(0.05, 0.9)
 	labels := make([]int, 4)
 	for s := 0; s < steps; s++ {
 		x := tensor.Randn(r, 1, 4, inC, 8, 8)
@@ -215,7 +214,8 @@ func trainFixture(net *nn.Network, r *frand.RNG, inC, steps int) {
 			labels[i] = r.Intn(5)
 		}
 		out := net.Forward(x, true)
-		_, grad := loss.Eval(out, nn.ClassTarget(labels))
+		grad := tensor.New(out.Shape()...)
+		loss.Eval(grad, out, nn.ClassTarget(labels))
 		net.Backward(grad)
 		opt.Step(net.Params())
 	}

@@ -19,7 +19,6 @@ const (
 	epReLU
 	epHardSwish
 	epHardSigmoid
-	epSigmoid
 )
 
 // applyBiasAct computes row[j] = act(row[j] + bias[0]) in one sweep.
@@ -51,10 +50,6 @@ func applyBiasAct(row, bias []float32, act epAct) {
 		for j := range row {
 			row[j] = hardSigmoid(row[j] + b)
 		}
-	case epSigmoid:
-		for j := range row {
-			row[j] = sigmoid32(row[j] + b)
-		}
 	}
 }
 
@@ -83,10 +78,6 @@ func applyVecBiasAct(row, bias []float32, act epAct) {
 		for j := range row {
 			row[j] = hardSigmoid(row[j] + bias[j])
 		}
-	case epSigmoid:
-		for j := range row {
-			row[j] = sigmoid32(row[j] + bias[j])
-		}
 	}
 }
 
@@ -114,10 +105,6 @@ func applyAct(yd, xd []float32, lo, hi int, act epAct) {
 	case epHardSigmoid:
 		for i := lo; i < hi; i++ {
 			yd[i] = hardSigmoid(xd[i])
-		}
-	case epSigmoid:
-		for i := lo; i < hi; i++ {
-			yd[i] = sigmoid32(xd[i])
 		}
 	default:
 		copy(yd[lo:hi], xd[lo:hi])
@@ -502,51 +489,6 @@ func (p *frozenMaxPool) Run(_, lo, hi int) {
 					}
 				}
 				p.od[oi] = best
-				oi++
-			}
-		}
-	}
-}
-
-// frozenAvgPool is AvgPool2D's inference op, parallel over planes.
-type frozenAvgPool struct {
-	k, stride int
-
-	xd, od       []float32 // per-Run state
-	h, w, oh, ow int
-}
-
-// infer implements frozenOp.
-func (p *frozenAvgPool) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	oh := (h-p.k)/p.stride + 1
-	ow := (w-p.k)/p.stride + 1
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("nn: frozen AvgPool2D k%d s%d on %dx%d", p.k, p.stride, h, w))
-	}
-	out := f.alloc(n, c, oh, ow)
-	p.xd, p.od, p.h, p.w, p.oh, p.ow = x.Data(), out.Data(), h, w, oh, ow
-	parallel.Run(f.budget(), n*c, parallel.GrainFor(oh*ow*p.k*p.k), p)
-	p.xd, p.od = nil, nil
-	return out
-}
-
-// Run implements parallel.Runner over a plane range.
-func (p *frozenAvgPool) Run(_, lo, hi int) {
-	inv := 1 / float32(p.k*p.k)
-	for pl := lo; pl < hi; pl++ {
-		base := pl * p.h * p.w
-		oi := pl * p.oh * p.ow
-		for oy := 0; oy < p.oh; oy++ {
-			for ox := 0; ox < p.ow; ox++ {
-				var s float32
-				for ky := 0; ky < p.k; ky++ {
-					row := base + (oy*p.stride+ky)*p.w + ox*p.stride
-					for kx := 0; kx < p.k; kx++ {
-						s += p.xd[row+kx]
-					}
-				}
-				p.od[oi] = s * inv
 				oi++
 			}
 		}

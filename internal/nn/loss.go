@@ -7,49 +7,16 @@ import (
 	"heteroswitch/internal/tensor"
 )
 
-// Loss computes a scalar training loss and the gradient of that loss with
-// respect to the network's output (logits/predictions).
+// Loss computes a scalar training loss and, on request, the gradient of that
+// loss with respect to the network's output (logits/predictions).
 type Loss interface {
-	// Eval returns the mean loss over the batch and dL/d(pred).
-	Eval(pred *tensor.Tensor, target Target) (float64, *tensor.Tensor)
 	Name() string
-}
-
-// LossInto is an optional Loss capability: losses that can write their
-// gradient into a caller-provided buffer implement it, so training loops can
-// reuse one per-batch gradient tensor (e.g. from an arena) instead of
-// allocating a fresh one per Eval. All losses in this package implement it;
-// Eval is a convenience wrapper. EvalInto overwrites every element of grad,
-// which must have pred's shape.
-type LossInto interface {
-	Loss
-	EvalInto(grad, pred *tensor.Tensor, target Target) float64
-}
-
-// LossValuer is an optional Loss capability for pure-inference consumers:
-// EvalValue returns the scalar loss without computing or materializing the
-// gradient at all. The value is computed with the same floating-point
-// operations, in the same order, as EvalInto's loss accumulation, so routing
-// an eval loop through EvalValue is bit-identical to the gradient path —
-// just cheaper. All losses in this package implement it.
-type LossValuer interface {
-	Loss
-	EvalValue(pred *tensor.Tensor, target Target) float64
-}
-
-// LossValue evaluates the scalar loss by the cheapest route the loss
-// supports: the value-only path when available, otherwise EvalInto into the
-// caller's scratch gradient buffer (which must have pred's shape and is
-// ignored on the value-only path), otherwise plain Eval.
-func LossValue(loss Loss, grad func() *tensor.Tensor, pred *tensor.Tensor, target Target) float64 {
-	if lv, ok := loss.(LossValuer); ok {
-		return lv.EvalValue(pred, target)
-	}
-	if li, ok := loss.(LossInto); ok {
-		return li.EvalInto(grad(), pred, target)
-	}
-	l, _ := loss.Eval(pred, target)
-	return l
+	// Eval returns the mean loss over the batch. A non-nil grad, which must
+	// have pred's shape (a training loop passes one recycled per-batch
+	// buffer), is overwritten with dL/d(pred); a nil grad is the value-only
+	// path for inference consumers. Both paths run one loop, so the value is
+	// the same bits either way.
+	Eval(grad, pred *tensor.Tensor, target Target) float64
 }
 
 // Target carries either class indices (single-label), a dense matrix
@@ -70,13 +37,7 @@ func DenseTarget(t *tensor.Tensor) Target { return Target{Dense: t} }
 type SoftmaxCrossEntropy struct{}
 
 // Eval implements Loss. The gradient is (softmax - onehot)/N.
-func (l SoftmaxCrossEntropy) Eval(logits *tensor.Tensor, target Target) (float64, *tensor.Tensor) {
-	grad := tensor.New(logits.Shape()...)
-	return l.EvalInto(grad, logits, target), grad
-}
-
-// EvalInto implements LossInto.
-func (SoftmaxCrossEntropy) EvalInto(grad, logits *tensor.Tensor, target Target) float64 {
+func (SoftmaxCrossEntropy) Eval(grad, logits *tensor.Tensor, target Target) float64 {
 	if logits.NDim() != 2 {
 		panic(fmt.Sprintf("nn: SoftmaxCrossEntropy logits %v", logits.Shape()))
 	}
@@ -84,49 +45,12 @@ func (SoftmaxCrossEntropy) EvalInto(grad, logits *tensor.Tensor, target Target) 
 	if len(target.Classes) != n {
 		panic(fmt.Sprintf("nn: %d labels for %d logits rows", len(target.Classes), n))
 	}
-	if !grad.SameShape(logits) {
-		panic(fmt.Sprintf("nn: SoftmaxCrossEntropy grad buffer %v, want %v", grad.Shape(), logits.Shape()))
-	}
-	ld, gd := logits.Data(), grad.Data()
-	var loss float64
-	invN := 1 / float64(n)
-	for i := 0; i < n; i++ {
-		row := ld[i*c : (i+1)*c]
-		maxv := row[0]
-		for _, v := range row[1:] {
-			if v > maxv {
-				maxv = v
-			}
+	var gd []float32
+	if grad != nil {
+		if !grad.SameShape(logits) {
+			panic(fmt.Sprintf("nn: SoftmaxCrossEntropy grad buffer %v, want %v", grad.Shape(), logits.Shape()))
 		}
-		var sum float64
-		for _, v := range row {
-			sum += math.Exp(float64(v - maxv))
-		}
-		logSum := math.Log(sum)
-		y := target.Classes[i]
-		if y < 0 || y >= c {
-			panic(fmt.Sprintf("nn: label %d out of range [0,%d)", y, c))
-		}
-		loss += -(float64(row[y]-maxv) - logSum) * invN
-		gRow := gd[i*c : (i+1)*c]
-		for j, v := range row {
-			p := math.Exp(float64(v-maxv)) / sum
-			gRow[j] = float32(p * invN)
-		}
-		gRow[y] -= float32(invN)
-	}
-	return loss
-}
-
-// EvalValue implements LossValuer: EvalInto's loss accumulation with the
-// per-element softmax-gradient loop elided.
-func (SoftmaxCrossEntropy) EvalValue(logits *tensor.Tensor, target Target) float64 {
-	if logits.NDim() != 2 {
-		panic(fmt.Sprintf("nn: SoftmaxCrossEntropy logits %v", logits.Shape()))
-	}
-	n, c := logits.Dim(0), logits.Dim(1)
-	if len(target.Classes) != n {
-		panic(fmt.Sprintf("nn: %d labels for %d logits rows", len(target.Classes), n))
+		gd = grad.Data()
 	}
 	ld := logits.Data()
 	var loss float64
@@ -149,6 +73,15 @@ func (SoftmaxCrossEntropy) EvalValue(logits *tensor.Tensor, target Target) float
 			panic(fmt.Sprintf("nn: label %d out of range [0,%d)", y, c))
 		}
 		loss += -(float64(row[y]-maxv) - logSum) * invN
+		if gd == nil {
+			continue
+		}
+		gRow := gd[i*c : (i+1)*c]
+		for j, v := range row {
+			p := math.Exp(float64(v-maxv)) / sum
+			gRow[j] = float32(p * invN)
+		}
+		gRow[y] -= float32(invN)
 	}
 	return loss
 }
@@ -162,38 +95,16 @@ func (SoftmaxCrossEntropy) Name() string { return "SoftmaxCrossEntropy" }
 type BCEWithLogits struct{}
 
 // Eval implements Loss.
-func (l BCEWithLogits) Eval(logits *tensor.Tensor, target Target) (float64, *tensor.Tensor) {
-	grad := tensor.New(logits.Shape()...)
-	return l.EvalInto(grad, logits, target), grad
-}
-
-// EvalInto implements LossInto.
-func (BCEWithLogits) EvalInto(grad, logits *tensor.Tensor, target Target) float64 {
+func (BCEWithLogits) Eval(grad, logits *tensor.Tensor, target Target) float64 {
 	if target.Dense == nil || !logits.SameShape(target.Dense) {
 		panic("nn: BCEWithLogits needs dense targets matching logits shape")
 	}
-	if !grad.SameShape(logits) {
-		panic(fmt.Sprintf("nn: BCEWithLogits grad buffer %v, want %v", grad.Shape(), logits.Shape()))
-	}
-	ld, td, gd := logits.Data(), target.Dense.Data(), grad.Data()
-	var loss float64
-	invM := 1 / float64(len(ld))
-	for i, z := range ld {
-		t := float64(td[i])
-		zf := float64(z)
-		// numerically stable: log(1+e^-|z|) + max(z,0) - z*t
-		loss += (math.Max(zf, 0) - zf*t + math.Log1p(math.Exp(-math.Abs(zf)))) * invM
-		p := sigmoid64(zf)
-		gd[i] = float32((p - t) * invM)
-	}
-	return loss
-}
-
-// EvalValue implements LossValuer: EvalInto's loss accumulation without the
-// sigmoid-gradient writes.
-func (BCEWithLogits) EvalValue(logits *tensor.Tensor, target Target) float64 {
-	if target.Dense == nil || !logits.SameShape(target.Dense) {
-		panic("nn: BCEWithLogits needs dense targets matching logits shape")
+	var gd []float32
+	if grad != nil {
+		if !grad.SameShape(logits) {
+			panic(fmt.Sprintf("nn: BCEWithLogits grad buffer %v, want %v", grad.Shape(), logits.Shape()))
+		}
+		gd = grad.Data()
 	}
 	ld, td := logits.Data(), target.Dense.Data()
 	var loss float64
@@ -201,7 +112,11 @@ func (BCEWithLogits) EvalValue(logits *tensor.Tensor, target Target) float64 {
 	for i, z := range ld {
 		t := float64(td[i])
 		zf := float64(z)
+		// numerically stable: log(1+e^-|z|) + max(z,0) - z*t
 		loss += (math.Max(zf, 0) - zf*t + math.Log1p(math.Exp(-math.Abs(zf)))) * invM
+		if gd != nil {
+			gd[i] = float32((sigmoid64(zf) - t) * invM)
+		}
 	}
 	return loss
 }
@@ -214,35 +129,16 @@ func (BCEWithLogits) Name() string { return "BCEWithLogits" }
 type MSE struct{}
 
 // Eval implements Loss.
-func (l MSE) Eval(pred *tensor.Tensor, target Target) (float64, *tensor.Tensor) {
-	grad := tensor.New(pred.Shape()...)
-	return l.EvalInto(grad, pred, target), grad
-}
-
-// EvalInto implements LossInto.
-func (MSE) EvalInto(grad, pred *tensor.Tensor, target Target) float64 {
+func (MSE) Eval(grad, pred *tensor.Tensor, target Target) float64 {
 	if target.Dense == nil || pred.Size() != target.Dense.Size() {
 		panic("nn: MSE needs dense targets matching prediction size")
 	}
-	if grad.Size() != pred.Size() {
-		panic("nn: MSE grad buffer size mismatch")
-	}
-	pd, td, gd := pred.Data(), target.Dense.Data(), grad.Data()
-	var loss float64
-	invM := 1 / float64(len(pd))
-	for i := range pd {
-		d := float64(pd[i]) - float64(td[i])
-		loss += d * d * invM
-		gd[i] = float32(2 * d * invM)
-	}
-	return loss
-}
-
-// EvalValue implements LossValuer: EvalInto's loss accumulation without the
-// residual-gradient writes.
-func (MSE) EvalValue(pred *tensor.Tensor, target Target) float64 {
-	if target.Dense == nil || pred.Size() != target.Dense.Size() {
-		panic("nn: MSE needs dense targets matching prediction size")
+	var gd []float32
+	if grad != nil {
+		if grad.Size() != pred.Size() {
+			panic("nn: MSE grad buffer size mismatch")
+		}
+		gd = grad.Data()
 	}
 	pd, td := pred.Data(), target.Dense.Data()
 	var loss float64
@@ -250,19 +146,12 @@ func (MSE) EvalValue(pred *tensor.Tensor, target Target) float64 {
 	for i := range pd {
 		d := float64(pd[i]) - float64(td[i])
 		loss += d * d * invM
+		if gd != nil {
+			gd[i] = float32(2 * d * invM)
+		}
 	}
 	return loss
 }
 
 // Name implements Loss.
 func (MSE) Name() string { return "MSE" }
-
-// interface conformance checks
-var (
-	_ LossInto   = SoftmaxCrossEntropy{}
-	_ LossInto   = BCEWithLogits{}
-	_ LossInto   = MSE{}
-	_ LossValuer = SoftmaxCrossEntropy{}
-	_ LossValuer = BCEWithLogits{}
-	_ LossValuer = MSE{}
-)

@@ -7,9 +7,15 @@ import (
 	"heteroswitch/internal/tensor"
 )
 
-// The value-only loss path must be bit-identical to the gradient path's loss
-// accumulation: EvalValue is the contract consumers like fl.EvalLoss rely on
-// when they skip the gradient on pure inference.
+// evalGrad is Loss.Eval into a freshly allocated gradient buffer.
+func evalGrad(l Loss, pred *tensor.Tensor, target Target) (float64, *tensor.Tensor) {
+	grad := tensor.New(pred.Shape()...)
+	return l.Eval(grad, pred, target), grad
+}
+
+// The value-only loss path (nil grad) must be bit-identical to the gradient
+// path's loss accumulation: consumers like fl.EvalLoss rely on it when they
+// skip the gradient on pure inference.
 func TestEvalValueMatchesEvalInto(t *testing.T) {
 	r := frand.New(41)
 	logits := tensor.Randn(r, 3, 16, 5)
@@ -24,7 +30,7 @@ func TestEvalValueMatchesEvalInto(t *testing.T) {
 
 	cases := []struct {
 		name   string
-		loss   LossValuer
+		loss   Loss
 		pred   *tensor.Tensor
 		target Target
 	}{
@@ -34,27 +40,15 @@ func TestEvalValueMatchesEvalInto(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			grad := tensor.New(tc.pred.Shape()...)
-			want := tc.loss.(LossInto).EvalInto(grad, tc.pred, tc.target)
-			got := tc.loss.EvalValue(tc.pred, tc.target)
-			if got != want {
-				t.Fatalf("EvalValue = %v, EvalInto loss = %v (must be bit-identical)", got, want)
-			}
-			// LossValue must pick the value-only path: the grad thunk is never
-			// invoked for a LossValuer.
-			called := false
-			lv := LossValue(tc.loss, func() *tensor.Tensor { called = true; return grad }, tc.pred, tc.target)
-			if lv != want {
-				t.Fatalf("LossValue = %v, want %v", lv, want)
-			}
-			if called {
-				t.Fatal("LossValue materialized a gradient buffer for a LossValuer")
+			want, _ := evalGrad(tc.loss, tc.pred, tc.target)
+			if got := tc.loss.Eval(nil, tc.pred, tc.target); got != want {
+				t.Fatalf("value-only loss = %v, gradient-path loss = %v (must be bit-identical)", got, want)
 			}
 		})
 	}
 }
 
-// EvalValue must allocate nothing: it is the per-batch hot path of every
+// The value-only path must allocate nothing: it is the per-batch hot path of every
 // eval sweep.
 func TestEvalValueZeroAlloc(t *testing.T) {
 	r := frand.New(43)
@@ -62,10 +56,10 @@ func TestEvalValueZeroAlloc(t *testing.T) {
 	target := ClassTarget([]int{0, 1, 2, 3, 0, 1, 2, 3})
 	var sink float64
 	allocs := testing.AllocsPerRun(50, func() {
-		sink += SoftmaxCrossEntropy{}.EvalValue(logits, target)
+		sink += SoftmaxCrossEntropy{}.Eval(nil, logits, target)
 	})
 	if allocs != 0 {
-		t.Fatalf("EvalValue allocates %v per call, want 0", allocs)
+		t.Fatalf("value-only Eval allocates %v per call, want 0", allocs)
 	}
 	_ = sink
 }

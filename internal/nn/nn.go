@@ -9,8 +9,8 @@
 //     Backward call must follow the matching Forward on the same layer
 //     instance. A layer instance is therefore not safe for concurrent use;
 //     build one network instance per worker goroutine.
-//   - Parameter gradients are ACCUMULATED by Backward. Call ZeroGrads (or
-//     Optimizer.Step, which zeroes after applying) between batches.
+//   - Parameter gradients are ACCUMULATED by Backward; SGD.Step zeroes them
+//     after applying.
 //   - Tensors are NCHW float32 throughout.
 package nn
 
@@ -23,17 +23,16 @@ import (
 
 // Param is one trainable tensor together with its gradient accumulator.
 type Param struct {
-	Name    string
-	W       *tensor.Tensor
-	Grad    *tensor.Tensor
-	NoDecay bool // true for biases and normalization affine params
+	Name string
+	W    *tensor.Tensor
+	Grad *tensor.Tensor
 }
 
 // Layer is a differentiable network component.
 type Layer interface {
 	// Forward computes the layer output for input x. When train is true the
 	// layer caches intermediates for Backward and uses training behaviour
-	// (batch statistics, dropout masks).
+	// (batch statistics).
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward consumes dL/d(output) and returns dL/d(input), accumulating
 	// parameter gradients along the way.
@@ -191,13 +190,6 @@ func (n *Network) States() []*tensor.Tensor {
 		out = append(out, l.States()...)
 	}
 	return out
-}
-
-// ZeroGrads clears every parameter gradient.
-func (n *Network) ZeroGrads() {
-	for _, p := range n.Params() {
-		p.Grad.Zero()
-	}
 }
 
 // NumParams returns the total number of trainable scalars.

@@ -40,8 +40,8 @@ func NewBatchNorm2D(c int) *BatchNorm2D {
 	name := fmt.Sprintf("bn%d", c)
 	return &BatchNorm2D{
 		C: c, Eps: 1e-5, Momentum: 0.1,
-		Gamma:   &Param{Name: name + ".gamma", W: tensor.Ones(c), Grad: tensor.New(c), NoDecay: true},
-		Beta:    &Param{Name: name + ".beta", W: tensor.New(c), Grad: tensor.New(c), NoDecay: true},
+		Gamma:   &Param{Name: name + ".gamma", W: tensor.Ones(c), Grad: tensor.New(c)},
+		Beta:    &Param{Name: name + ".beta", W: tensor.New(c), Grad: tensor.New(c)},
 		RunMean: tensor.New(c),
 		RunVar:  tensor.Ones(c),
 	}

@@ -4,35 +4,31 @@ import (
 	"heteroswitch/internal/tensor"
 )
 
-// SGD is stochastic gradient descent with optional momentum and decoupled
-// L2 weight decay (decay is skipped for params flagged NoDecay).
+// SGD is stochastic gradient descent with optional momentum. Federated
+// clients train with plain SGD (the paper's setting); the centralized SWAD
+// harness is the one momentum user.
 type SGD struct {
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
-	velocity    map[*Param]*tensor.Tensor
+	LR       float64
+	Momentum float64
+	velocity map[*Param]*tensor.Tensor
 }
 
 // NewSGD builds an SGD optimizer.
-func NewSGD(lr, momentum, weightDecay float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, WeightDecay: weightDecay,
-		velocity: make(map[*Param]*tensor.Tensor)}
-}
+func NewSGD(lr, momentum float64) *SGD { return &SGD{LR: lr, Momentum: momentum} }
 
 // Step applies one update to every parameter using its accumulated gradient,
 // then zeroes the gradients.
 func (o *SGD) Step(params []*Param) {
 	lr := float32(o.LR)
 	mom := float32(o.Momentum)
-	wd := float32(o.WeightDecay)
 	for _, p := range params {
 		g := p.Grad
-		if wd != 0 && !p.NoDecay {
-			g.Axpy(wd, p.W)
-		}
 		if mom != 0 {
 			v, ok := o.velocity[p]
 			if !ok {
+				if o.velocity == nil {
+					o.velocity = make(map[*Param]*tensor.Tensor)
+				}
 				v = tensor.New(p.W.Shape()...)
 				o.velocity[p] = v
 			}
@@ -43,26 +39,5 @@ func (o *SGD) Step(params []*Param) {
 			p.W.Axpy(-lr, g)
 		}
 		g.Zero()
-	}
-}
-
-// Reset clears momentum state (call when reusing an optimizer across
-// federated clients so one client's momentum does not leak into another's).
-func (o *SGD) Reset() {
-	o.velocity = make(map[*Param]*tensor.Tensor)
-}
-
-// GradStep applies a raw gradient step w -= lr*adjust(grad) with a caller
-// -supplied per-parameter adjustment, used by SCAFFOLD's variance-reduced
-// update. adjust receives the parameter index and its gradient tensor and
-// may modify the gradient in place before the step.
-func GradStep(params []*Param, lr float64, adjust func(i int, grad *tensor.Tensor)) {
-	l := float32(lr)
-	for i, p := range params {
-		if adjust != nil {
-			adjust(i, p.Grad)
-		}
-		p.W.Axpy(-l, p.Grad)
-		p.Grad.Zero()
 	}
 }

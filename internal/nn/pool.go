@@ -80,88 +80,6 @@ func (l *MaxPool2D) States() []*tensor.Tensor { return nil }
 // Name implements Layer.
 func (l *MaxPool2D) Name() string { return fmt.Sprintf("MaxPool2D(k%d,s%d)", l.K, l.Stride) }
 
-// AvgPool2D performs kxk average pooling with the given stride.
-type AvgPool2D struct {
-	arenaScratch
-	K, Stride int
-	inShape   []int
-}
-
-// NewAvgPool2D builds an average-pool layer.
-func NewAvgPool2D(k, stride int) *AvgPool2D { return &AvgPool2D{K: k, Stride: stride} }
-
-// Forward implements Layer.
-func (l *AvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	oh := (h-l.K)/l.Stride + 1
-	ow := (w-l.K)/l.Stride + 1
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("nn: AvgPool2D k%d s%d on %dx%d", l.K, l.Stride, h, w))
-	}
-	l.inShape = x.Shape()
-	out := l.allocUninit(n, c, oh, ow)
-	xd, od := x.Data(), out.Data()
-	inv := 1 / float32(l.K*l.K)
-	oi := 0
-	for i := 0; i < n; i++ {
-		for ci := 0; ci < c; ci++ {
-			base := (i*c + ci) * h * w
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					var s float32
-					for ky := 0; ky < l.K; ky++ {
-						row := base + (oy*l.Stride+ky)*w + ox*l.Stride
-						for kx := 0; kx < l.K; kx++ {
-							s += xd[row+kx]
-						}
-					}
-					od[oi] = s * inv
-					oi++
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Backward implements Layer, spreading the gradient uniformly over the
-// window. Windows overlap when Stride < K, so dx accumulates from zero.
-func (l *AvgPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := l.alloc(l.inShape...)
-	n, c, h, w := l.inShape[0], l.inShape[1], l.inShape[2], l.inShape[3]
-	oh, ow := grad.Dim(2), grad.Dim(3)
-	dxd, gd := dx.Data(), grad.Data()
-	inv := 1 / float32(l.K*l.K)
-	oi := 0
-	for i := 0; i < n; i++ {
-		for ci := 0; ci < c; ci++ {
-			base := (i*c + ci) * h * w
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					g := gd[oi] * inv
-					oi++
-					for ky := 0; ky < l.K; ky++ {
-						row := base + (oy*l.Stride+ky)*w + ox*l.Stride
-						for kx := 0; kx < l.K; kx++ {
-							dxd[row+kx] += g
-						}
-					}
-				}
-			}
-		}
-	}
-	return dx
-}
-
-// Params implements Layer.
-func (l *AvgPool2D) Params() []*Param { return nil }
-
-// States implements Layer.
-func (l *AvgPool2D) States() []*tensor.Tensor { return nil }
-
-// Name implements Layer.
-func (l *AvgPool2D) Name() string { return fmt.Sprintf("AvgPool2D(k%d,s%d)", l.K, l.Stride) }
-
 // GlobalAvgPool collapses each channel's spatial extent to a single value,
 // producing [N, C] from [N, C, H, W].
 type GlobalAvgPool struct {

@@ -59,9 +59,9 @@ func (r *Replica) Ensure(v int, w Weights) error {
 		// after the new set is live.
 		r.net.SetPanelSource(r.panels, v)
 	}
-	// One EvalView per version load: Freeze re-folds BN to the new weights
+	// One Freeze per version load: Freeze re-folds BN to the new weights
 	// here, not per batch.
-	r.inf = EvalView(r.net)
+	r.inf = r.net.Freeze()
 	r.version = v
 	return nil
 }

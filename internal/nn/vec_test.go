@@ -427,11 +427,11 @@ func TestVecTrainingMatchesGeneric(t *testing.T) {
 		net := vecTrainNet(frand.New(31))
 		net.SetIntraOp(par)
 		r := frand.New(32)
-		opt := NewSGD(0.05, 0.9, 1e-4)
+		opt := NewSGD(0.05, 0.9)
 		for step := 0; step < 3; step++ {
 			x := tensor.Randn(r, 1, 4, 3, 18, 14)
 			out := net.Forward(x, true)
-			_, g := SoftmaxCrossEntropy{}.Eval(out, ClassTarget([]int{0, 1, 2, 3}))
+			_, g := evalGrad(SoftmaxCrossEntropy{}, out, ClassTarget([]int{0, 1, 2, 3}))
 			net.Backward(g)
 			opt.Step(net.Params())
 		}

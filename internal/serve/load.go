@@ -65,17 +65,12 @@ type simEvent struct {
 }
 
 // batch is one flushed micro-batch: request ids pinned to the model version
-// current at flush, plus the replica executing it. dl is the batch's service
-// deadline — its oldest request's arrival plus the admission deadline — and
-// fseq the flush sequence number; together they key the EDF queue (fseq is
-// the deterministic tie-break and reproduces FIFO order when deadlines tie).
+// current at flush, plus the replica executing it.
 type batch struct {
 	ids     []int
 	version int
 	w       nn.Weights
 	rep     *nn.Replica
-	dl      float64
-	fseq    int
 }
 
 // loadState is the single-goroutine virtual-time simulation behind RunLoad,
@@ -106,16 +101,13 @@ type loadState struct {
 	formGen int
 
 	// Batch execution: a free stack of recycled batch structs, the flushed
-	// batches waiting for a worker — a FIFO ring (queue/qhead) under
-	// FlushFIFO, a (deadline, fseq) min-heap (bheap) under FlushEDF — and
-	// the busy-worker count.
+	// batches waiting for a worker — a FIFO ring (queue/qhead) under either
+	// flush policy — and the busy-worker count.
 	freeBatches []*batch
 	queue       []*batch
 	qhead       int
-	bheap       []*batch
 	busy        int
 	batchSeq    int
-	flushSeq    int
 	batchesDone int
 	sizeSum     int
 
@@ -270,6 +262,17 @@ func (ld *loadState) scheduleAt(at float64, ev simEvent) {
 	ld.clock.Schedule(at, id)
 }
 
+// popEvent takes the clock's next event out of the pending map.
+func (ld *loadState) popEvent() (simEvent, bool) {
+	ev, ok := ld.clock.Next()
+	if !ok {
+		return simEvent{}, false
+	}
+	e := ld.events[ev.ID]
+	delete(ld.events, ev.ID)
+	return e, true
+}
+
 // step pops and handles one event. It returns false once every request has
 // completed (or on an execution error); leftover stale deadlines are
 // discarded with the clock.
@@ -278,13 +281,11 @@ func (s *Server) step() bool {
 	if ld.done >= ld.lc.Requests || ld.err != nil {
 		return false
 	}
-	ev, ok := ld.clock.Next()
+	e, ok := ld.popEvent()
 	if !ok {
 		ld.err = fmt.Errorf("serve: event queue drained with %d/%d requests done", ld.done, ld.lc.Requests)
 		return false
 	}
-	e := ld.events[ev.ID]
-	delete(ld.events, ev.ID)
 	switch e.kind {
 	case evArrival:
 		ld.onArrival(e.req)
@@ -344,102 +345,39 @@ func (ld *loadState) onArrival(req int) {
 }
 
 // flush pins the forming batch to the current model version and hands it
-// off. FlushFIFO gives it straight to an idle worker (or appends it to the
-// FIFO queue when all are busy); FlushEDF always routes through the deadline
-// heap and drains, so a flush that happens while older batches are queued —
-// the publish-churn path — cannot jump them.
+// off. Under FlushFIFO an idle worker takes it at once, even past older
+// queued batches (the queue jump FlushPolicy documents); otherwise it joins
+// the queue and drains, so under FlushEDF a flush that happens while older
+// batches are queued — the publish-churn path — cannot jump them.
 func (ld *loadState) flush() {
 	b := ld.getBatch()
 	b.ids = append(b.ids[:0], ld.forming...)
 	b.version, b.w = ld.srv.store.Acquire()
-	b.dl = ld.arrTime[b.ids[0]] + ld.srv.cfg.Admission.Deadline
-	b.fseq = ld.flushSeq
-	ld.flushSeq++
 	ld.forming = ld.forming[:0]
 	ld.formGen++
-	if ld.srv.cfg.Flush == FlushEDF {
-		ld.heapPush(b)
-		ld.drain()
-	} else if ld.busy < ld.srv.cfg.Workers {
+	if ld.srv.cfg.Flush == FlushFIFO && ld.busy < ld.srv.cfg.Workers {
 		ld.startService(b)
-	} else {
-		ld.queue = append(ld.queue, b)
+		return
 	}
+	ld.queue = append(ld.queue, b)
+	ld.drain()
 }
 
-// drain pulls queued batches onto free workers until either runs out,
-// honoring the configured flush policy. A fully-deadline-shed batch never
-// occupies a worker, so the loop keeps pulling past it; an execution error
-// stops the drain (startService has already rolled the failed batch back).
+// drain pulls queued batches onto free workers, oldest flush first, until
+// either runs out. A fully-deadline-shed batch never occupies a worker, so
+// the loop keeps pulling past it; an execution error stops the drain
+// (startService has already rolled the failed batch back).
 func (ld *loadState) drain() {
-	for ld.err == nil && ld.busy < ld.srv.cfg.Workers {
-		var nb *batch
-		if ld.srv.cfg.Flush == FlushEDF {
-			if len(ld.bheap) == 0 {
-				return
-			}
-			nb = ld.heapPop()
-		} else {
-			if ld.qhead >= len(ld.queue) {
-				return
-			}
-			nb = ld.queue[ld.qhead]
-			ld.queue[ld.qhead] = nil
-			ld.qhead++
-			if ld.qhead == len(ld.queue) {
-				ld.queue = ld.queue[:0]
-				ld.qhead = 0
-			}
+	for ld.err == nil && ld.busy < ld.srv.cfg.Workers && ld.qhead < len(ld.queue) {
+		nb := ld.queue[ld.qhead]
+		ld.queue[ld.qhead] = nil
+		ld.qhead++
+		if ld.qhead == len(ld.queue) {
+			ld.queue = ld.queue[:0]
+			ld.qhead = 0
 		}
 		ld.startService(nb)
 	}
-}
-
-// heapPush / heapPop maintain the EDF queue: a binary min-heap of flushed
-// batches ordered by (deadline, flush sequence). Hand-rolled on the pooled
-// *batch slice so the steady-state path stays allocation-free.
-func (ld *loadState) heapPush(b *batch) {
-	ld.bheap = append(ld.bheap, b)
-	i := len(ld.bheap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !batchLess(ld.bheap[i], ld.bheap[parent]) {
-			break
-		}
-		ld.bheap[i], ld.bheap[parent] = ld.bheap[parent], ld.bheap[i]
-		i = parent
-	}
-}
-
-func (ld *loadState) heapPop() *batch {
-	n := len(ld.bheap)
-	root := ld.bheap[0]
-	ld.bheap[0] = ld.bheap[n-1]
-	ld.bheap[n-1] = nil
-	ld.bheap = ld.bheap[:n-1]
-	n--
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && batchLess(ld.bheap[l], ld.bheap[smallest]) {
-			smallest = l
-		}
-		if r < n && batchLess(ld.bheap[r], ld.bheap[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		ld.bheap[i], ld.bheap[smallest] = ld.bheap[smallest], ld.bheap[i]
-		i = smallest
-	}
-	return root
-}
-
-// batchLess is the EDF order: earlier deadline first, earlier flush on ties.
-func batchLess(a, b *batch) bool {
-	return a.dl < b.dl || (a.dl == b.dl && a.fseq < b.fseq)
 }
 
 // shed rejects one request without serving it: its output slot stays zero,
@@ -722,10 +660,7 @@ func (s *Server) advanceTo(t float64) error {
 			s.step()
 			continue
 		}
-		ev, _ = ld.clock.Next()
-		e := ld.events[ev.ID]
-		delete(ld.events, ev.ID)
-		if e.kind == evPublish {
+		if e, _ := ld.popEvent(); e.kind == evPublish {
 			ld.applyPublish(e.w)
 		}
 	}

@@ -174,6 +174,47 @@ func TestFlushEDFMatchesFIFOWithoutChurn(t *testing.T) {
 	requireSameReport(t, fifo, edf, "edf vs fifo without churn")
 }
 
+// FlushEDF has no heap because it needs none: every queued batch's oldest
+// request arrived no earlier than the batch ahead of it, so ring order is
+// earliest-deadline order. Checked after every event of the overloaded EDF
+// runs, with and without publish churn.
+func TestFlushEDFQueueIsDeadlineOrdered(t *testing.T) {
+	for _, publishEvery := range []int{0, 1} {
+		cfg := Config{
+			MaxBatch: 4, BatchBudget: 0.5, Workers: 1, IntraOp: 2, Flush: FlushEDF,
+			Admission: AdmissionConfig{Depth: 14, Deadline: 9},
+		}
+		s := testServer(t, cfg)
+		lc := LoadConfig{
+			Requests:     600,
+			Arrival:      OpenLoop{Rate: 1.3, Seed: 9},
+			Service:      AffineService{Base: 1, PerItem: 0.5},
+			Inputs:       testInputs(16),
+			PublishEvery: publishEvery,
+		}
+		if err := s.beginLoad(lc); err != nil {
+			t.Fatal(err)
+		}
+		deepest := 0
+		for s.step() {
+			q := s.ld.queue[s.ld.qhead:]
+			deepest = max(deepest, len(q))
+			for i := 1; i < len(q); i++ {
+				if a, b := s.ld.arrTime[q[i-1].ids[0]], s.ld.arrTime[q[i].ids[0]]; b < a {
+					t.Fatalf("publishEvery=%d: queued batch %d (oldest arrival %g) is due before batch %d (%g)",
+						publishEvery, i, b, i-1, a)
+				}
+			}
+		}
+		if s.ld.err != nil {
+			t.Fatal(s.ld.err)
+		}
+		if deepest < 2 {
+			t.Fatalf("publishEvery=%d: queue never held two batches; the order was not exercised", publishEvery)
+		}
+	}
+}
+
 // Under overload with publish churn, FIFO's publish-triggered flush jumps the
 // forming batch (the newest arrivals) straight onto the freed worker while
 // older queued batches age toward the deadline. EDF starts the earliest-

@@ -48,11 +48,13 @@ const (
 	// onto the worker while older queued batches keep aging toward the
 	// admission deadline.
 	FlushFIFO FlushPolicy = iota
-	// FlushEDF starts the queued batch with the earliest deadline first
-	// (a batch's deadline is its oldest request's arrival plus the
-	// admission deadline; with no deadline configured the order degenerates
-	// to oldest-arrival-first). Ties break on flush sequence, so the order
-	// — like everything else in the harness — is deterministic.
+	// FlushEDF starts the queued batch with the earliest deadline first (a
+	// batch's deadline is its oldest request's arrival plus the admission
+	// deadline). There is one forming batch and arrivals are stamped by a
+	// monotone clock, so deadlines never decrease from one flush to the
+	// next: earliest-deadline order is flush order, and the queue is the
+	// same ring FlushFIFO uses. The policies differ only in that EDF never
+	// lets a fresh flush jump the queue.
 	FlushEDF
 )
 

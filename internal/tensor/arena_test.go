@@ -255,7 +255,8 @@ func TestMatMulTransAAccMatchesReference(t *testing.T) {
 		}
 		// Accumulation: a second pass must exactly double the result.
 		MatMulTransAAccIntoP(1, got, a, b)
-		if !got.AllClose(want.Scaled(2), 1e-4) {
+		want.Scale(2)
+		if !got.AllClose(want, 1e-4) {
 			t.Fatalf("MatMulTransAAccIntoP %v did not accumulate", sz)
 		}
 	}

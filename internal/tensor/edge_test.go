@@ -27,6 +27,16 @@ func TestFullAndOnes(t *testing.T) {
 	}
 }
 
+// Row is the one-row view of a 2-D tensor. Test-only: production code slices
+// rows out of Data directly.
+func (t *Tensor) Row(r int) *Tensor {
+	if len(t.shape) != 2 {
+		panic("tensor: Row needs 2-D tensor")
+	}
+	cols := t.shape[1]
+	return FromSlice(t.data[r*cols:(r+1)*cols], cols)
+}
+
 func TestRowView(t *testing.T) {
 	x := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	r := x.Row(1)
@@ -36,6 +46,13 @@ func TestRowView(t *testing.T) {
 	r.Set(9, 0)
 	if x.At(1, 0) != 9 {
 		t.Fatal("Row must be a view")
+	}
+}
+
+// AddScalar shifts every element in place. Test-only.
+func (t *Tensor) AddScalar(a float32) {
+	for i := range t.data {
+		t.data[i] += a
 	}
 }
 

@@ -151,12 +151,6 @@ func quantBiased(v, inv float32) uint8 {
 	return uint8(int32(v*inv + (int8Bias + 0.5)))
 }
 
-// quantVal is quantBiased shifted back to the signed domain (the weights
-// path and tests read it; storage is always biased).
-func quantVal(v, inv float32) int8 {
-	return int8(int32(quantBiased(v, inv)) - int8Bias)
-}
-
 // int8Scratch pools the per-call activation quantization state (both
 // orientations share one shape of scratch), mirroring packBuf so warm int8
 // dispatches allocate nothing.

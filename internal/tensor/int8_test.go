@@ -318,6 +318,11 @@ func TestInt8AllocFree(t *testing.T) {
 // biased domain (v·inv is bounded to ±127 by construction — inv always
 // derives from the maxabs of the data being quantized, so no clamp exists),
 // zero-scale channels quantize to exact zero.
+// quantVal is quantBiased shifted back to the signed domain.
+func quantVal(v, inv float32) int8 {
+	return int8(int32(quantBiased(v, inv)) - int8Bias)
+}
+
 func TestQuantVal(t *testing.T) {
 	for _, tc := range []struct {
 		v, inv float32

@@ -39,41 +39,10 @@ func (t *Tensor) SubInPlace(o *Tensor) {
 	}
 }
 
-// Mul returns the elementwise (Hadamard) product as a new tensor.
-func (t *Tensor) Mul(o *Tensor) *Tensor {
-	out := t.Clone()
-	out.MulInPlace(o)
-	return out
-}
-
-// MulInPlace computes t *= o elementwise.
-func (t *Tensor) MulInPlace(o *Tensor) {
-	if len(t.data) != len(o.data) {
-		panic(fmt.Sprintf("tensor: MulInPlace size mismatch %v vs %v", t.shape, o.shape))
-	}
-	for i := range t.data {
-		t.data[i] *= o.data[i]
-	}
-}
-
 // Scale multiplies every element by a in place.
 func (t *Tensor) Scale(a float32) {
 	for i := range t.data {
 		t.data[i] *= a
-	}
-}
-
-// Scaled returns a*t as a new tensor.
-func (t *Tensor) Scaled(a float32) *Tensor {
-	out := t.Clone()
-	out.Scale(a)
-	return out
-}
-
-// AddScalar adds a to every element in place.
-func (t *Tensor) AddScalar(a float32) {
-	for i := range t.data {
-		t.data[i] += a
 	}
 }
 
@@ -165,30 +134,6 @@ func (t *Tensor) Min() float32 {
 	return m
 }
 
-// Dot returns the inner product of t and o as float64.
-func (t *Tensor) Dot(o *Tensor) float64 {
-	if len(t.data) != len(o.data) {
-		panic("tensor: Dot size mismatch")
-	}
-	var s float64
-	for i := range t.data {
-		s += float64(t.data[i]) * float64(o.data[i])
-	}
-	return s
-}
-
-// L2NormSq returns the squared Euclidean norm of the flattened tensor.
-func (t *Tensor) L2NormSq() float64 {
-	var s float64
-	for _, v := range t.data {
-		s += float64(v) * float64(v)
-	}
-	return s
-}
-
-// L2Norm returns the Euclidean norm of the flattened tensor.
-func (t *Tensor) L2Norm() float64 { return math.Sqrt(t.L2NormSq()) }
-
 // ArgMaxRows treats t as a [rows, cols] matrix and returns the column index
 // of the max element in each row. Used for classification decisions.
 func (t *Tensor) ArgMaxRows() []int {
@@ -210,15 +155,6 @@ func (t *Tensor) ArgMaxRows() []int {
 	return out
 }
 
-// Row returns a view tensor of row r of a 2-D tensor.
-func (t *Tensor) Row(r int) *Tensor {
-	if len(t.shape) != 2 {
-		panic("tensor: Row needs 2-D tensor")
-	}
-	cols := t.shape[1]
-	return FromSlice(t.data[r*cols:(r+1)*cols], cols)
-}
-
 // Slice returns a view of rows [lo, hi) along the first dimension. Shares
 // data with t.
 func (t *Tensor) Slice(lo, hi int) *Tensor {
@@ -236,21 +172,6 @@ func (t *Tensor) Slice(lo, hi int) *Tensor {
 	copy(s, t.shape)
 	s[0] = hi - lo
 	return &Tensor{shape: s, data: t.data[lo*inner : hi*inner]}
-}
-
-// Transpose2D returns the transpose of a 2-D tensor as a new tensor.
-func (t *Tensor) Transpose2D() *Tensor {
-	if len(t.shape) != 2 {
-		panic("tensor: Transpose2D needs 2-D tensor")
-	}
-	r, c := t.shape[0], t.shape[1]
-	out := New(c, r)
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			out.data[j*r+i] = t.data[i*c+j]
-		}
-	}
-	return out
 }
 
 // AllClose reports whether all elements of t and o differ by at most tol.

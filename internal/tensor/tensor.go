@@ -84,15 +84,6 @@ func Randn(r *frand.RNG, std float64, shape ...int) *Tensor {
 	return t
 }
 
-// RandUniform fills a new tensor with Uniform(lo, hi) variates from r.
-func RandUniform(r *frand.RNG, lo, hi float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = float32(r.Uniform(lo, hi))
-	}
-	return t
-}
-
 // Shape returns the tensor's shape. The returned slice must not be mutated.
 func (t *Tensor) Shape() []int { return t.shape }
 
