@@ -24,7 +24,6 @@ import (
 	"heteroswitch/internal/metrics"
 	"heteroswitch/internal/models"
 	"heteroswitch/internal/nn"
-	"heteroswitch/internal/tensor"
 )
 
 func main() {
@@ -38,47 +37,30 @@ func main() {
 		epochs   = flag.Int("epochs", 1, "local epochs (E)")
 		lr       = flag.Float64("lr", 0.1, "learning rate")
 		perClass = flag.Int("per-class", 12, "training scenes per class per device")
-		seed     = flag.Uint64("seed", 42, "random seed")
-		workers  = flag.Int("workers", 4, "parallel client trainers")
-		intraop  = flag.Int("intraop", 0, "total intra-op kernel parallelism budget, split across workers (0 = GOMAXPROCS, 1 = serial kernels; results are bit-identical at every setting)")
-		backend  = flag.String("kernel-backend", tensor.ActiveBackend().String(), "matmul kernel backend for the frozen eval path: auto (packed when profitable), serial (bit-identical oracle kernels), packed (force the cache-blocked kernel), int8 (force the quantized weight-stationary kernel, documented-tolerance tier); training always uses the oracle kernels; default honors HETEROSWITCH_KERNEL_BACKEND")
 		logEvery = flag.Int("log-every", 10, "print loss every N rounds")
 	)
+	// The shared flags are declared, checked and applied by experiments.Options
+	// (BindFlags, NewFL); only the two defaults flsim disagrees on are set here.
 	opts := experiments.DefaultOptions()
-	opts.BindFlags(flag.CommandLine, "straggler:0.5,2,0.15,8")
+	opts.Workers, opts.Async.LatencyModel = 4, "straggler:0.5,2,0.15,8"
+	opts.BindFlags(flag.CommandLine)
 	flag.Parse()
-	kb, err := tensor.ParseBackend(*backend)
-	if err != nil {
-		fatal(err)
-	}
-	tensor.SetBackend(kb)
 	strat, err := experiments.Method(*method, *clients)
 	if err != nil {
 		fatal(err)
 	}
-
-	opts.Seed = *seed
-	opts.Workers = *workers
 
 	fmt.Printf("building device federation (9 devices, %d scenes/class)...\n", *perClass)
 	dd, err := experiments.BuildDeviceData(opts, *perClass, 4, dataset.ModeProcessed)
 	if err != nil {
 		fatal(err)
 	}
-	builder, err := models.BuilderFor(models.Arch(*model), *seed, 3, dd.Classes)
+	builder, err := models.BuilderFor(models.Arch(*model), opts.Seed, 3, dd.Classes)
 	if err != nil {
 		fatal(err)
 	}
-	cfg := fl.Config{
-		Rounds:          *rounds,
-		ClientsPerRound: *k,
-		BatchSize:       *batch,
-		LocalEpochs:     *epochs,
-		LR:              *lr,
-		Seed:            *seed,
-		Workers:         *workers,
-		IntraOp:         *intraop,
-	}
+	cfg := opts.FLConfig(*rounds, *k, *batch, *lr)
+	cfg.LocalEpochs = *epochs
 	srv, cfg, err := experiments.NewFL(opts, strat, dd.Train, experiments.MarketShareCounts(dd, *clients),
 		cfg, builder, nn.SoftmaxCrossEntropy{})
 	if err != nil {

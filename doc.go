@@ -12,6 +12,15 @@
 // cmd/heterobench, cmd/flsim, cmd/flserve, cmd/ispdemo, and the runnable
 // examples/.
 //
+// The three FL command lines share one run configuration,
+// experiments.Options: every flag more than one of them takes is declared
+// once, by (*Options).BindFlags (flserve, which has no aggregation engine,
+// takes the BindMachineFlags subset), with the receiver's field values as the
+// defaults the binaries disagree on; the options are checked and applied in
+// one place, Options.Apply, which experiments.Run and experiments.NewFL —
+// the one constructor behind every federation — call. A binary declares only
+// the flags that are its alone (flags_test.go holds that line).
+//
 // # Capture path
 //
 // Every dataset starts as captures: a camera.Sensor exposes a shared scene
@@ -239,7 +248,7 @@
 // itself bit-identical across intra-op budgets. Training paths are
 // untouched: every tol-0 training bit-reproducibility contract (arena,
 // intra-op, async) holds unchanged. Consumers forward through
-// (*Network).Freeze: metrics.Accuracy / MeanLoss / MultiLabelScores,
+// (*Network).Freeze: metrics.Accuracy / MultiLabelScores,
 // fl.EvalLoss (per-client L_init, including inside server workers and the
 // async completion loop), and the experiment eval sweeps. The reference
 // forward ((*Network).Infer) remains the only path for anything that needs
@@ -248,8 +257,8 @@
 //
 // Loss evaluation on this path is value-only: nn.Loss has one method,
 // Eval(grad, pred, target), and a nil grad skips the dL/d(pred) writes of the
-// same loop, so the value is bit-identical while the eval loops (fl.EvalLoss,
-// metrics.MeanLoss) allocate and compute no gradient tensor at all
+// same loop, so the value is bit-identical while the eval loop (fl.EvalLoss)
+// allocates and computes no gradient tensor at all
 // (BenchmarkEvalLoss A/Bs nil against a materialized gradient).
 //
 // # Kernel backends & numerics tiers
@@ -317,10 +326,12 @@
 // cases; TestPackedMatchesOracle sweeps shapes × budgets against the 1e-5 +
 // argmax contract.
 //
-// Backend selection is process-wide: tensor.SetBackend /
-// tensor.ParseBackend, the HETEROSWITCH_KERNEL_BACKEND environment variable
-// (read at init), and the -kernel-backend flag on flsim, heterobench, and
-// flserve (experiments.Options.KernelBackend for library callers). The
+// Backend selection is process-wide, with one declaration and one apply
+// site: the -kernel-backend flag (bound once, by BindMachineFlags, to
+// experiments.Options.KernelBackend, which library callers set directly) is
+// parsed and handed to tensor.SetBackend by experiments.Options.Apply and
+// nowhere else outside the benchmark; left empty it inherits the
+// HETEROSWITCH_KERNEL_BACKEND environment variable (read at init). The
 // default, BackendAuto, stays on the oracle kernels whenever their vector
 // implementation is live — it beats the scalar packed and int8 kernels on
 // every measured frozen shape — and then packs no panels either. On a
@@ -421,8 +432,8 @@
 // Server.PublishAt(t, w), which advances the serving simulation to t and
 // applies the publish on the shared virtual clock. Server.BeginTrainLoad /
 // PublishAt / FinishTrainLoad run training completions and serving arrivals
-// as one deterministic event stream (experiments.RunTrainServe, flserve
-// -train); wired runs replace the synthetic PublishEvery churn knob and
+// as one deterministic event stream (experiments.RunTrainServe, heterobench
+// -exp train-serve); wired runs replace the synthetic PublishEvery churn knob and
 // extend the Report with served-version staleness — how many versions
 // behind the newest finalized global each request was served
 // (min/mean/max + histogram, folded into the output digest). Unwired runs

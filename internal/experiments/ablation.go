@@ -33,7 +33,7 @@ func ablationRig(opts Options) (func(name string, strat fl.Strategy) (MethodScor
 	if err != nil {
 		return nil, err
 	}
-	cfg := opts.flConfig(opts.scaled(80), 12, 10, 0.1)
+	cfg := opts.FLConfig(opts.scaled(80), 12, 10, 0.1)
 	counts := MarketShareCounts(dd, opts.scaled(60))
 	builder := SimpleCNNBuilder(opts.Seed, dd.Classes)
 	return func(name string, strat fl.Strategy) (MethodScore, error) {

@@ -88,8 +88,7 @@ func AsyncSweep(opts Options) (*AsyncSweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	const k = 8
-	cfg := opts.flConfig(opts.scaled(30), k, 10, 0.1)
+	cfg := opts.FLConfig(opts.scaled(30), 8, 10, 0.1)
 	builder := SimpleCNNBuilder(opts.Seed, dd.Classes)
 	counts := MarketShareCounts(dd, 24)
 	test := dd.AllTest()
@@ -99,33 +98,32 @@ func AsyncSweep(opts Options) (*AsyncSweepResult, error) {
 	if alpha == 0 {
 		alpha = 0.5
 	}
-	uniform := simclock.Uniform{Lo: 0.5, Hi: 2, Seed: opts.Seed}
-	straggler := simclock.StragglerTail{Lo: 0.5, Hi: 2, TailProb: 0.15, TailFactor: 8, Seed: opts.Seed}
-	if opts.Async.LatencyModel != "" {
-		m, err := simclock.ParseModel(opts.Async.LatencyModel, opts.Seed)
+	uniform, straggler := "uniform:0.5,2", "straggler:0.5,2,0.15,8"
+	if spec := opts.Async.LatencyModel; spec != "" {
+		m, err := simclock.ParseModel(spec, opts.Seed)
 		if err != nil {
 			return nil, err
 		}
 		// The spec replaces the matching arm; refusing the rest beats
 		// silently running the defaults the operator thought they overrode.
-		switch lm := m.(type) {
+		switch m.(type) {
 		case simclock.Uniform:
-			uniform = lm
+			uniform = spec
 		case simclock.StragglerTail:
-			straggler = lm
+			straggler = spec
 		default:
-			return nil, fmt.Errorf("async sweep: latency model %q has no arm here; use a uniform: or straggler: spec", opts.Async.LatencyModel)
+			return nil, fmt.Errorf("async sweep: latency model %q has no arm here; use a uniform: or straggler: spec", spec)
 		}
 	}
+	tail, err := simclock.ParseModel(straggler, opts.Seed)
+	if err != nil {
+		return nil, err
+	}
 
-	// run trains one arm — the barrier server when async is nil — and records
-	// its trajectory.
-	run := func(async *fl.AsyncConfig) (*asyncTrajectory, error) {
-		clients, err := fl.BuildPopulation(dd.Train, counts, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		srv, err := newTrainer(cfg, builder, nn.SoftmaxCrossEntropy{}, fl.FedAvg{}, clients, async)
+	// run trains one arm — the barrier server when async is nil — through the
+	// constructor every federation is built by, and records its trajectory.
+	run := func(async *AsyncOptions) (*asyncTrajectory, error) {
+		srv, _, err := opts.newFL(fl.FedAvg{}, dd.Train, counts, cfg, builder, nn.SoftmaxCrossEntropy{}, async)
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +136,7 @@ func AsyncSweep(opts Options) (*AsyncSweepResult, error) {
 				// comparable with the async arms (same model, same step keying).
 				var worst float64
 				for i, id := range s.Sampled {
-					if d := straggler.Sample(id, step+i); d > worst {
+					if d := tail.Sample(id, step+i); d > worst {
 						worst = d
 					}
 				}
@@ -154,36 +152,23 @@ func AsyncSweep(opts Options) (*AsyncSweepResult, error) {
 		})
 		return tr, nil
 	}
-	runAsync := func(lat simclock.LatencyModel, a float64, depth int) (*asyncTrajectory, error) {
-		return run(&fl.AsyncConfig{
-			Staleness:   fl.PolynomialStaleness{Alpha: a},
-			Latency:     lat,
-			Concurrency: depth * k,
-			Buffer:      k,
-		})
-	}
 
-	type armSpec struct {
+	arms := []struct {
 		name, latency string
-		run           func() (*asyncTrajectory, error)
-	}
-	arms := []armSpec{
-		{"sync (barrier pays tail)", "straggler",
-			func() (*asyncTrajectory, error) { return run(nil) }},
-		{"async zero-latency (sanity ≡ sync)", "zero",
-			func() (*asyncTrajectory, error) { return runAsync(simclock.Constant{}, 0, 1) }},
-		{"async uniform, poly discount", "uniform",
-			func() (*asyncTrajectory, error) { return runAsync(uniform, alpha, 2) }},
-		{"async straggler, no discount", "straggler",
-			func() (*asyncTrajectory, error) { return runAsync(straggler, 0, 2) }},
+		async         *AsyncOptions
+	}{
+		{"sync (barrier pays tail)", "straggler", nil},
+		{"async zero-latency (sanity ≡ sync)", "zero", &AsyncOptions{LatencyModel: "zero", Depth: 1}},
+		{"async uniform, poly discount", "uniform", &AsyncOptions{StalenessAlpha: alpha, LatencyModel: uniform, Depth: 2}},
+		{"async straggler, no discount", "straggler", &AsyncOptions{LatencyModel: straggler, Depth: 2}},
 		{fmt.Sprintf("async straggler, poly(%.2g)", alpha), "straggler",
-			func() (*asyncTrajectory, error) { return runAsync(straggler, alpha, 2) }},
+			&AsyncOptions{StalenessAlpha: alpha, LatencyModel: straggler, Depth: 2}},
 	}
 
 	res := &AsyncSweepResult{Rounds: cfg.Rounds}
 	trajectories := make([]*asyncTrajectory, len(arms))
 	for i, arm := range arms {
-		tr, err := arm.run()
+		tr, err := run(arm.async)
 		if err != nil {
 			return nil, fmt.Errorf("async sweep arm %q: %w", arm.name, err)
 		}

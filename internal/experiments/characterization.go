@@ -43,7 +43,7 @@ func Fig1(opts Options) (*Fig1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := opts.flConfig(opts.scaled(60), 8, 10, 0.1)
+	cfg := opts.FLConfig(opts.scaled(60), 8, 10, 0.1)
 	builder := SimpleCNNBuilder(opts.Seed, dd.Classes)
 
 	// Homogeneous: re-capture the scene set with eight more S9 replicas so

@@ -26,6 +26,7 @@ import (
 	"heteroswitch/internal/parallel"
 	"heteroswitch/internal/scene"
 	"heteroswitch/internal/simclock"
+	"heteroswitch/internal/tensor"
 )
 
 // Options control workload sizing shared by all harnesses.
@@ -54,7 +55,7 @@ type Options struct {
 	// "packed" forces the cache-blocked kernel, "int8" forces the quantized
 	// weight-stationary kernel at its documented tolerance; "" inherits the
 	// process-wide selection). Training kernels never dispatch. Applied
-	// process-wide by Run.
+	// process-wide by Apply.
 	KernelBackend string
 	// Faults is a faults.ParseSpec chaos spec ("crash:P", "flaky:P,R",
 	// "corrupt:P,MODE", "churn:PERIOD,ON", "+"-combined) injected into every
@@ -116,33 +117,29 @@ func (a AsyncOptions) Config(k int, seed uint64) (fl.AsyncConfig, error) {
 	}, nil
 }
 
-// ApplyRobustness resolves the fault-injection and validation-gate options
-// into cfg. A configured fault model defaults the gate to +Inf (reject
-// non-finite updates) so injected corruption can never silently poison the
-// global model; an explicit MaxDeltaNorm always wins.
-func (o Options) ApplyRobustness(cfg *fl.Config) error {
-	m, err := faults.ParseSpec(o.Faults, cfg.Seed)
-	if err != nil {
-		return err
-	}
-	cfg.Faults = m
-	cfg.MaxDeltaNorm = o.MaxDeltaNorm
-	if m != nil && cfg.MaxDeltaNorm == 0 {
-		cfg.MaxDeltaNorm = math.Inf(1)
-	}
-	return nil
+// BindMachineFlags declares the four flags every binary needs — -seed,
+// -workers, -intraop, -kernel-backend — on fs, bound straight to o's fields.
+// Each default is the field's value at bind time, so a binary states its own
+// default by setting the field first.
+func (o *Options) BindMachineFlags(fs *flag.FlagSet) {
+	fs.Uint64Var(&o.Seed, "seed", o.Seed, "random seed; everything printed is a pure function of it and the other flags")
+	fs.IntVar(&o.Workers, "workers", o.Workers, "parallel workers: client trainers, device captures, serving batch executors (0 or 1 = serial)")
+	fs.IntVar(&o.IntraOp, "intraop", o.IntraOp, "total intra-op kernel parallelism budget, split across workers (0 = GOMAXPROCS, 1 = serial kernels; results are bit-identical at every setting)")
+	fs.StringVar(&o.KernelBackend, "kernel-backend", o.KernelBackend, "matmul kernel backend for the frozen inference path: auto (packed when profitable), serial (bit-identical oracle kernels), packed (force the cache-blocked kernel), int8 (force the quantized weight-stationary kernel, documented-tolerance tier); training always uses the oracle kernels; empty inherits HETEROSWITCH_KERNEL_BACKEND, else auto")
 }
 
-// BindFlags declares the aggregation-engine and fault-injection flags shared
-// by the binaries — -async, -staleness-alpha, -latency-model, -async-depth,
-// -faults, -max-delta-norm, -fault-timeout, -fault-backoff, -fault-attempts,
-// -max-staleness — on fs, bound straight to o's fields. latencyDefault is
-// -latency-model's default, the one thing the binaries disagree on.
-func (o *Options) BindFlags(fs *flag.FlagSet, latencyDefault string) {
+// BindFlags declares every flag more than one binary needs, on fs, bound
+// straight to o's fields: the machine flags (BindMachineFlags) plus the
+// aggregation-engine and fault-injection flags -async, -staleness-alpha,
+// -latency-model, -async-depth, -faults, -max-delta-norm, -fault-timeout,
+// -fault-backoff, -fault-attempts, -max-staleness. -latency-model defaults to
+// the field's value at bind time, like the machine flags.
+func (o *Options) BindFlags(fs *flag.FlagSet) {
+	o.BindMachineFlags(fs)
 	a := &o.Async
 	fs.BoolVar(&a.Enabled, "async", false, "asynchronous staleness-aware aggregation on a deterministic virtual-time simulation (no round waits for its stragglers)")
 	fs.Float64Var(&a.StalenessAlpha, "staleness-alpha", 0.5, "polynomial staleness discount 1/(1+s)^alpha for async folds (0 = no discount); also parameterizes heterobench's async-sweep")
-	fs.StringVar(&a.LatencyModel, "latency-model", latencyDefault, "virtual client latency for -async runs: zero, const:D, uniform:LO,HI, straggler:LO,HI,P,FACTOR (empty = zero; heterobench's async-sweep replaces its matching arm with it)")
+	fs.StringVar(&a.LatencyModel, "latency-model", a.LatencyModel, "virtual client latency for -async runs: zero, const:D, uniform:LO,HI, straggler:LO,HI,P,FACTOR (empty = zero; heterobench's async-sweep replaces its matching arm with it)")
 	fs.IntVar(&a.Depth, "async-depth", 2, "in-flight async jobs as a multiple of K (1 = no overlap, so no staleness)")
 	fs.StringVar(&o.Faults, "faults", "", "seeded fault injection: crash:P, flaky:P,R, corrupt:P,MODE, churn:PERIOD,ON, combined with '+' (empty = fault-free; crash/flaky/churn need -async, crash/flaky also -fault-timeout)")
 	fs.Float64Var(&o.MaxDeltaNorm, "max-delta-norm", 0, "update validation gate: reject client deltas with non-finite values or L2 norm above this (0 = gate off, unless -faults is set, then +Inf = non-finite check only)")
@@ -150,6 +147,34 @@ func (o *Options) BindFlags(fs *flag.FlagSet, latencyDefault string) {
 	fs.Float64Var(&a.RetryBackoff, "fault-backoff", 0, "base virtual reissue backoff, doubled each attempt (needs -fault-timeout)")
 	fs.IntVar(&a.MaxAttempts, "fault-attempts", 0, "max dispatch attempts per job before its client counts failed (0 = 3 when timeouts are on)")
 	fs.IntVar(&a.MaxStaleness, "max-staleness", 0, "drop async results staler than this many aggregation windows instead of folding them (0 = fold everything)")
+}
+
+// Apply is the one place the options are checked and applied: it rejects a
+// scale that is not finite and positive, negative workers or async depth and
+// an output resolution below 1, naming the flag, and selects the kernel
+// backend process-wide — the one tensor.SetBackend call outside the tensor
+// package and the benchmark. An empty KernelBackend inherits the process-wide
+// selection (HETEROSWITCH_KERNEL_BACKEND, else auto) instead of resetting it.
+// Run and NewFL call it; a binary that goes through neither calls it itself.
+func (o Options) Apply() error {
+	switch {
+	case !(o.Scale > 0) || math.IsInf(o.Scale, 1):
+		return fmt.Errorf("experiments: -scale %g: want a finite value > 0", o.Scale)
+	case o.Workers < 0:
+		return fmt.Errorf("experiments: -workers %d: want >= 0", o.Workers)
+	case o.OutRes < 1:
+		return fmt.Errorf("experiments: output resolution %d: want >= 1", o.OutRes)
+	case o.Async.Depth < 0:
+		return fmt.Errorf("experiments: -async-depth %d: want >= 0", o.Async.Depth)
+	}
+	if o.KernelBackend != "" {
+		kb, err := tensor.ParseBackend(o.KernelBackend)
+		if err != nil {
+			return err
+		}
+		tensor.SetBackend(kb)
+	}
+	return nil
 }
 
 // DefaultOptions returns the standard configuration (Scale 1).
@@ -164,10 +189,10 @@ func DefaultOptions() Options {
 	return Options{Scale: 1, Seed: 42, Workers: w, OutRes: 32}
 }
 
-// flConfig is the fl.Config every harness runs: E=1 with the harness's own
-// rounds, K, batch size and learning rate, and the seed, worker count and
+// FLConfig is the fl.Config every harness and flsim run: E=1 with the caller's
+// own rounds, K, batch size and learning rate, and the seed, worker count and
 // intra-op budget of the options.
-func (o Options) flConfig(rounds, k, batch int, lr float64) fl.Config {
+func (o Options) FLConfig(rounds, k, batch int, lr float64) fl.Config {
 	return fl.Config{
 		Rounds:          rounds,
 		ClientsPerRound: k,
@@ -183,12 +208,7 @@ func (o Options) flConfig(rounds, k, batch int, lr float64) fl.Config {
 // IntraOpBudget returns the kernel budget for single-client training and
 // evaluation paths: the explicit IntraOp option when set, otherwise the full
 // machine (there is no worker parallelism to share it with).
-func (o Options) IntraOpBudget() int {
-	if o.IntraOp > 0 {
-		return o.IntraOp
-	}
-	return parallel.Workers()
-}
+func (o Options) IntraOpBudget() int { return parallel.Share(o.IntraOp, 1) }
 
 // scaled returns max(1, round(n*Scale)).
 func (o Options) scaled(n int) int {
@@ -325,16 +345,6 @@ type Trainer interface {
 	GlobalNet() *nn.Network
 }
 
-// newTrainer builds the barrier server, or the event-loop server when async
-// is non-nil.
-func newTrainer(cfg fl.Config, builder models.Builder, loss nn.Loss, strategy fl.Strategy,
-	clients []*fl.Client, async *fl.AsyncConfig) (Trainer, error) {
-	if async != nil {
-		return fl.NewAsyncServer(cfg, builder, loss, strategy, clients, *async)
-	}
-	return fl.NewServer(cfg, builder, loss, strategy, clients)
-}
-
 // RunFL builds a population from dd.Train according to counts, runs the
 // strategy for cfg.Rounds (synchronously, or on the async server when
 // opts.Async.Enabled), and returns the trained server.
@@ -361,25 +371,48 @@ func RunFLWithLoss(opts Options, strategy fl.Strategy, perDevice map[int]*datase
 // to the population, the robustness options applied).
 func NewFL(opts Options, strategy fl.Strategy, perDevice map[int]*dataset.Dataset, counts []int,
 	cfg fl.Config, builder models.Builder, loss nn.Loss) (Trainer, fl.Config, error) {
+	var async *AsyncOptions
+	if opts.Async.Enabled {
+		async = &opts.Async
+	}
+	return opts.newFL(strategy, perDevice, counts, cfg, builder, loss, async)
+}
+
+// newFL is the constructor behind NewFL and behind the harnesses that pick
+// their own engine per arm (AsyncSweep, TrainWhileServe): check and apply the
+// options, build the population, clamp K to it, resolve faults and the gate,
+// then the barrier server when async is nil and otherwise the event-loop
+// server (an *fl.AsyncServer) on async resolved for the clamped K. The engine
+// is this argument, never async.Enabled.
+func (o Options) newFL(strategy fl.Strategy, perDevice map[int]*dataset.Dataset, counts []int,
+	cfg fl.Config, builder models.Builder, loss nn.Loss, async *AsyncOptions) (Trainer, fl.Config, error) {
+	if err := o.Apply(); err != nil {
+		return nil, cfg, err
+	}
 	clients, err := fl.BuildPopulation(perDevice, counts, cfg.Seed)
 	if err != nil {
 		return nil, cfg, err
 	}
-	if cfg.ClientsPerRound > len(clients) {
-		cfg.ClientsPerRound = len(clients)
-	}
-	if err := opts.ApplyRobustness(&cfg); err != nil {
+	cfg.ClientsPerRound = min(cfg.ClientsPerRound, len(clients))
+	// A configured fault model defaults the gate to +Inf (reject non-finite
+	// updates) so injected corruption can never silently poison the global
+	// model; an explicit MaxDeltaNorm always wins.
+	if cfg.Faults, err = faults.ParseSpec(o.Faults, cfg.Seed); err != nil {
 		return nil, cfg, err
 	}
-	var async *fl.AsyncConfig
-	if opts.Async.Enabled {
-		acfg, err := opts.Async.Config(cfg.ClientsPerRound, cfg.Seed)
-		if err != nil {
-			return nil, cfg, err
-		}
-		async = &acfg
+	cfg.MaxDeltaNorm = o.MaxDeltaNorm
+	if cfg.Faults != nil && cfg.MaxDeltaNorm == 0 {
+		cfg.MaxDeltaNorm = math.Inf(1)
 	}
-	srv, err := newTrainer(cfg, builder, loss, strategy, clients, async)
+	if async == nil {
+		srv, err := fl.NewServer(cfg, builder, loss, strategy, clients)
+		return srv, cfg, err
+	}
+	acfg, err := async.Config(cfg.ClientsPerRound, cfg.Seed)
+	if err != nil {
+		return nil, cfg, err
+	}
+	srv, err := fl.NewAsyncServer(cfg, builder, loss, strategy, clients, acfg)
 	return srv, cfg, err
 }
 

@@ -47,7 +47,7 @@ func ECG(opts Options) (*ECGResult, error) {
 	}
 
 	builder := models.ECGConvBuilder(opts.Seed, ecg.WindowLen)
-	cfg := opts.flConfig(opts.scaled(150), 8, 16, 0.05)
+	cfg := opts.FLConfig(opts.scaled(150), 8, 16, 0.05)
 	counts := EqualCounts(int(ecg.NumSensors), 12)
 
 	hetero := core.New()

@@ -43,7 +43,7 @@ func Fig4(opts Options) (*Fig4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := opts.flConfig(opts.scaled(80), 10, 10, 0.1)
+	cfg := opts.FLConfig(opts.scaled(80), 10, 10, 0.1)
 	srv, err := RunFL(opts, fl.FedAvg{}, dd, MarketShareCounts(dd, opts.scaled(50)), cfg, SimpleCNNBuilder(opts.Seed, dd.Classes))
 	if err != nil {
 		return nil, err
@@ -100,7 +100,7 @@ func Fig5(opts Options) (*Fig5Result, error) {
 		return nil, err
 	}
 	n := len(dd.Profiles)
-	cfg := opts.flConfig(opts.scaled(60), 9, 10, 0.1)
+	cfg := opts.FLConfig(opts.scaled(60), 9, 10, 0.1)
 	builder := SimpleCNNBuilder(opts.Seed, dd.Classes)
 
 	perDeviceClients := 2

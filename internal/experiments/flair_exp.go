@@ -51,7 +51,7 @@ func Table6(opts Options) (*Table6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	flCfg := opts.flConfig(opts.scaled(80), min(12, cfg.NumDeviceTypes), 6, 0.1)
+	flCfg := opts.FLConfig(opts.scaled(80), min(12, cfg.NumDeviceTypes), 6, 0.1)
 	counts := EqualCounts(cfg.NumDeviceTypes, cfg.NumDeviceTypes) // one client per device type
 
 	strategies := []fl.Strategy{

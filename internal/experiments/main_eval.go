@@ -89,7 +89,7 @@ func Table4(opts Options) (*Table4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := opts.flConfig(opts.scaled(120), 20, 10, 0.1) // §6: K=20, B=10, η=0.1
+	cfg := opts.FLConfig(opts.scaled(120), 20, 10, 0.1) // §6: K=20, B=10, η=0.1
 	n := opts.scaled(100)
 	counts := MarketShareCounts(dd, n)
 	builder := MobileNetBuilder(opts.Seed, dd.Classes)
@@ -136,7 +136,7 @@ func Table5(opts Options) (*Table5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := opts.flConfig(opts.scaled(120), 20, 10, 0.1) // Table 4's configuration
+	cfg := opts.FLConfig(opts.scaled(120), 20, 10, 0.1) // Table 4's configuration
 	n := opts.scaled(100)
 	counts := MarketShareCounts(dd, n)
 

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-
-	"heteroswitch/internal/tensor"
 )
 
 // Runner executes one experiment and returns a printable result.
@@ -48,21 +46,15 @@ func Names() []string {
 	return out
 }
 
-// Run executes the named experiment, first applying the options' kernel
-// backend selection process-wide.
+// Run executes the named experiment after checking the options and applying
+// their kernel backend selection process-wide (Options.Apply).
 func Run(name string, opts Options) (fmt.Stringer, error) {
 	r, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
 	}
-	// An empty KernelBackend inherits the process-wide selection (flag
-	// default or HETEROSWITCH_KERNEL_BACKEND) instead of resetting to auto.
-	if opts.KernelBackend != "" {
-		kb, err := tensor.ParseBackend(opts.KernelBackend)
-		if err != nil {
-			return nil, err
-		}
-		tensor.SetBackend(kb)
+	if err := opts.Apply(); err != nil {
+		return nil, err
 	}
 	return r(opts)
 }

@@ -46,7 +46,7 @@ func Fig9(opts Options) (*Fig9Result, error) {
 	counts := MarketShareCounts(dd, opts.scaled(50))
 	baseRounds := opts.scaled(80)
 
-	base := opts.flConfig(baseRounds, 10, 10, 0.1)
+	base := opts.FLConfig(baseRounds, 10, 10, 0.1)
 	eval := func(cfg fl.Config) (float64, error) {
 		srv, err := RunFL(opts, fl.FedAvg{}, dd, counts, cfg, builder)
 		if err != nil {

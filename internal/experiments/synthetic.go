@@ -136,7 +136,7 @@ func Fig8(opts Options) (*Fig8Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := opts.flConfig(opts.scaled(80), 10, 10, 0.1)
+	cfg := opts.FLConfig(opts.scaled(80), 10, 10, 0.1)
 	counts := EqualCounts(numDevices, opts.scaled(20))
 
 	run := func(strat fl.Strategy) ([]float64, MethodScore, error) {

@@ -14,15 +14,12 @@ import (
 // onto one virtual time axis: every global version the trainer finalizes is
 // value-copied into the serving store at its finalize instant, and serving
 // requests pin whichever version was current when their batch flushed.
+// Builder is the architecture Trainer was built with.
 type TrainServeSpec struct {
-	FL       fl.Config
-	Async    fl.AsyncConfig
-	Strategy fl.Strategy
-	Loss     nn.Loss
-	Clients  []*fl.Client
-	Builder  fl.Builder
-	Serve    serve.Config
-	Load     serve.LoadConfig
+	Trainer *fl.AsyncServer
+	Builder fl.Builder
+	Serve   serve.Config
+	Load    serve.LoadConfig
 }
 
 // TrainServeReport is the joint run's result: training window/publish counts
@@ -54,10 +51,7 @@ func (r *TrainServeReport) String() string {
 // into a recycled store buffer and lands it at the trainer's virtual
 // finalize instant, advancing the serving simulation up to that point.
 func RunTrainServe(spec TrainServeSpec) (*TrainServeReport, error) {
-	async, err := fl.NewAsyncServer(spec.FL, spec.Builder, spec.Loss, spec.Strategy, spec.Clients, spec.Async)
-	if err != nil {
-		return nil, err
-	}
+	async := spec.Trainer
 	build := func() *nn.Network { return spec.Builder() }
 	srv, err := serve.NewServer(build, async.Global.Clone(), spec.Serve)
 	if err != nil {
@@ -74,12 +68,7 @@ func RunTrainServe(spec TrainServeSpec) (*TrainServeReport, error) {
 			return
 		}
 		buf := srv.Store().TakeBuffer()
-		for i, p := range w.Params {
-			buf.Params[i].CopyFrom(p)
-		}
-		for i, st := range w.States {
-			buf.States[i].CopyFrom(st)
-		}
+		buf.CopyFrom(w)
 		if err := srv.PublishAt(vtime, buf); err != nil {
 			pubErr = err
 			return
@@ -111,11 +100,6 @@ func TrainWhileServe(opts Options) (*TrainServeReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	const k = 4
-	cfg := opts.flConfig(opts.scaled(12), k, 8, 0.1)
-	if err := opts.ApplyRobustness(&cfg); err != nil {
-		return nil, err
-	}
 	aopts := opts.Async
 	if aopts.LatencyModel == "" {
 		// Zero latency would finalize every window at t=0 and serve nothing
@@ -125,11 +109,9 @@ func TrainWhileServe(opts Options) (*TrainServeReport, error) {
 	if aopts.Depth == 0 {
 		aopts.Depth = 2
 	}
-	acfg, err := aopts.Config(k, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	clients, err := fl.BuildPopulation(dd.Train, MarketShareCounts(dd, 12), cfg.Seed)
+	builder := SimpleCNNBuilder(opts.Seed, dd.Classes)
+	trainer, _, err := opts.newFL(fl.FedAvg{}, dd.Train, MarketShareCounts(dd, 12),
+		opts.FLConfig(opts.scaled(12), 4, 8, 0.1), builder, nn.SoftmaxCrossEntropy{}, &aopts)
 	if err != nil {
 		return nil, err
 	}
@@ -142,13 +124,9 @@ func TrainWhileServe(opts Options) (*TrainServeReport, error) {
 		inputs[i] = test.Samples[i].X
 	}
 
-	spec := TrainServeSpec{
-		FL:       cfg,
-		Async:    acfg,
-		Strategy: fl.FedAvg{},
-		Loss:     nn.SoftmaxCrossEntropy{},
-		Clients:  clients,
-		Builder:  SimpleCNNBuilder(opts.Seed, dd.Classes),
+	return RunTrainServe(TrainServeSpec{
+		Trainer: trainer.(*fl.AsyncServer),
+		Builder: builder,
 		Serve: serve.Config{
 			MaxBatch:    4,
 			BatchBudget: 0.2,
@@ -164,6 +142,5 @@ func TrainWhileServe(opts Options) (*TrainServeReport, error) {
 			Service:     serve.AffineService{Base: 0.5, PerItem: 0.125},
 			Inputs:      inputs,
 		},
-	}
-	return RunTrainServe(spec)
+	})
 }

@@ -49,21 +49,21 @@ func tinyTrainServeSpec(t *testing.T, intraop int) TrainServeSpec {
 	for i := range inputs {
 		inputs[i] = tensor.Randn(r, 0.5, 1, 8, 8)
 	}
+	trainer, err := fl.NewAsyncServer(fl.Config{
+		Rounds: 10, ClientsPerRound: 4, BatchSize: 4, LocalEpochs: 1,
+		LR: 0.2, Seed: 11, Workers: 1, IntraOp: intraop,
+	}, builder, nn.SoftmaxCrossEntropy{}, fl.FedAvg{}, clients, fl.AsyncConfig{
+		Staleness:   fl.PolynomialStaleness{Alpha: 0.5},
+		Latency:     simclock.Uniform{Lo: 0.5, Hi: 2, Seed: 13},
+		Concurrency: 8,
+		Buffer:      4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return TrainServeSpec{
-		FL: fl.Config{
-			Rounds: 10, ClientsPerRound: 4, BatchSize: 4, LocalEpochs: 1,
-			LR: 0.2, Seed: 11, Workers: 1, IntraOp: intraop,
-		},
-		Async: fl.AsyncConfig{
-			Staleness:   fl.PolynomialStaleness{Alpha: 0.5},
-			Latency:     simclock.Uniform{Lo: 0.5, Hi: 2, Seed: 13},
-			Concurrency: 8,
-			Buffer:      4,
-		},
-		Strategy: fl.FedAvg{},
-		Loss:     nn.SoftmaxCrossEntropy{},
-		Clients:  clients,
-		Builder:  builder,
+		Trainer: trainer,
+		Builder: builder,
 		Serve: serve.Config{
 			MaxBatch: 4, BatchBudget: 0.2, Workers: 2, IntraOp: intraop,
 			Flush:     serve.FlushEDF,

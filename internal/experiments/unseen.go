@@ -64,7 +64,7 @@ func UnseenDG(opts Options) (*UnseenResult, error) {
 		unseenTests[i] = ds
 	}
 
-	cfg := opts.flConfig(opts.scaled(80), 12, 10, 0.1)
+	cfg := opts.FLConfig(opts.scaled(80), 12, 10, 0.1)
 	counts := MarketShareCounts(dd, opts.scaled(60))
 	builder := SimpleCNNBuilder(opts.Seed, dd.Classes)
 

@@ -305,7 +305,9 @@ func ParseSpec(spec string, seed uint64) (*Model, error) {
 			if err != nil {
 				return nil, err
 			}
-			if !(r >= 1 && r == math.Trunc(r)) {
+			// The bound keeps int(r) exact: beyond int's range the conversion
+			// is undefined and String() would not round-trip.
+			if !(r >= 1 && r <= math.MaxInt32 && r == math.Trunc(r)) {
 				return nil, bad("flaky:P,R with P in (0,1] and integer R >= 1")
 			}
 			m.FlakyP = p

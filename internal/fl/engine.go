@@ -72,18 +72,10 @@ func (e *engine) init(cfg Config, builder Builder, loss nn.Loss, strategy Strate
 	return nil
 }
 
-// intraOpShare is the core-budget token grant: each of the server's W client
-// workers gets an equal share of the total intra-op budget (cfg.IntraOp, or
-// GOMAXPROCS when 0), at least 1, so W workers × their kernel parallelism
-// never oversubscribes the machine. W=1 — the single-client path — receives
-// the full budget.
-func intraOpShare(cfg Config, workers int) int {
-	total := cfg.IntraOp
-	if total <= 0 {
-		total = parallel.Workers()
-	}
-	return max(total/max(workers, 1), 1)
-}
+// intraOpShare is the core-budget token grant (parallel.Share) of cfg.IntraOp
+// to each of the server's W client workers. W=1 — the single-client path —
+// receives the full budget.
+func intraOpShare(cfg Config, workers int) int { return parallel.Share(cfg.IntraOp, workers) }
 
 // Weights aliases nn.Weights.
 type Weights = nn.Weights

@@ -50,36 +50,6 @@ func accuracyOn(inf nn.Inference, bs *dataset.BatchScratch, ds *dataset.Dataset,
 	return float64(correct) / float64(ds.Len())
 }
 
-// MeanLoss returns the mean loss of net on ds without updating anything —
-// the quantity HeteroSwitch compares against its EMA (L_init). Like
-// Accuracy it forwards through one frozen replica per evaluation, and like
-// fl.EvalLoss it takes the value-only loss path (nil grad): no gradient
-// tensor is computed or allocated per batch.
-func MeanLoss(net *nn.Network, loss nn.Loss, ds *dataset.Dataset, batch int) float64 {
-	return meanLossOn(net.Freeze(), loss, ds, batch)
-}
-
-// meanLossOn is the loss loop on one inference surface.
-func meanLossOn(inf nn.Inference, loss nn.Loss, ds *dataset.Dataset, batch int) float64 {
-	if ds.Len() == 0 {
-		return 0
-	}
-	bs := dataset.GetBatchScratch()
-	defer dataset.PutBatchScratch(bs)
-	var total float64
-	var count int
-	bs.ForBatches(ds, batch, func(lo, hi int, x, y *tensor.Tensor, labels []int) {
-		out := inf.Infer(x)
-		target := nn.ClassTarget(labels)
-		if y != nil {
-			target = nn.DenseTarget(y)
-		}
-		total += loss.Eval(nil, out, target) * float64(hi-lo)
-		count += hi - lo
-	})
-	return total / float64(count)
-}
-
 // Mean returns the arithmetic mean of vs (0 for empty input).
 func Mean(vs []float64) float64 {
 	if len(vs) == 0 {

@@ -295,6 +295,17 @@ func (w Weights) Clone() Weights {
 	return c
 }
 
+// CopyFrom copies o's values into w's existing tensors (params, then states).
+// Both must come from the same architecture; a size mismatch panics.
+func (w Weights) CopyFrom(o Weights) {
+	for i, p := range o.Params {
+		w.Params[i].CopyFrom(p)
+	}
+	for i, s := range o.States {
+		w.States[i].CopyFrom(s)
+	}
+}
+
 // Zero returns a zero-filled weight set with the same shapes as w.
 func (w Weights) Zero() Weights {
 	z := Weights{

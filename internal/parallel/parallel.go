@@ -62,6 +62,17 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// Share is the core-budget token grant: an equal share, at least 1, of a total
+// intra-op budget (total <= 0 means Workers()) for each of workers concurrent
+// tenants, so tenants × their kernel parallelism never oversubscribes the
+// machine. A single tenant receives the whole budget.
+func Share(total, workers int) int {
+	if total <= 0 {
+		total = Workers()
+	}
+	return max(total/max(workers, 1), 1)
+}
+
 // Chunks returns the number of chunks Run/For will use for the given budget,
 // range length, and grain: min(budget, n/grain), at least 1 (0 for empty
 // ranges). Every chunk holds at least grain items. Callers sizing per-chunk

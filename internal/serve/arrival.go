@@ -98,6 +98,10 @@ func ParseArrival(spec string, seed uint64) (ArrivalModel, error) {
 	if argStr == "" {
 		arg, err = 0, nil
 	}
+	if err == nil && math.IsNaN(arg) {
+		// ParseFloat accepts "nan", which the range guards below would let through.
+		err = fmt.Errorf("NaN is not an arrival parameter")
+	}
 	if err != nil {
 		return nil, fmt.Errorf("serve: arrival spec %q: %v", spec, err)
 	}

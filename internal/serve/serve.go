@@ -173,14 +173,10 @@ func NewServer(build func() *nn.Network, w nn.Weights, cfg Config) (*Server, err
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	share := cfg.IntraOp / cfg.Workers
-	if share < 1 {
-		share = 1
-	}
 	return &Server{
 		cfg:   cfg,
 		store: NewStore(w),
-		pool:  nn.NewReplicaPool(cfg.Workers, build, share),
+		pool:  nn.NewReplicaPool(cfg.Workers, build, parallel.Share(cfg.IntraOp, cfg.Workers)),
 	}, nil
 }
 

@@ -90,12 +90,7 @@ func (s *Store) Publish(w nn.Weights) int {
 func (s *Store) Republish() int {
 	s.mu.Lock()
 	buf := s.vs.TakeBuffer(s.current)
-	for i, p := range s.current.Params {
-		buf.Params[i].CopyFrom(p)
-	}
-	for i, st := range s.current.States {
-		buf.States[i].CopyFrom(st)
-	}
+	buf.CopyFrom(s.current)
 	s.mu.Unlock()
 	return s.Publish(buf)
 }

@@ -2,6 +2,7 @@ package simclock
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -102,6 +103,11 @@ func ParseModel(spec string, seed uint64) (LatencyModel, error) {
 			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 			if err != nil {
 				return nil, fmt.Errorf("simclock: latency spec %q: %v", spec, err)
+			}
+			// ParseFloat accepts "nan", which every range guard below (written
+			// as comparisons) would let through.
+			if math.IsNaN(v) {
+				return nil, fmt.Errorf("simclock: latency spec %q: NaN is not a latency parameter", spec)
 			}
 			args = append(args, v)
 		}
