@@ -114,24 +114,26 @@ func pinRun(t *testing.T, strat fl.Strategy, async bool, maxNorm float64) string
 }
 
 // pinnedAggregation was recorded on the commit before the fold and gate
-// kernels existed.
+// kernels existed. The rows marked "re-pinned" moved once, with the fix that
+// makes MaxDeltaNorm = +Inf reject an Inf update (+Inf <= +Inf had admitted
+// it): every gate=+Inf run had folded one. No other commit changed a row.
 var pinnedAggregation = map[string]string{
 	"fedavg/async=false/gate=100":        "w=270376a7c9807873 s=f0f0f457a48646f5",
-	"fedavg/async=false/gate=+Inf":       "w=2f0badbec8e9fc7c s=a544fb002a96b8b9",
+	"fedavg/async=false/gate=+Inf":       "w=d31acb351ac3d31a s=3445414d389a2aeb", // re-pinned
 	"fedavg/async=true/gate=100":         "w=196f27a4eb425574 s=e039f4d843e9c073",
-	"fedavg/async=true/gate=+Inf":        "w=6d5b6a5881a8e4c2 s=6260ccad6c2dff17",
+	"fedavg/async=true/gate=+Inf":        "w=bc79112dd6c7bd55 s=3699561587c8c156", // re-pinned
 	"qfedavg/async=false/gate=100":       "w=d0d0d4bd7f3689fe s=f7a5c70d42748f92",
-	"qfedavg/async=false/gate=+Inf":      "w=e1b9438542faa1c3 s=9d5288c01e545f46",
+	"qfedavg/async=false/gate=+Inf":      "w=b7053c2753b95f96 s=187caba9a36d2002", // re-pinned
 	"qfedavg/async=true/gate=100":        "w=d7dc6ea4054577b2 s=df1f52a91f525034",
-	"qfedavg/async=true/gate=+Inf":       "w=c96de72afc9846aa s=34c63ee936833cbd",
+	"qfedavg/async=true/gate=+Inf":       "w=5a4ac90f00d596a3 s=e41c3047d6cc0840", // re-pinned
 	"scaffold/async=false/gate=100":      "w=a43f7769361404f1 s=8643113816d18184",
-	"scaffold/async=false/gate=+Inf":     "w=76243ea737e6d74a s=703dd4b8b52b5b40",
+	"scaffold/async=false/gate=+Inf":     "w=a205c17d66841bf5 s=874b1e5dd35f56bc", // re-pinned
 	"scaffold/async=true/gate=100":       "w=ae68445cdae75ef6 s=ce373af2d043c191",
-	"scaffold/async=true/gate=+Inf":      "w=9ee06c64b636d6eb s=300669a1658247a3",
+	"scaffold/async=true/gate=+Inf":      "w=0792fab29752cf93 s=2371743d2907d6e4", // re-pinned
 	"heteroswitch/async=false/gate=100":  "w=424239b234e0d237 s=37328537317b2d8d",
-	"heteroswitch/async=false/gate=+Inf": "w=ab48a04c5f045112 s=b78ffd437a1de999",
+	"heteroswitch/async=false/gate=+Inf": "w=f8380c2f5f4d3062 s=5da0b22062400907", // re-pinned
 	"heteroswitch/async=true/gate=100":   "w=2b5e3737a3ccfd38 s=bd136e755b23704f",
-	"heteroswitch/async=true/gate=+Inf":  "w=6d5b6a5881a8e4c2 s=30e6878065a8d124",
+	"heteroswitch/async=true/gate=+Inf":  "w=ca3bfb97aa6933e3 s=08ac3223117bb372", // re-pinned
 }
 
 func TestPinnedAggregationBytes(t *testing.T) {

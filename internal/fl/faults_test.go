@@ -10,6 +10,7 @@ import (
 	"heteroswitch/internal/faults"
 	"heteroswitch/internal/nn"
 	"heteroswitch/internal/simclock"
+	"heteroswitch/internal/tensor"
 )
 
 // corrupting poisons the target client's returned update with a fixed mode
@@ -246,6 +247,99 @@ func TestSyncAllCorruptFreezesGlobal(t *testing.T) {
 		}
 	})
 	requireBitIdentical(t, before, srv.Global, "all-corrupt freeze")
+}
+
+// finiteFolds is the witness of the gate's non-finite check: it fails the
+// test when an update carrying a NaN or ±Inf element reaches a fold.
+type finiteFolds struct {
+	Strategy
+	t *testing.T
+}
+
+func (f finiteFolds) NewAccumulator(global nn.Weights, cfg Config) Accumulator {
+	return finiteFoldsAccumulator{f.Strategy.NewAccumulator(global, cfg), f.t}
+}
+
+type finiteFoldsAccumulator struct {
+	Accumulator
+	t *testing.T
+}
+
+func (a finiteFoldsAccumulator) Fold(r ClientResult, scale float64) {
+	if !weightsFinite(r.Weights) {
+		a.t.Errorf("client %d: a non-finite update passed the gate and reached the fold", r.ClientID)
+	}
+	a.Accumulator.Fold(r, scale)
+}
+
+func (a finiteFoldsAccumulator) Merge(other Accumulator) {
+	a.Accumulator.Merge(other.(finiteFoldsAccumulator).Accumulator)
+}
+
+func weightsFinite(w nn.Weights) bool {
+	for _, ts := range [][]*tensor.Tensor{w.Params, w.States} {
+		for _, t := range ts {
+			for _, v := range t.Data() {
+				if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// MaxDeltaNorm = +Inf is what -faults arms by default: the non-finite check
+// alone. An update with a +Inf element has ss = +Inf, and +Inf <= +Inf is
+// true, so the bound comparison by itself admitted it: the gate must require a
+// finite ss. On both engines, under inf and mix corruption, no non-finite
+// update reaches a fold, the global stays finite, and — where the test can
+// replay the draws, on the barrier server, whose corruption key is the round
+// — every NaN or Inf draw is in Rejected.
+func TestGateRejectsInfUnderInfiniteBound(t *testing.T) {
+	for _, mode := range []faults.Mode{faults.Inf, faults.Mix} {
+		m := &faults.Model{Seed: 5, CorruptP: 0.5, CorruptMode: mode}
+		arm := func(c *Config) {
+			c.Faults = m
+			c.MaxDeltaNorm = math.Inf(1)
+		}
+		t.Run(mode.String()+"/sync", func(t *testing.T) {
+			srv := gateServer(t, finiteFolds{FedAvg{}, t}, arm)
+			poisoned := 0
+			srv.Run(func(st RoundStats) {
+				for _, id := range st.Sampled {
+					if d := m.Corruption(id, st.Round); d == faults.NaN || d == faults.Inf {
+						poisoned++
+						if !slices.Contains(st.Rejected, id) {
+							t.Errorf("round %d: client %d drew %v and was admitted (rejected %v)", st.Round, id, d, st.Rejected)
+						}
+					}
+				}
+			})
+			if poisoned == 0 {
+				t.Fatal("no update drew a non-finite corruption; fixture broken")
+			}
+			if !weightsFinite(srv.Global) {
+				t.Fatal("global weights are not finite")
+			}
+		})
+		t.Run(mode.String()+"/async", func(t *testing.T) {
+			srv := gateAsyncServer(t, finiteFolds{FedAvg{}, t}, AsyncConfig{
+				Staleness:   PolynomialStaleness{Alpha: 0.5},
+				Latency:     simclock.Uniform{Lo: 0.5, Hi: 2, Seed: 17},
+				Concurrency: 8,
+				Buffer:      4,
+			}, arm)
+			rejected := 0
+			srv.Run(func(st RoundStats) { rejected += len(st.Rejected) })
+			if rejected == 0 {
+				t.Fatal("nothing was rejected; fixture broken")
+			}
+			if !weightsFinite(srv.Global) {
+				t.Fatal("global weights are not finite")
+			}
+		})
+	}
 }
 
 // SCAFFOLD commits a client's control-variate step only when its update is

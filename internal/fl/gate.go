@@ -16,9 +16,10 @@ import (
 // updateValid reports whether a client update passes the validation gate.
 // The delta is the client's reported weights minus the global weights it
 // trained from, over parameters and optimizer/BN states, accumulated in
-// float64. maxNorm <= 0 disables the gate (always valid); otherwise a
-// non-finite delta is rejected, and a finite one is rejected when its L2
-// norm exceeds maxNorm (maxNorm = +Inf keeps only the non-finite check).
+// float64. maxNorm <= 0 disables the gate (always valid); otherwise a delta
+// with a NaN or ±Inf element is rejected whatever the bound, and a finite one
+// is rejected when its L2 norm exceeds maxNorm. maxNorm = +Inf therefore keeps
+// only the non-finite check: it admits every finite delta and nothing else.
 func updateValid(global, w nn.Weights, maxNorm float64) bool {
 	if maxNorm <= 0 {
 		return true
@@ -38,11 +39,11 @@ func updateValid(global, w nn.Weights, maxNorm float64) bool {
 			ss += d * d
 		}
 	}
-	// A NaN or ±Inf anywhere in the update poisons ss, so this single
-	// comparison covers both the non-finite and the norm check (NaN
-	// compares false; +Inf exceeds any finite bound and maxNorm = +Inf
-	// admits every finite delta).
-	return ss <= maxNorm*maxNorm
+	// A NaN or ±Inf anywhere in the update poisons ss (squares of float32
+	// differences cannot overflow float64 on their own). NaN fails any
+	// comparison; +Inf needs its own test, because +Inf <= +Inf holds when
+	// maxNorm (or its square) is +Inf.
+	return ss <= math.MaxFloat64 && ss <= maxNorm*maxNorm
 }
 
 // corruptUpdate poisons a completed client update in place according to the
