@@ -74,11 +74,7 @@ func (s *weightedSum) mustMatch(ts []*tensor.Tensor) {
 func (s *weightedSum) add(ts []*tensor.Tensor, w float64) {
 	s.mustMatch(ts)
 	for i, t := range ts {
-		src := t.Data()
-		dst := s.sums[i][:len(src)]
-		for j, v := range src {
-			dst[j] += w * float64(v)
-		}
+		tensor.FoldScaled(s.sums[i], t.Data(), w)
 	}
 	s.total += w
 }

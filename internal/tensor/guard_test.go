@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/guardmem"
@@ -61,6 +62,43 @@ func TestVecPlaneKernelsStayInsideSlices(t *testing.T) {
 			refDepthwiseGradW(want, dy, plane, d)
 			DepthwiseConvPlaneGradW(got, dy, plane, d)
 			exactEqual(t, fmt.Sprintf("guarded dW s%d p%d", stride, pad), got, want)
+		}
+	}
+}
+
+// guarded64 copies v into float64 memory that ends at an inaccessible page
+// (a guarded float32 slice of twice the length ends on a page boundary, so
+// its last 8·len(v) bytes are 8-byte aligned).
+func guarded64(t testing.TB, v []float64) []float64 {
+	if len(v) == 0 {
+		return nil
+	}
+	g := unsafe.Slice((*float64)(unsafe.Pointer(&guardmem.Float32s(t, 2*len(v))[0])), len(v))
+	copy(g, v)
+	return g
+}
+
+// TestVecSweepsStayInsideSlices runs the aggregation step's two sweeps on
+// operands that each end at an inaccessible page, at every length through the
+// 16-wide block, the 4-wide block and the Go tail: a convert that loaded four
+// floats where fewer remain, or a 32-byte accumulator access past the end,
+// faults here.
+func TestVecSweepsStayInsideSlices(t *testing.T) {
+	requireVec(t)
+	r := frand.New(80)
+	for n := 0; n <= 67; n++ {
+		src, acc := foldSrc(r, n), foldAcc(r, n)
+		want := slices.Clone(acc)
+		setVecLive(t, false)
+		FoldScaled(want, src, -0.75)
+		setVecLive(t, true)
+		got := guarded64(t, acc)
+		FoldScaled(got, guarded(t, src), -0.75)
+		exactEqual64(t, fmt.Sprintf("guarded fold n=%d", n), got, want)
+
+		a, b := vecOperand(r, n), vecOperand(r, n)
+		if got, want := SqDistLanes(0, guarded(t, a), guarded(t, b)), SqDistLanes(0, a, b); got != want {
+			t.Fatalf("guarded squared distance n=%d: %v != %v", n, got, want)
 		}
 	}
 }

@@ -48,3 +48,9 @@ func vecAxpyScatter2(dst *float32, dstStride int, src *float32, srcStride int, w
 
 //go:noescape
 func vecGradW3x3(acc, dy, img *float32, outH, outW, inH, inW, strideH, strideW, padH, padW int)
+
+//go:noescape
+func vecFoldScaled(dst *float64, src *float32, w float64, n int)
+
+//go:noescape
+func vecSqDist(a, b *float32, n int) float64

@@ -796,3 +796,130 @@ gwNext:
 	VMOVUPS X2, 32(DI)
 	VZEROUPPER
 	RET
+
+// The two float64 sweeps of the aggregation step (FoldScaled, SqDistLanes in
+// vec.go). n is a positive multiple of 4; the wrappers run the last n%4
+// elements in Go, so nothing here is masked.
+
+// func vecFoldScaled(dst *float64, src *float32, w float64, n int)
+//
+// dst[j] += w · float64(src[j])   (j < n)
+//
+// Every element is its own target and receives one convert, one VMULPD and
+// one VADDPD, so lane placement is free. First sources are the compiler's in
+// the Go loop — the converted element in the multiply, the product in the add
+// — because with two NaN operands the first one's sign and payload survive.
+TEXT ·vecFoldScaled(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	VBROADCASTSD w+16(FP), Y15
+	MOVQ n+24(FP), CX
+
+foldBlk16:
+	CMPQ CX, $16
+	JLT  foldBlk4
+	VCVTPS2PD (SI), Y0
+	VCVTPS2PD 16(SI), Y1
+	VCVTPS2PD 32(SI), Y2
+	VCVTPS2PD 48(SI), Y3
+	VMULPD Y15, Y0, Y0
+	VMULPD Y15, Y1, Y1
+	VMULPD Y15, Y2, Y2
+	VMULPD Y15, Y3, Y3
+	VADDPD (DI), Y0, Y0
+	VADDPD 32(DI), Y1, Y1
+	VADDPD 64(DI), Y2, Y2
+	VADDPD 96(DI), Y3, Y3
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $64, SI
+	ADDQ $128, DI
+	SUBQ $16, CX
+	JMP  foldBlk16
+
+foldBlk4:
+	TESTQ CX, CX
+	JZ    foldDone
+	VCVTPS2PD (SI), Y0
+	VMULPD Y15, Y0, Y0
+	VADDPD (DI), Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ $16, SI
+	ADDQ $32, DI
+	SUBQ $4, CX
+	JMP  foldBlk4
+
+foldDone:
+	VZEROUPPER
+	RET
+
+// func vecSqDist(a, b *float32, n int) float64
+//
+// Σ_j (float64(a[j]) − float64(b[j]))²   (j < n), in LANE order: sixteen
+// chains (Y0–Y3) take every sixteenth element each, then fold pairwise. This
+// is the one routine here whose lanes lie along a reduction, so its sum is
+// NOT the serial chain's bits — only its terms are. SqDistLanes states who
+// may call it.
+TEXT ·vecSqDist(SB), NOSPLIT, $0-32
+	MOVQ a+0(FP), SI
+	MOVQ b+8(FP), DX
+	MOVQ n+16(FP), CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+
+sqBlk16:
+	CMPQ CX, $16
+	JLT  sqBlk4
+	VCVTPS2PD (SI), Y4
+	VCVTPS2PD 16(SI), Y5
+	VCVTPS2PD 32(SI), Y6
+	VCVTPS2PD 48(SI), Y7
+	VCVTPS2PD (DX), Y8
+	VCVTPS2PD 16(DX), Y9
+	VCVTPS2PD 32(DX), Y10
+	VCVTPS2PD 48(DX), Y11
+	VSUBPD Y8, Y4, Y4
+	VSUBPD Y9, Y5, Y5
+	VSUBPD Y10, Y6, Y6
+	VSUBPD Y11, Y7, Y7
+	VMULPD Y4, Y4, Y4
+	VMULPD Y5, Y5, Y5
+	VMULPD Y6, Y6, Y6
+	VMULPD Y7, Y7, Y7
+	VADDPD Y4, Y0, Y0
+	VADDPD Y5, Y1, Y1
+	VADDPD Y6, Y2, Y2
+	VADDPD Y7, Y3, Y3
+	ADDQ $64, SI
+	ADDQ $64, DX
+	SUBQ $16, CX
+	JMP  sqBlk16
+
+sqBlk4:
+	TESTQ CX, CX
+	JZ    sqDone
+	VCVTPS2PD (SI), Y4
+	VCVTPS2PD (DX), Y8
+	VSUBPD Y8, Y4, Y4
+	VMULPD Y4, Y4, Y4
+	VADDPD Y4, Y0, Y0
+	ADDQ $16, SI
+	ADDQ $16, DX
+	SUBQ $4, CX
+	JMP  sqBlk4
+
+sqDone:
+	VADDPD Y1, Y0, Y0
+	VADDPD Y3, Y2, Y2
+	VADDPD Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPD X1, X0, X0
+	VUNPCKHPD X0, X0, X1
+	VADDSD X1, X0, X0
+	VMOVSD X0, ret+24(FP)
+	VZEROUPPER
+	RET

@@ -30,3 +30,11 @@ func vecAxpyScatter2(dst *float32, dstStride int, src *float32, srcStride int, w
 func vecGradW3x3(acc, dy, img *float32, outH, outW, inH, inW, strideH, strideW, padH, padW int) {
 	panic("tensor: vector kernel called in a build without one")
 }
+
+func vecFoldScaled(dst *float64, src *float32, w float64, n int) {
+	panic("tensor: vector kernel called in a build without one")
+}
+
+func vecSqDist(a, b *float32, n int) float64 {
+	panic("tensor: vector kernel called in a build without one")
+}

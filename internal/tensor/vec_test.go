@@ -366,6 +366,9 @@ func TestVecKernelsRejectShortSlices(t *testing.T) {
 		{"dW 3x3 dw", func() { gradW3x3Vec(full(8), full(6*7), full(6*7), &plane3x3) }},
 		{"dW 3x3 dy", func() { gradW3x3Vec(full(9), full(6*7-1), full(6*7), &plane3x3) }},
 		{"dW 3x3 img", func() { gradW3x3Vec(full(9), full(6*7), full(6*7-1), &plane3x3) }},
+		{"fold dst", func() { FoldScaled(make([]float64, n-1), full(n), 1) }},
+		{"squared distance b", func() { SqDist(0, full(n), full(n-1)) }},
+		{"laned squared distance b", func() { SqDistLanes(0, full(n), full(n-1)) }},
 	} {
 		func() {
 			defer func() {
@@ -385,6 +388,10 @@ func TestVecKernelsRejectShortSlices(t *testing.T) {
 	axpyGather2Vec(nil, 4, nil, 8, 1, 0, 4)
 	axpyScatter2Vec(nil, 8, nil, 4, 1, 2, 0)
 	gradW3x3Vec(nil, nil, nil, &ConvDims{KH: 3, KW: 3})
+	FoldScaled(nil, nil, 1)
+	if ss := SqDistLanes(2.5, nil, nil); ss != 2.5 {
+		t.Fatalf("squared distance of nothing changed the incoming sum to %v", ss)
+	}
 }
 
 // TestAutoStaysOnOracleWhenVectorLive: with the vector kernels live the
@@ -424,5 +431,207 @@ func TestAutoStaysOnOracleWhenVectorLive(t *testing.T) {
 	SetBackend(BackendInt8)
 	if _, q := needForms(true); !q {
 		t.Fatal("a forced int8 backend must still quantize")
+	}
+}
+
+// The aggregation step's float64 sweeps ----------------------------------------
+
+// foldSpecials adds what a poisoned client update carries to vecSpecials: NaNs
+// of both signs and two payloads, both infinities, the float32 extremes.
+var foldSpecials = append(slices.Clone(vecSpecials),
+	float32(math.NaN()), math.Float32frombits(0xffc00001), float32(math.Inf(1)), float32(math.Inf(-1)),
+	math.MaxFloat32, -math.MaxFloat32)
+
+// foldAccSpecials are accumulator contents with a story: the −NaN that
+// Inf − Inf leaves behind, a payload NaN, infinities, −0, a float64 denormal,
+// a sum large enough that w·v is absorbed, one that overflows with it.
+var foldAccSpecials = []float64{
+	math.Float64frombits(0xfff8000000000000), math.Float64frombits(0x7ff8000000000123),
+	math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 5e-324, -3e-310, 1e300, -math.MaxFloat64, math.MaxFloat64,
+}
+
+// foldWeights are fold weights w: zeros of both signs, ordinary, negative,
+// tiny, huge (w·v overflows), and non-finite ones of both NaN signs.
+var foldWeights = []float64{
+	0, math.Copysign(0, -1), 1, 1.5, -0.3, 17, 5e-324, 1e-300, 1e300, -1e300, math.MaxFloat64,
+	math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0xfff8000000000001),
+}
+
+// foldSrc fills n float32s from r, about one in four a foldSpecials value.
+func foldSrc(r *frand.RNG, n int) []float32 {
+	v := Randn(r, 1, n).Data()
+	for i := range v {
+		if r.Intn(4) == 0 {
+			v[i] = foldSpecials[r.Intn(len(foldSpecials))]
+		}
+	}
+	return v
+}
+
+// foldAcc fills n float64 sums from r, about one in four a foldAccSpecials value.
+func foldAcc(r *frand.RNG, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = r.NormFloat64() * 100
+		if r.Intn(4) == 0 {
+			v[i] = foldAccSpecials[r.Intn(len(foldAccSpecials))]
+		}
+	}
+	return v
+}
+
+func exactEqual64(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) { // bits: tells NaN signs and payloads apart
+			t.Fatalf("%s: element %d differs: %v (%#x) != %v (%#x) (must be bit-identical)",
+				name, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// runVecFoldCase folds n elements at the given element offsets into their
+// buffers — so the routine sees every 4- and 8-byte misalignment — three
+// times over (w, then −w/3, then w again) under both settings of the switch,
+// and requires the whole accumulator buffer, the elements around the window
+// included, to come out bit-identical.
+func runVecFoldCase(t *testing.T, n, dstOff, srcOff int, w float64, seed uint64) {
+	t.Helper()
+	r := frand.New(seed)
+	src := foldSrc(r, srcOff+n+3)
+	base := foldAcc(r, dstOff+n+3)
+	run := func(on bool) []float64 {
+		setVecLive(t, on)
+		acc := slices.Clone(base)
+		for _, wk := range []float64{w, -w / 3, w} {
+			FoldScaled(acc[dstOff:dstOff+n], src[srcOff:srcOff+n], wk)
+		}
+		return acc
+	}
+	want, got := run(false), run(true)
+	exactEqual64(t, fmt.Sprintf("fold n=%d offsets %d,%d w=%v seed %d", n, dstOff, srcOff, w, seed), got, want)
+}
+
+func TestVecFoldMatchesGeneric(t *testing.T) {
+	requireVec(t)
+	for n := 0; n <= 67; n++ {
+		for off := 0; off < 4; off++ {
+			for i, w := range foldWeights {
+				runVecFoldCase(t, n, off, (3*off+1)%4, w, uint64(1000*n+10*i+off))
+			}
+		}
+	}
+}
+
+// FuzzVecFoldMatchesGeneric: random lengths, misalignments, seeds and fold
+// weights of any bit pattern through FoldScaled's two implementations at tol 0.
+func FuzzVecFoldMatchesGeneric(f *testing.F) {
+	for i, w := range foldWeights {
+		f.Add(uint16(16*i+i), uint8(i), uint8(3*i), math.Float64bits(w), uint64(i))
+	}
+	f.Fuzz(func(t *testing.T, n uint16, dstOff, srcOff uint8, wbits, seed uint64) {
+		requireVec(t)
+		runVecFoldCase(t, int(n%300), int(dstOff%4), int(srcOff%4), math.Float64frombits(wbits), seed)
+	})
+}
+
+// sqDistBound is the distance the guard of fl.updateValid allows between two
+// summation orders of n squared differences, relative to either sum.
+func sqDistBound(n int) float64 { return 2.01 * float64(n) * 0x1p-53 }
+
+// TestVecSqDistLanesKeepsItsContract: SqDistLanes is NOT bit-identical to
+// SqDist — it is the one kernel laned along a reduction — so what is tested is
+// what its consumer's guard stands on: on finite data the two sums are within
+// sqDistBound of each other, the sum is NaN or +Inf exactly when the serial
+// one is — with the non-finite element at every lane position of the 16-wide
+// block, of the 4-wide block and of the Go tail, in either operand — and the
+// incoming ss is chained, not dropped.
+func TestVecSqDistLanesKeepsItsContract(t *testing.T) {
+	bothVecSettings(t, func(t *testing.T) {
+		r := frand.New(83)
+		for _, n := range append(seq(0, 67), 255, 1000, 68362) {
+			for _, scale := range []float64{1e-30, 1, 1e15} {
+				a, b := vecOperand(r, n+3)[3:], vecOperand(r, n+1)[1:]
+				for i := range a {
+					a[i] *= float32(scale)
+				}
+				serial, lanes := SqDist(0, a, b), SqDistLanes(0, a, b)
+				if math.Abs(lanes-serial) > sqDistBound(n)*serial {
+					t.Fatalf("n=%d scale %g: lanes %v vs serial %v differ by more than the bound", n, scale, lanes, serial)
+				}
+				if got, want := SqDistLanes(7.5, a, b), 7.5+lanes; n > 0 && math.Abs(got-want) > sqDistBound(n+1)*want {
+					t.Fatalf("n=%d: incoming ss not chained: %v, want about %v", n, got, want)
+				}
+			}
+		}
+		nonFinite := func(v float64) bool { return !(v <= math.MaxFloat64) }
+		for _, n := range []int{1, 3, 4, 7, 16, 19, 35, 67} {
+			for pos := 0; pos < n; pos++ {
+				for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), math.MaxFloat32} {
+					for side := 0; side < 2; side++ {
+						ab := [2][]float32{vecOperand(r, n), vecOperand(r, n)}
+						ab[side][pos] = bad
+						serial, lanes := SqDist(0, ab[0], ab[1]), SqDistLanes(0, ab[0], ab[1])
+						if nonFinite(serial) != nonFinite(lanes) || nonFinite(serial) != (bad != math.MaxFloat32) {
+							t.Fatalf("n=%d: %v at %d of operand %d: serial %v, lanes %v", n, bad, pos, side, serial, lanes)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// seq returns lo, lo+1, …, hi.
+func seq(lo, hi int) []int {
+	var s []int
+	for i := lo; i <= hi; i++ {
+		s = append(s, i)
+	}
+	return s
+}
+
+// sweepSizes are the two models the aggregation benchmarks run: perfbook's
+// 68 k-parameter MLP and TinyMobileNetV3's parameters and BN statistics.
+var sweepSizes = []struct {
+	name string
+	n    int
+}{{"mlp68k", 68362}, {"mobilenet", 49290}}
+
+// BenchmarkFoldSweep: one client update folded into the float64 accumulator,
+// vector and Go arms; an element is one parameter.
+func BenchmarkFoldSweep(b *testing.B) {
+	for _, sz := range sweepSizes {
+		src := Randn(frand.New(9), 1, sz.n).Data()
+		acc := make([]float64, sz.n)
+		b.Run(sz.name, func(b *testing.B) {
+			benchVecArms(b, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					FoldScaled(acc, src, 1.0/1024)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(sz.n), "ns/elem")
+			})
+		})
+	}
+}
+
+// sqDistSink keeps the benchmarked sums alive.
+var sqDistSink float64
+
+// BenchmarkGateSweep: one client update's squared distance from the global it
+// trained from — lane order in the default arm, the serial chain in the
+// generic arm (which is what a guard fallback costs on top).
+func BenchmarkGateSweep(b *testing.B) {
+	for _, sz := range sweepSizes {
+		r := frand.New(10)
+		g, w := Randn(r, 1, sz.n).Data(), Randn(r, 1, sz.n).Data()
+		b.Run(sz.name, func(b *testing.B) {
+			benchVecArms(b, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					sqDistSink += SqDistLanes(0, w, g)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(sz.n), "ns/elem")
+			})
+		})
 	}
 }
