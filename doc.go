@@ -286,7 +286,10 @@
 // (internal/tensor/vec_amd64.s: the strided row-AXPY GEMM behind a@b and
 // aᵀ@b, the dot-form a@bᵀ with an in-register transpose, the depthwise tap
 // AXPY at stride 1 and — de-interleaving — at stride 2, the 3×3 depthwise
-// weight gradient; internal/nn/vec_amd64.s: the conv bias add, hard-swish
+// weight gradient, and the aggregation step's two float64 sweeps:
+// tensor.FoldScaled, the accumulator fold every strategy reaches, and
+// tensor.SqDistLanes, the validation gate's squared distance;
+// internal/nn/vec_amd64.s: the conv bias add, hard-swish
 // forward/backward, the batch-norm reductions, normalise and input-gradient
 // sweeps, the frozen conv epilogue). Selection is the program's own: a
 // CPUID/XGETBV probe at init (AVX2 present, OS saves YMM state) sets an
@@ -309,7 +312,17 @@
 // the two implementations; the Go loops stay as the portable path and as the
 // reference of the differential tests and the FuzzVec* targets, which flip
 // the switch, and the single-chain loops they replaced stay in the tests as
-// oracles. What stays scalar on the training path: the im2col copy, the conv
+// oracles. One reduction does take lanes, under a third rule: only when its
+// consumer is a DECISION and a proven guard falls back to the serial oracle.
+// tensor.SqDistLanes sums the gate's squared differences — the serial loop's
+// terms, bit for bit — in sixteen interleaved chains; fl.updateValid takes
+// the verdict from that sum only when it is non-finite (a term is NaN or +Inf
+// in one order iff in every order) or further from maxNorm² than
+// 8·n·2⁻⁵³·maxNorm², four times what reassociating n non-negative terms can
+// move their sum; anything closer re-runs the serial chain (tensor.SqDist).
+// Every gate decision is the serial loop's, for every input, and the
+// differential target is the decision (FuzzGateMatchesSerial), not the sum.
+// What stays scalar on the training path: the im2col copy, the conv
 // bias-gradient row sums (four chains in Go), the squeeze-excite block.
 //
 // The packed backend is a cache-blocked GEBP kernel: it packs B once into
@@ -478,8 +491,10 @@
 //     BytesWasted.
 //   - The core's client step gates every update before it reaches an
 //     accumulator: fl.Config.MaxDeltaNorm rejects deltas containing NaN/Inf
-//     or with float64 L2 norm beyond the bound (+Inf = non-finite check
-//     only; 0 = gate off). The gate tests prove a corrupted client's
+//     — whatever the bound — or with float64 L2 norm beyond it (0 = gate
+//     off; +Inf = the non-finite check alone, what -faults arms by default:
+//     it admits every finite delta and nothing else, an Inf element
+//     included, which +Inf <= +Inf once let through). The gate tests prove a corrupted client's
 //     update never perturbs the global weights — bit-identical (tol 0) to a
 //     run where that client contributes nothing — under both drivers.
 //   - internal/serve gains admission control (Config.Admission,

@@ -19,15 +19,13 @@ import (
 // trained from, over parameters and optimizer/BN states, accumulated in
 // float64. maxNorm <= 0 disables the gate (always valid); otherwise a delta
 // with a NaN or ±Inf element is rejected whatever the bound, and a finite one
-// is rejected when its L2 norm exceeds maxNorm. maxNorm = +Inf therefore keeps
-// only the non-finite check: it admits every finite delta and nothing else.
+// when its L2 norm exceeds maxNorm. maxNorm = +Inf therefore keeps only the
+// non-finite check: it admits every finite delta and nothing else.
 //
 // The verdict is DEFINED by the serial sum: one float64 chain over every
-// element, parameters then states, compared with maxNorm². It is first read
-// off the same terms summed in lane order (tensor.SqDistLanes, several times
-// faster) and the serial chain runs only when lanesDecide cannot rule out
-// that the two sums fall on different sides of the bound — so every decision
-// is the serial loop's, for every input.
+// element, parameters then states, against maxNorm². It is first read off the
+// same terms in lane order (tensor.SqDistLanes, several times faster); the
+// serial chain runs only when lanesDecide cannot rule out a different verdict.
 func updateValid(global, w nn.Weights, maxNorm float64) bool {
 	if maxNorm <= 0 {
 		return true
@@ -37,10 +35,8 @@ func updateValid(global, w nn.Weights, maxNorm float64) bool {
 	if valid, decided := lanesDecide(deltaSumSq(global, w, tensor.SqDistLanes), limit, n); decided {
 		return valid
 	}
-	// A NaN or ±Inf anywhere in the update poisons ss (squares of float32
-	// differences cannot overflow float64 on their own). NaN fails any
-	// comparison; +Inf needs its own test, because +Inf <= +Inf holds when
-	// maxNorm (or its square) is +Inf.
+	// A NaN or ±Inf element poisons ss. NaN fails any comparison; +Inf needs
+	// its own test, because +Inf <= +Inf holds when limit is +Inf.
 	ss := deltaSumSq(global, w, tensor.SqDist)
 	return ss <= math.MaxFloat64 && ss <= limit
 }
@@ -58,35 +54,24 @@ func deltaSumSq(global, w nn.Weights, sum func(ss float64, a, b []float32) float
 	return ss
 }
 
-// gateLaneMaxN and gateLaneMinLimit bound where lanesDecide's band is proven:
-// up to 2³⁰ elements n·2⁻⁵³ stays below 2⁻²³, and from 2⁻⁹⁰⁰ up the band is a
-// normal number, computed to within an ulp.
-const (
-	gateLaneMaxN     = 1 << 30
-	gateLaneMinLimit = 0x1p-900
-)
-
-// lanesDecide reads the gate's verdict off ss, the sum of the n squared
-// differences in an order other than the serial chain's, and reports whether
-// the serial sum is certain to give the same one.
-//
-//   - ss is NaN or +Inf iff the serial sum is (tensor.SqDistLanes says why):
-//     rejected, in either order.
-//   - Otherwise both sums are finite, and limit = +Inf admits both.
-//   - Otherwise the sums differ by less than 2γₙ/(1−γₙ) < 2.01·n·2⁻⁵³ of
-//     either, so with band = 8·n·2⁻⁵³·limit — four times that, against the
-//     three roundings that compute limit ± band — ss < limit−band puts the
-//     serial sum below limit and ss > limit+band above it.
-//
-// Anything else is undecided: ss within the band of the bound, or an n or a
-// limit outside the range the band is proven for.
+// lanesDecide reads the gate's verdict off ss, the n squared differences
+// summed in another order than the serial chain's, and reports whether the
+// serial sum is certain to give the same one (tensor.SqDistLanes has the two
+// facts used). ss is NaN or +Inf iff the serial sum is: rejected either way.
+// Otherwise both are finite, and limit = +Inf admits both. Otherwise they
+// differ by less than 2γₙ/(1−γₙ) < 2.01·n·2⁻⁵³ of either, so with
+// band = 8·n·2⁻⁵³·limit — four times that, against the three roundings in
+// limit ± band — ss < limit−band puts the serial sum below limit and
+// ss > limit+band above it. Anything else is undecided: ss within the band, or
+// outside what the band is proven for — more than 2³⁰ elements (n·2⁻⁵³ must
+// stay small) or a limit under 2⁻⁹⁰⁰ (the band must be a normal number).
 func lanesDecide(ss, limit float64, n int) (valid, decided bool) {
 	switch {
 	case !(ss <= math.MaxFloat64):
 		return false, true
 	case math.IsInf(limit, 1):
 		return true, true
-	case n > gateLaneMaxN || limit < gateLaneMinLimit:
+	case n > 1<<30 || limit < 0x1p-900:
 		return false, false
 	}
 	band := float64(n) * 0x1p-50 * limit

@@ -181,7 +181,7 @@ func TestGateDecisionMatchesSerial(t *testing.T) {
 }
 
 // TestLanesDecideStaysInsideItsProof: outside the range its band is proven
-// for — more elements than gateLaneMaxN, a bound below gateLaneMinLimit — a
+// for — more elements than gateLaneMaxN, a bound below 0x1p-900 — a
 // finite sum is never decided, while the two verdicts that need no band (a
 // non-finite sum, a +Inf bound) stand.
 func TestLanesDecideStaysInsideItsProof(t *testing.T) {
@@ -192,14 +192,14 @@ func TestLanesDecideStaysInsideItsProof(t *testing.T) {
 	}{
 		{1, 4, 100, true, true},
 		{9, 4, 100, false, true},
-		{1, 4, gateLaneMaxN + 1, false, false},
+		{1, 4, 1<<30 + 1, false, false},
 		{0, 0, 100, false, false},
 		{1e-300, 0x1p-901, 100, false, false},
-		{1, gateLaneMinLimit, 100, false, true},
+		{1, 0x1p-900, 100, false, true},
 		{math.Inf(1), math.Inf(1), 100, false, true},
 		{math.NaN(), 4, 100, false, true},
-		{math.NaN(), 0, gateLaneMaxN + 1, false, true},
-		{math.MaxFloat64, math.Inf(1), gateLaneMaxN + 1, true, true},
+		{math.NaN(), 0, 1<<30 + 1, false, true},
+		{math.MaxFloat64, math.Inf(1), 1<<30 + 1, true, true},
 		{1e308, math.MaxFloat64, 1 << 20, true, true},
 		{math.MaxFloat64, math.MaxFloat64, 1 << 20, false, false}, // limit+band overflows: undecided, not wrong
 	} {

@@ -26,7 +26,7 @@ import (
 //     probe at init found AVX2 with OS-saved YMM state. There is no flag
 //     and no environment variable; `go build -tags purego` is the way to
 //     a binary without assembly. The vector routines are bit-identical to
-//     the Go loops BY CONSTRUCTION, under two rules:
+//     the Go loops BY CONSTRUCTION, under two rules and one exception:
 //
 //       1. Chains and lanes lie across independent accumulation targets,
 //          never along a reduction. A vector's lanes — and a Go loop's
@@ -43,6 +43,8 @@ import (
 //          VADDPS, two roundings like the Go compiler's MULSS + ADDSS
 //          (GOAMD64=v1 never fuses). A fused multiply-add rounds once and
 //          would change bits.
+//       3. A reduction takes lanes only when its consumer is a decision and a
+//          proven guard falls back to the serial chain: SqDistLanes (vec.go).
 //
 //     One ISA, one selection: no AVX-512 variant, no FMA variant.
 //

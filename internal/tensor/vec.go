@@ -6,15 +6,15 @@ import "fmt"
 //
 // vecLive routes the oracle kernels (matmulAcc, matMulTransAAccRange,
 // matMulTransB, the depthwise plane taps at stride 1 and 2, the 3×3 depthwise
-// weight gradient, the aggregation step's two float64 sweeps) onto the AVX2
-// routines of vec_amd64.s. It is true exactly when the build carries them
-// (amd64 without the purego tag) and the CPUID/XGETBV probe passed at init —
-// the program's own choice from the machine it runs on, with no flag or
-// environment variable. The routines are bit-identical to the Go loops by
-// construction (backend.go states the rule), so vecLive never changes a result
-// — SqDistLanes, the one exception, changes a sum but never the decision its
-// caller takes from it; the Go loops stay as the portable path and as the
-// reference the differential tests compare against by flipping this variable.
+// weight gradient) onto the AVX2 routines of vec_amd64.s. It is true exactly
+// when the build carries them (amd64 without the purego tag) and the
+// CPUID/XGETBV probe passed at init — the program's own choice from the
+// machine it runs on, with no flag or environment variable. The routines are bit-identical to the Go loops by construction
+// (backend.go states the rule), so vecLive never changes a result; the Go
+// loops stay as the portable path and as the reference the differential tests
+// compare against by flipping this variable. The aggregation step's sweeps
+// at the end of this file are routed too; one of them, SqDistLanes, changes a
+// sum — never the decision its caller takes from it.
 var vecLive = vecAvailable
 
 // VectorAvailable reports whether this build carries the AVX2 kernels and the
@@ -135,16 +135,12 @@ func dotTransBVec(out, a, b []float32, m, k, n int, acc bool) {
 	vecDotTransB(&out[0], &a[0], &b[0], m, k, n, acc)
 }
 
-// The aggregation step's float64 sweeps ----------------------------------------
-//
-// The two model-sized loops a federated server runs once per client update:
-// the fold into the float64 accumulator and the validation gate's squared
-// distance. The Go loops below are the whole implementation where vecLive is
-// off and the tail (len%4 elements) where it is on.
+// The aggregation step's float64 sweeps: the accumulator fold and the gate's
+// squared distance, once per client update. The Go loops are the whole
+// implementation where vecLive is off and the tail (len%4) where it is on.
 
-// FoldScaled computes dst[j] += w·float64(src[j]) for j < len(src): one
-// convert, one multiply, one add per element. Every element is its own target,
-// so the vector form is bit-identical under the oracle tier's rule.
+// FoldScaled computes dst[j] += w·float64(src[j]) for j < len(src). Every
+// element is its own target, so the vector form is bit-identical.
 func FoldScaled(dst []float64, src []float32, w float64) {
 	mustCover("fold", len(src), len(dst))
 	if head := len(src) &^ 3; vecLive && head > 0 {
@@ -157,8 +153,7 @@ func FoldScaled(dst []float64, src []float32, w float64) {
 	}
 }
 
-// mustCover panics unless the other operand of a sweep over n elements has
-// them all.
+// mustCover panics unless a sweep's other operand has all n elements.
 func mustCover(sweep string, n, have int) {
 	if have < n {
 		panic(fmt.Sprintf("tensor: %s over %d elements: an operand of %d is too short", sweep, n, have))
@@ -166,8 +161,8 @@ func mustCover(sweep string, n, have int) {
 }
 
 // SqDist returns ss + Σ_j (float64(a[j]) − float64(b[j]))² as ONE float64
-// chain in ascending j, continuing the chain the caller passes in: the serial
-// oracle of the validation gate, in every build.
+// chain in ascending j, continuing the chain passed in: the serial oracle of
+// the validation gate, in every build.
 func SqDist(ss float64, a, b []float32) float64 {
 	mustCover("squared distance", len(a), len(b))
 	b = b[:len(a)]
@@ -178,19 +173,17 @@ func SqDist(ss float64, a, b []float32) float64 {
 	return ss
 }
 
-// SqDistLanes returns ss plus the same terms as SqDist summed in LANE order
-// (sixteen interleaved chains, folded pairwise) where vecLive is on, and
-// SqDist itself where it is off. It is the one kernel whose lanes lie ALONG a
-// reduction, which the oracle tier otherwise forbids: the terms are SqDist's
-// bit for bit, the sum is not. The rule that admits it: a reduction may take
-// lanes only when its consumer is a DECISION and a proven guard sends every
-// input the reassociation could flip back to the serial oracle. Two facts
-// make such a guard (fl.updateValid's) possible. A term is NaN or +Inf in one
-// order iff in every order, and finite terms cannot overflow the sum (each is
-// at most (2·MaxFloat32)² < 2²⁵⁸), so the sum is non-finite here iff it is in
-// SqDist. And n non-negative terms added in any order land within
-// γₙ = n·2⁻⁵³/(1 − n·2⁻⁵³) of their exact sum, relatively, so two orders
-// differ by less than 2γₙ/(1 − γₙ) of either.
+// SqDistLanes returns ss plus SqDist's terms, bit for bit, summed in LANE
+// order (sixteen interleaved chains, folded pairwise) where vecLive is on; it
+// is SqDist where it is off. It is the one kernel laned ALONG a reduction,
+// under the one rule that allows it: the consumer is a DECISION, and a proven
+// guard (fl.updateValid's) sends every input the reassociation could flip
+// back to SqDist. Two facts make that guard possible. A term is NaN or +Inf in
+// one order iff in every order, and finite terms cannot overflow the sum
+// (each is below 2²⁵⁸), so this sum is non-finite iff SqDist's is. And n
+// non-negative terms added in any order land within γₙ = n·2⁻⁵³/(1 − n·2⁻⁵³),
+// relatively, of their exact sum, so two orders differ by less than
+// 2γₙ/(1 − γₙ) of either.
 func SqDistLanes(ss float64, a, b []float32) float64 {
 	if head := len(a) &^ 3; vecLive && head > 0 && len(b) >= len(a) { // SqDist rejects a short b
 		ss += vecSqDist(&a[0], &b[0], head)

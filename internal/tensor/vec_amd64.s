@@ -797,18 +797,21 @@ gwNext:
 	VZEROUPPER
 	RET
 
-// The two float64 sweeps of the aggregation step (FoldScaled, SqDistLanes in
-// vec.go). n is a positive multiple of 4; the wrappers run the last n%4
-// elements in Go, so nothing here is masked.
+// The aggregation step's two float64 sweeps (FoldScaled, SqDistLanes in
+// vec.go). n is a positive multiple of 4 — the wrappers run the last n%4
+// elements in Go — so nothing is masked.
+//
+// FOLD4 is dst[j] += w·float64(src[j]) for four elements, each its own target:
+// one convert, one VMULPD, one VADDPD. First sources are the compiler's in the
+// Go loop — the converted element in the multiply, the product in the add —
+// because of two NaN operands the first one's sign and payload survive.
+#define FOLD4(s, d, y) \
+	VCVTPS2PD s(SI), y; \
+	VMULPD Y15, y, y; \
+	VADDPD d(DI), y, y; \
+	VMOVUPD y, d(DI)
 
 // func vecFoldScaled(dst *float64, src *float32, w float64, n int)
-//
-// dst[j] += w · float64(src[j])   (j < n)
-//
-// Every element is its own target and receives one convert, one VMULPD and
-// one VADDPD, so lane placement is free. First sources are the compiler's in
-// the Go loop — the converted element in the multiply, the product in the add
-// — because with two NaN operands the first one's sign and payload survive.
 TEXT ·vecFoldScaled(SB), NOSPLIT, $0-32
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
@@ -818,22 +821,10 @@ TEXT ·vecFoldScaled(SB), NOSPLIT, $0-32
 foldBlk16:
 	CMPQ CX, $16
 	JLT  foldBlk4
-	VCVTPS2PD (SI), Y0
-	VCVTPS2PD 16(SI), Y1
-	VCVTPS2PD 32(SI), Y2
-	VCVTPS2PD 48(SI), Y3
-	VMULPD Y15, Y0, Y0
-	VMULPD Y15, Y1, Y1
-	VMULPD Y15, Y2, Y2
-	VMULPD Y15, Y3, Y3
-	VADDPD (DI), Y0, Y0
-	VADDPD 32(DI), Y1, Y1
-	VADDPD 64(DI), Y2, Y2
-	VADDPD 96(DI), Y3, Y3
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, 32(DI)
-	VMOVUPD Y2, 64(DI)
-	VMOVUPD Y3, 96(DI)
+	FOLD4(0, 0, Y0)
+	FOLD4(16, 32, Y1)
+	FOLD4(32, 64, Y2)
+	FOLD4(48, 96, Y3)
 	ADDQ $64, SI
 	ADDQ $128, DI
 	SUBQ $16, CX
@@ -842,10 +833,7 @@ foldBlk16:
 foldBlk4:
 	TESTQ CX, CX
 	JZ    foldDone
-	VCVTPS2PD (SI), Y0
-	VMULPD Y15, Y0, Y0
-	VADDPD (DI), Y0, Y0
-	VMOVUPD Y0, (DI)
+	FOLD4(0, 0, Y0)
 	ADDQ $16, SI
 	ADDQ $32, DI
 	SUBQ $4, CX
@@ -855,13 +843,20 @@ foldDone:
 	VZEROUPPER
 	RET
 
+// SQ4 adds (float64(a[j]) − float64(b[j]))² for four elements into acc.
+#define SQ4(o, y, t, acc) \
+	VCVTPS2PD o(SI), y; \
+	VCVTPS2PD o(DX), t; \
+	VSUBPD t, y, y; \
+	VMULPD y, y, y; \
+	VADDPD y, acc, acc
+
 // func vecSqDist(a, b *float32, n int) float64
 //
-// Σ_j (float64(a[j]) − float64(b[j]))²   (j < n), in LANE order: sixteen
-// chains (Y0–Y3) take every sixteenth element each, then fold pairwise. This
-// is the one routine here whose lanes lie along a reduction, so its sum is
-// NOT the serial chain's bits — only its terms are. SqDistLanes states who
-// may call it.
+// Σ_j (float64(a[j]) − float64(b[j]))² in LANE order: sixteen chains (Y0–Y3)
+// take every sixteenth element each, then fold pairwise. The one routine
+// here whose lanes lie along a reduction: its terms are the serial chain's
+// bits, its sum is not. SqDistLanes states who may call it.
 TEXT ·vecSqDist(SB), NOSPLIT, $0-32
 	MOVQ a+0(FP), SI
 	MOVQ b+8(FP), DX
@@ -874,26 +869,10 @@ TEXT ·vecSqDist(SB), NOSPLIT, $0-32
 sqBlk16:
 	CMPQ CX, $16
 	JLT  sqBlk4
-	VCVTPS2PD (SI), Y4
-	VCVTPS2PD 16(SI), Y5
-	VCVTPS2PD 32(SI), Y6
-	VCVTPS2PD 48(SI), Y7
-	VCVTPS2PD (DX), Y8
-	VCVTPS2PD 16(DX), Y9
-	VCVTPS2PD 32(DX), Y10
-	VCVTPS2PD 48(DX), Y11
-	VSUBPD Y8, Y4, Y4
-	VSUBPD Y9, Y5, Y5
-	VSUBPD Y10, Y6, Y6
-	VSUBPD Y11, Y7, Y7
-	VMULPD Y4, Y4, Y4
-	VMULPD Y5, Y5, Y5
-	VMULPD Y6, Y6, Y6
-	VMULPD Y7, Y7, Y7
-	VADDPD Y4, Y0, Y0
-	VADDPD Y5, Y1, Y1
-	VADDPD Y6, Y2, Y2
-	VADDPD Y7, Y3, Y3
+	SQ4(0, Y4, Y8, Y0)
+	SQ4(16, Y5, Y9, Y1)
+	SQ4(32, Y6, Y10, Y2)
+	SQ4(48, Y7, Y11, Y3)
 	ADDQ $64, SI
 	ADDQ $64, DX
 	SUBQ $16, CX
@@ -902,11 +881,7 @@ sqBlk16:
 sqBlk4:
 	TESTQ CX, CX
 	JZ    sqDone
-	VCVTPS2PD (SI), Y4
-	VCVTPS2PD (DX), Y8
-	VSUBPD Y8, Y4, Y4
-	VMULPD Y4, Y4, Y4
-	VADDPD Y4, Y0, Y0
+	SQ4(0, Y4, Y8, Y0)
 	ADDQ $16, SI
 	ADDQ $16, DX
 	SUBQ $4, CX
