@@ -142,12 +142,12 @@ func TestGateDecisionMatchesSerial(t *testing.T) {
 	bounds := []float64{0, 1e-200, 1e-30, 0.5, 3, 100, 1e30, 1.4e154, 1e200, math.MaxFloat64, math.Inf(1)}
 	check := func(what string, global, w nn.Weights) (decided int) {
 		t.Helper()
-		n := int(weightBytes(w) / 4)
+		n, lanes := int(weightBytes(w)/4), deltaSumSq(global, w, tensor.SqDistLanes)
 		for _, maxNorm := range bounds {
 			if got, want := updateValid(global, w, maxNorm), serialValid(global, w, maxNorm); got != want {
 				t.Fatalf("%s: maxNorm %v: gate says %v, the serial loop %v", what, maxNorm, got, want)
 			}
-			if _, ok := lanesDecide(deltaSumSq(global, w, tensor.SqDistLanes), maxNorm*maxNorm, n); ok {
+			if _, ok := lanesDecide(lanes, maxNorm*maxNorm, n); ok {
 				decided++
 			}
 		}

@@ -69,11 +69,14 @@ var vecSpecials = []float32{
 
 // vecOperand fills n values from r, replacing about one in four with a
 // special so every run mixes zeros, −0 and denormals into ordinary data.
-func vecOperand(r *frand.RNG, n int) []float32 {
+func vecOperand(r *frand.RNG, n int) []float32 { return operandWith(r, n, vecSpecials) }
+
+// operandWith is vecOperand over a caller-chosen list of specials.
+func operandWith(r *frand.RNG, n int, specials []float32) []float32 {
 	v := Randn(r, 1, n).Data()
 	for i := range v {
 		if r.Intn(4) == 0 {
-			v[i] = vecSpecials[r.Intn(len(vecSpecials))]
+			v[i] = specials[r.Intn(len(specials))]
 		}
 	}
 	return v
@@ -458,15 +461,7 @@ var foldWeights = []float64{
 }
 
 // foldSrc fills n float32s from r, about one in four a foldSpecials value.
-func foldSrc(r *frand.RNG, n int) []float32 {
-	v := Randn(r, 1, n).Data()
-	for i := range v {
-		if r.Intn(4) == 0 {
-			v[i] = foldSpecials[r.Intn(len(foldSpecials))]
-		}
-	}
-	return v
-}
+func foldSrc(r *frand.RNG, n int) []float32 { return operandWith(r, n, foldSpecials) }
 
 // foldAcc fills n float64 sums from r, about one in four a foldAccSpecials value.
 func foldAcc(r *frand.RNG, n int) []float64 {
