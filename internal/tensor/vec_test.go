@@ -587,11 +587,12 @@ func seq(lo, hi int) []int {
 }
 
 // sweepSizes are the two models the aggregation benchmarks run: perfbook's
-// 68 k-parameter MLP and TinyMobileNetV3's parameters and BN statistics.
+// 68 k-parameter MLP and TinyMobileNetV3 at paper_table4's twelve classes
+// (5318 parameters + 448 BN statistics).
 var sweepSizes = []struct {
 	name string
 	n    int
-}{{"mlp68k", 68362}, {"mobilenet", 49290}}
+}{{"mlp68k", 68362}, {"mobilenet", 5766}}
 
 // BenchmarkFoldSweep: one client update folded into the float64 accumulator,
 // vector and Go arms; an element is one parameter.
