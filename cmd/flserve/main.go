@@ -62,6 +62,9 @@ func main() {
 }
 
 func run(c config) error {
+	if c.bank < 1 {
+		return fmt.Errorf("-inputs must be at least 1, have %d", c.bank)
+	}
 	if err := c.opts.Apply(); err != nil {
 		return err
 	}

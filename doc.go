@@ -282,48 +282,18 @@
 //     ≤1e-5-per-unit closeness to the oracle result with identical argmax,
 //     the same contract the BN fold already imposes on frozen outputs.
 //
-// Vector oracle kernels. On amd64 the oracle tier runs AVX2 Go assembly
-// (internal/tensor/vec_amd64.s: the strided row-AXPY GEMM behind a@b and
-// aᵀ@b, the dot-form a@bᵀ with an in-register transpose, the depthwise tap
-// AXPY at stride 1 and — de-interleaving — at stride 2, the 3×3 depthwise
-// weight gradient, and the aggregation step's two float64 sweeps:
-// tensor.FoldScaled, the accumulator fold every strategy reaches, and
-// tensor.SqDistLanes, the validation gate's squared distance;
-// internal/nn/vec_amd64.s: the conv bias add, hard-swish
-// forward/backward, the batch-norm reductions, normalise and input-gradient
-// sweeps, the frozen conv epilogue). Selection is the program's own: a
-// CPUID/XGETBV probe at init (AVX2 present, OS saves YMM state) sets an
-// unexported switch; there is no flag and no environment variable, and
-// `go build -tags purego` (or any non-amd64 target) builds the pure-Go
-// kernels only. The assembly is bit-identical to the Go loops by
-// construction, not by tolerance, under two rules. Chains and lanes across
-// independent targets: a Go loop's side-by-side accumulators and a vector's
-// lanes hold independent accumulation targets — output columns; eight (i,j)
-// chains of the dot form; eight channels of a batch-norm sum; the nine taps
-// of a depthwise weight gradient — never slices of one reduction, so every
-// target receives its terms one at a time in the same ascending order with
-// the same zero-skip (±0 skipped, NaN not). Where a reduction's order IS the
-// result (batch norm's float64 sums, a tap's dot product over the plane), the
-// targets beside it are what fills the machine, fed by an in-register
-// transpose or a masked neighbouring read. No FMA in the oracle tier: each
-// step is a separate multiply and add — the two roundings of the compiler's
-// MULSS+ADDSS — because a fused multiply-add rounds once. So every tol-0
-// contract, every cmp smoke, and cross-machine reproducibility hold across
-// the two implementations; the Go loops stay as the portable path and as the
-// reference of the differential tests and the FuzzVec* targets, which flip
-// the switch, and the single-chain loops they replaced stay in the tests as
-// oracles. One reduction does take lanes, under a third rule: only when its
-// consumer is a DECISION and a proven guard falls back to the serial oracle.
-// tensor.SqDistLanes sums the gate's squared differences — the serial loop's
-// terms, bit for bit — in sixteen interleaved chains; fl.updateValid takes
-// the verdict from that sum only when it is non-finite (a term is NaN or +Inf
-// in one order iff in every order) or further from maxNorm² than
-// 8·n·2⁻⁵³·maxNorm², four times what reassociating n non-negative terms can
-// move their sum; anything closer re-runs the serial chain (tensor.SqDist).
-// Every gate decision is the serial loop's, for every input, and the
-// differential target is the decision (FuzzGateMatchesSerial), not the sum.
-// What stays scalar on the training path: the im2col copy, the conv
-// bias-gradient row sums (four chains in Go), the squeeze-excite block.
+// Vector oracle kernels. On amd64 the oracle tier runs the AVX2 routines of
+// internal/vec: the strided row-AXPY GEMM behind a@b and aᵀ@b, the dot-form
+// a@bᵀ, the depthwise tap AXPY at stride 1 and 2, the 3×3 depthwise weight
+// gradient, the aggregation step's fold (tensor.FoldScaled) and gate norm
+// (tensor.SqDistLanes), and nn's conv bias add, hard-swish forward/backward,
+// batch-norm reductions, normalise and input-gradient sweeps and frozen conv
+// epilogue. internal/vec's package doc states when they run (vec.Live: a CPU
+// probe, no flag; `-tags purego` builds none) and the three kernel rules that
+// keep them bit-identical to the Go loops — or, for the gate norm, keep every
+// gate decision the serial loop's (FuzzGateMatchesSerial). What stays scalar
+// on the training path: the im2col copy, the conv bias-gradient row sums, the
+// squeeze-excite block.
 //
 // The packed backend is a cache-blocked GEBP kernel: it packs B once into
 // panel-major 4-wide column panels (zero-padded tail), k-blocks at 256 so

@@ -193,9 +193,8 @@ func TestHeteroSwitchGateKeepsPoisonOut(t *testing.T) {
 
 // Race coverage for the lema mutex and the shard-merge path: parallel
 // workers and full switching (LocalUpdate reads LEMA while FinalizeInto
-// writes it). Run with -race in CI. (The name dates from when the sampler
-// could also drop clients.)
-func TestHeteroSwitchParallelDropoutRace(t *testing.T) {
+// writes it). Run with -race in CI.
+func TestHeteroSwitchParallelRace(t *testing.T) {
 	clients, _ := toyPopulation(47)
 	cfg := fl.Config{
 		Rounds: 10, ClientsPerRound: 5, BatchSize: 4, LocalEpochs: 1,

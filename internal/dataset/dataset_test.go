@@ -35,37 +35,6 @@ func TestSplit(t *testing.T) {
 	}
 }
 
-// Test-only: no harness splits per class (Split and PartitionIID are the live
-// ones).
-func (d *Dataset) StratifiedSplit(trainFrac float64) (train, test *Dataset) {
-	byClass := map[int][]int{}
-	for i, s := range d.Samples {
-		byClass[s.Label] = append(byClass[s.Label], i)
-	}
-	var trIdx, teIdx []int
-	for c := 0; c < d.NumClasses; c++ {
-		idx := byClass[c]
-		n := int(float64(len(idx)) * trainFrac)
-		trIdx = append(trIdx, idx[:n]...)
-		teIdx = append(teIdx, idx[n:]...)
-	}
-	return d.Subset(trIdx), d.Subset(teIdx)
-}
-
-func TestStratifiedSplitKeepsAllClasses(t *testing.T) {
-	d := synthDataset(40, 4)
-	tr, te := d.StratifiedSplit(0.5)
-	for _, ds := range []*Dataset{tr, te} {
-		seen := map[int]bool{}
-		for _, s := range ds.Samples {
-			seen[s.Label] = true
-		}
-		if len(seen) != 4 {
-			t.Fatalf("stratified split lost classes: %v", seen)
-		}
-	}
-}
-
 func TestShuffleKeepsMultiset(t *testing.T) {
 	d := synthDataset(20, 5)
 	sum := 0
@@ -134,36 +103,6 @@ func TestPartitionIIDCoversAll(t *testing.T) {
 	}
 	if total != 23 {
 		t.Fatalf("partition lost samples: %d", total)
-	}
-}
-
-// ByDevice groups samples by capturing device. Test-only: the harnesses keep
-// per-device sets apart from the start (DeviceData.Test).
-func (d *Dataset) ByDevice() map[int]*Dataset {
-	out := map[int]*Dataset{}
-	for _, s := range d.Samples {
-		g, ok := out[s.Device]
-		if !ok {
-			g = &Dataset{NumClasses: d.NumClasses}
-			out[s.Device] = g
-		}
-		g.Samples = append(g.Samples, s)
-	}
-	return out
-}
-
-func TestByDevice(t *testing.T) {
-	d := synthDataset(9, 2)
-	groups := d.ByDevice()
-	if len(groups) != 3 {
-		t.Fatalf("groups = %d", len(groups))
-	}
-	for dev, g := range groups {
-		for _, s := range g.Samples {
-			if s.Device != dev {
-				t.Fatal("sample in wrong device group")
-			}
-		}
 	}
 }
 

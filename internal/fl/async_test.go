@@ -246,9 +246,8 @@ func TestAsyncVersionStoreBounded(t *testing.T) {
 
 // Async accounting: every fold comes from a dispatched client, and every
 // broadcast byte belongs to a dispatch — a refill draw charges nothing until
-// its clients are actually sent the model. (The name dates from when the
-// sampler could drop drawn clients, whose broadcasts were charged here.)
-func TestAsyncDropoutAccounting(t *testing.T) {
+// its clients are actually sent the model.
+func TestAsyncDispatchAccounting(t *testing.T) {
 	srv := asyncFixtureServer(t, FedAvg{}, AsyncConfig{
 		Latency: simclock.Uniform{Lo: 0.5, Hi: 2, Seed: 9},
 	})

@@ -7,6 +7,7 @@ import (
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/nn"
 	"heteroswitch/internal/tensor"
+	"heteroswitch/internal/vec"
 )
 
 // The validation gate reads its verdict off a lane-ordered sum and falls back
@@ -126,7 +127,7 @@ func TestGateDecisionMatchesSerialAtTheBound(t *testing.T) {
 	if at == 0 || below == 0 || above == 0 {
 		t.Fatalf("bounds exactly at / one ulp below / one ulp above the sum: %d / %d / %d, want all > 0", at, below, above)
 	}
-	if tensor.VectorAvailable() && flips == 0 {
+	if vec.Live && flips == 0 {
 		t.Fatal("no bound separated the lane-ordered sum from the serial one: the fixture does not exercise the guard")
 	}
 	t.Logf("%d bounds inside the band, all sent to the serial chain; %d at, %d below, %d above the sum; %d would have flipped on the lane sum", fallbacks, at, below, above, flips)

@@ -14,7 +14,7 @@ import (
 // the coin off it consumed nothing, and with the coin gone the stream must
 // still be that one: one Choice per round. The digest was recorded on the
 // last tree that had the coin (dropout 0).
-func TestDropoutZeroPreservesLegacyStreams(t *testing.T) {
+func TestSamplingStreamPinned(t *testing.T) {
 	srv := fixtureServer(t, FedAvg{}, 1)
 	h := fnv.New64a()
 	srv.Run(func(s RoundStats) {

@@ -481,8 +481,8 @@ func TestStreamingCapabilityMatrix(t *testing.T) {
 
 // Race coverage: parallel workers exercise the shard-merge path, the
 // scratch-buffer pool, and per-worker accumulators concurrently. Run with
-// -race in CI. (The name dates from when the sampler could also drop clients.)
-func TestRunRoundParallelDropoutRace(t *testing.T) {
+// -race in CI.
+func TestRunRoundParallelRace(t *testing.T) {
 	srv := fixtureServer(t, FedAvg{}, 4)
 	var sampled int
 	srv.Run(func(s RoundStats) { sampled += len(s.Sampled) })

@@ -45,16 +45,6 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
-func TestFloat32Range(t *testing.T) {
-	r := New(7)
-	for i := 0; i < 10000; i++ {
-		f := r.Float32()
-		if f < 0 || f >= 1 {
-			t.Fatalf("Float32 out of [0,1): %v", f)
-		}
-	}
-}
-
 func TestUniformRange(t *testing.T) {
 	r := New(7)
 	for i := 0; i < 1000; i++ {
@@ -123,18 +113,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestNormalScaling(t *testing.T) {
-	r := New(5)
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Normal(10, 2)
-	}
-	if math.Abs(sum/n-10) > 0.05 {
-		t.Fatalf("Normal(10,2) mean = %v", sum/n)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(11)
 	for _, n := range []int{0, 1, 2, 17, 100} {
@@ -178,44 +156,6 @@ func TestChoiceDistinct(t *testing.T) {
 	for _, v := range idx {
 		if v < 0 || v >= 20 || seen[v] {
 			t.Fatalf("Choice invalid: %v", idx)
-		}
-		seen[v] = true
-	}
-}
-
-func TestWeightedChoiceRespectsWeights(t *testing.T) {
-	r := New(23)
-	w := []float64{0, 1, 0, 3}
-	counts := make([]int, 4)
-	for i := 0; i < 40000; i++ {
-		counts[r.WeightedChoice(w)]++
-	}
-	if counts[0] != 0 || counts[2] != 0 {
-		t.Fatalf("zero-weight index sampled: %v", counts)
-	}
-	ratio := float64(counts[3]) / float64(counts[1])
-	if ratio < 2.6 || ratio > 3.4 {
-		t.Fatalf("weight ratio = %v, want ~3", ratio)
-	}
-}
-
-func TestWeightedChoicePanicsOnAllZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for all-zero weights")
-		}
-	}()
-	New(1).WeightedChoice([]float64{0, 0})
-}
-
-func TestWeightedSampleNoReplaceDistinct(t *testing.T) {
-	r := New(29)
-	w := []float64{1, 2, 3, 4, 5}
-	got := r.WeightedSampleNoReplace(w, 5)
-	seen := map[int]bool{}
-	for _, v := range got {
-		if seen[v] {
-			t.Fatalf("duplicate index %d in %v", v, got)
 		}
 		seen[v] = true
 	}
@@ -294,58 +234,4 @@ func BenchmarkNormFloat64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = r.NormFloat64()
 	}
-}
-
-// Draws no binary makes. They stay test-side, each under the test that pins
-// it, so the statistical contracts above keep running against the same
-// Uint64/Float64/NormFloat64 streams.
-
-// Float32 returns a uniform float32 in [0, 1).
-func (r *RNG) Float32() float32 {
-	return float32(r.Uint64()>>40) * (1.0 / (1 << 24))
-}
-
-// Normal returns a normal variate with the given mean and standard deviation.
-func (r *RNG) Normal(mean, std float64) float64 {
-	return mean + std*r.NormFloat64()
-}
-
-// WeightedChoice returns one index in [0, len(w)) sampled proportionally to
-// the non-negative weights w. It panics if all weights are zero or negative.
-func (r *RNG) WeightedChoice(w []float64) int {
-	var total float64
-	for _, x := range w {
-		if x > 0 {
-			total += x
-		}
-	}
-	if total <= 0 {
-		panic("frand: WeightedChoice with no positive weights")
-	}
-	t := r.Float64() * total
-	for i, x := range w {
-		if x <= 0 {
-			continue
-		}
-		t -= x
-		if t < 0 {
-			return i
-		}
-	}
-	return len(w) - 1
-}
-
-// WeightedSampleNoReplace returns k distinct indices sampled without
-// replacement proportional to w (sequential removal). Panics if fewer than k
-// weights are positive.
-func (r *RNG) WeightedSampleNoReplace(w []float64, k int) []int {
-	cp := make([]float64, len(w))
-	copy(cp, w)
-	out := make([]int, 0, k)
-	for len(out) < k {
-		i := r.WeightedChoice(cp)
-		out = append(out, i)
-		cp[i] = 0
-	}
-	return out
 }

@@ -91,34 +91,6 @@ func TestMeanAveragePrecision(t *testing.T) {
 	}
 }
 
-// Test-only: the ECG harness accumulates the same ratio inline, per sensor.
-func MeanAbsRelDeviation(pred, truth []float64) float64 {
-	var s float64
-	n := 0
-	for i := range pred {
-		if truth[i] <= 0 {
-			continue
-		}
-		s += math.Abs(pred[i]-truth[i]) / truth[i]
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return s / float64(n)
-}
-
-func TestMeanAbsRelDeviation(t *testing.T) {
-	pred := []float64{90, 110}
-	truth := []float64{100, 100}
-	if d := MeanAbsRelDeviation(pred, truth); math.Abs(d-0.1) > 1e-12 {
-		t.Fatalf("deviation = %v, want 0.1", d)
-	}
-	if d := MeanAbsRelDeviation([]float64{5}, []float64{0}); d != 0 {
-		t.Fatal("non-positive truth entries must be skipped")
-	}
-}
-
 // biasedDataset builds a dataset where class = 1 iff the mean pixel exceeds
 // 0.5, plus a network that a quick training run can fit, to test Accuracy.
 func makeEvalFixture() (*nn.Network, *dataset.Dataset) {
@@ -172,37 +144,6 @@ func byDevice(d *dataset.Dataset) map[int]*dataset.Dataset {
 		g.Samples = append(g.Samples, s)
 	}
 	return out
-}
-
-// PerDeviceAccuracy sweeps every device's samples through ONE frozen replica
-// and ONE pooled scratch — the sharing accuracyOn is written to allow. The
-// harnesses keep per-device sets apart and call Accuracy per set, so this
-// grouping form is test-only.
-func PerDeviceAccuracy(net *nn.Network, ds *dataset.Dataset, batch int) map[int]float64 {
-	out := map[int]float64{}
-	if ds.Len() == 0 {
-		return out
-	}
-	inf := net.Freeze()
-	bs := dataset.GetBatchScratch()
-	defer dataset.PutBatchScratch(bs)
-	for dev, sub := range byDevice(ds) {
-		out[dev] = accuracyOn(inf, bs, sub, batch)
-	}
-	return out
-}
-
-func TestPerDeviceAccuracy(t *testing.T) {
-	net, ds := makeEvalFixture()
-	per := PerDeviceAccuracy(net, ds, 8)
-	if len(per) != 2 {
-		t.Fatalf("expected 2 device groups, got %d", len(per))
-	}
-	for dev, acc := range per {
-		if acc < 0.9 {
-			t.Fatalf("device %d accuracy %v", dev, acc)
-		}
-	}
 }
 
 // metrics.MeanLoss was a second spelling of fl.EvalLoss that no binary called;
@@ -262,7 +203,10 @@ func makeConvEvalFixture() (*nn.Network, *dataset.Dataset) {
 func TestFusedEvalMatchesReference(t *testing.T) {
 	net, ds := makeConvEvalFixture()
 	fusedAcc := Accuracy(net, ds, 7)
-	fusedPer := PerDeviceAccuracy(net, ds, 7)
+	fusedPer := map[int]float64{}
+	for dev, sub := range byDevice(ds) {
+		fusedPer[dev] = Accuracy(net, sub, 7)
+	}
 	fusedLoss := fl.EvalLoss(net, nn.SoftmaxCrossEntropy{}, ds, 7)
 
 	bs := dataset.GetBatchScratch()
@@ -298,18 +242,5 @@ func TestFusedEvalMatchesReference(t *testing.T) {
 	}
 	if d := math.Abs(fusedLoss - refLoss); d > lossTol {
 		t.Fatalf("fused mean loss diverges from reference by %.3g (tol %g)", d, lossTol)
-	}
-}
-
-// TestPerDeviceAccuracyMatchesPerSubsetAccuracy pins the shared-iterator
-// refactor: the per-device sweep on one scratch + one frozen replica must
-// equal running Accuracy per device subset.
-func TestPerDeviceAccuracyMatchesPerSubsetAccuracy(t *testing.T) {
-	net, ds := makeConvEvalFixture()
-	per := PerDeviceAccuracy(net, ds, 5)
-	for dev, sub := range byDevice(ds) {
-		if want := Accuracy(net, sub, 5); per[dev] != want {
-			t.Fatalf("device %d: PerDeviceAccuracy %v != Accuracy on subset %v", dev, per[dev], want)
-		}
 	}
 }

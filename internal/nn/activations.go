@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"heteroswitch/internal/tensor"
+	"heteroswitch/internal/vec"
 )
 
 // sigmoid64 is the logistic function BCEWithLogits' gradient uses.
@@ -129,8 +130,8 @@ func (l *HardSwish) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.x = x
 	y := l.allocUninit(x.Shape()...)
 	xd, yd := x.Data(), y.Data()
-	if vecLive {
-		hardSwishVec(yd, xd)
+	if vec.Live {
+		vec.HardSwish(yd, xd)
 		return y
 	}
 	for i, v := range xd {
@@ -143,8 +144,8 @@ func (l *HardSwish) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 func (l *HardSwish) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	g := l.allocUninit(grad.Shape()...)
 	gd, dd, xd := grad.Data(), g.Data(), l.x.Data()
-	if vecLive {
-		hardSwishGradVec(dd, gd, xd[:len(gd)])
+	if vec.Live {
+		vec.HardSwishGrad(dd, gd, xd[:len(gd)])
 		return g
 	}
 	for i := range gd {

@@ -45,7 +45,7 @@ func TestArenaForwardBackwardBitIdentical(t *testing.T) {
 	withArena := arenaNet(3)
 	noArena := arenaNet(3)
 	noArena.SetArena(nil)
-	if noArena.Arena() != nil {
+	if noArena.arena != nil {
 		t.Fatal("SetArena(nil) did not disable the arena")
 	}
 
@@ -122,14 +122,14 @@ func TestNestedNetworkSharesArena(t *testing.T) {
 
 	net.Forward(x, true)
 	net.Backward(grad)
-	live := net.Arena().Live()
+	live := net.arena.Live()
 	if live == 0 {
 		t.Fatal("expected live arena tensors after forward/backward")
 	}
 	for i := 0; i < 3; i++ {
 		net.Forward(x, true)
 		net.Backward(grad)
-		if got := net.Arena().Live(); got != live {
+		if got := net.arena.Live(); got != live {
 			t.Fatalf("arena live count changed in steady state: %d -> %d (buffers leak per batch)", live, got)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/parallel"
 	"heteroswitch/internal/tensor"
+	"heteroswitch/internal/vec"
 )
 
 // Conv2D is a grouped 2-D convolution over NCHW tensors. Groups==1 is a
@@ -182,8 +183,8 @@ func (l *Conv2D) forwardIter(it, par int, xd, od []float32) {
 		tensor.Im2Col(col, img, d)
 		tensor.MatMulSlicesP(par, y, wg, col, gcOut, fanIn, cols)
 	}
-	if vecLive {
-		biasActVec(y, gcOut, cols, bd[gi*gcOut:], false)
+	if vec.Live {
+		vec.BiasAct(y, gcOut, cols, bd[gi*gcOut:], false)
 		return
 	}
 	for oc := 0; oc < gcOut; oc++ {

@@ -87,7 +87,7 @@ func frozenFixtures() []frozenFixture {
 				nn.NewDense(r, 6, 5),
 			)
 		}},
-		{"dense-sigmoid-dropout", 3, func(r *frand.RNG) *nn.Network {
+		{"dense-hardsigmoid", 3, func(r *frand.RNG) *nn.Network {
 			return nn.NewNetwork(
 				nn.NewFlatten(),
 				nn.NewDense(r, 3*8*8, 16),

@@ -5,6 +5,7 @@ import (
 
 	"heteroswitch/internal/parallel"
 	"heteroswitch/internal/tensor"
+	"heteroswitch/internal/vec"
 )
 
 // epAct identifies the activation fused into a kernel epilogue (or applied
@@ -23,8 +24,8 @@ const (
 
 // applyBiasAct computes row[j] = act(row[j] + bias[0]) in one sweep.
 func applyBiasAct(row, bias []float32, act epAct) {
-	if vecLive && (act == epNone || act == epHardSwish) {
-		biasActVec(row, 1, len(row), bias, act == epHardSwish)
+	if vec.Live && (act == epNone || act == epHardSwish) {
+		vec.BiasAct(row, 1, len(row), bias, act == epHardSwish)
 		return
 	}
 	b := bias[0]
@@ -94,8 +95,8 @@ func applyAct(yd, xd []float32, lo, hi int, act epAct) {
 			}
 		}
 	case epHardSwish:
-		if vecLive {
-			hardSwishVec(yd[lo:hi], xd[lo:hi])
+		if vec.Live {
+			vec.HardSwish(yd[lo:hi], xd[lo:hi])
 			return
 		}
 		for i := lo; i < hi; i++ {

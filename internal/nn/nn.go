@@ -167,11 +167,6 @@ func (n *Network) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return grad
 }
 
-// Arena returns the network's arena (nil when disabled). Training loops use
-// it to co-allocate per-batch tensors that live outside the layer stack —
-// the loss gradient, for one — with the same per-batch lifetime.
-func (n *Network) Arena() *tensor.Arena { return n.arena }
-
 // Params returns all trainable parameters in a stable order (layer order,
 // then each layer's declared order). The order is the contract federated
 // aggregation relies on.

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"heteroswitch/internal/tensor"
+	"heteroswitch/internal/vec"
 )
 
 // BatchNorm2D normalizes each channel of an NCHW tensor over the batch and
@@ -86,8 +87,8 @@ func (l *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			rv[c] = float32((1-l.Momentum)*float64(rv[c]) + l.Momentum*variance)
 			g, b := gd[c], bd[c]
 			mf, invf := float32(mean), float32(inv)
-			if vecLive {
-				bnNormalizeVec(od[c*hw:], xh[c*hw:], xd[c*hw:], l.C*hw, n, hw, mf, invf, g, b)
+			if vec.Live {
+				vec.BNNormalize(od[c*hw:], xh[c*hw:], xd[c*hw:], l.C*hw, n, hw, mf, invf, g, b)
 				continue
 			}
 			for i := 0; i < n; i++ {
@@ -142,8 +143,8 @@ func (l *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		g := gammaD[c]
 		inv := l.invStd[c]
 		sDy, sDyXh := float32(sumDy[c]), float32(sumDyXhat[c])
-		if vecLive {
-			bnGradXVec(dxd[c*hw:], gd[c*hw:], xh[c*hw:], l.C*hw, n, hw, g, inv/m, m, sDy*g, sDyXh)
+		if vec.Live {
+			vec.BNGradX(dxd[c*hw:], gd[c*hw:], xh[c*hw:], l.C*hw, n, hw, g, inv/m, m, sDy*g, sDyXh)
 			continue
 		}
 		for i := 0; i < n; i++ {
@@ -163,17 +164,17 @@ func (l *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // Σdy·x̂). A channel's two sums each fold its elements one at a time, samples
 // then positions ascending, so the order of every sum is the single-channel
 // loop's. The channels are independent targets: a sweep folds bnTile of them
-// side by side (2·bnTile chains), the vector kernel two such tiles with the
+// side by side (2·bnTile chains), the vector kernel vec.BNChannels with the
 // channels in its lanes, and the last chans mod bnTile go one by one.
 func bnSums(sum, dot []float64, a, b []float32, n, chans, hw int) {
 	stride := chans * hw
 	c := 0
-	if vecLive {
-		for ; c+2*bnTile <= chans; c += 2 * bnTile {
+	if vec.Live {
+		for ; c+vec.BNChannels <= chans; c += vec.BNChannels {
 			if b == nil {
-				bnSumSqVec(sum[c:], dot[c:], a[c*hw:], stride, n, hw)
+				vec.BNSumSq(sum[c:], dot[c:], a[c*hw:], stride, n, hw)
 			} else {
-				bnSumDotVec(sum[c:], dot[c:], a[c*hw:], b[c*hw:], stride, n, hw)
+				vec.BNSumDot(sum[c:], dot[c:], a[c*hw:], b[c*hw:], stride, n, hw)
 			}
 		}
 	}

@@ -38,10 +38,6 @@ func NewReplica(build func() *Network, intraOp int) *Replica {
 // Version returns the loaded model version (-1 before the first Ensure).
 func (r *Replica) Version() int { return r.version }
 
-// Net exposes the replica's private network (for eval-surface toggles and
-// tests); it must only be touched by the goroutine holding the replica.
-func (r *Replica) Net() *Network { return r.net }
-
 // Ensure makes the replica serve model version v with the given weights:
 // a no-op when v is already loaded, otherwise one LoadWeights plus one
 // re-fold of the frozen view. w must stay immutable while any replica can

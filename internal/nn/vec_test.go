@@ -7,28 +7,27 @@ import (
 	"strings"
 	"testing"
 	"time"
-	_ "unsafe" // for go:linkname
 
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/guardmem"
 	"heteroswitch/internal/tensor"
+	"heteroswitch/internal/vec"
 )
 
 // The vector sweeps promise the Go loops' bits, not a tolerance. The tests
-// compare math.Float32bits between the two settings of the unexported
-// switches — this package's vecLive and tensor's, which a layer's kernels sit
-// behind; tensor exports no hook, so the test binary links to its variable.
-//
-//go:linkname tensorVecLive heteroswitch/internal/tensor.vecLive
-var tensorVecLive bool
+// compare math.Float32bits between the two settings of vec.Live, the one
+// switch a layer's kernels — tensor's and this package's — sit behind.
 
-// setVecLive pins both switches for one test (on only where the build and
-// CPU have the kernels) and restores them afterwards.
+// haveVec is the probe's answer, read before any test flips the switch.
+var haveVec = vec.Live
+
+// setVecLive pins the switch for one test (on only where the build and CPU
+// have the kernels) and restores it afterwards.
 func setVecLive(t testing.TB, on bool) {
 	t.Helper()
-	prevNN, prevTensor := vecLive, tensorVecLive
-	vecLive, tensorVecLive = on && vecAvailable, on && vecAvailable
-	t.Cleanup(func() { vecLive, tensorVecLive = prevNN, prevTensor })
+	prev := vec.Live
+	vec.Live = on && haveVec
+	t.Cleanup(func() { vec.Live = prev })
 }
 
 // bothVecSettings runs f as a subtest under the Go loops and, where the
@@ -36,7 +35,7 @@ func setVecLive(t testing.TB, on bool) {
 func bothVecSettings(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
 	for _, on := range []bool{false, true} {
-		if on && !vecAvailable {
+		if on && !haveVec {
 			continue
 		}
 		t.Run(fmt.Sprintf("vec=%v", on), func(t *testing.T) {
@@ -50,7 +49,7 @@ func bothVecSettings(t *testing.T, f func(t *testing.T)) {
 // kernels exist, again as "generic" on the Go loops.
 func benchVecArms(b *testing.B, f func(b *testing.B)) {
 	b.Run("default", f)
-	if vecAvailable {
+	if haveVec {
 		b.Run("generic", func(b *testing.B) {
 			setVecLive(b, false)
 			f(b)
@@ -60,7 +59,7 @@ func benchVecArms(b *testing.B, f func(b *testing.B)) {
 
 func requireVec(t testing.TB) {
 	t.Helper()
-	if !vecAvailable {
+	if !haveVec {
 		t.Skip("no vector kernels in this build or on this CPU")
 	}
 }
@@ -369,8 +368,8 @@ func BenchmarkBNReduce(b *testing.B) {
 }
 
 // FuzzVecSweepsMatchGeneric is ROADMAP hardening item (b) for this package's
-// vector sweeps (hardSwishVec, hardSwishGradVec, biasActVec, bnNormalizeVec,
-// bnGradXVec, bnSumSqVec, bnSumDotVec): random lengths, row counts, channel
+// vector sweeps (vec.HardSwish, vec.HardSwishGrad, vec.BiasAct, vec.BNNormalize,
+// vec.BNGradX, vec.BNSumSq, vec.BNSumDot): random lengths, row counts, channel
 // counts through both reduction tiles and their remainders, plane strides and
 // seeds through the routines, the layers' Go loops and the single-chain
 // oracle at tol 0, seeded with the block-edge tables above.
@@ -386,7 +385,7 @@ func FuzzVecSweepsMatchGeneric(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, n uint16, rows, chans uint8, seed uint64) {
 		length, batch, c := int(n%300)+1, int(rows%4)+1, int(chans%26)+1
-		if vecAvailable {
+		if haveVec {
 			runVecActCase(t, length, batch, seed)
 		}
 		runVecBNCase(t, batch, c, 1, length, seed)
@@ -467,26 +466,26 @@ func TestVecSweepsRejectShortSlices(t *testing.T) {
 		name string
 		call func()
 	}{
-		{"hard-swish y", func() { hardSwishVec(f(8), f(9)) }},
-		{"hard-swish grad dx", func() { hardSwishGradVec(f(8), f(9), f(9)) }},
-		{"hard-swish grad dy", func() { hardSwishGradVec(f(9), f(8), f(9)) }},
-		{"bias y", func() { biasActVec(f(3*9-1), 3, 9, f(3), false) }},
-		{"bias bias", func() { biasActVec(f(3*9), 3, 9, f(2), true) }},
-		{"bn normalise out", func() { bnNormalizeVec(f(2*20+9-1), f(2*20+9), f(2*20+9), 20, 3, 9, 0, 1, 1, 0) }},
-		{"bn normalise xhat", func() { bnNormalizeVec(f(2*20+9), f(2*20+9-1), f(2*20+9), 20, 3, 9, 0, 1, 1, 0) }},
-		{"bn normalise x", func() { bnNormalizeVec(f(2*20+9), f(2*20+9), f(2*20+9-1), 20, 3, 9, 0, 1, 1, 0) }},
-		{"bn normalise stride", func() { bnNormalizeVec(f(64), f(64), f(64), 8, 3, 9, 0, 1, 1, 0) }},
-		{"bn grad dx", func() { bnGradXVec(f(2*20+9-1), f(2*20+9), f(2*20+9), 20, 3, 9, 1, 1, 27, 0, 0) }},
-		{"bn grad dy", func() { bnGradXVec(f(2*20+9), f(2*20+9-1), f(2*20+9), 20, 3, 9, 1, 1, 27, 0, 0) }},
-		{"bn grad xhat", func() { bnGradXVec(f(2*20+9), f(2*20+9), f(2*20+9-1), 20, 3, 9, 1, 1, 27, 0, 0) }},
-		{"bn sums x", func() { bnSumSqVec(d(8), d(8), f(2*50+8*5-1), 50, 3, 5) }},
-		{"bn sums sum", func() { bnSumSqVec(d(7), d(8), f(2*50+8*5), 50, 3, 5) }},
-		{"bn sums sq", func() { bnSumSqVec(d(8), d(7), f(2*50+8*5), 50, 3, 5) }},
-		{"bn sums stride", func() { bnSumSqVec(d(8), d(8), f(200), 39, 3, 5) }},
-		{"bn grad sums a", func() { bnSumDotVec(d(8), d(8), f(2*50+8*5-1), f(2*50+8*5), 50, 3, 5) }},
-		{"bn grad sums b", func() { bnSumDotVec(d(8), d(8), f(2*50+8*5), f(2*50+8*5-1), 50, 3, 5) }},
-		{"bn grad sums dot", func() { bnSumDotVec(d(8), d(7), f(2*50+8*5), f(2*50+8*5), 50, 3, 5) }},
-		{"bn grad sums empty", func() { bnSumDotVec(d(8), d(7), nil, nil, 50, 0, 5) }},
+		{"hard-swish y", func() { vec.HardSwish(f(8), f(9)) }},
+		{"hard-swish grad dx", func() { vec.HardSwishGrad(f(8), f(9), f(9)) }},
+		{"hard-swish grad dy", func() { vec.HardSwishGrad(f(9), f(8), f(9)) }},
+		{"bias y", func() { vec.BiasAct(f(3*9-1), 3, 9, f(3), false) }},
+		{"bias bias", func() { vec.BiasAct(f(3*9), 3, 9, f(2), true) }},
+		{"bn normalise out", func() { vec.BNNormalize(f(2*20+9-1), f(2*20+9), f(2*20+9), 20, 3, 9, 0, 1, 1, 0) }},
+		{"bn normalise xhat", func() { vec.BNNormalize(f(2*20+9), f(2*20+9-1), f(2*20+9), 20, 3, 9, 0, 1, 1, 0) }},
+		{"bn normalise x", func() { vec.BNNormalize(f(2*20+9), f(2*20+9), f(2*20+9-1), 20, 3, 9, 0, 1, 1, 0) }},
+		{"bn normalise stride", func() { vec.BNNormalize(f(64), f(64), f(64), 8, 3, 9, 0, 1, 1, 0) }},
+		{"bn grad dx", func() { vec.BNGradX(f(2*20+9-1), f(2*20+9), f(2*20+9), 20, 3, 9, 1, 1, 27, 0, 0) }},
+		{"bn grad dy", func() { vec.BNGradX(f(2*20+9), f(2*20+9-1), f(2*20+9), 20, 3, 9, 1, 1, 27, 0, 0) }},
+		{"bn grad xhat", func() { vec.BNGradX(f(2*20+9), f(2*20+9), f(2*20+9-1), 20, 3, 9, 1, 1, 27, 0, 0) }},
+		{"bn sums x", func() { vec.BNSumSq(d(8), d(8), f(2*50+8*5-1), 50, 3, 5) }},
+		{"bn sums sum", func() { vec.BNSumSq(d(7), d(8), f(2*50+8*5), 50, 3, 5) }},
+		{"bn sums sq", func() { vec.BNSumSq(d(8), d(7), f(2*50+8*5), 50, 3, 5) }},
+		{"bn sums stride", func() { vec.BNSumSq(d(8), d(8), f(200), 39, 3, 5) }},
+		{"bn grad sums a", func() { vec.BNSumDot(d(8), d(8), f(2*50+8*5-1), f(2*50+8*5), 50, 3, 5) }},
+		{"bn grad sums b", func() { vec.BNSumDot(d(8), d(8), f(2*50+8*5), f(2*50+8*5-1), 50, 3, 5) }},
+		{"bn grad sums dot", func() { vec.BNSumDot(d(8), d(7), f(2*50+8*5), f(2*50+8*5), 50, 3, 5) }},
+		{"bn grad sums empty", func() { vec.BNSumDot(d(8), d(7), nil, nil, 50, 0, 5) }},
 	} {
 		func() {
 			defer func() {
@@ -498,16 +497,16 @@ func TestVecSweepsRejectShortSlices(t *testing.T) {
 			tc.call()
 		}()
 	}
-	hardSwishVec(nil, nil)
-	hardSwishGradVec(nil, nil, nil)
-	biasActVec(nil, 0, 9, nil, true)
-	biasActVec(nil, 3, 0, nil, false)
-	bnNormalizeVec(nil, nil, nil, 4, 0, 4, 0, 1, 1, 0)
-	bnGradXVec(nil, nil, nil, 4, 2, 0, 1, 1, 8, 0, 0)
+	vec.HardSwish(nil, nil)
+	vec.HardSwishGrad(nil, nil, nil)
+	vec.BiasAct(nil, 0, 9, nil, true)
+	vec.BiasAct(nil, 3, 0, nil, false)
+	vec.BNNormalize(nil, nil, nil, 4, 0, 4, 0, 1, 1, 0)
+	vec.BNGradX(nil, nil, nil, 4, 2, 0, 1, 1, 8, 0, 0)
 	// An empty reduction still defines its sixteen sums: +0.
 	sum, dot := []float64{1, 2, 3, 4, 5, 6, 7, 8}, []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	bnSumSqVec(sum, dot, nil, 40, 0, 5)
-	bnSumDotVec(sum[:8], dot, nil, nil, 40, 3, 0)
+	vec.BNSumSq(sum, dot, nil, 40, 0, 5)
+	vec.BNSumDot(sum[:8], dot, nil, nil, 40, 3, 0)
 	for i := range sum {
 		if math.Float64bits(sum[i]) != 0 || math.Float64bits(dot[i]) != 0 {
 			t.Fatalf("empty reduction left sum[%d] = %v, dot[%d] = %v, want +0", i, sum[i], i, dot[i])

@@ -165,6 +165,9 @@ func (s *Server) beginLoad(lc LoadConfig) error {
 	if lc.Requests < 1 {
 		return fmt.Errorf("serve: load needs at least 1 request, have %d", lc.Requests)
 	}
+	if lc.Concurrency < 0 || lc.PublishEvery < 0 {
+		return fmt.Errorf("serve: load needs Concurrency and PublishEvery >= 0, have %d and %d", lc.Concurrency, lc.PublishEvery)
+	}
 	if len(lc.Inputs) == 0 {
 		return fmt.Errorf("serve: load needs a non-empty input bank")
 	}
@@ -432,11 +435,15 @@ func (ld *loadState) startService(b *batch) {
 		}
 		b.ids = kept
 		if len(b.ids) == 0 {
-			ld.srv.store.Release(b.version)
-			b.w = nn.Weights{}
-			ld.putBatch(b)
+			ld.unpin(b)
 			return
 		}
+	}
+	dur := ld.lc.Service.Batch(len(b.ids), ld.batchSeq)
+	if !(dur >= 0) { // negative or NaN: a completion before the dispatch
+		ld.unpin(b)
+		ld.err = fmt.Errorf("serve: service model priced a batch of %d at %v, want a duration >= 0", len(b.ids), dur)
+		return
 	}
 	ld.busy++
 	rep := ld.srv.pool.Get()
@@ -449,9 +456,7 @@ func (ld *loadState) startService(b *batch) {
 		ld.busy--
 		b.rep = nil
 		ld.srv.pool.Put(rep)
-		ld.srv.store.Release(b.version)
-		b.w = nn.Weights{}
-		ld.putBatch(b)
+		ld.unpin(b)
 		ld.err = err
 		return
 	}
@@ -464,9 +469,8 @@ func (ld *loadState) startService(b *batch) {
 	for r, id := range b.ids {
 		copy(ld.outs[id*ld.outDim:(id+1)*ld.outDim], out[r*ld.outDim:(r+1)*ld.outDim])
 	}
-	seq := ld.batchSeq
 	ld.batchSeq++
-	ld.schedule(ld.lc.Service.Batch(n, seq), simEvent{kind: evDone, b: b})
+	ld.schedule(dur, simEvent{kind: evDone, b: b})
 }
 
 // onDone retires a completed batch: record latencies, feed the closed loop,
@@ -533,6 +537,14 @@ func (ld *loadState) getBatch() *batch {
 
 // putBatch returns a batch struct to the free stack.
 func (ld *loadState) putBatch(b *batch) { ld.freeBatches = append(ld.freeBatches, b) }
+
+// unpin gives back what a batch that reaches no worker holds: its version pin
+// and the batch itself.
+func (ld *loadState) unpin(b *batch) {
+	ld.srv.store.Release(b.version)
+	b.w = nn.Weights{}
+	ld.putBatch(b)
+}
 
 // report summarizes the completed run.
 func (ld *loadState) report() Report {

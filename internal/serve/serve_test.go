@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -105,6 +106,36 @@ func TestLoadDeterministicAcrossRuns(t *testing.T) {
 	}
 	if c.VirtualTime == a.VirtualTime && c.MeanLatency == a.MeanLatency {
 		t.Fatal("different arrival seed produced an identical schedule (seed not wired through)")
+	}
+}
+
+// TestLoadRejectsBadConfig: a negative population or publish period is an
+// error before the run starts, and a service model that prices a batch at a
+// negative or NaN duration is an error when the batch would dispatch — never
+// a panic — and leaves no replica or version pinned.
+func TestLoadRejectsBadConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*LoadConfig)
+	}{
+		{"concurrency -1", func(lc *LoadConfig) { lc.Concurrency = -1 }},
+		{"publish-every -2", func(lc *LoadConfig) { lc.PublishEvery = -2 }},
+		{"service-base -5", func(lc *LoadConfig) { lc.Service = AffineService{Base: -5, PerItem: 0.25} }},
+		{"service-per-item -1", func(lc *LoadConfig) { lc.Service = AffineService{Base: 1, PerItem: -1} }},
+		{"service NaN", func(lc *LoadConfig) { lc.Service = AffineService{Base: math.NaN()} }},
+	} {
+		lc := LoadConfig{Requests: 40, Concurrency: 8, Inputs: testInputs(4)}
+		tc.edit(&lc)
+		s := testServer(t, Config{MaxBatch: 4, BatchBudget: 0.5, Workers: 2})
+		if _, err := s.RunLoad(lc); err == nil {
+			t.Fatalf("%s: RunLoad returned no error", tc.name)
+		}
+		if free := s.pool.Free(); free != 2 {
+			t.Fatalf("%s: pool has %d free replicas after the error, want 2", tc.name, free)
+		}
+		if live := s.store.Live(); live != 1 {
+			t.Fatalf("%s: store has %d live versions after the error, want 1", tc.name, live)
+		}
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"sync/atomic"
+
+	"heteroswitch/internal/vec"
 )
 
 // Kernel backends & numerics tiers --------------------------------------------
@@ -21,32 +23,9 @@ import (
 //     The tier has two implementations of the same bits. The Go loops
 //     (matmul.go, im2col.go) are the portable path and the test reference;
 //     the single-chain loops they once were are kept in the tests as oracles.
-//     On amd64 the AVX2 routines of vec_amd64.s replace them when vecLive
-//     is true (vec.go): the build is not tagged purego and a CPUID/XGETBV
-//     probe at init found AVX2 with OS-saved YMM state. There is no flag
-//     and no environment variable; `go build -tags purego` is the way to
-//     a binary without assembly. The vector routines are bit-identical to
-//     the Go loops BY CONSTRUCTION, under two rules and one exception:
-//
-//       1. Chains and lanes lie across independent accumulation targets,
-//          never along a reduction. A vector's lanes — and a Go loop's
-//          side-by-side accumulators — are output columns j; for the dot
-//          form, eight (i,j) chains fed by an in-register transpose; for a
-//          depthwise weight gradient, the taps of the kernel (three per
-//          walk in Go, all nine of a 3×3 in the vector routine); for a
-//          depthwise tap, the output positions, de-interleaved at stride 2.
-//          Every target still receives its partial products one at a time
-//          in ascending inner-index order — with the same av != 0 skip in
-//          the AXPY forms (±0 skipped, NaN not) and no skip in the dot
-//          forms.
-//       2. No FMA in the oracle tier: each step is one VMULPS and one
-//          VADDPS, two roundings like the Go compiler's MULSS + ADDSS
-//          (GOAMD64=v1 never fuses). A fused multiply-add rounds once and
-//          would change bits.
-//       3. A reduction takes lanes only when its consumer is a decision and a
-//          proven guard falls back to the serial chain: SqDistLanes (vec.go).
-//
-//     One ISA, one selection: no AVX-512 variant, no FMA variant.
+//     internal/vec's AVX2 routines replace them when vec.Live is true; its
+//     package doc states when that is and the kernel rules that make the two
+//     bit-identical.
 //
 //   - The TOLERANCE tier: the two epilogue-fused, weight-stationary entry
 //     points the frozen inference path compiles to (MatMulWASlicesPEp,
@@ -198,6 +177,6 @@ func usePacked(m, k, n int) bool {
 	case BackendSerial:
 		return false
 	default:
-		return !vecLive && m >= packAutoMinRows && m*k*n >= packAutoMinWork
+		return !vec.Live && m >= packAutoMinRows && m*k*n >= packAutoMinWork
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/guardmem"
+	"heteroswitch/internal/vec"
 )
 
 // guarded copies v into memory that ends at an inaccessible page.
@@ -36,7 +37,7 @@ func TestVecPlaneKernelsStayInsideSlices(t *testing.T) {
 				want[i*narrow+j] += 0.75 * img[i*wide+2*j]
 			}
 		}
-		axpyGather2Vec(y, narrow, guarded(t, img), wide, 0.75, rows, n)
+		vec.AxpyGather2(y, narrow, guarded(t, img), wide, 0.75, rows, n)
 		exactEqual(t, fmt.Sprintf("guarded gather n=%d", n), y, want)
 
 		dimg := vecOperand(r, (rows-1)*wide+2*n-1)
@@ -47,7 +48,7 @@ func TestVecPlaneKernelsStayInsideSlices(t *testing.T) {
 			}
 		}
 		got := guarded(t, dimg)
-		axpyScatter2Vec(got, wide, y, narrow, 0.75, rows, n)
+		vec.AxpyScatter2(got, wide, y, narrow, 0.75, rows, n)
 		exactEqual(t, fmt.Sprintf("guarded scatter n=%d", n), got, want)
 	}
 	plane := guarded(t, vecOperand(r, 32*32))

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"heteroswitch/internal/parallel"
+	"heteroswitch/internal/vec"
 )
 
 // ConvDims describes a 2-D convolution geometry shared by Im2Col and the
@@ -234,14 +235,14 @@ func DepthwiseConvPlane(y, img, w []float32, d ConvDims) {
 			if oxLo >= oxHi {
 				continue
 			}
-			if vecLive && d.StrideW <= 2 {
+			if vec.Live && d.StrideW <= 2 {
 				// The whole tap as one strided 2-D AXPY over its valid rows,
 				// reading every second pixel at stride 2.
 				if oyLo < oyHi {
 					ibase := (oyLo*d.StrideH-d.PadH+ky)*d.InW - d.PadW + kx
-					tapVec := axpyPlaneVec
+					tapVec := vec.AxpyPlane
 					if d.StrideW == 2 {
-						tapVec = axpyGather2Vec
+						tapVec = vec.AxpyGather2
 					}
 					tapVec(y[oyLo*d.OutW+oxLo:], d.OutW, img[ibase+oxLo*d.StrideW:], d.StrideH*d.InW,
 						wt, oyHi-oyLo, oxHi-oxLo)
@@ -282,11 +283,11 @@ func DepthwiseConvPlane(y, img, w []float32, d ConvDims) {
 // the taps are independent targets: tapDot3 walks the plane once for three
 // neighbouring taps of a kernel row, three chains side by side, and the last
 // KW mod 3 taps of a row go one by one. With the vector kernels live a 3×3
-// kernel takes gradW3x3Vec, whose lanes are all nine taps.
+// kernel takes vec.GradW3x3, whose lanes are all nine taps.
 func DepthwiseConvPlaneGradW(dw, dy, img []float32, d ConvDims) {
 	d.checkPlane("DepthwiseConvPlaneGradW", img, dy, dw)
-	if vecLive && d.KH == 3 && d.KW == 3 {
-		gradW3x3Vec(dw, dy, img, &d)
+	if vec.Live && d.KH == 3 && d.KW == 3 {
+		vec.GradW3x3(dw, dy, img, d.OutH, d.OutW, d.InH, d.InW, d.StrideH, d.StrideW, d.PadH, d.PadW)
 		return
 	}
 	t := 0
@@ -404,12 +405,12 @@ func DepthwiseConvPlaneGradX(dimg, dy, w []float32, d ConvDims) {
 			if oxLo >= oxHi {
 				continue
 			}
-			if vecLive && d.StrideW <= 2 {
+			if vec.Live && d.StrideW <= 2 {
 				if oyLo < oyHi {
 					ibase := (oyLo*d.StrideH-d.PadH+ky)*d.InW - d.PadW + kx
-					tapVec := axpyPlaneVec
+					tapVec := vec.AxpyPlane
 					if d.StrideW == 2 {
-						tapVec = axpyScatter2Vec
+						tapVec = vec.AxpyScatter2
 					}
 					tapVec(dimg[ibase+oxLo*d.StrideW:], d.StrideH*d.InW, dy[oyLo*d.OutW+oxLo:], d.OutW,
 						wt, oyHi-oyLo, oxHi-oxLo)

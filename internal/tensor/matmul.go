@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"heteroswitch/internal/parallel"
+	"heteroswitch/internal/vec"
 )
 
 // matmul kernel block size, chosen to keep a block of B rows of both
@@ -19,21 +20,18 @@ const mmBlock = 64
 // bit-identical to the straightforward loops and independent of tiling.
 //
 // The three kernel bodies (matmulAcc, matMulTransB, matMulTransAAccRange)
-// hand over to the AVX2 routines of vec_amd64.s when vecLive is set. Those
-// widen the same idea from 4 targets in flight to 32: lanes across targets,
-// a separate multiply and add per step (never an FMA), the same zero-skip —
-// so they produce the Go loops' bits exactly, and the loops below remain the
-// portable path (-tags purego, other architectures, CPUs without AVX2) and
-// the reference the differential tests compare against. backend.go's tier
-// comment states the rule in full.
+// hand over to internal/vec's AVX2 routines when vec.Live is set; those widen
+// the same idea from 4 targets in flight to 32 under the kernel rules of
+// internal/vec's package doc, so the loops below remain the portable path and
+// the reference the differential tests compare against.
 
 // matmulAcc is the blocked, register-tiled kernel: out[m,n] += a[m,k] @
 // b[k,n], all row-major flat slices. Within each k-block, four output
 // columns are accumulated in registers across the whole block, quartering
 // the load/store traffic on out relative to a scalar j sweep.
 func matmulAcc(out, a, b []float32, m, k, n int) {
-	if vecLive {
-		gemmAccVec(out, n, a, k, 1, b, n, m, n, k)
+	if vec.Live {
+		vec.GemmAcc(out, n, a, k, 1, b, n, m, n, k)
 		return
 	}
 	for i0 := 0; i0 < m; i0 += mmBlock {
@@ -79,8 +77,8 @@ func matmulAcc(out, a, b []float32, m, k, n int) {
 // is a dot product of two contiguous rows; four dot products run at once so
 // every load of a's row feeds four accumulators.
 func matMulTransB(out, a, b []float32, m, k, n int, acc bool) {
-	if vecLive && n >= vecDotMinCols {
-		dotTransBVec(out, a, b, m, k, n, acc)
+	if vec.Live && n >= vec.DotMinCols {
+		vec.DotTransB(out, a, b, m, k, n, acc)
 		return
 	}
 	for i := 0; i < m; i++ {
@@ -127,9 +125,9 @@ func matMulTransB(out, a, b []float32, m, k, n int, acc bool) {
 // the row-parallel building block. out is still indexed with full row stride
 // n from row 0.
 func matMulTransAAccRange(out, a, b []float32, k, m, n, i0, i1 int) {
-	if vecLive {
+	if vec.Live {
 		if i0 < i1 && k > 0 && n > 0 {
-			gemmAccVec(out[i0*n:], n, a[i0:], 1, m, b, n, i1-i0, n, k)
+			vec.GemmAcc(out[i0*n:], n, a[i0:], 1, m, b, n, i1-i0, n, k)
 		}
 		return
 	}

@@ -89,51 +89,6 @@ func (t *Tensor) Clamp(lo, hi float32) {
 	}
 }
 
-// Sum returns the sum of all elements (accumulated in float64 for accuracy).
-func (t *Tensor) Sum() float64 {
-	var s float64
-	for _, v := range t.data {
-		s += float64(v)
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements; 0 for an empty tensor.
-func (t *Tensor) Mean() float64 {
-	if len(t.data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.data))
-}
-
-// Max returns the maximum element. Panics on an empty tensor.
-func (t *Tensor) Max() float32 {
-	if len(t.data) == 0 {
-		panic("tensor: Max of empty tensor")
-	}
-	m := t.data[0]
-	for _, v := range t.data[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum element. Panics on an empty tensor.
-func (t *Tensor) Min() float32 {
-	if len(t.data) == 0 {
-		panic("tensor: Min of empty tensor")
-	}
-	m := t.data[0]
-	for _, v := range t.data[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
 // ArgMaxRows treats t as a [rows, cols] matrix and returns the column index
 // of the max element in each row. Used for classification decisions.
 func (t *Tensor) ArgMaxRows() []int {
@@ -153,25 +108,6 @@ func (t *Tensor) ArgMaxRows() []int {
 		out[r] = bi
 	}
 	return out
-}
-
-// Slice returns a view of rows [lo, hi) along the first dimension. Shares
-// data with t.
-func (t *Tensor) Slice(lo, hi int) *Tensor {
-	if len(t.shape) == 0 {
-		panic("tensor: Slice of scalar")
-	}
-	if lo < 0 || hi > t.shape[0] || lo > hi {
-		panic(fmt.Sprintf("tensor: Slice [%d,%d) of dim %d", lo, hi, t.shape[0]))
-	}
-	inner := 1
-	for _, d := range t.shape[1:] {
-		inner *= d
-	}
-	s := make([]int, len(t.shape))
-	copy(s, t.shape)
-	s[0] = hi - lo
-	return &Tensor{shape: s, data: t.data[lo*inner : hi*inner]}
 }
 
 // AllClose reports whether all elements of t and o differ by at most tol.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"heteroswitch/internal/frand"
+	"heteroswitch/internal/vec"
 )
 
 // The loops DepthwiseConvPlaneGradW and Im2Col ran before they were given
@@ -250,10 +251,10 @@ func BenchmarkDepthwisePlane(b *testing.B) {
 	y, dimg := make([]float32, d.ColCols()), make([]float32, 16*16)
 	scalar := func(f func()) func() {
 		return func() {
-			prev := vecLive
-			vecLive = false
+			prev := vec.Live
+			vec.Live = false
 			f()
-			vecLive = prev
+			vec.Live = prev
 		}
 	}
 	fwd := func() { DepthwiseConvPlane(y, img, w, d) }

@@ -113,18 +113,13 @@ func (t *Tensor) SameShape(o *Tensor) bool {
 	return true
 }
 
-// Reshape returns a view of t with a new shape of the same total size. The
-// view shares data with t. One dimension may be -1 to infer its size.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	return t.ReshapeInto(nil, shape...)
-}
-
-// ReshapeInto is Reshape with header recycling: when view is non-nil, its
-// header and shape slice are reused instead of allocating a fresh view, and
-// view is repointed at t's data. Reshape-style layers call it with a cached
-// header so per-batch view changes cost no allocation. The returned tensor
-// (view itself when non-nil) aliases t's data; any previous aliasing of view
-// is overwritten.
+// ReshapeInto returns a view of t with a new shape of the same total size,
+// sharing t's data; one dimension may be -1 to infer its size. When view is
+// non-nil, its header and shape slice are reused instead of allocating a
+// fresh view, and view is repointed at t's data. Reshape-style layers call it
+// with a cached header so per-batch view changes cost no allocation. The
+// returned tensor (view itself when non-nil) aliases t's data; any previous
+// aliasing of view is overwritten.
 func (t *Tensor) ReshapeInto(view *Tensor, shape ...int) *Tensor {
 	if view == nil {
 		view = &Tensor{}

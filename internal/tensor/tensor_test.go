@@ -52,12 +52,12 @@ func TestAtSetRowMajor(t *testing.T) {
 
 func TestReshapeView(t *testing.T) {
 	x := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	y := x.Reshape(3, 2)
+	y := x.ReshapeInto(nil, 3, 2)
 	y.Set(99, 0, 0)
 	if x.At(0, 0) != 99 {
-		t.Fatal("Reshape must share data")
+		t.Fatal("ReshapeInto must share data")
 	}
-	z := x.Reshape(-1, 2)
+	z := x.ReshapeInto(nil, -1, 2)
 	if z.Dim(0) != 3 {
 		t.Fatalf("inferred dim = %d, want 3", z.Dim(0))
 	}
@@ -106,39 +106,6 @@ func TestLerp(t *testing.T) {
 	}
 }
 
-func TestReductions(t *testing.T) {
-	x := FromSlice([]float32{-1, 2, 5, 0}, 4)
-	if x.Sum() != 6 {
-		t.Fatalf("Sum = %v", x.Sum())
-	}
-	if x.Mean() != 1.5 {
-		t.Fatalf("Mean = %v", x.Mean())
-	}
-	if x.Max() != 5 || x.Min() != -1 {
-		t.Fatalf("Max/Min = %v/%v", x.Max(), x.Min())
-	}
-}
-
-// Dot is the float64 inner product. Test-only: no binary takes one.
-func (t *Tensor) Dot(o *Tensor) float64 {
-	if len(t.data) != len(o.data) {
-		panic("tensor: Dot size mismatch")
-	}
-	var s float64
-	for i := range t.data {
-		s += float64(t.data[i]) * float64(o.data[i])
-	}
-	return s
-}
-
-func TestDot(t *testing.T) {
-	a := FromSlice([]float32{1, 2, 3}, 3)
-	b := FromSlice([]float32{4, -5, 6}, 3)
-	if got := a.Dot(b); got != 12 {
-		t.Fatalf("Dot = %v", got)
-	}
-}
-
 func TestArgMaxRows(t *testing.T) {
 	x := FromSlice([]float32{
 		0.1, 0.9, 0.0,
@@ -147,18 +114,6 @@ func TestArgMaxRows(t *testing.T) {
 	got := x.ArgMaxRows()
 	if got[0] != 1 || got[1] != 0 {
 		t.Fatalf("ArgMaxRows = %v", got)
-	}
-}
-
-func TestSliceView(t *testing.T) {
-	x := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 3, 2)
-	s := x.Slice(1, 3)
-	if s.Dim(0) != 2 || s.At(0, 0) != 3 {
-		t.Fatalf("Slice wrong: %v", s.Data())
-	}
-	s.Set(99, 0, 0)
-	if x.At(1, 0) != 99 {
-		t.Fatal("Slice must be a view")
 	}
 }
 

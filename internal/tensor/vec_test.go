@@ -8,19 +8,23 @@ import (
 	"testing"
 
 	"heteroswitch/internal/frand"
+	"heteroswitch/internal/vec"
 )
 
 // The vector oracle kernels promise BIT-identical results to the Go loops —
 // not a tolerance. Everything here compares math.Float32bits between the two
-// settings of vecLive, the unexported switch only tests flip.
+// settings of vec.Live, the switch only tests flip.
+
+// haveVec is the probe's answer, read before any test flips the switch.
+var haveVec = vec.Live
 
 // setVecLive pins the switch for one test (on only where the build and CPU
 // have the kernels) and restores it afterwards.
 func setVecLive(t testing.TB, on bool) {
 	t.Helper()
-	prev := vecLive
-	vecLive = on && vecAvailable
-	t.Cleanup(func() { vecLive = prev })
+	prev := vec.Live
+	vec.Live = on && haveVec
+	t.Cleanup(func() { vec.Live = prev })
 }
 
 // bothVecSettings runs f as a subtest under the Go loops and, where the
@@ -28,7 +32,7 @@ func setVecLive(t testing.TB, on bool) {
 func bothVecSettings(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
 	for _, on := range []bool{false, true} {
-		if on && !vecAvailable {
+		if on && !haveVec {
 			continue
 		}
 		t.Run(fmt.Sprintf("vec=%v", on), func(t *testing.T) {
@@ -43,7 +47,7 @@ func bothVecSettings(t *testing.T, f func(t *testing.T)) {
 // speed-up is a recorded pair of rows.
 func benchVecArms(b *testing.B, f func(b *testing.B)) {
 	b.Run("default", f)
-	if vecAvailable {
+	if haveVec {
 		b.Run("generic", func(b *testing.B) {
 			setVecLive(b, false)
 			f(b)
@@ -54,7 +58,7 @@ func benchVecArms(b *testing.B, f func(b *testing.B)) {
 // requireVec skips a test that needs both implementations to compare.
 func requireVec(t testing.TB) {
 	t.Helper()
-	if !vecAvailable {
+	if !haveVec {
 		t.Skip("no vector kernels in this build or on this CPU")
 	}
 }
@@ -233,7 +237,7 @@ func runVecPlaneCase(t *testing.T, h, w, k, stride, pad int, seed uint64) {
 
 // FuzzVecPlanesMatchGeneric is FuzzVecMatchesGeneric's sibling for the
 // depthwise plane kernels (DepthwiseConvPlane, …GradW, …GradX) and the routines
-// under them (axpyPlaneVec, axpyGather2Vec, axpyScatter2Vec, gradW3x3Vec):
+// under them (vec.AxpyPlane, vec.AxpyGather2, vec.AxpyScatter2, vec.GradW3x3):
 // random plane sizes, kernels, strides, pads and seeds at tol 0 — dW against
 // the tap-outer oracle too — seeded with the lowered sweep's geometries
 // (depthwise_test.go) and the block-edge widths of both strides.
@@ -279,7 +283,7 @@ func TestVecPlaneAxpyMatchesGeneric(t *testing.T) {
 					}
 				}
 				got := slices.Clone(dst)
-				axpyPlaneVec(got, dstStride, src, srcStride, w, rows, n)
+				vec.AxpyPlane(got, dstStride, src, srcStride, w, rows, n)
 				exactEqual(t, fmt.Sprintf("plane axpy %dx%d w=%g", rows, n, w), got, want)
 			}
 		}
@@ -309,7 +313,7 @@ func TestVecStride2TapsMatchGeneric(t *testing.T) {
 					}
 				}
 				got := slices.Clone(dst)
-				axpyGather2Vec(got, narrow, src, wide, w, rows, n)
+				vec.AxpyGather2(got, narrow, src, wide, w, rows, n)
 				exactEqual(t, fmt.Sprintf("gather %dx%d w=%g", rows, n, w), got, want)
 
 				// scatter: dimg[2j] += w·dy[j]
@@ -328,11 +332,16 @@ func TestVecStride2TapsMatchGeneric(t *testing.T) {
 					}
 				}
 				got = slices.Clone(dst)
-				axpyScatter2Vec(got, wide, src, narrow, w, rows, n)
+				vec.AxpyScatter2(got, wide, src, narrow, w, rows, n)
 				exactEqual(t, fmt.Sprintf("scatter %dx%d w=%g", rows, n, w), got, want)
 			}
 		}
 	}
+}
+
+// gradW3x3 hands d's geometry to vec.GradW3x3.
+func gradW3x3(dw, dy, img []float32, d ConvDims) {
+	vec.GradW3x3(dw, dy, img, d.OutH, d.OutW, d.InH, d.InW, d.StrideH, d.StrideW, d.PadH, d.PadW)
 }
 
 // TestVecKernelsRejectShortSlices: the Go loops panic on an undersized slice
@@ -350,25 +359,25 @@ func TestVecKernelsRejectShortSlices(t *testing.T) {
 		name string
 		call func()
 	}{
-		{"gemm out", func() { gemmAccVec(full(m*n-1), n, full(m*k), k, 1, full(k*n), n, m, n, k) }},
-		{"gemm a", func() { gemmAccVec(full(m*n), n, full(m*k-1), k, 1, full(k*n), n, m, n, k) }},
-		{"gemm b", func() { gemmAccVec(full(m*n), n, full(m*k), k, 1, full(k*n-1), n, m, n, k) }},
-		{"gemm a transposed", func() { gemmAccVec(full(m*n), n, full(k*m-1), 1, m, full(k*n), n, m, n, k) }},
-		{"gemm stride", func() { gemmAccVec(full(m*n), n, full(m*k), 0, 1, full(k*n), n, m, n, k) }},
-		{"plane dst", func() { axpyPlaneVec(full(2*12+n-1), 12, full(2*20+n), 20, 1, 3, n) }},
-		{"plane src", func() { axpyPlaneVec(full(2*12+n), 12, full(2*20+n-1), 20, 1, 3, n) }},
-		{"transB out", func() { dotTransBVec(full(m*n-1), full(m*k), full(n*k), m, k, n, false) }},
-		{"transB a", func() { dotTransBVec(full(m*n), full(m*k-1), full(n*k), m, k, n, false) }},
-		{"transB b", func() { dotTransBVec(full(m*n), full(m*k), full(n*k-1), m, k, n, true) }},
-		{"gather dst", func() { axpyGather2Vec(full(2*12+n-1), 12, full(2*20+2*n-1), 20, 1, 3, n) }},
-		{"gather src", func() { axpyGather2Vec(full(2*12+n), 12, full(2*20+2*n-2), 20, 1, 3, n) }},
-		{"gather src stride", func() { axpyGather2Vec(full(2*12+n), 12, full(80), 2*n-2, 1, 3, n) }},
-		{"scatter dst", func() { axpyScatter2Vec(full(2*20+2*n-2), 20, full(2*12+n), 12, 1, 3, n) }},
-		{"scatter src", func() { axpyScatter2Vec(full(2*20+2*n-1), 20, full(2*12+n-1), 12, 1, 3, n) }},
-		{"scatter dst stride", func() { axpyScatter2Vec(full(80), 2*n-2, full(2*12+n), 12, 1, 3, n) }},
-		{"dW 3x3 dw", func() { gradW3x3Vec(full(8), full(6*7), full(6*7), &plane3x3) }},
-		{"dW 3x3 dy", func() { gradW3x3Vec(full(9), full(6*7-1), full(6*7), &plane3x3) }},
-		{"dW 3x3 img", func() { gradW3x3Vec(full(9), full(6*7), full(6*7-1), &plane3x3) }},
+		{"gemm out", func() { vec.GemmAcc(full(m*n-1), n, full(m*k), k, 1, full(k*n), n, m, n, k) }},
+		{"gemm a", func() { vec.GemmAcc(full(m*n), n, full(m*k-1), k, 1, full(k*n), n, m, n, k) }},
+		{"gemm b", func() { vec.GemmAcc(full(m*n), n, full(m*k), k, 1, full(k*n-1), n, m, n, k) }},
+		{"gemm a transposed", func() { vec.GemmAcc(full(m*n), n, full(k*m-1), 1, m, full(k*n), n, m, n, k) }},
+		{"gemm stride", func() { vec.GemmAcc(full(m*n), n, full(m*k), 0, 1, full(k*n), n, m, n, k) }},
+		{"plane dst", func() { vec.AxpyPlane(full(2*12+n-1), 12, full(2*20+n), 20, 1, 3, n) }},
+		{"plane src", func() { vec.AxpyPlane(full(2*12+n), 12, full(2*20+n-1), 20, 1, 3, n) }},
+		{"transB out", func() { vec.DotTransB(full(m*n-1), full(m*k), full(n*k), m, k, n, false) }},
+		{"transB a", func() { vec.DotTransB(full(m*n), full(m*k-1), full(n*k), m, k, n, false) }},
+		{"transB b", func() { vec.DotTransB(full(m*n), full(m*k), full(n*k-1), m, k, n, true) }},
+		{"gather dst", func() { vec.AxpyGather2(full(2*12+n-1), 12, full(2*20+2*n-1), 20, 1, 3, n) }},
+		{"gather src", func() { vec.AxpyGather2(full(2*12+n), 12, full(2*20+2*n-2), 20, 1, 3, n) }},
+		{"gather src stride", func() { vec.AxpyGather2(full(2*12+n), 12, full(80), 2*n-2, 1, 3, n) }},
+		{"scatter dst", func() { vec.AxpyScatter2(full(2*20+2*n-2), 20, full(2*12+n), 12, 1, 3, n) }},
+		{"scatter src", func() { vec.AxpyScatter2(full(2*20+2*n-1), 20, full(2*12+n-1), 12, 1, 3, n) }},
+		{"scatter dst stride", func() { vec.AxpyScatter2(full(80), 2*n-2, full(2*12+n), 12, 1, 3, n) }},
+		{"dW 3x3 dw", func() { gradW3x3(full(8), full(6*7), full(6*7), plane3x3) }},
+		{"dW 3x3 dy", func() { gradW3x3(full(9), full(6*7-1), full(6*7), plane3x3) }},
+		{"dW 3x3 img", func() { gradW3x3(full(9), full(6*7), full(6*7-1), plane3x3) }},
 		{"fold dst", func() { FoldScaled(make([]float64, n-1), full(n), 1) }},
 		{"squared distance b", func() { SqDist(0, full(n), full(n-1)) }},
 		{"laned squared distance b", func() { SqDistLanes(0, full(n), full(n-1)) }},
@@ -384,13 +393,13 @@ func TestVecKernelsRejectShortSlices(t *testing.T) {
 		}()
 	}
 	// A zero dimension returns before any slice is touched, nil included.
-	gemmAccVec(nil, 4, nil, 1, 1, nil, 4, 0, 4, 3)
-	gemmAccVec(nil, 4, nil, 1, 1, nil, 4, 2, 4, 0)
-	axpyPlaneVec(nil, 4, nil, 4, 1, 0, 4)
-	dotTransBVec(nil, nil, nil, 0, 3, 4, true)
-	axpyGather2Vec(nil, 4, nil, 8, 1, 0, 4)
-	axpyScatter2Vec(nil, 8, nil, 4, 1, 2, 0)
-	gradW3x3Vec(nil, nil, nil, &ConvDims{KH: 3, KW: 3})
+	vec.GemmAcc(nil, 4, nil, 1, 1, nil, 4, 0, 4, 3)
+	vec.GemmAcc(nil, 4, nil, 1, 1, nil, 4, 2, 4, 0)
+	vec.AxpyPlane(nil, 4, nil, 4, 1, 0, 4)
+	vec.DotTransB(nil, nil, nil, 0, 3, 4, true)
+	vec.AxpyGather2(nil, 4, nil, 8, 1, 0, 4)
+	vec.AxpyScatter2(nil, 8, nil, 4, 1, 2, 0)
+	gradW3x3(nil, nil, nil, ConvDims{KH: 3, KW: 3})
 	FoldScaled(nil, nil, 1)
 	if ss := SqDistLanes(2.5, nil, nil); ss != 2.5 {
 		t.Fatalf("squared distance of nothing changed the incoming sum to %v", ss)

@@ -3,6 +3,8 @@ package tensor
 import (
 	"fmt"
 	"sync/atomic"
+
+	"heteroswitch/internal/vec"
 )
 
 // Weight-stationary packed panels ---------------------------------------------
@@ -105,7 +107,7 @@ func needForms(asA bool) (wantFloat, wantInt8 bool) {
 	case BackendSerial:
 		return false, false
 	case BackendAuto:
-		return !asA && !vecLive, false
+		return !asA && !vec.Live, false
 	default: // packed
 		return !asA, false
 	}

@@ -1,0 +1,49 @@
+// Package vec holds the AVX2 forms of the training and aggregation kernels of
+// internal/tensor and internal/nn, the CPU probe that decides whether they may
+// run, and the one switch those packages read.
+//
+// Live is true exactly when the build carries the routines (amd64 without the
+// purego tag) and a CPUID/XGETBV probe at init found AVX2 with OS-saved YMM
+// state. There is no flag and no environment variable; `go build -tags purego`
+// (or any other GOARCH) builds a binary without assembly, in which Live is
+// false and every routine is a stub that panics. Production code only reads
+// Live; the differential tests flip it to compare the routines against the Go
+// loops of tensor and nn, which stay as the portable path and the oracle.
+//
+// Every wrapper returns before touching a pointer when a dimension is zero and
+// panics when a slice is shorter than the extent its routine reads or writes:
+// an undersized slice is a bounds-check panic in a Go loop and must not become
+// a silent out-of-bounds access here.
+//
+// # Kernel rules
+//
+// The routines are bit-identical to the Go loops by construction, not by
+// tolerance, under two rules; a third admits the one exception.
+//
+//  1. Chains and lanes lie across independent targets, never along a
+//     reduction. A vector's lanes — and a Go loop's side-by-side
+//     accumulators — hold independent accumulation targets: output columns;
+//     eight (i,j) chains of the dot form, fed by an in-register transpose;
+//     the output positions of a depthwise tap, de-interleaved at stride 2;
+//     the nine taps of a 3×3 depthwise weight gradient; eight channels of a
+//     batch-norm sum; the elements of an elementwise sweep. Every target
+//     still receives its terms one at a time in the Go loop's ascending
+//     order, with the same zero-skip (±0 skipped, NaN not) in the AXPY
+//     forms and none in the dot forms. Where a reduction's order IS the
+//     result (batch norm's float64 sums, a tap's dot product over a plane),
+//     the targets beside it are what fills the machine.
+//  2. No FMA. Each step is the Go loop's operation for operation: one
+//     VMULPS then one VADDPS (VMULPD/VADDPD in float64), the two roundings
+//     of the compiler's MULSS + ADDSS (GOAMD64=v1 never fuses). A fused
+//     multiply-add rounds once and would change bits. One ISA, one
+//     selection: no AVX-512 variant, no FMA variant.
+//  3. A reduction takes lanes only when its consumer is a decision and a
+//     proven guard falls back to the serial chain. SqDist is the one such
+//     routine: it returns the gate's squared distance in lane order, and
+//     fl.updateValid takes its verdict from that sum only where
+//     fl.lanesDecide proves no reassociation can flip it; every other input
+//     re-runs the serial chain, tensor.SqDist.
+//
+// So every tol-0 contract, every cmp smoke and cross-machine reproducibility
+// hold across the two implementations.
+package vec

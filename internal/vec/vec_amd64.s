@@ -2,23 +2,19 @@
 
 #include "textflag.h"
 
-// AVX2 oracle-tier kernels. The rules every routine here keeps (see the
-// tier comment in backend.go):
+// The AVX2 routines behind the wrappers in vec.go, under the kernel rules of
+// the package doc (doc.go). What every routine here also keeps:
 //
-//   - lanes lie across INDEPENDENT accumulation targets — output columns,
-//     output positions, (i,j) dot chains, the taps of a kernel — never along
-//     a reduction axis, so each target still sees its partial products one at
-//     a time in ascending inner-index order;
-//   - one VMULPS, then one VADDPS with the accumulator as first source —
-//     never an FMA, whose single rounding would change bits;
 //   - the AXPY forms skip a[x] == ±0 (NaN is not skipped) exactly like the
 //     Go loops' av != 0 test; the dot forms skip nothing;
+//   - compares are ordered-quiet predicates feeding blends, so NaN and −0
+//     take the Go branches;
 //   - a lane that has no element (a row tail, a tap outside the image) is
 //     masked out of every read and write, so no access leaves the slices;
 //   - every routine ends in VZEROUPPER.
 //
-// The Go wrappers in vec.go validate every length before taking a pointer;
-// nothing here re-checks, and m, n, k ≥ 1 is a precondition.
+// The wrappers validate every length before taking a pointer; nothing here
+// re-checks, and every dimension ≥ 1 is a precondition.
 
 // vecMask is the lane-mask table of the column/row tails: eight all-ones
 // lanes, eight zero lanes, eight all-ones lanes. The mask of the FIRST r
@@ -55,14 +51,14 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 	MOVL AX, ret+0(FP)
 	RET
 
-// func vecGemmAcc(c *float32, ldc int, a *float32, ars, acs int, b *float32, ldb, m, n, k int)
+// func gemmAcc(c *float32, ldc int, a *float32, ars, acs int, b *float32, ldb, m, n, k int)
 //
 // c[i·ldc + j] += Σ_x a[i·ars + x·acs] · b[x·ldb + j]   (i < m, j < n, x < k ascending)
 //
 // One output row at a time; within a row, 32 columns live in Y0–Y3 across
 // the whole k extent, then 8-column blocks, then a masked tail of < 8.
 // Terms with a == ±0 are skipped.
-TEXT ·vecGemmAcc(SB), NOSPLIT, $0-80
+TEXT ·gemmAcc(SB), NOSPLIT, $0-80
 	MOVQ c+0(FP), DI
 	MOVQ a+16(FP), SI
 	MOVQ acs+32(FP), R10
@@ -177,13 +173,13 @@ gemmNextRow:
 	VZEROUPPER
 	RET
 
-// func vecAxpyPlane(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int)
+// func axpyPlane(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int)
 //
 // dst[r·dstStride + j] += w · src[r·srcStride + j]   (r < rows, j < n)
 //
 // One depthwise tap over a whole plane: every element is its own target and
 // receives exactly one multiply-add, so lane placement is free.
-TEXT ·vecAxpyPlane(SB), NOSPLIT, $0-56
+TEXT ·axpyPlane(SB), NOSPLIT, $0-56
 	MOVQ dst+0(FP), DI
 	MOVQ dstStride+8(FP), R8
 	SHLQ $2, R8
@@ -344,10 +340,10 @@ axpyNextRow:
 	VADDPS sum, Y0, Y0; \
 	VMASKMOVPS Y0, Y11, ptr
 
-// func vecDotTransB(out, a, b *float32, m, k, n int, acc bool)
+// func dotTransB(out, a, b *float32, m, k, n int, acc bool)
 //
 // Requires n ≥ 8 (the Go wrapper runs narrower outputs on the Go loop).
-TEXT ·vecDotTransB(SB), NOSPLIT, $0-49
+TEXT ·dotTransB(SB), NOSPLIT, $0-49
 	MOVQ k+32(FP), R9
 	SHLQ $2, R9
 	LEAQ (R9)(R9*2), R10
@@ -561,10 +557,10 @@ GLOBL vecEven<>(SB), RODATA|NOPTR, $64
 	NEGQ BX; \
 	VMOVDQU 32(R12)(BX*4), Y11
 
-// func vecAxpyGather2(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int)
+// func axpyGather2(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int)
 //
 // dst[r·dstStride + j] += w · src[r·srcStride + 2j]   (r < rows, j < n)
-TEXT ·vecAxpyGather2(SB), NOSPLIT, $0-56
+TEXT ·axpyGather2(SB), NOSPLIT, $0-56
 	S2SETUP
 
 g2Row:
@@ -606,13 +602,13 @@ g2Next:
 	VZEROUPPER
 	RET
 
-// func vecAxpyScatter2(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int)
+// func axpyScatter2(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int)
 //
 // dst[r·dstStride + 2j] += w · src[r·srcStride + j]   (r < rows, j < n)
 //
 // The odd elements between the targets are re-stored from what was loaded,
 // blended in unchanged, so they keep their bits (a −0 stays −0).
-TEXT ·vecAxpyScatter2(SB), NOSPLIT, $0-56
+TEXT ·axpyScatter2(SB), NOSPLIT, $0-56
 	S2SETUP
 	VMOVDQU vecEven<>+0(SB), Y13
 	VMOVDQU vecEven<>+32(SB), Y14
@@ -663,7 +659,7 @@ s2Next:
 	VZEROUPPER
 	RET
 
-// func vecGradW3x3(acc, dy, img *float32, outH, outW, inH, inW, strideH, strideW, padH, padW int)
+// func gradW3x3(acc, dy, img *float32, outH, outW, inH, inW, strideH, strideW, padH, padW int)
 //
 // One plane's 3×3 depthwise weight gradient. A tap's sum folds its output
 // positions one at a time in ascending (oy, ox) order — that order is the
@@ -681,7 +677,7 @@ s2Next:
 // in the row, R13 = iy0, BX bit k set when kernel row k is inside, R8 = the
 // bound below which (unsigned) ix0 has all three columns inside, R12 the mask
 // table, X6 the three-lane mask, X3 this position's mask, X5 dy broadcast.
-TEXT ·vecGradW3x3(SB), NOSPLIT, $8-88
+TEXT ·gradW3x3(SB), NOSPLIT, $8-88
 	MOVQ dy+8(FP), DI
 	MOVQ inW+48(FP), R11
 	LEAQ -2(R11), R8
@@ -797,8 +793,8 @@ gwNext:
 	VZEROUPPER
 	RET
 
-// The aggregation step's two float64 sweeps (FoldScaled, SqDistLanes in
-// vec.go). n is a positive multiple of 4 — the wrappers run the last n%4
+// The aggregation step's two float64 sweeps (FoldScaled and SqDist in
+// vec.go). n is a positive multiple of 4 — the Go callers run the last n%4
 // elements in Go — so nothing is masked.
 //
 // FOLD4 is dst[j] += w·float64(src[j]) for four elements, each its own target:
@@ -811,8 +807,8 @@ gwNext:
 	VADDPD d(DI), y, y; \
 	VMOVUPD y, d(DI)
 
-// func vecFoldScaled(dst *float64, src *float32, w float64, n int)
-TEXT ·vecFoldScaled(SB), NOSPLIT, $0-32
+// func foldScaled(dst *float64, src *float32, w float64, n int)
+TEXT ·foldScaled(SB), NOSPLIT, $0-32
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
 	VBROADCASTSD w+16(FP), Y15
@@ -851,13 +847,13 @@ foldDone:
 	VMULPD y, y, y; \
 	VADDPD y, acc, acc
 
-// func vecSqDist(a, b *float32, n int) float64
+// func sqDist(a, b *float32, n int) float64
 //
 // Σ_j (float64(a[j]) − float64(b[j]))² in LANE order: sixteen chains (Y0–Y3)
 // take every sixteenth element each, then fold pairwise. The one routine
 // here whose lanes lie along a reduction: its terms are the serial chain's
-// bits, its sum is not. SqDistLanes states who may call it.
-TEXT ·vecSqDist(SB), NOSPLIT, $0-32
+// bits, its sum is not. The package doc's third rule says who may call it.
+TEXT ·sqDist(SB), NOSPLIT, $0-32
 	MOVQ a+0(FP), SI
 	MOVQ b+8(FP), DX
 	MOVQ n+16(FP), CX
@@ -897,4 +893,517 @@ sqDone:
 	VADDSD X1, X0, X0
 	VMOVSD X0, ret+24(FP)
 	VZEROUPPER
+	RET
+
+// ---- the training sweeps: activations, bias add, batch norm ----
+
+// The hard-sigmoid constants 3, 6, 1, −3 as float32 bits.
+DATA hsConst<>+0(SB)/4, $0x40400000
+DATA hsConst<>+4(SB)/4, $0x40c00000
+DATA hsConst<>+8(SB)/4, $0x3f800000
+DATA hsConst<>+12(SB)/4, $0xc0400000
+GLOBL hsConst<>(SB), RODATA|NOPTR, $16
+
+// TAILMASK loads the mask of the first n%8 lanes into Y9 (n in reg).
+#define TAILMASK(reg, tmp) \
+	MOVQ reg, tmp; \
+	ANDQ $7, tmp; \
+	NEGQ tmp; \
+	LEAQ vecMask<>(SB), reg; \
+	VMOVDQU 32(reg)(tmp*4), Y9
+
+// HSCONST loads 3, 6, 1, 0 into Y12–Y15.
+#define HSCONST \
+	VBROADCASTSS hsConst<>+0(SB), Y12; \
+	VBROADCASTSS hsConst<>+4(SB), Y13; \
+	VBROADCASTSS hsConst<>+8(SB), Y14; \
+	VXORPS Y15, Y15, Y15
+
+// HARDSIG leaves hardSigmoid(Y0) in Y1: s = (v+3)/6; s < 0 → 0; s > 1 → 1.
+// Clobbers Y2, Y3.
+#define HARDSIG \
+	VADDPS Y12, Y0, Y1; \
+	VDIVPS Y13, Y1, Y1; \
+	VCMPPS $0x11, Y15, Y1, Y2; \
+	VCMPPS $0x1e, Y14, Y1, Y3; \
+	VBLENDVPS Y2, Y15, Y1, Y1; \
+	VBLENDVPS Y3, Y14, Y1, Y1
+
+// HSWGRAD turns v = Y0, dy = Y5 into dy·(hs(v) + [−3 < v < 3]·v/6) in Y5.
+// Y11 holds −3. Clobbers Y1–Y4.
+#define HSWGRAD \
+	HARDSIG; \
+	VCMPPS $0x1e, Y11, Y0, Y2; \
+	VCMPPS $0x11, Y12, Y0, Y3; \
+	VANDPS Y3, Y2, Y2; \
+	VDIVPS Y13, Y0, Y4; \
+	VADDPS Y4, Y1, Y4; \
+	VBLENDVPS Y2, Y4, Y1, Y1; \
+	VMULPS Y1, Y5, Y5
+
+// func hardSwish(y, x *float32, n int)
+//
+// y[i] = x[i] · hardSigmoid(x[i])
+TEXT ·hardSwish(SB), NOSPLIT, $0-24
+	MOVQ y+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), BX
+	HSCONST
+	XORQ AX, AX
+
+hswBlk:
+	CMPQ BX, $8
+	JLT  hswTail
+	VMOVUPS (SI)(AX*1), Y0
+	HARDSIG
+	VMULPS Y1, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ $32, AX
+	SUBQ $8, BX
+	JMP  hswBlk
+
+hswTail:
+	TESTQ BX, BX
+	JZ    hswDone
+	TAILMASK(BX, CX)
+	VMASKMOVPS (SI)(AX*1), Y9, Y0
+	HARDSIG
+	VMULPS Y1, Y0, Y0
+	VMASKMOVPS Y0, Y9, (DI)(AX*1)
+
+hswDone:
+	VZEROUPPER
+	RET
+
+// func hardSwishGrad(dx, dy, x *float32, n int)
+//
+// dx[i] = dy[i] · (hardSigmoid(x[i]) + x[i]/6 inside (−3, 3))
+TEXT ·hardSwishGrad(SB), NOSPLIT, $0-32
+	MOVQ dx+0(FP), DI
+	MOVQ dy+8(FP), DX
+	MOVQ x+16(FP), SI
+	MOVQ n+24(FP), BX
+	HSCONST
+	VBROADCASTSS hsConst<>+12(SB), Y11
+	XORQ AX, AX
+
+hsgBlk:
+	CMPQ BX, $8
+	JLT  hsgTail
+	VMOVUPS (SI)(AX*1), Y0
+	VMOVUPS (DX)(AX*1), Y5
+	HSWGRAD
+	VMOVUPS Y5, (DI)(AX*1)
+	ADDQ $32, AX
+	SUBQ $8, BX
+	JMP  hsgBlk
+
+hsgTail:
+	TESTQ BX, BX
+	JZ    hsgDone
+	TAILMASK(BX, CX)
+	VMASKMOVPS (SI)(AX*1), Y9, Y0
+	VMASKMOVPS (DX)(AX*1), Y9, Y5
+	HSWGRAD
+	VMASKMOVPS Y5, Y9, (DI)(AX*1)
+
+hsgDone:
+	VZEROUPPER
+	RET
+
+// func biasAct(y *float32, rows, n int, bias *float32, hswish bool)
+//
+// y[r·n + j] = act(y[r·n + j] + bias[r]), act the identity or hard-swish:
+// the conv bias add of training and the frozen conv epilogue.
+TEXT ·biasAct(SB), NOSPLIT, $0-33
+	MOVQ y+0(FP), DI
+	MOVQ rows+8(FP), R13
+	MOVQ n+16(FP), R10
+	MOVQ bias+24(FP), SI
+	MOVBLZX hswish+32(FP), R8
+	HSCONST
+	MOVQ R10, BX
+	TAILMASK(BX, CX)
+	MOVQ R10, R11
+	SHLQ $2, R11            // row step, bytes
+
+baRow:
+	VBROADCASTSS (SI), Y10
+	XORQ AX, AX
+	MOVQ R10, BX
+
+baBlk:
+	CMPQ BX, $8
+	JLT  baTail
+	VMOVUPS (DI)(AX*1), Y0
+	VADDPS Y10, Y0, Y0
+	TESTQ R8, R8
+	JZ   baStore
+	HARDSIG
+	VMULPS Y1, Y0, Y0
+
+baStore:
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ $32, AX
+	SUBQ $8, BX
+	JMP  baBlk
+
+baTail:
+	TESTQ BX, BX
+	JZ    baNext
+	VMASKMOVPS (DI)(AX*1), Y9, Y0
+	VADDPS Y10, Y0, Y0
+	TESTQ R8, R8
+	JZ   baStoreTail
+	HARDSIG
+	VMULPS Y1, Y0, Y0
+
+baStoreTail:
+	VMASKMOVPS Y0, Y9, (DI)(AX*1)
+
+baNext:
+	ADDQ R11, DI
+	ADDQ $4, SI
+	DECQ R13
+	JNZ  baRow
+	VZEROUPPER
+	RET
+
+// func bnNormalize(out, xhat, x *float32, stride, rows, n int, mean, inv, gamma, beta float32)
+//
+// For r < rows, j < n at offset r·stride + j (one channel across the batch):
+// xhat = (x − mean)·inv; out = g·xhat + b.
+TEXT ·bnNormalize(SB), NOSPLIT, $0-64
+	MOVQ out+0(FP), DI
+	MOVQ xhat+8(FP), DX
+	MOVQ x+16(FP), SI
+	MOVQ stride+24(FP), R11
+	SHLQ $2, R11
+	MOVQ rows+32(FP), R13
+	MOVQ n+40(FP), R10
+	VBROADCASTSS mean+48(FP), Y12
+	VBROADCASTSS inv+52(FP), Y13
+	VBROADCASTSS gamma+56(FP), Y14
+	VBROADCASTSS beta+60(FP), Y15
+	MOVQ R10, BX
+	TAILMASK(BX, CX)
+
+bnfRow:
+	XORQ AX, AX
+	MOVQ R10, BX
+
+bnfBlk:
+	CMPQ BX, $8
+	JLT  bnfTail
+	VMOVUPS (SI)(AX*1), Y0
+	VSUBPS Y12, Y0, Y0
+	VMULPS Y13, Y0, Y0
+	VMOVUPS Y0, (DX)(AX*1)
+	VMULPS Y0, Y14, Y1
+	VADDPS Y15, Y1, Y1
+	VMOVUPS Y1, (DI)(AX*1)
+	ADDQ $32, AX
+	SUBQ $8, BX
+	JMP  bnfBlk
+
+bnfTail:
+	TESTQ BX, BX
+	JZ    bnfNext
+	VMASKMOVPS (SI)(AX*1), Y9, Y0
+	VSUBPS Y12, Y0, Y0
+	VMULPS Y13, Y0, Y0
+	VMASKMOVPS Y0, Y9, (DX)(AX*1)
+	VMULPS Y0, Y14, Y1
+	VADDPS Y15, Y1, Y1
+	VMASKMOVPS Y1, Y9, (DI)(AX*1)
+
+bnfNext:
+	ADDQ R11, DI
+	ADDQ R11, DX
+	ADDQ R11, SI
+	DECQ R13
+	JNZ  bnfRow
+	VZEROUPPER
+	RET
+
+// BNGRAD turns dy = Y0, xhat = Y1 into the batch-norm input gradient in Y0:
+// scale·((m·(dy·g) − sDyG) − (xhat·sDyXh)·g), constants in Y10–Y14.
+#define BNGRAD \
+	VMULPS Y10, Y0, Y0; \
+	VMULPS Y0, Y12, Y0; \
+	VSUBPS Y13, Y0, Y0; \
+	VMULPS Y14, Y1, Y1; \
+	VMULPS Y10, Y1, Y1; \
+	VSUBPS Y1, Y0, Y0; \
+	VMULPS Y0, Y11, Y0
+
+// func bnGradX(dx, dy, xhat *float32, stride, rows, n int, gamma, scale, m, sDyG, sDyXh float32)
+TEXT ·bnGradX(SB), NOSPLIT, $0-68
+	MOVQ dx+0(FP), DI
+	MOVQ dy+8(FP), DX
+	MOVQ xhat+16(FP), SI
+	MOVQ stride+24(FP), R11
+	SHLQ $2, R11
+	MOVQ rows+32(FP), R13
+	MOVQ n+40(FP), R10
+	VBROADCASTSS gamma+48(FP), Y10
+	VBROADCASTSS scale+52(FP), Y11
+	VBROADCASTSS m+56(FP), Y12
+	VBROADCASTSS sDyG+60(FP), Y13
+	VBROADCASTSS sDyXh+64(FP), Y14
+	MOVQ R10, BX
+	TAILMASK(BX, CX)
+
+bnbRow:
+	XORQ AX, AX
+	MOVQ R10, BX
+
+bnbBlk:
+	CMPQ BX, $8
+	JLT  bnbTail
+	VMOVUPS (DX)(AX*1), Y0
+	VMOVUPS (SI)(AX*1), Y1
+	BNGRAD
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ $32, AX
+	SUBQ $8, BX
+	JMP  bnbBlk
+
+bnbTail:
+	TESTQ BX, BX
+	JZ    bnbNext
+	VMASKMOVPS (DX)(AX*1), Y9, Y0
+	VMASKMOVPS (SI)(AX*1), Y9, Y1
+	BNGRAD
+	VMASKMOVPS Y0, Y9, (DI)(AX*1)
+
+bnbNext:
+	ADDQ R11, DI
+	ADDQ R11, DX
+	ADDQ R11, SI
+	DECQ R13
+	JNZ  bnbRow
+	VZEROUPPER
+	RET
+
+// The batch-norm reductions. A channel's float64 sums fold its elements one
+// at a time — that order is the result — but the channels are independent
+// targets, so the lanes are channels: eight neighbouring channels' planes
+// (n elements each, n apart) are read four consecutive j at a time, channels
+// k and k+4 in the two halves of one register, transposed in place so that
+// each register holds ONE j for the eight channels, widened (VCVTPS2PD, low
+// and high half) and folded with one VADDPD per sum, VMULPD before the second
+// — four float64 chains, each channel's j ascending, samples ascending.
+//
+// Register plan: SI / R8 channels 0–3 / 4–7 of a, DX / R12 of b, R9 = 4n
+// (channel pitch, bytes), R10 = 12n, R11 = sample stride (bytes), AX bytes
+// advanced along j, CX j left, R13 samples left. Y12/Y13 Σa (channels 0–3 /
+// 4–7), Y14/Y15 Σa·b.
+
+// BNLOAD fills Y0–Y3 with p[k][j..j+3] | q[k][j..j+3], k = 0..3.
+#define BNLOAD(p, q) \
+	VMOVUPS (p), X0; \
+	VINSERTF128 $1, (q), Y0, Y0; \
+	VMOVUPS (p)(R9*1), X1; \
+	VINSERTF128 $1, (q)(R9*1), Y1, Y1; \
+	VMOVUPS (p)(R9*2), X2; \
+	VINSERTF128 $1, (q)(R9*2), Y2, Y2; \
+	VMOVUPS (p)(R10*1), X3; \
+	VINSERTF128 $1, (q)(R10*1), Y3, Y3
+
+// BNLOADMASK is BNLOAD for the last n%4 j through the lane mask m (masked-off
+// lanes read as zero and never touch memory); t is a scratch register.
+#define BNLOADMASK(p, q, m, t) \
+	VMASKMOVPS (p), m, X0; \
+	VMASKMOVPS (q), m, t; \
+	VINSERTF128 $1, t, Y0, Y0; \
+	VMASKMOVPS (p)(R9*1), m, X1; \
+	VMASKMOVPS (q)(R9*1), m, t; \
+	VINSERTF128 $1, t, Y1, Y1; \
+	VMASKMOVPS (p)(R9*2), m, X2; \
+	VMASKMOVPS (q)(R9*2), m, t; \
+	VINSERTF128 $1, t, Y2, Y2; \
+	VMASKMOVPS (p)(R10*1), m, X3; \
+	VMASKMOVPS (q)(R10*1), m, t; \
+	VINSERTF128 $1, t, Y3, Y3
+
+// BNTRANSPOSE turns rows Y0–Y3 into columns c0–c3 (j, j+1, j+2, j+3), each
+// holding that j for the eight channels in lane order. c2 and c3 double as
+// scratch; Y0 and Y1 are clobbered.
+#define BNTRANSPOSE(c0, c1, c2, c3) \
+	VUNPCKLPS Y1, Y0, c2; \
+	VUNPCKHPS Y1, Y0, c3; \
+	VUNPCKLPS Y3, Y2, Y0; \
+	VUNPCKHPS Y3, Y2, Y1; \
+	VUNPCKLPD Y0, c2, c0; \
+	VUNPCKHPD Y0, c2, c1; \
+	VUNPCKLPD Y1, c3, c2; \
+	VUNPCKHPD Y1, c3, c3
+
+// BNWIDEN leaves column (ay, its low half ax) as float64 in Y0 (channels 0–3)
+// and Y1 (4–7) and folds it into Σa.
+#define BNWIDEN(ay, ax) \
+	VCVTPS2PD ax, Y0; \
+	VEXTRACTF128 $1, ay, X1; \
+	VCVTPS2PD X1, Y1; \
+	VADDPD Y0, Y12, Y12; \
+	VADDPD Y1, Y13, Y13
+
+// BNSQ folds one column of a into Σa and Σa·a.
+#define BNSQ(ay, ax) \
+	BNWIDEN(ay, ax); \
+	VMULPD Y0, Y0, Y2; \
+	VMULPD Y1, Y1, Y3; \
+	VADDPD Y2, Y14, Y14; \
+	VADDPD Y3, Y15, Y15
+
+// BNDOT folds one column of a and the same column of b into Σa and Σa·b.
+#define BNDOT(ay, ax, by, bx) \
+	BNWIDEN(ay, ax); \
+	VCVTPS2PD bx, Y2; \
+	VEXTRACTF128 $1, by, X3; \
+	VCVTPS2PD X3, Y3; \
+	VMULPD Y2, Y0, Y2; \
+	VMULPD Y3, Y1, Y3; \
+	VADDPD Y2, Y14, Y14; \
+	VADDPD Y3, Y15, Y15
+
+// BNSETUP loads the shared registers of both reductions.
+#define BNSETUP(aArg, strideArg, rowsArg, nArg) \
+	MOVQ aArg, SI; \
+	MOVQ strideArg, R11; \
+	SHLQ $2, R11; \
+	MOVQ rowsArg, R13; \
+	MOVQ nArg, R9; \
+	SHLQ $2, R9; \
+	LEAQ (R9)(R9*2), R10; \
+	VXORPD Y12, Y12, Y12; \
+	VXORPD Y13, Y13, Y13; \
+	VXORPD Y14, Y14, Y14; \
+	VXORPD Y15, Y15, Y15
+
+// BNSTORE writes the eight Σa and the eight Σa·b.
+#define BNSTORE(sumArg, dotArg) \
+	MOVQ sumArg, DI; \
+	VMOVUPD Y12, (DI); \
+	VMOVUPD Y13, 32(DI); \
+	MOVQ dotArg, DI; \
+	VMOVUPD Y14, (DI); \
+	VMOVUPD Y15, 32(DI); \
+	VZEROUPPER
+
+// BNTAILMASK loads the mask of the first CX (1..3) of four lanes into m.
+#define BNTAILMASK(m) \
+	LEAQ vecMask<>(SB), BX; \
+	NEGQ CX; \
+	VMOVDQU 32(BX)(CX*4), m; \
+	NEGQ CX
+
+// func bnSumSq(sum, dot *float64, a *float32, stride, rows, n int)
+//
+// sum[c] = Σ a, dot[c] = Σ a·a over rows samples of n elements for the eight
+// channels c·n into a: the training forward's (Σx, Σx²).
+TEXT ·bnSumSq(SB), NOSPLIT, $0-48
+	BNSETUP(a+16(FP), stride+24(FP), rows+32(FP), n+40(FP))
+
+bnqRow:
+	LEAQ (SI)(R9*4), R8
+	XORQ AX, AX
+	MOVQ n+40(FP), CX
+
+bnqBlk:
+	CMPQ CX, $4
+	JLT  bnqTail
+	BNLOAD(SI, R8)
+	BNTRANSPOSE(Y4, Y5, Y6, Y7)
+	BNSQ(Y4, X4)
+	BNSQ(Y5, X5)
+	BNSQ(Y6, X6)
+	BNSQ(Y7, X7)
+	ADDQ $16, SI
+	ADDQ $16, R8
+	ADDQ $16, AX
+	SUBQ $4, CX
+	JMP  bnqBlk
+
+bnqTail:
+	TESTQ CX, CX
+	JZ    bnqNext
+	BNTAILMASK(X4)
+	BNLOADMASK(SI, R8, X4, X5)
+	BNTRANSPOSE(Y4, Y5, Y6, Y7)
+	BNSQ(Y4, X4)
+	CMPQ CX, $2
+	JLT  bnqNext
+	BNSQ(Y5, X5)
+	CMPQ CX, $3
+	JLT  bnqNext
+	BNSQ(Y6, X6)
+
+bnqNext:
+	SUBQ AX, SI
+	ADDQ R11, SI
+	DECQ R13
+	JNZ  bnqRow
+	BNSTORE(sum+0(FP), dot+8(FP))
+	RET
+
+// func bnSumDot(sum, dot *float64, a, b *float32, stride, rows, n int)
+//
+// sum[c] = Σ a, dot[c] = Σ a·b over the same layout: the backward's
+// (Σdy, Σdy·x̂).
+TEXT ·bnSumDot(SB), NOSPLIT, $0-56
+	BNSETUP(a+16(FP), stride+32(FP), rows+40(FP), n+48(FP))
+	MOVQ b+24(FP), DX
+
+bndRow:
+	LEAQ (SI)(R9*4), R8
+	LEAQ (DX)(R9*4), R12
+	XORQ AX, AX
+	MOVQ n+48(FP), CX
+
+bndBlk:
+	CMPQ CX, $4
+	JLT  bndTail
+	BNLOAD(SI, R8)
+	BNTRANSPOSE(Y4, Y5, Y6, Y7)
+	BNLOAD(DX, R12)
+	BNTRANSPOSE(Y8, Y9, Y10, Y11)
+	BNDOT(Y4, X4, Y8, X8)
+	BNDOT(Y5, X5, Y9, X9)
+	BNDOT(Y6, X6, Y10, X10)
+	BNDOT(Y7, X7, Y11, X11)
+	ADDQ $16, SI
+	ADDQ $16, R8
+	ADDQ $16, DX
+	ADDQ $16, R12
+	ADDQ $16, AX
+	SUBQ $4, CX
+	JMP  bndBlk
+
+bndTail:
+	TESTQ CX, CX
+	JZ    bndNext
+	BNTAILMASK(X4)
+	BNLOADMASK(SI, R8, X4, X5)
+	BNTRANSPOSE(Y4, Y5, Y6, Y7)
+	BNTAILMASK(X8)
+	BNLOADMASK(DX, R12, X8, X9)
+	BNTRANSPOSE(Y8, Y9, Y10, Y11)
+	BNDOT(Y4, X4, Y8, X8)
+	CMPQ CX, $2
+	JLT  bndNext
+	BNDOT(Y5, X5, Y9, X9)
+	CMPQ CX, $3
+	JLT  bndNext
+	BNDOT(Y6, X6, Y10, X10)
+
+bndNext:
+	SUBQ AX, SI
+	SUBQ AX, DX
+	ADDQ R11, SI
+	ADDQ R11, DX
+	DECQ R13
+	JNZ  bndRow
+	BNSTORE(sum+0(FP), dot+8(FP))
 	RET

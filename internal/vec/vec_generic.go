@@ -1,0 +1,54 @@
+//go:build !amd64 || purego
+
+package vec
+
+// Portable builds (any non-amd64 target, or -tags purego) carry no routines:
+// Live starts false, and the entries below exist only so the wrappers in
+// vec.go compile.
+const available = false
+
+const none = "vec: vector routine called in a build without one"
+
+func gemmAcc(c *float32, ldc int, a *float32, ars, acs int, b *float32, ldb, m, n, k int) {
+	panic(none)
+}
+
+func axpyPlane(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int) {
+	panic(none)
+}
+
+func dotTransB(out, a, b *float32, m, k, n int, acc bool) { panic(none) }
+
+func axpyGather2(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int) {
+	panic(none)
+}
+
+func axpyScatter2(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int) {
+	panic(none)
+}
+
+func gradW3x3(acc, dy, img *float32, outH, outW, inH, inW, strideH, strideW, padH, padW int) {
+	panic(none)
+}
+
+func foldScaled(dst *float64, src *float32, w float64, n int) { panic(none) }
+
+func sqDist(a, b *float32, n int) float64 { panic(none) }
+
+func hardSwish(y, x *float32, n int) { panic(none) }
+
+func hardSwishGrad(dx, dy, x *float32, n int) { panic(none) }
+
+func biasAct(y *float32, rows, n int, bias *float32, hswish bool) { panic(none) }
+
+func bnNormalize(out, xhat, x *float32, stride, rows, n int, mean, inv, gamma, beta float32) {
+	panic(none)
+}
+
+func bnGradX(dx, dy, xhat *float32, stride, rows, n int, gamma, scale, m, sDyG, sDyXh float32) {
+	panic(none)
+}
+
+func bnSumSq(sum, dot *float64, a *float32, stride, rows, n int) { panic(none) }
+
+func bnSumDot(sum, dot *float64, a, b *float32, stride, rows, n int) { panic(none) }
