@@ -402,10 +402,17 @@
 //     (exponential think time) arrivals, an affine virtual service-time
 //     model, and a power-of-two-bucket latency histogram (math.Frexp
 //     bucketing, no libm). The steady-state request path performs zero heap
-//     allocations (asserted by TestLoadSteadyStateZeroAlloc). Report
-//     quantiles are nearest-rank order statistics (index ceil(q·n)-1), so
-//     the printed p99 is the smallest latency with ≥99% of requests at or
-//     below it.
+//     allocations (asserted by TestLoadSteadyStateZeroAlloc). Event
+//     payloads live in a slot slab with a free stack, not a map: the
+//     simclock ID is seq<<32 | slot, so IDs still compare by the unique,
+//     increasing seq and the tie-break at one instant stays schedule order.
+//     A negative, NaN or +Inf event instant or service duration fails the
+//     run instead of reaching the clock. Report quantiles are nearest-rank
+//     order statistics (index ceil(q·n)-1), so the printed p99 is the
+//     smallest latency with ≥99% of requests at or below it; the latencies
+//     are sorted by an O(n) LSD radix sort on their float64 bits (sort.Float64s
+//     only for a negative or non-finite key) and the mean is summed in that
+//     sorted order, so MeanLatency is bit-identical to the comparison sort's.
 //
 // Train-while-serve wiring: fl.AsyncServer.OnPublish fires synchronously
 // from finalizeWindow for every window that installs a new global version

@@ -164,12 +164,13 @@ type Report struct {
 
 // quantiles fills the report's latency summary from the raw per-request
 // latencies (exact sorted order statistics, not histogram interpolation).
+// The mean is summed in sorted order, so it is one fixed float64 for a given
+// multiset of latencies. lat's contents are consumed as sort scratch.
 func (r *Report) quantiles(lat []float64) {
 	if len(lat) == 0 {
 		return
 	}
-	sorted := append([]float64(nil), lat...)
-	sort.Float64s(sorted)
+	sorted := sortLatencies(lat)
 	var sum float64
 	for _, d := range sorted {
 		sum += d
@@ -189,6 +190,61 @@ func (r *Report) quantiles(lat []float64) {
 		return sorted[idx]
 	}
 	r.P50, r.P95, r.P99 = pick(0.50), pick(0.95), pick(0.99)
+}
+
+// radixBits is sortLatencies' digit width: six passes cover the 63 bits
+// below the sign, and 2048 counters per digit stay cache-resident.
+const (
+	radixBits = 11
+	radixMask = 1<<radixBits - 1
+)
+
+// sortLatencies returns lat's values in ascending order — exactly the slice
+// sort.Float64s produces — in O(n): an LSD radix sort on the float64 bit
+// patterns, skipping every digit position no key varies in. Non-negative
+// finite floats order like their bits, and equal ones have equal bits, so
+// the sorted slice is unique. A key with the sign bit set (negative, -0) or
+// an all-ones exponent (Inf, NaN) sends the whole slice to sort.Float64s
+// instead. lat is overwritten: sorted in place on that path, and on the radix
+// path the passes alternate between it and one new buffer.
+func sortLatencies(lat []float64) []float64 {
+	if len(lat) < 2 {
+		return lat
+	}
+	var counts [6][1 << radixBits]int
+	for _, d := range lat {
+		b := math.Float64bits(d)
+		if b >= 0x7ff0000000000000 {
+			sort.Float64s(lat)
+			return lat
+		}
+		counts[0][b&radixMask]++
+		counts[1][b>>radixBits&radixMask]++
+		counts[2][b>>(2*radixBits)&radixMask]++
+		counts[3][b>>(3*radixBits)&radixMask]++
+		counts[4][b>>(4*radixBits)&radixMask]++
+		counts[5][b>>(5*radixBits)]++
+	}
+	first := math.Float64bits(lat[0])
+	src, dst := lat, make([]float64, len(lat))
+	for p := range counts {
+		shift := radixBits * p
+		c := &counts[p]
+		if c[first>>shift&radixMask] == len(lat) {
+			continue // every key has this digit
+		}
+		sum := 0
+		for i, n := range c {
+			c[i], sum = sum, sum+n
+		}
+		for _, d := range src {
+			k := math.Float64bits(d) >> shift & radixMask
+			dst[c[k]] = d
+			c[k]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // String renders the summary; like the histogram it is deterministic, so the

@@ -55,14 +55,27 @@ const (
 	evPublish         // a trained global version lands in the store (wired runs)
 )
 
-// simEvent is one scheduled occurrence, keyed by its simclock event ID.
+// simEvent is one scheduled occurrence, stored in the slot its simclock
+// event ID names. An evPublish carries no payload here: at most one is ever
+// pending (PublishAt drains through its own instant before returning), so
+// its weights wait in loadState.publishW.
 type simEvent struct {
 	kind int
-	req  int        // evArrival: request id
-	gen  int        // evDeadline: forming-batch generation at schedule time
-	b    *batch     // evDone: the serviced batch
-	w    nn.Weights // evPublish: the trained weights to publish
+	req  int    // evArrival: request id
+	gen  int    // evDeadline: forming-batch generation at schedule time
+	b    *batch // evDone: the serviced batch
 }
+
+// An event's simclock ID is seq<<slotBits | slot. seq is unique and
+// increasing, so IDs order exactly as seq does: the clock's tie-break at one
+// virtual instant stays schedule order. That holds for 2^31 events per run,
+// far beyond what the per-request buffers of a run fit in memory for. slotMask
+// is an int constant that overflows a 32-bit int, so the encoding refuses to
+// compile where it would not fit.
+const (
+	slotBits = 32
+	slotMask = 1<<slotBits - 1
+)
 
 // batch is one flushed micro-batch: request ids pinned to the model version
 // current at flush, plus the replica executing it.
@@ -81,9 +94,14 @@ type loadState struct {
 	srv *Server
 	err error
 
-	clock  simclock.Clock
-	seq    int
-	events map[int]simEvent
+	// Pending events live in a slot slab, not a map: events[slot] holds the
+	// payload of the clock event whose ID carries that slot, and freeSlots
+	// stacks the slots popped events gave back.
+	clock     simclock.Clock
+	seq       int
+	events    []simEvent
+	freeSlots []int
+	publishW  nn.Weights // the pending evPublish's weights
 
 	// Request bookkeeping, preallocated for all lc.Requests.
 	nextReq    int
@@ -173,7 +191,6 @@ func (s *Server) beginLoad(lc LoadConfig) error {
 	}
 	ld := &s.ld
 	*ld = loadState{lc: lc, srv: s}
-	ld.events = make(map[int]simEvent)
 	ld.sampleSize = lc.Inputs[0].Size()
 	for _, x := range lc.Inputs {
 		if x.Size() != ld.sampleSize {
@@ -246,33 +263,53 @@ func (s *Server) beginLoad(lc LoadConfig) error {
 		ld.nextReq = 1
 		ld.schedule(lc.Arrival.Delay(0, 0), simEvent{kind: evArrival, req: 0})
 	}
-	return nil
+	return ld.err
 }
 
 // schedule enqueues ev after delay; the monotonic seq doubles as the
-// deterministic tie-break at equal virtual instants.
+// deterministic tie-break at equal virtual instants. A negative or NaN delay
+// — a model pricing an event before now — fails the run.
 func (ld *loadState) schedule(delay float64, ev simEvent) {
+	if !(delay >= 0) {
+		ld.err = fmt.Errorf("serve: event delay %v, want a delay >= 0", delay)
+		return
+	}
 	ld.scheduleAt(ld.clock.Now()+delay, ev)
 }
 
 // scheduleAt enqueues ev at an absolute virtual instant (used by PublishAt,
 // whose timestamps come from the trainer's clock and must not pick up
-// float rounding from a now+delay round trip).
+// float rounding from a now+delay round trip). An instant before now, NaN or
+// +Inf fails the run instead of reaching the clock, whose heap order NaN
+// would corrupt and where +Inf would stall every later event.
 func (ld *loadState) scheduleAt(at float64, ev simEvent) {
-	id := ld.seq
+	if !(at >= ld.clock.Now() && at <= math.MaxFloat64) {
+		ld.err = fmt.Errorf("serve: event at %v, want a finite instant >= now (%v)", at, ld.clock.Now())
+		return
+	}
+	var slot int
+	if n := len(ld.freeSlots); n > 0 {
+		slot = ld.freeSlots[n-1]
+		ld.freeSlots = ld.freeSlots[:n-1]
+		ld.events[slot] = ev
+	} else {
+		slot = len(ld.events)
+		ld.events = append(ld.events, ev)
+	}
+	ld.clock.Schedule(at, ld.seq<<slotBits|slot)
 	ld.seq++
-	ld.events[id] = ev
-	ld.clock.Schedule(at, id)
 }
 
-// popEvent takes the clock's next event out of the pending map.
+// popEvent takes the clock's next event out of its slot and frees the slot.
 func (ld *loadState) popEvent() (simEvent, bool) {
 	ev, ok := ld.clock.Next()
 	if !ok {
 		return simEvent{}, false
 	}
-	e := ld.events[ev.ID]
-	delete(ld.events, ev.ID)
+	slot := ev.ID & slotMask
+	e := ld.events[slot]
+	ld.events[slot] = simEvent{}
+	ld.freeSlots = append(ld.freeSlots, slot)
 	return e, true
 }
 
@@ -299,19 +336,21 @@ func (s *Server) step() bool {
 	case evDone:
 		ld.onDone(e.b)
 	case evPublish:
-		ld.applyPublish(e.w)
+		ld.applyPublish()
 	}
 	return ld.done < ld.lc.Requests && ld.err == nil
 }
 
-// applyPublish installs a trained global version: the forming batch (if any)
-// flushes first, pinned to the pre-publish version — exactly the ordering the
-// PublishEvery churn path uses — and then the store advances.
-func (ld *loadState) applyPublish(w nn.Weights) {
+// applyPublish installs the pending trained global version: the forming
+// batch (if any) flushes first, pinned to the pre-publish version — exactly
+// the ordering the PublishEvery churn path uses — and then the store
+// advances.
+func (ld *loadState) applyPublish() {
 	if len(ld.forming) > 0 {
 		ld.flush()
 	}
-	ld.curVersion = ld.srv.store.Publish(w)
+	ld.curVersion = ld.srv.store.Publish(ld.publishW)
+	ld.publishW = nn.Weights{}
 }
 
 // onArrival admits one request to the forming batch, flushing at MaxBatch
@@ -440,9 +479,12 @@ func (ld *loadState) startService(b *batch) {
 		}
 	}
 	dur := ld.lc.Service.Batch(len(b.ids), ld.batchSeq)
-	if !(dur >= 0) { // negative or NaN: a completion before the dispatch
+	// Negative or NaN is a completion before the dispatch; +Inf (or a finite
+	// duration whose completion overflows) one that never comes. Checked here,
+	// before the batch takes a worker, so the failed run leaks nothing.
+	if !(dur >= 0 && ld.clock.Now()+dur <= math.MaxFloat64) {
 		ld.unpin(b)
-		ld.err = fmt.Errorf("serve: service model priced a batch of %d at %v, want a duration >= 0", len(b.ids), dur)
+		ld.err = fmt.Errorf("serve: service model priced a batch of %d at %v, want a finite duration >= 0", len(b.ids), dur)
 		return
 	}
 	ld.busy++
@@ -633,10 +675,10 @@ func (s *Server) BeginTrainLoad(lc LoadConfig) error {
 // at or before t. Ordering is fixed and deterministic: serving events already
 // scheduled at exactly t fire before the publish (the publish event carries a
 // larger tie-break ID), the forming batch then flushes pinned to the
-// pre-publish version, and the store advances. t must not precede an instant
-// the serving clock has already passed. The store takes ownership of w —
-// publish a Store().TakeBuffer() copy, never a buffer the trainer will
-// recycle.
+// pre-publish version, and the store advances. t must be finite and must not
+// precede an instant the serving clock has already passed. The store takes
+// ownership of w — publish a Store().TakeBuffer() copy, never a buffer the
+// trainer will recycle.
 func (s *Server) PublishAt(t float64, w nn.Weights) error {
 	ld := &s.ld
 	if !ld.wired {
@@ -645,16 +687,20 @@ func (s *Server) PublishAt(t float64, w nn.Weights) error {
 	if ld.err != nil {
 		return ld.err
 	}
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return fmt.Errorf("serve: publish at %g is not a finite instant", t)
+	}
 	if t < ld.clock.Now() {
 		return fmt.Errorf("serve: publish at %g is in the serving past (now %g)", t, ld.clock.Now())
 	}
+	ld.publishW = w
 	if ld.done >= ld.lc.Requests {
 		// The load has drained; nothing left to interleave with, but the
 		// version stream stays complete for anyone reading the store.
-		ld.applyPublish(w)
+		ld.applyPublish()
 		return nil
 	}
-	ld.scheduleAt(t, simEvent{kind: evPublish, w: w})
+	ld.scheduleAt(t, simEvent{kind: evPublish})
 	return s.advanceTo(t)
 }
 
@@ -673,7 +719,7 @@ func (s *Server) advanceTo(t float64) error {
 			continue
 		}
 		if e, _ := ld.popEvent(); e.kind == evPublish {
-			ld.applyPublish(e.w)
+			ld.applyPublish()
 		}
 	}
 	return ld.err

@@ -110,25 +110,50 @@ func TestLoadDeterministicAcrossRuns(t *testing.T) {
 }
 
 // TestLoadRejectsBadConfig: a negative population or publish period is an
-// error before the run starts, and a service model that prices a batch at a
-// negative or NaN duration is an error when the batch would dispatch — never
-// a panic — and leaves no replica or version pinned.
+// error before the run starts; an arrival model that prices a request at a
+// negative, NaN or infinite delay, or a service model that prices a batch at
+// such a duration, is an error when the event would be scheduled; a publish
+// at a non-finite instant is refused — never a panic, never a NaN in the
+// report — and leaves no replica or version pinned.
 func TestLoadRejectsBadConfig(t *testing.T) {
+	publishAt := func(at float64) func(*Server, LoadConfig) error {
+		return func(s *Server, lc LoadConfig) error {
+			if err := s.BeginTrainLoad(lc); err != nil {
+				t.Fatal(err)
+			}
+			err := s.PublishAt(at, s.Store().TakeBuffer())
+			if _, ferr := s.FinishTrainLoad(); ferr != nil {
+				t.Fatalf("publish at %v poisoned the run: %v", at, ferr)
+			}
+			return err
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		edit func(*LoadConfig)
+		run  func(*Server, LoadConfig) error // nil: RunLoad
 	}{
-		{"concurrency -1", func(lc *LoadConfig) { lc.Concurrency = -1 }},
-		{"publish-every -2", func(lc *LoadConfig) { lc.PublishEvery = -2 }},
-		{"service-base -5", func(lc *LoadConfig) { lc.Service = AffineService{Base: -5, PerItem: 0.25} }},
-		{"service-per-item -1", func(lc *LoadConfig) { lc.Service = AffineService{Base: 1, PerItem: -1} }},
-		{"service NaN", func(lc *LoadConfig) { lc.Service = AffineService{Base: math.NaN()} }},
+		{"concurrency -1", func(lc *LoadConfig) { lc.Concurrency = -1 }, nil},
+		{"publish-every -2", func(lc *LoadConfig) { lc.PublishEvery = -2 }, nil},
+		{"service-base -5", func(lc *LoadConfig) { lc.Service = AffineService{Base: -5, PerItem: 0.25} }, nil},
+		{"service-per-item -1", func(lc *LoadConfig) { lc.Service = AffineService{Base: 1, PerItem: -1} }, nil},
+		{"service NaN", func(lc *LoadConfig) { lc.Service = AffineService{Base: math.NaN()} }, nil},
+		{"service +Inf", func(lc *LoadConfig) { lc.Service = AffineService{Base: math.Inf(1)} }, nil},
+		{"open rate -1", func(lc *LoadConfig) { lc.Arrival = OpenLoop{Rate: -1, Seed: 3} }, nil},
+		{"open rate 0", func(lc *LoadConfig) { lc.Arrival = OpenLoop{Rate: 0, Seed: 3} }, nil},
+		{"closed think -1", func(lc *LoadConfig) { lc.Arrival = ClosedLoop{Think: -1, Seed: 3} }, nil},
+		{"publish at NaN", func(*LoadConfig) {}, publishAt(math.NaN())},
+		{"publish at +Inf", func(*LoadConfig) {}, publishAt(math.Inf(1))},
 	} {
 		lc := LoadConfig{Requests: 40, Concurrency: 8, Inputs: testInputs(4)}
 		tc.edit(&lc)
 		s := testServer(t, Config{MaxBatch: 4, BatchBudget: 0.5, Workers: 2})
-		if _, err := s.RunLoad(lc); err == nil {
-			t.Fatalf("%s: RunLoad returned no error", tc.name)
+		run := tc.run
+		if run == nil {
+			run = func(s *Server, lc LoadConfig) error { _, err := s.RunLoad(lc); return err }
+		}
+		if err := run(s, lc); err == nil {
+			t.Fatalf("%s: no error", tc.name)
 		}
 		if free := s.pool.Free(); free != 2 {
 			t.Fatalf("%s: pool has %d free replicas after the error, want 2", tc.name, free)
@@ -257,7 +282,7 @@ func TestLoadSteadyStateZeroAlloc(t *testing.T) {
 	if err := srv.beginLoad(lc); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3000; i++ { // warm the event map, heap, queue, and arenas
+	for i := 0; i < 3000; i++ { // grow the event slot slab and its free stack, the heap, queue, and arenas
 		if !srv.step() {
 			t.Fatal("run finished during warmup; raise Requests")
 		}

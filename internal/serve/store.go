@@ -69,6 +69,11 @@ func (s *Store) Release(v int) {
 func (s *Store) Publish(w nn.Weights) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.publishLocked(w)
+}
+
+// publishLocked is Publish with s.mu already held.
+func (s *Store) publishLocked(w nn.Weights) int {
 	old := s.version
 	s.version++
 	s.current = w
@@ -86,13 +91,16 @@ func (s *Store) Publish(w nn.Weights) int {
 // values, copied into a recycled buffer. Serving output is bit-unchanged;
 // what changes is every version-keyed cache downstream (replica reloads,
 // batch pinning), which is precisely what the load harness's churn knob
-// exercises.
+// exercises. The copy and the publish happen under one lock hold, so a
+// concurrent Publish lands either before the copy (and is what gets
+// republished) or after the new version — never between them, where the
+// republish would roll its values back.
 func (s *Store) Republish() int {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	buf := s.vs.TakeBuffer(s.current)
 	buf.CopyFrom(s.current)
-	s.mu.Unlock()
-	return s.Publish(buf)
+	return s.publishLocked(buf)
 }
 
 // TakeBuffer returns a recycled model-shaped buffer for the next Publish.
