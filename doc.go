@@ -38,12 +38,23 @@
 // math.Pow(code/65535, gamma) per exponent and uses an entry only when
 // float64(code)/65535 == v holds for the sample; any other sample (a
 // pipeline without JPEG) calls math.Pow. The table entry IS the math.Pow
-// result for that very argument. The sRGB encode sees continuous values and
-// keeps its math.Pow per sample — the remaining floor of the path, with the
-// stdlib JPEG codec and demosaicing. The 3×3 median is a 19-exchange
-// selection network and the percentiles are quickselect: both return the
-// order statistic a full sort would. Scenes are resized once per sensor
-// resolution that several devices share.
+// result for that very argument. The sRGB encode sees continuous values.
+// Where its plane goes straight to JPEG (plain sRGB gamma, then a JPEG
+// stage), the JPEG encoder reads it only as to8 bytes, so Process skips the
+// float plane and the hand-off maps each linear sample to its byte through a
+// table of the 255 cuts where the byte steps, each found once per process by
+// bisecting float64 bit patterns on the exact expression. That is exact
+// because the expression's float error can flip a byte only within a few
+// ulps of a cut: a sample within 2^-30 (relative) of one — or NaN, <= 0 or
+// >= 1 — takes the exact expression instead. Elsewhere SRGBEncode calls
+// math.Exp(y·math.Log(v)), which is the very computation math.Pow performs
+// for its exponent 1/2.4, minus the wrapper. The 3×3 median sorts each
+// column of the window once and takes the median of the largest low, the
+// median middle and the smallest high — a min/max network, so checking all
+// 512 zero-one windows proves it equals the sort — and the percentiles are
+// quickselect; both return the order statistic a full sort would. Sensor
+// noise draws, the stdlib JPEG codec and demosaicing are the floor now.
+// Scenes are resized once per sensor resolution that several devices share.
 //
 // Who owns scratch: a capture loop (dataset.Capture*, flair.Build) owns one
 // isp.Scratch per worker, Reset once per image; every intermediate — resized

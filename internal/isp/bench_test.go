@@ -21,7 +21,9 @@ func benchFrame() *RAW {
 // BenchmarkISPStage times each of the 18 Table-3 cells on its own, on the
 // scratch path the capture loops run: the stage's input is the Baseline
 // pipeline's output of the stages before it. In-place stages pay one plane
-// copy per iteration to get a fresh input.
+// copy per iteration to get a fresh input. The compress cells time the plain
+// JPEG roundtrip; the last cell times the fused sRGB-to-JPEG hand-off that
+// Process runs for the Baseline's tone and compress stages.
 func BenchmarkISPStage(b *testing.B) {
 	raw := benchFrame()
 	base := Baseline()
@@ -38,6 +40,15 @@ func BenchmarkISPStage(b *testing.B) {
 			copy(im.Pix, src.Pix)
 			stage(im)
 		}
+	}
+	bench := func(name string, run func()) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				sc.Reset()
+				run()
+			}
+		})
 	}
 	for stage := StageDemosaic; stage < NumStages; stage++ {
 		for opt := 0; opt <= 2; opt++ {
@@ -63,18 +74,19 @@ func BenchmarkISPStage(b *testing.B) {
 					if p.Compress == CompressNone {
 						return
 					}
-					if err := sc.jpegRoundtrip(im, im, p.Compress.quality()); err != nil {
+					if err := sc.jpegRoundtrip(im, im, p.Compress.quality(), false); err != nil {
 						b.Fatal(err)
 					}
 				})
 			}
-			b.Run(fmt.Sprintf("%v/%s", stage, name), func(b *testing.B) {
-				b.ReportAllocs()
-				for b.Loop() {
-					sc.Reset()
-					run()
-				}
-			})
+			bench(fmt.Sprintf("%v/%s", stage, name), run)
 		}
 	}
+	// The Baseline's tone and compress stages as Process runs them: one
+	// hand-off from the linear plane straight to JPEG bytes.
+	bench("tone+compress/srgb-gamma→jpeg-q85", inPlace(mapped, func(im *Image) {
+		if err := sc.jpegRoundtrip(im, im, base.Compress.quality(), true); err != nil {
+			b.Fatal(err)
+		}
+	}))
 }

@@ -40,10 +40,17 @@ func (a CompressAlg) quality() int {
 
 // jpegRoundtrip writes the decoded roundtrip of src into dst (same size; dst
 // may be src). The encoder is handed an opaque *image.RGBA, which it reads
-// byte-wise and encodes to the same stream as the equal *image.NRGBA.
-func (s *Scratch) jpegRoundtrip(dst, src *Image, quality int) error {
+// byte-wise and encodes to the same stream as the equal *image.NRGBA. With
+// srgb set, src is still linear and the hand-off is the sRGB tone stage too:
+// each byte is srgb8 of its sample, the byte applySRGB and to8 would give.
+// The float sRGB plane is never written — the decode overwrites dst anyway.
+func (s *Scratch) jpegRoundtrip(dst, src *Image, quality int, srgb bool) error {
 	rgba := s.rgbaFor(src.W, src.H)
-	src.fill8(rgba.Pix)
+	if srgb {
+		src.fillSRGB8(rgba.Pix)
+	} else {
+		src.fill8(rgba.Pix)
+	}
 	buf := new(bytes.Buffer)
 	if s != nil {
 		buf = &s.jpeg

@@ -53,57 +53,64 @@ func (im *Image) clampCols3(x int) [3]int {
 // by LibRaw/dcraw): an impulse-suppression pass (median of the 3x3
 // neighborhood when the centre is an outlier) followed by a light Gaussian
 // smoothing of chroma-like high frequencies.
+//
+// The 3×3 median reads sorted columns: per row and channel, the window's
+// left, middle and right column triples (rows y-1, y, y+1) slide along x in
+// locals, so each triple is sorted once and read by the three windows that
+// share it (columnMedian).
 func (s *Scratch) denoiseFBDD(im *Image) *Image {
 	out := s.image(im.W, im.H)
 	for y := 0; y < im.H; y++ {
 		rows, o := im.clampRows3(y), out.row(y)
-		for x := 0; x < im.W; x++ {
-			xs := im.clampCols3(x)
-			for c := 0; c < 3; c++ {
-				l, m, r := xs[0]+c, xs[1]+c, xs[2]+c
-				v := rows[1][m]
-				med := median9(
-					rows[0][l], rows[0][m], rows[0][r],
-					rows[1][l], v, rows[1][r],
-					rows[2][l], rows[2][m], rows[2][r])
+		up, row, down := rows[0], rows[1], rows[2]
+		for c := 0; c < 3; c++ {
+			// At x = 0 the clamped left column repeats the middle one.
+			mLo, mMid, mHi := sort3(up[c], row[c], down[c])
+			lLo, lMid, lHi := mLo, mMid, mHi
+			for x := 0; x < im.W; x++ {
+				r := min(x+1, im.W-1)*3 + c
+				rLo, rMid, rHi := sort3(up[r], row[r], down[r])
+				m := x*3 + c
+				v := row[m]
+				med := columnMedian(lLo, mLo, rLo, lMid, mMid, rMid, lHi, mHi, rHi)
 				// Impulse test: centre far outside the local range.
 				if math.Abs(v-med) > 0.15 {
 					v = med
 				}
 				o[m] = v
+				lLo, lMid, lHi = mLo, mMid, mHi
+				mLo, mMid, mHi = rLo, rMid, rHi
 			}
 		}
 	}
 	return s.gaussian3(out, 0.35)
 }
 
-// median9 returns the median of nine values by the 19-exchange selection
-// network (Paeth 1990): the same value sorting them and taking the fifth
-// would give, without the sort. The values must not be NaN — images are
-// finite by construction — and when the median is a zero its sign is the
-// network's pick; the only consumer is gaussian3, whose sums start from +0
-// and so read both zeros alike.
-func median9(p0, p1, p2, p3, p4, p5, p6, p7, p8 float64) float64 {
-	p1, p2 = minmax(p1, p2)
-	p4, p5 = minmax(p4, p5)
-	p7, p8 = minmax(p7, p8)
-	p0, p1 = minmax(p0, p1)
-	p3, p4 = minmax(p3, p4)
-	p6, p7 = minmax(p6, p7)
-	p1, p2 = minmax(p1, p2)
-	p4, p5 = minmax(p4, p5)
-	p7, p8 = minmax(p7, p8)
-	p0, p3 = minmax(p0, p3)
-	p5, p8 = minmax(p5, p8)
-	p4, p7 = minmax(p4, p7)
-	p3, p6 = minmax(p3, p6)
-	p1, p4 = minmax(p1, p4)
-	p2, p5 = minmax(p2, p5)
-	p4, p7 = minmax(p4, p7)
-	p4, p2 = minmax(p4, p2)
-	_, p4 = minmax(p6, p4)
-	p4, _ = minmax(p4, p2)
-	return p4
+// columnMedian returns the median of a 3×3 window from its three columns,
+// each sorted ascending (lo ≤ mid ≤ hi): med3 of the largest low, the median
+// middle and the smallest high. That is the standard selection identity, and
+// it is exact: sort3 plus this is a network of mins and maxes, so by the
+// zero-one principle it selects the fifth of nine for every input once it
+// does for all 512 windows of zeros and ones, which TestMedian9MatchesSort
+// checks. An edge-repeated column is just a column that occurs twice. The
+// values must not be NaN — images are finite by construction — and when the
+// median is a zero its sign is the min/max pick; the only consumer is
+// gaussian3, whose sums start from +0 and so read both zeros alike.
+func columnMedian(lo0, lo1, lo2, mid0, mid1, mid2, hi0, hi1, hi2 float64) float64 {
+	return med3(max(lo0, lo1, lo2), med3(mid0, mid1, mid2), min(hi0, hi1, hi2))
+}
+
+// sort3 returns a, b, c in ascending order: three compare-exchanges.
+func sort3(a, b, c float64) (float64, float64, float64) {
+	a, b = minmax(a, b)
+	b, c = minmax(b, c)
+	a, b = minmax(a, b)
+	return a, b, c
+}
+
+// med3 returns the median of three values.
+func med3(a, b, c float64) float64 {
+	return max(min(a, b), min(max(a, b), c))
 }
 
 // minmax is one compare-exchange: (a, b) in ascending order. The builtins

@@ -190,12 +190,7 @@ func refProcess(p Pipeline, raw *RAW) (*Image, error) {
 	} else {
 		im = WhiteBalance(im, p.WB)
 	}
-	im = GamutMap(im, p.Gamut)
-	if p.Tone == ToneSRGBGammaEq {
-		im = refEqualizeTone(ToneTransform(im, ToneSRGBGamma), 0.5)
-	} else {
-		im = ToneTransform(im, p.Tone)
-	}
+	im = refToneTransform(GamutMap(im, p.Gamut), p.Tone)
 	if p.Compress != CompressNone {
 		var err error
 		if im, err = refJPEGRoundtrip(im, p.Compress.quality()); err != nil {
@@ -255,24 +250,34 @@ func refMedian9(w [9]float64) float64 {
 	return s[4]
 }
 
+// checkMedian9 takes the window in scan order (row by row), sorts its three
+// columns with sort3 the way denoiseFBDD does, and compares columnMedian
+// with the sort.
 func checkMedian9(t *testing.T, w [9]float64) {
 	t.Helper()
 	for _, v := range w {
 		if v != v {
-			return // NaN is outside median9's contract
+			return // NaN is outside columnMedian's contract
 		}
 	}
-	got := median9(w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7], w[8])
+	var lo, mid, hi [3]float64
+	for c := range 3 {
+		lo[c], mid[c], hi[c] = sort3(w[c], w[3+c], w[6+c])
+		if !(lo[c] <= mid[c] && mid[c] <= hi[c]) {
+			t.Fatalf("sort3(%v, %v, %v) = %v, %v, %v", w[c], w[3+c], w[6+c], lo[c], mid[c], hi[c])
+		}
+	}
+	got := columnMedian(lo[0], lo[1], lo[2], mid[0], mid[1], mid[2], hi[0], hi[1], hi[2])
 	// == rather than bits: when the median is a zero, which zero is the
-	// network's pick (see median9).
+	// min/max pick (see columnMedian).
 	if want := refMedian9(w); got != want {
-		t.Fatalf("median9(%v) = %v, want %v", w, got, want)
+		t.Fatalf("columnMedian(%v) = %v, want %v", w, got, want)
 	}
 }
 
 func TestMedian9MatchesSort(t *testing.T) {
-	// Zero-one principle: a comparator network that selects the median of
-	// every 0/1 input selects it for every input.
+	// Zero-one principle: a min/max network that selects the median of every
+	// 0/1 input selects it for every input.
 	for bits := 0; bits < 1<<9; bits++ {
 		var w [9]float64
 		for i := range w {
@@ -283,14 +288,29 @@ func TestMedian9MatchesSort(t *testing.T) {
 	pool := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2250738585072014e-308, 0.15, 0.15, 1,
 		-1, math.Inf(1), math.Inf(-1), math.MaxFloat64, 0.5, 0.5000000000000001}
 	r := frand.New(15)
-	for rep := 0; rep < 20000; rep++ {
+	for rep := 0; rep < 30000; rep++ {
 		var w [9]float64
 		for i := range w {
-			if rep%2 == 0 {
+			switch rep % 3 {
+			case 0:
 				w[i] = pool[r.Intn(len(pool))] // ties, ±0, denormals, infinities
-			} else {
+			case 1:
+				w[i] = float64(r.Intn(3)) / 2 // heavy duplicates: three values
+			default:
 				w[i] = r.NormFloat64()
 			}
+		}
+		checkMedian9(t, w)
+	}
+	// Edge-repeated columns, as the clamp-to-edge window reads them at the
+	// first and last column.
+	for rep := 0; rep < 2000; rep++ {
+		var w [9]float64
+		for i := range w {
+			w[i] = pool[r.Intn(len(pool))]
+		}
+		for row := 0; row < 9; row += 3 {
+			w[row] = w[row+1]
 		}
 		checkMedian9(t, w)
 	}
@@ -440,6 +460,99 @@ func FuzzGammaTableMatchesPow(f *testing.F) {
 	})
 }
 
+// sRGB ----------------------------------------------------------------------
+
+// The Exp/Log form of SRGBEncode is math.Pow's own reduction: same bits.
+func TestSRGBEncodeMatchesPow(t *testing.T) {
+	check := func(v float64) {
+		t.Helper()
+		got, want := SRGBEncode(v), refSRGBEncode(v)
+		if math.Float64bits(got) != math.Float64bits(want) && !(got != got && want != want) {
+			t.Fatalf("SRGBEncode(%v (%#x)) = %#x, want %#x", v, math.Float64bits(v),
+				math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+	for code := 0; code <= 65535; code++ {
+		check(float64(code) / 65535)
+	}
+	knee := 0.0031308
+	for _, v := range []float64{knee, math.Nextafter(knee, 1), math.Nextafter(knee, 0), 1, math.Nextafter(1, 0),
+		math.Nextafter(1, 2), 2, 1e300, math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(), 0,
+		math.Copysign(0, -1), 5e-324, -1} {
+		check(v)
+	}
+	r := frand.New(20)
+	for i := 0; i < 1<<20; i++ {
+		check(r.Float64())
+	}
+}
+
+// srgbFallsBack reports whether srgb8 takes the exact expression for v.
+func srgbFallsBack(tab *srgbCutTable, v float64) bool {
+	if !(v > 0 && v < 1) {
+		return true
+	}
+	k := sort.Search(len(tab.band), func(k int) bool { return v < tab.band[k][1] })
+	return k < len(tab.band) && v >= tab.band[k][0]
+}
+
+func checkSRGB8(t *testing.T, tab *srgbCutTable, v float64) {
+	t.Helper()
+	if got, want := tab.srgb8(v), srgb8Exact(v); got != want {
+		t.Fatalf("srgb8(%v (%#x)) = %d, want %d", v, math.Float64bits(v), got, want)
+	}
+}
+
+// srgb8 is to8(SRGBEncode(clamp01(v))) on every float64: around every cut
+// and both edges of its guard band, at the special values, and on uniform
+// samples.
+func TestSRGB8MatchesEncode(t *testing.T) {
+	tab := srgbCuts()
+	const ulps = 2000
+	for k, b := range tab.band {
+		if b[0] >= b[1] || (k > 0 && tab.band[k-1][1] > b[0]) {
+			t.Fatalf("guard band %d = %v is empty or overlaps the one before", k, b)
+		}
+		for _, at := range []float64{b[0], (b[0] + b[1]) / 2, b[1]} {
+			lo, hi := math.Float64bits(at)-ulps, math.Float64bits(at)+ulps
+			for bits := lo; bits <= hi; bits++ {
+				checkSRGB8(t, tab, math.Float64frombits(bits))
+			}
+		}
+	}
+	for _, v := range []float64{0, math.Copysign(0, -1), 1, math.Nextafter(1, 0), math.Nextafter(1, 2), 5e-324,
+		-5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, -0.5, -1, 1.5, 1e300, math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(), 0.0031308, 0.5, 1.0 / srgbBuckets} {
+		checkSRGB8(t, tab, v)
+	}
+	r := frand.New(21)
+	n := 1 << 21
+	if testing.Short() {
+		n = 1 << 16
+	}
+	fallbacks := 0
+	for i := 0; i < n; i++ {
+		v := r.Float64()
+		checkSRGB8(t, tab, v)
+		if srgbFallsBack(tab, v) {
+			fallbacks++
+		}
+	}
+	t.Logf("%d of %d uniform samples fell back to the exact expression", fallbacks, n)
+}
+
+func FuzzSRGB8MatchesEncode(f *testing.F) {
+	for _, v := range []float64{0, 0.5, 1, 0.0031308, 5e-324, -1, math.Inf(1), math.NaN()} {
+		f.Add(math.Float64bits(v))
+	}
+	tab := srgbCuts()
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		checkSRGB8(t, tab, math.Float64frombits(bits))
+		// Raw bit patterns mostly land outside [0, 1]; fold one into it too.
+		checkSRGB8(t, tab, math.Float64frombits(bits&(1<<52-1)|math.Float64bits(1))-1)
+	})
+}
+
 // JPEG hand-off -------------------------------------------------------------
 
 // Every decoder sample is an exact 16-bit code, which is what lets the
@@ -489,10 +602,19 @@ func TestJPEGHandoffMatchesOracle(t *testing.T) {
 			}
 			sameBits(t, "JPEGRoundtrip", got, want)
 			inPlace := im.Clone()
-			if err := sc.jpegRoundtrip(inPlace, inPlace, q); err != nil {
+			if err := sc.jpegRoundtrip(inPlace, inPlace, q, false); err != nil {
 				t.Fatal(err)
 			}
 			sameBits(t, "jpegRoundtrip in place", inPlace, want)
+			// The fused hand-off: linear in, the roundtrip of the sRGB plane out.
+			if want, err = refJPEGRoundtrip(refToneTransform(im, ToneSRGBGamma), q); err != nil {
+				t.Fatal(err)
+			}
+			fused := im.Clone()
+			if err := sc.jpegRoundtrip(fused, fused, q, true); err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, "jpegRoundtrip fused with sRGB", fused, want)
 		}
 	}
 }

@@ -109,6 +109,18 @@ func (im *Image) fill8(pix []uint8) {
 	}
 }
 
+// fillSRGB8 is fill8 of the sRGB-encoded image, read from the linear one:
+// each byte is srgb8 of its sample.
+func (im *Image) fillSRGB8(pix []uint8) {
+	t := srgbCuts()
+	for i, n := 0, im.W*im.H; i < n; i++ {
+		pix[i*4] = t.srgb8(im.Pix[i*3])
+		pix[i*4+1] = t.srgb8(im.Pix[i*3+1])
+		pix[i*4+2] = t.srgb8(im.Pix[i*3+2])
+		pix[i*4+3] = 255
+	}
+}
+
 // fromGoImage fills dst, which has src's size, with src's 16-bit samples
 // scaled to [0,1]. The JPEG decoder's *image.YCbCr is read plane by plane
 // through the same color.YCbCr conversion its At method boxes per pixel;

@@ -421,6 +421,30 @@ func refJPEGRoundtrip(im *Image, quality int) (*Image, error) {
 	return refFromGoImage(decoded), nil
 }
 
+// SRGBEncode applies the standard piecewise sRGB opto-electronic transfer
+// function to a linear value in [0,1].
+func refSRGBEncode(v float64) float64 {
+	if v <= 0.0031308 {
+		return 12.92 * v
+	}
+	return 1.055*math.Pow(v, 1/2.4) - 0.055
+}
+
+// ToneTransform applies the tone curve, returning a new image.
+func refToneTransform(im *Image, alg ToneAlg) *Image {
+	out := im.Clone()
+	if alg == ToneNone {
+		return out
+	}
+	for i, v := range out.Pix {
+		out.Pix[i] = refSRGBEncode(clamp01(v))
+	}
+	if alg == ToneSRGBGammaEq {
+		out = refEqualizeTone(out, 0.5)
+	}
+	return out
+}
+
 // equalizeTone blends each pixel's luma toward its histogram-equalized value
 // with strength `amount`, preserving chroma ratios — a simple global tone
 // equalization as bundled with camera "auto contrast" modes.

@@ -97,15 +97,19 @@ func (p Pipeline) Process(raw *RAW) (*Image, error) { return (*Scratch)(nil).Pro
 // Process is Pipeline.Process on scratch storage. Demosaic and the
 // neighbourhood denoisers write fresh planes; every later stage is pointwise
 // (or, for JPEG, reads all of the image before writing any of it) and works
-// in place on the plane it is handed.
+// in place on the plane it is handed. Plain sRGB gamma followed by JPEG runs
+// as one step: the hand-off encodes the linear plane straight to bytes.
 func (s *Scratch) Process(p Pipeline, raw *RAW) (*Image, error) {
 	im := s.demosaic(raw, p.Demosaic)
 	im = s.denoise(im, p.Denoise)
 	s.whiteBalance(im, p.WB)
 	gamutMap(im, p.Gamut)
-	toneTransform(im, p.Tone)
+	fused := p.Tone == ToneSRGBGamma && p.Compress != CompressNone
+	if !fused {
+		toneTransform(im, p.Tone)
+	}
 	if p.Compress != CompressNone {
-		if err := s.jpegRoundtrip(im, im, p.Compress.quality()); err != nil {
+		if err := s.jpegRoundtrip(im, im, p.Compress.quality(), fused); err != nil {
 			return nil, err
 		}
 	}

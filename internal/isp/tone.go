@@ -1,6 +1,9 @@
 package isp
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // ToneAlg selects the tone transformation (Table 3 "Tone transformation").
 type ToneAlg int
@@ -29,11 +32,16 @@ func (a ToneAlg) String() string {
 
 // SRGBEncode applies the standard piecewise sRGB opto-electronic transfer
 // function to a linear value in [0,1].
+//
+// The power is math.Pow(v, 1/2.4) without its wrapper: for an exponent in
+// (0, ½) Go's pow reduces to Ldexp(Exp(y·Log(v)), 0), and the Ldexp is the
+// identity on the normal results a v > 0.0031308 yields, so the two are the
+// same bits (TestSRGBEncodeMatchesPow holds them to it).
 func SRGBEncode(v float64) float64 {
 	if v <= 0.0031308 {
 		return 12.92 * v
 	}
-	return 1.055*math.Pow(v, 1/2.4) - 0.055
+	return 1.055*math.Exp((1/2.4)*math.Log(v)) - 0.055
 }
 
 // toneTransform applies the curve in place.
@@ -48,12 +56,84 @@ func toneTransform(im *Image, alg ToneAlg) {
 	}
 }
 
-// applySRGB encodes im in place. Its inputs are continuous linear values,
-// so every sample pays one math.Pow — the floor of the develop path.
+// applySRGB encodes im in place, one SRGBEncode per sample. A pipeline whose
+// sRGB plane goes straight to JPEG never runs it: the hand-off reads that
+// plane only as bytes, which srgb8 computes from the linear samples.
 func applySRGB(im *Image) {
 	for i, v := range im.Pix {
 		im.Pix[i] = SRGBEncode(clamp01(v))
 	}
+}
+
+// srgb8Exact is the byte the JPEG hand-off takes from an sRGB-encoded
+// sample: to8(SRGBEncode(clamp01(v))).
+func srgb8Exact(v float64) uint8 { return to8(SRGBEncode(clamp01(v))) }
+
+// The sRGB byte table: srgbBuckets start indices over [0, 1), and a relative
+// guard band of srgbGuard on each side of every cut.
+const (
+	srgbBuckets = 4096
+	srgbGuard   = 0x1p-30
+)
+
+// srgbCutTable maps a linear sample to srgb8Exact's byte without the power.
+// cuts[k] would be the least float64 whose byte exceeds k; the table keeps
+// only the guard band [lo, hi) around each cut. Outside every band the byte
+// is the number of cuts below the sample: the float error of the exact
+// expression is about 1e-16 relative, so it can move a byte only for a
+// sample within a few ulps of a cut, and 2^-30 is millions of ulps. Inside a
+// band — where the bisection's cut could be off by such a wobble — srgb8
+// evaluates the expression itself. start[b] counts the bands that lie wholly
+// below b/srgbBuckets; the curve rises less than one byte per bucket, so the
+// scan from there passes at most one cut (two compares).
+type srgbCutTable struct {
+	band  [255][2]float64
+	start [srgbBuckets]uint8
+}
+
+// srgbCuts builds the table once per process (about a millisecond): each cut
+// is found by bisecting float64 bit patterns — positive floats order as
+// their bits — on srgb8Exact itself.
+var srgbCuts = sync.OnceValue(func() *srgbCutTable {
+	t := new(srgbCutTable)
+	for k := range t.band {
+		lo, hi := uint64(0), math.Float64bits(1) // byte(lo) <= k < byte(hi)
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
+			if srgb8Exact(math.Float64frombits(mid)) > uint8(k) {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		cut := math.Float64frombits(hi)
+		t.band[k] = [2]float64{cut * (1 - srgbGuard), cut * (1 + srgbGuard)}
+	}
+	k := 0
+	for b := range t.start {
+		for k < len(t.band) && t.band[k][1] <= float64(b)/srgbBuckets {
+			k++
+		}
+		t.start[b] = uint8(k)
+	}
+	return t
+})
+
+// srgb8 returns srgb8Exact(v). NaN, v <= 0, v >= 1 and a v inside a guard
+// band take the exact expression; in 2·10^7 uniform samples the band
+// fallback fires about twice.
+func (t *srgbCutTable) srgb8(v float64) uint8 {
+	if !(v > 0 && v < 1) {
+		return srgb8Exact(v)
+	}
+	k := int(t.start[int(v*srgbBuckets)])
+	for k < len(t.band) && v >= t.band[k][0] {
+		if v < t.band[k][1] {
+			return srgb8Exact(v)
+		}
+		k++
+	}
+	return uint8(k)
 }
 
 // equalizeTone blends each pixel's luma toward its histogram-equalized value

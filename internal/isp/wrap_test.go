@@ -86,7 +86,7 @@ func Denoise(im *Image, alg DenoiseAlg) *Image {
 
 func JPEGRoundtrip(im *Image, quality int) (*Image, error) {
 	out := NewImage(im.W, im.H)
-	if err := (*Scratch)(nil).jpegRoundtrip(out, im, quality); err != nil {
+	if err := (*Scratch)(nil).jpegRoundtrip(out, im, quality, false); err != nil {
 		return nil, err
 	}
 	return out, nil

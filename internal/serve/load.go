@@ -169,10 +169,38 @@ func (s *Server) RunLoad(lc LoadConfig) (Report, error) {
 	}
 	for s.step() {
 	}
-	if s.ld.err != nil {
-		return Report{}, s.ld.err
+	if err := s.ld.failed(); err != nil {
+		return Report{}, err
 	}
 	return s.ld.report(), nil
+}
+
+// failed returns the run's error, nil for a healthy run. A failed run first
+// gives back what its unfinished batches hold: each batch still in service
+// (a pending evDone) returns its replica, and it and each batch still queued
+// release their version pin and recycle. Every exit that surfaces the error
+// goes through here, so the pool is full and only the current version is
+// live afterwards — the next run on the server would otherwise wait forever
+// for a replica. It is idempotent.
+func (ld *loadState) failed() error {
+	if ld.err == nil {
+		return nil
+	}
+	for i, e := range ld.events {
+		if e.kind == evDone && e.b != nil {
+			ld.busy--
+			ld.srv.pool.Put(e.b.rep)
+			e.b.rep = nil
+			ld.unpin(e.b)
+			ld.events[i] = simEvent{}
+		}
+	}
+	for _, b := range ld.queue[ld.qhead:] {
+		ld.unpin(b)
+	}
+	clear(ld.queue) // like drain, leave no batch in a ring slot
+	ld.queue, ld.qhead = ld.queue[:0], 0
+	return ld.err
 }
 
 // beginLoad validates the config, preallocates every steady-state buffer,
@@ -684,8 +712,8 @@ func (s *Server) PublishAt(t float64, w nn.Weights) error {
 	if !ld.wired {
 		return fmt.Errorf("serve: PublishAt outside a BeginTrainLoad run")
 	}
-	if ld.err != nil {
-		return ld.err
+	if err := ld.failed(); err != nil {
+		return err
 	}
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		return fmt.Errorf("serve: publish at %g is not a finite instant", t)
@@ -722,7 +750,7 @@ func (s *Server) advanceTo(t float64) error {
 			ld.applyPublish()
 		}
 	}
-	return ld.err
+	return ld.failed()
 }
 
 // FinishTrainLoad runs the wired load to completion (requests arriving after
@@ -734,8 +762,8 @@ func (s *Server) FinishTrainLoad() (Report, error) {
 	}
 	for s.step() {
 	}
-	if s.ld.err != nil {
-		return Report{}, s.ld.err
+	if err := s.ld.failed(); err != nil {
+		return Report{}, err
 	}
 	return s.ld.report(), nil
 }

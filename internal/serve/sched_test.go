@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/nn"
@@ -80,6 +82,84 @@ func TestEnsureErrorPathReleasesEverything(t *testing.T) {
 	}
 	if fc := s.store.vs.FreeCount(); fc < 1 {
 		t.Fatalf("store free list has %d buffers; the retired version never recycled", fc)
+	}
+}
+
+// nanAtSeq prices batch seq at NaN and every other batch at one unit.
+type nanAtSeq struct{ seq int }
+
+func (m nanAtSeq) Batch(_, seq int) float64 {
+	if seq == m.seq {
+		return math.NaN()
+	}
+	return 1
+}
+
+// A run that fails while other batches are unfinished gives back what they
+// hold before it returns, on every exit that surfaces the error: a batch
+// still in service its replica and version pin, a batch still queued its
+// pin. Otherwise the pool stays short a replica and the next run on the
+// server blocks forever waiting for it. Batch 1 is priced at NaN: with two
+// workers batch 0 is still in service then; with one, batch 1 fails when
+// batch 0 completes, with later batches queued behind it.
+func TestLoadErrorReleasesInFlightBatches(t *testing.T) {
+	lc := LoadConfig{
+		Requests: 40,
+		Arrival:  OpenLoop{Rate: 10, Seed: 5},
+		Service:  nanAtSeq{seq: 1},
+		Inputs:   testInputs(4),
+	}
+	for _, workers := range []int{2, 1} {
+		cfg := Config{MaxBatch: 2, BatchBudget: 0.1, Workers: workers, IntraOp: 1}
+		for _, exit := range []string{"RunLoad", "PublishAt", "FinishTrainLoad"} {
+			s := testServer(t, cfg)
+			var err error
+			switch exit {
+			case "RunLoad":
+				_, err = s.RunLoad(lc)
+			case "PublishAt":
+				if err = s.BeginTrainLoad(lc); err != nil {
+					t.Fatal(err)
+				}
+				err = s.PublishAt(50, s.Store().TakeBuffer()) // the failure is at t <= 1
+			default:
+				if err = s.BeginTrainLoad(lc); err != nil {
+					t.Fatal(err)
+				}
+				_, err = s.FinishTrainLoad()
+			}
+			if err == nil {
+				t.Fatalf("workers=%d %s: a NaN-priced batch did not fail the run", workers, exit)
+			}
+			if free, size := s.pool.Free(), s.pool.Size(); free != size {
+				t.Fatalf("workers=%d %s: pool has %d of %d replicas free after the error; an in-flight batch kept one",
+					workers, exit, free, size)
+			}
+			if live := s.Store().Live(); live != 1 {
+				t.Fatalf("workers=%d %s: store has %d live versions after the error, want 1", workers, exit, live)
+			}
+			// A pin left on the current version shows once it is no longer
+			// current: it would keep the retired version live.
+			s.Store().Republish()
+			if live := s.Store().Live(); live != 1 {
+				t.Fatalf("workers=%d %s: %d live versions after a republish, want 1; a version pin leaked", workers, exit, live)
+			}
+			ok := lc
+			ok.Service = AffineService{Base: 1}
+			done := make(chan error, 1)
+			go func() {
+				_, err := s.RunLoad(ok)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("workers=%d %s: the run after the failed one: %v", workers, exit, err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatalf("workers=%d %s: the run after the failed one is blocked on a replica", workers, exit)
+			}
+		}
 	}
 }
 
