@@ -156,12 +156,12 @@
 // (nn.Conv2D's type comment) that training — forward, dW and dx — and the
 // frozen inference op share: a 1×1 stride-1 unpadded conv matmuls the image
 // slice directly (its im2col matrix IS the image), a depthwise conv runs the
-// tap-outer plane kernels (tensor.DepthwiseConvPlane, ...GradW, ...GradX),
-// and every other shape lowers to im2col + matmul, caching one column matrix
-// per sample×group for backward. The two direct shapes size no column cache
-// at all and accumulate in the lowered kernels' per-target order, so they
-// are bit-identical to the lowering for finite inputs (the zero-skip caveat
-// is stated once, on tensor.DepthwiseConvPlane).
+// plane kernels (tensor.DepthwiseConvPlane with the bias fused, ...GradW,
+// ...GradX), and every other shape lowers to im2col + matmul, caching one
+// column matrix per sample×group for backward. The two direct shapes size no
+// column cache at all and accumulate in the lowered kernels' per-target
+// order, so they are bit-identical to the lowering for finite inputs (the
+// zero-skip caveat is stated once, on tensor.DepthwiseConvPlane).
 //
 // Ownership rules — who may retain a tensor across a Reset:
 //
@@ -243,7 +243,13 @@
 //   - Convs follow the training layer's geometry rule (see the arena
 //     section): pointwise and depthwise shapes skip the lowering; the rest
 //     keep one im2col scratch per parallel chunk instead of caching every
-//     sample×group column matrix for a backward pass.
+//     sample×group column matrix for a backward pass. A depthwise conv's
+//     bias and hard-swish ride its plane kernel: with the vector kernels live
+//     a 3×3 plane is vec.Depthwise3x3, eight output positions per register
+//     taking all nine taps, the bias and the activation before one store.
+//   - Global average pooling and the squeeze-excite squeeze sum several
+//     planes side by side, one ascending chain each; the excite rescale and
+//     the identity-skip residual sum are vector sweeps.
 //   - Pooling, activations, and the standalone BN path are parallel under
 //     the intra-op budget (parallel.GrainFor); nested Networks are inlined;
 //     Identity compiles away.

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -137,6 +138,27 @@ func BenchmarkMobileNetForward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.Forward(x, false)
+	}
+}
+
+// BenchmarkFrozenInfer is perfbook serve_wall's request without the server:
+// TinyMobileNetV3's frozen forward at batch 1 (one request) and 16, on the
+// serial backend, at the default intra-op budget. allocs/op must stay 0.
+func BenchmarkFrozenInfer(b *testing.B) {
+	prev := tensor.ActiveBackend()
+	tensor.SetBackend(tensor.BackendSerial)
+	b.Cleanup(func() { tensor.SetBackend(prev) })
+	for _, n := range []int{1, 16} {
+		b.Run(fmt.Sprintf("mobilenet/b%d", n), func(b *testing.B) {
+			f := TinyMobileNetV3(frand.New(1), 3, 12).Freeze()
+			x := tensor.Randn(frand.New(2), 1, n, 3, 32, 32)
+			f.Infer(x)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.Infer(x)
+			}
+		})
 	}
 }
 

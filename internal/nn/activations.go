@@ -77,20 +77,9 @@ func (l *HardSigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := l.allocUninit(x.Shape()...)
 	xd, yd := x.Data(), y.Data()
 	for i, v := range xd {
-		yd[i] = hardSigmoid(v)
+		yd[i] = tensor.HardSigmoid(v)
 	}
 	return y
-}
-
-func hardSigmoid(v float32) float32 {
-	s := (v + 3) / 6
-	if s < 0 {
-		return 0
-	}
-	if s > 1 {
-		return 1
-	}
-	return s
 }
 
 // Backward implements Layer: derivative is 1/6 inside (-3, 3), else 0.
@@ -116,7 +105,7 @@ func (l *HardSigmoid) States() []*tensor.Tensor { return nil }
 // Name implements Layer.
 func (l *HardSigmoid) Name() string { return "HardSigmoid" }
 
-// HardSwish computes x * hardSigmoid(x), the MobileNetV3 activation.
+// HardSwish computes x * HardSigmoid(x), the MobileNetV3 activation.
 type HardSwish struct {
 	arenaScratch
 	x *tensor.Tensor
@@ -135,7 +124,7 @@ func (l *HardSwish) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		return y
 	}
 	for i, v := range xd {
-		yd[i] = v * hardSigmoid(v)
+		yd[i] = v * tensor.HardSigmoid(v)
 	}
 	return y
 }
@@ -150,7 +139,7 @@ func (l *HardSwish) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	for i := range gd {
 		v := xd[i]
-		der := hardSigmoid(v)
+		der := tensor.HardSigmoid(v)
 		if v > -3 && v < 3 {
 			der += v / 6
 		}

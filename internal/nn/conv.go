@@ -23,9 +23,9 @@ import (
 //
 //   - pointwise (1×1, stride 1, no pad): the im2col matrix IS the input
 //     slice, so the matmuls read x and write dx directly;
-//   - depthwise (Groups == InC == OutC): the tap-outer plane kernels
-//     tensor.DepthwiseConvPlane / GradW / GradX, whose lowering would cost
-//     more than the arithmetic.
+//   - depthwise (Groups == InC == OutC): the plane kernels
+//     tensor.DepthwiseConvPlane (bias fused) / GradW / GradX, whose lowering
+//     would cost more than the arithmetic.
 //
 // Neither sizes cols or dcol. Both accumulate every output, dW and dx
 // element in the lowered kernels' per-target order, so for finite inputs
@@ -153,9 +153,9 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // forwardIter runs one sample×group forward iteration through the layer's
 // kernel — im2col + the group matmul (row-parallel under par), the matmul on
-// the input slice, or the depthwise plane kernel — then the bias add.
-// Iterations write disjoint col and output slices, so any subset may run
-// concurrently.
+// the input slice, or the depthwise plane kernel with the bias fused — then
+// the matmuls' bias add. Iterations write disjoint col and output slices, so
+// any subset may run concurrently.
 func (l *Conv2D) forwardIter(it, par int, xd, od []float32) {
 	d := l.dims
 	rows, cols := d.ColRows(), d.ColCols()
@@ -175,7 +175,8 @@ func (l *Conv2D) forwardIter(it, par int, xd, od []float32) {
 	// y[gcOut, cols] = Wg[gcOut, fanIn] @ col[fanIn, cols]
 	switch l.kernel() {
 	case convDepthwise:
-		tensor.DepthwiseConvPlane(y, img, wg, d)
+		tensor.DepthwiseConvPlane(y, img, wg, d, bd[gi], false)
+		return
 	case convPointwise:
 		tensor.MatMulSlicesP(par, y, wg, img, gcOut, fanIn, cols)
 	default:

@@ -22,18 +22,11 @@ const (
 	epHardSigmoid
 )
 
-// applyBiasAct computes row[j] = act(row[j] + bias[0]) in one sweep.
-func applyBiasAct(row, bias []float32, act epAct) {
-	if vec.Live && (act == epNone || act == epHardSwish) {
-		vec.BiasAct(row, 1, len(row), bias, act == epHardSwish)
-		return
-	}
-	b := bias[0]
+// applyBiasAct computes row[j] = act(row[j] + b) in one sweep.
+func applyBiasAct(row []float32, b float32, act epAct) {
 	switch act {
-	case epNone:
-		for j := range row {
-			row[j] += b
-		}
+	case epNone, epHardSwish:
+		tensor.BiasAct(row, b, act == epHardSwish)
 	case epReLU:
 		for j := range row {
 			if v := row[j] + b; v > 0 {
@@ -42,14 +35,9 @@ func applyBiasAct(row, bias []float32, act epAct) {
 				row[j] = 0
 			}
 		}
-	case epHardSwish:
-		for j := range row {
-			v := row[j] + b
-			row[j] = v * hardSigmoid(v)
-		}
 	case epHardSigmoid:
 		for j := range row {
-			row[j] = hardSigmoid(row[j] + b)
+			row[j] = tensor.HardSigmoid(row[j] + b)
 		}
 	}
 }
@@ -73,11 +61,11 @@ func applyVecBiasAct(row, bias []float32, act epAct) {
 	case epHardSwish:
 		for j := range row {
 			v := row[j] + bias[j]
-			row[j] = v * hardSigmoid(v)
+			row[j] = v * tensor.HardSigmoid(v)
 		}
 	case epHardSigmoid:
 		for j := range row {
-			row[j] = hardSigmoid(row[j] + bias[j])
+			row[j] = tensor.HardSigmoid(row[j] + bias[j])
 		}
 	}
 }
@@ -101,11 +89,11 @@ func applyAct(yd, xd []float32, lo, hi int, act epAct) {
 		}
 		for i := lo; i < hi; i++ {
 			v := xd[i]
-			yd[i] = v * hardSigmoid(v)
+			yd[i] = v * tensor.HardSigmoid(v)
 		}
 	case epHardSigmoid:
 		for i := lo; i < hi; i++ {
-			yd[i] = hardSigmoid(xd[i])
+			yd[i] = tensor.HardSigmoid(xd[i])
 		}
 	default:
 		copy(yd[lo:hi], xd[lo:hi])
@@ -123,7 +111,7 @@ type convEpilogue struct {
 }
 
 // Apply implements tensor.RowEpilogue.
-func (e *convEpilogue) Apply(row []float32, r int) { applyBiasAct(row, e.bias[r:], e.act) }
+func (e *convEpilogue) Apply(row []float32, r int) { applyBiasAct(row, e.bias[r], e.act) }
 
 // frozenConv is Conv2D's inference op: im2col + a fused matmul whose
 // epilogue adds the (BN-folded) bias and applies the fused activation inside
@@ -284,9 +272,12 @@ func (c *frozenConv) inferIter(it, par int, col []float32) {
 	y := c.od[i*outStride+gi*gcOut*cols : i*outStride+(gi+1)*gcOut*cols]
 	switch l.kernel() {
 	case convDepthwise:
-		// Direct tap loop on the plane, no lowering at all.
-		tensor.DepthwiseConvPlane(y, img, wg, d)
-		applyBiasAct(y, c.bf[gi:], c.act)
+		// The plane kernel, no lowering at all, with the bias and hard-swish
+		// fused; another activation is a sweep over the finished plane.
+		tensor.DepthwiseConvPlane(y, img, wg, d, c.bf[gi], c.act == epHardSwish)
+		if c.act != epNone && c.act != epHardSwish {
+			applyAct(y, y, 0, len(y), c.act)
+		}
 	case convPointwise:
 		// The im2col matrix IS the image slice.
 		tensor.MatMulWASlicesPEp(par, y, wg, c.pw, gi*gcOut, gcOut, img, cols, false, &c.eps[gi])
@@ -460,11 +451,11 @@ type frozenMaxPool struct {
 // infer implements frozenOp.
 func (p *frozenMaxPool) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	oh := (h-p.k)/p.stride + 1
-	ow := (w-p.k)/p.stride + 1
-	if oh <= 0 || ow <= 0 {
+	if h < p.k || w < p.k { // (h−k)/stride would truncate a negative up to 0
 		panic(fmt.Sprintf("nn: frozen MaxPool2D k%d s%d on %dx%d", p.k, p.stride, h, w))
 	}
+	oh := (h-p.k)/p.stride + 1
+	ow := (w-p.k)/p.stride + 1
 	out := f.alloc(n, c, oh, ow)
 	p.xd, p.od, p.h, p.w, p.oh, p.ow = x.Data(), out.Data(), h, w, oh, ow
 	parallel.Run(f.budget(), n*c, parallel.GrainFor(oh*ow*p.k*p.k), p)
@@ -497,9 +488,10 @@ func (p *frozenMaxPool) Run(_, lo, hi int) {
 }
 
 // planeMean averages each [N·C] plane down to one value — the shared kernel
-// of GlobalAvgPool and the SE squeeze, parallel over planes. Per-plane sums
-// run in the serial ascending order, so results are bit-identical to the
-// reference layers at every budget.
+// of GlobalAvgPool and the SE squeeze, parallel over planes. Each plane's
+// sum is one chain from +0 in the serial ascending order, so results are
+// bit-identical to the reference layers at every budget; the chains of four
+// neighbouring planes run side by side.
 type planeMean struct {
 	xd, od []float32
 	hw     int
@@ -513,10 +505,24 @@ func (t *planeMean) run(par, planes int) {
 // Run implements parallel.Runner over a plane range.
 func (t *planeMean) Run(_, lo, hi int) {
 	inv := 1 / float32(t.hw)
-	for i := lo; i < hi; i++ {
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		r0 := t.xd[i*t.hw:][:t.hw]
+		// Re-sliced to len(r0) so the compiler drops the inner bounds checks.
+		r1, r2, r3 := t.xd[(i+1)*t.hw:][:len(r0)], t.xd[(i+2)*t.hw:][:len(r0)], t.xd[(i+3)*t.hw:][:len(r0)]
+		var s0, s1, s2, s3 float32
+		for j, v := range r0 {
+			s0 += v
+			s1 += r1[j]
+			s2 += r2[j]
+			s3 += r3[j]
+		}
+		o := t.od[i : i+4]
+		o[0], o[1], o[2], o[3] = s0*inv, s1*inv, s2*inv, s3*inv
+	}
+	for ; i < hi; i++ {
 		var s float32
-		row := t.xd[i*t.hw : (i+1)*t.hw]
-		for _, v := range row {
+		for _, v := range t.xd[i*t.hw : (i+1)*t.hw] {
 			s += v
 		}
 		t.od[i] = s * inv
@@ -592,11 +598,20 @@ func (r *frozenResidual) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: frozen Residual shape mismatch %v vs %v", y.Shape(), s.Shape()))
 	}
 	out := f.alloc(y.Shape()...)
-	od, yd, sd := out.Data(), y.Data(), s.Data()
-	for i := range od {
-		od[i] = yd[i] + sd[i]
-	}
+	addInto(out.Data(), y.Data(), s.Data())
 	return out
+}
+
+// addInto computes od[i] = yd[i] + sd[i]: the residual sum.
+func addInto(od, yd, sd []float32) {
+	if vec.Live {
+		vec.Add(od, yd, sd)
+		return
+	}
+	sd = sd[:len(yd)]
+	for i, v := range yd {
+		od[i] = v + sd[i]
+	}
 }
 
 // inferFolded accumulates the folded projection onto the body output in
@@ -750,11 +765,19 @@ func (s *frozenSE) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 
 // Run implements parallel.Runner over the rescale's plane range.
 func (s *frozenSE) Run(_, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		zi := s.zd[i]
-		row := s.od[i*s.hw : (i+1)*s.hw]
-		xrow := s.xd[i*s.hw : (i+1)*s.hw]
-		for j, v := range xrow {
+	scaleRows(s.od[lo*s.hw:hi*s.hw], s.xd[lo*s.hw:hi*s.hw], s.zd[lo:hi], s.hw)
+}
+
+// scaleRows computes od[r·hw+j] = xd[r·hw+j]·z[r] for every plane r of z:
+// the squeeze-excite rescale.
+func scaleRows(od, xd, z []float32, hw int) {
+	if vec.Live {
+		vec.ScaleRows(od, xd, z, len(z), hw)
+		return
+	}
+	for i, zi := range z {
+		row := od[i*hw : (i+1)*hw]
+		for j, v := range xd[i*hw : (i+1)*hw] {
 			row[j] = v * zi
 		}
 	}

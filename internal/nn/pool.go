@@ -20,11 +20,11 @@ func NewMaxPool2D(k, stride int) *MaxPool2D { return &MaxPool2D{K: k, Stride: st
 // Forward implements Layer.
 func (l *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	oh := (h-l.K)/l.Stride + 1
-	ow := (w-l.K)/l.Stride + 1
-	if oh <= 0 || ow <= 0 {
+	if h < l.K || w < l.K { // (h−K)/Stride would truncate a negative up to 0
 		panic(fmt.Sprintf("nn: MaxPool2D k%d s%d on %dx%d", l.K, l.Stride, h, w))
 	}
+	oh := (h-l.K)/l.Stride + 1
+	ow := (w-l.K)/l.Stride + 1
 	l.inShape = x.Shape()
 	out := l.allocUninit(n, c, oh, ow)
 	need := n * c * oh * ow

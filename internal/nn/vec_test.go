@@ -92,13 +92,15 @@ var vecSweepLens = []int{1, 2, 7, 8, 9, 15, 16, 17, 31, 33, 64, 100, 257}
 // runVecActCase runs every vectorised activation sweep on length n under both
 // settings of the switch and requires identical bits: hard-swish forward and
 // backward, the standalone frozen activation, the one-row conv epilogue
-// (bias, bias + hard-swish) and the rows × n training bias add of a
-// pointwise Conv2D.
+// (bias, bias + hard-swish), the rows × n training bias add of a pointwise
+// Conv2D, the squeeze-excite rescale of rows planes of n and the residual
+// sum.
 func runVecActCase(t *testing.T, n, rows int, seed uint64) {
 	t.Helper()
 	r := frand.New(seed)
 	x := sweepOperand(r, n, 2)
 	dy := sweepOperand(r, n, 1)
+	z := sweepOperand(r, rows, 1) // one excite scale per plane
 	bias := []float32{0.7, -1.3, float32(math.Copysign(0, -1))}
 	conv := NewConv2D(r, 1, rows, 1, 1, 0, 1)
 	for i := range conv.B.W.Data() {
@@ -113,11 +115,15 @@ func runVecActCase(t *testing.T, n, rows int, seed uint64) {
 		act := make([]float32, n)
 		applyAct(act, x, 0, n, epHardSwish)
 		planes := slices.Clone(conv.Forward(tensor.FromSlice(slices.Clone(x), 1, 1, 1, n), true).Data())
-		res := [][]float32{y, dx, act, planes}
+		scaled := make([]float32, rows*n)
+		scaleRows(scaled, slices.Repeat(x, rows), z, n)
+		sum := make([]float32, n)
+		addInto(sum, x, dy)
+		res := [][]float32{y, dx, act, planes, scaled, sum}
 		for _, a := range []epAct{epNone, epHardSwish} {
 			for i := range bias {
 				row := slices.Clone(x)
-				applyBiasAct(row, bias[i:], a)
+				applyBiasAct(row, bias[i], a)
 				res = append(res, row)
 			}
 		}
@@ -452,6 +458,71 @@ func TestVecTrainingMatchesGeneric(t *testing.T) {
 			exactSlice(t, fmt.Sprintf("par %d weights %d", par, i), gotW[i], wantW[i])
 		}
 		exactSlice(t, fmt.Sprintf("par %d frozen logits", par), gotL, wantL)
+	}
+}
+
+// TestPlaneMeanMatchesOneChain: the plane mean's side-by-side chains give
+// each plane exactly the one ascending chain the reference pooling layers
+// run, for 1–9 planes (sweeps of four, a remainder, both) at
+// every plane size up to 70, over operands carrying ±0, the ±3 knees, ±Inf
+// and NaNs of two payloads, from plane offsets 0 and 1.
+func TestPlaneMeanMatchesOneChain(t *testing.T) {
+	r := frand.New(85)
+	nan2 := math.Float32frombits(0xffc00123)
+	for planes := 1; planes <= 9; planes++ {
+		for hw := 1; hw <= 70; hw++ {
+			xd := sweepOperand(r, (planes+1)*hw, 3)
+			xd[r.Intn(len(xd))] = nan2
+			for _, lo := range []int{0, 1} {
+				got := make([]float32, planes+1)
+				want := slices.Clone(got)
+				pm := planeMean{xd: xd, od: got, hw: hw}
+				pm.Run(0, lo, lo+planes)
+				inv := 1 / float32(hw)
+				for i := lo; i < lo+planes; i++ {
+					var s float32
+					for _, v := range xd[i*hw : (i+1)*hw] {
+						s += v
+					}
+					want[i] = s * inv
+				}
+				exactSlice(t, fmt.Sprintf("%d planes of %d from %d", planes, hw, lo), got, want)
+			}
+		}
+	}
+}
+
+// TestVecRowSweepsStayInsideSlices: the squeeze-excite rescale and the
+// residual sum on operands that end at an inaccessible page, at every length
+// through the 32- and 8-wide blocks and the masked tail.
+func TestVecRowSweepsStayInsideSlices(t *testing.T) {
+	requireVec(t)
+	r := frand.New(86)
+	guarded := func(v []float32) []float32 {
+		g := guardmem.Float32s(t, len(v))
+		copy(g, v)
+		return g
+	}
+	for n := 1; n <= 67; n++ {
+		const rows = 3
+		x, z := sweepOperand(r, rows*n, 1), sweepOperand(r, rows, 1)
+		var want [2][]float32
+		for i, on := range []bool{false, true} {
+			setVecLive(t, on)
+			out := guarded(make([]float32, rows*n))
+			scaleRows(out, guarded(x), guarded(z), n)
+			want[i] = out
+		}
+		exactSlice(t, fmt.Sprintf("guarded rescale n=%d", n), want[1], want[0])
+
+		a, b := sweepOperand(r, n, 1), sweepOperand(r, n, 1)
+		for i, on := range []bool{false, true} {
+			setVecLive(t, on)
+			out := guarded(make([]float32, n))
+			addInto(out, guarded(a), guarded(b))
+			want[i] = out
+		}
+		exactSlice(t, fmt.Sprintf("guarded residual sum n=%d", n), want[1], want[0])
 	}
 }
 

@@ -42,7 +42,7 @@ func testDepthwisePlaneKernelsMatchLowered(t *testing.T) {
 					want := make([]float32, cols)
 					MatMulSlicesP(1, want, w, col, 1, taps, cols)
 					got := Randn(r, 1, cols).Data() // junk: the kernel must overwrite
-					DepthwiseConvPlane(got, img, w, d)
+					DepthwiseConvPlane(got, img, w, d, 0, false)
 					exactEqual(t, name+" forward", got, want)
 
 					seed := Randn(r, 1, taps).Data() // both accumulate onto the same junk

@@ -19,10 +19,10 @@ func guarded(t testing.TB, v []float32) []float32 {
 }
 
 // TestVecPlaneKernelsStayInsideSlices runs the vector plane routines on
-// operands that end at an inaccessible page: the stride-2 taps' wide side
-// ends at element 2(n−1), and the 3×3 weight gradient's plane fills a page
-// exactly (32×32 float32s), guarded on both sides, with every pad's masked
-// margin reads pointing into the guards.
+// operands that end at an inaccessible page: the stride-2 walks' wide side
+// ends at element 2(n−1), and the 3×3 forward's and weight gradient's plane
+// fills a page exactly (32×32 float32s), guarded on both sides, with every
+// pad's masked margin reads pointing into the guards.
 func TestVecPlaneKernelsStayInsideSlices(t *testing.T) {
 	requireVec(t)
 	r := frand.New(79)
@@ -30,14 +30,14 @@ func TestVecPlaneKernelsStayInsideSlices(t *testing.T) {
 		const rows = 3
 		narrow, wide := n, 2*n+2
 		img := vecOperand(r, (rows-1)*wide+2*n-1)
-		y := vecOperand(r, rows*narrow)
+		y := guarded(t, vecOperand(r, rows*narrow))
 		want := slices.Clone(y)
 		for i := 0; i < rows; i++ {
 			for j := 0; j < n; j++ {
-				want[i*narrow+j] += 0.75 * img[i*wide+2*j]
+				want[i*narrow+j] = img[i*wide+2*j]
 			}
 		}
-		vec.AxpyGather2(y, narrow, guarded(t, img), wide, 0.75, rows, n)
+		vec.Gather2(y, narrow, guarded(t, img), wide, rows, n)
 		exactEqual(t, fmt.Sprintf("guarded gather n=%d", n), y, want)
 
 		dimg := vecOperand(r, (rows-1)*wide+2*n-1)
@@ -63,6 +63,15 @@ func TestVecPlaneKernelsStayInsideSlices(t *testing.T) {
 			refDepthwiseGradW(want, dy, plane, d)
 			DepthwiseConvPlaneGradW(got, dy, plane, d)
 			exactEqual(t, fmt.Sprintf("guarded dW s%d p%d", stride, pad), got, want)
+
+			w := vecOperand(r, 9)
+			setVecLive(t, false)
+			wantY := make([]float32, d.ColCols())
+			DepthwiseConvPlane(wantY, plane, w, d, 0.5, true)
+			setVecLive(t, true)
+			gotY := guarded(t, make([]float32, d.ColCols()))
+			DepthwiseConvPlane(gotY, plane, guarded(t, w), d, 0.5, true)
+			exactEqual(t, fmt.Sprintf("guarded forward s%d p%d", stride, pad), gotY, wantY)
 		}
 	}
 }

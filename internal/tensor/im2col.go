@@ -19,9 +19,9 @@ type ConvDims struct {
 }
 
 // NewConvDims computes output sizes for the given geometry. It returns an
-// error for a kernel or stride below 1, a negative pad, or a geometry that
-// produces a non-positive output size — the direct plane kernels' ox-range
-// arithmetic relies on all four.
+// error for a kernel or stride below 1, a negative pad, or a kernel larger
+// than the padded plane (no window fits, so there is no output) — the direct
+// plane kernels' ox-range arithmetic relies on all four.
 func NewConvDims(inC, inH, inW, kh, kw, stride, pad int) (ConvDims, error) {
 	d := ConvDims{
 		InC: inC, InH: inH, InW: inW,
@@ -33,12 +33,14 @@ func NewConvDims(inC, inH, inW, kh, kw, stride, pad int) (ConvDims, error) {
 		return d, fmt.Errorf("tensor: conv geometry k%dx%d s%d p%d: kernel and stride must be >= 1, pad >= 0",
 			kh, kw, stride, pad)
 	}
+	// Checked before dividing: (in+2·pad−k)/stride truncates a negative
+	// numerator up to 0, which would pass as a one-row output.
+	if inH+2*pad < kh || inW+2*pad < kw {
+		return d, fmt.Errorf("tensor: conv geometry %dx%d k%dx%d s%d p%d: the kernel is larger than the padded plane",
+			inH, inW, kh, kw, stride, pad)
+	}
 	d.OutH = (inH+2*pad-kh)/stride + 1
 	d.OutW = (inW+2*pad-kw)/stride + 1
-	if d.OutH <= 0 || d.OutW <= 0 {
-		return d, fmt.Errorf("tensor: conv geometry %dx%d k%d s%d p%d yields output %dx%d",
-			inH, inW, kh, stride, pad, d.OutH, d.OutW)
-	}
 	return d, nil
 }
 
@@ -55,7 +57,8 @@ func (d ConvDims) ColCols() int { return d.OutH * d.OutW }
 // col must have length ColRows()*ColCols(). Out-of-bounds taps (padding)
 // are written as zeros: per (channel, tap) row the padded margins are cleared
 // and the valid span — tapOyRange × tapOxRange, as in the plane kernels — is
-// copied without a bounds test per element.
+// copied without a bounds test per element. At column stride 2 with the
+// vector kernels live the span is one vec.Gather2 call.
 func Im2Col(col, img []float32, d ConvDims) {
 	if len(col) != d.ColRows()*d.ColCols() {
 		panic(fmt.Sprintf("tensor: Im2Col col size %d, want %d", len(col), d.ColRows()*d.ColCols()))
@@ -64,6 +67,7 @@ func Im2Col(col, img []float32, d ConvDims) {
 		panic(fmt.Sprintf("tensor: Im2Col img size %d, want %d", len(img), d.InC*d.InH*d.InW))
 	}
 	cols := d.ColCols()
+	gather := vec.Live && d.StrideW == 2
 	row := 0
 	for c := 0; c < d.InC; c++ {
 		chanBase := c * d.InH * d.InW
@@ -87,6 +91,9 @@ func Im2Col(col, img []float32, d ConvDims) {
 					for ox := oxHi; ox < len(drow); ox++ {
 						drow[ox] = 0
 					}
+					if gather {
+						continue // the span goes in one call below
+					}
 					ibase := chanBase + (oy*d.StrideH-d.PadH+ky)*d.InW - d.PadW + kx
 					if d.StrideW == 1 {
 						copy(drow[oxLo:oxHi], img[ibase+oxLo:ibase+oxHi])
@@ -97,6 +104,10 @@ func Im2Col(col, img []float32, d ConvDims) {
 						drow[ox] = img[ii]
 						ii += d.StrideW
 					}
+				}
+				if gather {
+					at := chanBase + (oyLo*d.StrideH-d.PadH+ky)*d.InW - d.PadW + kx + 2*oxLo
+					vec.Gather2(dst[oyLo*d.OutW+oxLo:], d.OutW, img[at:], d.StrideH*d.InW, oyHi-oyLo, oxHi-oxLo)
 				}
 			}
 		}
@@ -188,7 +199,8 @@ func (d *ConvDims) tapOxRange(kx int) (lo, hi int) {
 }
 
 // tapOyRange is the oy interval whose tap row ky stays inside the image; the
-// vector plane kernels sweep it as the rows of one strided 2-D AXPY per tap.
+// input gradient's vector taps and the stride-2 im2col gather sweep it as the
+// rows of one strided 2-D call per tap.
 func (d *ConvDims) tapOyRange(ky int) (lo, hi int) {
 	return tapRange(ky, d.PadH, d.StrideH, d.InH, d.OutH)
 }
@@ -203,28 +215,38 @@ func (d *ConvDims) checkPlane(kernel string, img, out, taps []float32) {
 }
 
 // DepthwiseConvPlane convolves ONE channel plane directly, without the
-// im2col lowering: y[OutH*OutW] = w[KH*KW] ⊛ img[InH*InW] for a d with
-// InC == 1. The loop is tap-outer: each of the KH·KW taps sweeps the output
-// as one bounds-free strided AXPY (contiguous at stride 1), so the kernel
-// runs at matmul-class efficiency instead of gathering taps per pixel.
+// im2col lowering, and applies the conv epilogue: y[OutH*OutW] =
+// act(w[KH*KW] ⊛ img[InH*InW] + bias) for a d with InC == 1, act the
+// identity or (hswish) hard-swish.
 //
-// Per output pixel the taps still accumulate in ascending (ky, kx) order —
-// the same per-target order as the im2col matmul, whose skipped
-// zero-padding and zero-weight products are exact no-ops — so the result is
-// bit-identical to Im2Col + MatMulSlicesP on the same plane. Depthwise
-// convolutions use it (and the two gradient siblings below) in training and
-// inference alike: their im2col copy costs more than the arithmetic.
+// Every output pixel is a sum from +0 over its taps in ascending (ky, kx)
+// order — the same per-target order as the im2col matmul, whose skipped
+// zero-padding and zero-weight products are exact no-ops — so the
+// convolution is bit-identical to Im2Col + MatMulSlicesP on the same plane,
+// and the epilogue to that matmul's bias add and activation sweep.
+// Depthwise convolutions use it (and the two gradient siblings below) in
+// training and inference alike: their im2col copy costs more than the
+// arithmetic.
+//
+// With the vector kernels live a 3×3 kernel at column stride 1 or 2 — every
+// depthwise layer of the models — runs vec.Depthwise3x3: eight output pixels
+// per register, all nine taps added while the sum stays in a register, the
+// epilogue before the one store. Everything else runs the Go loop: tap-outer,
+// each tap one bounds-free strided AXPY over the output, then BiasAct.
 //
 // The bit-identity of all three plane kernels holds for finite inputs: a
 // skipped term is a ±0 add onto a sum that started at +0, the same zero-skip
 // convention as the oracle matmul kernels' av != 0 test, while an Inf or NaN
 // operand would have turned that skipped 0·Inf into a NaN.
-func DepthwiseConvPlane(y, img, w []float32, d ConvDims) {
+func DepthwiseConvPlane(y, img, w []float32, d ConvDims, bias float32, hswish bool) {
 	d.checkPlane("DepthwiseConvPlane", img, y, w)
+	if vec.Live && d.KH == 3 && d.KW == 3 && d.StrideW <= 2 {
+		vec.Depthwise3x3(y, img, w, d.OutH, d.OutW, d.InH, d.InW, d.StrideH, d.StrideW, d.PadH, d.PadW, bias, hswish)
+		return
+	}
 	clear(y)
 	t := 0
 	for ky := 0; ky < d.KH; ky++ {
-		oyLo, oyHi := d.tapOyRange(ky)
 		for kx := 0; kx < d.KW; kx++ {
 			wt := w[t]
 			t++
@@ -233,20 +255,6 @@ func DepthwiseConvPlane(y, img, w []float32, d ConvDims) {
 			}
 			oxLo, oxHi := d.tapOxRange(kx)
 			if oxLo >= oxHi {
-				continue
-			}
-			if vec.Live && d.StrideW <= 2 {
-				// The whole tap as one strided 2-D AXPY over its valid rows,
-				// reading every second pixel at stride 2.
-				if oyLo < oyHi {
-					ibase := (oyLo*d.StrideH-d.PadH+ky)*d.InW - d.PadW + kx
-					tapVec := vec.AxpyPlane
-					if d.StrideW == 2 {
-						tapVec = vec.AxpyGather2
-					}
-					tapVec(y[oyLo*d.OutW+oxLo:], d.OutW, img[ibase+oxLo*d.StrideW:], d.StrideH*d.InW,
-						wt, oyHi-oyLo, oxHi-oxLo)
-				}
 				continue
 			}
 			for oy := 0; oy < d.OutH; oy++ {
@@ -270,6 +278,7 @@ func DepthwiseConvPlane(y, img, w []float32, d ConvDims) {
 			}
 		}
 	}
+	BiasAct(y, bias, hswish)
 }
 
 // DepthwiseConvPlaneGradW accumulates ONE channel plane's weight gradient

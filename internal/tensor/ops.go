@@ -3,6 +3,8 @@ package tensor
 import (
 	"fmt"
 	"math"
+
+	"heteroswitch/internal/vec"
 )
 
 // Add returns t + o elementwise as a new tensor.
@@ -121,4 +123,38 @@ func (t *Tensor) AllClose(o *Tensor, tol float64) bool {
 		}
 	}
 	return true
+}
+
+// HardSigmoid is clip((v+3)/6, 0, 1), MobileNetV3's cheap sigmoid; hard-swish
+// is v·HardSigmoid(v). The vector kernels' HARDSIG is this function lane by
+// lane.
+func HardSigmoid(v float32) float32 {
+	s := (v + 3) / 6
+	if s < 0 {
+		return 0
+	}
+	if s > 1 {
+		return 1
+	}
+	return s
+}
+
+// BiasAct computes y[j] = act(y[j] + bias) over one output row, act the
+// identity or (hswish) hard-swish: the conv epilogue.
+func BiasAct(y []float32, bias float32, hswish bool) {
+	if vec.Live {
+		b := [1]float32{bias}
+		vec.BiasAct(y, 1, len(y), b[:], hswish)
+		return
+	}
+	if !hswish {
+		for j := range y {
+			y[j] += bias
+		}
+		return
+	}
+	for j, v := range y {
+		v += bias
+		y[j] = v * HardSigmoid(v)
+	}
 }

@@ -159,21 +159,35 @@ func TestDepthwiseGradWLargeKernel(t *testing.T) {
 
 // TestIm2ColMatchesBranchingLoop: the margin-clearing Im2Col against the loop
 // that tested every element, over junk, on the plane table with one and three
-// channels. Pure data movement, so −0, denormals and NaN must arrive as bits.
+// channels, and at stride 2 — the vector gather's — for every pad, kernel
+// 1/3/5 and widths 1–33. Pure data movement, so −0, denormals and NaN must
+// arrive as bits.
 func TestIm2ColMatchesBranchingLoop(t *testing.T) {
-	r := frand.New(173)
-	forPlaneGeoms(func(name string, d ConvDims) {
-		for _, inC := range []int{1, 3} {
-			d.InC = inC
-			img := vecOperand(r, inC*d.InH*d.InW)
-			img[0], img[len(img)-1] = float32(math.NaN()), float32(math.Copysign(0, -1))
-			want := vecOperand(r, d.ColRows()*d.ColCols())
-			got := slices.Clone(want)
-			refIm2Col(want, img, d)
-			Im2Col(got, img, d)
-			for i := range want {
-				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("%s c%d: col[%d] = %v, want %v", name, inC, i, got[i], want[i])
+	bothVecSettings(t, func(t *testing.T) {
+		r := frand.New(173)
+		check := func(name string, d ConvDims) {
+			for _, inC := range []int{1, 3} {
+				d.InC = inC
+				img := vecOperand(r, inC*d.InH*d.InW)
+				img[0], img[len(img)-1] = float32(math.NaN()), float32(math.Copysign(0, -1))
+				want := vecOperand(r, d.ColRows()*d.ColCols())
+				got := slices.Clone(want)
+				refIm2Col(want, img, d)
+				Im2Col(got, img, d)
+				for i := range want {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("%s c%d: col[%d] = %v, want %v", name, inC, i, got[i], want[i])
+					}
+				}
+			}
+		}
+		forPlaneGeoms(check)
+		for w := 1; w <= 33; w++ {
+			for _, k := range []int{1, 3, 5} {
+				for _, pad := range []int{0, 1, 2} {
+					if d, err := NewConvDims(1, 5, w, k, k, 2, pad); err == nil {
+						check(fmt.Sprintf("5x%d k%d s2 p%d", w, k, pad), d)
+					}
 				}
 			}
 		}
@@ -237,28 +251,38 @@ func BenchmarkIm2Col(b *testing.B) {
 	})
 }
 
-// BenchmarkDepthwisePlane/s2: TinyMobileNetV3's down-sampling depthwise plane
-// (16×16 → 8×8, 3×3, stride 2, pad 1), forward and input gradient; an element
-// is one output position of one tap, and the oracle is the scalar tap loop
-// (the "generic" arm itself).
+// BenchmarkDepthwisePlane: TinyMobileNetV3's three depthwise planes (3×3,
+// pad 1) — s1-16x16, the down-sampling s2 (16×16 → 8×8) and s1-8x8 — forward
+// with its bias (fwd) and with bias and hard-swish fused (fwd+hswish), and at
+// stride 2 the input gradient (dx); an element is one output position of one
+// tap, and the oracle is the scalar tap loop (the "generic" arm itself).
 func BenchmarkDepthwisePlane(b *testing.B) {
-	d, err := NewConvDims(1, 16, 16, 3, 3, 2, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := frand.New(8)
-	img, w, dy := Randn(r, 1, 16*16).Data(), Randn(r, 1, 9).Data(), Randn(r, 1, d.ColCols()).Data()
-	y, dimg := make([]float32, d.ColCols()), make([]float32, 16*16)
-	scalar := func(f func()) func() {
-		return func() {
-			prev := vec.Live
-			vec.Live = false
-			f()
-			vec.Live = prev
+	for _, c := range []struct {
+		name       string
+		hw, stride int
+	}{{"s1-16x16", 16, 1}, {"s2", 16, 2}, {"s1-8x8", 8, 1}} {
+		d, err := NewConvDims(1, c.hw, c.hw, 3, 3, c.stride, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := frand.New(8)
+		img, w, dy := Randn(r, 1, c.hw*c.hw).Data(), Randn(r, 1, 9).Data(), Randn(r, 1, d.ColCols()).Data()
+		y, dimg := make([]float32, d.ColCols()), make([]float32, c.hw*c.hw)
+		scalar := func(f func()) func() {
+			return func() {
+				prev := vec.Live
+				vec.Live = false
+				f()
+				vec.Live = prev
+			}
+		}
+		fwd := func() { DepthwiseConvPlane(y, img, w, d, 0.25, false) }
+		fwdHS := func() { DepthwiseConvPlane(y, img, w, d, 0.25, true) }
+		b.Run(c.name+"/fwd", func(b *testing.B) { benchAgainstRef(b, 9*d.ColCols(), scalar(fwd), fwd) })
+		b.Run(c.name+"/fwd+hswish", func(b *testing.B) { benchAgainstRef(b, 9*d.ColCols(), scalar(fwdHS), fwdHS) })
+		if c.stride == 2 {
+			dx := func() { DepthwiseConvPlaneGradX(dimg, dy, w, d) }
+			b.Run(c.name+"/dx", func(b *testing.B) { benchAgainstRef(b, 9*d.ColCols(), scalar(dx), dx) })
 		}
 	}
-	fwd := func() { DepthwiseConvPlane(y, img, w, d) }
-	dx := func() { DepthwiseConvPlaneGradX(dimg, dy, w, d) }
-	b.Run("s2/fwd", func(b *testing.B) { benchAgainstRef(b, 9*d.ColCols(), scalar(fwd), fwd) })
-	b.Run("s2/dx", func(b *testing.B) { benchAgainstRef(b, 9*d.ColCols(), scalar(dx), dx) })
 }

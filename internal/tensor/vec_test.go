@@ -205,9 +205,15 @@ func FuzzVecMatchesGeneric(f *testing.F) {
 	})
 }
 
+// planeBiases are the conv biases the plane forward's epilogue sees: zeros of
+// both signs, ordinary values, one that shifts sums across hard-swish's ±3
+// knees, a denormal.
+var planeBiases = []float32{0, float32(math.Copysign(0, -1)), 0.7, -1.3, 3, 1e-39}
+
 // runVecPlaneCase runs the three depthwise plane kernels on one geometry
-// under both settings of the switch and requires identical bits. The forward
-// overwrites junk; both gradients accumulate onto it.
+// under both settings of the switch and requires identical bits: the forward
+// with a seed-chosen bias, alone and with hard-swish, each overwriting junk;
+// both gradients accumulating onto it.
 func runVecPlaneCase(t *testing.T, h, w, k, stride, pad int, seed uint64) {
 	t.Helper()
 	d, err := NewConvDims(1, h, w, k, k, stride, pad)
@@ -218,29 +224,32 @@ func runVecPlaneCase(t *testing.T, h, w, k, stride, pad int, seed uint64) {
 	taps, cols := d.ColRows(), d.ColCols()
 	img, wt, dy := vecOperand(r, h*w), vecOperand(r, taps), vecOperand(r, cols)
 	junkY, junkW, junkX := vecOperand(r, cols), vecOperand(r, taps), vecOperand(r, h*w)
+	bias := planeBiases[r.Intn(len(planeBiases))]
 	run := func(on bool) [][]float32 {
 		setVecLive(t, on)
-		y, dw, dx := slices.Clone(junkY), slices.Clone(junkW), slices.Clone(junkX)
-		DepthwiseConvPlane(y, img, wt, d)
+		y, yhs, dw, dx := slices.Clone(junkY), slices.Clone(junkY), slices.Clone(junkW), slices.Clone(junkX)
+		DepthwiseConvPlane(y, img, wt, d, bias, false)
+		DepthwiseConvPlane(yhs, img, wt, d, bias, true)
 		DepthwiseConvPlaneGradW(dw, dy, img, d)
 		DepthwiseConvPlaneGradX(dx, dy, wt, d)
-		return [][]float32{y, dw, dx}
+		return [][]float32{y, yhs, dw, dx}
 	}
 	want, got := run(false), run(true)
-	for i, kernel := range []string{"forward", "dW", "dx"} {
-		exactEqual(t, fmt.Sprintf("plane %dx%d k%d s%d p%d seed %d %s", h, w, k, stride, pad, seed, kernel), got[i], want[i])
+	for i, kernel := range []string{"forward", "forward+hswish", "dW", "dx"} {
+		exactEqual(t, fmt.Sprintf("plane %dx%d k%d s%d p%d bias %g seed %d %s", h, w, k, stride, pad, bias, seed, kernel), got[i], want[i])
 	}
 	tapOuter := slices.Clone(junkW)
 	refDepthwiseGradW(tapOuter, dy, img, d)
-	exactEqual(t, fmt.Sprintf("plane %dx%d k%d s%d p%d seed %d dW vs tap-outer", h, w, k, stride, pad, seed), got[1], tapOuter)
+	exactEqual(t, fmt.Sprintf("plane %dx%d k%d s%d p%d seed %d dW vs tap-outer", h, w, k, stride, pad, seed), got[2], tapOuter)
 }
 
 // FuzzVecPlanesMatchGeneric is FuzzVecMatchesGeneric's sibling for the
-// depthwise plane kernels (DepthwiseConvPlane, …GradW, …GradX) and the routines
-// under them (vec.AxpyPlane, vec.AxpyGather2, vec.AxpyScatter2, vec.GradW3x3):
-// random plane sizes, kernels, strides, pads and seeds at tol 0 — dW against
-// the tap-outer oracle too — seeded with the lowered sweep's geometries
-// (depthwise_test.go) and the block-edge widths of both strides.
+// depthwise plane kernels (DepthwiseConvPlane with its bias and both
+// activations, …GradW, …GradX) and the routines under them
+// (vec.Depthwise3x3, vec.AxpyPlane, vec.AxpyScatter2, vec.GradW3x3): random
+// plane sizes, kernels, strides, pads and seeds at tol 0 — dW against the
+// tap-outer oracle too — seeded with the lowered sweep's geometries
+// (depthwise_test.go) and the widths around the 8-lane block of both strides.
 func FuzzVecPlanesMatchGeneric(f *testing.F) {
 	for i, hw := range [][2]int{{7, 11}, {9, 5}, {13, 10}, {1, 1}, {2, 3}} {
 		for _, k := range []int{1, 3, 5} {
@@ -290,11 +299,13 @@ func TestVecPlaneAxpyMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestVecStride2TapsMatchGeneric drives the de-interleaving tap kernels
+// TestVecStride2TapsMatchGeneric drives the de-interleaving row walks
 // directly against the scalar row loops they replace, on slices that END at
 // the last element a row loop touches (2(n−1) past the row start, never the
-// odd element after it). The scatter's odd elements — between and beside its
-// targets — hold −0, NaN and denormals and must keep their bits.
+// odd element after it). The gather copies NaN, −0 and denormals as bits and
+// leaves the elements between its destination rows alone; the scatter's odd
+// elements — between and beside its targets — hold −0, NaN and denormals and
+// must keep their bits.
 func TestVecStride2TapsMatchGeneric(t *testing.T) {
 	requireVec(t)
 	r := frand.New(78)
@@ -302,36 +313,36 @@ func TestVecStride2TapsMatchGeneric(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 23, 24, 25, 40} {
 		for _, rows := range []int{1, 2, 5} {
 			narrow, wide := n+3, 2*n+4
-			for _, w := range []float32{1.5, -0.3, 1e-30} {
-				// gather: y[j] += w·img[2j]
-				src := vecOperand(r, (rows-1)*wide+2*n-1)
-				dst := vecOperand(r, (rows-1)*narrow+n)
-				want := slices.Clone(dst)
-				for y := 0; y < rows; y++ {
-					for j := 0; j < n; j++ {
-						want[y*narrow+j] += w * src[y*wide+2*j]
-					}
+			// gather: col[j] = img[2j]
+			src := operandWith(r, (rows-1)*wide+2*n-1, foldSpecials)
+			dst := vecOperand(r, (rows-1)*narrow+n)
+			want := slices.Clone(dst)
+			for y := 0; y < rows; y++ {
+				for j := 0; j < n; j++ {
+					want[y*narrow+j] = src[y*wide+2*j]
 				}
-				got := slices.Clone(dst)
-				vec.AxpyGather2(got, narrow, src, wide, w, rows, n)
-				exactEqual(t, fmt.Sprintf("gather %dx%d w=%g", rows, n, w), got, want)
+			}
+			got := slices.Clone(dst)
+			vec.Gather2(got, narrow, src, wide, rows, n)
+			exactEqual(t, fmt.Sprintf("gather %dx%d", rows, n), got, want)
 
+			for _, w := range []float32{1.5, -0.3, 1e-30} {
 				// scatter: dimg[2j] += w·dy[j]
-				src = vecOperand(r, (rows-1)*narrow+n)
-				dst = vecOperand(r, (rows-1)*wide+2*n-1)
+				src := vecOperand(r, (rows-1)*narrow+n)
+				dst := vecOperand(r, (rows-1)*wide+2*n-1)
 				for i := range dst {
 					if i%wide%2 == 1 || i%wide >= 2*n-1 {
 						dst[i] = odd[i%len(odd)]
 					}
 				}
 				dst[0] = float32(math.Copysign(0, -1)) // a target holding −0
-				want = slices.Clone(dst)
+				want := slices.Clone(dst)
 				for y := 0; y < rows; y++ {
 					for j := 0; j < n; j++ {
 						want[y*wide+2*j] += w * src[y*narrow+j]
 					}
 				}
-				got = slices.Clone(dst)
+				got := slices.Clone(dst)
 				vec.AxpyScatter2(got, wide, src, narrow, w, rows, n)
 				exactEqual(t, fmt.Sprintf("scatter %dx%d w=%g", rows, n, w), got, want)
 			}
@@ -342,6 +353,76 @@ func TestVecStride2TapsMatchGeneric(t *testing.T) {
 // gradW3x3 hands d's geometry to vec.GradW3x3.
 func gradW3x3(dw, dy, img []float32, d ConvDims) {
 	vec.GradW3x3(dw, dy, img, d.OutH, d.OutW, d.InH, d.InW, d.StrideH, d.StrideW, d.PadH, d.PadW)
+}
+
+// depthwise3x3 hands d's geometry to vec.Depthwise3x3, bias 0.5, no
+// activation.
+func depthwise3x3(y, img, w []float32, d ConvDims) {
+	vec.Depthwise3x3(y, img, w, d.OutH, d.OutW, d.InH, d.InW, d.StrideH, d.StrideW, d.PadH, d.PadW, 0.5, false)
+}
+
+// TestVecDepthwiseZeroSkipParity: the fused 3×3 forward skips what the Go
+// tap loop skips and nothing else, at both strides, every pad and widths
+// through the 8-lane block. Zero weights of both signs face ±Inf and NaN
+// pixels and must skip them; a NaN weight must poison exactly the outputs
+// whose tap lands inside the image (its out-of-image lanes are skipped, never
+// 0·NaN); the centre tap alone carries the hard-sigmoid knees and non-finite
+// pixels through the epilogue.
+func TestVecDepthwiseZeroSkipParity(t *testing.T) {
+	requireVec(t)
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	negZero := float32(math.Copysign(0, -1))
+	knees := []float32{3, -3, math.Nextafter32(3, 0), math.Nextafter32(-3, 0), math.Nextafter32(3, 4),
+		math.Nextafter32(-3, -4), -inf, inf, nan, negZero, 0, 1e-39, 7.5, -7.5}
+	r := frand.New(84)
+	for _, stride := range []int{1, 2} {
+		for _, w := range []int{1, 5, 8, 9, 15, 16, 17, 23, 33} {
+			for _, pad := range []int{0, 1, 2} {
+				d, err := NewConvDims(1, 7, w, 3, 3, stride, pad)
+				if err != nil {
+					continue
+				}
+				name := fmt.Sprintf("s%d w%d p%d", stride, w, pad)
+				forward := func(on bool, img, wt []float32, bias float32, hs bool) []float32 {
+					setVecLive(t, on)
+					y := vecOperand(r, d.ColCols()) // junk: the kernel must overwrite
+					DepthwiseConvPlane(y, img, wt, d, bias, hs)
+					return y
+				}
+				poisoned := vecOperand(r, 7*w)
+				for i := range poisoned {
+					if i%5 == 2 {
+						poisoned[i] = []float32{inf, -inf, nan}[i%3]
+					}
+				}
+				zeros := []float32{0.5, 0, -1, negZero, 2, 0, 1.25, negZero, 0.75}
+				centre := make([]float32, 7*w)
+				for i := range centre {
+					centre[i] = knees[i%len(knees)]
+				}
+				finite := vecOperand(r, 7*w)
+				nanCorner := []float32{nan, 0.5, 0.5, 0.5, 1, 0.5, 0.5, 0.5, 0.5}
+				for _, hs := range []bool{false, true} {
+					exactEqual(t, fmt.Sprintf("%s hswish=%v zero taps", name, hs),
+						forward(true, poisoned, zeros, -0.25, hs), forward(false, poisoned, zeros, -0.25, hs))
+					exactEqual(t, fmt.Sprintf("%s hswish=%v centre tap", name, hs),
+						forward(true, centre, []float32{0, 0, 0, 0, 1, 0, 0, 0, 0}, 0, hs),
+						forward(false, centre, []float32{0, 0, 0, 0, 1, 0, 0, 0, 0}, 0, hs))
+					got := forward(true, finite, nanCorner, 0.125, hs)
+					exactEqual(t, fmt.Sprintf("%s hswish=%v NaN corner", name, hs), got, forward(false, finite, nanCorner, 0.125, hs))
+					for oy := 0; oy < d.OutH; oy++ {
+						for ox := 0; ox < d.OutW; ox++ {
+							iy, ix := oy*stride-pad, ox*stride-pad
+							inside := iy >= 0 && iy < 7 && ix >= 0 && ix < w
+							if v := got[oy*d.OutW+ox]; (v != v) != inside {
+								t.Fatalf("%s hswish=%v: output (%d,%d) = %v, corner tap inside the image: %v", name, hs, oy, ox, v, inside)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestVecKernelsRejectShortSlices: the Go loops panic on an undersized slice
@@ -369,15 +450,27 @@ func TestVecKernelsRejectShortSlices(t *testing.T) {
 		{"transB out", func() { vec.DotTransB(full(m*n-1), full(m*k), full(n*k), m, k, n, false) }},
 		{"transB a", func() { vec.DotTransB(full(m*n), full(m*k-1), full(n*k), m, k, n, false) }},
 		{"transB b", func() { vec.DotTransB(full(m*n), full(m*k), full(n*k-1), m, k, n, true) }},
-		{"gather dst", func() { vec.AxpyGather2(full(2*12+n-1), 12, full(2*20+2*n-1), 20, 1, 3, n) }},
-		{"gather src", func() { vec.AxpyGather2(full(2*12+n), 12, full(2*20+2*n-2), 20, 1, 3, n) }},
-		{"gather src stride", func() { vec.AxpyGather2(full(2*12+n), 12, full(80), 2*n-2, 1, 3, n) }},
+		{"gather dst", func() { vec.Gather2(full(2*12+n-1), 12, full(2*20+2*n-1), 20, 3, n) }},
+		{"gather src", func() { vec.Gather2(full(2*12+n), 12, full(2*20+2*n-2), 20, 3, n) }},
+		{"gather src stride", func() { vec.Gather2(full(2*12+n), 12, full(80), 2*n-2, 3, n) }},
+		{"gather dst stride", func() { vec.Gather2(full(80), n-1, full(2*20+2*n-1), 20, 3, n) }},
 		{"scatter dst", func() { vec.AxpyScatter2(full(2*20+2*n-2), 20, full(2*12+n), 12, 1, 3, n) }},
 		{"scatter src", func() { vec.AxpyScatter2(full(2*20+2*n-1), 20, full(2*12+n-1), 12, 1, 3, n) }},
 		{"scatter dst stride", func() { vec.AxpyScatter2(full(80), 2*n-2, full(2*12+n), 12, 1, 3, n) }},
 		{"dW 3x3 dw", func() { gradW3x3(full(8), full(6*7), full(6*7), plane3x3) }},
 		{"dW 3x3 dy", func() { gradW3x3(full(9), full(6*7-1), full(6*7), plane3x3) }},
 		{"dW 3x3 img", func() { gradW3x3(full(9), full(6*7), full(6*7-1), plane3x3) }},
+		{"dw 3x3 y", func() { depthwise3x3(full(6*7-1), full(6*7), full(9), plane3x3) }},
+		{"dw 3x3 img", func() { depthwise3x3(full(6*7), full(6*7-1), full(9), plane3x3) }},
+		{"dw 3x3 w", func() { depthwise3x3(full(6*7), full(6*7), full(8), plane3x3) }},
+		{"dw 3x3 geometry", func() {
+			depthwise3x3(full(6*7), full(6*7), full(9), ConvDims{OutH: 6, OutW: 7, InH: 6, InW: 7, StrideW: 1})
+		}},
+		{"row scale", func() { vec.ScaleRows(full(3*n-1), full(3*n), full(3), 3, n) }},
+		{"row scale x", func() { vec.ScaleRows(full(3*n), full(3*n-1), full(3), 3, n) }},
+		{"row scale scales", func() { vec.ScaleRows(full(3*n), full(3*n), full(2), 3, n) }},
+		{"add out", func() { vec.Add(full(n-1), full(n), full(n)) }},
+		{"add b", func() { vec.Add(full(n), full(n), full(n-1)) }},
 		{"fold dst", func() { FoldScaled(make([]float64, n-1), full(n), 1) }},
 		{"squared distance b", func() { SqDist(0, full(n), full(n-1)) }},
 		{"laned squared distance b", func() { SqDistLanes(0, full(n), full(n-1)) }},
@@ -397,9 +490,21 @@ func TestVecKernelsRejectShortSlices(t *testing.T) {
 	vec.GemmAcc(nil, 4, nil, 1, 1, nil, 4, 2, 4, 0)
 	vec.AxpyPlane(nil, 4, nil, 4, 1, 0, 4)
 	vec.DotTransB(nil, nil, nil, 0, 3, 4, true)
-	vec.AxpyGather2(nil, 4, nil, 8, 1, 0, 4)
+	vec.Gather2(nil, 4, nil, 8, 0, 4)
 	vec.AxpyScatter2(nil, 8, nil, 4, 1, 2, 0)
 	gradW3x3(nil, nil, nil, ConvDims{KH: 3, KW: 3})
+	depthwise3x3(nil, nil, nil, ConvDims{OutW: 4, StrideW: 3})
+	vec.ScaleRows(nil, nil, nil, 3, 0)
+	vec.Add(nil, nil, nil)
+	// A column stride other than 1 or 2 has no de-interleave to run.
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "column stride 3") {
+				t.Fatalf("3x3 depthwise at column stride 3: recovered %q", msg)
+			}
+		}()
+		depthwise3x3(full(4), full(36), full(9), ConvDims{OutH: 2, OutW: 2, InH: 6, InW: 6, StrideH: 3, StrideW: 3})
+	}()
 	FoldScaled(nil, nil, 1)
 	if ss := SqDistLanes(2.5, nil, nil); ss != 2.5 {
 		t.Fatalf("squared distance of nothing changed the incoming sum to %v", ss)

@@ -1,6 +1,6 @@
-// Package vec holds the AVX2 forms of the training and aggregation kernels of
-// internal/tensor and internal/nn, the CPU probe that decides whether they may
-// run, and the one switch those packages read.
+// Package vec holds the AVX2 forms of the training, inference and
+// aggregation kernels of internal/tensor and internal/nn, the CPU probe that
+// decides whether they may run, and the one switch those packages read.
 //
 // Live is true exactly when the build carries the routines (amd64 without the
 // purego tag) and a CPUID/XGETBV probe at init found AVX2 with OS-saved YMM
@@ -24,19 +24,25 @@
 //     reduction. A vector's lanes — and a Go loop's side-by-side
 //     accumulators — hold independent accumulation targets: output columns;
 //     eight (i,j) chains of the dot form, fed by an in-register transpose;
-//     the output positions of a depthwise tap, de-interleaved at stride 2;
-//     the nine taps of a 3×3 depthwise weight gradient; eight channels of a
-//     batch-norm sum; the elements of an elementwise sweep. Every target
-//     still receives its terms one at a time in the Go loop's ascending
-//     order, with the same zero-skip (±0 skipped, NaN not) in the AXPY
-//     forms and none in the dot forms. Where a reduction's order IS the
-//     result (batch norm's float64 sums, a tap's dot product over a plane),
-//     the targets beside it are what fills the machine.
+//     the output positions of a 3×3 depthwise window, each taking all nine
+//     taps while its sum stays in its lane, de-interleaved at stride 2; the
+//     input positions of a depthwise gradient tap; the nine taps of a 3×3
+//     depthwise weight gradient; eight channels of a batch-norm sum;
+//     neighbouring planes of a plane mean; the elements of an elementwise
+//     sweep. Every target still receives its terms one at a time in the Go
+//     loop's ascending order, with the same zero-skip (±0 skipped, NaN not)
+//     in the AXPY forms and the depthwise forward and none in the dot forms.
+//     Where a reduction's order IS the result (batch norm's float64 sums, a
+//     tap's dot product over a plane, a plane's sum), the targets beside it
+//     are what fills the machine.
 //  2. No FMA. Each step is the Go loop's operation for operation: one
 //     VMULPS then one VADDPS (VMULPD/VADDPD in float64), the two roundings
-//     of the compiler's MULSS + ADDSS (GOAMD64=v1 never fuses). A fused
-//     multiply-add rounds once and would change bits. One ISA, one
-//     selection: no AVX-512 variant, no FMA variant.
+//     of the compiler's MULSS + ADDSS (GOAMD64=v1 never fuses). Where a
+//     routine's contract covers two NaN operands meeting (the fold, the
+//     depthwise forward), they also go in the compiler's order: the first
+//     one's sign and payload survive. A fused multiply-add rounds once and
+//     would change bits. One ISA, one selection: no AVX-512 variant, no FMA
+//     variant.
 //  3. A reduction takes lanes only when its consumer is a decision and a
 //     proven guard falls back to the serial chain. SqDist is the one such
 //     routine: it returns the gate's squared distance in lane order, and

@@ -43,9 +43,9 @@ func AxpyPlane(dst []float32, dstStride int, src []float32, srcStride int, w flo
 	axpyPlane(&dst[0], dstStride, &src[0], srcStride, w, rows, n)
 }
 
-// AxpyGather2 computes dst[r·dstStride+j] += w·src[r·srcStride+2j] for
-// r < rows, j < n: one tap of a stride-2 depthwise forward.
-func AxpyGather2(dst []float32, dstStride int, src []float32, srcStride int, w float32, rows, n int) {
+// Gather2 copies dst[r·dstStride+j] = src[r·srcStride+2j] for r < rows,
+// j < n: the rows of one (channel, tap) row of a stride-2 im2col.
+func Gather2(dst []float32, dstStride int, src []float32, srcStride int, rows, n int) {
 	if rows <= 0 || n <= 0 {
 		return
 	}
@@ -53,7 +53,7 @@ func AxpyGather2(dst []float32, dstStride int, src []float32, srcStride int, w f
 	short("stride-2 gather dst", (rows-1)*dstStride+n, len(dst))
 	short("stride-2 gather src stride", 2*n-1, srcStride)
 	short("stride-2 gather src", (rows-1)*srcStride+2*n-1, len(src))
-	axpyGather2(&dst[0], dstStride, &src[0], srcStride, w, rows, n)
+	gather2(&dst[0], dstStride, &src[0], srcStride, rows, n)
 }
 
 // AxpyScatter2 computes dst[r·dstStride+2j] += w·src[r·srcStride+j] for
@@ -89,6 +89,33 @@ func GradW3x3(dw, dy, img []float32, outH, outW, inH, inW, strideH, strideW, pad
 			dw[ky*3+kx] += acc[ky*4+kx]
 		}
 	}
+}
+
+// Depthwise3x3 computes one plane's 3×3 depthwise forward with its epilogue,
+// y = act(Σ_t w[t]·(tap t's pixel) + bias) at every output position, each
+// sum from +0 over the taps that land inside the image and have w[t] ≠ 0, in
+// ascending t; act is the identity or hard-swish. These are the bits of
+// tensor.DepthwiseConvPlane's tap loop followed by BiasAct, with eight output
+// positions in lanes. The plane is inH×inW, the output outH×outW, and strideW
+// is 1 or 2.
+func Depthwise3x3(y, img, w []float32, outH, outW, inH, inW, strideH, strideW, padH, padW int, bias float32, hswish bool) {
+	if outH <= 0 || outW <= 0 {
+		return
+	}
+	if strideW != 1 && strideW != 2 {
+		panic(fmt.Sprintf("vec: 3x3 depthwise column stride %d, want 1 or 2", strideW))
+	}
+	short("3x3 depthwise geometry", 1, min(inH, inW, strideH))
+	short("3x3 depthwise w", 9, len(w))
+	short("3x3 depthwise y", outH*outW, len(y))
+	short("3x3 depthwise img", inH*inW, len(img))
+	live := 0 // bit t: tap t is not skipped
+	for t, v := range w[:9] {
+		if v != 0 {
+			live |= 1 << t
+		}
+	}
+	depthwise3x3(&y[0], &img[0], &w[0], outH, outW, inH, inW, strideH, strideW, padH, padW, live, bias, hswish)
 }
 
 // DotMinCols is the narrowest output DotTransB takes: its lanes lie across
@@ -177,6 +204,27 @@ func BiasAct(y []float32, rows, n int, bias []float32, hswish bool) {
 	short("bias add", rows*n, len(y))
 	short("bias add (bias)", rows, len(bias))
 	biasAct(&y[0], rows, n, &bias[0], hswish)
+}
+
+// ScaleRows computes y[r·n+j] = x[r·n+j]·z[r] for r < rows, j < n: the
+// squeeze-excite rescale of rows planes of n elements.
+func ScaleRows(y, x, z []float32, rows, n int) {
+	if rows <= 0 || n <= 0 {
+		return
+	}
+	short("row scale", rows*n, min(len(y), len(x)))
+	short("row scale (scales)", rows, len(z))
+	scaleRows(&y[0], &x[0], &z[0], rows, n)
+}
+
+// Add computes out[i] = a[i] + b[i] over len(a) elements: the identity-skip
+// residual sum.
+func Add(out, a, b []float32) {
+	if len(a) == 0 {
+		return
+	}
+	short("add", len(a), min(len(out), len(b)))
+	add(&out[0], &a[0], &b[0], len(a))
 }
 
 // BNNormalize writes xhat = (x−mean)·inv and out = g·xhat + b for one

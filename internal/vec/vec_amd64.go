@@ -40,10 +40,13 @@ func axpyPlane(dst *float32, dstStride int, src *float32, srcStride int, w float
 func dotTransB(out, a, b *float32, m, k, n int, acc bool)
 
 //go:noescape
-func axpyGather2(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int)
+func gather2(dst *float32, dstStride int, src *float32, srcStride int, rows, n int)
 
 //go:noescape
 func axpyScatter2(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int)
+
+//go:noescape
+func depthwise3x3(y, img, w *float32, outH, outW, inH, inW, strideH, strideW, padH, padW, live int, bias float32, hswish bool)
 
 //go:noescape
 func gradW3x3(acc, dy, img *float32, outH, outW, inH, inW, strideH, strideW, padH, padW int)
@@ -62,6 +65,12 @@ func hardSwishGrad(dx, dy, x *float32, n int)
 
 //go:noescape
 func biasAct(y *float32, rows, n int, bias *float32, hswish bool)
+
+//go:noescape
+func scaleRows(y, x, z *float32, rows, n int)
+
+//go:noescape
+func add(out, a, b *float32, n int)
 
 //go:noescape
 func bnNormalize(out, xhat, x *float32, stride, rows, n int, mean, inv, gamma, beta float32)

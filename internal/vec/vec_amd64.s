@@ -500,14 +500,13 @@ dotDone:
 	VZEROUPPER
 	RET
 
-// The stride-2 depthwise taps. A tap of a stride-2 plane kernel touches every
-// second element of the wide side: y[j] += w·img[2j] forward, dimg[2j] +=
-// w·dy[j] for the input gradient. Every element is still its own target with
-// one multiply-add, so the lanes are eight consecutive j; what is new is the
-// de-interleave. Fifteen wide elements cover eight j, and they are read as
-// elements 0–7 and 7–14 — never a sixteenth, which the slice need not have.
-// A last block of n%8 j goes through lane masks, so nothing is read or
-// written past element 2(n−1).
+// The stride-2 row walks. They touch every second element of the wide side:
+// col[j] = img[2j] for a stride-2 im2col row, dimg[2j] += w·dy[j] for a
+// stride-2 depthwise input gradient. Every element is its own target, so the
+// lanes are eight consecutive j; what is new is the de-interleave. Fifteen
+// wide elements cover eight j, and they are read as elements 0–7 and 7–14 —
+// never a sixteenth, which the slice need not have. A last block of n%8 j
+// goes through lane masks, so nothing is read or written past element 2(n−1).
 
 // vecEven holds the VPERMPS indices that spread p0..p3 (then p4..p7) over
 // lane pairs: [0 0 1 1 2 2 3 3] and [4 4 5 5 6 6 7 7].
@@ -522,20 +521,19 @@ DATA vecEven<>+56(SB)/8, $0x0000000700000007
 GLOBL vecEven<>(SB), RODATA|NOPTR, $64
 
 // S2SETUP loads the shared registers of both stride-2 routines: DI/R8 dst
-// and its row step, SI/R9 src and its row step, Y15 = w, R13 rows, R10 = n,
-// and for a tail of r = n%8: Y9 the first r lanes (the narrow side), Y10 the
-// first min(8, 2r−1) lanes and Y11 the first max(0, 2r−8) lanes (the wide
-// side's two reads).
-#define S2SETUP \
+// and its row step, SI/R9 src and its row step, R13 rows, R10 = n, and for a
+// tail of r = n%8: Y9 the first r lanes (the narrow side), Y10 the first
+// min(8, 2r−1) lanes and Y11 the first max(0, 2r−8) lanes (the wide side's
+// two reads).
+#define S2SETUP(rowsArg, nArg) \
 	MOVQ dst+0(FP), DI; \
 	MOVQ dstStride+8(FP), R8; \
 	SHLQ $2, R8; \
 	MOVQ src+16(FP), SI; \
 	MOVQ srcStride+24(FP), R9; \
 	SHLQ $2, R9; \
-	VBROADCASTSS w+32(FP), Y15; \
-	MOVQ rows+40(FP), R13; \
-	MOVQ n+48(FP), R10; \
+	MOVQ rowsArg, R13; \
+	MOVQ nArg, R10; \
 	MOVQ R10, R11; \
 	ANDQ $7, R11; \
 	LEAQ vecMask<>(SB), R12; \
@@ -557,11 +555,11 @@ GLOBL vecEven<>(SB), RODATA|NOPTR, $64
 	NEGQ BX; \
 	VMOVDQU 32(R12)(BX*4), Y11
 
-// func axpyGather2(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int)
+// func gather2(dst *float32, dstStride int, src *float32, srcStride int, rows, n int)
 //
-// dst[r·dstStride + j] += w · src[r·srcStride + 2j]   (r < rows, j < n)
-TEXT ·axpyGather2(SB), NOSPLIT, $0-56
-	S2SETUP
+// dst[r·dstStride + j] = src[r·srcStride + 2j]   (r < rows, j < n)
+TEXT ·gather2(SB), NOSPLIT, $0-48
+	S2SETUP(rows+32(FP), n+40(FP))
 
 g2Row:
 	XORQ AX, AX             // dst offset, bytes; src is at twice that
@@ -574,10 +572,7 @@ g2Blk:
 	VMOVUPS 28(SI)(AX*2), Y1
 	VSHUFPS $0xD8, Y1, Y0, Y0   // e0 e2 e8 e10 | e4 e6 e12 e14
 	VPERMPD $0xD8, Y0, Y0       // e0 e2 e4 e6 e8 e10 e12 e14
-	VMULPS Y0, Y15, Y0
-	VMOVUPS (DI)(AX*1), Y4
-	VADDPS Y0, Y4, Y4
-	VMOVUPS Y4, (DI)(AX*1)
+	VMOVUPS Y0, (DI)(AX*1)
 	ADDQ $32, AX
 	SUBQ $8, BX
 	JMP  g2Blk
@@ -589,10 +584,7 @@ g2Tail:
 	VMASKMOVPS 28(SI)(AX*2), Y11, Y1
 	VSHUFPS $0xD8, Y1, Y0, Y0
 	VPERMPD $0xD8, Y0, Y0
-	VMULPS Y0, Y15, Y0
-	VMASKMOVPS (DI)(AX*1), Y9, Y4
-	VADDPS Y0, Y4, Y4
-	VMASKMOVPS Y4, Y9, (DI)(AX*1)
+	VMASKMOVPS Y0, Y9, (DI)(AX*1)
 
 g2Next:
 	ADDQ R8, DI
@@ -609,7 +601,8 @@ g2Next:
 // The odd elements between the targets are re-stored from what was loaded,
 // blended in unchanged, so they keep their bits (a −0 stays −0).
 TEXT ·axpyScatter2(SB), NOSPLIT, $0-56
-	S2SETUP
+	S2SETUP(rows+40(FP), n+48(FP))
+	VBROADCASTSS w+32(FP), Y15
 	VMOVDQU vecEven<>+0(SB), Y13
 	VMOVDQU vecEven<>+32(SB), Y14
 
@@ -656,6 +649,288 @@ s2Next:
 	ADDQ R9, SI
 	DECQ R13
 	JNZ  s2Row
+	VZEROUPPER
+	RET
+
+// The 3×3 depthwise forward. Each output position is one target: a sum from
+// +0 that takes its in-image, non-zero taps in ascending (ky, kx) order, one
+// VMULPS and one VADDPS each with the Go loop's first sources — the pixel in
+// the multiply, the product in the add, which decide what NaN survives of
+// two — then the bias add and, optionally, hard-swish, and one store. The
+// lanes are eight output positions of a row (ox0 .. ox0+7); the nine weights
+// stay broadcast in Y0–Y8 for the whole column block and the rows of the
+// block run beneath them, so a position's nine taps never leave registers.
+// Tap column kx of lane l reads image column ix0 + l·strideW + kx,
+// ix0 = ox0·strideW − padW.
+//
+// Skipping. A tap row outside the image (top and bottom output rows) and a
+// zero weight skip their terms by branch: bit t of AX is set when tap t runs
+// in this output row, and the branch is the same for every lane. A tap column
+// outside the image skips per lane: its pixels come in through VMASKMOVPS
+// with that lane masked off (so no read leaves the image and the lane loads
+// +0), and the same lane of the weight is ANDed to +0 once per column block,
+// so the lane's product is +0·+0 = +0 — an exact no-op on a sum that began at
+// +0 — even where the weight is Inf or NaN.
+//
+// Stride 2 reads sixteen consecutive pixels per tap row (elements 0–7 and
+// 8–15 from the first tap column) and de-interleaves them with VSHUFPS
+// $0x88 / $0xDD and VPERMPD $0xD8 into the lanes of tap columns 0 and 1;
+// tap column 2 reads elements 2–17 the same way. The masks of those reads are
+// cut from the image row's bounds, element by element, and the weight masks
+// are their de-interleaves.
+//
+// Register plan: Y0–Y8 the nine weights (masked), Y11 the bias, Y12 the sum,
+// Y13 and Y15 scratch; stride 1: Y9, Y10, Y14 the column masks of tap columns
+// 0–2; stride 2: Y9/Y10 the masks of elements 0–7/8–15, those of 2–9/10–17
+// in the frame, Y14 scratch. AX the taps that run in this row, BX the live
+// taps, DI out (row, block), R8 the image pixel of tap (0, 0) at lane 0, R9
+// its step per output row (bytes), R10 = 4·outW, R11 = 4·inW, R12 = iy0 (the
+// image row of tap row 0), R13 rows left, SI the bound below which iy0 has
+// all three tap rows inside.
+
+// dwLanes holds the int32 lane indices 0 … 7.
+DATA dwLanes<>+0(SB)/8, $0x0000000100000000
+DATA dwLanes<>+8(SB)/8, $0x0000000300000002
+DATA dwLanes<>+16(SB)/8, $0x0000000500000004
+DATA dwLanes<>+24(SB)/8, $0x0000000700000006
+GLOBL dwLanes<>(SB), RODATA|NOPTR, $32
+
+// hsVec holds the hard-sigmoid constants 3, 6 and 1 in eight lanes each,
+// for the epilogue that has no register to spare for them.
+DATA hsVec<>+0(SB)/8, $0x4040000040400000
+DATA hsVec<>+8(SB)/8, $0x4040000040400000
+DATA hsVec<>+16(SB)/8, $0x4040000040400000
+DATA hsVec<>+24(SB)/8, $0x4040000040400000
+DATA hsVec<>+32(SB)/8, $0x40c0000040c00000
+DATA hsVec<>+40(SB)/8, $0x40c0000040c00000
+DATA hsVec<>+48(SB)/8, $0x40c0000040c00000
+DATA hsVec<>+56(SB)/8, $0x40c0000040c00000
+DATA hsVec<>+64(SB)/8, $0x3f8000003f800000
+DATA hsVec<>+72(SB)/8, $0x3f8000003f800000
+DATA hsVec<>+80(SB)/8, $0x3f8000003f800000
+DATA hsVec<>+88(SB)/8, $0x3f8000003f800000
+GLOBL hsVec<>(SB), RODATA|NOPTR, $96
+
+// COLMASK sets the lanes l of m whose image column AX + off + l lies in
+// [0, inW); Y13 holds inW and Y14 −1 in every lane. Clobbers DX and Y15.
+#define COLMASK(off, m) \
+	LEAQ off(AX), DX; \
+	VMOVD DX, X15; \
+	VPBROADCASTD X15, Y15; \
+	VPADDD dwLanes<>(SB), Y15, Y15; \
+	VPCMPGTD Y14, Y15, m; \
+	VPCMPGTD Y15, Y13, Y15; \
+	VPAND Y15, m, m
+
+// DWWEIGHT broadcasts weight t (w in DX) into r, its lanes cut by mask m.
+#define DWWEIGHT(t, r, m) \
+	VBROADCASTSS (t*4)(DX), r; \
+	VANDPS m, r, r
+
+// DWTAP1 adds stride-1 tap bit's term when the tap runs in this row: the
+// pixels at addr through its column mask m, times its weight w.
+#define DWTAP1(bit, addr, m, w) \
+	TESTL $bit, AX; \
+	JZ    4(PC); \
+	VMASKMOVPS addr, m, Y13; \
+	VMULPS w, Y13, Y13; \
+	VADDPS Y12, Y13, Y12
+
+// DWROW2 adds one tap row's three stride-2 terms (tap bits b0, b1, b2,
+// weights w0–w2): pixels 0–15 from a0/a32 de-interleave into tap columns 0
+// and 1, pixels 2–17 from a8/a40 into tap column 2.
+#define DWROW2(b0, b1, b2, a0, a32, a8, a40, w0, w1, w2) \
+	TESTL $(b0|b1), AX; \
+	JZ    15(PC); \
+	VMASKMOVPS a0, Y9, Y13; \
+	VMASKMOVPS a32, Y10, Y14; \
+	TESTL $b0, AX; \
+	JZ    5(PC); \
+	VSHUFPS $0x88, Y14, Y13, Y15; \
+	VPERMPD $0xD8, Y15, Y15; \
+	VMULPS w0, Y15, Y15; \
+	VADDPS Y12, Y15, Y12; \
+	TESTL $b1, AX; \
+	JZ    5(PC); \
+	VSHUFPS $0xDD, Y14, Y13, Y15; \
+	VPERMPD $0xD8, Y15, Y15; \
+	VMULPS w1, Y15, Y15; \
+	VADDPS Y12, Y15, Y12; \
+	TESTL $b2, AX; \
+	JZ    9(PC); \
+	VMOVDQU ma2-64(SP), Y15; \
+	VMASKMOVPS a8, Y15, Y13; \
+	VMOVDQU mb2-96(SP), Y15; \
+	VMASKMOVPS a40, Y15, Y14; \
+	VSHUFPS $0x88, Y14, Y13, Y15; \
+	VPERMPD $0xD8, Y15, Y15; \
+	VMULPS w2, Y15, Y15; \
+	VADDPS Y12, Y15, Y12
+
+// func depthwise3x3(y, img, w *float32, outH, outW, inH, inW, strideH, strideW, padH, padW, live int, bias float32, hswish bool)
+TEXT ·depthwise3x3(SB), NOSPLIT, $112-101
+	MOVQ inW+48(FP), R11
+	SHLQ $2, R11
+	MOVQ strideH+56(FP), R9
+	IMULQ R11, R9
+	MOVQ outW+32(FP), R10
+	SHLQ $2, R10
+	MOVQ $0, ox0-104(SP)
+
+dwBlock:
+	MOVQ outW+32(FP), CX
+	SUBQ ox0-104(SP), CX        // columns left
+	JLE  dwDone
+	MOVQ $8, DX
+	CMPQ CX, DX
+	CMOVQGT DX, CX
+	MOVQ CX, nl-112(SP)         // lanes in this block
+	LEAQ vecMask<>(SB), DX
+	NEGQ CX
+	VMOVDQU 32(DX)(CX*4), Y13
+	VMOVDQU Y13, smask-32(SP)   // … and their store mask
+	MOVQ ox0-104(SP), AX
+	IMULQ strideW+64(FP), AX
+	SUBQ padW+80(FP), AX        // ix0
+	MOVQ inW+48(FP), DX
+	VMOVD DX, X13
+	VPBROADCASTD X13, Y13
+	VPCMPEQD Y14, Y14, Y14
+	CMPQ strideW+64(FP), $2
+	JEQ  dwBlock2
+	COLMASK(0, Y9)
+	COLMASK(1, Y10)
+	COLMASK(2, Y14)
+	MOVQ w+16(FP), DX
+	DWWEIGHT(0, Y0, Y9)
+	DWWEIGHT(1, Y1, Y10)
+	DWWEIGHT(2, Y2, Y14)
+	DWWEIGHT(3, Y3, Y9)
+	DWWEIGHT(4, Y4, Y10)
+	DWWEIGHT(5, Y5, Y14)
+	DWWEIGHT(6, Y6, Y9)
+	DWWEIGHT(7, Y7, Y10)
+	DWWEIGHT(8, Y8, Y14)
+	JMP  dwRows
+
+dwBlock2:
+	COLMASK(0, Y9)
+	COLMASK(8, Y10)
+	COLMASK(2, Y11)
+	VMOVDQU Y11, ma2-64(SP)
+	COLMASK(10, Y12)
+	VMOVDQU Y12, mb2-96(SP)
+	VSHUFPS $0x88, Y12, Y11, Y12
+	VPERMPD $0xD8, Y12, Y12     // the lanes tap column 2 lands in
+	VSHUFPS $0x88, Y10, Y9, Y11
+	VPERMPD $0xD8, Y11, Y11     // … column 0
+	VSHUFPS $0xDD, Y10, Y9, Y13
+	VPERMPD $0xD8, Y13, Y13     // … column 1
+	MOVQ w+16(FP), DX
+	DWWEIGHT(0, Y0, Y11)
+	DWWEIGHT(1, Y1, Y13)
+	DWWEIGHT(2, Y2, Y12)
+	DWWEIGHT(3, Y3, Y11)
+	DWWEIGHT(4, Y4, Y13)
+	DWWEIGHT(5, Y5, Y12)
+	DWWEIGHT(6, Y6, Y11)
+	DWWEIGHT(7, Y7, Y13)
+	DWWEIGHT(8, Y8, Y12)
+
+dwRows:
+	VBROADCASTSS bias+96(FP), Y11
+	MOVQ ox0-104(SP), DI
+	SHLQ $2, DI
+	ADDQ y+0(FP), DI
+	MOVQ padH+72(FP), R12
+	NEGQ R12                    // iy0 of output row 0
+	MOVQ R12, R8
+	IMULQ inW+48(FP), R8
+	ADDQ AX, R8
+	SHLQ $2, R8
+	ADDQ img+8(FP), R8
+	MOVQ outH+24(FP), R13
+	MOVQ live+88(FP), BX
+	MOVQ inH+40(FP), SI
+	SUBQ $2, SI
+	XORL DX, DX
+	CMPQ SI, DX
+	CMOVQLT DX, SI              // max(inH−2, 0)
+
+dwRow:
+	MOVQ BX, AX
+	CMPQ R12, SI                // unsigned: 0 ≤ iy0 < inH−2
+	JB   dwRowIn
+	// a row at the top or bottom: only the tap rows inside run
+	XORL AX, AX
+	MOVQ inH+40(FP), CX
+	CMPQ R12, CX                // unsigned: 0 ≤ iy0 < inH
+	JAE  2(PC)
+	ORL  $0x007, AX
+	LEAQ 1(R12), DX
+	CMPQ DX, CX
+	JAE  2(PC)
+	ORL  $0x038, AX
+	LEAQ 2(R12), DX
+	CMPQ DX, CX
+	JAE  2(PC)
+	ORL  $0x1c0, AX
+	ANDQ BX, AX
+
+dwRowIn:
+	VXORPS Y12, Y12, Y12
+	CMPQ strideW+64(FP), $2
+	JEQ  dwTaps2
+	DWTAP1(0x001, (R8), Y9, Y0)
+	DWTAP1(0x002, 4(R8), Y10, Y1)
+	DWTAP1(0x004, 8(R8), Y14, Y2)
+	DWTAP1(0x008, (R8)(R11*1), Y9, Y3)
+	DWTAP1(0x010, 4(R8)(R11*1), Y10, Y4)
+	DWTAP1(0x020, 8(R8)(R11*1), Y14, Y5)
+	DWTAP1(0x040, (R8)(R11*2), Y9, Y6)
+	DWTAP1(0x080, 4(R8)(R11*2), Y10, Y7)
+	DWTAP1(0x100, 8(R8)(R11*2), Y14, Y8)
+	JMP  dwEpilogue
+
+dwTaps2:
+	DWROW2(0x001, 0x002, 0x004, (R8), 32(R8), 8(R8), 40(R8), Y0, Y1, Y2)
+	DWROW2(0x008, 0x010, 0x020, (R8)(R11*1), 32(R8)(R11*1), 8(R8)(R11*1), 40(R8)(R11*1), Y3, Y4, Y5)
+	DWROW2(0x040, 0x080, 0x100, (R8)(R11*2), 32(R8)(R11*2), 8(R8)(R11*2), 40(R8)(R11*2), Y6, Y7, Y8)
+
+dwEpilogue:
+	VADDPS Y11, Y12, Y12
+	CMPB hswish+100(FP), $0
+	JEQ  dwStore
+	// s·hardSigmoid(s): t = (s+3)/6; t < 0 → +0; t > 1 → 1
+	VADDPS hsVec<>+0(SB), Y12, Y13
+	VDIVPS hsVec<>+32(SB), Y13, Y13
+	VXORPS Y15, Y15, Y15
+	VCMPPS $0x11, Y15, Y13, Y15
+	VANDNPS Y13, Y15, Y13
+	VCMPPS $0x1e, hsVec<>+64(SB), Y13, Y15
+	VBLENDVPS Y15, hsVec<>+64(SB), Y13, Y13
+	VMULPS Y13, Y12, Y12
+
+dwStore:
+	CMPQ nl-112(SP), $8
+	JNE  dwStoreTail
+	VMOVUPS Y12, (DI)
+	JMP  dwNext
+
+dwStoreTail:
+	VMOVDQU smask-32(SP), Y13
+	VMASKMOVPS Y12, Y13, (DI)
+
+dwNext:
+	ADDQ R10, DI
+	ADDQ R9, R8
+	ADDQ strideH+56(FP), R12
+	DECQ R13
+	JNZ  dwRow
+	ADDQ $8, ox0-104(SP)
+	JMP  dwBlock
+
+dwDone:
 	VZEROUPPER
 	RET
 
@@ -1066,6 +1341,100 @@ baNext:
 	ADDQ $4, SI
 	DECQ R13
 	JNZ  baRow
+	VZEROUPPER
+	RET
+
+// func scaleRows(y, x, z *float32, rows, n int)
+//
+// y[r·n + j] = x[r·n + j] · z[r]: the squeeze-excite rescale.
+TEXT ·scaleRows(SB), NOSPLIT, $0-40
+	MOVQ y+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ z+16(FP), DX
+	MOVQ rows+24(FP), R13
+	MOVQ n+32(FP), R10
+	MOVQ R10, BX
+	TAILMASK(BX, CX)
+	XORQ AX, AX             // element offset, bytes, across the rows
+
+srRow:
+	VBROADCASTSS (DX), Y10
+	MOVQ R10, BX
+
+srBlk:
+	CMPQ BX, $8
+	JLT  srTail
+	VMOVUPS (SI)(AX*1), Y0
+	VMULPS Y10, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ $32, AX
+	SUBQ $8, BX
+	JMP  srBlk
+
+srTail:
+	TESTQ BX, BX
+	JZ    srNext
+	VMASKMOVPS (SI)(AX*1), Y9, Y0
+	VMULPS Y10, Y0, Y0
+	VMASKMOVPS Y0, Y9, (DI)(AX*1)
+	LEAQ (AX)(BX*4), AX
+
+srNext:
+	ADDQ $4, DX
+	DECQ R13
+	JNZ  srRow
+	VZEROUPPER
+	RET
+
+// func add(out, a, b *float32, n int)
+//
+// out[i] = a[i] + b[i]: the identity-skip residual sum.
+TEXT ·add(SB), NOSPLIT, $0-32
+	MOVQ out+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), BX
+	XORQ AX, AX
+
+addBlk32:
+	CMPQ BX, $32
+	JLT  addBlk8
+	VMOVUPS (SI)(AX*1), Y0
+	VMOVUPS 32(SI)(AX*1), Y1
+	VMOVUPS 64(SI)(AX*1), Y2
+	VMOVUPS 96(SI)(AX*1), Y3
+	VADDPS (DX)(AX*1), Y0, Y0
+	VADDPS 32(DX)(AX*1), Y1, Y1
+	VADDPS 64(DX)(AX*1), Y2, Y2
+	VADDPS 96(DX)(AX*1), Y3, Y3
+	VMOVUPS Y0, (DI)(AX*1)
+	VMOVUPS Y1, 32(DI)(AX*1)
+	VMOVUPS Y2, 64(DI)(AX*1)
+	VMOVUPS Y3, 96(DI)(AX*1)
+	ADDQ $128, AX
+	SUBQ $32, BX
+	JMP  addBlk32
+
+addBlk8:
+	CMPQ BX, $8
+	JLT  addTail
+	VMOVUPS (SI)(AX*1), Y0
+	VADDPS (DX)(AX*1), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ $32, AX
+	SUBQ $8, BX
+	JMP  addBlk8
+
+addTail:
+	TESTQ BX, BX
+	JZ    addDone
+	TAILMASK(BX, CX)
+	VMASKMOVPS (SI)(AX*1), Y9, Y0
+	VMASKMOVPS (DX)(AX*1), Y9, Y1
+	VADDPS Y1, Y0, Y0
+	VMASKMOVPS Y0, Y9, (DI)(AX*1)
+
+addDone:
 	VZEROUPPER
 	RET
 

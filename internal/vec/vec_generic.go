@@ -19,11 +19,15 @@ func axpyPlane(dst *float32, dstStride int, src *float32, srcStride int, w float
 
 func dotTransB(out, a, b *float32, m, k, n int, acc bool) { panic(none) }
 
-func axpyGather2(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int) {
+func gather2(dst *float32, dstStride int, src *float32, srcStride int, rows, n int) {
 	panic(none)
 }
 
 func axpyScatter2(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int) {
+	panic(none)
+}
+
+func depthwise3x3(y, img, w *float32, outH, outW, inH, inW, strideH, strideW, padH, padW, live int, bias float32, hswish bool) {
 	panic(none)
 }
 
@@ -40,6 +44,10 @@ func hardSwish(y, x *float32, n int) { panic(none) }
 func hardSwishGrad(dx, dy, x *float32, n int) { panic(none) }
 
 func biasAct(y *float32, rows, n int, bias *float32, hswish bool) { panic(none) }
+
+func scaleRows(y, x, z *float32, rows, n int) { panic(none) }
+
+func add(out, a, b *float32, n int) { panic(none) }
 
 func bnNormalize(out, xhat, x *float32, stride, rows, n int, mean, inv, gamma, beta float32) {
 	panic(none)
