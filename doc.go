@@ -237,9 +237,14 @@
 //     normalization pass runs at all. A BN with no matmul predecessor (after
 //     a residual sum or pooling) stays a standalone channel-parallel affine.
 //   - The activation following a matmul layer (ReLU, HardSwish,
-//     HardSigmoid) is fused into the kernel as a tensor.RowEpilogue: bias + act
-//     are applied to each output row inside the parallel chunk that computed
-//     it, so the output is never re-traversed by a separate layer pass.
+//     HardSigmoid) is fused into the kernel. A conv hands its per-row bias
+//     and activation to the GEMM as data (tensor.RowBias), and the vector
+//     GEMM applies them in its store, so each output element is written
+//     once — no clear before it, no sweep after it (a hard-sigmoid conv,
+//     which no model has, still sweeps). The dense layer's per-column bias
+//     and activation are a tensor.RowEpilogue, applied to each output row
+//     inside the parallel chunk that computed it; the packed and int8
+//     kernels sweep a conv's RowBias the same way.
 //   - Convs follow the training layer's geometry rule (see the arena
 //     section): pointwise and depthwise shapes skip the lowering; the rest
 //     keep one im2col scratch per parallel chunk instead of caching every
@@ -256,7 +261,9 @@
 //
 // A frozen view shares its source network's arena and intra-op budget like
 // any layer, is re-folded (not recompiled) on every Freeze call so it
-// tracks weight updates, and allocates nothing in steady state.
+// tracks weight updates, and allocates nothing in steady state. The arena
+// replays the last request's sequence of tensor classes, so a repeated
+// request takes each output tensor without hashing its shape.
 //
 // Contract boundary: BN folding reorders float operations, so the frozen
 // forward is TOLERANCE-based — within 1e-5 max-abs of the reference eval
@@ -300,12 +307,12 @@
 //     the same contract the BN fold already imposes on frozen outputs.
 //
 // Vector oracle kernels. On amd64 the oracle tier runs the AVX2 routines of
-// internal/vec: the strided row-AXPY GEMM behind a@b and aᵀ@b, the dot-form
-// a@bᵀ, the depthwise tap AXPY at stride 1 and 2, the 3×3 depthwise weight
-// gradient, the aggregation step's fold (tensor.FoldScaled) and gate norm
-// (tensor.SqDistLanes), and nn's conv bias add, hard-swish forward/backward,
-// batch-norm reductions, normalise and input-gradient sweeps and frozen conv
-// epilogue. internal/vec's package doc states when they run (vec.Live: a CPU
+// internal/vec: the strided row-AXPY GEMM behind a@b and aᵀ@b (with the
+// conv bias and activation in its store), the dot-form a@bᵀ, the depthwise
+// tap AXPY at stride 1 and 2, the 3×3 depthwise weight gradient, the
+// aggregation step's fold (tensor.FoldScaled) and gate norm
+// (tensor.SqDistLanes), and nn's hard-swish forward/backward, batch-norm
+// reductions, normalise and input-gradient sweeps. internal/vec's package doc states when they run (vec.Live: a CPU
 // probe, no flag; `-tags purego` builds none) and the three kernel rules that
 // keep them bit-identical to the Go loops — or, for the gate norm, keep every
 // gate decision the serial loop's (FuzzGateMatchesSerial). What stays scalar

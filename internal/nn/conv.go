@@ -7,7 +7,6 @@ import (
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/parallel"
 	"heteroswitch/internal/tensor"
-	"heteroswitch/internal/vec"
 )
 
 // Conv2D is a grouped 2-D convolution over NCHW tensors. Groups==1 is a
@@ -153,9 +152,9 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // forwardIter runs one sample×group forward iteration through the layer's
 // kernel — im2col + the group matmul (row-parallel under par), the matmul on
-// the input slice, or the depthwise plane kernel with the bias fused — then
-// the matmuls' bias add. Iterations write disjoint col and output slices, so
-// any subset may run concurrently.
+// the input slice, or the depthwise plane kernel — each with the bias added
+// in its store. Iterations write disjoint col and output slices, so any
+// subset may run concurrently.
 func (l *Conv2D) forwardIter(it, par int, xd, od []float32) {
 	d := l.dims
 	rows, cols := d.ColRows(), d.ColCols()
@@ -178,22 +177,11 @@ func (l *Conv2D) forwardIter(it, par int, xd, od []float32) {
 		tensor.DepthwiseConvPlane(y, img, wg, d, bd[gi], false)
 		return
 	case convPointwise:
-		tensor.MatMulSlicesP(par, y, wg, img, gcOut, fanIn, cols)
+		tensor.MatMulSlicesP(par, y, wg, img, gcOut, fanIn, cols, bd[gi*gcOut:(gi+1)*gcOut])
 	default:
 		col := l.cols[(i*g+gi)*rows*cols : (i*g+gi+1)*rows*cols]
 		tensor.Im2Col(col, img, d)
-		tensor.MatMulSlicesP(par, y, wg, col, gcOut, fanIn, cols)
-	}
-	if vec.Live {
-		vec.BiasAct(y, gcOut, cols, bd[gi*gcOut:], false)
-		return
-	}
-	for oc := 0; oc < gcOut; oc++ {
-		b := bd[gi*gcOut+oc]
-		row := y[oc*cols : (oc+1)*cols]
-		for j := range row {
-			row[j] += b
-		}
+		tensor.MatMulSlicesP(par, y, wg, col, gcOut, fanIn, cols, bd[gi*gcOut:(gi+1)*gcOut])
 	}
 }
 

@@ -41,7 +41,7 @@ func loweredConv(l *Conv2D, x, dy *tensor.Tensor, dW, db []float32) (out, dx []f
 			o := (i*l.OutC + gi*gcOut) * cols
 			y, gy := out[o:o+gcOut*cols], gd[o:o+gcOut*cols]
 			tensor.Im2Col(col, img, d)
-			tensor.MatMulSlicesP(1, y, wg, col, gcOut, rows, cols)
+			tensor.MatMulSlicesP(1, y, wg, col, gcOut, rows, cols, nil)
 			for oc := 0; oc < gcOut; oc++ {
 				var s float32
 				for j := oc * cols; j < (oc+1)*cols; j++ {

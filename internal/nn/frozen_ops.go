@@ -22,24 +22,17 @@ const (
 	epHardSigmoid
 )
 
-// applyBiasAct computes row[j] = act(row[j] + b) in one sweep.
-func applyBiasAct(row []float32, b float32, act epAct) {
+// stored is the activation a GEMM store applies for act. Hard-sigmoid, which
+// no model's conv has and the store lacks, stores the bias alone and leaves
+// the activation to a sweep.
+func (act epAct) stored() vec.Act {
 	switch act {
-	case epNone, epHardSwish:
-		tensor.BiasAct(row, b, act == epHardSwish)
 	case epReLU:
-		for j := range row {
-			if v := row[j] + b; v > 0 {
-				row[j] = v
-			} else {
-				row[j] = 0
-			}
-		}
-	case epHardSigmoid:
-		for j := range row {
-			row[j] = tensor.HardSigmoid(row[j] + b)
-		}
+		return vec.ActReLU
+	case epHardSwish:
+		return vec.ActHardSwish
 	}
+	return vec.ActIdentity
 }
 
 // applyVecBiasAct computes row[j] = act(row[j] + bias[j]) in one sweep — the
@@ -102,22 +95,10 @@ func applyAct(yd, xd []float32, lo, hi int, act epAct) {
 
 // Fused conv ------------------------------------------------------------------
 
-// convEpilogue applies one group's bias + activation to a freshly computed
-// output row (= one output channel of the group). It is stateless per call,
-// so chunks may share it concurrently.
-type convEpilogue struct {
-	bias []float32 // the group's folded biases, indexed by local row
-	act  epAct
-}
-
-// Apply implements tensor.RowEpilogue.
-func (e *convEpilogue) Apply(row []float32, r int) { applyBiasAct(row, e.bias[r], e.act) }
-
-// frozenConv is Conv2D's inference op: im2col + a fused matmul whose
-// epilogue adds the (BN-folded) bias and applies the fused activation inside
-// each parallel chunk. Unlike the training layer it keeps ONE im2col scratch
-// per parallel chunk instead of caching every sample×group column matrix
-// for a backward pass. It follows the training layer's geometry dispatch
+// frozenConv is Conv2D's inference op: im2col + a matmul that stores each
+// output as act(sum + the (BN-folded) bias). Unlike the training layer it
+// keeps ONE im2col scratch per parallel chunk instead of caching every
+// sample×group column matrix for a backward pass. It follows the training layer's geometry dispatch
 // (Conv2D.kernel, rule and bit-identity argument on the Conv2D type
 // comment): pointwise convs matmul the image slice directly, depthwise
 // groups run tensor.DepthwiseConvPlane, everything else lowers.
@@ -138,7 +119,7 @@ type frozenConv struct {
 	pw   *tensor.PackedWeights
 	own  tensor.PackedWeights
 
-	eps      []convEpilogue // one per group (stateless, shared by chunks)
+	eps      []tensor.RowBias // one per group: its biases and the stored act
 	dims     tensor.ConvDims
 	inH, inW int
 	cols     []float32 // per-chunk im2col scratch
@@ -159,9 +140,9 @@ func (c *frozenConv) build() {
 		c.bf = l.B.W.Data()
 	}
 	gcOut := l.OutC / l.Groups
-	c.eps = make([]convEpilogue, l.Groups)
+	c.eps = make([]tensor.RowBias, l.Groups)
 	for gi := range c.eps {
-		c.eps[gi] = convEpilogue{bias: c.bf[gi*gcOut : (gi+1)*gcOut], act: c.act}
+		c.eps[gi] = tensor.RowBias{Bias: c.bf[gi*gcOut : (gi+1)*gcOut], Act: c.act.stored()}
 	}
 }
 
@@ -253,8 +234,9 @@ func (c *frozenConv) Run(chunk, lo, hi int) {
 }
 
 // inferIter runs one sample×group iteration through the cheapest kernel its
-// shape admits (see the type comment), fusing bias + activation either as
-// the matmul epilogue or as a sweep over the freshly computed plane.
+// shape admits (see the type comment), with bias + activation in the
+// kernel's store, or a sweep over the finished output for an activation the
+// kernel lacks.
 func (c *frozenConv) inferIter(it, par int, col []float32) {
 	l := c.l
 	d := c.dims
@@ -278,12 +260,16 @@ func (c *frozenConv) inferIter(it, par int, col []float32) {
 		if c.act != epNone && c.act != epHardSwish {
 			applyAct(y, y, 0, len(y), c.act)
 		}
+		return
 	case convPointwise:
 		// The im2col matrix IS the image slice.
 		tensor.MatMulWASlicesPEp(par, y, wg, c.pw, gi*gcOut, gcOut, img, cols, false, &c.eps[gi])
 	default:
 		tensor.Im2Col(col, img, d)
 		tensor.MatMulWASlicesPEp(par, y, wg, c.pw, gi*gcOut, gcOut, col, cols, false, &c.eps[gi])
+	}
+	if c.act == epHardSigmoid {
+		applyAct(y, y, 0, len(y), epHardSigmoid)
 	}
 }
 

@@ -120,10 +120,10 @@ func runVecActCase(t *testing.T, n, rows int, seed uint64) {
 		sum := make([]float32, n)
 		addInto(sum, x, dy)
 		res := [][]float32{y, dx, act, planes, scaled, sum}
-		for _, a := range []epAct{epNone, epHardSwish} {
+		for _, hs := range []bool{false, true} {
 			for i := range bias {
 				row := slices.Clone(x)
-				applyBiasAct(row, bias[i], a)
+				tensor.BiasAct(row, bias[i], hs)
 				res = append(res, row)
 			}
 		}

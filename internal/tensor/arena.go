@@ -22,8 +22,19 @@ package tensor
 //
 // Tensors with more than four dimensions fall back to plain allocation and
 // are never recycled; nothing in this codebase exceeds 4-D (NCHW).
+//
+// Replay. A training step or a frozen forward asks for the same classes in
+// the same order every batch, so the arena records the class of the i-th
+// GetUninit since Reset and, next window, takes a request whose class key
+// equals the recorded one without hashing its shape. A request that differs
+// (a window longer, shorter or reordered against the last) looks its class
+// up in the map and overwrites the record — one compare more than a lookup.
+// Either way a request gets the same class and the same next-free tensor.
 type Arena struct {
-	classes map[arenaKey]*arenaClass
+	classes []*arenaClass            // every class, in creation order
+	index   map[arenaKey]*arenaClass // the lookup behind a replay miss
+	replay  []*arenaClass            // class of the i-th GetUninit since Reset, last time
+	pos     int                      // GetUninit calls since Reset
 }
 
 // arenaKey identifies a size class: the rank and every dimension but the
@@ -38,13 +49,14 @@ type arenaKey struct {
 // arenaClass is one class's free list: tensors[:next] are handed out,
 // tensors[next:] are free. Reset rewinds next to 0.
 type arenaClass struct {
+	key     arenaKey
 	tensors []*Tensor
 	next    int
 }
 
 // NewArena returns an empty arena.
 func NewArena() *Arena {
-	return &Arena{classes: make(map[arenaKey]*arenaClass)}
+	return &Arena{index: make(map[arenaKey]*arenaClass)}
 }
 
 func arenaKeyOf(shape []int) (arenaKey, bool) {
@@ -82,11 +94,13 @@ func (a *Arena) GetUninit(shape ...int) *Tensor {
 	if !ok {
 		return New(shape...)
 	}
-	c := a.classes[key]
-	if c == nil {
-		c = &arenaClass{}
-		a.classes[key] = c
+	var c *arenaClass
+	if i := a.pos; i < len(a.replay) && a.replay[i].key == key {
+		c = a.replay[i]
+	} else {
+		c = a.miss(key)
 	}
+	a.pos++
 	if c.next == len(c.tensors) {
 		c.tensors = append(c.tensors, New(shape...))
 	}
@@ -108,6 +122,24 @@ func (a *Arena) GetUninit(shape ...int) *Tensor {
 	return t
 }
 
+// miss returns the class of a GetUninit that the record does not predict —
+// the map's, created on first sight — and records it for the next window.
+func (a *Arena) miss(key arenaKey) *arenaClass {
+	i := a.pos
+	c := a.index[key]
+	if c == nil {
+		c = &arenaClass{key: key}
+		a.index[key] = c
+		a.classes = append(a.classes, c)
+	}
+	if i < len(a.replay) {
+		a.replay[i] = c
+	} else {
+		a.replay = append(a.replay, c)
+	}
+	return c
+}
+
 // Reset releases every buffer back to the arena. Tensors handed out before
 // Reset must no longer be read or written afterwards — the next Get may
 // return the same backing memory.
@@ -115,6 +147,7 @@ func (a *Arena) Reset() {
 	for _, c := range a.classes {
 		c.next = 0
 	}
+	a.pos = 0
 }
 
 // Live returns the number of tensors currently handed out (since the last

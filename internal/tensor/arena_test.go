@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"heteroswitch/internal/frand"
@@ -152,6 +153,111 @@ func TestArenaPartialBatchReusesFullBatchBuffers(t *testing.T) {
 	}
 }
 
+// The arena replays the last window's classes; a window that asks in another
+// order — longer, shorter, reordered, a class the last one never saw — must
+// still get distinct tensors of the requested shapes, Live must count them,
+// and a warm alternation of full and short batches must not allocate.
+func TestArenaReplayDivergingWindows(t *testing.T) {
+	a := NewArena()
+	full := [][]int{{4, 3, 5, 5}, {4, 8}, {4, 3, 5, 5}, {6}, {4, 2, 7}}
+	windows := [][][]int{
+		full,
+		full[:2], // shorter
+		append(slices.Clone(full), []int{4, 8}, []int{9}),    // longer, with a new class
+		{full[3], full[1], full[0], full[4], full[2]},        // reordered
+		{{2, 3, 5, 5}, {2, 8}, {2, 3, 5, 5}, {6}, {2, 2, 7}}, // the short batch
+		full,
+	}
+	for wi, shapes := range windows {
+		a.Reset()
+		got := make([]*Tensor, len(shapes))
+		for i, sh := range shapes {
+			if i%2 == 0 {
+				got[i] = a.Get(sh...)
+			} else {
+				got[i] = a.GetUninit(sh...)
+			}
+			if !slices.Equal(got[i].Shape(), sh) || got[i].Size() != prod(sh) {
+				t.Fatalf("window %d Get %d: shape %v size %d, want %v", wi, i, got[i].Shape(), got[i].Size(), sh)
+			}
+			got[i].Fill(float32(i + 1))
+		}
+		for i, x := range got {
+			for _, v := range x.Data() {
+				if v != float32(i+1) {
+					t.Fatalf("window %d: tensor %d shares memory with a later one", wi, i)
+				}
+			}
+		}
+		if a.Live() != len(shapes) {
+			t.Fatalf("window %d: Live = %d, want %d", wi, a.Live(), len(shapes))
+		}
+	}
+	short := windows[4]
+	if allocs := testing.AllocsPerRun(20, func() {
+		for _, shapes := range [][][]int{full, short, full} {
+			a.Reset()
+			for _, sh := range shapes {
+				a.GetUninit(sh...)
+			}
+		}
+	}); allocs != 0 {
+		t.Fatalf("alternating full and short windows allocate %.1f objects per run, want 0", allocs)
+	}
+}
+
+// prod is the element count of a shape.
+func prod(shape []int) int {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	return n
+}
+
+// frozenMobileNetGets are the shapes TinyMobileNetV3's frozen forward asks
+// its arena for at batch 1 (3×32×32 input, 12 classes), in order.
+var frozenMobileNetGets = [][]int{
+	{1, 8, 16, 16}, {1, 16, 16, 16}, {1, 16, 16, 16}, {1, 16}, {1, 4}, {1, 16}, {1, 16, 16, 16},
+	{1, 8, 16, 16}, {1, 8, 16, 16}, {1, 24, 16, 16}, {1, 24, 8, 8}, {1, 24}, {1, 6}, {1, 24},
+	{1, 24, 8, 8}, {1, 16, 8, 8}, {1, 32, 8, 8}, {1, 32, 8, 8}, {1, 32}, {1, 8}, {1, 32},
+	{1, 32, 8, 8}, {1, 16, 8, 8}, {1, 16, 8, 8}, {1, 32, 8, 8}, {1, 32}, {1, 12},
+}
+
+// BenchmarkArenaReplay: one frozen forward's worth of GetUninit calls per
+// window, in ns/Get. "replay" repeats the sequence, so every Get takes its
+// recorded class; "miss" rotates it by one each window, so a Get whose
+// neighbour is of another class falls back to the map (and re-records).
+func BenchmarkArenaReplay(b *testing.B) {
+	for _, rotate := range []bool{false, true} {
+		name := map[bool]string{false: "replay", true: "miss"}[rotate]
+		b.Run(name, func(b *testing.B) {
+			a := NewArena()
+			seq := slices.Clone(frozenMobileNetGets)
+			for range 2 {
+				a.Reset()
+				for _, sh := range seq {
+					a.GetUninit(sh...)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if rotate {
+					first := seq[0]
+					copy(seq, seq[1:])
+					seq[len(seq)-1] = first
+				}
+				a.Reset()
+				for _, sh := range seq {
+					a.GetUninit(sh...)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(seq)), "ns/Get")
+		})
+	}
+}
+
 // Reference kernels for the tiled matmul variants: straightforward triple
 // loops with ascending-k accumulation per output element — the op order the
 // optimized kernels must reproduce bit-for-bit.
@@ -272,7 +378,7 @@ func TestMatMulSliceEntryPoints(t *testing.T) {
 	for i := range out {
 		out[i] = 3 // MatMulSlicesP must overwrite
 	}
-	MatMulSlicesP(1, out, a.Data(), b.Data(), 5, 7, 6)
+	MatMulSlicesP(1, out, a.Data(), b.Data(), 5, 7, 6, nil)
 	want := refMatMul(a, b)
 	if !FromSlice(out, 5, 6).AllClose(want, 1e-5) {
 		t.Fatal("MatMulSlicesP diverged")

@@ -40,7 +40,7 @@ func testDepthwisePlaneKernelsMatchLowered(t *testing.T) {
 					Im2Col(col, img, d)
 
 					want := make([]float32, cols)
-					MatMulSlicesP(1, want, w, col, 1, taps, cols)
+					MatMulSlicesP(1, want, w, col, 1, taps, cols, nil)
 					got := Randn(r, 1, cols).Data() // junk: the kernel must overwrite
 					DepthwiseConvPlane(got, img, w, d, 0, false)
 					exactEqual(t, name+" forward", got, want)

@@ -104,11 +104,42 @@ func TestVecSweepsStayInsideSlices(t *testing.T) {
 		setVecLive(t, true)
 		got := guarded64(t, acc)
 		FoldScaled(got, guarded(t, src), -0.75)
-		exactEqual64(t, fmt.Sprintf("guarded fold n=%d", n), got, want)
+		nanClassEqual64(t, fmt.Sprintf("guarded fold n=%d", n), got, want)
 
 		a, b := vecOperand(r, n), vecOperand(r, n)
 		if got, want := SqDistLanes(0, guarded(t, a), guarded(t, b)), SqDistLanes(0, a, b); got != want {
 			t.Fatalf("guarded squared distance n=%d: %v != %v", n, got, want)
 		}
+	}
+}
+
+// TestVecGemmStaysInsideSlices runs the GEMM on operands that each end at an
+// inaccessible page, at every column tail n%8 around the 8- and 32-column
+// blocks: a @ b through the fused store (bias, hard-swish), storing and
+// accumulating, and aᵀ @ b accumulating. A masked tail load or store that
+// reached one column past the last faults here.
+func TestVecGemmStaysInsideSlices(t *testing.T) {
+	requireVec(t)
+	r := frand.New(81)
+	const m, k = 3, 5
+	for _, n := range []int{1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 33, 39, 40, 41} {
+		a, at, b := vecOperand(r, m*k), vecOperand(r, k*m), vecOperand(r, k*n)
+		bias, base := vecOperand(r, m), vecOperand(r, m*n)
+		for _, acc := range []bool{false, true} {
+			setVecLive(t, false)
+			want := slices.Clone(base)
+			gemmAB(want, a, b, m, k, n, acc, bias, vec.ActHardSwish)
+			setVecLive(t, true)
+			got := guarded(t, base)
+			vec.Gemm(got, n, guarded(t, a), k, 1, guarded(t, b), n, m, n, k, acc, guarded(t, bias), vec.ActHardSwish)
+			exactEqual(t, fmt.Sprintf("guarded fused store n=%d acc %v", n, acc), got, want)
+		}
+		setVecLive(t, false)
+		want := slices.Clone(base)
+		matMulTransAAccRange(want, at, b, k, m, n, 0, m)
+		setVecLive(t, true)
+		got := guarded(t, base)
+		vec.Gemm(got, n, guarded(t, at), 1, m, guarded(t, b), n, m, n, k, true, nil, vec.ActIdentity)
+		exactEqual(t, fmt.Sprintf("guarded transposed a n=%d", n), got, want)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/israce"
+	"heteroswitch/internal/vec"
 )
 
 // The int8 backend's contract (int8.go): quantized results track the oracle
@@ -77,9 +78,10 @@ func TestInt8MatchesOracle(t *testing.T) {
 		m, k, n := sz.m, sz.k, sz.n
 		a := Randn(r, 1, m, k)
 		w := fanInScaled(r, k, n)
-		want := make([]float32, m*n)
+		want, wantA := make([]float32, m*n), make([]float32, m*n)
 		got := make([]float32, m*n)
 		ep := &testEpilogue{bias: Randn(r, 1, n).Data()}
+		rb := &RowBias{Bias: ep.bias[:m], Act: vec.ActHardSwish} // the conv orientation's epilogue
 
 		forceBackend(t, BackendSerial)
 		matMulEp(1, want, a.Data(), w.Data(), m, k, n, false, ep)
@@ -93,13 +95,20 @@ func TestInt8MatchesOracle(t *testing.T) {
 		// same operands as A[m,k] @ B[k,n] just relabels which side is the
 		// weight.
 		pwA := refreshA(a, m, k)
+		forceBackend(t, BackendSerial)
+		MatMulWASlicesPEp(1, wantA, a.Data(), pwA, 0, m, w.Data(), n, false, rb)
+		forceBackend(t, BackendInt8)
 		for _, par := range packedBudgets {
-			for name, run := range map[string]func(){
-				"wb": func() { MatMulWBSlicesPEp(par, got, a.Data(), w.Data(), pwB, m, false, ep) },
-				"wa": func() { MatMulWASlicesPEp(par, got, a.Data(), pwA, 0, m, w.Data(), n, false, ep) },
+			for name, arm := range map[string]struct {
+				run  func()
+				want []float32
+			}{
+				"wb": {func() { MatMulWBSlicesPEp(par, got, a.Data(), w.Data(), pwB, m, false, ep) }, want},
+				"wa": {func() { MatMulWASlicesPEp(par, got, a.Data(), pwA, 0, m, w.Data(), n, false, rb) }, wantA},
 			} {
+				want := arm.want
 				clear(got)
-				run()
+				arm.run()
 				for i := 0; i < m; i++ {
 					wantRow := want[i*n : (i+1)*n]
 					gotRow := got[i*n : (i+1)*n]
@@ -149,12 +158,13 @@ func TestInt8BitIdenticalAcrossBudgets(t *testing.T) {
 		a := Randn(r, 1, m, k)
 		w := fanInScaled(r, k, n)
 		ep := &testEpilogue{bias: Randn(r, 1, n).Data()}
+		rb := &RowBias{Bias: ep.bias[:m], Act: vec.ActReLU}
 		pwB := refreshB(w, k, n)
 		pwA := refreshA(a, m, k)
 		ref := make([]float32, m*n)
 		refA := make([]float32, m*n)
 		MatMulWBSlicesPEp(1, ref, a.Data(), w.Data(), pwB, m, false, ep)
-		MatMulWASlicesPEp(1, refA, a.Data(), pwA, 0, m, w.Data(), n, false, ep)
+		MatMulWASlicesPEp(1, refA, a.Data(), pwA, 0, m, w.Data(), n, false, rb)
 		got := make([]float32, m*n)
 		for _, par := range packedBudgets[1:] {
 			clear(got)
@@ -165,7 +175,7 @@ func TestInt8BitIdenticalAcrossBudgets(t *testing.T) {
 				}
 			}
 			clear(got)
-			MatMulWASlicesPEp(par, got, a.Data(), pwA, 0, m, w.Data(), n, false, ep)
+			MatMulWASlicesPEp(par, got, a.Data(), pwA, 0, m, w.Data(), n, false, rb)
 			for i := range got {
 				if got[i] != refA[i] {
 					t.Fatalf("wa %dx%dx%d par=%d: [%d] %g != par=1 %g", m, k, n, par, i, got[i], refA[i])
@@ -297,6 +307,7 @@ func TestInt8AllocFree(t *testing.T) {
 	w := fanInScaled(r, k, n)
 	out := make([]float32, m*n)
 	ep := &testEpilogue{bias: Randn(r, 1, n).Data()}
+	rb := &RowBias{Bias: ep.bias[:m], Act: vec.ActHardSwish}
 	forceBackend(t, BackendInt8)
 	pwB := refreshB(w, k, n)
 	pwA := refreshA(a, m, k)
@@ -305,7 +316,7 @@ func TestInt8AllocFree(t *testing.T) {
 		run  func()
 	}{
 		{"wb", func() { MatMulWBSlicesPEp(2, out, a.Data(), w.Data(), pwB, m, false, ep) }},
-		{"wa", func() { MatMulWASlicesPEp(2, out, a.Data(), pwA, 0, m, w.Data(), n, false, ep) }},
+		{"wa", func() { MatMulWASlicesPEp(2, out, a.Data(), pwA, 0, m, w.Data(), n, false, rb) }},
 	} {
 		tc.run() // warm the pools
 		if allocs := testing.AllocsPerRun(10, tc.run); allocs != 0 {

@@ -19,21 +19,53 @@ const mmBlock = 64
 // flight at once, never the order of adds into one target, so results are
 // bit-identical to the straightforward loops and independent of tiling.
 //
-// The three kernel bodies (matmulAcc, matMulTransB, matMulTransAAccRange)
-// hand over to internal/vec's AVX2 routines when vec.Live is set; those widen
-// the same idea from 4 targets in flight to 32 under the kernel rules of
+// The three kernel bodies (gemmAB, matMulTransB, matMulTransAAccRange) hand
+// over to internal/vec's AVX2 routines when vec.Live is set; those widen the
+// same idea from 4 targets in flight to 32 under the kernel rules of
 // internal/vec's package doc, so the loops below remain the portable path and
 // the reference the differential tests compare against.
 
-// matmulAcc is the blocked, register-tiled kernel: out[m,n] += a[m,k] @
-// b[k,n], all row-major flat slices. Within each k-block, four output
-// columns are accumulated in registers across the whole block, quartering
-// the load/store traffic on out relative to a scalar j sweep.
-func matmulAcc(out, a, b []float32, m, k, n int) {
+// gemmAB computes out[m,n] = init + a[m,k] @ b[k,n], all row-major flat
+// slices, init +0 or (acc) out itself; a non-nil bias then stores row i as
+// act(sum + bias[i]). The vector routine writes each output once with that
+// epilogue in its store; the Go path clears, accumulates and sweeps.
+func gemmAB(out, a, b []float32, m, k, n int, acc bool, bias []float32, act vec.Act) {
 	if vec.Live {
-		vec.GemmAcc(out, n, a, k, 1, b, n, m, n, k)
+		vec.Gemm(out, n, a, k, 1, b, n, m, n, k, acc, bias, act)
 		return
 	}
+	if !acc {
+		clear(out[:m*n])
+	}
+	matmulAcc(out, a, b, m, k, n)
+	if bias != nil {
+		for i, bi := range bias[:m] {
+			rowBiasAct(out[i*n:(i+1)*n], bi, act)
+		}
+	}
+}
+
+// rowBiasAct computes row[j] = act(row[j] + b): the Go form of the vector
+// GEMM's store epilogue.
+func rowBiasAct(row []float32, b float32, act vec.Act) {
+	if act != vec.ActReLU {
+		BiasAct(row, b, act == vec.ActHardSwish)
+		return
+	}
+	for j, v := range row {
+		if v += b; v > 0 {
+			row[j] = v
+		} else {
+			row[j] = 0
+		}
+	}
+}
+
+// matmulAcc is the blocked, register-tiled Go kernel: out[m,n] += a[m,k] @
+// b[k,n]. Within each k-block, four output columns are accumulated in
+// registers across the whole block, quartering the load/store traffic on out
+// relative to a scalar j sweep.
+func matmulAcc(out, a, b []float32, m, k, n int) {
 	for i0 := 0; i0 < m; i0 += mmBlock {
 		iMax := min(i0+mmBlock, m)
 		for k0 := 0; k0 < k; k0 += mmBlock {
@@ -127,7 +159,7 @@ func matMulTransB(out, a, b []float32, m, k, n int, acc bool) {
 func matMulTransAAccRange(out, a, b []float32, k, m, n, i0, i1 int) {
 	if vec.Live {
 		if i0 < i1 && k > 0 && n > 0 {
-			vec.GemmAcc(out[i0*n:], n, a[i0:], 1, m, b, n, i1-i0, n, k)
+			vec.Gemm(out[i0*n:], n, a[i0:], 1, m, b, n, i1-i0, n, k, true, nil, vec.ActIdentity)
 		}
 		return
 	}
@@ -200,15 +232,29 @@ const (
 
 func (kind mmKind) String() string { return [...]string{"a @ b", "a @ bᵀ", "aᵀ @ b"}[kind] }
 
+// RowBias is a conv's epilogue as data: output row r is stored as
+// act(sum + Bias[r]). The a @ b kernel applies it in its store; the packed
+// and int8 kernels sweep it over their finished rows (Apply).
+type RowBias struct {
+	Bias []float32
+	Act  vec.Act
+}
+
+// Apply implements RowEpilogue.
+func (e *RowBias) Apply(row []float32, r int) { rowBiasAct(row, e.Bias[r], e.Act) }
+
 // mmTask is the one GEMM descriptor: every entry point fills one and hands it
 // to gemm. out is [m,n] and k the reduction depth for every kind; acc keeps
-// out's contents instead of overwriting them; ep, when non-nil, is fused per
-// completed row range. It is also the parallel.Runner gemm pools.
+// out's contents instead of overwriting them; a non-nil bias (a @ b only) is
+// the per-row RowBias epilogue, stored with the sums; ep, when non-nil, is
+// swept per completed row range. It is also the parallel.Runner gemm pools.
 type mmTask struct {
 	kind      mmKind
 	out, a, b []float32
 	m, k, n   int
 	acc       bool
+	bias      []float32
+	act       vec.Act
 	ep        RowEpilogue
 }
 
@@ -218,11 +264,11 @@ var mmTaskPool = sync.Pool{New: func() any { return new(mmTask) }}
 func (t *mmTask) Run(_, lo, hi int) {
 	switch t.kind {
 	case mmAB:
-		o := t.out[lo*t.n : hi*t.n]
-		if !t.acc {
-			clear(o)
+		bias := t.bias
+		if bias != nil {
+			bias = bias[lo:hi]
 		}
-		matmulAcc(o, t.a[lo*t.k:hi*t.k], t.b, hi-lo, t.k, t.n)
+		gemmAB(t.out[lo*t.n:hi*t.n], t.a[lo*t.k:hi*t.k], t.b, hi-lo, t.k, t.n, t.acc, bias, t.act)
 	case mmTransB:
 		matMulTransB(t.out[lo*t.n:hi*t.n], t.a[lo*t.k:hi*t.k], t.b, hi-lo, t.k, t.n, t.acc)
 	case mmTransA:
@@ -256,6 +302,9 @@ func gemm(par int, t mmTask) {
 	if t.m < 0 || t.k < 0 || t.n < 0 || len(t.out) < t.m*t.n || len(t.a) < t.m*t.k || len(t.b) < t.k*t.n {
 		panic(fmt.Sprintf("tensor: matmul %v with m=%d k=%d n=%d needs out %d, a %d, b %d elements, have %d, %d, %d",
 			t.kind, t.m, t.k, t.n, t.m*t.n, t.m*t.k, t.k*t.n, len(t.out), len(t.a), len(t.b)))
+	}
+	if t.bias != nil && len(t.bias) < t.m {
+		panic(fmt.Sprintf("tensor: matmul %v with m=%d has %d biases", t.kind, t.m, len(t.bias)))
 	}
 	if par <= 1 {
 		t.Run(0, 0, t.m)
@@ -297,9 +346,11 @@ func gemmTensors(par int, kind mmKind, acc bool, out, a, b *Tensor) {
 // MatMulIntoP computes out = a @ b for a[m,k], b[k,n], out[m,n].
 func MatMulIntoP(par int, out, a, b *Tensor) { gemmTensors(par, mmAB, false, out, a, b) }
 
-// MatMulSlicesP is MatMulIntoP on raw row-major slices.
-func MatMulSlicesP(par int, out, a, b []float32, m, k, n int) {
-	gemm(par, mmTask{kind: mmAB, out: out, a: a, b: b, m: m, k: k, n: n})
+// MatMulSlicesP is MatMulIntoP on raw row-major slices, plus bias[i] on
+// every element of row i when bias is non-nil — a conv's bias, added in the
+// kernel's store.
+func MatMulSlicesP(par int, out, a, b []float32, m, k, n int, bias []float32) {
+	gemm(par, mmTask{kind: mmAB, out: out, a: a, b: b, m: m, k: k, n: n, bias: bias})
 }
 
 // MatMulTransBIntoP computes out = a @ bᵀ for a[m,k], b[n,k], out[m,n],
@@ -325,10 +376,11 @@ func MatMulTransAAccSlicesP(par int, out, a, b []float32, k, m, n int) {
 }
 
 // matMulEp is the TOLERANCE tier's raw-slice entry, reached only through the
-// weight-stationary MatMulW{A,B}SlicesPEp of weights.go: out[m,n] (+)= a @ b
-// with ep fused per completed row chunk. It — and nothing above — dispatches
-// through the process-wide Backend (backend.go) and may run the packed GEBP
-// kernel instead of the oracle kernels.
+// weight-stationary MatMulWBSlicesPEp of weights.go: out[m,n] (+)= a @ b
+// with ep fused per completed row chunk. It — and MatMulWASlicesPEp, which
+// makes the same choice for the conv orientation — dispatches through the
+// process-wide Backend (backend.go) and may run the packed GEBP kernel
+// instead of the oracle kernels.
 func matMulEp(par int, out, a, b []float32, m, k, n int, acc bool, ep RowEpilogue) {
 	if usePacked(m, k, n) {
 		matMulPackedEp(par, out, a, b, m, k, n, acc, ep)

@@ -119,7 +119,7 @@ func TestMatMulSlicesPBitIdentical(t *testing.T) {
 		matmulAcc(want, a.Data(), b.Data(), sz.m, sz.k, sz.n)
 		for _, par := range parBudgets {
 			got := Randn(r, 1, sz.m, sz.n)
-			MatMulSlicesP(par, got.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n)
+			MatMulSlicesP(par, got.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n, nil)
 			exactEqual(t, fmt.Sprintf("MatMulSlicesP(%d) %dx%dx%d", par, sz.m, sz.k, sz.n),
 				got.Data(), want)
 		}

@@ -140,7 +140,8 @@ func HardSigmoid(v float32) float32 {
 }
 
 // BiasAct computes y[j] = act(y[j] + bias) over one output row, act the
-// identity or (hswish) hard-swish: the conv epilogue.
+// identity or (hswish) hard-swish: the conv epilogue wherever no vector
+// store carries it.
 func BiasAct(y []float32, bias float32, hswish bool) {
 	if vec.Live {
 		b := [1]float32{bias}

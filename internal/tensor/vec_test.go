@@ -103,9 +103,38 @@ func vecTable() []vecCase {
 	return cs
 }
 
+// storeBiases are the biases the GEMM's fused store meets: zeros of both
+// signs, both infinities, a NaN, ordinary values, one on hard-swish's knee, a
+// denormal.
+var storeBiases = []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+	float32(math.NaN()), 0.7, -1.3, 3, 1e-39}
+
+// storeActs are the activations the GEMM's store applies.
+var storeActs = []vec.Act{vec.ActIdentity, vec.ActReLU, vec.ActHardSwish}
+
+// nanClassEqual is exactEqual where two NaN operands can meet: Go leaves open
+// which one's sign and payload an operation keeps (the -race build compiles
+// some adds with their operands swapped), so any NaN matches any NaN; every
+// other value still compares by its bits.
+func nanClassEqual(t *testing.T, name string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d != %d", name, len(got), len(want))
+	}
+	for i := range got {
+		if g, w := got[i], want[i]; math.Float32bits(g) != math.Float32bits(w) && (g == g || w == w) {
+			t.Fatalf("%s: element %d differs: %v (%#x) != %v (%#x) (must be bit-identical, NaN for NaN)",
+				name, i, g, math.Float32bits(g), w, math.Float32bits(w))
+		}
+	}
+}
+
 // runVecCase computes every oracle kernel on one shape under both settings of
-// the switch and requires identical bits: a@b (+acc), aᵀ@b over the full row
-// range and a sub-range, a@bᵀ (store and accumulate).
+// the switch and requires identical bits: a@b accumulating, aᵀ@b over the
+// full row range and a sub-range, a@bᵀ (store and accumulate), and a@b
+// through the fused store — a per-row bias drawn from storeBiases under each
+// activation, storing and accumulating — against matmulAcc plus the Go sweep
+// (NaN as a class there, where a NaN bias meets a NaN sum).
 func runVecCase(t *testing.T, c vecCase, seed uint64) {
 	t.Helper()
 	r := frand.New(seed)
@@ -116,12 +145,17 @@ func runVecCase(t *testing.T, c vecCase, seed uint64) {
 	b := vecOperand(r, k*n)  // [k,n]
 	bt := vecOperand(r, n*k) // [n,k], read transposed
 	base := vecOperand(r, m*n)
+	bias := make([]float32, m)
+	for i := range bias {
+		bias[i] = storeBiases[r.Intn(len(storeBiases))]
+	}
 	i0, i1 := m/3, m-m/4 // a proper sub-range once m ≥ 4, else the whole
 
+	kernels := []string{"a@b acc", "transA", "transA range", "transB", "transB acc"}
 	run := func(on bool) [][]float32 {
 		setVecLive(t, on)
 		acc := slices.Clone(base)
-		matmulAcc(acc, a, b, m, k, n)
+		gemmAB(acc, a, b, m, k, n, true, nil, vec.ActIdentity)
 		ta := slices.Clone(base)
 		matMulTransAAccRange(ta, at, b, k, m, n, 0, m)
 		tr := slices.Clone(base)
@@ -130,11 +164,24 @@ func runVecCase(t *testing.T, c vecCase, seed uint64) {
 		matMulTransB(tb, a, bt, m, k, n, false)
 		tbAcc := slices.Clone(base)
 		matMulTransB(tbAcc, a, bt, m, k, n, true)
-		return [][]float32{acc, ta, tr, tb, tbAcc}
+		res := [][]float32{acc, ta, tr, tb, tbAcc}
+		for _, act := range storeActs {
+			for _, accumulate := range []bool{false, true} {
+				o := slices.Clone(base)
+				gemmAB(o, a, b, m, k, n, accumulate, bias, act)
+				res = append(res, o)
+			}
+		}
+		return res
 	}
 	want, got := run(false), run(true)
-	for i, kernel := range []string{"matmulAcc", "transA", "transA range", "transB", "transB acc"} {
-		exactEqual(t, name+" "+kernel, got[i], want[i])
+	for i := range want {
+		if i < len(kernels) {
+			exactEqual(t, name+" "+kernels[i], got[i], want[i])
+			continue
+		}
+		arm := i - len(kernels)
+		nanClassEqual(t, fmt.Sprintf("%s fused store act %d acc %v", name, storeActs[arm/2], arm%2 == 1), got[i], want[i])
 	}
 }
 
@@ -147,7 +194,8 @@ func TestVecMatchesGeneric(t *testing.T) {
 
 // TestVecZeroSkipParity: a == ±0 must skip its term in both implementations
 // even against b = ±Inf or NaN (the product would be NaN), and a NaN in a
-// must NOT be skipped.
+// must NOT be skipped — through the fused store (bias and hard-swish, which
+// keep a finite sum finite and a NaN one NaN).
 func TestVecZeroSkipParity(t *testing.T) {
 	requireVec(t)
 	inf := float32(math.Inf(1))
@@ -171,15 +219,15 @@ func TestVecZeroSkipParity(t *testing.T) {
 		}
 		// Row 2: one NaN in a, which must poison the whole output row.
 		a[2*k+2] = nan
-		base := make([]float32, m*n)
+		base := vecOperand(frand.New(uint64(n)), m*n) // junk: the store overwrites it
 		run := func(on bool) []float32 {
 			setVecLive(t, on)
 			out := slices.Clone(base)
-			matmulAcc(out, a, b, m, k, n)
+			gemmAB(out, a, b, m, k, n, false, []float32{0.25, -0.5, 1}, vec.ActHardSwish)
 			return out
 		}
 		want, got := run(false), run(true)
-		exactEqual(t, fmt.Sprintf("zero-skip n=%d", n), got, want)
+		nanClassEqual(t, fmt.Sprintf("zero-skip n=%d", n), got, want)
 		for j := 0; j < n; j++ {
 			if v := got[j]; v != v || math.IsInf(float64(v), 0) {
 				t.Fatalf("n=%d: row 0 col %d = %v, the ±0 terms were not skipped", n, j, v)
@@ -189,6 +237,43 @@ func TestVecZeroSkipParity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestVecGemmWithoutTerms: at k = 0 the store still runs, act(init + bias)
+// with init +0 or out's own element, and never reads a or b (nil here);
+// with no bias and no activation an accumulating call leaves out's bits,
+// −0 included.
+func TestVecGemmWithoutTerms(t *testing.T) {
+	negZero, nan := float32(math.Copysign(0, -1)), float32(math.NaN())
+	base := []float32{negZero, 1.5, -2, nan, 3, -4}
+	bias := []float32{negZero, -1.5}
+	bothVecSettings(t, func(t *testing.T) {
+		for _, act := range storeActs {
+			for _, acc := range []bool{false, true} {
+				want := make([]float32, len(base))
+				for i := range want {
+					var init float32 // +0, which turns a −0 bias into +0
+					if acc {
+						init = base[i]
+					}
+					v := init + bias[i/3]
+					switch {
+					case act == vec.ActReLU && !(v > 0):
+						v = 0
+					case act == vec.ActHardSwish:
+						v *= HardSigmoid(v)
+					}
+					want[i] = v
+				}
+				got := slices.Clone(base)
+				gemmAB(got, nil, nil, 2, 0, 3, acc, bias, act)
+				nanClassEqual(t, fmt.Sprintf("k=0 act %d acc %v", act, acc), got, want)
+			}
+		}
+		got := slices.Clone(base)
+		gemmAB(got, nil, nil, 2, 0, 3, true, nil, vec.ActIdentity)
+		exactEqual(t, "k=0 accumulate, no epilogue", got, base)
+	})
 }
 
 // FuzzVecMatchesGeneric is ROADMAP hardening item (b) for the oracle tier:
@@ -367,7 +452,8 @@ func depthwise3x3(y, img, w []float32, d ConvDims) {
 // pixels and must skip them; a NaN weight must poison exactly the outputs
 // whose tap lands inside the image (its out-of-image lanes are skipped, never
 // 0·NaN); the centre tap alone carries the hard-sigmoid knees and non-finite
-// pixels through the epilogue.
+// pixels through the epilogue. NaN pixels meet NaN sums here, so NaN
+// compares as a class.
 func TestVecDepthwiseZeroSkipParity(t *testing.T) {
 	requireVec(t)
 	inf, nan := float32(math.Inf(1)), float32(math.NaN())
@@ -403,13 +489,13 @@ func TestVecDepthwiseZeroSkipParity(t *testing.T) {
 				finite := vecOperand(r, 7*w)
 				nanCorner := []float32{nan, 0.5, 0.5, 0.5, 1, 0.5, 0.5, 0.5, 0.5}
 				for _, hs := range []bool{false, true} {
-					exactEqual(t, fmt.Sprintf("%s hswish=%v zero taps", name, hs),
+					nanClassEqual(t, fmt.Sprintf("%s hswish=%v zero taps", name, hs),
 						forward(true, poisoned, zeros, -0.25, hs), forward(false, poisoned, zeros, -0.25, hs))
-					exactEqual(t, fmt.Sprintf("%s hswish=%v centre tap", name, hs),
+					nanClassEqual(t, fmt.Sprintf("%s hswish=%v centre tap", name, hs),
 						forward(true, centre, []float32{0, 0, 0, 0, 1, 0, 0, 0, 0}, 0, hs),
 						forward(false, centre, []float32{0, 0, 0, 0, 1, 0, 0, 0, 0}, 0, hs))
 					got := forward(true, finite, nanCorner, 0.125, hs)
-					exactEqual(t, fmt.Sprintf("%s hswish=%v NaN corner", name, hs), got, forward(false, finite, nanCorner, 0.125, hs))
+					nanClassEqual(t, fmt.Sprintf("%s hswish=%v NaN corner", name, hs), got, forward(false, finite, nanCorner, 0.125, hs))
 					for oy := 0; oy < d.OutH; oy++ {
 						for ox := 0; ox < d.OutW; ox++ {
 							iy, ix := oy*stride-pad, ox*stride-pad
@@ -440,11 +526,13 @@ func TestVecKernelsRejectShortSlices(t *testing.T) {
 		name string
 		call func()
 	}{
-		{"gemm out", func() { vec.GemmAcc(full(m*n-1), n, full(m*k), k, 1, full(k*n), n, m, n, k) }},
-		{"gemm a", func() { vec.GemmAcc(full(m*n), n, full(m*k-1), k, 1, full(k*n), n, m, n, k) }},
-		{"gemm b", func() { vec.GemmAcc(full(m*n), n, full(m*k), k, 1, full(k*n-1), n, m, n, k) }},
-		{"gemm a transposed", func() { vec.GemmAcc(full(m*n), n, full(k*m-1), 1, m, full(k*n), n, m, n, k) }},
-		{"gemm stride", func() { vec.GemmAcc(full(m*n), n, full(m*k), 0, 1, full(k*n), n, m, n, k) }},
+		{"gemm out", func() { vec.Gemm(full(m*n-1), n, full(m*k), k, 1, full(k*n), n, m, n, k, true, nil, vec.ActIdentity) }},
+		{"gemm a", func() { vec.Gemm(full(m*n), n, full(m*k-1), k, 1, full(k*n), n, m, n, k, true, nil, vec.ActIdentity) }},
+		{"gemm b", func() { vec.Gemm(full(m*n), n, full(m*k), k, 1, full(k*n-1), n, m, n, k, true, nil, vec.ActIdentity) }},
+		{"gemm a transposed", func() { vec.Gemm(full(m*n), n, full(k*m-1), 1, m, full(k*n), n, m, n, k, true, nil, vec.ActIdentity) }},
+		{"gemm stride", func() { vec.Gemm(full(m*n), n, full(m*k), 0, 1, full(k*n), n, m, n, k, true, nil, vec.ActIdentity) }},
+		{"gemm bias", func() { vec.Gemm(full(m*n), n, full(m*k), k, 1, full(k*n), n, m, n, k, false, full(m-1), vec.ActReLU) }},
+		{"gemm bias, no terms", func() { vec.Gemm(full(m*n), n, nil, k, 1, nil, n, m, n, 0, false, full(m-1), vec.ActHardSwish) }},
 		{"plane dst", func() { vec.AxpyPlane(full(2*12+n-1), 12, full(2*20+n), 20, 1, 3, n) }},
 		{"plane src", func() { vec.AxpyPlane(full(2*12+n), 12, full(2*20+n-1), 20, 1, 3, n) }},
 		{"transB out", func() { vec.DotTransB(full(m*n-1), full(m*k), full(n*k), m, k, n, false) }},
@@ -486,8 +574,8 @@ func TestVecKernelsRejectShortSlices(t *testing.T) {
 		}()
 	}
 	// A zero dimension returns before any slice is touched, nil included.
-	vec.GemmAcc(nil, 4, nil, 1, 1, nil, 4, 0, 4, 3)
-	vec.GemmAcc(nil, 4, nil, 1, 1, nil, 4, 2, 4, 0)
+	vec.Gemm(nil, 4, nil, 1, 1, nil, 4, 0, 4, 3, false, nil, vec.ActReLU)
+	vec.Gemm(nil, 4, nil, 1, 1, nil, 4, 2, 0, 3, true, nil, vec.ActHardSwish)
 	vec.AxpyPlane(nil, 4, nil, 4, 1, 0, 4)
 	vec.DotTransB(nil, nil, nil, 0, 3, 4, true)
 	vec.Gather2(nil, 4, nil, 8, 0, 4)
@@ -551,6 +639,44 @@ func TestAutoStaysOnOracleWhenVectorLive(t *testing.T) {
 	}
 }
 
+// convGemmShapes are TinyMobileNetV3's stem (lowered) and pointwise convs at
+// batch 1 as GEMMs: m output channels, k the fan-in, n output pixels.
+var convGemmShapes = []struct {
+	name    string
+	m, k, n int
+}{
+	{"stem", 8, 27, 256}, {"b1-expand", 16, 8, 256}, {"b1-project", 8, 16, 256}, {"b2-expand", 24, 8, 256},
+	{"b2-project", 16, 24, 64}, {"b3-expand", 32, 16, 64}, {"b3-project", 16, 32, 64}, {"head", 32, 16, 64},
+}
+
+// BenchmarkConvGemm: each of those GEMMs with a bias and hard-swish, as the
+// one fused store ("fused") and as the three passes it replaced ("sweep": a
+// clear, the accumulating GEMM, the BiasAct sweep), in GFLOP/s of the
+// GEMM's 2·m·k·n.
+func BenchmarkConvGemm(b *testing.B) {
+	requireVec(b)
+	for _, sh := range convGemmShapes {
+		r := frand.New(12)
+		w, x, bias := Randn(r, 1, sh.m*sh.k).Data(), Randn(r, 1, sh.k*sh.n).Data(), Randn(r, 1, sh.m).Data()
+		out := make([]float32, sh.m*sh.n)
+		for _, arm := range []string{"fused", "sweep"} {
+			b.Run(sh.name+"/"+arm, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if arm == "fused" {
+						vec.Gemm(out, sh.n, w, sh.k, 1, x, sh.n, sh.m, sh.n, sh.k, false, bias, vec.ActHardSwish)
+						continue
+					}
+					clear(out)
+					vec.Gemm(out, sh.n, w, sh.k, 1, x, sh.n, sh.m, sh.n, sh.k, true, nil, vec.ActIdentity)
+					vec.BiasAct(out, sh.m, sh.n, bias, true)
+				}
+				b.ReportMetric(2*float64(sh.m*sh.k*sh.n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+			})
+		}
+	}
+}
+
 // The aggregation step's float64 sweeps ----------------------------------------
 
 // foldSpecials adds what a poisoned client update carries to vecSpecials: NaNs
@@ -589,12 +715,14 @@ func foldAcc(r *frand.RNG, n int) []float64 {
 	return v
 }
 
-func exactEqual64(t *testing.T, name string, got, want []float64) {
+// nanClassEqual64 is nanClassEqual for the fold's float64 accumulators,
+// where a NaN update meets a NaN sum.
+func nanClassEqual64(t *testing.T, name string, got, want []float64) {
 	t.Helper()
 	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) { // bits: tells NaN signs and payloads apart
-			t.Fatalf("%s: element %d differs: %v (%#x) != %v (%#x) (must be bit-identical)",
-				name, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		if g, w := got[i], want[i]; math.Float64bits(g) != math.Float64bits(w) && (g == g || w == w) {
+			t.Fatalf("%s: element %d differs: %v (%#x) != %v (%#x) (must be bit-identical, NaN for NaN)",
+				name, i, g, math.Float64bits(g), w, math.Float64bits(w))
 		}
 	}
 }
@@ -603,7 +731,7 @@ func exactEqual64(t *testing.T, name string, got, want []float64) {
 // buffers — so the routine sees every 4- and 8-byte misalignment — three
 // times over (w, then −w/3, then w again) under both settings of the switch,
 // and requires the whole accumulator buffer, the elements around the window
-// included, to come out bit-identical.
+// included, to come out bit-identical, NaN for NaN.
 func runVecFoldCase(t *testing.T, n, dstOff, srcOff int, w float64, seed uint64) {
 	t.Helper()
 	r := frand.New(seed)
@@ -618,7 +746,7 @@ func runVecFoldCase(t *testing.T, n, dstOff, srcOff int, w float64, seed uint64)
 		return acc
 	}
 	want, got := run(false), run(true)
-	exactEqual64(t, fmt.Sprintf("fold n=%d offsets %d,%d w=%v seed %d", n, dstOff, srcOff, w, seed), got, want)
+	nanClassEqual64(t, fmt.Sprintf("fold n=%d offsets %d,%d w=%v seed %d", n, dstOff, srcOff, w, seed), got, want)
 }
 
 func TestVecFoldMatchesGeneric(t *testing.T) {

@@ -10,10 +10,11 @@
 // Live; the differential tests flip it to compare the routines against the Go
 // loops of tensor and nn, which stay as the portable path and the oracle.
 //
-// Every wrapper returns before touching a pointer when a dimension is zero and
-// panics when a slice is shorter than the extent its routine reads or writes:
-// an undersized slice is a bounds-check panic in a Go loop and must not become
-// a silent out-of-bounds access here.
+// Every wrapper returns before touching a pointer when there is nothing to
+// compute (a Gemm with no terms still stores its epilogue) and panics when a
+// slice is shorter than the extent its routine reads or writes: an undersized
+// slice is a bounds-check panic in a Go loop and must not become a silent
+// out-of-bounds access here.
 //
 // # Kernel rules
 //
@@ -37,12 +38,15 @@
 //     are what fills the machine.
 //  2. No FMA. Each step is the Go loop's operation for operation: one
 //     VMULPS then one VADDPS (VMULPD/VADDPD in float64), the two roundings
-//     of the compiler's MULSS + ADDSS (GOAMD64=v1 never fuses). Where a
-//     routine's contract covers two NaN operands meeting (the fold, the
-//     depthwise forward), they also go in the compiler's order: the first
-//     one's sign and payload survive. A fused multiply-add rounds once and
-//     would change bits. One ISA, one selection: no AVX-512 variant, no FMA
-//     variant.
+//     of the compiler's MULSS + ADDSS (GOAMD64=v1 never fuses). A fused
+//     multiply-add rounds once and would change bits. One ISA, one
+//     selection: no AVX-512 variant, no FMA variant. Where two NaN operands
+//     can meet (the fold, the depthwise forward, the GEMM's fused store),
+//     the routines take the operands in the order a plain build compiles
+//     the Go loop, but Go does not specify which NaN's sign and payload
+//     survive, and a -race build swaps some of those operands; there the
+//     contract, and the parity tests, hold NaN for NaN, and every other
+//     value bit for bit.
 //  3. A reduction takes lanes only when its consumer is a decision and a
 //     proven guard falls back to the serial chain. SqDist is the one such
 //     routine: it returns the gate's squared distance in lane order, and
@@ -52,4 +56,15 @@
 //
 // So every tol-0 contract, every cmp smoke and cross-machine reproducibility
 // hold across the two implementations.
+//
+// # Epilogues in the store
+//
+// A routine that produces a conv's output applies the conv's epilogue before
+// its one store, so the output is written once: Depthwise3x3 adds the bias
+// and applies hard-swish, and Gemm — the one matrix-product routine, for
+// a @ b and aᵀ @ b alike — starts each block from +0 (or from out when
+// accumulating), adds its terms, then the row's bias and the identity, ReLU
+// or hard-swish. The epilogue is BiasAct's instructions in BiasAct's operand
+// order, so it is the Go loop followed by its sweep, bit for bit. The
+// package has 18 routines.
 package vec

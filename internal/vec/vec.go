@@ -14,20 +14,43 @@ func short(routine string, need, have int) {
 	}
 }
 
-// GemmAcc computes out[i·ldc+j] += Σ_x a[i·ars+x·acs]·b[x·ldb+j] for i < m,
-// j < n, x < k ascending, skipping a == ±0 terms. (ars, acs) = (k, 1) is
-// a @ b; (1, m) reads a transposed in place.
-func GemmAcc(out []float32, ldc int, a []float32, ars, acs int, b []float32, ldb, m, n, k int) {
-	if m <= 0 || n <= 0 || k <= 0 {
+// Act is the activation Gemm applies to a finished sum before its store.
+type Act uint8
+
+const (
+	ActIdentity  Act = iota
+	ActReLU          // v if v > 0, else +0 (NaN and −0 included)
+	ActHardSwish     // v·hardSigmoid(v)
+)
+
+// Gemm computes out[i·ldc+j] = act(init + Σ_x a[i·ars+x·acs]·b[x·ldb+j] +
+// bias[i]) for i < m, j < n: init is +0, or out's own element when acc; the
+// terms go in ascending x, skipping a == ±0; a nil bias adds nothing. Each
+// output element is written once. (ars, acs) = (k, 1) is a @ b; (1, m) reads
+// a transposed in place.
+func Gemm(out []float32, ldc int, a []float32, ars, acs int, b []float32, ldb, m, n, k int, acc bool, bias []float32, act Act) {
+	if m <= 0 || n <= 0 {
 		return
 	}
 	short("matmul out stride", n, ldc)
+	short("matmul out", (m-1)*ldc+n, len(out))
+	var bp *float32
+	if bias != nil {
+		short("matmul bias", m, len(bias))
+		bp = &bias[0]
+	}
+	if k <= 0 {
+		// The routine takes k ≥ 1: hand it one +0 term per row, which its ±0
+		// skip drops without reading b, so what is stored is act(init + bias).
+		var zero float32
+		gemm(&out[0], ldc, &zero, 0, 0, &out[0], 0, m, n, 1, bp, acc, act)
+		return
+	}
 	short("matmul b stride", n, ldb)
 	short("matmul a strides", 1, min(ars, acs))
-	short("matmul out", (m-1)*ldc+n, len(out))
 	short("matmul a", (m-1)*ars+(k-1)*acs+1, len(a))
 	short("matmul b", (k-1)*ldb+n, len(b))
-	gemmAcc(&out[0], ldc, &a[0], ars, acs, &b[0], ldb, m, n, k)
+	gemm(&out[0], ldc, &a[0], ars, acs, &b[0], ldb, m, n, k, bp, acc, act)
 }
 
 // AxpyPlane computes dst[r·dstStride+j] += w·src[r·srcStride+j] for r < rows,
@@ -195,8 +218,8 @@ func HardSwishGrad(dx, dy, x []float32) {
 }
 
 // BiasAct computes y[r·n+j] = act(y[r·n+j] + bias[r]) for r < rows, j < n,
-// act the identity or hard-swish: the conv bias add of training and the
-// frozen conv epilogue.
+// act the identity or hard-swish: the epilogue of a conv plane that no GEMM
+// stores.
 func BiasAct(y []float32, rows, n int, bias []float32, hswish bool) {
 	if rows <= 0 || n <= 0 {
 		return

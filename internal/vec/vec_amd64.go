@@ -31,7 +31,7 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() uint32
 
 //go:noescape
-func gemmAcc(c *float32, ldc int, a *float32, ars, acs int, b *float32, ldb, m, n, k int)
+func gemm(c *float32, ldc int, a *float32, ars, acs int, b *float32, ldb, m, n, k int, bias *float32, acc bool, act Act)
 
 //go:noescape
 func axpyPlane(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int)

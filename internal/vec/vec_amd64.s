@@ -33,6 +33,35 @@ DATA vecMask<>+80(SB)/8, $0xffffffffffffffff
 DATA vecMask<>+88(SB)/8, $0xffffffffffffffff
 GLOBL vecMask<>(SB), RODATA|NOPTR, $96
 
+// The hard-sigmoid constants 3, 6, 1, −3 as float32 bits.
+DATA hsConst<>+0(SB)/4, $0x40400000
+DATA hsConst<>+4(SB)/4, $0x40c00000
+DATA hsConst<>+8(SB)/4, $0x3f800000
+DATA hsConst<>+12(SB)/4, $0xc0400000
+GLOBL hsConst<>(SB), RODATA|NOPTR, $16
+
+// HSCONST loads 3, 6, 1, 0 into Y12–Y15.
+#define HSCONST \
+	VBROADCASTSS hsConst<>+0(SB), Y12; \
+	VBROADCASTSS hsConst<>+4(SB), Y13; \
+	VBROADCASTSS hsConst<>+8(SB), Y14; \
+	VXORPS Y15, Y15, Y15
+
+// HARDSIG leaves hardSigmoid(v) in s: s = (v+3)/6; s < 0 → 0; s > 1 → 1.
+// Clobbers lt and gt; the constants are HSCONST's.
+#define HARDSIG(v, s, lt, gt) \
+	VADDPS Y12, v, s; \
+	VDIVPS Y13, s, s; \
+	VCMPPS $0x11, Y15, s, lt; \
+	VCMPPS $0x1e, Y14, s, gt; \
+	VBLENDVPS lt, Y15, s, s; \
+	VBLENDVPS gt, Y14, s, s
+
+// HSWISH turns v into v·hardSigmoid(v), clobbering s, lt and gt.
+#define HSWISH(v, s, lt, gt) \
+	HARDSIG(v, s, lt, gt); \
+	VMULPS s, v, v
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX
@@ -51,34 +80,62 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 	MOVL AX, ret+0(FP)
 	RET
 
-// func gemmAcc(c *float32, ldc int, a *float32, ars, acs int, b *float32, ldb, m, n, k int)
+// func gemm(c *float32, ldc int, a *float32, ars, acs int, b *float32, ldb, m, n, k int, bias *float32, acc bool, act Act)
 //
-// c[i·ldc + j] += Σ_x a[i·ars + x·acs] · b[x·ldb + j]   (i < m, j < n, x < k ascending)
+// c[i·ldc + j] = act(init + Σ_x a[i·ars + x·acs] · b[x·ldb + j] + bias[i])
 //
+// for i < m, j < n, x < k ascending; init is +0, or c's own element when acc.
 // One output row at a time; within a row, 32 columns live in Y0–Y3 across
 // the whole k extent, then 8-column blocks, then a masked tail of < 8.
-// Terms with a == ±0 are skipped.
-TEXT ·gemmAcc(SB), NOSPLIT, $0-80
+// Terms with a == ±0 are skipped. A block starts from the masked load of c
+// through Y11 — every lane when acc, none otherwise, which loads +0 and
+// touches no memory — takes its terms, then finishes in registers and is
+// stored once. The finish is biasAct's instructions in biasAct's operand
+// order: sum + bias[i] (when there is a bias), then hard-swish as
+// v·hardSigmoid(v); ReLU is VMAXPS with +0 as the second source, which
+// returns +0 for NaN, −0 and every v ≤ 0, exactly Go's v > 0 test.
+//
+// Register plan: DI c (row), SI a (row), R10 / R11 a's and b's step per x
+// (bytes), DX b, R13 rows left, AX column offset (bytes), BX columns left,
+// R8 / R9 the a and b cursors, CX x left, R12 scratch; Y4 the broadcast a,
+// Y5–Y8 products (and the finish's scratch), Y9 the tail mask, Y10 the row's
+// bias, Y11 the acc mask, Y12–Y15 = 3, 6, 1, +0; bp the bias cursor, 0 when
+// there is no bias.
+TEXT ·gemm(SB), NOSPLIT, $8-90
 	MOVQ c+0(FP), DI
 	MOVQ a+16(FP), SI
 	MOVQ acs+32(FP), R10
-	SHLQ $2, R10            // a step per x, bytes
+	SHLQ $2, R10
 	MOVQ b+40(FP), DX
 	MOVQ ldb+48(FP), R11
-	SHLQ $2, R11            // b step per x, bytes
+	SHLQ $2, R11
 	MOVQ m+56(FP), R13
+	MOVQ bias+80(FP), R12
+	MOVQ R12, bp-8(SP)
+	HSCONST
+	VXORPS Y11, Y11, Y11
+	CMPB acc+88(FP), $0
+	JEQ  gemmRow
+	VPCMPEQD Y11, Y11, Y11
 
 gemmRow:
+	MOVQ bp-8(SP), R12
+	TESTQ R12, R12
+	JZ   gemmCols
+	VBROADCASTSS (R12), Y10
+	ADDQ $4, bp-8(SP)
+
+gemmCols:
 	XORQ AX, AX             // column offset, bytes
 	MOVQ n+64(FP), BX       // columns left
 
 gemmBlk32:
 	CMPQ BX, $32
 	JLT  gemmBlk8
-	VMOVUPS (DI)(AX*1), Y0
-	VMOVUPS 32(DI)(AX*1), Y1
-	VMOVUPS 64(DI)(AX*1), Y2
-	VMOVUPS 96(DI)(AX*1), Y3
+	VMASKMOVPS (DI)(AX*1), Y11, Y0
+	VMASKMOVPS 32(DI)(AX*1), Y11, Y1
+	VMASKMOVPS 64(DI)(AX*1), Y11, Y2
+	VMASKMOVPS 96(DI)(AX*1), Y11, Y3
 	MOVQ SI, R8
 	LEAQ (DX)(AX*1), R9
 	MOVQ k+72(FP), CX
@@ -102,6 +159,30 @@ gemmSkip32:
 	ADDQ R11, R9
 	DECQ CX
 	JNZ  gemmK32
+	CMPQ bp-8(SP), $0
+	JEQ  gemmAct32
+	VADDPS Y10, Y0, Y0
+	VADDPS Y10, Y1, Y1
+	VADDPS Y10, Y2, Y2
+	VADDPS Y10, Y3, Y3
+
+gemmAct32:
+	CMPB act+89(FP), $1
+	JB   gemmStore32        // identity
+	JA   gemmHswish32
+	VMAXPS Y15, Y0, Y0
+	VMAXPS Y15, Y1, Y1
+	VMAXPS Y15, Y2, Y2
+	VMAXPS Y15, Y3, Y3
+	JMP  gemmStore32
+
+gemmHswish32:
+	HSWISH(Y0, Y5, Y6, Y7)
+	HSWISH(Y1, Y5, Y6, Y7)
+	HSWISH(Y2, Y5, Y6, Y7)
+	HSWISH(Y3, Y5, Y6, Y7)
+
+gemmStore32:
 	VMOVUPS Y0, (DI)(AX*1)
 	VMOVUPS Y1, 32(DI)(AX*1)
 	VMOVUPS Y2, 64(DI)(AX*1)
@@ -113,7 +194,7 @@ gemmSkip32:
 gemmBlk8:
 	CMPQ BX, $8
 	JLT  gemmTail
-	VMOVUPS (DI)(AX*1), Y0
+	VMASKMOVPS (DI)(AX*1), Y11, Y0
 	MOVQ SI, R8
 	LEAQ (DX)(AX*1), R9
 	MOVQ k+72(FP), CX
@@ -131,18 +212,16 @@ gemmSkip8:
 	ADDQ R11, R9
 	DECQ CX
 	JNZ  gemmK8
-	VMOVUPS Y0, (DI)(AX*1)
-	ADDQ $32, AX
-	SUBQ $8, BX
-	JMP  gemmBlk8
+	JMP  gemmFinish1
 
 gemmTail:
 	TESTQ BX, BX
 	JZ    gemmNextRow
 	LEAQ  vecMask<>(SB), R12
-	NEGQ  BX
+	NEGQ  BX                // < 0 from here on: the finish stores through Y9
 	VMOVDQU 32(R12)(BX*4), Y9   // first -BX lanes
-	VMASKMOVPS (DI)(AX*1), Y9, Y0
+	VANDPS Y11, Y9, Y6
+	VMASKMOVPS (DI)(AX*1), Y6, Y0
 	MOVQ SI, R8
 	LEAQ (DX)(AX*1), R9
 	MOVQ k+72(FP), CX
@@ -161,6 +240,31 @@ gemmSkipTail:
 	ADDQ R11, R9
 	DECQ CX
 	JNZ  gemmKTail
+
+gemmFinish1:                // one block in Y0: an 8-column block or the tail
+	CMPQ bp-8(SP), $0
+	JEQ  gemmAct1
+	VADDPS Y10, Y0, Y0
+
+gemmAct1:
+	CMPB act+89(FP), $1
+	JB   gemmStore1
+	JA   gemmHswish1
+	VMAXPS Y15, Y0, Y0
+	JMP  gemmStore1
+
+gemmHswish1:
+	HSWISH(Y0, Y5, Y6, Y7)
+
+gemmStore1:
+	CMPQ BX, $8
+	JLT  gemmStoreTail
+	VMOVUPS Y0, (DI)(AX*1)
+	ADDQ $32, AX
+	SUBQ $8, BX
+	JMP  gemmBlk8
+
+gemmStoreTail:
 	VMASKMOVPS Y0, Y9, (DI)(AX*1)
 
 gemmNextRow:
@@ -1172,13 +1276,6 @@ sqDone:
 
 // ---- the training sweeps: activations, bias add, batch norm ----
 
-// The hard-sigmoid constants 3, 6, 1, −3 as float32 bits.
-DATA hsConst<>+0(SB)/4, $0x40400000
-DATA hsConst<>+4(SB)/4, $0x40c00000
-DATA hsConst<>+8(SB)/4, $0x3f800000
-DATA hsConst<>+12(SB)/4, $0xc0400000
-GLOBL hsConst<>(SB), RODATA|NOPTR, $16
-
 // TAILMASK loads the mask of the first n%8 lanes into Y9 (n in reg).
 #define TAILMASK(reg, tmp) \
 	MOVQ reg, tmp; \
@@ -1187,27 +1284,10 @@ GLOBL hsConst<>(SB), RODATA|NOPTR, $16
 	LEAQ vecMask<>(SB), reg; \
 	VMOVDQU 32(reg)(tmp*4), Y9
 
-// HSCONST loads 3, 6, 1, 0 into Y12–Y15.
-#define HSCONST \
-	VBROADCASTSS hsConst<>+0(SB), Y12; \
-	VBROADCASTSS hsConst<>+4(SB), Y13; \
-	VBROADCASTSS hsConst<>+8(SB), Y14; \
-	VXORPS Y15, Y15, Y15
-
-// HARDSIG leaves hardSigmoid(Y0) in Y1: s = (v+3)/6; s < 0 → 0; s > 1 → 1.
-// Clobbers Y2, Y3.
-#define HARDSIG \
-	VADDPS Y12, Y0, Y1; \
-	VDIVPS Y13, Y1, Y1; \
-	VCMPPS $0x11, Y15, Y1, Y2; \
-	VCMPPS $0x1e, Y14, Y1, Y3; \
-	VBLENDVPS Y2, Y15, Y1, Y1; \
-	VBLENDVPS Y3, Y14, Y1, Y1
-
 // HSWGRAD turns v = Y0, dy = Y5 into dy·(hs(v) + [−3 < v < 3]·v/6) in Y5.
 // Y11 holds −3. Clobbers Y1–Y4.
 #define HSWGRAD \
-	HARDSIG; \
+	HARDSIG(Y0, Y1, Y2, Y3); \
 	VCMPPS $0x1e, Y11, Y0, Y2; \
 	VCMPPS $0x11, Y12, Y0, Y3; \
 	VANDPS Y3, Y2, Y2; \
@@ -1230,8 +1310,7 @@ hswBlk:
 	CMPQ BX, $8
 	JLT  hswTail
 	VMOVUPS (SI)(AX*1), Y0
-	HARDSIG
-	VMULPS Y1, Y0, Y0
+	HSWISH(Y0, Y1, Y2, Y3)
 	VMOVUPS Y0, (DI)(AX*1)
 	ADDQ $32, AX
 	SUBQ $8, BX
@@ -1242,8 +1321,7 @@ hswTail:
 	JZ    hswDone
 	TAILMASK(BX, CX)
 	VMASKMOVPS (SI)(AX*1), Y9, Y0
-	HARDSIG
-	VMULPS Y1, Y0, Y0
+	HSWISH(Y0, Y1, Y2, Y3)
 	VMASKMOVPS Y0, Y9, (DI)(AX*1)
 
 hswDone:
@@ -1314,8 +1392,7 @@ baBlk:
 	VADDPS Y10, Y0, Y0
 	TESTQ R8, R8
 	JZ   baStore
-	HARDSIG
-	VMULPS Y1, Y0, Y0
+	HSWISH(Y0, Y1, Y2, Y3)
 
 baStore:
 	VMOVUPS Y0, (DI)(AX*1)
@@ -1330,8 +1407,7 @@ baTail:
 	VADDPS Y10, Y0, Y0
 	TESTQ R8, R8
 	JZ   baStoreTail
-	HARDSIG
-	VMULPS Y1, Y0, Y0
+	HSWISH(Y0, Y1, Y2, Y3)
 
 baStoreTail:
 	VMASKMOVPS Y0, Y9, (DI)(AX*1)

@@ -9,7 +9,7 @@ const available = false
 
 const none = "vec: vector routine called in a build without one"
 
-func gemmAcc(c *float32, ldc int, a *float32, ars, acs int, b *float32, ldb, m, n, k int) {
+func gemm(c *float32, ldc int, a *float32, ars, acs int, b *float32, ldb, m, n, k int, bias *float32, acc bool, act Act) {
 	panic(none)
 }
 
