@@ -29,7 +29,10 @@ package tensor
 // equals the recorded one without hashing its shape. A request that differs
 // (a window longer, shorter or reordered against the last) looks its class
 // up in the map and overwrites the record — one compare more than a lookup.
-// Either way a request gets the same class and the same next-free tensor.
+// An arena that alternates two sequences, as a network's training windows
+// and the frozen evaluation windows sharing its arena do, misses through the
+// first window after each switch. Either way a request gets the same class
+// and the same next-free tensor.
 type Arena struct {
 	classes []*arenaClass            // every class, in creation order
 	index   map[arenaKey]*arenaClass // the lookup behind a replay miss

@@ -26,9 +26,10 @@ const mmBlock = 64
 // the reference the differential tests compare against.
 
 // gemmAB computes out[m,n] = init + a[m,k] @ b[k,n], all row-major flat
-// slices, init +0 or (acc) out itself; a non-nil bias then stores row i as
-// act(sum + bias[i]). The vector routine writes each output once with that
-// epilogue in its store; the Go path clears, accumulates and sweeps.
+// slices, init +0 or (acc) out itself, and stores row i as act(sum +
+// bias[i]), a nil bias adding nothing. The vector routine writes each output
+// once with that epilogue in its store; the Go path clears, accumulates and
+// sweeps.
 func gemmAB(out, a, b []float32, m, k, n int, acc bool, bias []float32, act vec.Act) {
 	if vec.Live {
 		vec.Gemm(out, n, a, k, 1, b, n, m, n, k, acc, bias, act)
@@ -38,10 +39,13 @@ func gemmAB(out, a, b []float32, m, k, n int, acc bool, bias []float32, act vec.
 		clear(out[:m*n])
 	}
 	matmulAcc(out, a, b, m, k, n)
-	if bias != nil {
+	switch {
+	case bias != nil:
 		for i, bi := range bias[:m] {
 			rowBiasAct(out[i*n:(i+1)*n], bi, act)
 		}
+	case act != vec.ActIdentity:
+		rowAct(out[:m*n], act)
 	}
 }
 
@@ -58,6 +62,23 @@ func rowBiasAct(row []float32, b float32, act vec.Act) {
 		} else {
 			row[j] = 0
 		}
+	}
+}
+
+// rowAct computes y[j] = act(y[j]), act ReLU or hard-swish, with no bias add,
+// so a −0 sum stays −0 through hard-swish: the store epilogue of a bias-less
+// GEMM.
+func rowAct(y []float32, act vec.Act) {
+	if act == vec.ActReLU {
+		for j, v := range y {
+			if !(v > 0) {
+				y[j] = 0
+			}
+		}
+		return
+	}
+	for j, v := range y {
+		y[j] = v * HardSigmoid(v)
 	}
 }
 
@@ -376,15 +397,19 @@ func MatMulTransAAccSlicesP(par int, out, a, b []float32, k, m, n int) {
 }
 
 // matMulEp is the TOLERANCE tier's raw-slice entry, reached only through the
-// weight-stationary MatMulWBSlicesPEp of weights.go: out[m,n] (+)= a @ b
-// with ep fused per completed row chunk. It — and MatMulWASlicesPEp, which
-// makes the same choice for the conv orientation — dispatches through the
-// process-wide Backend (backend.go) and may run the packed GEBP kernel
-// instead of the oracle kernels.
+// weight-stationary MatMulW{A,B}SlicesPEp of weights.go: out[m,n] (+)= a @ b
+// with ep fused per completed row chunk. It — and nothing above — dispatches
+// through the process-wide Backend (backend.go) and may run the packed GEBP
+// kernel instead of the oracle kernels. The packed kernel sweeps every ep; the
+// oracle kernel takes a *RowBias as data and stores it with the sums.
 func matMulEp(par int, out, a, b []float32, m, k, n int, acc bool, ep RowEpilogue) {
 	if usePacked(m, k, n) {
 		matMulPackedEp(par, out, a, b, m, k, n, acc, ep)
 		return
 	}
-	gemm(par, mmTask{kind: mmAB, out: out, a: a, b: b, m: m, k: k, n: n, acc: acc, ep: ep})
+	t := mmTask{kind: mmAB, out: out, a: a, b: b, m: m, k: k, n: n, acc: acc, ep: ep}
+	if rb, ok := ep.(*RowBias); ok {
+		t.bias, t.act, t.ep = rb.Bias, rb.Act, nil
+	}
+	gemm(par, t)
 }

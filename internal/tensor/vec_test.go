@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"heteroswitch/internal/frand"
+	"heteroswitch/internal/israce"
 	"heteroswitch/internal/vec"
 )
 
@@ -104,26 +105,34 @@ func vecTable() []vecCase {
 }
 
 // storeBiases are the biases the GEMM's fused store meets: zeros of both
-// signs, both infinities, a NaN, ordinary values, one on hard-swish's knee, a
-// denormal.
+// signs, both infinities, NaNs of both signs, ordinary values, one on
+// hard-swish's knee, a denormal.
 var storeBiases = []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
-	float32(math.NaN()), 0.7, -1.3, 3, 1e-39}
+	float32(math.NaN()), math.Float32frombits(0xffc00123), 0.7, -1.3, 3, 1e-39}
+
+// storeInits are what an accumulating store's init adds to vecSpecials: a
+// payload NaN, which the NaN biases meet, so the sum's sign and payload must
+// survive as in the Go loop's sum + b, and both infinities.
+var storeInits = append(slices.Clone(vecSpecials),
+	math.Float32frombits(0x7fc00456), float32(math.Inf(1)), float32(math.Inf(-1)))
 
 // storeActs are the activations the GEMM's store applies.
 var storeActs = []vec.Act{vec.ActIdentity, vec.ActReLU, vec.ActHardSwish}
 
-// nanClassEqual is exactEqual where two NaN operands can meet: Go leaves open
-// which one's sign and payload an operation keeps (the -race build compiles
-// some adds with their operands swapped), so any NaN matches any NaN; every
-// other value still compares by its bits.
+// nanClassEqual is exactEqual where two NaN operands can meet. A plain build
+// compiles the Go loop's adds in the operand order the routines take, so
+// there NaN signs and payloads must match too, which pins that order. Go
+// leaves open which NaN an operation keeps, though, and the -race build
+// compiles some adds with their operands swapped, so under -race alone any
+// NaN matches any NaN.
 func nanClassEqual(t *testing.T, name string, got, want []float32) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: length %d != %d", name, len(got), len(want))
 	}
 	for i := range got {
-		if g, w := got[i], want[i]; math.Float32bits(g) != math.Float32bits(w) && (g == g || w == w) {
-			t.Fatalf("%s: element %d differs: %v (%#x) != %v (%#x) (must be bit-identical, NaN for NaN)",
+		if g, w := got[i], want[i]; math.Float32bits(g) != math.Float32bits(w) && !(israce.Enabled && g != g && w != w) {
+			t.Fatalf("%s: element %d differs: %v (%#x) != %v (%#x) (must be bit-identical)",
 				name, i, g, math.Float32bits(g), w, math.Float32bits(w))
 		}
 	}
@@ -132,9 +141,10 @@ func nanClassEqual(t *testing.T, name string, got, want []float32) {
 // runVecCase computes every oracle kernel on one shape under both settings of
 // the switch and requires identical bits: a@b accumulating, aᵀ@b over the
 // full row range and a sub-range, a@bᵀ (store and accumulate), and a@b
-// through the fused store — a per-row bias drawn from storeBiases under each
-// activation, storing and accumulating — against matmulAcc plus the Go sweep
-// (NaN as a class there, where a NaN bias meets a NaN sum).
+// through the fused store — with a per-row bias drawn from storeBiases and
+// with none, under each activation, storing and accumulating into storeInits
+// — against matmulAcc plus the Go sweep (nanClassEqual there, where a NaN
+// bias meets a NaN sum).
 func runVecCase(t *testing.T, c vecCase, seed uint64) {
 	t.Helper()
 	r := frand.New(seed)
@@ -149,6 +159,7 @@ func runVecCase(t *testing.T, c vecCase, seed uint64) {
 	for i := range bias {
 		bias[i] = storeBiases[r.Intn(len(storeBiases))]
 	}
+	storeBase := operandWith(r, m*n, storeInits)
 	i0, i1 := m/3, m-m/4 // a proper sub-range once m ≥ 4, else the whole
 
 	kernels := []string{"a@b acc", "transA", "transA range", "transB", "transB acc"}
@@ -165,11 +176,13 @@ func runVecCase(t *testing.T, c vecCase, seed uint64) {
 		tbAcc := slices.Clone(base)
 		matMulTransB(tbAcc, a, bt, m, k, n, true)
 		res := [][]float32{acc, ta, tr, tb, tbAcc}
-		for _, act := range storeActs {
-			for _, accumulate := range []bool{false, true} {
-				o := slices.Clone(base)
-				gemmAB(o, a, b, m, k, n, accumulate, bias, act)
-				res = append(res, o)
+		for _, rb := range [][]float32{bias, nil} {
+			for _, act := range storeActs {
+				for _, accumulate := range []bool{false, true} {
+					o := slices.Clone(storeBase)
+					gemmAB(o, a, b, m, k, n, accumulate, rb, act)
+					res = append(res, o)
+				}
 			}
 		}
 		return res
@@ -181,7 +194,7 @@ func runVecCase(t *testing.T, c vecCase, seed uint64) {
 			continue
 		}
 		arm := i - len(kernels)
-		nanClassEqual(t, fmt.Sprintf("%s fused store act %d acc %v", name, storeActs[arm/2], arm%2 == 1), got[i], want[i])
+		nanClassEqual(t, fmt.Sprintf("%s fused store bias %v act %d acc %v", name, arm < 6, storeActs[arm/2%3], arm%2 == 1), got[i], want[i])
 	}
 }
 
@@ -240,39 +253,39 @@ func TestVecZeroSkipParity(t *testing.T) {
 }
 
 // TestVecGemmWithoutTerms: at k = 0 the store still runs, act(init + bias)
-// with init +0 or out's own element, and never reads a or b (nil here);
-// with no bias and no activation an accumulating call leaves out's bits,
-// −0 included.
+// with init +0 or out's own element, and never reads a or b (nil here). A
+// nil bias adds nothing, so the activation alone applies and an accumulating
+// identity call leaves out's bits, −0 included.
 func TestVecGemmWithoutTerms(t *testing.T) {
 	negZero, nan := float32(math.Copysign(0, -1)), float32(math.NaN())
 	base := []float32{negZero, 1.5, -2, nan, 3, -4}
-	bias := []float32{negZero, -1.5}
 	bothVecSettings(t, func(t *testing.T) {
-		for _, act := range storeActs {
-			for _, acc := range []bool{false, true} {
-				want := make([]float32, len(base))
-				for i := range want {
-					var init float32 // +0, which turns a −0 bias into +0
-					if acc {
-						init = base[i]
+		for _, bias := range [][]float32{{negZero, -1.5}, nil} {
+			for _, act := range storeActs {
+				for _, acc := range []bool{false, true} {
+					want := make([]float32, len(base))
+					for i := range want {
+						var v float32 // +0, which turns a −0 bias into +0
+						if acc {
+							v = base[i]
+						}
+						if bias != nil {
+							v += bias[i/3]
+						}
+						switch {
+						case act == vec.ActReLU && !(v > 0):
+							v = 0
+						case act == vec.ActHardSwish:
+							v *= HardSigmoid(v)
+						}
+						want[i] = v
 					}
-					v := init + bias[i/3]
-					switch {
-					case act == vec.ActReLU && !(v > 0):
-						v = 0
-					case act == vec.ActHardSwish:
-						v *= HardSigmoid(v)
-					}
-					want[i] = v
+					got := slices.Clone(base)
+					gemmAB(got, nil, nil, 2, 0, 3, acc, bias, act)
+					nanClassEqual(t, fmt.Sprintf("k=0 bias %v act %d acc %v", bias != nil, act, acc), got, want)
 				}
-				got := slices.Clone(base)
-				gemmAB(got, nil, nil, 2, 0, 3, acc, bias, act)
-				nanClassEqual(t, fmt.Sprintf("k=0 act %d acc %v", act, acc), got, want)
 			}
 		}
-		got := slices.Clone(base)
-		gemmAB(got, nil, nil, 2, 0, 3, true, nil, vec.ActIdentity)
-		exactEqual(t, "k=0 accumulate, no epilogue", got, base)
 	})
 }
 
@@ -452,8 +465,8 @@ func depthwise3x3(y, img, w []float32, d ConvDims) {
 // pixels and must skip them; a NaN weight must poison exactly the outputs
 // whose tap lands inside the image (its out-of-image lanes are skipped, never
 // 0·NaN); the centre tap alone carries the hard-sigmoid knees and non-finite
-// pixels through the epilogue. NaN pixels meet NaN sums here, so NaN
-// compares as a class.
+// pixels through the epilogue. NaN pixels meet NaN sums here, so the
+// comparison is nanClassEqual.
 func TestVecDepthwiseZeroSkipParity(t *testing.T) {
 	requireVec(t)
 	inf, nan := float32(math.Inf(1)), float32(math.NaN())
@@ -716,12 +729,13 @@ func foldAcc(r *frand.RNG, n int) []float64 {
 }
 
 // nanClassEqual64 is nanClassEqual for the fold's float64 accumulators,
-// where a NaN update meets a NaN sum.
+// where a NaN update meets a NaN sum: bit for bit, NaN payloads included,
+// except that under -race any NaN matches any NaN.
 func nanClassEqual64(t *testing.T, name string, got, want []float64) {
 	t.Helper()
 	for i := range want {
-		if g, w := got[i], want[i]; math.Float64bits(g) != math.Float64bits(w) && (g == g || w == w) {
-			t.Fatalf("%s: element %d differs: %v (%#x) != %v (%#x) (must be bit-identical, NaN for NaN)",
+		if g, w := got[i], want[i]; math.Float64bits(g) != math.Float64bits(w) && !(israce.Enabled && g != g && w != w) {
+			t.Fatalf("%s: element %d differs: %v (%#x) != %v (%#x) (must be bit-identical)",
 				name, i, g, math.Float64bits(g), w, math.Float64bits(w))
 		}
 	}
@@ -731,7 +745,7 @@ func nanClassEqual64(t *testing.T, name string, got, want []float64) {
 // buffers — so the routine sees every 4- and 8-byte misalignment — three
 // times over (w, then −w/3, then w again) under both settings of the switch,
 // and requires the whole accumulator buffer, the elements around the window
-// included, to come out bit-identical, NaN for NaN.
+// included, to come out bit-identical (nanClassEqual64).
 func runVecFoldCase(t *testing.T, n, dstOff, srcOff int, w float64, seed uint64) {
 	t.Helper()
 	r := frand.New(seed)

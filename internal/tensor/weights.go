@@ -292,25 +292,14 @@ func MatMulWBSlicesPEp(par int, out, a, w []float32, pw *PackedWeights, m int, a
 // a weights-as-A handle — the frozen conv entry. rowOff/rows select the
 // group's output-channel rows within the handle (grouped convolutions pack
 // all groups into one handle); w is the caller's own float rows for that
-// window, ALREADY offset (the fallback operand). ep, when non-nil, is the
-// conv's per-row bias and activation: the oracle kernel stores it with the
-// sums, the packed and int8 kernels sweep it afterwards.
-func MatMulWASlicesPEp(par int, out, w []float32, pw *PackedWeights, rowOff, rows int, b []float32, n int, accum bool, ep *RowBias) {
+// window, ALREADY offset (the fallback operand). A conv's ep is its
+// *RowBias, which the oracle kernel stores with the sums and the packed and
+// int8 kernels sweep afterwards.
+func MatMulWASlicesPEp(par int, out, w []float32, pw *PackedWeights, rowOff, rows int, b []float32, n int, accum bool, ep RowEpilogue) {
 	k := pw.k
-	var swept RowEpilogue
-	if ep != nil {
-		swept = ep
+	if ActiveBackend() == BackendInt8 && pw.hasInt8 {
+		matMulInt8A(par, out, pw, rowOff, rows, b, n, accum, ep)
+		return
 	}
-	switch {
-	case ActiveBackend() == BackendInt8 && pw.hasInt8:
-		matMulInt8A(par, out, pw, rowOff, rows, b, n, accum, swept)
-	case usePacked(rows, k, n):
-		matMulPackedEp(par, out, w, b, rows, k, n, accum, swept)
-	default:
-		t := mmTask{kind: mmAB, out: out, a: w, b: b, m: rows, k: k, n: n, acc: accum}
-		if ep != nil {
-			t.bias, t.act = ep.Bias, ep.Act
-		}
-		gemm(par, t)
-	}
+	matMulEp(par, out, w, b, rows, k, n, accum, ep)
 }

@@ -43,9 +43,10 @@
 //     selection: no AVX-512 variant, no FMA variant. Where two NaN operands
 //     can meet (the fold, the depthwise forward, the GEMM's fused store),
 //     the routines take the operands in the order a plain build compiles
-//     the Go loop, but Go does not specify which NaN's sign and payload
-//     survive, and a -race build swaps some of those operands; there the
-//     contract, and the parity tests, hold NaN for NaN, and every other
+//     the Go loop, so the first one's sign and payload survive, and the
+//     parity tests check those bits. Go does not specify which NaN
+//     survives, though, and a -race build swaps some of those operands;
+//     under -race alone the parity tests hold NaN for NaN, and every other
 //     value bit for bit.
 //  3. A reduction takes lanes only when its consumer is a decision and a
 //     proven guard falls back to the serial chain. SqDist is the one such
