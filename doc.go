@@ -200,39 +200,48 @@
 //
 // # Parallelism & determinism
 //
-// The compute substrate is parallel at two grains that compose by budget
-// division, never by contention:
+// Training is parallel at one grain: the model. In the paper's setting every
+// client trains its own model on its own device, so a worker trains one
+// model at a time on the serial kernels, and Workers is the machine's one
+// training-parallelism knob:
 //
-//   - Client-level: both fl drivers train W client replicas concurrently
+//   - Both fl drivers train W client replicas concurrently
 //     (fl.Config.Workers), one network + arena per worker goroutine — the
 //     barrier server one shard per replica, the event loop one window's
 //     steps claimed in order.
-//   - Intra-op: within one replica, the tensor kernels (tensor.MatMul*P)
-//     and the Conv2D sample×group loops split their output rows across a
-//     persistent worker pool (internal/parallel), under an explicit core
-//     budget granted via nn.Network.SetIntraOp.
+//   - The centralized harnesses train their independent models side by side
+//     on opts.Workers through parallel.For: Table 2 / Fig 2 one model per
+//     device type, Fig 7 its three averaging regimes. Each model keeps its
+//     own RNG and arena, so their output is byte-identical at every worker
+//     count by construction.
 //
-// Core-budget rules: fl.Config.IntraOp is the total kernel budget
-// (0 = GOMAXPROCS). The server grants each of its W workers an equal share
-// (at least 1), so W replicas × their kernels never oversubscribe the
-// machine; single-client paths (W=1, experiments.TrainCentralized, the swad
-// harness, Server.GlobalNet evaluation) receive the full budget. A budget
-// of 1 is byte-for-byte the serial kernels.
+// The event loop folds in event order on one goroutine, so its results do
+// not depend on W. The barrier server merges its shards' float64 sums and
+// rounds to float32 once, at finalize, so the merge order W sets stays below
+// float32 resolution; TestSyncPinsHoldAtEveryWorkerCount holds the pinned
+// aggregation bytes at W = 1–4.
+//
+// The frozen (evaluation and serving) forward keeps a second, intra-op
+// grain for the one request that must be fast: its kernels split output
+// rows, sample×group iterations or planes across a persistent worker pool
+// (internal/parallel) under the budget nn.Network.SetIntraOp grants.
+// fl.Config.IntraOp (-intraop) is that budget's total (0 = GOMAXPROCS); W
+// concurrent replicas or models each get an equal parallel.Share of it, at
+// least 1, so workers × kernels never oversubscribe the machine, and a model
+// that evaluates alone (Fig 3, Server.GlobalNet) gets the whole budget. A
+// budget of 1 is byte-for-byte the serial kernels.
 //
 // Fixed-partitioning invariant: parallel.Run splits a loop's index range
 // into contiguous chunks keyed only by (budget, length, grain) — never by
 // dynamic stealing — and every output element is computed entirely by one
-// goroutine running the serial inner loops in the serial order. Gradient
-// accumulations that cross the parallel dimension (conv dW/db) are instead
-// parallelized over output-channel rows with samples folded in ascending
-// order per row. Both ways, the per-target operation order is exactly the
-// serial kernels', so training is BIT-identical at every budget and worker
-// count (the kernel equivalence tests assert tol 0). Work-based grains
-// (parallel.GrainFor) keep small matmuls serial, and dispatch never queues:
+// goroutine running the serial inner loops in the serial order, so the
+// frozen forward is BIT-identical at every budget (the budget tests assert
+// tol 0, on shapes they check split into chunks). A work-based grain
+// (parallel.GrainFor) keeps small kernels serial, and dispatch never queues:
 // a chunk runs on an idle pool worker or inline on the caller, which makes
-// nested parallelism (intra-op kernels inside fl workers) deadlock-free.
-// The dispatch path allocates nothing in steady state — kernels recycle
-// their parallel.Runner state, preserving the zero-allocation hot path.
+// nesting (frozen kernels inside fl or model workers) deadlock-free. The
+// dispatch path allocates nothing in steady state — kernels recycle their
+// parallel.Runner state, preserving the zero-allocation hot path.
 //
 // # Inference fast path
 //
@@ -281,7 +290,7 @@
 // without folded BN (SqueezeNet) are bit-exact, and the frozen forward is
 // itself bit-identical across intra-op budgets. Training paths are
 // untouched: every tol-0 training bit-reproducibility contract (arena,
-// intra-op, async) holds unchanged. Consumers forward through
+// workers, async) holds unchanged. Consumers forward through
 // (*Network).Freeze: metrics.Accuracy / MultiLabelScores,
 // fl.EvalLoss (per-client L_init, including inside server workers and the
 // async completion loop), and the experiment eval sweeps. The reference
@@ -303,9 +312,10 @@
 // looser corner of the tolerance tier):
 //
 //   - ORACLE tier — the six unfused entry points training uses
-//     (tensor.MatMulIntoP, MatMulSlicesP, MatMulTransBIntoP,
-//     MatMulTransBAccSlices, MatMulTransAAccIntoP, MatMulTransAAccSlicesP),
-//     each a few lines filling one internal descriptor. They run the
+//     (tensor.MatMulInto, MatMulSlices, MatMulTransBInto,
+//     MatMulTransBAccSlices, MatMulTransAAccInto, MatMulTransAAccSlices),
+//     each a few lines filling one internal descriptor, run on the calling
+//     goroutine. They run the
 //     register-tiled kernels with their exact float-op order and never
 //     dispatch: every tol-0 contract in the repo rides on this tier,
 //     untouched by backend selection. The tier has a vector implementation

@@ -348,10 +348,16 @@ func TestHeteroSwitchDeterministicAcrossWorkers(t *testing.T) {
 		srv.Run(nil)
 		return srv.Global
 	}
-	a, b := run(1), run(3)
-	for i := range a.Params {
-		if !a.Params[i].AllClose(b.Params[i], 1e-6) {
-			t.Fatalf("param %d differs across worker counts", i)
+	want := run(1)
+	for _, workers := range []int{2, 3, 4} {
+		got := run(workers)
+		for i, p := range got.Params {
+			for j, v := range p.Data() {
+				if math.Float32bits(v) != math.Float32bits(want.Params[i].Data()[j]) {
+					t.Fatalf("workers=%d: param %d element %d is %v, want %v (bit-identical)",
+						workers, i, j, v, want.Params[i].Data()[j])
+				}
+			}
 		}
 	}
 }

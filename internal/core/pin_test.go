@@ -162,6 +162,25 @@ func TestPinnedAggregationBytes(t *testing.T) {
 	}
 }
 
+// The barrier server's shards merge float64 sums that round to float32 once,
+// at finalize, so the merge order — the one thing Workers changes — stays
+// below float32 resolution and the sync pins hold at every worker count.
+// Workers is the one training-parallelism knob, so this is a contract, not
+// a coincidence of one configuration.
+func TestSyncPinsHoldAtEveryWorkerCount(t *testing.T) {
+	serialBackend(t)
+	for _, s := range pinStrategies {
+		for _, maxNorm := range []float64{100, math.Inf(1)} {
+			name := fmt.Sprintf("%s/async=false/gate=%v", s.name, maxNorm)
+			for _, workers := range []int{1, 2, 3, 4} {
+				if got, _ := pinRun(t, s.mk(), false, maxNorm, workers, 0); got != pinnedAggregation[name] {
+					t.Errorf("%q at workers=%d: %q, want %q", name, workers, got, pinnedAggregation[name])
+				}
+			}
+		}
+	}
+}
+
 // The event loop trains a window on Config.Workers replicas and folds in
 // event order, so the async pins hold at every worker count and intra-op
 // budget. The pin population has six clients and eight jobs in flight, so

@@ -10,6 +10,7 @@ import (
 	"heteroswitch/internal/isp"
 	"heteroswitch/internal/metrics"
 	"heteroswitch/internal/nn"
+	"heteroswitch/internal/parallel"
 	"heteroswitch/internal/scene"
 )
 
@@ -132,7 +133,9 @@ func (r *CrossDeviceResult) String() string {
 
 // CrossDevice trains one centralized model per device type and evaluates it
 // on every device's test set (Table 2 with processed images, Fig 2 with
-// ModeRAW).
+// ModeRAW). The per-device models train side by side on opts.Workers, each
+// with its own RNG and arena, so the matrix is byte-identical at every worker
+// count.
 func CrossDevice(opts Options, mode dataset.CaptureMode) (*CrossDeviceResult, error) {
 	dd, err := BuildDeviceData(opts, opts.scaled(8), opts.scaled(4), mode)
 	if err != nil {
@@ -150,15 +153,20 @@ func CrossDevice(opts Options, mode dataset.CaptureMode) (*CrossDeviceResult, er
 	epochs := opts.scaled(25)
 
 	builder := SimpleCNNBuilder(opts.Seed, dd.Classes)
-	for i := 0; i < n; i++ {
-		net := builder()
-		net.SetIntraOp(opts.IntraOpBudget())
-		TrainCentralized(net, dd.Train[i], epochs, 10, 0.05, frand.New(opts.Seed^uint64(i+7)))
-		res.Acc[i] = make([]float64, n)
-		res.Degradation[i] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			res.Acc[i][j] = metrics.Accuracy(net, dd.Test[j], 16)
+	budget := parallel.Share(opts.IntraOp, opts.Workers)
+	parallel.For(opts.Workers, n, 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			net := builder()
+			net.SetIntraOp(budget)
+			TrainCentralized(net, dd.Train[i], epochs, 10, 0.05, frand.New(opts.Seed^uint64(i+7)))
+			res.Acc[i] = make([]float64, n)
+			for j := 0; j < n; j++ {
+				res.Acc[i][j] = metrics.Accuracy(net, dd.Test[j], 16)
+			}
 		}
+	})
+	for i := 0; i < n; i++ {
+		res.Degradation[i] = make([]float64, n)
 		var rowSum float64
 		for j := 0; j < n; j++ {
 			if i == j {

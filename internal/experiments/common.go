@@ -36,15 +36,17 @@ type Options struct {
 	Scale float64
 	// Seed drives all randomness.
 	Seed uint64
-	// Workers bounds parallel client training and parallel device capture.
+	// Workers bounds parallel training — clients in the FL harnesses, whole
+	// models in the centralized ones (Table 2, Fig 2, Fig 7) — and parallel
+	// device capture. It is the machine's one training-parallelism knob.
 	Workers int
 	// OutRes is the model input resolution.
 	OutRes int
-	// IntraOp is the total intra-op kernel parallelism budget
-	// (fl.Config.IntraOp): cores the tensor kernels may occupy across all
-	// client workers combined. 0 = auto (GOMAXPROCS, split evenly across
-	// Workers); 1 = serial kernels. Results are bit-identical at every
-	// setting.
+	// IntraOp is the total kernel parallelism budget of the frozen
+	// (evaluation and serving) forward (fl.Config.IntraOp): cores those
+	// kernels may occupy across all workers combined. 0 = auto (GOMAXPROCS,
+	// split evenly across Workers); 1 = serial kernels. Training always runs
+	// the serial kernels, and results are bit-identical at every setting.
 	IntraOp int
 	// Async selects asynchronous staleness-aware aggregation for the
 	// FL-driving harnesses.
@@ -123,8 +125,8 @@ func (a AsyncOptions) Config(k int, seed uint64) (fl.AsyncConfig, error) {
 // default by setting the field first.
 func (o *Options) BindMachineFlags(fs *flag.FlagSet) {
 	fs.Uint64Var(&o.Seed, "seed", o.Seed, "random seed; everything printed is a pure function of it and the other flags")
-	fs.IntVar(&o.Workers, "workers", o.Workers, "parallel workers: client trainers, device captures, serving batch executors (0 or 1 = serial)")
-	fs.IntVar(&o.IntraOp, "intraop", o.IntraOp, "total intra-op kernel parallelism budget, split across workers (0 = GOMAXPROCS, 1 = serial kernels; results are bit-identical at every setting)")
+	fs.IntVar(&o.Workers, "workers", o.Workers, "parallel workers: client or model trainers, device captures, serving batch executors (0 or 1 = serial; results are bit-identical at every setting)")
+	fs.IntVar(&o.IntraOp, "intraop", o.IntraOp, "total kernel parallelism budget of the frozen evaluation and serving forward, split across workers (0 = GOMAXPROCS, 1 = serial kernels; training is unaffected; results are bit-identical at every setting)")
 	fs.StringVar(&o.KernelBackend, "kernel-backend", o.KernelBackend, "matmul kernel backend for the frozen inference path: auto (packed when profitable), serial (bit-identical oracle kernels), packed (force the cache-blocked kernel), int8 (force the quantized weight-stationary kernel, documented-tolerance tier); training always uses the oracle kernels; empty inherits HETEROSWITCH_KERNEL_BACKEND, else auto")
 }
 
@@ -177,16 +179,10 @@ func (o Options) Apply() error {
 	return nil
 }
 
-// DefaultOptions returns the standard configuration (Scale 1).
+// DefaultOptions returns the standard configuration (Scale 1), training on
+// every CPU (at most 8 workers).
 func DefaultOptions() Options {
-	w := runtime.NumCPU() - 1
-	if w < 1 {
-		w = 1
-	}
-	if w > 8 {
-		w = 8
-	}
-	return Options{Scale: 1, Seed: 42, Workers: w, OutRes: 32}
+	return Options{Scale: 1, Seed: 42, Workers: min(runtime.NumCPU(), 8), OutRes: 32}
 }
 
 // FLConfig is the fl.Config every harness and flsim run: E=1 with the caller's
@@ -205,9 +201,10 @@ func (o Options) FLConfig(rounds, k, batch int, lr float64) fl.Config {
 	}
 }
 
-// IntraOpBudget returns the kernel budget for single-client training and
-// evaluation paths: the explicit IntraOp option when set, otherwise the full
-// machine (there is no worker parallelism to share it with).
+// IntraOpBudget returns the frozen forward's kernel budget for a model that
+// trains and evaluates alone (Fig 3): the explicit IntraOp option when set,
+// otherwise the full machine (there is no worker parallelism to share it
+// with).
 func (o Options) IntraOpBudget() int { return parallel.Share(o.IntraOp, 1) }
 
 // scaled returns max(1, round(n*Scale)).
@@ -283,18 +280,13 @@ func BuildDeviceData(opts Options, perClassTrain, perClassTest int, mode dataset
 }
 
 // TrainCentralized runs plain minibatch SGD for the given epochs — the
-// single-device training used by the characterization experiments (§3). As
-// a single-client path it defaults the network to the full intra-op budget
-// (the parallel kernels are bit-identical to serial, so this only changes
-// speed); a budget the caller already granted — e.g. from
-// Options.IntraOpBudget, which honors -intraop — is left alone.
+// single-device training used by the characterization experiments (§3) —
+// on the serial kernels. The budget of the frozen forward that evaluates
+// the model afterwards is the caller's to set (nn.Network.SetIntraOp).
 func TrainCentralized(net *nn.Network, ds *dataset.Dataset, epochs, batch int, lr float64, rng *frand.RNG) {
 	cfg := fl.Config{
 		Rounds: 1, ClientsPerRound: 1,
 		BatchSize: batch, LocalEpochs: epochs, LR: lr, Workers: 1,
-	}
-	if net.IntraOp() == 0 {
-		net.SetIntraOp(parallel.Workers())
 	}
 	fl.TrainLocal(net, ds, cfg, nn.SoftmaxCrossEntropy{}, rng, nil, nil)
 }

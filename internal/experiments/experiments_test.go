@@ -169,6 +169,28 @@ func TestFig7Structure(t *testing.T) {
 	}
 }
 
+// TestModelGrainIdenticalAcrossWorkers: the centralized harnesses train
+// their independent models side by side on opts.Workers, each with its own
+// RNG and arena, so every rendered byte must match the one-worker run.
+func TestModelGrainIdenticalAcrossWorkers(t *testing.T) {
+	for _, exp := range []string{"table2", "fig7"} {
+		var want string
+		for _, workers := range []int{1, 3} {
+			opts := tinyOpts(0.12)
+			opts.Workers = workers
+			res, err := Run(exp, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if workers == 1 {
+				want = res.String()
+			} else if got := res.String(); got != want {
+				t.Fatalf("%s at workers=%d:\n%s\nwant (workers=1):\n%s", exp, workers, got, want)
+			}
+		}
+	}
+}
+
 func TestFig4Structure(t *testing.T) {
 	res, err := Fig4(tinyOpts(0.1))
 	if err != nil {

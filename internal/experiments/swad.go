@@ -8,6 +8,7 @@ import (
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/metrics"
 	"heteroswitch/internal/nn"
+	"heteroswitch/internal/parallel"
 	"heteroswitch/internal/scene"
 )
 
@@ -75,13 +76,12 @@ func sceneDataset(opts Options, perClass int, salt string) *dataset.Dataset {
 }
 
 // trainWithAveraging trains with per-batch random transforms (degree 0.3)
-// and the selected weight-averaging regime, returning the final weights.
-// As a single-client path it grants the network the single-client intra-op
-// budget (full machine unless -intraop caps it), and batches recycle
-// through the pooled dataset.BatchScratch.
-func trainWithAveraging(opts Options, train *dataset.Dataset, method Fig7Method, epochs int) *nn.Network {
+// and the selected weight-averaging regime, returning the final weights. The
+// network's frozen forward gets the given intra-op budget, and batches
+// recycle through the pooled dataset.BatchScratch.
+func trainWithAveraging(opts Options, train *dataset.Dataset, method Fig7Method, epochs, budget int) *nn.Network {
 	net := SimpleCNNBuilder(opts.Seed, train.NumClasses)()
-	net.SetIntraOp(opts.IntraOpBudget())
+	net.SetIntraOp(budget)
 	opt := nn.NewSGD(0.05, 0.9)
 	rng := frand.New(opts.Seed ^ 0xf16)
 	transforms := trainTransforms(0.3)
@@ -150,16 +150,21 @@ func trainTransforms(degree float64) []core.TransformFunc {
 	}
 }
 
-// Fig7 runs the robustness comparison.
+// Fig7 runs the robustness comparison. The three regimes train side by side
+// on opts.Workers, each with its own RNG and arena, so the result is
+// byte-identical at every worker count.
 func Fig7(opts Options) (*Fig7Result, error) {
 	train := sceneDataset(opts, opts.scaled(10), "fig7-train")
 	test := sceneDataset(opts, opts.scaled(5), "fig7-test")
 	epochs := opts.scaled(10)
 
 	nets := [3]*nn.Network{}
-	for m := Fig7TransformOnly; m <= Fig7SWAD; m++ {
-		nets[m] = trainWithAveraging(opts, train, m, epochs)
-	}
+	budget := parallel.Share(opts.IntraOp, opts.Workers)
+	parallel.For(opts.Workers, len(nets), 1, func(lo, hi int) {
+		for m := lo; m < hi; m++ {
+			nets[m] = trainWithAveraging(opts, train, Fig7Method(m), epochs, budget)
+		}
+	})
 	res := &Fig7Result{}
 	for m := 0; m < 3; m++ {
 		res.CleanAcc[m] = metrics.Accuracy(nets[m], test, 16)

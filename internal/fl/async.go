@@ -155,10 +155,10 @@ type asyncEvent struct {
 // timeouts, reissues, failures and their replacements, the staleness drop
 // rule and discount. Execute trains, corrupts and gates the planned steps on
 // W = min(Config.Workers, Buffer) replicas (at least 1), which split the
-// intra-op budget as the barrier server's do, while the calling goroutine
-// folds each result into the one accumulator in plan order. Account releases
-// the versions and adds the stats in the same order, and the window
-// finalizes.
+// frozen forward's budget as the barrier server's do, while the calling
+// goroutine folds each result into the one accumulator in plan order.
+// Account releases the versions and adds the stats in the same order, and
+// the window finalizes.
 //
 // Determinism: the only randomness is the client-sampling stream (the core's
 // draw, consumed exactly as the barrier server consumes it) and the

@@ -273,9 +273,9 @@ func TestAsyncDispatchAccounting(t *testing.T) {
 	}
 }
 
-// Race coverage for the async window: two replicas train steps through the
-// parallel intra-op kernels while the calling goroutine folds completions.
-// Run with -race in CI.
+// Race coverage for the async window: two replicas, each with a frozen
+// forward budget of 4, train steps while the calling goroutine folds
+// completions. Run with -race in CI.
 func TestAsyncIntraOpParallelRace(t *testing.T) {
 	srv := asyncFixtureServer(t, FedAvg{}, AsyncConfig{
 		Staleness:   PolynomialStaleness{Alpha: 0.5},
@@ -292,7 +292,7 @@ func TestAsyncIntraOpParallelRace(t *testing.T) {
 	srv.Run(nil)
 	for _, p := range srv.Global.Params {
 		if p.HasNaN() {
-			t.Fatal("NaN weights from async run with intra-op kernels")
+			t.Fatal("NaN weights from the two-replica async run")
 		}
 	}
 }

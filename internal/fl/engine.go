@@ -46,8 +46,8 @@ type engine struct {
 }
 
 // init validates cfg against the population and builds the core with a fresh
-// global model, the given number of replicas, which split the intra-op kernel
-// budget evenly, and the given number of accumulators.
+// global model, the given number of replicas, which split the frozen
+// forward's kernel budget evenly, and the given number of accumulators.
 func (e *engine) init(cfg Config, builder Builder, loss nn.Loss, strategy Strategy, clients []*Client, replicas, accs int) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -76,8 +76,7 @@ func (e *engine) init(cfg Config, builder Builder, loss nn.Loss, strategy Strate
 }
 
 // intraOpShare is the core-budget token grant (parallel.Share) of cfg.IntraOp
-// to each of the server's W client workers. W=1 — the single-client path —
-// receives the full budget.
+// to each of the server's W replicas. W=1 receives the full budget.
 func intraOpShare(cfg Config, workers int) int { return parallel.Share(cfg.IntraOp, workers) }
 
 // Weights aliases nn.Weights.
@@ -197,9 +196,9 @@ func (t *tally) finish() RoundStats {
 }
 
 // GlobalNet returns a network loaded with the current global weights, for
-// evaluation. The returned network is owned by the caller and gets the full
-// intra-op budget: evaluation is a single-goroutine path, so its kernels may
-// take the whole machine.
+// evaluation. The returned network is owned by the caller and its frozen
+// forward gets the full intra-op budget: evaluation is a single-goroutine
+// path, so its kernels may take the whole machine.
 func (e *engine) GlobalNet() *nn.Network {
 	net := e.builder()
 	if err := net.LoadWeights(e.Global); err != nil {

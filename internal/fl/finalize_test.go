@@ -2,7 +2,6 @@ package fl
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"heteroswitch/internal/dataset"
@@ -12,7 +11,7 @@ import (
 )
 
 // convClients builds k clients with conv-sized samples so client training
-// exercises the parallelized conv and dense kernels.
+// exercises the conv and dense kernels.
 func convClients(k, samplesEach int) []*Client {
 	r := frand.New(321)
 	clients := make([]*Client, k)
@@ -65,29 +64,12 @@ func requireWeightsBitIdentical(t *testing.T, name string, got, want nn.Weights)
 	}
 }
 
-// TestTrainLocalIntraOpBitIdentical trains the same client twice — serial
-// kernels vs an intra-op budget — and requires bit-identical weights: the
-// budget is a pure speed knob.
-func TestTrainLocalIntraOpBitIdentical(t *testing.T) {
-	ds := convClients(1, 20)[0].Data
-	cfg := Config{
-		Rounds: 1, ClientsPerRound: 1, BatchSize: 5, LocalEpochs: 2,
-		LR: 0.05, Seed: 1,
-	}
-	serial := convBuilder()
-	parl := convBuilder()
-	parl.SetIntraOp(4)
-	TrainLocal(serial, ds, cfg, nn.SoftmaxCrossEntropy{}, frand.New(3), nil, nil)
-	TrainLocal(parl, ds, cfg, nn.SoftmaxCrossEntropy{}, frand.New(3), nil, nil)
-	requireWeightsBitIdentical(t, "TrainLocal intraop=4 vs serial", parl.Snapshot(), serial.Snapshot())
-}
-
 // newConvServer builds a small conv federation for round-level tests.
-func newConvServer(t *testing.T, workers, intraOp int) *Server {
+func newConvServer(t *testing.T) *Server {
 	t.Helper()
 	cfg := Config{
 		Rounds: 3, ClientsPerRound: 6, BatchSize: 4, LocalEpochs: 1,
-		LR: 0.1, Seed: 5, Workers: workers, IntraOp: intraOp,
+		LR: 0.1, Seed: 5, Workers: 2,
 	}
 	srv, err := NewServer(cfg, convBuilder, nn.SoftmaxCrossEntropy{}, FedAvg{}, convClients(8, 8))
 	if err != nil {
@@ -96,52 +78,13 @@ func newConvServer(t *testing.T, workers, intraOp int) *Server {
 	return srv
 }
 
-// TestServerRoundNestedIntraOpBitIdentical runs the shard-parallel streaming
-// round with intra-op kernels enabled inside the client workers — nested
-// parallelism — and requires globals bit-identical to the all-serial run.
-// Running this test under -race additionally validates the pool dispatch
-// from concurrent worker goroutines (the CI race lane does).
-func TestServerRoundNestedIntraOpBitIdentical(t *testing.T) {
-	serial := newConvServer(t, 2, 1)
-	nested := newConvServer(t, 2, 8) // share of 4 per worker
-	for round := 0; round < 3; round++ {
-		serial.RunRound(round)
-		nested.RunRound(round)
-		requireWeightsBitIdentical(t, fmt.Sprintf("round %d global", round), nested.Global, serial.Global)
-	}
-}
-
-// TestIntraOpShare pins the core-budget token arithmetic: equal shares of
-// the total, floored at 1, with the full budget for a single worker.
-func TestIntraOpShare(t *testing.T) {
-	cases := []struct {
-		total, workers, want int
-	}{
-		{8, 2, 4},
-		{8, 1, 8},
-		{8, 3, 2},
-		{2, 4, 1},
-		{1, 1, 1},
-		{1, 8, 1},
-	}
-	for _, c := range cases {
-		if got := intraOpShare(Config{IntraOp: c.total}, c.workers); got != c.want {
-			t.Fatalf("intraOpShare(total=%d, workers=%d)=%d, want %d", c.total, c.workers, got, c.want)
-		}
-	}
-	// Auto budget is GOMAXPROCS-derived and must be at least 1.
-	if got := intraOpShare(Config{}, 1); got < 1 {
-		t.Fatalf("auto share %d < 1", got)
-	}
-}
-
 // TestFinalizeRecyclingRetention locks the double-buffered Finalize
 // invariant: weight sets handed out before the recycled buffer cycles back —
 // checkpoint serializations and GlobalNet copies — must be unaffected by
 // later rounds, over enough rounds for the ping-pong buffers to be reused
 // twice.
 func TestFinalizeRecyclingRetention(t *testing.T) {
-	srv := newConvServer(t, 2, 1)
+	srv := newConvServer(t)
 	srv.RunRound(0)
 
 	// Capture everything an external consumer could retain at round 0.
@@ -158,7 +101,7 @@ func TestFinalizeRecyclingRetention(t *testing.T) {
 	srv.RunRound(2)
 
 	requireWeightsBitIdentical(t, "GlobalNet copy after recycling", gnet.Snapshot(), snap)
-	restore := newConvServer(t, 2, 1)
+	restore := newConvServer(t)
 	round, err := restore.LoadCheckpoint(&ckpt)
 	if err != nil {
 		t.Fatal(err)

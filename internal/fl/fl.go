@@ -48,16 +48,20 @@ type Config struct {
 	Seed            uint64  // master seed
 	// Workers is the number of parallel client trainers, each with its own
 	// replica (<=1 means serial): the barrier server's shards, or the event
-	// loop's replicas (at most AsyncConfig.Buffer of them). Neither driver's
-	// results depend on it beyond the barrier server's shard-merge rounding.
+	// loop's replicas (at most AsyncConfig.Buffer of them). It is the one
+	// training-parallelism knob; every replica trains on the serial kernels.
+	// The event loop folds in event order on one goroutine, so its results
+	// never depend on Workers. The barrier server merges its shards' float64
+	// sums, rounded to float32 once at finalize, so the merge order Workers
+	// sets stays below float32 resolution: TestSyncPinsHoldAtEveryWorkerCount
+	// holds its pinned bytes at Workers 1–4.
 	Workers int
-	// IntraOp is the total intra-op kernel parallelism budget: the number of
-	// cores the tensor kernels (matmul, conv lowering) may occupy across all
-	// client workers combined. 0 means auto (GOMAXPROCS). The server grants
-	// each of its Workers an equal share (at least 1), so client-level and
-	// kernel-level parallelism compose without oversubscribing the machine;
-	// a share of 1 byte-for-byte selects the serial kernels. Results are
-	// bit-identical at every setting.
+	// IntraOp is the total kernel parallelism budget of the replicas' frozen
+	// (evaluation) forward, e.g. fl.EvalLoss: the number of cores those
+	// kernels may occupy across all replicas combined. 0 means auto
+	// (GOMAXPROCS). The server grants each replica an equal share (at least
+	// 1). Training never reads it, and results are bit-identical at every
+	// setting.
 	IntraOp int
 	// Faults injects seeded client failures (see internal/faults). nil
 	// injects nothing and is the bit-identical pre-fault behavior. The

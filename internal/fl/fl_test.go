@@ -365,3 +365,27 @@ func TestTrainLocalHooksFire(t *testing.T) {
 		t.Fatalf("hooks fired %d/%d times, want 6/6", stepCalls, batchCalls)
 	}
 }
+
+// TestIntraOpShare pins the core-budget token arithmetic: equal shares of
+// the total, floored at 1, with the full budget for a single worker.
+func TestIntraOpShare(t *testing.T) {
+	cases := []struct {
+		total, workers, want int
+	}{
+		{8, 2, 4},
+		{8, 1, 8},
+		{8, 3, 2},
+		{2, 4, 1},
+		{1, 1, 1},
+		{1, 8, 1},
+	}
+	for _, c := range cases {
+		if got := intraOpShare(Config{IntraOp: c.total}, c.workers); got != c.want {
+			t.Fatalf("intraOpShare(total=%d, workers=%d)=%d, want %d", c.total, c.workers, got, c.want)
+		}
+	}
+	// Auto budget is GOMAXPROCS-derived and must be at least 1.
+	if got := intraOpShare(Config{}, 1); got < 1 {
+		t.Fatalf("auto share %d < 1", got)
+	}
+}

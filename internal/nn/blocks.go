@@ -56,16 +56,6 @@ func (l *Residual) SetArena(a *tensor.Arena) {
 	}
 }
 
-// SetIntraOp implements IntraOpUser, sharing the budget with both branches.
-func (l *Residual) SetIntraOp(budget int) {
-	if u, ok := l.Body.(IntraOpUser); ok {
-		u.SetIntraOp(budget)
-	}
-	if u, ok := l.Proj.(IntraOpUser); ok {
-		u.SetIntraOp(budget)
-	}
-}
-
 // Forward implements Layer.
 func (l *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := l.Body.Forward(x, train)
@@ -126,15 +116,6 @@ func (l *Parallel) SetArena(a *tensor.Arena) {
 	for _, b := range l.Branches {
 		if u, ok := b.(ArenaUser); ok {
 			u.SetArena(a)
-		}
-	}
-}
-
-// SetIntraOp implements IntraOpUser, sharing the budget with every branch.
-func (l *Parallel) SetIntraOp(budget int) {
-	for _, b := range l.Branches {
-		if u, ok := b.(IntraOpUser); ok {
-			u.SetIntraOp(budget)
 		}
 	}
 }
@@ -304,13 +285,6 @@ func (l *SEBlock) SetArena(a *tensor.Arena) {
 	l.fc2.SetArena(a)
 	l.relu.SetArena(a)
 	l.hsig.SetArena(a)
-}
-
-// SetIntraOp implements IntraOpUser, sharing the budget with the excitation
-// MLP's dense layers.
-func (l *SEBlock) SetIntraOp(budget int) {
-	l.fc1.SetIntraOp(budget)
-	l.fc2.SetIntraOp(budget)
 }
 
 // Forward implements Layer.

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"heteroswitch/internal/frand"
-	"heteroswitch/internal/parallel"
 	"heteroswitch/internal/tensor"
 )
 
@@ -31,17 +30,10 @@ import (
 // they are bit-identical to the lowered path (the caveat is spelled out on
 // tensor.DepthwiseConvPlane).
 //
-// Under an intra-op budget (SetIntraOp), the sample×group loops run in
-// parallel: forward iterations and the input-gradient iterations write
-// disjoint slices, and the weight/bias gradients are parallelized over
-// output-channel rows with the per-sample accumulation kept in ascending
-// sample order — so results are bit-identical to the serial layer at every
-// budget. A single-iteration layer (N=1, Groups=1) passes the budget down to
-// the row-parallel matmul kernels instead, so large single-sample convs
-// still use the cores.
+// Training runs on one goroutine: a network is one client's model, and
+// training parallelism is one model per worker.
 type Conv2D struct {
 	arenaScratch
-	intraOp
 	InC, OutC   int
 	KH, KW      int
 	Stride, Pad int
@@ -50,13 +42,9 @@ type Conv2D struct {
 	inH, inW    int // geometry captured at Forward time
 	dims        tensor.ConvDims
 	cols        []float32 // cached im2col matrices: [N][G][rows*cols] (lowered path only)
-	dcol        []float32 // backward scratch: one [rows*cols] column gradient per parallel chunk (lowered path only)
+	dcol        []float32 // backward scratch: one [rows*cols] column gradient (lowered path only)
 	batch       int
 	x           *tensor.Tensor
-	// persistent parallel.Runner values (avoid per-batch allocation)
-	fwdTask convFwdTask
-	rowTask convRowTask
-	dxTask  convDxTask
 }
 
 // convKernel names the kernel family a conv geometry runs on; see the
@@ -107,7 +95,9 @@ func NewDepthwiseConv2D(r *frand.RNG, c, k, stride, pad int) *Conv2D {
 	return NewConv2D(r, c, c, k, stride, pad, c)
 }
 
-// Forward implements Layer.
+// Forward implements Layer. Each sample×group iteration runs the layer's
+// kernel — im2col + the group matmul, the matmul on the input slice, or the
+// depthwise plane kernel — each with the bias added in its store.
 func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.NDim() != 4 || x.Dim(1) != l.InC {
 		panic(fmt.Sprintf("nn: Conv2D input %v, want [N %d H W]", x.Shape(), l.InC))
@@ -125,7 +115,9 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	g := l.Groups
 	gcIn := l.InC / g
 	gcOut := l.OutC / g
-	if l.kernel() == convLowered {
+	fanIn := gcIn * l.KH * l.KW
+	kern := l.kernel()
+	if kern == convLowered {
 		need := n * g * rows * cols
 		if cap(l.cols) < need {
 			l.cols = make([]float32, need)
@@ -137,77 +129,36 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 	out := l.allocUninit(n, l.OutC, d.OutH, d.OutW)
 	xd, od := x.Data(), out.Data()
-	fanIn := gcIn * l.KH * l.KW
-	iters := n * g
-	if iters == 1 {
-		// One sample, one group: no iteration-level parallelism to mine, so
-		// hand the whole budget to the row-parallel matmul instead.
-		l.forwardIter(0, l.budget(), xd, od)
-		return out
+	wd, bd := l.W.W.Data(), l.B.W.Data()
+	imgStride := l.InC * h * w
+	outStride := l.OutC * d.OutH * d.OutW
+	for i := 0; i < n; i++ {
+		for gi := 0; gi < g; gi++ {
+			img := xd[i*imgStride+gi*gcIn*h*w : i*imgStride+(gi+1)*gcIn*h*w]
+			wg := wd[gi*gcOut*fanIn : (gi+1)*gcOut*fanIn]
+			y := od[i*outStride+gi*gcOut*cols : i*outStride+(gi+1)*gcOut*cols]
+			// y[gcOut, cols] = Wg[gcOut, fanIn] @ col[fanIn, cols]
+			switch kern {
+			case convDepthwise:
+				tensor.DepthwiseConvPlane(y, img, wg, d, bd[gi], false)
+			case convPointwise:
+				tensor.MatMulSlices(y, wg, img, gcOut, fanIn, cols, bd[gi*gcOut:(gi+1)*gcOut])
+			default:
+				col := l.cols[(i*g+gi)*rows*cols : (i*g+gi+1)*rows*cols]
+				tensor.Im2Col(col, img, d)
+				tensor.MatMulSlices(y, wg, col, gcOut, fanIn, cols, bd[gi*gcOut:(gi+1)*gcOut])
+			}
+		}
 	}
-	l.fwdTask = convFwdTask{l: l, xd: xd, od: od}
-	parallel.Run(l.budget(), iters, parallel.GrainFor(gcOut*fanIn*cols), &l.fwdTask)
 	return out
 }
 
-// forwardIter runs one sample×group forward iteration through the layer's
-// kernel — im2col + the group matmul (row-parallel under par), the matmul on
-// the input slice, or the depthwise plane kernel — each with the bias added
-// in its store. Iterations write disjoint col and output slices, so any
-// subset may run concurrently.
-func (l *Conv2D) forwardIter(it, par int, xd, od []float32) {
-	d := l.dims
-	rows, cols := d.ColRows(), d.ColCols()
-	g := l.Groups
-	gcIn := l.InC / g
-	gcOut := l.OutC / g
-	fanIn := gcIn * l.KH * l.KW
-	h, w := l.inH, l.inW
-	imgStride := l.InC * h * w
-	outStride := l.OutC * d.OutH * d.OutW
-	wd, bd := l.W.W.Data(), l.B.W.Data()
-	i, gi := it/g, it%g
-
-	img := xd[i*imgStride+gi*gcIn*h*w : i*imgStride+(gi+1)*gcIn*h*w]
-	wg := wd[gi*gcOut*fanIn : (gi+1)*gcOut*fanIn]
-	y := od[i*outStride+gi*gcOut*cols : i*outStride+(gi+1)*gcOut*cols]
-	// y[gcOut, cols] = Wg[gcOut, fanIn] @ col[fanIn, cols]
-	switch l.kernel() {
-	case convDepthwise:
-		tensor.DepthwiseConvPlane(y, img, wg, d, bd[gi], false)
-		return
-	case convPointwise:
-		tensor.MatMulSlicesP(par, y, wg, img, gcOut, fanIn, cols, bd[gi*gcOut:(gi+1)*gcOut])
-	default:
-		col := l.cols[(i*g+gi)*rows*cols : (i*g+gi+1)*rows*cols]
-		tensor.Im2Col(col, img, d)
-		tensor.MatMulSlicesP(par, y, wg, col, gcOut, fanIn, cols, bd[gi*gcOut:(gi+1)*gcOut])
-	}
-}
-
-// convFwdTask is the parallel.Runner for the forward sample×group loop.
-type convFwdTask struct {
-	l      *Conv2D
-	xd, od []float32
-}
-
-// Run implements parallel.Runner over a contiguous iteration range.
-func (t *convFwdTask) Run(_, lo, hi int) {
-	for it := lo; it < hi; it++ {
-		t.l.forwardIter(it, 1, t.xd, t.od)
-	}
-}
-
-// Backward implements Layer. It runs in two phases so each can parallelize
-// without changing any accumulation order:
-//
-//  1. Weight and bias gradients, parallel over output-channel rows. Each row
-//     of dW (and its db entry) is owned by one goroutine that folds the
-//     samples in ascending order — the same per-target order as the serial
-//     i-outer loop, so results are bit-identical.
-//  2. Input gradients, parallel over sample×group iterations. Iterations
-//     write disjoint dx slices; on the lowered path each parallel chunk owns
-//     a private dcol scratch.
+// Backward implements Layer. Each sample×group iteration accumulates its dW
+// (dy @ colᵀ) and its input gradient; samples ascend, so every dW element
+// folds them in order. Lowered: dcol = Wgᵀ @ dy, scattered back to dx via
+// Col2Im. Pointwise: the same matmul accumulates straight into the zeroed
+// dx slice. Depthwise: the plane kernels. The transposed-A kernel reads Wg
+// in place instead of materializing Wgᵀ.
 func (l *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	d := l.dims
 	rows, cols := d.ColRows(), d.ColCols()
@@ -217,84 +168,53 @@ func (l *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	fanIn := gcIn * l.KH * l.KW
 	n := l.batch
 	h, w := l.inH, l.inW
-
-	// Col2ImP and the direct dx kernels accumulate, so dx must start zeroed.
-	dx := l.alloc(n, l.InC, h, w)
-	gd, dxd := grad.Data(), dx.Data()
-
-	// Phase 1: dW and db, parallel over the OutC output-channel rows. One
-	// row costs n·cols·fanIn multiply-adds across all samples.
-	l.rowTask = convRowTask{l: l, gd: gd}
-	parallel.Run(l.budget(), l.OutC, parallel.GrainFor(n*cols*fanIn), &l.rowTask)
-
-	// Phase 2: dx, parallel over sample×group iterations; the lowered path
-	// gets one dcol scratch per chunk (sized to the partition Run will
-	// actually use).
-	iters := n * g
-	perIter := gcOut * fanIn * cols
-	if l.kernel() == convLowered {
-		chunks := parallel.Chunks(l.budget(), iters, parallel.GrainFor(perIter))
-		if cap(l.dcol) < chunks*rows*cols {
-			l.dcol = make([]float32, chunks*rows*cols)
-		}
-		l.dcol = l.dcol[:chunks*rows*cols]
-	}
-	if iters == 1 {
-		// Single iteration: hand the budget to the row-parallel kernel.
-		l.backwardIter(0, l.budget(), l.dcol, gd, dxd)
-		return dx
-	}
-	l.dxTask = convDxTask{l: l, gd: gd, dxd: dxd}
-	parallel.Run(l.budget(), iters, parallel.GrainFor(perIter), &l.dxTask)
-	return dx
-}
-
-// backwardRows accumulates dW rows [lo, hi) (global output-channel indices
-// across groups) and their db entries, folding samples in ascending order.
-func (l *Conv2D) backwardRows(gd []float32, lo, hi int) {
-	d := l.dims
-	rows, cols := d.ColRows(), d.ColCols()
-	g := l.Groups
-	gcIn := l.InC / g
-	gcOut := l.OutC / g
-	fanIn := gcIn * l.KH * l.KW
-	n := l.batch
-	h, w := l.inH, l.inW
 	imgStride := l.InC * h * w
 	outStride := l.OutC * d.OutH * d.OutW
-	dwd, dbd := l.W.Grad.Data(), l.B.Grad.Data()
+	wd, dwd, dbd := l.W.W.Data(), l.W.Grad.Data(), l.B.Grad.Data()
 	xd := l.x.Data()
 	kern := l.kernel()
 
-	for oc := lo; oc < hi; {
-		gi := oc / gcOut
-		segHi := min(hi, (gi+1)*gcOut)
-		o0 := oc - gi*gcOut // first row within the group
-		segRows := segHi - oc
-		dwg := dwd[gi*gcOut*fanIn : (gi+1)*gcOut*fanIn]
-		for i := 0; i < n; i++ {
-			dy := gd[i*outStride+gi*gcOut*cols : i*outStride+(gi+1)*gcOut*cols]
-			img := xd[i*imgStride+gi*gcIn*h*w : i*imgStride+(gi+1)*gcIn*h*w]
-			// dWg rows [o0, o0+segRows) += dy rows @ colᵀ, in place.
+	// Col2Im and the direct dx kernels accumulate, so dx must start zeroed.
+	dx := l.alloc(n, l.InC, h, w)
+	gd, dxd := grad.Data(), dx.Data()
+	if kern == convLowered {
+		if cap(l.dcol) < rows*cols {
+			l.dcol = make([]float32, rows*cols)
+		}
+		l.dcol = l.dcol[:rows*cols]
+	}
+	for i := 0; i < n; i++ {
+		for gi := 0; gi < g; gi++ {
+			// Offsets of this sample×group's input plane (x and dx), output
+			// plane (dy) and weights (W and dW).
+			xo := i*imgStride + gi*gcIn*h*w
+			yo := i*outStride + gi*gcOut*cols
+			wo := gi * gcOut * fanIn
+			img, dimg := xd[xo:xo+gcIn*h*w], dxd[xo:xo+gcIn*h*w]
+			dy := gd[yo : yo+gcOut*cols]
+			wg, dwg := wd[wo:wo+gcOut*fanIn], dwd[wo:wo+gcOut*fanIn]
 			switch kern {
 			case convDepthwise:
 				tensor.DepthwiseConvPlaneGradW(dwg, dy, img, d)
+				tensor.DepthwiseConvPlaneGradX(dimg, dy, wg, d)
 			case convPointwise:
-				tensor.MatMulTransBAccSlices(dwg[o0*fanIn:(o0+segRows)*fanIn],
-					dy[o0*cols:(o0+segRows)*cols], img, segRows, cols, fanIn)
+				tensor.MatMulTransBAccSlices(dwg, dy, img, gcOut, cols, fanIn)
+				tensor.MatMulTransAAccSlices(dimg, wg, dy, gcOut, fanIn, cols)
 			default:
 				col := l.cols[(i*g+gi)*rows*cols : (i*g+gi+1)*rows*cols]
-				tensor.MatMulTransBAccSlices(dwg[o0*fanIn:(o0+segRows)*fanIn],
-					dy[o0*cols:(o0+segRows)*cols], col, segRows, cols, fanIn)
+				tensor.MatMulTransBAccSlices(dwg, dy, col, gcOut, cols, fanIn)
+				clear(l.dcol)
+				tensor.MatMulTransAAccSlices(l.dcol, wg, dy, gcOut, fanIn, cols)
+				tensor.Col2Im(dimg, l.dcol, d)
 			}
 		}
-		// db += Σ spatial dy for the same rows, samples ascending. Row r of
-		// sample i starts at gd[i·outStride + r·cols].
-		for r := oc; r < segHi; r++ {
-			dbd[r] = foldRowSums(dbd[r], gd[r*cols:], outStride, n, cols)
-		}
-		oc = segHi
 	}
+	// db += Σ spatial dy per output channel, samples ascending. Row r of
+	// sample i starts at gd[i·outStride + r·cols].
+	for r := range dbd {
+		dbd[r] = foldRowSums(dbd[r], gd[r*cols:], outStride, n, cols)
+	}
+	return dx
 }
 
 // foldRowSums adds the sums of n rows of cols elements, stride apart, onto s
@@ -327,70 +247,6 @@ func foldRowSums(s float32, rows []float32, stride, n, cols int) float32 {
 		s += si
 	}
 	return s
-}
-
-// backwardIter computes one sample×group input-gradient iteration. Lowered:
-// dcol = Wgᵀ @ dy (row-parallel under par), scattered back to dx via the
-// column-blocked Col2ImP (parallel over disjoint image columns under the
-// same budget — the single-iteration case where par > 1). Pointwise: the
-// same matmul accumulates straight into the zeroed dx slice. Depthwise: the
-// plane kernel. The transposed-A kernel reads Wg in place instead of
-// materializing Wgᵀ. dcol is read only on the lowered path.
-func (l *Conv2D) backwardIter(it, par int, dcol, gd, dxd []float32) {
-	d := l.dims
-	cols := d.ColCols()
-	g := l.Groups
-	gcIn := l.InC / g
-	gcOut := l.OutC / g
-	fanIn := gcIn * l.KH * l.KW
-	h, w := l.inH, l.inW
-	imgStride := l.InC * h * w
-	outStride := l.OutC * d.OutH * d.OutW
-	wd := l.W.W.Data()
-	i, gi := it/g, it%g
-
-	dy := gd[i*outStride+gi*gcOut*cols : i*outStride+(gi+1)*gcOut*cols]
-	wg := wd[gi*gcOut*fanIn : (gi+1)*gcOut*fanIn]
-	dimg := dxd[i*imgStride+gi*gcIn*h*w : i*imgStride+(gi+1)*gcIn*h*w]
-	switch l.kernel() {
-	case convDepthwise:
-		tensor.DepthwiseConvPlaneGradX(dimg, dy, wg, d)
-	case convPointwise:
-		tensor.MatMulTransAAccSlicesP(par, dimg, wg, dy, gcOut, fanIn, cols)
-	default:
-		clear(dcol)
-		tensor.MatMulTransAAccSlicesP(par, dcol, wg, dy, gcOut, fanIn, cols)
-		tensor.Col2ImP(par, dimg, dcol, d)
-	}
-}
-
-// convRowTask is the parallel.Runner for the weight/bias gradient rows.
-type convRowTask struct {
-	l  *Conv2D
-	gd []float32
-}
-
-// Run implements parallel.Runner over a contiguous output-channel row range.
-func (t *convRowTask) Run(_, lo, hi int) { t.l.backwardRows(t.gd, lo, hi) }
-
-// convDxTask is the parallel.Runner for the input-gradient iterations; on
-// the lowered path each chunk owns the dcol scratch slice matching its chunk
-// index.
-type convDxTask struct {
-	l       *Conv2D
-	gd, dxd []float32
-}
-
-// Run implements parallel.Runner over a contiguous iteration range.
-func (t *convDxTask) Run(chunk, lo, hi int) {
-	var dcol []float32
-	if t.l.kernel() == convLowered {
-		rc := t.l.dims.ColRows() * t.l.dims.ColCols()
-		dcol = t.l.dcol[chunk*rc : (chunk+1)*rc]
-	}
-	for it := lo; it < hi; it++ {
-		t.l.backwardIter(it, 1, dcol, t.gd, t.dxd)
-	}
 }
 
 // Params implements Layer.

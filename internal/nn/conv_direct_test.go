@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -14,8 +15,7 @@ import (
 // Conv2D's pointwise and depthwise layers skip the im2col lowering in all
 // three passes; the contract is that nothing else changes. loweredConv below
 // is the lowering every geometry used to take, kept here as the oracle: out,
-// dx, dW and db of the layer must match it bit for bit at every batch size
-// and intra-op budget.
+// dx, dW and db of the layer must match it bit for bit at every batch size.
 
 // loweredConv runs one forward + backward of l's geometry and weights through
 // im2col + the oracle matmuls + col2im, samples ascending, accumulating dW/db
@@ -41,7 +41,7 @@ func loweredConv(l *Conv2D, x, dy *tensor.Tensor, dW, db []float32) (out, dx []f
 			o := (i*l.OutC + gi*gcOut) * cols
 			y, gy := out[o:o+gcOut*cols], gd[o:o+gcOut*cols]
 			tensor.Im2Col(col, img, d)
-			tensor.MatMulSlicesP(1, y, wg, col, gcOut, rows, cols, nil)
+			tensor.MatMulSlices(y, wg, col, gcOut, rows, cols, nil)
 			for oc := 0; oc < gcOut; oc++ {
 				var s float32
 				for j := oc * cols; j < (oc+1)*cols; j++ {
@@ -52,8 +52,8 @@ func loweredConv(l *Conv2D, x, dy *tensor.Tensor, dW, db []float32) (out, dx []f
 			}
 			tensor.MatMulTransBAccSlices(dW[gi*gcOut*rows:(gi+1)*gcOut*rows], gy, col, gcOut, cols, rows)
 			clear(dcol)
-			tensor.MatMulTransAAccSlicesP(1, dcol, wg, gy, gcOut, rows, cols)
-			tensor.Col2ImP(1, dx[(i*l.InC+gi*gcIn)*h*w:(i*l.InC+(gi+1)*gcIn)*h*w], dcol, d)
+			tensor.MatMulTransAAccSlices(dcol, wg, gy, gcOut, rows, cols)
+			tensor.Col2Im(dx[(i*l.InC+gi*gcIn)*h*w:(i*l.InC+(gi+1)*gcIn)*h*w], dcol, d)
 		}
 	}
 	return out, dx
@@ -80,37 +80,46 @@ func testConv2DMatchesLoweredReference(t *testing.T) {
 		{"1x1-strided", 4, 6, 1, 2, 0, 1, 9, convLowered},
 	} {
 		for _, n := range []int{1, 3} {
-			for _, par := range []int{1, 2, 4} {
-				name := fmt.Sprintf("%s/n%d/par%d", c.name, n, par)
-				l := NewConv2D(frand.New(5), c.inC, c.outC, c.k, c.stride, c.pad, c.groups)
-				if l.kernel() != c.kernel {
-					t.Fatalf("%s: kernel() = %d, want %d", name, l.kernel(), c.kernel)
-				}
-				l.SetIntraOp(par)
-				r := frand.New(9)
-				l.B.W.CopyFrom(tensor.Randn(r, 1, c.outC))
-				wd := l.W.W.Data()
-				for i := 0; i < len(wd); i += 5 {
-					wd[i] = 0 // exercise the kernels' zero-skip branches
-				}
-				x := tensor.Randn(r, 1, n, c.inC, c.hw, c.hw+1)
-				out := l.Forward(x, true)
-				dy := tensor.Randn(r, 1, out.Shape()...)
-				// Junk in the accumulators catches a kernel that overwrites.
-				l.W.Grad.CopyFrom(tensor.Randn(r, 1, l.W.Grad.Shape()...))
-				l.B.Grad.CopyFrom(tensor.Randn(r, 1, c.outC))
-				wantW := slices.Clone(l.W.Grad.Data())
-				wantB := slices.Clone(l.B.Grad.Data())
-				wantOut, wantDx := loweredConv(l, x, dy, wantW, wantB)
-				dx := l.Backward(dy)
-				exactSlice(t, name+"/out", out.Data(), wantOut)
-				exactSlice(t, name+"/dx", dx.Data(), wantDx)
-				exactSlice(t, name+"/dW", l.W.Grad.Data(), wantW)
-				exactSlice(t, name+"/db", l.B.Grad.Data(), wantB)
-				if c.kernel != convLowered && (l.cols != nil || l.dcol != nil) {
-					t.Fatalf("%s: direct layer sized its column cache (cols %d, dcol %d)", name, len(l.cols), len(l.dcol))
-				}
+			name := fmt.Sprintf("%s/n%d", c.name, n)
+			l := NewConv2D(frand.New(5), c.inC, c.outC, c.k, c.stride, c.pad, c.groups)
+			if l.kernel() != c.kernel {
+				t.Fatalf("%s: kernel() = %d, want %d", name, l.kernel(), c.kernel)
 			}
+			r := frand.New(9)
+			l.B.W.CopyFrom(tensor.Randn(r, 1, c.outC))
+			wd := l.W.W.Data()
+			for i := 0; i < len(wd); i += 5 {
+				wd[i] = 0 // exercise the kernels' zero-skip branches
+			}
+			x := tensor.Randn(r, 1, n, c.inC, c.hw, c.hw+1)
+			out := l.Forward(x, true)
+			dy := tensor.Randn(r, 1, out.Shape()...)
+			// Junk in the accumulators catches a kernel that overwrites.
+			l.W.Grad.CopyFrom(tensor.Randn(r, 1, l.W.Grad.Shape()...))
+			l.B.Grad.CopyFrom(tensor.Randn(r, 1, c.outC))
+			wantW := slices.Clone(l.W.Grad.Data())
+			wantB := slices.Clone(l.B.Grad.Data())
+			wantOut, wantDx := loweredConv(l, x, dy, wantW, wantB)
+			dx := l.Backward(dy)
+			exactSlice(t, name+"/out", out.Data(), wantOut)
+			exactSlice(t, name+"/dx", dx.Data(), wantDx)
+			exactSlice(t, name+"/dW", l.W.Grad.Data(), wantW)
+			exactSlice(t, name+"/db", l.B.Grad.Data(), wantB)
+			if c.kernel != convLowered && (l.cols != nil || l.dcol != nil) {
+				t.Fatalf("%s: direct layer sized its column cache (cols %d, dcol %d)", name, len(l.cols), len(l.dcol))
+			}
+		}
+	}
+}
+
+func exactSlice(t *testing.T, name string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d != %d", name, len(got), len(want))
+	}
+	for i := range got {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) { // bits: tells -0 from +0
+			t.Fatalf("%s: element %d differs: %v != %v (must be bit-identical)", name, i, got[i], want[i])
 		}
 	}
 }
@@ -144,14 +153,13 @@ func TestConvTrainForwardMatchesFrozenSerial(t *testing.T) {
 
 // TestConvTrainStepAllocFree: after a warm-up batch, forward + backward over
 // every conv kernel family allocates nothing (arena tensors, cached column
-// scratch only where the lowered path needs it, pooled dispatch).
+// scratch only where the lowered path needs it).
 func TestConvTrainStepAllocFree(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("sync.Pool drops items randomly under -race; alloc counts are nondeterministic")
 	}
 	r := frand.New(22)
 	net := convOnlyNet(r)
-	net.SetIntraOp(2)
 	x := tensor.Randn(r, 1, 4, 3, 16, 16)
 	dy := tensor.Randn(r, 1, net.Forward(x, true).Shape()...)
 	step := func() {

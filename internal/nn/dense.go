@@ -11,7 +11,6 @@ import (
 // Dense is a fully connected layer: y = x @ W + b for x of shape [N, in].
 type Dense struct {
 	arenaScratch
-	intraOp
 	In, Out int
 	W, B    *Param
 	x       *tensor.Tensor // cached input
@@ -35,7 +34,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	d.x = x
 	y := d.allocUninit(x.Dim(0), d.Out)
-	tensor.MatMulIntoP(d.budget(), y, x, d.W.W)
+	tensor.MatMulInto(y, x, d.W.W)
 	n, out := y.Dim(0), d.Out
 	yd, bd := y.Data(), d.B.W.Data()
 	for i := 0; i < n; i++ {
@@ -49,7 +48,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward accumulates dW = xᵀ @ dy, db = Σ dy, and returns dx = dy @ Wᵀ.
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	tensor.MatMulTransAAccIntoP(d.budget(), d.W.Grad, d.x, grad) // Grad += xᵀ @ dy, no temporary
+	tensor.MatMulTransAAccInto(d.W.Grad, d.x, grad) // Grad += xᵀ @ dy, no temporary
 	n, out := grad.Dim(0), d.Out
 	gd, bg := grad.Data(), d.B.Grad.Data()
 	for i := 0; i < n; i++ {
@@ -59,7 +58,7 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	dx := d.allocUninit(n, d.In)
-	tensor.MatMulTransBIntoP(d.budget(), dx, grad, d.W.W)
+	tensor.MatMulTransBInto(dx, grad, d.W.W)
 	return dx
 }
 

@@ -8,6 +8,7 @@ import (
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/israce"
 	"heteroswitch/internal/nn"
+	"heteroswitch/internal/parallel"
 	"heteroswitch/internal/tensor"
 )
 
@@ -283,14 +284,18 @@ func TestFrozenTracksWeightUpdates(t *testing.T) {
 // TestFrozenBudgetsBitIdentical is the serial-vs-parallel tol-0 contract for
 // the frozen path: the fused matmuls, parallel pooling, activation sweeps,
 // and the standalone BN eval path must produce byte-for-byte the budget-1
-// result at every budget.
+// result at every budget. The batch is large enough that every fixture's
+// leading conv or dense splits into chunks at budget 2.
 func TestFrozenBudgetsBitIdentical(t *testing.T) {
 	for _, fx := range frozenFixtures() {
 		t.Run(fx.name, func(t *testing.T) {
 			r := frand.New(4321)
 			net := fx.net(r)
 			trainFixture(net, r, fx.inC, 4)
-			x := tensor.Randn(r, 1, 5, fx.inC, 8, 8)
+			x := tensor.Randn(r, 1, 1537, fx.inC, 8, 8) // odd: every budget's partition is ragged
+			if c := leadingChunks(net, x); c < 2 {
+				t.Fatalf("leading layer runs in %d chunk(s) at budget 2; the test needs a split", c)
+			}
 			net.SetIntraOp(1)
 			want := net.Freeze().Infer(x).Clone()
 			for _, par := range []int{2, 3, 4, 8} {
@@ -307,9 +312,45 @@ func TestFrozenBudgetsBitIdentical(t *testing.T) {
 	}
 }
 
+// leadingChunks returns how many chunks the frozen forward splits the first
+// conv or dense layer of net into at budget 2 on input x, by the grains the
+// frozen ops use: sample×group iterations for a conv, rows for a dense.
+func leadingChunks(net *nn.Network, x *tensor.Tensor) int {
+	var first func(l nn.Layer) nn.Layer
+	first = func(l nn.Layer) nn.Layer {
+		switch v := l.(type) {
+		case *nn.Conv2D, *nn.Dense:
+			return l
+		case *nn.Network:
+			for _, c := range v.LayerList {
+				if k := first(c); k != nil {
+					return k
+				}
+			}
+		case *nn.Residual:
+			return first(v.Body)
+		case *nn.Parallel:
+			return first(v.Branches[0])
+		}
+		return nil
+	}
+	n := x.Dim(0)
+	switch l := first(net).(type) {
+	case *nn.Conv2D:
+		d, err := tensor.NewConvDims(l.InC/l.Groups, x.Dim(2), x.Dim(3), l.KH, l.KW, l.Stride, l.Pad)
+		if err != nil {
+			panic(err)
+		}
+		return parallel.Chunks(2, n*l.Groups, parallel.GrainFor(l.OutC/l.Groups*d.ColRows()*d.ColCols()))
+	case *nn.Dense:
+		return parallel.Chunks(2, n, parallel.GrainFor(l.In*l.Out))
+	}
+	return 1
+}
+
 // TestFrozenSingleSampleUsesKernelBudget covers the iters==1 route where the
-// whole budget is handed to the fused row-parallel matmul and the
-// column-blocked Col2ImP geometry inside conv backward stays untouched.
+// whole budget is handed to the fused row-parallel matmul; the image is
+// large enough that the conv's 16 output rows split at budget 2.
 func TestFrozenSingleSampleUsesKernelBudget(t *testing.T) {
 	r := frand.New(7)
 	net := nn.NewNetwork(
@@ -320,7 +361,10 @@ func TestFrozenSingleSampleUsesKernelBudget(t *testing.T) {
 		nn.NewDense(r, 16, 5),
 	)
 	trainFixture(net, r, 3, 3)
-	x := tensor.Randn(r, 1, 1, 3, 8, 8)
+	x := tensor.Randn(r, 1, 1, 3, 128, 128)
+	if c := parallel.Chunks(2, 16, parallel.GrainFor(27*128*128)); c < 2 {
+		t.Fatalf("conv rows run in %d chunk(s) at budget 2; the test needs a split", c)
+	}
 	net.SetIntraOp(1)
 	want := net.Freeze().Infer(x).Clone()
 	for _, par := range []int{2, 4, 8} {
@@ -336,8 +380,10 @@ func TestFrozenSingleSampleUsesKernelBudget(t *testing.T) {
 
 // TestFrozenConcurrentReplicas runs one frozen replica per goroutine — the
 // server-worker shape — under the shared worker pool; with -race this is the
-// concurrency lane for the frozen forward.
+// concurrency lane for the frozen forward. The batch is large enough that
+// each replica's leading conv splits into chunks at its budget of 2.
 func TestFrozenConcurrentReplicas(t *testing.T) {
+	const batch = 128
 	build := func() *nn.Network {
 		r := frand.New(55)
 		return nn.NewNetwork(
@@ -350,7 +396,10 @@ func TestFrozenConcurrentReplicas(t *testing.T) {
 		)
 	}
 	ref := build()
-	refIn := tensor.Randn(frand.New(66), 1, 4, 3, 8, 8)
+	refIn := tensor.Randn(frand.New(66), 1, batch, 3, 8, 8)
+	if c := leadingChunks(ref, refIn); c < 2 {
+		t.Fatalf("leading conv runs in %d chunk(s) at budget 2; the test needs a split", c)
+	}
 	want := ref.Freeze().Infer(refIn).Clone()
 
 	const workers = 4
@@ -363,7 +412,7 @@ func TestFrozenConcurrentReplicas(t *testing.T) {
 			net := build()
 			net.SetIntraOp(2)
 			fz := net.Freeze()
-			x := tensor.Randn(frand.New(66), 1, 4, 3, 8, 8)
+			x := tensor.Randn(frand.New(66), 1, batch, 3, 8, 8)
 			var out *tensor.Tensor
 			for rep := 0; rep < 8; rep++ {
 				out = fz.Infer(x)

@@ -177,8 +177,8 @@ func (c *frozenConv) refold(ps *panelSet) {
 	}
 }
 
-// infer implements frozenOp, mirroring Conv2D.Forward's sample×group
-// parallel loop.
+// infer implements frozenOp: Conv2D.Forward's sample×group loop, split
+// across the intra-op budget.
 func (c *frozenConv) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 	l := c.l
 	if x.NDim() != 4 || x.Dim(1) != l.InC {

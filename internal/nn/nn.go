@@ -59,8 +59,8 @@ type Network struct {
 	LayerList []Layer
 
 	arena *tensor.Arena
-	// intraOp is the kernel parallelism budget granted via SetIntraOp,
-	// remembered so layers added later or nested networks can inherit it.
+	// intraOp is the frozen forward's kernel parallelism budget, granted
+	// via SetIntraOp.
 	intraOp int
 	// ownsArena is true when this network is the outermost owner of its
 	// arena: it resets the arena per batch and detaches the final input
@@ -107,26 +107,15 @@ func (n *Network) SetArena(a *tensor.Arena) {
 	}
 }
 
-// SetIntraOp grants every compute-heavy layer an intra-op kernel parallelism
-// budget (the maximum cores one kernel may occupy), propagating through the
-// layer tree like SetArena. Freshly built networks default to budget 1 — the
-// serial kernels, byte for byte. Any budget produces bit-identical outputs,
-// gradients, and trained weights (the parallel kernels partition disjoint
-// output rows deterministically; see internal/parallel), so callers may
-// grant whatever share of the machine is theirs: the fl server hands each of
-// its W client workers GOMAXPROCS/W, single-client paths take the full
-// machine.
-func (n *Network) SetIntraOp(budget int) {
-	n.intraOp = budget
-	for _, l := range n.LayerList {
-		if u, ok := l.(IntraOpUser); ok {
-			u.SetIntraOp(budget)
-		}
-	}
-}
-
-// IntraOp returns the budget last granted via SetIntraOp (0 if never set).
-func (n *Network) IntraOp() int { return n.intraOp }
+// SetIntraOp grants the network's frozen forward (Freeze) an intra-op kernel
+// parallelism budget: the maximum cores one inference kernel may occupy.
+// Training never reads it — Forward and Backward run the serial kernels, and
+// training parallelism is one model per worker. Freshly built networks
+// default to budget 1, and any budget produces bit-identical frozen outputs
+// (the parallel kernels partition disjoint output rows deterministically;
+// see internal/parallel), so a host running W networks side by side grants
+// each parallel.Share of the machine.
+func (n *Network) SetIntraOp(budget int) { n.intraOp = budget }
 
 // Forward runs all layers in order. When the network owns its arena, the
 // arena is reset first: the previous batch's tensors are recycled, so the

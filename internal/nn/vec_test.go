@@ -423,14 +423,13 @@ func vecTrainNet(r *frand.RNG) *Network {
 }
 
 // TestVecTrainingMatchesGeneric trains the same network for a few SGD steps
-// under both settings, at intra-op 1 and 3, and requires identical weights,
-// running statistics, and frozen-forward logits.
+// under both settings and requires identical weights, running statistics,
+// and frozen-forward logits.
 func TestVecTrainingMatchesGeneric(t *testing.T) {
 	requireVec(t)
-	run := func(on bool, par int) ([][]float32, []float32) {
+	run := func(on bool) ([][]float32, []float32) {
 		setVecLive(t, on)
 		net := vecTrainNet(frand.New(31))
-		net.SetIntraOp(par)
 		r := frand.New(32)
 		opt := NewSGD(0.05, 0.9)
 		for step := 0; step < 3; step++ {
@@ -451,14 +450,12 @@ func TestVecTrainingMatchesGeneric(t *testing.T) {
 		logits := net.Freeze().Infer(tensor.Randn(r, 1, 2, 3, 18, 14))
 		return ws, slices.Clone(logits.Data())
 	}
-	for _, par := range []int{1, 3} {
-		wantW, wantL := run(false, par)
-		gotW, gotL := run(true, par)
-		for i := range wantW {
-			exactSlice(t, fmt.Sprintf("par %d weights %d", par, i), gotW[i], wantW[i])
-		}
-		exactSlice(t, fmt.Sprintf("par %d frozen logits", par), gotL, wantL)
+	wantW, wantL := run(false)
+	gotW, gotL := run(true)
+	for i := range wantW {
+		exactSlice(t, fmt.Sprintf("weights %d", i), gotW[i], wantW[i])
 	}
+	exactSlice(t, "frozen logits", gotL, wantL)
 }
 
 // TestPlaneMeanMatchesOneChain: the plane mean's side-by-side chains give

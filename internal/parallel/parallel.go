@@ -1,7 +1,8 @@
-// Package parallel is the intra-op parallelism runtime of the tensor kernel
-// layer: a persistent worker pool plus a deterministic range splitter that
-// tensor matmuls, the convolution lowering, and other data-parallel loops use
-// to spread one operator's work across cores.
+// Package parallel is the parallelism runtime: a persistent worker pool plus
+// a deterministic range splitter. The frozen (inference) forward's kernels —
+// tensor's fused matmuls and nn's frozen ops — use it to spread one
+// operator's work across cores, and the experiment harnesses use For to
+// train one model per worker.
 //
 // Determinism contract: Run and For split [0, n) into a FIXED partition of
 // contiguous chunks keyed only by (budget, n, grain) — never by dynamic
@@ -14,12 +15,11 @@
 //
 // Composition contract: callers pass an explicit budget — the maximum number
 // of chunks in flight — instead of sizing work to the machine. A process
-// that is already parallel at a coarser grain (the fl server's per-client
-// workers) grants each coarse worker a share of GOMAXPROCS so the total
-// never oversubscribes the machine. Dispatch never queues: a chunk is handed
-// to an idle pool worker or run inline on the caller, so nested Run calls
-// (an intra-op kernel inside an fl worker, or inside another Run) cannot
-// deadlock.
+// that is already parallel at a coarser grain (client or model workers)
+// grants each coarse worker a Share of GOMAXPROCS so the total never
+// oversubscribes the machine. Dispatch never queues: a chunk is handed to an
+// idle pool worker or run inline on the caller, so nested Run calls (a frozen
+// kernel inside a model worker, or inside another Run) cannot deadlock.
 //
 // The dispatch path performs no steady-state heap allocation: per-call state
 // is recycled through a sync.Pool and tasks travel by value through the
@@ -37,13 +37,10 @@ import (
 // per-item grains from it. A dispatch that finds its worker parked costs a
 // futex wake and a wait — 10–20 µs measured, not the ~0.7 µs of back-to-back
 // dispatches — so a chunk must carry several times that: 1<<19 multiply-adds
-// is ≈ 50 µs on the AVX2 oracle kernels (≈ 10 GMAC/s; the scalar-era 1<<15
-// had shrunk to ≈ 3 µs there, and intra-op 2 ran TinyMobileNetV3 training 13 %
-// slower than intra-op 1). Chunking never changes bits, so the value is a
-// pure speed knob. It is a variable only so the tensor, nn and fl test
-// binaries can lower it (grain_test.go): their intra-op determinism tests use
-// small shapes that must still split into chunks to test anything.
-var minChunkWork = 1 << 19
+// is ≈ 50 µs on the AVX2 oracle kernels (≈ 10 GMAC/s). Chunking never
+// changes bits, so the value is a pure speed knob; a budget test must pick
+// shapes above it and assert that they split (Chunks > 1).
+const minChunkWork = 1 << 19
 
 // Runner is one data-parallel loop body. Run invokes Run(chunk, lo, hi) once
 // per chunk of the fixed partition; chunk indexes the partition (0-based,
@@ -189,17 +186,27 @@ func getPool() *workerPool {
 	if p := pool.Load(); p != nil {
 		return p
 	}
-	poolOnce.Do(func() {
-		wp := &workerPool{size: runtime.GOMAXPROCS(0), tasks: make(chan task)}
-		for i := 0; i < wp.size; i++ {
-			go func() {
-				for t := range wp.tasks {
-					t.ctx.runChunk(t.chunk)
-					t.ctx.wg.Done()
-				}
-			}()
-		}
-		pool.Store(wp)
-	})
+	poolOnce.Do(func() { pool.Store(startPool(runtime.GOMAXPROCS(0))) })
 	return pool.Load()
+}
+
+// startPool starts size workers and returns once every one is running. A
+// dispatch that finds no worker receiving runs the chunk inline, so a first
+// Run racing the workers' start would run serially — and a one-shot For (one
+// model per worker) would train every model on the caller.
+func startPool(size int) *workerPool {
+	wp := &workerPool{size: size, tasks: make(chan task)}
+	var started sync.WaitGroup
+	started.Add(size)
+	for i := 0; i < size; i++ {
+		go func() {
+			started.Done()
+			for t := range wp.tasks {
+				t.ctx.runChunk(t.chunk)
+				t.ctx.wg.Done()
+			}
+		}()
+	}
+	started.Wait()
+	return wp
 }

@@ -124,6 +124,29 @@ func TestNestedRunNoDeadlock(t *testing.T) {
 
 // TestGrainFor spot-checks the work→grain mapping: heavy items parallelize
 // at grain 1, featherweight items get grains that keep small loops serial.
+// TestFreshPoolReceivesAtOnce: every worker of a just-started pool takes a
+// chunk without the caller waiting, so the first Run of a process — a
+// one-shot For training one model per worker — runs its chunks in parallel
+// instead of falling back to the caller.
+func TestFreshPoolReceivesAtOnce(t *testing.T) {
+	const size = 4
+	wp := startPool(size)
+	defer close(wp.tasks)
+	release := make(chan struct{})
+	c := &runCtx{r: &funcRunner{fn: func(lo, hi int) { <-release }}, n: size, p: size}
+	c.wg.Add(size)
+	for i := 0; i < size; i++ {
+		select {
+		case wp.tasks <- task{ctx: c, chunk: i}:
+		default:
+			close(release)
+			t.Fatalf("fresh pool: worker %d of %d was not receiving", i+1, size)
+		}
+	}
+	close(release)
+	c.wg.Wait()
+}
+
 func TestGrainFor(t *testing.T) {
 	if g := GrainFor(minChunkWork); g != 1 {
 		t.Fatalf("GrainFor(heavy)=%d, want 1", g)

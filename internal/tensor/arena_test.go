@@ -335,9 +335,9 @@ func TestMatMulTransBVariants(t *testing.T) {
 
 		into := New(sz.m, sz.n)
 		into.Fill(7) // must be fully overwritten
-		MatMulTransBIntoP(1, into, a, b)
+		MatMulTransBInto(into, a, b)
 		if !into.AllClose(want, 1e-5) {
-			t.Fatalf("MatMulTransBIntoP %v diverged", sz)
+			t.Fatalf("MatMulTransBInto %v diverged", sz)
 		}
 		acc := Randn(r, 1, sz.m, sz.n)
 		wantAcc := acc.Add(want)
@@ -355,15 +355,15 @@ func TestMatMulTransAAccMatchesReference(t *testing.T) {
 		b := Randn(r, 1, sz.k, sz.n)
 		want := refMatMulTransA(a, b)
 		got := New(sz.m, sz.n)
-		MatMulTransAAccIntoP(1, got, a, b)
+		MatMulTransAAccInto(got, a, b)
 		if !got.AllClose(want, 1e-5) {
-			t.Fatalf("MatMulTransAAccIntoP %v diverged", sz)
+			t.Fatalf("MatMulTransAAccInto %v diverged", sz)
 		}
 		// Accumulation: a second pass must exactly double the result.
-		MatMulTransAAccIntoP(1, got, a, b)
+		MatMulTransAAccInto(got, a, b)
 		want.Scale(2)
 		if !got.AllClose(want, 1e-4) {
-			t.Fatalf("MatMulTransAAccIntoP %v did not accumulate", sz)
+			t.Fatalf("MatMulTransAAccInto %v did not accumulate", sz)
 		}
 	}
 }
@@ -376,12 +376,12 @@ func TestMatMulSliceEntryPoints(t *testing.T) {
 	b := Randn(r, 1, 7, 6)
 	out := make([]float32, 5*6)
 	for i := range out {
-		out[i] = 3 // MatMulSlicesP must overwrite
+		out[i] = 3 // MatMulSlices must overwrite
 	}
-	MatMulSlicesP(1, out, a.Data(), b.Data(), 5, 7, 6, nil)
+	MatMulSlices(out, a.Data(), b.Data(), 5, 7, 6, nil)
 	want := refMatMul(a, b)
 	if !FromSlice(out, 5, 6).AllClose(want, 1e-5) {
-		t.Fatal("MatMulSlicesP diverged")
+		t.Fatal("MatMulSlices diverged")
 	}
 
 	bt := Randn(r, 1, 6, 7)
@@ -393,9 +393,9 @@ func TestMatMulSliceEntryPoints(t *testing.T) {
 
 	at := Randn(r, 1, 7, 5)
 	accA := New(5, 6)
-	MatMulTransAAccSlicesP(1, accA.Data(), at.Data(), b.Data(), 7, 5, 6)
+	MatMulTransAAccSlices(accA.Data(), at.Data(), b.Data(), 7, 5, 6)
 	if !accA.AllClose(refMatMulTransA(at, b), 1e-5) {
-		t.Fatal("MatMulTransAAccSlicesP diverged")
+		t.Fatal("MatMulTransAAccSlices diverged")
 	}
 }
 
@@ -416,7 +416,7 @@ func BenchmarkMatMul(b *testing.B) {
 			benchVecArms(b, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					MatMulIntoP(1, out, a, bb)
+					MatMulInto(out, a, bb)
 				}
 			})
 		})
@@ -424,7 +424,7 @@ func BenchmarkMatMul(b *testing.B) {
 			benchVecArms(b, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					MatMulTransBIntoP(1, out, a, bt)
+					MatMulTransBInto(out, a, bt)
 				}
 			})
 		})
@@ -432,7 +432,7 @@ func BenchmarkMatMul(b *testing.B) {
 			benchVecArms(b, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					MatMulTransAAccIntoP(1, out, at, bb)
+					MatMulTransAAccInto(out, at, bb)
 				}
 			})
 		})

@@ -12,13 +12,13 @@ import (
 //
 // The matmul entry points are split into two numerics tiers:
 //
-//   - The ORACLE tier: the six entry points training uses — MatMulIntoP,
-//     MatMulSlicesP, MatMulTransBIntoP, MatMulTransBAccSlices,
-//     MatMulTransAAccIntoP, MatMulTransAAccSlicesP — all thin fills of one
-//     descriptor run by gemm (matmul.go). They run the register-tiled
-//     kernels with a strict per-target ascending-k accumulation order, are
-//     bit-exact at every intra-op budget and never dispatch — the tol-0
-//     training and aggregation reproducibility contracts stand on them.
+//   - The ORACLE tier: the six entry points training uses — MatMulInto,
+//     MatMulSlices, MatMulTransBInto, MatMulTransBAccSlices,
+//     MatMulTransAAccInto, MatMulTransAAccSlices — all thin fills of one
+//     descriptor run by gemm (matmul.go) on the calling goroutine. They run
+//     the register-tiled kernels with a strict per-target ascending-k
+//     accumulation order and never dispatch — the tol-0 training and
+//     aggregation reproducibility contracts stand on them.
 //
 //     The tier has two implementations of the same bits. The Go loops
 //     (matmul.go, im2col.go) are the portable path and the test reference;

@@ -132,5 +132,5 @@ func TestMatMulShapePanics(t *testing.T) {
 			t.Fatal("expected panic for inner dim mismatch")
 		}
 	}()
-	MatMulIntoP(1, New(2, 5), a, b)
+	MatMulInto(New(2, 5), a, b)
 }

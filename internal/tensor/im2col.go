@@ -2,9 +2,7 @@ package tensor
 
 import (
 	"fmt"
-	"sync"
 
-	"heteroswitch/internal/parallel"
 	"heteroswitch/internal/vec"
 )
 
@@ -114,34 +112,23 @@ func Im2Col(col, img []float32, d ConvDims) {
 	}
 }
 
-// col2imCols is the col2im scatter restricted to image columns
-// ix ∈ [xlo, xhi) — the whole scatter at [0, InW), and the column-blocked
-// parallel building block. For every (channel, tap) row of col it computes
-// the ox range whose target column lands inside the block, so the inner loop
-// needs no per-element bounds check. A pixel's contributions arrive in
-// (ky, kx, oy, ox) order — restricting ix never reorders adds into one pixel,
-// and every pixel lives in exactly one block — so results are bit-identical
-// at any partition.
-func col2imCols(img, col []float32, d ConvDims, xlo, xhi int) {
+// Col2Im scatters the column matrix back into an image, accumulating
+// overlapping contributions: the adjoint of Im2Col, used for convolution's
+// input gradient. img is NOT zeroed first. For every (channel, tap) row of
+// col it takes the ox range whose target column lands inside the image
+// (tapOxRange), so the inner loop needs no per-element bounds check. A
+// pixel's contributions arrive in (ky, kx, oy, ox) order.
+func Col2Im(img, col []float32, d ConvDims) {
 	cols := d.ColCols()
-	// oxFor returns the smallest ox with ox*StrideW - PadW + kx >= x.
-	oxFor := func(x, kx int) int {
-		num := x + d.PadW - kx
-		if num <= 0 {
-			return 0
-		}
-		return (num + d.StrideW - 1) / d.StrideW
-	}
 	row := 0
 	for c := 0; c < d.InC; c++ {
 		chanBase := c * d.InH * d.InW
 		for ky := 0; ky < d.KH; ky++ {
 			for kx := 0; kx < d.KW; kx++ {
 				src := col[row*cols : (row+1)*cols]
-				oxLo := oxFor(xlo, kx)
-				oxHi := min(oxFor(xhi, kx), d.OutW)
+				row++
+				oxLo, oxHi := d.tapOxRange(kx)
 				if oxLo >= oxHi {
-					row++
 					continue
 				}
 				for oy := 0; oy < d.OutH; oy++ {
@@ -155,7 +142,6 @@ func col2imCols(img, col []float32, d ConvDims, xlo, xhi int) {
 						img[rowBase+ox*d.StrideW] += srcRow[ox]
 					}
 				}
-				row++
 			}
 		}
 	}
@@ -222,7 +208,7 @@ func (d *ConvDims) checkPlane(kernel string, img, out, taps []float32) {
 // Every output pixel is a sum from +0 over its taps in ascending (ky, kx)
 // order — the same per-target order as the im2col matmul, whose skipped
 // zero-padding and zero-weight products are exact no-ops — so the
-// convolution is bit-identical to Im2Col + MatMulSlicesP on the same plane,
+// convolution is bit-identical to Im2Col + MatMulSlices on the same plane,
 // and the epilogue to that matmul's bias add and activation sweep.
 // Depthwise convolutions use it (and the two gradient siblings below) in
 // training and inference alike: their im2col copy costs more than the
@@ -397,8 +383,8 @@ func (d *ConvDims) tapDot3(dy, img []float32, ky, kx int) (s0, s1, s2 float32) {
 // directly: dimg[tap t's shifted pixel] += w[t]·dy[oy,ox] for a d with
 // InC == 1, one bounds-free AXPY per tap with the taps ascending. A pixel
 // receives its contributions in the same (ky, kx, oy, ox) order as
-// MatMulTransAAccSlicesP + Col2ImP on the plane, so the result is bit-identical
-// to the lowered path. Like Col2ImP it accumulates: dimg is NOT zeroed first.
+// MatMulTransAAccSlices + Col2Im on the plane, so the result is bit-identical
+// to the lowered path. Like Col2Im it accumulates: dimg is NOT zeroed first.
 func DepthwiseConvPlaneGradX(dimg, dy, w []float32, d ConvDims) {
 	d.checkPlane("DepthwiseConvPlaneGradX", dimg, dy, w)
 	t := 0
@@ -448,41 +434,4 @@ func DepthwiseConvPlaneGradX(dimg, dy, w []float32, d ConvDims) {
 			}
 		}
 	}
-}
-
-// col2imTask is the pooled parallel.Runner behind Col2ImP.
-type col2imTask struct {
-	img, col []float32
-	d        ConvDims
-}
-
-var col2imTaskPool = sync.Pool{New: func() any { return new(col2imTask) }}
-
-// Run implements parallel.Runner over a range of image columns.
-func (t *col2imTask) Run(_, lo, hi int) { col2imCols(t.img, t.col, t.d, lo, hi) }
-
-// Col2ImP scatters the column matrix back into an image, accumulating
-// overlapping contributions: the adjoint of Im2Col, used for convolution's
-// input gradient. img is NOT zeroed first. Under an intra-op budget above 1
-// the scatter is split over blocks of image columns: each chunk owns a
-// disjoint set of output pixels (all rows and channels of its column range),
-// so chunks never write the same element and results are bit-identical at
-// every budget. Budget 1 — or a geometry too small for the grain — is the
-// one block [0, InW).
-func Col2ImP(par int, img, col []float32, d ConvDims) {
-	if par > 1 {
-		// Per-column work: the whole scatter costs about InC·KH·KW·OutH·OutW
-		// adds, spread over the InW columns.
-		perCol := d.InC * d.KH * d.KW * d.OutH * d.OutW / d.InW
-		grain := parallel.GrainFor(perCol)
-		if parallel.Chunks(par, d.InW, grain) > 1 {
-			t := col2imTaskPool.Get().(*col2imTask)
-			t.img, t.col, t.d = img, col, d
-			parallel.Run(par, d.InW, grain, t)
-			t.img, t.col = nil, nil
-			col2imTaskPool.Put(t)
-			return
-		}
-	}
-	col2imCols(img, col, d, 0, d.InW)
 }

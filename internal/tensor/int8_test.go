@@ -153,6 +153,7 @@ func TestInt8MatchesOracle(t *testing.T) {
 func TestInt8BitIdenticalAcrossBudgets(t *testing.T) {
 	r := frand.New(137)
 	forceBackend(t, BackendInt8)
+	requireSplit(t, 16, 768, 256)
 	for _, sz := range packedShapes {
 		m, k, n := sz.m, sz.k, sz.n
 		a := Randn(r, 1, m, k)

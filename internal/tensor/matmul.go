@@ -340,7 +340,7 @@ func gemm(par int, t mmTask) {
 
 // gemmTensors is gemm on 2-D tensor headers: it reads m, k and n off the
 // operands for the given kind and panics unless all three shapes agree.
-func gemmTensors(par int, kind mmKind, acc bool, out, a, b *Tensor) {
+func gemmTensors(kind mmKind, acc bool, out, a, b *Tensor) {
 	if len(out.shape) != 2 || len(a.shape) != 2 || len(b.shape) != 2 {
 		panic(fmt.Sprintf("tensor: matmul %v needs 2-D tensors, have out %v, a %v, b %v", kind, out.shape, a.shape, b.shape))
 	}
@@ -355,45 +355,44 @@ func gemmTensors(par int, kind mmKind, acc bool, out, a, b *Tensor) {
 	if kb != k || out.shape[0] != m || out.shape[1] != n {
 		panic(fmt.Sprintf("tensor: matmul %v shapes disagree: out %v, a %v, b %v", kind, out.shape, a.shape, b.shape))
 	}
-	gemm(par, mmTask{kind: kind, out: out.data, a: a.data, b: b.data, m: m, k: k, n: n, acc: acc})
+	gemm(1, mmTask{kind: kind, out: out.data, a: a.data, b: b.data, m: m, k: k, n: n, acc: acc})
 }
 
 // Entry points ----------------------------------------------------------------
 //
-// par is the intra-op budget: the maximum number of row chunks in flight.
-// The slice forms take sub-slices of larger buffers (grouped convolution)
-// where wrapping every operand in a Tensor would allocate per batch.
+// The training entry points run on the calling goroutine. The slice forms
+// take sub-slices of larger buffers (grouped convolution) where wrapping
+// every operand in a Tensor would allocate per batch.
 
-// MatMulIntoP computes out = a @ b for a[m,k], b[k,n], out[m,n].
-func MatMulIntoP(par int, out, a, b *Tensor) { gemmTensors(par, mmAB, false, out, a, b) }
+// MatMulInto computes out = a @ b for a[m,k], b[k,n], out[m,n].
+func MatMulInto(out, a, b *Tensor) { gemmTensors(mmAB, false, out, a, b) }
 
-// MatMulSlicesP is MatMulIntoP on raw row-major slices, plus bias[i] on
-// every element of row i when bias is non-nil — a conv's bias, added in the
+// MatMulSlices is MatMulInto on raw row-major slices, plus bias[i] on every
+// element of row i when bias is non-nil — a conv's bias, added in the
 // kernel's store.
-func MatMulSlicesP(par int, out, a, b []float32, m, k, n int, bias []float32) {
-	gemm(par, mmTask{kind: mmAB, out: out, a: a, b: b, m: m, k: k, n: n, bias: bias})
+func MatMulSlices(out, a, b []float32, m, k, n int, bias []float32) {
+	gemm(1, mmTask{kind: mmAB, out: out, a: a, b: b, m: m, k: k, n: n, bias: bias})
 }
 
-// MatMulTransBIntoP computes out = a @ bᵀ for a[m,k], b[n,k], out[m,n],
+// MatMulTransBInto computes out = a @ bᵀ for a[m,k], b[n,k], out[m,n],
 // without materializing the transpose (dense input gradient dx = dy @ Wᵀ).
-func MatMulTransBIntoP(par int, out, a, b *Tensor) { gemmTensors(par, mmTransB, false, out, a, b) }
+func MatMulTransBInto(out, a, b *Tensor) { gemmTensors(mmTransB, false, out, a, b) }
 
 // MatMulTransBAccSlices computes out[m,n] += a[m,k] @ b[n,k]ᵀ on raw
-// row-major slices — convolution's weight gradient dW += dy @ colᵀ, called
-// from inside an already row-parallel region, hence serial.
+// row-major slices — convolution's weight gradient dW += dy @ colᵀ.
 func MatMulTransBAccSlices(out, a, b []float32, m, k, n int) {
 	gemm(1, mmTask{kind: mmTransB, out: out, a: a, b: b, m: m, k: k, n: n, acc: true})
 }
 
-// MatMulTransAAccIntoP computes out += aᵀ @ b for a[k,m], b[k,n], out[m,n] —
+// MatMulTransAAccInto computes out += aᵀ @ b for a[k,m], b[k,n], out[m,n] —
 // the dense weight gradient Grad += xᵀ @ dy, with no temporary.
-func MatMulTransAAccIntoP(par int, out, a, b *Tensor) { gemmTensors(par, mmTransA, true, out, a, b) }
+func MatMulTransAAccInto(out, a, b *Tensor) { gemmTensors(mmTransA, true, out, a, b) }
 
-// MatMulTransAAccSlicesP is MatMulTransAAccIntoP on raw row-major slices.
+// MatMulTransAAccSlices is MatMulTransAAccInto on raw row-major slices.
 // Convolution's input-gradient lowering (dcol += Wᵀ @ dy) reads the weights
 // in place through it instead of materializing their transpose per sample.
-func MatMulTransAAccSlicesP(par int, out, a, b []float32, k, m, n int) {
-	gemm(par, mmTask{kind: mmTransA, out: out, a: a, b: b, m: m, k: k, n: n, acc: true})
+func MatMulTransAAccSlices(out, a, b []float32, k, m, n int) {
+	gemm(1, mmTask{kind: mmTransA, out: out, a: a, b: b, m: m, k: k, n: n, acc: true})
 }
 
 // matMulEp is the TOLERANCE tier's raw-slice entry, reached only through the

@@ -177,6 +177,7 @@ func testSerialBackendBitIdentical(t *testing.T) {
 // tests stand on.
 func TestPackedBudgetsBitIdentical(t *testing.T) {
 	forceBackend(t, BackendPacked)
+	requireSplit(t, 16, 768, 256)
 	r := frand.New(94)
 	for _, sz := range packedShapes {
 		a := Randn(r, 1, sz.m, sz.k)
@@ -248,16 +249,18 @@ func TestPackedZeroAllocSteadyState(t *testing.T) {
 		t.Skip("sync.Pool drops items randomly under -race; alloc counts are nondeterministic")
 	}
 	forceBackend(t, BackendPacked)
+	const m, k, n = 128, 48, 256 // the ConvNet expand pointwise at batch 128: splits
+	requireSplit(t, m, k, n)
 	r := frand.New(95)
-	a := Randn(r, 1, 48, 48)
-	b := Randn(r, 1, 48, 256)
-	bias := Randn(r, 1, 48)
+	a := Randn(r, 1, m, k)
+	b := Randn(r, 1, k, n)
+	bias := Randn(r, 1, m)
 	ep := &testEpilogue{bias: bias.Data()}
-	out := make([]float32, 48*256)
+	out := make([]float32, m*n)
 	for _, par := range []int{1, 4} {
-		matMulEp(par, out, a.Data(), b.Data(), 48, 48, 256, false, ep) // warm pools
+		matMulEp(par, out, a.Data(), b.Data(), m, k, n, false, ep) // warm pools
 		allocs := testing.AllocsPerRun(20, func() {
-			matMulEp(par, out, a.Data(), b.Data(), 48, 48, 256, false, ep)
+			matMulEp(par, out, a.Data(), b.Data(), m, k, n, false, ep)
 		})
 		if allocs != 0 {
 			t.Fatalf("packed dispatch par=%d steady state allocates %.1f/op, want 0", par, allocs)

@@ -142,10 +142,10 @@ func TestTranspose2D(t *testing.T) {
 }
 
 // mm returns a @ b as a new tensor: the allocating spelling the tests below
-// read best with, on MatMulIntoP at budget 1.
+// read best with, on MatMulInto.
 func mm(a, b *Tensor) *Tensor {
 	out := New(a.Dim(0), b.Dim(1))
-	MatMulIntoP(1, out, a, b)
+	MatMulInto(out, a, b)
 	return out
 }
 
@@ -195,10 +195,10 @@ func TestMatMulTransB(t *testing.T) {
 	a := Randn(r, 1, 7, 5)
 	b := Randn(r, 1, 9, 5)
 	got := New(7, 9)
-	MatMulTransBIntoP(1, got, a, b)
+	MatMulTransBInto(got, a, b)
 	want := mm(a, b.Transpose2D())
 	if !got.AllClose(want, 1e-4) {
-		t.Fatal("MatMulTransBIntoP != a @ bT")
+		t.Fatal("MatMulTransBInto != a @ bT")
 	}
 }
 
@@ -207,10 +207,10 @@ func TestMatMulTransA(t *testing.T) {
 	a := Randn(r, 1, 8, 4)
 	b := Randn(r, 1, 8, 6)
 	got := New(4, 6)
-	MatMulTransAAccIntoP(1, got, a, b)
+	MatMulTransAAccInto(got, a, b)
 	want := mm(a.Transpose2D(), b)
 	if !got.AllClose(want, 1e-4) {
-		t.Fatal("MatMulTransAAccIntoP != aT @ b")
+		t.Fatal("MatMulTransAAccInto != aT @ b")
 	}
 }
 
@@ -328,7 +328,7 @@ func TestIm2ColCol2ImAdjoint(t *testing.T) {
 			lhs += float64(cx[i]) * float64(y[i])
 		}
 		iy := make([]float32, len(x))
-		Col2ImP(1, iy, y, d)
+		Col2Im(iy, y, d)
 		var rhs float64
 		for i := range x {
 			rhs += float64(x[i]) * float64(iy[i])
@@ -417,7 +417,7 @@ func BenchmarkMatMul64(b *testing.B) {
 	out := New(64, 64)
 	benchVecArms(b, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			MatMulIntoP(1, out, x, y)
+			MatMulInto(out, x, y)
 		}
 	})
 }
@@ -429,7 +429,7 @@ func BenchmarkMatMul256(b *testing.B) {
 	out := New(256, 256)
 	benchVecArms(b, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			MatMulIntoP(1, out, x, y)
+			MatMulInto(out, x, y)
 		}
 	})
 }
