@@ -27,8 +27,6 @@ var censusAllow = []struct{ name, reason string }{
 	{"nn.ReplicaPool.Free", "probe: pool is full again at quiescence"},
 	{"nn.VersionStore.FreeCount", "probe: retired versions are recycled"},
 	{"fl.AsyncServer.InFlight", "probe: async depth invariant"},
-	{"nn.PanelCache.Resident", "probe: panel cache eviction invariant"},
-	{"nn.PanelCache.Recycled", "probe: panel cache recycling invariant"},
 	{"fl.Default", "probe: the paper's hyper-parameters as one literal for tests"},
 	{"guardmem/", "probe: guard-page slices for the assembly bounds tests"},
 	{"israce/", "probe: lets allocation tests skip under -race"},
@@ -40,7 +38,6 @@ var censusAllow = []struct{ name, reason string }{
 	{"tensor.Int8Tol", "direction 3: the int8 tier's test tolerance"},
 	{"tensor.PackedWeights.HasFloat", "direction 3: cached-form probe"},
 	{"tensor.PackedWeights.HasInt8", "direction 3: cached-form probe"},
-	{"tensor.WeightPackCount", "direction 3: pack counter the cache tests read"},
 }
 
 // censusRoots are the names a binary reaches without the source saying so:

@@ -26,9 +26,9 @@ import (
 )
 
 // config is the parsed command line: the load harness's own flags beside the
-// machine flags experiments.Options declares, checks and applies.
+// machine flags experiments.Options declares and checks.
 type config struct {
-	opts experiments.Options // -seed, -workers, -intraop, -kernel-backend
+	opts experiments.Options // -seed, -workers, -intraop
 
 	model, arrival, admission, flush string
 	classes, side, requests, bank    int

@@ -39,7 +39,7 @@ func main() {
 		perClass = flag.Int("per-class", 12, "training scenes per class per device")
 		logEvery = flag.Int("log-every", 10, "print loss every N rounds")
 	)
-	// The shared flags are declared, checked and applied by experiments.Options
+	// The shared flags are declared and checked by experiments.Options
 	// (BindFlags, NewFL); only the two defaults flsim disagrees on are set here.
 	opts := experiments.DefaultOptions()
 	opts.Workers, opts.Async.LatencyModel = 4, "straggler:0.5,2,0.15,8"

@@ -26,7 +26,7 @@ import (
 )
 
 func main() {
-	// Everything but the three flags below is declared, checked and applied by
+	// Everything but the three flags below is declared and checked by
 	// experiments.Options (BindFlags, Run).
 	opts := experiments.DefaultOptions()
 	opts.BindFlags(flag.CommandLine)

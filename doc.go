@@ -353,58 +353,32 @@
 // cases; TestPackedMatchesOracle sweeps shapes × budgets against the 1e-5 +
 // argmax contract.
 //
-// Backend selection is process-wide, with one declaration and one apply
-// site: the -kernel-backend flag (bound once, by BindMachineFlags, to
-// experiments.Options.KernelBackend, which library callers set directly) is
-// parsed and handed to tensor.SetBackend by experiments.Options.Apply and
-// nowhere else outside the benchmark; left empty it inherits the
-// HETEROSWITCH_KERNEL_BACKEND environment variable (read at init). The
-// default, BackendAuto, stays on the oracle kernels whenever their vector
-// implementation is live — it beats the scalar packed and int8 kernels on
-// every measured frozen shape — and then packs no panels either. On a
-// pure-Go build it packs only when the shape profits (m ≥ 8 rows and
-// m·k·n ≥ 16384): packing costs O(k·n) writes, so tiny matmuls — the serve
-// smoke model's 4×9×64, say — stay on the oracle kernels, and forcing
-// -kernel-backend=packed on such shapes measurably loses to serial.
-// BackendSerial pins the oracle kernels everywhere and is bit-identical to
-// the pre-dispatch repo. The CI backend matrix runs the full suite under
-// both forced backends.
+// No run option selects a backend: every harness, binary and test runs the
+// default, BackendAuto, which is the oracle tier on every build — bit-identical
+// to BackendSerial — so a pure-Go build prints the default build's bytes. The
+// packed and int8 kernels are reached only through tensor.SetBackend, which
+// the benchmark's probes and the kernels' own tests call.
 //
-// # Int8 tier & weight-stationary panels
+// # Int8 tier & weight-stationary forms
 //
-// BackendInt8 is the quantized rung of the tolerance tier, strictly opt-in:
-// the auto heuristic never selects it, so the default lanes (and every
-// byte-identical smoke contract) are untouched unless the user forces
-// -kernel-backend=int8. The weight operand of each frozen matmul is
-// quantized symmetrically per output channel to 8 bits (biased-unsigned
-// storage), the activation operand is quantized per row (dense) or per
-// tensor (im2col) at call time, and the SWAR microkernel accumulates exact
-// int32 dot products before a single float dequantize-and-epilogue per
-// output row. Because the integer accumulation is exact and the row
-// partitioning is the same as the float tiers, int8 outputs are bit-identical
-// across intra-op budgets and concurrent replicas — serving digests replay
-// exactly under int8, just with different bits than the float tiers. The
-// numeric promise is tensor.Int8Tol (5e-2 relative, unit-floored) against
-// the oracle with identical argmax; TestInt8MatchesOracle and the CI int8
-// matrix lane enforce it suite-wide.
+// BackendInt8 is the quantized rung of the tolerance tier. The weight
+// operand of each frozen matmul is quantized symmetrically per output
+// channel to 8 bits (biased-unsigned storage), the activation operand is
+// quantized per row (dense) or per tensor (im2col) at call time, and the
+// SWAR microkernel accumulates exact int32 dot products before a single
+// float dequantize-and-epilogue per output row. Because the integer
+// accumulation is exact and the row partitioning is the same as the float
+// tiers, int8 outputs are bit-identical across intra-op budgets and
+// concurrent replicas. The numeric promise is tensor.Int8Tol (5e-2
+// relative, unit-floored) against the oracle with identical argmax;
+// TestInt8MatchesOracle enforces it.
 //
-// Weights are stationary: tensor.PackedWeights holds a weight version's
-// packed forms (float GEBP panels, int8 panels, per-channel scales), built
-// once per (version, matmul slot) and reused across every replica and batch
-// of that version. Ownership rules: nn's PanelCache keys sets by version and
-// refcounts them across the replica pool — a replica acquires the set for
-// the version it is folding BEFORE releasing its previous set
-// (publish→retire safety), the newest set survives zero references so a
-// landing version never repacks, and superseded sets recycle their slot
-// arrays through a pool. A PackedWeights never retains the source weight
-// slice; callers pass the live folded weights at each fused entry call, so
-// there is no aliasing between a replica's fold buffer and the shared
-// panels. tensor.WeightPackCount observes the pack counter: steady state
-// packs once per slot per version — never per replica, never per batch —
-// and the int8 inference path allocates nothing per batch once scratch
-// pools are warm. The same PackedWeights handle makes the packed float
-// backend weight-stationary on the frozen path (panels built at fold time
-// instead of per call).
+// Weights are stationary: each frozen matmul op owns a tensor.PackedWeights
+// handle holding its weight version's packed forms (float GEBP panels, int8
+// panels, per-channel scales). Freeze refreshes it once per version, and
+// only with the forms the active backend consumes — none under auto. A
+// PackedWeights never retains the source weight slice, and the int8
+// inference path allocates nothing per batch once scratch pools are warm.
 //
 // # Serving
 //

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -18,14 +19,13 @@ var flagBinaries = []string{"cmd/flsim", "cmd/heterobench", "cmd/flserve"}
 // flagDeclCap is the number of flag declarations across the three binaries
 // and the two bind functions. It was 54 when each binary spelled the shared
 // flags itself; the cap only ever goes down.
-const flagDeclCap = 42
+const flagDeclCap = 41
 
 // TestSharedFlagsAreDeclaredOnce holds the CLI layer to one declaration and
 // one apply site: a flag name is declared in exactly one place — by
 // (*experiments.Options).BindFlags / BindMachineFlags or by one binary (the
-// per-binary -model aside) — and no binary selects the kernel backend itself
-// (experiments.Options.Apply does). Without it the mistake shows up only as a
-// "flag redefined" panic at start-up, which no test runs.
+// per-binary -model aside). Without it the mistake shows up only as a "flag
+// redefined" panic at start-up, which no test runs.
 func TestSharedFlagsAreDeclaredOnce(t *testing.T) {
 	fset := token.NewFileSet()
 	places := map[string][]string{} // flag name → where it is declared
@@ -66,13 +66,6 @@ func TestSharedFlagsAreDeclaredOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			declare(dir, f)
-			ast.Inspect(f, func(n ast.Node) bool {
-				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "SetBackend" {
-					t.Errorf("%s: calls SetBackend; the kernel backend is applied once, by experiments.Options.Apply",
-						fset.Position(n.Pos()))
-				}
-				return true
-			})
 		}
 	}
 
@@ -89,6 +82,45 @@ func TestSharedFlagsAreDeclaredOnce(t *testing.T) {
 	}
 	if total > flagDeclCap {
 		t.Errorf("%d flag declarations across %v and the bind functions; the cap is %d", total, flagBinaries, flagDeclCap)
+	}
+}
+
+// TestNoRunSelectsTheKernelBackend: every harness, binary and library path
+// runs the default backend, so SetBackend is called only by the tensor
+// package and by the benchmark's probes — never by a non-test file anywhere
+// else. A run option or a library default that selected a backend would make
+// what a run prints depend on it.
+func TestNoRunSelectsTheKernelBackend(t *testing.T) {
+	fset := token.NewFileSet()
+	files := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && (path == filepath.Join("internal", "tensor") || path == filepath.Join("cmd", "perfbook") ||
+			(path != "." && strings.HasPrefix(d.Name(), "."))):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		files++
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "SetBackend" {
+				t.Errorf("%s: calls SetBackend; only internal/tensor and cmd/perfbook may", fset.Position(n.Pos()))
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files == 0 {
+		t.Fatal("found no non-test Go files")
 	}
 }
 

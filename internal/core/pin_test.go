@@ -138,17 +138,7 @@ var pinnedAggregation = map[string]string{
 	"heteroswitch/async=true/gate=+Inf":  "w=ca3bfb97aa6933e3 s=08ac3223117bb372", // re-pinned
 }
 
-// serialBackend forces the oracle kernels for the test, so the constants hold
-// whatever HETEROSWITCH_KERNEL_BACKEND selects (the int8 backend quantizes
-// the pin net's dense layers).
-func serialBackend(t *testing.T) {
-	prev := tensor.ActiveBackend()
-	tensor.SetBackend(tensor.BackendSerial)
-	t.Cleanup(func() { tensor.SetBackend(prev) })
-}
-
 func TestPinnedAggregationBytes(t *testing.T) {
-	serialBackend(t)
 	for _, s := range pinStrategies {
 		for _, async := range []bool{false, true} {
 			for _, maxNorm := range []float64{100, math.Inf(1)} {
@@ -168,7 +158,6 @@ func TestPinnedAggregationBytes(t *testing.T) {
 // Workers is the one training-parallelism knob, so this is a contract, not
 // a coincidence of one configuration.
 func TestSyncPinsHoldAtEveryWorkerCount(t *testing.T) {
-	serialBackend(t)
 	for _, s := range pinStrategies {
 		for _, maxNorm := range []float64{100, math.Inf(1)} {
 			name := fmt.Sprintf("%s/async=false/gate=%v", s.name, maxNorm)
@@ -188,7 +177,6 @@ func TestSyncPinsHoldAtEveryWorkerCount(t *testing.T) {
 // the earlier one is folded, because SCAFFOLD's fold commits the c_k that
 // the later step trains with.
 func TestAsyncPinsHoldAtEveryWorkerCount(t *testing.T) {
-	serialBackend(t)
 	repeats := 0
 	for _, s := range pinStrategies {
 		name := s.name + "/async=true/gate=100"

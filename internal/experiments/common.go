@@ -26,7 +26,6 @@ import (
 	"heteroswitch/internal/parallel"
 	"heteroswitch/internal/scene"
 	"heteroswitch/internal/simclock"
-	"heteroswitch/internal/tensor"
 )
 
 // Options control workload sizing shared by all harnesses.
@@ -51,14 +50,6 @@ type Options struct {
 	// Async selects asynchronous staleness-aware aggregation for the
 	// FL-driving harnesses.
 	Async AsyncOptions
-	// KernelBackend selects the matmul backend behind the frozen eval
-	// path's fused kernels (tensor.ParseBackend values: "auto" picks packed
-	// when profitable, "serial" forces the bit-identical oracle kernels,
-	// "packed" forces the cache-blocked kernel, "int8" forces the quantized
-	// weight-stationary kernel at its documented tolerance; "" inherits the
-	// process-wide selection). Training kernels never dispatch. Applied
-	// process-wide by Apply.
-	KernelBackend string
 	// Faults is a faults.ParseSpec chaos spec ("crash:P", "flaky:P,R",
 	// "corrupt:P,MODE", "churn:PERIOD,ON", "+"-combined) injected into every
 	// FL harness; "" or "none" runs fault-free. Crash/flaky/churn models need
@@ -119,15 +110,14 @@ func (a AsyncOptions) Config(k int, seed uint64) (fl.AsyncConfig, error) {
 	}, nil
 }
 
-// BindMachineFlags declares the four flags every binary needs — -seed,
-// -workers, -intraop, -kernel-backend — on fs, bound straight to o's fields.
+// BindMachineFlags declares the three flags every binary needs — -seed,
+// -workers, -intraop — on fs, bound straight to o's fields.
 // Each default is the field's value at bind time, so a binary states its own
 // default by setting the field first.
 func (o *Options) BindMachineFlags(fs *flag.FlagSet) {
 	fs.Uint64Var(&o.Seed, "seed", o.Seed, "random seed; everything printed is a pure function of it and the other flags")
 	fs.IntVar(&o.Workers, "workers", o.Workers, "parallel workers: client or model trainers, device captures, serving batch executors (0 or 1 = serial; results are bit-identical at every setting)")
 	fs.IntVar(&o.IntraOp, "intraop", o.IntraOp, "total kernel parallelism budget of the frozen evaluation and serving forward, split across workers (0 = GOMAXPROCS, 1 = serial kernels; training is unaffected; results are bit-identical at every setting)")
-	fs.StringVar(&o.KernelBackend, "kernel-backend", o.KernelBackend, "matmul kernel backend for the frozen inference path: auto (packed when profitable), serial (bit-identical oracle kernels), packed (force the cache-blocked kernel), int8 (force the quantized weight-stationary kernel, documented-tolerance tier); training always uses the oracle kernels; empty inherits HETEROSWITCH_KERNEL_BACKEND, else auto")
 }
 
 // BindFlags declares every flag more than one binary needs, on fs, bound
@@ -151,13 +141,10 @@ func (o *Options) BindFlags(fs *flag.FlagSet) {
 	fs.IntVar(&a.MaxStaleness, "max-staleness", 0, "drop async results staler than this many aggregation windows instead of folding them (0 = fold everything)")
 }
 
-// Apply is the one place the options are checked and applied: it rejects a
-// scale that is not finite and positive, negative workers or async depth and
-// an output resolution below 1, naming the flag, and selects the kernel
-// backend process-wide — the one tensor.SetBackend call outside the tensor
-// package and the benchmark. An empty KernelBackend inherits the process-wide
-// selection (HETEROSWITCH_KERNEL_BACKEND, else auto) instead of resetting it.
-// Run and NewFL call it; a binary that goes through neither calls it itself.
+// Apply is the one place the options are checked: it rejects a scale that is
+// not finite and positive, negative workers or async depth and an output
+// resolution below 1, naming the flag. Run and NewFL call it; a binary that
+// goes through neither calls it itself.
 func (o Options) Apply() error {
 	switch {
 	case !(o.Scale > 0) || math.IsInf(o.Scale, 1):
@@ -168,13 +155,6 @@ func (o Options) Apply() error {
 		return fmt.Errorf("experiments: output resolution %d: want >= 1", o.OutRes)
 	case o.Async.Depth < 0:
 		return fmt.Errorf("experiments: -async-depth %d: want >= 0", o.Async.Depth)
-	}
-	if o.KernelBackend != "" {
-		kb, err := tensor.ParseBackend(o.KernelBackend)
-		if err != nil {
-			return err
-		}
-		tensor.SetBackend(kb)
 	}
 	return nil
 }

@@ -20,7 +20,7 @@ import (
 // once.
 func TestBindFlagsRoundTrip(t *testing.T) {
 	receiver := DefaultOptions()
-	receiver.Seed, receiver.Workers, receiver.IntraOp, receiver.KernelBackend = 7, 3, 5, "serial"
+	receiver.Seed, receiver.Workers, receiver.IntraOp = 7, 3, 5
 	receiver.Async.LatencyModel = "const:1"
 
 	bind := func() (*flag.FlagSet, *Options) {
@@ -42,7 +42,7 @@ func TestBindFlagsRoundTrip(t *testing.T) {
 
 	fs, got = bind()
 	args := []string{
-		"-seed", "99", "-workers", "6", "-intraop", "2", "-kernel-backend", "packed",
+		"-seed", "99", "-workers", "6", "-intraop", "2",
 		"-async", "-staleness-alpha", "0.25", "-latency-model", "uniform:1,3", "-async-depth", "4",
 		"-faults", "corrupt:0.3,nan", "-max-delta-norm", "100", "-fault-timeout", "4",
 		"-fault-backoff", "0.5", "-fault-attempts", "2", "-max-staleness", "3",
@@ -51,7 +51,7 @@ func TestBindFlagsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want = receiver
-	want.Seed, want.Workers, want.IntraOp, want.KernelBackend = 99, 6, 2, "packed"
+	want.Seed, want.Workers, want.IntraOp = 99, 6, 2
 	want.Faults, want.MaxDeltaNorm = "corrupt:0.3,nan", 100
 	want.Async = AsyncOptions{
 		Enabled: true, StalenessAlpha: 0.25, LatencyModel: "uniform:1,3", Depth: 4,
@@ -75,8 +75,8 @@ func TestBindFlagsRoundTrip(t *testing.T) {
 	})
 	set := 0
 	fs.Visit(func(*flag.Flag) { set++ })
-	if bound != 14 || set != bound {
-		t.Fatalf("BindFlags binds %d flags, the round trip set %d; want 14 and 14", bound, set)
+	if bound != 13 || set != bound {
+		t.Fatalf("BindFlags binds %d flags, the round trip set %d; want 13 and 13", bound, set)
 	}
 
 	machine := flag.NewFlagSet("machine", flag.ContinueOnError)
@@ -84,7 +84,7 @@ func TestBindFlagsRoundTrip(t *testing.T) {
 	o.BindMachineFlags(machine)
 	var names []string
 	machine.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	if strings.Join(names, " ") != "intraop kernel-backend seed workers" {
+	if strings.Join(names, " ") != "intraop seed workers" {
 		t.Fatalf("BindMachineFlags binds %v", names)
 	}
 }
@@ -110,7 +110,6 @@ func tinyFederation() (map[int]*dataset.Dataset, []int, fl.Config, func() *nn.Ne
 // does not pay for a harness: it goes through Apply, which is all Run does
 // before handing over.
 func TestOptionsAreCheckedByRunAndNewFL(t *testing.T) {
-	defer tensor.SetBackend(tensor.ActiveBackend())
 	mod := func(f func(*Options)) Options {
 		o := tinyOpts(0.05)
 		f(&o)
@@ -126,7 +125,6 @@ func TestOptionsAreCheckedByRunAndNewFL(t *testing.T) {
 		{"workers 0", mod(func(o *Options) { o.Workers = 0 }), ""},
 		{"depth 0 async", mod(func(o *Options) { o.Async.Enabled = true }), ""},
 		{"depth 3 async", mod(func(o *Options) { o.Async = AsyncOptions{Enabled: true, Depth: 3} }), ""},
-		{"backend serial", mod(func(o *Options) { o.KernelBackend = "serial" }), ""},
 		{"scale 0", mod(func(o *Options) { o.Scale = 0 }), "-scale"},
 		{"scale -1", mod(func(o *Options) { o.Scale = -1 }), "-scale"},
 		{"scale NaN", mod(func(o *Options) { o.Scale = math.NaN() }), "-scale"},
@@ -134,11 +132,9 @@ func TestOptionsAreCheckedByRunAndNewFL(t *testing.T) {
 		{"workers -1", mod(func(o *Options) { o.Workers = -1 }), "-workers"},
 		{"out-res 0", mod(func(o *Options) { o.OutRes = 0 }), "resolution"},
 		{"depth -1", mod(func(o *Options) { o.Async.Depth = -1 }), "-async-depth"},
-		{"backend bogus", mod(func(o *Options) { o.KernelBackend = "bogus" }), "kernel backend"},
 	}
 	perDevice, counts, cfg, builder := tinyFederation()
 	for _, c := range cases {
-		before := tensor.ActiveBackend()
 		runErr := c.opts.Apply()
 		if c.want != "" {
 			_, runErr = Run("fig4", c.opts)
@@ -153,9 +149,6 @@ func TestOptionsAreCheckedByRunAndNewFL(t *testing.T) {
 			case c.want != "" && !strings.Contains(err.Error(), c.want):
 				t.Errorf("%s: %s error %q does not name %q", c.name, entry, err, c.want)
 			}
-		}
-		if c.want != "" && tensor.ActiveBackend() != before {
-			t.Errorf("%s: rejected options still changed the kernel backend", c.name)
 		}
 	}
 }

@@ -46,8 +46,8 @@ func Names() []string {
 	return out
 }
 
-// Run executes the named experiment after checking the options and applying
-// their kernel backend selection process-wide (Options.Apply).
+// Run executes the named experiment after checking the options
+// (Options.Apply).
 func Run(name string, opts Options) (fmt.Stringer, error) {
 	r, ok := registry[name]
 	if !ok {

@@ -233,14 +233,7 @@ func TestFusedEvalMatchesReference(t *testing.T) {
 			t.Fatalf("device %d: fused %v != reference %v", dev, fusedPer[dev], acc)
 		}
 	}
-	// The loss bound follows the active kernel tier: the float tiers hold
-	// 1e-5; the opt-in int8 tier carries its looser documented tolerance
-	// (decisions above must stay identical regardless).
-	lossTol := 1e-5
-	if tensor.ActiveBackend() == tensor.BackendInt8 {
-		lossTol = tensor.Int8Tol
-	}
-	if d := math.Abs(fusedLoss - refLoss); d > lossTol {
-		t.Fatalf("fused mean loss diverges from reference by %.3g (tol %g)", d, lossTol)
+	if d := math.Abs(fusedLoss - refLoss); d > 1e-5 {
+		t.Fatalf("fused mean loss diverges from reference by %.3g (tol 1e-5)", d)
 	}
 }

@@ -2,7 +2,6 @@ package models
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"heteroswitch/internal/frand"
@@ -142,12 +141,9 @@ func BenchmarkMobileNetForward(b *testing.B) {
 }
 
 // BenchmarkFrozenInfer is perfbook serve_wall's request without the server:
-// TinyMobileNetV3's frozen forward at batch 1 (one request) and 16, on the
-// serial backend, at the default intra-op budget. allocs/op must stay 0.
+// TinyMobileNetV3's frozen forward at batch 1 (one request) and 16, at the
+// default intra-op budget. allocs/op must stay 0.
 func BenchmarkFrozenInfer(b *testing.B) {
-	prev := tensor.ActiveBackend()
-	tensor.SetBackend(tensor.BackendSerial)
-	b.Cleanup(func() { tensor.SetBackend(prev) })
 	for _, n := range []int{1, 16} {
 		b.Run(fmt.Sprintf("mobilenet/b%d", n), func(b *testing.B) {
 			f := TinyMobileNetV3(frand.New(1), 3, 12).Freeze()
@@ -231,24 +227,7 @@ func TestFrozenMatchesReferencePerArch(t *testing.T) {
 			x := tensor.Randn(r, 1, 5, 3, 32, 32)
 			want := net.Forward(x, false).Clone()
 			got := net.Freeze().Infer(x).Clone()
-			// Bit-exactness and the 1e-5 bound are float-tier promises; the
-			// opt-in int8 backend carries its documented looser tolerance
-			// (relative past unit magnitude) instead. Argmax must hold on
-			// every tier.
-			int8Tier := tensor.ActiveBackend() == tensor.BackendInt8
-			tol := 1e-5
-			if int8Tier {
-				var mag float64
-				for _, v := range want.Data() {
-					if a := math.Abs(float64(v)); a > mag {
-						mag = a
-					}
-				}
-				if mag < 1 {
-					mag = 1
-				}
-				tol = tensor.Int8Tol * mag
-			}
+			const tol = 1e-5
 			var maxd float64
 			for i, v := range got.Data() {
 				d := float64(v) - float64(want.Data()[i])
@@ -258,7 +237,7 @@ func TestFrozenMatchesReferencePerArch(t *testing.T) {
 				if d > maxd {
 					maxd = d
 				}
-				if tc.exact && !int8Tier && v != want.Data()[i] {
+				if tc.exact && v != want.Data()[i] {
 					t.Fatalf("BN-free arch must be bit-exact; element %d: %v != %v", i, v, want.Data()[i])
 				}
 			}
@@ -266,33 +245,10 @@ func TestFrozenMatchesReferencePerArch(t *testing.T) {
 				t.Fatalf("frozen output diverges: max-abs %.3g > %g", maxd, tol)
 			}
 			wantArg, gotArg := want.ArgMaxRows(), got.ArgMaxRows()
-			classes := want.Dim(1)
 			for i := range wantArg {
-				if gotArg[i] == wantArg[i] {
-					continue
+				if gotArg[i] != wantArg[i] {
+					t.Fatalf("argmax differs at row %d: frozen %d, reference %d", i, gotArg[i], wantArg[i])
 				}
-				if int8Tier {
-					// These lightly-trained fixtures can tie their top-2
-					// logits inside the int8 tolerance band, where no
-					// quantization can promise the tie-break; the argmax
-					// contract applies whenever the decision margin
-					// exceeds the band (same guard as the tensor-level
-					// int8 suite).
-					row := want.Data()[i*classes : (i+1)*classes]
-					top, second := -math.MaxFloat64, -math.MaxFloat64
-					for _, v := range row {
-						f := float64(v)
-						if f > top {
-							top, second = f, top
-						} else if f > second {
-							second = f
-						}
-					}
-					if top-second <= 2*tol {
-						continue
-					}
-				}
-				t.Fatalf("argmax differs at row %d: frozen %d, reference %d", i, gotArg[i], wantArg[i])
 			}
 		})
 	}
@@ -314,19 +270,7 @@ func TestFrozenECGConvNet(t *testing.T) {
 	x := tensor.Randn(r, 1, 3, 64)
 	want := net.Forward(x, false).Clone()
 	got := net.Freeze().Infer(x)
-	tol := 1e-5
-	if tensor.ActiveBackend() == tensor.BackendInt8 {
-		var mag float64
-		for _, v := range want.Data() {
-			if a := math.Abs(float64(v)); a > mag {
-				mag = a
-			}
-		}
-		if mag < 1 {
-			mag = 1
-		}
-		tol = tensor.Int8Tol * mag
-	}
+	const tol = 1e-5
 	for i, v := range got.Data() {
 		d := float64(v) - float64(want.Data()[i])
 		if d < 0 {

@@ -19,12 +19,9 @@ import (
 // their fused epilogues, squeeze-excite, residuals, pooling, dense — and a
 // kernel that changes one rounding of one output moves a row.
 //
-// The backend is forced to serial, the oracle kernels everywhere, so one
-// constant holds in the default build (AVX2 kernels) and under -tags purego
-// (the Go loops). Under purego with the backend left on auto SimpleCNN's row
-// differs, as it should: there auto picks the packed matmul for its
-// 1024-deep dense, whose blocked sums are a TOLERANCE-tier result, not these
-// bits.
+// The test runs the default backend, auto, which is the oracle tier on
+// every build, so one constant holds in the default build (AVX2 kernels) and
+// under -tags purego (the Go loops).
 
 // pinnedFrozen was recorded on the commit before the fused 3×3 depthwise
 // kernel, the stride-2 im2col gather and the lane-parallel plane sweeps.
@@ -59,10 +56,6 @@ func pinFrozenDigest(t *testing.T, net *nn.Network, loss nn.Loss, mkX func(r *fr
 }
 
 func TestPinnedFrozenBytes(t *testing.T) {
-	prev := tensor.ActiveBackend()
-	tensor.SetBackend(tensor.BackendSerial)
-	t.Cleanup(func() { tensor.SetBackend(prev) })
-
 	image := func(r *frand.RNG, n int) *tensor.Tensor { return tensor.Randn(r, 1, n, 3, 32, 32) }
 	classes := func(r *frand.RNG, pred *tensor.Tensor) nn.Target {
 		labels := make([]int, pred.Dim(0))

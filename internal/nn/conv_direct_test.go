@@ -140,7 +140,6 @@ func convOnlyNet(r *frand.RNG) *Network {
 // activation to fuse, the training forward and the frozen program run the
 // same kernels per geometry on the oracle backend — bit-identical outputs.
 func TestConvTrainForwardMatchesFrozenSerial(t *testing.T) {
-	forceNNBackend(t, tensor.BackendSerial)
 	r := frand.New(21)
 	net := convOnlyNet(r)
 	fz := net.Freeze()

@@ -30,9 +30,8 @@ import (
 // frozen forward is itself bit-identical across intra-op budgets, because
 // chunks own disjoint output rows and epilogues are row-local.
 type Frozen struct {
-	net    *Network
-	ops    []frozenOp
-	nslots int // packed-weight slots the compiled program uses
+	net *Network
+	ops []frozenOp
 }
 
 // frozenOp is one step of the compiled inference program.
@@ -43,11 +42,9 @@ type frozenOp interface {
 // refolder is implemented by ops that cache weights derived from trainable
 // parameters (folded conv/dense, the standalone BN scale/shift) and by
 // composites that contain such ops. Freeze re-runs refold on every call so a
-// cached Frozen always reflects the network's current weights; ps (nil
-// outside a panel cache) is the shared panel set the op's packed-weight slot
-// lives in.
+// cached Frozen always reflects the network's current weights.
 type refolder interface {
-	refold(ps *panelSet)
+	refold()
 }
 
 // Freeze returns the network's cached inference view, compiling it on first
@@ -55,39 +52,14 @@ type refolder interface {
 // the current parameters. The architecture must not change after the first
 // Freeze (layers are compiled once); weights may change freely between
 // calls. Typical use: freeze once per evaluation pass, run every batch
-// through the frozen view.
-//
-// When a panel cache is attached (SetPanelSource — the serving replica
-// path), the refold binds every matmul op to the shared panel set of the
-// current weight version, and the reference on the previous version's set is
-// dropped only AFTER the new set is live — the ordering the publish→retire
-// safety of shared panels stands on. Without a cache each op refreshes its
-// own private handle.
+// through the frozen view. Every matmul op refreshes its own packed-weight
+// handle in the refold.
 func (n *Network) Freeze() *Frozen {
 	if n.frozen == nil {
-		c := &opCompiler{}
-		n.frozen = &Frozen{net: n, ops: c.compile(flattenLayers(n.LayerList, nil))}
-		n.frozen.nslots = c.slots
+		n.frozen = &Frozen{net: n, ops: compile(flattenLayers(n.LayerList, nil))}
 	}
-	ps := n.panelSet
-	if n.panelCache != nil && (ps == nil || ps.version != n.panelVersion) {
-		ps = n.panelCache.Acquire(n.panelVersion, n.frozen.nslots)
-	}
-	refoldOps(n.frozen.ops, ps)
-	if ps != n.panelSet {
-		if n.panelSet != nil {
-			n.panelCache.Release(n.panelSet)
-		}
-		n.panelSet = ps
-	}
+	refoldOps(n.frozen.ops)
 	return n.frozen
-}
-
-// SetPanelSource attaches the shared panel cache and the weight version the
-// next Freeze folds for. Serving replicas call this from Ensure before
-// Freeze; networks without a panel source keep private per-op handles.
-func (n *Network) SetPanelSource(pc *PanelCache, version int) {
-	n.panelCache, n.panelVersion = pc, version
 }
 
 // Infer runs the compiled inference program. When the network owns its
@@ -127,12 +99,11 @@ func runOps(f *Frozen, ops []frozenOp, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // refoldOps re-derives every cached folded weight in an op sequence and
-// rebinds the ops' packed-weight handles (shared set when ps is non-nil,
-// private otherwise).
-func refoldOps(ops []frozenOp, ps *panelSet) {
+// refreshes the ops' packed-weight handles.
+func refoldOps(ops []frozenOp) {
 	for _, op := range ops {
 		if r, ok := op.(refolder); ok {
-			r.refold(ps)
+			r.refold()
 		}
 	}
 }
@@ -177,23 +148,9 @@ func actKindOf(l Layer) (epAct, bool) {
 	return epNone, false
 }
 
-// opCompiler threads the packed-weight slot counter through compilation:
-// every fused matmul op (conv except fully-depthwise, every dense including
-// the SE excitation pair) claims one slot in the program's panel sets.
-type opCompiler struct {
-	slots int
-}
-
-// nextSlot claims the next packed-weight slot.
-func (c *opCompiler) nextSlot() int {
-	s := c.slots
-	c.slots++
-	return s
-}
-
 // compile turns a flattened layer sequence into the inference program,
 // folding BN and fusing activations as it scans.
-func (c *opCompiler) compile(flat []Layer) []frozenOp {
+func compile(flat []Layer) []frozenOp {
 	var ops []frozenOp
 	peek := func(i int) Layer {
 		if i < len(flat) {
@@ -204,12 +161,7 @@ func (c *opCompiler) compile(flat []Layer) []frozenOp {
 	for i := 0; i < len(flat); i++ {
 		switch l := flat[i].(type) {
 		case *Conv2D:
-			op := &frozenConv{l: l, slot: -1}
-			if l.kernel() != convDepthwise {
-				// Every non-depthwise conv runs a matmul and owns a
-				// packed-weight slot; the depthwise tap loop never does.
-				op.slot = c.nextSlot()
-			}
+			op := &frozenConv{l: l}
 			if bn, ok := peek(i + 1).(*BatchNorm2D); ok {
 				if bn.C != l.OutC {
 					panic(fmt.Sprintf("nn: Freeze: BatchNorm2D(%d) cannot fold into %s", bn.C, l.Name()))
@@ -224,7 +176,7 @@ func (c *opCompiler) compile(flat []Layer) []frozenOp {
 			op.build()
 			ops = append(ops, op)
 		case *Dense:
-			op := &frozenDense{l: l, slot: c.nextSlot()}
+			op := &frozenDense{l: l}
 			if bn, ok := peek(i + 1).(*BatchNorm2D); ok {
 				if bn.C != l.Out {
 					panic(fmt.Sprintf("nn: Freeze: BatchNorm2D(%d) cannot fold into %s", bn.C, l.Name()))
@@ -255,18 +207,18 @@ func (c *opCompiler) compile(flat []Layer) []frozenOp {
 		case *GlobalAvgPool:
 			ops = append(ops, &frozenGAP{})
 		case *SEBlock:
-			ops = append(ops, newFrozenSE(l, c))
+			ops = append(ops, newFrozenSE(l))
 		case *Residual:
 			op := &frozenResidual{
-				body: c.compileLayer(l.Body),
-				proj: c.compileLayer(l.Proj),
+				body: compileLayer(l.Body),
+				proj: compileLayer(l.Proj),
 			}
 			op.foldProj()
 			ops = append(ops, op)
 		case *Parallel:
 			op := &frozenParallel{l: l}
 			for _, b := range l.Branches {
-				op.branches = append(op.branches, c.compileLayer(b))
+				op.branches = append(op.branches, compileLayer(b))
 			}
 			op.outCs = make([]int, len(l.Branches))
 			op.outs = make([]*tensor.Tensor, len(l.Branches))
@@ -286,8 +238,8 @@ func (c *opCompiler) compile(flat []Layer) []frozenOp {
 
 // compileLayer freezes a single composite child (which may itself be a
 // Network, a composite block, or a bare layer).
-func (c *opCompiler) compileLayer(l Layer) []frozenOp {
-	return c.compile(flattenLayers([]Layer{l}, nil))
+func compileLayer(l Layer) []frozenOp {
+	return compile(flattenLayers([]Layer{l}, nil))
 }
 
 // BN folding math -------------------------------------------------------------

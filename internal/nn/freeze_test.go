@@ -23,24 +23,6 @@ import (
 
 const frozenTol = 1e-5
 
-// frozenTolFor returns the max-abs bound the active kernel tier documents
-// for a frozen forward against the reference output: the float tiers hold
-// frozenTol; the opt-in int8 tier (forced via HETEROSWITCH_KERNEL_BACKEND)
-// holds tensor.Int8Tol relative to the reference's unit-floored magnitude.
-// Argmax must be identical under every tier — only the bound loosens.
-func frozenTolFor(want []float32) float64 {
-	if tensor.ActiveBackend() != tensor.BackendInt8 {
-		return frozenTol
-	}
-	m := 1.0
-	for _, v := range want {
-		if a := math.Abs(float64(v)); a > m {
-			m = a
-		}
-	}
-	return tensor.Int8Tol * m
-}
-
 // frozenFixture is one block-coverage case: a network builder plus its
 // input channel count.
 type frozenFixture struct {
@@ -246,8 +228,8 @@ func TestFrozenEquivalence(t *testing.T) {
 				want := net.Forward(x, false).Clone()
 				wantArg := want.ArgMaxRows()
 				got := net.Freeze().Infer(x).Clone()
-				if d, tol := maxAbsDiff(got.Data(), want.Data()), frozenTolFor(want.Data()); d > tol {
-					t.Fatalf("batch %d: frozen output diverges: max-abs %.3g > %g", batch, d, tol)
+				if d := maxAbsDiff(got.Data(), want.Data()); d > frozenTol {
+					t.Fatalf("batch %d: frozen output diverges: max-abs %.3g > %g", batch, d, frozenTol)
 				}
 				gotArg := got.ArgMaxRows()
 				for i := range wantArg {
@@ -273,8 +255,8 @@ func TestFrozenTracksWeightUpdates(t *testing.T) {
 	trainFixture(net, r, fx.inC, 3)
 	want := net.Forward(x, false).Clone()
 	got := net.Freeze().Infer(x).Clone()
-	if d, tol := maxAbsDiff(got.Data(), want.Data()), frozenTolFor(want.Data()); d > tol {
-		t.Fatalf("re-frozen output diverges from reference: max-abs %.3g > %g", d, tol)
+	if d := maxAbsDiff(got.Data(), want.Data()); d > frozenTol {
+		t.Fatalf("re-frozen output diverges from reference: max-abs %.3g > %g", d, frozenTol)
 	}
 	if maxAbsDiff(first.Data(), got.Data()) == 0 {
 		t.Fatal("frozen view did not re-fold after weights changed")
@@ -435,14 +417,9 @@ func TestFrozenConcurrentReplicas(t *testing.T) {
 // exactly (the SqueezeNet-shaped contract). The net covers all three conv
 // kernels of the fast path — general im2col, the direct depthwise tap loop,
 // and the lowering-free pointwise matmul — which all promise the im2col
-// matmul's per-target accumulation order. Pinned to the serial kernel
-// backend: bit-identity to the reference forward is the ORACLE-tier
-// contract, and the packed backend only promises ≤1e-5 (see tensor's
-// backend docs).
+// matmul's per-target accumulation order. Bit-identity to the reference
+// forward is the oracle tier's contract, which the default backend runs.
 func TestFrozenPureFusionBitIdentical(t *testing.T) {
-	prev := tensor.ActiveBackend()
-	tensor.SetBackend(tensor.BackendSerial)
-	defer tensor.SetBackend(prev)
 	r := frand.New(31)
 	net := nn.NewNetwork(
 		nn.NewConv2D(r, 3, 8, 3, 2, 1, 1),

@@ -13,7 +13,7 @@ import (
 
 // compileResidual freezes a lone Residual and returns its compiled op.
 func compileResidual(body, proj Layer) *frozenResidual {
-	ops := (&opCompiler{}).compileLayer(NewResidual(body, proj))
+	ops := compileLayer(NewResidual(body, proj))
 	if len(ops) != 1 {
 		panic("residual compiled to more than one op")
 	}

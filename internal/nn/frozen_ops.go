@@ -110,14 +110,10 @@ type frozenConv struct {
 	wf []float32 // effective weights: alias l.W when bn == nil, else folded copy
 	bf []float32 // effective biases: alias l.B when bn == nil, else folded copy
 
-	// slot is the op's packed-weight slot in the program's panel sets (-1
-	// for depthwise convs, which never matmul). pw is the active handle —
-	// the shared set's slot when freezing through a panel cache, the
-	// private own otherwise — holding all groups' rows as one [OutC, fanIn]
+	// pw is the op's packed-weight handle (unused by depthwise convs, which
+	// never matmul), holding all groups' rows as one [OutC, fanIn]
 	// weights-as-A matrix; group gi dispatches rows [gi·gcOut, (gi+1)·gcOut).
-	slot int
-	pw   *tensor.PackedWeights
-	own  tensor.PackedWeights
+	pw tensor.PackedWeights
 
 	eps      []tensor.RowBias // one per group: its biases and the stored act
 	dims     tensor.ConvDims
@@ -149,9 +145,9 @@ func (c *frozenConv) build() {
 // refold implements refolder: W′ = W·scale, b′ = b·scale + shift per output
 // channel, with scale/shift from the BN running statistics, then rebinds the
 // packed-weight handle to the folded rows (the weights may have changed
-// since the last Freeze even without BN, so the private handle refreshes
-// every refold; a shared set packs each slot once per version).
-func (c *frozenConv) refold(ps *panelSet) {
+// since the last Freeze even without BN, so the handle refreshes every
+// refold).
+func (c *frozenConv) refold() {
 	l := c.l
 	fanIn := (l.InC / l.Groups) * l.KH * l.KW
 	if c.bn != nil {
@@ -166,15 +162,10 @@ func (c *frozenConv) refold(ps *panelSet) {
 			c.bf[oc] = bd[oc]*s + sh
 		}
 	}
-	if c.slot < 0 {
-		return // depthwise: direct tap loop, no matmul to feed
+	if l.kernel() == convDepthwise {
+		return // direct tap loop, no matmul to feed
 	}
-	if ps != nil {
-		c.pw = ps.ensureA(c.slot, c.wf, l.OutC, fanIn)
-	} else {
-		c.own.RefreshA(c.wf, l.OutC, fanIn)
-		c.pw = &c.own
-	}
+	c.pw.RefreshA(c.wf, l.OutC, fanIn)
 }
 
 // infer implements frozenOp: Conv2D.Forward's sample×group loop, split
@@ -263,10 +254,10 @@ func (c *frozenConv) inferIter(it, par int, col []float32) {
 		return
 	case convPointwise:
 		// The im2col matrix IS the image slice.
-		tensor.MatMulWASlicesPEp(par, y, wg, c.pw, gi*gcOut, gcOut, img, cols, false, &c.eps[gi])
+		tensor.MatMulWASlicesPEp(par, y, wg, &c.pw, gi*gcOut, gcOut, img, cols, false, &c.eps[gi])
 	default:
 		tensor.Im2Col(col, img, d)
-		tensor.MatMulWASlicesPEp(par, y, wg, c.pw, gi*gcOut, gcOut, col, cols, false, &c.eps[gi])
+		tensor.MatMulWASlicesPEp(par, y, wg, &c.pw, gi*gcOut, gcOut, col, cols, false, &c.eps[gi])
 	}
 	if c.act == epHardSigmoid {
 		applyAct(y, y, 0, len(y), epHardSigmoid)
@@ -296,11 +287,7 @@ type frozenDense struct {
 	bf []float32
 	ep denseEpilogue
 
-	// slot/pw/own: the packed-weight slot and active weights-as-B handle,
-	// same ownership scheme as frozenConv.
-	slot int
-	pw   *tensor.PackedWeights
-	own  tensor.PackedWeights
+	pw tensor.PackedWeights // the weights-as-B handle
 }
 
 // build sizes the folded buffers and the epilogue.
@@ -317,7 +304,7 @@ func (d *frozenDense) build() {
 
 // refold implements refolder: column j is scaled by the BN channel j affine,
 // then the weights-as-B handle rebinds to the folded matrix.
-func (d *frozenDense) refold(ps *panelSet) {
+func (d *frozenDense) refold() {
 	if d.bn != nil {
 		in, out := d.l.In, d.l.Out
 		wd, fd := d.l.W.W.Data(), d.wf.Data()
@@ -330,12 +317,7 @@ func (d *frozenDense) refold(ps *panelSet) {
 			d.bf[j] = bd[j]*s + sh
 		}
 	}
-	if ps != nil {
-		d.pw = ps.ensureB(d.slot, d.wf.Data(), d.l.In, d.l.Out)
-	} else {
-		d.own.RefreshB(d.wf.Data(), d.l.In, d.l.Out)
-		d.pw = &d.own
-	}
+	d.pw.RefreshB(d.wf.Data(), d.l.In, d.l.Out)
 }
 
 // infer implements frozenOp.
@@ -344,7 +326,7 @@ func (d *frozenDense) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: frozen Dense input %v, want [N %d]", x.Shape(), d.l.In))
 	}
 	y := f.alloc(x.Dim(0), d.l.Out)
-	tensor.MatMulWBSlicesPEp(f.budget(), y.Data(), x.Data(), d.wf.Data(), d.pw, x.Dim(0), false, &d.ep)
+	tensor.MatMulWBSlicesPEp(f.budget(), y.Data(), x.Data(), d.wf.Data(), &d.pw, x.Dim(0), false, &d.ep)
 	return y
 }
 
@@ -364,8 +346,8 @@ type frozenBN struct {
 	n, hw  int
 }
 
-// refold implements refolder (no matmul, so ps is unused).
-func (b *frozenBN) refold(_ *panelSet) {
+// refold implements refolder.
+func (b *frozenBN) refold() {
 	for c := 0; c < b.l.C; c++ {
 		b.scale[c], b.shift[c] = bnScaleShift(b.l, c)
 	}
@@ -631,7 +613,7 @@ func (r *frozenResidual) foldSample(i, par int) {
 	l := fc.l
 	xi := r.xd[i*l.InC*r.hw : (i+1)*l.InC*r.hw]
 	yi := r.yd[i*l.OutC*r.hw : (i+1)*l.OutC*r.hw]
-	tensor.MatMulWASlicesPEp(par, yi, fc.wf, fc.pw, 0, l.OutC, xi, r.hw, true, &fc.eps[0])
+	tensor.MatMulWASlicesPEp(par, yi, fc.wf, &fc.pw, 0, l.OutC, xi, r.hw, true, &fc.eps[0])
 }
 
 // Run implements parallel.Runner over a sample range of the folded skip.
@@ -642,9 +624,9 @@ func (r *frozenResidual) Run(_, lo, hi int) {
 }
 
 // refold implements refolder, recursing into both branches.
-func (r *frozenResidual) refold(ps *panelSet) {
-	refoldOps(r.body, ps)
-	refoldOps(r.proj, ps)
+func (r *frozenResidual) refold() {
+	refoldOps(r.body)
+	refoldOps(r.proj)
 }
 
 // frozenParallel runs the frozen branches and concatenates along channels,
@@ -688,9 +670,9 @@ func (p *frozenParallel) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // refold implements refolder, recursing into every branch.
-func (p *frozenParallel) refold(ps *panelSet) {
+func (p *frozenParallel) refold() {
 	for _, ops := range p.branches {
-		refoldOps(ops, ps)
+		refoldOps(ops)
 	}
 }
 
@@ -720,12 +702,11 @@ type frozenSE struct {
 }
 
 // newFrozenSE compiles an SEBlock, fusing the excitation MLP's ReLU and
-// HardSigmoid into the dense kernels; both excitation matmuls claim
-// packed-weight slots like any dense.
-func newFrozenSE(l *SEBlock, c *opCompiler) *frozenSE {
-	fc1 := &frozenDense{l: l.fc1, act: epReLU, slot: c.nextSlot()}
+// HardSigmoid into the dense kernels.
+func newFrozenSE(l *SEBlock) *frozenSE {
+	fc1 := &frozenDense{l: l.fc1, act: epReLU}
 	fc1.build()
-	fc2 := &frozenDense{l: l.fc2, act: epHardSigmoid, slot: c.nextSlot()}
+	fc2 := &frozenDense{l: l.fc2, act: epHardSigmoid}
 	fc2.build()
 	return &frozenSE{se: l, fc1: fc1, fc2: fc2}
 }
@@ -770,9 +751,9 @@ func scaleRows(od, xd, z []float32, hw int) {
 }
 
 // refold implements refolder for the excitation layers.
-func (s *frozenSE) refold(ps *panelSet) {
-	s.fc1.refold(ps)
-	s.fc2.refold(ps)
+func (s *frozenSE) refold() {
+	s.fc1.refold()
+	s.fc2.refold()
 }
 
 // frozenWrap delegates to a layer's own eval forward — pure view or

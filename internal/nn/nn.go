@@ -74,13 +74,6 @@ type Network struct {
 	// this network's arena and intra-op budget and is re-folded (not
 	// recompiled) on every Freeze call.
 	frozen *Frozen
-	// panelCache/panelVersion/panelSet wire Freeze to a shared packed-weight
-	// panel cache (SetPanelSource, the serving replica path): the frozen ops
-	// bind to the version's shared panelSet instead of private handles, and
-	// the network holds one reference on the set it currently serves from.
-	panelCache   *PanelCache
-	panelVersion int
-	panelSet     *panelSet
 }
 
 // NewNetwork builds a network from the given layers with a fresh arena.

@@ -3,25 +3,22 @@ package nn
 import "heteroswitch/internal/tensor"
 
 // Replica is one goroutine's private inference copy of a served model: its
-// own Network (arena, im2col scratch, frozen view) plus the model version it
-// last loaded. Neither Network nor Frozen is safe for concurrent use, so a
-// server runs one Replica per worker and moves versioned weights to it
-// through Ensure; the weights themselves are read-only and shared.
+// own Network (arena, im2col scratch, frozen view with its packed-weight
+// handles) plus the model version it last loaded. Neither Network nor Frozen
+// is safe for concurrent use, so a server runs one Replica per worker and
+// moves versioned weights to it through Ensure; the weights themselves are
+// read-only and shared.
 //
 // Ensure is deliberately version-keyed rather than comparing weights: loading
-// (and re-folding BN into the frozen view) happens exactly once per version
-// per replica, and a batch executed on version v is bit-identical on every
-// replica because the folded weights are a pure function of v's values.
+// (and re-folding BN into the frozen view, packed weights included) happens
+// exactly once per version per replica, and a batch executed on version v is
+// bit-identical on every replica because the folded weights are a pure
+// function of v's values.
 type Replica struct {
 	net *Network
 	inf Inference
 	// version is the last Ensure'd model version; -1 before the first load.
 	version int
-	// panels, when non-nil, is the packed-weight panel cache shared by every
-	// replica of one pool: Ensure points the network's next Freeze at it so
-	// weight packing/quantization runs once per VERSION instead of once per
-	// replica per version.
-	panels *PanelCache
 }
 
 // NewReplica builds a replica from the model builder, granting it intraOp
@@ -49,12 +46,6 @@ func (r *Replica) Ensure(v int, w Weights) error {
 	if err := r.net.LoadWeights(w); err != nil {
 		return err
 	}
-	if r.panels != nil {
-		// Bind the next Freeze to the shared panel set of version v; the
-		// reference on the previous version's set drops inside Freeze only
-		// after the new set is live.
-		r.net.SetPanelSource(r.panels, v)
-	}
 	// One Freeze per version load: Freeze re-folds BN to the new weights
 	// here, not per batch.
 	r.inf = r.net.Freeze()
@@ -76,23 +67,17 @@ func (r *Replica) Infer(x *tensor.Tensor) *tensor.Tensor {
 // fixed-size blocking pool on a buffered channel: Get blocks until a replica
 // is free (admission control — at most Size batches execute at once), and
 // both Get and Put are allocation-free, keeping the steady-state request
-// path at 0 allocs/op.
+// path at 0 allocs/op. The replicas share nothing but the read-only weights.
 type ReplicaPool struct {
 	ch chan *Replica
 }
 
 // NewReplicaPool builds n replicas from the builder, each granted intraOp
-// cores (0 keeps the builder's setting). The replicas share one packed-weight
-// panel cache: a version's folded weights are identical on every replica, so
-// the first replica to Ensure a version packs its panels and the rest reuse
-// them.
+// cores (0 keeps the builder's setting).
 func NewReplicaPool(n int, build func() *Network, intraOp int) *ReplicaPool {
 	p := &ReplicaPool{ch: make(chan *Replica, n)}
-	pc := NewPanelCache()
 	for i := 0; i < n; i++ {
-		r := NewReplica(build, intraOp)
-		r.panels = pc
-		p.ch <- r
+		p.ch <- NewReplica(build, intraOp)
 	}
 	return p
 }

@@ -582,14 +582,28 @@ func TestVecSweepsRejectShortSlices(t *testing.T) {
 	}
 }
 
-// TestFrozenAutoIsSerialWhenVectorLive: with the vector kernels live, auto
-// stays on the oracle tier, so a frozen network whose fused matmul is deeper
-// than the packed kernel's k-block (SimpleCNN's 768-wide dense — the one
-// place packed and oracle differ in bits) now infers exactly what
-// -kernel-backend serial infers.
+// TestFrozenAutoIsSerial: auto runs the oracle tier on every build, so a
+// frozen network whose fused matmul is deeper than the packed kernel's
+// k-block (SimpleCNN's 768-wide dense — the one place packed and oracle
+// differ in bits) infers exactly what the serial backend infers on the Go
+// loops, as a -tags purego build runs them.
+func TestFrozenAutoIsSerial(t *testing.T) {
+	setVecLive(t, false)
+	frozenAutoMatchesSerial(t)
+}
+
+// TestFrozenAutoIsSerialWhenVectorLive: the same identity on the vector
+// kernels.
 func TestFrozenAutoIsSerialWhenVectorLive(t *testing.T) {
 	requireVec(t)
 	setVecLive(t, true)
+	frozenAutoMatchesSerial(t)
+}
+
+// frozenAutoMatchesSerial freezes a 768-deep dense stack and compares its
+// auto and serial outputs bit for bit.
+func frozenAutoMatchesSerial(t *testing.T) {
+	t.Helper()
 	r := frand.New(51)
 	net := NewNetwork(NewFlatten(), NewDense(r, 768, 64), NewReLU(), NewDense(r, 64, 12))
 	x := tensor.Randn(r, 1, 16, 3, 16, 16)

@@ -51,8 +51,7 @@ func simRun(tb testing.TB, seed uint64, closed bool) (*Server, LoadConfig) {
 // pinnedSimReports are fnv64a digests of the whole Report (%+v: every
 // counter, the quantiles and mean as shortest round-trip floats, the
 // histogram buckets, the output digest) of simRun at seed 42, recorded on the
-// commit before the event slab and the radix-sorted quantiles. Under
-// tensor.BackendSerial, which auto picks for this net's shapes anyway.
+// commit before the event slab and the radix-sorted quantiles.
 var pinnedSimReports = map[string]string{
 	"open":   "7dd68bbe01f3cedd",
 	"closed": "18f6dd573d7d5478",
@@ -62,9 +61,6 @@ var pinnedSimReports = map[string]string{
 // their payloads, how latencies are sorted — may change; not one bit of what
 // it reports may.
 func TestPinnedSimReports(t *testing.T) {
-	prev := tensor.ActiveBackend()
-	tensor.SetBackend(tensor.BackendSerial)
-	defer tensor.SetBackend(prev)
 	for _, kind := range []string{"open", "closed"} {
 		srv, lc := simRun(t, 42, kind == "closed")
 		rep, err := srv.RunLoad(lc)

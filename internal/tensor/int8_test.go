@@ -3,7 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"heteroswitch/internal/frand"
@@ -260,38 +259,40 @@ func TestWeightStationaryFallbacks(t *testing.T) {
 	}
 }
 
-// TestWeightPackCount: Refresh packs exactly the forms the active backend
-// needs, and DISPATCH never packs — the packs == installed-versions
-// accounting the frozen path's steady-state contract stands on.
+// TestWeightPackCount: Refresh builds exactly the forms the active backend
+// consumes — int8 the quantized form of both orientations, packed the float
+// panels of weights-as-B only, auto and serial none — and a dispatch builds
+// none.
 func TestWeightPackCount(t *testing.T) {
 	r := frand.New(151)
 	const m, k, n = 8, 16, 12
 	a := Randn(r, 1, m, k)
 	w := fanInScaled(r, k, n)
 	out := make([]float32, m*n)
-
-	forceBackend(t, BackendInt8)
-	before := WeightPackCount()
-	pwB := refreshB(w, k, n)
-	pwA := refreshA(a, m, k)
-	if got := WeightPackCount() - before; got != 2 {
-		t.Fatalf("two int8 refreshes packed %d forms, want 2", got)
-	}
-	before = WeightPackCount()
-	for i := 0; i < 5; i++ {
-		MatMulWBSlicesPEp(1, out, a.Data(), w.Data(), pwB, m, false, nil)
-		MatMulWASlicesPEp(1, out, a.Data(), pwA, 0, m, w.Data(), n, false, nil)
-	}
-	if got := WeightPackCount() - before; got != 0 {
-		t.Fatalf("10 dispatches packed %d forms, want 0", got)
-	}
-
-	forceBackend(t, BackendPacked)
-	before = WeightPackCount()
-	refreshB(w, k, n) // float panels only
-	refreshA(a, m, k) // as-A needs no form under packed
-	if got := WeightPackCount() - before; got != 1 {
-		t.Fatalf("packed refreshes packed %d forms, want 1", got)
+	type forms struct{ float, int8 bool }
+	have := func(pw *PackedWeights) forms { return forms{pw.HasFloat(), pw.HasInt8()} }
+	for _, tc := range []struct {
+		be       Backend
+		asB, asA forms
+	}{
+		{BackendInt8, forms{int8: true}, forms{int8: true}},
+		{BackendPacked, forms{float: true}, forms{}},
+		{BackendSerial, forms{}, forms{}},
+		{BackendAuto, forms{}, forms{}},
+	} {
+		forceBackend(t, tc.be)
+		pwB := refreshB(w, k, n)
+		pwA := refreshA(a, m, k)
+		for i := 0; i < 5; i++ {
+			MatMulWBSlicesPEp(1, out, a.Data(), w.Data(), pwB, m, false, nil)
+			MatMulWASlicesPEp(1, out, a.Data(), pwA, 0, m, w.Data(), n, false, nil)
+		}
+		if got := have(pwB); got != tc.asB {
+			t.Errorf("%v: weights-as-B hold %+v, want %+v", tc.be, got, tc.asB)
+		}
+		if got := have(pwA); got != tc.asA {
+			t.Errorf("%v: weights-as-A hold %+v, want %+v", tc.be, got, tc.asA)
+		}
 	}
 }
 
@@ -366,46 +367,6 @@ func TestQuantVal(t *testing.T) {
 	// zero-quantization instead of feeding ±Inf into the rounding.
 	if quantInv(1e-44) != 0 {
 		t.Error("quantInv(denormal) should flush to 0")
-	}
-}
-
-// TestBackendParseInt8 extends the flag round-trip to the int8 backend and
-// pins the error path's wording (the lane-misconfiguration guard).
-func TestBackendParseInt8(t *testing.T) {
-	b, err := ParseBackend("int8")
-	if err != nil || b != BackendInt8 {
-		t.Fatalf("ParseBackend(int8) = %v, %v", b, err)
-	}
-	if b.String() != "int8" {
-		t.Fatalf("String() = %q", b.String())
-	}
-	if _, err := ParseBackend("int4"); err == nil || !strings.Contains(err.Error(), "int8") {
-		t.Fatalf("ParseBackend(int4) err = %v, want mention of valid values", err)
-	}
-}
-
-// TestInitBackendFromEnv pins the fail-loud contract: a valid value pins
-// the backend, an empty value is a no-op, and an UNKNOWN value returns an
-// error naming the variable WITHOUT touching the active backend (init turns
-// that error into a hard exit, so a CI lane can never silently test the
-// wrong backend).
-func TestInitBackendFromEnv(t *testing.T) {
-	forceBackend(t, BackendAuto)
-	if err := initBackendFromEnv("int8"); err != nil {
-		t.Fatalf("int8: %v", err)
-	}
-	if ActiveBackend() != BackendInt8 {
-		t.Fatalf("backend = %v after env init", ActiveBackend())
-	}
-	if err := initBackendFromEnv(""); err != nil || ActiveBackend() != BackendInt8 {
-		t.Fatalf("empty value must be a no-op, got err=%v backend=%v", err, ActiveBackend())
-	}
-	err := initBackendFromEnv("fast")
-	if err == nil || !strings.Contains(err.Error(), "HETEROSWITCH_KERNEL_BACKEND") {
-		t.Fatalf("unknown value err = %v, want the variable named", err)
-	}
-	if ActiveBackend() != BackendInt8 {
-		t.Fatalf("reject must not change the backend, got %v", ActiveBackend())
 	}
 }
 

@@ -25,8 +25,7 @@ func forceBackend(t *testing.T, b Backend) {
 
 // packedShapes stresses the microkernel tails (rows not multiples of 8 or 4,
 // columns not multiples of the panel width), the k-block boundary
-// (k > packKC), and shapes below the auto thresholds that only run packed
-// when forced.
+// (k > packKC), and tiny shapes.
 var packedShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
 	{3, 5, 7},
@@ -192,53 +191,60 @@ func TestPackedBudgetsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBackendParse pins the flag surface.
-func TestBackendParse(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Backend
-	}{{"", BackendAuto}, {"auto", BackendAuto}, {"serial", BackendSerial}, {"packed", BackendPacked}} {
-		got, err := ParseBackend(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseBackend(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-		if tc.in != "" && got.String() != tc.in {
-			t.Fatalf("Backend %v String() = %q, want %q", got, got.String(), tc.in)
-		}
-	}
-	if _, err := ParseBackend("simd"); err == nil {
-		t.Fatal("ParseBackend(simd) did not error")
-	}
+// TestAutoDispatch pins the dispatch edges on the Go loops, as a -tags
+// purego build runs them: auto stays on the oracle kernels at every shape —
+// the frozen-eval shapes too, which it once packed — while a forced packed
+// backend still dispatches, except at k == 0 (the packed driver's first
+// k-block initializes the output), and serial never does. The vector side
+// is TestAutoStaysOnOracleWhenVectorLive.
+func TestAutoDispatch(t *testing.T) {
+	setVecLive(t, false)
+	autoIsTheOracle(t)
 }
 
-// TestAutoDispatch pins the auto heuristic's edges: tiny matmuls stay on the
-// oracle kernels, frozen-eval-shaped ones go packed, and k == 0 never
-// dispatches (the packed driver needs one k-block to initialize the output).
-func TestAutoDispatch(t *testing.T) {
-	setVecLive(t, false) // the scalar thresholds; the vector side is TestAutoStaysOnOracleWhenVectorLive
+// autoIsTheOracle checks, under the current vector setting, that auto
+// neither dispatches to the packed kernel nor asks for a cached form of
+// either orientation, that its fused output equals the serial backend's bit
+// for bit at k > packKC (where the packed kernel reassociates), and that a
+// forced backend still dispatches and packs what it consumes.
+func autoIsTheOracle(t *testing.T) {
+	t.Helper()
 	forceBackend(t, BackendAuto)
-	for _, tc := range []struct {
-		m, k, n int
-		want    bool
-	}{
-		{1, 768, 256, false},                     // single serving row: pack cost unamortized
-		{packAutoMinRows - 1, 1024, 1024, false}, // below the row floor
-		{16, 768, 256, true},                     // MLP eval batch
-		{48, 48, 256, true},                      // ConvNet eval matmul
-		{8, 8, 8, false},                         // below the work floor
-		{16, 0, 256, false},                      // k == 0 must stay oracle
-	} {
-		if got := usePacked(tc.m, tc.k, tc.n); got != tc.want {
-			t.Fatalf("usePacked(%d,%d,%d) = %v, want %v", tc.m, tc.k, tc.n, got, tc.want)
+	for _, sz := range [][3]int{{1, 768, 256}, {16, 768, 256}, {48, 48, 256}, {8, 8, 8}, {16, 0, 256}, {1024, 1024, 1024}} {
+		if usePacked(sz[0], sz[1], sz[2]) {
+			t.Fatalf("auto dispatches %v to the packed kernel", sz)
 		}
 	}
+	for _, asA := range []bool{false, true} {
+		if f, q := needForms(asA); f || q {
+			t.Fatalf("auto asks for forms (float %v, int8 %v) of weights-as-A=%v", f, q, asA)
+		}
+	}
+	r := frand.New(7)
+	const m, k, n = 16, 768, 40
+	a, b := Randn(r, 1, m*k).Data(), Randn(r, 1, k*n).Data()
+	got, want := make([]float32, m*n), make([]float32, m*n)
+	matMulEp(2, got, a, b, m, k, n, false, nil)
+	SetBackend(BackendSerial)
+	matMulEp(2, want, a, b, m, k, n, false, nil)
+	exactEqual(t, "auto vs serial", got, want)
+	if usePacked(1024, 1024, 1024) {
+		t.Fatal("usePacked must be false when serial is forced")
+	}
+
 	SetBackend(BackendPacked)
+	if !usePacked(16, 768, 256) {
+		t.Fatal("a forced packed backend must still dispatch")
+	}
 	if usePacked(16, 0, 256) {
 		t.Fatal("usePacked with k=0 must be false even when packed is forced")
 	}
-	SetBackend(BackendSerial)
-	if usePacked(1024, 1024, 1024) {
-		t.Fatal("usePacked must be false when serial is forced")
+	if f, _ := needForms(false); !f {
+		t.Fatal("a forced packed backend must still pack float panels")
+	}
+	SetBackend(BackendInt8)
+	if _, q := needForms(true); !q {
+		t.Fatal("a forced int8 backend must still quantize")
 	}
 }
 

@@ -612,44 +612,13 @@ func TestVecKernelsRejectShortSlices(t *testing.T) {
 	}
 }
 
-// TestAutoStaysOnOracleWhenVectorLive: with the vector kernels live the
-// oracle tier beats the packed float and int8 kernels on every frozen shape,
-// so auto neither dispatches to them nor packs anything for them; forcing a
-// backend behaves as before.
+// TestAutoStaysOnOracleWhenVectorLive: with the vector kernels live auto
+// neither dispatches to the packed kernel nor packs anything for it, and its
+// fused output is the serial backend's, bit for bit.
 func TestAutoStaysOnOracleWhenVectorLive(t *testing.T) {
 	requireVec(t)
 	setVecLive(t, true)
-	forceBackend(t, BackendAuto)
-	for _, sz := range [][3]int{{16, 768, 256}, {48, 48, 256}, {1024, 1024, 1024}} {
-		if usePacked(sz[0], sz[1], sz[2]) {
-			t.Fatalf("auto dispatches %v to the packed kernel with the vector oracle live", sz)
-		}
-	}
-	if f, q := needForms(false); f || q {
-		t.Fatalf("auto asks for forms (float %v, int8 %v) with the vector oracle live", f, q)
-	}
-	// Fused auto output is then the serial backend's, bit for bit — including
-	// k > packKC, where the packed kernel reassociates.
-	r := frand.New(7)
-	const m, k, n = 16, 768, 40
-	a, b := Randn(r, 1, m*k).Data(), Randn(r, 1, k*n).Data()
-	got, want := make([]float32, m*n), make([]float32, m*n)
-	matMulEp(2, got, a, b, m, k, n, false, nil)
-	SetBackend(BackendSerial)
-	matMulEp(2, want, a, b, m, k, n, false, nil)
-	exactEqual(t, "auto vs serial", got, want)
-
-	SetBackend(BackendPacked)
-	if !usePacked(16, 768, 256) {
-		t.Fatal("a forced packed backend must still dispatch")
-	}
-	if f, _ := needForms(false); !f {
-		t.Fatal("a forced packed backend must still pack float panels")
-	}
-	SetBackend(BackendInt8)
-	if _, q := needForms(true); !q {
-		t.Fatal("a forced int8 backend must still quantize")
-	}
+	autoIsTheOracle(t)
 }
 
 // convGemmShapes are TinyMobileNetV3's stem (lowered) and pointwise convs at

@@ -1,21 +1,15 @@
 package tensor
 
-import (
-	"fmt"
-	"sync/atomic"
-
-	"heteroswitch/internal/vec"
-)
+import "fmt"
 
 // Weight-stationary packed panels ---------------------------------------------
 //
 // A PackedWeights handle caches the backend-specific forms of one frozen
 // matmul's weight operand, so packing and quantization run once per WEIGHT
 // VERSION instead of once per call. The frozen inference ops (nn.Freeze)
-// own a handle per fused matmul and refresh it when they re-fold; serving
-// replicas share handles across replicas and batches through nn's
-// version-keyed panel cache, so in steady state the only per-batch work on
-// the weight side is a pointer read.
+// own a handle per fused matmul and refresh it when they re-fold, once per
+// weight version, so in steady state the only per-batch work on the weight
+// side is a pointer read.
 //
 // Two orientations exist because the frozen path puts weights on both sides
 // of its matmuls:
@@ -35,17 +29,13 @@ import (
 // Forms are built lazily per the active backend at refresh time; a dispatch
 // that finds its form missing (the backend changed after the last refresh)
 // falls back to the per-call kernels on the CALLER's float weights, so a
-// stale handle can cost performance but never correctness. The handle
-// deliberately retains no reference to the source weights: a handle shared
-// across serving replicas must not alias one replica's fold buffer, which
-// that replica overwrites on its next version — every cached form is a
-// copy, immutable for the handle's lifetime.
+// stale handle can cost performance but never correctness. Every cached form
+// is a copy: the handle retains no reference to the source weights.
 
 // PackedWeights is the version-stationary pack/quantization cache for one
 // weight matrix. The zero value is ready; Refresh* before first use. Not
-// safe for concurrent mutation — owners serialize Refresh calls (nn's panel
-// cache packs under a lock, private handles refresh from the single
-// goroutine that freezes).
+// safe for concurrent mutation — each frozen op owns its handle and
+// refreshes it from the goroutine that freezes.
 type PackedWeights struct {
 	asA  bool
 	m, k int // weights-as-A dims [m,k]; as-B uses k,n
@@ -63,15 +53,6 @@ type PackedWeights struct {
 
 	hasFloat, hasInt8 bool
 }
-
-// weightPacks counts every form actually packed/quantized into a
-// PackedWeights — the "packs happen per installed version, not per batch"
-// accounting the serving panel-cache tests assert on.
-var weightPacks atomic.Uint64
-
-// WeightPackCount returns the process-wide number of weight-form packs
-// (float panel packs + int8 quantizations) performed so far.
-func WeightPackCount() uint64 { return weightPacks.Load() }
 
 // Reset invalidates all cached forms (keeping their capacity) so the handle
 // can be repacked for a new weight version.
@@ -95,22 +76,18 @@ func (pw *PackedWeights) Dims() (int, int) {
 }
 
 // needForms maps the active backend onto the forms worth building now.
-// Serial never touches a cached form, and neither does auto while the vector
-// oracle kernels are live (usePacked is then always false); packed, and auto
-// on the scalar kernels, use float panels; int8 uses the quantized form.
-// Building only what the current backend can consume keeps the refold pass
-// from paying for kernels that will not run.
+// Auto and serial never touch a cached form; packed uses float panels (as-B
+// only); int8 uses the quantized form. Building only what the current
+// backend can consume keeps the refold pass from paying for kernels that
+// will not run.
 func needForms(asA bool) (wantFloat, wantInt8 bool) {
 	switch ActiveBackend() {
 	case BackendInt8:
 		return false, true
-	case BackendSerial:
-		return false, false
-	case BackendAuto:
-		return !asA && !vec.Live, false
-	default: // packed
+	case BackendPacked:
 		return !asA, false
 	}
+	return false, false
 }
 
 // RefreshB (re)binds the handle to the weights-as-B matrix w[k,n] and packs
@@ -156,7 +133,6 @@ func (pw *PackedWeights) packFloatB(w []float32) {
 	pw.fpanels = pw.fpanels[:size]
 	packB(pw.fpanels, w, pw.k, pw.n)
 	pw.hasFloat = true
-	weightPacks.Add(1)
 }
 
 // quantizeB builds the int8 panel form of the as-B weights with one
@@ -221,7 +197,6 @@ func (pw *PackedWeights) quantizeB(src []float32) {
 		}
 	}
 	pw.hasInt8 = true
-	weightPacks.Add(1)
 }
 
 // quantizeA builds the int8 row form of the as-A weights with one symmetric
@@ -259,7 +234,6 @@ func (pw *PackedWeights) quantizeA(w []float32) {
 		pw.qcorr[i] = -128 * sum
 	}
 	pw.hasInt8 = true
-	weightPacks.Add(1)
 }
 
 // Weight-stationary fused entry points ----------------------------------------
