@@ -222,26 +222,27 @@
 // aggregation bytes at W = 1–4.
 //
 // The frozen (evaluation and serving) forward keeps a second, intra-op
-// grain for the one request that must be fast: its kernels split output
-// rows, sample×group iterations or planes across a persistent worker pool
-// (internal/parallel) under the budget nn.Network.SetIntraOp grants.
+// grain, and it splits one loop: each conv's sample×group iterations, across
+// a persistent worker pool (internal/parallel), under the budget
+// nn.Network.SetIntraOp grants. Every other frozen op and every matmul runs
+// on the calling goroutine, so a batch-1 request runs on one core.
 // fl.Config.IntraOp (-intraop) is that budget's total (0 = GOMAXPROCS); W
 // concurrent replicas or models each get an equal parallel.Share of it, at
-// least 1, so workers × kernels never oversubscribe the machine, and a model
+// least 1, so workers × convs never oversubscribe the machine, and a model
 // that evaluates alone (Fig 3, Server.GlobalNet) gets the whole budget. A
-// budget of 1 is byte-for-byte the serial kernels.
+// budget of 1 is byte-for-byte the serial loop.
 //
-// Fixed-partitioning invariant: parallel.Run splits a loop's index range
+// Fixed-partitioning invariant: parallel.Run splits the iteration range
 // into contiguous chunks keyed only by (budget, length, grain) — never by
-// dynamic stealing — and every output element is computed entirely by one
-// goroutine running the serial inner loops in the serial order, so the
-// frozen forward is BIT-identical at every budget (the budget tests assert
-// tol 0, on shapes they check split into chunks). A work-based grain
-// (parallel.GrainFor) keeps small kernels serial, and dispatch never queues:
-// a chunk runs on an idle pool worker or inline on the caller, which makes
-// nesting (frozen kernels inside fl or model workers) deadlock-free. The
-// dispatch path allocates nothing in steady state — kernels recycle their
-// parallel.Runner state, preserving the zero-allocation hot path.
+// dynamic stealing — and every iteration is computed entirely by one
+// goroutine running the serial kernels, so the frozen forward is
+// BIT-identical at every budget (TestFrozenBudgetsBitIdentical asserts tol 0
+// and that the forward it checks took a split). A work-based grain
+// (parallel.GrainFor) keeps small convs serial, and dispatch never queues: a
+// chunk runs on an idle pool worker or inline on the caller, which makes
+// nesting (frozen convs inside fl or model workers) deadlock-free. The
+// dispatch path allocates nothing in steady state — the conv op is its own
+// recycled parallel.Runner, preserving the zero-allocation hot path.
 //
 // # Inference fast path
 //
@@ -254,7 +255,7 @@
 //     that layer's weights and bias using the RUNNING statistics
 //     (W′ = W·γ/√(var+ε), b′ = b·γ/√(var+ε) + β − mean·γ/√(var+ε)), so no
 //     normalization pass runs at all. A BN with no matmul predecessor (after
-//     a residual sum or pooling) stays a standalone channel-parallel affine.
+//     a residual sum or pooling) stays a standalone per-channel affine.
 //   - The activation following a matmul layer (ReLU, HardSwish,
 //     HardSigmoid) is fused into the kernel. A conv hands its per-row bias
 //     and activation to the GEMM as data (tensor.RowBias), and the vector
@@ -262,11 +263,11 @@
 //     once — no clear before it, no sweep after it (a hard-sigmoid conv,
 //     which no model has, still sweeps). The dense layer's per-column bias
 //     and activation are a tensor.RowEpilogue, applied to each output row
-//     inside the parallel chunk that computed it; the packed and int8
-//     kernels sweep a conv's RowBias the same way.
+//     once the kernel has finished it; the packed and int8 kernels sweep a
+//     conv's RowBias the same way.
 //   - Convs follow the training layer's geometry rule (see the arena
 //     section): pointwise and depthwise shapes skip the lowering; the rest
-//     keep one im2col scratch per parallel chunk instead of caching every
+//     keep one im2col scratch per conv-loop chunk instead of caching every
 //     sample×group column matrix for a backward pass. A depthwise conv's
 //     bias and hard-swish ride its plane kernel: with the vector kernels live
 //     a 3×3 plane is vec.Depthwise3x3, eight output positions per register
@@ -274,9 +275,9 @@
 //   - Global average pooling and the squeeze-excite squeeze sum several
 //     planes side by side, one ascending chain each; the excite rescale and
 //     the identity-skip residual sum are vector sweeps.
-//   - Pooling, activations, and the standalone BN path are parallel under
-//     the intra-op budget (parallel.GrainFor); nested Networks are inlined;
-//     Identity compiles away.
+//   - Pooling, activations, the squeeze-excite block and the standalone BN
+//     path are plain loops on the calling goroutine; nested Networks are
+//     inlined; Identity compiles away.
 //
 // A frozen view shares its source network's arena and intra-op budget like
 // any layer, is re-folded (not recompiled) on every Freeze call so it
@@ -321,8 +322,8 @@
 //     untouched by backend selection. The tier has a vector implementation
 //     with the same bits, described next.
 //   - TOLERANCE tier — the two fused-epilogue, weight-stationary entry
-//     points the frozen path compiles to (MatMulWASlicesPEp,
-//     MatMulWBSlicesPEp). These dispatch on the active backend and promise
+//     points the frozen path compiles to (MatMulWASlicesEp,
+//     MatMulWBSlicesEp). These dispatch on the active backend and promise
 //     ≤1e-5-per-unit closeness to the oracle result with identical argmax,
 //     the same contract the BN fold already imposes on frozen outputs.
 //
@@ -342,16 +343,14 @@
 // The packed backend is a cache-blocked GEBP kernel: it packs B once into
 // panel-major 4-wide column panels (zero-padded tail), k-blocks at 256 so
 // the panel stays cache-resident, and runs a 2×4 register microkernel with
-// the row epilogue applied per completed row chunk. Pack buffers and
-// dispatch state recycle through pools, preserving the frozen path's
-// 0 allocs/op steady state. Parallelism row-partitions the shared read-only
-// packed panel, so every output element is still computed wholly by one
-// goroutine — packed outputs are bit-identical across intra-op budgets and
-// across concurrent replicas, which keeps the serving determinism contract
+// the row epilogue applied to the finished rows, on the calling goroutine.
+// Pack buffers recycle through a pool, preserving the frozen path's
+// 0 allocs/op steady state. Packed outputs are bit-identical across
+// concurrent replicas, which keeps the serving determinism contract
 // (digests, histograms) intact per backend. Numerically, packed differs from
 // the oracle only by k-block summation order (k > 256) and ±0/NaN edge
-// cases; TestPackedMatchesOracle sweeps shapes × budgets against the 1e-5 +
-// argmax contract.
+// cases; TestPackedMatchesOracle sweeps shapes against the 1e-5 + argmax
+// contract.
 //
 // No run option selects a backend: every harness, binary and test runs the
 // default, BackendAuto, which is the oracle tier on every build — bit-identical
@@ -367,9 +366,8 @@
 // quantized per row (dense) or per tensor (im2col) at call time, and the
 // SWAR microkernel accumulates exact int32 dot products before a single
 // float dequantize-and-epilogue per output row. Because the integer
-// accumulation is exact and the row partitioning is the same as the float
-// tiers, int8 outputs are bit-identical across intra-op budgets and
-// concurrent replicas. The numeric promise is tensor.Int8Tol (5e-2
+// accumulation is exact, int8 outputs are bit-identical across concurrent
+// replicas. The numeric promise is tensor.Int8Tol (5e-2
 // relative, unit-floored) against the oracle with identical argmax;
 // TestInt8MatchesOracle enforces it.
 //

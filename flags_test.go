@@ -124,6 +124,38 @@ func TestNoRunSelectsTheKernelBackend(t *testing.T) {
 	}
 }
 
+// TestTensorSpawnsNoWork: every tensor kernel runs on its caller's
+// goroutine, and the frozen forward's intra-op budget splits one loop above
+// them (nn's conv sample×group iterations), so no non-test file of
+// internal/tensor may import internal/parallel.
+func TestTensorSpawnsNoWork(t *testing.T) {
+	dir := filepath.Join("internal", "tensor")
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	files := 0
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files++
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"heteroswitch/internal/parallel"` {
+				t.Errorf("%s: imports internal/parallel; tensor kernels run on the calling goroutine", fset.Position(imp.Pos()))
+			}
+		}
+	}
+	if files == 0 {
+		t.Fatalf("found no non-test Go files in %s", dir)
+	}
+}
+
 // flagNames returns the name of every flag declared under n: the string
 // literal handed to a flag-package declaration call (flag.Int, fs.IntVar,
 // flag.Func, …), whatever the FlagSet is called.

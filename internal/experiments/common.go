@@ -41,11 +41,12 @@ type Options struct {
 	Workers int
 	// OutRes is the model input resolution.
 	OutRes int
-	// IntraOp is the total kernel parallelism budget of the frozen
-	// (evaluation and serving) forward (fl.Config.IntraOp): cores those
-	// kernels may occupy across all workers combined. 0 = auto (GOMAXPROCS,
-	// split evenly across Workers); 1 = serial kernels. Training always runs
-	// the serial kernels, and results are bit-identical at every setting.
+	// IntraOp is the total parallelism budget of the frozen (evaluation and
+	// serving) forward (fl.Config.IntraOp): cores it may occupy across all
+	// workers combined. It splits a batch's conv iterations (samples ×
+	// groups); a batch-1 request runs on one core. 0 = auto (GOMAXPROCS,
+	// split evenly across Workers); 1 = serial. Training always runs the
+	// serial kernels, and results are bit-identical at every setting.
 	IntraOp int
 	// Async selects asynchronous staleness-aware aggregation for the
 	// FL-driving harnesses.
@@ -117,7 +118,7 @@ func (a AsyncOptions) Config(k int, seed uint64) (fl.AsyncConfig, error) {
 func (o *Options) BindMachineFlags(fs *flag.FlagSet) {
 	fs.Uint64Var(&o.Seed, "seed", o.Seed, "random seed; everything printed is a pure function of it and the other flags")
 	fs.IntVar(&o.Workers, "workers", o.Workers, "parallel workers: client or model trainers, device captures, serving batch executors (0 or 1 = serial; results are bit-identical at every setting)")
-	fs.IntVar(&o.IntraOp, "intraop", o.IntraOp, "total kernel parallelism budget of the frozen evaluation and serving forward, split across workers (0 = GOMAXPROCS, 1 = serial kernels; training is unaffected; results are bit-identical at every setting)")
+	fs.IntVar(&o.IntraOp, "intraop", o.IntraOp, "total core budget of the frozen evaluation and serving forward, split across workers; it splits a batch's conv iterations, so a batch-1 request runs on one core (0 = GOMAXPROCS, 1 = serial; training is unaffected; results are bit-identical at every setting)")
 }
 
 // BindFlags declares every flag more than one binary needs, on fs, bound
@@ -142,8 +143,8 @@ func (o *Options) BindFlags(fs *flag.FlagSet) {
 }
 
 // Apply is the one place the options are checked: it rejects a scale that is
-// not finite and positive, negative workers or async depth and an output
-// resolution below 1, naming the flag. Run and NewFL call it; a binary that
+// not finite and positive, negative workers, intra-op budget or async depth
+// and an output resolution below 1, naming the flag. Run and NewFL call it; a binary that
 // goes through neither calls it itself.
 func (o Options) Apply() error {
 	switch {
@@ -151,6 +152,8 @@ func (o Options) Apply() error {
 		return fmt.Errorf("experiments: -scale %g: want a finite value > 0", o.Scale)
 	case o.Workers < 0:
 		return fmt.Errorf("experiments: -workers %d: want >= 0", o.Workers)
+	case o.IntraOp < 0:
+		return fmt.Errorf("experiments: -intraop %d: want >= 0", o.IntraOp)
 	case o.OutRes < 1:
 		return fmt.Errorf("experiments: output resolution %d: want >= 1", o.OutRes)
 	case o.Async.Depth < 0:
@@ -181,7 +184,7 @@ func (o Options) FLConfig(rounds, k, batch int, lr float64) fl.Config {
 	}
 }
 
-// IntraOpBudget returns the frozen forward's kernel budget for a model that
+// IntraOpBudget returns the frozen forward's intra-op budget for a model that
 // trains and evaluates alone (Fig 3): the explicit IntraOp option when set,
 // otherwise the full machine (there is no worker parallelism to share it
 // with).

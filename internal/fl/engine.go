@@ -198,7 +198,7 @@ func (t *tally) finish() RoundStats {
 // GlobalNet returns a network loaded with the current global weights, for
 // evaluation. The returned network is owned by the caller and its frozen
 // forward gets the full intra-op budget: evaluation is a single-goroutine
-// path, so its kernels may take the whole machine.
+// path, so its conv loops may take the whole machine.
 func (e *engine) GlobalNet() *nn.Network {
 	net := e.builder()
 	if err := net.LoadWeights(e.Global); err != nil {

@@ -56,12 +56,13 @@ type Config struct {
 	// sets stays below float32 resolution: TestSyncPinsHoldAtEveryWorkerCount
 	// holds its pinned bytes at Workers 1–4.
 	Workers int
-	// IntraOp is the total kernel parallelism budget of the replicas' frozen
-	// (evaluation) forward, e.g. fl.EvalLoss: the number of cores those
-	// kernels may occupy across all replicas combined. 0 means auto
-	// (GOMAXPROCS). The server grants each replica an equal share (at least
-	// 1). Training never reads it, and results are bit-identical at every
-	// setting.
+	// IntraOp is the total parallelism budget of the replicas' frozen
+	// (evaluation) forward, e.g. fl.EvalLoss: the number of cores it may
+	// occupy across all replicas combined. It splits a batch's conv
+	// iterations (samples × groups); a batch-1 forward runs on one core.
+	// 0 means auto (GOMAXPROCS). The server grants each replica an equal
+	// share (at least 1). Training never reads it, and results are
+	// bit-identical at every setting.
 	IntraOp int
 	// Faults injects seeded client failures (see internal/faults). nil
 	// injects nothing and is the bit-identical pre-fault behavior. The

@@ -17,18 +17,19 @@ import (
 //
 // A frozen view shares its source network's arena and intra-op budget like
 // any layer: Infer resets the arena exactly like Network.Forward (outputs
-// are valid until the next Forward/Infer on the same network), and every
-// fused kernel, pooling loop, activation sweep, and the residual (unfolded)
-// BatchNorm eval path splits its work under the budget via
-// internal/parallel. Like Network, a Frozen is not safe for concurrent use;
-// freeze one replica per goroutine.
+// are valid until the next Forward/Infer on the same network). The budget
+// splits one loop: each conv's sample×group iterations, across
+// internal/parallel's pool. Every other op, and every matmul inside a conv
+// iteration, runs on the calling goroutine, so a batch-1 request through a
+// one-group conv runs on one core. Like Network, a Frozen is not safe for
+// concurrent use; freeze one replica per goroutine.
 //
 // Numerical contract: BN folding reorders float operations, so a frozen
 // forward matches the reference eval forward to a small tolerance (≤ 1e-5
 // max-abs on the test fixtures) rather than bit-exactly; networks without
 // folded BN (pure fusion) are bit-identical. At a FIXED weight state the
 // frozen forward is itself bit-identical across intra-op budgets, because
-// chunks own disjoint output rows and epilogues are row-local.
+// each conv iteration is computed whole by one goroutine.
 type Frozen struct {
 	net *Network
 	ops []frozenOp

@@ -7,8 +7,8 @@ import (
 
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/israce"
+	"heteroswitch/internal/models"
 	"heteroswitch/internal/nn"
-	"heteroswitch/internal/parallel"
 	"heteroswitch/internal/tensor"
 )
 
@@ -17,9 +17,8 @@ import (
 // operations, so the contract is tolerance-based: frozen output within 1e-5
 // max-abs of the reference eval forward and IDENTICAL argmax predictions on
 // every fixture. At a fixed weight state the frozen forward itself must be
-// bit-identical across intra-op budgets (chunks own disjoint rows and
-// epilogues are row-local), which doubles as the serial-vs-parallel tol-0
-// test for the parallel pooling, activation, and BN-eval sweeps.
+// bit-identical across intra-op budgets (each conv iteration is computed
+// whole by one goroutine).
 
 const frozenTol = 1e-5
 
@@ -264,10 +263,11 @@ func TestFrozenTracksWeightUpdates(t *testing.T) {
 }
 
 // TestFrozenBudgetsBitIdentical is the serial-vs-parallel tol-0 contract for
-// the frozen path: the fused matmuls, parallel pooling, activation sweeps,
-// and the standalone BN eval path must produce byte-for-byte the budget-1
-// result at every budget. The batch is large enough that every fixture's
-// leading conv or dense splits into chunks at budget 2.
+// the frozen path: the forward must produce byte-for-byte the budget-1 result
+// at every budget. The budget splits one loop, each conv's sample×group
+// iterations; the batch is large enough that every fixture with a conv splits
+// it at budget 2, which the test asserts from the forward itself. The
+// conv-free fixture runs serially at every budget.
 func TestFrozenBudgetsBitIdentical(t *testing.T) {
 	for _, fx := range frozenFixtures() {
 		t.Run(fx.name, func(t *testing.T) {
@@ -275,86 +275,38 @@ func TestFrozenBudgetsBitIdentical(t *testing.T) {
 			net := fx.net(r)
 			trainFixture(net, r, fx.inC, 4)
 			x := tensor.Randn(r, 1, 1537, fx.inC, 8, 8) // odd: every budget's partition is ragged
-			if c := leadingChunks(net, x); c < 2 {
-				t.Fatalf("leading layer runs in %d chunk(s) at budget 2; the test needs a split", c)
-			}
-			net.SetIntraOp(1)
-			want := net.Freeze().Infer(x).Clone()
-			for _, par := range []int{2, 3, 4, 8} {
-				net.SetIntraOp(par)
-				got := net.Freeze().Infer(x)
-				for i, v := range got.Data() {
-					if v != want.Data()[i] {
-						t.Fatalf("budget %d: element %d differs: %v != %v (must be bit-identical)",
-							par, i, v, want.Data()[i])
-					}
-				}
-			}
+			requireBudgetsBitIdentical(t, net, x, 2, 3, 4, 8)
 		})
 	}
 }
 
-// leadingChunks returns how many chunks the frozen forward splits the first
-// conv or dense layer of net into at budget 2 on input x, by the grains the
-// frozen ops use: sample×group iterations for a conv, rows for a dense.
-func leadingChunks(net *nn.Network, x *tensor.Tensor) int {
-	var first func(l nn.Layer) nn.Layer
-	first = func(l nn.Layer) nn.Layer {
-		switch v := l.(type) {
-		case *nn.Conv2D, *nn.Dense:
-			return l
-		case *nn.Network:
-			for _, c := range v.LayerList {
-				if k := first(c); k != nil {
-					return k
-				}
-			}
-		case *nn.Residual:
-			return first(v.Body)
-		case *nn.Parallel:
-			return first(v.Branches[0])
-		}
-		return nil
-	}
-	n := x.Dim(0)
-	switch l := first(net).(type) {
-	case *nn.Conv2D:
-		d, err := tensor.NewConvDims(l.InC/l.Groups, x.Dim(2), x.Dim(3), l.KH, l.KW, l.Stride, l.Pad)
-		if err != nil {
-			panic(err)
-		}
-		return parallel.Chunks(2, n*l.Groups, parallel.GrainFor(l.OutC/l.Groups*d.ColRows()*d.ColCols()))
-	case *nn.Dense:
-		return parallel.Chunks(2, n, parallel.GrainFor(l.In*l.Out))
-	}
-	return 1
+// TestFrozenSimpleCNNSplitsAtBudget2 is the shape the evaluation harnesses
+// split: SimpleCNN on 32×32 inputs, a batch of 16, budget 2.
+func TestFrozenSimpleCNNSplitsAtBudget2(t *testing.T) {
+	r := frand.New(32)
+	net := models.SimpleCNN(r, 3, 10)
+	requireBudgetsBitIdentical(t, net, tensor.Randn(r, 1, 16, 3, 32, 32), 2)
 }
 
-// TestFrozenSingleSampleUsesKernelBudget covers the iters==1 route where the
-// whole budget is handed to the fused row-parallel matmul; the image is
-// large enough that the conv's 16 output rows split at budget 2.
-func TestFrozenSingleSampleUsesKernelBudget(t *testing.T) {
-	r := frand.New(7)
-	net := nn.NewNetwork(
-		nn.NewConv2D(r, 3, 16, 3, 1, 1, 1),
-		nn.NewBatchNorm2D(16),
-		nn.NewReLU(),
-		nn.NewGlobalAvgPool(),
-		nn.NewDense(r, 16, 5),
-	)
-	trainFixture(net, r, 3, 3)
-	x := tensor.Randn(r, 1, 1, 3, 128, 128)
-	if c := parallel.Chunks(2, 16, parallel.GrainFor(27*128*128)); c < 2 {
-		t.Fatalf("conv rows run in %d chunk(s) at budget 2; the test needs a split", c)
-	}
+// requireBudgetsBitIdentical fails unless net's frozen forward on x gives the
+// budget-1 bits at each of budgets and, when the program has a conv, splits a
+// conv's loop into at least two chunks at budget 2 (a budget test whose
+// forward never splits compares the serial path with itself).
+func requireBudgetsBitIdentical(t *testing.T, net *nn.Network, x *tensor.Tensor, budgets ...int) {
+	t.Helper()
 	net.SetIntraOp(1)
 	want := net.Freeze().Infer(x).Clone()
-	for _, par := range []int{2, 4, 8} {
+	hasConv := nn.FrozenConvChunks(net) > 0
+	for _, par := range budgets {
 		net.SetIntraOp(par)
 		got := net.Freeze().Infer(x)
+		if c := nn.FrozenConvChunks(net); par == 2 && hasConv && c < 2 {
+			t.Fatalf("budget 2: the frozen convs ran in %d chunk(s); the test needs a split", c)
+		}
 		for i, v := range got.Data() {
 			if v != want.Data()[i] {
-				t.Fatalf("budget %d: single-sample frozen forward not bit-identical at %d", par, i)
+				t.Fatalf("budget %d: element %d differs: %v != %v (must be bit-identical)",
+					par, i, v, want.Data()[i])
 			}
 		}
 	}
@@ -379,13 +331,11 @@ func TestFrozenConcurrentReplicas(t *testing.T) {
 	}
 	ref := build()
 	refIn := tensor.Randn(frand.New(66), 1, batch, 3, 8, 8)
-	if c := leadingChunks(ref, refIn); c < 2 {
-		t.Fatalf("leading conv runs in %d chunk(s) at budget 2; the test needs a split", c)
-	}
 	want := ref.Freeze().Infer(refIn).Clone()
 
 	const workers = 4
 	outs := make([]*tensor.Tensor, workers)
+	splits := make([]int, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -400,10 +350,14 @@ func TestFrozenConcurrentReplicas(t *testing.T) {
 				out = fz.Infer(x)
 			}
 			outs[w] = out.Clone()
+			splits[w] = nn.FrozenConvChunks(net)
 		}(w)
 	}
 	wg.Wait()
 	for w, out := range outs {
+		if splits[w] < 2 {
+			t.Fatalf("worker %d: the frozen convs ran in %d chunk(s) at budget 2; the test needs a split", w, splits[w])
+		}
 		for i, v := range out.Data() {
 			if v != want.Data()[i] {
 				t.Fatalf("worker %d: concurrent frozen forward diverged at element %d", w, i)

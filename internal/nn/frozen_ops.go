@@ -63,13 +63,14 @@ func applyVecBiasAct(row, bias []float32, act epAct) {
 	}
 }
 
-// applyAct computes yd[i] = act(xd[i]) over [lo, hi) — the standalone
+// applyAct computes yd[i] = act(xd[i]) for every i of xd — the standalone
 // activation sweep.
-func applyAct(yd, xd []float32, lo, hi int, act epAct) {
+func applyAct(yd, xd []float32, act epAct) {
+	yd = yd[:len(xd)]
 	switch act {
 	case epReLU:
-		for i := lo; i < hi; i++ {
-			if v := xd[i]; v > 0 {
+		for i, v := range xd {
+			if v > 0 {
 				yd[i] = v
 			} else {
 				yd[i] = 0
@@ -77,19 +78,18 @@ func applyAct(yd, xd []float32, lo, hi int, act epAct) {
 		}
 	case epHardSwish:
 		if vec.Live {
-			vec.HardSwish(yd[lo:hi], xd[lo:hi])
+			vec.HardSwish(yd, xd)
 			return
 		}
-		for i := lo; i < hi; i++ {
-			v := xd[i]
+		for i, v := range xd {
 			yd[i] = v * tensor.HardSigmoid(v)
 		}
 	case epHardSigmoid:
-		for i := lo; i < hi; i++ {
-			yd[i] = tensor.HardSigmoid(xd[i])
+		for i, v := range xd {
+			yd[i] = tensor.HardSigmoid(v)
 		}
 	default:
-		copy(yd[lo:hi], xd[lo:hi])
+		copy(yd, xd)
 	}
 }
 
@@ -119,6 +119,7 @@ type frozenConv struct {
 	dims     tensor.ConvDims
 	inH, inW int
 	cols     []float32 // per-chunk im2col scratch
+	chunks   int       // how many chunks the last infer split its loop into
 
 	// per-Run state for the parallel.Runner
 	xd, od []float32
@@ -169,7 +170,9 @@ func (c *frozenConv) refold() {
 }
 
 // infer implements frozenOp: Conv2D.Forward's sample×group loop, split
-// across the intra-op budget.
+// across the intra-op budget — the one loop of the frozen forward the budget
+// splits. One sample of a one-group conv is one iteration, so it runs on one
+// core.
 func (c *frozenConv) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 	l := c.l
 	if x.NDim() != 4 || x.Dim(1) != l.InC {
@@ -192,21 +195,15 @@ func (c *frozenConv) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 	par := f.budget()
 	iters := n * g
 	grain := parallel.GrainFor(gcOut * fanIn * cols)
+	c.chunks = parallel.Chunks(par, iters, grain)
 	if l.kernel() == convLowered {
-		chunks := parallel.Chunks(par, iters, grain)
-		if cap(c.cols) < chunks*rows*cols {
-			c.cols = make([]float32, chunks*rows*cols)
+		if cap(c.cols) < c.chunks*rows*cols {
+			c.cols = make([]float32, c.chunks*rows*cols)
 		}
-		c.cols = c.cols[:chunks*rows*cols]
+		c.cols = c.cols[:c.chunks*rows*cols]
 	}
 	c.xd, c.od = x.Data(), out.Data()
-	if iters == 1 {
-		// One sample, one group: hand the budget to the fused row-parallel
-		// matmul instead.
-		c.inferIter(0, par, c.cols)
-	} else {
-		parallel.Run(par, iters, grain, c)
-	}
+	parallel.Run(par, iters, grain, c)
 	c.xd, c.od = nil, nil
 	return out
 }
@@ -220,7 +217,7 @@ func (c *frozenConv) Run(chunk, lo, hi int) {
 		col = c.cols[chunk*rc : (chunk+1)*rc]
 	}
 	for it := lo; it < hi; it++ {
-		c.inferIter(it, 1, col)
+		c.inferIter(it, col)
 	}
 }
 
@@ -228,7 +225,7 @@ func (c *frozenConv) Run(chunk, lo, hi int) {
 // shape admits (see the type comment), with bias + activation in the
 // kernel's store, or a sweep over the finished output for an activation the
 // kernel lacks.
-func (c *frozenConv) inferIter(it, par int, col []float32) {
+func (c *frozenConv) inferIter(it int, col []float32) {
 	l := c.l
 	d := c.dims
 	cols := d.ColCols()
@@ -249,18 +246,18 @@ func (c *frozenConv) inferIter(it, par int, col []float32) {
 		// fused; another activation is a sweep over the finished plane.
 		tensor.DepthwiseConvPlane(y, img, wg, d, c.bf[gi], c.act == epHardSwish)
 		if c.act != epNone && c.act != epHardSwish {
-			applyAct(y, y, 0, len(y), c.act)
+			applyAct(y, y, c.act)
 		}
 		return
 	case convPointwise:
 		// The im2col matrix IS the image slice.
-		tensor.MatMulWASlicesPEp(par, y, wg, &c.pw, gi*gcOut, gcOut, img, cols, false, &c.eps[gi])
+		tensor.MatMulWASlicesEp(y, wg, &c.pw, gi*gcOut, gcOut, img, cols, false, &c.eps[gi])
 	default:
 		tensor.Im2Col(col, img, d)
-		tensor.MatMulWASlicesPEp(par, y, wg, &c.pw, gi*gcOut, gcOut, col, cols, false, &c.eps[gi])
+		tensor.MatMulWASlicesEp(y, wg, &c.pw, gi*gcOut, gcOut, col, cols, false, &c.eps[gi])
 	}
 	if c.act == epHardSigmoid {
-		applyAct(y, y, 0, len(y), epHardSigmoid)
+		applyAct(y, y, epHardSigmoid)
 	}
 }
 
@@ -326,7 +323,7 @@ func (d *frozenDense) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: frozen Dense input %v, want [N %d]", x.Shape(), d.l.In))
 	}
 	y := f.alloc(x.Dim(0), d.l.Out)
-	tensor.MatMulWBSlicesPEp(f.budget(), y.Data(), x.Data(), d.wf.Data(), &d.pw, x.Dim(0), false, &d.ep)
+	tensor.MatMulWBSlicesEp(y.Data(), x.Data(), d.wf.Data(), &d.pw, x.Dim(0), false, &d.ep)
 	return y
 }
 
@@ -334,16 +331,10 @@ func (d *frozenDense) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 
 // frozenBN is the residual BatchNorm eval path: a BN that no matmul layer
 // precedes (after a residual sum, pooling, a Parallel block). It applies the
-// running-statistics affine y = scale·x + shift, channel-parallel under the
-// intra-op budget (channels own disjoint planes, so results are
-// bit-identical at every budget).
+// running-statistics affine y = scale·x + shift channel by channel.
 type frozenBN struct {
 	l            *BatchNorm2D
 	scale, shift []float32
-
-	// per-Run state
-	xd, od []float32
-	n, hw  int
 }
 
 // refold implements refolder.
@@ -355,65 +346,46 @@ func (b *frozenBN) refold() {
 
 // infer implements frozenOp.
 func (b *frozenBN) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
-	if x.NDim() != 4 || x.Dim(1) != b.l.C {
-		panic(fmt.Sprintf("nn: frozen BatchNorm2D input %v, want [N %d H W]", x.Shape(), b.l.C))
-	}
-	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	out := f.alloc(x.Shape()...)
-	b.xd, b.od, b.n, b.hw = x.Data(), out.Data(), n, h*w
-	parallel.Run(f.budget(), b.l.C, parallel.GrainFor(n*b.hw), b)
-	b.xd, b.od = nil, nil
-	return out
-}
-
-// Run implements parallel.Runner over a channel range.
-func (b *frozenBN) Run(_, lo, hi int) {
 	c := b.l.C
-	for ch := lo; ch < hi; ch++ {
+	if x.NDim() != 4 || x.Dim(1) != c {
+		panic(fmt.Sprintf("nn: frozen BatchNorm2D input %v, want [N %d H W]", x.Shape(), c))
+	}
+	n, hw := x.Dim(0), x.Dim(2)*x.Dim(3)
+	out := f.alloc(x.Shape()...)
+	xd, od := x.Data(), out.Data()
+	for ch := 0; ch < c; ch++ {
 		s, sh := b.scale[ch], b.shift[ch]
-		for i := 0; i < b.n; i++ {
-			base := (i*c + ch) * b.hw
-			row := b.od[base : base+b.hw]
-			xrow := b.xd[base : base+b.hw]
-			for j, v := range xrow {
+		for i := 0; i < n; i++ {
+			base := (i*c + ch) * hw
+			row := od[base : base+hw]
+			for j, v := range xd[base : base+hw] {
 				row[j] = s*v + sh
 			}
 		}
 	}
+	return out
 }
 
 // Standalone activation -------------------------------------------------------
 
 // frozenAct is an activation that does not follow a matmul layer (so it
-// could not ride a kernel epilogue): an element-parallel sweep with no
-// backward mask.
+// could not ride a kernel epilogue): one sweep with no backward mask.
 type frozenAct struct {
 	kind epAct
-
-	xd, od []float32 // per-Run state
 }
 
 // infer implements frozenOp.
 func (a *frozenAct) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 	y := f.alloc(x.Shape()...)
-	a.xd, a.od = x.Data(), y.Data()
-	parallel.Run(f.budget(), x.Size(), parallel.GrainFor(1), a)
-	a.xd, a.od = nil, nil
+	applyAct(y.Data(), x.Data(), a.kind)
 	return y
 }
 
-// Run implements parallel.Runner over an element range.
-func (a *frozenAct) Run(_, lo, hi int) { applyAct(a.od, a.xd, lo, hi, a.kind) }
-
 // Pooling ---------------------------------------------------------------------
 
-// frozenMaxPool is MaxPool2D without the argmax cache, parallel over
-// [N·C] planes.
+// frozenMaxPool is MaxPool2D without the argmax cache.
 type frozenMaxPool struct {
 	k, stride int
-
-	xd, od       []float32 // per-Run state
-	h, w, oh, ow int
 }
 
 // infer implements frozenOp.
@@ -425,59 +397,43 @@ func (p *frozenMaxPool) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 	oh := (h-p.k)/p.stride + 1
 	ow := (w-p.k)/p.stride + 1
 	out := f.alloc(n, c, oh, ow)
-	p.xd, p.od, p.h, p.w, p.oh, p.ow = x.Data(), out.Data(), h, w, oh, ow
-	parallel.Run(f.budget(), n*c, parallel.GrainFor(oh*ow*p.k*p.k), p)
-	p.xd, p.od = nil, nil
-	return out
-}
-
-// Run implements parallel.Runner over a plane range.
-func (p *frozenMaxPool) Run(_, lo, hi int) {
-	for pl := lo; pl < hi; pl++ {
-		base := pl * p.h * p.w
-		oi := pl * p.oh * p.ow
-		for oy := 0; oy < p.oh; oy++ {
-			for ox := 0; ox < p.ow; ox++ {
+	xd, od := x.Data(), out.Data()
+	for pl := 0; pl < n*c; pl++ {
+		base := pl * h * w
+		oi := pl * oh * ow
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
 				iy0, ix0 := oy*p.stride, ox*p.stride
-				best := p.xd[base+iy0*p.w+ix0]
+				best := xd[base+iy0*w+ix0]
 				for ky := 0; ky < p.k; ky++ {
-					row := base + (iy0+ky)*p.w + ix0
+					row := base + (iy0+ky)*w + ix0
 					for kx := 0; kx < p.k; kx++ {
-						if v := p.xd[row+kx]; v > best {
+						if v := xd[row+kx]; v > best {
 							best = v
 						}
 					}
 				}
-				p.od[oi] = best
+				od[oi] = best
 				oi++
 			}
 		}
 	}
+	return out
 }
 
-// planeMean averages each [N·C] plane down to one value — the shared kernel
-// of GlobalAvgPool and the SE squeeze, parallel over planes. Each plane's
-// sum is one chain from +0 in the serial ascending order, so results are
-// bit-identical to the reference layers at every budget; the chains of four
-// neighbouring planes run side by side.
-type planeMean struct {
-	xd, od []float32
-	hw     int
-}
-
-// run executes the plane sweep under the budget.
-func (t *planeMean) run(par, planes int) {
-	parallel.Run(par, planes, parallel.GrainFor(t.hw), t)
-}
-
-// Run implements parallel.Runner over a plane range.
-func (t *planeMean) Run(_, lo, hi int) {
-	inv := 1 / float32(t.hw)
-	i := lo
-	for ; i+4 <= hi; i += 4 {
-		r0 := t.xd[i*t.hw:][:t.hw]
+// planeMean sets od[i] to the mean of plane i of xd (planes of hw values) for
+// every i of od — the shared kernel of GlobalAvgPool and the SE squeeze. Each
+// plane's sum is one chain from +0 in the serial ascending order, so results
+// are bit-identical to the reference layers; the chains of four neighbouring
+// planes run side by side.
+func planeMean(od, xd []float32, hw int) {
+	inv := 1 / float32(hw)
+	planes := len(od)
+	i := 0
+	for ; i+4 <= planes; i += 4 {
+		r0 := xd[i*hw:][:hw]
 		// Re-sliced to len(r0) so the compiler drops the inner bounds checks.
-		r1, r2, r3 := t.xd[(i+1)*t.hw:][:len(r0)], t.xd[(i+2)*t.hw:][:len(r0)], t.xd[(i+3)*t.hw:][:len(r0)]
+		r1, r2, r3 := xd[(i+1)*hw:][:len(r0)], xd[(i+2)*hw:][:len(r0)], xd[(i+3)*hw:][:len(r0)]
 		var s0, s1, s2, s3 float32
 		for j, v := range r0 {
 			s0 += v
@@ -485,30 +441,26 @@ func (t *planeMean) Run(_, lo, hi int) {
 			s2 += r2[j]
 			s3 += r3[j]
 		}
-		o := t.od[i : i+4]
+		o := od[i : i+4]
 		o[0], o[1], o[2], o[3] = s0*inv, s1*inv, s2*inv, s3*inv
 	}
-	for ; i < hi; i++ {
+	for ; i < planes; i++ {
 		var s float32
-		for _, v := range t.xd[i*t.hw : (i+1)*t.hw] {
+		for _, v := range xd[i*hw : (i+1)*hw] {
 			s += v
 		}
-		t.od[i] = s * inv
+		od[i] = s * inv
 	}
 }
 
 // frozenGAP is GlobalAvgPool's inference op.
-type frozenGAP struct {
-	t planeMean
-}
+type frozenGAP struct{}
 
 // infer implements frozenOp.
 func (g *frozenGAP) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	out := f.alloc(n, c)
-	g.t = planeMean{xd: x.Data(), od: out.Data(), hw: h * w}
-	g.t.run(f.budget(), n*c)
-	g.t = planeMean{}
+	planeMean(out.Data(), x.Data(), h*w)
 	return out
 }
 
@@ -530,10 +482,6 @@ type frozenResidual struct {
 	// the skip add ((y + W′x) + b′ versus y + (W′x + b′)), so it lives
 	// under the same ≤1e-5 tolerance contract as BN folding.
 	foldedProj *frozenConv
-
-	// per-Run state of the folded sample loop
-	xd, yd []float32
-	hw     int
 }
 
 // foldProj detects the foldable projection shape at compile time.
@@ -558,7 +506,7 @@ func (r *frozenResidual) foldProj() {
 func (r *frozenResidual) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 	y := runOps(f, r.body, x)
 	if r.foldedProj != nil {
-		r.inferFolded(f, x, y)
+		r.inferFolded(x, y)
 		return y
 	}
 	s := runOps(f, r.proj, x)
@@ -583,12 +531,10 @@ func addInto(od, yd, sd []float32) {
 }
 
 // inferFolded accumulates the folded projection onto the body output in
-// place: y_i += W′ @ x_i + b′ per sample, parallel over samples like
-// frozenConv (a single sample hands the whole budget to the row-parallel
-// matmul instead). Chunks own whole samples and the matmul is
-// budget-invariant, so results stay bit-identical at every budget.
-func (r *frozenResidual) inferFolded(f *Frozen, x, y *tensor.Tensor) {
-	l := r.foldedProj.l
+// place: y_i += W′ @ x_i + b′, one sample at a time.
+func (r *frozenResidual) inferFolded(x, y *tensor.Tensor) {
+	fc := r.foldedProj
+	l := fc.l
 	if x.NDim() != 4 || x.Dim(1) != l.InC {
 		panic(fmt.Sprintf("nn: frozen Residual projection input %v, want [N %d H W]", x.Shape(), l.InC))
 	}
@@ -597,29 +543,11 @@ func (r *frozenResidual) inferFolded(f *Frozen, x, y *tensor.Tensor) {
 		panic(fmt.Sprintf("nn: frozen Residual shape mismatch %v vs projection [%d %d %d %d]",
 			y.Shape(), n, l.OutC, h, w))
 	}
-	r.xd, r.yd, r.hw = x.Data(), y.Data(), h*w
-	par := f.budget()
-	if n == 1 {
-		r.foldSample(0, par)
-	} else {
-		parallel.Run(par, n, parallel.GrainFor(l.OutC*l.InC*r.hw), r)
-	}
-	r.xd, r.yd = nil, nil
-}
-
-// foldSample accumulates one sample's projection.
-func (r *frozenResidual) foldSample(i, par int) {
-	fc := r.foldedProj
-	l := fc.l
-	xi := r.xd[i*l.InC*r.hw : (i+1)*l.InC*r.hw]
-	yi := r.yd[i*l.OutC*r.hw : (i+1)*l.OutC*r.hw]
-	tensor.MatMulWASlicesPEp(par, yi, fc.wf, &fc.pw, 0, l.OutC, xi, r.hw, true, &fc.eps[0])
-}
-
-// Run implements parallel.Runner over a sample range of the folded skip.
-func (r *frozenResidual) Run(_, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		r.foldSample(i, 1)
+	xd, yd, hw := x.Data(), y.Data(), h*w
+	for i := 0; i < n; i++ {
+		xi := xd[i*l.InC*hw : (i+1)*l.InC*hw]
+		yi := yd[i*l.OutC*hw : (i+1)*l.OutC*hw]
+		tensor.MatMulWASlicesEp(yi, fc.wf, &fc.pw, 0, l.OutC, xi, hw, true, &fc.eps[0])
 	}
 }
 
@@ -695,10 +623,6 @@ func frozenSliceChannels(f *Frozen, x *tensor.Tensor, lo, hi int) *tensor.Tensor
 type frozenSE struct {
 	se       *SEBlock
 	fc1, fc2 *frozenDense
-	t        planeMean
-
-	xd, od, zd []float32 // per-Run state of the rescale sweep
-	hw         int
 }
 
 // newFrozenSE compiles an SEBlock, fusing the excitation MLP's ReLU and
@@ -719,20 +643,11 @@ func (s *frozenSE) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 	}
 	hw := h * w
 	sq := f.alloc(n, c)
-	s.t = planeMean{xd: x.Data(), od: sq.Data(), hw: hw}
-	s.t.run(f.budget(), n*c)
-	s.t = planeMean{}
+	planeMean(sq.Data(), x.Data(), hw)
 	z := s.fc2.infer(f, s.fc1.infer(f, sq))
 	out := f.alloc(n, c, h, w)
-	s.xd, s.od, s.zd, s.hw = x.Data(), out.Data(), z.Data(), hw
-	parallel.Run(f.budget(), n*c, parallel.GrainFor(hw), s)
-	s.xd, s.od, s.zd = nil, nil, nil
+	scaleRows(out.Data(), x.Data(), z.Data(), hw)
 	return out
-}
-
-// Run implements parallel.Runner over the rescale's plane range.
-func (s *frozenSE) Run(_, lo, hi int) {
-	scaleRows(s.od[lo*s.hw:hi*s.hw], s.xd[lo*s.hw:hi*s.hw], s.zd[lo:hi], s.hw)
 }
 
 // scaleRows computes od[r·hw+j] = xd[r·hw+j]·z[r] for every plane r of z:

@@ -21,8 +21,8 @@ type Replica struct {
 	version int
 }
 
-// NewReplica builds a replica from the model builder, granting it intraOp
-// cores of kernel parallelism (0 keeps the builder's setting). The replica
+// NewReplica builds a replica from the model builder, granting it an intraOp
+// budget (SetIntraOp; 0 keeps the builder's setting). The replica
 // has no weights loaded yet: Ensure before the first Infer.
 func NewReplica(build func() *Network, intraOp int) *Replica {
 	net := build()

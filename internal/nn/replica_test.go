@@ -112,7 +112,7 @@ func TestReplicaPoolConcurrentBitIdentical(t *testing.T) {
 // hammer the shared pack-buffer pool from many goroutines, and every output
 // must still be bit-identical to a serial packed reference (packed outputs
 // are budget- and concurrency-invariant). Run with -race, this is the data
-// race test for packBufPool/packTaskPool under real replica traffic.
+// race test for packBufPool under real replica traffic.
 func TestReplicaPoolConcurrentPackedBitIdentical(t *testing.T) {
 	prev := tensor.ActiveBackend()
 	tensor.SetBackend(tensor.BackendPacked)

@@ -113,7 +113,7 @@ func runVecActCase(t *testing.T, n, rows int, seed uint64) {
 		y := slices.Clone(l.Forward(xt, true).Data())
 		dx := slices.Clone(l.Backward(tensor.FromSlice(slices.Clone(dy), 1, n)).Data())
 		act := make([]float32, n)
-		applyAct(act, x, 0, n, epHardSwish)
+		applyAct(act, x, epHardSwish)
 		planes := slices.Clone(conv.Forward(tensor.FromSlice(slices.Clone(x), 1, 1, 1, n), true).Data())
 		scaled := make([]float32, rows*n)
 		scaleRows(scaled, slices.Repeat(x, rows), z, n)
@@ -473,8 +473,7 @@ func TestPlaneMeanMatchesOneChain(t *testing.T) {
 			for _, lo := range []int{0, 1} {
 				got := make([]float32, planes+1)
 				want := slices.Clone(got)
-				pm := planeMean{xd: xd, od: got, hw: hw}
-				pm.Run(0, lo, lo+planes)
+				planeMean(got[lo:lo+planes], xd[lo*hw:], hw)
 				inv := 1 / float32(hw)
 				for i := lo; i < lo+planes; i++ {
 					var s float32

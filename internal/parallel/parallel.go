@@ -1,8 +1,8 @@
 // Package parallel is the parallelism runtime: a persistent worker pool plus
-// a deterministic range splitter. The frozen (inference) forward's kernels —
-// tensor's fused matmuls and nn's frozen ops — use it to spread one
-// operator's work across cores, and the experiment harnesses use For to
-// train one model per worker.
+// a deterministic range splitter. The frozen (inference) forward uses it for
+// one loop — each conv's sample×group iterations, so a batch-1 request runs
+// on one core — and the experiment harnesses use For to train one model per
+// worker.
 //
 // Determinism contract: Run and For split [0, n) into a FIXED partition of
 // contiguous chunks keyed only by (budget, n, grain) — never by dynamic
@@ -19,7 +19,7 @@
 // grants each coarse worker a Share of GOMAXPROCS so the total never
 // oversubscribes the machine. Dispatch never queues: a chunk is handed to an
 // idle pool worker or run inline on the caller, so nested Run calls (a frozen
-// kernel inside a model worker, or inside another Run) cannot deadlock.
+// conv inside a model worker, or inside another Run) cannot deadlock.
 //
 // The dispatch path performs no steady-state heap allocation: per-call state
 // is recycled through a sync.Pool and tasks travel by value through the

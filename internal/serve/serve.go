@@ -24,8 +24,9 @@ type Config struct {
 	// own frozen replica. 0 means 1.
 	Workers int
 	// IntraOp is the total intra-op core budget, split evenly across
-	// workers (each replica gets at least 1). 0 means the machine
-	// (parallel.Workers()).
+	// workers (each replica gets at least 1). A replica's share splits a
+	// batch's conv iterations (samples × groups); a batch-1 request runs on
+	// one core. 0 means the machine (parallel.Workers()).
 	IntraOp int
 	// Admission is the overload policy. The zero value disables admission
 	// control entirely — bit-identical to the pre-admission harness.
@@ -166,8 +167,8 @@ type Server struct {
 
 // NewServer builds a serving stack for the model builder, publishing w as
 // version 0. Each of cfg.Workers replicas is granted IntraOp/Workers cores
-// (at least 1), mirroring fl's intra-op share so total kernel parallelism
-// never oversubscribes the budget.
+// (at least 1), mirroring fl's intra-op share so the replicas' conv loops
+// never oversubscribe the budget.
 func NewServer(build func() *nn.Network, w nn.Weights, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {

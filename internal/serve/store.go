@@ -1,8 +1,9 @@
 // Package serve is the serving front end for the frozen inference path: a
 // refcounted cache of published model versions, a per-version micro-batcher
 // under a virtual-time latency budget, per-worker frozen replicas executing
-// batches on the intra-op pool, and a deterministic closed-loop load harness
-// on internal/simclock.
+// batches, and a deterministic closed-loop load harness on internal/simclock.
+// A replica's intra-op budget splits a batch's conv iterations (samples ×
+// groups) across the parallel pool; a batch-1 request runs on one core.
 //
 // Determinism contract: the load harness never reads the wall clock — every
 // arrival, batch deadline, and service completion is a virtual-time event

@@ -25,12 +25,17 @@ import (
 //     bit-identical.
 //
 //   - The TOLERANCE tier: the two epilogue-fused, weight-stationary entry
-//     points the frozen inference path compiles to (MatMulWASlicesPEp,
-//     MatMulWBSlicesPEp, over matMulEp). These dispatch through the
+//     points the frozen inference path compiles to (MatMulWASlicesEp,
+//     MatMulWBSlicesEp, over matMulEp). These dispatch through the
 //     process-wide Backend below: auto and serial run the oracle kernels, a
 //     forced BackendPacked the packed, cache-blocked GEBP kernel, whose
 //     k-blocking reassociates partial sums. nn.Freeze's contract (≤1e-5
 //     max-abs vs the reference forward, identical argmax) absorbs that.
+//
+// Every entry point of both tiers runs on the calling goroutine; this
+// package spawns no work. The frozen forward's intra-op budget splits a
+// batch's conv iterations (samples × groups) above these calls, so a
+// batch-1 request runs each of them on one core.
 //
 // The int8-quantized tier sits one step further out on the same seam: the
 // frozen path's fused matmuls carry a PackedWeights handle (weights.go)
@@ -56,7 +61,7 @@ const (
 	// and bit-identical to BackendSerial.
 	BackendAuto Backend = iota
 	// BackendSerial forces the oracle kernels everywhere — bit-identical to
-	// the pre-backend behavior at every budget.
+	// BackendAuto.
 	BackendSerial
 	// BackendPacked forces the packed kernel for every eligible shape
 	// (k ≥ 1); the benchmark's probes and the kernel tests select it.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"heteroswitch/internal/frand"
-	"heteroswitch/internal/parallel"
 )
 
 // Col2Im promises BIT-identical results to the plain scatter (col2imRef):
@@ -71,51 +70,5 @@ func TestCol2ImBitIdentical(t *testing.T) {
 		Col2Im(got.Data(), col.Data(), d)
 		name := fmt.Sprintf("Col2Im c%d %dx%d k%d s%d p%d", g.inC, g.inH, g.inW, g.k, g.stride, g.pad)
 		exactEqual(t, name, got.Data(), want.Data())
-	}
-}
-
-// TestMatMulEpilogueBitIdentical: the fused epilogue runs row-locally inside
-// each chunk, so a fused kernel must equal the unfused kernel followed by
-// the same per-row pass, bit for bit, at every budget. Pinned to the serial
-// backend: this is the oracle fused path's contract; the packed backend's
-// tolerance contract is covered in packed_test.go.
-func TestMatMulEpilogueBitIdentical(t *testing.T) {
-	forceBackend(t, BackendSerial)
-	requireSplit(t, 64, 64, 256)
-	if c := parallel.Chunks(3, 100, mmGrain(64, 256)); c != 3 {
-		t.Fatalf("100x64x256 runs in %d chunk(s) at budget 3; the test needs 3 ragged ones", c)
-	}
-	r := frand.New(79)
-	for _, sz := range parShapes {
-		a := Randn(r, 1, sz.m, sz.k)
-		b := Randn(r, 1, sz.k, sz.n)
-		bias := Randn(r, 1, sz.m)
-		ep := &testEpilogue{bias: bias.Data()}
-		want := New(sz.m, sz.n)
-		matmulAcc(want.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n)
-		for i := 0; i < sz.m; i++ {
-			ep.Apply(want.Data()[i*sz.n:(i+1)*sz.n], i)
-		}
-		for _, par := range parBudgets {
-			got := Randn(r, 1, sz.m, sz.n)
-			matMulEp(par, got.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n, false, ep)
-			exactEqual(t, fmt.Sprintf("matMulEp(%d) %dx%dx%d", par, sz.m, sz.k, sz.n),
-				got.Data(), want.Data())
-		}
-	}
-}
-
-// testEpilogue is a bias-add + leaky clamp, enough to catch a skipped or
-// double-applied row.
-type testEpilogue struct{ bias []float32 }
-
-func (e *testEpilogue) Apply(row []float32, r int) {
-	b := e.bias[r]
-	for j := range row {
-		v := row[j] + b
-		if v < 0 {
-			v *= 0.5
-		}
-		row[j] = v
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-
-	"heteroswitch/internal/parallel"
 )
 
 // Int8-quantized matmul — the BackendInt8 kernel behind the weight-stationary
@@ -47,13 +45,12 @@ import (
 // activation) runs in float32 exactly as on the float backends.
 //
 // Determinism: per-row/per-tensor maxabs reductions scan in fixed index
-// order inside the worker that owns the rows (float max is exact, so even
-// the order would not matter), quantization is element-local, and integer
-// accumulation is exact and order-independent — so int8 results are
-// bit-identical across intra-op budgets and concurrent replicas by
-// construction, which is what the serve digest contract needs from every
-// backend. There is no k-blocking: nothing reassociates, because nothing
-// rounds.
+// order (float max is exact, so even the order would not matter),
+// quantization is element-local, and integer accumulation is exact and
+// order-independent — so int8 results are bit-identical across concurrent
+// replicas by construction, which is what the serve digest contract needs
+// from every backend. There is no k-blocking: nothing reassociates, because
+// nothing rounds.
 //
 // Accuracy: per element of a k-deep dot product the quantization error is
 // bounded by k·128·s_a·s_w (each operand's rounding error is ≤ s/2 against
@@ -188,13 +185,11 @@ func getInt8Scratch(nq, nwords, nsums, nadj, nrs int) *int8Scratch {
 
 func putInt8Scratch(s *int8Scratch) { int8ScratchPool.Put(s) }
 
-// quantizeRows quantizes A rows [lo, hi) of a[·,k] into biased storage with
+// quantizeRows quantizes A rows [0, m) of a[·,k] into biased storage with
 // one symmetric scale per row, recording the DEQUANT scale (maxabs/127) in
-// rs and the row's unbias correction −128·Σa′ in radj. Each row is
-// independent, so parallel workers quantize exactly the rows they will
-// multiply — disjoint writes, and the same bits at any budget.
-func quantizeRows(qa []uint8, radj []int64, rs []float32, a []float32, lo, hi, k int) {
-	for i := lo; i < hi; i++ {
+// rs and the row's unbias correction −128·Σa′ in radj.
+func quantizeRows(qa []uint8, radj []int64, rs []float32, a []float32, m, k int) {
+	for i := 0; i < m; i++ {
 		row := a[i*k : (i+1)*k]
 		ma := maxAbsBits(row)
 		rs[i] = ma / 127
@@ -431,13 +426,13 @@ func int8Micro1x4(c []float32, a []uint8, panel []uint64, k, w int, add bool, ad
 		uint32(acc0), uint32(acc0>>32), uint32(acc1), uint32(acc1>>32))
 }
 
-// int8RowRange runs the integer driver over output rows [lo, hi): panels
+// int8Rows runs the integer driver over output rows [0, m): panels
 // outermost (each panel's full-k slab is the hot operand across the row
 // sweep), then packMR row blocks with a 1-row tail. No k-blocking — the
 // integer accumulator is exact at any depth within int8MaxK. radj/corr are
 // the precomputed per-row and per-column unbias corrections (k·16384 folded
 // into exactly one of them by the drivers).
-func int8RowRange(out []float32, qa []uint8, panels []uint64, radj, corr []int64, rs, cs []float32, k, n, lo, hi int, accum bool) {
+func int8Rows(out []float32, qa []uint8, panels []uint64, radj, corr []int64, rs, cs []float32, m, k, n int, accum bool, ep RowEpilogue) {
 	np := (n + packNR - 1) / packNR
 	for p := 0; p < np; p++ {
 		panel := panels[p*k*2 : (p+1)*k*2]
@@ -448,42 +443,17 @@ func int8RowRange(out []float32, qa []uint8, panels []uint64, radj, corr []int64
 		if cs != nil {
 			csp = cs[j0 : j0+w]
 		}
-		i := lo
-		for ; i+packMR <= hi; i += packMR {
+		i := 0
+		for ; i+packMR <= m; i += packMR {
 			int8Micro2x4(out[i*n+j0:], n, qa[i*k:], qa[(i+1)*k:], panel, k, w, accum,
 				radj[i], radj[i+1], cb, rs[i], rs[i+1], csp)
 		}
-		for ; i < hi; i++ {
+		for ; i < m; i++ {
 			int8Micro1x4(out[i*n+j0:], qa[i*k:], panel, k, w, accum, radj[i], cb, rs[i], csp)
 		}
 	}
-}
-
-// int8Task is the pooled parallel.Runner. quantA marks the dense path,
-// where each worker first quantizes exactly the A rows it owns (disjoint
-// qa/sums/rs writes); the conv path pre-quantizes B once in the caller.
-type int8Task struct {
-	out, a     []float32
-	qa         []uint8
-	panels     []uint64
-	radj, corr []int64
-	rs, cs     []float32
-	k, n       int
-	accum      bool
-	quantA     bool
-	ep         RowEpilogue
-}
-
-var int8TaskPool = sync.Pool{New: func() any { return new(int8Task) }}
-
-// Run implements parallel.Runner on a row range of the output.
-func (t *int8Task) Run(_, lo, hi int) {
-	if t.quantA {
-		quantizeRows(t.qa, t.radj, t.rs, t.a, lo, hi, t.k)
-	}
-	int8RowRange(t.out, t.qa, t.panels, t.radj, t.corr, t.rs, t.cs, t.k, t.n, lo, hi, t.accum)
-	if t.ep != nil {
-		applyEpilogue(t.ep, t.out, t.n, lo, hi)
+	if ep != nil {
+		applyEpilogue(ep, out, m, n)
 	}
 }
 
@@ -491,18 +461,14 @@ func (t *int8Task) Run(_, lo, hi int) {
 // a[m,k] @ W with A quantized per row per call and W's lane-packed panels,
 // column corrections (k·16384 included), and column scales taken from the
 // version-stationary handle.
-func matMulInt8B(par int, out, a []float32, pw *PackedWeights, m int, accum bool, ep RowEpilogue) {
+func matMulInt8B(out, a []float32, pw *PackedWeights, m int, accum bool, ep RowEpilogue) {
 	k, n := pw.k, pw.n
 	if k > int8MaxK {
 		panic(fmt.Sprintf("tensor: int8 reduction depth %d exceeds %d", k, int8MaxK))
 	}
 	s := getInt8Scratch(m*k, 0, 0, m, m)
-	t := int8TaskPool.Get().(*int8Task)
-	*t = int8Task{out: out, a: a, qa: s.q, panels: pw.qpanels, radj: s.adj, corr: pw.qcorr,
-		rs: s.rs, cs: pw.scales, k: k, n: n, accum: accum, quantA: true, ep: ep}
-	parallel.Run(par, m, mmGrain(k, n), t)
-	*t = int8Task{} // drop slice references before pooling
-	int8TaskPool.Put(t)
+	quantizeRows(s.q, s.adj, s.rs, a, m, k)
+	int8Rows(out, s.q, pw.qpanels, s.adj, pw.qcorr, s.rs, pw.scales, m, k, n, accum, ep)
 	putInt8Scratch(s)
 }
 
@@ -512,7 +478,7 @@ func matMulInt8B(par int, out, a []float32, pw *PackedWeights, m int, accum bool
 // the handle. The per-tensor b scale folds into the per-row dequant factor,
 // so the store's column scale is uniform (cs == nil); k·16384 rides on the
 // per-column corrections computed here.
-func matMulInt8A(par int, out []float32, pw *PackedWeights, rowOff, rows int, b []float32, n int, accum bool, ep RowEpilogue) {
+func matMulInt8A(out []float32, pw *PackedWeights, rowOff, rows int, b []float32, n int, accum bool, ep RowEpilogue) {
 	k := pw.k
 	if k > int8MaxK {
 		panic(fmt.Sprintf("tensor: int8 reduction depth %d exceeds %d", k, int8MaxK))
@@ -529,12 +495,7 @@ func matMulInt8A(par int, out []float32, pw *PackedWeights, rowOff, rows int, b 
 	for i := 0; i < rows; i++ {
 		s.rs[i] = pw.scales[rowOff+i] * bScale
 	}
-	t := int8TaskPool.Get().(*int8Task)
-	*t = int8Task{out: out, qa: pw.qrows[rowOff*k : (rowOff+rows)*k], panels: s.words,
-		radj: pw.qcorr[rowOff : rowOff+rows], corr: s.adj,
-		rs: s.rs, k: k, n: n, accum: accum, ep: ep}
-	parallel.Run(par, rows, mmGrain(k, n), t)
-	*t = int8Task{}
-	int8TaskPool.Put(t)
+	int8Rows(out, pw.qrows[rowOff*k:(rowOff+rows)*k], s.words, pw.qcorr[rowOff:rowOff+rows], s.adj,
+		s.rs, nil, rows, k, n, accum, ep)
 	putInt8Scratch(s)
 }

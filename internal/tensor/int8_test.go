@@ -12,9 +12,9 @@ import (
 
 // The int8 backend's contract (int8.go): quantized results track the oracle
 // within Int8Tol (relative past unit magnitude) with identical per-row
-// argmax, are bit-identical across intra-op budgets, dispatch falls back to
-// the float kernels when a handle lacks the quantized form, warm dispatches
-// allocate nothing, and weight packs happen per Refresh — never per call.
+// argmax, dispatch falls back to the float kernels when a handle lacks the
+// quantized form, warm dispatches allocate nothing, and weight packs happen
+// per Refresh — never per call.
 
 // int8TolOK is packedTolOK with the int8 tier's documented bound.
 func int8TolOK(got, want float32) bool {
@@ -68,7 +68,7 @@ func refreshA(w *Tensor, m, k int) *PackedWeights {
 }
 
 // TestInt8MatchesOracle: forced int8 vs forced serial on both
-// weight-stationary entries, every shape × budget, within Int8Tol with
+// weight-stationary entries, every shape, within Int8Tol with
 // identical per-row argmax — the documented quantized-tier contract, with
 // and without an epilogue and under accumulation.
 func TestInt8MatchesOracle(t *testing.T) {
@@ -83,7 +83,7 @@ func TestInt8MatchesOracle(t *testing.T) {
 		rb := &RowBias{Bias: ep.bias[:m], Act: vec.ActHardSwish} // the conv orientation's epilogue
 
 		forceBackend(t, BackendSerial)
-		matMulEp(1, want, a.Data(), w.Data(), m, k, n, false, ep)
+		matMulEp(want, a.Data(), w.Data(), m, k, n, false, ep)
 
 		forceBackend(t, BackendInt8)
 		pwB := refreshB(w, k, n)
@@ -95,37 +95,35 @@ func TestInt8MatchesOracle(t *testing.T) {
 		// weight.
 		pwA := refreshA(a, m, k)
 		forceBackend(t, BackendSerial)
-		MatMulWASlicesPEp(1, wantA, a.Data(), pwA, 0, m, w.Data(), n, false, rb)
+		MatMulWASlicesEp(wantA, a.Data(), pwA, 0, m, w.Data(), n, false, rb)
 		forceBackend(t, BackendInt8)
-		for _, par := range packedBudgets {
-			for name, arm := range map[string]struct {
-				run  func()
-				want []float32
-			}{
-				"wb": {func() { MatMulWBSlicesPEp(par, got, a.Data(), w.Data(), pwB, m, false, ep) }, want},
-				"wa": {func() { MatMulWASlicesPEp(par, got, a.Data(), pwA, 0, m, w.Data(), n, false, rb) }, wantA},
-			} {
-				want := arm.want
-				clear(got)
-				arm.run()
-				for i := 0; i < m; i++ {
-					wantRow := want[i*n : (i+1)*n]
-					gotRow := got[i*n : (i+1)*n]
-					for j := 0; j < n; j++ {
-						if !int8TolOK(gotRow[j], wantRow[j]) {
-							t.Fatalf("%s %dx%dx%d par=%d: [%d,%d] got %g want %g (tol %g)",
-								name, m, k, n, par, i, j, gotRow[j], wantRow[j], Int8Tol)
-						}
+		for name, arm := range map[string]struct {
+			run  func()
+			want []float32
+		}{
+			"wb": {func() { MatMulWBSlicesEp(got, a.Data(), w.Data(), pwB, m, false, ep) }, want},
+			"wa": {func() { MatMulWASlicesEp(got, a.Data(), pwA, 0, m, w.Data(), n, false, rb) }, wantA},
+		} {
+			want := arm.want
+			clear(got)
+			arm.run()
+			for i := 0; i < m; i++ {
+				wantRow := want[i*n : (i+1)*n]
+				gotRow := got[i*n : (i+1)*n]
+				for j := 0; j < n; j++ {
+					if !int8TolOK(gotRow[j], wantRow[j]) {
+						t.Fatalf("%s %dx%dx%d: [%d,%d] got %g want %g (tol %g)",
+							name, m, k, n, i, j, gotRow[j], wantRow[j], Int8Tol)
 					}
-					// Argmax must survive quantization whenever the decision
-					// margin exceeds the tolerance band (random matrices can
-					// tie their top-2 arbitrarily closely; the model-fixture
-					// suites apply the same margin guard under this tier).
-					if n > 1 && rowArgmax(gotRow) != rowArgmax(wantRow) &&
-						rowMargin(wantRow) > 2*Int8Tol*rowMagnitude(wantRow) {
-						t.Fatalf("%s %dx%dx%d par=%d: row %d argmax %d want %d (margin %g)",
-							name, m, k, n, par, i, rowArgmax(gotRow), rowArgmax(wantRow), rowMargin(wantRow))
-					}
+				}
+				// Argmax must survive quantization whenever the decision
+				// margin exceeds the tolerance band (random matrices can
+				// tie their top-2 arbitrarily closely; the model-fixture
+				// suites apply the same margin guard under this tier).
+				if n > 1 && rowArgmax(gotRow) != rowArgmax(wantRow) &&
+					rowMargin(wantRow) > 2*Int8Tol*rowMagnitude(wantRow) {
+					t.Fatalf("%s %dx%dx%d: row %d argmax %d want %d (margin %g)",
+						name, m, k, n, i, rowArgmax(gotRow), rowArgmax(wantRow), rowMargin(wantRow))
 				}
 			}
 		}
@@ -134,52 +132,13 @@ func TestInt8MatchesOracle(t *testing.T) {
 		seed := Randn(r, 1, m, n)
 		copy(want, seed.Data())
 		forceBackend(t, BackendSerial)
-		matMulEp(1, want, a.Data(), w.Data(), m, k, n, true, nil)
+		matMulEp(want, a.Data(), w.Data(), m, k, n, true, nil)
 		forceBackend(t, BackendInt8)
 		copy(got, seed.Data())
-		MatMulWBSlicesPEp(1, got, a.Data(), w.Data(), pwB, m, true, nil)
+		MatMulWBSlicesEp(got, a.Data(), w.Data(), pwB, m, true, nil)
 		for i := range got {
 			if !int8TolOK(got[i], want[i]) {
 				t.Fatalf("wb accum %dx%dx%d: [%d] got %g want %g", m, k, n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestInt8BitIdenticalAcrossBudgets: the int8 kernel's integer accumulation
-// is exact, so results must match BIT-FOR-BIT at every intra-op budget —
-// the property the serve determinism contract stands on.
-func TestInt8BitIdenticalAcrossBudgets(t *testing.T) {
-	r := frand.New(137)
-	forceBackend(t, BackendInt8)
-	requireSplit(t, 16, 768, 256)
-	for _, sz := range packedShapes {
-		m, k, n := sz.m, sz.k, sz.n
-		a := Randn(r, 1, m, k)
-		w := fanInScaled(r, k, n)
-		ep := &testEpilogue{bias: Randn(r, 1, n).Data()}
-		rb := &RowBias{Bias: ep.bias[:m], Act: vec.ActReLU}
-		pwB := refreshB(w, k, n)
-		pwA := refreshA(a, m, k)
-		ref := make([]float32, m*n)
-		refA := make([]float32, m*n)
-		MatMulWBSlicesPEp(1, ref, a.Data(), w.Data(), pwB, m, false, ep)
-		MatMulWASlicesPEp(1, refA, a.Data(), pwA, 0, m, w.Data(), n, false, rb)
-		got := make([]float32, m*n)
-		for _, par := range packedBudgets[1:] {
-			clear(got)
-			MatMulWBSlicesPEp(par, got, a.Data(), w.Data(), pwB, m, false, ep)
-			for i := range got {
-				if got[i] != ref[i] {
-					t.Fatalf("wb %dx%dx%d par=%d: [%d] %g != par=1 %g", m, k, n, par, i, got[i], ref[i])
-				}
-			}
-			clear(got)
-			MatMulWASlicesPEp(par, got, a.Data(), pwA, 0, m, w.Data(), n, false, rb)
-			for i := range got {
-				if got[i] != refA[i] {
-					t.Fatalf("wa %dx%dx%d par=%d: [%d] %g != par=1 %g", m, k, n, par, i, got[i], refA[i])
-				}
 			}
 		}
 	}
@@ -196,15 +155,15 @@ func TestInt8GroupRowOffset(t *testing.T) {
 	b := Randn(r, 1, k, n)
 	pw := refreshA(w, m, k)
 	got := make([]float32, m*n)
-	MatMulWASlicesPEp(1, got[:5*n], w.Data()[:5*k], pw, 0, 5, b.Data(), n, false, nil)
-	MatMulWASlicesPEp(1, got[5*n:], w.Data()[5*k:], pw, 5, 5, b.Data(), n, false, nil)
+	MatMulWASlicesEp(got[:5*n], w.Data()[:5*k], pw, 0, 5, b.Data(), n, false, nil)
+	MatMulWASlicesEp(got[5*n:], w.Data()[5*k:], pw, 5, 5, b.Data(), n, false, nil)
 	want := make([]float32, m*n)
 	lo := new(PackedWeights)
 	lo.RefreshA(w.Data()[:5*k], 5, k)
 	hi := new(PackedWeights)
 	hi.RefreshA(w.Data()[5*k:], 5, k)
-	MatMulWASlicesPEp(1, want[:5*n], w.Data()[:5*k], lo, 0, 5, b.Data(), n, false, nil)
-	MatMulWASlicesPEp(1, want[5*n:], w.Data()[5*k:], hi, 0, 5, b.Data(), n, false, nil)
+	MatMulWASlicesEp(want[:5*n], w.Data()[:5*k], lo, 0, 5, b.Data(), n, false, nil)
+	MatMulWASlicesEp(want[5*n:], w.Data()[5*k:], hi, 0, 5, b.Data(), n, false, nil)
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("[%d] windowed %g != per-group %g", i, got[i], want[i])
@@ -231,25 +190,25 @@ func TestWeightStationaryFallbacks(t *testing.T) {
 	for _, be := range []Backend{BackendSerial, BackendPacked, BackendAuto, BackendInt8} {
 		forceBackend(t, be)
 		clear(want)
-		matMulEp(2, want, a.Data(), w.Data(), m, k, n, false, nil)
+		matMulEp(want, a.Data(), w.Data(), m, k, n, false, nil)
 		clear(got)
-		MatMulWBSlicesPEp(2, got, a.Data(), w.Data(), pwB, m, false, nil)
+		MatMulWBSlicesEp(got, a.Data(), w.Data(), pwB, m, false, nil)
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("wb fallback backend=%s: [%d] %g != raw %g", be, i, got[i], want[i])
 			}
 		}
 		clear(got)
-		MatMulWASlicesPEp(2, got, a.Data(), pwA, 0, m, w.Data(), n, false, nil)
+		MatMulWASlicesEp(got, a.Data(), pwA, 0, m, w.Data(), n, false, nil)
 		// The as-A float fallback always runs the raw kernels on the aliased
 		// rows; under int8/packed the raw entry may dispatch packed — both
 		// sides must still agree bit-for-bit only when the kernel matches,
 		// so compare against the entry's own documented fallback.
 		clear(want)
 		if usePacked(m, k, n) {
-			matMulPackedEp(2, want, a.Data(), w.Data(), m, k, n, false, nil)
+			matMulPackedEp(want, a.Data(), w.Data(), m, k, n, false, nil)
 		} else {
-			matMulEp(2, want, a.Data(), w.Data(), m, k, n, false, nil)
+			matMulEp(want, a.Data(), w.Data(), m, k, n, false, nil)
 		}
 		for i := range got {
 			if math.Abs(float64(got[i]-want[i])) > 1e-5 {
@@ -284,8 +243,8 @@ func TestWeightPackCount(t *testing.T) {
 		pwB := refreshB(w, k, n)
 		pwA := refreshA(a, m, k)
 		for i := 0; i < 5; i++ {
-			MatMulWBSlicesPEp(1, out, a.Data(), w.Data(), pwB, m, false, nil)
-			MatMulWASlicesPEp(1, out, a.Data(), pwA, 0, m, w.Data(), n, false, nil)
+			MatMulWBSlicesEp(out, a.Data(), w.Data(), pwB, m, false, nil)
+			MatMulWASlicesEp(out, a.Data(), pwA, 0, m, w.Data(), n, false, nil)
 		}
 		if got := have(pwB); got != tc.asB {
 			t.Errorf("%v: weights-as-B hold %+v, want %+v", tc.be, got, tc.asB)
@@ -317,8 +276,8 @@ func TestInt8AllocFree(t *testing.T) {
 		name string
 		run  func()
 	}{
-		{"wb", func() { MatMulWBSlicesPEp(2, out, a.Data(), w.Data(), pwB, m, false, ep) }},
-		{"wa", func() { MatMulWASlicesPEp(2, out, a.Data(), pwA, 0, m, w.Data(), n, false, rb) }},
+		{"wb", func() { MatMulWBSlicesEp(out, a.Data(), w.Data(), pwB, m, false, ep) }},
+		{"wa", func() { MatMulWASlicesEp(out, a.Data(), pwA, 0, m, w.Data(), n, false, rb) }},
 	} {
 		tc.run() // warm the pools
 		if allocs := testing.AllocsPerRun(10, tc.run); allocs != 0 {
@@ -395,7 +354,7 @@ func BenchmarkMatMulInt8(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					MatMulWBSlicesPEp(1, out, a.Data(), w.Data(), pw, sz.m, false, nil)
+					MatMulWBSlicesEp(out, a.Data(), w.Data(), pw, sz.m, false, nil)
 				}
 			})
 		}

@@ -2,9 +2,7 @@ package tensor
 
 import (
 	"fmt"
-	"sync"
 
-	"heteroswitch/internal/parallel"
 	"heteroswitch/internal/vec"
 )
 
@@ -174,9 +172,9 @@ func matMulTransB(out, a, b []float32, m, k, n int, acc bool) {
 	}
 }
 
-// matMulTransAAccRange computes rows [i0, i1) of out[m,n] += a[k,m]ᵀ @ b[k,n] —
-// the row-parallel building block. out is still indexed with full row stride
-// n from row 0.
+// matMulTransAAccRange computes rows [i0, i1) of out[m,n] += a[k,m]ᵀ @ b[k,n];
+// gemm passes the whole range. out is still indexed with full row stride n
+// from row 0.
 func matMulTransAAccRange(out, a, b []float32, k, m, n, i0, i1 int) {
 	if vec.Live {
 		if i0 < i1 && k > 0 && n > 0 {
@@ -229,16 +227,10 @@ func matMulTransAAccRange(out, a, b []float32, k, m, n, i0, i1 int) {
 // Descriptor and dispatcher ---------------------------------------------------
 
 // RowEpilogue post-processes completed output rows of a matmul in place —
-// bias adds and activation functions fused into the kernel call. It is
-// applied INSIDE each parallel chunk, right after the chunk's rows are
-// computed, so the epilogue runs on cache-warm data and the output is never
-// re-traversed by a separate layer pass. Apply receives the global row index
-// r and the row slice out[r*n : (r+1)*n].
-//
-// Apply must be safe for concurrent calls on distinct rows (chunks run in
-// parallel): implementations read shared state but mutate only the row.
-// Because the epilogue is row-local, fused results are bit-identical at
-// every budget, exactly like the unfused kernels.
+// bias adds and activation functions fused into the kernel call, right after
+// the rows are computed, so the epilogue runs on cache-warm data and the
+// output is never re-traversed by a separate layer pass. Apply receives the
+// row index r and the row slice out[r*n : (r+1)*n].
 type RowEpilogue interface {
 	Apply(row []float32, r int)
 }
@@ -268,7 +260,7 @@ func (e *RowBias) Apply(row []float32, r int) { rowBiasAct(row, e.Bias[r], e.Act
 // to gemm. out is [m,n] and k the reduction depth for every kind; acc keeps
 // out's contents instead of overwriting them; a non-nil bias (a @ b only) is
 // the per-row RowBias epilogue, stored with the sums; ep, when non-nil, is
-// swept per completed row range. It is also the parallel.Runner gemm pools.
+// swept over the finished rows.
 type mmTask struct {
 	kind      mmKind
 	out, a, b []float32
@@ -279,47 +271,16 @@ type mmTask struct {
 	ep        RowEpilogue
 }
 
-var mmTaskPool = sync.Pool{New: func() any { return new(mmTask) }}
-
-// Run implements parallel.Runner on rows [lo, hi) of the output.
-func (t *mmTask) Run(_, lo, hi int) {
-	switch t.kind {
-	case mmAB:
-		bias := t.bias
-		if bias != nil {
-			bias = bias[lo:hi]
-		}
-		gemmAB(t.out[lo*t.n:hi*t.n], t.a[lo*t.k:hi*t.k], t.b, hi-lo, t.k, t.n, t.acc, bias, t.act)
-	case mmTransB:
-		matMulTransB(t.out[lo*t.n:hi*t.n], t.a[lo*t.k:hi*t.k], t.b, hi-lo, t.k, t.n, t.acc)
-	case mmTransA:
-		matMulTransAAccRange(t.out, t.a, t.b, t.k, t.m, t.n, lo, hi)
-	}
-	if t.ep != nil {
-		applyEpilogue(t.ep, t.out, t.n, lo, hi)
-	}
-}
-
-// applyEpilogue runs ep over output rows [lo, hi).
-func applyEpilogue(ep RowEpilogue, out []float32, n, lo, hi int) {
-	for r := lo; r < hi; r++ {
+// applyEpilogue runs ep over output rows [0, m).
+func applyEpilogue(ep RowEpilogue, out []float32, m, n int) {
+	for r := 0; r < m; r++ {
 		ep.Apply(out[r*n:(r+1)*n], r)
 	}
 }
 
-// mmGrain converts one output row's work (k·n multiply-adds) into the
-// minimum rows per parallel chunk.
-func mmGrain(k, n int) int { return parallel.GrainFor(k * n) }
-
-// gemm is the one way in to the oracle kernels. It holds the operand check,
-// the serial branch and the pool: budget 1 runs the descriptor in place —
-// the serial kernel byte for byte, nothing pooled, nothing allocated — and a
-// larger budget splits the output rows into parallel.Chunks-fixed contiguous
-// blocks, one goroutine per block. Every output element is still computed
-// entirely by one goroutine running the serial inner loops, so the result is
-// bit-identical at every budget, and the work-based grain keeps small
-// matmuls serial, so callers pass their budget unconditionally.
-func gemm(par int, t mmTask) {
+// gemm is the one way in to the oracle kernels: the operand check, then the
+// kernel for the descriptor's kind on the calling goroutine.
+func gemm(t mmTask) {
 	if t.m < 0 || t.k < 0 || t.n < 0 || len(t.out) < t.m*t.n || len(t.a) < t.m*t.k || len(t.b) < t.k*t.n {
 		panic(fmt.Sprintf("tensor: matmul %v with m=%d k=%d n=%d needs out %d, a %d, b %d elements, have %d, %d, %d",
 			t.kind, t.m, t.k, t.n, t.m*t.n, t.m*t.k, t.k*t.n, len(t.out), len(t.a), len(t.b)))
@@ -327,15 +288,17 @@ func gemm(par int, t mmTask) {
 	if t.bias != nil && len(t.bias) < t.m {
 		panic(fmt.Sprintf("tensor: matmul %v with m=%d has %d biases", t.kind, t.m, len(t.bias)))
 	}
-	if par <= 1 {
-		t.Run(0, 0, t.m)
-		return
+	switch t.kind {
+	case mmAB:
+		gemmAB(t.out[:t.m*t.n], t.a[:t.m*t.k], t.b, t.m, t.k, t.n, t.acc, t.bias, t.act)
+	case mmTransB:
+		matMulTransB(t.out[:t.m*t.n], t.a[:t.m*t.k], t.b, t.m, t.k, t.n, t.acc)
+	case mmTransA:
+		matMulTransAAccRange(t.out, t.a, t.b, t.k, t.m, t.n, 0, t.m)
 	}
-	p := mmTaskPool.Get().(*mmTask)
-	*p = t
-	parallel.Run(par, t.m, mmGrain(t.k, t.n), p)
-	*p = mmTask{} // drop slice references before pooling
-	mmTaskPool.Put(p)
+	if t.ep != nil {
+		applyEpilogue(t.ep, t.out, t.m, t.n)
+	}
 }
 
 // gemmTensors is gemm on 2-D tensor headers: it reads m, k and n off the
@@ -355,7 +318,7 @@ func gemmTensors(kind mmKind, acc bool, out, a, b *Tensor) {
 	if kb != k || out.shape[0] != m || out.shape[1] != n {
 		panic(fmt.Sprintf("tensor: matmul %v shapes disagree: out %v, a %v, b %v", kind, out.shape, a.shape, b.shape))
 	}
-	gemm(1, mmTask{kind: kind, out: out.data, a: a.data, b: b.data, m: m, k: k, n: n, acc: acc})
+	gemm(mmTask{kind: kind, out: out.data, a: a.data, b: b.data, m: m, k: k, n: n, acc: acc})
 }
 
 // Entry points ----------------------------------------------------------------
@@ -371,7 +334,7 @@ func MatMulInto(out, a, b *Tensor) { gemmTensors(mmAB, false, out, a, b) }
 // element of row i when bias is non-nil — a conv's bias, added in the
 // kernel's store.
 func MatMulSlices(out, a, b []float32, m, k, n int, bias []float32) {
-	gemm(1, mmTask{kind: mmAB, out: out, a: a, b: b, m: m, k: k, n: n, bias: bias})
+	gemm(mmTask{kind: mmAB, out: out, a: a, b: b, m: m, k: k, n: n, bias: bias})
 }
 
 // MatMulTransBInto computes out = a @ bᵀ for a[m,k], b[n,k], out[m,n],
@@ -381,7 +344,7 @@ func MatMulTransBInto(out, a, b *Tensor) { gemmTensors(mmTransB, false, out, a, 
 // MatMulTransBAccSlices computes out[m,n] += a[m,k] @ b[n,k]ᵀ on raw
 // row-major slices — convolution's weight gradient dW += dy @ colᵀ.
 func MatMulTransBAccSlices(out, a, b []float32, m, k, n int) {
-	gemm(1, mmTask{kind: mmTransB, out: out, a: a, b: b, m: m, k: k, n: n, acc: true})
+	gemm(mmTask{kind: mmTransB, out: out, a: a, b: b, m: m, k: k, n: n, acc: true})
 }
 
 // MatMulTransAAccInto computes out += aᵀ @ b for a[k,m], b[k,n], out[m,n] —
@@ -392,23 +355,23 @@ func MatMulTransAAccInto(out, a, b *Tensor) { gemmTensors(mmTransA, true, out, a
 // Convolution's input-gradient lowering (dcol += Wᵀ @ dy) reads the weights
 // in place through it instead of materializing their transpose per sample.
 func MatMulTransAAccSlices(out, a, b []float32, k, m, n int) {
-	gemm(1, mmTask{kind: mmTransA, out: out, a: a, b: b, m: m, k: k, n: n, acc: true})
+	gemm(mmTask{kind: mmTransA, out: out, a: a, b: b, m: m, k: k, n: n, acc: true})
 }
 
 // matMulEp is the TOLERANCE tier's raw-slice entry, reached only through the
-// weight-stationary MatMulW{A,B}SlicesPEp of weights.go: out[m,n] (+)= a @ b
-// with ep fused per completed row chunk. It — and nothing above — dispatches
+// weight-stationary MatMulW{A,B}SlicesEp of weights.go: out[m,n] (+)= a @ b
+// with ep fused over the finished rows. It — and nothing above — dispatches
 // through the process-wide Backend (backend.go) and may run the packed GEBP
 // kernel instead of the oracle kernels. The packed kernel sweeps every ep; the
 // oracle kernel takes a *RowBias as data and stores it with the sums.
-func matMulEp(par int, out, a, b []float32, m, k, n int, acc bool, ep RowEpilogue) {
+func matMulEp(out, a, b []float32, m, k, n int, acc bool, ep RowEpilogue) {
 	if usePacked(m, k, n) {
-		matMulPackedEp(par, out, a, b, m, k, n, acc, ep)
+		matMulPackedEp(out, a, b, m, k, n, acc, ep)
 		return
 	}
 	t := mmTask{kind: mmAB, out: out, a: a, b: b, m: m, k: k, n: n, acc: acc, ep: ep}
 	if rb, ok := ep.(*RowBias); ok {
 		t.bias, t.act, t.ep = rb.Bias, rb.Act, nil
 	}
-	gemm(par, t)
+	gemm(t)
 }

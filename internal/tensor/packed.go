@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"sync"
-
-	"heteroswitch/internal/parallel"
-)
+import "sync"
 
 // Packed cache-blocked GEBP matmul — the tolerance-tier backend behind the
 // epilogue-fused entry points (see backend.go for the tier contract).
@@ -19,7 +15,7 @@ import (
 // PackedWeights handle packed ONCE per weight version — the frozen dense
 // path pays no per-batch packing at all. The driver blocks k into packKC
 // slabs (one panel slab is packKC·packNR floats — L1 resident while every
-// row block of the chunk re-reads it) and runs a widened register
+// row block re-reads it) and runs a widened register
 // microkernel: packMR output rows × packNR output columns accumulate in
 // registers across a whole k-block, so each B load feeds packMR fused
 // multiply-adds instead of one.
@@ -29,10 +25,7 @@ import (
 // sum into the output between slabs, reassociating the addition chain
 // whenever k > packKC. That puts this kernel in the tolerance tier — callers
 // hold the frozen path's ≤1e-5 + identical-argmax contract, not tol-0.
-// Parallelism is row-partitioned under the caller's intra-op budget and the
-// packed B is shared read-only across chunks, so no target's accumulation is
-// ever split and results are bit-identical at every budget (the property the
-// serving determinism tests stand on).
+// A call runs on the calling goroutine.
 //
 // The pack buffer is recycled through a sync.Pool of *packBuf, so a warm
 // packed dispatch performs no heap allocation — the same 0 allocs/op
@@ -174,69 +167,44 @@ func packedMicro1x4(c []float32, a []float32, panel []float32, k0, kMax, w int, 
 	packedStore(c, w, add, c0, c1, c2, c3)
 }
 
-// packedRowRange runs the GEBP driver over output rows [lo, hi): k-blocks
-// outermost (the first block initializes the output unless the caller
-// accumulates; later blocks add), then panels (each panel's k-slab is the
-// L1-resident operand), then packMR row blocks with a 1-row tail.
-func packedRowRange(out, a, buf []float32, k, n, lo, hi int, accum bool) {
+// runPackedPanels executes the GEBP driver against an ALREADY-PACKED
+// panel-major B — either a pooled per-call buffer or a PackedWeights
+// handle's version-stationary panels: k-blocks outermost (the first block
+// initializes the output unless the caller accumulates; later blocks add),
+// then panels (each panel's k-slab is the L1-resident operand), then packMR
+// row blocks with a 1-row tail; ep is swept over the finished rows.
+func runPackedPanels(out, a, panels []float32, m, k, n int, accum bool, ep RowEpilogue) {
 	np := (n + packNR - 1) / packNR
 	for k0 := 0; k0 < k; k0 += packKC {
 		kMax := min(k0+packKC, k)
 		add := accum || k0 > 0
 		for p := 0; p < np; p++ {
-			panel := buf[p*k*packNR : (p+1)*k*packNR]
+			panel := panels[p*k*packNR : (p+1)*k*packNR]
 			j0 := p * packNR
 			w := min(packNR, n-j0)
-			i := lo
-			for ; i+packMR <= hi; i += packMR {
+			i := 0
+			for ; i+packMR <= m; i += packMR {
 				packedMicro2x4(out[i*n+j0:], n, a[i*k:], a[(i+1)*k:], panel, k0, kMax, w, add)
 			}
-			for ; i < hi; i++ {
+			for ; i < m; i++ {
 				packedMicro1x4(out[i*n+j0:], a[i*k:], panel, k0, kMax, w, add)
 			}
 		}
 	}
-}
-
-// packTask is the pooled parallel.Runner of the packed kernel; chunks share
-// the read-only packed B and own disjoint row ranges.
-type packTask struct {
-	out, a, buf []float32
-	k, n        int
-	accum       bool
-	ep          RowEpilogue
-}
-
-var packTaskPool = sync.Pool{New: func() any { return new(packTask) }}
-
-// Run implements parallel.Runner on a row range of the output.
-func (t *packTask) Run(_, lo, hi int) {
-	packedRowRange(t.out, t.a, t.buf, t.k, t.n, lo, hi, t.accum)
-	if t.ep != nil {
-		applyEpilogue(t.ep, t.out, t.n, lo, hi)
+	if ep != nil {
+		applyEpilogue(ep, out, m, n)
 	}
 }
 
-// runPackedPanels executes the GEBP driver against an ALREADY-PACKED
-// panel-major B — either a pooled per-call buffer or a PackedWeights
-// handle's version-stationary panels.
-func runPackedPanels(par int, out, a, panels []float32, m, k, n int, accum bool, ep RowEpilogue) {
-	t := packTaskPool.Get().(*packTask)
-	*t = packTask{out: out, a: a, buf: panels, k: k, n: n, accum: accum, ep: ep}
-	parallel.Run(par, m, mmGrain(k, n), t)
-	*t = packTask{} // drop slice references before pooling
-	packTaskPool.Put(t)
-}
-
 // matMulPackedEp is the packed backend's per-call entry: out[m,n] (+)=
-// a[m,k] @ b[k,n] with ep fused per completed row chunk, b packed into a
+// a[m,k] @ b[k,n] with ep fused over the finished rows, b packed into a
 // pooled buffer for the duration of the call. The caller has already decided
 // dispatch via usePacked; k ≥ 1 is required (the first k-block initializes
 // the output).
-func matMulPackedEp(par int, out, a, b []float32, m, k, n int, accum bool, ep RowEpilogue) {
+func matMulPackedEp(out, a, b []float32, m, k, n int, accum bool, ep RowEpilogue) {
 	np := (n + packNR - 1) / packNR
 	pb := getPackBuf(np * k * packNR)
 	packB(pb.data, b, k, n)
-	runPackedPanels(par, out, a, pb.data, m, k, n, accum, ep)
+	runPackedPanels(out, a, pb.data, m, k, n, accum, ep)
 	putPackBuf(pb)
 }

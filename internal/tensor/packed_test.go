@@ -11,8 +11,8 @@ import (
 
 // The packed backend's contract (backend.go): forced serial is bit-identical
 // to the oracle kernels, packed tracks them within 1e-5 with identical
-// per-row argmax, packed results are bit-identical across intra-op budgets,
-// and a warm packed dispatch — pack buffers included — allocates nothing.
+// per-row argmax, and a warm packed dispatch — pack buffers included —
+// allocates nothing.
 
 // forceBackend pins the process-wide backend for one test and restores the
 // previous selection afterwards.
@@ -39,8 +39,6 @@ var packedShapes = []struct{ m, k, n int }{
 	{65, 33, 129},
 }
 
-var packedBudgets = []int{1, 2, 3, 4, 8}
-
 func rowArgmax(row []float32) int {
 	best := 0
 	for j, v := range row {
@@ -52,11 +50,11 @@ func rowArgmax(row []float32) int {
 }
 
 // runFusedEp computes out via matMulEp under a forced backend.
-func runFusedEp(b Backend, par int, out, a, bb []float32, m, k, n int, ep RowEpilogue) {
+func runFusedEp(b Backend, out, a, bb []float32, m, k, n int, ep RowEpilogue) {
 	prev := ActiveBackend()
 	SetBackend(b)
 	defer SetBackend(prev)
-	matMulEp(par, out, a, bb, m, k, n, false, ep)
+	matMulEp(out, a, bb, m, k, n, false, ep)
 }
 
 // fanInScaled builds a k×n "weight" operand with Kaiming-style 1/sqrt(k)
@@ -79,7 +77,7 @@ func packedTolOK(got, want float32) bool {
 }
 
 // TestPackedMatchesOracle: forced packed vs forced serial on the fused entry
-// point, every shape × budget, ≤1e-5 (relative past unit magnitude) with
+// point, every shape, ≤1e-5 (relative past unit magnitude) with
 // identical per-row argmax — the contract the frozen path holds, with and
 // without an epilogue.
 func TestPackedMatchesOracle(t *testing.T) {
@@ -90,21 +88,19 @@ func TestPackedMatchesOracle(t *testing.T) {
 		bias := Randn(r, 1, sz.m)
 		for _, ep := range []RowEpilogue{nil, &testEpilogue{bias: bias.Data()}} {
 			want := make([]float32, sz.m*sz.n)
-			runFusedEp(BackendSerial, 1, want, a.Data(), b.Data(), sz.m, sz.k, sz.n, ep)
-			for _, par := range packedBudgets {
-				got := make([]float32, sz.m*sz.n)
-				runFusedEp(BackendPacked, par, got, a.Data(), b.Data(), sz.m, sz.k, sz.n, ep)
-				name := fmt.Sprintf("packed(%d) %dx%dx%d ep=%v", par, sz.m, sz.k, sz.n, ep != nil)
-				for i := range got {
-					if !packedTolOK(got[i], want[i]) {
-						t.Fatalf("%s: element %d packed %v vs serial %v exceeds 1e-5", name, i, got[i], want[i])
-					}
+			runFusedEp(BackendSerial, want, a.Data(), b.Data(), sz.m, sz.k, sz.n, ep)
+			got := make([]float32, sz.m*sz.n)
+			runFusedEp(BackendPacked, got, a.Data(), b.Data(), sz.m, sz.k, sz.n, ep)
+			name := fmt.Sprintf("packed %dx%dx%d ep=%v", sz.m, sz.k, sz.n, ep != nil)
+			for i := range got {
+				if !packedTolOK(got[i], want[i]) {
+					t.Fatalf("%s: element %d packed %v vs serial %v exceeds 1e-5", name, i, got[i], want[i])
 				}
-				for i := 0; i < sz.m; i++ {
-					gr, wr := got[i*sz.n:(i+1)*sz.n], want[i*sz.n:(i+1)*sz.n]
-					if rowArgmax(gr) != rowArgmax(wr) {
-						t.Fatalf("%s: row %d argmax %d != %d", name, i, rowArgmax(gr), rowArgmax(wr))
-					}
+			}
+			for i := 0; i < sz.m; i++ {
+				gr, wr := got[i*sz.n:(i+1)*sz.n], want[i*sz.n:(i+1)*sz.n]
+				if rowArgmax(gr) != rowArgmax(wr) {
+					t.Fatalf("%s: row %d argmax %d != %d", name, i, rowArgmax(gr), rowArgmax(wr))
 				}
 			}
 		}
@@ -125,18 +121,15 @@ func TestPackedAccMatchesOracle(t *testing.T) {
 		want := append([]float32(nil), base.Data()...)
 		prev := ActiveBackend()
 		SetBackend(BackendSerial)
-		matMulEp(1, want, a.Data(), b.Data(), sz.m, sz.k, sz.n, true, ep)
+		matMulEp(want, a.Data(), b.Data(), sz.m, sz.k, sz.n, true, ep)
+		got := append([]float32(nil), base.Data()...)
+		SetBackend(BackendPacked)
+		matMulEp(got, a.Data(), b.Data(), sz.m, sz.k, sz.n, true, ep)
 		SetBackend(prev)
-		for _, par := range packedBudgets {
-			got := append([]float32(nil), base.Data()...)
-			SetBackend(BackendPacked)
-			matMulEp(par, got, a.Data(), b.Data(), sz.m, sz.k, sz.n, true, ep)
-			SetBackend(prev)
-			name := fmt.Sprintf("packedAcc(%d) %dx%dx%d", par, sz.m, sz.k, sz.n)
-			for i := range got {
-				if !packedTolOK(got[i], want[i]) {
-					t.Fatalf("%s: element %d packed %v vs serial %v exceeds 1e-5", name, i, got[i], want[i])
-				}
+		name := fmt.Sprintf("packedAcc %dx%dx%d", sz.m, sz.k, sz.n)
+		for i := range got {
+			if !packedTolOK(got[i], want[i]) {
+				t.Fatalf("%s: element %d packed %v vs serial %v exceeds 1e-5", name, i, got[i], want[i])
 			}
 		}
 	}
@@ -162,32 +155,9 @@ func testSerialBackendBitIdentical(t *testing.T) {
 		for i := 0; i < sz.m; i++ {
 			ep.Apply(want[i*sz.n:(i+1)*sz.n], i)
 		}
-		for _, par := range packedBudgets {
-			got := make([]float32, sz.m*sz.n)
-			matMulEp(par, got, a.Data(), b.Data(), sz.m, sz.k, sz.n, false, ep)
-			exactEqual(t, fmt.Sprintf("serial backend(%d) %dx%dx%d", par, sz.m, sz.k, sz.n), got, want)
-		}
-	}
-}
-
-// TestPackedBudgetsBitIdentical: the packed kernel row-partitions a shared
-// packed B and never splits one target's accumulation, so its results are
-// bit-identical across budgets — the invariant frozen-eval determinism
-// tests stand on.
-func TestPackedBudgetsBitIdentical(t *testing.T) {
-	forceBackend(t, BackendPacked)
-	requireSplit(t, 16, 768, 256)
-	r := frand.New(94)
-	for _, sz := range packedShapes {
-		a := Randn(r, 1, sz.m, sz.k)
-		b := Randn(r, 1, sz.k, sz.n)
-		want := make([]float32, sz.m*sz.n)
-		matMulEp(1, want, a.Data(), b.Data(), sz.m, sz.k, sz.n, false, nil)
-		for _, par := range packedBudgets[1:] {
-			got := make([]float32, sz.m*sz.n)
-			matMulEp(par, got, a.Data(), b.Data(), sz.m, sz.k, sz.n, false, nil)
-			exactEqual(t, fmt.Sprintf("packed budgets(%d) %dx%dx%d", par, sz.m, sz.k, sz.n), got, want)
-		}
+		got := make([]float32, sz.m*sz.n)
+		matMulEp(got, a.Data(), b.Data(), sz.m, sz.k, sz.n, false, ep)
+		exactEqual(t, fmt.Sprintf("serial backend %dx%dx%d", sz.m, sz.k, sz.n), got, want)
 	}
 }
 
@@ -224,9 +194,9 @@ func autoIsTheOracle(t *testing.T) {
 	const m, k, n = 16, 768, 40
 	a, b := Randn(r, 1, m*k).Data(), Randn(r, 1, k*n).Data()
 	got, want := make([]float32, m*n), make([]float32, m*n)
-	matMulEp(2, got, a, b, m, k, n, false, nil)
+	matMulEp(got, a, b, m, k, n, false, nil)
 	SetBackend(BackendSerial)
-	matMulEp(2, want, a, b, m, k, n, false, nil)
+	matMulEp(want, a, b, m, k, n, false, nil)
 	exactEqual(t, "auto vs serial", got, want)
 	if usePacked(1024, 1024, 1024) {
 		t.Fatal("usePacked must be false when serial is forced")
@@ -249,28 +219,25 @@ func autoIsTheOracle(t *testing.T) {
 }
 
 // TestPackedZeroAllocSteadyState: a warm packed dispatch recycles its pack
-// buffer and task through pools — 0 allocs/op, serial and parallel.
+// buffer through a pool — 0 allocs/op.
 func TestPackedZeroAllocSteadyState(t *testing.T) {
 	if israce.Enabled {
 		t.Skip("sync.Pool drops items randomly under -race; alloc counts are nondeterministic")
 	}
 	forceBackend(t, BackendPacked)
-	const m, k, n = 128, 48, 256 // the ConvNet expand pointwise at batch 128: splits
-	requireSplit(t, m, k, n)
+	const m, k, n = 128, 48, 256 // the ConvNet expand pointwise at batch 128
 	r := frand.New(95)
 	a := Randn(r, 1, m, k)
 	b := Randn(r, 1, k, n)
 	bias := Randn(r, 1, m)
 	ep := &testEpilogue{bias: bias.Data()}
 	out := make([]float32, m*n)
-	for _, par := range []int{1, 4} {
-		matMulEp(par, out, a.Data(), b.Data(), m, k, n, false, ep) // warm pools
-		allocs := testing.AllocsPerRun(20, func() {
-			matMulEp(par, out, a.Data(), b.Data(), m, k, n, false, ep)
-		})
-		if allocs != 0 {
-			t.Fatalf("packed dispatch par=%d steady state allocates %.1f/op, want 0", par, allocs)
-		}
+	matMulEp(out, a.Data(), b.Data(), m, k, n, false, ep) // warm the pool
+	allocs := testing.AllocsPerRun(20, func() {
+		matMulEp(out, a.Data(), b.Data(), m, k, n, false, ep)
+	})
+	if allocs != 0 {
+		t.Fatalf("packed dispatch steady state allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -297,7 +264,7 @@ func BenchmarkMatMulPacked(b *testing.B) {
 				run := func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						matMulEp(1, out, a.Data(), bb.Data(), sz.m, sz.k, sz.n, false, nil)
+						matMulEp(out, a.Data(), bb.Data(), sz.m, sz.k, sz.n, false, nil)
 					}
 				}
 				if be == BackendSerial {

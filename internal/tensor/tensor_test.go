@@ -218,7 +218,7 @@ func TestMatMulAccInto(t *testing.T) {
 	a := FromSlice([]float32{1, 0, 0, 1}, 2, 2)
 	b := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	out := Ones(2, 2)
-	matMulEp(1, out.Data(), a.Data(), b.Data(), 2, 2, 2, true, nil)
+	matMulEp(out.Data(), a.Data(), b.Data(), 2, 2, 2, true, nil)
 	want := FromSlice([]float32{2, 3, 4, 5}, 2, 2)
 	if !out.AllClose(want, 1e-6) {
 		t.Fatalf("out += a @ b = %v", out.Data())

@@ -244,36 +244,36 @@ func (pw *PackedWeights) quantizeA(w []float32) {
 // handle's quantized form, and the packed float backend reuses the handle's
 // panels instead of re-packing per call.
 
-// MatMulWBSlicesPEp computes out[m,n] (+)= a[m,k] @ W for a weights-as-B
-// handle (k, n from the handle), ep fused per completed row chunk — the
+// MatMulWBSlicesEp computes out[m,n] (+)= a[m,k] @ W for a weights-as-B
+// handle (k, n from the handle), ep fused over the finished rows — the
 // frozen dense entry. w is the caller's own float weights [k,n], used only
 // when the handle lacks the active backend's form (never when the int8 or
 // cached-panel fast path runs).
-func MatMulWBSlicesPEp(par int, out, a, w []float32, pw *PackedWeights, m int, accum bool, ep RowEpilogue) {
+func MatMulWBSlicesEp(out, a, w []float32, pw *PackedWeights, m int, accum bool, ep RowEpilogue) {
 	k, n := pw.k, pw.n
 	if ActiveBackend() == BackendInt8 && pw.hasInt8 {
-		matMulInt8B(par, out, a, pw, m, accum, ep)
+		matMulInt8B(out, a, pw, m, accum, ep)
 		return
 	}
 	if usePacked(m, k, n) && pw.hasFloat {
-		runPackedPanels(par, out, a, pw.fpanels, m, k, n, accum, ep)
+		runPackedPanels(out, a, pw.fpanels, m, k, n, accum, ep)
 		return
 	}
-	matMulEp(par, out, a, w, m, k, n, accum, ep)
+	matMulEp(out, a, w, m, k, n, accum, ep)
 }
 
-// MatMulWASlicesPEp computes out[rows,n] (+)= W[rowOff:rowOff+rows] @ b for
+// MatMulWASlicesEp computes out[rows,n] (+)= W[rowOff:rowOff+rows] @ b for
 // a weights-as-A handle — the frozen conv entry. rowOff/rows select the
 // group's output-channel rows within the handle (grouped convolutions pack
 // all groups into one handle); w is the caller's own float rows for that
 // window, ALREADY offset (the fallback operand). A conv's ep is its
 // *RowBias, which the oracle kernel stores with the sums and the packed and
 // int8 kernels sweep afterwards.
-func MatMulWASlicesPEp(par int, out, w []float32, pw *PackedWeights, rowOff, rows int, b []float32, n int, accum bool, ep RowEpilogue) {
+func MatMulWASlicesEp(out, w []float32, pw *PackedWeights, rowOff, rows int, b []float32, n int, accum bool, ep RowEpilogue) {
 	k := pw.k
 	if ActiveBackend() == BackendInt8 && pw.hasInt8 {
-		matMulInt8A(par, out, pw, rowOff, rows, b, n, accum, ep)
+		matMulInt8A(out, pw, rowOff, rows, b, n, accum, ep)
 		return
 	}
-	matMulEp(par, out, w, b, rows, k, n, accum, ep)
+	matMulEp(out, w, b, rows, k, n, accum, ep)
 }
