@@ -79,15 +79,23 @@
 // window of client steps is run. The core owns construction and validation,
 // the client-sampling stream (one Choice per K-draw; losing a sampled client
 // is the fault model's job), the training replicas with their accumulators
-// and pooled snapshot buffers, the RoundStats fold, GlobalNet, and the client
-// step itself:
+// and scratch weight sets, the versioned global and its one finalize, the
+// RoundStats fold, GlobalNet, and the client step itself:
 //
 //	train on a replica against the job's global → corrupt (faults draw) →
 //	validation gate → Accumulator.Fold(result, scale) → keep only scalars
 //
 // What differs between the drivers reaches the step as arguments — which
-// global, which RNG and corruption keys, which scale, which replica — never
-// as a mode. A strategy's server side is a fold: fl.Strategy.NewAccumulator
+// global, which RNG and corruption keys, which scale, which replica and
+// scratch set — never as a mode. Both drivers follow one buffer discipline.
+// A step trains into a scratch set of the core's — one per replica on the
+// barrier driver, a ring of two per replica on the event loop — that is the
+// step's own until its result is folded. Every global version lives in a
+// refcounted nn.VersionStore, where the core holds the live one like any
+// reader: it retains the global at construction, at each finalize and on
+// LoadCheckpoint, and releases the version it replaces. finalize writes the
+// next global into a buffer whose version has no reference left, so neither
+// driver allocates a model-sized buffer per round in steady state. A strategy's server side is a fold: fl.Strategy.NewAccumulator
 // returns an fl.Accumulator, the one interface every strategy implements:
 //
 //	Accumulator.Fold(result, scale)       // fold one client, buffers reusable after
@@ -106,10 +114,12 @@
 // The barrier driver (fl.Server.RunRound): draw K, partition them over W
 // workers balanced on sample count (longest-first greedy — a pure function
 // of the sampled list, so shard contents never depend on scheduling), run
-// each shard's steps in sampling order on its own replica and accumulator,
-// merge the shards tree-style, finalize into a recycled weight buffer. Peak
-// weight memory is O(W), not O(K); a round allocates no model-sized buffer
-// in steady state; float64 shard sums confine the merge order to
+// each shard's steps in sampling order on its own replica, scratch set and
+// accumulator, merge the shards tree-style, and finalize. No job outlives
+// the round, so the replaced global recycles at once and the next round's
+// finalize writes into it. Peak weight memory is O(W), not O(K); a round
+// allocates no model-sized buffer in steady state (TestServerRoundAllocations);
+// float64 shard sums confine the merge order to
 // double-precision rounding, so a fixed config is bit-reproducible at every
 // worker count. Checkpoints (SaveCheckpoint/LoadCheckpoint) live here only;
 // the loader treats its input as untrusted (FuzzLoadCheckpoint).
@@ -125,11 +135,12 @@
 // fl.Config.Workers replicas, each against the exact version broadcast at its
 // dispatch, while the calling goroutine folds every result into the one
 // accumulator in plan (= event) order; a step starts only after the window's
-// earlier steps of the same client are folded, and a ring of 2W scratch
-// buffers bounds what waits. Account releases the versions and adds the stats
-// in the same order. A refcounted nn.VersionStore keeps each broadcast global
-// until its last in-flight reader completes, then recycles it as the next
-// finalize buffer. Time is simulated, never measured: internal/simclock
+// earlier steps of the same client are folded, and the ring of 2W scratch
+// sets bounds what waits. Account releases the versions and adds the stats
+// in the same order, and the window finalizes. Every dispatched job retains
+// the version it was broadcast, so a replaced global stays resident until
+// the last job trained against it is accounted, and only then recycles into
+// a later finalize. Time is simulated, never measured: internal/simclock
 // provides the event heap (ties break by dispatch sequence) and hash-seeded
 // latency models that are pure functions of (seed, client, step); nothing in
 // the loop calls time.Now.
@@ -384,11 +395,12 @@
 // cmd/flserve is its load-harness entry point. Three pieces:
 //
 //   - Version cache: serve.Store wraps the refcounted nn.VersionStore (the
-//     same store backing the async server's broadcast versions). Acquire
-//     pins the current version for one request; Publish installs new weights
-//     as version N+1 and drops the store's own reference to N, which is
-//     recycled into a buffer pool the moment its last in-flight reader
-//     releases it. Resident versions are therefore bounded by request
+//     same store behind the aggregation core's globals) and holds its live
+//     version like any reader. Acquire retains the current version for one
+//     request; Publish retains new weights as version N+1 and releases the
+//     store's own reference to N. A version recycles the moment its last
+//     reference is released, and TakeBuffer hands its buffer to the next
+//     publisher. Resident versions are therefore bounded by request
 //     lifetimes (1 + versions still being read), never by publish count.
 //   - Micro-batching: requests admitted to the load harness join the forming
 //     batch for the version current at THEIR admission. A batch flushes when

@@ -22,18 +22,6 @@ const (
 	Fig7SWAD                     // per-batch weight averaging
 )
 
-// String implements fmt.Stringer.
-func (m Fig7Method) String() string {
-	switch m {
-	case Fig7SWA:
-		return "transform+SWA"
-	case Fig7SWAD:
-		return "transform+SWAD"
-	default:
-		return "transform-only"
-	}
-}
-
 // Fig7Result compares robustness of the three regimes against four
 // transformation families at increasing degrees.
 type Fig7Result struct {

@@ -207,7 +207,7 @@ func TestResetAccumulatorEmptyRound(t *testing.T) {
 	_ = finalize(acc, global)
 	next := nn.Weights{Params: []*tensor.Tensor{tensor.Full(5, 4)}}
 	acc.Reset(next, Default())
-	if out := finalize(acc, next); !out.SharesStorage(next) {
+	if out := finalize(acc, next); !sharesStorage(out, next) {
 		t.Fatal("reset accumulator with no results did not keep the new global weights")
 	}
 }

@@ -174,22 +174,18 @@ type asyncEvent struct {
 type AsyncServer struct {
 	engine
 	Async AsyncConfig
-	// Version counts applied global updates. A window whose folds all carried
-	// zero weight leaves the model — and so the version — unchanged.
-	Version int
 	// OnPublish, when non-nil, is invoked synchronously from finalizeWindow
 	// for every window that installed a new global version, with the new
 	// version counter, the new global weights, and the virtual time of the
 	// publish. This is the training→serving wiring point: a serving store
 	// subscribes here instead of polling. The weights are only guaranteed
-	// valid during the call — retired globals recycle once their last
-	// in-flight reader completes — so a consumer that outlives the call must
-	// copy them (serve.Store.TakeBuffer + PublishAt is the wired pattern).
+	// valid during the call — a replaced global recycles once no job trains
+	// against it — so a consumer that outlives the call must copy them
+	// (serve.Store.TakeBuffer + PublishAt is the wired pattern).
 	// Windows whose folds all carried zero weight publish nothing.
 	OnPublish func(version int, w nn.Weights, vtime float64)
 
 	clock simclock.Clock
-	store nn.VersionStore
 
 	// queue holds drawn-but-undispatched clients in sampling order; qhead
 	// avoids re-slicing the backing array away.
@@ -228,17 +224,16 @@ type asyncStep struct {
 }
 
 // execState is what the execute phase shares between the folding goroutine
-// and the W−1 helpers: the claim and fold cursors under mu, and the scratch
-// ring. A claimed step that is not yet folded lies in [folded, folded+len(ring)),
-// so step i trains into ring[i%len(ring)] without colliding with another.
-// The ring holds 2W slots, room for a step in training on each replica and as
-// many trained ones waiting for the fold; a helper that runs further ahead
-// waits.
+// and the W−1 helpers: the claim and fold cursors under mu. A claimed step
+// that is not yet folded lies in [folded, folded+len(scratch)), so step i
+// trains into the engine's scratch[i%len(scratch)] without colliding with
+// another. The engine holds 2W scratch sets, room for a step in training on
+// each replica and as many trained ones waiting for the fold; a helper that
+// runs further ahead waits.
 type execState struct {
 	mu           sync.Mutex
 	cond         sync.Cond
 	next, folded int
-	ring         []nn.Weights
 	helpers      sync.WaitGroup
 }
 
@@ -250,17 +245,13 @@ func NewAsyncServer(cfg Config, builder Builder, loss nn.Loss, strategy Strategy
 		return nil, err
 	}
 	w := min(max(cfg.Workers, 1), s.Async.Buffer)
-	if err := s.init(cfg, builder, loss, strategy, clients, w, 1); err != nil {
+	if err := s.init(cfg, builder, loss, strategy, clients, w, 1, 2*w); err != nil {
 		return nil, err
 	}
 	if cfg.Faults.NeedsTimeout() && s.Async.Timeout <= 0 {
 		return nil, fmt.Errorf("fl: fault model %q can lose dispatched jobs; AsyncConfig.Timeout must be > 0", cfg.Faults)
 	}
 	s.exec.cond.L = &s.exec.mu
-	s.exec.ring = make([]nn.Weights, 2*w)
-	for i := range s.exec.ring {
-		s.exec.ring[i] = s.Global.Zero()
-	}
 	return s, nil
 }
 
@@ -281,8 +272,8 @@ func (s *AsyncServer) nextClient() *Client {
 func (s *AsyncServer) admit(st *tally) {
 	for len(s.events) < s.Async.Concurrency {
 		c := s.nextClient()
-		job := asyncJob{client: c, version: s.Version, attempt: 1, key: s.seq}
-		s.store.Retain(s.Version, s.Global)
+		job := asyncJob{client: c, version: s.version, attempt: 1, key: s.seq}
+		s.store.Retain(s.version, s.Global)
 		s.dispatch(job, 0, st)
 	}
 }
@@ -329,7 +320,7 @@ func (s *AsyncServer) RunRound() RoundStats {
 	s.execute()
 	for i := range s.steps {
 		p := &s.steps[i]
-		s.store.Release(p.job.version, s.Global)
+		s.store.Release(p.job.version)
 		st.add(p.res, p.discount != 0, p.rejected)
 		st.MeanStaleness += float64(p.staleness)
 		st.MeanDiscount += p.discount
@@ -340,7 +331,7 @@ func (s *AsyncServer) RunRound() RoundStats {
 
 	s.finalizeWindow()
 	st.VirtualTime = s.clock.Now()
-	st.Version = s.Version
+	st.Version = s.version
 	return st.finish()
 }
 
@@ -370,7 +361,7 @@ func (s *AsyncServer) plan(st *tally) {
 		delete(s.events, ev.ID)
 		job := e.job
 		if e.timeout {
-			s.store.Release(job.version, s.Global)
+			s.store.Release(job.version)
 			if job.attempt >= s.Async.MaxAttempts {
 				st.Failed++
 				if st.Failed > failedGuard(s.Async.Buffer) {
@@ -381,13 +372,13 @@ func (s *AsyncServer) plan(st *tally) {
 			}
 			delay := math.Ldexp(s.Async.RetryBackoff, job.attempt-1)
 			job.attempt++
-			job.version = s.Version
-			s.store.Retain(s.Version, s.Global)
+			job.version = s.version
+			s.store.Retain(s.version, s.Global)
 			s.dispatch(job, delay, st)
 			st.Reissues++
 			continue
 		}
-		staleness := s.Version - job.version
+		staleness := s.version - job.version
 		discount := s.Async.Staleness.Weight(staleness)
 		if s.Async.MaxStaleness > 0 && staleness > s.Async.MaxStaleness {
 			// The drop rule: the upload already happened (BytesUp) but is
@@ -483,7 +474,7 @@ func (s *AsyncServer) claim() int {
 	for x.next < len(s.steps) && s.steps[x.next].ready {
 		x.next++
 	}
-	if x.next == len(s.steps) || x.next >= x.folded+len(x.ring) || s.steps[x.next].after >= x.folded {
+	if x.next == len(s.steps) || x.next >= x.folded+len(s.scratch) || s.steps[x.next].after >= x.folded {
 		return -1
 	}
 	x.next++
@@ -495,28 +486,17 @@ func (s *AsyncServer) claim() int {
 // with corruption drawn under the job's stable key.
 func (s *AsyncServer) run(w, i int) {
 	p := &s.steps[i]
-	scratch := &s.exec.ring[i%len(s.exec.ring)]
-	p.res, p.rejected = s.train(w, p.global, scratch, p.job.client, p.job.version, p.job.key)
+	p.res, p.rejected = s.train(w, p.global, &s.scratch[i%len(s.scratch)], p.job.client, p.job.version, p.job.key)
 }
 
 // finalizeWindow turns the window's accumulator into the next global
-// version. Like the synchronous server it finalizes into a recycled buffer;
-// the buffer pool here is the version store's, fed by retired globals once
-// their last in-flight reader completes. A window whose folds all carried
-// zero weight (every discount was 0) leaves the global — and the version
-// counter — unchanged, so staleness keeps measuring real model drift.
+// version through the engine's finalize and rewinds the accumulator to it. A
+// window whose folds all carried zero weight (every discount was 0) leaves
+// the global — and the version counter — unchanged, so staleness keeps
+// measuring real model drift.
 func (s *AsyncServer) finalizeWindow() {
-	buf := s.store.TakeBuffer(s.Global)
-	if s.accs[0].FinalizeInto(buf) {
-		old := s.Global
-		s.Global = buf
-		s.Version++
-		s.store.Retire(old)
-		if s.OnPublish != nil {
-			s.OnPublish(s.Version, s.Global, s.clock.Now())
-		}
-	} else {
-		s.store.GiveBuffer(buf)
+	if s.finalize(s.accs[0]) && s.OnPublish != nil {
+		s.OnPublish(s.version, s.Global, s.clock.Now())
 	}
 	s.accs[0].Reset(s.Global, s.Cfg)
 }
@@ -538,9 +518,6 @@ func (s *AsyncServer) Run(callback func(RoundStats)) {
 func failedGuard(buffer int) int {
 	return 1000 * (buffer + 1)
 }
-
-// Now returns the current virtual time of the simulation.
-func (s *AsyncServer) Now() float64 { return s.clock.Now() }
 
 // InFlight returns the number of dispatched-but-unfolded jobs.
 func (s *AsyncServer) InFlight() int { return len(s.events) }

@@ -30,9 +30,16 @@ func (sweepTrainer) LocalUpdate(ctx *ClientContext) ClientResult {
 	}
 }
 
+// sweepNet is the MLP the allocation tests run: 19 458 parameters, 78 KB a
+// weight set.
+func sweepNet() *nn.Network {
+	r := frand.New(5)
+	return nn.NewNetwork(nn.NewFlatten(), nn.NewDense(r, 16, 1024), nn.NewReLU(), nn.NewDense(r, 1024, 2))
+}
+
 // windowAllocs returns the mallocs and bytes of one warm window of a
 // straggler-tail async run with the given replica count and buffer, and the
-// size of one weight set (78 KB).
+// size of one weight set.
 func windowAllocs(t *testing.T, workers, buffer int) (allocs float64, bytes uint64, model int64) {
 	t.Helper()
 	perDevice := fixtureData(4*buffer, 3)
@@ -44,11 +51,7 @@ func windowAllocs(t *testing.T, workers, buffer int) (allocs float64, bytes uint
 		Rounds: 1, ClientsPerRound: buffer, BatchSize: 1, LocalEpochs: 1,
 		LR: 0.1, Seed: 3, Workers: workers,
 	}
-	builder := func() *nn.Network {
-		r := frand.New(5)
-		return nn.NewNetwork(nn.NewFlatten(), nn.NewDense(r, 16, 1024), nn.NewReLU(), nn.NewDense(r, 1024, 2))
-	}
-	srv, err := NewAsyncServer(cfg, builder, nn.SoftmaxCrossEntropy{}, sweepTrainer{}, clients, AsyncConfig{
+	srv, err := NewAsyncServer(cfg, sweepNet, nn.SoftmaxCrossEntropy{}, sweepTrainer{}, clients, AsyncConfig{
 		Staleness:   PolynomialStaleness{Alpha: 0.5},
 		Latency:     simclock.StragglerTail{Lo: 0.5, Hi: 2, TailProb: 0.15, TailFactor: 8, Seed: 3},
 		Concurrency: 2 * buffer,
@@ -86,6 +89,49 @@ func TestAsyncWindowAllocations(t *testing.T) {
 		if int64(max(b1, b2)) >= model {
 			t.Errorf("buffer %d: a window allocates %d bytes on one replica, %d on two; a weight set is %d",
 				buffer, b1, b2, model)
+		}
+	}
+}
+
+// roundAllocs returns the bytes one warm barrier round allocates with the
+// given worker count and K, and the size of one weight set.
+func roundAllocs(t *testing.T, workers, k int) (bytes uint64, model int64) {
+	t.Helper()
+	clients, err := BuildPopulation(fixtureData(2*k, 3), []int{k, k}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Rounds: 1, ClientsPerRound: k, BatchSize: 1, LocalEpochs: 1,
+		LR: 0.1, Seed: 3, Workers: workers,
+	}
+	srv, err := NewServer(cfg, sweepNet, nn.SoftmaxCrossEntropy{}, sweepTrainer{}, clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 4; r++ {
+		srv.RunRound(r)
+	}
+	const runs = 20
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for r := 0; r < runs; r++ {
+		srv.RunRound(4 + r)
+	}
+	runtime.ReadMemStats(&m1)
+	return (m1.TotalAlloc - m0.TotalAlloc) / runs, srv.wb
+}
+
+// A warm barrier round allocates less than one weight set: each worker
+// trains into its own scratch set, and the new global is written into the
+// buffer of a replaced one, so the round's allocations are its small lists.
+func TestServerRoundAllocations(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("the race detector allocates")
+	}
+	for _, workers := range []int{1, 2} {
+		if b, model := roundAllocs(t, workers, 8); int64(b) >= model {
+			t.Errorf("workers %d: a round allocates %d bytes; a weight set is %d", workers, b, model)
 		}
 	}
 }

@@ -371,8 +371,8 @@ func TestAsyncZeroDiscountSkipsTraining(t *testing.T) {
 	zeroSrv.Run(func(s RoundStats) { zeroStats = append(zeroStats, s) })
 
 	requireBitIdentical(t, zeroSrv.Global, initial, "zero-discount global")
-	if zeroSrv.Version != 0 {
-		t.Fatalf("zero-discount run bumped version to %d", zeroSrv.Version)
+	if zeroSrv.version != 0 {
+		t.Fatalf("zero-discount run bumped version to %d", zeroSrv.version)
 	}
 
 	_, oneStats := mk(1)

@@ -12,20 +12,29 @@ import (
 // engine is the aggregation core that Server and AsyncServer both embed:
 // construction and validation, the client-sampling stream, the client step
 // (train → corrupt → gate, then fold), the round's stats fold, the replicas
-// with their accumulators and scratch pool, and GlobalNet. What is left to the
-// two servers is only how a window of steps is driven — W shard goroutines
-// behind a barrier, or one virtual-time event loop that trains on W replicas
-// and folds in event order. Nothing here knows which driver is calling: where
-// the two differ (the global a job trains against, its RNG and corruption
-// keys, its fold scale, its replica and accumulator) the step takes the
+// with their accumulators and scratch sets, the version store behind the
+// global, one finalize, and GlobalNet. What is left to the two servers is
+// only how a window of steps is driven — W shard goroutines behind a
+// barrier, or one virtual-time event loop that trains on W replicas and folds
+// in event order. Nothing here knows which driver is calling: where the two
+// differ (the global a job trains against, its RNG and corruption keys, its
+// fold scale, its replica, accumulator and scratch set) the step takes the
 // difference as an argument.
+//
+// Every weight buffer has one owner. A scratch set belongs to the step
+// training into it until the step is folded. Every global version lives in
+// the store, and the engine holds the live one like any reader: it retains
+// the global at init, at each finalize and in LoadCheckpoint, and releases
+// the version it replaces. A version's buffer recycles once its last
+// reference is gone, and finalize draws the next global from those buffers.
 type engine struct {
 	Cfg      Config
 	Strategy Strategy
 	Loss     nn.Loss
 	Clients  []*Client
-	// Global is the current global model. Nothing may retain it across
-	// rounds: both servers recycle retired weight sets.
+	// Global is the current global model. Its buffer recycles once a newer
+	// global replaces it and no job still trains against it, so a caller
+	// that keeps it across a round must copy it.
 	Global nn.Weights
 
 	builder Builder
@@ -38,17 +47,22 @@ type engine struct {
 	// allocated once, not per round.
 	nets []*nn.Network
 	accs []Accumulator
-	// pool recycles the barrier server's snapshot scratch buffers; it holds
-	// at most len(nets) buffers at rest.
-	pool weightsPool
+	// scratch holds the weight sets steps train into: one per replica on the
+	// barrier server, a ring of two per replica on the event loop.
+	scratch []nn.Weights
+	// store holds every global version still referenced; version numbers
+	// the live one and counts the globals installed so far.
+	store   nn.VersionStore
+	version int
 	// wb is the on-the-wire size of one weight set.
 	wb int64
 }
 
 // init validates cfg against the population and builds the core with a fresh
-// global model, the given number of replicas, which split the frozen
-// forward's kernel budget evenly, and the given number of accumulators.
-func (e *engine) init(cfg Config, builder Builder, loss nn.Loss, strategy Strategy, clients []*Client, replicas, accs int) error {
+// global model as version 0, the given number of replicas, which split the
+// frozen forward's kernel budget evenly, and the given numbers of
+// accumulators and scratch sets.
+func (e *engine) init(cfg Config, builder Builder, loss nn.Loss, strategy Strategy, clients []*Client, replicas, accs, scratch int) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -67,12 +81,40 @@ func (e *engine) init(cfg Config, builder Builder, loss nn.Loss, strategy Strate
 		e.nets[i].SetIntraOp(share)
 	}
 	e.Global = e.nets[0].Snapshot()
+	e.store.Retain(0, e.Global)
 	e.wb = weightBytes(e.Global)
 	e.accs = make([]Accumulator, accs)
 	for i := range e.accs {
 		e.accs[i] = strategy.NewAccumulator(e.Global, cfg)
 	}
+	e.scratch = make([]nn.Weights, scratch)
+	for i := range e.scratch {
+		e.scratch[i] = e.Global.Zero()
+	}
 	return nil
+}
+
+// install makes w the global: the engine's reference moves from the live
+// version to w as the next one.
+func (e *engine) install(w nn.Weights) {
+	e.store.Release(e.version)
+	e.version++
+	e.Global = w
+	e.store.Retain(e.version, w)
+}
+
+// finalize turns acc into the next global version, written into a recycled
+// buffer, and reports whether it did. An accumulator that aggregated nothing
+// (every update rejected or weighted 0) leaves the global — and the version
+// counter — unchanged.
+func (e *engine) finalize(acc Accumulator) bool {
+	buf := e.store.TakeBuffer(e.Global)
+	if !acc.FinalizeInto(buf) {
+		e.store.GiveBuffer(buf)
+		return false
+	}
+	e.install(buf)
+	return true
 }
 
 // intraOpShare is the core-budget token grant (parallel.Share) of cfg.IntraOp

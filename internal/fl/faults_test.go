@@ -388,8 +388,8 @@ func TestScaffoldRejectedUpdatesLeaveNoTrace(t *testing.T) {
 	before = async.Global.Clone()
 	async.Run(nil)
 	check("async", sc, before, async.Global)
-	if async.Version != 0 {
-		t.Fatalf("async installed %d versions from rejected updates", async.Version)
+	if async.version != 0 {
+		t.Fatalf("async installed %d versions from rejected updates", async.version)
 	}
 }
 

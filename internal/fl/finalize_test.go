@@ -78,11 +78,12 @@ func newConvServer(t *testing.T) *Server {
 	return srv
 }
 
-// TestFinalizeRecyclingRetention locks the double-buffered Finalize
-// invariant: weight sets handed out before the recycled buffer cycles back —
-// checkpoint serializations and GlobalNet copies — must be unaffected by
-// later rounds, over enough rounds for the ping-pong buffers to be reused
-// twice.
+// TestFinalizeRecyclingRetention locks the recycling invariant of the
+// engine's finalize: a replaced global's buffer returns to the version store
+// and a later finalize writes into it, so what was handed out before —
+// checkpoint serializations and GlobalNet copies — must be copies that later
+// rounds leave unaffected, over enough rounds for a recycled buffer to be
+// written again.
 func TestFinalizeRecyclingRetention(t *testing.T) {
 	srv := newConvServer(t)
 	srv.RunRound(0)

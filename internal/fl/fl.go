@@ -139,16 +139,17 @@ type ClientContext struct {
 	Loss   nn.Loss
 	Round  int
 	RNG    *frand.RNG // deterministic per (client, round)
-	// Scratch, when non-nil, points at a pooled weight buffer the strategy
-	// may return from LocalUpdate instead of allocating a fresh snapshot (via
-	// SnapshotWeights). The server's client step always sets it: each result
-	// is folded into an accumulator before the buffer is reused for the next
-	// client. Only direct callers of LocalUpdate leave it nil.
+	// Scratch, when non-nil, points at the step's scratch weight set, which
+	// the strategy may return from LocalUpdate instead of allocating a fresh
+	// snapshot (via SnapshotWeights). The server's client step always sets
+	// it: the set is the step's own until its result is folded into an
+	// accumulator, and the next step the server runs in it starts only
+	// after that fold. Only direct callers of LocalUpdate leave it nil.
 	Scratch *nn.Weights
 }
 
 // SnapshotWeights returns the network's post-training weights: written into
-// the per-worker scratch buffer when there is one (the server folds the
+// the step's scratch buffer when there is one (the server folds the
 // result immediately, so the buffer can be recycled), or a fresh snapshot
 // otherwise. Strategies should prefer this over Net.Snapshot for the
 // weights they return. A scratch buffer that no longer matches the network

@@ -17,11 +17,11 @@ func TestOnPublishFiresPerInstalledVersion(t *testing.T) {
 	}
 	var pubs []pub
 	srv.OnPublish = func(v int, w nn.Weights, vt float64) {
-		if !w.SharesStorage(srv.Global) {
+		if !sharesStorage(w, srv.Global) {
 			t.Fatal("hook weights are not the freshly installed global")
 		}
-		if v != srv.Version {
-			t.Fatalf("hook version %d != server version %d", v, srv.Version)
+		if v != srv.version {
+			t.Fatalf("hook version %d != server version %d", v, srv.version)
 		}
 		pubs = append(pubs, pub{v, vt})
 	}
@@ -31,8 +31,8 @@ func TestOnPublishFiresPerInstalledVersion(t *testing.T) {
 	if len(pubs) == 0 {
 		t.Fatal("OnPublish never fired")
 	}
-	if len(pubs) != srv.Version {
-		t.Fatalf("%d publishes for %d installed versions", len(pubs), srv.Version)
+	if len(pubs) != srv.version {
+		t.Fatalf("%d publishes for %d installed versions", len(pubs), srv.version)
 	}
 	for i, p := range pubs {
 		if p.version != i+1 {
@@ -65,8 +65,8 @@ func TestOnPublishIsObservationOnly(t *testing.T) {
 	if fired == 0 {
 		t.Fatal("hook never fired")
 	}
-	if plain.Version != hooked.Version {
-		t.Fatalf("version drift: %d vs %d", plain.Version, hooked.Version)
+	if plain.version != hooked.version {
+		t.Fatalf("version drift: %d vs %d", plain.version, hooked.version)
 	}
 	requireBitIdentical(t, plain.Global, hooked.Global, "hooked vs plain global")
 }

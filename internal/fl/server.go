@@ -16,12 +16,6 @@ type Server struct {
 	engine
 	// plan is the scratch of the round's client→worker split.
 	plan shardPlan
-	// spare double-buffers the outgoing global weights: FinalizeInto
-	// writes each round's new global into the weight set retired
-	// two rounds ago instead of allocating a model-sized nn.Weights per
-	// round. Safe because nothing retains a global weight set across rounds
-	// — checkpoints serialize immediately and GlobalNet/replicas copy.
-	spare nn.Weights
 }
 
 // NewServer builds a server with a fresh global model from the builder and
@@ -29,7 +23,7 @@ type Server struct {
 func NewServer(cfg Config, builder Builder, loss nn.Loss, strategy Strategy, clients []*Client) (*Server, error) {
 	s := &Server{}
 	w := max(cfg.Workers, 1)
-	if err := s.init(cfg, builder, loss, strategy, clients, w, w); err != nil {
+	if err := s.init(cfg, builder, loss, strategy, clients, w, w, w); err != nil {
 		return nil, err
 	}
 	if cfg.Faults.NeedsVirtualTime() {
@@ -43,8 +37,8 @@ func NewServer(cfg Config, builder Builder, loss nn.Loss, strategy Strategy, cli
 // The sampled clients are partitioned over the workers (shardPlan.split:
 // balanced on sample count, a pure function of the sampled list); each
 // worker runs its shard's steps in sampling order, folding every result into
-// its own accumulator as it finishes — reusing one pooled snapshot buffer
-// per worker — and the shards are merged tree-style at round end. Peak
+// its own accumulator as it finishes — reusing the worker's one scratch
+// set — and the shards are merged tree-style at round end. Peak
 // weight memory is O(workers), not O(K), and because no shard's contents
 // depend on scheduling, a fixed Config is bit-reproducible at every worker
 // count.
@@ -67,26 +61,14 @@ func (s *Server) RunRound(round int) RoundStats {
 		wg.Add(1)
 		go func(w int, shard []int) {
 			defer wg.Done()
-			scratch := s.pool.get(s.Global)
-			defer s.pool.put(scratch)
 			for _, i := range shard {
-				results[i], rejected[i] = s.train(w, s.Global, &scratch, sampled[i], round, round)
+				results[i], rejected[i] = s.train(w, s.Global, &s.scratch[w], sampled[i], round, round)
 				fold(s.accs[w], &results[i], rejected[i], 1)
 			}
 		}(w, shard)
 	}
 	wg.Wait()
-	// The new global is written into the spare weight buffer — the set
-	// retired as global two rounds ago — so the steady state allocates no
-	// model-sized weights at all; the previous global becomes the next
-	// spare. A round that aggregated nothing (every update rejected) keeps
-	// both untouched.
-	if s.spare.Params == nil {
-		s.spare = s.Global.Zero()
-	}
-	if mergeShards(s.accs[:workers]).FinalizeInto(s.spare) {
-		s.Global, s.spare = s.spare, s.Global
-	}
+	s.finalize(mergeShards(s.accs[:workers]))
 	for i, r := range results {
 		st.add(r, true, rejected[i])
 	}
@@ -123,7 +105,7 @@ func (s *Server) LoadCheckpoint(r io.Reader) (round int, err error) {
 	if err := s.nets[0].LoadWeights(w); err != nil {
 		return 0, fmt.Errorf("fl: checkpoint incompatible: %w", err)
 	}
-	s.Global = w
+	s.install(w)
 	return int(binary.LittleEndian.Uint64(hdr[:])), nil
 }
 

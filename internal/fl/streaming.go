@@ -2,7 +2,6 @@ package fl
 
 import (
 	"slices"
-	"sync"
 
 	"heteroswitch/internal/nn"
 	"heteroswitch/internal/tensor"
@@ -235,33 +234,4 @@ func (p *shardPlan) split(sampled []*Client, workers int) [][]int {
 		shards[w] = append(shards[w], i)
 	}
 	return shards
-}
-
-// weightsPool recycles weight-snapshot buffers across rounds so the
-// per-worker scratch costs one allocation per worker for the server's
-// lifetime, not one per client per round.
-type weightsPool struct {
-	mu   sync.Mutex
-	free []nn.Weights
-}
-
-// get returns a pooled buffer shaped like the reference weights, allocating
-// only when the pool is empty.
-func (p *weightsPool) get(like nn.Weights) nn.Weights {
-	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		w := p.free[n-1]
-		p.free = p.free[:n-1]
-		p.mu.Unlock()
-		return w
-	}
-	p.mu.Unlock()
-	return like.Clone()
-}
-
-// put returns a buffer to the pool.
-func (p *weightsPool) put(w nn.Weights) {
-	p.mu.Lock()
-	p.free = append(p.free, w)
-	p.mu.Unlock()
 }

@@ -63,8 +63,7 @@ func convBNAct(r *frand.RNG, inC, outC, k, stride, pad, groups int, act func() n
 	)
 }
 
-func hswish() nn.Layer { return nn.NewHardSwish() }
-func relu() nn.Layer   { return nn.NewReLU() }
+func relu() nn.Layer { return nn.NewReLU() }
 
 // bneck builds a MobileNetV3 inverted-residual bottleneck:
 // 1x1 expand → depthwise k3 → SE → 1x1 project, residual when stride 1 and

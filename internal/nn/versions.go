@@ -1,25 +1,25 @@
 package nn
 
 // VersionStore tracks reference-counted versions of a model's weights: every
-// consumer that was handed version v — an in-flight asynchronous training job
-// that must train against the exact global broadcast at its dispatch, or an
-// admitted prediction request that must be served by the exact model version
-// current at its admission — retains v until it completes. Fully released
-// stale versions recycle into a free buffer pool the owner draws its next
-// outgoing weight sets from, so the steady state of a version-churning loop
-// allocates no model-sized buffers at all.
+// holder of version v — the owner that publishes versions, an in-flight
+// asynchronous training job that must train against the exact global
+// broadcast at its dispatch, or an admitted prediction request that must be
+// served by the exact model version current at its admission — retains v
+// until it is done with it. A version whose last reference is released
+// recycles its buffer into a free pool the owner draws its next outgoing
+// weight sets from, so the steady state of a version-churning loop allocates
+// no model-sized buffers at all.
 //
 // The store is deliberately passive: it never copies weights and never
-// decides what "current" means. The owner keeps the live weights outside the
-// store (fl.AsyncServer's Global, serve.Store's published set), Retains them
-// per consumer, Retires them when a newer version replaces them, and passes
-// the live set to Release so a buffer that still backs the current version is
-// never recycled out from under it.
+// decides what "current" means. The owner holds its live version like any
+// other reader: it retains each version it publishes and releases the one it
+// replaces, so a buffer backing the live version always has a reference and
+// is never recycled out from under it.
 //
 // The zero value is ready to use. VersionStore is not safe for concurrent
 // use; owners that admit from multiple goroutines wrap it in a mutex
-// (internal/serve does), while single-goroutine event loops (fl.AsyncServer)
-// use it bare.
+// (internal/serve does), while the aggregation core (internal/fl) calls it
+// from one goroutine only.
 type VersionStore struct {
 	entries map[int]*versionEntry
 	free    []Weights
@@ -30,7 +30,7 @@ type versionEntry struct {
 	refs int
 }
 
-// Retain records one in-flight reference to version v, whose weights are w.
+// Retain records one reference to version v, whose weights are w.
 func (vs *VersionStore) Retain(v int, w Weights) {
 	if vs.entries == nil {
 		vs.entries = map[int]*versionEntry{}
@@ -46,29 +46,16 @@ func (vs *VersionStore) Retain(v int, w Weights) {
 // Weights returns version v's weights; v must have been retained.
 func (vs *VersionStore) Weights(v int) Weights { return vs.entries[v].w }
 
-// Release drops one in-flight reference. A fully released version's buffer
-// recycles unless it still backs the live weights (current).
-func (vs *VersionStore) Release(v int, current Weights) {
+// Release drops one reference to version v. The last release recycles the
+// version's buffer.
+func (vs *VersionStore) Release(v int) {
 	e := vs.entries[v]
 	e.refs--
 	if e.refs > 0 {
 		return
 	}
 	delete(vs.entries, v)
-	if !e.w.SharesStorage(current) {
-		vs.free = append(vs.free, e.w)
-	}
-}
-
-// Retire recycles an outgoing weight set with no in-flight readers; if
-// readers remain, Release recycles it when the last one completes.
-func (vs *VersionStore) Retire(w Weights) {
-	for _, e := range vs.entries {
-		if e.w.SharesStorage(w) {
-			return
-		}
-	}
-	vs.free = append(vs.free, w)
+	vs.free = append(vs.free, e.w)
 }
 
 // TakeBuffer returns a pooled model-shaped buffer, allocating a zeroed clone
@@ -90,12 +77,3 @@ func (vs *VersionStore) Live() int { return len(vs.entries) }
 
 // FreeCount returns the number of recycled buffers waiting in the pool.
 func (vs *VersionStore) FreeCount() int { return len(vs.free) }
-
-// SharesStorage reports whether two weight sets are backed by the same
-// tensors — the identity test behind the store's recycling decisions.
-func (w Weights) SharesStorage(o Weights) bool {
-	if len(w.Params) > 0 && len(o.Params) > 0 {
-		return w.Params[0] == o.Params[0]
-	}
-	return len(w.States) > 0 && len(o.States) > 0 && w.States[0] == o.States[0]
-}

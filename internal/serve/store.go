@@ -21,12 +21,14 @@ import (
 
 // Store is the serving-side owner of published model versions. It wraps the
 // shared nn.VersionStore (the same retain/release/recycle machinery the
-// asynchronous trainer uses for in-flight jobs) behind a mutex so concurrent
-// request goroutines can pin the version they were admitted under while the
-// trainer publishes newer ones. A pinned version's weights stay immutable
-// until its last reader releases it; fully released stale versions recycle
-// into the buffer pool the next Publish draws from, so steady-state version
-// churn allocates no model-sized buffers.
+// aggregation core uses for its globals and in-flight jobs) behind a mutex so
+// concurrent request goroutines can pin the version they were admitted under
+// while the trainer publishes newer ones. The store holds its live version
+// like any reader: it retains each version it publishes and releases the one
+// it replaces. A pinned version's weights stay immutable until its last
+// reference is released; the buffer then recycles into the pool the next
+// Publish draws from, so steady-state version churn allocates no model-sized
+// buffers.
 type Store struct {
 	mu      sync.Mutex
 	vs      nn.VersionStore
@@ -61,7 +63,7 @@ func (s *Store) Acquire() (int, nn.Weights) {
 func (s *Store) Release(v int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.vs.Release(v, s.current)
+	s.vs.Release(v)
 }
 
 // Publish makes w the current version and returns its number, taking
@@ -73,18 +75,13 @@ func (s *Store) Publish(w nn.Weights) int {
 	return s.publishLocked(w)
 }
 
-// publishLocked is Publish with s.mu already held.
+// publishLocked is Publish with s.mu already held: the store's reference
+// moves from the old version to the new one.
 func (s *Store) publishLocked(w nn.Weights) int {
-	old := s.version
 	s.version++
 	s.current = w
 	s.vs.Retain(s.version, w)
-	// Drop the store's own reference to the old version. The live set passed
-	// here must be the NEW current: passing the outgoing weights would make
-	// Release think the old buffer still backs the live version and drop it
-	// on the floor instead of recycling it — every publish whose old version
-	// had no in-flight readers then leaked one model-sized buffer.
-	s.vs.Release(old, s.current)
+	s.vs.Release(s.version - 1)
 	return s.version
 }
 

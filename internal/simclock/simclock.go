@@ -97,13 +97,6 @@ func (c *Clock) Next() (ev Event, ok bool) {
 	return root, true
 }
 
-// Reset rewinds the clock to time 0 and drops all pending events, keeping
-// the heap's storage for reuse.
-func (c *Clock) Reset() {
-	c.now = 0
-	c.events = c.events[:0]
-}
-
 // less is the heap order: earlier time first, smaller ID on ties.
 func less(a, b Event) bool {
 	return a.At < b.At || (a.At == b.At && a.ID < b.ID)

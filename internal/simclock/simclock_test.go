@@ -113,18 +113,6 @@ func TestSchedulePastPanics(t *testing.T) {
 	c.Schedule(1, 2)
 }
 
-func TestClockReset(t *testing.T) {
-	var c Clock
-	c.Schedule(3, 1)
-	c.Next()
-	c.Schedule(9, 2)
-	c.Reset()
-	if c.Now() != 0 || c.Len() != 0 {
-		t.Fatalf("Reset left now=%v len=%d", c.Now(), c.Len())
-	}
-	c.Schedule(1, 3) // 1 < 9 must be legal again after Reset
-}
-
 // The warm event loop — schedule a burst, drain it — must not allocate:
 // the async server runs this millions of times per simulation.
 func TestClockWarmLoopAllocs(t *testing.T) {

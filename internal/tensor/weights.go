@@ -66,15 +66,6 @@ func (pw *PackedWeights) HasFloat() bool { return pw.hasFloat }
 // HasInt8 reports whether the int8 quantized form is cached.
 func (pw *PackedWeights) HasInt8() bool { return pw.hasInt8 }
 
-// Dims returns the weight matrix dimensions as the matmul sees them:
-// weights-as-A → (m, k), weights-as-B → (k, n).
-func (pw *PackedWeights) Dims() (int, int) {
-	if pw.asA {
-		return pw.m, pw.k
-	}
-	return pw.k, pw.n
-}
-
 // needForms maps the active backend onto the forms worth building now.
 // Auto and serial never touch a cached form; packed uses float panels (as-B
 // only); int8 uses the quantized form. Building only what the current
