@@ -30,6 +30,7 @@ var censusAllow = []struct{ name, reason string }{
 	{"fl.Default", "probe: the paper's hyper-parameters as one literal for tests"},
 	{"guardmem/", "probe: guard-page slices for the assembly bounds tests"},
 	{"israce/", "probe: lets allocation tests skip under -race"},
+	{"vectest/", "probe: flips vec.Live for the vector/Go-loop parity tests of tensor and nn"},
 	// (b) the file-facing decoder and its fuzz target
 	{"fl.Server.SaveCheckpoint", "decoder: checkpoint writer, round-trips FuzzLoadCheckpoint"},
 	{"fl.Server.LoadCheckpoint", "decoder: checkpoint reader, FuzzLoadCheckpoint's target"},

@@ -175,8 +175,9 @@
 // (nn.Conv2D's type comment) that training — forward, dW and dx — and the
 // frozen inference op share: a 1×1 stride-1 unpadded conv matmuls the image
 // slice directly (its im2col matrix IS the image), a depthwise conv runs the
-// plane kernels (tensor.DepthwiseConvPlane with the bias fused, ...GradW,
-// ...GradX), and every other shape lowers to im2col + matmul, caching one
+// plane kernels (tensor.DepthwiseConvPlane with the bias fused per plane,
+// ...GradW and ...GradX once per sample over all its planes), and every other
+// shape lowers to im2col + matmul, caching one
 // column matrix per sample×group for backward. The two direct shapes size no
 // column cache at all and accumulate in the lowered kernels' per-target
 // order, so they are bit-identical to the lowering for finite inputs (the
@@ -285,10 +286,11 @@
 //     taking all nine taps, the bias and the activation before one store.
 //   - Global average pooling and the squeeze-excite squeeze sum several
 //     planes side by side, one ascending chain each; the excite rescale and
-//     the identity-skip residual sum are vector sweeps.
-//   - Pooling, activations, the squeeze-excite block and the standalone BN
-//     path are plain loops on the calling goroutine; nested Networks are
-//     inlined; Identity compiles away.
+//     the identity-skip residual sum are vector sweeps. Training runs the
+//     same kernels in both layers.
+//   - Max pooling, activations and the standalone BN path are plain loops
+//     on the calling goroutine; nested Networks are inlined; Identity
+//     compiles away.
 //
 // A frozen view shares its source network's arena and intra-op budget like
 // any layer, is re-folded (not recompiled) on every Freeze call so it
@@ -340,16 +342,18 @@
 //
 // Vector oracle kernels. On amd64 the oracle tier runs the AVX2 routines of
 // internal/vec: the strided row-AXPY GEMM behind a@b and aᵀ@b (with the
-// conv bias and activation in its store), the dot-form a@bᵀ, the depthwise
-// tap AXPY at stride 1 and 2, the 3×3 depthwise weight gradient, the
-// aggregation step's fold (tensor.FoldScaled) and gate norm
-// (tensor.SqDistLanes), and nn's hard-swish forward/backward, batch-norm
-// reductions, normalise and input-gradient sweeps. internal/vec's package doc states when they run (vec.Live: a CPU
+// conv bias and activation in its store), the dot-form a@bᵀ, the 3×3
+// depthwise forward and its input gradient in gather form at stride 1 and 2,
+// the 3×3 depthwise weight gradient eight planes at a time, the aggregation
+// step's fold (tensor.FoldScaled) and gate norm (tensor.SqDistLanes), and
+// nn's hard-swish forward/backward, batch-norm reductions, normalise and
+// input-gradient sweeps, and the squeeze-excite rescale and broadcast add.
+// internal/vec's package doc states when they run (vec.Live: a CPU
 // probe, no flag; `-tags purego` builds none) and the three kernel rules that
 // keep them bit-identical to the Go loops — or, for the gate norm, keep every
 // gate decision the serial loop's (FuzzGateMatchesSerial). What stays scalar
-// on the training path: the im2col copy, the conv bias-gradient row sums, the
-// squeeze-excite block.
+// on the training path: the im2col copy, the conv bias-gradient row sums, and
+// the plane sums of pooling and squeeze-excite (side-by-side Go chains).
 //
 // The packed backend is a cache-blocked GEBP kernel: it packs B once into
 // panel-major 4-wide column panels (zero-padded tail), k-blocks at 256 so

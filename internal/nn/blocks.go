@@ -296,58 +296,31 @@ func (l *SEBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.x = x
 	hw := h * w
 	s := l.allocUninit(n, c)
-	xd, sd := x.Data(), s.Data()
-	inv := 1 / float32(hw)
-	for i := 0; i < n*c; i++ {
-		var sum float32
-		for j := 0; j < hw; j++ {
-			sum += xd[i*hw+j]
-		}
-		sd[i] = sum * inv
-	}
+	planeMean(s.Data(), x.Data(), hw)
 	z := l.hsig.Forward(l.fc2.Forward(l.relu.Forward(l.fc1.Forward(s, train), train), train), train)
 	l.z = z
 	out := l.allocUninit(n, c, h, w)
-	od, zd := out.Data(), z.Data()
-	for i := 0; i < n*c; i++ {
-		zi := zd[i]
-		for j := 0; j < hw; j++ {
-			od[i*hw+j] = xd[i*hw+j] * zi
-		}
-	}
+	scaleRows(out.Data(), x.Data(), z.Data(), hw)
 	return out
 }
 
 // Backward implements Layer.
 func (l *SEBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	n, c, h, w := l.x.Dim(0), l.x.Dim(1), l.x.Dim(2), l.x.Dim(3)
-	hw := h * w
-	gd, xd, zd := grad.Data(), l.x.Data(), l.z.Data()
+	hw := l.x.Dim(2) * l.x.Dim(3)
+	gd := grad.Data()
 
 	// dz[n,c] = Σ_hw dy·x ;  dx (direct path) = dy·z
-	dz := l.allocUninit(n, c)
-	dzd := dz.Data()
-	dx := l.allocUninit(n, c, h, w)
+	dz := l.allocUninit(l.z.Shape()...)
+	planeDot(dz.Data(), gd, l.x.Data(), hw)
+	dx := l.allocUninit(l.x.Shape()...)
 	dxd := dx.Data()
-	for i := 0; i < n*c; i++ {
-		var s float32
-		zi := zd[i]
-		for j := 0; j < hw; j++ {
-			g := gd[i*hw+j]
-			s += g * xd[i*hw+j]
-			dxd[i*hw+j] = g * zi
-		}
-		dzd[i] = s
-	}
-	// Backprop dz through the excitation MLP to ds [n,c].
+	scaleRows(dxd, gd, l.z.Data(), hw)
+	// Backprop dz through the excitation MLP to ds [n,c], then add its share
+	// of the squeeze's mean to every position of its plane.
 	ds := l.fc1.Backward(l.relu.Backward(l.fc2.Backward(l.hsig.Backward(dz))))
-	dsd := ds.Data()
 	inv := 1 / float32(hw)
-	for i := 0; i < n*c; i++ {
-		g := dsd[i] * inv
-		for j := 0; j < hw; j++ {
-			dxd[i*hw+j] += g
-		}
+	for i, g := range ds.Data() {
+		tensor.BiasAct(dxd[i*hw:(i+1)*hw], g*inv, false)
 	}
 	return dx
 }

@@ -25,7 +25,9 @@ import (
 //     tensor.DepthwiseConvPlane (bias fused) / GradW / GradX, whose lowering
 //     would cost more than the arithmetic.
 //
-// Neither sizes cols or dcol. Both accumulate every output, dW and dx
+// Neither sizes cols, and dcol holds only the depthwise weight gradient's
+// copy of a sample's planes (tensor.ConvDims.DepthwiseGradWScratch). Both
+// accumulate every output, dW and dx
 // element in the lowered kernels' per-target order, so for finite inputs
 // they are bit-identical to the lowered path (the caveat is spelled out on
 // tensor.DepthwiseConvPlane).
@@ -42,7 +44,7 @@ type Conv2D struct {
 	inH, inW    int // geometry captured at Forward time
 	dims        tensor.ConvDims
 	cols        []float32 // cached im2col matrices: [N][G][rows*cols] (lowered path only)
-	dcol        []float32 // backward scratch: one [rows*cols] column gradient (lowered path only)
+	dcol        []float32 // backward scratch: one [rows*cols] column gradient (lowered), or the depthwise dW's plane copy
 	batch       int
 	x           *tensor.Tensor
 }
@@ -157,8 +159,9 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // (dy @ colᵀ) and its input gradient; samples ascend, so every dW element
 // folds them in order. Lowered: dcol = Wgᵀ @ dy, scattered back to dx via
 // Col2Im. Pointwise: the same matmul accumulates straight into the zeroed
-// dx slice. Depthwise: the plane kernels. The transposed-A kernel reads Wg
-// in place instead of materializing Wgᵀ.
+// dx slice. The transposed-A kernel reads Wg in place instead of
+// materializing Wgᵀ. Depthwise: the plane kernels, once per sample over all
+// its channels.
 func (l *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	d := l.dims
 	rows, cols := d.ColRows(), d.ColCols()
@@ -177,13 +180,26 @@ func (l *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	// Col2Im and the direct dx kernels accumulate, so dx must start zeroed.
 	dx := l.alloc(n, l.InC, h, w)
 	gd, dxd := grad.Data(), dx.Data()
-	if kern == convLowered {
-		if cap(l.dcol) < rows*cols {
-			l.dcol = make([]float32, rows*cols)
-		}
-		l.dcol = l.dcol[:rows*cols]
+	scratch := rows * cols // dcol's length: the lowered column gradient
+	switch kern {
+	case convPointwise:
+		scratch = 0
+	case convDepthwise: // … or the depthwise dW's copy of a sample's planes
+		scratch = d.DepthwiseGradWScratch()
 	}
+	if cap(l.dcol) < scratch {
+		l.dcol = make([]float32, scratch)
+	}
+	l.dcol = l.dcol[:scratch]
 	for i := 0; i < n; i++ {
+		if kern == convDepthwise {
+			// The plane kernels sweep all of a sample's channels in one call.
+			img, dimg := xd[i*imgStride:(i+1)*imgStride], dxd[i*imgStride:(i+1)*imgStride]
+			dy := gd[i*outStride : (i+1)*outStride]
+			tensor.DepthwiseConvPlaneGradW(dwd, dy, img, l.dcol, d)
+			tensor.DepthwiseConvPlaneGradX(dimg, dy, wd, d)
+			continue
+		}
 		for gi := 0; gi < g; gi++ {
 			// Offsets of this sample×group's input plane (x and dx), output
 			// plane (dy) and weights (W and dW).
@@ -194,9 +210,6 @@ func (l *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			dy := gd[yo : yo+gcOut*cols]
 			wg, dwg := wd[wo:wo+gcOut*fanIn], dwd[wo:wo+gcOut*fanIn]
 			switch kern {
-			case convDepthwise:
-				tensor.DepthwiseConvPlaneGradW(dwg, dy, img, d)
-				tensor.DepthwiseConvPlaneGradX(dimg, dy, wg, d)
 			case convPointwise:
 				tensor.MatMulTransBAccSlices(dwg, dy, img, gcOut, cols, fanIn)
 				tensor.MatMulTransAAccSlices(dimg, wg, dy, gcOut, fanIn, cols)

@@ -10,6 +10,7 @@ import (
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/israce"
 	"heteroswitch/internal/tensor"
+	"heteroswitch/internal/vectest"
 )
 
 // Conv2D's pointwise and depthwise layers skip the im2col lowering in all
@@ -60,7 +61,7 @@ func loweredConv(l *Conv2D, x, dy *tensor.Tensor, dW, db []float32) (out, dx []f
 }
 
 func TestConv2DMatchesLoweredReference(t *testing.T) {
-	bothVecSettings(t, testConv2DMatchesLoweredReference)
+	vectest.BothSettings(t, testConv2DMatchesLoweredReference)
 }
 
 func testConv2DMatchesLoweredReference(t *testing.T) {
@@ -105,8 +106,12 @@ func testConv2DMatchesLoweredReference(t *testing.T) {
 			exactSlice(t, name+"/dx", dx.Data(), wantDx)
 			exactSlice(t, name+"/dW", l.W.Grad.Data(), wantW)
 			exactSlice(t, name+"/db", l.B.Grad.Data(), wantB)
-			if c.kernel != convLowered && (l.cols != nil || l.dcol != nil) {
-				t.Fatalf("%s: direct layer sized its column cache (cols %d, dcol %d)", name, len(l.cols), len(l.dcol))
+			wantDcol := 0 // the depthwise dW's plane copy shares dcol
+			if c.kernel == convDepthwise {
+				wantDcol = l.dims.DepthwiseGradWScratch()
+			}
+			if c.kernel != convLowered && (l.cols != nil || len(l.dcol) != wantDcol) {
+				t.Fatalf("%s: direct layer sized its column cache (cols %d, dcol %d, want %d)", name, len(l.cols), len(l.dcol), wantDcol)
 			}
 		}
 	}
@@ -189,27 +194,34 @@ func TestNewConv2DRejectsBadGeometry(t *testing.T) {
 
 // BenchmarkConv2DTrain times one forward + backward at batch 10 on
 // TinyMobileNetV3's largest layer of each kernel family, plus a grouped 3×3
-// as the lowered path's second shape.
+// as the lowered path's second shape and the squeeze-excite block of its
+// first bottleneck (se: 16 channels of 16×16, hidden width 4).
 func BenchmarkConv2DTrain(b *testing.B) {
+	conv := func(inC, outC, k, stride, pad, groups int) func(r *frand.RNG) Layer {
+		return func(r *frand.RNG) Layer { return NewConv2D(r, inC, outC, k, stride, pad, groups) }
+	}
 	for _, c := range []struct {
-		name                                  string
-		inC, outC, k, stride, pad, groups, hw int
+		name    string
+		inC, hw int
+		build   func(r *frand.RNG) Layer
 	}{
-		{"stem", 3, 8, 3, 2, 1, 1, 32},
-		{"pw", 8, 24, 1, 1, 0, 1, 16},
-		{"dw", 16, 16, 3, 1, 1, 16, 16},
-		{"grouped", 16, 16, 3, 1, 1, 4, 16},
+		{"stem", 3, 32, conv(3, 8, 3, 2, 1, 1)},
+		{"pw", 8, 16, conv(8, 24, 1, 1, 0, 1)},
+		{"dw", 16, 16, conv(16, 16, 3, 1, 1, 16)},
+		{"grouped", 16, 16, conv(16, 16, 3, 1, 1, 4)},
+		{"se", 16, 16, func(r *frand.RNG) Layer { return NewSEBlock(r, 16, 4) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			r := frand.New(3)
-			l := NewConv2D(r, c.inC, c.outC, c.k, c.stride, c.pad, c.groups)
-			l.SetArena(tensor.NewArena())
+			l := c.build(r)
+			arena := tensor.NewArena()
+			l.(ArenaUser).SetArena(arena)
 			x := tensor.Randn(r, 1, 10, c.inC, c.hw, c.hw)
 			dy := tensor.Randn(r, 1, l.Forward(x, true).Shape()...)
-			benchVecArms(b, func(b *testing.B) {
+			vectest.BenchArms(b, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					l.arena.Reset()
+					arena.Reset()
 					l.Forward(x, true)
 					l.Backward(dy)
 				}

@@ -422,10 +422,9 @@ func (p *frozenMaxPool) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // planeMean sets od[i] to the mean of plane i of xd (planes of hw values) for
-// every i of od — the shared kernel of GlobalAvgPool and the SE squeeze. Each
-// plane's sum is one chain from +0 in the serial ascending order, so results
-// are bit-identical to the reference layers; the chains of four neighbouring
-// planes run side by side.
+// every i of od — the one kernel of GlobalAvgPool and the SE squeeze, trained
+// and frozen. Each plane's sum is one chain from +0 in the serial ascending
+// order; the chains of four neighbouring planes run side by side.
 func planeMean(od, xd []float32, hw int) {
 	inv := 1 / float32(hw)
 	planes := len(od)
@@ -450,6 +449,37 @@ func planeMean(od, xd []float32, hw int) {
 			s += v
 		}
 		od[i] = s * inv
+	}
+}
+
+// planeDot sets od[i] to Σ_j ad[i·hw+j]·bd[i·hw+j] for every plane i of od,
+// the squeeze-excite backward's dz: planeMean's four side-by-side chains,
+// each from +0 in ascending j.
+func planeDot(od, ad, bd []float32, hw int) {
+	planes := len(od)
+	i := 0
+	for ; i+4 <= planes; i += 4 {
+		a0 := ad[i*hw:][:hw]
+		// Re-sliced to len(a0) so the compiler drops the inner bounds checks.
+		a1, a2, a3 := ad[(i+1)*hw:][:len(a0)], ad[(i+2)*hw:][:len(a0)], ad[(i+3)*hw:][:len(a0)]
+		b0, b1, b2, b3 := bd[i*hw:][:len(a0)], bd[(i+1)*hw:][:len(a0)], bd[(i+2)*hw:][:len(a0)], bd[(i+3)*hw:][:len(a0)]
+		var s0, s1, s2, s3 float32
+		for j, v := range a0 {
+			s0 += v * b0[j]
+			s1 += a1[j] * b1[j]
+			s2 += a2[j] * b2[j]
+			s3 += a3[j] * b3[j]
+		}
+		o := od[i : i+4]
+		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
+	}
+	for ; i < planes; i++ {
+		var s float32
+		b := bd[i*hw : (i+1)*hw]
+		for j, v := range ad[i*hw : (i+1)*hw] {
+			s += v * b[j]
+		}
+		od[i] = s
 	}
 }
 
@@ -651,7 +681,7 @@ func (s *frozenSE) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 }
 
 // scaleRows computes od[r·hw+j] = xd[r·hw+j]·z[r] for every plane r of z:
-// the squeeze-excite rescale.
+// the squeeze-excite rescale, and its backward's dx = dy·z.
 func scaleRows(od, xd, z []float32, hw int) {
 	if vec.Live {
 		vec.ScaleRows(od, xd, z, len(z), hw)

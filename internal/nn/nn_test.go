@@ -9,6 +9,7 @@ import (
 
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/tensor"
+	"heteroswitch/internal/vectest"
 )
 
 func smallNet(seed uint64) *Network {
@@ -347,7 +348,7 @@ func TestBatchNormRejectsUnusableCalls(t *testing.T) {
 // forward + backward allocate nothing — the per-channel inverse deviations and
 // the reduction scratch are sized once per channel count.
 func TestBatchNormTrainStepAllocFree(t *testing.T) {
-	bothVecSettings(t, func(t *testing.T) {
+	vectest.BothSettings(t, func(t *testing.T) {
 		r := frand.New(33)
 		l := NewBatchNorm2D(12) // a vector tile, a Go tile
 		l.SetArena(tensor.NewArena())

@@ -95,16 +95,7 @@ func (l *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	l.inShape = x.Shape()
 	out := l.allocUninit(n, c)
-	xd, od := x.Data(), out.Data()
-	hw := h * w
-	inv := 1 / float32(hw)
-	for i := 0; i < n*c; i++ {
-		var s float32
-		for j := 0; j < hw; j++ {
-			s += xd[i*hw+j]
-		}
-		od[i] = s * inv
-	}
+	planeMean(out.Data(), x.Data(), h*w)
 	return out
 }
 

@@ -12,57 +12,12 @@ import (
 	"heteroswitch/internal/guardmem"
 	"heteroswitch/internal/tensor"
 	"heteroswitch/internal/vec"
+	"heteroswitch/internal/vectest"
 )
 
 // The vector sweeps promise the Go loops' bits, not a tolerance. The tests
 // compare math.Float32bits between the two settings of vec.Live, the one
 // switch a layer's kernels — tensor's and this package's — sit behind.
-
-// haveVec is the probe's answer, read before any test flips the switch.
-var haveVec = vec.Live
-
-// setVecLive pins the switch for one test (on only where the build and CPU
-// have the kernels) and restores it afterwards.
-func setVecLive(t testing.TB, on bool) {
-	t.Helper()
-	prev := vec.Live
-	vec.Live = on && haveVec
-	t.Cleanup(func() { vec.Live = prev })
-}
-
-// bothVecSettings runs f as a subtest under the Go loops and, where the
-// vector kernels exist, under them too.
-func bothVecSettings(t *testing.T, f func(t *testing.T)) {
-	t.Helper()
-	for _, on := range []bool{false, true} {
-		if on && !haveVec {
-			continue
-		}
-		t.Run(fmt.Sprintf("vec=%v", on), func(t *testing.T) {
-			setVecLive(t, on)
-			f(t)
-		})
-	}
-}
-
-// benchVecArms runs f as the "default" sub-benchmark and, where the vector
-// kernels exist, again as "generic" on the Go loops.
-func benchVecArms(b *testing.B, f func(b *testing.B)) {
-	b.Run("default", f)
-	if haveVec {
-		b.Run("generic", func(b *testing.B) {
-			setVecLive(b, false)
-			f(b)
-		})
-	}
-}
-
-func requireVec(t testing.TB) {
-	t.Helper()
-	if !haveVec {
-		t.Skip("no vector kernels in this build or on this CPU")
-	}
-}
 
 // vecSweepSpecials sit on every branch of the hard-sigmoid family and on the
 // rounding edges: zeros of both signs, denormals, the ±3 knees and their
@@ -107,7 +62,7 @@ func runVecActCase(t *testing.T, n, rows int, seed uint64) {
 		conv.B.W.Data()[i] = bias[i%len(bias)]
 	}
 	run := func(on bool) [][]float32 {
-		setVecLive(t, on)
+		vectest.SetLive(t, on)
 		l := NewHardSwish()
 		xt := tensor.FromSlice(slices.Clone(x), 1, n)
 		y := slices.Clone(l.Forward(xt, true).Data())
@@ -138,7 +93,7 @@ func runVecActCase(t *testing.T, n, rows int, seed uint64) {
 // TestVecActivationSweepsMatchGeneric: runVecActCase on lengths around the
 // 8-lane edge, specials included.
 func TestVecActivationSweepsMatchGeneric(t *testing.T) {
-	requireVec(t)
+	vectest.Require(t)
 	for i, n := range vecSweepLens {
 		runVecActCase(t, n, 1+i%4, uint64(811+i))
 	}
@@ -244,7 +199,7 @@ func runVecBNCase(t *testing.T, n, c, h, w int, seed uint64) {
 	wantOut, wantXh, wantDx := refBNTrain(x, dy, n, c, h*w, gamma, beta, wantRM, wantRV, wantDG, wantDB, l.Eps, l.Momentum)
 	want := [][]float32{wantOut, wantXh, wantDx, wantRM, wantRV, wantDG, wantDB}
 	for _, on := range []bool{false, true} {
-		setVecLive(t, on)
+		vectest.SetLive(t, on)
 		l := NewBatchNorm2D(c)
 		l.Gamma.W.CopyFrom(tensor.FromSlice(gamma, c))
 		l.Beta.W.CopyFrom(tensor.FromSlice(beta, c))
@@ -296,7 +251,7 @@ func TestBatchNormReductionTiles(t *testing.T) {
 // whose batch ends at an inaccessible page, it must read the last element and
 // nothing after it.
 func TestVecBNSumsStayInsideSlices(t *testing.T) {
-	requireVec(t)
+	vectest.Require(t)
 	r := frand.New(83)
 	for _, hw := range []int{1, 2, 3, 4, 5, 6, 7, 9, 64} {
 		const n, ch = 3, 8
@@ -306,7 +261,7 @@ func TestVecBNSumsStayInsideSlices(t *testing.T) {
 		for _, pass := range [][]float32{nil, b} {
 			var sums [2][2 * ch]float64
 			for i, on := range []bool{false, true} {
-				setVecLive(t, on)
+				vectest.SetLive(t, on)
 				bnSums(sums[i][:ch], sums[i][ch:], a, pass, n, ch, hw)
 			}
 			for i := range sums[0] {
@@ -361,7 +316,7 @@ func BenchmarkBNReduce(b *testing.B) {
 				return float64(time.Since(t0).Nanoseconds()) / float64(b.N) / float64(len(x))
 			}
 			b.Run(fmt.Sprintf("%s/%dx%d", pass.name, c.ch, c.hw), func(b *testing.B) {
-				benchVecArms(b, func(b *testing.B) {
+				vectest.BenchArms(b, func(b *testing.B) {
 					per := perElem(b, func() { bnSums(sum, dot, x, pass.b, n, c.ch, c.hw) })
 					b.StopTimer()
 					b.ReportMetric(per, "ns/elem")
@@ -391,7 +346,7 @@ func FuzzVecSweepsMatchGeneric(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, n uint16, rows, chans uint8, seed uint64) {
 		length, batch, c := int(n%300)+1, int(rows%4)+1, int(chans%26)+1
-		if haveVec {
+		if vectest.Have {
 			runVecActCase(t, length, batch, seed)
 		}
 		runVecBNCase(t, batch, c, 1, length, seed)
@@ -426,9 +381,9 @@ func vecTrainNet(r *frand.RNG) *Network {
 // under both settings and requires identical weights, running statistics,
 // and frozen-forward logits.
 func TestVecTrainingMatchesGeneric(t *testing.T) {
-	requireVec(t)
+	vectest.Require(t)
 	run := func(on bool) ([][]float32, []float32) {
-		setVecLive(t, on)
+		vectest.SetLive(t, on)
 		net := vecTrainNet(frand.New(31))
 		r := frand.New(32)
 		opt := NewSGD(0.05, 0.9)
@@ -492,7 +447,7 @@ func TestPlaneMeanMatchesOneChain(t *testing.T) {
 // residual sum on operands that end at an inaccessible page, at every length
 // through the 32- and 8-wide blocks and the masked tail.
 func TestVecRowSweepsStayInsideSlices(t *testing.T) {
-	requireVec(t)
+	vectest.Require(t)
 	r := frand.New(86)
 	guarded := func(v []float32) []float32 {
 		g := guardmem.Float32s(t, len(v))
@@ -504,7 +459,7 @@ func TestVecRowSweepsStayInsideSlices(t *testing.T) {
 		x, z := sweepOperand(r, rows*n, 1), sweepOperand(r, rows, 1)
 		var want [2][]float32
 		for i, on := range []bool{false, true} {
-			setVecLive(t, on)
+			vectest.SetLive(t, on)
 			out := guarded(make([]float32, rows*n))
 			scaleRows(out, guarded(x), guarded(z), n)
 			want[i] = out
@@ -513,7 +468,7 @@ func TestVecRowSweepsStayInsideSlices(t *testing.T) {
 
 		a, b := sweepOperand(r, n, 1), sweepOperand(r, n, 1)
 		for i, on := range []bool{false, true} {
-			setVecLive(t, on)
+			vectest.SetLive(t, on)
 			out := guarded(make([]float32, n))
 			addInto(out, guarded(a), guarded(b))
 			want[i] = out
@@ -587,15 +542,15 @@ func TestVecSweepsRejectShortSlices(t *testing.T) {
 // differ in bits) infers exactly what the serial backend infers on the Go
 // loops, as a -tags purego build runs them.
 func TestFrozenAutoIsSerial(t *testing.T) {
-	setVecLive(t, false)
+	vectest.SetLive(t, false)
 	frozenAutoMatchesSerial(t)
 }
 
 // TestFrozenAutoIsSerialWhenVectorLive: the same identity on the vector
 // kernels.
 func TestFrozenAutoIsSerialWhenVectorLive(t *testing.T) {
-	requireVec(t)
-	setVecLive(t, true)
+	vectest.Require(t)
+	vectest.SetLive(t, true)
 	frozenAutoMatchesSerial(t)
 }
 
@@ -611,4 +566,107 @@ func frozenAutoMatchesSerial(t *testing.T) {
 		return slices.Clone(net.Freeze().Infer(x).Data())
 	}
 	exactSlice(t, "frozen auto vs serial", infer(tensor.BackendAuto), infer(tensor.BackendSerial))
+}
+
+// refSEForward and refSEBackward are SEBlock's passes as they ran before the
+// block took the frozen op's kernels (planeMean, scaleRows) and planeDot and
+// BiasAct: one serial loop per plane. They drive the block's own excitation
+// layers, so a block run through them is the oracle of a twin run through
+// Forward and Backward.
+func refSEForward(l *SEBlock, x *tensor.Tensor, train bool) *tensor.Tensor {
+	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	l.x = x
+	hw := h * w
+	s := tensor.New(n, c)
+	xd, sd := x.Data(), s.Data()
+	inv := 1 / float32(hw)
+	for i := 0; i < n*c; i++ {
+		var sum float32
+		for j := 0; j < hw; j++ {
+			sum += xd[i*hw+j]
+		}
+		sd[i] = sum * inv
+	}
+	z := l.hsig.Forward(l.fc2.Forward(l.relu.Forward(l.fc1.Forward(s, train), train), train), train)
+	l.z = z
+	out := tensor.New(n, c, h, w)
+	od, zd := out.Data(), z.Data()
+	for i := 0; i < n*c; i++ {
+		zi := zd[i]
+		for j := 0; j < hw; j++ {
+			od[i*hw+j] = xd[i*hw+j] * zi
+		}
+	}
+	return out
+}
+
+func refSEBackward(l *SEBlock, grad *tensor.Tensor) *tensor.Tensor {
+	n, c, h, w := l.x.Dim(0), l.x.Dim(1), l.x.Dim(2), l.x.Dim(3)
+	hw := h * w
+	gd, xd, zd := grad.Data(), l.x.Data(), l.z.Data()
+	dz := tensor.New(n, c)
+	dzd := dz.Data()
+	dx := tensor.New(n, c, h, w)
+	dxd := dx.Data()
+	for i := 0; i < n*c; i++ {
+		var s float32
+		zi := zd[i]
+		for j := 0; j < hw; j++ {
+			g := gd[i*hw+j]
+			s += g * xd[i*hw+j]
+			dxd[i*hw+j] = g * zi
+		}
+		dzd[i] = s
+	}
+	ds := l.fc1.Backward(l.relu.Backward(l.fc2.Backward(l.hsig.Backward(dz))))
+	dsd := ds.Data()
+	inv := 1 / float32(hw)
+	for i := 0; i < n*c; i++ {
+		g := dsd[i] * inv
+		for j := 0; j < hw; j++ {
+			dxd[i*hw+j] += g
+		}
+	}
+	return dx
+}
+
+// TestSEBlockMatchesLoops: a squeeze-excite block's forward output, input
+// gradient and parameter gradients are its serial loops' bits (refSEForward,
+// refSEBackward) under both settings of the switch, for 1–17 channels (the
+// dz dot's sweeps of four, a remainder, both) and planes from 1×1 to 9×9, on
+// operands carrying ±0, the ±3 knees and denormals, and again with ±Inf and
+// NaN planted in x and dy (vectest.NaNClassEqual: NaN payloads too, but
+// under -race).
+func TestSEBlockMatchesLoops(t *testing.T) {
+	vectest.BothSettings(t, func(t *testing.T) {
+		r := frand.New(86)
+		for _, c := range []int{1, 3, 4, 5, 8, 16, 17} {
+			for _, hw := range []int{1, 2, 3, 7, 8, 9} {
+				for _, nonFinite := range []bool{false, true} {
+					n := 1 + c%3
+					operand := func() *tensor.Tensor {
+						v := sweepOperand(r, n*c*hw*hw, 2)
+						for i, x := range v {
+							if !nonFinite && (math.IsInf(float64(x), 0) || x != x) {
+								v[i] = -0.75
+							}
+						}
+						if nonFinite { // a second payload, to meet the first
+							v[r.Intn(len(v))] = math.Float32frombits(0xffc00123)
+						}
+						return tensor.FromSlice(v, n, c, hw, hw)
+					}
+					x, dy := operand(), operand()
+					seed := r.Uint64()
+					got, want := NewSEBlock(frand.New(seed), c, max(2, c/4)), NewSEBlock(frand.New(seed), c, max(2, c/4))
+					name := fmt.Sprintf("%d×%d planes of %dx%d (non-finite %v)", n, c, hw, hw, nonFinite)
+					vectest.NaNClassEqual(t, name+" forward", got.Forward(x, true).Data(), refSEForward(want, x, true).Data())
+					vectest.NaNClassEqual(t, name+" dx", got.Backward(dy).Data(), refSEBackward(want, dy).Data())
+					for i, p := range got.Params() {
+						vectest.NaNClassEqual(t, fmt.Sprintf("%s %s grad", name, p.Name), p.Grad.Data(), want.Params()[i].Grad.Data())
+					}
+				}
+			}
+		}
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"heteroswitch/internal/frand"
+	"heteroswitch/internal/vectest"
 )
 
 // Within one Reset-to-Reset window the arena must never hand out the same
@@ -413,7 +414,7 @@ func BenchmarkMatMul(b *testing.B) {
 			return fmt.Sprintf("%s/%dx%dx%d", op, sz.m, sz.k, sz.n)
 		}
 		b.Run(name("Into"), func(b *testing.B) {
-			benchVecArms(b, func(b *testing.B) {
+			vectest.BenchArms(b, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					MatMulInto(out, a, bb)
@@ -421,7 +422,7 @@ func BenchmarkMatMul(b *testing.B) {
 			})
 		})
 		b.Run(name("TransBInto"), func(b *testing.B) {
-			benchVecArms(b, func(b *testing.B) {
+			vectest.BenchArms(b, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					MatMulTransBInto(out, a, bt)
@@ -429,7 +430,7 @@ func BenchmarkMatMul(b *testing.B) {
 			})
 		})
 		b.Run(name("TransAAccInto"), func(b *testing.B) {
-			benchVecArms(b, func(b *testing.B) {
+			vectest.BenchArms(b, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					MatMulTransAAccInto(out, at, bb)
@@ -437,7 +438,7 @@ func BenchmarkMatMul(b *testing.B) {
 			})
 		})
 		b.Run(name("TransBAccSlices"), func(b *testing.B) {
-			benchVecArms(b, func(b *testing.B) {
+			vectest.BenchArms(b, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					MatMulTransBAccSlices(out.Data(), a.Data(), bt.Data(), sz.m, sz.k, sz.n)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"heteroswitch/internal/frand"
+	"heteroswitch/internal/vectest"
 )
 
 // The three direct depthwise plane kernels promise BIT-identical results to
@@ -16,7 +17,7 @@ import (
 // the matmul kernels' 4-wide tile (plus two planes smaller than the kernel),
 // with a zero tap in every weight vector so the zero-skip branches run.
 func TestDepthwisePlaneKernelsMatchLowered(t *testing.T) {
-	bothVecSettings(t, testDepthwisePlaneKernelsMatchLowered)
+	vectest.BothSettings(t, testDepthwisePlaneKernelsMatchLowered)
 }
 
 func testDepthwisePlaneKernelsMatchLowered(t *testing.T) {
@@ -49,7 +50,7 @@ func testDepthwisePlaneKernelsMatchLowered(t *testing.T) {
 					want = slices.Clone(seed)
 					MatMulTransBAccSlices(want, dy, col, 1, cols, taps)
 					got = slices.Clone(seed)
-					DepthwiseConvPlaneGradW(got, dy, img, d)
+					DepthwiseConvPlaneGradW(got, dy, img, gradWScratch(d), d)
 					exactEqual(t, name+" dW", got, want)
 
 					dcol := make([]float32, taps*cols)

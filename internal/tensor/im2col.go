@@ -185,18 +185,18 @@ func (d *ConvDims) tapOxRange(kx int) (lo, hi int) {
 }
 
 // tapOyRange is the oy interval whose tap row ky stays inside the image; the
-// input gradient's vector taps and the stride-2 im2col gather sweep it as the
-// rows of one strided 2-D call per tap.
+// weight gradient's tap dots walk it, and the stride-2 im2col gather sweeps
+// it as the rows of one strided 2-D call per tap.
 func (d *ConvDims) tapOyRange(ky int) (lo, hi int) {
 	return tapRange(ky, d.PadH, d.StrideH, d.InH, d.OutH)
 }
 
-// checkPlane panics unless d is a single-channel geometry and the image,
-// output and tap slices of a plane kernel have exactly its sizes.
-func (d *ConvDims) checkPlane(kernel string, img, out, taps []float32) {
-	if d.InC != 1 || len(img) != d.InH*d.InW || len(out) != d.OutH*d.OutW || len(taps) != d.KH*d.KW {
-		panic(fmt.Sprintf("tensor: %s: InC %d with img %d, out %d, taps %d; want InC 1 with %d, %d, %d",
-			kernel, d.InC, len(img), len(out), len(taps), d.InH*d.InW, d.OutH*d.OutW, d.KH*d.KW))
+// checkPlanes panics unless d is a single-channel geometry and the image,
+// output and tap slices of a plane kernel hold exactly planes of its planes.
+func (d *ConvDims) checkPlanes(kernel string, img, out, taps []float32, planes int) {
+	if d.InC != 1 || len(img) != planes*d.InH*d.InW || len(out) != planes*d.OutH*d.OutW || len(taps) != planes*d.KH*d.KW {
+		panic(fmt.Sprintf("tensor: %s: InC %d with img %d, out %d, taps %d; want InC 1 with %d planes of %d, %d, %d",
+			kernel, d.InC, len(img), len(out), len(taps), planes, d.InH*d.InW, d.OutH*d.OutW, d.KH*d.KW))
 	}
 }
 
@@ -225,7 +225,7 @@ func (d *ConvDims) checkPlane(kernel string, img, out, taps []float32) {
 // convention as the oracle matmul kernels' av != 0 test, while an Inf or NaN
 // operand would have turned that skipped 0·Inf into a NaN.
 func DepthwiseConvPlane(y, img, w []float32, d ConvDims, bias float32, hswish bool) {
-	d.checkPlane("DepthwiseConvPlane", img, y, w)
+	d.checkPlanes("DepthwiseConvPlane", img, y, w, 1)
 	if vec.Live && d.KH == 3 && d.KW == 3 && d.StrideW <= 2 {
 		vec.Depthwise3x3(y, img, w, d.OutH, d.OutW, d.InH, d.InW, d.StrideH, d.StrideW, d.PadH, d.PadW, bias, hswish)
 		return
@@ -267,24 +267,48 @@ func DepthwiseConvPlane(y, img, w []float32, d ConvDims, bias float32, hswish bo
 	BiasAct(y, bias, hswish)
 }
 
-// DepthwiseConvPlaneGradW accumulates ONE channel plane's weight gradient
-// directly: dw[t] += Σ dy[oy,ox]·img[tap t's shifted pixel] for a d with
-// InC == 1. Each tap is one dot product held in a single accumulator that
-// starts at +0 and runs over the output positions in ascending order — the
-// order of the lowered dW += dy @ colᵀ, whose padding columns only contribute
-// ±0 — so the result is bit-identical to Im2Col + MatMulTransBAccSlices.
+// DepthwiseGradWScratch is the scratch length DepthwiseConvPlaneGradW takes
+// on d's planes: vec.GradW3x3's position-major copy of eight planes for a 3×3
+// kernel, nothing otherwise.
+func (d *ConvDims) DepthwiseGradWScratch() int {
+	if d.KH != 3 || d.KW != 3 {
+		return 0
+	}
+	return vec.GradW3x3Scratch(d.OutH, d.OutW, d.InH, d.InW)
+}
+
+// DepthwiseConvPlaneGradW accumulates the weight gradients of a sample's
+// channel planes directly, for a d with InC == 1: plane c's taps
+// dw[c·KH·KW + t] += Σ dy_c[oy,ox]·img_c[tap t's shifted pixel], with len(dw)
+// deciding how many planes dy and img hold. Each tap is one dot product held
+// in a single accumulator that starts at +0 and runs over the output
+// positions in ascending order — the order of the lowered dW += dy @ colᵀ,
+// whose padding columns only contribute ±0 — so the result is bit-identical
+// to Im2Col + MatMulTransBAccSlices on every plane.
 //
 // One accumulator per tap is one floating-point dependency chain per tap, and
-// the taps are independent targets: tapDot3 walks the plane once for three
-// neighbouring taps of a kernel row, three chains side by side, and the last
-// KW mod 3 taps of a row go one by one. With the vector kernels live a 3×3
-// kernel takes vec.GradW3x3, whose lanes are all nine taps.
-func DepthwiseConvPlaneGradW(dw, dy, img []float32, d ConvDims) {
-	d.checkPlane("DepthwiseConvPlaneGradW", img, dy, dw)
-	if vec.Live && d.KH == 3 && d.KW == 3 {
-		vec.GradW3x3(dw, dy, img, d.OutH, d.OutW, d.InH, d.InW, d.StrideH, d.StrideW, d.PadH, d.PadW)
+// the taps and planes are independent targets. The Go loop walks each plane
+// once per three neighbouring taps of a kernel row (tapDot3), three chains
+// side by side, and takes the last KW mod 3 taps of a row one by one. With
+// the vector kernels live a 3×3 kernel at strides 1 and 2 — every depthwise
+// layer of the models — takes vec.GradW3x3: eight planes in the lanes and one
+// register per tap, nine chains, after a copy of the planes into scratch
+// (DepthwiseGradWScratch elements; the Go loop needs none).
+func DepthwiseConvPlaneGradW(dw, dy, img, scratch []float32, d ConvDims) {
+	planes := len(dw) / (d.KH * d.KW)
+	d.checkPlanes("DepthwiseConvPlaneGradW", img, dy, dw, planes)
+	if vec.Live && d.KH == 3 && d.KW == 3 && d.StrideH <= 2 && d.StrideW <= 2 {
+		vec.GradW3x3(dw, dy, img, scratch, planes, d.OutH, d.OutW, d.InH, d.InW, d.StrideH, d.StrideW, d.PadH, d.PadW)
 		return
 	}
+	taps, in, out := d.KH*d.KW, d.InH*d.InW, d.OutH*d.OutW
+	for c := 0; c < planes; c++ {
+		d.planeGradW(dw[c*taps:(c+1)*taps], dy[c*out:(c+1)*out], img[c*in:(c+1)*in])
+	}
+}
+
+// planeGradW is DepthwiseConvPlaneGradW's Go loop on one plane.
+func (d *ConvDims) planeGradW(dw, dy, img []float32) {
 	t := 0
 	for ky := 0; ky < d.KH; ky++ {
 		kx := 0
@@ -379,17 +403,38 @@ func (d *ConvDims) tapDot3(dy, img []float32, ky, kx int) (s0, s1, s2 float32) {
 	return s0, s1, s2
 }
 
-// DepthwiseConvPlaneGradX accumulates ONE channel plane's input gradient
-// directly: dimg[tap t's shifted pixel] += w[t]·dy[oy,ox] for a d with
-// InC == 1, one bounds-free AXPY per tap with the taps ascending. A pixel
-// receives its contributions in the same (ky, kx, oy, ox) order as
-// MatMulTransAAccSlices + Col2Im on the plane, so the result is bit-identical
-// to the lowered path. Like Col2Im it accumulates: dimg is NOT zeroed first.
+// DepthwiseConvPlaneGradX accumulates the input gradients of a sample's
+// channel planes directly, for a d with InC == 1: plane c's pixels
+// dimg_c[tap t's shifted pixel] += w_c[t]·dy_c[oy,ox], with len(w) deciding
+// how many planes dimg and dy hold. The Go loop is tap-outer, one bounds-free
+// AXPY per tap with the taps ascending, so a pixel receives its contributions
+// in the same (ky, kx, oy, ox) order as MatMulTransAAccSlices + Col2Im on the
+// plane, and the result is bit-identical to the lowered path. Like Col2Im it
+// accumulates: dimg is NOT zeroed first.
+//
+// With the vector kernels live a 3×3 kernel at strides 1 and 2 — every
+// depthwise layer of the models — runs vec.GradX3x3 over all the planes: the
+// gather form, eight input pixels per register, each taking its taps in that
+// same ascending order while its sum stays in a register, and one store. Its
+// bits are the Go loop's for every dimg value arithmetic can leave; a
+// signalling NaN the caller put in dimg may come back quieted.
 func DepthwiseConvPlaneGradX(dimg, dy, w []float32, d ConvDims) {
-	d.checkPlane("DepthwiseConvPlaneGradX", dimg, dy, w)
+	planes := len(w) / (d.KH * d.KW)
+	d.checkPlanes("DepthwiseConvPlaneGradX", dimg, dy, w, planes)
+	if vec.Live && d.KH == 3 && d.KW == 3 && d.StrideH <= 2 && d.StrideW <= 2 {
+		vec.GradX3x3(dimg, dy, w, planes, d.OutH, d.OutW, d.InH, d.InW, d.StrideH, d.StrideW, d.PadH, d.PadW)
+		return
+	}
+	taps, in, out := d.KH*d.KW, d.InH*d.InW, d.OutH*d.OutW
+	for c := 0; c < planes; c++ {
+		d.planeGradX(dimg[c*in:(c+1)*in], dy[c*out:(c+1)*out], w[c*taps:(c+1)*taps])
+	}
+}
+
+// planeGradX is DepthwiseConvPlaneGradX's Go loop on one plane.
+func (d *ConvDims) planeGradX(dimg, dy, w []float32) {
 	t := 0
 	for ky := 0; ky < d.KH; ky++ {
-		oyLo, oyHi := d.tapOyRange(ky)
 		for kx := 0; kx < d.KW; kx++ {
 			wt := w[t]
 			t++
@@ -398,18 +443,6 @@ func DepthwiseConvPlaneGradX(dimg, dy, w []float32, d ConvDims) {
 			}
 			oxLo, oxHi := d.tapOxRange(kx)
 			if oxLo >= oxHi {
-				continue
-			}
-			if vec.Live && d.StrideW <= 2 {
-				if oyLo < oyHi {
-					ibase := (oyLo*d.StrideH-d.PadH+ky)*d.InW - d.PadW + kx
-					tapVec := vec.AxpyPlane
-					if d.StrideW == 2 {
-						tapVec = vec.AxpyScatter2
-					}
-					tapVec(dimg[ibase+oxLo*d.StrideW:], d.StrideH*d.InW, dy[oyLo*d.OutW+oxLo:], d.OutW,
-						wt, oyHi-oyLo, oxHi-oxLo)
-				}
 				continue
 			}
 			for oy := 0; oy < d.OutH; oy++ {

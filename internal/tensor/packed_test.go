@@ -7,6 +7,7 @@ import (
 
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/israce"
+	"heteroswitch/internal/vectest"
 )
 
 // The packed backend's contract (backend.go): forced serial is bit-identical
@@ -139,7 +140,7 @@ func TestPackedAccMatchesOracle(t *testing.T) {
 // bit-identical to the oracle kernels plus a separate epilogue pass — the
 // pre-dispatch behavior, tol 0.
 func TestSerialBackendBitIdentical(t *testing.T) {
-	bothVecSettings(t, testSerialBackendBitIdentical)
+	vectest.BothSettings(t, testSerialBackendBitIdentical)
 }
 
 func testSerialBackendBitIdentical(t *testing.T) {
@@ -168,7 +169,7 @@ func testSerialBackendBitIdentical(t *testing.T) {
 // k-block initializes the output), and serial never does. The vector side
 // is TestAutoStaysOnOracleWhenVectorLive.
 func TestAutoDispatch(t *testing.T) {
-	setVecLive(t, false)
+	vectest.SetLive(t, false)
 	autoIsTheOracle(t)
 }
 
@@ -268,7 +269,7 @@ func BenchmarkMatMulPacked(b *testing.B) {
 					}
 				}
 				if be == BackendSerial {
-					benchVecArms(b, run) // only the oracle kernels have a vector form
+					vectest.BenchArms(b, run) // only the oracle kernels have a vector form
 					return
 				}
 				run(b)

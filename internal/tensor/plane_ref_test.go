@@ -9,6 +9,7 @@ import (
 
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/vec"
+	"heteroswitch/internal/vectest"
 )
 
 // The loops DepthwiseConvPlaneGradW and Im2Col ran before they were given
@@ -121,7 +122,7 @@ func forPlaneGeoms(f func(name string, d ConvDims)) {
 // loop it replaced and against the lowered Im2Col + MatMulTransBAccSlices, on
 // operands with ±0 and denormals, accumulating onto junk.
 func TestDepthwiseGradWMatchesTapDot(t *testing.T) {
-	bothVecSettings(t, func(t *testing.T) {
+	vectest.BothSettings(t, func(t *testing.T) {
 		r := frand.New(171)
 		forPlaneGeoms(func(name string, d ConvDims) {
 			taps, cols := d.ColRows(), d.ColCols()
@@ -129,7 +130,7 @@ func TestDepthwiseGradWMatchesTapDot(t *testing.T) {
 			want := slices.Clone(junk)
 			refDepthwiseGradW(want, dy, img, d)
 			got := slices.Clone(junk)
-			DepthwiseConvPlaneGradW(got, dy, img, d)
+			DepthwiseConvPlaneGradW(got, dy, img, gradWScratch(d), d)
 			exactEqual(t, name+" dW vs tap-outer", got, want)
 
 			col := make([]float32, taps*cols)
@@ -152,7 +153,7 @@ func TestDepthwiseGradWLargeKernel(t *testing.T) {
 		img, dy, junk := vecOperand(r, c.h*c.w), vecOperand(r, d.ColCols()), vecOperand(r, c.kh*c.kw)
 		want, got := slices.Clone(junk), slices.Clone(junk)
 		refDepthwiseGradW(want, dy, img, d)
-		DepthwiseConvPlaneGradW(got, dy, img, d)
+		DepthwiseConvPlaneGradW(got, dy, img, gradWScratch(d), d)
 		exactEqual(t, fmt.Sprintf("%dx%d k%dx%d s%d p%d", c.h, c.w, c.kh, c.kw, c.stride, c.pad), got, want)
 	}
 }
@@ -163,7 +164,7 @@ func TestDepthwiseGradWLargeKernel(t *testing.T) {
 // 1/3/5 and widths 1–33. Pure data movement, so −0, denormals and NaN must
 // arrive as bits.
 func TestIm2ColMatchesBranchingLoop(t *testing.T) {
-	bothVecSettings(t, func(t *testing.T) {
+	vectest.BothSettings(t, func(t *testing.T) {
 		r := frand.New(173)
 		check := func(name string, d ConvDims) {
 			for _, inC := range []int{1, 3} {
@@ -206,7 +207,7 @@ func benchAgainstRef(b *testing.B, elems int, ref, f func()) {
 		}
 		return float64(time.Since(t0).Nanoseconds()) / float64(b.N) / float64(elems)
 	}
-	benchVecArms(b, func(b *testing.B) {
+	vectest.BenchArms(b, func(b *testing.B) {
 		per := perElem(b, f)
 		b.StopTimer()
 		b.ReportMetric(per, "ns/elem")
@@ -215,25 +216,35 @@ func benchAgainstRef(b *testing.B, elems int, ref, f func()) {
 	b.Run("ref", func(b *testing.B) { b.ReportMetric(perElem(b, ref), "ns/elem") })
 }
 
-// BenchmarkDepthwiseGradW: one plane's 3×3 weight gradient on
-// TinyMobileNetV3's two plane sizes, stride 1 and 2 (pad 1); an element is
-// one output position of one tap.
+// BenchmarkDepthwiseGradW: the 3×3 weight gradient on one plane of
+// TinyMobileNetV3's two plane sizes, stride 1 and 2 (pad 1), and on a whole
+// sample of each of its three depthwise layers ("layer-…": 16 planes of
+// 16×16 at stride 1, 24 of 16×16 at stride 2, 32 of 8×8 at stride 1); an
+// element is one output position of one tap of one plane.
 func BenchmarkDepthwiseGradW(b *testing.B) {
-	for _, hw := range []int{16, 8} {
-		for _, stride := range []int{1, 2} {
-			d, err := NewConvDims(1, hw, hw, 3, 3, stride, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := frand.New(5)
-			img, dy := Randn(r, 1, hw*hw).Data(), Randn(r, 1, d.ColCols()).Data()
-			dw := make([]float32, 9)
-			b.Run(fmt.Sprintf("%dx%d/s%d", hw, hw, stride), func(b *testing.B) {
-				benchAgainstRef(b, 9*d.ColCols(),
-					func() { refDepthwiseGradW(dw, dy, img, d) },
-					func() { DepthwiseConvPlaneGradW(dw, dy, img, d) })
-			})
+	for _, c := range []struct {
+		name               string
+		planes, hw, stride int
+	}{
+		{"16x16/s1", 1, 16, 1}, {"16x16/s2", 1, 16, 2}, {"8x8/s1", 1, 8, 1}, {"8x8/s2", 1, 8, 2},
+		{"layer-16x16x16/s1", 16, 16, 1}, {"layer-24x16x16/s2", 24, 16, 2}, {"layer-32x8x8/s1", 32, 8, 1},
+	} {
+		d, err := NewConvDims(1, c.hw, c.hw, 3, 3, c.stride, 1)
+		if err != nil {
+			b.Fatal(err)
 		}
+		r := frand.New(5)
+		in, cols := c.hw*c.hw, d.ColCols()
+		img, dy := Randn(r, 1, c.planes*in).Data(), Randn(r, 1, c.planes*cols).Data()
+		dw, scratch := make([]float32, 9*c.planes), gradWScratch(d)
+		ref := func() {
+			for p := 0; p < c.planes; p++ {
+				refDepthwiseGradW(dw[9*p:9*p+9], dy[p*cols:(p+1)*cols], img[p*in:(p+1)*in], d)
+			}
+		}
+		b.Run(c.name, func(b *testing.B) {
+			benchAgainstRef(b, 9*c.planes*cols, ref, func() { DepthwiseConvPlaneGradW(dw, dy, img, scratch, d) })
+		})
 	}
 }
 
@@ -253,9 +264,9 @@ func BenchmarkIm2Col(b *testing.B) {
 
 // BenchmarkDepthwisePlane: TinyMobileNetV3's three depthwise planes (3×3,
 // pad 1) — s1-16x16, the down-sampling s2 (16×16 → 8×8) and s1-8x8 — forward
-// with its bias (fwd) and with bias and hard-swish fused (fwd+hswish), and at
-// stride 2 the input gradient (dx); an element is one output position of one
-// tap, and the oracle is the scalar tap loop (the "generic" arm itself).
+// with its bias (fwd) and with bias and hard-swish fused (fwd+hswish), and
+// the input gradient (dx); an element is one output position of one tap, and
+// the oracle is the scalar tap loop (the "generic" arm itself).
 func BenchmarkDepthwisePlane(b *testing.B) {
 	for _, c := range []struct {
 		name       string
@@ -280,9 +291,7 @@ func BenchmarkDepthwisePlane(b *testing.B) {
 		fwdHS := func() { DepthwiseConvPlane(y, img, w, d, 0.25, true) }
 		b.Run(c.name+"/fwd", func(b *testing.B) { benchAgainstRef(b, 9*d.ColCols(), scalar(fwd), fwd) })
 		b.Run(c.name+"/fwd+hswish", func(b *testing.B) { benchAgainstRef(b, 9*d.ColCols(), scalar(fwdHS), fwdHS) })
-		if c.stride == 2 {
-			dx := func() { DepthwiseConvPlaneGradX(dimg, dy, w, d) }
-			b.Run(c.name+"/dx", func(b *testing.B) { benchAgainstRef(b, 9*d.ColCols(), scalar(dx), dx) })
-		}
+		dx := func() { DepthwiseConvPlaneGradX(dimg, dy, w, d) }
+		b.Run(c.name+"/dx", func(b *testing.B) { benchAgainstRef(b, 9*d.ColCols(), scalar(dx), dx) })
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"heteroswitch/internal/frand"
+	"heteroswitch/internal/vectest"
 )
 
 func TestNewZeroFilled(t *testing.T) {
@@ -415,7 +416,7 @@ func BenchmarkMatMul64(b *testing.B) {
 	x := Randn(r, 1, 64, 64)
 	y := Randn(r, 1, 64, 64)
 	out := New(64, 64)
-	benchVecArms(b, func(b *testing.B) {
+	vectest.BenchArms(b, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			MatMulInto(out, x, y)
 		}
@@ -427,7 +428,7 @@ func BenchmarkMatMul256(b *testing.B) {
 	x := Randn(r, 1, 256, 256)
 	y := Randn(r, 1, 256, 256)
 	out := New(256, 256)
-	benchVecArms(b, func(b *testing.B) {
+	vectest.BenchArms(b, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			MatMulInto(out, x, y)
 		}

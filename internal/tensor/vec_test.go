@@ -10,59 +10,12 @@ import (
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/israce"
 	"heteroswitch/internal/vec"
+	"heteroswitch/internal/vectest"
 )
 
 // The vector oracle kernels promise BIT-identical results to the Go loops —
 // not a tolerance. Everything here compares math.Float32bits between the two
 // settings of vec.Live, the switch only tests flip.
-
-// haveVec is the probe's answer, read before any test flips the switch.
-var haveVec = vec.Live
-
-// setVecLive pins the switch for one test (on only where the build and CPU
-// have the kernels) and restores it afterwards.
-func setVecLive(t testing.TB, on bool) {
-	t.Helper()
-	prev := vec.Live
-	vec.Live = on && haveVec
-	t.Cleanup(func() { vec.Live = prev })
-}
-
-// bothVecSettings runs f as a subtest under the Go loops and, where the
-// vector kernels exist, under them too.
-func bothVecSettings(t *testing.T, f func(t *testing.T)) {
-	t.Helper()
-	for _, on := range []bool{false, true} {
-		if on && !haveVec {
-			continue
-		}
-		t.Run(fmt.Sprintf("vec=%v", on), func(t *testing.T) {
-			setVecLive(t, on)
-			f(t)
-		})
-	}
-}
-
-// benchVecArms runs f as the "default" sub-benchmark and, where the vector
-// kernels exist, again as "generic" on the Go loops, so every kernel's
-// speed-up is a recorded pair of rows.
-func benchVecArms(b *testing.B, f func(b *testing.B)) {
-	b.Run("default", f)
-	if haveVec {
-		b.Run("generic", func(b *testing.B) {
-			setVecLive(b, false)
-			f(b)
-		})
-	}
-}
-
-// requireVec skips a test that needs both implementations to compare.
-func requireVec(t testing.TB) {
-	t.Helper()
-	if !haveVec {
-		t.Skip("no vector kernels in this build or on this CPU")
-	}
-}
 
 // vecSpecials are the values the zero-skip and rounding contracts turn on:
 // exact zeros of both signs, denormals, and magnitudes whose products round.
@@ -119,21 +72,18 @@ var storeInits = append(slices.Clone(vecSpecials),
 // storeActs are the activations the GEMM's store applies.
 var storeActs = []vec.Act{vec.ActIdentity, vec.ActReLU, vec.ActHardSwish}
 
-// nanClassEqual is exactEqual where two NaN operands can meet. A plain build
-// compiles the Go loop's adds in the operand order the routines take, so
-// there NaN signs and payloads must match too, which pins that order. Go
-// leaves open which NaN an operation keeps, though, and the -race build
-// compiles some adds with their operands swapped, so under -race alone any
-// NaN matches any NaN.
-func nanClassEqual(t *testing.T, name string, got, want []float32) {
+// sameOrNaN is exactEqual with any NaN matching any NaN, for a routine
+// against an oracle loop other than its own Go loop: the two loops compile
+// their adds with different operand orders, so they need not agree on which
+// of two NaNs survives.
+func sameOrNaN(t *testing.T, name string, got, want []float32) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: length %d != %d", name, len(got), len(want))
 	}
 	for i := range got {
-		if g, w := got[i], want[i]; math.Float32bits(g) != math.Float32bits(w) && !(israce.Enabled && g != g && w != w) {
-			t.Fatalf("%s: element %d differs: %v (%#x) != %v (%#x) (must be bit-identical)",
-				name, i, g, math.Float32bits(g), w, math.Float32bits(w))
+		if g, w := got[i], want[i]; math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
+			t.Fatalf("%s: element %d differs: %v (%#x) != %v (%#x)", name, i, g, math.Float32bits(g), w, math.Float32bits(w))
 		}
 	}
 }
@@ -143,8 +93,8 @@ func nanClassEqual(t *testing.T, name string, got, want []float32) {
 // full row range and a sub-range, a@bᵀ (store and accumulate), and a@b
 // through the fused store — with a per-row bias drawn from storeBiases and
 // with none, under each activation, storing and accumulating into storeInits
-// — against matmulAcc plus the Go sweep (nanClassEqual there, where a NaN
-// bias meets a NaN sum).
+// — against matmulAcc plus the Go sweep (vectest.NaNClassEqual there, where
+// a NaN bias meets a NaN sum).
 func runVecCase(t *testing.T, c vecCase, seed uint64) {
 	t.Helper()
 	r := frand.New(seed)
@@ -164,7 +114,7 @@ func runVecCase(t *testing.T, c vecCase, seed uint64) {
 
 	kernels := []string{"a@b acc", "transA", "transA range", "transB", "transB acc"}
 	run := func(on bool) [][]float32 {
-		setVecLive(t, on)
+		vectest.SetLive(t, on)
 		acc := slices.Clone(base)
 		gemmAB(acc, a, b, m, k, n, true, nil, vec.ActIdentity)
 		ta := slices.Clone(base)
@@ -194,12 +144,12 @@ func runVecCase(t *testing.T, c vecCase, seed uint64) {
 			continue
 		}
 		arm := i - len(kernels)
-		nanClassEqual(t, fmt.Sprintf("%s fused store bias %v act %d acc %v", name, arm < 6, storeActs[arm/2%3], arm%2 == 1), got[i], want[i])
+		vectest.NaNClassEqual(t, fmt.Sprintf("%s fused store bias %v act %d acc %v", name, arm < 6, storeActs[arm/2%3], arm%2 == 1), got[i], want[i])
 	}
 }
 
 func TestVecMatchesGeneric(t *testing.T) {
-	requireVec(t)
+	vectest.Require(t)
 	for i, c := range vecTable() {
 		runVecCase(t, c, uint64(1000+i))
 	}
@@ -210,7 +160,7 @@ func TestVecMatchesGeneric(t *testing.T) {
 // must NOT be skipped — through the fused store (bias and hard-swish, which
 // keep a finite sum finite and a NaN one NaN).
 func TestVecZeroSkipParity(t *testing.T) {
-	requireVec(t)
+	vectest.Require(t)
 	inf := float32(math.Inf(1))
 	nan := float32(math.NaN())
 	negZero := float32(math.Copysign(0, -1))
@@ -234,13 +184,13 @@ func TestVecZeroSkipParity(t *testing.T) {
 		a[2*k+2] = nan
 		base := vecOperand(frand.New(uint64(n)), m*n) // junk: the store overwrites it
 		run := func(on bool) []float32 {
-			setVecLive(t, on)
+			vectest.SetLive(t, on)
 			out := slices.Clone(base)
 			gemmAB(out, a, b, m, k, n, false, []float32{0.25, -0.5, 1}, vec.ActHardSwish)
 			return out
 		}
 		want, got := run(false), run(true)
-		nanClassEqual(t, fmt.Sprintf("zero-skip n=%d", n), got, want)
+		vectest.NaNClassEqual(t, fmt.Sprintf("zero-skip n=%d", n), got, want)
 		for j := 0; j < n; j++ {
 			if v := got[j]; v != v || math.IsInf(float64(v), 0) {
 				t.Fatalf("n=%d: row 0 col %d = %v, the ±0 terms were not skipped", n, j, v)
@@ -259,7 +209,7 @@ func TestVecZeroSkipParity(t *testing.T) {
 func TestVecGemmWithoutTerms(t *testing.T) {
 	negZero, nan := float32(math.Copysign(0, -1)), float32(math.NaN())
 	base := []float32{negZero, 1.5, -2, nan, 3, -4}
-	bothVecSettings(t, func(t *testing.T) {
+	vectest.BothSettings(t, func(t *testing.T) {
 		for _, bias := range [][]float32{{negZero, -1.5}, nil} {
 			for _, act := range storeActs {
 				for _, acc := range []bool{false, true} {
@@ -282,7 +232,7 @@ func TestVecGemmWithoutTerms(t *testing.T) {
 					}
 					got := slices.Clone(base)
 					gemmAB(got, nil, nil, 2, 0, 3, acc, bias, act)
-					nanClassEqual(t, fmt.Sprintf("k=0 bias %v act %d acc %v", bias != nil, act, acc), got, want)
+					vectest.NaNClassEqual(t, fmt.Sprintf("k=0 bias %v act %d acc %v", bias != nil, act, acc), got, want)
 				}
 			}
 		}
@@ -297,7 +247,7 @@ func FuzzVecMatchesGeneric(f *testing.F) {
 		f.Add(uint16(c.m), uint16(c.k), uint16(c.n), uint64(i))
 	}
 	f.Fuzz(func(t *testing.T, m, k, n uint16, seed uint64) {
-		requireVec(t)
+		vectest.Require(t)
 		c := vecCase{int(m%12) + 1, int(k % 320), int(n%300) + 1}
 		runVecCase(t, c, seed)
 	})
@@ -308,106 +258,180 @@ func FuzzVecMatchesGeneric(f *testing.F) {
 // knees, a denormal.
 var planeBiases = []float32{0, float32(math.Copysign(0, -1)), 0.7, -1.3, 3, 1e-39}
 
+// gradSpecials are what the gradient kernels' weights, dy and accumulators
+// meet beyond vecSpecials: both infinities and NaNs of both signs, one with a
+// payload.
+var gradSpecials = append(slices.Clone(vecSpecials), float32(math.Inf(1)), float32(math.Inf(-1)),
+	float32(math.NaN()), math.Float32frombits(0xffc00123))
+
+// gradWScratch is a fresh scratch of the length DepthwiseConvPlaneGradW
+// takes on d.
+func gradWScratch(d ConvDims) []float32 { return make([]float32, d.DepthwiseGradWScratch()) }
+
 // runVecPlaneCase runs the three depthwise plane kernels on one geometry
 // under both settings of the switch and requires identical bits: the forward
-// with a seed-chosen bias, alone and with hard-swish, each overwriting junk;
-// both gradients accumulating onto it.
-func runVecPlaneCase(t *testing.T, h, w, k, stride, pad int, seed uint64) {
+// on the first plane with a seed-chosen bias, alone and with hard-swish, each
+// overwriting junk; both gradients over all planes accumulating onto it, once
+// on finite operands and once with ±0, ±Inf and NaN in the weights, dy, the
+// image and the accumulators (vectest.NaNClassEqual there). dW also matches the
+// tap-outer oracle plane by plane.
+func runVecPlaneCase(t *testing.T, h, w, k, stride, pad, planes int, seed uint64) {
 	t.Helper()
 	d, err := NewConvDims(1, h, w, k, k, stride, pad)
 	if err != nil {
 		return // kernel larger than the padded plane
 	}
 	r := frand.New(seed)
-	taps, cols := d.ColRows(), d.ColCols()
-	img, wt, dy := vecOperand(r, h*w), vecOperand(r, taps), vecOperand(r, cols)
-	junkY, junkW, junkX := vecOperand(r, cols), vecOperand(r, taps), vecOperand(r, h*w)
+	taps, cols, in := d.ColRows(), d.ColCols(), h*w
+	img, wt, dy := vecOperand(r, planes*in), vecOperand(r, planes*taps), vecOperand(r, planes*cols)
+	junkY, junkW, junkX := vecOperand(r, cols), vecOperand(r, planes*taps), vecOperand(r, planes*in)
+	special := func(n int) []float32 { return operandWith(r, n, gradSpecials) }
+	imgS, wtS, dyS := special(planes*in), special(planes*taps), special(planes*cols)
+	junkWS, junkXS := special(planes*taps), special(planes*in)
 	bias := planeBiases[r.Intn(len(planeBiases))]
 	run := func(on bool) [][]float32 {
-		setVecLive(t, on)
-		y, yhs, dw, dx := slices.Clone(junkY), slices.Clone(junkY), slices.Clone(junkW), slices.Clone(junkX)
-		DepthwiseConvPlane(y, img, wt, d, bias, false)
-		DepthwiseConvPlane(yhs, img, wt, d, bias, true)
-		DepthwiseConvPlaneGradW(dw, dy, img, d)
+		vectest.SetLive(t, on)
+		y, yhs := slices.Clone(junkY), slices.Clone(junkY)
+		DepthwiseConvPlane(y, img[:in], wt[:taps], d, bias, false)
+		DepthwiseConvPlane(yhs, img[:in], wt[:taps], d, bias, true)
+		dw, dx, dwS, dxS := slices.Clone(junkW), slices.Clone(junkX), slices.Clone(junkWS), slices.Clone(junkXS)
+		DepthwiseConvPlaneGradW(dw, dy, img, gradWScratch(d), d)
 		DepthwiseConvPlaneGradX(dx, dy, wt, d)
-		return [][]float32{y, yhs, dw, dx}
+		DepthwiseConvPlaneGradW(dwS, dyS, imgS, gradWScratch(d), d)
+		DepthwiseConvPlaneGradX(dxS, dyS, wtS, d)
+		return [][]float32{y, yhs, dw, dx, dwS, dxS}
 	}
 	want, got := run(false), run(true)
-	for i, kernel := range []string{"forward", "forward+hswish", "dW", "dx"} {
-		exactEqual(t, fmt.Sprintf("plane %dx%d k%d s%d p%d bias %g seed %d %s", h, w, k, stride, pad, bias, seed, kernel), got[i], want[i])
+	name := fmt.Sprintf("%d planes %dx%d k%d s%d p%d bias %g seed %d", planes, h, w, k, stride, pad, bias, seed)
+	for i, kernel := range []string{"forward", "forward+hswish", "dW", "dx", "dW specials", "dx specials"} {
+		if i < 4 {
+			exactEqual(t, name+" "+kernel, got[i], want[i])
+		} else {
+			vectest.NaNClassEqual(t, name+" "+kernel, got[i], want[i])
+		}
 	}
-	tapOuter := slices.Clone(junkW)
-	refDepthwiseGradW(tapOuter, dy, img, d)
-	exactEqual(t, fmt.Sprintf("plane %dx%d k%d s%d p%d seed %d dW vs tap-outer", h, w, k, stride, pad, seed), got[2], tapOuter)
+	for c := 0; c < planes; c++ {
+		for i, ops := range [][4][]float32{{junkW, dy, img, got[2]}, {junkWS, dyS, imgS, got[4]}} {
+			tapOuter := slices.Clone(ops[0][c*taps : (c+1)*taps])
+			refDepthwiseGradW(tapOuter, ops[1][c*cols:(c+1)*cols], ops[2][c*in:(c+1)*in], d)
+			sameOrNaN(t, fmt.Sprintf("%s plane %d dW vs tap-outer (specials %v)", name, c, i == 1), ops[3][c*taps:(c+1)*taps], tapOuter)
+		}
+	}
 }
 
 // FuzzVecPlanesMatchGeneric is FuzzVecMatchesGeneric's sibling for the
 // depthwise plane kernels (DepthwiseConvPlane with its bias and both
-// activations, …GradW, …GradX) and the routines under them
-// (vec.Depthwise3x3, vec.AxpyPlane, vec.AxpyScatter2, vec.GradW3x3): random
-// plane sizes, kernels, strides, pads and seeds at tol 0 — dW against the
+// activations, …GradW and …GradX over 1–17 planes) and the routines under
+// them (vec.Depthwise3x3, vec.GradX3x3, vec.GradW3x3): random plane sizes,
+// kernels, strides, pads, plane counts and seeds at tol 0 — dW against the
 // tap-outer oracle too — seeded with the lowered sweep's geometries
-// (depthwise_test.go) and the widths around the 8-lane block of both strides.
+// (depthwise_test.go), the widths around the 8-lane block of both strides, and
+// plane counts around the weight gradient's eight lanes.
 func FuzzVecPlanesMatchGeneric(f *testing.F) {
 	for i, hw := range [][2]int{{7, 11}, {9, 5}, {13, 10}, {1, 1}, {2, 3}} {
 		for _, k := range []int{1, 3, 5} {
 			for _, stride := range []int{1, 2} {
 				for _, pad := range []int{0, 1, 2} {
-					f.Add(uint8(hw[0]), uint8(hw[1]), uint8(k), uint8(stride), uint8(pad), uint64(i))
+					f.Add(uint8(hw[0]-1), uint8(hw[1]-1), uint8(k-1), uint8(stride-1), uint8(pad), uint8(i), uint64(i))
 				}
 			}
 		}
 	}
 	for i, w := range []int{1, 6, 7, 8, 9, 15, 16, 31, 32, 33, 40, 70} {
-		f.Add(uint8(1+i%5), uint8(w), uint8(3), uint8(1), uint8(1), uint64(77+i))
+		f.Add(uint8(i%5), uint8(w-1), uint8(2), uint8(0), uint8(1), uint8(i), uint64(77+i))
 	}
-	// Stride 2 around the eight-output block of the de-interleaving taps (odd
-	// and even widths), and the 3×3 weight gradient's margins at every pad.
+	// Stride 2 around the eight-position blocks of the gather and the
+	// forward's de-interleave (odd and even widths), and the 3×3 weight
+	// gradient's margins at every pad.
 	for i, w := range []int{2, 3, 13, 14, 15, 16, 17, 18, 29, 31, 32, 33, 34, 35, 63, 65} {
-		f.Add(uint8(2+i%6), uint8(w), uint8(3), uint8(2), uint8(i%3), uint64(91+i))
+		f.Add(uint8(1+i%6), uint8(w-1), uint8(2), uint8(1), uint8(i%3), uint8(i), uint64(91+i))
 	}
-	f.Fuzz(func(t *testing.T, h, w, k, stride, pad uint8, seed uint64) {
-		requireVec(t)
-		runVecPlaneCase(t, int(h%24)+1, int(w%80)+1, int(k%6)+1, int(stride%3)+1, int(pad%4), seed)
+	// Every plane size from 1×1 to 17×17 at 3×3, both strides, every pad,
+	// and plane counts 1–17.
+	for hw := 1; hw <= 17; hw++ {
+		for _, stride := range []int{1, 2} {
+			f.Add(uint8(hw-1), uint8(hw-1), uint8(2), uint8(stride-1), uint8(hw%3), uint8(hw-1), uint64(200+hw))
+		}
+	}
+	// The target maps each byte onto its range from 1 (pad from 0), so a seed
+	// passes one less.
+	f.Fuzz(func(t *testing.T, h, w, k, stride, pad, planes uint8, seed uint64) {
+		vectest.Require(t)
+		runVecPlaneCase(t, int(h%24)+1, int(w%80)+1, int(k%6)+1, int(stride%3)+1, int(pad%4), int(planes%17)+1, seed)
 	})
 }
 
-// TestVecPlaneAxpyMatchesGeneric drives the strided 2-D tap kernel directly
-// against the scalar row loop it replaces.
-func TestVecPlaneAxpyMatchesGeneric(t *testing.T) {
-	requireVec(t)
-	r := frand.New(77)
-	for _, n := range []int{1, 6, 7, 8, 9, 15, 16, 31, 32, 33, 40, 70} {
-		for _, rows := range []int{1, 2, 5} {
-			dstStride, srcStride := n+3, 2*n+1
-			dst := vecOperand(r, rows*dstStride)
-			src := vecOperand(r, rows*srcStride)
-			for _, w := range []float32{1.5, -0.3, 1e-30} {
-				want := slices.Clone(dst)
-				for y := 0; y < rows; y++ {
-					for j := 0; j < n; j++ {
-						want[y*dstStride+j] += w * src[y*srcStride+j]
-					}
+// gradDims is every 3×3 geometry the direct gradient tests sweep: heights
+// 1–5, widths 1–17 and around the 8-lane blocks beyond, pads 0–2, at stride.
+func gradDims(stride int, f func(d ConvDims)) {
+	for _, w := range append(seq(1, 17), 23, 24, 25, 31, 32, 33, 40, 70) {
+		for h := 1; h <= 5; h++ {
+			for pad := 0; pad <= 2; pad++ {
+				if d, err := NewConvDims(1, h, w, 3, 3, stride, pad); err == nil {
+					f(d)
 				}
-				got := slices.Clone(dst)
-				vec.AxpyPlane(got, dstStride, src, srcStride, w, rows, n)
-				exactEqual(t, fmt.Sprintf("plane axpy %dx%d w=%g", rows, n, w), got, want)
 			}
 		}
 	}
 }
 
-// TestVecStride2TapsMatchGeneric drives the de-interleaving row walks
-// directly against the scalar row loops they replace, on slices that END at
-// the last element a row loop touches (2(n−1) past the row start, never the
-// odd element after it). The gather copies NaN, −0 and denormals as bits and
-// leaves the elements between its destination rows alone; the scatter's odd
-// elements — between and beside its targets — hold −0, NaN and denormals and
-// must keep their bits.
+// gradX3x3 hands d's geometry and len(w)/9 planes to vec.GradX3x3.
+func gradX3x3(dimg, dy, w []float32, d ConvDims) {
+	vec.GradX3x3(dimg, dy, w, len(w)/9, d.OutH, d.OutW, d.InH, d.InW, d.StrideH, d.StrideW, d.PadH, d.PadW)
+}
+
+// gradW3x3 hands d's geometry and len(dw)/9 planes to vec.GradW3x3.
+func gradW3x3(dw, dy, img, scratch []float32, d ConvDims) {
+	vec.GradW3x3(dw, dy, img, scratch, len(dw)/9, d.OutH, d.OutW, d.InH, d.InW, d.StrideH, d.StrideW, d.PadH, d.PadW)
+}
+
+// TestVecPlaneAxpyMatchesGeneric drives the gather-form input gradient
+// directly against the nine scalar tap AXPYs it replaces (planeGradX, the Go
+// loop) at stride 1, and the plane-lane weight gradient against the one-chain
+// tap-outer oracle on 1–17 planes, with ±0, ±Inf and NaN in the weights, dy,
+// the image and the accumulators.
+func TestVecPlaneAxpyMatchesGeneric(t *testing.T) {
+	vectest.Require(t)
+	testGradsMatchScalar(t, 1, frand.New(77))
+}
+
+// testGradsMatchScalar is TestVecPlaneAxpyMatchesGeneric's sweep at stride.
+func testGradsMatchScalar(t *testing.T, stride int, r *frand.RNG) {
+	gradDims(stride, func(d ConvDims) {
+		name := fmt.Sprintf("%dx%d s%d p%d", d.InH, d.InW, stride, d.PadW)
+		in, cols := d.InH*d.InW, d.ColCols()
+		dy, w := operandWith(r, cols, gradSpecials), operandWith(r, 9, gradSpecials)
+		dimg := operandWith(r, in, gradSpecials)
+		want, got := slices.Clone(dimg), slices.Clone(dimg)
+		d.planeGradX(want, dy, w)
+		gradX3x3(got, dy, w, d)
+		vectest.NaNClassEqual(t, name+" dx", got, want)
+
+		planes := 1 + (d.InW+d.InH+d.PadW)%17
+		dys, imgs := operandWith(r, planes*cols, gradSpecials), operandWith(r, planes*in, gradSpecials)
+		dw := operandWith(r, planes*9, gradSpecials)
+		wantW, gotW := slices.Clone(dw), slices.Clone(dw)
+		for c := 0; c < planes; c++ {
+			refDepthwiseGradW(wantW[9*c:9*c+9], dys[c*cols:(c+1)*cols], imgs[c*in:(c+1)*in], d)
+		}
+		gradW3x3(gotW, dys, imgs, gradWScratch(d), d)
+		sameOrNaN(t, fmt.Sprintf("%s dW, %d planes", name, planes), gotW, wantW)
+	})
+}
+
+// TestVecStride2TapsMatchGeneric drives the stride-2 routines directly
+// against the scalar loops they replace: the de-interleaving im2col gather
+// against its row loop, on slices that END at the last element the row loop
+// touches (2(n−1) past the row start, never the odd element after it), and
+// the gather-form input gradient and plane-lane weight gradient at stride 2
+// against planeGradX and the tap-outer oracle (TestVecPlaneAxpyMatchesGeneric's
+// sweep). The gather copies NaN, −0 and denormals as bits and leaves the
+// elements between its destination rows alone; the input gradient's pixels
+// that no tap reaches — an odd last column at pad 0 — hold −0, NaN and
+// denormals and must keep their bits.
 func TestVecStride2TapsMatchGeneric(t *testing.T) {
-	requireVec(t)
+	vectest.Require(t)
 	r := frand.New(78)
-	odd := []float32{float32(math.Copysign(0, -1)), float32(math.NaN()), -1e-41, 0}
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 23, 24, 25, 40} {
 		for _, rows := range []int{1, 2, 5} {
 			narrow, wide := n+3, 2*n+4
@@ -423,34 +447,30 @@ func TestVecStride2TapsMatchGeneric(t *testing.T) {
 			got := slices.Clone(dst)
 			vec.Gather2(got, narrow, src, wide, rows, n)
 			exactEqual(t, fmt.Sprintf("gather %dx%d", rows, n), got, want)
-
-			for _, w := range []float32{1.5, -0.3, 1e-30} {
-				// scatter: dimg[2j] += w·dy[j]
-				src := vecOperand(r, (rows-1)*narrow+n)
-				dst := vecOperand(r, (rows-1)*wide+2*n-1)
-				for i := range dst {
-					if i%wide%2 == 1 || i%wide >= 2*n-1 {
-						dst[i] = odd[i%len(odd)]
-					}
-				}
-				dst[0] = float32(math.Copysign(0, -1)) // a target holding −0
-				want := slices.Clone(dst)
-				for y := 0; y < rows; y++ {
-					for j := 0; j < n; j++ {
-						want[y*wide+2*j] += w * src[y*narrow+j]
-					}
-				}
-				got := slices.Clone(dst)
-				vec.AxpyScatter2(got, wide, src, narrow, w, rows, n)
-				exactEqual(t, fmt.Sprintf("scatter %dx%d w=%g", rows, n, w), got, want)
+		}
+	}
+	odd := []float32{float32(math.Copysign(0, -1)), float32(math.NaN()), -1e-41, 0}
+	for _, w := range []int{4, 6, 8, 16, 18} { // pad 0 reaches no pixel of an even width's last column
+		d, err := NewConvDims(1, 5, w, 3, 3, 2, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dy, wt := vecOperand(r, d.ColCols()), vecOperand(r, 9)
+		dimg := vecOperand(r, 5*w)
+		for i := w - 1; i < len(dimg); i += w {
+			dimg[i] = odd[i%len(odd)]
+		}
+		want, got := slices.Clone(dimg), slices.Clone(dimg)
+		d.planeGradX(want, dy, wt)
+		gradX3x3(got, dy, wt, d)
+		exactEqual(t, fmt.Sprintf("stride-2 dx 5x%d p0", w), got, want)
+		for i := w - 1; i < len(got); i += w {
+			if math.Float32bits(got[i]) != math.Float32bits(dimg[i]) {
+				t.Fatalf("stride-2 dx 5x%d p0: unreached pixel %d changed from %v to %v", w, i, dimg[i], got[i])
 			}
 		}
 	}
-}
-
-// gradW3x3 hands d's geometry to vec.GradW3x3.
-func gradW3x3(dw, dy, img []float32, d ConvDims) {
-	vec.GradW3x3(dw, dy, img, d.OutH, d.OutW, d.InH, d.InW, d.StrideH, d.StrideW, d.PadH, d.PadW)
+	testGradsMatchScalar(t, 2, r)
 }
 
 // depthwise3x3 hands d's geometry to vec.Depthwise3x3, bias 0.5, no
@@ -459,16 +479,19 @@ func depthwise3x3(y, img, w []float32, d ConvDims) {
 	vec.Depthwise3x3(y, img, w, d.OutH, d.OutW, d.InH, d.InW, d.StrideH, d.StrideW, d.PadH, d.PadW, 0.5, false)
 }
 
-// TestVecDepthwiseZeroSkipParity: the fused 3×3 forward skips what the Go
-// tap loop skips and nothing else, at both strides, every pad and widths
-// through the 8-lane block. Zero weights of both signs face ±Inf and NaN
-// pixels and must skip them; a NaN weight must poison exactly the outputs
-// whose tap lands inside the image (its out-of-image lanes are skipped, never
-// 0·NaN); the centre tap alone carries the hard-sigmoid knees and non-finite
-// pixels through the epilogue. NaN pixels meet NaN sums here, so the
-// comparison is nanClassEqual.
+// TestVecDepthwiseZeroSkipParity: the fused 3×3 forward and the gather-form
+// input gradient skip what their Go tap loops skip and nothing else, at both
+// strides, every pad and widths through the 8-lane block. Zero weights of
+// both signs face ±Inf and NaN pixels (forward) and dy values (input
+// gradient) and must skip them; a NaN weight must poison exactly the outputs
+// whose tap lands inside the image, and exactly the input pixels its tap
+// reaches (its out-of-image lanes are skipped, never 0·NaN); the centre tap
+// alone carries the hard-sigmoid knees and non-finite pixels through the
+// epilogue. The plane-lane weight gradient, whose dot forms skip only the
+// taps outside the image, meets the poisoned pixels and dy values together.
+// NaNs meet NaN sums here, so the comparison is vectest.NaNClassEqual.
 func TestVecDepthwiseZeroSkipParity(t *testing.T) {
-	requireVec(t)
+	vectest.Require(t)
 	inf, nan := float32(math.Inf(1)), float32(math.NaN())
 	negZero := float32(math.Copysign(0, -1))
 	knees := []float32{3, -3, math.Nextafter32(3, 0), math.Nextafter32(-3, 0), math.Nextafter32(3, 4),
@@ -483,7 +506,7 @@ func TestVecDepthwiseZeroSkipParity(t *testing.T) {
 				}
 				name := fmt.Sprintf("s%d w%d p%d", stride, w, pad)
 				forward := func(on bool, img, wt []float32, bias float32, hs bool) []float32 {
-					setVecLive(t, on)
+					vectest.SetLive(t, on)
 					y := vecOperand(r, d.ColCols()) // junk: the kernel must overwrite
 					DepthwiseConvPlane(y, img, wt, d, bias, hs)
 					return y
@@ -502,13 +525,13 @@ func TestVecDepthwiseZeroSkipParity(t *testing.T) {
 				finite := vecOperand(r, 7*w)
 				nanCorner := []float32{nan, 0.5, 0.5, 0.5, 1, 0.5, 0.5, 0.5, 0.5}
 				for _, hs := range []bool{false, true} {
-					nanClassEqual(t, fmt.Sprintf("%s hswish=%v zero taps", name, hs),
+					vectest.NaNClassEqual(t, fmt.Sprintf("%s hswish=%v zero taps", name, hs),
 						forward(true, poisoned, zeros, -0.25, hs), forward(false, poisoned, zeros, -0.25, hs))
-					nanClassEqual(t, fmt.Sprintf("%s hswish=%v centre tap", name, hs),
+					vectest.NaNClassEqual(t, fmt.Sprintf("%s hswish=%v centre tap", name, hs),
 						forward(true, centre, []float32{0, 0, 0, 0, 1, 0, 0, 0, 0}, 0, hs),
 						forward(false, centre, []float32{0, 0, 0, 0, 1, 0, 0, 0, 0}, 0, hs))
 					got := forward(true, finite, nanCorner, 0.125, hs)
-					nanClassEqual(t, fmt.Sprintf("%s hswish=%v NaN corner", name, hs), got, forward(false, finite, nanCorner, 0.125, hs))
+					vectest.NaNClassEqual(t, fmt.Sprintf("%s hswish=%v NaN corner", name, hs), got, forward(false, finite, nanCorner, 0.125, hs))
 					for oy := 0; oy < d.OutH; oy++ {
 						for ox := 0; ox < d.OutW; ox++ {
 							iy, ix := oy*stride-pad, ox*stride-pad
@@ -516,6 +539,37 @@ func TestVecDepthwiseZeroSkipParity(t *testing.T) {
 							if v := got[oy*d.OutW+ox]; (v != v) != inside {
 								t.Fatalf("%s hswish=%v: output (%d,%d) = %v, corner tap inside the image: %v", name, hs, oy, ox, v, inside)
 							}
+						}
+					}
+				}
+				poisonedDy := vecOperand(r, d.ColCols())
+				for i := range poisonedDy {
+					if i%5 == 2 {
+						poisonedDy[i] = []float32{inf, -inf, nan}[i%3]
+					}
+				}
+				junkX, junkW := vecOperand(r, 7*w), vecOperand(r, 9)
+				grads := func(on bool, dy, wt []float32) (dx, dw []float32) {
+					vectest.SetLive(t, on)
+					dx, dw = slices.Clone(junkX), slices.Clone(junkW)
+					DepthwiseConvPlaneGradX(dx, dy, wt, d)
+					DepthwiseConvPlaneGradW(dw, dy, poisoned, gradWScratch(d), d)
+					return dx, dw
+				}
+				gotX, gotW := grads(true, poisonedDy, zeros)
+				wantX, wantW := grads(false, poisonedDy, zeros)
+				vectest.NaNClassEqual(t, name+" dx zero taps", gotX, wantX)
+				vectest.NaNClassEqual(t, name+" dW poisoned", gotW, wantW)
+				finiteDy := vecOperand(r, d.ColCols())
+				gotX, _ = grads(true, finiteDy, nanCorner)
+				wantX, _ = grads(false, finiteDy, nanCorner)
+				vectest.NaNClassEqual(t, name+" dx NaN corner", gotX, wantX)
+				for iy := 0; iy < 7; iy++ {
+					for ix := 0; ix < w; ix++ {
+						oy, ox := iy+pad, ix+pad // times stride: the corner tap's output position
+						reached := oy%stride == 0 && oy/stride < d.OutH && ox%stride == 0 && ox/stride < d.OutW
+						if v := gotX[iy*w+ix]; (v != v) != reached {
+							t.Fatalf("%s: dx pixel (%d,%d) = %v, reached by the corner tap: %v", name, iy, ix, v, reached)
 						}
 					}
 				}
@@ -535,6 +589,7 @@ func TestVecKernelsRejectShortSlices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	scratch := plane3x3.DepthwiseGradWScratch()
 	for _, tc := range []struct {
 		name string
 		call func()
@@ -546,8 +601,6 @@ func TestVecKernelsRejectShortSlices(t *testing.T) {
 		{"gemm stride", func() { vec.Gemm(full(m*n), n, full(m*k), 0, 1, full(k*n), n, m, n, k, true, nil, vec.ActIdentity) }},
 		{"gemm bias", func() { vec.Gemm(full(m*n), n, full(m*k), k, 1, full(k*n), n, m, n, k, false, full(m-1), vec.ActReLU) }},
 		{"gemm bias, no terms", func() { vec.Gemm(full(m*n), n, nil, k, 1, nil, n, m, n, 0, false, full(m-1), vec.ActHardSwish) }},
-		{"plane dst", func() { vec.AxpyPlane(full(2*12+n-1), 12, full(2*20+n), 20, 1, 3, n) }},
-		{"plane src", func() { vec.AxpyPlane(full(2*12+n), 12, full(2*20+n-1), 20, 1, 3, n) }},
 		{"transB out", func() { vec.DotTransB(full(m*n-1), full(m*k), full(n*k), m, k, n, false) }},
 		{"transB a", func() { vec.DotTransB(full(m*n), full(m*k-1), full(n*k), m, k, n, false) }},
 		{"transB b", func() { vec.DotTransB(full(m*n), full(m*k), full(n*k-1), m, k, n, true) }},
@@ -555,12 +608,16 @@ func TestVecKernelsRejectShortSlices(t *testing.T) {
 		{"gather src", func() { vec.Gather2(full(2*12+n), 12, full(2*20+2*n-2), 20, 3, n) }},
 		{"gather src stride", func() { vec.Gather2(full(2*12+n), 12, full(80), 2*n-2, 3, n) }},
 		{"gather dst stride", func() { vec.Gather2(full(80), n-1, full(2*20+2*n-1), 20, 3, n) }},
-		{"scatter dst", func() { vec.AxpyScatter2(full(2*20+2*n-2), 20, full(2*12+n), 12, 1, 3, n) }},
-		{"scatter src", func() { vec.AxpyScatter2(full(2*20+2*n-1), 20, full(2*12+n-1), 12, 1, 3, n) }},
-		{"scatter dst stride", func() { vec.AxpyScatter2(full(80), 2*n-2, full(2*12+n), 12, 1, 3, n) }},
-		{"dW 3x3 dw", func() { gradW3x3(full(8), full(6*7), full(6*7), plane3x3) }},
-		{"dW 3x3 dy", func() { gradW3x3(full(9), full(6*7-1), full(6*7), plane3x3) }},
-		{"dW 3x3 img", func() { gradW3x3(full(9), full(6*7), full(6*7-1), plane3x3) }},
+		{"dW 3x3 dw", func() { vec.GradW3x3(full(17), full(2*6*7), full(2*6*7), full(scratch), 2, 6, 7, 6, 7, 1, 1, 1, 1) }},
+		{"dW 3x3 dy", func() { gradW3x3(full(18), full(2*6*7-1), full(2*6*7), full(scratch), plane3x3) }},
+		{"dW 3x3 img", func() { gradW3x3(full(18), full(2*6*7), full(2*6*7-1), full(scratch), plane3x3) }},
+		{"dW 3x3 scratch", func() { gradW3x3(full(18), full(2*6*7), full(2*6*7), full(scratch-1), plane3x3) }},
+		{"dx 3x3 dimg", func() { gradX3x3(full(2*6*7-1), full(2*6*7), full(18), plane3x3) }},
+		{"dx 3x3 dy", func() { gradX3x3(full(2*6*7), full(2*6*7-1), full(18), plane3x3) }},
+		{"dx 3x3 w", func() { vec.GradX3x3(full(2*6*7), full(2*6*7), full(17), 2, 6, 7, 6, 7, 1, 1, 1, 1) }},
+		{"dx 3x3 geometry", func() {
+			gradX3x3(full(6*7), full(6*7), full(9), ConvDims{OutH: 6, OutW: 7, InW: 7, StrideH: 1, StrideW: 1})
+		}},
 		{"dw 3x3 y", func() { depthwise3x3(full(6*7-1), full(6*7), full(9), plane3x3) }},
 		{"dw 3x3 img", func() { depthwise3x3(full(6*7), full(6*7-1), full(9), plane3x3) }},
 		{"dw 3x3 w", func() { depthwise3x3(full(6*7), full(6*7), full(8), plane3x3) }},
@@ -589,11 +646,11 @@ func TestVecKernelsRejectShortSlices(t *testing.T) {
 	// A zero dimension returns before any slice is touched, nil included.
 	vec.Gemm(nil, 4, nil, 1, 1, nil, 4, 0, 4, 3, false, nil, vec.ActReLU)
 	vec.Gemm(nil, 4, nil, 1, 1, nil, 4, 2, 0, 3, true, nil, vec.ActHardSwish)
-	vec.AxpyPlane(nil, 4, nil, 4, 1, 0, 4)
 	vec.DotTransB(nil, nil, nil, 0, 3, 4, true)
 	vec.Gather2(nil, 4, nil, 8, 0, 4)
-	vec.AxpyScatter2(nil, 8, nil, 4, 1, 2, 0)
-	gradW3x3(nil, nil, nil, ConvDims{KH: 3, KW: 3})
+	gradW3x3(nil, nil, nil, nil, ConvDims{OutH: 2, OutW: 2})
+	vec.GradW3x3(nil, nil, nil, nil, 2, 0, 2, 2, 2, 1, 1, 0, 0)
+	gradX3x3(nil, nil, nil, ConvDims{OutH: 2, StrideH: 3, StrideW: 3})
 	depthwise3x3(nil, nil, nil, ConvDims{OutW: 4, StrideW: 3})
 	vec.ScaleRows(nil, nil, nil, 3, 0)
 	vec.Add(nil, nil, nil)
@@ -606,6 +663,26 @@ func TestVecKernelsRejectShortSlices(t *testing.T) {
 		}()
 		depthwise3x3(full(4), full(36), full(9), ConvDims{OutH: 2, OutW: 2, InH: 6, InW: 6, StrideH: 3, StrideW: 3})
 	}()
+	// … nor has either gradient a stride above 2 in either direction.
+	for _, st := range [][2]int{{3, 1}, {1, 3}} {
+		d := ConvDims{OutH: 2, OutW: 2, InH: 6, InW: 6, StrideH: st[0], StrideW: st[1]}
+		for _, g := range []struct {
+			name string
+			call func()
+		}{
+			{"input", func() { gradX3x3(full(36), full(4), full(9), d) }},
+			{"weight", func() { gradW3x3(full(9), full(4), full(36), full(vec.GradW3x3Scratch(2, 2, 6, 6)), d) }},
+		} {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.Contains(msg, fmt.Sprintf("%s gradient strides %d×%d", g.name, st[0], st[1])) {
+						t.Fatalf("3x3 %s gradient at strides %d×%d: recovered %q", g.name, st[0], st[1], msg)
+					}
+				}()
+				g.call()
+			}()
+		}
+	}
 	FoldScaled(nil, nil, 1)
 	if ss := SqDistLanes(2.5, nil, nil); ss != 2.5 {
 		t.Fatalf("squared distance of nothing changed the incoming sum to %v", ss)
@@ -616,8 +693,8 @@ func TestVecKernelsRejectShortSlices(t *testing.T) {
 // neither dispatches to the packed kernel nor packs anything for it, and its
 // fused output is the serial backend's, bit for bit.
 func TestAutoStaysOnOracleWhenVectorLive(t *testing.T) {
-	requireVec(t)
-	setVecLive(t, true)
+	vectest.Require(t)
+	vectest.SetLive(t, true)
 	autoIsTheOracle(t)
 }
 
@@ -636,7 +713,7 @@ var convGemmShapes = []struct {
 // clear, the accumulating GEMM, the BiasAct sweep), in GFLOP/s of the
 // GEMM's 2·m·k·n.
 func BenchmarkConvGemm(b *testing.B) {
-	requireVec(b)
+	vectest.Require(b)
 	for _, sh := range convGemmShapes {
 		r := frand.New(12)
 		w, x, bias := Randn(r, 1, sh.m*sh.k).Data(), Randn(r, 1, sh.k*sh.n).Data(), Randn(r, 1, sh.m).Data()
@@ -697,7 +774,7 @@ func foldAcc(r *frand.RNG, n int) []float64 {
 	return v
 }
 
-// nanClassEqual64 is nanClassEqual for the fold's float64 accumulators,
+// nanClassEqual64 is vectest.NaNClassEqual for the fold's float64 accumulators,
 // where a NaN update meets a NaN sum: bit for bit, NaN payloads included,
 // except that under -race any NaN matches any NaN.
 func nanClassEqual64(t *testing.T, name string, got, want []float64) {
@@ -721,7 +798,7 @@ func runVecFoldCase(t *testing.T, n, dstOff, srcOff int, w float64, seed uint64)
 	src := foldSrc(r, srcOff+n+3)
 	base := foldAcc(r, dstOff+n+3)
 	run := func(on bool) []float64 {
-		setVecLive(t, on)
+		vectest.SetLive(t, on)
 		acc := slices.Clone(base)
 		for _, wk := range []float64{w, -w / 3, w} {
 			FoldScaled(acc[dstOff:dstOff+n], src[srcOff:srcOff+n], wk)
@@ -733,7 +810,7 @@ func runVecFoldCase(t *testing.T, n, dstOff, srcOff int, w float64, seed uint64)
 }
 
 func TestVecFoldMatchesGeneric(t *testing.T) {
-	requireVec(t)
+	vectest.Require(t)
 	for n := 0; n <= 67; n++ {
 		for off := 0; off < 4; off++ {
 			for i, w := range foldWeights {
@@ -750,7 +827,7 @@ func FuzzVecFoldMatchesGeneric(f *testing.F) {
 		f.Add(uint16(16*i+i), uint8(i), uint8(3*i), math.Float64bits(w), uint64(i))
 	}
 	f.Fuzz(func(t *testing.T, n uint16, dstOff, srcOff uint8, wbits, seed uint64) {
-		requireVec(t)
+		vectest.Require(t)
 		runVecFoldCase(t, int(n%300), int(dstOff%4), int(srcOff%4), math.Float64frombits(wbits), seed)
 	})
 }
@@ -767,7 +844,7 @@ func sqDistBound(n int) float64 { return 2.01 * float64(n) * 0x1p-53 }
 // block, of the 4-wide block and of the Go tail, in either operand — and the
 // incoming ss is chained, not dropped.
 func TestVecSqDistLanesKeepsItsContract(t *testing.T) {
-	bothVecSettings(t, func(t *testing.T) {
+	vectest.BothSettings(t, func(t *testing.T) {
 		r := frand.New(83)
 		for _, n := range append(seq(0, 67), 255, 1000, 68362) {
 			for _, scale := range []float64{1e-30, 1, 1e15} {
@@ -826,7 +903,7 @@ func BenchmarkFoldSweep(b *testing.B) {
 		src := Randn(frand.New(9), 1, sz.n).Data()
 		acc := make([]float64, sz.n)
 		b.Run(sz.name, func(b *testing.B) {
-			benchVecArms(b, func(b *testing.B) {
+			vectest.BenchArms(b, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					FoldScaled(acc, src, 1.0/1024)
 				}
@@ -847,7 +924,7 @@ func BenchmarkGateSweep(b *testing.B) {
 		r := frand.New(10)
 		g, w := Randn(r, 1, sz.n).Data(), Randn(r, 1, sz.n).Data()
 		b.Run(sz.name, func(b *testing.B) {
-			benchVecArms(b, func(b *testing.B) {
+			vectest.BenchArms(b, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					sqDistSink += SqDistLanes(0, w, g)
 				}

@@ -27,27 +27,29 @@
 //     eight (i,j) chains of the dot form, fed by an in-register transpose;
 //     the output positions of a 3×3 depthwise window, each taking all nine
 //     taps while its sum stays in its lane, de-interleaved at stride 2; the
-//     input positions of a depthwise gradient tap; the nine taps of a 3×3
-//     depthwise weight gradient; eight channels of a batch-norm sum;
-//     neighbouring planes of a plane mean; the elements of an elementwise
-//     sweep. Every target still receives its terms one at a time in the Go
-//     loop's ascending order, with the same zero-skip (±0 skipped, NaN not)
-//     in the AXPY forms and the depthwise forward and none in the dot forms.
-//     Where a reduction's order IS the result (batch norm's float64 sums, a
-//     tap's dot product over a plane, a plane's sum), the targets beside it
-//     are what fills the machine.
+//     input positions of a 3×3 depthwise input gradient, each gathering its
+//     taps the same way; eight planes of a 3×3 depthwise weight gradient,
+//     one register per tap, fed by an in-register transpose; eight channels
+//     of a batch-norm sum; neighbouring planes of a plane mean; the elements
+//     of an elementwise sweep. Every target still receives its terms one at
+//     a time in the Go loop's ascending order, with the same zero-skip (±0
+//     skipped, NaN not) in the AXPY forms, the depthwise forward and its
+//     input gradient and none in the dot forms. Where a reduction's order IS
+//     the result (batch norm's float64 sums, a tap's dot product over a
+//     plane, a plane's sum), the targets beside it are what fills the
+//     machine.
 //  2. No FMA. Each step is the Go loop's operation for operation: one
 //     VMULPS then one VADDPS (VMULPD/VADDPD in float64), the two roundings
 //     of the compiler's MULSS + ADDSS (GOAMD64=v1 never fuses). A fused
 //     multiply-add rounds once and would change bits. One ISA, one
 //     selection: no AVX-512 variant, no FMA variant. Where two NaN operands
-//     can meet (the fold, the depthwise forward, the GEMM's fused store),
-//     the routines take the operands in the order a plain build compiles
-//     the Go loop, so the first one's sign and payload survive, and the
-//     parity tests check those bits. Go does not specify which NaN
-//     survives, though, and a -race build swaps some of those operands;
-//     under -race alone the parity tests hold NaN for NaN, and every other
-//     value bit for bit.
+//     can meet (the fold, the depthwise forward and gradients, the GEMM's
+//     fused store), the routines take the operands in the order a plain
+//     build compiles the Go loop, so the first one's sign and payload
+//     survive, and the parity tests check those bits. Go does not specify
+//     which NaN survives, though, and a -race build swaps some of those
+//     operands; under -race alone the parity tests hold NaN for NaN, and
+//     every other value bit for bit.
 //  3. A reduction takes lanes only when its consumer is a decision and a
 //     proven guard falls back to the serial chain. SqDist is the one such
 //     routine: it returns the gate's squared distance in lane order, and
@@ -67,5 +69,5 @@
 // accumulating), adds its terms, then the row's bias and the identity, ReLU
 // or hard-swish. The epilogue is BiasAct's instructions in BiasAct's operand
 // order, so it is the Go loop followed by its sweep, bit for bit. The
-// package has 18 routines.
+// package has 17 routines.
 package vec

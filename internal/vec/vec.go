@@ -14,6 +14,13 @@ func short(routine string, need, have int) {
 	}
 }
 
+// gradStrides panics unless both strides of a 3×3 gradient are 1 or 2.
+func gradStrides(gradient string, strideH, strideW int) {
+	if strideH < 1 || strideH > 2 || strideW < 1 || strideW > 2 {
+		panic(fmt.Sprintf("vec: 3x3 %s gradient strides %d×%d, want 1 or 2", gradient, strideH, strideW))
+	}
+}
+
 // Act is the activation Gemm applies to a finished sum before its store.
 type Act uint8
 
@@ -53,19 +60,6 @@ func Gemm(out []float32, ldc int, a []float32, ars, acs int, b []float32, ldb, m
 	gemm(&out[0], ldc, &a[0], ars, acs, &b[0], ldb, m, n, k, bp, acc, act)
 }
 
-// AxpyPlane computes dst[r·dstStride+j] += w·src[r·srcStride+j] for r < rows,
-// j < n: one depthwise tap swept over a plane.
-func AxpyPlane(dst []float32, dstStride int, src []float32, srcStride int, w float32, rows, n int) {
-	if rows <= 0 || n <= 0 {
-		return
-	}
-	short("plane axpy dst stride", n, dstStride)
-	short("plane axpy dst", (rows-1)*dstStride+n, len(dst))
-	short("plane axpy src stride", n, srcStride)
-	short("plane axpy src", (rows-1)*srcStride+n, len(src))
-	axpyPlane(&dst[0], dstStride, &src[0], srcStride, w, rows, n)
-}
-
 // Gather2 copies dst[r·dstStride+j] = src[r·srcStride+2j] for r < rows,
 // j < n: the rows of one (channel, tap) row of a stride-2 im2col.
 func Gather2(dst []float32, dstStride int, src []float32, srcStride int, rows, n int) {
@@ -79,38 +73,55 @@ func Gather2(dst []float32, dstStride int, src []float32, srcStride int, rows, n
 	gather2(&dst[0], dstStride, &src[0], srcStride, rows, n)
 }
 
-// AxpyScatter2 computes dst[r·dstStride+2j] += w·src[r·srcStride+j] for
-// r < rows, j < n: one tap of a stride-2 depthwise input gradient. The odd
-// elements of dst keep their bits.
-func AxpyScatter2(dst []float32, dstStride int, src []float32, srcStride int, w float32, rows, n int) {
-	if rows <= 0 || n <= 0 {
+// GradX3x3 accumulates the 3×3 depthwise input gradients of planes
+// consecutive planes, dimg_c[tap t's pixel] += w[9c+t]·dy_c[oy,ox], in
+// gather form: every input pixel takes its in-image taps with w[t] ≠ 0 (NaN
+// included) in ascending t, one multiply-add each onto its own value. These
+// are the bits of tensor.DepthwiseConvPlaneGradX's tap-outer Go loop, with
+// eight input positions in lanes, for every dimg value arithmetic can leave:
+// a lane that skips a tap still adds −0 to its pixel, which quiets a
+// signalling NaN already in dimg where the Go loop leaves it as it was. A
+// plane is inH×inW, its output outH×outW, and both strides are 1 or 2.
+func GradX3x3(dimg, dy, w []float32, planes, outH, outW, inH, inW, strideH, strideW, padH, padW int) {
+	if planes <= 0 || outH <= 0 || outW <= 0 {
 		return
 	}
-	short("stride-2 scatter dst stride", 2*n-1, dstStride)
-	short("stride-2 scatter dst", (rows-1)*dstStride+2*n-1, len(dst))
-	short("stride-2 scatter src stride", n, srcStride)
-	short("stride-2 scatter src", (rows-1)*srcStride+n, len(src))
-	axpyScatter2(&dst[0], dstStride, &src[0], srcStride, w, rows, n)
+	gradStrides("input", strideH, strideW)
+	short("3x3 input gradient geometry", 1, min(inH, inW))
+	short("3x3 input gradient w", 9*planes, len(w))
+	short("3x3 input gradient dy", planes*outH*outW, len(dy))
+	short("3x3 input gradient dimg", planes*inH*inW, len(dimg))
+	gradX3x3(&dimg[0], &dy[0], &w[0], planes, outH, outW, inH, inW, strideH, strideW, padH, padW)
 }
 
-// GradW3x3 accumulates one plane's 3×3 depthwise weight gradient,
-// dw[t] += Σ dy·(tap t's pixel) with every tap's sum from +0 in ascending
-// (oy, ox) order: tensor.DepthwiseConvPlaneGradW's bits with the nine taps in
-// lanes. The plane is inH×inW, the output outH×outW.
-func GradW3x3(dw, dy, img []float32, outH, outW, inH, inW, strideH, strideW, padH, padW int) {
-	if outH <= 0 || outW <= 0 {
+// gradWPlanes is how many planes one pass of GradW3x3 holds, one per lane.
+const gradWPlanes = 8
+
+// GradW3x3Scratch is the scratch GradW3x3 needs for inH×inW planes and an
+// outH×outW output: one pass's planes laid out position-major.
+func GradW3x3Scratch(outH, outW, inH, inW int) int {
+	return gradWPlanes * ((inH*inW+7)&^7 + (outH*outW+7)&^7)
+}
+
+// GradW3x3 accumulates the 3×3 depthwise weight gradients of planes
+// consecutive planes, dw[9c+t] += Σ dy_c·(plane c's tap-t pixel), every tap's
+// sum from +0 in ascending (oy, ox) order: tensor.DepthwiseConvPlaneGradW's
+// bits with gradWPlanes planes in lanes and one register per tap. Each pass
+// first lays its planes out position-major in scratch (GradW3x3Scratch
+// elements). A plane is inH×inW, its output outH×outW, and both strides are
+// 1 or 2.
+func GradW3x3(dw, dy, img, scratch []float32, planes, outH, outW, inH, inW, strideH, strideW, padH, padW int) {
+	if planes <= 0 || outH <= 0 || outW <= 0 {
 		return
 	}
-	short("3x3 weight gradient geometry", 1, min(inH, inW, strideH, strideW))
-	short("3x3 weight gradient dw", 9, len(dw))
-	short("3x3 weight gradient dy", outH*outW, len(dy))
-	short("3x3 weight gradient img", inH*inW, len(img))
-	var acc [12]float32 // kernel row ky in lanes 4ky .. 4ky+2
-	gradW3x3(&acc[0], &dy[0], &img[0], outH, outW, inH, inW, strideH, strideW, padH, padW)
-	for ky := 0; ky < 3; ky++ {
-		for kx := 0; kx < 3; kx++ {
-			dw[ky*3+kx] += acc[ky*4+kx]
-		}
+	gradStrides("weight", strideH, strideW)
+	short("3x3 weight gradient geometry", 1, min(inH, inW))
+	short("3x3 weight gradient dw", 9*planes, len(dw))
+	short("3x3 weight gradient dy", planes*outH*outW, len(dy))
+	short("3x3 weight gradient img", planes*inH*inW, len(img))
+	short("3x3 weight gradient scratch", GradW3x3Scratch(outH, outW, inH, inW), len(scratch))
+	for c := 0; c < planes; c += gradWPlanes {
+		gradW3x3(&dw[9*c], &dy[c*outH*outW], &img[c*inH*inW], min(gradWPlanes, planes-c), outH, outW, inH, inW, strideH, strideW, padH, padW, &scratch[0])
 	}
 }
 

@@ -34,22 +34,19 @@ func xgetbv0() uint32
 func gemm(c *float32, ldc int, a *float32, ars, acs int, b *float32, ldb, m, n, k int, bias *float32, acc bool, act Act)
 
 //go:noescape
-func axpyPlane(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int)
-
-//go:noescape
 func dotTransB(out, a, b *float32, m, k, n int, acc bool)
 
 //go:noescape
 func gather2(dst *float32, dstStride int, src *float32, srcStride int, rows, n int)
 
 //go:noescape
-func axpyScatter2(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int)
+func gradX3x3(dimg, dy, w *float32, planes, outH, outW, inH, inW, strideH, strideW, padH, padW int)
 
 //go:noescape
 func depthwise3x3(y, img, w *float32, outH, outW, inH, inW, strideH, strideW, padH, padW, live int, bias float32, hswish bool)
 
 //go:noescape
-func gradW3x3(acc, dy, img *float32, outH, outW, inH, inW, strideH, strideW, padH, padW int)
+func gradW3x3(dw, dy, img *float32, planes, outH, outW, inH, inW, strideH, strideW, padH, padW int, scratch *float32)
 
 //go:noescape
 func foldScaled(dst *float64, src *float32, w float64, n int)

@@ -277,84 +277,6 @@ gemmNextRow:
 	VZEROUPPER
 	RET
 
-// func axpyPlane(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int)
-//
-// dst[r·dstStride + j] += w · src[r·srcStride + j]   (r < rows, j < n)
-//
-// One depthwise tap over a whole plane: every element is its own target and
-// receives exactly one multiply-add, so lane placement is free.
-TEXT ·axpyPlane(SB), NOSPLIT, $0-56
-	MOVQ dst+0(FP), DI
-	MOVQ dstStride+8(FP), R8
-	SHLQ $2, R8
-	MOVQ src+16(FP), SI
-	MOVQ srcStride+24(FP), R9
-	SHLQ $2, R9
-	VBROADCASTSS w+32(FP), Y15
-	MOVQ rows+40(FP), R13
-	MOVQ n+48(FP), R10
-	MOVQ R10, R11
-	ANDQ $7, R11            // tail lanes
-	JZ   axpyRow
-	LEAQ vecMask<>(SB), R12
-	NEGQ R11
-	VMOVDQU 32(R12)(R11*4), Y9
-
-axpyRow:
-	XORQ AX, AX
-	MOVQ R10, BX
-
-axpyBlk32:
-	CMPQ BX, $32
-	JLT  axpyBlk8
-	VMULPS (SI)(AX*1), Y15, Y0
-	VMULPS 32(SI)(AX*1), Y15, Y1
-	VMULPS 64(SI)(AX*1), Y15, Y2
-	VMULPS 96(SI)(AX*1), Y15, Y3
-	VMOVUPS (DI)(AX*1), Y4
-	VMOVUPS 32(DI)(AX*1), Y5
-	VMOVUPS 64(DI)(AX*1), Y6
-	VMOVUPS 96(DI)(AX*1), Y7
-	VADDPS Y0, Y4, Y4
-	VADDPS Y1, Y5, Y5
-	VADDPS Y2, Y6, Y6
-	VADDPS Y3, Y7, Y7
-	VMOVUPS Y4, (DI)(AX*1)
-	VMOVUPS Y5, 32(DI)(AX*1)
-	VMOVUPS Y6, 64(DI)(AX*1)
-	VMOVUPS Y7, 96(DI)(AX*1)
-	ADDQ $128, AX
-	SUBQ $32, BX
-	JMP  axpyBlk32
-
-axpyBlk8:
-	CMPQ BX, $8
-	JLT  axpyTail
-	VMULPS (SI)(AX*1), Y15, Y0
-	VMOVUPS (DI)(AX*1), Y4
-	VADDPS Y0, Y4, Y4
-	VMOVUPS Y4, (DI)(AX*1)
-	ADDQ $32, AX
-	SUBQ $8, BX
-	JMP  axpyBlk8
-
-axpyTail:
-	TESTQ BX, BX
-	JZ    axpyNextRow
-	VMASKMOVPS (SI)(AX*1), Y9, Y0
-	VMULPS Y0, Y15, Y0
-	VMASKMOVPS (DI)(AX*1), Y9, Y4
-	VADDPS Y0, Y4, Y4
-	VMASKMOVPS Y4, Y9, (DI)(AX*1)
-
-axpyNextRow:
-	ADDQ R8, DI
-	ADDQ R9, SI
-	DECQ R13
-	JNZ  axpyRow
-	VZEROUPPER
-	RET
-
 // The dot form. out[i·n + j] (+)= Σ_x a[i·k + x] · b[j·k + x] has its
 // reduction along BOTH operands' contiguous axis, so lanes go across eight
 // output columns j (eight rows of b): a 4-wide slab of those rows is
@@ -604,66 +526,50 @@ dotDone:
 	VZEROUPPER
 	RET
 
-// The stride-2 row walks. They touch every second element of the wide side:
-// col[j] = img[2j] for a stride-2 im2col row, dimg[2j] += w·dy[j] for a
-// stride-2 depthwise input gradient. Every element is its own target, so the
-// lanes are eight consecutive j; what is new is the de-interleave. Fifteen
-// wide elements cover eight j, and they are read as elements 0–7 and 7–14 —
-// never a sixteenth, which the slice need not have. A last block of n%8 j
-// goes through lane masks, so nothing is read or written past element 2(n−1).
-
-// vecEven holds the VPERMPS indices that spread p0..p3 (then p4..p7) over
-// lane pairs: [0 0 1 1 2 2 3 3] and [4 4 5 5 6 6 7 7].
-DATA vecEven<>+0(SB)/8, $0x0000000000000000
-DATA vecEven<>+8(SB)/8, $0x0000000100000001
-DATA vecEven<>+16(SB)/8, $0x0000000200000002
-DATA vecEven<>+24(SB)/8, $0x0000000300000003
-DATA vecEven<>+32(SB)/8, $0x0000000400000004
-DATA vecEven<>+40(SB)/8, $0x0000000500000005
-DATA vecEven<>+48(SB)/8, $0x0000000600000006
-DATA vecEven<>+56(SB)/8, $0x0000000700000007
-GLOBL vecEven<>(SB), RODATA|NOPTR, $64
-
-// S2SETUP loads the shared registers of both stride-2 routines: DI/R8 dst
-// and its row step, SI/R9 src and its row step, R13 rows, R10 = n, and for a
-// tail of r = n%8: Y9 the first r lanes (the narrow side), Y10 the first
-// min(8, 2r−1) lanes and Y11 the first max(0, 2r−8) lanes (the wide side's
-// two reads).
-#define S2SETUP(rowsArg, nArg) \
-	MOVQ dst+0(FP), DI; \
-	MOVQ dstStride+8(FP), R8; \
-	SHLQ $2, R8; \
-	MOVQ src+16(FP), SI; \
-	MOVQ srcStride+24(FP), R9; \
-	SHLQ $2, R9; \
-	MOVQ rowsArg, R13; \
-	MOVQ nArg, R10; \
-	MOVQ R10, R11; \
-	ANDQ $7, R11; \
-	LEAQ vecMask<>(SB), R12; \
-	MOVQ R11, BX; \
-	NEGQ BX; \
-	VMOVDQU 32(R12)(BX*4), Y9; \
-	LEAQ -1(R11)(R11*1), BX; \
-	MOVQ $8, CX; \
-	CMPQ BX, CX; \
-	CMOVQGT CX, BX; \
-	MOVQ $0, CX; \
-	CMPQ BX, CX; \
-	CMOVQLT CX, BX; \
-	NEGQ BX; \
-	VMOVDQU 32(R12)(BX*4), Y10; \
-	LEAQ -8(R11)(R11*1), BX; \
-	CMPQ BX, CX; \
-	CMOVQLT CX, BX; \
-	NEGQ BX; \
-	VMOVDQU 32(R12)(BX*4), Y11
-
 // func gather2(dst *float32, dstStride int, src *float32, srcStride int, rows, n int)
 //
 // dst[r·dstStride + j] = src[r·srcStride + 2j]   (r < rows, j < n)
+//
+// The stride-2 im2col row walk: it touches every second element of the wide
+// side. Every element is its own target, so the lanes are eight consecutive
+// j; what is new is the de-interleave. Fifteen wide elements cover eight j,
+// and they are read as elements 0–7 and 7–14 — never a sixteenth, which the
+// slice need not have. A last block of n%8 j goes through lane masks, so
+// nothing is read or written past element 2(n−1).
+//
+// Register plan: DI/R8 dst and its row step, SI/R9 src and its row step, R13
+// rows, R10 = n, and for a tail of r = n%8: Y9 the first r lanes (the narrow
+// side), Y10 the first min(8, 2r−1) lanes and Y11 the first max(0, 2r−8)
+// lanes (the wide side's two reads).
 TEXT ·gather2(SB), NOSPLIT, $0-48
-	S2SETUP(rows+32(FP), n+40(FP))
+	MOVQ dst+0(FP), DI
+	MOVQ dstStride+8(FP), R8
+	SHLQ $2, R8
+	MOVQ src+16(FP), SI
+	MOVQ srcStride+24(FP), R9
+	SHLQ $2, R9
+	MOVQ rows+32(FP), R13
+	MOVQ n+40(FP), R10
+	MOVQ R10, R11
+	ANDQ $7, R11
+	LEAQ vecMask<>(SB), R12
+	MOVQ R11, BX
+	NEGQ BX
+	VMOVDQU 32(R12)(BX*4), Y9
+	LEAQ -1(R11)(R11*1), BX
+	MOVQ $8, CX
+	CMPQ BX, CX
+	CMOVQGT CX, BX
+	MOVQ $0, CX
+	CMPQ BX, CX
+	CMOVQLT CX, BX
+	NEGQ BX
+	VMOVDQU 32(R12)(BX*4), Y10
+	LEAQ -8(R11)(R11*1), BX
+	CMPQ BX, CX
+	CMOVQLT CX, BX
+	NEGQ BX
+	VMOVDQU 32(R12)(BX*4), Y11
 
 g2Row:
 	XORQ AX, AX             // dst offset, bytes; src is at twice that
@@ -698,61 +604,429 @@ g2Next:
 	VZEROUPPER
 	RET
 
-// func axpyScatter2(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int)
+// The 3×3 depthwise input gradients of a run of planes, in gather form. Each
+// input pixel is one target: it starts from its own value in dimg and takes
+// its terms w[t]·dy[oy,ox] one at a time in ascending t — the order the
+// tap-outer Go loop reaches it in — one VMULPS and one VADDPS each with the
+// first sources a plain build compiles that loop with: dy in the multiply,
+// the product in the add, which decide what NaN survives of two. The lanes
+// are eight input positions of a row (ix0 .. ix0+7); a plane's nine weights
+// stay broadcast in Y0–Y8 while its rows of the column block run beneath
+// them, two rows side by side at stride 1.
 //
-// dst[r·dstStride + 2j] += w · src[r·srcStride + j]   (r < rows, j < n)
+// Skipping. Tap row ky reaches input row iy from output row
+// oy = (iy + padH − ky)/strideH when that divides and lands in [0, outH); a
+// tap row that does not, and a zero weight, skip by branch (bit t of AX). Tap
+// column kx reaches lane l from output column (ix0 + l + padW − kx)/strideW on
+// the same terms, so a lane can miss a tap its row takes. Such a lane loads
+// dy as +0 (masked out of the read, which therefore never leaves the plane)
+// and finds −0 in its weight's lane, so its term is (+0)·(−0) = −0, and
+// −0 + s is s for every s but a signalling NaN. A lane that no tap of the
+// row reaches is left out of the masked load and store of dimg, so it keeps
+// its bits whatever they are.
 //
-// The odd elements between the targets are re-stored from what was loaded,
-// blended in unchanged, so they keep their bits (a −0 stays −0).
-TEXT ·axpyScatter2(SB), NOSPLIT, $0-56
-	S2SETUP(rows+40(FP), n+48(FP))
-	VBROADCASTSS w+32(FP), Y15
-	VMOVDQU vecEven<>+0(SB), Y13
-	VMOVDQU vecEven<>+32(SB), Y14
+// Stride 2 loads the four dy values of a tap column's lanes (the masks lm0–
+// lm2 cut them to the output row) and spreads them over lane pairs with
+// VPERMPS; the lanes of the wrong parity are then ANDed to +0.
+//
+// The geometry is the same in every plane, so it is worked out once: per
+// sixteen rows, into rows — for each input row, the taps whose row reaches it
+// (bits 0–8) and the byte offsets into a dy plane of tap rows 0–2's output
+// rows; per column block, the lanes each tap column reaches (Y12–Y14) and
+// cov, which holds, for every set of tap columns, the lanes some column of
+// the set reaches. A plane adds its weights and live, the taps whose weight
+// is not ±0.
+//
+// Register plan: Y0–Y8 the nine weights (−0 where the lane misses the tap's
+// column), Y9 the sum (Y11 the second row's at stride 1; the stride-2 spread
+// at stride 2), Y10 and Y15 scratch and the lanes a row reaches, Y12–Y14 the
+// lanes each tap column reaches. AX (BX) the taps that run in the row (the
+// second row), DI dimg (plane, row, block), DX its row step at stride 1, SI
+// the row's entry in rows, R8–R10 the dy rows of tap rows 0–2 (the second
+// row's tap rows 1–2 read R8–R9, its tap row 0 CX), R11–R13 the byte offset
+// into a dy row of tap columns 0–2 at lane 0 (stride 2: at its first value).
 
-s2Row:
-	XORQ AX, AX             // src offset, bytes; dst is at twice that
-	MOVQ R10, BX
+// vecEven holds the VPERMPS indices [0 0 1 1 2 2 3 3], which spread four
+// values over lane pairs.
+DATA vecEven<>+0(SB)/8, $0x0000000000000000
+DATA vecEven<>+8(SB)/8, $0x0000000100000001
+DATA vecEven<>+16(SB)/8, $0x0000000200000002
+DATA vecEven<>+24(SB)/8, $0x0000000300000003
+GLOBL vecEven<>(SB), RODATA|NOPTR, $32
 
-s2Blk:
-	CMPQ BX, $8
-	JLT  s2Tail
-	VMULPS (SI)(AX*1), Y15, Y0
-	VPERMPS Y0, Y13, Y1         // p0 p0 p1 p1 p2 p2 p3 p3
-	VPERMPS Y0, Y14, Y2         // p4 p4 p5 p5 p6 p6 p7 p7
-	VMOVUPS (DI)(AX*2), Y4      // elements 0–7: targets in the even lanes
-	VMOVUPS 28(DI)(AX*2), Y5    // elements 7–14: targets in the odd lanes
-	VADDPS Y1, Y4, Y1
-	VADDPS Y2, Y5, Y2
-	VBLENDPS $0x55, Y1, Y4, Y4
-	VBLENDPS $0xAA, Y2, Y5, Y5
-	VMOVUPS Y4, (DI)(AX*2)
-	VMOVUPS Y5, 28(DI)(AX*2)
-	ADDQ $32, AX
-	SUBQ $8, BX
-	JMP  s2Blk
+// GXMASK1 sets m to the lanes whose stride-1 tap column kx lands in
+// [0, outW), and off to the byte offset of lane 0's dy value; SI holds
+// ix0 + padW, Y9 −1, Y10 outW, Y11 the lanes that exist. Clobbers DX, Y15.
+#define GXMASK1(kx, m, off) \
+	LEAQ -kx(SI), DX; \
+	MOVQ DX, off; \
+	SHLQ $2, off; \
+	VMOVD DX, X15; \
+	VPBROADCASTD X15, Y15; \
+	VPADDD dwLanes<>(SB), Y15, Y15; \
+	VPCMPGTD Y9, Y15, m; \
+	VPCMPGTD Y15, Y10, Y15; \
+	VPAND Y15, m, m; \
+	VPAND Y11, m, m
 
-s2Tail:
-	TESTQ BX, BX
-	JZ    s2Next
-	VMASKMOVPS (SI)(AX*1), Y9, Y0
-	VMULPS Y0, Y15, Y0
-	VPERMPS Y0, Y13, Y1
-	VPERMPS Y0, Y14, Y2
-	VMASKMOVPS (DI)(AX*2), Y10, Y4
-	VMASKMOVPS 28(DI)(AX*2), Y11, Y5
-	VADDPS Y1, Y4, Y1
-	VADDPS Y2, Y5, Y2
-	VBLENDPS $0x55, Y1, Y4, Y4
-	VBLENDPS $0xAA, Y2, Y5, Y5
-	VMASKMOVPS Y4, Y10, (DI)(AX*2)
-	VMASKMOVPS Y5, Y11, 28(DI)(AX*2)
+// GXMASK2 is GXMASK1 at stride 2: lane l takes tap column kx when
+// e = ix0 + l + padW − kx is even and in [0, 2·outW) (Y10), from output
+// column e/2. The tap column's first dy value is at (e₀+1)>>1; lm gets the
+// lanes of the four values from there that lie inside the row. Y1 holds outW
+// and Y2 the first four lanes; clobbers DX, Y0, Y15.
+#define GXMASK2(kx, m, off, lm) \
+	LEAQ -kx(SI), DX; \
+	VMOVD DX, X15; \
+	VPBROADCASTD X15, Y15; \
+	VPADDD dwLanes<>(SB), Y15, Y15; \
+	VPCMPGTD Y9, Y15, m; \
+	VPSLLD $31, Y15, Y0; \
+	VPSRAD $31, Y0, Y0; \
+	VPCMPGTD Y15, Y10, Y15; \
+	VPAND Y15, m, m; \
+	VPANDN m, Y0, m; \
+	VPAND Y11, m, m; \
+	INCQ DX; \
+	SARQ $1, DX; \
+	MOVQ DX, off; \
+	SHLQ $2, off; \
+	VMOVD DX, X15; \
+	VPBROADCASTD X15, Y15; \
+	VPADDD dwLanes<>(SB), Y15, Y15; \
+	VPCMPGTD Y9, Y15, Y0; \
+	VPCMPGTD Y15, Y1, Y15; \
+	VPAND Y15, Y0, Y0; \
+	VPAND Y2, Y0, Y0; \
+	VMOVDQU Y0, lm
 
-s2Next:
-	ADDQ R8, DI
-	ADDQ R9, SI
-	DECQ R13
-	JNZ  s2Row
+// GXWEIGHT broadcasts weight t (w in DX) into r, −0 (Y15) in the lanes
+// outside mask m.
+#define GXWEIGHT(t, r, m) \
+	VBROADCASTSS (t*4)(DX), r; \
+	VBLENDVPS m, r, Y15, r
+
+// GXTAP1 adds stride-1 tap bit's term into sum when the tap runs in its row
+// (bits): dy at row + off through the tap column's lanes m, times its weight
+// w, through scratch t.
+#define GXTAP1(bits, bit, row, off, m, w, t, sum) \
+	TESTL $bit, bits; \
+	JZ    4(PC); \
+	VMASKMOVPS (row)(off*1), m, t; \
+	VMULPS w, t, t; \
+	VADDPS sum, t, sum
+
+// GXTAP2 is GXTAP1 at stride 2, for the row in AX, into Y9 through Y10: four
+// dy values through lm, spread over lane pairs, the wrong parity cleared by
+// m.
+#define GXTAP2(bit, row, off, lm, m, w) \
+	TESTL $bit, AX; \
+	JZ    7(PC); \
+	VMOVDQU lm, Y10; \
+	VMASKMOVPS (row)(off*1), Y10, Y10; \
+	VPERMPS Y10, Y11, Y10; \
+	VANDPS m, Y10, Y10; \
+	VMULPS w, Y10, Y10; \
+	VADDPS Y9, Y10, Y9
+
+// GXROWOFF sets bits in AX and reg to the byte offset into a dy plane of tap
+// row ky's output row, when input row SI has one: oy = (SI + padH − ky)/
+// strideH must divide and lie in [0, outH). Clobbers CX and DX. (Branches by
+// count: a macro cannot hold labels.)
+#define GXROWOFF(ky, bits, reg) \
+	MOVQ padH-648(SP), DX; \
+	ADDQ SI, DX; \
+	SUBQ $ky, DX; \
+	JS   11(PC); \
+	MOVQ shift-656(SP), CX; \
+	TESTQ CX, DX; \
+	JNZ  8(PC); \
+	SHRQ CX, DX; \
+	CMPQ DX, outH-664(SP); \
+	JGE  5(PC); \
+	IMULQ outW-672(SP), DX; \
+	SHLQ $2, DX; \
+	MOVQ DX, reg; \
+	ORL  $bits, AX
+
+// GXCOV sets out to 32 × the set of tap columns among the taps in bits: the
+// offset into cov of the lanes they reach. Clobbers tmp.
+#define GXCOV(bits, out, tmp) \
+	MOVL bits, out; \
+	SHRL $3, out; \
+	ORL  bits, out; \
+	MOVL bits, tmp; \
+	SHRL $6, tmp; \
+	ORL  tmp, out; \
+	ANDL $7, out; \
+	SHLL $5, out
+
+// GXROWLOAD reads this row's table entry at SI: the plane's taps that run
+// into AX (on to skip when none does), the lanes they reach into Y15, the dy
+// rows of the three tap rows into R8–R10, and the row's dimg lanes into Y9.
+// Clobbers CX and DX.
+#define GXROWLOAD(skip) \
+	MOVL 0(SI), AX; \
+	ANDL live-688(SP), AX; \
+	JZ   skip; \
+	GXCOV(AX, CX, DX); \
+	VMOVDQU cov-256(SP)(CX*1), Y15; \
+	VMASKMOVPS (DI), Y15, Y9; \
+	MOVQ dy-680(SP), DX; \
+	MOVL 4(SI), R8; \
+	ADDQ DX, R8; \
+	MOVL 8(SI), R9; \
+	ADDQ DX, R9; \
+	MOVL 12(SI), R10; \
+	ADDQ DX, R10
+
+// func gradX3x3(dimg, dy, w *float32, planes, outH, outW, inH, inW, strideH, strideW, padH, padW int)
+TEXT ·gradX3x3(SB), NOSPLIT, $720-96
+	MOVQ padH+80(FP), AX
+	MOVQ AX, padH-648(SP)
+	MOVQ strideH+64(FP), AX
+	DECQ AX
+	MOVQ AX, shift-656(SP)      // 0 or 1: strideH = 1 << shift
+	MOVQ outH+32(FP), AX
+	MOVQ AX, outH-664(SP)
+	MOVQ outW+40(FP), AX
+	MOVQ AX, outW-672(SP)
+	MOVQ $0, iy0-368(SP)
+
+gxChunk:
+	MOVQ inH+48(FP), CX
+	SUBQ iy0-368(SP), CX        // rows left
+	JLE  gxDone
+	MOVQ $16, DX
+	CMPQ CX, DX
+	CMOVQGT DX, CX
+	LEAQ rows-632(SP), DI
+	SHLQ $4, CX
+	ADDQ DI, CX
+	MOVQ CX, rowsEnd-640(SP)
+	MOVQ iy0-368(SP), SI
+
+gxTable:
+	XORL AX, AX
+	XORL R8, R8
+	XORL R9, R9
+	XORL R10, R10
+	GXROWOFF(0, 0x007, R8)
+	GXROWOFF(1, 0x038, R9)
+	GXROWOFF(2, 0x1c0, R10)
+	MOVL AX, 0(DI)
+	MOVL R8, 4(DI)
+	MOVL R9, 8(DI)
+	MOVL R10, 12(DI)
+	ADDQ $16, DI
+	INCQ SI
+	CMPQ DI, rowsEnd-640(SP)
+	JLT  gxTable
+	MOVQ $0, ix0-360(SP)
+
+gxBlock:
+	MOVQ inW+56(FP), CX
+	SUBQ ix0-360(SP), CX        // columns left
+	JLE  gxNextChunk
+	MOVQ $8, DX
+	CMPQ CX, DX
+	CMOVQGT DX, CX
+	LEAQ vecMask<>(SB), DX
+	NEGQ CX
+	VMOVDQU 32(DX)(CX*4), Y11   // the lanes that exist
+	VPCMPEQD Y9, Y9, Y9
+	MOVQ outW+40(FP), DX
+	VMOVD DX, X1
+	VPBROADCASTD X1, Y1
+	VMOVDQU vecMask<>+16(SB), Y2
+	CMPQ strideW+72(FP), $2
+	JNE  2(PC)
+	SHLQ $1, DX
+	VMOVD DX, X10
+	VPBROADCASTD X10, Y10
+	MOVQ ix0-360(SP), SI
+	ADDQ padW+88(FP), SI
+	CMPQ strideW+72(FP), $2
+	JEQ  gxMasks2
+	GXMASK1(0, Y12, R11)
+	GXMASK1(1, Y13, R12)
+	GXMASK1(2, Y14, R13)
+	JMP  gxCover
+
+gxMasks2:
+	GXMASK2(0, Y12, R11, lm0-288(SP))
+	GXMASK2(1, Y13, R12, lm1-320(SP))
+	GXMASK2(2, Y14, R13, lm2-352(SP))
+
+gxCover:
+	LEAQ cov-256(SP), DX
+	VMOVDQU Y12, 32(DX)
+	VMOVDQU Y13, 64(DX)
+	VPOR Y12, Y13, Y10
+	VMOVDQU Y10, 96(DX)
+	VMOVDQU Y14, 128(DX)
+	VPOR Y12, Y14, Y10
+	VMOVDQU Y10, 160(DX)
+	VPOR Y13, Y14, Y10
+	VMOVDQU Y10, 192(DX)
+	VPOR Y12, Y10, Y10
+	VMOVDQU Y10, 224(DX)
+	MOVQ $0, plane-696(SP)
+
+gxPlane:
+	MOVQ plane-696(SP), AX
+	CMPQ AX, planes+24(FP)
+	JGE  gxNextBlock
+	LEAQ (AX)(AX*8), DX
+	SHLQ $2, DX
+	ADDQ w+16(FP), DX           // the plane's nine weights
+	MOVQ outH+32(FP), CX
+	IMULQ outW+40(FP), CX
+	IMULQ AX, CX
+	SHLQ $2, CX
+	ADDQ dy+8(FP), CX
+	MOVQ CX, dy-680(SP)         // the plane's dy
+	MOVQ inH+48(FP), DI
+	IMULQ AX, DI
+	ADDQ iy0-368(SP), DI
+	IMULQ inW+56(FP), DI
+	ADDQ ix0-360(SP), DI
+	SHLQ $2, DI
+	ADDQ dimg+0(FP), DI         // the plane's dimg, first row of the chunk, at the block
+	VXORPS Y10, Y10, Y10        // live taps: weights that are not ±0 (NaN is)
+	VMOVUPS (DX), Y15
+	VCMPPS $4, Y10, Y15, Y15
+	VMOVMSKPS Y15, AX
+	VBROADCASTSS 32(DX), Y15
+	VCMPPS $4, Y10, Y15, Y15
+	VMOVMSKPS Y15, CX
+	ANDL $1, CX
+	SHLL $8, CX
+	ORL  CX, AX
+	MOVL AX, live-688(SP)
+	VPCMPEQD Y15, Y15, Y15
+	VPSLLD $31, Y15, Y15        // −0
+	GXWEIGHT(0, Y0, Y12)
+	GXWEIGHT(1, Y1, Y13)
+	GXWEIGHT(2, Y2, Y14)
+	GXWEIGHT(3, Y3, Y12)
+	GXWEIGHT(4, Y4, Y13)
+	GXWEIGHT(5, Y5, Y14)
+	GXWEIGHT(6, Y6, Y12)
+	GXWEIGHT(7, Y7, Y13)
+	GXWEIGHT(8, Y8, Y14)
+	LEAQ rows-632(SP), SI
+	CMPQ strideW+72(FP), $2
+	JEQ  gxStride2
+	MOVQ inW+56(FP), DX
+	SHLQ $2, DX                 // dimg's row step
+
+	// Rows two at a time, two sums side by side: tap row ky of row iy+1 reads
+	// the dy row that tap row ky−1 of row iy reads.
+gxPair1:
+	LEAQ 16(SI), CX
+	CMPQ CX, rowsEnd-640(SP)
+	JGE  gxLast1
+	MOVL 0(SI), AX
+	ANDL live-688(SP), AX
+	MOVL 16(SI), BX
+	ANDL live-688(SP), BX
+	GXCOV(AX, CX, R8)
+	MOVQ CX, covA-704(SP)
+	VMOVDQU cov-256(SP)(CX*1), Y10
+	VMASKMOVPS (DI), Y10, Y9
+	GXCOV(BX, CX, R8)
+	MOVQ CX, covB-712(SP)
+	VMOVDQU cov-256(SP)(CX*1), Y15
+	VMASKMOVPS (DI)(DX*1), Y15, Y11
+	MOVQ dy-680(SP), CX
+	MOVL 4(SI), R8
+	ADDQ CX, R8
+	MOVL 8(SI), R9
+	ADDQ CX, R9
+	MOVL 12(SI), R10
+	ADDQ CX, R10
+	MOVL 20(SI), CX
+	ADDQ dy-680(SP), CX
+	GXTAP1(AX, 0x001, R8, R11, Y12, Y0, Y10, Y9)
+	GXTAP1(BX, 0x001, CX, R11, Y12, Y0, Y15, Y11)
+	GXTAP1(AX, 0x002, R8, R12, Y13, Y1, Y10, Y9)
+	GXTAP1(BX, 0x002, CX, R12, Y13, Y1, Y15, Y11)
+	GXTAP1(AX, 0x004, R8, R13, Y14, Y2, Y10, Y9)
+	GXTAP1(BX, 0x004, CX, R13, Y14, Y2, Y15, Y11)
+	GXTAP1(AX, 0x008, R9, R11, Y12, Y3, Y10, Y9)
+	GXTAP1(BX, 0x008, R8, R11, Y12, Y3, Y15, Y11)
+	GXTAP1(AX, 0x010, R9, R12, Y13, Y4, Y10, Y9)
+	GXTAP1(BX, 0x010, R8, R12, Y13, Y4, Y15, Y11)
+	GXTAP1(AX, 0x020, R9, R13, Y14, Y5, Y10, Y9)
+	GXTAP1(BX, 0x020, R8, R13, Y14, Y5, Y15, Y11)
+	GXTAP1(AX, 0x040, R10, R11, Y12, Y6, Y10, Y9)
+	GXTAP1(BX, 0x040, R9, R11, Y12, Y6, Y15, Y11)
+	GXTAP1(AX, 0x080, R10, R12, Y13, Y7, Y10, Y9)
+	GXTAP1(BX, 0x080, R9, R12, Y13, Y7, Y15, Y11)
+	GXTAP1(AX, 0x100, R10, R13, Y14, Y8, Y10, Y9)
+	GXTAP1(BX, 0x100, R9, R13, Y14, Y8, Y15, Y11)
+	MOVQ covA-704(SP), CX
+	VMOVDQU cov-256(SP)(CX*1), Y10
+	VMASKMOVPS Y9, Y10, (DI)
+	MOVQ covB-712(SP), CX
+	VMOVDQU cov-256(SP)(CX*1), Y15
+	VMASKMOVPS Y11, Y15, (DI)(DX*1)
+	ADDQ $32, SI
+	LEAQ (DI)(DX*2), DI
+	JMP  gxPair1
+
+gxLast1:
+	CMPQ SI, rowsEnd-640(SP)
+	JGE  gxNextPlane
+	GXROWLOAD(gxNextPlane)
+	GXTAP1(AX, 0x001, R8, R11, Y12, Y0, Y10, Y9)
+	GXTAP1(AX, 0x002, R8, R12, Y13, Y1, Y10, Y9)
+	GXTAP1(AX, 0x004, R8, R13, Y14, Y2, Y10, Y9)
+	GXTAP1(AX, 0x008, R9, R11, Y12, Y3, Y10, Y9)
+	GXTAP1(AX, 0x010, R9, R12, Y13, Y4, Y10, Y9)
+	GXTAP1(AX, 0x020, R9, R13, Y14, Y5, Y10, Y9)
+	GXTAP1(AX, 0x040, R10, R11, Y12, Y6, Y10, Y9)
+	GXTAP1(AX, 0x080, R10, R12, Y13, Y7, Y10, Y9)
+	GXTAP1(AX, 0x100, R10, R13, Y14, Y8, Y10, Y9)
+	VMASKMOVPS Y9, Y15, (DI)
+	JMP  gxNextPlane
+
+gxStride2:
+	VMOVDQU vecEven<>+0(SB), Y11
+
+gxRow2:
+	GXROWLOAD(gxNext2)
+	GXTAP2(0x001, R8, R11, lm0-288(SP), Y12, Y0)
+	GXTAP2(0x002, R8, R12, lm1-320(SP), Y13, Y1)
+	GXTAP2(0x004, R8, R13, lm2-352(SP), Y14, Y2)
+	GXTAP2(0x008, R9, R11, lm0-288(SP), Y12, Y3)
+	GXTAP2(0x010, R9, R12, lm1-320(SP), Y13, Y4)
+	GXTAP2(0x020, R9, R13, lm2-352(SP), Y14, Y5)
+	GXTAP2(0x040, R10, R11, lm0-288(SP), Y12, Y6)
+	GXTAP2(0x080, R10, R12, lm1-320(SP), Y13, Y7)
+	GXTAP2(0x100, R10, R13, lm2-352(SP), Y14, Y8)
+	VMASKMOVPS Y9, Y15, (DI)
+
+gxNext2:
+	MOVQ inW+56(FP), DX
+	LEAQ (DI)(DX*4), DI
+	ADDQ $16, SI
+	CMPQ SI, rowsEnd-640(SP)
+	JLT  gxRow2
+
+gxNextPlane:
+	INCQ plane-696(SP)
+	JMP  gxPlane
+
+gxNextBlock:
+	ADDQ $8, ix0-360(SP)
+	JMP  gxBlock
+
+gxNextChunk:
+	ADDQ $16, iy0-368(SP)
+	JMP  gxChunk
+
+gxDone:
 	VZEROUPPER
 	RET
 
@@ -1038,137 +1312,299 @@ dwDone:
 	VZEROUPPER
 	RET
 
-// func gradW3x3(acc, dy, img *float32, outH, outW, inH, inW, strideH, strideW, padH, padW int)
+// func gradW3x3(acc, dy, img *float32, planes, outH, outW, inH, inW, strideH, strideW, padH, padW int, scratch *float32)
 //
-// One plane's 3×3 depthwise weight gradient. A tap's sum folds its output
-// positions one at a time in ascending (oy, ox) order — that order is the
-// result — but the nine taps are independent targets, so the lanes are the
-// taps: X0, X1, X2 hold kernel rows 0, 1, 2 (lanes kx = 0, 1, 2; lane 3
-// idle), and a position adds dy[oy,ox] · (the three pixels of each kernel
-// row, one unaligned read) into them, VMULPS then VADDPS. A tap outside the
-// image at this position must add nothing: its lane is masked out of the read
-// (which therefore never leaves the plane) and its product is ANDed to +0,
-// and s + (+0) is s for every sum that began at +0. A kernel row outside the
-// image is skipped. acc receives the twelve lanes.
+// The 3×3 depthwise weight gradients of up to eight planes. A tap's sum folds
+// its output positions one at a time in ascending (oy, ox) order — that order
+// is the result — so the lanes go across planes instead: Y0–Y8 hold the nine
+// taps' sums, one plane per lane, and each position adds
+// dy[oy,ox]·(the tap's pixel) to every tap inside the image, VMULPS then
+// VADDPS (the sum first). The multiply's first source is the one a plain
+// build compiles the Go loop's row walk at that position with, which decides
+// what NaN survives of two: dy at a position where a kernel row's three taps
+// are not all inside the image (tapRowDot), the pixel where they are
+// (tapRowDot3). A tap outside the image at this position is skipped by
+// branch; the geometry is the same in every lane.
 //
-// Register plan: DI dy, SI pixel of tap (0,0) at this position, R11 = 4·inW,
-// R10 = 4·strideW, DX = ix0 (the tap-(0,0) column, signed), R9 positions left
-// in the row, R13 = iy0, BX bit k set when kernel row k is inside, R8 = the
-// bound below which (unsigned) ix0 has all three columns inside, R12 the mask
-// table, X6 the three-lane mask, X3 this position's mask, X5 dy broadcast.
-TEXT ·gradW3x3(SB), NOSPLIT, $8-88
-	MOVQ dy+8(FP), DI
-	MOVQ inW+48(FP), R11
-	LEAQ -2(R11), R8
-	XORQ AX, AX
-	CMPQ R8, AX
-	CMOVQLT AX, R8          // max(0, inW−2)
-	SHLQ $2, R11
-	MOVQ strideW+64(FP), R10
-	SHLQ $2, R10
-	LEAQ vecMask<>(SB), R12
-	VMOVDQU 20(R12), X6     // the first three of four lanes
-	VXORPS X0, X0, X0
-	VXORPS X1, X1, X1
-	VXORPS X2, X2, X2
-	MOVQ outH+24(FP), AX
-	MOVQ AX, rowsLeft-8(SP)
-	MOVQ padH+72(FP), R13
-	NEGQ R13                // iy0 of output row 0
+// The planes are laid out position-major first, eight lanes per position:
+// the image at scratch, the output gradient after it, each rounded up to
+// whole 8×8 blocks transposed in registers. A lane with no plane (fewer than
+// eight) repeats the last plane. The finished sums go over the copies, and
+// each plane's nine are added onto its dw[t] the way the Go loop adds its own.
+//
+// Register plan (phase 2): DI the dy vector of this position, SI the pixel
+// vector of tap (0,0), R11 = 32·inW, R10 = 32·strideW, R8 = ix0 (the tap-(0,0)
+// column, signed), R9 positions left in the row, R12 = iy0, R13 rows left,
+// BX the taps whose row is inside, AX the taps that run, Y9 dy, Y10 the
+// product.
+
+// TRANSPOSE8 turns rows Y0–Y7 (eight planes at eight positions) into eight
+// position vectors and stores them at DI, DI+32, …, DI+224.
+#define TRANSPOSE8 \
+	VUNPCKLPS Y1, Y0, Y8; \
+	VUNPCKHPS Y1, Y0, Y9; \
+	VUNPCKLPS Y3, Y2, Y10; \
+	VUNPCKHPS Y3, Y2, Y11; \
+	VUNPCKLPS Y5, Y4, Y12; \
+	VUNPCKHPS Y5, Y4, Y13; \
+	VUNPCKLPS Y7, Y6, Y14; \
+	VUNPCKHPS Y7, Y6, Y15; \
+	VSHUFPS $0x44, Y10, Y8, Y0; \
+	VSHUFPS $0xEE, Y10, Y8, Y1; \
+	VSHUFPS $0x44, Y11, Y9, Y2; \
+	VSHUFPS $0xEE, Y11, Y9, Y3; \
+	VSHUFPS $0x44, Y14, Y12, Y4; \
+	VSHUFPS $0xEE, Y14, Y12, Y5; \
+	VSHUFPS $0x44, Y15, Y13, Y6; \
+	VSHUFPS $0xEE, Y15, Y13, Y7; \
+	VPERM2F128 $0x20, Y4, Y0, Y8; \
+	VPERM2F128 $0x20, Y5, Y1, Y9; \
+	VPERM2F128 $0x20, Y6, Y2, Y10; \
+	VPERM2F128 $0x20, Y7, Y3, Y11; \
+	VPERM2F128 $0x31, Y4, Y0, Y12; \
+	VPERM2F128 $0x31, Y5, Y1, Y13; \
+	VPERM2F128 $0x31, Y6, Y2, Y14; \
+	VPERM2F128 $0x31, Y7, Y3, Y15; \
+	VMOVUPS Y8, (DI); \
+	VMOVUPS Y9, 32(DI); \
+	VMOVUPS Y10, 64(DI); \
+	VMOVUPS Y11, 96(DI); \
+	VMOVUPS Y12, 128(DI); \
+	VMOVUPS Y13, 160(DI); \
+	VMOVUPS Y14, 192(DI); \
+	VMOVUPS Y15, 224(DI)
+
+// GWPLANE points reg at plane min(c, planes−1) of the source (CX holds
+// planes−1, DX the plane size in bytes). Clobbers AX.
+#define GWPLANE(c, reg) \
+	MOVQ $c, AX; \
+	CMPQ AX, CX; \
+	CMOVQGT CX, AX; \
+	IMULQ DX, AX; \
+	ADDQ src-8(SP), AX; \
+	MOVQ AX, reg
+
+// GWTAP adds tap bit's term into sum when the tap runs at this position, dy
+// first in the multiply (the Go loop's tapRowDot).
+#define GWTAP(bit, addr, sum) \
+	TESTL $bit, AX; \
+	JZ    3(PC); \
+	VMULPS addr, Y9, Y10; \
+	VADDPS Y10, sum, sum
+
+// GWTAPIN is GWTAP with the pixel first in the multiply (tapRowDot3, which
+// the Go loop runs where a kernel row's three taps are all inside).
+#define GWTAPIN(bit, addr, sum) \
+	TESTL $bit, AX; \
+	JZ    4(PC); \
+	VMOVUPS addr, Y10; \
+	VMULPS Y9, Y10, Y10; \
+	VADDPS Y10, sum, sum
+
+// GWFOLD adds lane SI's sum of tap t onto dw[t] (DI), the sum first as in
+// the Go loop's dw[t] += s.
+#define GWFOLD(t) \
+	VMOVSS (t*32)(SI), X0; \
+	VADDSS (t*4)(DI), X0, X0; \
+	VMOVSS X0, (t*4)(DI)
+
+TEXT ·gradW3x3(SB), NOSPLIT, $40-104
+	MOVQ img+16(FP), AX
+	MOVQ AX, src-8(SP)
+	MOVQ inH+48(FP), AX
+	IMULQ inW+56(FP), AX
+	MOVQ AX, n-16(SP)
+	MOVQ scratch+96(FP), DI
+	MOVQ $2, jobs-24(SP)
+
+gwJob:
+	MOVQ n-16(SP), DX
+	SHLQ $2, DX
+	MOVQ planes+24(FP), CX
+	DECQ CX
+	MOVQ src-8(SP), R8
+	GWPLANE(1, R9)
+	GWPLANE(2, R10)
+	GWPLANE(3, R11)
+	GWPLANE(4, R12)
+	GWPLANE(5, R13)
+	GWPLANE(6, BX)
+	GWPLANE(7, SI)
+	XORQ AX, AX                 // byte offset along the planes
+	MOVQ n-16(SP), CX
+
+gwT8:
+	CMPQ CX, $8
+	JLT  gwTTail
+	VMOVUPS (R8)(AX*1), Y0
+	VMOVUPS (R9)(AX*1), Y1
+	VMOVUPS (R10)(AX*1), Y2
+	VMOVUPS (R11)(AX*1), Y3
+	VMOVUPS (R12)(AX*1), Y4
+	VMOVUPS (R13)(AX*1), Y5
+	VMOVUPS (BX)(AX*1), Y6
+	VMOVUPS (SI)(AX*1), Y7
+	TRANSPOSE8
+	ADDQ $32, AX
+	ADDQ $256, DI
+	SUBQ $8, CX
+	JMP  gwT8
+
+gwTTail:
+	TESTQ CX, CX
+	JZ    gwTNext
+	LEAQ vecMask<>(SB), DX
+	NEGQ CX
+	VMOVDQU 32(DX)(CX*4), Y8    // the positions left
+	VMASKMOVPS (R8)(AX*1), Y8, Y0
+	VMASKMOVPS (R9)(AX*1), Y8, Y1
+	VMASKMOVPS (R10)(AX*1), Y8, Y2
+	VMASKMOVPS (R11)(AX*1), Y8, Y3
+	VMASKMOVPS (R12)(AX*1), Y8, Y4
+	VMASKMOVPS (R13)(AX*1), Y8, Y5
+	VMASKMOVPS (BX)(AX*1), Y8, Y6
+	VMASKMOVPS (SI)(AX*1), Y8, Y7
+	TRANSPOSE8
+	ADDQ $256, DI
+
+gwTNext:
+	MOVQ dy+8(FP), AX
+	MOVQ AX, src-8(SP)
+	MOVQ outH+32(FP), AX
+	IMULQ outW+40(FP), AX
+	MOVQ AX, n-16(SP)
+	DECQ jobs-24(SP)
+	JNZ  gwJob
+
+	MOVQ inH+48(FP), DI
+	IMULQ inW+56(FP), DI
+	ADDQ $7, DI
+	ANDQ $~7, DI
+	SHLQ $5, DI
+	ADDQ scratch+96(FP), DI     // the first dy vector
+	MOVQ inW+56(FP), R11
+	LEAQ -2(R11), AX
+	XORQ CX, CX
+	CMPQ AX, CX
+	CMOVQLT CX, AX
+	MOVQ AX, bound-32(SP)       // max(0, inW−2)
+	SHLQ $5, R11
+	MOVQ strideW+72(FP), R10
+	SHLQ $5, R10
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8
+	MOVQ padH+80(FP), R12
+	NEGQ R12                    // iy0 of output row 0
+	MOVQ outH+32(FP), R13
 
 gwRow:
 	XORQ BX, BX
-	MOVQ inH+40(FP), CX
-	CMPQ R13, CX            // unsigned: 0 ≤ iy0 < inH
-	JAE  gwRow1
-	ORQ  $1, BX
-
-gwRow1:
-	LEAQ 1(R13), AX
-	CMPQ AX, CX
-	JAE  gwRow2
-	ORQ  $2, BX
-
-gwRow2:
-	LEAQ 2(R13), AX
-	CMPQ AX, CX
-	JAE  gwRowGo
-	ORQ  $4, BX
-
-gwRowGo:
-	MOVQ padW+80(FP), DX
-	NEGQ DX                 // ix0 of output column 0
-	MOVQ R13, SI
-	IMULQ inW+48(FP), SI
-	ADDQ DX, SI
-	SHLQ $2, SI
-	ADDQ img+16(FP), SI
-	MOVQ outW+32(FP), R9
+	MOVQ inH+48(FP), CX
+	CMPQ R12, CX                // unsigned: 0 ≤ iy0 < inH
+	JAE  2(PC)
+	ORQ  $0x007, BX
+	LEAQ 1(R12), DX
+	CMPQ DX, CX
+	JAE  2(PC)
+	ORQ  $0x038, BX
+	LEAQ 2(R12), DX
+	CMPQ DX, CX
+	JAE  2(PC)
+	ORQ  $0x1c0, BX
+	MOVQ padW+88(FP), R8
+	NEGQ R8                     // ix0 of output column 0
+	MOVQ R12, SI
+	IMULQ inW+56(FP), SI
+	ADDQ R8, SI
+	SHLQ $5, SI
+	ADDQ scratch+96(FP), SI
+	MOVQ outW+40(FP), R9
 
 gwPos:
-	VMOVAPS X6, X3
-	CMPQ DX, R8
-	JB   gwTaps             // all three columns inside
-	// lanes [lo, hi): lo = clamp(−ix0, 0, 4), hi = clamp(inW − ix0, 0, 3)
-	MOVQ DX, AX
-	NEGQ AX
-	MOVQ $0, CX
-	CMPQ AX, CX
-	CMOVQLT CX, AX
-	MOVQ $4, CX
-	CMPQ AX, CX
-	CMOVQGT CX, AX
-	NEGQ AX
-	VMOVDQU 64(R12)(AX*4), X3   // lanes ≥ lo
-	MOVQ inW+48(FP), AX
-	SUBQ DX, AX
-	MOVQ $0, CX
-	CMPQ AX, CX
-	CMOVQLT CX, AX
-	MOVQ $3, CX
-	CMPQ AX, CX
-	CMOVQGT CX, AX
-	NEGQ AX
-	VANDPS 32(R12)(AX*4), X3, X3    // … and < hi
+	MOVQ BX, AX
+	VMOVUPS (DI), Y9
+	CMPQ R8, bound-32(SP)       // unsigned: all three columns inside
+	JAE  gwEdge
+	GWTAPIN(0x001, (SI), Y0)
+	GWTAPIN(0x002, 32(SI), Y1)
+	GWTAPIN(0x004, 64(SI), Y2)
+	GWTAPIN(0x008, (SI)(R11*1), Y3)
+	GWTAPIN(0x010, 32(SI)(R11*1), Y4)
+	GWTAPIN(0x020, 64(SI)(R11*1), Y5)
+	GWTAPIN(0x040, (SI)(R11*2), Y6)
+	GWTAPIN(0x080, 32(SI)(R11*2), Y7)
+	GWTAPIN(0x100, 64(SI)(R11*2), Y8)
+	JMP  gwNext
 
-gwTaps:
-	VBROADCASTSS (DI), X5
-	TESTQ $1, BX
-	JZ    gwTaps1
-	VMASKMOVPS (SI), X3, X4
-	VMULPS X4, X5, X4
-	VANDPS X3, X4, X4
-	VADDPS X4, X0, X0
-
-gwTaps1:
-	TESTQ $2, BX
-	JZ    gwTaps2
-	VMASKMOVPS (SI)(R11*1), X3, X4
-	VMULPS X4, X5, X4
-	VANDPS X3, X4, X4
-	VADDPS X4, X1, X1
-
-gwTaps2:
-	TESTQ $4, BX
-	JZ    gwNext
-	VMASKMOVPS (SI)(R11*2), X3, X4
-	VMULPS X4, X5, X4
-	VANDPS X3, X4, X4
-	VADDPS X4, X2, X2
+gwEdge:
+	XORL CX, CX
+	MOVQ inW+56(FP), DX
+	CMPQ R8, DX
+	JAE  2(PC)
+	ORL  $0x049, CX
+	LEAQ 1(R8), AX
+	CMPQ AX, DX
+	JAE  2(PC)
+	ORL  $0x092, CX
+	LEAQ 2(R8), AX
+	CMPQ AX, DX
+	JAE  2(PC)
+	ORL  $0x124, CX
+	MOVQ BX, AX
+	ANDQ CX, AX
+	GWTAP(0x001, (SI), Y0)
+	GWTAP(0x002, 32(SI), Y1)
+	GWTAP(0x004, 64(SI), Y2)
+	GWTAP(0x008, (SI)(R11*1), Y3)
+	GWTAP(0x010, 32(SI)(R11*1), Y4)
+	GWTAP(0x020, 64(SI)(R11*1), Y5)
+	GWTAP(0x040, (SI)(R11*2), Y6)
+	GWTAP(0x080, 32(SI)(R11*2), Y7)
+	GWTAP(0x100, 64(SI)(R11*2), Y8)
 
 gwNext:
-	ADDQ $4, DI
+	ADDQ $32, DI
 	ADDQ R10, SI
-	ADDQ strideW+64(FP), DX
+	ADDQ strideW+72(FP), R8
 	DECQ R9
 	JNZ  gwPos
-	ADDQ strideH+56(FP), R13
-	DECQ rowsLeft-8(SP)
+	ADDQ strideH+64(FP), R12
+	DECQ R13
 	JNZ  gwRow
-	MOVQ acc+0(FP), DI
-	VMOVUPS X0, (DI)
-	VMOVUPS X1, 16(DI)
-	VMOVUPS X2, 32(DI)
+	MOVQ scratch+96(FP), SI     // the sums, tap-major, over the copies
+	VMOVUPS Y0, (SI)
+	VMOVUPS Y1, 32(SI)
+	VMOVUPS Y2, 64(SI)
+	VMOVUPS Y3, 96(SI)
+	VMOVUPS Y4, 128(SI)
+	VMOVUPS Y5, 160(SI)
+	VMOVUPS Y6, 192(SI)
+	VMOVUPS Y7, 224(SI)
+	VMOVUPS Y8, 256(SI)
+	MOVQ dw+0(FP), DI
+	MOVQ planes+24(FP), CX
+
+gwFold:
+	GWFOLD(0)
+	GWFOLD(1)
+	GWFOLD(2)
+	GWFOLD(3)
+	GWFOLD(4)
+	GWFOLD(5)
+	GWFOLD(6)
+	GWFOLD(7)
+	GWFOLD(8)
+	ADDQ $4, SI
+	ADDQ $36, DI
+	DECQ CX
+	JNZ  gwFold
 	VZEROUPPER
 	RET
 

@@ -13,17 +13,13 @@ func gemm(c *float32, ldc int, a *float32, ars, acs int, b *float32, ldb, m, n, 
 	panic(none)
 }
 
-func axpyPlane(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int) {
-	panic(none)
-}
-
 func dotTransB(out, a, b *float32, m, k, n int, acc bool) { panic(none) }
 
 func gather2(dst *float32, dstStride int, src *float32, srcStride int, rows, n int) {
 	panic(none)
 }
 
-func axpyScatter2(dst *float32, dstStride int, src *float32, srcStride int, w float32, rows, n int) {
+func gradX3x3(dimg, dy, w *float32, planes, outH, outW, inH, inW, strideH, strideW, padH, padW int) {
 	panic(none)
 }
 
@@ -31,7 +27,7 @@ func depthwise3x3(y, img, w *float32, outH, outW, inH, inW, strideH, strideW, pa
 	panic(none)
 }
 
-func gradW3x3(acc, dy, img *float32, outH, outW, inH, inW, strideH, strideW, padH, padW int) {
+func gradW3x3(dw, dy, img *float32, planes, outH, outW, inH, inW, strideH, strideW, padH, padW int, scratch *float32) {
 	panic(none)
 }
 
