@@ -72,6 +72,21 @@
 // images, not devices, to opts.Workers, and the data is identical at every
 // worker count.
 //
+// # HeteroSwitch's ISP transformation
+//
+// internal/core's RandomWBGamma (eqs. 2–3) and GammaOnly draw their gains
+// and γ (floored at 0.05) in a fixed order, then make one pass per channel:
+// gain, clamp to [0, 1], power (powSweep). The power is held to the bits of
+// float32(math.Pow(float64(v), γ)) without calling math.Pow: powFast computes
+// v^γ in float64 from two 256-entry tables and two short polynomials, within
+// 2^-45 of the true value as math.Pow is, and certifies its float32 rounding
+// only when the float64 lies more than 2^-34 (relative) from a float32
+// rounding boundary — where both values must round alike. Inside that band
+// (about one value in a thousand), and for NaN, −0, subnormals, results near
+// float32's smallest normal or γ outside (0, 2], the sweep calls math.Pow. A
+// table test over a captured image, special values and near ties found by
+// search, and a fuzz target over any float32 and any γ, hold the contract.
+//
 // # Aggregation: one core, two window drivers
 //
 // internal/fl has one aggregation core (the unexported engine that fl.Server

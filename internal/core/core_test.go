@@ -26,8 +26,8 @@ func TestRandomWBGammaPreservesShapeAndRange(t *testing.T) {
 		t.Fatalf("shape changed: %v", x.Shape())
 	}
 	for _, v := range x.Data() {
-		if v < 0 || v > 1.5 {
-			t.Fatalf("value out of plausible range: %v", v)
+		if !(v >= 0 && v <= 1) {
+			t.Fatalf("value outside the [0, 1] that clamp-then-power guarantees: %v", v)
 		}
 	}
 }
@@ -57,11 +57,21 @@ func TestRandomWBGammaTinyDegreesNearIdentityWB(t *testing.T) {
 }
 
 func TestGammaDirection(t *testing.T) {
-	// γ < 1 brightens mid-tones, γ > 1 darkens.
+	// γ < 1 brightens mid-tones, γ > 1 darkens: 0.25^0.5 = 0.5 and
+	// 0.25^1.5 = 0.125, both exact in float32.
+	for _, c := range []struct{ gamma, want float64 }{{0.5, 0.5}, {1.5, 0.125}} {
+		x := imgTensor(3, 2, 2, 0.25)
+		powSweep(x.Data(), 1, c.gamma)
+		for _, v := range x.Data() {
+			if float64(v) != c.want {
+				t.Fatalf("γ=%v took mid-tone 0.25 to %v, want %v", c.gamma, v, c.want)
+			}
+		}
+	}
 	x := imgTensor(3, 2, 2, 0.25)
 	GammaOnly(0)(x, frand.New(1)) // degree 0 → γ=1 exactly
 	for _, v := range x.Data() {
-		if math.Abs(float64(v)-0.25) > 1e-6 {
+		if v != 0.25 {
 			t.Fatalf("γ=1 altered value: %v", v)
 		}
 	}

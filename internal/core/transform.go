@@ -22,35 +22,69 @@ type TransformFunc func(x *tensor.Tensor, rng *frand.RNG)
 
 // RandomWBGamma returns the paper's ISP transformation (eqs. 2 and 3): each
 // image gets per-channel gains r_c ~ U(1-wbDeg, 1+wbDeg) and a gamma
-// exponent γ ~ U(1-gammaDeg, 1+gammaDeg). Inputs are assumed CHW in [0,1].
-// The appendix's tuned degrees are wbDeg=0.001, gammaDeg=0.9.
+// exponent γ ~ U(1-gammaDeg, 1+gammaDeg), floored at 0.05. Inputs are
+// assumed CHW in [0,1]. The appendix's tuned degrees are wbDeg=0.001,
+// gammaDeg=0.9.
+//
+// The c gains are drawn first, then γ; then one pass per channel (powSweep)
+// takes each element through the float32 gain, the clamp to [0, 1] and the
+// power. Every output is exactly float32(math.Pow(float64(v), γ)) of the
+// gained, clamped v: powFast computes the power without math.Pow, which is
+// called only where powFast cannot prove those bits — about one element in a
+// thousand, NaNs, −0, subnormals, results near float32's smallest normal,
+// and every element when γ > 2.
 func RandomWBGamma(wbDeg, gammaDeg float64) TransformFunc {
 	return func(x *tensor.Tensor, rng *frand.RNG) {
 		if x.NDim() != 3 {
 			return
 		}
 		c, hw := x.Dim(0), x.Dim(1)*x.Dim(2)
+		var buf [4]float32
+		gains := buf[:0]
+		for range c {
+			gains = append(gains, float32(rng.Uniform(1-wbDeg, 1+wbDeg)))
+		}
+		gamma := drawGamma(gammaDeg, rng)
 		d := x.Data()
-		for ch := 0; ch < c; ch++ {
-			gain := float32(rng.Uniform(1-wbDeg, 1+wbDeg))
-			seg := d[ch*hw : (ch+1)*hw]
-			for i := range seg {
-				seg[i] *= gain
-			}
-		}
-		gamma := rng.Uniform(1-gammaDeg, 1+gammaDeg)
-		if gamma < 0.05 {
-			gamma = 0.05
-		}
-		for i, v := range d {
-			if v < 0 {
-				v = 0
-			} else if v > 1 {
-				v = 1
-			}
-			d[i] = float32(math.Pow(float64(v), gamma))
+		for ch, gain := range gains {
+			powSweep(d[ch*hw:(ch+1)*hw], gain, gamma)
 		}
 	}
+}
+
+// powSweep replaces each element v of d with
+// float32(math.Pow(float64(clamp01(v·gain)), γ)), bit for bit. A gain of 1
+// is no gain: v·1 is v for every non-NaN v, and every NaN leaves as
+// math.Pow's NaN.
+func powSweep(d []float32, gain float32, gamma float64) {
+	for i, v := range d {
+		v = clamp01(v * gain)
+		f, ok := powFast(v, gamma)
+		if !ok {
+			f = math.Pow(float64(v), gamma)
+		}
+		d[i] = float32(f)
+	}
+}
+
+// drawGamma draws eq. 3's exponent γ ~ U(1-degree, 1+degree), floored at
+// 0.05 so the power stays a brightness curve.
+func drawGamma(degree float64, rng *frand.RNG) float64 {
+	gamma := rng.Uniform(1-degree, 1+degree)
+	if gamma < 0.05 {
+		gamma = 0.05
+	}
+	return gamma
+}
+
+// clamp01 clamps v to [0, 1]; NaN passes through.
+func clamp01(v float32) float32 {
+	if v < 0 {
+		return 0
+	} else if v > 1 {
+		return 1
+	}
+	return v
 }
 
 // RandomGaussianFilter returns the 1-D signal transformation used for the
@@ -192,21 +226,13 @@ func WBOnly(degree float64) TransformFunc {
 	}
 }
 
-// GammaOnly returns just the eq. 3 gamma perturbation (Fig. 7's "Gamma").
+// GammaOnly returns just the eq. 3 gamma perturbation (Fig. 7's "Gamma"):
+// γ ~ U(1-degree, 1+degree), floored at 0.05, applied to every element
+// clamped to [0, 1], on any shape, by RandomWBGamma's sweep with no gain. Its
+// outputs carry RandomWBGamma's contract: float32(math.Pow(float64(v), γ)),
+// bit for bit, with math.Pow called only where powFast cannot prove them.
 func GammaOnly(degree float64) TransformFunc {
 	return func(x *tensor.Tensor, rng *frand.RNG) {
-		gamma := rng.Uniform(1-degree, 1+degree)
-		if gamma < 0.05 {
-			gamma = 0.05
-		}
-		d := x.Data()
-		for i, v := range d {
-			if v < 0 {
-				v = 0
-			} else if v > 1 {
-				v = 1
-			}
-			d[i] = float32(math.Pow(float64(v), gamma))
-		}
+		powSweep(x.Data(), 1, drawGamma(degree, rng))
 	}
 }

@@ -14,10 +14,15 @@ func (t *Tensor) Add(o *Tensor) *Tensor {
 	return out
 }
 
-// AddInPlace computes t += o elementwise.
+// AddInPlace computes t += o elementwise; with vec.Live set, vec.Add does,
+// keeping t's NaN where both operands are NaN, as the Go loop does.
 func (t *Tensor) AddInPlace(o *Tensor) {
 	if len(t.data) != len(o.data) {
 		panic(fmt.Sprintf("tensor: AddInPlace size mismatch %v vs %v", t.shape, o.shape))
+	}
+	if vec.Live {
+		vec.Add(t.data, t.data, o.data)
+		return
 	}
 	for i := range t.data {
 		t.data[i] += o.data[i]

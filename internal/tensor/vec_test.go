@@ -933,3 +933,44 @@ func BenchmarkGateSweep(b *testing.B) {
 		})
 	}
 }
+
+// addSpecials are NaNs of four payloads (one signalling, one negative), the
+// infinities, zeros of both signs and a denormal: dense enough in NaNs that
+// AddInPlace's operands meet NaN with NaN.
+var addSpecials = []float32{float32(math.NaN()), math.Float32frombits(0xffc00123), math.Float32frombits(0x7fc00456),
+	math.Float32frombits(0x7f800321), float32(math.Inf(1)), float32(math.Inf(-1)), 0, float32(math.Copysign(0, -1)), 1e-39}
+
+// TestAddInPlaceMatchesGoLoop checks the residual add under both settings of
+// the switch against the Go loop t[i] += o[i], on lengths around vec.Add's 8-
+// and 32-element blocks. Where both operands are NaN, t's NaN (quieted) must
+// survive, which pins the operand order of the routine and the loop alike.
+func TestAddInPlaceMatchesGoLoop(t *testing.T) {
+	vectest.BothSettings(t, func(t *testing.T) {
+		r := frand.New(41)
+		meets := 0
+		for _, n := range []int{1, 7, 8, 9, 31, 32, 33, 67, 1000} {
+			a, b := operandWith(r, n, addSpecials), operandWith(r, n, addSpecials)
+			want := slices.Clone(a)
+			for i := range want {
+				want[i] += b[i]
+			}
+			got := FromSlice(slices.Clone(a), n)
+			got.AddInPlace(FromSlice(b, n))
+			name := fmt.Sprintf("n=%d", n)
+			vectest.NaNClassEqual(t, name, got.Data(), want)
+			for i, g := range got.Data() {
+				if a[i] == a[i] || b[i] == b[i] {
+					continue
+				}
+				meets++
+				if !israce.Enabled && math.Float32bits(g) != math.Float32bits(a[i])|0x00400000 {
+					t.Fatalf("%s: element %d: NaN %#x + NaN %#x gave %#x, want the first operand's", name, i,
+						math.Float32bits(a[i]), math.Float32bits(b[i]), math.Float32bits(g))
+				}
+			}
+		}
+		if meets == 0 {
+			t.Fatal("no NaN met a NaN: the operands test nothing about operand order")
+		}
+	})
+}
