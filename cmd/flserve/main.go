@@ -31,7 +31,7 @@ type config struct {
 	opts experiments.Options // -seed, -workers, -intraop
 
 	model, arrival, admission, flush string
-	classes, side, requests, bank    int
+	classes, requests, bank          int
 	concurrency, maxBatch, publish   int
 	budget, svcBase, svcItem         float64
 }
@@ -42,7 +42,6 @@ func main() {
 	c.opts.BindMachineFlags(flag.CommandLine)
 	flag.StringVar(&c.model, "model", string(models.ArchMobileNet), "model architecture")
 	flag.IntVar(&c.classes, "classes", 12, "model output classes")
-	flag.IntVar(&c.side, "side", 32, "input image side (3-channel side x side; must match the architecture's expected geometry — 32 for the bundled models)")
 	flag.IntVar(&c.requests, "requests", 2000, "total requests to serve")
 	flag.IntVar(&c.concurrency, "concurrency", 16, "closed-loop client population (ignored by open-loop arrivals)")
 	flag.StringVar(&c.arrival, "arrival-model", "closed:0.5", "request process: closed:THINK (exp think-time clients) or open:RATE (Poisson arrivals)")
@@ -103,10 +102,10 @@ func run(c config) error {
 	r := frand.New(seed ^ 0x1ead)
 	inputs := make([]*tensor.Tensor, c.bank)
 	for i := range inputs {
-		inputs[i] = tensor.Randn(r, 0.5, 3, c.side, c.side)
+		inputs[i] = tensor.Randn(r, 0.5, 3, experiments.OutRes, experiments.OutRes)
 	}
 
-	fmt.Printf("flserve model=%s classes=%d input=3x%dx%d\n", c.model, c.classes, c.side, c.side)
+	fmt.Printf("flserve model=%s classes=%d input=3x%dx%d\n", c.model, c.classes, experiments.OutRes, experiments.OutRes)
 	// The FIFO default keeps this line — and therefore the whole default
 	// stdout — byte-identical to earlier releases; a non-default flush
 	// policy is appended so it shows up in the smoke diff.

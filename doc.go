@@ -276,13 +276,19 @@
 // The server-side loop is eval-heavy: every round and every sweep cell runs
 // full-dataset accuracy, loss, and fairness metrics on the current global
 // model. nn.Network.Freeze compiles a network into an inference-only view
-// (nn.Frozen) that strips every training-mode cost:
+// (nn.Frozen) that strips every training-mode cost. The program has an op
+// of its own only where it folds, fuses or recurses — a conv or dense layer
+// with the BN and activation it absorbs, a residual sum, a Parallel or
+// squeeze-excite block over frozen children; every other layer runs its own
+// Forward(x, false), which writes no backward buffer (max pooling keeps no
+// argmax and ReLU no mask outside training):
 //
 //   - Each BatchNorm2D directly following a Conv2D or Dense is folded into
 //     that layer's weights and bias using the RUNNING statistics
 //     (W′ = W·γ/√(var+ε), b′ = b·γ/√(var+ε) + β − mean·γ/√(var+ε)), so no
-//     normalization pass runs at all. A BN with no matmul predecessor (after
-//     a residual sum or pooling) stays a standalone per-channel affine.
+//     normalization pass runs at all. In all five bundled models every BN
+//     and every activation is absorbed (TestFrozenProgramsFoldOrFuse); one
+//     with no matmul predecessor would run its layer's eval forward.
 //   - The activation following a matmul layer (ReLU, HardSwish,
 //     HardSigmoid) is fused into the kernel. A conv hands its per-row bias
 //     and activation to the GEMM as data (tensor.RowBias), and the vector
@@ -301,11 +307,10 @@
 //     taking all nine taps, the bias and the activation before one store.
 //   - Global average pooling and the squeeze-excite squeeze sum several
 //     planes side by side, one ascending chain each; the excite rescale and
-//     the identity-skip residual sum are vector sweeps. Training runs the
-//     same kernels in both layers.
-//   - Max pooling, activations and the standalone BN path are plain loops
-//     on the calling goroutine; nested Networks are inlined; Identity
-//     compiles away.
+//     the residual sum are vector sweeps. Training runs the same kernels.
+//   - Max pooling, global pooling and the view layers run as their own
+//     eval forward on the calling goroutine; nested Networks are inlined;
+//     Identity compiles away.
 //
 // A frozen view shares its source network's arena and intra-op budget like
 // any layer, is re-folded (not recompiled) on every Freeze call so it

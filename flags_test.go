@@ -19,7 +19,7 @@ var flagBinaries = []string{"cmd/flsim", "cmd/heterobench", "cmd/flserve"}
 // flagDeclCap is the number of flag declarations across the three binaries
 // and the two bind functions. It was 54 when each binary spelled the shared
 // flags itself; the cap only ever goes down.
-const flagDeclCap = 41
+const flagDeclCap = 39
 
 // TestSharedFlagsAreDeclaredOnce holds the CLI layer to one declaration and
 // one apply site: a flag name is declared in exactly one place — by

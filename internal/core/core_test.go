@@ -192,7 +192,7 @@ func toyPopulation(seed uint64) ([]*fl.Client, map[int]*dataset.Dataset) {
 					if bright {
 						v += 0.6
 					}
-					x.Set(v, 0, row, col)
+					x.Data()[row*4+col] = v // [0, row, col] of a [1 4 4] image
 				}
 			}
 			ds.Samples = append(ds.Samples, dataset.Sample{X: x, Label: label, Device: dev})
@@ -227,8 +227,10 @@ func TestHeteroSwitchEndToEnd(t *testing.T) {
 	}
 	net := srv.GlobalNet()
 	correct, total := 0, 0
+	bs := dataset.GetBatchScratch()
+	defer dataset.PutBatchScratch(bs)
 	for _, ds := range perDevice {
-		x, labels := ds.Batch(0, ds.Len())
+		x, _, labels := bs.Next(ds, 0, ds.Len())
 		for i, p := range net.Forward(x, false).ArgMaxRows() {
 			if p == labels[i] {
 				correct++

@@ -32,20 +32,6 @@ type Dataset struct {
 // Len returns the number of samples.
 func (d *Dataset) Len() int { return len(d.Samples) }
 
-// Split divides the dataset into a training set with the given fraction and
-// a test set with the remainder (no shuffling; shuffle first if needed).
-func (d *Dataset) Split(trainFrac float64) (train, test *Dataset) {
-	n := int(float64(len(d.Samples)) * trainFrac)
-	if n < 0 {
-		n = 0
-	}
-	if n > len(d.Samples) {
-		n = len(d.Samples)
-	}
-	return &Dataset{Samples: d.Samples[:n], NumClasses: d.NumClasses},
-		&Dataset{Samples: d.Samples[n:], NumClasses: d.NumClasses}
-}
-
 // Subset returns a view of the given sample indices.
 func (d *Dataset) Subset(idx []int) *Dataset {
 	s := make([]Sample, len(idx))
@@ -70,21 +56,9 @@ func Concat(ds ...*Dataset) *Dataset {
 	return out
 }
 
-// Batch materializes samples [lo, hi) as a stacked input tensor and labels.
-func (d *Dataset) Batch(lo, hi int) (*tensor.Tensor, []int) {
-	n := hi - lo
-	first := d.Samples[lo].X
-	shape := append([]int{n}, first.Shape()...)
-	x := tensor.New(shape...)
-	labels := make([]int, n)
-	d.BatchInto(x, labels, lo, hi)
-	return x, labels
-}
-
-// BatchInto fills x and labels with samples [lo, hi), the reuse-a-buffer form
-// of Batch for allocation-free training loops. x must be shaped
-// [hi-lo, sample...] (every element is overwritten) and labels must have
-// length hi-lo.
+// BatchInto fills x and labels with samples [lo, hi), for allocation-free
+// training loops. x must be shaped [hi-lo, sample...] (every element is
+// overwritten) and labels must have length hi-lo.
 func (d *Dataset) BatchInto(x *tensor.Tensor, labels []int, lo, hi int) {
 	n := hi - lo
 	per := d.Samples[lo].X.Size()

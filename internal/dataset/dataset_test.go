@@ -24,6 +24,20 @@ func synthDataset(n, classes int) *Dataset {
 	return d
 }
 
+// Split divides the dataset into a training set with the given fraction and
+// a test set with the remainder (no shuffling; shuffle first if needed).
+func (d *Dataset) Split(trainFrac float64) (train, test *Dataset) {
+	n := int(float64(len(d.Samples)) * trainFrac)
+	if n < 0 {
+		n = 0
+	}
+	if n > len(d.Samples) {
+		n = len(d.Samples)
+	}
+	return &Dataset{Samples: d.Samples[:n], NumClasses: d.NumClasses},
+		&Dataset{Samples: d.Samples[n:], NumClasses: d.NumClasses}
+}
+
 func TestSplit(t *testing.T) {
 	d := synthDataset(10, 2)
 	tr, te := d.Split(0.7)
@@ -53,7 +67,7 @@ func TestShuffleKeepsMultiset(t *testing.T) {
 
 func TestBatchStacksCorrectly(t *testing.T) {
 	d := synthDataset(6, 3)
-	x, labels := d.Batch(2, 5)
+	x, labels := batch(d, 2, 5)
 	if x.Dim(0) != 3 || x.Dim(1) != 3 || x.Dim(2) != 4 {
 		t.Fatalf("batch shape %v", x.Shape())
 	}
@@ -64,6 +78,14 @@ func TestBatchStacksCorrectly(t *testing.T) {
 	if x.At(1, 0, 0, 0) != 3 {
 		t.Fatalf("batch data wrong: %v", x.At(1, 0, 0, 0))
 	}
+}
+
+// batch is BatchInto into fresh buffers.
+func batch(d *Dataset, lo, hi int) (*tensor.Tensor, []int) {
+	x := tensor.New(append([]int{hi - lo}, d.Samples[lo].X.Shape()...)...)
+	labels := make([]int, hi-lo)
+	d.BatchInto(x, labels, lo, hi)
+	return x, labels
 }
 
 // batchMulti is BatchMultiInto into fresh buffers.

@@ -8,7 +8,7 @@ import (
 )
 
 // TestBatchScratchMatchesBatch verifies Next fills exactly what the
-// allocating Batch/BatchMultiInto would, for both label kinds, and that Alloc
+// allocating BatchInto/BatchMultiInto would, for both label kinds, and that Alloc
 // tensors never alias the batch buffers within one batch.
 func TestBatchScratchMatchesBatch(t *testing.T) {
 	r := frand.New(3)
@@ -30,9 +30,9 @@ func TestBatchScratchMatchesBatch(t *testing.T) {
 		if y != nil {
 			t.Fatal("single-label batch returned dense targets")
 		}
-		wantX, wantL := single.Batch(lo, hi)
+		wantX, wantL := batch(single, lo, hi)
 		if !x.AllClose(wantX, 0) {
-			t.Fatalf("batch [%d,%d) input differs from Batch", lo, hi)
+			t.Fatalf("batch [%d,%d) input differs from BatchInto", lo, hi)
 		}
 		for i := range labels {
 			if labels[i] != wantL[i] {

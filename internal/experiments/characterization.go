@@ -57,7 +57,7 @@ func Fig1(opts Options) (*Fig1Result, error) {
 	pool := []*dataset.Dataset{dd.Train[s9]}
 	for rep := 1; rep < len(dd.Profiles); rep++ {
 		crng := frand.New(opts.Seed ^ uint64(rep)*0xfeed)
-		ds, err := dataset.Capture(trainScenes, dd.Profiles[s9], s9, dataset.ModeProcessed, opts.OutRes, dd.Classes, crng)
+		ds, err := dataset.Capture(trainScenes, dd.Profiles[s9], s9, dataset.ModeProcessed, OutRes, dd.Classes, crng)
 		if err != nil {
 			return nil, err
 		}
@@ -238,7 +238,7 @@ func Fig3(opts Options) (*Fig3Result, error) {
 		parts := make([]*dataset.Dataset, len(profiles))
 		for i, p := range profiles {
 			crng := frand.New(opts.Seed ^ salt ^ uint64(i+1)*0x9e37)
-			ds, err := dataset.CaptureWithPipeline(scenes, p, i, pipe, opts.OutRes, gen.NumClasses(), crng)
+			ds, err := dataset.CaptureWithPipeline(scenes, p, i, pipe, OutRes, gen.NumClasses(), crng)
 			if err != nil {
 				return nil, err
 			}

@@ -28,6 +28,10 @@ import (
 	"heteroswitch/internal/simclock"
 )
 
+// OutRes is the side of every captured image and the input resolution of
+// every model: the bundled architectures take 3×32×32 and nothing else.
+const OutRes = 32
+
 // Options control workload sizing shared by all harnesses.
 type Options struct {
 	// Scale multiplies sample counts, epochs, and rounds. 1.0 is the
@@ -39,8 +43,6 @@ type Options struct {
 	// models in the centralized ones (Table 2, Fig 2, Fig 7) — and parallel
 	// device capture. It is the machine's one training-parallelism knob.
 	Workers int
-	// OutRes is the model input resolution.
-	OutRes int
 	// IntraOp is the total parallelism budget of the frozen (evaluation and
 	// serving) forward (fl.Config.IntraOp): cores it may occupy across all
 	// workers combined. It splits a batch's conv iterations (samples ×
@@ -143,9 +145,9 @@ func (o *Options) BindFlags(fs *flag.FlagSet) {
 }
 
 // Apply is the one place the options are checked: it rejects a scale that is
-// not finite and positive, negative workers, intra-op budget or async depth
-// and an output resolution below 1, naming the flag. Run and NewFL call it; a binary that
-// goes through neither calls it itself.
+// not finite and positive, and a negative worker count, intra-op budget or
+// async depth, naming the flag. Run and NewFL call it; a binary that goes through
+// neither calls it itself.
 func (o Options) Apply() error {
 	switch {
 	case !(o.Scale > 0) || math.IsInf(o.Scale, 1):
@@ -154,8 +156,6 @@ func (o Options) Apply() error {
 		return fmt.Errorf("experiments: -workers %d: want >= 0", o.Workers)
 	case o.IntraOp < 0:
 		return fmt.Errorf("experiments: -intraop %d: want >= 0", o.IntraOp)
-	case o.OutRes < 1:
-		return fmt.Errorf("experiments: output resolution %d: want >= 1", o.OutRes)
 	case o.Async.Depth < 0:
 		return fmt.Errorf("experiments: -async-depth %d: want >= 0", o.Async.Depth)
 	}
@@ -165,7 +165,7 @@ func (o Options) Apply() error {
 // DefaultOptions returns the standard configuration (Scale 1), training on
 // every CPU (at most 8 workers).
 func DefaultOptions() Options {
-	return Options{Scale: 1, Seed: 42, Workers: min(runtime.NumCPU(), 8), OutRes: 32}
+	return Options{Scale: 1, Seed: 42, Workers: min(runtime.NumCPU(), 8)}
 }
 
 // FLConfig is the fl.Config every harness and flsim run: E=1 with the caller's
@@ -244,7 +244,7 @@ func BuildDeviceData(opts Options, perClassTrain, perClassTest int, mode dataset
 		rngs[i] = frand.New(opts.Seed ^ uint64(i+1)*0x9e3779b97f4a7c15)
 	}
 	scenes := append(trainScenes[:len(trainScenes):len(trainScenes)], testScenes...)
-	sets, err := dataset.CaptureDevices(scenes, profiles, mode, opts.OutRes, gen.NumClasses(), rngs, opts.Workers)
+	sets, err := dataset.CaptureDevices(scenes, profiles, mode, OutRes, gen.NumClasses(), rngs, opts.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -40,7 +40,7 @@ func Table6(opts Options) (*Table6Result, error) {
 	cfg.NumDeviceTypes = opts.scaled(24)
 	cfg.SamplesPerDevice = opts.scaled(12)
 	cfg.TestPerDevice = opts.scaled(6)
-	cfg.OutRes = opts.OutRes
+	cfg.OutRes = OutRes
 	cfg.Seed = opts.Seed
 	fed, err := flair.Build(cfg)
 	if err != nil {

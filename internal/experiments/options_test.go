@@ -131,7 +131,6 @@ func TestOptionsAreCheckedByRunAndNewFL(t *testing.T) {
 		{"scale +Inf", mod(func(o *Options) { o.Scale = math.Inf(1) }), "-scale"},
 		{"workers -1", mod(func(o *Options) { o.Workers = -1 }), "-workers"},
 		{"intraop -1", mod(func(o *Options) { o.IntraOp = -1 }), "-intraop"},
-		{"out-res 0", mod(func(o *Options) { o.OutRes = 0 }), "resolution"},
 		{"depth -1", mod(func(o *Options) { o.Async.Depth = -1 }), "-async-depth"},
 	}
 	perDevice, counts, cfg, builder := tinyFederation()

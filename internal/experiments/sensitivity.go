@@ -55,59 +55,45 @@ func Fig9(opts Options) (*Fig9Result, error) {
 		return metrics.Accuracy(srv.GlobalNet(), dd.AllTest(), 16), nil
 	}
 
+	// One row per panel: the values swept and how each is set on the base
+	// configuration; set returns the label of the value's column.
+	panels := []struct {
+		param  string
+		values []float64
+		set    func(cfg *fl.Config, v float64) string
+	}{
+		{"learning rate", []float64{0.001, 0.01, 0.1}, func(cfg *fl.Config, v float64) string {
+			cfg.LR = v
+			return fmt.Sprintf("%g", v)
+		}},
+		{"batch size", []float64{1, 10, 20}, func(cfg *fl.Config, v float64) string {
+			cfg.BatchSize = int(v)
+			return fmt.Sprintf("%d", cfg.BatchSize)
+		}},
+		{"local epochs", []float64{1, 3, 5}, func(cfg *fl.Config, v float64) string {
+			cfg.LocalEpochs = int(v)
+			return fmt.Sprintf("%d", cfg.LocalEpochs)
+		}},
+		{"rounds", []float64{0.1, 0.5, 1.0}, func(cfg *fl.Config, v float64) string {
+			cfg.Rounds = max(1, int(float64(baseRounds)*v))
+			return fmt.Sprintf("%d", cfg.Rounds)
+		}},
+	}
 	res := &Fig9Result{}
-
-	lrSweep := Fig9Sweep{Param: "learning rate"}
-	for _, lr := range []float64{0.001, 0.01, 0.1} {
-		cfg := base
-		cfg.LR = lr
-		acc, err := eval(cfg)
-		if err != nil {
-			return nil, err
+	for _, p := range panels {
+		n := len(p.values)
+		sweep := Fig9Sweep{Param: p.param, Values: make([]string, 0, n), Acc: make([]float64, 0, n)}
+		for _, v := range p.values {
+			cfg := base
+			label := p.set(&cfg, v)
+			acc, err := eval(cfg)
+			if err != nil {
+				return nil, err
+			}
+			sweep.Values = append(sweep.Values, label)
+			sweep.Acc = append(sweep.Acc, acc)
 		}
-		lrSweep.Values = append(lrSweep.Values, fmt.Sprintf("%g", lr))
-		lrSweep.Acc = append(lrSweep.Acc, acc)
+		res.Sweeps = append(res.Sweeps, sweep)
 	}
-	res.Sweeps = append(res.Sweeps, lrSweep)
-
-	bSweep := Fig9Sweep{Param: "batch size"}
-	for _, b := range []int{1, 10, 20} {
-		cfg := base
-		cfg.BatchSize = b
-		acc, err := eval(cfg)
-		if err != nil {
-			return nil, err
-		}
-		bSweep.Values = append(bSweep.Values, fmt.Sprintf("%d", b))
-		bSweep.Acc = append(bSweep.Acc, acc)
-	}
-	res.Sweeps = append(res.Sweeps, bSweep)
-
-	eSweep := Fig9Sweep{Param: "local epochs"}
-	for _, e := range []int{1, 3, 5} {
-		cfg := base
-		cfg.LocalEpochs = e
-		acc, err := eval(cfg)
-		if err != nil {
-			return nil, err
-		}
-		eSweep.Values = append(eSweep.Values, fmt.Sprintf("%d", e))
-		eSweep.Acc = append(eSweep.Acc, acc)
-	}
-	res.Sweeps = append(res.Sweeps, eSweep)
-
-	tSweep := Fig9Sweep{Param: "rounds"}
-	for _, frac := range []float64{0.1, 0.5, 1.0} {
-		cfg := base
-		cfg.Rounds = max(1, int(float64(baseRounds)*frac))
-		acc, err := eval(cfg)
-		if err != nil {
-			return nil, err
-		}
-		tSweep.Values = append(tSweep.Values, fmt.Sprintf("%d", cfg.Rounds))
-		tSweep.Acc = append(tSweep.Acc, acc)
-	}
-	res.Sweeps = append(res.Sweeps, tSweep)
-
 	return res, nil
 }

@@ -56,7 +56,7 @@ func sceneDataset(opts Options, perClass int, salt string) *dataset.Dataset {
 	ds := &dataset.Dataset{NumClasses: gen.NumClasses()}
 	for c := 0; c < gen.NumClasses(); c++ {
 		for i := 0; i < perClass; i++ {
-			im := gen.Render(c, rng).Resize(opts.OutRes, opts.OutRes)
+			im := gen.Render(c, rng).Resize(OutRes, OutRes)
 			ds.Samples = append(ds.Samples, dataset.Sample{X: im.ToTensor(), Label: c})
 		}
 	}

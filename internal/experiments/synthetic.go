@@ -119,7 +119,7 @@ func Fig8(opts Options) (*Fig8Result, error) {
 	capture := func(scenes []scene.Scene, dev int) *dataset.Dataset {
 		ds := &dataset.Dataset{NumClasses: classes}
 		for _, sc := range scenes {
-			x := sc.Image.Resize(opts.OutRes, opts.OutRes).ToTensor()
+			x := sc.Image.Resize(OutRes, OutRes).ToTensor()
 			devices[dev].Apply(x)
 			ds.Samples = append(ds.Samples, dataset.Sample{X: x, Label: sc.Class, Device: dev})
 		}

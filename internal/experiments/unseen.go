@@ -57,7 +57,7 @@ func UnseenDG(opts Options) (*UnseenResult, error) {
 	for i := 0; i < numUnseen; i++ {
 		prof := device.Random(urng, fmt.Sprintf("unseen-%d", i))
 		res.UnseenNames = append(res.UnseenNames, prof.Name)
-		ds, err := dataset.Capture(testScenes, prof, 100+i, dataset.ModeProcessed, opts.OutRes, dd.Classes, urng.Split())
+		ds, err := dataset.Capture(testScenes, prof, 100+i, dataset.ModeProcessed, OutRes, dd.Classes, urng.Split())
 		if err != nil {
 			return nil, err
 		}

@@ -72,13 +72,15 @@ func fixtureServer(t testing.TB, strat Strategy, workers int) *Server {
 func globalAccuracy(srv *Server, perDevice map[int]*dataset.Dataset) float64 {
 	net := srv.GlobalNet()
 	correct, total := 0, 0
+	bs := dataset.GetBatchScratch()
+	defer dataset.PutBatchScratch(bs)
 	for _, ds := range perDevice {
 		for lo := 0; lo < ds.Len(); lo += 8 {
 			hi := lo + 8
 			if hi > ds.Len() {
 				hi = ds.Len()
 			}
-			x, labels := ds.Batch(lo, hi)
+			x, _, labels := bs.Next(ds, lo, hi)
 			pred := net.Forward(x, false).ArgMaxRows()
 			for i, p := range pred {
 				if p == labels[i] {

@@ -102,12 +102,3 @@ func Build(cfg Config) (*Federation, error) {
 	}
 	return fed, nil
 }
-
-// AllTest concatenates every device's test set (device tags preserved).
-func (f *Federation) AllTest() *dataset.Dataset {
-	all := make([]*dataset.Dataset, 0, len(f.Test))
-	for d := 0; d < len(f.Devices); d++ {
-		all = append(all, f.Test[d])
-	}
-	return dataset.Concat(all...)
-}

@@ -1,6 +1,10 @@
 package flair
 
-import "testing"
+import (
+	"testing"
+
+	"heteroswitch/internal/dataset"
+)
 
 func smallConfig() Config {
 	return Config{
@@ -93,4 +97,13 @@ func TestAllTest(t *testing.T) {
 	if len(devs) != 4 {
 		t.Fatal("AllTest lost device diversity")
 	}
+}
+
+// AllTest concatenates every device's test set (device tags preserved).
+func (f *Federation) AllTest() *dataset.Dataset {
+	all := make([]*dataset.Dataset, 0, len(f.Test))
+	for d := 0; d < len(f.Devices); d++ {
+		all = append(all, f.Test[d])
+	}
+	return dataset.Concat(all...)
 }

@@ -409,3 +409,16 @@ func BenchmarkDemosaicPPG64(b *testing.B) {
 		Demosaic(raw, DemosaicPPG)
 	}
 }
+
+// Clone deep-copies the frame.
+func (r *RAW) Clone() *RAW {
+	c := &RAW{W: r.W, H: r.H, Pix: make([]float64, len(r.Pix)), Pattern: r.Pattern}
+	copy(c.Pix, r.Pix)
+	return c
+}
+
+// At returns the sample at (x, y).
+func (r *RAW) At(x, y int) float64 { return r.Pix[y*r.W+x] }
+
+// Set writes the sample at (x, y).
+func (r *RAW) Set(x, y int, v float64) { r.Pix[y*r.W+x] = v }

@@ -113,8 +113,10 @@ func makeEvalFixture() (*nn.Network, *dataset.Dataset) {
 		nn.NewDense(r, 16, 2),
 	)
 	opt := nn.NewSGD(0.5, 0)
+	bs := dataset.GetBatchScratch()
+	defer dataset.PutBatchScratch(bs)
 	for e := 0; e < 30; e++ {
-		x, labels := ds.Batch(0, ds.Len())
+		x, _, labels := bs.Next(ds, 0, ds.Len())
 		out := net.Forward(x, true)
 		grad := tensor.New(out.Shape()...)
 		nn.SoftmaxCrossEntropy{}.Eval(grad, out, nn.ClassTarget(labels))
@@ -185,8 +187,10 @@ func makeConvEvalFixture() (*nn.Network, *dataset.Dataset) {
 		nn.NewDense(r, 6, 3),
 	)
 	opt := nn.NewSGD(0.05, 0.9)
+	bs := dataset.GetBatchScratch()
+	defer dataset.PutBatchScratch(bs)
 	for e := 0; e < 5; e++ {
-		x, labels := ds.Batch(0, ds.Len())
+		x, _, labels := bs.Next(ds, 0, ds.Len())
 		out := net.Forward(x, true)
 		grad := tensor.New(out.Shape()...)
 		nn.SoftmaxCrossEntropy{}.Eval(grad, out, nn.ClassTarget(labels))

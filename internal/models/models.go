@@ -32,7 +32,7 @@ type Arch string
 const (
 	ArchMobileNet  Arch = "mobilenetv3-tiny"
 	ArchShuffleNet Arch = "shufflenetv2-tiny"
-	ArchSqueezeNet Arch = "squezenet-tiny"
+	ArchSqueezeNet Arch = "squeezenet-tiny"
 	ArchSimpleCNN  Arch = "simplecnn"
 )
 
@@ -40,18 +40,21 @@ const (
 // inC-channel images with the given number of classes. Unknown names return
 // an error.
 func BuilderFor(arch Arch, seed uint64, inC, classes int) (Builder, error) {
+	var model func(r *frand.RNG, inC, classes int) *nn.Network
 	switch arch {
 	case ArchMobileNet:
-		return func() *nn.Network { return TinyMobileNetV3(frand.New(seed), inC, classes) }, nil
+		model = TinyMobileNetV3
 	case ArchShuffleNet:
-		return func() *nn.Network { return TinyShuffleNetV2(frand.New(seed), inC, classes) }, nil
+		model = TinyShuffleNetV2
 	case ArchSqueezeNet:
-		return func() *nn.Network { return TinySqueezeNet(frand.New(seed), inC, classes) }, nil
+		model = TinySqueezeNet
 	case ArchSimpleCNN:
-		return func() *nn.Network { return SimpleCNN(frand.New(seed), inC, classes) }, nil
-	default:
+		model = SimpleCNN
+	}
+	if model == nil {
 		return nil, fmt.Errorf("models: unknown architecture %q", arch)
 	}
+	return func() *nn.Network { return model(frand.New(seed), inC, classes) }, nil
 }
 
 // convBNAct returns conv → BN → activation as a sub-network.

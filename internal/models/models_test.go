@@ -101,7 +101,10 @@ func TestWeightsTransferAcrossBuilds(t *testing.T) {
 	n1 := b()
 	n2 := b()
 	// Perturb n1, snapshot, load into n2, confirm identical outputs.
-	n1.Params()[0].W.Apply(func(v float32) float32 { return v + 0.1 })
+	w0 := n1.Params()[0].W.Data()
+	for i := range w0 {
+		w0[i] += 0.1
+	}
 	if err := n2.LoadWeights(n1.Snapshot()); err != nil {
 		t.Fatal(err)
 	}

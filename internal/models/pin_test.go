@@ -28,7 +28,7 @@ import (
 var pinnedFrozen = map[string]string{
 	"mobilenetv3-tiny":  "3a2f48dd5164d015",
 	"shufflenetv2-tiny": "e5afbb61a30d7d29",
-	"squezenet-tiny":    "9daa33a3f83aca66",
+	"squeezenet-tiny":   "9daa33a3f83aca66",
 	"simplecnn":         "b653d328287820a2",
 	"ecgconvnet":        "edc039f293755064",
 }

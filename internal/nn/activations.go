@@ -19,21 +19,19 @@ type ReLU struct {
 // NewReLU returns a ReLU layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward zeroes negative elements.
+// Forward zeroes negative elements. Only a training pass records the
+// positive mask Backward reads.
 func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := l.allocUninit(x.Shape()...)
-	xd, yd := x.Data(), y.Data()
-	if cap(l.mask) < len(xd) {
-		l.mask = make([]bool, len(xd))
-	}
-	l.mask = l.mask[:len(xd)]
-	for i, v := range xd {
-		if v > 0 {
-			l.mask[i] = true
-			yd[i] = v
-		} else {
-			l.mask[i] = false
-			yd[i] = 0
+	xd := x.Data()
+	applyAct(y.Data(), xd, epReLU)
+	if train {
+		if cap(l.mask) < len(xd) {
+			l.mask = make([]bool, len(xd))
+		}
+		l.mask = l.mask[:len(xd)]
+		for i, v := range xd {
+			l.mask[i] = v > 0
 		}
 	}
 	return y
@@ -75,10 +73,7 @@ func NewHardSigmoid() *HardSigmoid { return &HardSigmoid{} }
 func (l *HardSigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.x = x
 	y := l.allocUninit(x.Shape()...)
-	xd, yd := x.Data(), y.Data()
-	for i, v := range xd {
-		yd[i] = tensor.HardSigmoid(v)
-	}
+	applyAct(y.Data(), x.Data(), epHardSigmoid)
 	return y
 }
 
@@ -118,14 +113,7 @@ func NewHardSwish() *HardSwish { return &HardSwish{} }
 func (l *HardSwish) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	l.x = x
 	y := l.allocUninit(x.Shape()...)
-	xd, yd := x.Data(), y.Data()
-	if vec.Live {
-		vec.HardSwish(yd, xd)
-		return y
-	}
-	for i, v := range xd {
-		yd[i] = v * tensor.HardSigmoid(v)
-	}
+	applyAct(y.Data(), x.Data(), epHardSwish)
 	return y
 }
 

@@ -58,24 +58,22 @@ func (l *Residual) SetArena(a *tensor.Arena) {
 
 // Forward implements Layer.
 func (l *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := l.Body.Forward(x, train)
-	s := l.Proj.Forward(x, train)
-	if !y.SameShape(s) {
-		panic(fmt.Sprintf("nn: Residual shape mismatch %v vs %v", y.Shape(), s.Shape()))
-	}
-	out := l.allocUninit(y.Shape()...)
-	out.CopyFrom(y)
-	out.AddInPlace(s)
-	return out
+	return l.sum(l.Body.Forward(x, train), l.Proj.Forward(x, train))
 }
 
 // Backward implements Layer.
 func (l *Residual) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	dx := l.Body.Backward(grad)
-	ds := l.Proj.Backward(grad)
-	out := l.allocUninit(dx.Shape()...)
-	out.CopyFrom(dx)
-	out.AddInPlace(ds)
+	return l.sum(l.Body.Backward(grad), l.Proj.Backward(grad))
+}
+
+// sum returns y + s, the two branches' outputs (or input gradients), in one
+// pass into an arena tensor.
+func (l *Residual) sum(y, s *tensor.Tensor) *tensor.Tensor {
+	if !y.SameShape(s) {
+		panic(fmt.Sprintf("nn: Residual shape mismatch %v vs %v", y.Shape(), s.Shape()))
+	}
+	out := l.allocUninit(y.Shape()...)
+	addInto(out.Data(), y.Data(), s.Data())
 	return out
 }
 
@@ -145,7 +143,8 @@ func (l *Parallel) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		per := c / nb
 		for i := range l.inputs {
-			l.inputs[i] = l.sliceChannels(x, i*per, (i+1)*per)
+			l.inputs[i] = l.allocUninit(n, per, x.Dim(2), x.Dim(3))
+			sliceChannels(l.inputs[i], x, i*per)
 		}
 	} else {
 		for i := range l.inputs {
@@ -177,7 +176,8 @@ func (l *Parallel) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	nb := len(l.Branches)
 	at := 0
 	for i := range l.Branches {
-		l.grads[i] = l.sliceChannels(grad, at, at+l.outCs[i])
+		l.grads[i] = l.allocUninit(n, l.outCs[i], grad.Dim(2), grad.Dim(3))
+		sliceChannels(l.grads[i], grad, at)
 		at += l.outCs[i]
 	}
 	if l.SplitInput {
@@ -227,20 +227,16 @@ func (l *Parallel) States() []*tensor.Tensor {
 // Name implements Layer.
 func (l *Parallel) Name() string { return fmt.Sprintf("Parallel(%d branches)", len(l.Branches)) }
 
-// sliceChannels copies channels [lo,hi) of an NCHW tensor into a per-batch
-// tensor.
-func (l *Parallel) sliceChannels(x *tensor.Tensor, lo, hi int) *tensor.Tensor {
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	out := l.allocUninit(n, hi-lo, h, w)
+// sliceChannels fills dst with channels [lo, lo+dst.Dim(1)) of src: the
+// inverse of copyChannels.
+func sliceChannels(dst, src *tensor.Tensor, lo int) {
+	n, dc, h, w := dst.Dim(0), dst.Dim(1), dst.Dim(2), dst.Dim(3)
+	sc := src.Dim(1)
 	hw := h * w
-	xd, od := x.Data(), out.Data()
-	per := hi - lo
+	dd, sd := dst.Data(), src.Data()
 	for i := 0; i < n; i++ {
-		src := xd[(i*c+lo)*hw : (i*c+hi)*hw]
-		dst := od[i*per*hw : (i+1)*per*hw]
-		copy(dst, src)
+		copy(dd[i*dc*hw:(i+1)*dc*hw], sd[(i*sc+lo)*hw:(i*sc+lo+dc)*hw])
 	}
-	return out
 }
 
 // copyChannels writes src into dst starting at channel offset `at`.

@@ -20,3 +20,41 @@ func convChunks(ops []frozenOp) int {
 	}
 	return c
 }
+
+// FrozenProgram compiles net and reports what its program did with the
+// layers it absorbs: folded counts the BatchNorm2Ds folded into a conv or
+// dense op, fused the activations fused into one, and wrapped lists every
+// layer that runs as its own eval forward. A squeeze-excite block's
+// internal layers are not counted.
+func FrozenProgram(net *Network) (folded, fused int, wrapped []Layer) {
+	var walk func(ops []frozenOp)
+	absorb := func(bn *BatchNorm2D, act epAct) {
+		if bn != nil {
+			folded++
+		}
+		if act != epNone {
+			fused++
+		}
+	}
+	walk = func(ops []frozenOp) {
+		for _, op := range ops {
+			switch o := op.(type) {
+			case *frozenConv:
+				absorb(o.bn, o.act)
+			case *frozenDense:
+				absorb(o.bn, o.act)
+			case *frozenResidual:
+				walk(o.body)
+				walk(o.proj)
+			case *frozenParallel:
+				for _, b := range o.branches {
+					walk(b)
+				}
+			case *frozenWrap:
+				wrapped = append(wrapped, o.l)
+			}
+		}
+	}
+	walk(net.Freeze().ops)
+	return folded, fused, wrapped
+}

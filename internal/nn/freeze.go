@@ -12,8 +12,12 @@ import (
 // follows a Conv2D or Dense is folded into that layer's weights and bias
 // (using the RUNNING statistics, so no batch reduction runs at all), and the
 // activation that follows a matmul layer is fused into the kernel as a row
-// epilogue. No op caches anything for a backward pass, so the frozen forward
-// touches strictly less memory than Network.Forward(x, false).
+// epilogue. An op exists only to fold, fuse or recurse: a conv or dense
+// layer with what it absorbs, a residual sum (whose 1×1 projection may
+// fold), a Parallel or squeeze-excite block over frozen children. Every
+// other layer runs its own Forward(x, false), and no eval forward writes a
+// buffer for a backward pass, so the frozen forward touches strictly less
+// memory than Network.Forward(x, false).
 //
 // A frozen view shares its source network's arena and intra-op budget like
 // any layer: Infer resets the arena exactly like Network.Forward (outputs
@@ -41,7 +45,7 @@ type frozenOp interface {
 }
 
 // refolder is implemented by ops that cache weights derived from trainable
-// parameters (folded conv/dense, the standalone BN scale/shift) and by
+// parameters (the folded conv and dense ops) and by
 // composites that contain such ops. Freeze re-runs refold on every call so a
 // cached Frozen always reflects the network's current weights.
 type refolder interface {
@@ -191,22 +195,6 @@ func compile(flat []Layer) []frozenOp {
 			}
 			op.build()
 			ops = append(ops, op)
-		case *BatchNorm2D:
-			// The residual case: a BN not preceded by a matmul layer
-			// (after a Residual sum, pooling, ...) stays a standalone op
-			// on the running statistics.
-			op := &frozenBN{l: l, scale: make([]float32, l.C), shift: make([]float32, l.C)}
-			ops = append(ops, op)
-		case *ReLU:
-			ops = append(ops, &frozenAct{kind: epReLU})
-		case *HardSwish:
-			ops = append(ops, &frozenAct{kind: epHardSwish})
-		case *HardSigmoid:
-			ops = append(ops, &frozenAct{kind: epHardSigmoid})
-		case *MaxPool2D:
-			ops = append(ops, &frozenMaxPool{k: l.K, stride: l.Stride})
-		case *GlobalAvgPool:
-			ops = append(ops, &frozenGAP{})
 		case *SEBlock:
 			ops = append(ops, newFrozenSE(l))
 		case *Residual:
@@ -227,10 +215,10 @@ func compile(flat []Layer) []frozenOp {
 		case *Identity:
 			// Compiles to nothing.
 		default:
-			// Pure view/permutation layers (Flatten, Reshape,
-			// ChannelShuffle) and any layer type this compiler does not
-			// know: their eval forward has no backward cache worth
-			// skipping, so delegate to it.
+			// Nothing to fold, fuse or recurse into — view and permutation
+			// layers, pooling, and a BatchNorm2D or activation that follows
+			// no matmul layer — so no op of its own: the layer's eval
+			// forward is the op.
 			ops = append(ops, &frozenWrap{l: l})
 		}
 	}

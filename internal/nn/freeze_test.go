@@ -449,3 +449,57 @@ func BenchmarkFrozenForward(b *testing.B) {
 		})
 	}
 }
+
+// TestFrozenProgramsFoldOrFuse records what the compiler makes of the five
+// bundled architectures: every BatchNorm2D is folded and every activation
+// fused into a conv or dense op, so the only layers left to run as their
+// own eval forward are the ones with nothing to fold — views, permutations
+// and pooling.
+func TestFrozenProgramsFoldOrFuse(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		net  *nn.Network
+	}{
+		{"mobilenet", models.TinyMobileNetV3(frand.New(1), 3, 10)},
+		{"shufflenet", models.TinyShuffleNetV2(frand.New(1), 3, 10)},
+		{"squeezenet", models.TinySqueezeNet(frand.New(1), 3, 10)},
+		{"simplecnn", models.SimpleCNN(frand.New(1), 3, 10)},
+		{"ecg", models.ECGConvNet(frand.New(1), 64)},
+	} {
+		bns, acts := countAbsorbable(tc.net.LayerList)
+		folded, fused, wrapped := nn.FrozenProgram(tc.net)
+		if folded != bns || fused != acts {
+			t.Errorf("%s: folded %d of %d BatchNorm2D, fused %d of %d activations", tc.name, folded, bns, fused, acts)
+		}
+		for _, l := range wrapped {
+			switch l.(type) {
+			case *nn.Flatten, *nn.Reshape, *nn.ChannelShuffle, *nn.MaxPool2D, *nn.GlobalAvgPool:
+			default:
+				t.Errorf("%s: %s runs as its own eval forward", tc.name, l.Name())
+			}
+		}
+	}
+}
+
+// countAbsorbable counts the BatchNorm2D and activation layers of a layer
+// tree, through nested networks, residual and parallel blocks.
+func countAbsorbable(layers []nn.Layer) (bns, acts int) {
+	for _, l := range layers {
+		var sub []nn.Layer
+		switch l := l.(type) {
+		case *nn.BatchNorm2D:
+			bns++
+		case *nn.ReLU, *nn.HardSwish, *nn.HardSigmoid:
+			acts++
+		case *nn.Network:
+			sub = l.LayerList
+		case *nn.Residual:
+			sub = []nn.Layer{l.Body, l.Proj}
+		case *nn.Parallel:
+			sub = l.Branches
+		}
+		b, a := countAbsorbable(sub)
+		bns, acts = bns+b, acts+a
+	}
+	return bns, acts
+}

@@ -8,10 +8,10 @@ import (
 	"heteroswitch/internal/vec"
 )
 
-// epAct identifies the activation fused into a kernel epilogue (or applied
-// by a standalone frozenAct). The scalar formulas are exactly the ones the
-// training layers use, so pure fusion (no BN fold) is bit-identical to the
-// reference eval forward.
+// epAct identifies the activation fused into a kernel epilogue. The scalar
+// formulas are the training layers' own (applyAct is their forward sweep),
+// so pure fusion (no BN fold) is bit-identical to the reference eval
+// forward.
 type epAct uint8
 
 // Fusable activations.
@@ -63,8 +63,9 @@ func applyVecBiasAct(row, bias []float32, act epAct) {
 	}
 }
 
-// applyAct computes yd[i] = act(xd[i]) for every i of xd — the standalone
-// activation sweep.
+// applyAct computes yd[i] = act(xd[i]) for every i of xd — the activation
+// layers' forward sweep, and a fused conv's sweep for an activation its
+// kernel store lacks.
 func applyAct(yd, xd []float32, act epAct) {
 	yd = yd[:len(xd)]
 	switch act {
@@ -327,98 +328,194 @@ func (d *frozenDense) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 	return y
 }
 
-// Standalone BatchNorm --------------------------------------------------------
+// Composites ------------------------------------------------------------------
 
-// frozenBN is the residual BatchNorm eval path: a BN that no matmul layer
-// precedes (after a residual sum, pooling, a Parallel block). It applies the
-// running-statistics affine y = scale·x + shift channel by channel.
-type frozenBN struct {
-	l            *BatchNorm2D
-	scale, shift []float32
+// frozenResidual runs both frozen branches and sums them, mirroring
+// Residual.Forward's one-pass sum exactly — unless the projection folded
+// into a single affine (foldedProj non-nil), in which case the skip path
+// never materializes: the projection's W′x + b′ is accumulated directly
+// onto the body output by the accumulating fused matmul, one pass over y
+// instead of a projection tensor plus an elementwise sum.
+type frozenResidual struct {
+	body, proj []frozenOp
+
+	// foldedProj is proj's single op when the projection compiled down to
+	// one pointwise conv with everything folded in (1×1, stride 1, no pad,
+	// one group, BN absorbed by the conv fold, no activation) — exactly the
+	// ResNet/MobileNet downsample-projection shape. Folding reassociates
+	// the skip add ((y + W′x) + b′ versus y + (W′x + b′)), so it lives
+	// under the same ≤1e-5 tolerance contract as BN folding.
+	foldedProj *frozenConv
 }
 
-// refold implements refolder.
-func (b *frozenBN) refold() {
-	for c := 0; c < b.l.C; c++ {
-		b.scale[c], b.shift[c] = bnScaleShift(b.l, c)
+// foldProj detects the foldable projection shape at compile time.
+func (r *frozenResidual) foldProj() {
+	// An empty body compiles runOps to the input itself; accumulating onto
+	// it would clobber x, so the fold requires a real body.
+	if len(r.body) == 0 || len(r.proj) != 1 {
+		return
 	}
+	fc, ok := r.proj[0].(*frozenConv)
+	if !ok || fc.act != epNone {
+		return
+	}
+	l := fc.l
+	if l.Groups != 1 || l.KH != 1 || l.KW != 1 || l.Stride != 1 || l.Pad != 0 {
+		return
+	}
+	r.foldedProj = fc
 }
 
 // infer implements frozenOp.
-func (b *frozenBN) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
-	c := b.l.C
-	if x.NDim() != 4 || x.Dim(1) != c {
-		panic(fmt.Sprintf("nn: frozen BatchNorm2D input %v, want [N %d H W]", x.Shape(), c))
+func (r *frozenResidual) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
+	y := runOps(f, r.body, x)
+	if r.foldedProj != nil {
+		r.inferFolded(x, y)
+		return y
 	}
-	n, hw := x.Dim(0), x.Dim(2)*x.Dim(3)
-	out := f.alloc(x.Shape()...)
-	xd, od := x.Data(), out.Data()
-	for ch := 0; ch < c; ch++ {
-		s, sh := b.scale[ch], b.shift[ch]
-		for i := 0; i < n; i++ {
-			base := (i*c + ch) * hw
-			row := od[base : base+hw]
-			for j, v := range xd[base : base+hw] {
-				row[j] = s*v + sh
+	s := runOps(f, r.proj, x)
+	if !y.SameShape(s) {
+		panic(fmt.Sprintf("nn: frozen Residual shape mismatch %v vs %v", y.Shape(), s.Shape()))
+	}
+	out := f.alloc(y.Shape()...)
+	addInto(out.Data(), y.Data(), s.Data())
+	return out
+}
+
+// addInto computes od[i] = yd[i] + sd[i]: the residual sum, frozen and
+// trained (forward and backward).
+func addInto(od, yd, sd []float32) {
+	if vec.Live {
+		vec.Add(od, yd, sd)
+		return
+	}
+	sd = sd[:len(yd)]
+	for i, v := range yd {
+		od[i] = v + sd[i]
+	}
+}
+
+// inferFolded accumulates the folded projection onto the body output in
+// place: y_i += W′ @ x_i + b′, one sample at a time.
+func (r *frozenResidual) inferFolded(x, y *tensor.Tensor) {
+	fc := r.foldedProj
+	l := fc.l
+	if x.NDim() != 4 || x.Dim(1) != l.InC {
+		panic(fmt.Sprintf("nn: frozen Residual projection input %v, want [N %d H W]", x.Shape(), l.InC))
+	}
+	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+	if y.NDim() != 4 || y.Dim(0) != n || y.Dim(1) != l.OutC || y.Dim(2) != h || y.Dim(3) != w {
+		panic(fmt.Sprintf("nn: frozen Residual shape mismatch %v vs projection [%d %d %d %d]",
+			y.Shape(), n, l.OutC, h, w))
+	}
+	xd, yd, hw := x.Data(), y.Data(), h*w
+	for i := 0; i < n; i++ {
+		xi := xd[i*l.InC*hw : (i+1)*l.InC*hw]
+		yi := yd[i*l.OutC*hw : (i+1)*l.OutC*hw]
+		tensor.MatMulWASlicesEp(yi, fc.wf, &fc.pw, 0, l.OutC, xi, hw, true, &fc.eps[0])
+	}
+}
+
+// refold implements refolder, recursing into both branches.
+func (r *frozenResidual) refold() {
+	refoldOps(r.body)
+	refoldOps(r.proj)
+}
+
+// frozenParallel runs the frozen branches and concatenates along channels,
+// mirroring Parallel.Forward.
+type frozenParallel struct {
+	l        *Parallel
+	branches [][]frozenOp
+	outCs    []int
+	outs     []*tensor.Tensor // per-batch worklist, reused
+}
+
+// infer implements frozenOp.
+func (p *frozenParallel) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
+	n, c := x.Dim(0), x.Dim(1)
+	nb := len(p.branches)
+	totalC := 0
+	for i, ops := range p.branches {
+		in := x
+		if p.l.SplitInput {
+			if c%nb != 0 {
+				panic(fmt.Sprintf("nn: frozen Parallel split %d channels across %d branches", c, nb))
 			}
+			per := c / nb
+			in = f.alloc(n, per, x.Dim(2), x.Dim(3))
+			sliceChannels(in, x, i*per)
 		}
+		p.outs[i] = runOps(f, ops, in)
+		p.outCs[i] = p.outs[i].Dim(1)
+		totalC += p.outCs[i]
+	}
+	oh, ow := p.outs[0].Dim(2), p.outs[0].Dim(3)
+	out := f.alloc(n, totalC, oh, ow)
+	at := 0
+	for _, o := range p.outs {
+		if o.Dim(2) != oh || o.Dim(3) != ow {
+			panic("nn: frozen Parallel branches disagree on spatial size")
+		}
+		copyChannels(out, o, at)
+		at += o.Dim(1)
 	}
 	return out
 }
 
-// Standalone activation -------------------------------------------------------
+// refold implements refolder, recursing into every branch.
+func (p *frozenParallel) refold() {
+	for _, ops := range p.branches {
+		refoldOps(ops)
+	}
+}
 
-// frozenAct is an activation that does not follow a matmul layer (so it
-// could not ride a kernel epilogue): one sweep with no backward mask.
-type frozenAct struct {
-	kind epAct
+// frozenSE is the squeeze-and-excitation inference op: plane-mean squeeze,
+// the two excitation matmuls with their activations fused as epilogues, and
+// the per-channel rescale.
+type frozenSE struct {
+	se       *SEBlock
+	fc1, fc2 *frozenDense
+}
+
+// newFrozenSE compiles an SEBlock, fusing the excitation MLP's ReLU and
+// HardSigmoid into the dense kernels.
+func newFrozenSE(l *SEBlock) *frozenSE {
+	fc1 := &frozenDense{l: l.fc1, act: epReLU}
+	fc1.build()
+	fc2 := &frozenDense{l: l.fc2, act: epHardSigmoid}
+	fc2.build()
+	return &frozenSE{se: l, fc1: fc1, fc2: fc2}
 }
 
 // infer implements frozenOp.
-func (a *frozenAct) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
-	y := f.alloc(x.Shape()...)
-	applyAct(y.Data(), x.Data(), a.kind)
-	return y
-}
-
-// Pooling ---------------------------------------------------------------------
-
-// frozenMaxPool is MaxPool2D without the argmax cache.
-type frozenMaxPool struct {
-	k, stride int
-}
-
-// infer implements frozenOp.
-func (p *frozenMaxPool) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
+func (s *frozenSE) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	if h < p.k || w < p.k { // (h−k)/stride would truncate a negative up to 0
-		panic(fmt.Sprintf("nn: frozen MaxPool2D k%d s%d on %dx%d", p.k, p.stride, h, w))
+	if c != s.se.C {
+		panic(fmt.Sprintf("nn: frozen SEBlock channels %d, want %d", c, s.se.C))
 	}
-	oh := (h-p.k)/p.stride + 1
-	ow := (w-p.k)/p.stride + 1
-	out := f.alloc(n, c, oh, ow)
-	xd, od := x.Data(), out.Data()
-	for pl := 0; pl < n*c; pl++ {
-		base := pl * h * w
-		oi := pl * oh * ow
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				iy0, ix0 := oy*p.stride, ox*p.stride
-				best := xd[base+iy0*w+ix0]
-				for ky := 0; ky < p.k; ky++ {
-					row := base + (iy0+ky)*w + ix0
-					for kx := 0; kx < p.k; kx++ {
-						if v := xd[row+kx]; v > best {
-							best = v
-						}
-					}
-				}
-				od[oi] = best
-				oi++
-			}
+	hw := h * w
+	sq := f.alloc(n, c)
+	planeMean(sq.Data(), x.Data(), hw)
+	z := s.fc2.infer(f, s.fc1.infer(f, sq))
+	out := f.alloc(n, c, h, w)
+	scaleRows(out.Data(), x.Data(), z.Data(), hw)
+	return out
+}
+
+// scaleRows computes od[r·hw+j] = xd[r·hw+j]·z[r] for every plane r of z:
+// the squeeze-excite rescale, and its backward's dx = dy·z.
+func scaleRows(od, xd, z []float32, hw int) {
+	if vec.Live {
+		vec.ScaleRows(od, xd, z, len(z), hw)
+		return
+	}
+	for i, zi := range z {
+		row := od[i*hw : (i+1)*hw]
+		for j, v := range xd[i*hw : (i+1)*hw] {
+			row[j] = v * zi
 		}
 	}
-	return out
 }
 
 // planeMean sets od[i] to the mean of plane i of xd (planes of hw values) for
@@ -483,227 +580,16 @@ func planeDot(od, ad, bd []float32, hw int) {
 	}
 }
 
-// frozenGAP is GlobalAvgPool's inference op.
-type frozenGAP struct{}
-
-// infer implements frozenOp.
-func (g *frozenGAP) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	out := f.alloc(n, c)
-	planeMean(out.Data(), x.Data(), h*w)
-	return out
-}
-
-// Composites ------------------------------------------------------------------
-
-// frozenResidual runs both frozen branches and sums them, mirroring
-// Residual.Forward's copy+add order exactly — unless the projection folded
-// into a single affine (foldedProj non-nil), in which case the skip path
-// never materializes: the projection's W′x + b′ is accumulated directly
-// onto the body output by the accumulating fused matmul, one pass over y
-// instead of a projection tensor plus an elementwise sum.
-type frozenResidual struct {
-	body, proj []frozenOp
-
-	// foldedProj is proj's single op when the projection compiled down to
-	// one pointwise conv with everything folded in (1×1, stride 1, no pad,
-	// one group, BN absorbed by the conv fold, no activation) — exactly the
-	// ResNet/MobileNet downsample-projection shape. Folding reassociates
-	// the skip add ((y + W′x) + b′ versus y + (W′x + b′)), so it lives
-	// under the same ≤1e-5 tolerance contract as BN folding.
-	foldedProj *frozenConv
-}
-
-// foldProj detects the foldable projection shape at compile time.
-func (r *frozenResidual) foldProj() {
-	// An empty body compiles runOps to the input itself; accumulating onto
-	// it would clobber x, so the fold requires a real body.
-	if len(r.body) == 0 || len(r.proj) != 1 {
-		return
-	}
-	fc, ok := r.proj[0].(*frozenConv)
-	if !ok || fc.act != epNone {
-		return
-	}
-	l := fc.l
-	if l.Groups != 1 || l.KH != 1 || l.KW != 1 || l.Stride != 1 || l.Pad != 0 {
-		return
-	}
-	r.foldedProj = fc
-}
-
-// infer implements frozenOp.
-func (r *frozenResidual) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
-	y := runOps(f, r.body, x)
-	if r.foldedProj != nil {
-		r.inferFolded(x, y)
-		return y
-	}
-	s := runOps(f, r.proj, x)
-	if !y.SameShape(s) {
-		panic(fmt.Sprintf("nn: frozen Residual shape mismatch %v vs %v", y.Shape(), s.Shape()))
-	}
-	out := f.alloc(y.Shape()...)
-	addInto(out.Data(), y.Data(), s.Data())
-	return out
-}
-
-// addInto computes od[i] = yd[i] + sd[i]: the residual sum.
-func addInto(od, yd, sd []float32) {
-	if vec.Live {
-		vec.Add(od, yd, sd)
-		return
-	}
-	sd = sd[:len(yd)]
-	for i, v := range yd {
-		od[i] = v + sd[i]
-	}
-}
-
-// inferFolded accumulates the folded projection onto the body output in
-// place: y_i += W′ @ x_i + b′, one sample at a time.
-func (r *frozenResidual) inferFolded(x, y *tensor.Tensor) {
-	fc := r.foldedProj
-	l := fc.l
-	if x.NDim() != 4 || x.Dim(1) != l.InC {
-		panic(fmt.Sprintf("nn: frozen Residual projection input %v, want [N %d H W]", x.Shape(), l.InC))
-	}
-	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	if y.NDim() != 4 || y.Dim(0) != n || y.Dim(1) != l.OutC || y.Dim(2) != h || y.Dim(3) != w {
-		panic(fmt.Sprintf("nn: frozen Residual shape mismatch %v vs projection [%d %d %d %d]",
-			y.Shape(), n, l.OutC, h, w))
-	}
-	xd, yd, hw := x.Data(), y.Data(), h*w
-	for i := 0; i < n; i++ {
-		xi := xd[i*l.InC*hw : (i+1)*l.InC*hw]
-		yi := yd[i*l.OutC*hw : (i+1)*l.OutC*hw]
-		tensor.MatMulWASlicesEp(yi, fc.wf, &fc.pw, 0, l.OutC, xi, hw, true, &fc.eps[0])
-	}
-}
-
-// refold implements refolder, recursing into both branches.
-func (r *frozenResidual) refold() {
-	refoldOps(r.body)
-	refoldOps(r.proj)
-}
-
-// frozenParallel runs the frozen branches and concatenates along channels,
-// mirroring Parallel.Forward.
-type frozenParallel struct {
-	l        *Parallel
-	branches [][]frozenOp
-	outCs    []int
-	outs     []*tensor.Tensor // per-batch worklist, reused
-}
-
-// infer implements frozenOp.
-func (p *frozenParallel) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
-	n, c := x.Dim(0), x.Dim(1)
-	nb := len(p.branches)
-	totalC := 0
-	for i, ops := range p.branches {
-		in := x
-		if p.l.SplitInput {
-			if c%nb != 0 {
-				panic(fmt.Sprintf("nn: frozen Parallel split %d channels across %d branches", c, nb))
-			}
-			per := c / nb
-			in = frozenSliceChannels(f, x, i*per, (i+1)*per)
-		}
-		p.outs[i] = runOps(f, ops, in)
-		p.outCs[i] = p.outs[i].Dim(1)
-		totalC += p.outCs[i]
-	}
-	oh, ow := p.outs[0].Dim(2), p.outs[0].Dim(3)
-	out := f.alloc(n, totalC, oh, ow)
-	at := 0
-	for _, o := range p.outs {
-		if o.Dim(2) != oh || o.Dim(3) != ow {
-			panic("nn: frozen Parallel branches disagree on spatial size")
-		}
-		copyChannels(out, o, at)
-		at += o.Dim(1)
-	}
-	return out
-}
-
-// refold implements refolder, recursing into every branch.
-func (p *frozenParallel) refold() {
-	for _, ops := range p.branches {
-		refoldOps(ops)
-	}
-}
-
-// frozenSliceChannels copies channels [lo,hi) into a per-batch tensor.
-func frozenSliceChannels(f *Frozen, x *tensor.Tensor, lo, hi int) *tensor.Tensor {
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	out := f.alloc(n, hi-lo, h, w)
-	hw := h * w
-	xd, od := x.Data(), out.Data()
-	per := hi - lo
-	for i := 0; i < n; i++ {
-		copy(od[i*per*hw:(i+1)*per*hw], xd[(i*c+lo)*hw:(i*c+hi)*hw])
-	}
-	return out
-}
-
-// frozenSE is the squeeze-and-excitation inference op: plane-mean squeeze,
-// the two excitation matmuls with their activations fused as epilogues, and
-// the per-channel rescale.
-type frozenSE struct {
-	se       *SEBlock
-	fc1, fc2 *frozenDense
-}
-
-// newFrozenSE compiles an SEBlock, fusing the excitation MLP's ReLU and
-// HardSigmoid into the dense kernels.
-func newFrozenSE(l *SEBlock) *frozenSE {
-	fc1 := &frozenDense{l: l.fc1, act: epReLU}
-	fc1.build()
-	fc2 := &frozenDense{l: l.fc2, act: epHardSigmoid}
-	fc2.build()
-	return &frozenSE{se: l, fc1: fc1, fc2: fc2}
-}
-
-// infer implements frozenOp.
-func (s *frozenSE) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	if c != s.se.C {
-		panic(fmt.Sprintf("nn: frozen SEBlock channels %d, want %d", c, s.se.C))
-	}
-	hw := h * w
-	sq := f.alloc(n, c)
-	planeMean(sq.Data(), x.Data(), hw)
-	z := s.fc2.infer(f, s.fc1.infer(f, sq))
-	out := f.alloc(n, c, h, w)
-	scaleRows(out.Data(), x.Data(), z.Data(), hw)
-	return out
-}
-
-// scaleRows computes od[r·hw+j] = xd[r·hw+j]·z[r] for every plane r of z:
-// the squeeze-excite rescale, and its backward's dx = dy·z.
-func scaleRows(od, xd, z []float32, hw int) {
-	if vec.Live {
-		vec.ScaleRows(od, xd, z, len(z), hw)
-		return
-	}
-	for i, zi := range z {
-		row := od[i*hw : (i+1)*hw]
-		for j, v := range xd[i*hw : (i+1)*hw] {
-			row[j] = v * zi
-		}
-	}
-}
-
 // refold implements refolder for the excitation layers.
 func (s *frozenSE) refold() {
 	s.fc1.refold()
 	s.fc2.refold()
 }
 
-// frozenWrap delegates to a layer's own eval forward — pure view or
-// permutation layers with no backward caches, and any layer type the
-// compiler does not know.
+// frozenWrap is every layer with nothing to fold, fuse or recurse into: the
+// op is the layer's own eval forward (view and permutation layers, pooling,
+// a BatchNorm2D or activation no matmul layer precedes, and any layer type
+// the compiler does not know).
 type frozenWrap struct {
 	l Layer
 }

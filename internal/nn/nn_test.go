@@ -72,15 +72,19 @@ func TestWeightsAxpyLerp(t *testing.T) {
 	w := net.Snapshot()
 	z := w.Zero()
 	z.Axpy(2, w)
+	twice := w.Clone()
+	for _, p := range twice.Params {
+		p.Scale(2)
+	}
 	for i, p := range z.Params {
-		if !p.AllClose(w.Params[i].Add(w.Params[i]), 1e-5) {
+		if !p.AllClose(twice.Params[i], 1e-5) {
 			t.Fatalf("Axpy param %d mismatch", i)
 		}
 	}
 	a := w.Clone()
 	a.Lerp(1, z) // a becomes z == 2w
 	for i, p := range a.Params {
-		if !p.AllClose(w.Params[i].Add(w.Params[i]), 1e-5) {
+		if !p.AllClose(twice.Params[i], 1e-5) {
 			t.Fatalf("Lerp param %d mismatch", i)
 		}
 	}
@@ -101,7 +105,7 @@ func TestWeightsSubAndL2(t *testing.T) {
 		t.Fatal("L2DistSq(w,w) != 0")
 	}
 	w2 := w.Clone()
-	w2.Params[0].Apply(func(v float32) float32 { return v + 1 })
+	apply(w2.Params[0], func(v float32) float32 { return v + 1 })
 	want := float64(w.Params[0].Size())
 	if math.Abs(w.L2DistSq(w2)-want) > 1e-3 {
 		t.Fatalf("L2DistSq = %v, want %v", w.L2DistSq(w2), want)
@@ -243,7 +247,7 @@ func TestTrainingReducesLoss(t *testing.T) {
 				if (labels[i] == 0 && y < 4) || (labels[i] == 1 && y >= 4) {
 					v += 0.8
 				}
-				x.Set(v, i, 0, y, xx)
+				x.Data()[(i*8+y)*8+xx] = v // [i, 0, y, xx] of an [N 1 8 8] batch
 			}
 		}
 	}
@@ -292,7 +296,7 @@ func TestBatchNormEvalUsesRunningStats(t *testing.T) {
 	l := NewBatchNorm2D(1)
 	r := frand.New(31)
 	x := tensor.Randn(r, 1, 8, 1, 4, 4)
-	x.Apply(func(v float32) float32 { return v + 5 }) // mean far from running mean of 0
+	apply(x, func(v float32) float32 { return v + 5 }) // mean far from running mean of 0
 	_ = l.Forward(x, true)
 	yTrain := l.Forward(x, true)
 	yEval := l.Forward(x, false)

@@ -17,7 +17,8 @@ type MaxPool2D struct {
 // NewMaxPool2D builds a max-pool layer.
 func NewMaxPool2D(k, stride int) *MaxPool2D { return &MaxPool2D{K: k, Stride: stride} }
 
-// Forward implements Layer.
+// Forward implements Layer. Only a training pass records the argmax
+// positions Backward routes through; an eval pass writes nothing but out.
 func (l *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	if h < l.K || w < l.K { // (h−K)/Stride would truncate a negative up to 0
@@ -25,14 +26,17 @@ func (l *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	oh := (h-l.K)/l.Stride + 1
 	ow := (w-l.K)/l.Stride + 1
-	l.inShape = x.Shape()
 	out := l.allocUninit(n, c, oh, ow)
-	need := n * c * oh * ow
-	if cap(l.argmax) < need {
-		l.argmax = make([]int, need)
-	}
-	l.argmax = l.argmax[:need]
 	xd, od := x.Data(), out.Data()
+	var argmax []int // stays nil on an eval pass
+	if train {
+		if cap(l.argmax) < len(od) {
+			l.argmax = make([]int, len(od))
+		}
+		l.argmax = l.argmax[:len(od)]
+		argmax = l.argmax
+		l.inShape = x.Shape()
+	}
 	oi := 0
 	for i := 0; i < n; i++ {
 		for ci := 0; ci < c; ci++ {
@@ -51,7 +55,9 @@ func (l *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 						}
 					}
 					od[oi] = best
-					l.argmax[oi] = bestIdx
+					if argmax != nil {
+						argmax[oi] = bestIdx
+					}
 					oi++
 				}
 			}

@@ -32,9 +32,6 @@ func NewReplica(build func() *Network, intraOp int) *Replica {
 	return &Replica{net: net, version: -1}
 }
 
-// Version returns the loaded model version (-1 before the first Ensure).
-func (r *Replica) Version() int { return r.version }
-
 // Ensure makes the replica serve model version v with the given weights:
 // a no-op when v is already loaded, otherwise one LoadWeights plus one
 // re-fold of the frozen view. w must stay immutable while any replica can

@@ -44,8 +44,8 @@ func TestReplicaEnsureVersionKeyed(t *testing.T) {
 	if rep.Infer(x).AllClose(before, 0) {
 		t.Fatal("Ensure(new version) did not reload changed weights")
 	}
-	if rep.Version() != 1 {
-		t.Fatalf("Version() = %d, want 1", rep.Version())
+	if rep.version != 1 {
+		t.Fatalf("Version() = %d, want 1", rep.version)
 	}
 }
 

@@ -7,13 +7,6 @@ import (
 	"heteroswitch/internal/vec"
 )
 
-// Add returns t + o elementwise as a new tensor.
-func (t *Tensor) Add(o *Tensor) *Tensor {
-	out := t.Clone()
-	out.AddInPlace(o)
-	return out
-}
-
 // AddInPlace computes t += o elementwise; with vec.Live set, vec.Add does,
 // keeping t's NaN where both operands are NaN, as the Go loop does.
 func (t *Tensor) AddInPlace(o *Tensor) {
@@ -26,23 +19,6 @@ func (t *Tensor) AddInPlace(o *Tensor) {
 	}
 	for i := range t.data {
 		t.data[i] += o.data[i]
-	}
-}
-
-// Sub returns t - o elementwise as a new tensor.
-func (t *Tensor) Sub(o *Tensor) *Tensor {
-	out := t.Clone()
-	out.SubInPlace(o)
-	return out
-}
-
-// SubInPlace computes t -= o elementwise.
-func (t *Tensor) SubInPlace(o *Tensor) {
-	if len(t.data) != len(o.data) {
-		panic(fmt.Sprintf("tensor: SubInPlace size mismatch %v vs %v", t.shape, o.shape))
-	}
-	for i := range t.data {
-		t.data[i] -= o.data[i]
 	}
 }
 
@@ -73,26 +49,6 @@ func (t *Tensor) Lerp(a float32, x *Tensor) {
 	b := 1 - a
 	for i := range t.data {
 		t.data[i] = b*t.data[i] + a*x.data[i]
-	}
-}
-
-// Apply replaces every element v with f(v).
-func (t *Tensor) Apply(f func(float32) float32) {
-	for i := range t.data {
-		t.data[i] = f(t.data[i])
-	}
-}
-
-// Clamp limits every element into [lo, hi] in place.
-func (t *Tensor) Clamp(lo, hi float32) {
-	for i := range t.data {
-		v := t.data[i]
-		if v < lo {
-			v = lo
-		} else if v > hi {
-			v = hi
-		}
-		t.data[i] = v
 	}
 }
 

@@ -189,9 +189,6 @@ func (t *Tensor) Fill(v float32) {
 // At returns the element at the given multi-index.
 func (t *Tensor) At(idx ...int) float32 { return t.data[t.offset(idx)] }
 
-// Set writes the element at the given multi-index.
-func (t *Tensor) Set(v float32, idx ...int) { t.data[t.offset(idx)] = v }
-
 func (t *Tensor) offset(idx []int) int {
 	if len(idx) != len(t.shape) {
 		panic(fmt.Sprintf("tensor: index %v for shape %v", idx, t.shape))

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -444,3 +445,52 @@ func BenchmarkIm2Col32(b *testing.B) {
 		Im2Col(col, img, d)
 	}
 }
+
+// Operations only the tests use.
+
+// Add returns t + o elementwise as a new tensor.
+func (t *Tensor) Add(o *Tensor) *Tensor {
+	out := t.Clone()
+	out.AddInPlace(o)
+	return out
+}
+
+// Sub returns t - o elementwise as a new tensor.
+func (t *Tensor) Sub(o *Tensor) *Tensor {
+	out := t.Clone()
+	out.SubInPlace(o)
+	return out
+}
+
+// SubInPlace computes t -= o elementwise.
+func (t *Tensor) SubInPlace(o *Tensor) {
+	if len(t.data) != len(o.data) {
+		panic(fmt.Sprintf("tensor: SubInPlace size mismatch %v vs %v", t.shape, o.shape))
+	}
+	for i := range t.data {
+		t.data[i] -= o.data[i]
+	}
+}
+
+// Apply replaces every element v with f(v).
+func (t *Tensor) Apply(f func(float32) float32) {
+	for i := range t.data {
+		t.data[i] = f(t.data[i])
+	}
+}
+
+// Clamp limits every element into [lo, hi] in place.
+func (t *Tensor) Clamp(lo, hi float32) {
+	for i := range t.data {
+		v := t.data[i]
+		if v < lo {
+			v = lo
+		} else if v > hi {
+			v = hi
+		}
+		t.data[i] = v
+	}
+}
+
+// Set writes the element at the given multi-index.
+func (t *Tensor) Set(v float32, idx ...int) { t.data[t.offset(idx)] = v }
