@@ -70,4 +70,13 @@
 // or hard-swish. The epilogue is BiasAct's instructions in BiasAct's operand
 // order, so it is the Go loop followed by its sweep, bit for bit. The
 // package has 17 routines.
+//
+// # Layout
+//
+// Each routine of vec_amd64.s, the CPU probe's two included, opens with
+// PCALIGN $64, so it starts on a 64-byte cache line and where its loops fall
+// is fixed by that file alone, not by the size of the code linked before it.
+// A routine with a frame pads once after its prologue, outside every loop. A
+// new routine must open the same way; TestEveryRoutineOpensOnACacheLine
+// fails otherwise.
 package vec

@@ -11,6 +11,7 @@
 //     take the Go branches;
 //   - a lane that has no element (a row tail, a tap outside the image) is
 //     masked out of every read and write, so no access leaves the slices;
+//   - every routine opens with PCALIGN $64 (doc.go, "Layout");
 //   - every routine ends in VZEROUPPER.
 //
 // The wrappers validate every length before taking a pointer; nothing here
@@ -64,6 +65,7 @@ GLOBL hsConst<>(SB), RODATA|NOPTR, $16
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
+	PCALIGN $64
 	MOVL leaf+0(FP), AX
 	MOVL sub+4(FP), CX
 	CPUID
@@ -75,6 +77,7 @@ TEXT ·cpuid(SB), NOSPLIT, $0-24
 
 // func xgetbv0() uint32
 TEXT ·xgetbv0(SB), NOSPLIT, $0-4
+	PCALIGN $64
 	XORL CX, CX
 	XGETBV
 	MOVL AX, ret+0(FP)
@@ -102,6 +105,7 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-4
 // bias, Y11 the acc mask, Y12–Y15 = 3, 6, 1, +0; bp the bias cursor, 0 when
 // there is no bias.
 TEXT ·gemm(SB), NOSPLIT, $8-90
+	PCALIGN $64
 	MOVQ c+0(FP), DI
 	MOVQ a+16(FP), SI
 	MOVQ acs+32(FP), R10
@@ -370,6 +374,7 @@ gemmNextRow:
 //
 // Requires n ≥ 8 (the Go wrapper runs narrower outputs on the Go loop).
 TEXT ·dotTransB(SB), NOSPLIT, $0-49
+	PCALIGN $64
 	MOVQ k+32(FP), R9
 	SHLQ $2, R9
 	LEAQ (R9)(R9*2), R10
@@ -542,6 +547,7 @@ dotDone:
 // side), Y10 the first min(8, 2r−1) lanes and Y11 the first max(0, 2r−8)
 // lanes (the wide side's two reads).
 TEXT ·gather2(SB), NOSPLIT, $0-48
+	PCALIGN $64
 	MOVQ dst+0(FP), DI
 	MOVQ dstStride+8(FP), R8
 	SHLQ $2, R8
@@ -781,6 +787,7 @@ GLOBL vecEven<>(SB), RODATA|NOPTR, $32
 
 // func gradX3x3(dimg, dy, w *float32, planes, outH, outW, inH, inW, strideH, strideW, padH, padW int)
 TEXT ·gradX3x3(SB), NOSPLIT, $720-96
+	PCALIGN $64
 	MOVQ padH+80(FP), AX
 	MOVQ AX, padH-648(SP)
 	MOVQ strideH+64(FP), AX
@@ -1147,6 +1154,7 @@ GLOBL hsVec<>(SB), RODATA|NOPTR, $96
 
 // func depthwise3x3(y, img, w *float32, outH, outW, inH, inW, strideH, strideW, padH, padW, live int, bias float32, hswish bool)
 TEXT ·depthwise3x3(SB), NOSPLIT, $112-101
+	PCALIGN $64
 	MOVQ inW+48(FP), R11
 	SHLQ $2, R11
 	MOVQ strideH+56(FP), R9
@@ -1409,6 +1417,7 @@ dwDone:
 	VMOVSS X0, (t*4)(DI)
 
 TEXT ·gradW3x3(SB), NOSPLIT, $40-104
+	PCALIGN $64
 	MOVQ img+16(FP), AX
 	MOVQ AX, src-8(SP)
 	MOVQ inH+48(FP), AX
@@ -1624,6 +1633,7 @@ gwFold:
 
 // func foldScaled(dst *float64, src *float32, w float64, n int)
 TEXT ·foldScaled(SB), NOSPLIT, $0-32
+	PCALIGN $64
 	MOVQ dst+0(FP), DI
 	MOVQ src+8(FP), SI
 	VBROADCASTSD w+16(FP), Y15
@@ -1669,6 +1679,7 @@ foldDone:
 // here whose lanes lie along a reduction: its terms are the serial chain's
 // bits, its sum is not. The package doc's third rule says who may call it.
 TEXT ·sqDist(SB), NOSPLIT, $0-32
+	PCALIGN $64
 	MOVQ a+0(FP), SI
 	MOVQ b+8(FP), DX
 	MOVQ n+16(FP), CX
@@ -1736,6 +1747,7 @@ sqDone:
 //
 // y[i] = x[i] · hardSigmoid(x[i])
 TEXT ·hardSwish(SB), NOSPLIT, $0-24
+	PCALIGN $64
 	MOVQ y+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ n+16(FP), BX
@@ -1768,6 +1780,7 @@ hswDone:
 //
 // dx[i] = dy[i] · (hardSigmoid(x[i]) + x[i]/6 inside (−3, 3))
 TEXT ·hardSwishGrad(SB), NOSPLIT, $0-32
+	PCALIGN $64
 	MOVQ dx+0(FP), DI
 	MOVQ dy+8(FP), DX
 	MOVQ x+16(FP), SI
@@ -1805,6 +1818,7 @@ hsgDone:
 // y[r·n + j] = act(y[r·n + j] + bias[r]), act the identity or hard-swish:
 // the conv bias add of training and the frozen conv epilogue.
 TEXT ·biasAct(SB), NOSPLIT, $0-33
+	PCALIGN $64
 	MOVQ y+0(FP), DI
 	MOVQ rows+8(FP), R13
 	MOVQ n+16(FP), R10
@@ -1860,6 +1874,7 @@ baNext:
 //
 // y[r·n + j] = x[r·n + j] · z[r]: the squeeze-excite rescale.
 TEXT ·scaleRows(SB), NOSPLIT, $0-40
+	PCALIGN $64
 	MOVQ y+0(FP), DI
 	MOVQ x+8(FP), SI
 	MOVQ z+16(FP), DX
@@ -1902,6 +1917,7 @@ srNext:
 //
 // out[i] = a[i] + b[i]: the identity-skip residual sum.
 TEXT ·add(SB), NOSPLIT, $0-32
+	PCALIGN $64
 	MOVQ out+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DX
@@ -1955,6 +1971,7 @@ addDone:
 // For r < rows, j < n at offset r·stride + j (one channel across the batch):
 // xhat = (x − mean)·inv; out = g·xhat + b.
 TEXT ·bnNormalize(SB), NOSPLIT, $0-64
+	PCALIGN $64
 	MOVQ out+0(FP), DI
 	MOVQ xhat+8(FP), DX
 	MOVQ x+16(FP), SI
@@ -2020,6 +2037,7 @@ bnfNext:
 
 // func bnGradX(dx, dy, xhat *float32, stride, rows, n int, gamma, scale, m, sDyG, sDyXh float32)
 TEXT ·bnGradX(SB), NOSPLIT, $0-68
+	PCALIGN $64
 	MOVQ dx+0(FP), DI
 	MOVQ dy+8(FP), DX
 	MOVQ xhat+16(FP), SI
@@ -2185,6 +2203,7 @@ bnbNext:
 // sum[c] = Σ a, dot[c] = Σ a·a over rows samples of n elements for the eight
 // channels c·n into a: the training forward's (Σx, Σx²).
 TEXT ·bnSumSq(SB), NOSPLIT, $0-48
+	PCALIGN $64
 	BNSETUP(a+16(FP), stride+24(FP), rows+32(FP), n+40(FP))
 
 bnqRow:
@@ -2234,6 +2253,7 @@ bnqNext:
 // sum[c] = Σ a, dot[c] = Σ a·b over the same layout: the backward's
 // (Σdy, Σdy·x̂).
 TEXT ·bnSumDot(SB), NOSPLIT, $0-56
+	PCALIGN $64
 	BNSETUP(a+16(FP), stride+32(FP), rows+40(FP), n+48(FP))
 	MOVQ b+24(FP), DX
 
