@@ -431,14 +431,16 @@
 //     it reaches Config.MaxBatch, when Config.BatchBudget virtual time has
 //     passed since its first request, or when a publish occurs — a batch
 //     never mixes versions, so every request is served end-to-end by the
-//     exact version it was admitted under. Flushed batches execute on
-//     Config.Workers frozen replicas (nn.ReplicaPool), each granted
-//     IntraOp/Workers cores; a replica reloads + re-folds weights only when
-//     its pinned version changes (nn.Replica.Ensure), not per batch. If
-//     Ensure fails at service start, the error path rolls back everything
-//     the batch held — the busy slot, the borrowed replica, the version
-//     pin, the batch struct — before surfacing the error, so a failed run
-//     leaves the pool full, the store at Live()==1, and nothing leaked.
+//     exact version it was admitted under. A flushed batch computes at
+//     dispatch through Server.infer, PredictInto's own path: it borrows
+//     one of Config.Workers frozen replicas (nn.ReplicaPool), each granted
+//     IntraOp/Workers cores, runs the forward and returns the replica; a
+//     replica reloads + re-folds weights only when the version it serves
+//     changes (nn.Replica.Ensure), not per batch. The pin is released at
+//     dispatch, so a batch in virtual service holds nothing but one of the
+//     Workers service slots. A fully-shed or failed batch releases its
+//     pin and never takes a slot, so a failed run leaves the pool full,
+//     the store at Live()==1, and nothing leaked.
 //   - Flush order: flushed batches start in FIFO order by default.
 //     Config.Flush = FlushEDF (flserve -flush edf) starts them earliest-
 //     deadline-first instead, deadline = oldest member's arrival +

@@ -5,6 +5,10 @@ import (
 	"math"
 	"sort"
 	"testing"
+
+	"heteroswitch/internal/frand"
+	"heteroswitch/internal/nn"
+	"heteroswitch/internal/tensor"
 )
 
 // The three parsers below face flserve's -arrival-model, -admission and
@@ -155,4 +159,94 @@ func FuzzParseFlush(f *testing.F) {
 			t.Fatalf("ParseFlush(%q) = %v, but String() %q parses to %v, %v", spec, p, p, again, err)
 		}
 	})
+}
+
+// FuzzLoadInvariants: on small configurations of serve_sim's 16-to-3 dense
+// net — batch size, budget, up to four workers, admission depth and
+// deadline, open or closed arrivals, service prices and publish churn all
+// drawn from the input — every run accounts for each request exactly once
+// (served, shed at admission or shed at its deadline), leaves the replica
+// pool full and only the current version live, never holds more than Depth
+// requests pending, and, without churn, reports the same under EDF as under
+// FIFO.
+func FuzzLoadInvariants(f *testing.F) {
+	f.Add(uint8(7), uint8(4), uint8(1), uint8(32), uint8(12), uint8(199), uint8(0), uint8(5), uint8(0x49), uint8(0x21), true, uint64(42))
+	f.Add(uint8(3), uint8(1), uint8(0), uint8(12), uint8(16), uint8(120), uint8(11), uint8(0), uint8(0x20), uint8(0x42), false, uint64(7))
+	f.Add(uint8(0), uint8(0), uint8(3), uint8(0), uint8(0), uint8(0), uint8(0), uint8(1), uint8(0), uint8(0), false, uint64(1))
+	f.Add(uint8(7), uint8(15), uint8(2), uint8(4), uint8(3), uint8(255), uint8(5), uint8(0), uint8(0xff), uint8(0xff), true, uint64(9))
+	f.Fuzz(func(t *testing.T, maxBatch, budget, workers, depth, deadline, requests, concurrency, publishEvery, arrival, service uint8, edf bool, seed uint64) {
+		cfg := Config{
+			MaxBatch:    1 + int(maxBatch%8),
+			BatchBudget: float64(budget%16) / 4,
+			Workers:     1 + int(workers%4),
+			IntraOp:     1,
+			Admission:   AdmissionConfig{Depth: int(depth % 40), Deadline: float64(deadline%32) / 2},
+		}
+		lc := LoadConfig{
+			Requests:     1 + int(requests),
+			Concurrency:  int(concurrency % 12),
+			Service:      AffineService{Base: float64(service%8) / 4, PerItem: float64(service>>3) / 16},
+			Seed:         seed,
+			PublishEvery: int(publishEvery % 6),
+			Inputs:       denseInputs(seed),
+		}
+		if arrival&1 == 0 {
+			lc.Arrival = OpenLoop{Rate: 0.5 + float64(arrival>>1)/16, Seed: seed}
+		} else {
+			lc.Arrival = ClosedLoop{Think: float64(arrival>>1) / 16, Seed: seed}
+		}
+		run := func(flush FlushPolicy) Report {
+			cfg.Flush = flush
+			srv := denseServer(t, seed, cfg)
+			rep, err := srv.RunLoad(lc)
+			if err != nil {
+				t.Fatalf("%+v %+v: %v", cfg, lc, err)
+			}
+			if rep.Requests != lc.Requests || rep.Served+rep.ShedQueue+rep.ShedDeadline != rep.Requests {
+				t.Fatalf("%+v: %d served + %d shed at admission + %d shed at deadline of %d requests, want %d",
+					cfg, rep.Served, rep.ShedQueue, rep.ShedDeadline, rep.Requests, lc.Requests)
+			}
+			if free, size := srv.pool.Free(), srv.pool.Size(); free != size {
+				t.Fatalf("%+v: %d of %d replicas free after the run", cfg, free, size)
+			}
+			if live := srv.Store().Live(); live != 1 {
+				t.Fatalf("%+v: %d live versions after the run, want 1", cfg, live)
+			}
+			if d := cfg.Admission.Depth; d > 0 && rep.MaxQueue > d {
+				t.Fatalf("%+v: %d requests pending at once, depth %d", cfg, rep.MaxQueue, d)
+			}
+			return rep
+		}
+		flush, other := FlushFIFO, FlushEDF
+		if edf {
+			flush, other = other, flush
+		}
+		rep := run(flush)
+		if lc.PublishEvery == 0 {
+			requireSameReport(t, rep, run(other), "the other flush policy without churn")
+		}
+	})
+}
+
+// denseServer serves serve_sim's 16-to-3 dense net, seeded like simRun's.
+func denseServer(tb testing.TB, seed uint64, cfg Config) *Server {
+	tb.Helper()
+	build := func() *nn.Network {
+		return nn.NewNetwork(nn.NewFlatten(), nn.NewDense(frand.New(seed^0x51a), 16, 3))
+	}
+	srv, err := NewServer(build, build().Snapshot(), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return srv
+}
+
+// denseInputs is simRun's bank of sixteen 1×4×4 inputs.
+func denseInputs(seed uint64) []*tensor.Tensor {
+	r := frand.New(seed ^ 0x1ead)
+	inputs := make([]*tensor.Tensor, 16)
+	for i := range inputs {
+		inputs[i] = tensor.Randn(r, 0.5, 1, 4, 4)
+	}
+	return inputs
 }

@@ -56,9 +56,10 @@ const (
 )
 
 // simEvent is one scheduled occurrence, stored in the slot its simclock
-// event ID names. An evPublish carries no payload here: at most one is ever
-// pending (PublishAt drains through its own instant before returning), so
-// its weights wait in loadState.publishW.
+// event ID names. An evPublish carries no payload here: PublishAt applies
+// its publish before returning (as the popped event, or directly once the
+// load has drained), so at most one is ever pending and its weights wait in
+// loadState.publishW.
 type simEvent struct {
 	kind int
 	req  int    // evArrival: request id
@@ -77,13 +78,14 @@ const (
 	slotMask = 1<<slotBits - 1
 )
 
-// batch is one flushed micro-batch: request ids pinned to the model version
-// current at flush, plus the replica executing it.
+// batch is one flushed micro-batch: request ids and the model version
+// current at flush. It holds a pin on that version (and its weights w) from
+// the flush until its compute at dispatch; in virtual service it holds
+// nothing, and version stays only for the staleness count at completion.
 type batch struct {
 	ids     []int
 	version int
 	w       nn.Weights
-	rep     *nn.Replica
 }
 
 // loadState is the single-goroutine virtual-time simulation behind RunLoad,
@@ -101,7 +103,7 @@ type loadState struct {
 	seq       int
 	events    []simEvent
 	freeSlots []int
-	publishW  nn.Weights // the pending evPublish's weights
+	publishW  nn.Weights // the pending publish's weights; zero once applied
 
 	// Request bookkeeping, preallocated for all lc.Requests.
 	nextReq    int
@@ -141,8 +143,10 @@ type loadState struct {
 	reissues int
 
 	// staging[n-1] is the [n, sample...] input tensor batches of size n are
-	// assembled into before the frozen forward.
-	staging []*tensor.Tensor
+	// assembled into before the frozen forward; batchOut takes its output
+	// before the rows scatter to outs by request id.
+	staging  []*tensor.Tensor
+	batchOut []float32
 
 	hist Histogram
 
@@ -167,6 +171,12 @@ func (s *Server) RunLoad(lc LoadConfig) (Report, error) {
 	if err := s.beginLoad(lc); err != nil {
 		return Report{}, err
 	}
+	return s.finish()
+}
+
+// finish runs the load to completion and reports it: the one run loop behind
+// RunLoad and FinishTrainLoad.
+func (s *Server) finish() (Report, error) {
 	for s.step() {
 	}
 	if err := s.ld.failed(); err != nil {
@@ -176,24 +186,13 @@ func (s *Server) RunLoad(lc LoadConfig) (Report, error) {
 }
 
 // failed returns the run's error, nil for a healthy run. A failed run first
-// gives back what its unfinished batches hold: each batch still in service
-// (a pending evDone) returns its replica, and it and each batch still queued
-// release their version pin and recycle. Every exit that surfaces the error
-// goes through here, so the pool is full and only the current version is
-// live afterwards — the next run on the server would otherwise wait forever
-// for a replica. It is idempotent.
+// releases the version pin of each batch still queued and recycles it; a
+// batch in service holds nothing, having returned its replica and its pin
+// at dispatch. Every exit that surfaces the error goes through here, so only
+// the current version is live afterwards. It is idempotent.
 func (ld *loadState) failed() error {
 	if ld.err == nil {
 		return nil
-	}
-	for i, e := range ld.events {
-		if e.kind == evDone && e.b != nil {
-			ld.busy--
-			ld.srv.pool.Put(e.b.rep)
-			e.b.rep = nil
-			ld.unpin(e.b)
-			ld.events[i] = simEvent{}
-		}
 	}
 	for _, b := range ld.queue[ld.qhead:] {
 		ld.unpin(b)
@@ -261,6 +260,7 @@ func (s *Server) beginLoad(lc LoadConfig) error {
 	}
 	s.store.Release(v)
 
+	ld.batchOut = make([]float32, s.cfg.MaxBatch*ld.outDim)
 	ld.arrTime = make([]float64, lc.Requests)
 	ld.lat = make([]float64, lc.Requests)
 	ld.outs = make([]float32, lc.Requests*ld.outDim)
@@ -369,16 +369,20 @@ func (s *Server) step() bool {
 	return ld.done < ld.lc.Requests && ld.err == nil
 }
 
-// applyPublish installs the pending trained global version: the forming
-// batch (if any) flushes first, pinned to the pre-publish version — exactly
-// the ordering the PublishEvery churn path uses — and then the store
-// advances.
+// applyPublish is the one publish rule: the forming batch (if any) flushes
+// first, pinned to the pre-publish version, and then the store advances — to
+// the pending trained weights in a wired run, to a republished copy of the
+// current ones under PublishEvery churn.
 func (ld *loadState) applyPublish() {
 	if len(ld.forming) > 0 {
 		ld.flush()
 	}
-	ld.curVersion = ld.srv.store.Publish(ld.publishW)
-	ld.publishW = nn.Weights{}
+	if ld.wired {
+		ld.curVersion = ld.srv.store.Publish(ld.publishW)
+		ld.publishW = nn.Weights{}
+	} else {
+		ld.curVersion = ld.srv.store.Republish()
+	}
 }
 
 // onArrival admits one request to the forming batch, flushing at MaxBatch
@@ -418,7 +422,8 @@ func (ld *loadState) onArrival(req int) {
 // off. Under FlushFIFO an idle worker takes it at once, even past older
 // queued batches (the queue jump FlushPolicy documents); otherwise it joins
 // the queue and drains, so under FlushEDF a flush that happens while older
-// batches are queued — the publish-churn path — cannot jump them.
+// batches are queued — the publish-churn path — cannot jump them. The pin
+// taken here is released at dispatch.
 func (ld *loadState) flush() {
 	b := ld.getBatch()
 	b.ids = append(b.ids[:0], ld.forming...)
@@ -435,8 +440,7 @@ func (ld *loadState) flush() {
 
 // drain pulls queued batches onto free workers, oldest flush first, until
 // either runs out. A fully-deadline-shed batch never occupies a worker, so
-// the loop keeps pulling past it; an execution error stops the drain
-// (startService has already rolled the failed batch back).
+// the loop keeps pulling past it; an execution error stops the drain.
 func (ld *loadState) drain() {
 	for ld.err == nil && ld.busy < ld.srv.cfg.Workers && ld.qhead < len(ld.queue) {
 		nb := ld.queue[ld.qhead]
@@ -482,12 +486,13 @@ func (ld *loadState) feed(id int) bool {
 }
 
 // startService executes the batch NOW (the compute is real: assemble inputs,
-// ensure the replica serves the pinned version, run the frozen forward, copy
-// outputs out by request id) and schedules its completion at now + the
-// service model's virtual duration. Under a deadline policy, requests whose
-// queueing wait already blew the deadline are shed here — at the last
-// instant before they would burn service capacity; a fully-shed batch
-// releases its version pin and never reaches a worker.
+// run them through Server.infer under the version pinned at flush, copy
+// outputs out by request id), releases the pin, and schedules the completion
+// at now + the service model's virtual duration. Under a deadline policy,
+// requests whose queueing wait already blew the deadline are shed here — at
+// the last instant before they would burn service capacity. A fully-shed or
+// failed batch releases its pin and never takes a worker: busy counts only
+// batches whose compute succeeded.
 func (ld *loadState) startService(b *batch) {
 	ld.pending -= len(b.ids)
 	if dl := ld.srv.cfg.Admission.Deadline; dl > 0 {
@@ -506,47 +511,37 @@ func (ld *loadState) startService(b *batch) {
 			return
 		}
 	}
-	dur := ld.lc.Service.Batch(len(b.ids), ld.batchSeq)
+	n := len(b.ids)
+	dur := ld.lc.Service.Batch(n, ld.batchSeq)
 	// Negative or NaN is a completion before the dispatch; +Inf (or a finite
-	// duration whose completion overflows) one that never comes. Checked here,
-	// before the batch takes a worker, so the failed run leaks nothing.
+	// duration whose completion overflows) one that never comes.
 	if !(dur >= 0 && ld.clock.Now()+dur <= math.MaxFloat64) {
 		ld.unpin(b)
-		ld.err = fmt.Errorf("serve: service model priced a batch of %d at %v, want a finite duration >= 0", len(b.ids), dur)
+		ld.err = fmt.Errorf("serve: service model priced a batch of %d at %v, want a finite duration >= 0", n, dur)
 		return
 	}
-	ld.busy++
-	rep := ld.srv.pool.Get()
-	b.rep = rep
-	if err := rep.Ensure(b.version, b.w); err != nil {
-		// Roll back everything the batch holds before surfacing the error:
-		// the worker slot, the borrowed replica, the version pin, and the
-		// batch struct itself. Without this the run leaked a replica and a
-		// pinned version per failed Ensure and kept reporting a busy worker.
-		ld.busy--
-		b.rep = nil
-		ld.srv.pool.Put(rep)
-		ld.unpin(b)
-		ld.err = err
-		return
-	}
-	n := len(b.ids)
 	x := ld.staging[n-1]
 	for r, id := range b.ids {
 		copy(x.Data()[r*ld.sampleSize:(r+1)*ld.sampleSize], ld.lc.Inputs[id%len(ld.lc.Inputs)].Data())
 	}
-	out := rep.Infer(x).Data()
-	for r, id := range b.ids {
-		copy(ld.outs[id*ld.outDim:(id+1)*ld.outDim], out[r*ld.outDim:(r+1)*ld.outDim])
+	if _, err := ld.srv.infer(b.version, b.w, x, ld.batchOut); err != nil {
+		ld.unpin(b)
+		ld.err = err
+		return
 	}
+	ld.srv.store.Release(b.version)
+	b.w = nn.Weights{}
+	for r, id := range b.ids {
+		copy(ld.outs[id*ld.outDim:(id+1)*ld.outDim], ld.batchOut[r*ld.outDim:(r+1)*ld.outDim])
+	}
+	ld.busy++
 	ld.batchSeq++
 	ld.schedule(dur, simEvent{kind: evDone, b: b})
 }
 
 // onDone retires a completed batch: record latencies, feed the closed loop,
-// release the version pin and the replica, then pull queued work onto the
-// freed worker. Version churn (PublishEvery) fires here, after the forming
-// batch is flushed under its admission version.
+// recycle the batch, then pull queued work onto the freed worker. Version
+// churn (PublishEvery) fires here, through the same rule as a wired publish.
 func (ld *loadState) onDone(b *batch) {
 	now := ld.clock.Now()
 	ld.busy--
@@ -562,19 +557,12 @@ func (ld *loadState) onDone(b *batch) {
 	if ld.wired && len(b.ids) > 0 {
 		ld.recordStaleness(stale, len(b.ids))
 	}
-	ld.srv.store.Release(b.version)
-	ld.srv.pool.Put(b.rep)
-	b.rep = nil
-	b.w = nn.Weights{}
 	ld.batchesDone++
 	ld.sizeSum += len(b.ids)
 	ld.putBatch(b)
 
 	if pe := ld.lc.PublishEvery; pe > 0 && ld.batchesDone%pe == 0 {
-		if len(ld.forming) > 0 {
-			ld.flush() // the forming batch belongs to the pre-publish version
-		}
-		ld.curVersion = ld.srv.store.Republish()
+		ld.applyPublish()
 	}
 	ld.drain()
 }
@@ -608,8 +596,8 @@ func (ld *loadState) getBatch() *batch {
 // putBatch returns a batch struct to the free stack.
 func (ld *loadState) putBatch(b *batch) { ld.freeBatches = append(ld.freeBatches, b) }
 
-// unpin gives back what a batch that reaches no worker holds: its version pin
-// and the batch itself.
+// unpin gives back what a batch that never takes a worker holds: its version
+// pin and the batch itself.
 func (ld *loadState) unpin(b *batch) {
 	ld.srv.store.Release(b.version)
 	b.w = nn.Weights{}
@@ -703,8 +691,10 @@ func (s *Server) BeginTrainLoad(lc LoadConfig) error {
 // at or before t. Ordering is fixed and deterministic: serving events already
 // scheduled at exactly t fire before the publish (the publish event carries a
 // larger tie-break ID), the forming batch then flushes pinned to the
-// pre-publish version, and the store advances. t must be finite and must not
-// precede an instant the serving clock has already passed. The store takes
+// pre-publish version, and the store advances. A load that drains before t
+// leaves the clock at its last completion, and the publish applies there. t
+// must be finite and must not precede an instant the serving clock has
+// already passed. The store takes
 // ownership of w — publish a Store().TakeBuffer() copy, never a buffer the
 // trainer will recycle.
 func (s *Server) PublishAt(t float64, w nn.Weights) error {
@@ -722,33 +712,25 @@ func (s *Server) PublishAt(t float64, w nn.Weights) error {
 		return fmt.Errorf("serve: publish at %g is in the serving past (now %g)", t, ld.clock.Now())
 	}
 	ld.publishW = w
-	if ld.done >= ld.lc.Requests {
-		// The load has drained; nothing left to interleave with, but the
-		// version stream stays complete for anyone reading the store.
-		ld.applyPublish()
-		return nil
+	if ld.done < ld.lc.Requests {
+		ld.scheduleAt(t, simEvent{kind: evPublish})
 	}
-	ld.scheduleAt(t, simEvent{kind: evPublish})
 	return s.advanceTo(t)
 }
 
-// advanceTo processes every pending event at or before t. Once the load has
-// drained mid-advance, remaining publishes still apply (the trainer keeps
-// publishing) while stale deadlines are discarded.
+// advanceTo handles every pending event at or before t while requests remain.
+// A load that drains first stops the clock at its last completion: the
+// pending publish is applied without moving it, and stale deadlines are left
+// in the heap unpopped (the trainer keeps publishing after serving ends).
 func (s *Server) advanceTo(t float64) error {
 	ld := &s.ld
-	for ld.err == nil {
-		ev, ok := ld.clock.Peek()
-		if !ok || ev.At > t {
+	for {
+		if ev, ok := ld.clock.Peek(); !ok || ev.At > t || !s.step() {
 			break
 		}
-		if ld.done < ld.lc.Requests {
-			s.step()
-			continue
-		}
-		if e, _ := ld.popEvent(); e.kind == evPublish {
-			ld.applyPublish()
-		}
+	}
+	if ld.err == nil && ld.publishW.Params != nil {
+		ld.applyPublish()
 	}
 	return ld.failed()
 }
@@ -760,12 +742,7 @@ func (s *Server) FinishTrainLoad() (Report, error) {
 	if !s.ld.wired {
 		return Report{}, fmt.Errorf("serve: FinishTrainLoad outside a BeginTrainLoad run")
 	}
-	for s.step() {
-	}
-	if err := s.ld.failed(); err != nil {
-		return Report{}, err
-	}
-	return s.ld.report(), nil
+	return s.finish()
 }
 
 // foldU64 mixes eight little-endian bytes of v into an FNV-1a digest.

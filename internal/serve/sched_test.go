@@ -38,11 +38,11 @@ func TestQuantilesNearestRank(t *testing.T) {
 	}
 }
 
-// A failing Replica.Ensure at service start must roll back everything the
-// batch holds — the busy slot, the borrowed replica, the version pin, the
-// batch struct — and surface the error cleanly. The failure is provoked end
-// to end: a wired publish installs weights of an incompatible architecture,
-// so the next flushed batch pins a version no replica can load.
+// A failing Replica.Ensure at service start must leave nothing held — no
+// busy slot, no borrowed replica, no version pin, no batch struct — and
+// surface the error cleanly. The failure is provoked end to end: a wired
+// publish installs weights of an incompatible architecture, so the next
+// flushed batch pins a version no replica can load.
 func TestEnsureErrorPathReleasesEverything(t *testing.T) {
 	cfg := Config{MaxBatch: 1, Workers: 1, IntraOp: 1}
 	s := testServer(t, cfg)
@@ -97,11 +97,11 @@ func (m nanAtSeq) Batch(_, seq int) float64 {
 
 // A run that fails while other batches are unfinished gives back what they
 // hold before it returns, on every exit that surfaces the error: a batch
-// still in service its replica and version pin, a batch still queued its
-// pin. Otherwise the pool stays short a replica and the next run on the
-// server blocks forever waiting for it. Batch 1 is priced at NaN: with two
-// workers batch 0 is still in service then; with one, batch 1 fails when
-// batch 0 completes, with later batches queued behind it.
+// still queued its version pin. Otherwise a retired version stays live, or
+// the pool stays short a replica and the next run on the server blocks
+// forever waiting for it. Batch 1 is priced at NaN: with two workers batch 0
+// is still in service then; with one, batch 1 fails when batch 0 completes,
+// with later batches queued behind it.
 func TestLoadErrorReleasesInFlightBatches(t *testing.T) {
 	lc := LoadConfig{
 		Requests: 40,
@@ -178,7 +178,9 @@ func (a scriptedArrival) Closed() bool { return false }
 // A batch whose every request blew the deadline is shed whole at service
 // start: its version pin is released, the batch struct recycles, the worker
 // is never marked busy, and the drain loop keeps pulling — the next queued
-// batch starts in the same drain.
+// batch starts in the same drain. A batch in virtual service holds no
+// replica (its compute finished at dispatch), so mid-run the worker shows
+// as busy, not as a borrowed replica.
 func TestFullyShedBatchNeverReachesWorker(t *testing.T) {
 	cfg := Config{MaxBatch: 1, Workers: 1, IntraOp: 1, Admission: AdmissionConfig{Deadline: 1}}
 	s := testServer(t, cfg)
@@ -202,9 +204,8 @@ func TestFullyShedBatchNeverReachesWorker(t *testing.T) {
 	}
 	// The instant after the shed: the drain pulled past the fully-shed batch
 	// and started the next queued one on the freed worker.
-	if s.ld.busy != 1 || s.pool.Free() != 0 {
-		t.Fatalf("after fully-shed batch: busy=%d poolFree=%d, want the NEXT batch in service (1, 0)",
-			s.ld.busy, s.pool.Free())
+	if s.ld.busy != 1 {
+		t.Fatalf("after fully-shed batch: busy=%d, want the NEXT batch in service (1)", s.ld.busy)
 	}
 	if s.ld.served != 1 || s.ld.shedD != 1 {
 		t.Fatalf("served=%d shedD=%d at the shed instant, want 1, 1", s.ld.served, s.ld.shedD)

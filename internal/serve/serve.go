@@ -20,8 +20,9 @@ type Config struct {
 	// requests before flushing, measured from its first request's admission.
 	// 0 still coalesces requests arriving at the same virtual instant.
 	BatchBudget float64
-	// Workers is the number of batches executing concurrently, each on its
-	// own frozen replica. 0 means 1.
+	// Workers is the number of batches the load harness keeps in virtual
+	// service at once, and the size of the frozen replica pool PredictInto
+	// callers share. 0 means 1.
 	Workers int
 	// IntraOp is the total intra-op core budget, split evenly across
 	// workers (each replica gets at least 1). A replica's share splits a
@@ -185,21 +186,30 @@ func NewServer(build func() *nn.Network, w nn.Weights, cfg Config) (*Server, err
 func (s *Server) Store() *Store { return s.store }
 
 // PredictInto serves one request synchronously on the calling goroutine: it
-// pins the current model version, borrows a replica (blocking while all
-// Workers replicas are busy — the pool is the admission valve), runs the
-// frozen forward, and copies the outputs into dst. It returns the version
-// that served the request and the number of values written. Concurrent
-// callers race only for replicas; the version pin guarantees each request is
-// served end-to-end by the exact version current at its admission, even
-// while Publish runs.
+// pins the current model version, runs it through infer, and returns the
+// version that served the request and the number of values written to dst.
+// Concurrent callers race only for replicas; the version pin guarantees each
+// request is served end-to-end by the exact version current at its
+// admission, even while Publish runs.
 func (s *Server) PredictInto(dst []float32, x *tensor.Tensor) (version, n int, err error) {
 	v, w := s.store.Acquire()
 	defer s.store.Release(v)
+	if n, err = s.infer(v, w, x, dst); err != nil {
+		return 0, 0, err
+	}
+	return v, n, nil
+}
+
+// infer is the one execution path of both PredictInto and the load harness:
+// it borrows a replica (blocking while all Workers replicas are busy — the
+// pool is the admission valve), loads version v's weights w into it if it
+// holds another, runs the frozen forward on x, copies the output into dst
+// and returns the replica. The caller holds the pin on v across the call.
+func (s *Server) infer(v int, w nn.Weights, x *tensor.Tensor, dst []float32) (int, error) {
 	rep := s.pool.Get()
 	defer s.pool.Put(rep)
 	if err := rep.Ensure(v, w); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	out := rep.Infer(x)
-	return v, copy(dst, out.Data()), nil
+	return copy(dst, rep.Infer(x).Data()), nil
 }

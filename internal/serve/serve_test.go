@@ -298,6 +298,23 @@ func TestLoadSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// PredictInto — pin, borrow, forward, copy, return — allocates nothing once
+// its replica holds the current version: the front door's 0-alloc contract.
+func TestPredictIntoZeroAlloc(t *testing.T) {
+	srv := testServer(t, Config{Workers: 1, IntraOp: 1})
+	x := tensor.FromSlice(testInputs(1)[0].Data(), 1, 1, 8, 8)
+	dst := make([]float32, 3)
+	if _, n, err := srv.PredictInto(dst, x); err != nil || n != len(dst) {
+		t.Fatalf("PredictInto wrote %d values, err %v; want %d", n, err, len(dst))
+	}
+	if israce.Enabled {
+		t.Skip("sync.Pool drops items randomly under -race; alloc counts are nondeterministic")
+	}
+	if allocs := testing.AllocsPerRun(200, func() { srv.PredictInto(dst, x) }); allocs != 0 {
+		t.Fatalf("PredictInto allocates %v/op, want 0", allocs)
+	}
+}
+
 // PredictInto under real concurrency: many goroutines share the replica pool
 // while the store republishes (same values, new versions) — outputs must
 // match the serial reference bit-for-bit and the version refcounts must

@@ -4,10 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"testing"
-
-	"heteroswitch/internal/frand"
-	"heteroswitch/internal/nn"
-	"heteroswitch/internal/tensor"
 )
 
 // simRun is perfbook's serve_sim configuration: a 16-to-3 dense net on 1×4×4
@@ -18,29 +14,18 @@ import (
 // think for 4 units on average.
 func simRun(tb testing.TB, seed uint64, closed bool) (*Server, LoadConfig) {
 	tb.Helper()
-	build := func() *nn.Network {
-		return nn.NewNetwork(nn.NewFlatten(), nn.NewDense(frand.New(seed^0x51a), 16, 3))
-	}
-	srv, err := NewServer(build, build().Snapshot(), Config{
+	srv := denseServer(tb, seed, Config{
 		MaxBatch: 8, BatchBudget: 1, Workers: 2, IntraOp: 2,
 		Admission: AdmissionConfig{Depth: 32, Deadline: 6},
 		Flush:     FlushEDF,
 	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	r := frand.New(seed ^ 0x1ead)
-	inputs := make([]*tensor.Tensor, 16)
-	for i := range inputs {
-		inputs[i] = tensor.Randn(r, 0.5, 1, 4, 4)
-	}
 	lc := LoadConfig{
 		Requests:     100000,
 		Arrival:      OpenLoop{Rate: 4.6, Seed: seed ^ 0xa11ce},
 		Service:      AffineService{Base: 1, PerItem: 0.25},
 		Seed:         seed,
 		PublishEvery: 5,
-		Inputs:       inputs,
+		Inputs:       denseInputs(seed),
 	}
 	if closed {
 		lc.Arrival, lc.Concurrency = ClosedLoop{Think: 4, Seed: seed ^ 0xa11ce}, 48

@@ -139,3 +139,36 @@ func TestWiredLoadAPIMisuse(t *testing.T) {
 		t.Fatalf("post-drain publish: version %d, want %d", got, v+1)
 	}
 }
+
+// A wired load that drains inside the advance carrying a publish stops its
+// clock at its last completion, not at the publish instant: it reports the
+// VirtualTime and Throughput RunLoad reports for the same load.
+func TestWiredDrainKeepsTheClock(t *testing.T) {
+	cfg := Config{MaxBatch: 4, BatchBudget: 0.2, Workers: 2, IntraOp: 1}
+	lc := LoadConfig{
+		Requests:    20,
+		Concurrency: 4,
+		Arrival:     ClosedLoop{Think: 0.3, Seed: 11},
+		Inputs:      testInputs(4),
+	}
+	want := mustLoad(t, cfg, lc)
+	s := testServer(t, cfg)
+	if err := s.BeginTrainLoad(lc); err != nil {
+		t.Fatal(err)
+	}
+	publishCopyAt(t, s, 1000)
+	got, err := s.FinishTrainLoad()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.VirtualTime >= 1000 {
+		t.Fatalf("the load ran to %g; it must drain before the publish at 1000", want.VirtualTime)
+	}
+	if got.VirtualTime != want.VirtualTime || got.Throughput != want.Throughput {
+		t.Fatalf("wired run reports time %g and throughput %g, RunLoad %g and %g",
+			got.VirtualTime, got.Throughput, want.VirtualTime, want.Throughput)
+	}
+	if v := s.Store().Version(); v != 1 {
+		t.Fatalf("store at version %d after the drained publish, want 1", v)
+	}
+}
