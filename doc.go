@@ -91,11 +91,13 @@
 //
 // internal/fl has one aggregation core (the unexported engine that fl.Server
 // and fl.AsyncServer embed) and two short drivers that differ only in how a
-// window of client steps is run. The core owns construction and validation,
-// the client-sampling stream (one Choice per K-draw; losing a sampled client
-// is the fault model's job), the training replicas with their accumulators
-// and scratch weight sets, the versioned global and its one finalize, the
-// RoundStats fold, GlobalNet, and the client step itself:
+// window of client steps is planned and folded. The core owns construction
+// and validation, the client-sampling stream (one Choice per K-draw; losing a
+// sampled client is the fault model's job), the training replicas with their
+// accumulators and scratch weight sets, the versioned global and its one
+// finalize, the RoundStats fold, GlobalNet, the window (one slice of steps
+// under both drivers), the crew that runs it — replica 0 on the calling
+// goroutine, W−1 goroutines for the rest — and the client step itself:
 //
 //	train on a replica against the job's global → corrupt (faults draw) →
 //	validation gate → Accumulator.Fold(result, scale) → keep only scalars
@@ -130,11 +132,11 @@
 // workers balanced on sample count (longest-first greedy — a pure function
 // of the sampled list, so shard contents never depend on scheduling), run
 // each shard's steps in sampling order on its own replica, scratch set and
-// accumulator, merge the shards tree-style, and finalize. No job outlives
-// the round, so the replaced global recycles at once and the next round's
-// finalize writes into it. Peak weight memory is O(W), not O(K); a round
-// allocates no model-sized buffer in steady state (TestServerRoundAllocations);
-// float64 shard sums confine the merge order to
+// accumulator on the crew, merge the shards tree-style, and finalize. No job
+// outlives the round, so the replaced global recycles at once and the next
+// round's finalize writes into it. Peak weight memory is O(W), not O(K); a
+// round allocates no model-sized buffer in steady state
+// (TestServerRoundAllocations); float64 shard sums confine the merge order to
 // double-precision rounding, so a fixed config is bit-reproducible at every
 // worker count. Checkpoints (SaveCheckpoint/LoadCheckpoint) live here only;
 // the loader treats its input as untrusted (FuzzLoadCheckpoint).
@@ -146,12 +148,14 @@
 // training result — timeouts, reissues, failures and their replacements, the
 // MaxStaleness drop rule, churn deferral — and scales each by a pluggable
 // fl.StalenessPolicy of how many versions it is behind (PolynomialStaleness
-// 1/(1+s)^α). Execute trains, corrupts and gates the steps on W =
-// fl.Config.Workers replicas, each against the exact version broadcast at its
-// dispatch, while the calling goroutine folds every result into the one
-// accumulator in plan (= event) order; a step starts only after the window's
-// earlier steps of the same client are folded, and the ring of 2W scratch
-// sets bounds what waits. Account releases the versions and adds the stats
+// 1/(1+s)^α). Execute runs one work loop on each of the crew's W =
+// fl.Config.Workers replicas: replica 0 folds the next step into the one
+// accumulator in plan (= event) order as soon as it is trained, and otherwise
+// every replica claims and trains the next step in plan order, against the
+// exact version broadcast at its dispatch. A step starts only after the
+// window's earlier steps of the same client are folded — claim scans the
+// unfolded span for one — and the ring of 2W scratch sets bounds both what
+// waits and that scan. Account releases the versions and adds the stats
 // in the same order, and the window finalizes. Every dispatched job retains
 // the version it was broadcast, so a replaced global stays resident until
 // the last job trained against it is accounted, and only then recycles into
@@ -233,8 +237,8 @@
 // training-parallelism knob:
 //
 //   - Both fl drivers train W client replicas concurrently
-//     (fl.Config.Workers), one network + arena per worker goroutine — the
-//     barrier server one shard per replica, the event loop one window's
+//     (fl.Config.Workers) on one crew, one network + arena per replica —
+//     the barrier server one shard per replica, the event loop one window's
 //     steps claimed in order.
 //   - The centralized harnesses train their independent models side by side
 //     on opts.Workers through parallel.For: Table 2 / Fig 2 one model per
@@ -242,8 +246,8 @@
 //     own RNG and arena, so their output is byte-identical at every worker
 //     count by construction.
 //
-// The event loop folds in event order on one goroutine, so its results do
-// not depend on W. The barrier server merges its shards' float64 sums and
+// The event loop's replica 0 folds in event order, so its results do not
+// depend on W. The barrier server merges its shards' float64 sums and
 // rounds to float32 once, at finalize, so the merge order W sets stays below
 // float32 resolution; TestSyncPinsHoldAtEveryWorkerCount holds the pinned
 // aggregation bytes at W = 1–4.

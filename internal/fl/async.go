@@ -110,8 +110,11 @@ func (a AsyncConfig) validate() error {
 	if a.Buffer > a.Concurrency {
 		return fmt.Errorf("fl: async buffer %d exceeds concurrency %d (a window could never fill)", a.Buffer, a.Concurrency)
 	}
-	if a.Timeout < 0 || a.RetryBackoff < 0 || a.MaxAttempts < 0 || a.MaxStaleness < 0 {
-		return fmt.Errorf("fl: negative async timeout/backoff/attempts/staleness: %g/%g/%d/%d",
+	// Written so NaN fails too: a NaN or +Inf span would reach the clock as a
+	// non-finite instant.
+	if !(a.Timeout >= 0 && a.Timeout <= math.MaxFloat64 && a.RetryBackoff >= 0 && a.RetryBackoff <= math.MaxFloat64) ||
+		a.MaxAttempts < 0 || a.MaxStaleness < 0 {
+		return fmt.Errorf("fl: negative or non-finite async timeout/backoff/attempts/staleness: %g/%g/%d/%d",
 			a.Timeout, a.RetryBackoff, a.MaxAttempts, a.MaxStaleness)
 	}
 	if a.Timeout <= 0 && (a.MaxAttempts > 0 || a.RetryBackoff > 0) {
@@ -153,12 +156,13 @@ type asyncEvent struct {
 // Each window runs in three phases. Plan pops the window's Buffer
 // completions off the clock with everything that reads no training result:
 // timeouts, reissues, failures and their replacements, the staleness drop
-// rule and discount. Execute trains, corrupts and gates the planned steps on
+// rule and discount. Execute runs the planned steps on the engine's crew of
 // W = min(Config.Workers, Buffer) replicas (at least 1), which split the
-// frozen forward's budget as the barrier server's do, while the calling
-// goroutine folds each result into the one accumulator in plan order.
-// Account releases the versions and adds the stats in the same order, and
-// the window finalizes.
+// frozen forward's budget as the barrier server's do: every replica claims
+// and trains steps in plan order, and replica 0, on the calling goroutine,
+// also folds each result into the one accumulator in plan order. Account
+// releases the versions and adds the stats in the same order, and the window
+// finalizes.
 //
 // Determinism: the only randomness is the client-sampling stream (the core's
 // draw, consumed exactly as the barrier server consumes it) and the
@@ -198,49 +202,26 @@ type AsyncServer struct {
 	seq    int
 	// window counts completed aggregation windows (== RoundStats.Round).
 	window int
-
-	// steps is the window's plan and last maps a client ID to its latest
-	// trained step in it; both are reused every window.
-	steps []asyncStep
-	last  map[int]int
-	exec  execState
+	exec   execState
 }
 
-// asyncStep is one completion of the window: planned off the clock, run on a
-// replica, folded, then accounted.
-type asyncStep struct {
-	job       asyncJob
-	global    nn.Weights // the version the job was dispatched against
-	staleness int
-	discount  float64 // the fold scale; 0 skips training
-	// after is the window's previous trained step of the same client, or -1:
-	// this step starts only once that one is folded.
-	after int
-	// The replica that runs the step writes res and rejected, then sets ready
-	// under the execute mutex. A skipped step is ready from the plan on.
-	res      ClientResult
-	rejected bool
-	ready    bool
-}
-
-// execState is what the execute phase shares between the folding goroutine
-// and the W−1 helpers: the claim and fold cursors under mu. A claimed step
-// that is not yet folded lies in [folded, folded+len(scratch)), so step i
-// trains into the engine's scratch[i%len(scratch)] without colliding with
-// another. The engine holds 2W scratch sets, room for a step in training on
-// each replica and as many trained ones waiting for the fold; a helper that
-// runs further ahead waits.
+// execState is what the crew's replicas share while they execute a window:
+// the claim and fold cursors under mu. A claimed step that is not yet folded
+// lies in [folded, folded+len(scratch)), so step i trains into the engine's
+// scratch[i%len(scratch)] without colliding with another.
+// The engine holds 2W scratch sets, room for a step in training on each
+// replica and as many trained ones waiting for the fold; a replica that runs
+// further ahead waits.
 type execState struct {
 	mu           sync.Mutex
 	cond         sync.Cond
 	next, folded int
-	helpers      sync.WaitGroup
 }
 
 // NewAsyncServer builds an asynchronous server with a fresh global model.
 func NewAsyncServer(cfg Config, builder Builder, loss nn.Loss, strategy Strategy,
 	clients []*Client, async AsyncConfig) (*AsyncServer, error) {
-	s := &AsyncServer{Async: async.withDefaults(cfg), events: make(map[int]asyncEvent), last: make(map[int]int)}
+	s := &AsyncServer{Async: async.withDefaults(cfg), events: make(map[int]asyncEvent)}
 	if err := s.Async.validate(); err != nil {
 		return nil, err
 	}
@@ -317,14 +298,17 @@ func (s *AsyncServer) RunRound() RoundStats {
 	s.window++
 	s.admit(&st)
 	s.plan(&st)
-	s.execute()
+	s.exec.next, s.exec.folded = 0, 0
+	s.crew(len(s.nets), s.work)
+	// The version only moves at finalize, so staleness is still the plan's.
 	for i := range s.steps {
 		p := &s.steps[i]
-		s.store.Release(p.job.version)
-		st.add(p.res, p.discount != 0, p.rejected)
-		st.MeanStaleness += float64(p.staleness)
-		st.MeanDiscount += p.discount
-		st.MaxStaleness = max(st.MaxStaleness, p.staleness)
+		staleness := s.version - p.round
+		s.store.Release(p.round)
+		st.add(p)
+		st.MeanStaleness += float64(staleness)
+		st.MeanDiscount += p.scale
+		st.MaxStaleness = max(st.MaxStaleness, staleness)
 	}
 	st.MeanStaleness /= float64(s.Async.Buffer)
 	st.MeanDiscount /= float64(s.Async.Buffer)
@@ -351,7 +335,6 @@ func (s *AsyncServer) RunRound() RoundStats {
 // discarded).
 func (s *AsyncServer) plan(st *tally) {
 	s.steps = s.steps[:0]
-	clear(s.last)
 	for len(s.steps) < s.Async.Buffer {
 		ev, ok := s.clock.Next()
 		if !ok {
@@ -391,102 +374,66 @@ func (s *AsyncServer) plan(st *tally) {
 		} else if discount == 0 {
 			st.Skipped++
 		}
-		p := asyncStep{
-			job: job, global: s.store.Weights(job.version), staleness: staleness, discount: discount, after: -1,
+		s.steps = append(s.steps, step{
+			client: job.client, global: s.store.Weights(job.version), round: job.version, key: job.key, scale: discount,
 			res: ClientResult{ClientID: job.client.ID, DeviceIdx: job.client.Device}, ready: discount == 0,
-		}
-		if !p.ready {
-			if j, ok := s.last[job.client.ID]; ok {
-				p.after = j
-			}
-			s.last[job.client.ID] = len(s.steps)
-		}
-		s.steps = append(s.steps, p)
+		})
 	}
 }
 
-// execute runs the planned steps. The calling goroutine is replica 0 and the
-// only folder: it folds step f into the one accumulator as soon as f is
-// ready, and otherwise claims and trains the next unclaimed step itself. The
-// other W−1 replicas each run a helper that claims and trains steps in plan
-// order. With W = 1 no helper starts and each step trains, then folds, in
-// plan order. The version store is only read while the phase runs.
-func (s *AsyncServer) execute() {
+// work is replica w's part of the execute phase, one loop on every replica.
+// Replica 0 folds step folded into the one accumulator as soon as it is
+// ready; otherwise every replica claims and trains the next step in plan
+// order, against the exact global version broadcast at the job's dispatch.
+// Replica 0 returns once every step is folded, the others once every step is
+// claimed, so with W = 1 each step trains, then folds, in plan order. The
+// version store is only read while the crew runs.
+func (s *AsyncServer) work(w int) {
 	x := &s.exec
-	x.next, x.folded = 0, 0
-	for w := 1; w < len(s.nets); w++ {
-		x.helpers.Add(1)
-		go s.help(w)
-	}
-	x.mu.Lock()
-	for f := range s.steps {
-		for !s.steps[f].ready {
-			if i := s.claim(); i >= 0 {
-				x.mu.Unlock()
-				s.run(0, i)
-				x.mu.Lock()
-				s.steps[i].ready = true
-			} else {
-				x.cond.Wait()
-			}
-		}
-		x.mu.Unlock()
-		if p := &s.steps[f]; p.discount != 0 {
-			fold(s.accs[0], &p.res, p.rejected, p.discount)
-		}
-		x.mu.Lock()
-		x.folded = f + 1
-		x.cond.Broadcast()
-	}
-	x.mu.Unlock()
-	x.helpers.Wait()
-}
-
-// help trains steps on replica w until every step of the window is claimed.
-func (s *AsyncServer) help(w int) {
-	x := &s.exec
-	defer x.helpers.Done()
 	x.mu.Lock()
 	for {
-		i := s.claim()
-		if i < 0 {
-			if x.next == len(s.steps) {
-				x.mu.Unlock()
-				return
-			}
+		if w == 0 && x.folded < len(s.steps) && s.steps[x.folded].ready {
+			x.mu.Unlock()
+			s.steps[x.folded].fold(s.accs[0])
+			x.mu.Lock()
+			x.folded++
+		} else if i := s.claim(); i >= 0 {
+			x.mu.Unlock()
+			s.train(w, &s.steps[i], &s.scratch[i%len(s.scratch)])
+			x.mu.Lock()
+			s.steps[i].ready = true
+		} else if w == 0 && x.folded == len(s.steps) || w != 0 && x.next == len(s.steps) {
+			x.mu.Unlock()
+			return
+		} else {
 			x.cond.Wait()
 			continue
 		}
-		x.mu.Unlock()
-		s.run(w, i)
-		x.mu.Lock()
-		s.steps[i].ready = true
 		x.cond.Broadcast()
 	}
 }
 
 // claim hands out the next step to train, or −1 when every step is claimed
 // or the next one must wait: for the scratch ring to turn, or for the fold of
-// its client's earlier step. Steps are claimed in plan order. The caller
-// holds the execute mutex.
+// an earlier trained step of the same client in [folded, next) (SCAFFOLD's
+// per-client state needs it), a span the ring bounds to 2W steps. Steps are
+// claimed in plan order. The caller holds the execute mutex.
 func (s *AsyncServer) claim() int {
 	x := &s.exec
 	for x.next < len(s.steps) && s.steps[x.next].ready {
 		x.next++
 	}
-	if x.next == len(s.steps) || x.next >= x.folded+len(s.scratch) || s.steps[x.next].after >= x.folded {
+	if x.next == len(s.steps) || x.next >= x.folded+len(s.scratch) {
 		return -1
+	}
+	c := s.steps[x.next].client
+	for j := x.folded; j < x.next; j++ {
+		if s.steps[j].client == c && s.steps[j].scale != 0 {
+			return -1
+		}
 	}
 	x.next++
 	return x.next - 1
-}
-
-// run trains, corrupts and gates step i on replica w against the exact global
-// version broadcast at the job's dispatch — which also keys the client's RNG —
-// with corruption drawn under the job's stable key.
-func (s *AsyncServer) run(w, i int) {
-	p := &s.steps[i]
-	p.res, p.rejected = s.train(w, p.global, &s.scratch[i%len(s.scratch)], p.job.client, p.job.version, p.job.key)
 }
 
 // finalizeWindow turns the window's accumulator into the next global

@@ -317,6 +317,12 @@ func TestNewAsyncServerValidation(t *testing.T) {
 	if _, err := NewAsyncServer(cfg, builder, loss, FedAvg{}, clients, AsyncConfig{Buffer: -1}); err == nil {
 		t.Fatal("negative buffer must be rejected")
 	}
+	// A non-finite span would schedule a non-finite instant on the clock.
+	for _, a := range []AsyncConfig{{Timeout: math.Inf(1)}, {Timeout: math.NaN()}, {Timeout: 1, RetryBackoff: math.Inf(1)}} {
+		if _, err := NewAsyncServer(cfg, builder, loss, FedAvg{}, clients, a); err == nil {
+			t.Fatalf("timeout %v, backoff %v must be rejected", a.Timeout, a.RetryBackoff)
+		}
+	}
 	if _, err := NewAsyncServer(cfg, builder, loss, FedAvg{}, nil, AsyncConfig{}); err == nil {
 		t.Fatal("empty population must be rejected")
 	}

@@ -2,6 +2,7 @@ package fl
 
 import (
 	"fmt"
+	"sync"
 
 	"heteroswitch/internal/faults"
 	"heteroswitch/internal/frand"
@@ -13,13 +14,14 @@ import (
 // construction and validation, the client-sampling stream, the client step
 // (train → corrupt → gate, then fold), the round's stats fold, the replicas
 // with their accumulators and scratch sets, the version store behind the
-// global, one finalize, and GlobalNet. What is left to the two servers is
-// only how a window of steps is driven — W shard goroutines behind a
-// barrier, or one virtual-time event loop that trains on W replicas and folds
-// in event order. Nothing here knows which driver is calling: where the two
-// differ (the global a job trains against, its RNG and corruption keys, its
-// fold scale, its replica, accumulator and scratch set) the step takes the
-// difference as an argument.
+// global, one finalize, GlobalNet, the window's steps and the crew of W
+// replicas that runs them. What is left to the two servers is how a window
+// is planned and folded — balanced shards merged in a tree, or one virtual-
+// time event loop whose replica 0 folds in event order. Nothing here knows
+// which driver is calling: where the two differ (the global a step trains
+// against, its RNG and corruption keys, its fold scale, its replica,
+// accumulator and scratch set) the step carries the difference or takes it as
+// an argument.
 //
 // Every weight buffer has one owner. A scratch set belongs to the step
 // training into it until the step is folded. Every global version lives in
@@ -56,6 +58,9 @@ type engine struct {
 	version int
 	// wb is the on-the-wire size of one weight set.
 	wb int64
+	// steps is the window, reused every window; joined waits for the crew.
+	steps  []step
+	joined sync.WaitGroup
 }
 
 // init validates cfg against the population and builds the core with a fresh
@@ -148,51 +153,76 @@ func (e *engine) draw(kept []*Client) []*Client {
 	return kept
 }
 
-// localUpdate runs one client's local training on replica w against the given
-// global weights. round keys the client's deterministic RNG.
-func (e *engine) localUpdate(w int, global nn.Weights, c *Client, round int, scratch *nn.Weights) ClientResult {
-	net := e.nets[w]
-	if err := net.LoadWeights(global); err != nil {
-		panic("fl: replica incompatible with global weights: " + err.Error())
-	}
-	return e.Strategy.LocalUpdate(&ClientContext{
-		Net:     net,
-		Global:  global,
-		Client:  c,
-		Cfg:     e.Cfg,
-		Loss:    e.Loss,
-		Round:   round,
-		RNG:     c.RoundRNG(round),
-		Scratch: scratch,
-	})
+// step is one client step of a window, the unit both drivers plan, train,
+// fold and account: the barrier server fills its window from the round's
+// draw, the event loop from its clock.
+type step struct {
+	client *Client
+	global nn.Weights // the global the step trains against
+	// round keys the client's RNG and key its corruption draw: the barrier
+	// server's round for both, or the version the job was dispatched against
+	// and the job's stable identity.
+	round, key int
+	// scale is the fold scale: 1 on the barrier server, the staleness
+	// discount on the event loop, where 0 skips training.
+	scale float64
+	// The replica that trains the step writes res and rejected; on the event
+	// loop it then sets ready under the execute mutex. A skipped step is ready
+	// from the plan on.
+	res      ClientResult
+	rejected bool
+	ready    bool
 }
 
 // train is the first half of the one client step, the half that runs on
-// replica w: train the client against the given global into scratch, poison
-// the update when the fault model's draw for (client, key) says so, and pass
-// it through the validation gate against the global it trained from. A
-// rejected update must never reach an accumulator; fold is the step's other
-// half.
-//
-// round keys the client's RNG and key the corruption draw: the barrier
-// server passes its round number for both, the event loop the global version
-// the job was dispatched against and the job's stable identity.
-func (e *engine) train(w int, global nn.Weights, scratch *nn.Weights, c *Client, round, key int) (res ClientResult, rejected bool) {
-	res = e.localUpdate(w, global, c, round, scratch)
-	if m := e.Cfg.Faults.Corruption(c.ID, key); m != faults.None {
-		corruptUpdate(m, global, res.Weights)
+// replica w: load p's global, train p's client against it into scratch,
+// poison the update when the fault model's draw for (client, key) says so,
+// and pass it through the validation gate against the global it trained
+// from. A rejected update must never reach an accumulator; fold is the
+// step's other half.
+func (e *engine) train(w int, p *step, scratch *nn.Weights) {
+	net := e.nets[w]
+	if err := net.LoadWeights(p.global); err != nil {
+		panic("fl: replica incompatible with global weights: " + err.Error())
 	}
-	return res, !updateValid(global, res.Weights, e.Cfg.MaxDeltaNorm)
+	p.res = e.Strategy.LocalUpdate(&ClientContext{
+		Net:     net,
+		Global:  p.global,
+		Client:  p.client,
+		Cfg:     e.Cfg,
+		Loss:    e.Loss,
+		Round:   p.round,
+		RNG:     p.client.RoundRNG(p.round),
+		Scratch: scratch,
+	})
+	if m := e.Cfg.Faults.Corruption(p.client.ID, p.key); m != faults.None {
+		corruptUpdate(m, p.global, p.res.Weights)
+	}
+	p.rejected = !updateValid(p.global, p.res.Weights, e.Cfg.MaxDeltaNorm)
 }
 
-// fold is the second half of the client step: an admitted result joins acc at
-// the given scale, and the result keeps only its scalar stats — its weights
-// alias the scratch the next step trains into.
-func fold(acc Accumulator, res *ClientResult, rejected bool, scale float64) {
-	if !rejected {
-		acc.Fold(*res, scale)
+// fold is the second half of the client step: an admitted, trained result
+// joins acc at the step's scale, and the result keeps only its scalar stats —
+// its weights alias the scratch the next step trains into.
+func (p *step) fold(acc Accumulator) {
+	if !p.rejected && p.scale != 0 {
+		acc.Fold(p.res, p.scale)
 	}
-	res.Weights = Weights{}
+	p.res.Weights = Weights{}
+}
+
+// crew runs one window on n replicas: work(0) on the calling goroutine and
+// work(1) … work(n−1) each on its own, and returns once all of them have.
+func (e *engine) crew(n int, work func(w int)) {
+	for w := 1; w < n; w++ {
+		e.joined.Add(1)
+		go func() {
+			defer e.joined.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	e.joined.Wait()
 }
 
 // tally is one round's RoundStats under construction.
@@ -210,20 +240,20 @@ func (e *engine) tally(round int) tally {
 
 // add accounts one finished step — in sampling order on the barrier server,
 // in completion order on the event loop: the client uploaded, its losses join
-// the sample-weighted means, and a gate-rejected upload is wasted. trained is
-// false for an upload the event loop discarded without running its step.
-func (t *tally) add(res ClientResult, trained, rejected bool) {
-	n := float64(res.NumSamples)
-	t.MeanLoss += res.TrainLoss * n
-	t.MeanInit += res.InitLoss * n
+// the sample-weighted means, and a gate-rejected upload is wasted. A step at
+// scale 0 is an upload the event loop discarded without training.
+func (t *tally) add(p *step) {
+	n := float64(p.res.NumSamples)
+	t.MeanLoss += p.res.TrainLoss * n
+	t.MeanInit += p.res.InitLoss * n
 	t.samples += n
-	t.Sampled = append(t.Sampled, res.ClientID)
+	t.Sampled = append(t.Sampled, p.res.ClientID)
 	t.BytesUp += t.wb
-	if trained {
+	if p.scale != 0 {
 		t.TotalEpochs += t.epochs
 	}
-	if rejected {
-		t.Rejected = append(t.Rejected, res.ClientID)
+	if p.rejected {
+		t.Rejected = append(t.Rejected, p.res.ClientID)
 		t.BytesWasted += t.wb
 	}
 }

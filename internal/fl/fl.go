@@ -6,14 +6,15 @@
 //
 // There is one aggregation core (engine.go): the client-sampling stream, the
 // client step — train, corrupt, gate, fold — the training replicas with
-// their accumulators, and the RoundStats accounting. Two drivers run windows
-// of steps on it and are otherwise thin: Server is the paper's synchronous
-// round (K clients on W shard goroutines behind a barrier, plus
+// their accumulators, the crew that runs a window's steps on them, and the
+// RoundStats accounting. Two drivers plan and fold windows on it and are
+// otherwise thin: Server is the paper's synchronous round (K clients in W
+// balanced shards, each folded on its own replica and merged in a tree, plus
 // checkpointing), AsyncServer a staleness-aware event loop on a simulated
-// clock that trains each window's steps on W replicas and folds them on the
-// calling goroutine. Every strategy, and every comparison between
-// strategies, therefore passes through the same step and the same
-// accounting.
+// clock whose replicas claim each window's steps in plan order while replica
+// 0, on the calling goroutine, folds them. Every strategy, and every
+// comparison between strategies, therefore passes through the same step and
+// the same accounting.
 //
 // Determinism: given the same Config.Seed, population, and strategy, every
 // run produces identical results even with Workers > 1. On the barrier

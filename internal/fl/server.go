@@ -4,18 +4,19 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
 
 	"heteroswitch/internal/nn"
 )
 
 // Server is the barrier driver of the aggregation core: every round it draws
-// K clients, runs their steps on W shard goroutines, merges the shards and
-// installs the new global — the paper's synchronous protocol.
+// K clients, runs their steps in W shards on the engine's crew, merges the
+// shards and installs the new global — the paper's synchronous protocol.
 type Server struct {
 	engine
-	// plan is the scratch of the round's client→worker split.
-	plan shardPlan
+	// sampled is the round's draw and plan the scratch of its client→worker
+	// split, both reused every round.
+	sampled []*Client
+	plan    shardPlan
 }
 
 // NewServer builds a server with a fresh global model from the builder and
@@ -35,44 +36,44 @@ func NewServer(cfg Config, builder Builder, loss nn.Loss, strategy Strategy, cli
 // RunRound executes one communication round and returns its stats.
 //
 // The sampled clients are partitioned over the workers (shardPlan.split:
-// balanced on sample count, a pure function of the sampled list); each
-// worker runs its shard's steps in sampling order, folding every result into
-// its own accumulator as it finishes — reusing the worker's one scratch
-// set — and the shards are merged tree-style at round end. Peak
-// weight memory is O(workers), not O(K), and because no shard's contents
-// depend on scheduling, a fixed Config is bit-reproducible at every worker
-// count.
+// balanced on sample count, a pure function of the sampled list); the crew
+// runs each shard's steps in sampling order on its own replica, folding every
+// result into the replica's own accumulator as it finishes — reusing the
+// replica's one scratch set — and the shards are merged tree-style at round
+// end. Peak weight memory is O(workers), not O(K), and because no shard's
+// contents depend on scheduling, a fixed Config is bit-reproducible at every
+// worker count.
 func (s *Server) RunRound(round int) RoundStats {
-	sampled := s.draw(make([]*Client, 0, s.Cfg.ClientsPerRound))
+	s.sampled = s.draw(s.sampled[:0])
 	st := s.tally(round)
-	st.BytesDown = st.wb * int64(len(sampled))
-	// Workers write disjoint indices; the stats are folded in client order.
-	results := make([]ClientResult, len(sampled))
-	rejected := make([]bool, len(sampled))
-
-	workers := min(len(s.nets), len(sampled))
-	// Rewound on the main goroutine so the shard state lives in exactly one
-	// place.
+	st.BytesDown = st.wb * int64(len(s.sampled))
+	s.steps = s.steps[:0]
+	for _, c := range s.sampled {
+		s.steps = append(s.steps, step{client: c, global: s.Global, round: round, key: round, scale: 1})
+	}
+	workers := min(len(s.nets), len(s.steps))
+	// Rewound on the calling goroutine so the shard state lives in exactly
+	// one place.
 	for _, acc := range s.accs[:workers] {
 		acc.Reset(s.Global, s.Cfg)
 	}
-	var wg sync.WaitGroup
-	for w, shard := range s.plan.split(sampled, workers) {
-		wg.Add(1)
-		go func(w int, shard []int) {
-			defer wg.Done()
-			for _, i := range shard {
-				results[i], rejected[i] = s.train(w, s.Global, &s.scratch[w], sampled[i], round, round)
-				fold(s.accs[w], &results[i], rejected[i], 1)
-			}
-		}(w, shard)
-	}
-	wg.Wait()
+	s.plan.split(s.sampled, workers)
+	s.crew(workers, s.work)
 	s.finalize(mergeShards(s.accs[:workers]))
-	for i, r := range results {
-		st.add(r, true, rejected[i])
+	for i := range s.steps {
+		st.add(&s.steps[i])
 	}
 	return st.finish()
+}
+
+// work trains and folds replica w's shard. Replicas write disjoint steps; the
+// stats are added in sampling order once the crew is done.
+func (s *Server) work(w int) {
+	for _, i := range s.plan.shards[w] {
+		p := &s.steps[i]
+		s.train(w, p, &s.scratch[w])
+		p.fold(s.accs[w])
+	}
 }
 
 // SaveCheckpoint serializes the current round counter and global weights so

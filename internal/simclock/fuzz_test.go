@@ -12,6 +12,7 @@ func FuzzParseModel(f *testing.F) {
 	for _, s := range []string{
 		"", "zero", "const:1.5", "uniform:0.5,2", "straggler:0.5,2,0.15,8", "uniform: 0.5 , 2 ",
 		"const:nan", "uniform:nan,nan", "straggler:0,1,nan,2", "const:-1", "uniform:2,1", "const:inf",
+		"uniform:0,inf", "straggler:0.5,2,0.5,inf", "const:-inf",
 		"zero:1", "const", "const:1,2", "bogus:1", ":", "uniform:,", "straggler:0.5,2,0.15,0.5",
 	} {
 		f.Add(s, uint64(42))
@@ -33,8 +34,8 @@ func FuzzParseModel(f *testing.F) {
 			t.Fatalf("ParseModel(%q) returned %T", spec, m)
 		}
 		for _, p := range params {
-			if math.IsNaN(p) {
-				t.Fatalf("ParseModel(%q) accepted a NaN parameter: %+v", spec, m)
+			if math.IsNaN(p) || math.IsInf(p, 0) {
+				t.Fatalf("ParseModel(%q) accepted a non-finite parameter: %+v", spec, m)
 			}
 		}
 		m.Sample(3, 7)

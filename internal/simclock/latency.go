@@ -105,9 +105,10 @@ func ParseModel(spec string, seed uint64) (LatencyModel, error) {
 				return nil, fmt.Errorf("simclock: latency spec %q: %v", spec, err)
 			}
 			// ParseFloat accepts "nan", which every range guard below (written
-			// as comparisons) would let through.
-			if math.IsNaN(v) {
-				return nil, fmt.Errorf("simclock: latency spec %q: NaN is not a latency parameter", spec)
+			// as comparisons) would let through, and "inf", which would put
+			// every completion at +Inf.
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("simclock: latency spec %q: %v is not a latency parameter", spec, v)
 			}
 			args = append(args, v)
 		}

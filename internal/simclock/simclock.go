@@ -9,6 +9,8 @@
 // everything driven by it — bit-reproducible across runs and platforms.
 package simclock
 
+import "math"
+
 // Event is one scheduled occurrence: a virtual timestamp plus an integer key.
 // The key doubles as the deterministic tie-break for events scheduled at the
 // same instant (smaller ID pops first).
@@ -34,10 +36,12 @@ func (c *Clock) Len() int { return len(c.events) }
 
 // Schedule enqueues an event at virtual time `at`. Scheduling into the past
 // panics: an event before Now would have to rewind time, which would break
-// determinism for everything already popped.
+// determinism for everything already popped. So does a NaN instant, which
+// compares false against every other and would corrupt the heap order, and
+// +Inf, which would stall every event after it.
 func (c *Clock) Schedule(at float64, id int) {
-	if at < c.now {
-		panic("simclock: Schedule into the past")
+	if !(at >= c.now && at <= math.MaxFloat64) {
+		panic("simclock: Schedule into the past or at a non-finite instant")
 	}
 	c.events = append(c.events, Event{At: at, ID: id})
 	// Sift up.

@@ -102,15 +102,19 @@ func TestClockPeekDoesNotAdvance(t *testing.T) {
 }
 
 func TestSchedulePastPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Schedule into the past did not panic")
-		}
-	}()
-	var c Clock
-	c.Schedule(5, 1)
-	c.Next()
-	c.Schedule(1, 2)
+	for _, at := range []float64{1, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Schedule(%v) after Now = 5 did not panic", at)
+				}
+			}()
+			var c Clock
+			c.Schedule(5, 1)
+			c.Next()
+			c.Schedule(at, 2)
+		}()
+	}
 }
 
 // The warm event loop — schedule a burst, drain it — must not allocate:
@@ -234,7 +238,8 @@ func TestParseModel(t *testing.T) {
 		}
 	}
 	for _, spec := range []string{"nope", "const:", "const:-1", "uniform:2,1", "uniform:1",
-		"straggler:1,2,3", "straggler:1,2,2,8", "straggler:1,2,0.1,0.5", "const:abc", "zero:1"} {
+		"straggler:1,2,3", "straggler:1,2,2,8", "straggler:1,2,0.1,0.5", "const:abc", "zero:1",
+		"const:inf", "uniform:0,inf", "straggler:0.5,2,0.5,inf"} {
 		if _, err := ParseModel(spec, 1); err == nil {
 			t.Errorf("ParseModel(%q) accepted a bad spec", spec)
 		}
