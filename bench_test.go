@@ -22,6 +22,7 @@ import (
 	"heteroswitch/internal/serve"
 	"heteroswitch/internal/simclock"
 	"heteroswitch/internal/tensor"
+	"heteroswitch/internal/vec"
 )
 
 // benchOpts is the per-iteration scale used by the experiment benchmarks:
@@ -187,7 +188,7 @@ func BenchmarkTrainLocal(b *testing.B) {
 			br := frand.New(7)
 			return nn.NewNetwork(
 				nn.NewConv2D(br, 1, 4, 3, 1, 1, 1),
-				nn.NewBatchNorm2D(4),
+				nn.NewBatchNorm2D(4, vec.ActIdentity),
 				nn.NewReLU(),
 				nn.NewMaxPool2D(2, 2),
 				nn.NewFlatten(),
@@ -251,16 +252,13 @@ func BenchmarkEval(b *testing.B) {
 			br := frand.New(7)
 			return nn.NewNetwork(
 				nn.NewConv2D(br, 3, 16, 3, 2, 1, 1),
-				nn.NewBatchNorm2D(16),
-				nn.NewHardSwish(),
+				nn.NewBatchNorm2D(16, vec.ActHardSwish),
 				nn.NewConv2D(br, 16, 48, 1, 1, 0, 1),
-				nn.NewBatchNorm2D(48),
-				nn.NewHardSwish(),
+				nn.NewBatchNorm2D(48, vec.ActHardSwish),
 				nn.NewDepthwiseConv2D(br, 48, 3, 1, 1),
-				nn.NewBatchNorm2D(48),
-				nn.NewHardSwish(),
+				nn.NewBatchNorm2D(48, vec.ActHardSwish),
 				nn.NewConv2D(br, 48, 32, 1, 1, 0, 1),
-				nn.NewBatchNorm2D(32),
+				nn.NewBatchNorm2D(32, vec.ActIdentity),
 				nn.NewGlobalAvgPool(),
 				nn.NewDense(br, 32, 12),
 			)
@@ -373,7 +371,7 @@ func BenchmarkServe(b *testing.B) {
 		br := frand.New(7)
 		return nn.NewNetwork(
 			nn.NewConv2D(br, 1, 4, 3, 1, 1, 1),
-			nn.NewBatchNorm2D(4),
+			nn.NewBatchNorm2D(4, vec.ActIdentity),
 			nn.NewReLU(),
 			nn.NewGlobalAvgPool(),
 			nn.NewDense(br, 4, 3),

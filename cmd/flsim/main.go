@@ -40,11 +40,14 @@ func main() {
 		logEvery = flag.Int("log-every", 10, "print loss every N rounds")
 	)
 	// The shared flags are declared and checked by experiments.Options
-	// (BindFlags, NewFL); only the two defaults flsim disagrees on are set here.
+	// (BindFlags, Apply); only the two defaults flsim disagrees on are set here.
 	opts := experiments.DefaultOptions()
 	opts.Workers, opts.Async.LatencyModel = 4, "straggler:0.5,2,0.15,8"
 	opts.BindFlags(flag.CommandLine)
 	flag.Parse()
+	if err := opts.Apply(); err != nil {
+		fatal(err)
+	}
 	strat, err := experiments.Method(*method, *clients)
 	if err != nil {
 		fatal(err)

@@ -216,7 +216,7 @@
 //     parameters, gradient accumulators, optimizer state, running BN
 //     statistics, and weight snapshots all use plain tensor.New.
 //   - Layer caches written in Forward and read in the matching Backward
-//     (BatchNorm's xhat, Dense's and conv's input reference, a lowered
+//     (BatchNorm's, Dense's and conv's input reference, a lowered
 //     conv's column matrices) MAY live in the arena: within one Reset-to-Reset window the arena
 //     never hands out the same buffer twice.
 //   - A nested Network embedded as a layer adopts its parent's arena via
@@ -293,8 +293,9 @@
 //     normalization pass runs at all. In all five bundled models every BN
 //     and every activation is absorbed (TestFrozenProgramsFoldOrFuse); one
 //     with no matmul predecessor would run its layer's eval forward.
-//   - The activation following a matmul layer (ReLU, HardSwish,
-//     HardSigmoid) is fused into the kernel. A conv hands its per-row bias
+//   - The activation a folded BatchNorm2D carries, or the activation layer
+//     following a matmul layer (ReLU, HardSigmoid), is fused into the
+//     kernel. A conv hands its per-row bias
 //     and activation to the GEMM as data (tensor.RowBias), and the vector
 //     GEMM applies them in its store, so each output element is written
 //     once — no clear before it, no sweep after it (a hard-sigmoid conv,
@@ -370,8 +371,10 @@
 // depthwise forward and its input gradient in gather form at stride 1 and 2,
 // the 3×3 depthwise weight gradient eight planes at a time, the aggregation
 // step's fold (tensor.FoldScaled) and gate norm (tensor.SqDistLanes), and
-// nn's hard-swish forward/backward, batch-norm reductions, normalise and
-// input-gradient sweeps, and the squeeze-excite rescale and broadcast add.
+// nn's batch norm with its activation — the forward's reduction and one
+// normalise pass that stores act(γ·x̂ + β), the backward's reduction that
+// recomputes x̂ and z and stores dz = act′(z)·dy, and the input-gradient
+// sweep — and the squeeze-excite rescale and broadcast add.
 // internal/vec's package doc states when they run (vec.Live: a CPU
 // probe, no flag; `-tags purego` builds none) and the three kernel rules that
 // keep them bit-identical to the Go loops — or, for the gate norm, keep every

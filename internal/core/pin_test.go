@@ -12,6 +12,7 @@ import (
 	"heteroswitch/internal/nn"
 	"heteroswitch/internal/simclock"
 	"heteroswitch/internal/tensor"
+	"heteroswitch/internal/vec"
 )
 
 // The aggregation step's pinned bytes: final global weights (every
@@ -30,8 +31,7 @@ func pinBuilder() fl.Builder {
 		r := frand.New(77)
 		return nn.NewNetwork(
 			nn.NewConv2D(r, 1, 3, 3, 1, 1, 1),
-			nn.NewBatchNorm2D(3),
-			nn.NewReLU(),
+			nn.NewBatchNorm2D(3, vec.ActReLU),
 			nn.NewFlatten(),
 			nn.NewDense(r, 3*4*4, 21),
 			nn.NewReLU(),

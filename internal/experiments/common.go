@@ -145,9 +145,10 @@ func (o *Options) BindFlags(fs *flag.FlagSet) {
 }
 
 // Apply is the one place the options are checked: it rejects a scale that is
-// not finite and positive, and a negative worker count, intra-op budget or
-// async depth, naming the flag. Run and NewFL call it; a binary that goes through
-// neither calls it itself.
+// not finite and positive, a negative worker count, intra-op budget or async
+// depth, and a latency model or fault spec that does not parse, naming the
+// flag. Run and NewFL call it; a binary calls it itself before any work, so a
+// bad flag fails before the device federation is captured.
 func (o Options) Apply() error {
 	switch {
 	case !(o.Scale > 0) || math.IsInf(o.Scale, 1):
@@ -158,6 +159,12 @@ func (o Options) Apply() error {
 		return fmt.Errorf("experiments: -intraop %d: want >= 0", o.IntraOp)
 	case o.Async.Depth < 0:
 		return fmt.Errorf("experiments: -async-depth %d: want >= 0", o.Async.Depth)
+	}
+	if _, err := simclock.ParseModel(o.Async.LatencyModel, o.Seed); err != nil {
+		return fmt.Errorf("experiments: -latency-model: %w", err)
+	}
+	if _, err := faults.ParseSpec(o.Faults, o.Seed); err != nil {
+		return fmt.Errorf("experiments: -faults: %w", err)
 	}
 	return nil
 }

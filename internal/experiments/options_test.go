@@ -132,6 +132,8 @@ func TestOptionsAreCheckedByRunAndNewFL(t *testing.T) {
 		{"workers -1", mod(func(o *Options) { o.Workers = -1 }), "-workers"},
 		{"intraop -1", mod(func(o *Options) { o.IntraOp = -1 }), "-intraop"},
 		{"depth -1", mod(func(o *Options) { o.Async.Depth = -1 }), "-async-depth"},
+		{"latency const:inf", mod(func(o *Options) { o.Async.LatencyModel = "const:inf" }), "-latency-model"},
+		{"faults bad clause", mod(func(o *Options) { o.Faults = "crash:0.5+flaky:x" }), "-faults"},
 	}
 	perDevice, counts, cfg, builder := tinyFederation()
 	for _, c := range cases {

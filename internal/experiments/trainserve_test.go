@@ -11,6 +11,7 @@ import (
 	"heteroswitch/internal/serve"
 	"heteroswitch/internal/simclock"
 	"heteroswitch/internal/tensor"
+	"heteroswitch/internal/vec"
 )
 
 // tinyTrainServeSpec is a synthetic train-while-serve workload small enough
@@ -39,7 +40,7 @@ func tinyTrainServeSpec(t *testing.T, intraop int) TrainServeSpec {
 		br := frand.New(11)
 		return nn.NewNetwork(
 			nn.NewConv2D(br, 1, 4, 3, 1, 1, 1),
-			nn.NewBatchNorm2D(4),
+			nn.NewBatchNorm2D(4, vec.ActIdentity),
 			nn.NewReLU(),
 			nn.NewGlobalAvgPool(),
 			nn.NewDense(br, 4, classes),

@@ -9,6 +9,7 @@ import (
 	"heteroswitch/internal/israce"
 	"heteroswitch/internal/nn"
 	"heteroswitch/internal/tensor"
+	"heteroswitch/internal/vec"
 )
 
 // arenaTestNet builds the small conv net used by the arena A/B tests.
@@ -16,12 +17,12 @@ func arenaTestNet(seed uint64) *nn.Network {
 	r := frand.New(seed)
 	return nn.NewNetwork(
 		nn.NewConv2D(r, 1, 4, 3, 1, 1, 1),
-		nn.NewBatchNorm2D(4),
+		nn.NewBatchNorm2D(4, vec.ActIdentity),
 		nn.NewReLU(),
 		nn.NewMaxPool2D(2, 2),
 		nn.NewFlatten(),
 		nn.NewDense(r, 4*4*4, 8),
-		nn.NewHardSwish(),
+		nn.NewHardSigmoid(),
 		nn.NewDense(r, 8, 3),
 	)
 }

@@ -9,6 +9,7 @@ import (
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/nn"
 	"heteroswitch/internal/tensor"
+	"heteroswitch/internal/vec"
 )
 
 func TestMeanVarianceWorst(t *testing.T) {
@@ -181,7 +182,7 @@ func makeConvEvalFixture() (*nn.Network, *dataset.Dataset) {
 	}
 	net := nn.NewNetwork(
 		nn.NewConv2D(r, 2, 6, 3, 1, 1, 1),
-		nn.NewBatchNorm2D(6),
+		nn.NewBatchNorm2D(6, vec.ActIdentity),
 		nn.NewReLU(),
 		nn.NewGlobalAvgPool(),
 		nn.NewDense(r, 6, 3),

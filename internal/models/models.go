@@ -18,6 +18,7 @@ import (
 
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/nn"
+	"heteroswitch/internal/vec"
 )
 
 // Builder constructs a fresh network instance. Calls must be deterministic:
@@ -57,16 +58,13 @@ func BuilderFor(arch Arch, seed uint64, inC, classes int) (Builder, error) {
 	return func() *nn.Network { return model(frand.New(seed), inC, classes) }, nil
 }
 
-// convBNAct returns conv → BN → activation as a sub-network.
-func convBNAct(r *frand.RNG, inC, outC, k, stride, pad, groups int, act func() nn.Layer) *nn.Network {
+// convBNAct returns conv → BN with its activation as a sub-network.
+func convBNAct(r *frand.RNG, inC, outC, k, stride, pad, groups int, act vec.Act) *nn.Network {
 	return nn.NewNetwork(
 		nn.NewConv2D(r, inC, outC, k, stride, pad, groups),
-		nn.NewBatchNorm2D(outC),
-		act(),
+		nn.NewBatchNorm2D(outC, act),
 	)
 }
-
-func relu() nn.Layer { return nn.NewReLU() }
 
 // bneck builds a MobileNetV3 inverted-residual bottleneck:
 // 1x1 expand → depthwise k3 → SE → 1x1 project, residual when stride 1 and
@@ -74,11 +72,9 @@ func relu() nn.Layer { return nn.NewReLU() }
 func bneck(r *frand.RNG, inC, expC, outC, stride int, useSE bool) nn.Layer {
 	layers := []nn.Layer{
 		nn.NewConv2D(r, inC, expC, 1, 1, 0, 1),
-		nn.NewBatchNorm2D(expC),
-		nn.NewHardSwish(),
+		nn.NewBatchNorm2D(expC, vec.ActHardSwish),
 		nn.NewDepthwiseConv2D(r, expC, 3, stride, 1),
-		nn.NewBatchNorm2D(expC),
-		nn.NewHardSwish(),
+		nn.NewBatchNorm2D(expC, vec.ActHardSwish),
 	}
 	if useSE {
 		hidden := expC / 4
@@ -89,7 +85,7 @@ func bneck(r *frand.RNG, inC, expC, outC, stride int, useSE bool) nn.Layer {
 	}
 	layers = append(layers,
 		nn.NewConv2D(r, expC, outC, 1, 1, 0, 1),
-		nn.NewBatchNorm2D(outC),
+		nn.NewBatchNorm2D(outC, vec.ActIdentity),
 	)
 	body := nn.NewNetwork(layers...)
 	if stride == 1 && inC == outC {
@@ -104,16 +100,14 @@ func TinyMobileNetV3(r *frand.RNG, inC, classes int) *nn.Network {
 	return nn.NewNetwork(
 		// Stem: 32x32 → 16x16.
 		nn.NewConv2D(r, inC, 8, 3, 2, 1, 1),
-		nn.NewBatchNorm2D(8),
-		nn.NewHardSwish(),
+		nn.NewBatchNorm2D(8, vec.ActHardSwish),
 		bneck(r, 8, 16, 8, 1, true),
 		// 16x16 → 8x8.
 		bneck(r, 8, 24, 16, 2, true),
 		bneck(r, 16, 32, 16, 1, true),
 		// Head.
 		nn.NewConv2D(r, 16, 32, 1, 1, 0, 1),
-		nn.NewBatchNorm2D(32),
-		nn.NewHardSwish(),
+		nn.NewBatchNorm2D(32, vec.ActHardSwish),
 		nn.NewGlobalAvgPool(),
 		nn.NewDense(r, 32, classes),
 	)
@@ -124,10 +118,10 @@ func TinyMobileNetV3(r *frand.RNG, inC, classes int) *nn.Network {
 func shuffleUnit(r *frand.RNG, c int) nn.Layer {
 	half := c / 2
 	branch := nn.NewNetwork(
-		convBNAct(r, half, half, 1, 1, 0, 1, relu),
+		convBNAct(r, half, half, 1, 1, 0, 1, vec.ActReLU),
 		nn.NewDepthwiseConv2D(r, half, 3, 1, 1),
-		nn.NewBatchNorm2D(half),
-		convBNAct(r, half, half, 1, 1, 0, 1, relu),
+		nn.NewBatchNorm2D(half, vec.ActIdentity),
+		convBNAct(r, half, half, 1, 1, 0, 1, vec.ActReLU),
 	)
 	return nn.NewNetwork(
 		nn.NewParallel(true, nn.NewIdentity(), branch),
@@ -141,14 +135,14 @@ func shuffleDown(r *frand.RNG, inC, outC int) nn.Layer {
 	half := outC / 2
 	b1 := nn.NewNetwork(
 		nn.NewDepthwiseConv2D(r, inC, 3, 2, 1),
-		nn.NewBatchNorm2D(inC),
-		convBNAct(r, inC, half, 1, 1, 0, 1, relu),
+		nn.NewBatchNorm2D(inC, vec.ActIdentity),
+		convBNAct(r, inC, half, 1, 1, 0, 1, vec.ActReLU),
 	)
 	b2 := nn.NewNetwork(
-		convBNAct(r, inC, half, 1, 1, 0, 1, relu),
+		convBNAct(r, inC, half, 1, 1, 0, 1, vec.ActReLU),
 		nn.NewDepthwiseConv2D(r, half, 3, 2, 1),
-		nn.NewBatchNorm2D(half),
-		convBNAct(r, half, half, 1, 1, 0, 1, relu),
+		nn.NewBatchNorm2D(half, vec.ActIdentity),
+		convBNAct(r, half, half, 1, 1, 0, 1, vec.ActReLU),
 	)
 	return nn.NewNetwork(
 		nn.NewParallel(false, b1, b2),
@@ -160,13 +154,13 @@ func shuffleDown(r *frand.RNG, inC, outC int) nn.Layer {
 func TinyShuffleNetV2(r *frand.RNG, inC, classes int) *nn.Network {
 	return nn.NewNetwork(
 		// Stem: 32x32 → 16x16, 8 channels.
-		convBNAct(r, inC, 8, 3, 2, 1, 1, relu),
+		convBNAct(r, inC, 8, 3, 2, 1, 1, vec.ActReLU),
 		shuffleUnit(r, 8),
 		// 16x16 → 8x8, 16 channels.
 		shuffleDown(r, 8, 16),
 		shuffleUnit(r, 16),
 		shuffleUnit(r, 16),
-		convBNAct(r, 16, 32, 1, 1, 0, 1, relu),
+		convBNAct(r, 16, 32, 1, 1, 0, 1, vec.ActReLU),
 		nn.NewGlobalAvgPool(),
 		nn.NewDense(r, 32, classes),
 	)
@@ -206,9 +200,9 @@ func TinySqueezeNet(r *frand.RNG, inC, classes int) *nn.Network {
 // CIFAR-style experiment (§6.5): two conv/BN/ReLU stages and a linear head.
 func SimpleCNN(r *frand.RNG, inC, classes int) *nn.Network {
 	return nn.NewNetwork(
-		convBNAct(r, inC, 8, 3, 1, 1, 1, relu),
+		convBNAct(r, inC, 8, 3, 1, 1, 1, vec.ActReLU),
 		nn.NewMaxPool2D(2, 2),
-		convBNAct(r, 8, 16, 3, 1, 1, 1, relu),
+		convBNAct(r, 8, 16, 3, 1, 1, 1, vec.ActReLU),
 		nn.NewMaxPool2D(2, 2),
 		nn.NewFlatten(),
 		nn.NewDense(r, 16*8*8, classes),
@@ -225,20 +219,15 @@ func ECGConvNet(r *frand.RNG, length int) *nn.Network {
 	return nn.NewNetwork(
 		nn.NewReshape(1, 1, length),
 		nn.NewConv2D(r, 1, 8, 3, 2, 1, 1), // L -> L/2
-		nn.NewBatchNorm2D(8),
-		nn.NewReLU(),
+		nn.NewBatchNorm2D(8, vec.ActReLU),
 		nn.NewConv2D(r, 8, 16, 3, 2, 1, 1), // L/2 -> L/4
-		nn.NewBatchNorm2D(16),
-		nn.NewReLU(),
+		nn.NewBatchNorm2D(16, vec.ActReLU),
 		nn.NewConv2D(r, 16, 16, 3, 2, 1, 1), // L/4 -> L/8
-		nn.NewBatchNorm2D(16),
-		nn.NewReLU(),
+		nn.NewBatchNorm2D(16, vec.ActReLU),
 		nn.NewConv2D(r, 16, 24, 3, 2, 1, 1), // L/8 -> L/16
-		nn.NewBatchNorm2D(24),
-		nn.NewReLU(),
+		nn.NewBatchNorm2D(24, vec.ActReLU),
 		nn.NewConv2D(r, 24, 24, 3, 2, 1, 1), // L/16 -> L/32
-		nn.NewBatchNorm2D(24),
-		nn.NewReLU(),
+		nn.NewBatchNorm2D(24, vec.ActReLU),
 		nn.NewGlobalAvgPool(),
 		nn.NewDense(r, 24, 1),
 	)

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"heteroswitch/internal/tensor"
-	"heteroswitch/internal/vec"
 )
 
 // sigmoid64 is the logistic function BCEWithLogits' gradient uses.
@@ -99,48 +98,3 @@ func (l *HardSigmoid) States() []*tensor.Tensor { return nil }
 
 // Name implements Layer.
 func (l *HardSigmoid) Name() string { return "HardSigmoid" }
-
-// HardSwish computes x * HardSigmoid(x), the MobileNetV3 activation.
-type HardSwish struct {
-	arenaScratch
-	x *tensor.Tensor
-}
-
-// NewHardSwish returns a HardSwish layer.
-func NewHardSwish() *HardSwish { return &HardSwish{} }
-
-// Forward implements Layer.
-func (l *HardSwish) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	l.x = x
-	y := l.allocUninit(x.Shape()...)
-	applyAct(y.Data(), x.Data(), epHardSwish)
-	return y
-}
-
-// Backward implements Layer. d/dx [x·hs(x)] = hs(x) + x·hs'(x).
-func (l *HardSwish) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	g := l.allocUninit(grad.Shape()...)
-	gd, dd, xd := grad.Data(), g.Data(), l.x.Data()
-	if vec.Live {
-		vec.HardSwishGrad(dd, gd, xd[:len(gd)])
-		return g
-	}
-	for i := range gd {
-		v := xd[i]
-		der := tensor.HardSigmoid(v)
-		if v > -3 && v < 3 {
-			der += v / 6
-		}
-		dd[i] = gd[i] * der
-	}
-	return g
-}
-
-// Params implements Layer.
-func (l *HardSwish) Params() []*Param { return nil }
-
-// States implements Layer.
-func (l *HardSwish) States() []*tensor.Tensor { return nil }
-
-// Name implements Layer.
-func (l *HardSwish) Name() string { return "HardSwish" }

@@ -5,6 +5,7 @@ import (
 
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/tensor"
+	"heteroswitch/internal/vec"
 )
 
 // arenaNet builds a network touching every layer type that draws from the
@@ -14,11 +15,11 @@ func arenaNet(seed uint64) *Network {
 	r := frand.New(seed)
 	return NewNetwork(
 		NewConv2D(r, 2, 4, 3, 1, 1, 1),
-		NewBatchNorm2D(4),
+		NewBatchNorm2D(4, vec.ActIdentity),
 		NewReLU(),
 		NewResidual(NewNetwork(
 			NewConv2D(r, 4, 4, 3, 1, 1, 1),
-			NewBatchNorm2D(4),
+			NewBatchNorm2D(4, vec.ActIdentity),
 		), nil),
 		NewParallel(false,
 			NewConv2D(r, 4, 2, 1, 1, 0, 1),
@@ -26,7 +27,7 @@ func arenaNet(seed uint64) *Network {
 		),
 		NewChannelShuffle(2),
 		NewSEBlock(r, 4, 2),
-		NewHardSwish(),
+		NewBatchNorm2D(4, vec.ActHardSwish),
 		NewMaxPool2D(2, 2),
 		NewFlatten(),
 		NewDense(r, 64, 8),

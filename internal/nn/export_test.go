@@ -1,5 +1,10 @@
 package nn
 
+import "heteroswitch/internal/vec"
+
+// BNAct returns the activation a batch norm carries.
+func BNAct(l *BatchNorm2D) vec.Act { return l.act }
+
 // FrozenConvChunks returns the most chunks any frozen conv of net split its
 // sample×group loop into during the last Infer, 0 when no conv ran.
 func FrozenConvChunks(net *Network) int { return convChunks(net.frozen.ops) }

@@ -145,8 +145,6 @@ func actKindOf(l Layer) (epAct, bool) {
 	switch l.(type) {
 	case *ReLU:
 		return epReLU, true
-	case *HardSwish:
-		return epHardSwish, true
 	case *HardSigmoid:
 		return epHardSigmoid, true
 	}
@@ -171,10 +169,10 @@ func compile(flat []Layer) []frozenOp {
 				if bn.C != l.OutC {
 					panic(fmt.Sprintf("nn: Freeze: BatchNorm2D(%d) cannot fold into %s", bn.C, l.Name()))
 				}
-				op.bn = bn
+				op.bn, op.act = bn, epActOf(bn.act)
 				i++
 			}
-			if act, ok := actKindOf(peek(i + 1)); ok {
+			if act, ok := actKindOf(peek(i + 1)); ok && op.act == epNone {
 				op.act = act
 				i++
 			}
@@ -186,10 +184,10 @@ func compile(flat []Layer) []frozenOp {
 				if bn.C != l.Out {
 					panic(fmt.Sprintf("nn: Freeze: BatchNorm2D(%d) cannot fold into %s", bn.C, l.Name()))
 				}
-				op.bn = bn
+				op.bn, op.act = bn, epActOf(bn.act)
 				i++
 			}
-			if act, ok := actKindOf(peek(i + 1)); ok {
+			if act, ok := actKindOf(peek(i + 1)); ok && op.act == epNone {
 				op.act = act
 				i++
 			}

@@ -10,6 +10,7 @@ import (
 	"heteroswitch/internal/models"
 	"heteroswitch/internal/nn"
 	"heteroswitch/internal/tensor"
+	"heteroswitch/internal/vec"
 )
 
 // The frozen inference fast path folds BatchNorm into the preceding matmul
@@ -35,7 +36,7 @@ func frozenFixtures() []frozenFixture {
 		{"conv-bn-relu-maxpool", 3, func(r *frand.RNG) *nn.Network {
 			return nn.NewNetwork(
 				nn.NewConv2D(r, 3, 8, 3, 1, 1, 1),
-				nn.NewBatchNorm2D(8),
+				nn.NewBatchNorm2D(8, vec.ActIdentity),
 				nn.NewReLU(),
 				nn.NewMaxPool2D(2, 2),
 				nn.NewFlatten(),
@@ -45,8 +46,7 @@ func frozenFixtures() []frozenFixture {
 		{"conv-bn-hswish-strided", 3, func(r *frand.RNG) *nn.Network {
 			return nn.NewNetwork(
 				nn.NewConv2D(r, 3, 8, 3, 2, 1, 1),
-				nn.NewBatchNorm2D(8),
-				nn.NewHardSwish(),
+				nn.NewBatchNorm2D(8, vec.ActHardSwish),
 				nn.NewFlatten(),
 				nn.NewDense(r, 8*4*4, 5),
 			)
@@ -54,7 +54,7 @@ func frozenFixtures() []frozenFixture {
 		{"grouped-conv-bn", 4, func(r *frand.RNG) *nn.Network {
 			return nn.NewNetwork(
 				nn.NewConv2D(r, 4, 8, 3, 1, 1, 2),
-				nn.NewBatchNorm2D(8),
+				nn.NewBatchNorm2D(8, vec.ActIdentity),
 				nn.NewReLU(),
 				nn.NewGlobalAvgPool(),
 				nn.NewDense(r, 8, 5),
@@ -63,8 +63,7 @@ func frozenFixtures() []frozenFixture {
 		{"depthwise-conv-bn", 6, func(r *frand.RNG) *nn.Network {
 			return nn.NewNetwork(
 				nn.NewDepthwiseConv2D(r, 6, 3, 1, 1),
-				nn.NewBatchNorm2D(6),
-				nn.NewHardSwish(),
+				nn.NewBatchNorm2D(6, vec.ActHardSwish),
 				nn.NewGlobalAvgPool(),
 				nn.NewDense(r, 6, 5),
 			)
@@ -80,20 +79,20 @@ func frozenFixtures() []frozenFixture {
 		{"residual-proj-standalone-bn", 3, func(r *frand.RNG) *nn.Network {
 			body := nn.NewNetwork(
 				nn.NewConv2D(r, 3, 8, 3, 1, 1, 1),
-				nn.NewBatchNorm2D(8),
+				nn.NewBatchNorm2D(8, vec.ActIdentity),
 				nn.NewReLU(),
 				nn.NewConv2D(r, 8, 8, 3, 1, 1, 1),
-				nn.NewBatchNorm2D(8),
+				nn.NewBatchNorm2D(8, vec.ActIdentity),
 			)
 			proj := nn.NewNetwork(
 				nn.NewConv2D(r, 3, 8, 1, 1, 0, 1),
-				nn.NewBatchNorm2D(8),
+				nn.NewBatchNorm2D(8, vec.ActIdentity),
 			)
 			return nn.NewNetwork(
 				nn.NewResidual(body, proj),
 				nn.NewReLU(), // standalone activation (after a sum)
 				nn.NewMaxPool2D(2, 2),
-				nn.NewBatchNorm2D(8), // the residual BN eval path: no matmul precedes it
+				nn.NewBatchNorm2D(8, vec.ActIdentity), // the residual BN eval path: no matmul precedes it
 				nn.NewGlobalAvgPool(),
 				nn.NewDense(r, 8, 5),
 			)
@@ -117,11 +116,11 @@ func frozenFixtures() []frozenFixture {
 			// skip-path branch covered.
 			body := nn.NewNetwork(
 				nn.NewConv2D(r, 3, 8, 3, 2, 1, 1),
-				nn.NewBatchNorm2D(8),
+				nn.NewBatchNorm2D(8, vec.ActIdentity),
 			)
 			proj := nn.NewNetwork(
 				nn.NewConv2D(r, 3, 8, 1, 2, 0, 1),
-				nn.NewBatchNorm2D(8),
+				nn.NewBatchNorm2D(8, vec.ActIdentity),
 			)
 			return nn.NewNetwork(
 				nn.NewResidual(body, proj),
@@ -133,8 +132,7 @@ func frozenFixtures() []frozenFixture {
 		{"seblock", 3, func(r *frand.RNG) *nn.Network {
 			return nn.NewNetwork(
 				nn.NewConv2D(r, 3, 8, 3, 1, 1, 1),
-				nn.NewBatchNorm2D(8),
-				nn.NewHardSwish(),
+				nn.NewBatchNorm2D(8, vec.ActHardSwish),
 				nn.NewSEBlock(r, 8, 4),
 				nn.NewGlobalAvgPool(),
 				nn.NewDense(r, 8, 5),
@@ -143,7 +141,7 @@ func frozenFixtures() []frozenFixture {
 		{"parallel-split-shuffle", 3, func(r *frand.RNG) *nn.Network {
 			branch := nn.NewNetwork(
 				nn.NewConv2D(r, 4, 4, 3, 1, 1, 1),
-				nn.NewBatchNorm2D(4),
+				nn.NewBatchNorm2D(4, vec.ActIdentity),
 				nn.NewReLU(),
 			)
 			return nn.NewNetwork(
@@ -169,12 +167,11 @@ func frozenFixtures() []frozenFixture {
 			return nn.NewNetwork(
 				nn.NewNetwork(
 					nn.NewConv2D(r, 3, 8, 3, 1, 1, 1),
-					nn.NewBatchNorm2D(8),
-					nn.NewHardSwish(),
+					nn.NewBatchNorm2D(8, vec.ActHardSwish),
 				),
 				nn.NewNetwork(
 					nn.NewConv2D(r, 8, 8, 3, 2, 1, 1),
-					nn.NewBatchNorm2D(8),
+					nn.NewBatchNorm2D(8, vec.ActIdentity),
 					nn.NewReLU(),
 				),
 				nn.NewGlobalAvgPool(),
@@ -322,8 +319,7 @@ func TestFrozenConcurrentReplicas(t *testing.T) {
 		r := frand.New(55)
 		return nn.NewNetwork(
 			nn.NewConv2D(r, 3, 8, 3, 1, 1, 1),
-			nn.NewBatchNorm2D(8),
-			nn.NewHardSwish(),
+			nn.NewBatchNorm2D(8, vec.ActHardSwish),
 			nn.NewSEBlock(r, 8, 4),
 			nn.NewGlobalAvgPool(),
 			nn.NewDense(r, 8, 5),
@@ -379,10 +375,10 @@ func TestFrozenPureFusionBitIdentical(t *testing.T) {
 		nn.NewConv2D(r, 3, 8, 3, 2, 1, 1),
 		nn.NewReLU(),
 		nn.NewDepthwiseConv2D(r, 8, 3, 1, 1),
-		nn.NewHardSwish(),
+		nn.NewHardSigmoid(),
 		nn.NewMaxPool2D(2, 2),
 		nn.NewConv2D(r, 8, 12, 1, 1, 0, 1),
-		nn.NewHardSwish(),
+		nn.NewReLU(),
 		nn.NewGlobalAvgPool(),
 		nn.NewDense(r, 12, 5),
 	)
@@ -428,7 +424,7 @@ func BenchmarkFrozenForward(b *testing.B) {
 	r := frand.New(8)
 	net := nn.NewNetwork(
 		nn.NewConv2D(r, 3, 16, 3, 1, 1, 1),
-		nn.NewBatchNorm2D(16),
+		nn.NewBatchNorm2D(16, vec.ActIdentity),
 		nn.NewReLU(),
 		nn.NewGlobalAvgPool(),
 		nn.NewDense(r, 16, 10),
@@ -481,15 +477,19 @@ func TestFrozenProgramsFoldOrFuse(t *testing.T) {
 	}
 }
 
-// countAbsorbable counts the BatchNorm2D and activation layers of a layer
-// tree, through nested networks, residual and parallel blocks.
+// countAbsorbable counts the BatchNorm2D layers and the activations — layers
+// and the ones batch norms carry — of a layer tree, through nested networks,
+// residual and parallel blocks.
 func countAbsorbable(layers []nn.Layer) (bns, acts int) {
 	for _, l := range layers {
 		var sub []nn.Layer
 		switch l := l.(type) {
 		case *nn.BatchNorm2D:
 			bns++
-		case *nn.ReLU, *nn.HardSwish, *nn.HardSigmoid:
+			if nn.BNAct(l) != vec.ActIdentity {
+				acts++
+			}
+		case *nn.ReLU, *nn.HardSigmoid:
 			acts++
 		case *nn.Network:
 			sub = l.LayerList

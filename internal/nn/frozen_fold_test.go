@@ -5,6 +5,7 @@ import (
 
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/tensor"
+	"heteroswitch/internal/vec"
 )
 
 // White-box coverage of the Residual projection fold: exactly the
@@ -30,7 +31,7 @@ func TestResidualProjFoldDetection(t *testing.T) {
 	if op := compileResidual(body(), NewNetwork(NewConv2D(r, 4, 8, 1, 1, 0, 1))); op.foldedProj == nil {
 		t.Fatal("bare 1x1 conv projection must fold")
 	}
-	if op := compileResidual(body(), NewNetwork(NewConv2D(r, 4, 8, 1, 1, 0, 1), NewBatchNorm2D(8))); op.foldedProj == nil {
+	if op := compileResidual(body(), NewNetwork(NewConv2D(r, 4, 8, 1, 1, 0, 1), NewBatchNorm2D(8, vec.ActIdentity))); op.foldedProj == nil {
 		t.Fatal("1x1 conv+BN projection must fold (BN is absorbed by the conv fold)")
 	}
 

@@ -35,6 +35,17 @@ func (act epAct) stored() vec.Act {
 	return vec.ActIdentity
 }
 
+// epActOf is the epilogue kind of a batch norm's activation.
+func epActOf(act vec.Act) epAct {
+	switch act {
+	case vec.ActReLU:
+		return epReLU
+	case vec.ActHardSwish:
+		return epHardSwish
+	}
+	return epNone
+}
+
 // applyVecBiasAct computes row[j] = act(row[j] + bias[j]) in one sweep — the
 // dense-layer epilogue, where the bias is per output column.
 func applyVecBiasAct(row, bias []float32, act epAct) {

@@ -6,6 +6,7 @@ import (
 
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/tensor"
+	"heteroswitch/internal/vec"
 )
 
 // lossOf computes the probe loss L = <forward(x), R> used for gradient
@@ -134,21 +135,6 @@ func TestReLUGrad(t *testing.T) {
 	checkGrads(t, NewReLU(), x, 12, 30)
 }
 
-func TestHardSwishGrad(t *testing.T) {
-	r := frand.New(13)
-	x := tensor.Randn(r, 1.5, 3, 10)
-	// Nudge values away from the kinks at ±3 and scale boundary effects.
-	apply(x, func(v float32) float32 {
-		for _, k := range []float32{-3, 3} {
-			if v > k-0.1 && v < k+0.1 {
-				return v + 0.25
-			}
-		}
-		return v
-	})
-	checkGrads(t, NewHardSwish(), x, 14, 30)
-}
-
 func TestHardSigmoidGrad(t *testing.T) {
 	r := frand.New(15)
 	x := tensor.Randn(r, 1.5, 3, 8)
@@ -164,18 +150,85 @@ func TestHardSigmoidGrad(t *testing.T) {
 	checkGrads(t, NewHardSigmoid(), x, 16, 24)
 }
 
+// TestBatchNormGrad checks batch norm with each activation it carries. γ is
+// wide enough on channel 0 that hard-swish's z crosses both knees, and every
+// x whose z lies within 0.05 of a kink (±3 for hard-swish, 0 for ReLU) is
+// nudged off it first, since a finite difference across a kink measures
+// neither side.
 func TestBatchNormGrad(t *testing.T) {
-	r := frand.New(17)
-	l := NewBatchNorm2D(3)
-	// Non-trivial gamma/beta so their gradients are exercised.
-	for i, v := range []float32{1.2, 0.8, 1.5} {
+	for i, act := range []vec.Act{vec.ActIdentity, vec.ActReLU, vec.ActHardSwish} {
+		r := frand.New(17 + uint64(i))
+		l := NewBatchNorm2D(3, act)
+		// Non-trivial gamma/beta so their gradients are exercised.
+		for i, v := range []float32{2.5, 0.8, 1.5} {
+			l.Gamma.W.Data()[i] = v
+		}
+		for i, v := range []float32{0.1, -0.2, 0.3} {
+			l.Beta.W.Data()[i] = v
+		}
+		x := tensor.Randn(r, 1, 4, 3, 5, 5)
+		awayFromKinks(l, x, act)
+		checkGrads(t, l, x, 18, 20)
+	}
+}
+
+// TestHardSwishGrad checks the hard-swish that batch norm carries over all
+// three of its pieces: γ = 3 on every channel spreads z = γ·x̂ + β well past
+// both knees, and the test first confirms that each piece (z < -3,
+// -3 < z < 3, z > 3) holds some element before it compares gradients.
+func TestHardSwishGrad(t *testing.T) {
+	r := frand.New(13)
+	l := NewBatchNorm2D(3, vec.ActHardSwish)
+	for i, v := range []float32{3, 3, 3} {
 		l.Gamma.W.Data()[i] = v
 	}
-	for i, v := range []float32{0.1, -0.2, 0.3} {
+	for i, v := range []float32{0.5, -0.5, 0} {
 		l.Beta.W.Data()[i] = v
 	}
-	x := tensor.Randn(r, 1, 4, 3, 5, 5)
-	checkGrads(t, l, x, 18, 20)
+	x := tensor.Randn(r, 1.5, 2, 3, 4, 4)
+	awayFromKinks(l, x, vec.ActHardSwish)
+
+	affine := NewBatchNorm2D(l.C, vec.ActIdentity)
+	affine.Gamma.W.CopyFrom(l.Gamma.W)
+	affine.Beta.W.CopyFrom(l.Beta.W)
+	var below, inside, above int
+	for _, z := range affine.Forward(x, true).Data() {
+		switch {
+		case z < -3:
+			below++
+		case z > 3:
+			above++
+		default:
+			inside++
+		}
+	}
+	if below == 0 || inside == 0 || above == 0 {
+		t.Fatalf("pre-activations miss a piece of hard-swish: %d below -3, %d inside, %d above 3", below, inside, above)
+	}
+	checkGrads(t, l, x, 14, 30)
+}
+
+// awayFromKinks moves every element of x whose pre-activation
+// z = γ·x̂ + β under l's batch statistics lies within 0.05 of a kink of act,
+// until none does.
+func awayFromKinks(l *BatchNorm2D, x *tensor.Tensor, act vec.Act) {
+	kinks := map[vec.Act][]float32{vec.ActReLU: {0}, vec.ActHardSwish: {-3, 3}}[act]
+	affine := NewBatchNorm2D(l.C, vec.ActIdentity)
+	affine.Gamma.W.CopyFrom(l.Gamma.W)
+	affine.Beta.W.CopyFrom(l.Beta.W)
+	for moved := true; moved; {
+		moved = false
+		hw := x.Dim(2) * x.Dim(3)
+		for i, z := range affine.Forward(x, true).Data() {
+			for _, k := range kinks {
+				if z > k-0.05 && z < k+0.05 {
+					c := i / hw % l.C
+					x.Data()[i] += 0.2 / l.Gamma.W.Data()[c]
+					moved = true
+				}
+			}
+		}
+	}
 }
 
 func TestMaxPoolGrad(t *testing.T) {
@@ -255,8 +308,7 @@ func TestNetworkCompositeGrad(t *testing.T) {
 	r := frand.New(37)
 	net := NewNetwork(
 		NewConv2D(r, 1, 4, 3, 1, 1, 1),
-		NewBatchNorm2D(4),
-		NewHardSwish(),
+		NewBatchNorm2D(4, vec.ActHardSwish),
 		NewGlobalAvgPool(),
 		NewDense(r, 4, 5),
 	)

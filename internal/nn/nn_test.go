@@ -9,6 +9,7 @@ import (
 
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/tensor"
+	"heteroswitch/internal/vec"
 	"heteroswitch/internal/vectest"
 )
 
@@ -16,7 +17,7 @@ func smallNet(seed uint64) *Network {
 	r := frand.New(seed)
 	return NewNetwork(
 		NewConv2D(r, 1, 4, 3, 1, 1, 1),
-		NewBatchNorm2D(4),
+		NewBatchNorm2D(4, vec.ActIdentity),
 		NewReLU(),
 		NewGlobalAvgPool(),
 		NewDense(r, 4, 3),
@@ -230,7 +231,7 @@ func TestTrainingReducesLoss(t *testing.T) {
 	r := frand.New(21)
 	net := NewNetwork(
 		NewConv2D(r, 1, 6, 3, 1, 1, 1),
-		NewBatchNorm2D(6),
+		NewBatchNorm2D(6, vec.ActIdentity),
 		NewReLU(),
 		NewGlobalAvgPool(),
 		NewDense(r, 6, 2),
@@ -293,7 +294,7 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 }
 
 func TestBatchNormEvalUsesRunningStats(t *testing.T) {
-	l := NewBatchNorm2D(1)
+	l := NewBatchNorm2D(1, vec.ActIdentity)
 	r := frand.New(31)
 	x := tensor.Randn(r, 1, 8, 1, 4, 4)
 	apply(x, func(v float32) float32 { return v + 5 }) // mean far from running mean of 0
@@ -331,7 +332,7 @@ func TestBatchNormRejectsUnusableCalls(t *testing.T) {
 	}
 	x := tensor.Randn(frand.New(32), 1, 2, 3, 4, 4)
 	for _, shape := range [][]int{{0, 3, 4, 4}, {2, 3, 0, 4}} {
-		l := NewBatchNorm2D(3)
+		l := NewBatchNorm2D(3, vec.ActIdentity)
 		mustPanic(fmt.Sprint("empty batch ", shape), fmt.Sprint(shape), func() { l.Forward(tensor.New(shape...), true) })
 		for i, v := range l.RunMean.Data() {
 			if v != 0 || l.RunVar.Data()[i] != 1 {
@@ -340,7 +341,7 @@ func TestBatchNormRejectsUnusableCalls(t *testing.T) {
 		}
 		l.Forward(tensor.New(shape...), false) // eval mode needs no statistics
 	}
-	l := NewBatchNorm2D(3)
+	l := NewBatchNorm2D(3, vec.ActIdentity)
 	mustPanic("backward first", "training Forward", func() { l.Backward(x) })
 	l.Forward(x, true)
 	l.Backward(x)
@@ -349,23 +350,25 @@ func TestBatchNormRejectsUnusableCalls(t *testing.T) {
 }
 
 // TestBatchNormTrainStepAllocFree: after a warm-up batch, BatchNorm2D's
-// forward + backward allocate nothing — the per-channel inverse deviations and
-// the reduction scratch are sized once per channel count.
+// forward + backward allocate nothing with any activation — the per-channel
+// statistics and the reduction scratch are sized once per channel count.
 func TestBatchNormTrainStepAllocFree(t *testing.T) {
 	vectest.BothSettings(t, func(t *testing.T) {
 		r := frand.New(33)
-		l := NewBatchNorm2D(12) // a vector tile, a Go tile
-		l.SetArena(tensor.NewArena())
-		x := tensor.Randn(r, 1, 4, 12, 5, 5)
-		dy := tensor.Randn(r, 1, 4, 12, 5, 5)
-		step := func() {
-			l.arena.Reset()
-			l.Forward(x, true)
-			l.Backward(dy)
-		}
-		step()
-		if avg := testing.AllocsPerRun(20, step); avg != 0 {
-			t.Fatalf("batch-norm train step allocates %.1f objects in steady state, want 0", avg)
+		for _, act := range vecBNActs {
+			l := NewBatchNorm2D(12, act) // a vector tile and four Go channels
+			l.SetArena(tensor.NewArena())
+			x := tensor.Randn(r, 1, 4, 12, 5, 5)
+			dy := tensor.Randn(r, 1, 4, 12, 5, 5)
+			step := func() {
+				l.arena.Reset()
+				l.Forward(x, true)
+				l.Backward(dy)
+			}
+			step()
+			if avg := testing.AllocsPerRun(20, step); avg != 0 {
+				t.Fatalf("batch-norm (act %d) train step allocates %.1f objects in steady state, want 0", act, avg)
+			}
 		}
 	})
 }

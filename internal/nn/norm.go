@@ -9,9 +9,15 @@ import (
 )
 
 // BatchNorm2D normalizes each channel of an NCHW tensor over the batch and
-// spatial dimensions, with a learned affine transform. In training mode it
-// uses batch statistics and updates exponential running statistics; in eval
-// mode it uses the running statistics.
+// spatial dimensions, with a learned affine transform, and applies the
+// activation that follows it (identity, ReLU or hard-swish). In training mode
+// it uses batch statistics and updates exponential running statistics; in
+// eval mode it uses the running statistics.
+//
+// The activation runs inside the layer's own passes: the training forward
+// stores only act(γ·x̂ + β), and the backward recomputes x̂ and the
+// pre-activation from the input it keeps a reference to, so neither is ever
+// stored.
 //
 // The running statistics are exposed through States() so federated
 // aggregation can average them alongside the trained parameters — BN
@@ -26,18 +32,18 @@ type BatchNorm2D struct {
 	Beta     *Param
 	RunMean  *tensor.Tensor
 	RunVar   *tensor.Tensor
+	act      vec.Act
 
-	// forward cache; xhat is nil unless the last Forward was a training one
-	xhat   *tensor.Tensor
+	// forward cache; x is nil unless the last Forward was a training one
+	x      *tensor.Tensor
+	mean   []float32
 	invStd []float32
 	sums   []float64 // reduction scratch: C sums, then C sums of products
-	batch  int
-	hw     int
 }
 
 // NewBatchNorm2D builds a BatchNorm over c channels with γ=1, β=0,
-// running mean 0 and running variance 1.
-func NewBatchNorm2D(c int) *BatchNorm2D {
+// running mean 0 and running variance 1, followed by act.
+func NewBatchNorm2D(c int, act vec.Act) *BatchNorm2D {
 	name := fmt.Sprintf("bn%d", c)
 	return &BatchNorm2D{
 		C: c, Eps: 1e-5, Momentum: 0.1,
@@ -45,6 +51,7 @@ func NewBatchNorm2D(c int) *BatchNorm2D {
 		Beta:    &Param{Name: name + ".beta", W: tensor.New(c), Grad: tensor.New(c)},
 		RunMean: tensor.New(c),
 		RunVar:  tensor.Ones(c),
+		act:     act,
 	}
 }
 
@@ -56,12 +63,12 @@ func (l *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
 	hw := h * w
 	m := n * hw
-	l.batch, l.hw = n, hw
 	out := l.allocUninit(n, l.C, h, w)
 	xd, od := x.Data(), out.Data()
 	gd, bd := l.Gamma.W.Data(), l.Beta.W.Data()
 
 	if len(l.invStd) != l.C { // once per channel count: steady-state steps allocate nothing
+		l.mean = make([]float32, l.C)
 		l.invStd = make([]float32, l.C)
 		l.sums = make([]float64, 2*l.C)
 	}
@@ -70,11 +77,10 @@ func (l *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		if m == 0 {
 			panic(fmt.Sprintf("nn: BatchNorm2D training batch %v has no elements to take statistics over", x.Shape()))
 		}
-		l.xhat = l.allocUninit(n, l.C, h, w)
-		xh := l.xhat.Data()
+		l.x = x
 		rm, rv := l.RunMean.Data(), l.RunVar.Data()
 		sum, sumsq := l.sums[:l.C], l.sums[l.C:]
-		bnSums(sum, sumsq, xd, nil, n, l.C, hw)
+		bnSums(sum, sumsq, xd, n, l.C, hw)
 		for c := 0; c < l.C; c++ {
 			mean := sum[c] / float64(m)
 			variance := sumsq[c]/float64(m) - mean*mean
@@ -82,21 +88,23 @@ func (l *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 				variance = 0
 			}
 			inv := 1 / math.Sqrt(variance+l.Eps)
-			l.invStd[c] = float32(inv)
 			rm[c] = float32((1-l.Momentum)*float64(rm[c]) + l.Momentum*mean)
 			rv[c] = float32((1-l.Momentum)*float64(rv[c]) + l.Momentum*variance)
 			g, b := gd[c], bd[c]
 			mf, invf := float32(mean), float32(inv)
+			l.mean[c], l.invStd[c] = mf, invf
 			if vec.Live {
-				vec.BNNormalize(od[c*hw:], xh[c*hw:], xd[c*hw:], l.C*hw, n, hw, mf, invf, g, b)
+				vec.BNNormalize(od[c*hw:], xd[c*hw:], l.C*hw, n, hw, mf, invf, g, b, l.act)
 				continue
 			}
 			for i := 0; i < n; i++ {
 				base := (i*l.C + c) * hw
 				for j := 0; j < hw; j++ {
 					xv := (xd[base+j] - mf) * invf
-					xh[base+j] = xv
 					od[base+j] = g*xv + b
+				}
+				if l.act != vec.ActIdentity {
+					applyAct(od[base:base+hw], od[base:base+hw], epActOf(l.act))
 				}
 			}
 		}
@@ -104,7 +112,7 @@ func (l *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 
 	// Eval mode: use running statistics. There is no batch to differentiate.
-	l.xhat = nil
+	l.x = nil
 	rm, rv := l.RunMean.Data(), l.RunVar.Data()
 	for c := 0; c < l.C; c++ {
 		inv := float32(1 / math.Sqrt(float64(rv[c])+l.Eps))
@@ -116,89 +124,149 @@ func (l *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			}
 		}
 	}
+	if l.act != vec.ActIdentity {
+		applyAct(od, od, epActOf(l.act))
+	}
 	return out
 }
 
-// Backward implements Layer using the standard batch-norm gradient. It
-// differentiates the batch of the last training Forward and panics when there
-// is none.
+// Backward implements Layer using the standard batch-norm gradient behind
+// the activation's. It differentiates the batch of the last training Forward
+// and panics when there is none. Two passes: the reduction forms
+// dz = act′(z)·dy (stored in dx's buffer unless act is the identity, where
+// dz is dy) with Σdz and Σdz·x̂, and the input-gradient sweep overwrites dz
+// with dx.
 func (l *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if l.xhat == nil {
+	if l.x == nil {
 		panic("nn: BatchNorm2D.Backward needs a training Forward before it (none yet, or the last one ran in eval mode)")
 	}
-	n, hw := l.batch, l.hw
+	n, hw := l.x.Dim(0), l.x.Dim(2)*l.x.Dim(3)
 	m := float32(n * hw)
 	dx := l.allocUninit(grad.Shape()...)
-	gd := grad.Data()
-	xh := l.xhat.Data()
-	dxd := dx.Data()
+	xd, dxd := l.x.Data(), dx.Data()
+	dz := grad.Data()
+	if l.act != vec.ActIdentity {
+		dz = dxd
+	}
 	gammaD := l.Gamma.W.Data()
 	dgamma, dbeta := l.Gamma.Grad.Data(), l.Beta.Grad.Data()
 
-	sumDy, sumDyXhat := l.sums[:l.C], l.sums[l.C:]
-	bnSums(sumDy, sumDyXhat, gd, xh, n, l.C, hw)
+	sumDz, sumDzXhat := l.sums[:l.C], l.sums[l.C:]
+	l.gradSums(sumDz, sumDzXhat, dz, grad.Data(), xd, n, hw)
 	for c := 0; c < l.C; c++ {
-		dgamma[c] += float32(sumDyXhat[c])
-		dbeta[c] += float32(sumDy[c])
+		dgamma[c] += float32(sumDzXhat[c])
+		dbeta[c] += float32(sumDz[c])
 		g := gammaD[c]
-		inv := l.invStd[c]
-		sDy, sDyXh := float32(sumDy[c]), float32(sumDyXhat[c])
+		mf, inv := l.mean[c], l.invStd[c]
+		scale, sDyG, sDyXh := inv/m, float32(sumDz[c])*g, float32(sumDzXhat[c])
 		if vec.Live {
-			vec.BNGradX(dxd[c*hw:], gd[c*hw:], xh[c*hw:], l.C*hw, n, hw, g, inv/m, m, sDy*g, sDyXh)
+			vec.BNGradX(dxd[c*hw:], dz[c*hw:], xd[c*hw:], l.C*hw, n, hw, mf, inv, g, scale, m, sDyG, sDyXh)
 			continue
 		}
 		for i := 0; i < n; i++ {
 			base := (i*l.C + c) * hw
 			for j := 0; j < hw; j++ {
-				dxhat := gd[base+j] * g
-				dxd[base+j] = inv / m * (m*dxhat - sDy*g - xh[base+j]*sDyXh*g)
+				xv := (xd[base+j] - mf) * inv
+				dxhat := dz[base+j] * g
+				dxd[base+j] = scale * (m*dxhat - sDyG - xv*sDyXh*g)
 			}
 		}
 	}
 	return dx
 }
 
-// bnSums folds the two float64 reductions of a batch-norm pass over an
-// [n, chans, hw] batch: per channel c, sum[c] = Σ a and dot[c] = Σ a·b — or
-// Σ a² when b is nil, the forward's (Σx, Σx²); the backward's are (Σdy,
-// Σdy·x̂). A channel's two sums each fold its elements one at a time, samples
-// then positions ascending, so the order of every sum is the single-channel
-// loop's. The channels are independent targets: a sweep folds bnTile of them
-// side by side (2·bnTile chains), the vector kernel vec.BNChannels with the
-// channels in its lanes, and the last chans mod bnTile go one by one.
-func bnSums(sum, dot []float64, a, b []float32, n, chans, hw int) {
-	stride := chans * hw
+// gradSums is the backward's reduction: per channel c, sum[c] = Σ dz and
+// dot[c] = Σ dz·x̂ over the [n, C, hw] batch, each folding its elements one at
+// a time, samples then positions ascending, after storing
+// dz = act′(z)·dy into dz unless act is the identity (then dz is dy). The
+// vector kernel vec.BNSumDot takes vec.BNChannels channels a call, forming dz
+// in the same pass; the Go loops form the remaining channels' dz first, then
+// fold each channel on its own. A bnTile-wide fold would spill its sums and
+// x̂ constants out of registers, and the add of a spilled sum takes its
+// operands in the other order, which decides which of two NaNs survives.
+func (l *BatchNorm2D) gradSums(sum, dot []float64, dz, dy, x []float32, n, hw int) {
+	chans, stride := l.C, l.C*hw
+	gamma, beta := l.Gamma.W.Data(), l.Beta.W.Data()
 	c := 0
 	if vec.Live {
 		for ; c+vec.BNChannels <= chans; c += vec.BNChannels {
-			if b == nil {
-				vec.BNSumSq(sum[c:], dot[c:], a[c*hw:], stride, n, hw)
-			} else {
-				vec.BNSumDot(sum[c:], dot[c:], a[c*hw:], b[c*hw:], stride, n, hw)
-			}
+			vec.BNSumDot(sum[c:], dot[c:], dz[c*hw:], dy[c*hw:], x[c*hw:], stride, n, hw,
+				l.mean[c:], l.invStd[c:], gamma[c:], beta[c:], l.act)
 		}
 	}
-	for ; c+bnTile <= chans; c += bnTile {
-		if b == nil {
-			bnSumSqTile(sum[c:c+bnTile], dot[c:c+bnTile], a[c*hw:], stride, n, hw)
-		} else {
-			bnSumDotTile(sum[c:c+bnTile], dot[c:c+bnTile], a[c*hw:], b[c*hw:], stride, n, hw)
+	if l.act != vec.ActIdentity {
+		for i := 0; i < n; i++ {
+			for ch := c; ch < chans; ch++ {
+				base := i*stride + ch*hw
+				mf, inv, g, b := l.mean[ch], l.invStd[ch], gamma[ch], beta[ch]
+				pz, py := dz[base:base+hw], dy[base:base+hw]
+				for j, v := range x[base : base+hw] {
+					xv := (v - mf) * inv
+					z := g*xv + b
+					switch {
+					case l.act == vec.ActHardSwish:
+						pz[j] = hardSwishDer(z) * py[j]
+					case z > 0:
+						pz[j] = py[j]
+					default:
+						pz[j] = 0
+					}
+				}
+			}
 		}
 	}
 	for ; c < chans; c++ {
 		var s, d float64
+		mf, inv := l.mean[c], l.invStd[c]
 		for i := 0; i < n; i++ {
-			pa := a[i*stride+c*hw:][:hw]
-			pb := pa
-			if b != nil {
-				pb = b[i*stride+c*hw:][:hw]
-			}
-			for j, v := range pa {
+			px := x[i*stride+c*hw:][:hw]
+			for j, v := range dz[i*stride+c*hw:][:len(px)] {
 				s += float64(v)
-				d += float64(v) * float64(pb[j])
+				d += float64((px[j]-mf)*inv) * float64(v)
 			}
 		}
 		sum[c], dot[c] = s, d
+	}
+}
+
+// hardSwishDer is hard-swish's derivative at z, hardSigmoid(z) plus z/6
+// inside (−3, 3). The Go loops multiply dy onto it, so a NaN derivative keeps
+// its payload over a NaN dy, as the vector kernel's does.
+func hardSwishDer(z float32) float32 {
+	der := tensor.HardSigmoid(z)
+	if z > -3 && z < 3 {
+		der += z / 6
+	}
+	return der
+}
+
+// bnSums folds the forward's two float64 reductions over an [n, chans, hw]
+// batch: per channel c, sum[c] = Σ x and sq[c] = Σ x². A channel's two sums
+// each fold its elements one at a time, samples then positions ascending, so
+// the order of every sum is the single-channel loop's. The channels are
+// independent targets: a sweep folds bnTile of them side by side (2·bnTile
+// chains), the vector kernel vec.BNChannels with the channels in its lanes,
+// and the last chans mod bnTile go one by one.
+func bnSums(sum, sq []float64, x []float32, n, chans, hw int) {
+	stride := chans * hw
+	c := 0
+	if vec.Live {
+		for ; c+vec.BNChannels <= chans; c += vec.BNChannels {
+			vec.BNSumSq(sum[c:], sq[c:], x[c*hw:], stride, n, hw)
+		}
+	}
+	for ; c+bnTile <= chans; c += bnTile {
+		bnSumSqTile(sum[c:c+bnTile], sq[c:c+bnTile], x[c*hw:], stride, n, hw)
+	}
+	for ; c < chans; c++ {
+		var s, d float64
+		for i := 0; i < n; i++ {
+			for _, v := range x[i*stride+c*hw:][:hw] {
+				s += float64(v)
+				d += float64(v) * float64(v)
+			}
+		}
+		sum[c], sq[c] = s, d
 	}
 }
 
@@ -229,31 +297,6 @@ func bnSumSqTile(sum, sq []float64, x []float32, stride, n, hw int) {
 	}
 	sum[0], sum[1], sum[2], sum[3] = s0, s1, s2, s3
 	sq[0], sq[1], sq[2], sq[3] = q0, q1, q2, q3
-}
-
-// bnSumDotTile is the backward sweep over bnTile neighbouring channels:
-// sum[k] = Σ a, dot[k] = Σ a·b over the same layout as bnSumSqTile.
-func bnSumDotTile(sum, dot []float64, a, b []float32, stride, n, hw int) {
-	var s0, s1, s2, s3, d0, d1, d2, d3 float64
-	for i := 0; i < n; i++ {
-		pa, pb := a[i*stride:][:bnTile*hw], b[i*stride:][:bnTile*hw]
-		a0 := pa[:hw]
-		a1, a2, a3 := pa[hw:][:len(a0)], pa[2*hw:][:len(a0)], pa[3*hw:][:len(a0)]
-		b0, b1, b2, b3 := pb[:len(a0)], pb[hw:][:len(a0)], pb[2*hw:][:len(a0)], pb[3*hw:][:len(a0)]
-		for j, v := range a0 {
-			v0, v1, v2, v3 := float64(v), float64(a1[j]), float64(a2[j]), float64(a3[j])
-			s0 += v0
-			d0 += v0 * float64(b0[j])
-			s1 += v1
-			d1 += v1 * float64(b1[j])
-			s2 += v2
-			d2 += v2 * float64(b2[j])
-			s3 += v3
-			d3 += v3 * float64(b3[j])
-		}
-	}
-	sum[0], sum[1], sum[2], sum[3] = s0, s1, s2, s3
-	dot[0], dot[1], dot[2], dot[3] = d0, d1, d2, d3
 }
 
 // Params implements Layer.

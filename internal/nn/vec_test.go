@@ -10,6 +10,7 @@ import (
 
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/guardmem"
+	"heteroswitch/internal/israce"
 	"heteroswitch/internal/tensor"
 	"heteroswitch/internal/vec"
 	"heteroswitch/internal/vectest"
@@ -45,8 +46,8 @@ func sweepOperand(r *frand.RNG, n int, scale float64) []float32 {
 var vecSweepLens = []int{1, 2, 7, 8, 9, 15, 16, 17, 31, 33, 64, 100, 257}
 
 // runVecActCase runs every vectorised activation sweep on length n under both
-// settings of the switch and requires identical bits: hard-swish forward and
-// backward, the standalone frozen activation, the one-row conv epilogue
+// settings of the switch and requires identical bits: the hard-swish sweep of
+// the frozen activation and of batch norm's eval pass, the one-row conv epilogue
 // (bias, bias + hard-swish), the rows × n training bias add of a pointwise
 // Conv2D, the squeeze-excite rescale of rows planes of n and the residual
 // sum.
@@ -63,10 +64,6 @@ func runVecActCase(t *testing.T, n, rows int, seed uint64) {
 	}
 	run := func(on bool) [][]float32 {
 		vectest.SetLive(t, on)
-		l := NewHardSwish()
-		xt := tensor.FromSlice(slices.Clone(x), 1, n)
-		y := slices.Clone(l.Forward(xt, true).Data())
-		dx := slices.Clone(l.Backward(tensor.FromSlice(slices.Clone(dy), 1, n)).Data())
 		act := make([]float32, n)
 		applyAct(act, x, epHardSwish)
 		planes := slices.Clone(conv.Forward(tensor.FromSlice(slices.Clone(x), 1, 1, 1, n), true).Data())
@@ -74,7 +71,7 @@ func runVecActCase(t *testing.T, n, rows int, seed uint64) {
 		scaleRows(scaled, slices.Repeat(x, rows), z, n)
 		sum := make([]float32, n)
 		addInto(sum, x, dy)
-		res := [][]float32{y, dx, act, planes, scaled, sum}
+		res := [][]float32{act, planes, scaled, sum}
 		for _, hs := range []bool{false, true} {
 			for i := range bias {
 				row := slices.Clone(x)
@@ -102,15 +99,20 @@ func TestVecActivationSweepsMatchGeneric(t *testing.T) {
 // vecBNPlanes are plane sizes around the lane edge.
 var vecBNPlanes = [][2]int{{1, 1}, {1, 7}, {2, 4}, {3, 3}, {5, 5}, {4, 8}, {7, 9}, {16, 16}}
 
-// refBNTrain is BatchNorm2D's training forward and backward as they ran
-// before the reductions were tiled: per channel, ONE float64 accumulator pair
-// over the batch (samples, then positions, ascending), then the scalar
-// normalise and input-gradient loops. It is the oracle both settings of the
-// layer must match bit for bit; rm and rv are updated in place, dgamma and
-// dbeta accumulated onto.
-func refBNTrain(xd, gd []float32, n, ch, hw int, gamma, beta, rm, rv, dgamma, dbeta []float32, eps, momentum float64) (out, xh, dx []float32) {
+// vecBNActs are the activations a batch norm carries.
+var vecBNActs = []vec.Act{vec.ActIdentity, vec.ActReLU, vec.ActHardSwish}
+
+// refBNTrain is BatchNorm2D's training forward and backward with act as they
+// ran before the reductions were tiled and before the layer carried its
+// activation: per channel, ONE float64 accumulator pair over the batch
+// (samples, then positions, ascending), the scalar normalise loop storing x̂
+// and z, the activation layers' own forward and backward loops on z, then the
+// input-gradient loop on x̂. It is the oracle both settings of the layer must
+// match bit for bit; rm and rv are updated in place, dgamma and dbeta
+// accumulated onto.
+func refBNTrain(xd, gd []float32, n, ch, hw int, act vec.Act, gamma, beta, rm, rv, dgamma, dbeta []float32, eps, momentum float64) (y, dx []float32) {
 	m := n * hw
-	out, xh, dx = make([]float32, len(xd)), make([]float32, len(xd)), make([]float32, len(xd))
+	z, xh, dx := make([]float32, len(xd)), make([]float32, len(xd)), make([]float32, len(xd))
 	invStd := make([]float32, ch)
 	for c := 0; c < ch; c++ {
 		var sum, sumsq float64
@@ -138,8 +140,32 @@ func refBNTrain(xd, gd []float32, n, ch, hw int, gamma, beta, rm, rv, dgamma, db
 			for j := 0; j < hw; j++ {
 				xv := (xd[base+j] - mf) * invf
 				xh[base+j] = xv
-				out[base+j] = g*xv + b
+				z[base+j] = g*xv + b
 			}
+		}
+	}
+	// The activation layer: ReLU's and HardSwish's forward and backward loops.
+	y, dz := slices.Clone(z), slices.Clone(gd)
+	for i, v := range z {
+		switch act {
+		case vec.ActReLU:
+			if v > 0 {
+				y[i] = v
+			} else {
+				y[i] = 0
+			}
+			if v > 0 {
+				dz[i] = gd[i]
+			} else {
+				dz[i] = 0
+			}
+		case vec.ActHardSwish:
+			y[i] = v * tensor.HardSigmoid(v)
+			der := tensor.HardSigmoid(v)
+			if v > -3 && v < 3 {
+				der += v / 6
+			}
+			dz[i] = gd[i] * der
 		}
 	}
 	mf := float32(m)
@@ -148,7 +174,7 @@ func refBNTrain(xd, gd []float32, n, ch, hw int, gamma, beta, rm, rv, dgamma, db
 		for i := 0; i < n; i++ {
 			base := (i*ch + c) * hw
 			for j := 0; j < hw; j++ {
-				dy := float64(gd[base+j])
+				dy := float64(dz[base+j])
 				sumDy += dy
 				sumDyXhat += dy * float64(xh[base+j])
 			}
@@ -161,22 +187,35 @@ func refBNTrain(xd, gd []float32, n, ch, hw int, gamma, beta, rm, rv, dgamma, db
 		for i := 0; i < n; i++ {
 			base := (i*ch + c) * hw
 			for j := 0; j < hw; j++ {
-				dxhat := gd[base+j] * g
+				dxhat := dz[base+j] * g
 				dx[base+j] = inv / mf * (mf*dxhat - sDy*g - xh[base+j]*sDyXh*g)
 			}
 		}
 	}
-	return out, xh, dx
+	return y, dx
 }
 
-// runVecBNCase runs the training forward (xhat, out, running statistics) and
-// backward (dx, dγ, dβ) of BatchNorm2D on an [n, c, h, w] batch under both
-// settings of the switch and requires refBNTrain's bits of both. The inputs
-// carry ±0 and denormals, one γ in four is zero, and the gradients accumulate
-// onto junk. The reductions run four channels a sweep in Go and eight a sweep
-// in the vector kernel, each channel still folded one element at a time; the
-// elementwise passes walk n planes of h·w elements c·h·w apart.
-func runVecBNCase(t *testing.T, n, c, h, w int, seed uint64) {
+// bnSpecials are the per-channel (γ, β) pairs of runVecBNCase, cycled over
+// the channels: γ = 0 pins z at the ±3 knees and at ±0 (β = −0 gives
+// z = ±0 by the sign of x̂), γ = +Inf sends z to ±Inf, and the rest spread z
+// across both knees.
+var bnSpecials = [][2]float32{
+	{1.25, 0.1}, {-0.5, -2}, {0, 3}, {3, 1e-39},
+	{0, -3}, {0, float32(math.Copysign(0, -1))}, {float32(math.Inf(1)), 0.5}, {2.5, 0.25},
+}
+
+// runVecBNCase runs the training forward (out, running statistics) and
+// backward (dx, dγ, dβ) of BatchNorm2D with act on an [n, c, h, w] batch under
+// both settings of the switch and requires refBNTrain's bits of both. The
+// inputs carry ±0 and denormals, dy carries ±Inf and NaNs of two payloads,
+// one x in a batch of more than 64 elements is a NaN (which takes its
+// channel's statistics with it), the channels cycle through bnSpecials, and
+// the gradients accumulate onto junk. The reductions run four channels a
+// sweep in Go and eight a sweep in the vector kernel, each channel still
+// folded one element at a time; the elementwise passes walk n planes of h·w
+// elements c·h·w apart. Under -race NaN payloads are held as a class
+// (vectest.NaNClassEqual), and everywhere when nanClass is set.
+func runVecBNCase(t *testing.T, n, c, h, w int, act vec.Act, seed uint64, nanClass bool) {
 	t.Helper()
 	r := frand.New(seed)
 	size := n * c * h * w
@@ -185,22 +224,30 @@ func runVecBNCase(t *testing.T, n, c, h, w int, seed uint64) {
 	x[0], dy[size-1] = float32(math.Copysign(0, -1)), 1e-39
 	x[size/2], dy[size/3] = -1e-41, 0
 	x[size-1], dy[0] = 0, float32(math.Copysign(0, -1))
+	dy[r.Intn(size)] = float32(math.Inf(1))
+	dy[r.Intn(size)] = float32(math.Inf(-1))
+	dy[r.Intn(size)] = math.Float32frombits(0x7fc00001)
+	dy[r.Intn(size)] = math.Float32frombits(0xffc00123)
+	if size > 64 {
+		x[r.Intn(size)] = math.Float32frombits(0xffc00456)
+	}
 	gamma, beta := make([]float32, c), make([]float32, c)
 	junkG, junkB := tensor.Randn(r, 1, c).Data(), tensor.Randn(r, 1, c).Data()
 	for i := range gamma {
-		gamma[i] = []float32{1.25, -0.5, 0, 3}[i%4] + float32(i/4)*0.125
-		beta[i] = []float32{0.1, -2, 3, 1e-39}[i%4]
+		gamma[i], beta[i] = bnSpecials[i%len(bnSpecials)][0], bnSpecials[i%len(bnSpecials)][1]
+		if gamma[i] != 0 {
+			gamma[i] += float32(i/len(bnSpecials)) * 0.125
+		}
 	}
-	gamma[2%c] = 0
-	what := []string{"out", "xhat", "dx", "runMean", "runVar", "dGamma", "dBeta"}
+	what := []string{"out", "dx", "runMean", "runVar", "dGamma", "dBeta"}
 	wantRM, wantRV := make([]float32, c), slices.Repeat([]float32{1}, c)
 	wantDG, wantDB := slices.Clone(junkG), slices.Clone(junkB)
-	l := NewBatchNorm2D(c)
-	wantOut, wantXh, wantDx := refBNTrain(x, dy, n, c, h*w, gamma, beta, wantRM, wantRV, wantDG, wantDB, l.Eps, l.Momentum)
-	want := [][]float32{wantOut, wantXh, wantDx, wantRM, wantRV, wantDG, wantDB}
+	l := NewBatchNorm2D(c, act)
+	wantOut, wantDx := refBNTrain(x, dy, n, c, h*w, act, gamma, beta, wantRM, wantRV, wantDG, wantDB, l.Eps, l.Momentum)
+	want := [][]float32{wantOut, wantDx, wantRM, wantRV, wantDG, wantDB}
 	for _, on := range []bool{false, true} {
 		vectest.SetLive(t, on)
-		l := NewBatchNorm2D(c)
+		l := NewBatchNorm2D(c, act)
 		l.Gamma.W.CopyFrom(tensor.FromSlice(gamma, c))
 		l.Beta.W.CopyFrom(tensor.FromSlice(beta, c))
 		l.Gamma.Grad.CopyFrom(tensor.FromSlice(junkG, c))
@@ -208,21 +255,32 @@ func runVecBNCase(t *testing.T, n, c, h, w int, seed uint64) {
 		out := l.Forward(tensor.FromSlice(slices.Clone(x), n, c, h, w), true)
 		dx := l.Backward(tensor.FromSlice(slices.Clone(dy), n, c, h, w))
 		got := [][]float32{
-			out.Data(), l.xhat.Data(), dx.Data(), l.RunMean.Data(), l.RunVar.Data(),
+			out.Data(), dx.Data(), l.RunMean.Data(), l.RunVar.Data(),
 			l.Gamma.Grad.Data(), l.Beta.Grad.Data(),
 		}
 		for i := range want {
-			exactSlice(t, fmt.Sprintf("bn n=%d c=%d %dx%d seed %d vec=%v %s", n, c, h, w, seed, on, what[i]), got[i], want[i])
+			name := fmt.Sprintf("bn act=%d n=%d c=%d %dx%d seed %d vec=%v %s", act, n, c, h, w, seed, on, what[i])
+			if nanClass {
+				for k, v := range got[i] {
+					if math.Float32bits(v) != math.Float32bits(want[i][k]) && !(v != v && want[i][k] != want[i][k]) {
+						t.Fatalf("%s: element %d differs: %v != %v", name, k, v, want[i][k])
+					}
+				}
+				continue
+			}
+			vectest.NaNClassEqual(t, name, got[i], want[i])
 		}
 	}
 }
 
 // TestVecBatchNormMatchesGeneric: runVecBNCase on the plane table at batch 1
-// and 3.
+// and 3, for every activation.
 func TestVecBatchNormMatchesGeneric(t *testing.T) {
-	for i, hw := range vecBNPlanes {
-		for _, n := range []int{1, 3} {
-			runVecBNCase(t, n, 3, hw[0], hw[1], uint64(812+i))
+	for _, act := range vecBNActs {
+		for i, hw := range vecBNPlanes {
+			for _, n := range []int{1, 3} {
+				runVecBNCase(t, n, 3, hw[0], hw[1], act, uint64(812+i), false)
+			}
 		}
 	}
 }
@@ -230,110 +288,179 @@ func TestVecBatchNormMatchesGeneric(t *testing.T) {
 // TestBatchNormReductionTiles sweeps the channel counts around the four-
 // channel Go tile and the eight-channel vector tile (a tile plus every
 // remainder, and TinyMobileNetV3's 16 and 24) against plane sizes around the
-// four-j block of the transposing read, at batch 1, 3 and 10.
+// four-j block of the transposing read, at batch 1, 3 and 10, for every
+// activation.
 func TestBatchNormReductionTiles(t *testing.T) {
 	seed := uint64(900)
-	for _, c := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 24} {
-		for _, hw := range []int{1, 3, 4, 5, 7, 64, 256} {
-			for _, n := range []int{1, 3, 10} {
-				if testing.Short() && hw == 256 && n == 10 && c < 16 {
-					continue
+	for _, act := range vecBNActs {
+		for _, c := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 24} {
+			for _, hw := range []int{1, 3, 4, 5, 7, 64, 256} {
+				for _, n := range []int{1, 3, 10} {
+					if testing.Short() && hw == 256 && n == 10 && c < 16 {
+						continue
+					}
+					seed++
+					runVecBNCase(t, n, c, 1, hw, act, seed, false)
 				}
-				seed++
-				runVecBNCase(t, n, c, 1, hw, seed)
 			}
 		}
 	}
 }
 
-// TestVecBNSumsStayInsideSlices: the transposing reduction reads four
-// consecutive j of eight channels at a time; on planes of every length mod 4
-// whose batch ends at an inaccessible page, it must read the last element and
-// nothing after it.
+// TestVecBNSumsStayInsideSlices: the transposing reductions read four
+// consecutive j of eight channels at a time, and the backward's also stores
+// dz there; on planes of every length mod 4 whose batch ends at an
+// inaccessible page — x, dy and dz each — both must touch the last element
+// and nothing after it, and the backward must store dz exactly where the Go
+// loops do.
 func TestVecBNSumsStayInsideSlices(t *testing.T) {
 	vectest.Require(t)
 	r := frand.New(83)
 	for _, hw := range []int{1, 2, 3, 4, 5, 6, 7, 9, 64} {
 		const n, ch = 3, 8
-		a, b := guardmem.Float32s(t, n*ch*hw), guardmem.Float32s(t, n*ch*hw)
-		copy(a, tensor.Randn(r, 1, len(a)).Data())
-		copy(b, tensor.Randn(r, 1, len(b)).Data())
-		for _, pass := range [][]float32{nil, b} {
-			var sums [2][2 * ch]float64
+		x, dy := guardmem.Float32s(t, n*ch*hw), guardmem.Float32s(t, n*ch*hw)
+		copy(x, sweepOperand(r, len(x), 2))
+		copy(dy, sweepOperand(r, len(dy), 1))
+		var sums [2][2 * ch]float64
+		for i, on := range []bool{false, true} {
+			vectest.SetLive(t, on)
+			bnSums(sums[i][:ch], sums[i][ch:], x, n, ch, hw)
+		}
+		exactSums(t, fmt.Sprintf("hw=%d forward", hw), sums[1][:], sums[0][:])
+		for _, act := range vecBNActs {
+			l := NewBatchNorm2D(ch, act)
+			l.mean, l.invStd = tensor.Randn(r, 1, ch).Data(), tensor.Randn(r, 1, ch).Data()
+			copy(l.Gamma.W.Data(), tensor.Randn(r, 2, ch).Data())
+			copy(l.Beta.W.Data(), tensor.Randn(r, 1, ch).Data())
+			var dz [2][]float32
 			for i, on := range []bool{false, true} {
 				vectest.SetLive(t, on)
-				bnSums(sums[i][:ch], sums[i][ch:], a, pass, n, ch, hw)
-			}
-			for i := range sums[0] {
-				if math.Float64bits(sums[1][i]) != math.Float64bits(sums[0][i]) {
-					t.Fatalf("hw=%d pair=%v: sum %d = %v, want %v", hw, pass != nil, i, sums[1][i], sums[0][i])
+				dz[i] = guardmem.Float32s(t, len(x))
+				a := dz[i]
+				if act == vec.ActIdentity {
+					a = dy
 				}
+				l.gradSums(sums[i][:ch], sums[i][ch:], a, dy, x, n, hw)
 			}
+			name := fmt.Sprintf("hw=%d act=%d backward", hw, act)
+			exactSums(t, name, sums[1][:], sums[0][:])
+			exactSlice(t, name+" dz", dz[1], dz[0])
 		}
 	}
 }
 
-// BenchmarkBNReduce times the two float64 reductions of a batch-norm pass —
-// fwd (Σx, Σx²) and bwd (Σdy, Σdy·x̂) — at batch 10 on TinyMobileNetV3's
-// channel counts and plane sizes, under the vector kernel ("default") and the
-// tiled Go loop ("generic"), and the single-chain oracle loop as a third arm
-// ("ref"). ns/elem is per element of the batch; x-ref is how many times
-// faster than the oracle the arm ran, both timed in the same arm.
+// exactSums requires two slices of float64 sums to be identical bit for bit,
+// holding NaN as a class under -race as vectest.NaNClassEqual does.
+func exactSums(t *testing.T, name string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if g, w := got[i], want[i]; math.Float64bits(g) != math.Float64bits(w) && !(israce.Enabled && g != g && w != w) {
+			t.Fatalf("%s: sum %d = %v, want %v", name, i, got[i], want[i])
+		}
+	}
+}
+
+// BenchmarkBNReduce times batch norm's training passes at batch 10 on
+// TinyMobileNetV3's channel counts and plane sizes. fwd and bwd are the two
+// float64 reductions — the forward's (Σx, Σx²) and the identity backward's
+// (Σdy, Σdy·x̂, x̂ recomputed from x) — under the vector kernel ("default")
+// and the tiled Go loop ("generic"), with the single-chain oracle loop as a
+// third arm ("ref"); x-ref is how many times faster than the oracle the arm
+// ran, both timed in the same arm. train-fwd and train-bwd are the layer's
+// whole training forward (reduction, statistics, normalise with the
+// activation) and backward (reduction with dz, input gradient) with ReLU and
+// hard-swish, under the two settings. ns/elem is per element of the batch.
 func BenchmarkBNReduce(b *testing.B) {
 	const n = 10
-	for _, c := range []struct{ ch, hw int }{{8, 256}, {16, 256}, {24, 64}, {32, 64}} {
+	perElem := func(b *testing.B, elems int, g func()) float64 {
+		t0 := time.Now()
+		for i := 0; i < b.N; i++ {
+			g()
+		}
+		return float64(time.Since(t0).Nanoseconds()) / float64(b.N) / float64(elems)
+	}
+	for _, c := range []struct{ ch, hw int }{{8, 256}, {16, 256}, {24, 256}, {24, 64}, {32, 64}} {
 		r := frand.New(7)
 		x := tensor.Randn(r, 1, n*c.ch*c.hw).Data()
 		y := tensor.Randn(r, 1, n*c.ch*c.hw).Data()
 		sum, dot := make([]float64, c.ch), make([]float64, c.ch)
+		l := NewBatchNorm2D(c.ch, vec.ActIdentity)
+		l.mean, l.invStd = tensor.Randn(r, 1, c.ch).Data(), tensor.Randn(r, 1, c.ch).Data()
 		for _, pass := range []struct {
 			name string
-			b    []float32
-		}{{"fwd", nil}, {"bwd", y}} {
+			run  func()
+		}{
+			{"fwd", func() { bnSums(sum, dot, x, n, c.ch, c.hw) }},
+			{"bwd", func() { l.gradSums(sum, dot, y, y, x, n, c.hw) }},
+		} {
 			ref := func() {
 				for ch := 0; ch < c.ch; ch++ {
 					var s, d float64
 					for i := 0; i < n; i++ {
 						base := (i*c.ch + ch) * c.hw
 						for j := 0; j < c.hw; j++ {
-							v := float64(x[base+j])
-							s += v
-							if pass.b == nil {
+							if pass.name == "fwd" {
+								v := float64(x[base+j])
+								s += v
 								d += v * v
 							} else {
-								d += v * float64(pass.b[base+j])
+								v := float64(y[base+j])
+								s += v
+								d += v * float64((x[base+j]-l.mean[ch])*l.invStd[ch])
 							}
 						}
 					}
 					sum[ch], dot[ch] = s, d
 				}
 			}
-			perElem := func(b *testing.B, g func()) float64 {
-				t0 := time.Now()
-				for i := 0; i < b.N; i++ {
-					g()
-				}
-				return float64(time.Since(t0).Nanoseconds()) / float64(b.N) / float64(len(x))
-			}
 			b.Run(fmt.Sprintf("%s/%dx%d", pass.name, c.ch, c.hw), func(b *testing.B) {
 				vectest.BenchArms(b, func(b *testing.B) {
-					per := perElem(b, func() { bnSums(sum, dot, x, pass.b, n, c.ch, c.hw) })
+					per := perElem(b, len(x), pass.run)
 					b.StopTimer()
 					b.ReportMetric(per, "ns/elem")
-					b.ReportMetric(perElem(b, ref)/per, "x-ref")
+					b.ReportMetric(perElem(b, len(x), ref)/per, "x-ref")
 				})
-				b.Run("ref", func(b *testing.B) { b.ReportMetric(perElem(b, ref), "ns/elem") })
+				b.Run("ref", func(b *testing.B) { b.ReportMetric(perElem(b, len(x), ref), "ns/elem") })
 			})
+		}
+		for _, act := range []struct {
+			name string
+			act  vec.Act
+		}{{"relu", vec.ActReLU}, {"hswish", vec.ActHardSwish}} {
+			xt, dyt := tensor.FromSlice(x, n, c.ch, 1, c.hw), tensor.FromSlice(y, n, c.ch, 1, c.hw)
+			l, arena := NewBatchNorm2D(c.ch, act.act), tensor.NewArena()
+			l.SetArena(arena) // as in a Network: each pass takes its output from the arena
+			for _, pass := range []struct {
+				name string
+				run  func()
+			}{
+				{"train-fwd", func() { arena.Reset(); l.Forward(xt, true) }},
+				// The backward reads the forward's input and statistics, none of
+				// which lives in the arena.
+				{"train-bwd", func() { arena.Reset(); l.Backward(dyt) }},
+			} {
+				b.Run(fmt.Sprintf("%s/%s/%dx%d", pass.name, act.name, c.ch, c.hw), func(b *testing.B) {
+					vectest.BenchArms(b, func(b *testing.B) {
+						l.Forward(xt, true)
+						b.ResetTimer()
+						b.ReportMetric(perElem(b, len(x), pass.run), "ns/elem")
+					})
+				})
+			}
 		}
 	}
 }
 
 // FuzzVecSweepsMatchGeneric is ROADMAP hardening item (b) for this package's
-// vector sweeps (vec.HardSwish, vec.HardSwishGrad, vec.BiasAct, vec.BNNormalize,
-// vec.BNGradX, vec.BNSumSq, vec.BNSumDot): random lengths, row counts, channel
-// counts through both reduction tiles and their remainders, plane strides and
-// seeds through the routines, the layers' Go loops and the single-chain
-// oracle at tol 0, seeded with the block-edge tables above.
+// vector sweeps (vec.HardSwish, vec.BiasAct, and batch norm with its
+// activation: vec.BNNormalize, vec.BNSumSq, vec.BNSumDot, vec.BNGradX):
+// random lengths, row counts, channel counts through both reduction tiles and
+// their remainders, plane strides, activations and seeds through the
+// routines, the layers' Go loops and the single-chain oracle at tol 0, seeded
+// with the block-edge tables above. Batch norm's NaNs are held as a class
+// here: which of two NaN operands survives is the compiler's choice, and the
+// fuzzing build's coverage instrumentation changes it; the plain-build tests
+// above hold the payloads.
 func FuzzVecSweepsMatchGeneric(f *testing.F) {
 	for i, n := range vecSweepLens {
 		f.Add(uint16(n), uint8(i), uint8(2), uint64(811+i))
@@ -349,7 +476,7 @@ func FuzzVecSweepsMatchGeneric(f *testing.F) {
 		if vectest.Have {
 			runVecActCase(t, length, batch, seed)
 		}
-		runVecBNCase(t, batch, c, 1, length, seed)
+		runVecBNCase(t, batch, c, 1, length, vecBNActs[seed%3], seed, true)
 	})
 }
 
@@ -359,19 +486,19 @@ func FuzzVecSweepsMatchGeneric(f *testing.F) {
 // in TinyMobileNetV3's arrangement.
 func vecTrainNet(r *frand.RNG) *Network {
 	block := NewResidual(NewNetwork(
-		NewConv2D(r, 8, 16, 1, 1, 0, 1), NewBatchNorm2D(16), NewHardSwish(),
-		NewDepthwiseConv2D(r, 16, 3, 1, 1), NewBatchNorm2D(16), NewHardSwish(),
+		NewConv2D(r, 8, 16, 1, 1, 0, 1), NewBatchNorm2D(16, vec.ActHardSwish),
+		NewDepthwiseConv2D(r, 16, 3, 1, 1), NewBatchNorm2D(16, vec.ActHardSwish),
 		NewSEBlock(r, 16, 4),
-		NewConv2D(r, 16, 8, 1, 1, 0, 1), NewBatchNorm2D(8),
+		NewConv2D(r, 16, 8, 1, 1, 0, 1), NewBatchNorm2D(8, vec.ActIdentity),
 	), nil)
 	return NewNetwork(
-		NewConv2D(r, 3, 8, 3, 2, 1, 1), NewBatchNorm2D(8), NewHardSwish(),
+		NewConv2D(r, 3, 8, 3, 2, 1, 1), NewBatchNorm2D(8, vec.ActHardSwish),
 		block,
 		// TinyMobileNetV3's down-sampling bottleneck: 24 channels at stride 2.
-		NewConv2D(r, 8, 24, 1, 1, 0, 1), NewBatchNorm2D(24), NewHardSwish(),
-		NewDepthwiseConv2D(r, 24, 3, 2, 1), NewBatchNorm2D(24), NewHardSwish(),
-		NewConv2D(r, 24, 8, 1, 1, 0, 1), NewBatchNorm2D(8),
-		NewDepthwiseConv2D(r, 8, 3, 2, 1), NewBatchNorm2D(8), NewHardSwish(),
+		NewConv2D(r, 8, 24, 1, 1, 0, 1), NewBatchNorm2D(24, vec.ActHardSwish),
+		NewDepthwiseConv2D(r, 24, 3, 2, 1), NewBatchNorm2D(24, vec.ActHardSwish),
+		NewConv2D(r, 24, 8, 1, 1, 0, 1), NewBatchNorm2D(8, vec.ActIdentity),
+		NewDepthwiseConv2D(r, 8, 3, 2, 1), NewBatchNorm2D(8, vec.ActHardSwish),
 		NewGlobalAvgPool(),
 		NewDense(r, 8, 5),
 	)
@@ -477,6 +604,11 @@ func TestVecRowSweepsStayInsideSlices(t *testing.T) {
 	}
 }
 
+// bnSumDot calls vec.BNSumDot with every per-channel constant taken from c.
+func bnSumDot(sum, dot []float64, dz, dy, x []float32, stride, rows, n int, c []float32, act vec.Act) {
+	vec.BNSumDot(sum, dot, dz, dy, x, stride, rows, n, c, c, c, c, act)
+}
+
 // TestVecSweepsRejectShortSlices: every wrapper panics on a slice shorter
 // than the extent its routine touches, and returns on an empty extent
 // without touching anything. The wrappers are shared code, so this runs in
@@ -489,25 +621,25 @@ func TestVecSweepsRejectShortSlices(t *testing.T) {
 		call func()
 	}{
 		{"hard-swish y", func() { vec.HardSwish(f(8), f(9)) }},
-		{"hard-swish grad dx", func() { vec.HardSwishGrad(f(8), f(9), f(9)) }},
-		{"hard-swish grad dy", func() { vec.HardSwishGrad(f(9), f(8), f(9)) }},
 		{"bias y", func() { vec.BiasAct(f(3*9-1), 3, 9, f(3), false) }},
 		{"bias bias", func() { vec.BiasAct(f(3*9), 3, 9, f(2), true) }},
-		{"bn normalise out", func() { vec.BNNormalize(f(2*20+9-1), f(2*20+9), f(2*20+9), 20, 3, 9, 0, 1, 1, 0) }},
-		{"bn normalise xhat", func() { vec.BNNormalize(f(2*20+9), f(2*20+9-1), f(2*20+9), 20, 3, 9, 0, 1, 1, 0) }},
-		{"bn normalise x", func() { vec.BNNormalize(f(2*20+9), f(2*20+9), f(2*20+9-1), 20, 3, 9, 0, 1, 1, 0) }},
-		{"bn normalise stride", func() { vec.BNNormalize(f(64), f(64), f(64), 8, 3, 9, 0, 1, 1, 0) }},
-		{"bn grad dx", func() { vec.BNGradX(f(2*20+9-1), f(2*20+9), f(2*20+9), 20, 3, 9, 1, 1, 27, 0, 0) }},
-		{"bn grad dy", func() { vec.BNGradX(f(2*20+9), f(2*20+9-1), f(2*20+9), 20, 3, 9, 1, 1, 27, 0, 0) }},
-		{"bn grad xhat", func() { vec.BNGradX(f(2*20+9), f(2*20+9), f(2*20+9-1), 20, 3, 9, 1, 1, 27, 0, 0) }},
+		{"bn normalise out", func() { vec.BNNormalize(f(2*20+9-1), f(2*20+9), 20, 3, 9, 0, 1, 1, 0, vec.ActHardSwish) }},
+		{"bn normalise x", func() { vec.BNNormalize(f(2*20+9), f(2*20+9-1), 20, 3, 9, 0, 1, 1, 0, vec.ActReLU) }},
+		{"bn normalise stride", func() { vec.BNNormalize(f(64), f(64), 8, 3, 9, 0, 1, 1, 0, vec.ActIdentity) }},
+		{"bn grad dx", func() { vec.BNGradX(f(2*20+9-1), f(2*20+9), f(2*20+9), 20, 3, 9, 0, 1, 1, 1, 27, 0, 0) }},
+		{"bn grad dz", func() { vec.BNGradX(f(2*20+9), f(2*20+9-1), f(2*20+9), 20, 3, 9, 0, 1, 1, 1, 27, 0, 0) }},
+		{"bn grad x", func() { vec.BNGradX(f(2*20+9), f(2*20+9), f(2*20+9-1), 20, 3, 9, 0, 1, 1, 1, 27, 0, 0) }},
 		{"bn sums x", func() { vec.BNSumSq(d(8), d(8), f(2*50+8*5-1), 50, 3, 5) }},
 		{"bn sums sum", func() { vec.BNSumSq(d(7), d(8), f(2*50+8*5), 50, 3, 5) }},
 		{"bn sums sq", func() { vec.BNSumSq(d(8), d(7), f(2*50+8*5), 50, 3, 5) }},
 		{"bn sums stride", func() { vec.BNSumSq(d(8), d(8), f(200), 39, 3, 5) }},
-		{"bn grad sums a", func() { vec.BNSumDot(d(8), d(8), f(2*50+8*5-1), f(2*50+8*5), 50, 3, 5) }},
-		{"bn grad sums b", func() { vec.BNSumDot(d(8), d(8), f(2*50+8*5), f(2*50+8*5-1), 50, 3, 5) }},
-		{"bn grad sums dot", func() { vec.BNSumDot(d(8), d(7), f(2*50+8*5), f(2*50+8*5), 50, 3, 5) }},
-		{"bn grad sums empty", func() { vec.BNSumDot(d(8), d(7), nil, nil, 50, 0, 5) }},
+		{"bn grad sums dz", func() { bnSumDot(d(8), d(8), f(2*50+8*5-1), f(2*50+8*5), f(2*50+8*5), 50, 3, 5, f(8), vec.ActReLU) }},
+		{"bn grad sums dy", func() { bnSumDot(d(8), d(8), f(2*50+8*5), f(2*50+8*5-1), f(2*50+8*5), 50, 3, 5, f(8), vec.ActIdentity) }},
+		{"bn grad sums x", func() { bnSumDot(d(8), d(8), nil, f(2*50+8*5), f(2*50+8*5-1), 50, 3, 5, f(8), vec.ActIdentity) }},
+		{"bn grad sums dot", func() { bnSumDot(d(8), d(7), nil, f(2*50+8*5), f(2*50+8*5), 50, 3, 5, f(8), vec.ActIdentity) }},
+		{"bn grad sums stride", func() { bnSumDot(d(8), d(8), nil, f(200), f(200), 39, 3, 5, f(8), vec.ActIdentity) }},
+		{"bn grad sums channels", func() { bnSumDot(d(8), d(8), nil, f(2*50+8*5), f(2*50+8*5), 50, 3, 5, f(7), vec.ActHardSwish) }},
+		{"bn grad sums empty", func() { bnSumDot(d(8), d(7), nil, nil, nil, 50, 0, 5, nil, vec.ActHardSwish) }},
 	} {
 		func() {
 			defer func() {
@@ -520,15 +652,14 @@ func TestVecSweepsRejectShortSlices(t *testing.T) {
 		}()
 	}
 	vec.HardSwish(nil, nil)
-	vec.HardSwishGrad(nil, nil, nil)
 	vec.BiasAct(nil, 0, 9, nil, true)
 	vec.BiasAct(nil, 3, 0, nil, false)
-	vec.BNNormalize(nil, nil, nil, 4, 0, 4, 0, 1, 1, 0)
-	vec.BNGradX(nil, nil, nil, 4, 2, 0, 1, 1, 8, 0, 0)
+	vec.BNNormalize(nil, nil, 4, 0, 4, 0, 1, 1, 0, vec.ActHardSwish)
+	vec.BNGradX(nil, nil, nil, 4, 2, 0, 0, 1, 1, 1, 8, 0, 0)
 	// An empty reduction still defines its sixteen sums: +0.
 	sum, dot := []float64{1, 2, 3, 4, 5, 6, 7, 8}, []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	vec.BNSumSq(sum, dot, nil, 40, 0, 5)
-	vec.BNSumDot(sum[:8], dot, nil, nil, 40, 3, 0)
+	bnSumDot(sum[:8], dot, nil, nil, nil, 40, 3, 0, nil, vec.ActHardSwish)
 	for i := range sum {
 		if math.Float64bits(sum[i]) != 0 || math.Float64bits(dot[i]) != 0 {
 			t.Fatalf("empty reduction left sum[%d] = %v, dot[%d] = %v, want +0", i, sum[i], i, dot[i])

@@ -9,6 +9,7 @@ import (
 	"heteroswitch/internal/israce"
 	"heteroswitch/internal/nn"
 	"heteroswitch/internal/tensor"
+	"heteroswitch/internal/vec"
 )
 
 // testBuilder is a conv+BN model so the frozen fold is exercised on every
@@ -18,7 +19,7 @@ func testBuilder() func() *nn.Network {
 		r := frand.New(7)
 		return nn.NewNetwork(
 			nn.NewConv2D(r, 1, 4, 3, 1, 1, 1),
-			nn.NewBatchNorm2D(4),
+			nn.NewBatchNorm2D(4, vec.ActIdentity),
 			nn.NewReLU(),
 			nn.NewGlobalAvgPool(),
 			nn.NewDense(r, 4, 3),

@@ -207,8 +207,9 @@ func SqDist(a, b []float32) (float64, int) {
 	return sqDist(&a[0], &b[0], n), n
 }
 
-// The training sweeps of internal/nn. The elementwise ones take their lanes
-// across elements; the batch-norm reductions across BNChannels channels.
+// The sweeps of internal/nn's layers and frozen ops. The elementwise ones
+// take their lanes across elements; the batch-norm reductions across
+// BNChannels channels.
 
 // HardSwish computes y[i] = x[i]·hardSigmoid(x[i]) over len(x) elements.
 func HardSwish(y, x []float32) {
@@ -217,15 +218,6 @@ func HardSwish(y, x []float32) {
 	}
 	short("hard-swish", len(x), len(y))
 	hardSwish(&y[0], &x[0], len(x))
-}
-
-// HardSwishGrad computes dx[i] = dy[i]·d/dx[x·hs(x)] over len(x) elements.
-func HardSwishGrad(dx, dy, x []float32) {
-	if len(x) == 0 {
-		return
-	}
-	short("hard-swish gradient", len(x), min(len(dx), len(dy)))
-	hardSwishGrad(&dx[0], &dy[0], &x[0], len(x))
 }
 
 // BiasAct computes y[r·n+j] = act(y[r·n+j] + bias[r]) for r < rows, j < n,
@@ -261,26 +253,28 @@ func Add(out, a, b []float32) {
 	add(&out[0], &a[0], &b[0], len(a))
 }
 
-// BNNormalize writes xhat = (x−mean)·inv and out = g·xhat + b for one
-// channel: rows planes of n elements, stride apart.
-func BNNormalize(out, xhat, x []float32, stride, rows, n int, mean, inv, g, b float32) {
+// BNNormalize writes one channel's training batch-norm output,
+// out = act(g·((x−mean)·inv) + b): rows planes of n elements, stride apart.
+// It stores nothing else; BNSumDot and BNGradX recompute x̂ from x.
+func BNNormalize(out, x []float32, stride, rows, n int, mean, inv, g, b float32, act Act) {
 	if rows <= 0 || n <= 0 {
 		return
 	}
 	short("batch-norm normalise stride", n, stride)
-	short("batch-norm normalise", (rows-1)*stride+n, min(len(out), len(xhat), len(x)))
-	bnNormalize(&out[0], &xhat[0], &x[0], stride, rows, n, mean, inv, g, b)
+	short("batch-norm normalise", (rows-1)*stride+n, min(len(out), len(x)))
+	bnNormalize(&out[0], &x[0], stride, rows, n, mean, inv, g, b, act)
 }
 
-// BNGradX writes one channel's batch-norm input gradient
-// dx = scale·((m·(dy·g) − sDyG) − (xhat·sDyXh)·g) over the same layout.
-func BNGradX(dx, dy, xhat []float32, stride, rows, n int, g, scale, m, sDyG, sDyXh float32) {
+// BNGradX writes one channel's batch-norm input gradient over the same layout,
+// dx = scale·((m·(dz·g) − sDyG) − (x̂·sDyXh)·g), with x̂ = (x−mean)·inv
+// recomputed as BNNormalize computes it. dx may be dz.
+func BNGradX(dx, dz, x []float32, stride, rows, n int, mean, inv, g, scale, m, sDyG, sDyXh float32) {
 	if rows <= 0 || n <= 0 {
 		return
 	}
 	short("batch-norm gradient stride", n, stride)
-	short("batch-norm gradient", (rows-1)*stride+n, min(len(dx), len(dy), len(xhat)))
-	bnGradX(&dx[0], &dy[0], &xhat[0], stride, rows, n, g, scale, m, sDyG, sDyXh)
+	short("batch-norm gradient", (rows-1)*stride+n, min(len(dx), len(dz), len(x)))
+	bnGradX(&dx[0], &dz[0], &x[0], stride, rows, n, mean, inv, g, scale, m, sDyG, sDyXh)
 }
 
 // BNChannels is how many channels one batch-norm reduction folds, one per
@@ -299,14 +293,26 @@ func BNSumSq(sum, sq []float64, x []float32, stride, rows, n int) {
 	bnSumSq(&sum[0], &sq[0], &x[0], stride, rows, n)
 }
 
-// BNSumDot folds sum[c] = Σ a and dot[c] = Σ a·b over the same layout.
-func BNSumDot(sum, dot []float64, a, b []float32, stride, rows, n int) {
+// BNSumDot is the training backward's reduction over the same layout. Per
+// element of channel c it recomputes x̂ = (x−mean[c])·inv[c] and, unless act
+// is the identity, z = gamma[c]·x̂ + beta[c] — BNNormalize's operations — and
+// stores dz = act′(z)·dy into dz; then it folds sum[c] = Σ dz and
+// dot[c] = Σ dz·x̂ in float64. For the identity dz is dy, nothing is stored
+// and dz may be nil.
+func BNSumDot(sum, dot []float64, dz, dy, x []float32, stride, rows, n int, mean, inv, gamma, beta []float32, act Act) {
 	if bnSumsEmpty(sum, dot, rows, n) {
 		return
 	}
+	need := (rows-1)*stride + BNChannels*n
 	short("batch-norm gradient sums stride", BNChannels*n, stride)
-	short("batch-norm gradient sums", (rows-1)*stride+BNChannels*n, min(len(a), len(b)))
-	bnSumDot(&sum[0], &dot[0], &a[0], &b[0], stride, rows, n)
+	short("batch-norm gradient sums", need, min(len(dy), len(x)))
+	short("batch-norm gradient sums (channels)", BNChannels, min(len(mean), len(inv), len(gamma), len(beta)))
+	dzp := &dy[0]
+	if act != ActIdentity {
+		short("batch-norm gradient sums (dz)", need, len(dz))
+		dzp = &dz[0]
+	}
+	bnSumDot(&sum[0], &dot[0], dzp, &dy[0], &x[0], stride, rows, n, &mean[0], &inv[0], &gamma[0], &beta[0], act)
 }
 
 // bnSumsEmpty checks the BNChannels outputs of each reduction and reports

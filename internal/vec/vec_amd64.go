@@ -58,9 +58,6 @@ func sqDist(a, b *float32, n int) float64
 func hardSwish(y, x *float32, n int)
 
 //go:noescape
-func hardSwishGrad(dx, dy, x *float32, n int)
-
-//go:noescape
 func biasAct(y *float32, rows, n int, bias *float32, hswish bool)
 
 //go:noescape
@@ -70,13 +67,13 @@ func scaleRows(y, x, z *float32, rows, n int)
 func add(out, a, b *float32, n int)
 
 //go:noescape
-func bnNormalize(out, xhat, x *float32, stride, rows, n int, mean, inv, gamma, beta float32)
+func bnNormalize(out, x *float32, stride, rows, n int, mean, inv, gamma, beta float32, act Act)
 
 //go:noescape
-func bnGradX(dx, dy, xhat *float32, stride, rows, n int, gamma, scale, m, sDyG, sDyXh float32)
+func bnGradX(dx, dz, x *float32, stride, rows, n int, mean, inv, gamma, scale, m, sDyG, sDyXh float32)
 
 //go:noescape
 func bnSumSq(sum, dot *float64, a *float32, stride, rows, n int)
 
 //go:noescape
-func bnSumDot(sum, dot *float64, a, b *float32, stride, rows, n int)
+func bnSumDot(sum, dot *float64, dz, dy, x *float32, stride, rows, n int, mean, inv, gamma, beta *float32, act Act)

@@ -34,12 +34,11 @@ DATA vecMask<>+80(SB)/8, $0xffffffffffffffff
 DATA vecMask<>+88(SB)/8, $0xffffffffffffffff
 GLOBL vecMask<>(SB), RODATA|NOPTR, $96
 
-// The hard-sigmoid constants 3, 6, 1, −3 as float32 bits.
+// The hard-sigmoid constants 3, 6, 1 as float32 bits.
 DATA hsConst<>+0(SB)/4, $0x40400000
 DATA hsConst<>+4(SB)/4, $0x40c00000
 DATA hsConst<>+8(SB)/4, $0x3f800000
-DATA hsConst<>+12(SB)/4, $0xc0400000
-GLOBL hsConst<>(SB), RODATA|NOPTR, $16
+GLOBL hsConst<>(SB), RODATA|NOPTR, $12
 
 // HSCONST loads 3, 6, 1, 0 into Y12–Y15.
 #define HSCONST \
@@ -48,19 +47,22 @@ GLOBL hsConst<>(SB), RODATA|NOPTR, $16
 	VBROADCASTSS hsConst<>+8(SB), Y14; \
 	VXORPS Y15, Y15, Y15
 
-// HARDSIG leaves hardSigmoid(v) in s: s = (v+3)/6; s < 0 → 0; s > 1 → 1.
-// Clobbers lt and gt; the constants are HSCONST's.
-#define HARDSIG(v, s, lt, gt) \
-	VADDPS Y12, v, s; \
-	VDIVPS Y13, s, s; \
-	VCMPPS $0x11, Y15, s, lt; \
-	VCMPPS $0x1e, Y14, s, gt; \
-	VBLENDVPS lt, Y15, s, s; \
-	VBLENDVPS gt, Y14, s, s
+// HARDSIG leaves hardSigmoid(v) in s: s = (v+3)/6; s < 0 → +0; s > 1 → 1.
+// The clamps are VMAXPS with +0 and VMINPS with 1 as the FIRST source: each
+// returns its second source, s, when either is NaN and when the two are
+// equal, so NaN, −0 and 1 pass through as the Go loop's ordered compares
+// leave them. three and six may be memory operands; zero and one are
+// registers.
+#define HARDSIG(v, s, three, six, zero, one) \
+	VADDPS three, v, s; \
+	VDIVPS six, s, s; \
+	VMAXPS s, zero, s; \
+	VMINPS s, one, s
 
-// HSWISH turns v into v·hardSigmoid(v), clobbering s, lt and gt.
-#define HSWISH(v, s, lt, gt) \
-	HARDSIG(v, s, lt, gt); \
+// HSWISH turns v into v·hardSigmoid(v), clobbering s; the constants are
+// HSCONST's.
+#define HSWISH(v, s) \
+	HARDSIG(v, s, Y12, Y13, Y15, Y14); \
 	VMULPS s, v, v
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -181,10 +183,10 @@ gemmAct32:
 	JMP  gemmStore32
 
 gemmHswish32:
-	HSWISH(Y0, Y5, Y6, Y7)
-	HSWISH(Y1, Y5, Y6, Y7)
-	HSWISH(Y2, Y5, Y6, Y7)
-	HSWISH(Y3, Y5, Y6, Y7)
+	HSWISH(Y0, Y5)
+	HSWISH(Y1, Y5)
+	HSWISH(Y2, Y5)
+	HSWISH(Y3, Y5)
 
 gemmStore32:
 	VMOVUPS Y0, (DI)(AX*1)
@@ -258,7 +260,7 @@ gemmAct1:
 	JMP  gemmStore1
 
 gemmHswish1:
-	HSWISH(Y0, Y5, Y6, Y7)
+	HSWISH(Y0, Y5)
 
 gemmStore1:
 	CMPQ BX, $8
@@ -1081,7 +1083,7 @@ DATA dwLanes<>+24(SB)/8, $0x0000000700000006
 GLOBL dwLanes<>(SB), RODATA|NOPTR, $32
 
 // hsVec holds the hard-sigmoid constants 3, 6 and 1 in eight lanes each,
-// for the epilogue that has no register to spare for them.
+// for the routines that have no register to spare for them.
 DATA hsVec<>+0(SB)/8, $0x4040000040400000
 DATA hsVec<>+8(SB)/8, $0x4040000040400000
 DATA hsVec<>+16(SB)/8, $0x4040000040400000
@@ -1731,18 +1733,6 @@ sqDone:
 	LEAQ vecMask<>(SB), reg; \
 	VMOVDQU 32(reg)(tmp*4), Y9
 
-// HSWGRAD turns v = Y0, dy = Y5 into dy·(hs(v) + [−3 < v < 3]·v/6) in Y5.
-// Y11 holds −3. Clobbers Y1–Y4.
-#define HSWGRAD \
-	HARDSIG(Y0, Y1, Y2, Y3); \
-	VCMPPS $0x1e, Y11, Y0, Y2; \
-	VCMPPS $0x11, Y12, Y0, Y3; \
-	VANDPS Y3, Y2, Y2; \
-	VDIVPS Y13, Y0, Y4; \
-	VADDPS Y4, Y1, Y4; \
-	VBLENDVPS Y2, Y4, Y1, Y1; \
-	VMULPS Y1, Y5, Y5
-
 // func hardSwish(y, x *float32, n int)
 //
 // y[i] = x[i] · hardSigmoid(x[i])
@@ -1758,7 +1748,7 @@ hswBlk:
 	CMPQ BX, $8
 	JLT  hswTail
 	VMOVUPS (SI)(AX*1), Y0
-	HSWISH(Y0, Y1, Y2, Y3)
+	HSWISH(Y0, Y1)
 	VMOVUPS Y0, (DI)(AX*1)
 	ADDQ $32, AX
 	SUBQ $8, BX
@@ -1769,47 +1759,10 @@ hswTail:
 	JZ    hswDone
 	TAILMASK(BX, CX)
 	VMASKMOVPS (SI)(AX*1), Y9, Y0
-	HSWISH(Y0, Y1, Y2, Y3)
+	HSWISH(Y0, Y1)
 	VMASKMOVPS Y0, Y9, (DI)(AX*1)
 
 hswDone:
-	VZEROUPPER
-	RET
-
-// func hardSwishGrad(dx, dy, x *float32, n int)
-//
-// dx[i] = dy[i] · (hardSigmoid(x[i]) + x[i]/6 inside (−3, 3))
-TEXT ·hardSwishGrad(SB), NOSPLIT, $0-32
-	PCALIGN $64
-	MOVQ dx+0(FP), DI
-	MOVQ dy+8(FP), DX
-	MOVQ x+16(FP), SI
-	MOVQ n+24(FP), BX
-	HSCONST
-	VBROADCASTSS hsConst<>+12(SB), Y11
-	XORQ AX, AX
-
-hsgBlk:
-	CMPQ BX, $8
-	JLT  hsgTail
-	VMOVUPS (SI)(AX*1), Y0
-	VMOVUPS (DX)(AX*1), Y5
-	HSWGRAD
-	VMOVUPS Y5, (DI)(AX*1)
-	ADDQ $32, AX
-	SUBQ $8, BX
-	JMP  hsgBlk
-
-hsgTail:
-	TESTQ BX, BX
-	JZ    hsgDone
-	TAILMASK(BX, CX)
-	VMASKMOVPS (SI)(AX*1), Y9, Y0
-	VMASKMOVPS (DX)(AX*1), Y9, Y5
-	HSWGRAD
-	VMASKMOVPS Y5, Y9, (DI)(AX*1)
-
-hsgDone:
 	VZEROUPPER
 	RET
 
@@ -1842,7 +1795,7 @@ baBlk:
 	VADDPS Y10, Y0, Y0
 	TESTQ R8, R8
 	JZ   baStore
-	HSWISH(Y0, Y1, Y2, Y3)
+	HSWISH(Y0, Y1)
 
 baStore:
 	VMOVUPS Y0, (DI)(AX*1)
@@ -1857,7 +1810,7 @@ baTail:
 	VADDPS Y10, Y0, Y0
 	TESTQ R8, R8
 	JZ   baStoreTail
-	HSWISH(Y0, Y1, Y2, Y3)
+	HSWISH(Y0, Y1)
 
 baStoreTail:
 	VMASKMOVPS Y0, Y9, (DI)(AX*1)
@@ -1966,23 +1919,29 @@ addDone:
 	VZEROUPPER
 	RET
 
-// func bnNormalize(out, xhat, x *float32, stride, rows, n int, mean, inv, gamma, beta float32)
+// func bnNormalize(out, x *float32, stride, rows, n int, mean, inv, gamma, beta float32, act Act)
 //
 // For r < rows, j < n at offset r·stride + j (one channel across the batch):
-// xhat = (x − mean)·inv; out = g·xhat + b.
-TEXT ·bnNormalize(SB), NOSPLIT, $0-64
+// out = act(((x − mean)·inv)·g + b), act finished as in gemm. Nothing else
+// is stored: the backward recomputes x̂ from x.
+//
+// Register plan: DI out, SI x, R11 the row step (bytes), R13 rows left, R10
+// n, AX column offset (bytes), BX columns left, R8 act; Y4–Y7 mean, inv, g,
+// b, Y9 the tail mask, Y12–Y15 = 3, 6, 1, +0.
+TEXT ·bnNormalize(SB), NOSPLIT, $0-57
 	PCALIGN $64
 	MOVQ out+0(FP), DI
-	MOVQ xhat+8(FP), DX
-	MOVQ x+16(FP), SI
-	MOVQ stride+24(FP), R11
+	MOVQ x+8(FP), SI
+	MOVQ stride+16(FP), R11
 	SHLQ $2, R11
-	MOVQ rows+32(FP), R13
-	MOVQ n+40(FP), R10
-	VBROADCASTSS mean+48(FP), Y12
-	VBROADCASTSS inv+52(FP), Y13
-	VBROADCASTSS gamma+56(FP), Y14
-	VBROADCASTSS beta+60(FP), Y15
+	MOVQ rows+24(FP), R13
+	MOVQ n+32(FP), R10
+	VBROADCASTSS mean+40(FP), Y4
+	VBROADCASTSS inv+44(FP), Y5
+	VBROADCASTSS gamma+48(FP), Y6
+	VBROADCASTSS beta+52(FP), Y7
+	MOVBLZX act+56(FP), R8
+	HSCONST
 	MOVQ R10, BX
 	TAILMASK(BX, CX)
 
@@ -1994,11 +1953,24 @@ bnfBlk:
 	CMPQ BX, $8
 	JLT  bnfTail
 	VMOVUPS (SI)(AX*1), Y0
-	VSUBPS Y12, Y0, Y0
-	VMULPS Y13, Y0, Y0
-	VMOVUPS Y0, (DX)(AX*1)
-	VMULPS Y0, Y14, Y1
-	VADDPS Y15, Y1, Y1
+
+bnfAct:                     // one block of x in Y0: eight columns or the tail
+	VSUBPS Y4, Y0, Y0
+	VMULPS Y5, Y0, Y0
+	VMULPS Y6, Y0, Y1
+	VADDPS Y7, Y1, Y1
+	CMPQ R8, $1
+	JB   bnfStore           // identity
+	JA   bnfHswish
+	VMAXPS Y15, Y1, Y1
+	JMP  bnfStore
+
+bnfHswish:
+	HSWISH(Y1, Y0)
+
+bnfStore:
+	CMPQ BX, $8
+	JLT  bnfStoreTail
 	VMOVUPS Y1, (DI)(AX*1)
 	ADDQ $32, AX
 	SUBQ $8, BX
@@ -2008,48 +1980,54 @@ bnfTail:
 	TESTQ BX, BX
 	JZ    bnfNext
 	VMASKMOVPS (SI)(AX*1), Y9, Y0
-	VSUBPS Y12, Y0, Y0
-	VMULPS Y13, Y0, Y0
-	VMASKMOVPS Y0, Y9, (DX)(AX*1)
-	VMULPS Y0, Y14, Y1
-	VADDPS Y15, Y1, Y1
+	JMP   bnfAct
+
+bnfStoreTail:
 	VMASKMOVPS Y1, Y9, (DI)(AX*1)
 
 bnfNext:
 	ADDQ R11, DI
-	ADDQ R11, DX
 	ADDQ R11, SI
 	DECQ R13
 	JNZ  bnfRow
 	VZEROUPPER
 	RET
 
-// BNGRAD turns dy = Y0, xhat = Y1 into the batch-norm input gradient in Y0:
-// scale·((m·(dy·g) − sDyG) − (xhat·sDyXh)·g), constants in Y10–Y14.
+// BNGRAD turns dz = Y0, x = Y1 into the batch-norm input gradient in Y0:
+// x̂ = (x − mean)·inv by bnNormalize's two operations, then
+// ((((dz·g)·m − sDyG) − (x̂·sDyXh)·g)·scale, each product's first operand
+// the one the Go loop's multiply keeps; constants in Y8, Y10–Y15.
 #define BNGRAD \
+	VSUBPS Y15, Y1, Y1; \
+	VMULPS Y8, Y1, Y1; \
 	VMULPS Y10, Y0, Y0; \
-	VMULPS Y0, Y12, Y0; \
+	VMULPS Y12, Y0, Y0; \
 	VSUBPS Y13, Y0, Y0; \
 	VMULPS Y14, Y1, Y1; \
 	VMULPS Y10, Y1, Y1; \
 	VSUBPS Y1, Y0, Y0; \
-	VMULPS Y0, Y11, Y0
+	VMULPS Y11, Y0, Y0
 
-// func bnGradX(dx, dy, xhat *float32, stride, rows, n int, gamma, scale, m, sDyG, sDyXh float32)
-TEXT ·bnGradX(SB), NOSPLIT, $0-68
+// func bnGradX(dx, dz, x *float32, stride, rows, n int, mean, inv, gamma, scale, m, sDyG, sDyXh float32)
+//
+// One channel's input gradient over bnNormalize's layout. dx may be dz: each
+// block is read before it is written.
+TEXT ·bnGradX(SB), NOSPLIT, $0-76
 	PCALIGN $64
 	MOVQ dx+0(FP), DI
-	MOVQ dy+8(FP), DX
-	MOVQ xhat+16(FP), SI
+	MOVQ dz+8(FP), DX
+	MOVQ x+16(FP), SI
 	MOVQ stride+24(FP), R11
 	SHLQ $2, R11
 	MOVQ rows+32(FP), R13
 	MOVQ n+40(FP), R10
-	VBROADCASTSS gamma+48(FP), Y10
-	VBROADCASTSS scale+52(FP), Y11
-	VBROADCASTSS m+56(FP), Y12
-	VBROADCASTSS sDyG+60(FP), Y13
-	VBROADCASTSS sDyXh+64(FP), Y14
+	VBROADCASTSS mean+48(FP), Y15
+	VBROADCASTSS inv+52(FP), Y8
+	VBROADCASTSS gamma+56(FP), Y10
+	VBROADCASTSS scale+60(FP), Y11
+	VBROADCASTSS m+64(FP), Y12
+	VBROADCASTSS sDyG+68(FP), Y13
+	VBROADCASTSS sDyXh+72(FP), Y14
 	MOVQ R10, BX
 	TAILMASK(BX, CX)
 
@@ -2088,56 +2066,58 @@ bnbNext:
 // The batch-norm reductions. A channel's float64 sums fold its elements one
 // at a time — that order is the result — but the channels are independent
 // targets, so the lanes are channels: eight neighbouring channels' planes
-// (n elements each, n apart) are read four consecutive j at a time, channels
-// k and k+4 in the two halves of one register, transposed in place so that
-// each register holds ONE j for the eight channels, widened (VCVTPS2PD, low
-// and high half) and folded with one VADDPD per sum, VMULPD before the second
-// — four float64 chains, each channel's j ascending, samples ascending.
+// (n elements each, n apart) are read four consecutive j at a time as ROWS,
+// channels k and k+4 in the two halves of one register, transposed in place
+// so that each COLUMN register holds one j for the eight channels, widened
+// (VCVTPS2PD, low and high half) and folded with one VADDPD per sum, VMULPD
+// before the second — four float64 chains, each channel's j ascending,
+// samples ascending.
 //
-// Register plan: SI / R8 channels 0–3 / 4–7 of a, DX / R12 of b, R9 = 4n
-// (channel pitch, bytes), R10 = 12n, R11 = sample stride (bytes), AX bytes
-// advanced along j, CX j left, R13 samples left. Y12/Y13 Σa (channels 0–3 /
-// 4–7), Y14/Y15 Σa·b.
+// Register plan of both: R9 = 4n (channel pitch, bytes), R10 = 12n, R11 =
+// sample stride (bytes), AX bytes advanced along j, CX j left, R13 samples
+// left, BX scratch; SI / R8 channels 0–3 / 4–7 of the first operand. Y12/Y13
+// the first sum (channels 0–3 / 4–7), Y14/Y15 the second.
 
-// BNLOAD fills Y0–Y3 with p[k][j..j+3] | q[k][j..j+3], k = 0..3.
-#define BNLOAD(p, q) \
-	VMOVUPS (p), X0; \
-	VINSERTF128 $1, (q), Y0, Y0; \
-	VMOVUPS (p)(R9*1), X1; \
-	VINSERTF128 $1, (q)(R9*1), Y1, Y1; \
-	VMOVUPS (p)(R9*2), X2; \
-	VINSERTF128 $1, (q)(R9*2), Y2, Y2; \
-	VMOVUPS (p)(R10*1), X3; \
-	VINSERTF128 $1, (q)(R10*1), Y3, Y3
+// BNLOAD fills rows y0–y3 (x0–x3 their low halves) with
+// p[k][j..j+3] | q[k][j..j+3], k = 0..3.
+#define BNLOAD(p, q, y0, x0, y1, x1, y2, x2, y3, x3) \
+	VMOVUPS (p), x0; \
+	VINSERTF128 $1, (q), y0, y0; \
+	VMOVUPS (p)(R9*1), x1; \
+	VINSERTF128 $1, (q)(R9*1), y1, y1; \
+	VMOVUPS (p)(R9*2), x2; \
+	VINSERTF128 $1, (q)(R9*2), y2, y2; \
+	VMOVUPS (p)(R10*1), x3; \
+	VINSERTF128 $1, (q)(R10*1), y3, y3
 
 // BNLOADMASK is BNLOAD for the last n%4 j through the lane mask m (masked-off
 // lanes read as zero and never touch memory); t is a scratch register.
-#define BNLOADMASK(p, q, m, t) \
-	VMASKMOVPS (p), m, X0; \
+#define BNLOADMASK(p, q, m, t, y0, x0, y1, x1, y2, x2, y3, x3) \
+	VMASKMOVPS (p), m, x0; \
 	VMASKMOVPS (q), m, t; \
-	VINSERTF128 $1, t, Y0, Y0; \
-	VMASKMOVPS (p)(R9*1), m, X1; \
+	VINSERTF128 $1, t, y0, y0; \
+	VMASKMOVPS (p)(R9*1), m, x1; \
 	VMASKMOVPS (q)(R9*1), m, t; \
-	VINSERTF128 $1, t, Y1, Y1; \
-	VMASKMOVPS (p)(R9*2), m, X2; \
+	VINSERTF128 $1, t, y1, y1; \
+	VMASKMOVPS (p)(R9*2), m, x2; \
 	VMASKMOVPS (q)(R9*2), m, t; \
-	VINSERTF128 $1, t, Y2, Y2; \
-	VMASKMOVPS (p)(R10*1), m, X3; \
+	VINSERTF128 $1, t, y2, y2; \
+	VMASKMOVPS (p)(R10*1), m, x3; \
 	VMASKMOVPS (q)(R10*1), m, t; \
-	VINSERTF128 $1, t, Y3, Y3
+	VINSERTF128 $1, t, y3, y3
 
-// BNTRANSPOSE turns rows Y0–Y3 into columns c0–c3 (j, j+1, j+2, j+3), each
+// BNTRANSPOSE turns rows r0–r3 into columns c0–c3 (j, j+1, j+2, j+3), each
 // holding that j for the eight channels in lane order. c2 and c3 double as
-// scratch; Y0 and Y1 are clobbered.
-#define BNTRANSPOSE(c0, c1, c2, c3) \
-	VUNPCKLPS Y1, Y0, c2; \
-	VUNPCKHPS Y1, Y0, c3; \
-	VUNPCKLPS Y3, Y2, Y0; \
-	VUNPCKHPS Y3, Y2, Y1; \
-	VUNPCKLPD Y0, c2, c0; \
-	VUNPCKHPD Y0, c2, c1; \
-	VUNPCKLPD Y1, c3, c2; \
-	VUNPCKHPD Y1, c3, c3
+// scratch and r0 and r1 are clobbered, so c1 may be r0.
+#define BNTRANSPOSE(r0, r1, r2, r3, c0, c1, c2, c3) \
+	VUNPCKLPS r1, r0, c2; \
+	VUNPCKHPS r1, r0, c3; \
+	VUNPCKLPS r3, r2, r0; \
+	VUNPCKHPS r3, r2, r1; \
+	VUNPCKLPD r0, c2, c0; \
+	VUNPCKHPD r0, c2, c1; \
+	VUNPCKLPD r1, c3, c2; \
+	VUNPCKHPD r1, c3, c3
 
 // BNWIDEN leaves column (ay, its low half ax) as float64 in Y0 (channels 0–3)
 // and Y1 (4–7) and folds it into Σa.
@@ -2156,14 +2136,15 @@ bnbNext:
 	VADDPD Y2, Y14, Y14; \
 	VADDPD Y3, Y15, Y15
 
-// BNDOT folds one column of a and the same column of b into Σa and Σa·b.
+// BNDOT folds one column of a and the same column of b into Σa and Σb·a
+// (b the product's first operand, as in the Go loop).
 #define BNDOT(ay, ax, by, bx) \
 	BNWIDEN(ay, ax); \
 	VCVTPS2PD bx, Y2; \
 	VEXTRACTF128 $1, by, X3; \
 	VCVTPS2PD X3, Y3; \
-	VMULPD Y2, Y0, Y2; \
-	VMULPD Y3, Y1, Y3; \
+	VMULPD Y0, Y2, Y2; \
+	VMULPD Y1, Y3, Y3; \
 	VADDPD Y2, Y14, Y14; \
 	VADDPD Y3, Y15, Y15
 
@@ -2181,7 +2162,7 @@ bnbNext:
 	VXORPD Y14, Y14, Y14; \
 	VXORPD Y15, Y15, Y15
 
-// BNSTORE writes the eight Σa and the eight Σa·b.
+// BNSTORE writes the eight first and the eight second sums.
 #define BNSTORE(sumArg, dotArg) \
 	MOVQ sumArg, DI; \
 	VMOVUPD Y12, (DI); \
@@ -2214,8 +2195,8 @@ bnqRow:
 bnqBlk:
 	CMPQ CX, $4
 	JLT  bnqTail
-	BNLOAD(SI, R8)
-	BNTRANSPOSE(Y4, Y5, Y6, Y7)
+	BNLOAD(SI, R8, Y0, X0, Y1, X1, Y2, X2, Y3, X3)
+	BNTRANSPOSE(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
 	BNSQ(Y4, X4)
 	BNSQ(Y5, X5)
 	BNSQ(Y6, X6)
@@ -2230,8 +2211,8 @@ bnqTail:
 	TESTQ CX, CX
 	JZ    bnqNext
 	BNTAILMASK(X4)
-	BNLOADMASK(SI, R8, X4, X5)
-	BNTRANSPOSE(Y4, Y5, Y6, Y7)
+	BNLOADMASK(SI, R8, X4, X5, Y0, X0, Y1, X1, Y2, X2, Y3, X3)
+	BNTRANSPOSE(Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
 	BNSQ(Y4, X4)
 	CMPQ CX, $2
 	JLT  bnqNext
@@ -2248,36 +2229,173 @@ bnqNext:
 	BNSTORE(sum+0(FP), dot+8(FP))
 	RET
 
-// func bnSumDot(sum, dot *float64, a, b *float32, stride, rows, n int)
+// The backward's reduction computes in the rows' layout, where a register
+// holds four j of channels k and k+4, so the dz it stores needs no shuffle.
+// Its per-channel constants are spread into that layout once per call, on
+// the frame: row k's mean, inv, g and b hold channel k's value in the low
+// half and channel k+4's in the high half, and the absolute-value mask lies
+// beside them; the row macros read them, and hsVec's 3, 6 and 1, as memory
+// operands.
+
+// BNSPREAD lays the eight float32 at ptrArg out as rows 0–3, at o0–o3.
+#define BNSPREAD(ptrArg, o0, o1, o2, o3) \
+	MOVQ ptrArg, AX; \
+	VMOVUPS (AX), Y0; \
+	VSHUFPS $0x00, Y0, Y0, Y1; \
+	VMOVUPS Y1, o0; \
+	VSHUFPS $0x55, Y0, Y0, Y1; \
+	VMOVUPS Y1, o1; \
+	VSHUFPS $0xaa, Y0, Y0, Y1; \
+	VMOVUPS Y1, o2; \
+	VSHUFPS $0xff, Y0, Y0, Y1; \
+	VMOVUPS Y1, o3
+
+// BNXHAT turns the x row r into x̂ = (x − mean)·inv, bnNormalize's two
+// operations.
+#define BNXHAT(r, mean, inv) \
+	VSUBPS mean, r, r; \
+	VMULPS inv, r, r
+
+// BNZ leaves z = x̂·g + b in Y8, in bnNormalize's operand order.
+#define BNZ(xh, g, b) \
+	VMULPS g, xh, Y8; \
+	VADDPS b, Y8, Y8
+
+// BNRELUGRAD turns the dy row d into dz = dy where z > 0, else +0: the
+// ordered compare is false for NaN and −0, like the Go loop's z > 0.
+#define BNRELUGRAD(xh, d, g, b) \
+	BNZ(xh, g, b); \
+	VXORPS Y9, Y9, Y9; \
+	VCMPPS $0x1e, Y9, Y8, Y8; \
+	VANDPS Y8, d, d
+
+// BNHSWGRAD turns the dy row d into dz = der·dy, der = hs(z) + z/6 inside
+// (−3, 3): HARDSIG, then |z| < 3 (false for NaN, like the Go loop's two
+// compares) selects z/6 or +0, which is added to hs(z) — adding +0 leaves
+// hs(z), which is never −0, as the Go loop's skipped add does. Clobbers
+// Y9–Y11.
+#define BNHSWGRAD(xh, d, g, b) \
+	BNZ(xh, g, b); \
+	VXORPS Y10, Y10, Y10; \
+	VMOVUPS hsVec<>+64(SB), Y11; \
+	HARDSIG(Y8, Y9, hsVec<>+0(SB), hsVec<>+32(SB), Y10, Y11); \
+	VANDPS abs-32(SP), Y8, Y10; \
+	VCMPPS $0x11, hsVec<>+0(SB), Y10, Y10; \
+	VDIVPS hsVec<>+32(SB), Y8, Y11; \
+	VANDPS Y10, Y11, Y11; \
+	VADDPS Y11, Y9, Y9; \
+	VMULPS d, Y9, d
+
+// BNSTOREROWS writes the dz rows Y4–Y7 back to p[k][j..j+3] | q[k][j..j+3].
+#define BNSTOREROWS(p, q) \
+	VMOVUPS X4, (p); \
+	VEXTRACTF128 $1, Y4, (q); \
+	VMOVUPS X5, (p)(R9*1); \
+	VEXTRACTF128 $1, Y5, (q)(R9*1); \
+	VMOVUPS X6, (p)(R9*2); \
+	VEXTRACTF128 $1, Y6, (q)(R9*2); \
+	VMOVUPS X7, (p)(R10*1); \
+	VEXTRACTF128 $1, Y7, (q)(R10*1)
+
+// BNSTOREMASK is BNSTOREROWS for the last n%4 j through the lane mask m; t
+// is a scratch register.
+#define BNSTOREMASK(p, q, m, t) \
+	VMASKMOVPS X4, m, (p); \
+	VEXTRACTF128 $1, Y4, t; \
+	VMASKMOVPS t, m, (q); \
+	VMASKMOVPS X5, m, (p)(R9*1); \
+	VEXTRACTF128 $1, Y5, t; \
+	VMASKMOVPS t, m, (q)(R9*1); \
+	VMASKMOVPS X6, m, (p)(R9*2); \
+	VEXTRACTF128 $1, Y6, t; \
+	VMASKMOVPS t, m, (q)(R9*2); \
+	VMASKMOVPS X7, m, (p)(R10*1); \
+	VEXTRACTF128 $1, Y7, t; \
+	VMASKMOVPS t, m, (q)(R10*1)
+
+// func bnSumDot(sum, dot *float64, dz, dy, x *float32, stride, rows, n int, mean, inv, gamma, beta *float32, act Act)
 //
-// sum[c] = Σ a, dot[c] = Σ a·b over the same layout: the backward's
-// (Σdy, Σdy·x̂).
-TEXT ·bnSumDot(SB), NOSPLIT, $0-56
+// The training backward's reduction over bnSumSq's layout, for the eight
+// channels c·n into x and dy: per element x̂ = (x − mean[c])·inv[c] and,
+// unless act is the identity, z = g[c]·x̂ + b[c] and dz = act′(z)·dy, stored
+// into dz; then sum[c] = Σ dz and dot[c] = Σ dz·x̂ (dz is dy for the
+// identity, which stores nothing).
+//
+// Register plan (beside the shared one): DX / R12 channels 0–3 / 4–7 of dy,
+// DI / R14 of dz; Y0–Y3 the x̂ rows, Y4–Y7 the dy rows (then dz), Y8–Y11 the
+// activation's scratch; after the transposes Y10, Y4, Y8, Y9 the dz columns
+// and Y5, Y6, Y7, Y11 the x̂ columns, Y0–Y3 BNDOT's scratch.
+TEXT ·bnSumDot(SB), NOSPLIT, $544-97
 	PCALIGN $64
-	BNSETUP(a+16(FP), stride+32(FP), rows+40(FP), n+48(FP))
-	MOVQ b+24(FP), DX
+	BNSPREAD(mean+64(FP), mean0-544(SP), mean1-416(SP), mean2-288(SP), mean3-160(SP))
+	BNSPREAD(inv+72(FP), inv0-512(SP), inv1-384(SP), inv2-256(SP), inv3-128(SP))
+	BNSPREAD(gamma+80(FP), g0-480(SP), g1-352(SP), g2-224(SP), g3-96(SP))
+	BNSPREAD(beta+88(FP), b0-448(SP), b1-320(SP), b2-192(SP), b3-64(SP))
+	VPCMPEQD Y0, Y0, Y0
+	VPSRLD $1, Y0, Y0
+	VMOVUPS Y0, abs-32(SP)
+	BNSETUP(x+32(FP), stride+40(FP), rows+48(FP), n+56(FP))
+	MOVQ dy+24(FP), DX
+	MOVQ dz+16(FP), DI
 
 bndRow:
 	LEAQ (SI)(R9*4), R8
 	LEAQ (DX)(R9*4), R12
+	LEAQ (DI)(R9*4), R14
 	XORQ AX, AX
-	MOVQ n+48(FP), CX
+	MOVQ n+56(FP), CX
 
 bndBlk:
 	CMPQ CX, $4
 	JLT  bndTail
-	BNLOAD(SI, R8)
-	BNTRANSPOSE(Y4, Y5, Y6, Y7)
-	BNLOAD(DX, R12)
-	BNTRANSPOSE(Y8, Y9, Y10, Y11)
-	BNDOT(Y4, X4, Y8, X8)
-	BNDOT(Y5, X5, Y9, X9)
-	BNDOT(Y6, X6, Y10, X10)
-	BNDOT(Y7, X7, Y11, X11)
+	BNLOAD(SI, R8, Y0, X0, Y1, X1, Y2, X2, Y3, X3)
+	BNLOAD(DX, R12, Y4, X4, Y5, X5, Y6, X6, Y7, X7)
+
+bndXhat:                    // one block in Y0–Y7: four j or the tail
+	BNXHAT(Y0, mean0-544(SP), inv0-512(SP))
+	BNXHAT(Y1, mean1-416(SP), inv1-384(SP))
+	BNXHAT(Y2, mean2-288(SP), inv2-256(SP))
+	BNXHAT(Y3, mean3-160(SP), inv3-128(SP))
+	CMPB act+96(FP), $1
+	JB   bndFold            // identity: fold dy
+	JA   bndHswish
+	BNRELUGRAD(Y0, Y4, g0-480(SP), b0-448(SP))
+	BNRELUGRAD(Y1, Y5, g1-352(SP), b1-320(SP))
+	BNRELUGRAD(Y2, Y6, g2-224(SP), b2-192(SP))
+	BNRELUGRAD(Y3, Y7, g3-96(SP), b3-64(SP))
+	JMP  bndStore
+
+bndHswish:
+	BNHSWGRAD(Y0, Y4, g0-480(SP), b0-448(SP))
+	BNHSWGRAD(Y1, Y5, g1-352(SP), b1-320(SP))
+	BNHSWGRAD(Y2, Y6, g2-224(SP), b2-192(SP))
+	BNHSWGRAD(Y3, Y7, g3-96(SP), b3-64(SP))
+
+bndStore:
+	CMPQ CX, $4
+	JLT  bndStoreTail
+	BNSTOREROWS(DI, R14)
+	JMP  bndFold
+
+bndStoreTail:
+	BNTAILMASK(X8)
+	BNSTOREMASK(DI, R14, X8, X9)
+
+bndFold:
+	BNTRANSPOSE(Y4, Y5, Y6, Y7, Y10, Y4, Y8, Y9)
+	BNTRANSPOSE(Y0, Y1, Y2, Y3, Y5, Y6, Y7, Y11)
+	CMPQ CX, $4
+	JLT  bndFoldTail
+	BNDOT(Y10, X10, Y5, X5)
+	BNDOT(Y4, X4, Y6, X6)
+	BNDOT(Y8, X8, Y7, X7)
+	BNDOT(Y9, X9, Y11, X11)
 	ADDQ $16, SI
 	ADDQ $16, R8
 	ADDQ $16, DX
 	ADDQ $16, R12
+	ADDQ $16, DI
+	ADDQ $16, R14
 	ADDQ $16, AX
 	SUBQ $4, CX
 	JMP  bndBlk
@@ -2285,25 +2403,27 @@ bndBlk:
 bndTail:
 	TESTQ CX, CX
 	JZ    bndNext
-	BNTAILMASK(X4)
-	BNLOADMASK(SI, R8, X4, X5)
-	BNTRANSPOSE(Y4, Y5, Y6, Y7)
 	BNTAILMASK(X8)
-	BNLOADMASK(DX, R12, X8, X9)
-	BNTRANSPOSE(Y8, Y9, Y10, Y11)
-	BNDOT(Y4, X4, Y8, X8)
+	BNLOADMASK(SI, R8, X8, X9, Y0, X0, Y1, X1, Y2, X2, Y3, X3)
+	BNLOADMASK(DX, R12, X8, X9, Y4, X4, Y5, X5, Y6, X6, Y7, X7)
+	JMP   bndXhat
+
+bndFoldTail:
+	BNDOT(Y10, X10, Y5, X5)
 	CMPQ CX, $2
 	JLT  bndNext
-	BNDOT(Y5, X5, Y9, X9)
+	BNDOT(Y4, X4, Y6, X6)
 	CMPQ CX, $3
 	JLT  bndNext
-	BNDOT(Y6, X6, Y10, X10)
+	BNDOT(Y8, X8, Y7, X7)
 
 bndNext:
 	SUBQ AX, SI
 	SUBQ AX, DX
+	SUBQ AX, DI
 	ADDQ R11, SI
 	ADDQ R11, DX
+	ADDQ R11, DI
 	DECQ R13
 	JNZ  bndRow
 	BNSTORE(sum+0(FP), dot+8(FP))

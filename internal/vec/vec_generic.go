@@ -37,22 +37,22 @@ func sqDist(a, b *float32, n int) float64 { panic(none) }
 
 func hardSwish(y, x *float32, n int) { panic(none) }
 
-func hardSwishGrad(dx, dy, x *float32, n int) { panic(none) }
-
 func biasAct(y *float32, rows, n int, bias *float32, hswish bool) { panic(none) }
 
 func scaleRows(y, x, z *float32, rows, n int) { panic(none) }
 
 func add(out, a, b *float32, n int) { panic(none) }
 
-func bnNormalize(out, xhat, x *float32, stride, rows, n int, mean, inv, gamma, beta float32) {
+func bnNormalize(out, x *float32, stride, rows, n int, mean, inv, gamma, beta float32, act Act) {
 	panic(none)
 }
 
-func bnGradX(dx, dy, xhat *float32, stride, rows, n int, gamma, scale, m, sDyG, sDyXh float32) {
+func bnGradX(dx, dz, x *float32, stride, rows, n int, mean, inv, gamma, scale, m, sDyG, sDyXh float32) {
 	panic(none)
 }
 
 func bnSumSq(sum, dot *float64, a *float32, stride, rows, n int) { panic(none) }
 
-func bnSumDot(sum, dot *float64, a, b *float32, stride, rows, n int) { panic(none) }
+func bnSumDot(sum, dot *float64, dz, dy, x *float32, stride, rows, n int, mean, inv, gamma, beta *float32, act Act) {
+	panic(none)
+}
