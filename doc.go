@@ -287,32 +287,35 @@
 // Forward(x, false), which writes no backward buffer (max pooling keeps no
 // argmax and ReLU no mask outside training):
 //
-//   - Each BatchNorm2D directly following a Conv2D or Dense is folded into
-//     that layer's weights and bias using the RUNNING statistics
+//   - Each BatchNorm2D directly following a Conv2D is folded into the
+//     conv's weights and bias using the RUNNING statistics
 //     (W′ = W·γ/√(var+ε), b′ = b·γ/√(var+ε) + β − mean·γ/√(var+ε)), so no
 //     normalization pass runs at all. In all five bundled models every BN
 //     and every activation is absorbed (TestFrozenProgramsFoldOrFuse); one
-//     with no matmul predecessor would run its layer's eval forward.
-//   - The activation a folded BatchNorm2D carries, or the activation layer
-//     following a matmul layer (ReLU, HardSigmoid), is fused into the
-//     kernel. A conv hands its per-row bias
-//     and activation to the GEMM as data (tensor.RowBias), and the vector
-//     GEMM applies them in its store, so each output element is written
-//     once — no clear before it, no sweep after it (a hard-sigmoid conv,
-//     which no model has, still sweeps). The dense layer's per-column bias
-//     and activation are a tensor.RowEpilogue, applied to each output row
-//     once the kernel has finished it; the packed and int8 kernels sweep a
-//     conv's RowBias the same way.
+//     with no conv predecessor runs its layer's eval forward (after a Dense
+//     that forward panics on the [N, Out] input, frozen or not).
+//   - The activation is one vec.Act (identity, ReLU, hard-swish) from the
+//     vector routines up to the compiler. A conv takes the act a folded
+//     BatchNorm2D carries, or else a following ReLU layer; a dense takes a
+//     following ReLU. A conv hands its per-row bias and act to the GEMM as
+//     data (tensor.RowBias), and the vector GEMM applies them in its store,
+//     so each output element is written once — no clear before it, no
+//     sweep after it. The dense layer's per-column bias and ReLU are a
+//     tensor.RowEpilogue, applied to each output row once the kernel has
+//     finished it; the packed and int8 kernels sweep a conv's RowBias the
+//     same way.
 //   - Convs follow the training layer's geometry rule (see the arena
 //     section): pointwise and depthwise shapes skip the lowering; the rest
 //     keep one im2col scratch per conv-loop chunk instead of caching every
 //     sample×group column matrix for a backward pass. A depthwise conv's
-//     bias and hard-swish ride its plane kernel: with the vector kernels live
-//     a 3×3 plane is vec.Depthwise3x3, eight output positions per register
-//     taking all nine taps, the bias and the activation before one store.
+//     bias and act ride its plane kernel: with the vector kernels live a
+//     3×3 plane is vec.Depthwise3x3, eight output positions per register
+//     taking all nine taps, the bias and the act before one store.
 //   - Global average pooling and the squeeze-excite squeeze sum several
 //     planes side by side, one ascending chain each; the excite rescale and
-//     the residual sum are vector sweeps. Training runs the same kernels.
+//     the residual sum are vector sweeps. The squeeze-excite gate is one
+//     hard-sigmoid sweep over the excitation, which the block's second dense
+//     stores with its bias only. Training runs the same kernels.
 //   - Max pooling, global pooling and the view layers run as their own
 //     eval forward on the calling goroutine; nested Networks are inlined;
 //     Identity compiles away.
@@ -368,13 +371,15 @@
 // Vector oracle kernels. On amd64 the oracle tier runs the AVX2 routines of
 // internal/vec: the strided row-AXPY GEMM behind a@b and aᵀ@b (with the
 // conv bias and activation in its store), the dot-form a@bᵀ, the 3×3
-// depthwise forward and its input gradient in gather form at stride 1 and 2,
+// depthwise forward (its bias and activation in its store too) and its input
+// gradient in gather form at stride 1 and 2,
 // the 3×3 depthwise weight gradient eight planes at a time, the aggregation
 // step's fold (tensor.FoldScaled) and gate norm (tensor.SqDistLanes), and
 // nn's batch norm with its activation — the forward's reduction and one
 // normalise pass that stores act(γ·x̂ + β), the backward's reduction that
 // recomputes x̂ and z and stores dz = act′(z)·dy, and the input-gradient
-// sweep — and the squeeze-excite rescale and broadcast add.
+// sweep — and the squeeze-excite rescale and broadcast add. Each of them that
+// applies an activation takes one vec.Act, the identity, ReLU or hard-swish.
 // internal/vec's package doc states when they run (vec.Live: a CPU
 // probe, no flag; `-tags purego` builds none) and the three kernel rules that
 // keep them bit-identical to the Go loops — or, for the gate norm, keep every

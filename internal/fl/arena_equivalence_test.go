@@ -22,7 +22,7 @@ func arenaTestNet(seed uint64) *nn.Network {
 		nn.NewMaxPool2D(2, 2),
 		nn.NewFlatten(),
 		nn.NewDense(r, 4*4*4, 8),
-		nn.NewHardSigmoid(),
+		nn.NewReLU(),
 		nn.NewDense(r, 8, 3),
 	)
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"heteroswitch/internal/tensor"
+	"heteroswitch/internal/vec"
 )
 
 // sigmoid64 is the logistic function BCEWithLogits' gradient uses.
@@ -23,7 +24,7 @@ func NewReLU() *ReLU { return &ReLU{} }
 func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := l.allocUninit(x.Shape()...)
 	xd := x.Data()
-	applyAct(y.Data(), xd, epReLU)
+	applyAct(y.Data(), xd, vec.ActReLU)
 	if train {
 		if cap(l.mask) < len(xd) {
 			l.mask = make([]bool, len(xd))
@@ -58,43 +59,3 @@ func (l *ReLU) States() []*tensor.Tensor { return nil }
 
 // Name implements Layer.
 func (l *ReLU) Name() string { return "ReLU" }
-
-// HardSigmoid computes clip((x+3)/6, 0, 1), MobileNetV3's cheap sigmoid.
-type HardSigmoid struct {
-	arenaScratch
-	x *tensor.Tensor
-}
-
-// NewHardSigmoid returns a HardSigmoid layer.
-func NewHardSigmoid() *HardSigmoid { return &HardSigmoid{} }
-
-// Forward implements Layer.
-func (l *HardSigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	l.x = x
-	y := l.allocUninit(x.Shape()...)
-	applyAct(y.Data(), x.Data(), epHardSigmoid)
-	return y
-}
-
-// Backward implements Layer: derivative is 1/6 inside (-3, 3), else 0.
-func (l *HardSigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	g := l.allocUninit(grad.Shape()...)
-	gd, dd, xd := grad.Data(), g.Data(), l.x.Data()
-	for i := range gd {
-		if xd[i] > -3 && xd[i] < 3 {
-			dd[i] = gd[i] / 6
-		} else {
-			dd[i] = 0
-		}
-	}
-	return g
-}
-
-// Params implements Layer.
-func (l *HardSigmoid) Params() []*Param { return nil }
-
-// States implements Layer.
-func (l *HardSigmoid) States() []*tensor.Tensor { return nil }
-
-// Name implements Layer.
-func (l *HardSigmoid) Name() string { return "HardSigmoid" }

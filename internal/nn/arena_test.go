@@ -31,7 +31,7 @@ func arenaNet(seed uint64) *Network {
 		NewMaxPool2D(2, 2),
 		NewFlatten(),
 		NewDense(r, 64, 8),
-		NewHardSigmoid(),
+		NewReLU(),
 		NewDense(r, 8, 3),
 	)
 }

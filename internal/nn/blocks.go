@@ -5,6 +5,7 @@ import (
 
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/tensor"
+	"heteroswitch/internal/vec"
 )
 
 // Identity passes its input through unchanged. Useful as the pass-through
@@ -251,15 +252,15 @@ func copyChannels(dst, src *tensor.Tensor, at int) {
 }
 
 // SEBlock is a squeeze-and-excitation channel attention block:
-// s = GlobalAvgPool(x); z = hsig(W2·relu(W1·s)); y = x ⊙ z (per channel).
+// s = GlobalAvgPool(x); u = W2·relu(W1·s); z = hardSigmoid(u); y = x ⊙ z (per
+// channel).
 type SEBlock struct {
 	arenaScratch
 	C, Hidden int
 	fc1, fc2  *Dense
 	relu      *ReLU
-	hsig      *HardSigmoid
 	x         *tensor.Tensor
-	z         *tensor.Tensor
+	u, z      *tensor.Tensor // the excitation before and after its gate
 }
 
 // NewSEBlock builds a squeeze-excite block with the given reduction hidden
@@ -270,7 +271,6 @@ func NewSEBlock(r *frand.RNG, c, hidden int) *SEBlock {
 		fc1:  NewDense(r, c, hidden),
 		fc2:  NewDense(r, hidden, c),
 		relu: NewReLU(),
-		hsig: NewHardSigmoid(),
 	}
 }
 
@@ -280,7 +280,6 @@ func (l *SEBlock) SetArena(a *tensor.Arena) {
 	l.fc1.SetArena(a)
 	l.fc2.SetArena(a)
 	l.relu.SetArena(a)
-	l.hsig.SetArena(a)
 }
 
 // Forward implements Layer.
@@ -293,8 +292,10 @@ func (l *SEBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	hw := h * w
 	s := l.allocUninit(n, c)
 	planeMean(s.Data(), x.Data(), hw)
-	z := l.hsig.Forward(l.fc2.Forward(l.relu.Forward(l.fc1.Forward(s, train), train), train), train)
-	l.z = z
+	u := l.fc2.Forward(l.relu.Forward(l.fc1.Forward(s, train), train), train)
+	z := l.allocUninit(n, c)
+	hardSigmoid(z.Data(), u.Data())
+	l.u, l.z = u, z
 	out := l.allocUninit(n, c, h, w)
 	scaleRows(out.Data(), x.Data(), z.Data(), hw)
 	return out
@@ -307,16 +308,25 @@ func (l *SEBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 	// dz[n,c] = Σ_hw dy·x ;  dx (direct path) = dy·z
 	dz := l.allocUninit(l.z.Shape()...)
-	planeDot(dz.Data(), gd, l.x.Data(), hw)
+	dzd := dz.Data()
+	planeDot(dzd, gd, l.x.Data(), hw)
 	dx := l.allocUninit(l.x.Shape()...)
 	dxd := dx.Data()
 	scaleRows(dxd, gd, l.z.Data(), hw)
-	// Backprop dz through the excitation MLP to ds [n,c], then add its share
-	// of the squeeze's mean to every position of its plane.
-	ds := l.fc1.Backward(l.relu.Backward(l.fc2.Backward(l.hsig.Backward(dz))))
+	// The gate's gradient in place, du = dz/6 inside (−3, 3) and 0 outside;
+	// then du back through the excitation MLP to ds [n,c], and ds's share of
+	// the squeeze's mean onto every position of its plane.
+	for i, u := range l.u.Data() {
+		if u > -3 && u < 3 {
+			dzd[i] /= 6
+		} else {
+			dzd[i] = 0
+		}
+	}
+	ds := l.fc1.Backward(l.relu.Backward(l.fc2.Backward(dz)))
 	inv := 1 / float32(hw)
 	for i, g := range ds.Data() {
-		tensor.BiasAct(dxd[i*hw:(i+1)*hw], g*inv, false)
+		tensor.BiasAct(dxd[i*hw:(i+1)*hw], g*inv, vec.ActIdentity)
 	}
 	return dx
 }

@@ -6,6 +6,7 @@ import (
 
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/tensor"
+	"heteroswitch/internal/vec"
 )
 
 // Conv2D is a grouped 2-D convolution over NCHW tensors. Groups==1 is a
@@ -142,7 +143,7 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			// y[gcOut, cols] = Wg[gcOut, fanIn] @ col[fanIn, cols]
 			switch kern {
 			case convDepthwise:
-				tensor.DepthwiseConvPlane(y, img, wg, d, bd[gi], false)
+				tensor.DepthwiseConvPlane(y, img, wg, d, bd[gi], vec.ActIdentity)
 			case convPointwise:
 				tensor.MatMulSlices(y, wg, img, gcOut, fanIn, cols, bd[gi*gcOut:(gi+1)*gcOut])
 			default:

@@ -27,17 +27,17 @@ func convChunks(ops []frozenOp) int {
 }
 
 // FrozenProgram compiles net and reports what its program did with the
-// layers it absorbs: folded counts the BatchNorm2Ds folded into a conv or
-// dense op, fused the activations fused into one, and wrapped lists every
+// layers it absorbs: folded counts the BatchNorm2Ds folded into a conv op,
+// fused the activations fused into a conv or dense op, and wrapped lists every
 // layer that runs as its own eval forward. A squeeze-excite block's
 // internal layers are not counted.
 func FrozenProgram(net *Network) (folded, fused int, wrapped []Layer) {
 	var walk func(ops []frozenOp)
-	absorb := func(bn *BatchNorm2D, act epAct) {
+	absorb := func(bn *BatchNorm2D, act vec.Act) {
 		if bn != nil {
 			folded++
 		}
-		if act != epNone {
+		if act != vec.ActIdentity {
 			fused++
 		}
 	}
@@ -47,7 +47,7 @@ func FrozenProgram(net *Network) (folded, fused int, wrapped []Layer) {
 			case *frozenConv:
 				absorb(o.bn, o.act)
 			case *frozenDense:
-				absorb(o.bn, o.act)
+				absorb(nil, o.act)
 			case *frozenResidual:
 				walk(o.body)
 				walk(o.proj)

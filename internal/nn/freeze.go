@@ -5,19 +5,20 @@ import (
 	"math"
 
 	"heteroswitch/internal/tensor"
+	"heteroswitch/internal/vec"
 )
 
 // Frozen is a compiled inference-only view of a Network: the layer list is
 // flattened (nested Networks inline), every BatchNorm2D that directly
-// follows a Conv2D or Dense is folded into that layer's weights and bias
-// (using the RUNNING statistics, so no batch reduction runs at all), and the
-// activation that follows a matmul layer is fused into the kernel as a row
-// epilogue. An op exists only to fold, fuse or recurse: a conv or dense
-// layer with what it absorbs, a residual sum (whose 1×1 projection may
-// fold), a Parallel or squeeze-excite block over frozen children. Every
-// other layer runs its own Forward(x, false), and no eval forward writes a
-// buffer for a backward pass, so the frozen forward touches strictly less
-// memory than Network.Forward(x, false).
+// follows a Conv2D is folded into the conv's weights and bias (using the
+// RUNNING statistics, so no batch reduction runs at all), and the activation
+// that follows a matmul layer is fused into the kernel as a row epilogue. An
+// op exists only to fold, fuse or recurse: a conv or dense layer with what it
+// absorbs, a residual sum (whose 1×1 projection may fold), a Parallel or
+// squeeze-excite block over frozen children. Every other layer runs its own
+// Forward(x, false), and no eval forward writes a buffer for a backward pass,
+// so the frozen forward touches strictly less memory than
+// Network.Forward(x, false).
 //
 // A frozen view shares its source network's arena and intra-op budget like
 // any layer: Infer resets the arena exactly like Network.Forward (outputs
@@ -45,9 +46,9 @@ type frozenOp interface {
 }
 
 // refolder is implemented by ops that cache weights derived from trainable
-// parameters (the folded conv and dense ops) and by
-// composites that contain such ops. Freeze re-runs refold on every call so a
-// cached Frozen always reflects the network's current weights.
+// parameters (the conv and dense ops) and by composites that contain such
+// ops. Freeze re-runs refold on every call so a cached Frozen always
+// reflects the network's current weights.
 type refolder interface {
 	refold()
 }
@@ -140,61 +141,49 @@ func flattenLayers(layers []Layer, out []Layer) []Layer {
 	return out
 }
 
-// actKindOf maps activation layers onto their fused epilogue kind.
-func actKindOf(l Layer) (epAct, bool) {
-	switch l.(type) {
-	case *ReLU:
-		return epReLU, true
-	case *HardSigmoid:
-		return epHardSigmoid, true
+// absorb returns what the matmul layer at flat[i] takes into its frozen op
+// and the index of the last layer it takes: a conv (conv non-nil) folds a
+// following BatchNorm2D and takes that batch norm's activation; then, while
+// the activation is still the identity, a conv or a dense takes a following
+// ReLU layer.
+func absorb(flat []Layer, i int, conv *Conv2D) (bn *BatchNorm2D, act vec.Act, last int) {
+	next := func() Layer {
+		if i+1 < len(flat) {
+			return flat[i+1]
+		}
+		return nil
 	}
-	return epNone, false
+	if b, ok := next().(*BatchNorm2D); ok && conv != nil {
+		if b.C != conv.OutC {
+			panic(fmt.Sprintf("nn: Freeze: BatchNorm2D(%d) cannot fold into %s", b.C, conv.Name()))
+		}
+		bn, act = b, b.act
+		i++
+	}
+	if _, ok := next().(*ReLU); ok && act == vec.ActIdentity {
+		act = vec.ActReLU
+		i++
+	}
+	return bn, act, i
 }
 
 // compile turns a flattened layer sequence into the inference program,
 // folding BN and fusing activations as it scans.
 func compile(flat []Layer) []frozenOp {
 	var ops []frozenOp
-	peek := func(i int) Layer {
-		if i < len(flat) {
-			return flat[i]
-		}
-		return nil
-	}
 	for i := 0; i < len(flat); i++ {
 		switch l := flat[i].(type) {
 		case *Conv2D:
 			op := &frozenConv{l: l}
-			if bn, ok := peek(i + 1).(*BatchNorm2D); ok {
-				if bn.C != l.OutC {
-					panic(fmt.Sprintf("nn: Freeze: BatchNorm2D(%d) cannot fold into %s", bn.C, l.Name()))
-				}
-				op.bn, op.act = bn, epActOf(bn.act)
-				i++
-			}
-			if act, ok := actKindOf(peek(i + 1)); ok && op.act == epNone {
-				op.act = act
-				i++
-			}
+			op.bn, op.act, i = absorb(flat, i, l)
 			op.build()
 			ops = append(ops, op)
 		case *Dense:
 			op := &frozenDense{l: l}
-			if bn, ok := peek(i + 1).(*BatchNorm2D); ok {
-				if bn.C != l.Out {
-					panic(fmt.Sprintf("nn: Freeze: BatchNorm2D(%d) cannot fold into %s", bn.C, l.Name()))
-				}
-				op.bn, op.act = bn, epActOf(bn.act)
-				i++
-			}
-			if act, ok := actKindOf(peek(i + 1)); ok && op.act == epNone {
-				op.act = act
-				i++
-			}
-			op.build()
+			_, op.act, i = absorb(flat, i, nil)
 			ops = append(ops, op)
 		case *SEBlock:
-			ops = append(ops, newFrozenSE(l))
+			ops = append(ops, &frozenSE{se: l, fc1: &frozenDense{l: l.fc1, act: vec.ActReLU}, fc2: &frozenDense{l: l.fc2}})
 		case *Residual:
 			op := &frozenResidual{
 				body: compileLayer(l.Body),
@@ -214,8 +203,9 @@ func compile(flat []Layer) []frozenOp {
 			// Compiles to nothing.
 		default:
 			// Nothing to fold, fuse or recurse into — view and permutation
-			// layers, pooling, and a BatchNorm2D or activation that follows
-			// no matmul layer — so no op of its own: the layer's eval
+			// layers, pooling, a BatchNorm2D no conv precedes (after a Dense
+			// it panics, as the reference forward does) and a ReLU no
+			// matmul layer absorbs — so no op of its own: the layer's eval
 			// forward is the op.
 			ops = append(ops, &frozenWrap{l: l})
 		}

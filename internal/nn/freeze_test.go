@@ -1,6 +1,7 @@
 package nn_test
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -68,11 +69,11 @@ func frozenFixtures() []frozenFixture {
 				nn.NewDense(r, 6, 5),
 			)
 		}},
-		{"dense-hardsigmoid", 3, func(r *frand.RNG) *nn.Network {
+		{"dense-relu", 3, func(r *frand.RNG) *nn.Network {
 			return nn.NewNetwork(
 				nn.NewFlatten(),
 				nn.NewDense(r, 3*8*8, 16),
-				nn.NewHardSigmoid(),
+				nn.NewReLU(),
 				nn.NewDense(r, 16, 5),
 			)
 		}},
@@ -155,7 +156,8 @@ func frozenFixtures() []frozenFixture {
 		}},
 		{"parallel-concat-hsig", 3, func(r *frand.RNG) *nn.Network {
 			b1 := nn.NewNetwork(nn.NewConv2D(r, 3, 4, 1, 1, 0, 1), nn.NewReLU())
-			b2 := nn.NewNetwork(nn.NewConv2D(r, 3, 4, 3, 1, 1, 1), nn.NewHardSigmoid())
+			// The hard-sigmoid is the squeeze-excite gate, inside a branch.
+			b2 := nn.NewNetwork(nn.NewConv2D(r, 3, 4, 3, 1, 1, 1), nn.NewSEBlock(r, 4, 2))
 			return nn.NewNetwork(
 				nn.NewParallel(false, b1, b2),
 				nn.NewMaxPool2D(2, 2),
@@ -367,18 +369,21 @@ func TestFrozenConcurrentReplicas(t *testing.T) {
 // exactly (the SqueezeNet-shaped contract). The net covers all three conv
 // kernels of the fast path — general im2col, the direct depthwise tap loop,
 // and the lowering-free pointwise matmul — which all promise the im2col
-// matmul's per-target accumulation order. Bit-identity to the reference
-// forward is the oracle tier's contract, which the default backend runs.
+// matmul's per-target accumulation order, each with a ReLU in its store, and
+// a squeeze-excite block, whose frozen gate runs the training block's sweep.
+// Bit-identity to the reference forward is the oracle tier's contract, which
+// the default backend runs.
 func TestFrozenPureFusionBitIdentical(t *testing.T) {
 	r := frand.New(31)
 	net := nn.NewNetwork(
 		nn.NewConv2D(r, 3, 8, 3, 2, 1, 1),
 		nn.NewReLU(),
 		nn.NewDepthwiseConv2D(r, 8, 3, 1, 1),
-		nn.NewHardSigmoid(),
+		nn.NewReLU(),
 		nn.NewMaxPool2D(2, 2),
 		nn.NewConv2D(r, 8, 12, 1, 1, 0, 1),
 		nn.NewReLU(),
+		nn.NewSEBlock(r, 12, 3),
 		nn.NewGlobalAvgPool(),
 		nn.NewDense(r, 12, 5),
 	)
@@ -393,6 +398,31 @@ func TestFrozenPureFusionBitIdentical(t *testing.T) {
 					batch, i, v, want.Data()[i])
 			}
 		}
+	}
+}
+
+// TestFrozenDenseThenBatchNormPanics: a BatchNorm2D after a Dense folds into
+// nothing; it compiles to its own eval forward, which panics on the dense's
+// [N, Out] output exactly as the reference forward does, rather than
+// returning an answer the reference cannot give.
+func TestFrozenDenseThenBatchNormPanics(t *testing.T) {
+	r := frand.New(41)
+	net := nn.NewNetwork(nn.NewFlatten(), nn.NewDense(r, 3*4*4, 6), nn.NewBatchNorm2D(6, vec.ActReLU))
+	x := tensor.Randn(r, 1, 2, 3, 4, 4)
+	recovered := func(f func()) (v any) {
+		defer func() { v = recover() }()
+		f()
+		return nil
+	}
+	want := recovered(func() { net.Forward(x, false) })
+	if want == nil {
+		t.Fatal("the reference forward of a BatchNorm2D after a Dense returned an answer")
+	}
+	if folded, _, wrapped := nn.FrozenProgram(net); folded != 0 || len(wrapped) != 2 {
+		t.Fatalf("folded %d BatchNorm2D and wrapped %d layers, want 0 and 2 (Flatten, BatchNorm2D)", folded, len(wrapped))
+	}
+	if got := recovered(func() { net.Freeze().Infer(x) }); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("frozen forward recovered %v, want the reference forward's panic %v", got, want)
 	}
 }
 
@@ -489,7 +519,7 @@ func countAbsorbable(layers []nn.Layer) (bns, acts int) {
 			if nn.BNAct(l) != vec.ActIdentity {
 				acts++
 			}
-		case *nn.ReLU, *nn.HardSigmoid:
+		case *nn.ReLU:
 			acts++
 		case *nn.Network:
 			sub = l.LayerList

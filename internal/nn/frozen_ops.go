@@ -8,79 +8,12 @@ import (
 	"heteroswitch/internal/vec"
 )
 
-// epAct identifies the activation fused into a kernel epilogue. The scalar
-// formulas are the training layers' own (applyAct is their forward sweep),
-// so pure fusion (no BN fold) is bit-identical to the reference eval
-// forward.
-type epAct uint8
-
-// Fusable activations.
-const (
-	epNone epAct = iota
-	epReLU
-	epHardSwish
-	epHardSigmoid
-)
-
-// stored is the activation a GEMM store applies for act. Hard-sigmoid, which
-// no model's conv has and the store lacks, stores the bias alone and leaves
-// the activation to a sweep.
-func (act epAct) stored() vec.Act {
-	switch act {
-	case epReLU:
-		return vec.ActReLU
-	case epHardSwish:
-		return vec.ActHardSwish
-	}
-	return vec.ActIdentity
-}
-
-// epActOf is the epilogue kind of a batch norm's activation.
-func epActOf(act vec.Act) epAct {
-	switch act {
-	case vec.ActReLU:
-		return epReLU
-	case vec.ActHardSwish:
-		return epHardSwish
-	}
-	return epNone
-}
-
-// applyVecBiasAct computes row[j] = act(row[j] + bias[j]) in one sweep — the
-// dense-layer epilogue, where the bias is per output column.
-func applyVecBiasAct(row, bias []float32, act epAct) {
-	switch act {
-	case epNone:
-		for j := range row {
-			row[j] += bias[j]
-		}
-	case epReLU:
-		for j := range row {
-			if v := row[j] + bias[j]; v > 0 {
-				row[j] = v
-			} else {
-				row[j] = 0
-			}
-		}
-	case epHardSwish:
-		for j := range row {
-			v := row[j] + bias[j]
-			row[j] = v * tensor.HardSigmoid(v)
-		}
-	case epHardSigmoid:
-		for j := range row {
-			row[j] = tensor.HardSigmoid(row[j] + bias[j])
-		}
-	}
-}
-
-// applyAct computes yd[i] = act(xd[i]) for every i of xd — the activation
-// layers' forward sweep, and a fused conv's sweep for an activation its
-// kernel store lacks.
-func applyAct(yd, xd []float32, act epAct) {
+// applyAct computes yd[i] = act(xd[i]) for every i of xd — the ReLU layer's
+// forward sweep and batch norm's activation in its Go loops and eval forward.
+func applyAct(yd, xd []float32, act vec.Act) {
 	yd = yd[:len(xd)]
 	switch act {
-	case epReLU:
+	case vec.ActReLU:
 		for i, v := range xd {
 			if v > 0 {
 				yd[i] = v
@@ -88,7 +21,7 @@ func applyAct(yd, xd []float32, act epAct) {
 				yd[i] = 0
 			}
 		}
-	case epHardSwish:
+	case vec.ActHardSwish:
 		if vec.Live {
 			vec.HardSwish(yd, xd)
 			return
@@ -96,12 +29,17 @@ func applyAct(yd, xd []float32, act epAct) {
 		for i, v := range xd {
 			yd[i] = v * tensor.HardSigmoid(v)
 		}
-	case epHardSigmoid:
-		for i, v := range xd {
-			yd[i] = tensor.HardSigmoid(v)
-		}
 	default:
 		copy(yd, xd)
+	}
+}
+
+// hardSigmoid computes z[i] = tensor.HardSigmoid(u[i]) for every i of u: the
+// squeeze-excite gate, trained and frozen.
+func hardSigmoid(z, u []float32) {
+	z = z[:len(u)]
+	for i, v := range u {
+		z[i] = tensor.HardSigmoid(v)
 	}
 }
 
@@ -117,7 +55,7 @@ func applyAct(yd, xd []float32, act epAct) {
 type frozenConv struct {
 	l   *Conv2D
 	bn  *BatchNorm2D // folded into wf/bf when non-nil
-	act epAct
+	act vec.Act
 
 	wf []float32 // effective weights: alias l.W when bn == nil, else folded copy
 	bf []float32 // effective biases: alias l.B when bn == nil, else folded copy
@@ -151,7 +89,7 @@ func (c *frozenConv) build() {
 	gcOut := l.OutC / l.Groups
 	c.eps = make([]tensor.RowBias, l.Groups)
 	for gi := range c.eps {
-		c.eps[gi] = tensor.RowBias{Bias: c.bf[gi*gcOut : (gi+1)*gcOut], Act: c.act.stored()}
+		c.eps[gi] = tensor.RowBias{Bias: c.bf[gi*gcOut : (gi+1)*gcOut], Act: c.act}
 	}
 }
 
@@ -235,8 +173,7 @@ func (c *frozenConv) Run(chunk, lo, hi int) {
 
 // inferIter runs one sample×group iteration through the cheapest kernel its
 // shape admits (see the type comment), with bias + activation in the
-// kernel's store, or a sweep over the finished output for an activation the
-// kernel lacks.
+// kernel's store.
 func (c *frozenConv) inferIter(it int, col []float32) {
 	l := c.l
 	d := c.dims
@@ -254,13 +191,9 @@ func (c *frozenConv) inferIter(it int, col []float32) {
 	y := c.od[i*outStride+gi*gcOut*cols : i*outStride+(gi+1)*gcOut*cols]
 	switch l.kernel() {
 	case convDepthwise:
-		// The plane kernel, no lowering at all, with the bias and hard-swish
-		// fused; another activation is a sweep over the finished plane.
-		tensor.DepthwiseConvPlane(y, img, wg, d, c.bf[gi], c.act == epHardSwish)
-		if c.act != epNone && c.act != epHardSwish {
-			applyAct(y, y, c.act)
-		}
-		return
+		// The plane kernel, no lowering at all, with the bias and the
+		// activation fused.
+		tensor.DepthwiseConvPlane(y, img, wg, d, c.bf[gi], c.act)
 	case convPointwise:
 		// The im2col matrix IS the image slice.
 		tensor.MatMulWASlicesEp(y, wg, &c.pw, gi*gcOut, gcOut, img, cols, false, &c.eps[gi])
@@ -268,66 +201,41 @@ func (c *frozenConv) inferIter(it int, col []float32) {
 		tensor.Im2Col(col, img, d)
 		tensor.MatMulWASlicesEp(y, wg, &c.pw, gi*gcOut, gcOut, col, cols, false, &c.eps[gi])
 	}
-	if c.act == epHardSigmoid {
-		applyAct(y, y, epHardSigmoid)
-	}
 }
 
 // Fused dense -----------------------------------------------------------------
 
-// denseEpilogue adds the per-column bias vector and applies the fused
-// activation to one output row (= one sample).
-type denseEpilogue struct {
-	bias []float32
-	act  epAct
-}
-
-// Apply implements tensor.RowEpilogue.
-func (e *denseEpilogue) Apply(row []float32, _ int) { applyVecBiasAct(row, e.bias, e.act) }
-
-// frozenDense is Dense's inference op: one fused matmul, bias+activation as
-// the row epilogue.
+// frozenDense is Dense's inference op: one fused matmul whose row epilogue
+// (Apply) adds the bias and applies the ReLU the layer absorbed, if any.
 type frozenDense struct {
 	l   *Dense
-	bn  *BatchNorm2D
-	act epAct
-
-	wf *tensor.Tensor // effective weights: alias l.W when bn == nil
-	bf []float32
-	ep denseEpilogue
+	act vec.Act // the identity or ReLU
 
 	pw tensor.PackedWeights // the weights-as-B handle
 }
 
-// build sizes the folded buffers and the epilogue.
-func (d *frozenDense) build() {
-	if d.bn != nil {
-		d.wf = tensor.New(d.l.In, d.l.Out)
-		d.bf = make([]float32, d.l.Out)
-	} else {
-		d.wf = d.l.W.W
-		d.bf = d.l.B.W.Data()
+// Apply implements tensor.RowEpilogue on one output row (one sample):
+// row[j] = act(row[j] + bias[j]).
+func (d *frozenDense) Apply(row []float32, _ int) {
+	bias := d.l.B.W.Data()[:len(row)]
+	if d.act != vec.ActReLU {
+		for j := range row {
+			row[j] += bias[j]
+		}
+		return
 	}
-	d.ep = denseEpilogue{bias: d.bf, act: d.act}
-}
-
-// refold implements refolder: column j is scaled by the BN channel j affine,
-// then the weights-as-B handle rebinds to the folded matrix.
-func (d *frozenDense) refold() {
-	if d.bn != nil {
-		in, out := d.l.In, d.l.Out
-		wd, fd := d.l.W.W.Data(), d.wf.Data()
-		bd := d.l.B.W.Data()
-		for j := 0; j < out; j++ {
-			s, sh := bnScaleShift(d.bn, j)
-			for i := 0; i < in; i++ {
-				fd[i*out+j] = wd[i*out+j] * s
-			}
-			d.bf[j] = bd[j]*s + sh
+	for j, v := range row {
+		if v += bias[j]; v > 0 {
+			row[j] = v
+		} else {
+			row[j] = 0
 		}
 	}
-	d.pw.RefreshB(d.wf.Data(), d.l.In, d.l.Out)
 }
+
+// refold implements refolder: the weights-as-B handle rebinds to the
+// current weights.
+func (d *frozenDense) refold() { d.pw.RefreshB(d.l.W.W.Data(), d.l.In, d.l.Out) }
 
 // infer implements frozenOp.
 func (d *frozenDense) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
@@ -335,7 +243,7 @@ func (d *frozenDense) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: frozen Dense input %v, want [N %d]", x.Shape(), d.l.In))
 	}
 	y := f.alloc(x.Dim(0), d.l.Out)
-	tensor.MatMulWBSlicesEp(y.Data(), x.Data(), d.wf.Data(), &d.pw, x.Dim(0), false, &d.ep)
+	tensor.MatMulWBSlicesEp(y.Data(), x.Data(), d.l.W.W.Data(), &d.pw, x.Dim(0), false, d)
 	return y
 }
 
@@ -367,7 +275,7 @@ func (r *frozenResidual) foldProj() {
 		return
 	}
 	fc, ok := r.proj[0].(*frozenConv)
-	if !ok || fc.act != epNone {
+	if !ok || fc.act != vec.ActIdentity {
 		return
 	}
 	l := fc.l
@@ -482,21 +390,11 @@ func (p *frozenParallel) refold() {
 }
 
 // frozenSE is the squeeze-and-excitation inference op: plane-mean squeeze,
-// the two excitation matmuls with their activations fused as epilogues, and
-// the per-channel rescale.
+// the two excitation matmuls (fc1's ReLU fused as its epilogue, fc2 storing
+// its bias only), the hard-sigmoid gate, and the per-channel rescale.
 type frozenSE struct {
 	se       *SEBlock
 	fc1, fc2 *frozenDense
-}
-
-// newFrozenSE compiles an SEBlock, fusing the excitation MLP's ReLU and
-// HardSigmoid into the dense kernels.
-func newFrozenSE(l *SEBlock) *frozenSE {
-	fc1 := &frozenDense{l: l.fc1, act: epReLU}
-	fc1.build()
-	fc2 := &frozenDense{l: l.fc2, act: epHardSigmoid}
-	fc2.build()
-	return &frozenSE{se: l, fc1: fc1, fc2: fc2}
 }
 
 // infer implements frozenOp.
@@ -509,6 +407,7 @@ func (s *frozenSE) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 	sq := f.alloc(n, c)
 	planeMean(sq.Data(), x.Data(), hw)
 	z := s.fc2.infer(f, s.fc1.infer(f, sq))
+	hardSigmoid(z.Data(), z.Data())
 	out := f.alloc(n, c, h, w)
 	scaleRows(out.Data(), x.Data(), z.Data(), hw)
 	return out
@@ -599,8 +498,8 @@ func (s *frozenSE) refold() {
 
 // frozenWrap is every layer with nothing to fold, fuse or recurse into: the
 // op is the layer's own eval forward (view and permutation layers, pooling,
-// a BatchNorm2D or activation no matmul layer precedes, and any layer type
-// the compiler does not know).
+// a BatchNorm2D no conv precedes, a ReLU no matmul layer absorbs, and any
+// layer type the compiler does not know).
 type frozenWrap struct {
 	l Layer
 }

@@ -135,21 +135,6 @@ func TestReLUGrad(t *testing.T) {
 	checkGrads(t, NewReLU(), x, 12, 30)
 }
 
-func TestHardSigmoidGrad(t *testing.T) {
-	r := frand.New(15)
-	x := tensor.Randn(r, 1.5, 3, 8)
-	// Nudge values away from the kinks at ±3.
-	apply(x, func(v float32) float32 {
-		for _, k := range []float32{-3, 3} {
-			if v > k-0.1 && v < k+0.1 {
-				return v + 0.25
-			}
-		}
-		return v
-	})
-	checkGrads(t, NewHardSigmoid(), x, 16, 24)
-}
-
 // TestBatchNormGrad checks batch norm with each activation it carries. γ is
 // wide enough on channel 0 that hard-swish's z crosses both knees, and every
 // x whose z lies within 0.05 of a kink (±3 for hard-swish, 0 for ReLU) is
@@ -284,10 +269,33 @@ func TestParallelSplitGrad(t *testing.T) {
 	checkGrads(t, l, x, 32, 20)
 }
 
+// TestSEBlockGrad checks the block with its hard-sigmoid gate on both sides
+// of both knees: fc2's bias puts the pre-gate excitation u of channel 0 above
+// 3 and of channel 1 below −3, where the gate is clamped and its gradient 0,
+// and leaves channels 2 and 3 inside (−3, 3), where its slope is 1/6. No u
+// lies within 0.25 of a knee, so no finite difference straddles one.
 func TestSEBlockGrad(t *testing.T) {
 	r := frand.New(33)
 	l := NewSEBlock(r, 4, 2)
+	copy(l.fc2.B.W.Data(), []float32{4.5, -4.5, 0.5, -0.5})
 	x := tensor.Randn(r, 1, 2, 4, 4, 4)
+	l.Forward(x.Clone(), true)
+	var above, below, inside int
+	for _, u := range l.u.Data() {
+		switch {
+		case math.Abs(math.Abs(float64(u))-3) < 0.25:
+			t.Fatalf("pre-gate u = %v lies within 0.25 of a knee", u)
+		case u > 3:
+			above++
+		case u < -3:
+			below++
+		default:
+			inside++
+		}
+	}
+	if above == 0 || below == 0 || inside == 0 {
+		t.Fatalf("pre-gate u: %d above 3, %d below −3, %d inside; want each side covered", above, below, inside)
+	}
 	checkGrads(t, l, x, 34, 20)
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/guardmem"
-	"heteroswitch/internal/israce"
 	"heteroswitch/internal/tensor"
 	"heteroswitch/internal/vec"
 	"heteroswitch/internal/vectest"
@@ -47,8 +46,8 @@ var vecSweepLens = []int{1, 2, 7, 8, 9, 15, 16, 17, 31, 33, 64, 100, 257}
 
 // runVecActCase runs every vectorised activation sweep on length n under both
 // settings of the switch and requires identical bits: the hard-swish sweep of
-// the frozen activation and of batch norm's eval pass, the one-row conv epilogue
-// (bias, bias + hard-swish), the rows × n training bias add of a pointwise
+// batch norm's eval pass, the one-row conv epilogue (bias, then each of the
+// three acts), the rows × n training bias add of a pointwise
 // Conv2D, the squeeze-excite rescale of rows planes of n and the residual
 // sum.
 func runVecActCase(t *testing.T, n, rows int, seed uint64) {
@@ -65,17 +64,17 @@ func runVecActCase(t *testing.T, n, rows int, seed uint64) {
 	run := func(on bool) [][]float32 {
 		vectest.SetLive(t, on)
 		act := make([]float32, n)
-		applyAct(act, x, epHardSwish)
+		applyAct(act, x, vec.ActHardSwish)
 		planes := slices.Clone(conv.Forward(tensor.FromSlice(slices.Clone(x), 1, 1, 1, n), true).Data())
 		scaled := make([]float32, rows*n)
 		scaleRows(scaled, slices.Repeat(x, rows), z, n)
 		sum := make([]float32, n)
 		addInto(sum, x, dy)
 		res := [][]float32{act, planes, scaled, sum}
-		for _, hs := range []bool{false, true} {
+		for _, a := range vecBNActs {
 			for i := range bias {
 				row := slices.Clone(x)
-				tensor.BiasAct(row, bias[i], hs)
+				tensor.BiasAct(row, bias[i], a)
 				res = append(res, row)
 			}
 		}
@@ -350,11 +349,12 @@ func TestVecBNSumsStayInsideSlices(t *testing.T) {
 }
 
 // exactSums requires two slices of float64 sums to be identical bit for bit,
-// holding NaN as a class under -race as vectest.NaNClassEqual does.
+// holding NaN as a class where vectest.NaNChoiceOpen, as
+// vectest.NaNClassEqual does.
 func exactSums(t *testing.T, name string, got, want []float64) {
 	t.Helper()
 	for i := range want {
-		if g, w := got[i], want[i]; math.Float64bits(g) != math.Float64bits(w) && !(israce.Enabled && g != g && w != w) {
+		if g, w := got[i], want[i]; math.Float64bits(g) != math.Float64bits(w) && !(vectest.NaNChoiceOpen() && g != g && w != w) {
 			t.Fatalf("%s: sum %d = %v, want %v", name, i, got[i], want[i])
 		}
 	}
@@ -621,8 +621,9 @@ func TestVecSweepsRejectShortSlices(t *testing.T) {
 		call func()
 	}{
 		{"hard-swish y", func() { vec.HardSwish(f(8), f(9)) }},
-		{"bias y", func() { vec.BiasAct(f(3*9-1), 3, 9, f(3), false) }},
-		{"bias bias", func() { vec.BiasAct(f(3*9), 3, 9, f(2), true) }},
+		{"bias y", func() { vec.BiasAct(f(3*9-1), 3, 9, f(3), vec.ActIdentity) }},
+		{"bias bias", func() { vec.BiasAct(f(3*9), 3, 9, f(2), vec.ActHardSwish) }},
+		{"bias relu", func() { vec.BiasAct(f(3*9), 3, 9, f(2), vec.ActReLU) }},
 		{"bn normalise out", func() { vec.BNNormalize(f(2*20+9-1), f(2*20+9), 20, 3, 9, 0, 1, 1, 0, vec.ActHardSwish) }},
 		{"bn normalise x", func() { vec.BNNormalize(f(2*20+9), f(2*20+9-1), 20, 3, 9, 0, 1, 1, 0, vec.ActReLU) }},
 		{"bn normalise stride", func() { vec.BNNormalize(f(64), f(64), 8, 3, 9, 0, 1, 1, 0, vec.ActIdentity) }},
@@ -652,8 +653,8 @@ func TestVecSweepsRejectShortSlices(t *testing.T) {
 		}()
 	}
 	vec.HardSwish(nil, nil)
-	vec.BiasAct(nil, 0, 9, nil, true)
-	vec.BiasAct(nil, 3, 0, nil, false)
+	vec.BiasAct(nil, 0, 9, nil, vec.ActHardSwish)
+	vec.BiasAct(nil, 3, 0, nil, vec.ActReLU)
 	vec.BNNormalize(nil, nil, 4, 0, 4, 0, 1, 1, 0, vec.ActHardSwish)
 	vec.BNGradX(nil, nil, nil, 4, 2, 0, 0, 1, 1, 1, 8, 0, 0)
 	// An empty reduction still defines its sixteen sums: +0.
@@ -718,8 +719,12 @@ func refSEForward(l *SEBlock, x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		sd[i] = sum * inv
 	}
-	z := l.hsig.Forward(l.fc2.Forward(l.relu.Forward(l.fc1.Forward(s, train), train), train), train)
-	l.z = z
+	u := l.fc2.Forward(l.relu.Forward(l.fc1.Forward(s, train), train), train)
+	z := tensor.New(n, c)
+	for i, v := range u.Data() {
+		z.Data()[i] = tensor.HardSigmoid(v)
+	}
+	l.u, l.z = u, z
 	out := tensor.New(n, c, h, w)
 	od, zd := out.Data(), z.Data()
 	for i := 0; i < n*c; i++ {
@@ -749,7 +754,13 @@ func refSEBackward(l *SEBlock, grad *tensor.Tensor) *tensor.Tensor {
 		}
 		dzd[i] = s
 	}
-	ds := l.fc1.Backward(l.relu.Backward(l.fc2.Backward(l.hsig.Backward(dz))))
+	du := tensor.New(n, c)
+	for i, v := range l.u.Data() {
+		if v > -3 && v < 3 {
+			du.Data()[i] = dzd[i] / 6
+		}
+	}
+	ds := l.fc1.Backward(l.relu.Backward(l.fc2.Backward(du)))
 	dsd := ds.Data()
 	inv := 1 / float32(hw)
 	for i := 0; i < n*c; i++ {

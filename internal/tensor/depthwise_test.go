@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"heteroswitch/internal/frand"
+	"heteroswitch/internal/vec"
 	"heteroswitch/internal/vectest"
 )
 
@@ -43,7 +44,7 @@ func testDepthwisePlaneKernelsMatchLowered(t *testing.T) {
 					want := make([]float32, cols)
 					MatMulSlices(want, w, col, 1, taps, cols, nil)
 					got := Randn(r, 1, cols).Data() // junk: the kernel must overwrite
-					DepthwiseConvPlane(got, img, w, d, 0, false)
+					DepthwiseConvPlane(got, img, w, d, 0, vec.ActIdentity)
 					exactEqual(t, name+" forward", got, want)
 
 					seed := Randn(r, 1, taps).Data() // both accumulate onto the same junk

@@ -21,9 +21,10 @@ func guarded(t testing.TB, v []float32) []float32 {
 
 // TestVecPlaneKernelsStayInsideSlices runs the vector plane routines on
 // operands that end at an inaccessible page: the stride-2 gather's wide side
-// ends at element 2(n−1); the 3×3 forward's, input gradient's and weight
-// gradient's plane fills a page exactly (32×32 float32s), guarded on both
-// sides, with every pad's masked margin reads pointing into the guards; and
+// ends at element 2(n−1); the 3×3 forward's (under each of the three acts),
+// input gradient's and weight gradient's plane fills a page exactly (32×32
+// float32s), guarded on both sides, with every pad's masked margin reads
+// pointing into the guards; and
 // both gradients run on 1–17 planes (the weight gradient's last pass of
 // fewer than eight lanes among them) with every operand, scratch included,
 // guarded.
@@ -58,16 +59,20 @@ func TestVecPlaneKernelsStayInsideSlices(t *testing.T) {
 			exactEqual(t, fmt.Sprintf("guarded dW s%d p%d", stride, pad), got, want)
 
 			w := vecOperand(r, 9)
-			vectest.SetLive(t, false)
-			wantY := make([]float32, d.ColCols())
-			DepthwiseConvPlane(wantY, plane, w, d, 0.5, true)
+			for _, act := range storeActs {
+				vectest.SetLive(t, false)
+				wantY := make([]float32, d.ColCols())
+				DepthwiseConvPlane(wantY, plane, w, d, 0.5, act)
+				vectest.SetLive(t, true)
+				gotY := guarded(t, make([]float32, d.ColCols()))
+				DepthwiseConvPlane(gotY, plane, guarded(t, w), d, 0.5, act)
+				exactEqual(t, fmt.Sprintf("guarded forward s%d p%d act %d", stride, pad, act), gotY, wantY)
+			}
 			wantX := vecOperand(r, 32*32)
 			gotX := guarded(t, wantX)
+			vectest.SetLive(t, false)
 			DepthwiseConvPlaneGradX(wantX, dy, w, d)
 			vectest.SetLive(t, true)
-			gotY := guarded(t, make([]float32, d.ColCols()))
-			DepthwiseConvPlane(gotY, plane, guarded(t, w), d, 0.5, true)
-			exactEqual(t, fmt.Sprintf("guarded forward s%d p%d", stride, pad), gotY, wantY)
 			DepthwiseConvPlaneGradX(gotX, guarded(t, dy), guarded(t, w), d)
 			exactEqual(t, fmt.Sprintf("guarded dx s%d p%d", stride, pad), gotX, wantX)
 		}

@@ -202,8 +202,7 @@ func (d *ConvDims) checkPlanes(kernel string, img, out, taps []float32, planes i
 
 // DepthwiseConvPlane convolves ONE channel plane directly, without the
 // im2col lowering, and applies the conv epilogue: y[OutH*OutW] =
-// act(w[KH*KW] ⊛ img[InH*InW] + bias) for a d with InC == 1, act the
-// identity or (hswish) hard-swish.
+// act(w[KH*KW] ⊛ img[InH*InW] + bias) for a d with InC == 1.
 //
 // Every output pixel is a sum from +0 over its taps in ascending (ky, kx)
 // order — the same per-target order as the im2col matmul, whose skipped
@@ -224,10 +223,10 @@ func (d *ConvDims) checkPlanes(kernel string, img, out, taps []float32, planes i
 // skipped term is a ±0 add onto a sum that started at +0, the same zero-skip
 // convention as the oracle matmul kernels' av != 0 test, while an Inf or NaN
 // operand would have turned that skipped 0·Inf into a NaN.
-func DepthwiseConvPlane(y, img, w []float32, d ConvDims, bias float32, hswish bool) {
+func DepthwiseConvPlane(y, img, w []float32, d ConvDims, bias float32, act vec.Act) {
 	d.checkPlanes("DepthwiseConvPlane", img, y, w, 1)
 	if vec.Live && d.KH == 3 && d.KW == 3 && d.StrideW <= 2 {
-		vec.Depthwise3x3(y, img, w, d.OutH, d.OutW, d.InH, d.InW, d.StrideH, d.StrideW, d.PadH, d.PadW, bias, hswish)
+		vec.Depthwise3x3(y, img, w, d.OutH, d.OutW, d.InH, d.InW, d.StrideH, d.StrideW, d.PadH, d.PadW, bias, act)
 		return
 	}
 	clear(y)
@@ -264,7 +263,7 @@ func DepthwiseConvPlane(y, img, w []float32, d ConvDims, bias float32, hswish bo
 			}
 		}
 	}
-	BiasAct(y, bias, hswish)
+	BiasAct(y, bias, act)
 }
 
 // DepthwiseGradWScratch is the scratch length DepthwiseConvPlaneGradW takes

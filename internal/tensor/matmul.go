@@ -40,26 +40,10 @@ func gemmAB(out, a, b []float32, m, k, n int, acc bool, bias []float32, act vec.
 	switch {
 	case bias != nil:
 		for i, bi := range bias[:m] {
-			rowBiasAct(out[i*n:(i+1)*n], bi, act)
+			BiasAct(out[i*n:(i+1)*n], bi, act)
 		}
 	case act != vec.ActIdentity:
 		rowAct(out[:m*n], act)
-	}
-}
-
-// rowBiasAct computes row[j] = act(row[j] + b): the Go form of the vector
-// GEMM's store epilogue.
-func rowBiasAct(row []float32, b float32, act vec.Act) {
-	if act != vec.ActReLU {
-		BiasAct(row, b, act == vec.ActHardSwish)
-		return
-	}
-	for j, v := range row {
-		if v += b; v > 0 {
-			row[j] = v
-		} else {
-			row[j] = 0
-		}
 	}
 }
 
@@ -254,7 +238,7 @@ type RowBias struct {
 }
 
 // Apply implements RowEpilogue.
-func (e *RowBias) Apply(row []float32, r int) { rowBiasAct(row, e.Bias[r], e.Act) }
+func (e *RowBias) Apply(row []float32, r int) { BiasAct(row, e.Bias[r], e.Act) }
 
 // mmTask is the one GEMM descriptor: every entry point fills one and hands it
 // to gemm. out is [m,n] and k the reduction depth for every kind; acc keeps

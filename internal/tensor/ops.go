@@ -100,23 +100,32 @@ func HardSigmoid(v float32) float32 {
 	return s
 }
 
-// BiasAct computes y[j] = act(y[j] + bias) over one output row, act the
-// identity or (hswish) hard-swish: the conv epilogue wherever no vector
-// store carries it.
-func BiasAct(y []float32, bias float32, hswish bool) {
+// BiasAct computes y[j] = act(y[j] + bias) over one output row: the conv
+// epilogue wherever no vector store carries it, and the Go form of the
+// vector GEMM's store epilogue.
+func BiasAct(y []float32, bias float32, act vec.Act) {
 	if vec.Live {
 		b := [1]float32{bias}
-		vec.BiasAct(y, 1, len(y), b[:], hswish)
+		vec.BiasAct(y, 1, len(y), b[:], act)
 		return
 	}
-	if !hswish {
+	switch act {
+	case vec.ActIdentity:
 		for j := range y {
 			y[j] += bias
 		}
-		return
-	}
-	for j, v := range y {
-		v += bias
-		y[j] = v * HardSigmoid(v)
+	case vec.ActReLU:
+		for j, v := range y {
+			if v += bias; v > 0 {
+				y[j] = v
+			} else {
+				y[j] = 0
+			}
+		}
+	default:
+		for j, v := range y {
+			v += bias
+			y[j] = v * HardSigmoid(v)
+		}
 	}
 }

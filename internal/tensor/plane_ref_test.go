@@ -287,8 +287,8 @@ func BenchmarkDepthwisePlane(b *testing.B) {
 				vec.Live = prev
 			}
 		}
-		fwd := func() { DepthwiseConvPlane(y, img, w, d, 0.25, false) }
-		fwdHS := func() { DepthwiseConvPlane(y, img, w, d, 0.25, true) }
+		fwd := func() { DepthwiseConvPlane(y, img, w, d, 0.25, vec.ActIdentity) }
+		fwdHS := func() { DepthwiseConvPlane(y, img, w, d, 0.25, vec.ActHardSwish) }
 		b.Run(c.name+"/fwd", func(b *testing.B) { benchAgainstRef(b, 9*d.ColCols(), scalar(fwd), fwd) })
 		b.Run(c.name+"/fwd+hswish", func(b *testing.B) { benchAgainstRef(b, 9*d.ColCols(), scalar(fwdHS), fwdHS) })
 		dx := func() { DepthwiseConvPlaneGradX(dimg, dy, w, d) }

@@ -264,17 +264,23 @@ var planeBiases = []float32{0, float32(math.Copysign(0, -1)), 0.7, -1.3, 3, 1e-3
 var gradSpecials = append(slices.Clone(vecSpecials), float32(math.Inf(1)), float32(math.Inf(-1)),
 	float32(math.NaN()), math.Float32frombits(0xffc00123))
 
+// actSpecials are gradSpecials plus hard-swish's knees, ±3: the image,
+// weights and bias of the plane forward's run with specials.
+var actSpecials = append(slices.Clone(gradSpecials), 3, -3)
+
 // gradWScratch is a fresh scratch of the length DepthwiseConvPlaneGradW
 // takes on d.
 func gradWScratch(d ConvDims) []float32 { return make([]float32, d.DepthwiseGradWScratch()) }
 
 // runVecPlaneCase runs the three depthwise plane kernels on one geometry
 // under both settings of the switch and requires identical bits: the forward
-// on the first plane with a seed-chosen bias, alone and with hard-swish, each
-// overwriting junk; both gradients over all planes accumulating onto it, once
-// on finite operands and once with ±0, ±Inf and NaN in the weights, dy, the
-// image and the accumulators (vectest.NaNClassEqual there). dW also matches the
-// tap-outer oracle plane by plane.
+// on the first plane under each of the three acts (storeActs), overwriting
+// junk, once on finite operands with a seed-chosen bias and once with ±0, ±3,
+// ±Inf and NaNs of two payloads in the image, the weights and the bias; both
+// gradients over all planes accumulating onto it, once on finite operands and
+// once with ±0, ±Inf and NaN in the weights, dy, the image and the
+// accumulators. Runs with specials compare through vectest.NaNClassEqual. dW
+// also matches the tap-outer oracle plane by plane.
 func runVecPlaneCase(t *testing.T, h, w, k, stride, pad, planes int, seed uint64) {
 	t.Helper()
 	d, err := NewConvDims(1, h, w, k, k, stride, pad)
@@ -289,29 +295,38 @@ func runVecPlaneCase(t *testing.T, h, w, k, stride, pad, planes int, seed uint64
 	imgS, wtS, dyS := special(planes*in), special(planes*taps), special(planes*cols)
 	junkWS, junkXS := special(planes*taps), special(planes*in)
 	bias := planeBiases[r.Intn(len(planeBiases))]
+	imgF, wtF, biasF := operandWith(r, in, actSpecials), operandWith(r, taps, actSpecials), actSpecials[r.Intn(len(actSpecials))]
 	run := func(on bool) [][]float32 {
 		vectest.SetLive(t, on)
-		y, yhs := slices.Clone(junkY), slices.Clone(junkY)
-		DepthwiseConvPlane(y, img[:in], wt[:taps], d, bias, false)
-		DepthwiseConvPlane(yhs, img[:in], wt[:taps], d, bias, true)
 		dw, dx, dwS, dxS := slices.Clone(junkW), slices.Clone(junkX), slices.Clone(junkWS), slices.Clone(junkXS)
 		DepthwiseConvPlaneGradW(dw, dy, img, gradWScratch(d), d)
 		DepthwiseConvPlaneGradX(dx, dy, wt, d)
 		DepthwiseConvPlaneGradW(dwS, dyS, imgS, gradWScratch(d), d)
 		DepthwiseConvPlaneGradX(dxS, dyS, wtS, d)
-		return [][]float32{y, yhs, dw, dx, dwS, dxS}
+		res := [][]float32{dw, dx, dwS, dxS}
+		for _, act := range storeActs {
+			y, yS := slices.Clone(junkY), slices.Clone(junkY)
+			DepthwiseConvPlane(y, img[:in], wt[:taps], d, bias, act)
+			DepthwiseConvPlane(yS, imgF, wtF, d, biasF, act)
+			res = append(res, y, yS)
+		}
+		return res
 	}
 	want, got := run(false), run(true)
-	name := fmt.Sprintf("%d planes %dx%d k%d s%d p%d bias %g seed %d", planes, h, w, k, stride, pad, bias, seed)
-	for i, kernel := range []string{"forward", "forward+hswish", "dW", "dx", "dW specials", "dx specials"} {
-		if i < 4 {
+	name := fmt.Sprintf("%d planes %dx%d k%d s%d p%d bias %g/%g seed %d", planes, h, w, k, stride, pad, bias, biasF, seed)
+	for i, kernel := range []string{"dW", "dx", "dW specials", "dx specials"} {
+		if i < 2 {
 			exactEqual(t, name+" "+kernel, got[i], want[i])
 		} else {
 			vectest.NaNClassEqual(t, name+" "+kernel, got[i], want[i])
 		}
 	}
+	for i, act := range storeActs {
+		exactEqual(t, fmt.Sprintf("%s forward act %d", name, act), got[4+2*i], want[4+2*i])
+		vectest.NaNClassEqual(t, fmt.Sprintf("%s forward specials act %d", name, act), got[5+2*i], want[5+2*i])
+	}
 	for c := 0; c < planes; c++ {
-		for i, ops := range [][4][]float32{{junkW, dy, img, got[2]}, {junkWS, dyS, imgS, got[4]}} {
+		for i, ops := range [][4][]float32{{junkW, dy, img, got[0]}, {junkWS, dyS, imgS, got[2]}} {
 			tapOuter := slices.Clone(ops[0][c*taps : (c+1)*taps])
 			refDepthwiseGradW(tapOuter, ops[1][c*cols:(c+1)*cols], ops[2][c*in:(c+1)*in], d)
 			sameOrNaN(t, fmt.Sprintf("%s plane %d dW vs tap-outer (specials %v)", name, c, i == 1), ops[3][c*taps:(c+1)*taps], tapOuter)
@@ -320,8 +335,8 @@ func runVecPlaneCase(t *testing.T, h, w, k, stride, pad, planes int, seed uint64
 }
 
 // FuzzVecPlanesMatchGeneric is FuzzVecMatchesGeneric's sibling for the
-// depthwise plane kernels (DepthwiseConvPlane with its bias and both
-// activations, …GradW and …GradX over 1–17 planes) and the routines under
+// depthwise plane kernels (DepthwiseConvPlane with its bias under each of the
+// three acts, …GradW and …GradX over 1–17 planes) and the routines under
 // them (vec.Depthwise3x3, vec.GradX3x3, vec.GradW3x3): random plane sizes,
 // kernels, strides, pads, plane counts and seeds at tol 0 — dW against the
 // tap-outer oracle too — seeded with the lowered sweep's geometries
@@ -476,7 +491,7 @@ func TestVecStride2TapsMatchGeneric(t *testing.T) {
 // depthwise3x3 hands d's geometry to vec.Depthwise3x3, bias 0.5, no
 // activation.
 func depthwise3x3(y, img, w []float32, d ConvDims) {
-	vec.Depthwise3x3(y, img, w, d.OutH, d.OutW, d.InH, d.InW, d.StrideH, d.StrideW, d.PadH, d.PadW, 0.5, false)
+	vec.Depthwise3x3(y, img, w, d.OutH, d.OutW, d.InH, d.InW, d.StrideH, d.StrideW, d.PadH, d.PadW, 0.5, vec.ActIdentity)
 }
 
 // TestVecDepthwiseZeroSkipParity: the fused 3×3 forward and the gather-form
@@ -484,10 +499,10 @@ func depthwise3x3(y, img, w []float32, d ConvDims) {
 // strides, every pad and widths through the 8-lane block. Zero weights of
 // both signs face ±Inf and NaN pixels (forward) and dy values (input
 // gradient) and must skip them; a NaN weight must poison exactly the outputs
-// whose tap lands inside the image, and exactly the input pixels its tap
-// reaches (its out-of-image lanes are skipped, never 0·NaN); the centre tap
-// alone carries the hard-sigmoid knees and non-finite pixels through the
-// epilogue. The plane-lane weight gradient, whose dot forms skip only the
+// whose tap lands inside the image (which ReLU then stores as +0), and
+// exactly the input pixels its tap reaches (its out-of-image lanes are
+// skipped, never 0·NaN); the centre tap alone carries the hard-sigmoid knees
+// and non-finite pixels through the epilogue of each of the three acts. The plane-lane weight gradient, whose dot forms skip only the
 // taps outside the image, meets the poisoned pixels and dy values together.
 // NaNs meet NaN sums here, so the comparison is vectest.NaNClassEqual.
 func TestVecDepthwiseZeroSkipParity(t *testing.T) {
@@ -505,10 +520,10 @@ func TestVecDepthwiseZeroSkipParity(t *testing.T) {
 					continue
 				}
 				name := fmt.Sprintf("s%d w%d p%d", stride, w, pad)
-				forward := func(on bool, img, wt []float32, bias float32, hs bool) []float32 {
+				forward := func(on bool, img, wt []float32, bias float32, act vec.Act) []float32 {
 					vectest.SetLive(t, on)
 					y := vecOperand(r, d.ColCols()) // junk: the kernel must overwrite
-					DepthwiseConvPlane(y, img, wt, d, bias, hs)
+					DepthwiseConvPlane(y, img, wt, d, bias, act)
 					return y
 				}
 				poisoned := vecOperand(r, 7*w)
@@ -524,20 +539,24 @@ func TestVecDepthwiseZeroSkipParity(t *testing.T) {
 				}
 				finite := vecOperand(r, 7*w)
 				nanCorner := []float32{nan, 0.5, 0.5, 0.5, 1, 0.5, 0.5, 0.5, 0.5}
-				for _, hs := range []bool{false, true} {
-					vectest.NaNClassEqual(t, fmt.Sprintf("%s hswish=%v zero taps", name, hs),
-						forward(true, poisoned, zeros, -0.25, hs), forward(false, poisoned, zeros, -0.25, hs))
-					vectest.NaNClassEqual(t, fmt.Sprintf("%s hswish=%v centre tap", name, hs),
-						forward(true, centre, []float32{0, 0, 0, 0, 1, 0, 0, 0, 0}, 0, hs),
-						forward(false, centre, []float32{0, 0, 0, 0, 1, 0, 0, 0, 0}, 0, hs))
-					got := forward(true, finite, nanCorner, 0.125, hs)
-					vectest.NaNClassEqual(t, fmt.Sprintf("%s hswish=%v NaN corner", name, hs), got, forward(false, finite, nanCorner, 0.125, hs))
+				for _, act := range storeActs {
+					vectest.NaNClassEqual(t, fmt.Sprintf("%s act %d zero taps", name, act),
+						forward(true, poisoned, zeros, -0.25, act), forward(false, poisoned, zeros, -0.25, act))
+					vectest.NaNClassEqual(t, fmt.Sprintf("%s act %d centre tap", name, act),
+						forward(true, centre, []float32{0, 0, 0, 0, 1, 0, 0, 0, 0}, 0, act),
+						forward(false, centre, []float32{0, 0, 0, 0, 1, 0, 0, 0, 0}, 0, act))
+					got := forward(true, finite, nanCorner, 0.125, act)
+					vectest.NaNClassEqual(t, fmt.Sprintf("%s act %d NaN corner", name, act), got, forward(false, finite, nanCorner, 0.125, act))
 					for oy := 0; oy < d.OutH; oy++ {
 						for ox := 0; ox < d.OutW; ox++ {
 							iy, ix := oy*stride-pad, ox*stride-pad
 							inside := iy >= 0 && iy < 7 && ix >= 0 && ix < w
-							if v := got[oy*d.OutW+ox]; (v != v) != inside {
-								t.Fatalf("%s hswish=%v: output (%d,%d) = %v, corner tap inside the image: %v", name, hs, oy, ox, v, inside)
+							v := got[oy*d.OutW+ox]
+							if act == vec.ActReLU && inside && math.Float32bits(v) != 0 {
+								t.Fatalf("%s act %d: output (%d,%d) = %v, want the +0 ReLU stores for NaN", name, act, oy, ox, v)
+							}
+							if act != vec.ActReLU && (v != v) != inside {
+								t.Fatalf("%s act %d: output (%d,%d) = %v, corner tap inside the image: %v", name, act, oy, ox, v, inside)
 							}
 						}
 					}
@@ -698,6 +717,32 @@ func TestAutoStaysOnOracleWhenVectorLive(t *testing.T) {
 	autoIsTheOracle(t)
 }
 
+// TestVecBiasActMatchesGeneric: vec.BiasAct under each of the three acts, on
+// one and three rows of n elements through the 8-wide blocks and the masked
+// tail, matches tensor.BiasAct's Go loop row by row at tol 0 on values and
+// biases carrying ±0, ±3, ±Inf and NaNs of two payloads, with y and the
+// biases ending at an inaccessible page.
+func TestVecBiasActMatchesGeneric(t *testing.T) {
+	vectest.Require(t)
+	r := frand.New(87)
+	for n := 1; n <= 33; n++ {
+		for _, rows := range []int{1, 3} {
+			y, bias := operandWith(r, rows*n, actSpecials), operandWith(r, rows, actSpecials)
+			for _, act := range storeActs {
+				vectest.SetLive(t, false)
+				want := slices.Clone(y)
+				for i, b := range bias {
+					BiasAct(want[i*n:(i+1)*n], b, act)
+				}
+				vectest.SetLive(t, true)
+				got := guarded(t, y)
+				vec.BiasAct(got, rows, n, guarded(t, bias), act)
+				vectest.NaNClassEqual(t, fmt.Sprintf("bias act %d, %d rows of %d", act, rows, n), got, want)
+			}
+		}
+	}
+}
+
 // convGemmShapes are TinyMobileNetV3's stem (lowered) and pointwise convs at
 // batch 1 as GEMMs: m output channels, k the fan-in, n output pixels.
 var convGemmShapes = []struct {
@@ -728,7 +773,7 @@ func BenchmarkConvGemm(b *testing.B) {
 					}
 					clear(out)
 					vec.Gemm(out, sh.n, w, sh.k, 1, x, sh.n, sh.m, sh.n, sh.k, true, nil, vec.ActIdentity)
-					vec.BiasAct(out, sh.m, sh.n, bias, true)
+					vec.BiasAct(out, sh.m, sh.n, bias, vec.ActHardSwish)
 				}
 				b.ReportMetric(2*float64(sh.m*sh.k*sh.n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
 			})

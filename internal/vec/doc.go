@@ -63,17 +63,18 @@
 // # Epilogues in the store
 //
 // A routine that produces a conv's output applies the conv's epilogue before
-// its one store, so the output is written once: Depthwise3x3 adds the bias
-// and applies hard-swish, and Gemm — the one matrix-product routine, for
-// a @ b and aᵀ @ b alike — starts each block from +0 (or from out when
-// accumulating), adds its terms, then the row's bias and the identity, ReLU
-// or hard-swish. The epilogue is BiasAct's instructions in BiasAct's operand
-// order, so it is the Go loop followed by its sweep, bit for bit. Batch
-// norm's training passes carry the activation the same way: bnNormalize
-// stores act(x̂·γ + β) once, and the backward's reduction bnSumDot recomputes
-// x̂ and z from x with bnNormalize's operations, stores dz = act′(z)·dy and
-// folds Σdz and Σdz·x̂ in one pass, so no x̂, pre-activation or separate
-// activation pass is ever stored or run. The package has 16 routines.
+// its one store, so the output is written once: Depthwise3x3 adds the bias,
+// and Gemm — the one matrix-product routine, for a @ b and aᵀ @ b alike —
+// starts each block from +0 (or from out when accumulating), adds its terms,
+// then the row's bias; both then apply an Act (the identity, ReLU or
+// hard-swish), which BiasAct takes too. The epilogue is BiasAct's
+// instructions in BiasAct's operand order, so it is the Go loop followed by
+// its sweep, bit for bit. Batch norm's training passes carry the activation
+// the same way: bnNormalize stores act(x̂·γ + β) once, and the backward's
+// reduction bnSumDot recomputes x̂ and z from x with bnNormalize's
+// operations, stores dz = act′(z)·dy and folds Σdz and Σdz·x̂ in one pass, so
+// no x̂, pre-activation or separate activation pass is ever stored or run.
+// The package has 16 routines.
 //
 // # Layout
 //

@@ -21,7 +21,9 @@ func gradStrides(gradient string, strideH, strideW int) {
 	}
 }
 
-// Act is the activation Gemm applies to a finished sum before its store.
+// Act is the activation a routine applies to a finished sum before its store
+// (Gemm, Depthwise3x3, BiasAct and batch norm's training passes), and the one
+// name internal/tensor and internal/nn give an activation.
 type Act uint8
 
 const (
@@ -128,11 +130,10 @@ func GradW3x3(dw, dy, img, scratch []float32, planes, outH, outW, inH, inW, stri
 // Depthwise3x3 computes one plane's 3×3 depthwise forward with its epilogue,
 // y = act(Σ_t w[t]·(tap t's pixel) + bias) at every output position, each
 // sum from +0 over the taps that land inside the image and have w[t] ≠ 0, in
-// ascending t; act is the identity or hard-swish. These are the bits of
-// tensor.DepthwiseConvPlane's tap loop followed by BiasAct, with eight output
-// positions in lanes. The plane is inH×inW, the output outH×outW, and strideW
-// is 1 or 2.
-func Depthwise3x3(y, img, w []float32, outH, outW, inH, inW, strideH, strideW, padH, padW int, bias float32, hswish bool) {
+// ascending t. These are the bits of tensor.DepthwiseConvPlane's tap loop
+// followed by BiasAct, with eight output positions in lanes. The plane is
+// inH×inW, the output outH×outW, and strideW is 1 or 2.
+func Depthwise3x3(y, img, w []float32, outH, outW, inH, inW, strideH, strideW, padH, padW int, bias float32, act Act) {
 	if outH <= 0 || outW <= 0 {
 		return
 	}
@@ -149,7 +150,7 @@ func Depthwise3x3(y, img, w []float32, outH, outW, inH, inW, strideH, strideW, p
 			live |= 1 << t
 		}
 	}
-	depthwise3x3(&y[0], &img[0], &w[0], outH, outW, inH, inW, strideH, strideW, padH, padW, live, bias, hswish)
+	depthwise3x3(&y[0], &img[0], &w[0], outH, outW, inH, inW, strideH, strideW, padH, padW, live, bias, act)
 }
 
 // DotMinCols is the narrowest output DotTransB takes: its lanes lie across
@@ -220,16 +221,15 @@ func HardSwish(y, x []float32) {
 	hardSwish(&y[0], &x[0], len(x))
 }
 
-// BiasAct computes y[r·n+j] = act(y[r·n+j] + bias[r]) for r < rows, j < n,
-// act the identity or hard-swish: the epilogue of a conv plane that no GEMM
-// stores.
-func BiasAct(y []float32, rows, n int, bias []float32, hswish bool) {
+// BiasAct computes y[r·n+j] = act(y[r·n+j] + bias[r]) for r < rows, j < n:
+// the epilogue of a conv plane that no GEMM stores.
+func BiasAct(y []float32, rows, n int, bias []float32, act Act) {
 	if rows <= 0 || n <= 0 {
 		return
 	}
 	short("bias add", rows*n, len(y))
 	short("bias add (bias)", rows, len(bias))
-	biasAct(&y[0], rows, n, &bias[0], hswish)
+	biasAct(&y[0], rows, n, &bias[0], act)
 }
 
 // ScaleRows computes y[r·n+j] = x[r·n+j]·z[r] for r < rows, j < n: the

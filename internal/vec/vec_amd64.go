@@ -43,7 +43,7 @@ func gather2(dst *float32, dstStride int, src *float32, srcStride int, rows, n i
 func gradX3x3(dimg, dy, w *float32, planes, outH, outW, inH, inW, strideH, strideW, padH, padW int)
 
 //go:noescape
-func depthwise3x3(y, img, w *float32, outH, outW, inH, inW, strideH, strideW, padH, padW, live int, bias float32, hswish bool)
+func depthwise3x3(y, img, w *float32, outH, outW, inH, inW, strideH, strideW, padH, padW, live int, bias float32, act Act)
 
 //go:noescape
 func gradW3x3(dw, dy, img *float32, planes, outH, outW, inH, inW, strideH, strideW, padH, padW int, scratch *float32)
@@ -58,7 +58,7 @@ func sqDist(a, b *float32, n int) float64
 func hardSwish(y, x *float32, n int)
 
 //go:noescape
-func biasAct(y *float32, rows, n int, bias *float32, hswish bool)
+func biasAct(y *float32, rows, n int, bias *float32, act Act)
 
 //go:noescape
 func scaleRows(y, x, z *float32, rows, n int)

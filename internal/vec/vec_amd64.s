@@ -1043,7 +1043,7 @@ gxDone:
 // +0 that takes its in-image, non-zero taps in ascending (ky, kx) order, one
 // VMULPS and one VADDPS each with the Go loop's first sources — the pixel in
 // the multiply, the product in the add, which decide what NaN survives of
-// two — then the bias add and, optionally, hard-swish, and one store. The
+// two — then the bias add and the activation, and one store. The
 // lanes are eight output positions of a row (ox0 .. ox0+7); the nine weights
 // stay broadcast in Y0–Y8 for the whole column block and the rows of the
 // block run beneath them, so a position's nine taps never leave registers.
@@ -1066,8 +1066,8 @@ gxDone:
 // cut from the image row's bounds, element by element, and the weight masks
 // are their de-interleaves.
 //
-// Register plan: Y0–Y8 the nine weights (masked), Y11 the bias, Y12 the sum,
-// Y13 and Y15 scratch; stride 1: Y9, Y10, Y14 the column masks of tap columns
+// Register plan: Y0–Y8 the nine weights (masked), Y11 the bias (HARDSIG's 1
+// for a moment), Y12 the sum, Y13 and Y15 scratch; stride 1: Y9, Y10, Y14 the column masks of tap columns
 // 0–2; stride 2: Y9/Y10 the masks of elements 0–7/8–15, those of 2–9/10–17
 // in the frame, Y14 scratch. AX the taps that run in this row, BX the live
 // taps, DI out (row, block), R8 the image pixel of tap (0, 0) at lane 0, R9
@@ -1154,7 +1154,7 @@ GLOBL hsVec<>(SB), RODATA|NOPTR, $96
 	VMULPS w2, Y15, Y15; \
 	VADDPS Y12, Y15, Y12
 
-// func depthwise3x3(y, img, w *float32, outH, outW, inH, inW, strideH, strideW, padH, padW, live int, bias float32, hswish bool)
+// func depthwise3x3(y, img, w *float32, outH, outW, inH, inW, strideH, strideW, padH, padW, live int, bias float32, act Act)
 TEXT ·depthwise3x3(SB), NOSPLIT, $112-101
 	PCALIGN $64
 	MOVQ inW+48(FP), R11
@@ -1285,19 +1285,20 @@ dwTaps2:
 	DWROW2(0x008, 0x010, 0x020, (R8)(R11*1), 32(R8)(R11*1), 8(R8)(R11*1), 40(R8)(R11*1), Y3, Y4, Y5)
 	DWROW2(0x040, 0x080, 0x100, (R8)(R11*2), 32(R8)(R11*2), 8(R8)(R11*2), 40(R8)(R11*2), Y6, Y7, Y8)
 
-dwEpilogue:
+dwEpilogue:                 // act finished as in gemm
 	VADDPS Y11, Y12, Y12
-	CMPB hswish+100(FP), $0
-	JEQ  dwStore
-	// s·hardSigmoid(s): t = (s+3)/6; t < 0 → +0; t > 1 → 1
-	VADDPS hsVec<>+0(SB), Y12, Y13
-	VDIVPS hsVec<>+32(SB), Y13, Y13
 	VXORPS Y15, Y15, Y15
-	VCMPPS $0x11, Y15, Y13, Y15
-	VANDNPS Y13, Y15, Y13
-	VCMPPS $0x1e, hsVec<>+64(SB), Y13, Y15
-	VBLENDVPS Y15, hsVec<>+64(SB), Y13, Y13
+	CMPB act+100(FP), $1
+	JB   dwStore            // identity
+	JA   dwHswish
+	VMAXPS Y15, Y12, Y12
+	JMP  dwStore
+
+dwHswish:                   // Y11 lends HARDSIG its 1, then takes the bias back
+	VMOVUPS hsVec<>+64(SB), Y11
+	HARDSIG(Y12, Y13, hsVec<>+0(SB), hsVec<>+32(SB), Y15, Y11)
 	VMULPS Y13, Y12, Y12
+	VBROADCASTSS bias+96(FP), Y11
 
 dwStore:
 	CMPQ nl-112(SP), $8
@@ -1766,17 +1767,17 @@ hswDone:
 	VZEROUPPER
 	RET
 
-// func biasAct(y *float32, rows, n int, bias *float32, hswish bool)
+// func biasAct(y *float32, rows, n int, bias *float32, act Act)
 //
-// y[r·n + j] = act(y[r·n + j] + bias[r]), act the identity or hard-swish:
-// the conv bias add of training and the frozen conv epilogue.
+// y[r·n + j] = act(y[r·n + j] + bias[r]), act finished as in gemm: the conv
+// bias add of training and the frozen conv epilogue.
 TEXT ·biasAct(SB), NOSPLIT, $0-33
 	PCALIGN $64
 	MOVQ y+0(FP), DI
 	MOVQ rows+8(FP), R13
 	MOVQ n+16(FP), R10
 	MOVQ bias+24(FP), SI
-	MOVBLZX hswish+32(FP), R8
+	MOVBLZX act+32(FP), R8
 	HSCONST
 	MOVQ R10, BX
 	TAILMASK(BX, CX)
@@ -1792,12 +1793,21 @@ baBlk:
 	CMPQ BX, $8
 	JLT  baTail
 	VMOVUPS (DI)(AX*1), Y0
+
+baAct:                      // one block of y in Y0: eight columns or the tail
 	VADDPS Y10, Y0, Y0
-	TESTQ R8, R8
-	JZ   baStore
+	CMPQ R8, $1
+	JB   baStore            // identity
+	JA   baHswish
+	VMAXPS Y15, Y0, Y0
+	JMP  baStore
+
+baHswish:
 	HSWISH(Y0, Y1)
 
 baStore:
+	CMPQ BX, $8
+	JLT  baStoreTail
 	VMOVUPS Y0, (DI)(AX*1)
 	ADDQ $32, AX
 	SUBQ $8, BX
@@ -1807,10 +1817,7 @@ baTail:
 	TESTQ BX, BX
 	JZ    baNext
 	VMASKMOVPS (DI)(AX*1), Y9, Y0
-	VADDPS Y10, Y0, Y0
-	TESTQ R8, R8
-	JZ   baStoreTail
-	HSWISH(Y0, Y1)
+	JMP   baAct
 
 baStoreTail:
 	VMASKMOVPS Y0, Y9, (DI)(AX*1)

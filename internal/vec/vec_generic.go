@@ -23,7 +23,7 @@ func gradX3x3(dimg, dy, w *float32, planes, outH, outW, inH, inW, strideH, strid
 	panic(none)
 }
 
-func depthwise3x3(y, img, w *float32, outH, outW, inH, inW, strideH, strideW, padH, padW, live int, bias float32, hswish bool) {
+func depthwise3x3(y, img, w *float32, outH, outW, inH, inW, strideH, strideW, padH, padW, live int, bias float32, act Act) {
 	panic(none)
 }
 
@@ -37,7 +37,7 @@ func sqDist(a, b *float32, n int) float64 { panic(none) }
 
 func hardSwish(y, x *float32, n int) { panic(none) }
 
-func biasAct(y *float32, rows, n int, bias *float32, hswish bool) { panic(none) }
+func biasAct(y *float32, rows, n int, bias *float32, act Act) { panic(none) }
 
 func scaleRows(y, x, z *float32, rows, n int) { panic(none) }
 

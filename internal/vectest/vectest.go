@@ -6,6 +6,7 @@
 package vectest
 
 import (
+	"flag"
 	"fmt"
 	"math"
 	"testing"
@@ -62,19 +63,30 @@ func Require(t testing.TB) {
 	}
 }
 
-// NaNClassEqual requires got and want to match bit for bit where two NaN
-// operands can meet. A plain build compiles the Go loop's adds in the operand
-// order the routines take, so there NaN signs and payloads must match too,
-// which pins that order. Go leaves open which NaN an operation keeps, though,
-// and the -race build compiles some adds with their operands swapped, so
-// under -race alone any NaN matches any NaN.
+// NaNChoiceOpen reports whether this test binary leaves open which NaN
+// survives where two NaN operands meet, so the parity tests hold NaN for NaN.
+// Go does not specify the survivor, and a plain build compiles the Go loops'
+// adds in the operand order the routines take, so there it is closed. Two
+// builds swap some of those operands: -race, and the coverage
+// instrumentation of a fuzzing run (go test -fuzz, whose coordinator and
+// -test.fuzzworker processes all carry -test.fuzz). A plain go test, which
+// runs every seed corpus, keeps the choice closed.
+func NaNChoiceOpen() bool {
+	f := flag.Lookup("test.fuzz")
+	return israce.Enabled || f != nil && f.Value.String() != ""
+}
+
+// NaNClassEqual requires got and want to match bit for bit, NaN signs and
+// payloads included, which pins the operand order where two NaN operands can
+// meet; where NaNChoiceOpen, any NaN matches any NaN.
 func NaNClassEqual(t testing.TB, name string, got, want []float32) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: length %d != %d", name, len(got), len(want))
 	}
+	open := NaNChoiceOpen()
 	for i := range got {
-		if g, w := got[i], want[i]; math.Float32bits(g) != math.Float32bits(w) && !(israce.Enabled && g != g && w != w) {
+		if g, w := got[i], want[i]; math.Float32bits(g) != math.Float32bits(w) && !(open && g != g && w != w) {
 			t.Fatalf("%s: element %d differs: %v (%#x) != %v (%#x) (must be bit-identical)",
 				name, i, g, math.Float32bits(g), w, math.Float32bits(w))
 		}
