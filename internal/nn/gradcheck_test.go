@@ -269,13 +269,21 @@ func TestParallelSplitGrad(t *testing.T) {
 	checkGrads(t, l, x, 32, 20)
 }
 
-// TestSEBlockGrad checks the block with its hard-sigmoid gate on both sides
-// of both knees: fc2's bias puts the pre-gate excitation u of channel 0 above
-// 3 and of channel 1 below −3, where the gate is clamped and its gradient 0,
-// and leaves channels 2 and 3 inside (−3, 3), where its slope is 1/6. No u
-// lies within 0.25 of a knee, so no finite difference straddles one.
 func TestSEBlockGrad(t *testing.T) {
 	r := frand.New(33)
+	l := NewSEBlock(r, 4, 2)
+	x := tensor.Randn(r, 1, 2, 4, 4, 4)
+	checkGrads(t, l, x, 34, 20)
+}
+
+// TestHardSigmoidGrad checks the hard-sigmoid gate of a squeeze-excite block
+// on both sides of both knees: fc2's bias puts the pre-gate excitation u of
+// channel 0 above 3 and of channel 1 below −3, where the gate is clamped and
+// its gradient 0, and leaves channels 2 and 3 inside (−3, 3), where its slope
+// is 1/6. No u lies within 0.25 of a knee, so no finite difference straddles
+// one.
+func TestHardSigmoidGrad(t *testing.T) {
+	r := frand.New(15)
 	l := NewSEBlock(r, 4, 2)
 	copy(l.fc2.B.W.Data(), []float32{4.5, -4.5, 0.5, -0.5})
 	x := tensor.Randn(r, 1, 2, 4, 4, 4)
@@ -296,7 +304,7 @@ func TestSEBlockGrad(t *testing.T) {
 	if above == 0 || below == 0 || inside == 0 {
 		t.Fatalf("pre-gate u: %d above 3, %d below −3, %d inside; want each side covered", above, below, inside)
 	}
-	checkGrads(t, l, x, 34, 20)
+	checkGrads(t, l, x, 16, 24)
 }
 
 func TestChannelShuffleGrad(t *testing.T) {
