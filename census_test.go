@@ -16,7 +16,7 @@ import (
 )
 
 // censusAllow is the whole list of non-test declarations that no binary
-// reaches and that stay anyway. Every row carries one of three reasons; a row
+// reaches and that stay anyway. Every row carries one of two reasons; a row
 // whose declaration is gone fails the test, so the list can only shrink. A
 // name ending in "/" covers a package.
 var censusAllow = []struct{ name, reason string }{
@@ -35,11 +35,7 @@ var censusAllow = []struct{ name, reason string }{
 	{"guardmem/", "probe: guard-page slices for the assembly bounds tests"},
 	{"israce/", "probe: lets allocation tests skip under -race"},
 	{"vectest/", "probe: flips vec.Live for the vector/Go-loop parity tests of tensor and nn"},
-	// (b) the file-facing decoder and its fuzz target
-	{"fl.Server.SaveCheckpoint", "decoder: checkpoint writer, round-trips FuzzLoadCheckpoint"},
-	{"fl.Server.LoadCheckpoint", "decoder: checkpoint reader, FuzzLoadCheckpoint's target"},
-	{"nn.ReadWeights", "decoder: the weight stream LoadCheckpoint reads"},
-	// (c) dies with ROADMAP direction 3 (packed/int8 backends)
+	// (b) dies with ROADMAP direction 3 (packed/int8 backends)
 	{"tensor.Int8Tol", "direction 3: the int8 tier's test tolerance"},
 	{"tensor.PackedWeights.HasFloat", "direction 3: cached-form probe"},
 	{"tensor.PackedWeights.HasInt8", "direction 3: cached-form probe"},
@@ -48,9 +44,9 @@ var censusAllow = []struct{ name, reason string }{
 
 // censusRoots are the methods a binary reaches without the source saying so:
 // the ones the standard library calls through its own interfaces
-// (fmt.Stringer, error, sort.Interface, io.WriterTo). Entry points — main,
-// init and blank package-level values — are roots as well.
-var censusRoots = map[string]bool{"String": true, "Error": true, "Len": true, "Less": true, "Swap": true, "WriteTo": true}
+// (fmt.Stringer, error, sort.Interface). Entry points — main, init and blank
+// package-level values — are roots as well.
+var censusRoots = map[string]bool{"String": true, "Error": true, "Len": true, "Less": true, "Swap": true}
 
 // censusTags are the build configurations the census type-checks: the
 // default build and the portable one. A declaration is dead only if it is

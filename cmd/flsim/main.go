@@ -79,7 +79,7 @@ func main() {
 	}
 	var reissues, failed, rejected, staleDropped, deferred int
 	var wasted int64
-	srv.Run(func(s fl.RoundStats) {
+	score, _ := experiments.Evaluate(srv, strat.Name(), dd, func(s fl.RoundStats) {
 		reissues += s.Reissues
 		failed += s.Failed
 		rejected += len(s.Rejected)
@@ -104,16 +104,16 @@ func main() {
 	} else if chaos {
 		fmt.Printf("chaos: rejected=%d bytes-wasted=%d\n", rejected, wasted)
 	}
-	net := srv.GlobalNet()
-	acc := experiments.PerDeviceAccuracies(net, dd, 16)
 	fmt.Println("\nper-device test accuracy:")
-	var accs []float64
+	pcts := make([]float64, len(score.PerDevice))
 	for i, p := range dd.Profiles {
-		fmt.Printf("  %-8s %.1f%%\n", p.Name, acc[i]*100)
-		accs = append(accs, acc[i]*100)
+		pcts[i] = score.PerDevice[i] * 100
+		fmt.Printf("  %-8s %.1f%%\n", p.Name, pcts[i])
 	}
+	// The average is the mean of the percentages, not 100·AvgAcc: the two
+	// round apart, and now and then that moves the printed digit.
 	fmt.Printf("\naverage %.1f%%  worst %.1f%%  variance %.2f pp²\n",
-		metrics.Mean(accs), metrics.Worst(accs), metrics.Variance(accs))
+		metrics.Mean(pcts), score.WorstAcc*100, score.Variance)
 }
 
 func fatal(err error) {

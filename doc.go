@@ -109,8 +109,8 @@
 // barrier driver, a ring of two per replica on the event loop — that is the
 // step's own until its result is folded. Every global version lives in a
 // refcounted nn.VersionStore, where the core holds the live one like any
-// reader: it retains the global at construction, at each finalize and on
-// LoadCheckpoint, and releases the version it replaces. finalize writes the
+// reader: it retains the global at construction and at each finalize, and
+// releases the version it replaces. finalize writes the
 // next global into a buffer whose version has no reference left, so neither
 // driver allocates a model-sized buffer per round in steady state. A strategy's server side is a fold: fl.Strategy.NewAccumulator
 // returns an fl.Accumulator, the one interface every strategy implements:
@@ -138,8 +138,7 @@
 // round allocates no model-sized buffer in steady state
 // (TestServerRoundAllocations); float64 shard sums confine the merge order to
 // double-precision rounding, so a fixed config is bit-reproducible at every
-// worker count. Checkpoints (SaveCheckpoint/LoadCheckpoint) live here only;
-// the loader treats its input as untrusted (FuzzLoadCheckpoint).
+// worker count.
 //
 // The event-loop driver (fl.AsyncServer.RunRound): keep Concurrency jobs in
 // flight on a virtual clock and install a new version every Buffer folds

@@ -14,6 +14,7 @@ import (
 	"heteroswitch/internal/experiments"
 	"heteroswitch/internal/fl"
 	"heteroswitch/internal/metrics"
+	"heteroswitch/internal/nn"
 )
 
 func main() {
@@ -42,19 +43,18 @@ func main() {
 
 	// 3. Train FedAvg (baseline) and HeteroSwitch (the paper's method).
 	for _, strat := range []fl.Strategy{fl.FedAvg{}, core.New()} {
-		srv, err := experiments.RunFL(opts, strat, dd, counts, cfg, builder)
+		srv, _, err := experiments.NewFL(opts, strat, dd.Train, counts, cfg, builder, nn.SoftmaxCrossEntropy{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		net := srv.GlobalNet()
-		acc := experiments.PerDeviceAccuracies(net, dd, 16)
+		score, _ := experiments.Evaluate(srv, strat.Name(), dd, nil)
 		var pcts []float64
 		fmt.Printf("\n%s:\n", strat.Name())
 		for i, p := range dd.Profiles {
-			fmt.Printf("  %-8s %5.1f%%\n", p.Name, acc[i]*100)
-			pcts = append(pcts, acc[i]*100)
+			fmt.Printf("  %-8s %5.1f%%\n", p.Name, score.PerDevice[i]*100)
+			pcts = append(pcts, score.PerDevice[i]*100)
 		}
 		fmt.Printf("  mean %.1f%%  worst %.1f%%  variance %.2f pp²\n",
-			metrics.Mean(pcts), metrics.Worst(pcts), metrics.Variance(pcts))
+			metrics.Mean(pcts), score.WorstAcc*100, score.Variance)
 	}
 }

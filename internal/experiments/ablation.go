@@ -6,6 +6,7 @@ import (
 	"heteroswitch/internal/core"
 	"heteroswitch/internal/dataset"
 	"heteroswitch/internal/fl"
+	"heteroswitch/internal/nn"
 )
 
 // AblationResult is a generic labelled score list used by the design-choice
@@ -37,11 +38,11 @@ func ablationRig(opts Options) (func(name string, strat fl.Strategy) (MethodScor
 	counts := MarketShareCounts(dd, opts.scaled(60))
 	builder := SimpleCNNBuilder(opts.Seed, dd.Classes)
 	return func(name string, strat fl.Strategy) (MethodScore, error) {
-		srv, err := RunFL(opts, strat, dd, counts, cfg, builder)
+		tr, _, err := NewFL(opts, strat, dd.Train, counts, cfg, builder, nn.SoftmaxCrossEntropy{})
 		if err != nil {
 			return MethodScore{}, err
 		}
-		score := scoreFromAccuracies(name, PerDeviceAccuracies(srv.GlobalNet(), dd, 16))
+		score, _ := Evaluate(tr, name, dd, nil)
 		return score, nil
 	}, nil
 }

@@ -3,6 +3,10 @@
 // device population, runs the training protocol, and returns a result whose
 // String() renders the same rows/series the paper reports.
 //
+// Every harness that reports the paper's worst-case / variance / average
+// triple reads it through Evaluate, so which round, batch and statistic
+// score a method is decided in one place.
+//
 // Every harness accepts Options with a Scale knob: Scale=1 is the intended
 // reproduction size (minutes on a laptop CPU), small scales (0.1-0.3) run in
 // seconds and preserve trends, and the unit tests use the small end.
@@ -208,11 +212,12 @@ func (o Options) scaled(n int) int {
 
 // DeviceData is the captured federation workload: every Table-1 device's
 // train and test datasets, derived from SHARED latent scenes (the paper's
-// controlled collection protocol).
+// controlled collection protocol). Train is keyed by device index, the shape
+// fl.BuildPopulation takes; Test is in device order.
 type DeviceData struct {
 	Profiles []*device.Profile
 	Train    map[int]*dataset.Dataset
-	Test     map[int]*dataset.Dataset
+	Test     []*dataset.Dataset
 	Classes  int
 }
 
@@ -227,13 +232,7 @@ func (dd *DeviceData) DeviceIndex(name string) int {
 }
 
 // AllTest concatenates every device's test set.
-func (dd *DeviceData) AllTest() *dataset.Dataset {
-	parts := make([]*dataset.Dataset, len(dd.Profiles))
-	for i := range dd.Profiles {
-		parts[i] = dd.Test[i]
-	}
-	return dataset.Concat(parts...)
-}
+func (dd *DeviceData) AllTest() *dataset.Dataset { return dataset.Concat(dd.Test...) }
 
 // BuildDeviceData renders perClassTrain+perClassTest scenes per class and
 // captures them with every Table-1 device: each device photographs the
@@ -258,13 +257,12 @@ func BuildDeviceData(opts Options, perClassTrain, perClassTest int, mode dataset
 	dd := &DeviceData{
 		Profiles: profiles,
 		Train:    map[int]*dataset.Dataset{},
-		Test:     map[int]*dataset.Dataset{},
 		Classes:  gen.NumClasses(),
 	}
 	n := len(trainScenes)
 	for i, ds := range sets {
 		dd.Train[i] = &dataset.Dataset{Samples: ds.Samples[:n:n], NumClasses: ds.NumClasses}
-		dd.Test[i] = &dataset.Dataset{Samples: ds.Samples[n:], NumClasses: ds.NumClasses}
+		dd.Test = append(dd.Test, &dataset.Dataset{Samples: ds.Samples[n:], NumClasses: ds.NumClasses})
 	}
 	return dd, nil
 }
@@ -398,12 +396,22 @@ func (o Options) newFL(strategy fl.Strategy, perDevice map[int]*dataset.Dataset,
 	return srv, cfg, err
 }
 
-// PerDeviceAccuracies evaluates the network on each device's test set,
-// returning accuracies indexed by device.
-func PerDeviceAccuracies(net *nn.Network, dd *DeviceData, batch int) map[int]float64 {
-	out := map[int]float64{}
-	for i := range dd.Profiles {
-		out[i] = metrics.Accuracy(net, dd.Test[i], batch)
+// Evaluate is the one readout of every harness that reports the Table 4
+// triple: it runs tr for its configured rounds, invoking each (when non-nil)
+// with every round's stats, then scores the final global network on each of
+// dd.Test at batch 16. It returns the score and the network it scored.
+func Evaluate(tr Trainer, method string, dd *DeviceData, each func(fl.RoundStats)) (MethodScore, *nn.Network) {
+	tr.Run(each)
+	net := tr.GlobalNet()
+	return scoreFromAccuracies(method, PerDeviceAccuracies(net, dd, 16)), net
+}
+
+// PerDeviceAccuracies evaluates the network on each of dd.Test, returning
+// the accuracies in device order.
+func PerDeviceAccuracies(net *nn.Network, dd *DeviceData, batch int) []float64 {
+	out := make([]float64, len(dd.Test))
+	for i, ds := range dd.Test {
+		out[i] = metrics.Accuracy(net, ds, batch)
 	}
 	return out
 }

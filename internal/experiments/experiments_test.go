@@ -7,6 +7,8 @@ import (
 	"heteroswitch/internal/core"
 	"heteroswitch/internal/dataset"
 	"heteroswitch/internal/fl"
+	"heteroswitch/internal/metrics"
+	"heteroswitch/internal/nn"
 )
 
 func tinyOpts(scale float64) Options {
@@ -215,7 +217,7 @@ func TestFig8Structure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NumDevices != 10 || len(res.FedAvgAcc) != 10 || len(res.HeteroAcc) != 10 {
+	if len(res.FedAvg.PerDevice) != 10 || len(res.Hetero.PerDevice) != 10 {
 		t.Fatal("device series wrong")
 	}
 	if !strings.Contains(res.String(), "jitter-07") {
@@ -337,12 +339,52 @@ func TestJitterDeviceBounded(t *testing.T) {
 }
 
 func TestScoreFromAccuracies(t *testing.T) {
-	s := scoreFromAccuracies("m", map[int]float64{0: 0.5, 1: 0.7})
+	s := scoreFromAccuracies("m", []float64{0.7, 0.5})
 	if s.WorstAcc != 0.5 || s.AvgAcc != 0.6 {
 		t.Fatalf("score %+v", s)
 	}
 	// variance of {50, 70} (population) = 100.
 	if s.Variance != 100 {
 		t.Fatalf("variance %v", s.Variance)
+	}
+}
+
+// Evaluate runs every round once, in order, through each, and its score is
+// exactly the triple of the final network's per-set accuracies — on both
+// engines.
+func TestEvaluate(t *testing.T) {
+	perDevice, counts, cfg, builder := tinyFederation()
+	cfg.Rounds = 3
+	dd := &DeviceData{Train: perDevice, Test: []*dataset.Dataset{perDevice[1], perDevice[0]}, Classes: 2}
+	for _, async := range []bool{false, true} {
+		opts := tinyOpts(1)
+		opts.Async.Enabled = async
+		tr, _, err := NewFL(opts, fl.FedAvg{}, dd.Train, counts, cfg, builder, nn.SoftmaxCrossEntropy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rounds []int
+		score, net := Evaluate(tr, "m", dd, func(s fl.RoundStats) { rounds = append(rounds, s.Round) })
+		if len(rounds) != cfg.Rounds {
+			t.Fatalf("async=%v: each saw rounds %v, want 0..%d once each", async, rounds, cfg.Rounds-1)
+		}
+		for i, r := range rounds {
+			if r != i {
+				t.Fatalf("async=%v: each saw rounds %v, want 0..%d once each", async, rounds, cfg.Rounds-1)
+			}
+		}
+		global := tr.GlobalNet()
+		accs := make([]float64, len(dd.Test))
+		for i, ds := range dd.Test {
+			accs[i] = metrics.Accuracy(global, ds, 16)
+			if score.PerDevice[i] != accs[i] || metrics.Accuracy(net, ds, 16) != accs[i] {
+				t.Fatalf("async=%v: PerDevice[%d] = %v, want %v", async, i, score.PerDevice[i], accs[i])
+			}
+		}
+		want := scoreFromAccuracies("m", accs)
+		if score.Method != want.Method || score.WorstAcc != want.WorstAcc ||
+			score.Variance != want.Variance || score.AvgAcc != want.AvgAcc {
+			t.Fatalf("async=%v: score %+v, want %+v", async, score, want)
+		}
 	}
 }

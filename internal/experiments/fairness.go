@@ -7,6 +7,7 @@ import (
 	"heteroswitch/internal/device"
 	"heteroswitch/internal/fl"
 	"heteroswitch/internal/metrics"
+	"heteroswitch/internal/nn"
 )
 
 // Fig4Result is the fairness characterization (Fig. 4): per-device accuracy
@@ -44,24 +45,23 @@ func Fig4(opts Options) (*Fig4Result, error) {
 		return nil, err
 	}
 	cfg := opts.FLConfig(opts.scaled(80), 10, 10, 0.1)
-	srv, err := RunFL(opts, fl.FedAvg{}, dd, MarketShareCounts(dd, opts.scaled(50)), cfg, SimpleCNNBuilder(opts.Seed, dd.Classes))
+	tr, _, err := NewFL(opts, fl.FedAvg{}, dd.Train, MarketShareCounts(dd, opts.scaled(50)), cfg,
+		SimpleCNNBuilder(opts.Seed, dd.Classes), nn.SoftmaxCrossEntropy{})
 	if err != nil {
 		return nil, err
 	}
-	net := srv.GlobalNet()
-	acc := PerDeviceAccuracies(net, dd, 16)
+	score, _ := Evaluate(tr, fl.FedAvg{}.Name(), dd, nil)
 
 	dominant := map[string]bool{}
 	for _, n := range device.DominantNames() {
 		dominant[n] = true
 	}
-	res := &Fig4Result{}
+	res := &Fig4Result{Acc: score.PerDevice}
 	for i, p := range dd.Profiles {
 		res.DeviceNames = append(res.DeviceNames, p.Name)
-		res.Acc = append(res.Acc, acc[i])
 		res.Dominant = append(res.Dominant, dominant[p.Name])
-		if dominant[p.Name] && acc[i] > res.DominantAcc {
-			res.DominantAcc = acc[i]
+		if dominant[p.Name] && res.Acc[i] > res.DominantAcc {
+			res.DominantAcc = res.Acc[i]
 		}
 	}
 	for _, a := range res.Acc {
@@ -104,14 +104,12 @@ func Fig5(opts Options) (*Fig5Result, error) {
 	builder := SimpleCNNBuilder(opts.Seed, dd.Classes)
 
 	perDeviceClients := 2
-	ref, err := RunFL(opts, fl.FedAvg{}, dd, EqualCounts(n, n*perDeviceClients), cfg, builder)
+	ref, _, err := NewFL(opts, fl.FedAvg{}, dd.Train, EqualCounts(n, n*perDeviceClients), cfg, builder, nn.SoftmaxCrossEntropy{})
 	if err != nil {
 		return nil, err
 	}
-	refNet := ref.GlobalNet()
-	res := &Fig5Result{}
-	refAcc := PerDeviceAccuracies(refNet, dd, 16)
-
+	refScore, _ := Evaluate(ref, fl.FedAvg{}.Name(), dd, nil)
+	res := &Fig5Result{RefAcc: refScore.PerDevice}
 	for j := 0; j < n; j++ {
 		counts := EqualCounts(n, n*perDeviceClients)
 		counts[j] = 0
@@ -121,9 +119,8 @@ func Fig5(opts Options) (*Fig5Result, error) {
 		}
 		acc := metrics.Accuracy(srv.GlobalNet(), dd.Test[j], 16)
 		res.DeviceNames = append(res.DeviceNames, dd.Profiles[j].Name)
-		res.RefAcc = append(res.RefAcc, refAcc[j])
 		res.LodoAcc = append(res.LodoAcc, acc)
-		res.Degradation = append(res.Degradation, metrics.Degradation(refAcc[j], acc))
+		res.Degradation = append(res.Degradation, metrics.Degradation(res.RefAcc[j], acc))
 	}
 	return res, nil
 }

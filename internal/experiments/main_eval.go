@@ -8,6 +8,7 @@ import (
 	"heteroswitch/internal/fl"
 	"heteroswitch/internal/metrics"
 	"heteroswitch/internal/models"
+	"heteroswitch/internal/nn"
 )
 
 // MethodScore holds the paper's three evaluation metrics for one method:
@@ -21,10 +22,9 @@ type MethodScore struct {
 	PerDevice []float64
 }
 
-// scoreFromAccuracies converts per-device accuracies into the Table 4/5
-// metric triple.
-func scoreFromAccuracies(method string, accByDevice map[int]float64) MethodScore {
-	accs := metrics.Values(accByDevice)
+// scoreFromAccuracies converts per-device accuracies, in device order, into
+// the Table 4/5 metric triple.
+func scoreFromAccuracies(method string, accs []float64) MethodScore {
 	pcts := make([]float64, len(accs))
 	for i, a := range accs {
 		pcts[i] = a * 100
@@ -97,12 +97,12 @@ func Table4(opts Options) (*Table4Result, error) {
 	res := &Table4Result{}
 	for _, m := range methods {
 		strat := m.build(n)
-		srv, err := RunFL(opts, strat, dd, counts, cfg, builder)
+		tr, _, err := NewFL(opts, strat, dd.Train, counts, cfg, builder, nn.SoftmaxCrossEntropy{})
 		if err != nil {
 			return nil, fmt.Errorf("table4 %s: %w", strat.Name(), err)
 		}
-		acc := PerDeviceAccuracies(srv.GlobalNet(), dd, 16)
-		res.Scores = append(res.Scores, scoreFromAccuracies(strat.Name(), acc))
+		score, _ := Evaluate(tr, strat.Name(), dd, nil)
+		res.Scores = append(res.Scores, score)
 	}
 	return res, nil
 }
@@ -149,12 +149,11 @@ func Table5(opts Options) (*Table5Result, error) {
 		}
 		var scores [2]MethodScore
 		for i, strat := range []fl.Strategy{fl.FedAvg{}, core.New()} {
-			srv, err := RunFL(opts, strat, dd, counts, cfg, builder)
+			tr, _, err := NewFL(opts, strat, dd.Train, counts, cfg, builder, nn.SoftmaxCrossEntropy{})
 			if err != nil {
 				return nil, fmt.Errorf("table5 %s/%s: %w", arch, strat.Name(), err)
 			}
-			acc := PerDeviceAccuracies(srv.GlobalNet(), dd, 16)
-			scores[i] = scoreFromAccuracies(strat.Name(), acc)
+			scores[i], _ = Evaluate(tr, strat.Name(), dd, nil)
 		}
 		res.Rows = append(res.Rows, struct {
 			Arch           string

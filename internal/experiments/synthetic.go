@@ -7,7 +7,6 @@ import (
 	"heteroswitch/internal/dataset"
 	"heteroswitch/internal/fl"
 	"heteroswitch/internal/frand"
-	"heteroswitch/internal/metrics"
 	"heteroswitch/internal/models"
 	"heteroswitch/internal/nn"
 	"heteroswitch/internal/scene"
@@ -73,11 +72,7 @@ func clampF32(v float64) float32 {
 // Fig8Result compares FedAvg and HeteroSwitch across the 10 synthetic
 // device types.
 type Fig8Result struct {
-	NumDevices int
-	FedAvgAcc  []float64
-	HeteroAcc  []float64
-	FedAvg     MethodScore
-	Hetero     MethodScore
+	FedAvg, Hetero MethodScore
 }
 
 // String renders the per-device accuracy series.
@@ -86,8 +81,8 @@ func (r *Fig8Result) String() string {
 		Title:  "Figure 8 — synthetic device types (CIFAR-style scenes)",
 		Header: []string{"device", "FedAvg", "HeteroSwitch"},
 	}
-	for i := 0; i < r.NumDevices; i++ {
-		t.AddRow(fmt.Sprintf("jitter-%02d", i), pct(r.FedAvgAcc[i]), pct(r.HeteroAcc[i]))
+	for i, acc := range r.FedAvg.PerDevice {
+		t.AddRow(fmt.Sprintf("jitter-%02d", i), pct(acc), pct(r.Hetero.PerDevice[i]))
 	}
 	t.AddRow("mean", pct(r.FedAvg.AvgAcc), pct(r.Hetero.AvgAcc))
 	t.AddRow("variance(pp²)", fmt.Sprintf("%.2f", r.FedAvg.Variance), fmt.Sprintf("%.2f", r.Hetero.Variance))
@@ -125,11 +120,10 @@ func Fig8(opts Options) (*Fig8Result, error) {
 		}
 		return ds
 	}
-	train := map[int]*dataset.Dataset{}
-	test := map[int]*dataset.Dataset{}
+	dd := &DeviceData{Train: map[int]*dataset.Dataset{}, Classes: classes}
 	for d := 0; d < numDevices; d++ {
-		train[d] = capture(trainScenes, d)
-		test[d] = capture(testScenes, d)
+		dd.Train[d] = capture(trainScenes, d)
+		dd.Test = append(dd.Test, capture(testScenes, d))
 	}
 
 	builder, err := models.BuilderFor(models.ArchSimpleCNN, opts.Seed, 3, classes)
@@ -139,24 +133,20 @@ func Fig8(opts Options) (*Fig8Result, error) {
 	cfg := opts.FLConfig(opts.scaled(80), 10, 10, 0.1)
 	counts := EqualCounts(numDevices, opts.scaled(20))
 
-	run := func(strat fl.Strategy) ([]float64, MethodScore, error) {
-		srv, err := RunFLWithLoss(opts, strat, train, counts, cfg, builder, nn.SoftmaxCrossEntropy{})
+	run := func(strat fl.Strategy) (MethodScore, error) {
+		tr, _, err := NewFL(opts, strat, dd.Train, counts, cfg, builder, nn.SoftmaxCrossEntropy{})
 		if err != nil {
-			return nil, MethodScore{}, err
+			return MethodScore{}, err
 		}
-		net := srv.GlobalNet()
-		accByDev := map[int]float64{}
-		for d := 0; d < numDevices; d++ {
-			accByDev[d] = metrics.Accuracy(net, test[d], 16)
-		}
-		return metrics.Values(accByDev), scoreFromAccuracies(strat.Name(), accByDev), nil
+		score, _ := Evaluate(tr, strat.Name(), dd, nil)
+		return score, nil
 	}
 
-	res := &Fig8Result{NumDevices: numDevices}
-	if res.FedAvgAcc, res.FedAvg, err = run(fl.FedAvg{}); err != nil {
+	res := &Fig8Result{}
+	if res.FedAvg, err = run(fl.FedAvg{}); err != nil {
 		return nil, err
 	}
-	if res.HeteroAcc, res.Hetero, err = run(core.New()); err != nil {
+	if res.Hetero, err = run(core.New()); err != nil {
 		return nil, err
 	}
 	return res, nil

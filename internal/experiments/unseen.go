@@ -9,6 +9,7 @@ import (
 	"heteroswitch/internal/fl"
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/metrics"
+	"heteroswitch/internal/nn"
 	"heteroswitch/internal/scene"
 )
 
@@ -69,12 +70,11 @@ func UnseenDG(opts Options) (*UnseenResult, error) {
 	builder := SimpleCNNBuilder(opts.Seed, dd.Classes)
 
 	for _, strat := range []fl.Strategy{fl.FedAvg{}, core.New()} {
-		srv, err := RunFL(opts, strat, dd, counts, cfg, builder)
+		tr, _, err := NewFL(opts, strat, dd.Train, counts, cfg, builder, nn.SoftmaxCrossEntropy{})
 		if err != nil {
 			return nil, err
 		}
-		net := srv.GlobalNet()
-		seen := metrics.Values(PerDeviceAccuracies(net, dd, 16))
+		seen, net := Evaluate(tr, strat.Name(), dd, nil)
 		var unseen []float64
 		for _, ds := range unseenTests {
 			unseen = append(unseen, metrics.Accuracy(net, ds, 16))
@@ -84,7 +84,7 @@ func UnseenDG(opts Options) (*UnseenResult, error) {
 			SeenAvg   float64
 			UnseenAvg float64
 			UnseenMin float64
-		}{strat.Name(), metrics.Mean(seen), metrics.Mean(unseen), metrics.Worst(unseen)})
+		}{strat.Name(), seen.AvgAcc, metrics.Mean(unseen), metrics.Worst(unseen)})
 	}
 	return res, nil
 }

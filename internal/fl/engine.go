@@ -26,8 +26,8 @@ import (
 // Every weight buffer has one owner. A scratch set belongs to the step
 // training into it until the step is folded. Every global version lives in
 // the store, and the engine holds the live one like any reader: it retains
-// the global at init, at each finalize and in LoadCheckpoint, and releases
-// the version it replaces. A version's buffer recycles once its last
+// the global at init and at each finalize, and releases the version it
+// replaces. A version's buffer recycles once its last
 // reference is gone, and finalize draws the next global from those buffers.
 type engine struct {
 	Cfg      Config
@@ -99,15 +99,6 @@ func (e *engine) init(cfg Config, builder Builder, loss nn.Loss, strategy Strate
 	return nil
 }
 
-// install makes w the global: the engine's reference moves from the live
-// version to w as the next one.
-func (e *engine) install(w nn.Weights) {
-	e.store.Release(e.version)
-	e.version++
-	e.Global = w
-	e.store.Retain(e.version, w)
-}
-
 // finalize turns acc into the next global version, written into a recycled
 // buffer, and reports whether it did. An accumulator that aggregated nothing
 // (every update rejected or weighted 0) leaves the global — and the version
@@ -118,7 +109,11 @@ func (e *engine) finalize(acc Accumulator) bool {
 		e.store.GiveBuffer(buf)
 		return false
 	}
-	e.install(buf)
+	// The engine's reference moves from the live version to buf.
+	e.store.Release(e.version)
+	e.version++
+	e.Global = buf
+	e.store.Retain(e.version, buf)
 	return true
 }
 

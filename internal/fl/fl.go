@@ -9,10 +9,10 @@
 // their accumulators, the crew that runs a window's steps on them, and the
 // RoundStats accounting. Two drivers plan and fold windows on it and are
 // otherwise thin: Server is the paper's synchronous round (K clients in W
-// balanced shards, each folded on its own replica and merged in a tree, plus
-// checkpointing), AsyncServer a staleness-aware event loop on a simulated
-// clock whose replicas claim each window's steps in plan order while replica
-// 0, on the calling goroutine, folds them. Every strategy, and every
+// balanced shards, each folded on its own replica and merged in a tree),
+// AsyncServer a staleness-aware event loop on a simulated clock whose
+// replicas claim each window's steps in plan order while replica 0, on the
+// calling goroutine, folds them. Every strategy, and every
 // comparison between strategies, therefore passes through the same step and
 // the same accounting.
 //

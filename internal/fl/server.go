@@ -1,9 +1,7 @@
 package fl
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 
 	"heteroswitch/internal/nn"
 )
@@ -74,40 +72,6 @@ func (s *Server) work(w int) {
 		s.train(w, p, &s.scratch[w])
 		p.fold(s.accs[w])
 	}
-}
-
-// SaveCheckpoint serializes the current round counter and global weights so
-// a long-running federation can resume after a restart.
-func (s *Server) SaveCheckpoint(w io.Writer, round int) error {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], uint64(round))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("fl: checkpoint header: %w", err)
-	}
-	if _, err := s.Global.WriteTo(w); err != nil {
-		return fmt.Errorf("fl: checkpoint weights: %w", err)
-	}
-	return nil
-}
-
-// LoadCheckpoint restores global weights written by SaveCheckpoint and
-// returns the stored round counter. The weights must match the server's
-// model architecture.
-func (s *Server) LoadCheckpoint(r io.Reader) (round int, err error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, fmt.Errorf("fl: checkpoint header: %w", err)
-	}
-	w, err := nn.ReadWeights(r)
-	if err != nil {
-		return 0, fmt.Errorf("fl: checkpoint weights: %w", err)
-	}
-	// Validate against the architecture via a replica before adopting.
-	if err := s.nets[0].LoadWeights(w); err != nil {
-		return 0, fmt.Errorf("fl: checkpoint incompatible: %w", err)
-	}
-	s.install(w)
-	return int(binary.LittleEndian.Uint64(hdr[:])), nil
 }
 
 // Run executes cfg.Rounds rounds, invoking callback (if non-nil) after each.

@@ -1,13 +1,10 @@
 package fl
 
 import (
-	"bytes"
 	"fmt"
 	"hash/fnv"
 	"slices"
 	"testing"
-
-	"heteroswitch/internal/nn"
 )
 
 // The sampler once flipped a per-client dropout coin after each draw; with
@@ -41,52 +38,5 @@ func TestCommunicationAccounting(t *testing.T) {
 	wantDown := wb * int64(srv.Cfg.ClientsPerRound)
 	if stats.BytesDown != wantDown || stats.BytesUp != wantDown {
 		t.Fatalf("bytes down/up = %d/%d, want %d", stats.BytesDown, stats.BytesUp, wantDown)
-	}
-}
-
-func TestCheckpointRoundtrip(t *testing.T) {
-	srv := fixtureServer(t, FedAvg{}, 1)
-	srv.Run(nil)
-	var buf bytes.Buffer
-	if err := srv.SaveCheckpoint(&buf, 17); err != nil {
-		t.Fatal(err)
-	}
-	// Fresh server, restore.
-	srv2 := fixtureServer(t, FedAvg{}, 1)
-	round, err := srv2.LoadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if round != 17 {
-		t.Fatalf("restored round %d", round)
-	}
-	for i := range srv.Global.Params {
-		if !srv.Global.Params[i].AllClose(srv2.Global.Params[i], 0) {
-			t.Fatal("checkpoint weights differ after restore")
-		}
-	}
-}
-
-func TestCheckpointRejectsWrongArchitecture(t *testing.T) {
-	srv := fixtureServer(t, FedAvg{}, 1)
-	var buf bytes.Buffer
-	// Write a checkpoint with a different architecture's weights.
-	other := nn.NewNetwork(nn.NewFlatten())
-	_ = other
-	bogus := nn.Weights{}
-	var hdr [8]byte
-	buf.Write(hdr[:])
-	if _, err := bogus.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.LoadCheckpoint(&buf); err == nil {
-		t.Fatal("incompatible checkpoint accepted")
-	}
-}
-
-func TestCheckpointTruncated(t *testing.T) {
-	srv := fixtureServer(t, FedAvg{}, 1)
-	if _, err := srv.LoadCheckpoint(bytes.NewReader([]byte{1, 2})); err == nil {
-		t.Fatal("truncated checkpoint accepted")
 	}
 }

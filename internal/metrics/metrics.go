@@ -105,20 +105,6 @@ func Degradation(ref, acc float64) float64 {
 	return d
 }
 
-// Values extracts map values ordered by key, for stable reporting.
-func Values(m map[int]float64) []float64 {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := make([]float64, len(keys))
-	for i, k := range keys {
-		out[i] = m[k]
-	}
-	return out
-}
-
 // AveragePrecision computes the area under the precision-recall curve for
 // one class given per-sample scores and binary relevance, using the standard
 // "sum of precision at each positive" estimator. Returns 0 when there are

@@ -40,14 +40,6 @@ func TestDegradation(t *testing.T) {
 	}
 }
 
-func TestValuesOrdered(t *testing.T) {
-	m := map[int]float64{2: 0.2, 0: 0.0, 1: 0.1}
-	vs := Values(m)
-	if len(vs) != 3 || vs[0] != 0 || vs[1] != 0.1 || vs[2] != 0.2 {
-		t.Fatalf("Values = %v", vs)
-	}
-}
-
 func TestAveragePrecisionPerfectRanking(t *testing.T) {
 	scores := []float64{0.9, 0.8, 0.2, 0.1}
 	rel := []bool{true, true, false, false}

@@ -16,7 +16,6 @@ package nn
 
 import (
 	"fmt"
-	"io"
 
 	"heteroswitch/internal/tensor"
 )
@@ -347,76 +346,4 @@ func (w Weights) L2DistSq(x Weights) float64 {
 		}
 	}
 	return s
-}
-
-// WriteTo serializes the weights.
-func (w Weights) WriteTo(out io.Writer) (int64, error) {
-	var total int64
-	hdr := []int64{int64(len(w.Params)), int64(len(w.States))}
-	for _, h := range hdr {
-		var b [8]byte
-		for i := 0; i < 8; i++ {
-			b[i] = byte(h >> (8 * i))
-		}
-		n, err := out.Write(b[:])
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	for _, t := range append(append([]*tensor.Tensor{}, w.Params...), w.States...) {
-		n, err := t.WriteTo(out)
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// ReadWeights deserializes a weight set written by WriteTo.
-func ReadWeights(in io.Reader) (Weights, error) {
-	readInt := func() (int64, error) {
-		var b [8]byte
-		if _, err := io.ReadFull(in, b[:]); err != nil {
-			return 0, err
-		}
-		var v int64
-		for i := 0; i < 8; i++ {
-			v |= int64(b[i]) << (8 * i)
-		}
-		return v, nil
-	}
-	np, err := readInt()
-	if err != nil {
-		return Weights{}, err
-	}
-	ns, err := readInt()
-	if err != nil {
-		return Weights{}, err
-	}
-	if np < 0 || ns < 0 {
-		return Weights{}, fmt.Errorf("nn: negative tensor counts %d/%d", np, ns)
-	}
-	// The counts are untrusted: the lists grow as tensors are actually read,
-	// never to a length the stream has not paid for.
-	readList := func(n int64) ([]*tensor.Tensor, error) {
-		list := []*tensor.Tensor{}
-		for ; n > 0; n-- {
-			t := tensor.New()
-			if _, err := t.ReadFrom(in); err != nil {
-				return nil, err
-			}
-			list = append(list, t)
-		}
-		return list, nil
-	}
-	var w Weights
-	if w.Params, err = readList(np); err != nil {
-		return Weights{}, err
-	}
-	if w.States, err = readList(ns); err != nil {
-		return Weights{}, err
-	}
-	return w, nil
 }

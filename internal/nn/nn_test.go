@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"strings"
@@ -110,40 +109,6 @@ func TestWeightsSubAndL2(t *testing.T) {
 	want := float64(w.Params[0].Size())
 	if math.Abs(w.L2DistSq(w2)-want) > 1e-3 {
 		t.Fatalf("L2DistSq = %v, want %v", w.L2DistSq(w2), want)
-	}
-}
-
-func TestWeightsSerializationRoundtrip(t *testing.T) {
-	net := smallNet(5)
-	w := net.Snapshot()
-	var buf bytes.Buffer
-	if _, err := w.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadWeights(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Params) != len(w.Params) || len(got.States) != len(w.States) {
-		t.Fatal("tensor counts differ after roundtrip")
-	}
-	for i := range w.Params {
-		if !got.Params[i].AllClose(w.Params[i], 0) {
-			t.Fatalf("param %d differs", i)
-		}
-	}
-}
-
-// Untrusted tensor counts are an error, not a makeslice panic, and are never
-// pre-allocated.
-func TestReadWeightsRejectsBogusCounts(t *testing.T) {
-	for _, hdr := range [][]byte{
-		bytes.Repeat([]byte{0xff}, 16),                                // both counts −1
-		append([]byte{0, 0, 0, 0, 0, 0, 0, 0x40}, make([]byte, 8)...), // 2⁶² params, empty stream
-	} {
-		if _, err := ReadWeights(bytes.NewReader(hdr)); err == nil {
-			t.Fatalf("bogus counts % x accepted", hdr)
-		}
 	}
 }
 

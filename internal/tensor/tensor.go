@@ -13,9 +13,7 @@
 package tensor
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"heteroswitch/internal/frand"
@@ -221,85 +219,4 @@ func (t *Tensor) HasNaN() bool {
 		}
 	}
 	return false
-}
-
-// WriteTo serializes the tensor (shape + raw little-endian float32 data).
-func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
-	var written int64
-	hdr := make([]byte, 4+4*len(t.shape))
-	binary.LittleEndian.PutUint32(hdr, uint32(len(t.shape)))
-	for i, d := range t.shape {
-		binary.LittleEndian.PutUint32(hdr[4+4*i:], uint32(d))
-	}
-	n, err := w.Write(hdr)
-	written += int64(n)
-	if err != nil {
-		return written, err
-	}
-	buf := make([]byte, 4*len(t.data))
-	for i, v := range t.data {
-		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(v))
-	}
-	n, err = w.Write(buf)
-	written += int64(n)
-	return written, err
-}
-
-// readChunk is the number of elements ReadFrom decodes per read.
-const readChunk = 4096
-
-// ReadFrom deserializes a tensor previously written with WriteTo, replacing
-// t's shape and contents.
-func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
-	var read int64
-	var ndims [4]byte
-	n, err := io.ReadFull(r, ndims[:])
-	read += int64(n)
-	if err != nil {
-		return read, err
-	}
-	nd := int(binary.LittleEndian.Uint32(ndims[:]))
-	if nd > 8 {
-		return read, fmt.Errorf("tensor: implausible ndim %d", nd)
-	}
-	shapeBuf := make([]byte, 4*nd)
-	n, err = io.ReadFull(r, shapeBuf)
-	read += int64(n)
-	if err != nil {
-		return read, err
-	}
-	shape := make([]int, nd)
-	size := 1
-	for i := range shape {
-		d := int(binary.LittleEndian.Uint32(shapeBuf[4*i:]))
-		if d < 0 || (d > 0 && size > math.MaxInt32/d) {
-			return read, fmt.Errorf("tensor: implausible shape: dimension %d of %d overflows the element count", i, nd)
-		}
-		shape[i] = d
-		size *= d
-	}
-	// The header is untrusted, so memory follows the bytes actually present:
-	// the payload is decoded a chunk at a time into a slice that doubles up
-	// to size, and a header promising more than the stream holds fails in
-	// ReadFull having allocated no more than about twice what it read.
-	chunk := min(size, readChunk)
-	buf := make([]byte, 4*chunk)
-	data := make([]float32, 0, chunk)
-	for len(data) < size {
-		b := buf[:4*min(size-len(data), chunk)]
-		n, err = io.ReadFull(r, b)
-		read += int64(n)
-		if err != nil {
-			return read, err
-		}
-		if len(data) == cap(data) {
-			data = append(make([]float32, 0, min(size, 2*cap(data))), data...)
-		}
-		for i := 0; i < len(b); i += 4 {
-			data = append(data, math.Float32frombits(binary.LittleEndian.Uint32(b[i:])))
-		}
-	}
-	t.shape = shape
-	t.data = data
-	return read, nil
 }

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -338,22 +337,6 @@ func TestIm2ColCol2ImAdjoint(t *testing.T) {
 		if math.Abs(lhs-rhs) > 1e-2*(1+math.Abs(lhs)) {
 			t.Fatalf("adjoint mismatch for %v: %v vs %v", c, lhs, rhs)
 		}
-	}
-}
-
-func TestSerializationRoundtrip(t *testing.T) {
-	r := frand.New(9)
-	x := Randn(r, 2, 3, 4, 5)
-	var buf bytes.Buffer
-	if _, err := x.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	y := New()
-	if _, err := y.ReadFrom(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !x.SameShape(y) || !x.AllClose(y, 0) {
-		t.Fatal("serialization roundtrip mismatch")
 	}
 }
 
