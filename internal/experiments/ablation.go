@@ -30,7 +30,7 @@ func (r *AblationResult) String() string {
 
 // ablationRig builds the shared workload and returns an evaluator.
 func ablationRig(opts Options) (func(name string, strat fl.Strategy) (MethodScore, error), error) {
-	dd, err := BuildDeviceData(opts, opts.scaled(10), opts.scaled(4), dataset.ModeProcessed)
+	dd, err := BuildDeviceData(opts, opts.scaled(10), opts.scaled(testPerClass), dataset.ModeProcessed)
 	if err != nil {
 		return nil, err
 	}

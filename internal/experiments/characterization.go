@@ -40,7 +40,7 @@ func (r *Fig1Result) String() string {
 // photographing the shared scene set (distinct sensor-noise realizations),
 // mirroring how the heterogeneous arm is nine different phones doing so.
 func Fig1(opts Options) (*Fig1Result, error) {
-	dd, err := BuildDeviceData(opts, opts.scaled(8), opts.scaled(4), dataset.ModeProcessed)
+	dd, err := BuildDeviceData(opts, opts.scaled(8), opts.scaled(testPerClass), dataset.ModeProcessed)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +137,7 @@ func (r *CrossDeviceResult) String() string {
 // with its own RNG and arena, so the matrix is byte-identical at every worker
 // count.
 func CrossDevice(opts Options, mode dataset.CaptureMode) (*CrossDeviceResult, error) {
-	dd, err := BuildDeviceData(opts, opts.scaled(8), opts.scaled(4), mode)
+	dd, err := BuildDeviceData(opts, opts.scaled(8), opts.scaled(testPerClass), mode)
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +230,7 @@ func Fig3(opts Options) (*Fig3Result, error) {
 	gen := scene.NewImageNet12(64)
 	rng := frand.New(opts.Seed)
 	trainScenes := gen.RenderSet(opts.scaled(8), rng.SplitNamed("train-scenes"))
-	testScenes := gen.RenderSet(opts.scaled(4), rng.SplitNamed("test-scenes"))
+	testScenes := gen.RenderSet(opts.scaled(testPerClass), rng.SplitNamed("test-scenes"))
 	profiles := device.Profiles()
 
 	base := isp.Baseline()

@@ -40,7 +40,7 @@ func (r *Fig4Result) String() string {
 // Fig4 trains FedAvg with market-share participation and measures how much
 // worse each device fares than the dominant group.
 func Fig4(opts Options) (*Fig4Result, error) {
-	dd, err := BuildDeviceData(opts, opts.scaled(10), opts.scaled(4), dataset.ModeProcessed)
+	dd, err := BuildDeviceData(opts, opts.scaled(10), opts.scaled(testPerClass), dataset.ModeProcessed)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +95,7 @@ func (r *Fig5Result) String() string {
 // Fig5 runs the reference equal-participation FL plus one run per excluded
 // device (10 runs total — the dominant cost of the characterization suite).
 func Fig5(opts Options) (*Fig5Result, error) {
-	dd, err := BuildDeviceData(opts, opts.scaled(8), opts.scaled(4), dataset.ModeProcessed)
+	dd, err := BuildDeviceData(opts, opts.scaled(8), opts.scaled(testPerClass), dataset.ModeProcessed)
 	if err != nil {
 		return nil, err
 	}

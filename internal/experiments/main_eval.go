@@ -85,7 +85,7 @@ func Method(name string, totalClients int) (fl.Strategy, error) {
 
 // Table4 runs the full main-evaluation sweep with TinyMobileNetV3.
 func Table4(opts Options) (*Table4Result, error) {
-	dd, err := BuildDeviceData(opts, opts.scaled(12), opts.scaled(4), dataset.ModeProcessed)
+	dd, err := BuildDeviceData(opts, opts.scaled(12), opts.scaled(testPerClass), dataset.ModeProcessed)
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +132,7 @@ func (r *Table5Result) String() string {
 
 // Table5 runs the architecture sweep.
 func Table5(opts Options) (*Table5Result, error) {
-	dd, err := BuildDeviceData(opts, opts.scaled(12), opts.scaled(4), dataset.ModeProcessed)
+	dd, err := BuildDeviceData(opts, opts.scaled(12), opts.scaled(testPerClass), dataset.ModeProcessed)
 	if err != nil {
 		return nil, err
 	}

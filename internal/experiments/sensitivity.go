@@ -38,7 +38,7 @@ func (r *Fig9Result) String() string {
 // Fig9 runs the sweeps. Round counts are scaled: the paper's T axis
 // {100, 500, 1000} maps to {T/10, T/2, T} of the scaled base.
 func Fig9(opts Options) (*Fig9Result, error) {
-	dd, err := BuildDeviceData(opts, opts.scaled(8), opts.scaled(4), dataset.ModeProcessed)
+	dd, err := BuildDeviceData(opts, opts.scaled(8), opts.scaled(testPerClass), dataset.ModeProcessed)
 	if err != nil {
 		return nil, err
 	}

@@ -96,7 +96,7 @@ func RunTrainServe(spec TrainServeSpec) (*TrainServeReport, error) {
 // deadline-ordered (EDF) batch flush on the serving side. Scale drives both
 // the training rounds and the offered serving load.
 func TrainWhileServe(opts Options) (*TrainServeReport, error) {
-	dd, err := BuildDeviceData(opts, opts.scaled(4), opts.scaled(2), dataset.ModeProcessed)
+	dd, err := BuildDeviceData(opts, opts.scaled(4), opts.scaled(testPerClass), dataset.ModeProcessed)
 	if err != nil {
 		return nil, err
 	}

@@ -43,14 +43,14 @@ func (r *UnseenResult) String() string {
 // UnseenDG trains on the nine Table-1 devices and evaluates on freshly drawn
 // random device profiles.
 func UnseenDG(opts Options) (*UnseenResult, error) {
-	dd, err := BuildDeviceData(opts, opts.scaled(10), opts.scaled(4), dataset.ModeProcessed)
+	dd, err := BuildDeviceData(opts, opts.scaled(10), opts.scaled(testPerClass), dataset.ModeProcessed)
 	if err != nil {
 		return nil, err
 	}
 	// Unseen devices capture the SAME test scenes.
 	gen := scene.NewImageNet12(64)
 	rng := frand.New(opts.Seed)
-	testScenes := gen.RenderSet(opts.scaled(4), rng.SplitNamed("test-scenes"))
+	testScenes := gen.RenderSet(opts.scaled(testPerClass), rng.SplitNamed("test-scenes"))
 	const numUnseen = 3
 	unseenTests := make([]*dataset.Dataset, numUnseen)
 	res := &UnseenResult{}
