@@ -219,7 +219,9 @@ func (m *Model) String() string {
 		parts = append(parts, fmt.Sprintf("corrupt:%g,%s", m.CorruptP, m.CorruptMode))
 	}
 	if m.churning() {
-		parts = append(parts, fmt.Sprintf("churn:%g,%g", m.ChurnPeriod, m.ChurnOn))
+		// %g writes a large period as 1e+06, and '+' joins clauses.
+		period := strings.Replace(strconv.FormatFloat(m.ChurnPeriod, 'g', -1, 64), "e+", "e", 1)
+		parts = append(parts, fmt.Sprintf("churn:%s,%g", period, m.ChurnOn))
 	}
 	return strings.Join(parts, "+")
 }

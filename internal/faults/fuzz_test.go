@@ -11,6 +11,7 @@ func FuzzParseSpec(f *testing.F) {
 		"crash:0.1+flaky:0.2,2+corrupt:0.05,mix+churn:40,0.6", " crash:1 + corrupt:1e-9,nan ",
 		"crash:nan", "crash:0", "flaky:0.5,1e300", "flaky:0.5,1.5", "corrupt:0.5,0.5", "churn:inf,0.5",
 		"crash:0.1+crash:0.2", "bogus:1", "crash", ":", "+", "crash:0.1,0.2", "corrupt:0.3,NAN",
+		"churn:1000000,.1", // %g renders the period 1e+06
 	} {
 		f.Add(s, uint64(42))
 	}
