@@ -193,8 +193,8 @@
 // (nn.Conv2D's type comment) that training — forward, dW and dx — and the
 // frozen inference op share: a 1×1 stride-1 unpadded conv matmuls the image
 // slice directly (its im2col matrix IS the image), a depthwise conv runs the
-// plane kernels (tensor.DepthwiseConvPlane with the bias fused per plane,
-// ...GradW and ...GradX once per sample over all its planes), and every other
+// plane kernels (tensor.DepthwiseConvPlane with the biases fused, ...GradW and
+// ...GradX, each once per sample over all its planes), and every other
 // shape lowers to im2col + matmul, caching one
 // column matrix per sample×group for backward. The two direct shapes size no
 // column cache at all and accumulate in the lowered kernels' per-target
@@ -252,8 +252,9 @@
 // aggregation bytes at W = 1–4.
 //
 // The frozen (evaluation and serving) forward keeps a second, intra-op
-// grain, and it splits one loop: each conv's sample×group iterations, across
-// a persistent worker pool (internal/parallel), under the budget
+// grain, and it splits one loop: each conv's sample×group iterations (a
+// depthwise conv's samples, since its plane kernel takes a whole sample),
+// across a persistent worker pool (internal/parallel), under the budget
 // nn.Network.SetIntraOp grants. Every other frozen op and every matmul runs
 // on the calling goroutine, so a batch-1 request runs on one core.
 // fl.Config.IntraOp (-intraop) is that budget's total (0 = GOMAXPROCS); W
@@ -307,9 +308,10 @@
 //     section): pointwise and depthwise shapes skip the lowering; the rest
 //     keep one im2col scratch per conv-loop chunk instead of caching every
 //     sample×group column matrix for a backward pass. A depthwise conv's
-//     bias and act ride its plane kernel: with the vector kernels live a
-//     3×3 plane is vec.Depthwise3x3, eight output positions per register
-//     taking all nine taps, the bias and the act before one store.
+//     biases and act ride its plane kernel, one call per sample: with the
+//     vector kernels live a 3×3 conv is one vec.Depthwise3x3 over all the
+//     sample's planes, eight output positions per register taking all nine
+//     taps, the bias and the act before one store.
 //   - Global average pooling and the squeeze-excite squeeze sum several
 //     planes side by side, one ascending chain each; the excite rescale and
 //     the residual sum are vector sweeps. The squeeze-excite gate is one
@@ -370,8 +372,9 @@
 // Vector oracle kernels. On amd64 the oracle tier runs the AVX2 routines of
 // internal/vec: the strided row-AXPY GEMM behind a@b and aᵀ@b (with the
 // conv bias and activation in its store), the dot-form a@bᵀ, the 3×3
-// depthwise forward (its bias and activation in its store too) and its input
-// gradient in gather form at stride 1 and 2,
+// depthwise forward (a whole sample's planes per call, its biases and
+// activation in its store too) and its input gradient in gather form at
+// stride 1 and 2,
 // the 3×3 depthwise weight gradient eight planes at a time, the aggregation
 // step's fold (tensor.FoldScaled) and gate norm (tensor.SqDistLanes), and
 // nn's batch norm with its activation — the forward's reduction and one

@@ -145,7 +145,7 @@ func BenchmarkMobileNetForward(b *testing.B) {
 
 // BenchmarkFrozenInfer is perfbook serve_wall's request without the server:
 // TinyMobileNetV3's frozen forward at batch 1 (one request) and 16, at the
-// default intra-op budget. allocs/op must stay 0.
+// default intra-op budget, with its cost per sample. allocs/op must stay 0.
 func BenchmarkFrozenInfer(b *testing.B) {
 	for _, n := range []int{1, 16} {
 		b.Run(fmt.Sprintf("mobilenet/b%d", n), func(b *testing.B) {
@@ -157,6 +157,7 @@ func BenchmarkFrozenInfer(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				f.Infer(x)
 			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N)/float64(n), "µs/sample")
 		})
 	}
 }

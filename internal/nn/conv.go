@@ -23,8 +23,9 @@ import (
 //   - pointwise (1×1, stride 1, no pad): the im2col matrix IS the input
 //     slice, so the matmuls read x and write dx directly;
 //   - depthwise (Groups == InC == OutC): the plane kernels
-//     tensor.DepthwiseConvPlane (bias fused) / GradW / GradX, whose lowering
-//     would cost more than the arithmetic.
+//     tensor.DepthwiseConvPlane (bias fused) / GradW / GradX, each called
+//     once per sample over all its channels, whose lowering would cost more
+//     than the arithmetic.
 //
 // Neither sizes cols, and dcol holds only the depthwise weight gradient's
 // copy of a sample's planes (tensor.ConvDims.DepthwiseGradWScratch). Both
@@ -99,8 +100,9 @@ func NewDepthwiseConv2D(r *frand.RNG, c, k, stride, pad int) *Conv2D {
 }
 
 // Forward implements Layer. Each sample×group iteration runs the layer's
-// kernel — im2col + the group matmul, the matmul on the input slice, or the
-// depthwise plane kernel — each with the bias added in its store.
+// kernel — im2col + the group matmul or the matmul on the input slice — with
+// the bias added in its store; a depthwise conv runs its plane kernel once
+// per sample over all its channels, the bias added in its store too.
 func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.NDim() != 4 || x.Dim(1) != l.InC {
 		panic(fmt.Sprintf("nn: Conv2D input %v, want [N %d H W]", x.Shape(), l.InC))
@@ -136,14 +138,17 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	imgStride := l.InC * h * w
 	outStride := l.OutC * d.OutH * d.OutW
 	for i := 0; i < n; i++ {
+		if kern == convDepthwise {
+			// The plane kernel sweeps all of a sample's channels in one call.
+			tensor.DepthwiseConvPlane(od[i*outStride:(i+1)*outStride], xd[i*imgStride:(i+1)*imgStride], wd, d, bd, vec.ActIdentity)
+			continue
+		}
 		for gi := 0; gi < g; gi++ {
 			img := xd[i*imgStride+gi*gcIn*h*w : i*imgStride+(gi+1)*gcIn*h*w]
 			wg := wd[gi*gcOut*fanIn : (gi+1)*gcOut*fanIn]
 			y := od[i*outStride+gi*gcOut*cols : i*outStride+(gi+1)*gcOut*cols]
 			// y[gcOut, cols] = Wg[gcOut, fanIn] @ col[fanIn, cols]
 			switch kern {
-			case convDepthwise:
-				tensor.DepthwiseConvPlane(y, img, wg, d, bd[gi], vec.ActIdentity)
 			case convPointwise:
 				tensor.MatMulSlices(y, wg, img, gcOut, fanIn, cols, bd[gi*gcOut:(gi+1)*gcOut])
 			default:

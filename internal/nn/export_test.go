@@ -6,7 +6,8 @@ import "heteroswitch/internal/vec"
 func BNAct(l *BatchNorm2D) vec.Act { return l.act }
 
 // FrozenConvChunks returns the most chunks any frozen conv of net split its
-// sample×group loop into during the last Infer, 0 when no conv ran.
+// sample×group (depthwise: sample) loop into during the last Infer, 0 when
+// no conv ran.
 func FrozenConvChunks(net *Network) int { return convChunks(net.frozen.ops) }
 
 func convChunks(ops []frozenOp) int {

@@ -23,11 +23,12 @@ import (
 // A frozen view shares its source network's arena and intra-op budget like
 // any layer: Infer resets the arena exactly like Network.Forward (outputs
 // are valid until the next Forward/Infer on the same network). The budget
-// splits one loop: each conv's sample×group iterations, across
-// internal/parallel's pool. Every other op, and every matmul inside a conv
-// iteration, runs on the calling goroutine, so a batch-1 request through a
-// one-group conv runs on one core. Like Network, a Frozen is not safe for
-// concurrent use; freeze one replica per goroutine.
+// splits one loop: each conv's sample×group iterations (a depthwise conv's
+// samples), across internal/parallel's pool. Every other op, and every
+// matmul inside a conv iteration, runs on the calling goroutine, so a
+// batch-1 request through a one-group or depthwise conv runs on one core.
+// Like Network, a Frozen is not safe for concurrent use; freeze one replica
+// per goroutine.
 //
 // Numerical contract: BN folding reorders float operations, so a frozen
 // forward matches the reference eval forward to a small tolerance (≤ 1e-5

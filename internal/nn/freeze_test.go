@@ -264,9 +264,10 @@ func TestFrozenTracksWeightUpdates(t *testing.T) {
 // TestFrozenBudgetsBitIdentical is the serial-vs-parallel tol-0 contract for
 // the frozen path: the forward must produce byte-for-byte the budget-1 result
 // at every budget. The budget splits one loop, each conv's sample×group
-// iterations; the batch is large enough that every fixture with a conv splits
-// it at budget 2, which the test asserts from the forward itself. The
-// conv-free fixture runs serially at every budget.
+// iterations (a depthwise conv's samples); the batch is large enough that
+// every fixture with a conv splits it at budget 2, which the test asserts
+// from the forward itself. The conv-free fixture runs serially at every
+// budget.
 func TestFrozenBudgetsBitIdentical(t *testing.T) {
 	for _, fx := range frozenFixtures() {
 		t.Run(fx.name, func(t *testing.T) {

@@ -50,8 +50,9 @@ func hardSigmoid(z, u []float32) {
 // keeps ONE im2col scratch per parallel chunk instead of caching every
 // sample×group column matrix for a backward pass. It follows the training layer's geometry dispatch
 // (Conv2D.kernel, rule and bit-identity argument on the Conv2D type
-// comment): pointwise convs matmul the image slice directly, depthwise
-// groups run tensor.DepthwiseConvPlane, everything else lowers.
+// comment): pointwise convs matmul the image slice directly, a depthwise
+// conv runs tensor.DepthwiseConvPlane once per sample over all its planes,
+// everything else lowers.
 type frozenConv struct {
 	l   *Conv2D
 	bn  *BatchNorm2D // folded into wf/bf when non-nil
@@ -119,10 +120,10 @@ func (c *frozenConv) refold() {
 	c.pw.RefreshA(c.wf, l.OutC, fanIn)
 }
 
-// infer implements frozenOp: Conv2D.Forward's sample×group loop, split
-// across the intra-op budget — the one loop of the frozen forward the budget
-// splits. One sample of a one-group conv is one iteration, so it runs on one
-// core.
+// infer implements frozenOp: Conv2D.Forward's sample×group loop (a
+// depthwise conv's sample loop), split across the intra-op budget — the one
+// loop of the frozen forward the budget splits. One sample of a one-group or
+// depthwise conv is one iteration, so it runs on one core.
 func (c *frozenConv) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 	l := c.l
 	if x.NDim() != 4 || x.Dim(1) != l.InC {
@@ -143,8 +144,11 @@ func (c *frozenConv) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 	fanIn := (l.InC / g) * l.KH * l.KW
 	out := f.alloc(n, l.OutC, d.OutH, d.OutW)
 	par := f.budget()
-	iters := n * g
-	grain := parallel.GrainFor(gcOut * fanIn * cols)
+	iters, work := n*g, gcOut*fanIn*cols
+	if l.kernel() == convDepthwise {
+		iters, work = n, l.OutC*fanIn*cols // an iteration is a whole sample
+	}
+	grain := parallel.GrainFor(work)
 	c.chunks = parallel.Chunks(par, iters, grain)
 	if l.kernel() == convLowered {
 		if cap(c.cols) < c.chunks*rows*cols {
@@ -158,7 +162,7 @@ func (c *frozenConv) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// Run implements parallel.Runner over a contiguous sample×group range; each
+// Run implements parallel.Runner over a contiguous range of iterations; each
 // chunk owns the im2col scratch slice matching its chunk index.
 func (c *frozenConv) Run(chunk, lo, hi int) {
 	var col []float32
@@ -171,36 +175,37 @@ func (c *frozenConv) Run(chunk, lo, hi int) {
 	}
 }
 
-// inferIter runs one sample×group iteration through the cheapest kernel its
-// shape admits (see the type comment), with bias + activation in the
-// kernel's store.
+// inferIter runs one iteration — a sample×group, or a whole sample of a
+// depthwise conv — through the cheapest kernel its shape admits (see the
+// type comment), with bias + activation in the kernel's store.
 func (c *frozenConv) inferIter(it int, col []float32) {
 	l := c.l
-	d := c.dims
+	d := &c.dims
 	cols := d.ColCols()
-	g := l.Groups
-	gcIn, gcOut := l.InC/g, l.OutC/g
-	fanIn := gcIn * l.KH * l.KW
 	h, w := c.inH, c.inW
 	imgStride := l.InC * h * w
 	outStride := l.OutC * d.OutH * d.OutW
+	if l.kernel() == convDepthwise {
+		// The plane kernel over all the sample's channels, no lowering at
+		// all, with the biases and the activation fused.
+		tensor.DepthwiseConvPlane(c.od[it*outStride:(it+1)*outStride], c.xd[it*imgStride:(it+1)*imgStride], c.wf, *d, c.bf, c.act)
+		return
+	}
+	g := l.Groups
+	gcIn, gcOut := l.InC/g, l.OutC/g
+	fanIn := gcIn * l.KH * l.KW
 	i, gi := it/g, it%g
 
 	img := c.xd[i*imgStride+gi*gcIn*h*w : i*imgStride+(gi+1)*gcIn*h*w]
 	wg := c.wf[gi*gcOut*fanIn : (gi+1)*gcOut*fanIn]
 	y := c.od[i*outStride+gi*gcOut*cols : i*outStride+(gi+1)*gcOut*cols]
-	switch l.kernel() {
-	case convDepthwise:
-		// The plane kernel, no lowering at all, with the bias and the
-		// activation fused.
-		tensor.DepthwiseConvPlane(y, img, wg, d, c.bf[gi], c.act)
-	case convPointwise:
+	if l.kernel() == convPointwise {
 		// The im2col matrix IS the image slice.
 		tensor.MatMulWASlicesEp(y, wg, &c.pw, gi*gcOut, gcOut, img, cols, false, &c.eps[gi])
-	default:
-		tensor.Im2Col(col, img, d)
-		tensor.MatMulWASlicesEp(y, wg, &c.pw, gi*gcOut, gcOut, col, cols, false, &c.eps[gi])
+		return
 	}
+	tensor.Im2Col(col, img, *d)
+	tensor.MatMulWASlicesEp(y, wg, &c.pw, gi*gcOut, gcOut, col, cols, false, &c.eps[gi])
 }
 
 // Fused dense -----------------------------------------------------------------

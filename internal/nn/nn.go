@@ -101,12 +101,13 @@ func (n *Network) SetArena(a *tensor.Arena) {
 
 // SetIntraOp grants the network's frozen forward (Freeze) an intra-op
 // parallelism budget: the maximum cores one conv's sample×group iterations
-// may occupy (a batch-1 request runs on one core). Training never reads it —
-// Forward and Backward run the serial kernels, and training parallelism is
-// one model per worker. Freshly built networks default to budget 1, and any
-// budget produces bit-identical frozen outputs (the iterations are
-// partitioned deterministically; see internal/parallel), so a host running W
-// networks side by side grants each parallel.Share of the machine.
+// (a depthwise conv's samples) may occupy (a batch-1 request runs on one
+// core). Training never reads it — Forward and Backward run the serial
+// kernels, and training parallelism is one model per worker. Freshly built
+// networks default to budget 1, and any budget produces bit-identical frozen
+// outputs (the iterations are partitioned deterministically; see
+// internal/parallel), so a host running W networks side by side grants each
+// parallel.Share of the machine.
 func (n *Network) SetIntraOp(budget int) { n.intraOp = budget }
 
 // Forward runs all layers in order. When the network owns its arena, the

@@ -44,7 +44,7 @@ func testDepthwisePlaneKernelsMatchLowered(t *testing.T) {
 					want := make([]float32, cols)
 					MatMulSlices(want, w, col, 1, taps, cols, nil)
 					got := Randn(r, 1, cols).Data() // junk: the kernel must overwrite
-					DepthwiseConvPlane(got, img, w, d, 0, vec.ActIdentity)
+					DepthwiseConvPlane(got, img, w, d, []float32{0}, vec.ActIdentity)
 					exactEqual(t, name+" forward", got, want)
 
 					seed := Randn(r, 1, taps).Data() // both accumulate onto the same junk

@@ -25,9 +25,9 @@ func guarded(t testing.TB, v []float32) []float32 {
 // input gradient's and weight gradient's plane fills a page exactly (32×32
 // float32s), guarded on both sides, with every pad's masked margin reads
 // pointing into the guards; and
-// both gradients run on 1–17 planes (the weight gradient's last pass of
-// fewer than eight lanes among them) with every operand, scratch included,
-// guarded.
+// both gradients and the forward run on 1–17 planes (the weight gradient's
+// last pass of fewer than eight lanes among them) with every operand, scratch
+// included, guarded.
 func TestVecPlaneKernelsStayInsideSlices(t *testing.T) {
 	vectest.Require(t)
 	r := frand.New(79)
@@ -62,10 +62,10 @@ func TestVecPlaneKernelsStayInsideSlices(t *testing.T) {
 			for _, act := range storeActs {
 				vectest.SetLive(t, false)
 				wantY := make([]float32, d.ColCols())
-				DepthwiseConvPlane(wantY, plane, w, d, 0.5, act)
+				DepthwiseConvPlane(wantY, plane, w, d, []float32{0.5}, act)
 				vectest.SetLive(t, true)
 				gotY := guarded(t, make([]float32, d.ColCols()))
-				DepthwiseConvPlane(gotY, plane, guarded(t, w), d, 0.5, act)
+				DepthwiseConvPlane(gotY, plane, guarded(t, w), d, guarded(t, []float32{0.5}), act)
 				exactEqual(t, fmt.Sprintf("guarded forward s%d p%d act %d", stride, pad, act), gotY, wantY)
 			}
 			wantX := vecOperand(r, 32*32)
@@ -101,6 +101,25 @@ func TestVecPlaneKernelsStayInsideSlices(t *testing.T) {
 			}
 			DepthwiseConvPlaneGradX(gotX, guarded(t, dy), guarded(t, w), d)
 			exactEqual(t, fmt.Sprintf("guarded dx %d planes s%d", planes, stride), gotX, wantX)
+
+			// The forward, narrow (5×7) and wide enough for the interior-row
+			// loop and its plain reads (6×16, 6×17), whose last rows reach the
+			// last image row of the last plane.
+			for _, hw := range [][2]int{{5, 7}, {6, 16}, {6, 17}} {
+				d, err := NewConvDims(1, hw[0], hw[1], 3, 3, stride, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				in := hw[0] * hw[1]
+				img, w, bias := vecOperand(r, planes*in), vecOperand(r, 9*planes), vecOperand(r, planes)
+				vectest.SetLive(t, false)
+				wantY := make([]float32, planes*d.ColCols())
+				DepthwiseConvPlane(wantY, img, w, d, bias, vec.ActHardSwish)
+				vectest.SetLive(t, true)
+				gotY := guarded(t, make([]float32, planes*d.ColCols()))
+				DepthwiseConvPlane(gotY, guarded(t, img), guarded(t, w), d, guarded(t, bias), vec.ActHardSwish)
+				exactEqual(t, fmt.Sprintf("guarded forward %d planes %dx%d s%d", planes, hw[0], hw[1], stride), gotY, wantY)
+			}
 		}
 	}
 }

@@ -200,9 +200,10 @@ func (d *ConvDims) checkPlanes(kernel string, img, out, taps []float32, planes i
 	}
 }
 
-// DepthwiseConvPlane convolves ONE channel plane directly, without the
-// im2col lowering, and applies the conv epilogue: y[OutH*OutW] =
-// act(w[KH*KW] ⊛ img[InH*InW] + bias) for a d with InC == 1.
+// DepthwiseConvPlane convolves a sample's channel planes directly, without
+// the im2col lowering, and applies the conv epilogue: plane c's
+// y_c[OutH*OutW] = act(w_c[KH*KW] ⊛ img_c[InH*InW] + bias[c]) for a d with
+// InC == 1, with len(bias) deciding how many planes y, img and w hold.
 //
 // Every output pixel is a sum from +0 over its taps in ascending (ky, kx)
 // order — the same per-target order as the im2col matmul, whose skipped
@@ -210,25 +211,38 @@ func (d *ConvDims) checkPlanes(kernel string, img, out, taps []float32, planes i
 // convolution is bit-identical to Im2Col + MatMulSlices on the same plane,
 // and the epilogue to that matmul's bias add and activation sweep.
 // Depthwise convolutions use it (and the two gradient siblings below) in
-// training and inference alike: their im2col copy costs more than the
-// arithmetic.
+// training and inference alike, once per sample: their im2col copy costs
+// more than the arithmetic.
 //
 // With the vector kernels live a 3×3 kernel at column stride 1 or 2 — every
-// depthwise layer of the models — runs vec.Depthwise3x3: eight output pixels
-// per register, all nine taps added while the sum stays in a register, the
-// epilogue before the one store. Everything else runs the Go loop: tap-outer,
-// each tap one bounds-free strided AXPY over the output, then BiasAct.
+// depthwise layer of the models — runs vec.Depthwise3x3 over all the planes:
+// eight output pixels per register, all nine taps added while the sum stays
+// in a register, the epilogue before the one store. Everything else runs the
+// Go loop plane by plane: tap-outer, each tap one bounds-free strided AXPY
+// over the output, then BiasAct.
 //
 // The bit-identity of all three plane kernels holds for finite inputs: a
 // skipped term is a ±0 add onto a sum that started at +0, the same zero-skip
 // convention as the oracle matmul kernels' av != 0 test, while an Inf or NaN
 // operand would have turned that skipped 0·Inf into a NaN.
-func DepthwiseConvPlane(y, img, w []float32, d ConvDims, bias float32, act vec.Act) {
-	d.checkPlanes("DepthwiseConvPlane", img, y, w, 1)
+func DepthwiseConvPlane(y, img, w []float32, d ConvDims, bias []float32, act vec.Act) {
+	planes := len(bias)
+	d.checkPlanes("DepthwiseConvPlane", img, y, w, planes)
 	if vec.Live && d.KH == 3 && d.KW == 3 && d.StrideW <= 2 {
-		vec.Depthwise3x3(y, img, w, d.OutH, d.OutW, d.InH, d.InW, d.StrideH, d.StrideW, d.PadH, d.PadW, bias, act)
+		vec.Depthwise3x3(y, img, w, bias, planes, d.OutH, d.OutW, d.InH, d.InW, d.StrideH, d.StrideW, d.PadH, d.PadW, act)
 		return
 	}
+	taps, in, out := d.KH*d.KW, d.InH*d.InW, d.OutH*d.OutW
+	for c, b := range bias {
+		yc := y[c*out : (c+1)*out]
+		d.planeForward(yc, img[c*in:(c+1)*in], w[c*taps:(c+1)*taps])
+		BiasAct(yc, b, act)
+	}
+}
+
+// planeForward is DepthwiseConvPlane's Go loop on one plane, before the
+// epilogue.
+func (d *ConvDims) planeForward(y, img, w []float32) {
 	clear(y)
 	t := 0
 	for ky := 0; ky < d.KH; ky++ {
@@ -263,7 +277,6 @@ func DepthwiseConvPlane(y, img, w []float32, d ConvDims, bias float32, act vec.A
 			}
 		}
 	}
-	BiasAct(y, bias, act)
 }
 
 // DepthwiseGradWScratch is the scratch length DepthwiseConvPlaneGradW takes

@@ -266,19 +266,42 @@ func BenchmarkIm2Col(b *testing.B) {
 // pad 1) — s1-16x16, the down-sampling s2 (16×16 → 8×8) and s1-8x8 — forward
 // with its bias (fwd) and with bias and hard-swish fused (fwd+hswish), and
 // the input gradient (dx); an element is one output position of one tap, and
-// the oracle is the scalar tap loop (the "generic" arm itself).
+// the oracle is the scalar tap loop (the "generic" arm itself). The layer-…
+// arms run a whole sample of each depthwise layer in one call (16 planes of
+// 16×16 at stride 1, 24 of 16×16 at stride 2, 32 of 8×8 at stride 1) with
+// hard-swish, and report ns per eight-lane output vector.
 func BenchmarkDepthwisePlane(b *testing.B) {
 	for _, c := range []struct {
-		name       string
-		hw, stride int
-	}{{"s1-16x16", 16, 1}, {"s2", 16, 2}, {"s1-8x8", 8, 1}} {
+		name               string
+		planes, hw, stride int
+	}{
+		{"s1-16x16", 1, 16, 1}, {"s2", 1, 16, 2}, {"s1-8x8", 1, 8, 1},
+		{"layer-16x16x16/s1", 16, 16, 1}, {"layer-24x16x16/s2", 24, 16, 2}, {"layer-32x8x8/s1", 32, 8, 1},
+	} {
 		d, err := NewConvDims(1, c.hw, c.hw, 3, 3, c.stride, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		r := frand.New(8)
-		img, w, dy := Randn(r, 1, c.hw*c.hw).Data(), Randn(r, 1, 9).Data(), Randn(r, 1, d.ColCols()).Data()
-		y, dimg := make([]float32, d.ColCols()), make([]float32, c.hw*c.hw)
+		img, w := Randn(r, 1, c.planes*c.hw*c.hw).Data(), Randn(r, 1, 9*c.planes).Data()
+		y, bias := make([]float32, c.planes*d.ColCols()), make([]float32, c.planes)
+		for i := range bias {
+			bias[i] = 0.25
+		}
+		fwdHS := func() { DepthwiseConvPlane(y, img, w, d, bias, vec.ActHardSwish) }
+		if c.planes > 1 {
+			vecs := float64(c.planes * d.OutH * ((d.OutW + 7) / 8))
+			b.Run(c.name+"/fwd+hswish", func(b *testing.B) {
+				vectest.BenchArms(b, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						fwdHS()
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/vecs, "ns/vec")
+				})
+			})
+			continue
+		}
+		dy, dimg := Randn(r, 1, d.ColCols()).Data(), make([]float32, c.hw*c.hw)
 		scalar := func(f func()) func() {
 			return func() {
 				prev := vec.Live
@@ -287,8 +310,7 @@ func BenchmarkDepthwisePlane(b *testing.B) {
 				vec.Live = prev
 			}
 		}
-		fwd := func() { DepthwiseConvPlane(y, img, w, d, 0.25, vec.ActIdentity) }
-		fwdHS := func() { DepthwiseConvPlane(y, img, w, d, 0.25, vec.ActHardSwish) }
+		fwd := func() { DepthwiseConvPlane(y, img, w, d, bias, vec.ActIdentity) }
 		b.Run(c.name+"/fwd", func(b *testing.B) { benchAgainstRef(b, 9*d.ColCols(), scalar(fwd), fwd) })
 		b.Run(c.name+"/fwd+hswish", func(b *testing.B) { benchAgainstRef(b, 9*d.ColCols(), scalar(fwdHS), fwdHS) })
 		dx := func() { DepthwiseConvPlaneGradX(dimg, dy, w, d) }

@@ -274,13 +274,14 @@ func gradWScratch(d ConvDims) []float32 { return make([]float32, d.DepthwiseGrad
 
 // runVecPlaneCase runs the three depthwise plane kernels on one geometry
 // under both settings of the switch and requires identical bits: the forward
-// on the first plane under each of the three acts (storeActs), overwriting
-// junk, once on finite operands with a seed-chosen bias and once with ±0, ±3,
-// ±Inf and NaNs of two payloads in the image, the weights and the bias; both
-// gradients over all planes accumulating onto it, once on finite operands and
-// once with ±0, ±Inf and NaN in the weights, dy, the image and the
-// accumulators. Runs with specials compare through vectest.NaNClassEqual. dW
-// also matches the tap-outer oracle plane by plane.
+// over all the planes in one call (the vector routine's one call against the
+// per-plane Go loop) under each of the three acts (storeActs), overwriting
+// junk, once on finite operands with seed-chosen biases and once with ±0, ±3,
+// ±Inf and NaNs of two payloads in the image, the weights and the biases;
+// both gradients over all planes accumulating onto it, once on finite
+// operands and once with ±0, ±Inf and NaN in the weights, dy, the image and
+// the accumulators. Runs with specials compare through
+// vectest.NaNClassEqual. dW also matches the tap-outer oracle plane by plane.
 func runVecPlaneCase(t *testing.T, h, w, k, stride, pad, planes int, seed uint64) {
 	t.Helper()
 	d, err := NewConvDims(1, h, w, k, k, stride, pad)
@@ -290,12 +291,15 @@ func runVecPlaneCase(t *testing.T, h, w, k, stride, pad, planes int, seed uint64
 	r := frand.New(seed)
 	taps, cols, in := d.ColRows(), d.ColCols(), h*w
 	img, wt, dy := vecOperand(r, planes*in), vecOperand(r, planes*taps), vecOperand(r, planes*cols)
-	junkY, junkW, junkX := vecOperand(r, cols), vecOperand(r, planes*taps), vecOperand(r, planes*in)
+	junkY, junkW, junkX := vecOperand(r, planes*cols), vecOperand(r, planes*taps), vecOperand(r, planes*in)
 	special := func(n int) []float32 { return operandWith(r, n, gradSpecials) }
 	imgS, wtS, dyS := special(planes*in), special(planes*taps), special(planes*cols)
 	junkWS, junkXS := special(planes*taps), special(planes*in)
-	bias := planeBiases[r.Intn(len(planeBiases))]
-	imgF, wtF, biasF := operandWith(r, in, actSpecials), operandWith(r, taps, actSpecials), actSpecials[r.Intn(len(actSpecials))]
+	bias, biasF := make([]float32, planes), make([]float32, planes)
+	for c := range bias {
+		bias[c], biasF[c] = planeBiases[r.Intn(len(planeBiases))], actSpecials[r.Intn(len(actSpecials))]
+	}
+	imgF, wtF := operandWith(r, planes*in, actSpecials), operandWith(r, planes*taps, actSpecials)
 	run := func(on bool) [][]float32 {
 		vectest.SetLive(t, on)
 		dw, dx, dwS, dxS := slices.Clone(junkW), slices.Clone(junkX), slices.Clone(junkWS), slices.Clone(junkXS)
@@ -306,14 +310,14 @@ func runVecPlaneCase(t *testing.T, h, w, k, stride, pad, planes int, seed uint64
 		res := [][]float32{dw, dx, dwS, dxS}
 		for _, act := range storeActs {
 			y, yS := slices.Clone(junkY), slices.Clone(junkY)
-			DepthwiseConvPlane(y, img[:in], wt[:taps], d, bias, act)
+			DepthwiseConvPlane(y, img, wt, d, bias, act)
 			DepthwiseConvPlane(yS, imgF, wtF, d, biasF, act)
 			res = append(res, y, yS)
 		}
 		return res
 	}
 	want, got := run(false), run(true)
-	name := fmt.Sprintf("%d planes %dx%d k%d s%d p%d bias %g/%g seed %d", planes, h, w, k, stride, pad, bias, biasF, seed)
+	name := fmt.Sprintf("%d planes %dx%d k%d s%d p%d biases %g/%g seed %d", planes, h, w, k, stride, pad, bias, biasF, seed)
 	for i, kernel := range []string{"dW", "dx", "dW specials", "dx specials"} {
 		if i < 2 {
 			exactEqual(t, name+" "+kernel, got[i], want[i])
@@ -335,9 +339,9 @@ func runVecPlaneCase(t *testing.T, h, w, k, stride, pad, planes int, seed uint64
 }
 
 // FuzzVecPlanesMatchGeneric is FuzzVecMatchesGeneric's sibling for the
-// depthwise plane kernels (DepthwiseConvPlane with its bias under each of the
-// three acts, …GradW and …GradX over 1–17 planes) and the routines under
-// them (vec.Depthwise3x3, vec.GradX3x3, vec.GradW3x3): random plane sizes,
+// depthwise plane kernels (DepthwiseConvPlane with its biases under each of
+// the three acts, …GradW and …GradX, each over 1–17 planes) and the routines
+// under them (vec.Depthwise3x3, vec.GradX3x3, vec.GradW3x3): random plane sizes,
 // kernels, strides, pads, plane counts and seeds at tol 0 — dW against the
 // tap-outer oracle too — seeded with the lowered sweep's geometries
 // (depthwise_test.go), the widths around the 8-lane block of both strides, and
@@ -488,10 +492,14 @@ func TestVecStride2TapsMatchGeneric(t *testing.T) {
 	testGradsMatchScalar(t, 2, r)
 }
 
-// depthwise3x3 hands d's geometry to vec.Depthwise3x3, bias 0.5, no
-// activation.
+// depthwise3x3 hands d's geometry and len(w)/9 planes to vec.Depthwise3x3,
+// bias 0.5, no activation.
 func depthwise3x3(y, img, w []float32, d ConvDims) {
-	vec.Depthwise3x3(y, img, w, d.OutH, d.OutW, d.InH, d.InW, d.StrideH, d.StrideW, d.PadH, d.PadW, 0.5, vec.ActIdentity)
+	bias := make([]float32, len(w)/9)
+	for c := range bias {
+		bias[c] = 0.5
+	}
+	vec.Depthwise3x3(y, img, w, bias, len(bias), d.OutH, d.OutW, d.InH, d.InW, d.StrideH, d.StrideW, d.PadH, d.PadW, vec.ActIdentity)
 }
 
 // TestVecDepthwiseZeroSkipParity: the fused 3×3 forward and the gather-form
@@ -523,7 +531,7 @@ func TestVecDepthwiseZeroSkipParity(t *testing.T) {
 				forward := func(on bool, img, wt []float32, bias float32, act vec.Act) []float32 {
 					vectest.SetLive(t, on)
 					y := vecOperand(r, d.ColCols()) // junk: the kernel must overwrite
-					DepthwiseConvPlane(y, img, wt, d, bias, act)
+					DepthwiseConvPlane(y, img, wt, d, []float32{bias}, act)
 					return y
 				}
 				poisoned := vecOperand(r, 7*w)
@@ -597,6 +605,76 @@ func TestVecDepthwiseZeroSkipParity(t *testing.T) {
 	}
 }
 
+// TestVecDepthwisePlanesMatchGeneric drives the 3×3 forward over a sample's
+// planes in one call against the per-plane Go loop, under each act, at both
+// strides, widths 1–17 and plane counts around the eight lanes (1, 7, 8, 9,
+// 33), on six-row planes at pad 1, where the stride-1 routine's top, middle
+// and bottom row pairs all run. The planes cycle through five kinds: all nine taps live; one weight
+// +0; one weight −0; all nine weights zero; and a +0 image under negative
+// weights, whose every product is −0, with a −0 bias and a +0 one in turn.
+// NaNs with a payload and both infinities are sown through the image, so the
+// zero weights must skip them and the live ones carry them through. NaNs
+// meet NaN sums here, so the comparison is vectest.NaNClassEqual, which a
+// plain build holds to the payload bit.
+func TestVecDepthwisePlanesMatchGeneric(t *testing.T) {
+	vectest.Require(t)
+	inf, payload := float32(math.Inf(1)), math.Float32frombits(0xffc00123)
+	negZero := float32(math.Copysign(0, -1))
+	r := frand.New(85)
+	for _, planes := range []int{1, 7, 8, 9, 33} {
+		for _, stride := range []int{1, 2} {
+			for w := 1; w <= 17; w++ {
+				d, err := NewConvDims(1, 6, w, 3, 3, stride, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				in := 6 * w
+				img, wt := vecOperand(r, planes*in), vecOperand(r, 9*planes)
+				for i := range img {
+					switch {
+					case i%13 == 5:
+						img[i] = payload
+					case i%17 == 3:
+						img[i] = inf
+					case i%19 == 7:
+						img[i] = -inf
+					}
+				}
+				bias := make([]float32, planes)
+				for c := range bias {
+					taps := wt[9*c : 9*c+9]
+					bias[c] = planeBiases[c%len(planeBiases)]
+					switch c % 5 {
+					case 1:
+						taps[c%9] = 0
+					case 2:
+						taps[(c+4)%9] = negZero
+					case 3:
+						for i := range taps {
+							taps[i] = []float32{0, negZero}[i%2]
+						}
+					case 4:
+						clear(img[c*in : (c+1)*in])
+						for i := range taps {
+							taps[i] = -0.5 - float32(i)
+						}
+						bias[c] = []float32{negZero, 0}[(c/5)%2]
+					}
+				}
+				for _, act := range storeActs {
+					run := func(on bool) []float32 {
+						vectest.SetLive(t, on)
+						y := vecOperand(r, planes*d.ColCols()) // junk: the kernel must overwrite
+						DepthwiseConvPlane(y, img, wt, d, bias, act)
+						return y
+					}
+					vectest.NaNClassEqual(t, fmt.Sprintf("%d planes s%d w%d act %d", planes, stride, w, act), run(true), run(false))
+				}
+			}
+		}
+	}
+}
+
 // TestVecKernelsRejectShortSlices: the Go loops panic on an undersized slice
 // through their bounds checks; the assembly would write past it, so every
 // wrapper must panic before it takes a pointer. The wrappers are shared code,
@@ -637,9 +715,14 @@ func TestVecKernelsRejectShortSlices(t *testing.T) {
 		{"dx 3x3 geometry", func() {
 			gradX3x3(full(6*7), full(6*7), full(9), ConvDims{OutH: 6, OutW: 7, InW: 7, StrideH: 1, StrideW: 1})
 		}},
-		{"dw 3x3 y", func() { depthwise3x3(full(6*7-1), full(6*7), full(9), plane3x3) }},
-		{"dw 3x3 img", func() { depthwise3x3(full(6*7), full(6*7-1), full(9), plane3x3) }},
-		{"dw 3x3 w", func() { depthwise3x3(full(6*7), full(6*7), full(8), plane3x3) }},
+		{"dw 3x3 y", func() { depthwise3x3(full(2*6*7-1), full(2*6*7), full(18), plane3x3) }},
+		{"dw 3x3 img", func() { depthwise3x3(full(2*6*7), full(2*6*7-1), full(18), plane3x3) }},
+		{"dw 3x3 w", func() {
+			vec.Depthwise3x3(full(2*6*7), full(2*6*7), full(17), full(2), 2, 6, 7, 6, 7, 1, 1, 1, 1, vec.ActIdentity)
+		}},
+		{"dw 3x3 bias", func() {
+			vec.Depthwise3x3(full(2*6*7), full(2*6*7), full(18), full(1), 2, 6, 7, 6, 7, 1, 1, 1, 1, vec.ActIdentity)
+		}},
 		{"dw 3x3 geometry", func() {
 			depthwise3x3(full(6*7), full(6*7), full(9), ConvDims{OutH: 6, OutW: 7, InH: 6, InW: 7, StrideW: 1})
 		}},

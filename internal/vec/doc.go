@@ -26,7 +26,8 @@
 //     accumulators — hold independent accumulation targets: output columns;
 //     eight (i,j) chains of the dot form, fed by an in-register transpose;
 //     the output positions of a 3×3 depthwise window, each taking all nine
-//     taps while its sum stays in its lane, de-interleaved at stride 2; the
+//     taps while its sum stays in its lane, de-interleaved at stride 2, two
+//     output rows sharing their pixel loads at stride 1; the
 //     input positions of a 3×3 depthwise input gradient, each gathering its
 //     taps the same way; eight planes of a 3×3 depthwise weight gradient,
 //     one register per tap, fed by an in-register transpose; eight channels
@@ -37,7 +38,11 @@
 //     input gradient and none in the dot forms. Where a reduction's order IS
 //     the result (batch norm's float64 sums, a tap's dot product over a
 //     plane, a plane's sum), the targets beside it are what fills the
-//     machine.
+//     machine. One step is elided where it provably changes no stored bit:
+//     the depthwise forward's interior rows start a sum at its first product
+//     instead of adding it onto +0, on planes whose bias is not −0. The two
+//     chains can differ only when every term is −0 (+0 against −0), and
+//     adding any bias but −0 turns both into the same value.
 //  2. No FMA. Each step is the Go loop's operation for operation: one
 //     VMULPS then one VADDPS (VMULPD/VADDPD in float64), the two roundings
 //     of the compiler's MULSS + ADDSS (GOAMD64=v1 never fuses). A fused

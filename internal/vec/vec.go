@@ -127,30 +127,52 @@ func GradW3x3(dw, dy, img, scratch []float32, planes, outH, outW, inH, inW, stri
 	}
 }
 
-// Depthwise3x3 computes one plane's 3×3 depthwise forward with its epilogue,
-// y = act(Σ_t w[t]·(tap t's pixel) + bias) at every output position, each
-// sum from +0 over the taps that land inside the image and have w[t] ≠ 0, in
-// ascending t. These are the bits of tensor.DepthwiseConvPlane's tap loop
-// followed by BiasAct, with eight output positions in lanes. The plane is
-// inH×inW, the output outH×outW, and strideW is 1 or 2.
-func Depthwise3x3(y, img, w []float32, outH, outW, inH, inW, strideH, strideW, padH, padW int, bias float32, act Act) {
-	if outH <= 0 || outW <= 0 {
+// Depthwise3x3 computes the 3×3 depthwise forward of planes consecutive
+// planes with its epilogue, y_c = act(Σ_t w[9c+t]·(tap t's pixel) + bias[c])
+// at every output position of plane c, each sum from +0 over the taps that
+// land inside the image and have w[9c+t] ≠ 0, in ascending t. These are the
+// bits of tensor.DepthwiseConvPlane's tap loop followed by BiasAct, plane by
+// plane, with eight output positions in lanes. A plane is inH×inW, its
+// output outH×outW, and strideW is 1 or 2.
+//
+// What depends only on the geometry is settled once per call: the output
+// rows whose three tap rows all lie inside the image, plus at pad 1 the top
+// row and (stride 1) the bottom one, which the routine runs with no per-tap
+// test on a plane whose nine weights are all live, and whether every store
+// is a full eight lanes (outW ≥ 8: a last partial block is recomputed as the
+// last eight columns).
+func Depthwise3x3(y, img, w, bias []float32, planes, outH, outW, inH, inW, strideH, strideW, padH, padW int, act Act) {
+	if planes <= 0 || outH <= 0 || outW <= 0 {
 		return
 	}
 	if strideW != 1 && strideW != 2 {
 		panic(fmt.Sprintf("vec: 3x3 depthwise column stride %d, want 1 or 2", strideW))
 	}
 	short("3x3 depthwise geometry", 1, min(inH, inW, strideH))
-	short("3x3 depthwise w", 9, len(w))
-	short("3x3 depthwise y", outH*outW, len(y))
-	short("3x3 depthwise img", inH*inW, len(img))
-	live := 0 // bit t: tap t is not skipped
-	for t, v := range w[:9] {
-		if v != 0 {
-			live |= 1 << t
+	short("3x3 depthwise w", 9*planes, len(w))
+	short("3x3 depthwise bias", planes, len(bias))
+	short("3x3 depthwise y", planes*outH*outW, len(y))
+	short("3x3 depthwise img", planes*inH*inW, len(img))
+	// Output rows [rowLo, rowHi) have all three tap rows inside the image:
+	// oy·strideH − padH ≥ 0 and oy·strideH − padH + 2 < inH.
+	rowLo, rowHi, edges := (padH+strideH-1)/strideH, 0, 0
+	if top := inH - 3 + padH; top >= 0 {
+		rowHi = min(outH, top/strideH+1)
+	}
+	switch {
+	case rowLo >= rowHi || outW < 8 || strideW == 1 && strideH != 1:
+		rowLo, rowHi = outH, outH
+	case padH == 1:
+		// Row 0 misses only its top tap row, so the fast loop takes it too
+		// (edges bit 0): at stride 1 as the top pair, and, when that leaves
+		// an odd row count, the bottom row (missing only its bottom tap row)
+		// as the bottom pair (bit 1).
+		rowLo, edges = 0, 1
+		if strideW == 1 && rowHi%2 == 1 && rowHi < outH {
+			rowHi, edges = rowHi+1, 3
 		}
 	}
-	depthwise3x3(&y[0], &img[0], &w[0], outH, outW, inH, inW, strideH, strideW, padH, padW, live, bias, act)
+	depthwise3x3(&y[0], &img[0], &w[0], &bias[0], planes, outH, outW, inH, inW, strideH, strideW, padH, padW, rowLo, rowHi, edges, act)
 }
 
 // DotMinCols is the narrowest output DotTransB takes: its lanes lie across

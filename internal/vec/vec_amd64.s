@@ -1039,41 +1039,72 @@ gxDone:
 	VZEROUPPER
 	RET
 
-// The 3×3 depthwise forward. Each output position is one target: a sum from
-// +0 that takes its in-image, non-zero taps in ascending (ky, kx) order, one
-// VMULPS and one VADDPS each with the Go loop's first sources — the pixel in
-// the multiply, the product in the add, which decide what NaN survives of
-// two — then the bias add and the activation, and one store. The
-// lanes are eight output positions of a row (ox0 .. ox0+7); the nine weights
-// stay broadcast in Y0–Y8 for the whole column block and the rows of the
-// block run beneath them, so a position's nine taps never leave registers.
-// Tap column kx of lane l reads image column ix0 + l·strideW + kx,
-// ix0 = ox0·strideW − padW.
+// The 3×3 depthwise forward over planes consecutive planes. Each output
+// position is one target: a sum from +0 that takes its in-image, non-zero
+// taps in ascending (ky, kx) order, one VMULPS and one VADDPS each with the Go
+// loop's first sources — the pixel in the multiply, the product in the add,
+// which decide what NaN survives of two — then the bias add and the
+// activation, and one store. The lanes are eight output positions of a row
+// (ox0 .. ox0+7). Tap column kx of lane l reads image column
+// ix0 + l·strideW + kx, ix0 = ox0·strideW − padW.
 //
-// Skipping. A tap row outside the image (top and bottom output rows) and a
-// zero weight skip their terms by branch: bit t of AX is set when tap t runs
-// in this output row, and the branch is the same for every lane. A tap column
-// outside the image skips per lane: its pixels come in through VMASKMOVPS
-// with that lane masked off (so no read leaves the image and the lane loads
-// +0), and the same lane of the weight is ANDed to +0 once per column block,
-// so the lane's product is +0·+0 = +0 — an exact no-op on a sum that began at
-// +0 — even where the weight is Inf or NaN.
+// Loop order: column block, then plane, then row. What a column block's
+// geometry decides — the column masks, the store mask — is cut once per
+// block; a plane then writes its nine weights, broadcast and ANDed with those
+// masks, and its broadcast bias into a 32-byte-aligned table in the frame
+// (SI), which the multiplies and the bias add read as memory operands. When
+// outW ≥ 8 every block is a full eight lanes: a last partial block is
+// recomputed as the last eight columns, the same bits stored twice. The
+// wrapper hands over the fast range [rowLo, rowHi) and its edge rows (empty
+// when outW < 8, or at column stride 1 with a row stride other than 1).
+//
+// Two row loops. The general one tests every tap: bit t of AX is set when tap
+// t runs in this output row (its tap row is inside the image and w[t] ≠ 0,
+// NaN included), the branch the same for every lane; it runs every row of a
+// plane the fast loop may not take, every row of a narrow output (with a
+// masked tail store), and the rows outside the fast range. The fast range
+// [rowLo, rowHi) is the interior rows, whose three tap rows lie inside the
+// image, and at pad 1 also row 0 (edges bit 0), which misses only its top tap
+// row, and at stride 1 the first bottom row when that makes the count even
+// (bit 1), which misses only its bottom one. A plane's fast range runs in the
+// fast loop when its nine weights are all live, its bias is not −0, and the
+// block's check found the reads the fast loop makes without a mask — tap
+// column 1 at stride 1, elements 8–15 and 2–9 at stride 2 — inside the image
+// in every lane (true of every block at pad ≤ 1). It runs no test, reads the
+// act once per plane (once per edge row) and stores all eight lanes. At
+// stride 1 it takes two output rows at a time through their four-row window,
+// loading each pixel vector once for both sums, each sum still taking its
+// own taps in ascending order; the edge pairs leave out the window row that
+// lies outside the image. The general loop adds a sum's first term onto +0,
+// as the Go loop does; the fast one starts the sum at that term, which
+// stores the same bits: the two chains differ only when every term is −0
+// (+0 against −0), and adding a bias other than −0 gives both the same value.
+//
+// A tap column outside the image skips per lane: its pixels come in through
+// VMASKMOVPS with that lane masked off (so no read leaves the image and the
+// lane loads +0), and the same lane of the weight is ANDed to +0, so the
+// lane's product is +0·+0 = +0 — an exact no-op on a sum that began at +0 —
+// even where the weight is Inf or NaN.
 //
 // Stride 2 reads sixteen consecutive pixels per tap row (elements 0–7 and
-// 8–15 from the first tap column) and de-interleaves them with VSHUFPS
-// $0x88 / $0xDD and VPERMPD $0xD8 into the lanes of tap columns 0 and 1;
-// tap column 2 reads elements 2–17 the same way. The masks of those reads are
-// cut from the image row's bounds, element by element, and the weight masks
-// are their de-interleaves.
+// 8–15 from the first tap column) and de-interleaves them with VSHUFPS $0x88 /
+// $0xDD into the lanes of tap columns 0 and 1; tap column 2 reads elements
+// 2–17 the same way. The shuffles work within 128-bit halves, so the sums sit
+// in lane order 0 1 4 5 2 3 6 7, which every term, mask and the bias share;
+// one VPERMPD $0xD8 restores the order before the store. The masks of the
+// reads are cut from the image row's bounds, element by element, and the
+// weight masks are their de-interleaves.
 //
-// Register plan: Y0–Y8 the nine weights (masked), Y11 the bias (HARDSIG's 1
-// for a moment), Y12 the sum, Y13 and Y15 scratch; stride 1: Y9, Y10, Y14 the column masks of tap columns
-// 0–2; stride 2: Y9/Y10 the masks of elements 0–7/8–15, those of 2–9/10–17
-// in the frame, Y14 scratch. AX the taps that run in this row, BX the live
-// taps, DI out (row, block), R8 the image pixel of tap (0, 0) at lane 0, R9
-// its step per output row (bytes), R10 = 4·outW, R11 = 4·inW, R12 = iy0 (the
-// image row of tap row 0), R13 rows left, SI the bound below which iy0 has
-// all three tap rows inside.
+// Register plan: Y0 the sum (Y1 the second row's at stride 1), Y2–Y4 scratch,
+// Y11–Y13 the constants 1, 3, 6 (for HARDSIG), Y15 = +0; stride 1: Y9, Y10,
+// Y14 the column masks of tap columns 0–2; stride 2: Y9/Y10/Y7/Y8 the masks of
+// elements 0–7/8–15/2–9/10–17, Y5/Y6/Y14 the weight masks of tap columns 0–2.
+// SI the weight table (tap t at 32t, the bias at 288), AX the taps that run
+// in this row (in the fast loop: the edge pairs still to run), BX the plane's
+// live taps, CX fast rows (pairs) left, DI out
+// (row, block), R8 the image pixel of tap (0, 0) at lane 0, R9 its step per
+// output row (bytes), R10 = 4·outW, R11 = 4·inW, R12 = iy0 (the image row of
+// tap row 0), R13 = oy; the row the general loop stops at is in the frame.
 
 // dwLanes holds the int32 lane indices 0 … 7.
 DATA dwLanes<>+0(SB)/8, $0x0000000100000000
@@ -1109,214 +1140,621 @@ GLOBL hsVec<>(SB), RODATA|NOPTR, $96
 	VPCMPGTD Y15, Y13, Y15; \
 	VPAND Y15, m, m
 
-// DWWEIGHT broadcasts weight t (w in DX) into r, its lanes cut by mask m.
-#define DWWEIGHT(t, r, m) \
-	VBROADCASTSS (t*4)(DX), r; \
-	VANDPS m, r, r
+// DWFASTOK sets the live-tap pattern the fast loop takes in this block: all
+// nine when every lane of the reads it makes plainly is inside the image (DX
+// holds their mask's sign bits), none otherwise (−1 is no pattern).
+#define DWFASTOK \
+	MOVQ $0x1ff, CX; \
+	CMPL DX, $0xff; \
+	JEQ  2(PC); \
+	MOVQ $-1, CX; \
+	MOVQ CX, fast-104(SP)
 
-// DWTAP1 adds stride-1 tap bit's term when the tap runs in this row: the
-// pixels at addr through its column mask m, times its weight w.
-#define DWTAP1(bit, addr, m, w) \
-	TESTL $bit, AX; \
+// DWCONST loads the constants of the row loops: +0, 1, 3 and 6.
+#define DWCONST \
+	VXORPS Y15, Y15, Y15; \
+	VMOVUPS hsVec<>+64(SB), Y11; \
+	VMOVUPS hsVec<>+0(SB), Y12; \
+	VMOVUPS hsVec<>+32(SB), Y13
+
+// DWLIVE sets bit t of BX when the plane's weight t (w in DX) is not ±0, NaN
+// included: two overlapping eight-lane compares, w[0..7] and w[1..8].
+// Clobbers CX and Y2.
+#define DWLIVE \
+	VCMPPS $4, (DX), Y15, Y2; \
+	VMOVMSKPS Y2, BX; \
+	VCMPPS $4, 4(DX), Y15, Y2; \
+	VMOVMSKPS Y2, CX; \
+	SHLL $1, CX; \
+	ORL  CX, BX
+
+// DWWEIGHT writes weight t (w in DX), broadcast and cut by mask m, into the
+// table.
+#define DWWEIGHT(t, m) \
+	VBROADCASTSS (t*4)(DX), Y2; \
+	VANDPS m, Y2, Y2; \
+	VMOVAPS Y2, (t*32)(SI)
+
+// DWPLANE starts a plane's rows: its bias into the table, the image and out
+// cursors, oy = 0 and iy0 = −padH, and the row the general loop stops at —
+// rowLo when the fast loop can take the interior rows (the block allows it,
+// all nine taps are live and the bias is not −0), outH otherwise.
+#define DWPLANE \
+	MOVQ bp-72(SP), DX; \
+	VBROADCASTSS (DX), Y2; \
+	VMOVAPS Y2, 288(SI); \
+	MOVL (DX), CX; \
+	MOVQ ip-80(SP), R8; \
+	MOVQ yp-88(SP), DI; \
+	XORL R13, R13; \
+	MOVQ padH+88(FP), R12; \
+	NEGQ R12; \
+	MOVQ outH+40(FP), DX; \
+	CMPL CX, $-0x80000000; \
+	JEQ  4(PC); \
+	CMPL BX, fast-104(SP); \
+	JNE  2(PC); \
+	MOVQ rowLo+104(FP), DX; \
+	MOVQ DX, gend-96(SP)
+
+// DWROWTAPS sets AX to the taps that run in the output row at iy0 = R12: the
+// live taps whose tap row lies inside the image. Clobbers CX and DX.
+#define DWROWTAPS \
+	XORL AX, AX; \
+	MOVQ inH+56(FP), CX; \
+	CMPQ R12, CX; \
+	JAE  2(PC); \
+	ORL  $0x007, AX; \
+	LEAQ 1(R12), DX; \
+	CMPQ DX, CX; \
+	JAE  2(PC); \
+	ORL  $0x038, AX; \
+	LEAQ 2(R12), DX; \
+	CMPQ DX, CX; \
+	JAE  2(PC); \
+	ORL  $0x1c0, AX; \
+	ANDL BX, AX
+
+// DWBIAS adds the plane's bias to the sum in v.
+#define DWBIAS(v) \
+	VADDPS 288(SI), v, v
+
+// DWHSWISH turns v into v·hardSigmoid(v), clobbering s.
+#define DWHSWISH(v, s) \
+	HARDSIG(v, s, Y12, Y13, Y15, Y11); \
+	VMULPS s, v, v
+
+// DWGENNEXT moves the general loop one output row on.
+#define DWGENNEXT \
+	ADDQ R10, DI; \
+	ADDQ R9, R8; \
+	ADDQ strideH+72(FP), R12; \
+	INCQ R13
+
+// DWFASTEND leaves the fast loop's state as the general loop would have: oy
+// and iy0 at the first row it did not take, and the general loop running to
+// outH. The fast loop took the interior rows ANDed with rows (−2: whole
+// pairs; −1: all of them).
+#define DWFASTEND(rows) \
+	MOVQ rowHi+112(FP), DX; \
+	SUBQ R13, DX; \
+	ANDQ rows, DX; \
+	ADDQ DX, R13; \
+	MOVQ R13, R12; \
+	IMULQ strideH+72(FP), R12; \
+	SUBQ padH+88(FP), R12; \
+	MOVQ outH+40(FP), DX; \
+	MOVQ DX, gend-96(SP)
+
+// DWNEXTPLANE moves the plane cursors one plane on and counts it off.
+#define DWNEXTPLANE \
+	ADDQ $36, wp-64(SP); \
+	ADDQ $4, bp-72(SP); \
+	MOVQ inH+56(FP), DX; \
+	IMULQ R11, DX; \
+	ADDQ DX, ip-80(SP); \
+	MOVQ outH+40(FP), DX; \
+	IMULQ R10, DX; \
+	ADDQ DX, yp-88(SP); \
+	DECQ cpl-56(SP)
+
+// DWTAP1 adds stride-1 tap t's term when bit t of AX says it runs in this
+// row: the pixels at addr through its column mask m, times its weight.
+#define DWTAP1(t, addr, m) \
+	TESTL $(1<<t), AX; \
 	JZ    4(PC); \
-	VMASKMOVPS addr, m, Y13; \
-	VMULPS w, Y13, Y13; \
-	VADDPS Y12, Y13, Y12
+	VMASKMOVPS addr, m, Y2; \
+	VMULPS (t*32)(SI), Y2, Y2; \
+	VADDPS Y0, Y2, Y0
 
-// DWROW2 adds one tap row's three stride-2 terms (tap bits b0, b1, b2,
-// weights w0–w2): pixels 0–15 from a0/a32 de-interleave into tap columns 0
-// and 1, pixels 2–17 from a8/a40 into tap column 2.
-#define DWROW2(b0, b1, b2, a0, a32, a8, a40, w0, w1, w2) \
-	TESTL $(b0|b1), AX; \
-	JZ    15(PC); \
-	VMASKMOVPS a0, Y9, Y13; \
-	VMASKMOVPS a32, Y10, Y14; \
-	TESTL $b0, AX; \
-	JZ    5(PC); \
-	VSHUFPS $0x88, Y14, Y13, Y15; \
-	VPERMPD $0xD8, Y15, Y15; \
-	VMULPS w0, Y15, Y15; \
-	VADDPS Y12, Y15, Y12; \
-	TESTL $b1, AX; \
-	JZ    5(PC); \
-	VSHUFPS $0xDD, Y14, Y13, Y15; \
-	VPERMPD $0xD8, Y15, Y15; \
-	VMULPS w1, Y15, Y15; \
-	VADDPS Y12, Y15, Y12; \
-	TESTL $b2, AX; \
-	JZ    9(PC); \
-	VMOVDQU ma2-64(SP), Y15; \
-	VMASKMOVPS a8, Y15, Y13; \
-	VMOVDQU mb2-96(SP), Y15; \
-	VMASKMOVPS a40, Y15, Y14; \
-	VSHUFPS $0x88, Y14, Y13, Y15; \
-	VPERMPD $0xD8, Y15, Y15; \
-	VMULPS w2, Y15, Y15; \
-	VADDPS Y12, Y15, Y12
+// DWPAIRA adds tap t's term (pixels in Y2) onto the first row's sum; DWPAIRB
+// onto the second's. DWFIRSTA and DWFIRSTB start a sum at its first term.
+#define DWPAIRA(t) \
+	VMULPS (t*32)(SI), Y2, Y3; \
+	VADDPS Y0, Y3, Y0
 
-// func depthwise3x3(y, img, w *float32, outH, outW, inH, inW, strideH, strideW, padH, padW, live int, bias float32, act Act)
-TEXT ·depthwise3x3(SB), NOSPLIT, $112-101
+#define DWPAIRB(t) \
+	VMULPS (t*32)(SI), Y2, Y4; \
+	VADDPS Y1, Y4, Y1
+
+#define DWFIRSTA VMULPS (SI), Y2, Y0
+#define DWFIRSTB VMULPS (SI), Y2, Y1
+
+// The window rows of a stride-1 pair (the first row's sum in Y0 at R8, the
+// second's in Y1 one image row below, DX = R8 + 2·R11): window row w is
+// image row iy0 + w, each of its three columns loaded once (tap column 1 by a
+// plain load, which the block's check allows) and added to tap w's row of the
+// first sum and tap w−1's of the second. DWWIN0 and DWWIN1TOP start the first
+// sum; DWWIN1 and DWWIN1TOP start the second.
+#define DWWIN0 \
+	LEAQ (R8)(R11*2), DX; \
+	VMASKMOVPS (R8), Y9, Y2; \
+	DWFIRSTA; \
+	VMOVUPS 4(R8), Y2; \
+	DWPAIRA(1); \
+	VMASKMOVPS 8(R8), Y14, Y2; \
+	DWPAIRA(2)
+
+#define DWWIN1 \
+	VMASKMOVPS (R8)(R11*1), Y9, Y2; \
+	DWPAIRA(3); \
+	DWFIRSTB; \
+	VMOVUPS 4(R8)(R11*1), Y2; \
+	DWPAIRA(4); \
+	DWPAIRB(1); \
+	VMASKMOVPS 8(R8)(R11*1), Y14, Y2; \
+	DWPAIRA(5); \
+	DWPAIRB(2)
+
+#define DWWIN1TOP \
+	LEAQ (R8)(R11*2), DX; \
+	VMASKMOVPS (R8)(R11*1), Y9, Y2; \
+	VMULPS 96(SI), Y2, Y0; \
+	DWFIRSTB; \
+	VMOVUPS 4(R8)(R11*1), Y2; \
+	DWPAIRA(4); \
+	DWPAIRB(1); \
+	VMASKMOVPS 8(R8)(R11*1), Y14, Y2; \
+	DWPAIRA(5); \
+	DWPAIRB(2)
+
+#define DWWIN2 \
+	VMASKMOVPS (DX), Y9, Y2; \
+	DWPAIRA(6); \
+	DWPAIRB(3); \
+	VMOVUPS 4(DX), Y2; \
+	DWPAIRA(7); \
+	DWPAIRB(4); \
+	VMASKMOVPS 8(DX), Y14, Y2; \
+	DWPAIRA(8); \
+	DWPAIRB(5)
+
+#define DWWIN3 \
+	VMASKMOVPS (DX)(R11*1), Y9, Y2; \
+	DWPAIRB(6); \
+	VMOVUPS 4(DX)(R11*1), Y2; \
+	DWPAIRB(7); \
+	VMASKMOVPS 8(DX)(R11*1), Y14, Y2; \
+	DWPAIRB(8)
+
+// DWPAIRNEXT stores the pair and moves two output rows on.
+#define DWPAIRNEXT \
+	VMOVUPS Y0, (DI); \
+	VMOVUPS Y1, (DI)(R10*1); \
+	LEAQ (DI)(R10*2), DI; \
+	LEAQ (R8)(R9*2), R8; \
+	DECQ CX
+
+// DWROW2 adds one tap row's three stride-2 terms (taps t0, t0+1, t0+2) when
+// bit t of AX says they run: pixels 0–15 from a0/a32 de-interleave into tap
+// columns 0 and 1, pixels 2–17 from a8/a40 into tap column 2.
+#define DWROW2(t0, a0, a32, a8, a40) \
+	TESTL $(3<<t0), AX; \
+	JZ    13(PC); \
+	VMASKMOVPS a0, Y9, Y1; \
+	VMASKMOVPS a32, Y10, Y2; \
+	TESTL $(1<<t0), AX; \
+	JZ    4(PC); \
+	VSHUFPS $0x88, Y2, Y1, Y3; \
+	VMULPS (t0*32)(SI), Y3, Y3; \
+	VADDPS Y0, Y3, Y0; \
+	TESTL $(2<<t0), AX; \
+	JZ    4(PC); \
+	VSHUFPS $0xDD, Y2, Y1, Y3; \
+	VMULPS (t0*32+32)(SI), Y3, Y3; \
+	VADDPS Y0, Y3, Y0; \
+	TESTL $(4<<t0), AX; \
+	JZ    6(PC); \
+	VMASKMOVPS a8, Y7, Y1; \
+	VMASKMOVPS a40, Y8, Y2; \
+	VSHUFPS $0x88, Y2, Y1, Y3; \
+	VMULPS (t0*32+64)(SI), Y3, Y3; \
+	VADDPS Y0, Y3, Y0
+
+// DWFAST2 is DWROW2 without the tests, elements 8–15 and 2–9 by plain loads,
+// which the block's check allows; DWFAST2FIRST is DWFAST2 starting the sum at
+// tap t0's term. DWFAST2ROW runs an interior row's three tap rows, DWFAST2TOP
+// a top row's last two.
+#define DWFAST2(t0, a0, a32, a8, a40) \
+	VMASKMOVPS a0, Y9, Y1; \
+	VMOVUPS a32, Y2; \
+	VSHUFPS $0x88, Y2, Y1, Y3; \
+	VMULPS (t0*32)(SI), Y3, Y3; \
+	VADDPS Y0, Y3, Y0; \
+	DWFAST2REST(t0, a8, a40)
+
+#define DWFAST2FIRST(t0, a0, a32, a8, a40) \
+	VMASKMOVPS a0, Y9, Y1; \
+	VMOVUPS a32, Y2; \
+	VSHUFPS $0x88, Y2, Y1, Y3; \
+	VMULPS (t0*32)(SI), Y3, Y0; \
+	DWFAST2REST(t0, a8, a40)
+
+// DWFAST2REST adds tap columns 1 and 2 of DWFAST2's tap row.
+#define DWFAST2REST(t0, a8, a40) \
+	VSHUFPS $0xDD, Y2, Y1, Y4; \
+	VMULPS (t0*32+32)(SI), Y4, Y4; \
+	VADDPS Y0, Y4, Y0; \
+	VMOVUPS a8, Y1; \
+	VMASKMOVPS a40, Y8, Y2; \
+	VSHUFPS $0x88, Y2, Y1, Y3; \
+	VMULPS (t0*32+64)(SI), Y3, Y3; \
+	VADDPS Y0, Y3, Y0
+
+#define DWFAST2ROW \
+	DWFAST2FIRST(0, (R8), 32(R8), 8(R8), 40(R8)); \
+	DWFAST2(3, (R8)(R11*1), 32(R8)(R11*1), 8(R8)(R11*1), 40(R8)(R11*1)); \
+	DWFAST2(6, (R8)(R11*2), 32(R8)(R11*2), 8(R8)(R11*2), 40(R8)(R11*2))
+
+#define DWFAST2TOP \
+	DWFAST2FIRST(3, (R8)(R11*1), 32(R8)(R11*1), 8(R8)(R11*1), 40(R8)(R11*1)); \
+	DWFAST2(6, (R8)(R11*2), 32(R8)(R11*2), 8(R8)(R11*2), 40(R8)(R11*2))
+
+// DWROW2NEXT stores a stride-2 row, its lanes back in order, and moves one
+// output row on.
+#define DWROW2NEXT \
+	VPERMPD $0xD8, Y0, Y0; \
+	VMOVUPS Y0, (DI); \
+	ADDQ R10, DI; \
+	ADDQ R9, R8; \
+	DECQ CX
+
+// func depthwise3x3(y, img, w, bias *float32, planes, outH, outW, inH, inW, strideH, strideW, padH, padW, rowLo, rowHi, edges int, act Act)
+TEXT ·depthwise3x3(SB), NOSPLIT, $456-129
 	PCALIGN $64
-	MOVQ inW+48(FP), R11
+	MOVQ inW+64(FP), R11
 	SHLQ $2, R11
-	MOVQ strideH+56(FP), R9
+	MOVQ strideH+72(FP), R9
 	IMULQ R11, R9
-	MOVQ outW+32(FP), R10
+	MOVQ outW+48(FP), R10
 	SHLQ $2, R10
-	MOVQ $0, ox0-104(SP)
+	LEAQ wtab-456(SP), SI
+	ADDQ $31, SI
+	ANDQ $-32, SI               // the weight table, 32-byte aligned
+	MOVQ $0, ox0-40(SP)
 
 dwBlock:
-	MOVQ outW+32(FP), CX
-	SUBQ ox0-104(SP), CX        // columns left
+	MOVQ outW+48(FP), CX
+	SUBQ ox0-40(SP), CX         // columns left
 	JLE  dwDone
-	MOVQ $8, DX
-	CMPQ CX, DX
-	CMOVQGT DX, CX
-	MOVQ CX, nl-112(SP)         // lanes in this block
+	CMPQ CX, $8
+	JGE  dwFull
+	MOVQ ox0-40(SP), DX
+	TESTQ DX, DX
+	JZ   dwNarrow               // outW < 8: one block of CX lanes
+	LEAQ -8(DX)(CX*1), DX
+	MOVQ DX, ox0-40(SP)         // the last eight columns, again
+dwFull:
+	MOVQ $8, CX
+dwNarrow:
+	MOVQ CX, nl-48(SP)          // lanes in this block
 	LEAQ vecMask<>(SB), DX
 	NEGQ CX
 	VMOVDQU 32(DX)(CX*4), Y13
 	VMOVDQU Y13, smask-32(SP)   // … and their store mask
-	MOVQ ox0-104(SP), AX
-	IMULQ strideW+64(FP), AX
-	SUBQ padW+80(FP), AX        // ix0
-	MOVQ inW+48(FP), DX
+	MOVQ ox0-40(SP), AX
+	IMULQ strideW+80(FP), AX
+	SUBQ padW+96(FP), AX        // ix0
+	MOVQ w+16(FP), DX
+	MOVQ DX, wp-64(SP)
+	MOVQ bias+24(FP), DX
+	MOVQ DX, bp-72(SP)
+	MOVQ ox0-40(SP), DX
+	SHLQ $2, DX
+	ADDQ y+0(FP), DX
+	MOVQ DX, yp-88(SP)
+	MOVQ padH+88(FP), DX
+	IMULQ inW+64(FP), DX
+	NEGQ DX
+	ADDQ AX, DX
+	SHLQ $2, DX
+	ADDQ img+8(FP), DX
+	MOVQ DX, ip-80(SP)          // tap (0, 0) of output row 0, lane 0
+	MOVQ planes+32(FP), DX
+	MOVQ DX, cpl-56(SP)
+	MOVQ inW+64(FP), DX
 	VMOVD DX, X13
 	VPBROADCASTD X13, Y13
 	VPCMPEQD Y14, Y14, Y14
-	CMPQ strideW+64(FP), $2
+	CMPQ strideW+80(FP), $2
 	JEQ  dwBlock2
 	COLMASK(0, Y9)
 	COLMASK(1, Y10)
 	COLMASK(2, Y14)
-	MOVQ w+16(FP), DX
-	DWWEIGHT(0, Y0, Y9)
-	DWWEIGHT(1, Y1, Y10)
-	DWWEIGHT(2, Y2, Y14)
-	DWWEIGHT(3, Y3, Y9)
-	DWWEIGHT(4, Y4, Y10)
-	DWWEIGHT(5, Y5, Y14)
-	DWWEIGHT(6, Y6, Y9)
-	DWWEIGHT(7, Y7, Y10)
-	DWWEIGHT(8, Y8, Y14)
-	JMP  dwRows
+	VMOVMSKPS Y10, DX
+	DWFASTOK
+	DWCONST
+
+dw1Plane:
+	MOVQ wp-64(SP), DX
+	DWLIVE
+	DWWEIGHT(0, Y9)
+	DWWEIGHT(1, Y10)
+	DWWEIGHT(2, Y14)
+	DWWEIGHT(3, Y9)
+	DWWEIGHT(4, Y10)
+	DWWEIGHT(5, Y14)
+	DWWEIGHT(6, Y9)
+	DWWEIGHT(7, Y10)
+	DWWEIGHT(8, Y14)
+	DWPLANE
+
+dw1Gen:
+	CMPQ R13, gend-96(SP)
+	JGE  dw1GenEnd
+	DWROWTAPS
+	VXORPS Y0, Y0, Y0
+	DWTAP1(0, (R8), Y9)
+	DWTAP1(1, 4(R8), Y10)
+	DWTAP1(2, 8(R8), Y14)
+	DWTAP1(3, (R8)(R11*1), Y9)
+	DWTAP1(4, 4(R8)(R11*1), Y10)
+	DWTAP1(5, 8(R8)(R11*1), Y14)
+	DWTAP1(6, (R8)(R11*2), Y9)
+	DWTAP1(7, 4(R8)(R11*2), Y10)
+	DWTAP1(8, 8(R8)(R11*2), Y14)
+	DWBIAS(Y0)
+	CMPB act+128(FP), $1
+	JB   dw1Store               // identity
+	JA   dw1Hswish
+	VMAXPS Y15, Y0, Y0
+	JMP  dw1Store
+
+dw1Hswish:
+	DWHSWISH(Y0, Y3)
+
+dw1Store:
+	CMPQ nl-48(SP), $8
+	JNE  dw1Tail
+	VMOVUPS Y0, (DI)
+	JMP  dw1Next
+
+dw1Tail:
+	VMOVDQU smask-32(SP), Y3
+	VMASKMOVPS Y0, Y3, (DI)
+
+dw1Next:
+	DWGENNEXT
+	JMP  dw1Gen
+
+dw1GenEnd:
+	CMPQ R13, outH+40(FP)
+	JGE  dw1PlaneEnd
+	MOVQ edges+120(FP), AX      // what is left to run: bit 0 the top pair, bit 1 the bottom one
+	TESTQ $1, AX
+	JZ   dw1Mid
+	DWWIN1TOP
+	DWWIN2
+	DWWIN3
+	JMP  dw1EdgeEp
+
+dw1Mid:
+	MOVQ rowHi+112(FP), CX
+	SUBQ R13, CX
+	SHRQ $1, CX                 // pairs of fast rows …
+	MOVQ edges+120(FP), DX
+	ANDQ $1, DX
+	SUBQ DX, CX
+	MOVQ edges+120(FP), DX
+	SHRQ $1, DX
+	SUBQ DX, CX                 // … but the edge ones
+	JLE  dw1Bottom
+	CMPB act+128(FP), $1
+	JB   dw1PairId
+	JA   dw1PairHs
+
+dw1PairReLU:
+	DWWIN0
+	DWWIN1
+	DWWIN2
+	DWWIN3
+	DWBIAS(Y0)
+	DWBIAS(Y1)
+	VMAXPS Y15, Y0, Y0
+	VMAXPS Y15, Y1, Y1
+	DWPAIRNEXT
+	JNZ  dw1PairReLU
+	JMP  dw1Bottom
+
+dw1PairId:
+	DWWIN0
+	DWWIN1
+	DWWIN2
+	DWWIN3
+	DWBIAS(Y0)
+	DWBIAS(Y1)
+	DWPAIRNEXT
+	JNZ  dw1PairId
+	JMP  dw1Bottom
+
+dw1PairHs:
+	DWWIN0
+	DWWIN1
+	DWWIN2
+	DWWIN3
+	DWBIAS(Y0)
+	DWBIAS(Y1)
+	DWHSWISH(Y0, Y3)
+	DWHSWISH(Y1, Y4)
+	DWPAIRNEXT
+	JNZ  dw1PairHs
+
+dw1Bottom:
+	TESTQ $2, AX
+	JZ   dw1FastEnd
+	XORL AX, AX
+	DWWIN0
+	DWWIN1
+	DWWIN2
+
+dw1EdgeEp:                  // an edge pair's epilogue, the act read here
+	DWBIAS(Y0)
+	DWBIAS(Y1)
+	CMPB act+128(FP), $1
+	JB   dw1EdgeStore
+	JA   dw1EdgeHs
+	VMAXPS Y15, Y0, Y0
+	VMAXPS Y15, Y1, Y1
+	JMP  dw1EdgeStore
+
+dw1EdgeHs:
+	DWHSWISH(Y0, Y3)
+	DWHSWISH(Y1, Y4)
+
+dw1EdgeStore:
+	DWPAIRNEXT
+	TESTQ $1, AX
+	JZ   dw1FastEnd
+	ANDQ $-2, AX                // the top pair is done
+	JMP  dw1Mid
+
+dw1FastEnd:
+	DWFASTEND($-2)
+	JMP  dw1Gen
+
+dw1PlaneEnd:
+	DWNEXTPLANE
+	JNZ  dw1Plane
+	ADDQ $8, ox0-40(SP)
+	JMP  dwBlock
 
 dwBlock2:
 	COLMASK(0, Y9)
 	COLMASK(8, Y10)
-	COLMASK(2, Y11)
-	VMOVDQU Y11, ma2-64(SP)
-	COLMASK(10, Y12)
-	VMOVDQU Y12, mb2-96(SP)
-	VSHUFPS $0x88, Y12, Y11, Y12
-	VPERMPD $0xD8, Y12, Y12     // the lanes tap column 2 lands in
-	VSHUFPS $0x88, Y10, Y9, Y11
-	VPERMPD $0xD8, Y11, Y11     // … column 0
-	VSHUFPS $0xDD, Y10, Y9, Y13
-	VPERMPD $0xD8, Y13, Y13     // … column 1
-	MOVQ w+16(FP), DX
-	DWWEIGHT(0, Y0, Y11)
-	DWWEIGHT(1, Y1, Y13)
-	DWWEIGHT(2, Y2, Y12)
-	DWWEIGHT(3, Y3, Y11)
-	DWWEIGHT(4, Y4, Y13)
-	DWWEIGHT(5, Y5, Y12)
-	DWWEIGHT(6, Y6, Y11)
-	DWWEIGHT(7, Y7, Y13)
-	DWWEIGHT(8, Y8, Y12)
+	COLMASK(2, Y7)
+	COLMASK(10, Y8)
+	VANDPS Y10, Y7, Y2
+	VMOVMSKPS Y2, DX
+	DWFASTOK
+	VSHUFPS $0x88, Y10, Y9, Y5  // the lanes tap column 0 lands in
+	VSHUFPS $0xDD, Y10, Y9, Y6  // … column 1
+	VSHUFPS $0x88, Y8, Y7, Y14  // … column 2
+	DWCONST
 
-dwRows:
-	VBROADCASTSS bias+96(FP), Y11
-	MOVQ ox0-104(SP), DI
-	SHLQ $2, DI
-	ADDQ y+0(FP), DI
-	MOVQ padH+72(FP), R12
-	NEGQ R12                    // iy0 of output row 0
-	MOVQ R12, R8
-	IMULQ inW+48(FP), R8
-	ADDQ AX, R8
-	SHLQ $2, R8
-	ADDQ img+8(FP), R8
-	MOVQ outH+24(FP), R13
-	MOVQ live+88(FP), BX
-	MOVQ inH+40(FP), SI
-	SUBQ $2, SI
-	XORL DX, DX
-	CMPQ SI, DX
-	CMOVQLT DX, SI              // max(inH−2, 0)
+dw2Plane:
+	MOVQ wp-64(SP), DX
+	DWLIVE
+	DWWEIGHT(0, Y5)
+	DWWEIGHT(1, Y6)
+	DWWEIGHT(2, Y14)
+	DWWEIGHT(3, Y5)
+	DWWEIGHT(4, Y6)
+	DWWEIGHT(5, Y14)
+	DWWEIGHT(6, Y5)
+	DWWEIGHT(7, Y6)
+	DWWEIGHT(8, Y14)
+	DWPLANE
 
-dwRow:
-	MOVQ BX, AX
-	CMPQ R12, SI                // unsigned: 0 ≤ iy0 < inH−2
-	JB   dwRowIn
-	// a row at the top or bottom: only the tap rows inside run
-	XORL AX, AX
-	MOVQ inH+40(FP), CX
-	CMPQ R12, CX                // unsigned: 0 ≤ iy0 < inH
-	JAE  2(PC)
-	ORL  $0x007, AX
-	LEAQ 1(R12), DX
-	CMPQ DX, CX
-	JAE  2(PC)
-	ORL  $0x038, AX
-	LEAQ 2(R12), DX
-	CMPQ DX, CX
-	JAE  2(PC)
-	ORL  $0x1c0, AX
-	ANDQ BX, AX
+dw2Gen:
+	CMPQ R13, gend-96(SP)
+	JGE  dw2GenEnd
+	DWROWTAPS
+	VXORPS Y0, Y0, Y0
+	DWROW2(0, (R8), 32(R8), 8(R8), 40(R8))
+	DWROW2(3, (R8)(R11*1), 32(R8)(R11*1), 8(R8)(R11*1), 40(R8)(R11*1))
+	DWROW2(6, (R8)(R11*2), 32(R8)(R11*2), 8(R8)(R11*2), 40(R8)(R11*2))
+	DWBIAS(Y0)
+	CMPB act+128(FP), $1
+	JB   dw2Store               // identity
+	JA   dw2Hswish
+	VMAXPS Y15, Y0, Y0
+	JMP  dw2Store
 
-dwRowIn:
-	VXORPS Y12, Y12, Y12
-	CMPQ strideW+64(FP), $2
-	JEQ  dwTaps2
-	DWTAP1(0x001, (R8), Y9, Y0)
-	DWTAP1(0x002, 4(R8), Y10, Y1)
-	DWTAP1(0x004, 8(R8), Y14, Y2)
-	DWTAP1(0x008, (R8)(R11*1), Y9, Y3)
-	DWTAP1(0x010, 4(R8)(R11*1), Y10, Y4)
-	DWTAP1(0x020, 8(R8)(R11*1), Y14, Y5)
-	DWTAP1(0x040, (R8)(R11*2), Y9, Y6)
-	DWTAP1(0x080, 4(R8)(R11*2), Y10, Y7)
-	DWTAP1(0x100, 8(R8)(R11*2), Y14, Y8)
-	JMP  dwEpilogue
+dw2Hswish:
+	DWHSWISH(Y0, Y3)
 
-dwTaps2:
-	DWROW2(0x001, 0x002, 0x004, (R8), 32(R8), 8(R8), 40(R8), Y0, Y1, Y2)
-	DWROW2(0x008, 0x010, 0x020, (R8)(R11*1), 32(R8)(R11*1), 8(R8)(R11*1), 40(R8)(R11*1), Y3, Y4, Y5)
-	DWROW2(0x040, 0x080, 0x100, (R8)(R11*2), 32(R8)(R11*2), 8(R8)(R11*2), 40(R8)(R11*2), Y6, Y7, Y8)
+dw2Store:
+	VPERMPD $0xD8, Y0, Y0       // lanes back in order
+	CMPQ nl-48(SP), $8
+	JNE  dw2Tail
+	VMOVUPS Y0, (DI)
+	JMP  dw2Next
 
-dwEpilogue:                 // act finished as in gemm
-	VADDPS Y11, Y12, Y12
-	VXORPS Y15, Y15, Y15
-	CMPB act+100(FP), $1
-	JB   dwStore            // identity
-	JA   dwHswish
-	VMAXPS Y15, Y12, Y12
-	JMP  dwStore
+dw2Tail:
+	VMOVDQU smask-32(SP), Y3
+	VMASKMOVPS Y0, Y3, (DI)
 
-dwHswish:                   // Y11 lends HARDSIG its 1, then takes the bias back
-	VMOVUPS hsVec<>+64(SB), Y11
-	HARDSIG(Y12, Y13, hsVec<>+0(SB), hsVec<>+32(SB), Y15, Y11)
-	VMULPS Y13, Y12, Y12
-	VBROADCASTSS bias+96(FP), Y11
+dw2Next:
+	DWGENNEXT
+	JMP  dw2Gen
 
-dwStore:
-	CMPQ nl-112(SP), $8
-	JNE  dwStoreTail
-	VMOVUPS Y12, (DI)
-	JMP  dwNext
+dw2GenEnd:
+	CMPQ R13, outH+40(FP)
+	JGE  dw2PlaneEnd
+	MOVQ rowHi+112(FP), CX
+	SUBQ R13, CX                // the fast rows
+	TESTQ $1, edges+120(FP)
+	JZ   dw2Mid
+	DWFAST2TOP
+	DWBIAS(Y0)
+	CMPB act+128(FP), $1
+	JB   dw2TopStore
+	JA   dw2TopHs
+	VMAXPS Y15, Y0, Y0
+	JMP  dw2TopStore
 
-dwStoreTail:
-	VMOVDQU smask-32(SP), Y13
-	VMASKMOVPS Y12, Y13, (DI)
+dw2TopHs:
+	DWHSWISH(Y0, Y3)
 
-dwNext:
-	ADDQ R10, DI
-	ADDQ R9, R8
-	ADDQ strideH+56(FP), R12
-	DECQ R13
-	JNZ  dwRow
-	ADDQ $8, ox0-104(SP)
+dw2TopStore:
+	DWROW2NEXT
+	JZ   dw2FastEnd
+
+dw2Mid:
+	CMPB act+128(FP), $1
+	JB   dw2FastId
+	JA   dw2FastHs
+
+dw2FastReLU:
+	DWFAST2ROW
+	DWBIAS(Y0)
+	VMAXPS Y15, Y0, Y0
+	DWROW2NEXT
+	JNZ  dw2FastReLU
+	JMP  dw2FastEnd
+
+dw2FastId:
+	DWFAST2ROW
+	DWBIAS(Y0)
+	DWROW2NEXT
+	JNZ  dw2FastId
+	JMP  dw2FastEnd
+
+dw2FastHs:
+	DWFAST2ROW
+	DWBIAS(Y0)
+	DWHSWISH(Y0, Y3)
+	DWROW2NEXT
+	JNZ  dw2FastHs
+
+dw2FastEnd:
+	DWFASTEND($-1)
+	JMP  dw2Gen
+
+dw2PlaneEnd:
+	DWNEXTPLANE
+	JNZ  dw2Plane
+	ADDQ $8, ox0-40(SP)
 	JMP  dwBlock
 
 dwDone:

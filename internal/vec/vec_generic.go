@@ -23,7 +23,7 @@ func gradX3x3(dimg, dy, w *float32, planes, outH, outW, inH, inW, strideH, strid
 	panic(none)
 }
 
-func depthwise3x3(y, img, w *float32, outH, outW, inH, inW, strideH, strideW, padH, padW, live int, bias float32, act Act) {
+func depthwise3x3(y, img, w, bias *float32, planes, outH, outW, inH, inW, strideH, strideW, padH, padW, rowLo, rowHi, edges int, act Act) {
 	panic(none)
 }
 
