@@ -106,9 +106,8 @@ func run(c config) error {
 	}
 
 	fmt.Printf("flserve model=%s classes=%d input=3x%dx%d\n", c.model, c.classes, experiments.OutRes, experiments.OutRes)
-	// The FIFO default keeps this line — and therefore the whole default
-	// stdout — byte-identical to earlier releases; a non-default flush
-	// policy is appended so it shows up in the smoke diff.
+	// The config line names the flush policy only when it is not the FIFO
+	// default, so a non-default policy shows up in the smoke diff.
 	flushNote := ""
 	if flush != serve.FlushFIFO {
 		flushNote = fmt.Sprintf(" flush=%s", flush)

@@ -56,7 +56,7 @@ func TestSWADAverageMatchesManual(t *testing.T) {
 	}
 }
 
-// TestTransformConsumesClientRNGDeterministically: two identical updates
+// TestTransformDeterministicPerRound: two identical updates
 // must produce identical transformed data and weights.
 func TestTransformDeterministicPerRound(t *testing.T) {
 	clients, _ := toyPopulation(71)

@@ -88,7 +88,8 @@ type AsyncOptions struct {
 	Depth int
 	// Timeout, RetryBackoff and MaxAttempts configure per-job virtual-time
 	// timeouts with deterministic reissue (fl.AsyncConfig fields of the same
-	// names); Timeout 0 disables timeouts, the pre-fault behavior.
+	// names); Timeout 0 disables timeouts: every job completes at its drawn
+	// latency.
 	Timeout      float64
 	RetryBackoff float64
 	MaxAttempts  int

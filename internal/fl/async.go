@@ -61,8 +61,8 @@ type AsyncConfig struct {
 	// Timeout arms per-job virtual-time reissue: an attempt that has not
 	// completed Timeout units after its dispatch instant is abandoned and
 	// the job redispatched (against the then-current global) after
-	// RetryBackoff. 0 disables timeouts — the pre-timeout behavior, where
-	// every dispatch eventually completes — and is rejected when
+	// RetryBackoff. 0 disables timeouts, so every dispatch eventually
+	// completes, and is rejected when
 	// Config.Faults can crash jobs.
 	Timeout float64
 	// RetryBackoff is the virtual-time delay before a timed-out job's
@@ -268,7 +268,7 @@ func (s *AsyncServer) admit(st *tally) {
 // attempt still in its failing prefix) or, with a timeout armed, when the
 // drawn latency overruns it; a failing attempt schedules only its reissue
 // deadline, a succeeding one only its completion. With no faults and no
-// timeout this is byte-for-byte the pre-fault dispatch.
+// timeout every attempt completes, at its drawn latency.
 func (s *AsyncServer) dispatch(job asyncJob, delay float64, st *tally) {
 	id := s.seq
 	s.seq++

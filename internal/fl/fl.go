@@ -66,16 +66,17 @@ type Config struct {
 	// bit-identical at every setting.
 	IntraOp int
 	// Faults injects seeded client failures (see internal/faults). nil
-	// injects nothing and is the bit-identical pre-fault behavior. The
-	// synchronous Server accepts corruption-only models; crash, transient
-	// failure, and churn need the virtual-time AsyncServer.
+	// injects nothing: no job crashes, fails or waits out churn, and no
+	// update is corrupted. The synchronous Server accepts corruption-only
+	// models; crash, transient failure, and churn need the virtual-time
+	// AsyncServer.
 	Faults *faults.Model
 	// MaxDeltaNorm arms the update-validation gate: before a client update
 	// touches the global accumulator, the server checks the delta (client
 	// weights minus the weights it trained from, parameters and states) and
 	// rejects the update when any element is non-finite or the delta's L2
-	// norm exceeds MaxDeltaNorm. 0 disables the gate entirely (the pre-gate
-	// behavior); +Inf keeps only the non-finite check. Rejected clients are
+	// norm exceeds MaxDeltaNorm. 0 disables the gate entirely: it rejects
+	// nothing. +Inf keeps only the non-finite check. Rejected clients are
 	// listed in RoundStats.Rejected and their upload counted in BytesWasted.
 	MaxDeltaNorm float64
 }

@@ -141,8 +141,8 @@ func byDevice(d *dataset.Dataset) map[int]*dataset.Dataset {
 	return out
 }
 
-// metrics.MeanLoss was a second spelling of fl.EvalLoss that no binary called;
-// its tests hold the surviving function to the same contract.
+// TestMeanLoss checks fl.EvalLoss, the one mean-loss evaluation: on a fitted
+// model it reads in (0, 1], and on an empty dataset it is 0.
 func TestMeanLoss(t *testing.T) {
 	net, ds := makeEvalFixture()
 	l := fl.EvalLoss(net, nn.SoftmaxCrossEntropy{}, ds, 8)

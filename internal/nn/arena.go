@@ -9,20 +9,23 @@ import "heteroswitch/internal/tensor"
 // nested Networks) forward the call to their children so a model shares a
 // single arena per replica.
 //
-// Arena ownership rules (see also the package doc of internal/tensor):
-// every tensor a layer obtains from the arena is valid only for the current
-// batch — the owning Network resets the arena at the top of each Forward.
-// Anything that must survive a batch boundary (parameters, gradients
-// accumulators, optimizer state, running statistics, weight snapshots) must
-// NOT come from the arena.
+// Arena ownership rules (see also tensor.Arena): every tensor a layer
+// obtains from the arena is valid only for the current batch — the owning
+// Network resets the arena at the top of each Forward. Anything that must
+// survive a batch boundary (parameters, gradient accumulators, optimizer
+// state, running statistics, weight snapshots) must NOT come from the arena.
+// What a layer keeps from Forward for the matching Backward may: a dense,
+// conv or batch-norm layer's reference to its input, itself an arena tensor,
+// stays intact because within one batch the arena never hands out the same
+// buffer twice.
 type ArenaUser interface {
 	SetArena(a *tensor.Arena)
 }
 
 // arenaScratch is embedded by layers to get SetArena plus the alloc helpers.
 // With no arena attached (bare layers constructed outside a Network, as the
-// gradient-check tests do) allocation falls back to tensor.New, preserving
-// the legacy behaviour exactly.
+// gradient-check tests do) allocation falls back to tensor.New, with the
+// same results.
 type arenaScratch struct {
 	arena *tensor.Arena
 }

@@ -52,8 +52,8 @@ type Layer interface {
 // output/gradient/scratch tensors; the arena is reset at the top of each
 // Forward, so a batch's tensors (including the network output and the loss
 // gradient) are valid until the next Forward on the same network. Callers
-// that retain a Forward result across batches must Clone it. SetArena(nil)
-// restores the legacy allocate-per-batch behaviour.
+// that retain a Forward result across batches must Clone it. After
+// SetArena(nil) every layer allocates its tensors per batch instead.
 type Network struct {
 	LayerList []Layer
 

@@ -26,7 +26,9 @@ type LoadConfig struct {
 	Seed uint64
 	// PublishEvery republishes the model (same values, new version) every N
 	// completed batches, exercising version-cache churn: replica reloads and
-	// refcount handoff with zero effect on outputs. 0 disables.
+	// refcount handoff with zero effect on outputs. Each publish flushes the
+	// forming batch, so it may move batch boundaries and with them the
+	// latency schedule. 0 disables.
 	PublishEvery int
 	// Inputs is the request content bank: request i sends Inputs[i % len].
 	// All tensors must share one shape (a single sample, no batch dim).
@@ -629,8 +631,8 @@ func (ld *loadState) report() Report {
 		// Fold the admission counters into the digest so a run that shed a
 		// different request set cannot collide with one that didn't. Shed
 		// requests already perturb the base digest (their output slots stay
-		// zero), but the counters make the witness explicit. Admission-off
-		// digests are untouched — the pre-admission bit-identity contract.
+		// zero), but the counters make the witness explicit. With admission
+		// off the digest covers the outputs alone.
 		for _, c := range [...]int{ld.served, ld.shedQ, ld.shedD, ld.reissues, ld.maxQueue} {
 			r.OutputDigest = foldU64(r.OutputDigest, uint64(c))
 		}

@@ -30,12 +30,14 @@ type Config struct {
 	// one core. 0 means the machine (parallel.Workers()).
 	IntraOp int
 	// Admission is the overload policy. The zero value disables admission
-	// control entirely — bit-identical to the pre-admission harness.
+	// control entirely: no request is shed, and the report's digest folds
+	// no admission counter.
 	Admission AdmissionConfig
 	// Flush selects the order queued batches reach a freed worker in.
-	// FlushFIFO (the zero value) starts batches strictly in flush order and
-	// is byte-identical to the pre-SLO harness; FlushEDF starts the
-	// earliest-deadline queued batch first (see FlushPolicy).
+	// FlushFIFO (the zero value) starts batches strictly in flush order;
+	// FlushEDF starts the earliest-deadline queued batch first (see
+	// FlushPolicy). Without publish churn the two start the same batches
+	// in the same order.
 	Flush FlushPolicy
 }
 

@@ -29,8 +29,9 @@ import (
 //     MatMulWBSlicesEp, over matMulEp). These dispatch through the
 //     process-wide Backend below: auto and serial run the oracle kernels, a
 //     forced BackendPacked the packed, cache-blocked GEBP kernel, whose
-//     k-blocking reassociates partial sums. nn.Freeze's contract (≤1e-5
-//     max-abs vs the reference forward, identical argmax) absorbs that.
+//     k-blocking reassociates partial sums. nn.Network.Freeze's contract
+//     (≤1e-5 max-abs vs the reference forward, identical argmax) absorbs
+//     that.
 //
 // Every entry point of both tiers runs on the calling goroutine; this
 // package spawns no work. The frozen forward's intra-op budget splits a
@@ -40,7 +41,7 @@ import (
 // The int8-quantized tier sits one step further out on the same seam: the
 // frozen path's fused matmuls carry a PackedWeights handle (weights.go)
 // whose int8 panels and per-output-channel scales are quantized once per
-// weight version at nn.Freeze time, and BackendInt8 routes the
+// weight version at nn.Network.Freeze time, and BackendInt8 routes the
 // weight-stationary entry points below onto the integer microkernel
 // (int8.go). Its tolerance is LOOSER than the 1e-5 float tier (see the
 // documented bound in int8.go).

@@ -6,10 +6,10 @@ import "fmt"
 //
 // A PackedWeights handle caches the backend-specific forms of one frozen
 // matmul's weight operand, so packing and quantization run once per WEIGHT
-// VERSION instead of once per call. The frozen inference ops (nn.Freeze)
-// own a handle per fused matmul and refresh it when they re-fold, once per
-// weight version, so in steady state the only per-batch work on the weight
-// side is a pointer read.
+// VERSION instead of once per call. The frozen inference ops
+// (nn.Network.Freeze) own a handle per fused matmul and refresh it when they
+// re-fold, once per weight version, so in steady state the only per-batch
+// work on the weight side is a pointer read.
 //
 // Two orientations exist because the frozen path puts weights on both sides
 // of its matmuls:

@@ -79,7 +79,10 @@
 // reduction bnSumDot recomputes x̂ and z from x with bnNormalize's
 // operations, stores dz = act′(z)·dy and folds Σdz and Σdz·x̂ in one pass, so
 // no x̂, pre-activation or separate activation pass is ever stored or run.
-// The package has 16 routines.
+// The package has 16 routines. Three training-path loops have none and stay
+// Go: the conv bias gradient's row sums, the plane sums of pooling and
+// squeeze-excite (four side-by-side chains), and im2col at any stride but 2,
+// where Gather2 copies the columns.
 //
 // # Layout
 //
