@@ -110,7 +110,7 @@ func trainWithAveraging(opts Options, train *dataset.Dataset, method Fig7Method,
 			out := net.Forward(x, true)
 			grad := bs.Alloc(out.Shape()...)
 			nn.SoftmaxCrossEntropy{}.Eval(grad, out, nn.ClassTarget(labels))
-			net.Backward(grad)
+			net.BackwardParams(grad)
 			opt.Step(net.Params())
 			if method == Fig7SWAD && e >= warmup {
 				accumulate()

@@ -92,7 +92,7 @@ func TrainLocal(net *nn.Network, ds *dataset.Dataset, cfg Config, loss nn.Loss,
 		for lo := 0; lo < shuffled.Len(); lo += cfg.BatchSize {
 			hi := min(lo+cfg.BatchSize, shuffled.Len())
 			l, gradT := trainBatch(bs, net, loss, shuffled, lo, hi)
-			net.Backward(gradT)
+			net.BackwardParams(gradT)
 			if stepHook != nil {
 				stepHook(params)
 			}

@@ -2,6 +2,7 @@ package models
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"heteroswitch/internal/frand"
@@ -282,6 +283,70 @@ func TestFrozenECGConvNet(t *testing.T) {
 		}
 		if d > tol {
 			t.Fatalf("frozen ECG output diverges at %d: %.3g", i, d)
+		}
+	}
+}
+
+// TestBackwardParamsMatchesBackward: Network.BackwardParams accumulates every
+// parameter gradient Backward accumulates, bit for bit, on all four image
+// models — whose first layer with parameters is the stem conv, nested in a
+// conv-BN network in ShuffleNet and SimpleCNN — and on ECGConvNet, whose
+// first layer, a Reshape, has none: two batches accumulate before each of two
+// SGD steps, and every gradient is compared before each step.
+func TestBackwardParamsMatchesBackward(t *testing.T) {
+	image := func(r *frand.RNG) *tensor.Tensor { return tensor.Randn(r, 1, 3, 3, 32, 32) }
+	labels := func(r *frand.RNG, pred *tensor.Tensor) nn.Target {
+		l := make([]int, pred.Dim(0))
+		for i := range l {
+			l[i] = r.Intn(pred.Dim(1))
+		}
+		return nn.ClassTarget(l)
+	}
+	type model struct {
+		name   string
+		build  Builder
+		loss   nn.Loss
+		x      func(r *frand.RNG) *tensor.Tensor
+		target func(r *frand.RNG, pred *tensor.Tensor) nn.Target
+	}
+	var ms []model
+	for _, arch := range []Arch{ArchMobileNet, ArchShuffleNet, ArchSqueezeNet, ArchSimpleCNN} {
+		b, err := BuilderFor(arch, 23, 3, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms = append(ms, model{string(arch), b, nn.SoftmaxCrossEntropy{}, image, labels})
+	}
+	ms = append(ms, model{"ecgconvnet", ECGConvBuilder(23, 128), nn.MSE{},
+		func(r *frand.RNG) *tensor.Tensor { return tensor.Randn(r, 1, 3, 128) },
+		func(r *frand.RNG, pred *tensor.Tensor) nn.Target {
+			return nn.DenseTarget(tensor.Randn(r, 1, pred.Dim(0), 1))
+		}})
+	for _, m := range ms {
+		full, params := m.build(), m.build()
+		optFull, optParams := nn.NewSGD(0.05, 0.9), nn.NewSGD(0.05, 0.9)
+		r := frand.New(29)
+		for step := 0; step < 2; step++ {
+			for batch := 0; batch < 2; batch++ {
+				x := m.x(r)
+				out := full.Forward(x, true)
+				target := m.target(r, out)
+				_, g := evalGrad(m.loss, out, target)
+				full.Backward(g)
+				_, g = evalGrad(m.loss, params.Forward(x, true), target)
+				params.BackwardParams(g)
+			}
+			want, got := full.Params(), params.Params()
+			for i := range want {
+				wd, gd := want[i].Grad.Data(), got[i].Grad.Data()
+				for j := range wd {
+					if math.Float32bits(gd[j]) != math.Float32bits(wd[j]) {
+						t.Fatalf("%s step %d: %s gradient[%d] = %v, Backward's is %v", m.name, step, want[i].Name, j, gd[j], wd[j])
+					}
+				}
+			}
+			optFull.Step(full.Params())
+			optParams.Step(params.Params())
 		}
 	}
 }

@@ -115,7 +115,7 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		l.dims, l.inH, l.inW = d, h, w
 	}
-	d := l.dims
+	d := &l.dims
 	rows, cols := d.ColRows(), d.ColCols()
 	g := l.Groups
 	gcIn := l.InC / g
@@ -168,8 +168,13 @@ func (l *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // dx slice. The transposed-A kernel reads Wg in place instead of
 // materializing Wgᵀ. Depthwise: the plane kernels, once per sample over all
 // its channels.
-func (l *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	d := l.dims
+func (l *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor { return l.backward(grad, true) }
+
+// backward is Backward; without wantDX it accumulates dW and db alone, bit
+// for bit, and forms no input gradient: no dx, no dcol matmul or Col2Im, no
+// depthwise GradX. It then returns nil.
+func (l *Conv2D) backward(grad *tensor.Tensor, wantDX bool) *tensor.Tensor {
+	d := &l.dims
 	rows, cols := d.ColRows(), d.ColCols()
 	g := l.Groups
 	gcIn := l.InC / g
@@ -180,17 +185,21 @@ func (l *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	imgStride := l.InC * h * w
 	outStride := l.OutC * d.OutH * d.OutW
 	wd, dwd, dbd := l.W.W.Data(), l.W.Grad.Data(), l.B.Grad.Data()
-	xd := l.x.Data()
+	xd, gd := l.x.Data(), grad.Data()
 	kern := l.kernel()
 
 	// Col2Im and the direct dx kernels accumulate, so dx must start zeroed.
-	dx := l.alloc(n, l.InC, h, w)
-	gd, dxd := grad.Data(), dx.Data()
-	scratch := rows * cols // dcol's length: the lowered column gradient
-	switch kern {
-	case convPointwise:
-		scratch = 0
-	case convDepthwise: // … or the depthwise dW's copy of a sample's planes
+	var dx *tensor.Tensor
+	var dxd []float32
+	if wantDX {
+		dx = l.alloc(n, l.InC, h, w)
+		dxd = dx.Data()
+	}
+	scratch := 0 // dcol's length: the lowered column gradient …
+	switch {
+	case kern == convLowered && wantDX:
+		scratch = rows * cols
+	case kern == convDepthwise: // … or the depthwise dW's copy of a sample's planes
 		scratch = d.DepthwiseGradWScratch()
 	}
 	if cap(l.dcol) < scratch {
@@ -200,10 +209,11 @@ func (l *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	for i := 0; i < n; i++ {
 		if kern == convDepthwise {
 			// The plane kernels sweep all of a sample's channels in one call.
-			img, dimg := xd[i*imgStride:(i+1)*imgStride], dxd[i*imgStride:(i+1)*imgStride]
-			dy := gd[i*outStride : (i+1)*outStride]
+			img, dy := xd[i*imgStride:(i+1)*imgStride], gd[i*outStride:(i+1)*outStride]
 			tensor.DepthwiseConvPlaneGradW(dwd, dy, img, l.dcol, d)
-			tensor.DepthwiseConvPlaneGradX(dimg, dy, wd, d)
+			if wantDX {
+				tensor.DepthwiseConvPlaneGradX(dxd[i*imgStride:(i+1)*imgStride], dy, wd, d)
+			}
 			continue
 		}
 		for gi := 0; gi < g; gi++ {
@@ -212,34 +222,53 @@ func (l *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			xo := i*imgStride + gi*gcIn*h*w
 			yo := i*outStride + gi*gcOut*cols
 			wo := gi * gcOut * fanIn
-			img, dimg := xd[xo:xo+gcIn*h*w], dxd[xo:xo+gcIn*h*w]
-			dy := gd[yo : yo+gcOut*cols]
+			img, dy := xd[xo:xo+gcIn*h*w], gd[yo:yo+gcOut*cols]
 			wg, dwg := wd[wo:wo+gcOut*fanIn], dwd[wo:wo+gcOut*fanIn]
 			switch kern {
 			case convPointwise:
 				tensor.MatMulTransBAccSlices(dwg, dy, img, gcOut, cols, fanIn)
-				tensor.MatMulTransAAccSlices(dimg, wg, dy, gcOut, fanIn, cols)
+				if wantDX {
+					tensor.MatMulTransAAccSlices(dxd[xo:xo+gcIn*h*w], wg, dy, gcOut, fanIn, cols)
+				}
 			default:
 				col := l.cols[(i*g+gi)*rows*cols : (i*g+gi+1)*rows*cols]
 				tensor.MatMulTransBAccSlices(dwg, dy, col, gcOut, cols, fanIn)
-				clear(l.dcol)
-				tensor.MatMulTransAAccSlices(l.dcol, wg, dy, gcOut, fanIn, cols)
-				tensor.Col2Im(dimg, l.dcol, d)
+				if wantDX {
+					clear(l.dcol)
+					tensor.MatMulTransAAccSlices(l.dcol, wg, dy, gcOut, fanIn, cols)
+					tensor.Col2Im(dxd[xo:xo+gcIn*h*w], l.dcol, d)
+				}
 			}
 		}
 	}
-	// db += Σ spatial dy per output channel, samples ascending. Row r of
-	// sample i starts at gd[i·outStride + r·cols].
-	for r := range dbd {
-		dbd[r] = foldRowSums(dbd[r], gd[r*cols:], outStride, n, cols)
-	}
+	foldBiasGrad(dbd, gd, outStride, n, cols)
 	return dx
 }
 
+// foldBiasGrad adds db[r] += Σ spatial dy of output channel r for each of n
+// samples, stride apart, in ascending sample order; channel r of sample i is
+// the cols elements from dy[i·stride + r·cols]. Each row's sum is its own
+// chain from +0 over its elements ascending, added onto db[r] once finished.
+// With the vector kernels live, each sample's [len(db), cols] block is one
+// vec.PlaneSums call that adds its eight-lane chains onto db; the Go loop,
+// foldRowSums, runs four samples' chains side by side.
+func foldBiasGrad(db, dy []float32, stride, n, cols int) {
+	if vec.Live && len(db) >= vec.PlaneSumsMin {
+		for i := 0; i < n; i++ {
+			vec.PlaneSums(db, dy[i*stride:][:len(db)*cols], nil, len(db), cols, true)
+		}
+		return
+	}
+	for r := range db {
+		db[r] = foldRowSums(db[r], dy[r*cols:], stride, n, cols)
+	}
+}
+
 // foldRowSums adds the sums of n rows of cols elements, stride apart, onto s
-// in ascending row order: s += Σ rows[i·stride : i·stride+cols] for i < n.
-// Each row's sum is its own accumulator from +0 over its elements ascending —
-// an independent chain — so four rows run side by side.
+// in ascending row order: s += Σ rows[i·stride : i·stride+cols] for i < n —
+// foldBiasGrad's Go loop for one output channel, vec.PlaneSums' bits. Each
+// row's sum is its own accumulator from +0 over its elements ascending — an
+// independent chain — so four rows run side by side.
 func foldRowSums(s float32, rows []float32, stride, n, cols int) float32 {
 	i := 0
 	for ; i+4 <= n; i += 4 {

@@ -41,7 +41,7 @@ func loweredConv(l *Conv2D, x, dy *tensor.Tensor, dW, db []float32) (out, dx []f
 			wg := wd[gi*gcOut*rows : (gi+1)*gcOut*rows]
 			o := (i*l.OutC + gi*gcOut) * cols
 			y, gy := out[o:o+gcOut*cols], gd[o:o+gcOut*cols]
-			tensor.Im2Col(col, img, d)
+			tensor.Im2Col(col, img, &d)
 			tensor.MatMulSlices(y, wg, col, gcOut, rows, cols, nil)
 			for oc := 0; oc < gcOut; oc++ {
 				var s float32
@@ -54,7 +54,7 @@ func loweredConv(l *Conv2D, x, dy *tensor.Tensor, dW, db []float32) (out, dx []f
 			tensor.MatMulTransBAccSlices(dW[gi*gcOut*rows:(gi+1)*gcOut*rows], gy, col, gcOut, cols, rows)
 			clear(dcol)
 			tensor.MatMulTransAAccSlices(dcol, wg, gy, gcOut, rows, cols)
-			tensor.Col2Im(dx[(i*l.InC+gi*gcIn)*h*w:(i*l.InC+(gi+1)*gcIn)*h*w], dcol, d)
+			tensor.Col2Im(dx[(i*l.InC+gi*gcIn)*h*w:(i*l.InC+(gi+1)*gcIn)*h*w], dcol, &d)
 		}
 	}
 	return out, dx

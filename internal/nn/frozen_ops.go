@@ -137,7 +137,7 @@ func (c *frozenConv) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 		}
 		c.dims, c.inH, c.inW = d, h, w
 	}
-	d := c.dims
+	d := &c.dims
 	rows, cols := d.ColRows(), d.ColCols()
 	g := l.Groups
 	gcOut := l.OutC / g
@@ -188,7 +188,7 @@ func (c *frozenConv) inferIter(it int, col []float32) {
 	if l.kernel() == convDepthwise {
 		// The plane kernel over all the sample's channels, no lowering at
 		// all, with the biases and the activation fused.
-		tensor.DepthwiseConvPlane(c.od[it*outStride:(it+1)*outStride], c.xd[it*imgStride:(it+1)*imgStride], c.wf, *d, c.bf, c.act)
+		tensor.DepthwiseConvPlane(c.od[it*outStride:(it+1)*outStride], c.xd[it*imgStride:(it+1)*imgStride], c.wf, d, c.bf, c.act)
 		return
 	}
 	g := l.Groups
@@ -204,7 +204,7 @@ func (c *frozenConv) inferIter(it int, col []float32) {
 		tensor.MatMulWASlicesEp(y, wg, &c.pw, gi*gcOut, gcOut, img, cols, false, &c.eps[gi])
 		return
 	}
-	tensor.Im2Col(col, img, *d)
+	tensor.Im2Col(col, img, d)
 	tensor.MatMulWASlicesEp(y, wg, &c.pw, gi*gcOut, gcOut, col, cols, false, &c.eps[gi])
 }
 
@@ -435,11 +435,20 @@ func scaleRows(od, xd, z []float32, hw int) {
 
 // planeMean sets od[i] to the mean of plane i of xd (planes of hw values) for
 // every i of od — the one kernel of GlobalAvgPool and the SE squeeze, trained
-// and frozen. Each plane's sum is one chain from +0 in the serial ascending
-// order; the chains of four neighbouring planes run side by side.
+// and frozen: the plane's sum times 1/hw. Each plane's sum is one chain from
+// +0 in the serial ascending order. With the vector kernels live, eight or
+// more planes take vec.PlaneSums, eight chains in the lanes; the Go loop runs
+// the chains of four neighbouring planes side by side.
 func planeMean(od, xd []float32, hw int) {
 	inv := 1 / float32(hw)
 	planes := len(od)
+	if vec.Live && planes >= vec.PlaneSumsMin {
+		vec.PlaneSums(od, xd, nil, planes, hw, false)
+		for i := range od {
+			od[i] *= inv
+		}
+		return
+	}
 	i := 0
 	for ; i+4 <= planes; i += 4 {
 		r0 := xd[i*hw:][:hw]
@@ -465,10 +474,15 @@ func planeMean(od, xd []float32, hw int) {
 }
 
 // planeDot sets od[i] to Σ_j ad[i·hw+j]·bd[i·hw+j] for every plane i of od,
-// the squeeze-excite backward's dz: planeMean's four side-by-side chains,
-// each from +0 in ascending j.
+// the squeeze-excite backward's dz: each plane one chain from +0 in ascending
+// j, each product rounded before its add — vec.PlaneSums' dot form, or
+// planeMean's four side-by-side chains.
 func planeDot(od, ad, bd []float32, hw int) {
 	planes := len(od)
+	if vec.Live && planes >= vec.PlaneSumsMin {
+		vec.PlaneSums(od, ad, bd, planes, hw, false)
+		return
+	}
 	i := 0
 	for ; i+4 <= planes; i += 4 {
 		a0 := ad[i*hw:][:hw]

@@ -149,6 +149,52 @@ func (n *Network) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return grad
 }
 
+// BackwardParams is Backward for a caller that reads only the parameter
+// gradients, as a training step does: it accumulates every parameter
+// gradient Backward accumulates, bit for bit, and forms no gradient for the
+// network's input. The layers before the first one with parameters are
+// skipped, and that layer accumulates only its own gradients — a Conv2D its
+// dW and db, a nested Network recursively; any other layer runs its Backward
+// and its result is dropped.
+func (n *Network) BackwardParams(grad *tensor.Tensor) {
+	lead := n.leadParams()
+	if lead == len(n.LayerList) {
+		return
+	}
+	for i := len(n.LayerList) - 1; i > lead; i-- {
+		grad = n.LayerList[i].Backward(grad)
+	}
+	switch l := n.LayerList[lead].(type) {
+	case *Conv2D:
+		l.backward(grad, false)
+	case *Network:
+		l.BackwardParams(grad)
+	default:
+		l.Backward(grad)
+	}
+}
+
+// leadParams returns the index of n's first layer with parameters, or
+// len(n.LayerList) when no layer has any. A Conv2D or a nested Network is
+// answered without a Params call, which would allocate per batch.
+func (n *Network) leadParams() int {
+	for i, l := range n.LayerList {
+		switch l := l.(type) {
+		case *Conv2D:
+			return i
+		case *Network:
+			if l.leadParams() < len(l.LayerList) {
+				return i
+			}
+		default:
+			if len(l.Params()) > 0 {
+				return i
+			}
+		}
+	}
+	return len(n.LayerList)
+}
+
 // Params returns all trainable parameters in a stable order (layer order,
 // then each layer's declared order). The order is the contract federated
 // aggregation relies on.

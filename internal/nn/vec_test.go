@@ -451,6 +451,29 @@ func BenchmarkBNReduce(b *testing.B) {
 	}
 }
 
+// BenchmarkPlaneSums times the plane mean at TinyMobileNetV3's shapes — the
+// squeeze-excite squeeze of its three bottlenecks (se/16x256, se/24x64,
+// se/32x64) and the head's global average pool (gap/32x64), one sample each —
+// under the vector routine ("default") and the Go loop ("generic"); ns/elem
+// is per element of the planes.
+func BenchmarkPlaneSums(b *testing.B) {
+	for _, c := range []struct {
+		name          string
+		planes, plane int
+	}{{"se/16x256", 16, 256}, {"se/24x64", 24, 64}, {"se/32x64", 32, 64}, {"gap/32x64", 32, 64}} {
+		x := tensor.Randn(frand.New(9), 1, c.planes*c.plane).Data()
+		out := make([]float32, c.planes)
+		b.Run(c.name, func(b *testing.B) {
+			vectest.BenchArms(b, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					planeMean(out, x, c.plane)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(x)), "ns/elem")
+			})
+		})
+	}
+}
+
 // FuzzVecSweepsMatchGeneric is ROADMAP hardening item (b) for this package's
 // vector sweeps (vec.HardSwish, vec.BiasAct, and batch norm with its
 // activation: vec.BNNormalize, vec.BNSumSq, vec.BNSumDot, vec.BNGradX):
@@ -540,31 +563,149 @@ func TestVecTrainingMatchesGeneric(t *testing.T) {
 	exactSlice(t, "frozen logits", gotL, wantL)
 }
 
-// TestPlaneMeanMatchesOneChain: the plane mean's side-by-side chains give
-// each plane exactly the one ascending chain the reference pooling layers
-// run, for 1–9 planes (sweeps of four, a remainder, both) at
-// every plane size up to 70, over operands carrying ±0, the ±3 knees, ±Inf
-// and NaNs of two payloads, from plane offsets 0 and 1.
+// planeOperand is sweepOperand over planes of hw elements with the edges of
+// a plane's chain planted: plane 1 meets two NaN payloads, 0xffc00123 first
+// (the running sum is the first operand of every add, so its NaN survives),
+// and plane 2 is all −0 (a chain from +0 ends at +0; one that started at its
+// first element would end at −0).
+func planeOperand(r *frand.RNG, planes, hw int) []float32 {
+	xd := sweepOperand(r, planes*hw, 3)
+	xd[r.Intn(len(xd))] = nan2
+	if planes > 1 && hw > 1 {
+		xd[hw], xd[2*hw-1] = nan2, float32(math.NaN())
+	}
+	if planes > 2 {
+		for j := 2 * hw; j < 3*hw; j++ {
+			xd[j] = negZero
+		}
+	}
+	return xd
+}
+
+// nan2 is the second NaN payload of the plane-sum tests; negZero is −0.
+var nan2, negZero = math.Float32frombits(0xffc00123), float32(math.Copysign(0, -1))
+
+// sumFirst is s + v with s's NaN surviving when both are NaN, as an add
+// whose first operand is s returns it. Go leaves the operand order of its
+// float adds to the compiler, so the oracle spells the order out.
+func sumFirst(s, v float32) float32 {
+	if s != s {
+		return s
+	}
+	return s + v
+}
+
+// oneChain is Σ a[j] (Σ a[j]·b[j] when b is not nil) from +0 in ascending j,
+// the running sum the first operand of every add: the serial chain every
+// plane sum promises.
+func oneChain(a, b []float32) float32 {
+	var s float32
+	for j, v := range a {
+		if b != nil {
+			v *= b[j]
+		}
+		s = sumFirst(s, v)
+	}
+	return s
+}
+
+// planeSumPlanes is every plane count the plane-sum tests sweep: below the
+// routine's eight lanes, whole groups, the two-group pairs of the sum form
+// and every remainder.
+const planeSumPlanes = 33
+
+// TestPlaneMeanMatchesOneChain: the plane mean gives each plane exactly the
+// one ascending chain the reference pooling layers run, times 1/hw, under
+// both settings of the switch, for 1–33 planes (the Go loop's sweeps of four,
+// the routine's groups of eight and pairs of groups, and remainders) at every
+// plane size up to 70, over operands carrying ±0, an all −0 plane, the ±3
+// knees, ±Inf and NaNs of two payloads in one chain, from plane offsets 0 and
+// 1.
 func TestPlaneMeanMatchesOneChain(t *testing.T) {
 	r := frand.New(85)
-	nan2 := math.Float32frombits(0xffc00123)
-	for planes := 1; planes <= 9; planes++ {
-		for hw := 1; hw <= 70; hw++ {
-			xd := sweepOperand(r, (planes+1)*hw, 3)
-			xd[r.Intn(len(xd))] = nan2
-			for _, lo := range []int{0, 1} {
-				got := make([]float32, planes+1)
-				want := slices.Clone(got)
-				planeMean(got[lo:lo+planes], xd[lo*hw:], hw)
-				inv := 1 / float32(hw)
-				for i := lo; i < lo+planes; i++ {
-					var s float32
-					for _, v := range xd[i*hw : (i+1)*hw] {
-						s += v
+	for _, on := range []bool{false, true} {
+		vectest.SetLive(t, on)
+		for planes := 1; planes <= planeSumPlanes; planes++ {
+			for hw := 1; hw <= 70; hw++ {
+				xd := planeOperand(r, planes+1, hw)
+				for _, lo := range []int{0, 1} {
+					got := make([]float32, planes+1)
+					want := slices.Clone(got)
+					planeMean(got[lo:lo+planes], xd[lo*hw:], hw)
+					inv := 1 / float32(hw)
+					for i := lo; i < lo+planes; i++ {
+						want[i] = oneChain(xd[i*hw:(i+1)*hw], nil) * inv
 					}
-					want[i] = s * inv
+					vectest.NaNClassEqual(t, fmt.Sprintf("vec=%v %d planes of %d from %d", on, planes, hw, lo), got, want)
 				}
-				exactSlice(t, fmt.Sprintf("%d planes of %d from %d", planes, hw, lo), got, want)
+			}
+		}
+	}
+}
+
+// TestPlaneDotMatchesOneChain: the squeeze-excite backward's plane dot
+// against one serial chain per plane, each product rounded before its add,
+// under both settings, on TestPlaneMeanMatchesOneChain's sweep: a's two NaN
+// payloads meet in the chain's adds, and b puts 1 under a's all −0 plane, so
+// its products stay −0. No product multiplies two NaNs: the Go loop's four
+// side-by-side chains compile that multiply with a first in some chains and
+// b first in others, so only NaN, not its payload, is defined there.
+func TestPlaneDotMatchesOneChain(t *testing.T) {
+	r := frand.New(87)
+	for _, on := range []bool{false, true} {
+		vectest.SetLive(t, on)
+		for planes := 1; planes <= planeSumPlanes; planes++ {
+			for hw := 1; hw <= 70; hw++ {
+				ad, bd := planeOperand(r, planes+1, hw), sweepOperand(r, (planes+1)*hw, 2)
+				for j, v := range ad {
+					if v != v && bd[j] != bd[j] {
+						bd[j] = 1
+					}
+				}
+				if planes > 2 {
+					for j := 2 * hw; j < 3*hw; j++ {
+						bd[j] = 1
+					}
+				}
+				for _, lo := range []int{0, 1} {
+					got := make([]float32, planes+1)
+					want := slices.Clone(got)
+					planeDot(got[lo:lo+planes], ad[lo*hw:], bd[lo*hw:], hw)
+					for i := lo; i < lo+planes; i++ {
+						want[i] = oneChain(ad[i*hw:(i+1)*hw], bd[i*hw:(i+1)*hw])
+					}
+					vectest.NaNClassEqual(t, fmt.Sprintf("vec=%v %d planes of %d from %d", on, planes, hw, lo), got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestBiasGradMatchesOneChain: the conv bias gradient against one serial
+// chain per output channel and sample, each added onto db[r] once finished,
+// samples ascending, under both settings: 1–33 channels, 1–3 samples, row
+// lengths through the four-column blocks and their tails, over db and dy
+// carrying the plane operand's specials (db too, so a −0 accumulator meets
+// the all −0 row's +0 sum).
+func TestBiasGradMatchesOneChain(t *testing.T) {
+	r := frand.New(88)
+	for _, on := range []bool{false, true} {
+		vectest.SetLive(t, on)
+		for ch := 1; ch <= planeSumPlanes; ch++ {
+			for _, n := range []int{1, 2, 3} {
+				for _, cols := range []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 63, 64, 65} {
+					dy := planeOperand(r, n*ch, cols)
+					db := sweepOperand(r, ch, 1)
+					db[ch-1] = negZero
+					want := slices.Clone(db)
+					for c := range want {
+						for i := 0; i < n; i++ {
+							want[c] = sumFirst(want[c], oneChain(dy[(i*ch+c)*cols:][:cols], nil))
+						}
+					}
+					foldBiasGrad(db, dy, ch*cols, n, cols)
+					vectest.NaNClassEqual(t, fmt.Sprintf("vec=%v %d channels × %d samples of %d", on, ch, n, cols), db, want)
+				}
 			}
 		}
 	}
@@ -572,7 +713,11 @@ func TestPlaneMeanMatchesOneChain(t *testing.T) {
 
 // TestVecRowSweepsStayInsideSlices: the squeeze-excite rescale and the
 // residual sum on operands that end at an inaccessible page, at every length
-// through the 32- and 8-wide blocks and the masked tail.
+// through the 32- and 8-wide blocks and the masked tail; and the plane sums —
+// mean, dot and the bias gradient's accumulating form — on planes and outputs
+// that end there, at plane counts through one group, a pair of groups and a
+// last group of fewer than eight, and plane lengths through the four-column
+// blocks and their tails.
 func TestVecRowSweepsStayInsideSlices(t *testing.T) {
 	vectest.Require(t)
 	r := frand.New(86)
@@ -601,6 +746,24 @@ func TestVecRowSweepsStayInsideSlices(t *testing.T) {
 			want[i] = out
 		}
 		exactSlice(t, fmt.Sprintf("guarded residual sum n=%d", n), want[1], want[0])
+	}
+	for _, planes := range []int{8, 9, 15, 16, 17, 23, 24, 31, 32, 33} {
+		for _, hw := range []int{1, 2, 3, 4, 5, 7, 9, 64} {
+			a, b := sweepOperand(r, planes*hw, 1), sweepOperand(r, planes*hw, 1)
+			acc := sweepOperand(r, planes, 1)
+			var want [2][3][]float32
+			for i, on := range []bool{false, true} {
+				vectest.SetLive(t, on)
+				mean, dot, db := guarded(make([]float32, planes)), guarded(make([]float32, planes)), guarded(acc)
+				planeMean(mean, guarded(a), hw)
+				planeDot(dot, guarded(a), guarded(b), hw)
+				foldBiasGrad(db, guarded(a), planes*hw, 1, hw)
+				want[i] = [3][]float32{mean, dot, db}
+			}
+			for k, form := range []string{"mean", "dot", "bias gradient"} {
+				vectest.NaNClassEqual(t, fmt.Sprintf("guarded plane %s %d planes of %d", form, planes, hw), want[1][k], want[0][k])
+			}
+		}
 	}
 }
 
@@ -641,6 +804,11 @@ func TestVecSweepsRejectShortSlices(t *testing.T) {
 		{"bn grad sums stride", func() { bnSumDot(d(8), d(8), nil, f(200), f(200), 39, 3, 5, f(8), vec.ActIdentity) }},
 		{"bn grad sums channels", func() { bnSumDot(d(8), d(8), nil, f(2*50+8*5), f(2*50+8*5), 50, 3, 5, f(7), vec.ActHardSwish) }},
 		{"bn grad sums empty", func() { bnSumDot(d(8), d(7), nil, nil, nil, 50, 0, 5, nil, vec.ActHardSwish) }},
+		{"plane sums planes", func() { vec.PlaneSums(f(7), f(7*5), nil, 7, 5, false) }},
+		{"plane sums out", func() { vec.PlaneSums(f(8), f(9*5), nil, 9, 5, true) }},
+		{"plane sums a", func() { vec.PlaneSums(f(9), f(9*5-1), nil, 9, 5, false) }},
+		{"plane sums b", func() { vec.PlaneSums(f(9), f(9*5), f(9*5-1), 9, 5, false) }},
+		{"plane sums empty out", func() { vec.PlaneSums(f(8), nil, nil, 9, 0, true) }},
 	} {
 		func() {
 			defer func() {
@@ -657,6 +825,15 @@ func TestVecSweepsRejectShortSlices(t *testing.T) {
 	vec.BiasAct(nil, 3, 0, nil, vec.ActReLU)
 	vec.BNNormalize(nil, nil, 4, 0, 4, 0, 1, 1, 0, vec.ActHardSwish)
 	vec.BNGradX(nil, nil, nil, 4, 2, 0, 0, 1, 1, 1, 8, 0, 0)
+	vec.PlaneSums(nil, nil, nil, 0, 5, true)
+	// Planes of no elements still define their sums: +0, stored or added.
+	empty := []float32{negZero, 1, negZero, 2, negZero, 3, negZero, 4}
+	vec.PlaneSums(empty, nil, nil, 8, 0, true)
+	for i, v := range []float32{0, 1, 0, 2, 0, 3, 0, 4} {
+		if math.Float32bits(empty[i]) != math.Float32bits(v) {
+			t.Fatalf("plane sums of no elements left out[%d] = %v, want %v", i, empty[i], v)
+		}
+	}
 	// An empty reduction still defines its sixteen sums: +0.
 	sum, dot := []float64{1, 2, 3, 4, 5, 6, 7, 8}, []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	vec.BNSumSq(sum, dot, nil, 40, 0, 5)

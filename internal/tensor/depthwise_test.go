@@ -39,27 +39,27 @@ func testDepthwisePlaneKernelsMatchLowered(t *testing.T) {
 					w[taps/2] = 0
 					dy := Randn(r, 1, cols).Data()
 					col := make([]float32, taps*cols)
-					Im2Col(col, img, d)
+					Im2Col(col, img, &d)
 
 					want := make([]float32, cols)
 					MatMulSlices(want, w, col, 1, taps, cols, nil)
 					got := Randn(r, 1, cols).Data() // junk: the kernel must overwrite
-					DepthwiseConvPlane(got, img, w, d, []float32{0}, vec.ActIdentity)
+					DepthwiseConvPlane(got, img, w, &d, []float32{0}, vec.ActIdentity)
 					exactEqual(t, name+" forward", got, want)
 
 					seed := Randn(r, 1, taps).Data() // both accumulate onto the same junk
 					want = slices.Clone(seed)
 					MatMulTransBAccSlices(want, dy, col, 1, cols, taps)
 					got = slices.Clone(seed)
-					DepthwiseConvPlaneGradW(got, dy, img, gradWScratch(d), d)
+					DepthwiseConvPlaneGradW(got, dy, img, gradWScratch(d), &d)
 					exactEqual(t, name+" dW", got, want)
 
 					dcol := make([]float32, taps*cols)
 					MatMulTransAAccSlices(dcol, w, dy, 1, taps, cols)
 					want = make([]float32, len(img))
-					Col2Im(want, dcol, d)
+					Col2Im(want, dcol, &d)
 					got = make([]float32, len(img))
-					DepthwiseConvPlaneGradX(got, dy, w, d)
+					DepthwiseConvPlaneGradX(got, dy, w, &d)
 					exactEqual(t, name+" dx", got, want)
 				}
 			}

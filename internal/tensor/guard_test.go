@@ -20,30 +20,36 @@ func guarded(t testing.TB, v []float32) []float32 {
 }
 
 // TestVecPlaneKernelsStayInsideSlices runs the vector plane routines on
-// operands that end at an inaccessible page: the stride-2 gather's wide side
-// ends at element 2(n−1); the 3×3 forward's (under each of the three acts),
-// input gradient's and weight gradient's plane fills a page exactly (32×32
-// float32s), guarded on both sides, with every pad's masked margin reads
-// pointing into the guards; and
-// both gradients and the forward run on 1–17 planes (the weight gradient's
-// last pass of fewer than eight lanes among them) with every operand, scratch
-// included, guarded.
+// operands that end at an inaccessible page: the stride-2 lowering on image
+// and column slices guarded at their ends — three 32×32 planes, which fill
+// whole pages and so are guarded on both sides, and one-row (ECG) and odd
+// planes at every pad, whose masked margin reads point past both ends of the
+// image; the 3×3 forward's (under each of the three acts), input gradient's
+// and weight gradient's plane fills a page exactly (32×32 float32s), guarded
+// on both sides, with every pad's masked margin reads pointing into the
+// guards; and both gradients and the forward run on 1–17 planes (the weight
+// gradient's last pass of fewer than eight lanes among them) with every
+// operand, scratch included, guarded.
 func TestVecPlaneKernelsStayInsideSlices(t *testing.T) {
 	vectest.Require(t)
 	r := frand.New(79)
-	for _, n := range []int{1, 2, 5, 7, 8, 9, 16, 20} {
-		const rows = 3
-		narrow, wide := n, 2*n+2
-		img := vecOperand(r, (rows-1)*wide+2*n-1)
-		y := guarded(t, vecOperand(r, rows*narrow))
-		want := slices.Clone(y)
-		for i := 0; i < rows; i++ {
-			for j := 0; j < n; j++ {
-				want[i*narrow+j] = img[i*wide+2*j]
+	for _, g := range [][3]int{{3, 32, 32}, {1, 1, 9}, {2, 1, 64}, {1, 5, 7}, {3, 4, 17}, {1, 3, 33}} {
+		for _, k := range []int{1, 3} {
+			for pad := 0; pad <= 2; pad++ {
+				d, err := NewConvDims(g[0], g[1], g[2], k, k, 2, pad)
+				if err != nil {
+					continue
+				}
+				img := vecOperand(r, g[0]*g[1]*g[2])
+				want := make([]float32, d.ColRows()*d.ColCols())
+				vectest.SetLive(t, false)
+				Im2Col(want, img, &d)
+				vectest.SetLive(t, true)
+				got := guarded(t, vecOperand(r, len(want)))
+				Im2Col(got, guarded(t, img), &d)
+				exactEqual(t, fmt.Sprintf("guarded im2col %dx%dx%d k%d p%d", g[0], g[1], g[2], k, pad), got, want)
 			}
 		}
-		vec.Gather2(y, narrow, guarded(t, img), wide, rows, n)
-		exactEqual(t, fmt.Sprintf("guarded gather n=%d", n), y, want)
 	}
 	plane := guarded(t, vecOperand(r, 32*32))
 	for _, stride := range []int{1, 2} {
@@ -55,25 +61,25 @@ func TestVecPlaneKernelsStayInsideSlices(t *testing.T) {
 			dy := vecOperand(r, d.ColCols())
 			want, got := make([]float32, 9), make([]float32, 9)
 			refDepthwiseGradW(want, dy, plane, d)
-			DepthwiseConvPlaneGradW(got, guarded(t, dy), plane, guarded(t, gradWScratch(d)), d)
+			DepthwiseConvPlaneGradW(got, guarded(t, dy), plane, guarded(t, gradWScratch(d)), &d)
 			exactEqual(t, fmt.Sprintf("guarded dW s%d p%d", stride, pad), got, want)
 
 			w := vecOperand(r, 9)
 			for _, act := range storeActs {
 				vectest.SetLive(t, false)
 				wantY := make([]float32, d.ColCols())
-				DepthwiseConvPlane(wantY, plane, w, d, []float32{0.5}, act)
+				DepthwiseConvPlane(wantY, plane, w, &d, []float32{0.5}, act)
 				vectest.SetLive(t, true)
 				gotY := guarded(t, make([]float32, d.ColCols()))
-				DepthwiseConvPlane(gotY, plane, guarded(t, w), d, guarded(t, []float32{0.5}), act)
+				DepthwiseConvPlane(gotY, plane, guarded(t, w), &d, guarded(t, []float32{0.5}), act)
 				exactEqual(t, fmt.Sprintf("guarded forward s%d p%d act %d", stride, pad, act), gotY, wantY)
 			}
 			wantX := vecOperand(r, 32*32)
 			gotX := guarded(t, wantX)
 			vectest.SetLive(t, false)
-			DepthwiseConvPlaneGradX(wantX, dy, w, d)
+			DepthwiseConvPlaneGradX(wantX, dy, w, &d)
 			vectest.SetLive(t, true)
-			DepthwiseConvPlaneGradX(gotX, guarded(t, dy), guarded(t, w), d)
+			DepthwiseConvPlaneGradX(gotX, guarded(t, dy), guarded(t, w), &d)
 			exactEqual(t, fmt.Sprintf("guarded dx s%d p%d", stride, pad), gotX, wantX)
 		}
 	}
@@ -90,7 +96,7 @@ func TestVecPlaneKernelsStayInsideSlices(t *testing.T) {
 			for c := 0; c < planes; c++ {
 				refDepthwiseGradW(want[9*c:9*c+9], dy[c*cols:(c+1)*cols], img[c*in:(c+1)*in], d)
 			}
-			DepthwiseConvPlaneGradW(got, guarded(t, dy), guarded(t, img), guarded(t, gradWScratch(d)), d)
+			DepthwiseConvPlaneGradW(got, guarded(t, dy), guarded(t, img), guarded(t, gradWScratch(d)), &d)
 			exactEqual(t, fmt.Sprintf("guarded dW %d planes s%d", planes, stride), got, want)
 
 			w := vecOperand(r, 9*planes)
@@ -99,7 +105,7 @@ func TestVecPlaneKernelsStayInsideSlices(t *testing.T) {
 			for c := 0; c < planes; c++ {
 				d.planeGradX(wantX[c*in:(c+1)*in], dy[c*cols:(c+1)*cols], w[9*c:9*c+9])
 			}
-			DepthwiseConvPlaneGradX(gotX, guarded(t, dy), guarded(t, w), d)
+			DepthwiseConvPlaneGradX(gotX, guarded(t, dy), guarded(t, w), &d)
 			exactEqual(t, fmt.Sprintf("guarded dx %d planes s%d", planes, stride), gotX, wantX)
 
 			// The forward, narrow (5×7) and wide enough for the interior-row
@@ -114,10 +120,10 @@ func TestVecPlaneKernelsStayInsideSlices(t *testing.T) {
 				img, w, bias := vecOperand(r, planes*in), vecOperand(r, 9*planes), vecOperand(r, planes)
 				vectest.SetLive(t, false)
 				wantY := make([]float32, planes*d.ColCols())
-				DepthwiseConvPlane(wantY, img, w, d, bias, vec.ActHardSwish)
+				DepthwiseConvPlane(wantY, img, w, &d, bias, vec.ActHardSwish)
 				vectest.SetLive(t, true)
 				gotY := guarded(t, make([]float32, planes*d.ColCols()))
-				DepthwiseConvPlane(gotY, guarded(t, img), guarded(t, w), d, guarded(t, bias), vec.ActHardSwish)
+				DepthwiseConvPlane(gotY, guarded(t, img), guarded(t, w), &d, guarded(t, bias), vec.ActHardSwish)
 				exactEqual(t, fmt.Sprintf("guarded forward %d planes %dx%d s%d", planes, hw[0], hw[1], stride), gotY, wantY)
 			}
 		}

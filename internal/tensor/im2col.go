@@ -43,29 +43,31 @@ func NewConvDims(inC, inH, inW, kh, kw, stride, pad int) (ConvDims, error) {
 }
 
 // ColRows returns the number of rows of the im2col matrix (inC*kh*kw).
-func (d ConvDims) ColRows() int { return d.InC * d.KH * d.KW }
+func (d *ConvDims) ColRows() int { return d.InC * d.KH * d.KW }
 
 // ColCols returns the number of columns of the im2col matrix (outH*outW).
-func (d ConvDims) ColCols() int { return d.OutH * d.OutW }
+func (d *ConvDims) ColCols() int { return d.OutH * d.OutW }
 
 // Im2Col expands one image (flat CHW slice `img`) into the column matrix
 // `col` of shape [inC*kh*kw, outH*outW], so that convolution becomes a
 // single matrix multiply: W[outC, inC*kh*kw] @ col.
 //
 // col must have length ColRows()*ColCols(). Out-of-bounds taps (padding)
-// are written as zeros: per (channel, tap) row the padded margins are cleared
-// and the valid span — tapOyRange × tapOxRange, as in the plane kernels — is
-// copied without a bounds test per element. At column stride 2 with the
-// vector kernels live the span is one vec.Gather2 call.
-func Im2Col(col, img []float32, d ConvDims) {
-	if len(col) != d.ColRows()*d.ColCols() {
-		panic(fmt.Sprintf("tensor: Im2Col col size %d, want %d", len(col), d.ColRows()*d.ColCols()))
+// are written as +0. With the vector kernels live, column stride 2 — every
+// lowered stem and the ECG net's convs — is one vec.Im2Col2 call for the
+// whole sample. Everything else runs the Go loop: per (channel, tap) row the
+// padded margins are cleared and the valid span — tapOyRange × tapOxRange,
+// as in the plane kernels — is copied without a bounds test per element.
+func Im2Col(col, img []float32, d *ConvDims) {
+	if len(col) != d.ColRows()*d.ColCols() || len(img) != d.InC*d.InH*d.InW {
+		panic(fmt.Sprintf("tensor: Im2Col col size %d, img size %d, want %d, %d",
+			len(col), len(img), d.ColRows()*d.ColCols(), d.InC*d.InH*d.InW))
 	}
-	if len(img) != d.InC*d.InH*d.InW {
-		panic(fmt.Sprintf("tensor: Im2Col img size %d, want %d", len(img), d.InC*d.InH*d.InW))
+	if vec.Live && d.StrideW == 2 {
+		vec.Im2Col2(col, img, d.InC, d.InH, d.InW, d.KH, d.KW, d.StrideH, d.PadH, d.PadW, d.OutH, d.OutW)
+		return
 	}
 	cols := d.ColCols()
-	gather := vec.Live && d.StrideW == 2
 	row := 0
 	for c := 0; c < d.InC; c++ {
 		chanBase := c * d.InH * d.InW
@@ -89,9 +91,6 @@ func Im2Col(col, img []float32, d ConvDims) {
 					for ox := oxHi; ox < len(drow); ox++ {
 						drow[ox] = 0
 					}
-					if gather {
-						continue // the span goes in one call below
-					}
 					ibase := chanBase + (oy*d.StrideH-d.PadH+ky)*d.InW - d.PadW + kx
 					if d.StrideW == 1 {
 						copy(drow[oxLo:oxHi], img[ibase+oxLo:ibase+oxHi])
@@ -102,10 +101,6 @@ func Im2Col(col, img []float32, d ConvDims) {
 						drow[ox] = img[ii]
 						ii += d.StrideW
 					}
-				}
-				if gather {
-					at := chanBase + (oyLo*d.StrideH-d.PadH+ky)*d.InW - d.PadW + kx + 2*oxLo
-					vec.Gather2(dst[oyLo*d.OutW+oxLo:], d.OutW, img[at:], d.StrideH*d.InW, oyHi-oyLo, oxHi-oxLo)
 				}
 			}
 		}
@@ -118,7 +113,7 @@ func Im2Col(col, img []float32, d ConvDims) {
 // col it takes the ox range whose target column lands inside the image
 // (tapOxRange), so the inner loop needs no per-element bounds check. A
 // pixel's contributions arrive in (ky, kx, oy, ox) order.
-func Col2Im(img, col []float32, d ConvDims) {
+func Col2Im(img, col []float32, d *ConvDims) {
 	cols := d.ColCols()
 	row := 0
 	for c := 0; c < d.InC; c++ {
@@ -185,8 +180,7 @@ func (d *ConvDims) tapOxRange(kx int) (lo, hi int) {
 }
 
 // tapOyRange is the oy interval whose tap row ky stays inside the image; the
-// weight gradient's tap dots walk it, and the stride-2 im2col gather sweeps
-// it as the rows of one strided 2-D call per tap.
+// weight gradient's tap dots and the Go im2col loop walk it.
 func (d *ConvDims) tapOyRange(ky int) (lo, hi int) {
 	return tapRange(ky, d.PadH, d.StrideH, d.InH, d.OutH)
 }
@@ -225,7 +219,7 @@ func (d *ConvDims) checkPlanes(kernel string, img, out, taps []float32, planes i
 // skipped term is a ±0 add onto a sum that started at +0, the same zero-skip
 // convention as the oracle matmul kernels' av != 0 test, while an Inf or NaN
 // operand would have turned that skipped 0·Inf into a NaN.
-func DepthwiseConvPlane(y, img, w []float32, d ConvDims, bias []float32, act vec.Act) {
+func DepthwiseConvPlane(y, img, w []float32, d *ConvDims, bias []float32, act vec.Act) {
 	planes := len(bias)
 	d.checkPlanes("DepthwiseConvPlane", img, y, w, planes)
 	if vec.Live && d.KH == 3 && d.KW == 3 && d.StrideW <= 2 {
@@ -306,7 +300,7 @@ func (d *ConvDims) DepthwiseGradWScratch() int {
 // layer of the models — takes vec.GradW3x3: eight planes in the lanes and one
 // register per tap, nine chains, after a copy of the planes into scratch
 // (DepthwiseGradWScratch elements; the Go loop needs none).
-func DepthwiseConvPlaneGradW(dw, dy, img, scratch []float32, d ConvDims) {
+func DepthwiseConvPlaneGradW(dw, dy, img, scratch []float32, d *ConvDims) {
 	planes := len(dw) / (d.KH * d.KW)
 	d.checkPlanes("DepthwiseConvPlaneGradW", img, dy, dw, planes)
 	if vec.Live && d.KH == 3 && d.KW == 3 && d.StrideH <= 2 && d.StrideW <= 2 {
@@ -430,7 +424,7 @@ func (d *ConvDims) tapDot3(dy, img []float32, ky, kx int) (s0, s1, s2 float32) {
 // same ascending order while its sum stays in a register, and one store. Its
 // bits are the Go loop's for every dimg value arithmetic can leave; a
 // signalling NaN the caller put in dimg may come back quieted.
-func DepthwiseConvPlaneGradX(dimg, dy, w []float32, d ConvDims) {
+func DepthwiseConvPlaneGradX(dimg, dy, w []float32, d *ConvDims) {
 	planes := len(w) / (d.KH * d.KW)
 	d.checkPlanes("DepthwiseConvPlaneGradX", dimg, dy, w, planes)
 	if vec.Live && d.KH == 3 && d.KW == 3 && d.StrideH <= 2 && d.StrideW <= 2 {

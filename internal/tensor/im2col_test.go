@@ -67,7 +67,7 @@ func TestCol2ImBitIdentical(t *testing.T) {
 		want := base.Clone()
 		col2imRef(want.Data(), col.Data(), d)
 		got := base.Clone()
-		Col2Im(got.Data(), col.Data(), d)
+		Col2Im(got.Data(), col.Data(), &d)
 		name := fmt.Sprintf("Col2Im c%d %dx%d k%d s%d p%d", g.inC, g.inH, g.inW, g.k, g.stride, g.pad)
 		exactEqual(t, name, got.Data(), want.Data())
 	}

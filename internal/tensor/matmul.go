@@ -264,7 +264,7 @@ func applyEpilogue(ep RowEpilogue, out []float32, m, n int) {
 
 // gemm is the one way in to the oracle kernels: the operand check, then the
 // kernel for the descriptor's kind on the calling goroutine.
-func gemm(t mmTask) {
+func gemm(t *mmTask) {
 	if t.m < 0 || t.k < 0 || t.n < 0 || len(t.out) < t.m*t.n || len(t.a) < t.m*t.k || len(t.b) < t.k*t.n {
 		panic(fmt.Sprintf("tensor: matmul %v with m=%d k=%d n=%d needs out %d, a %d, b %d elements, have %d, %d, %d",
 			t.kind, t.m, t.k, t.n, t.m*t.n, t.m*t.k, t.k*t.n, len(t.out), len(t.a), len(t.b)))
@@ -302,7 +302,7 @@ func gemmTensors(kind mmKind, acc bool, out, a, b *Tensor) {
 	if kb != k || out.shape[0] != m || out.shape[1] != n {
 		panic(fmt.Sprintf("tensor: matmul %v shapes disagree: out %v, a %v, b %v", kind, out.shape, a.shape, b.shape))
 	}
-	gemm(mmTask{kind: kind, out: out.data, a: a.data, b: b.data, m: m, k: k, n: n, acc: acc})
+	gemm(&mmTask{kind: kind, out: out.data, a: a.data, b: b.data, m: m, k: k, n: n, acc: acc})
 }
 
 // Entry points ----------------------------------------------------------------
@@ -318,7 +318,7 @@ func MatMulInto(out, a, b *Tensor) { gemmTensors(mmAB, false, out, a, b) }
 // element of row i when bias is non-nil — a conv's bias, added in the
 // kernel's store.
 func MatMulSlices(out, a, b []float32, m, k, n int, bias []float32) {
-	gemm(mmTask{kind: mmAB, out: out, a: a, b: b, m: m, k: k, n: n, bias: bias})
+	gemm(&mmTask{kind: mmAB, out: out, a: a, b: b, m: m, k: k, n: n, bias: bias})
 }
 
 // MatMulTransBInto computes out = a @ bᵀ for a[m,k], b[n,k], out[m,n],
@@ -328,7 +328,7 @@ func MatMulTransBInto(out, a, b *Tensor) { gemmTensors(mmTransB, false, out, a, 
 // MatMulTransBAccSlices computes out[m,n] += a[m,k] @ b[n,k]ᵀ on raw
 // row-major slices — convolution's weight gradient dW += dy @ colᵀ.
 func MatMulTransBAccSlices(out, a, b []float32, m, k, n int) {
-	gemm(mmTask{kind: mmTransB, out: out, a: a, b: b, m: m, k: k, n: n, acc: true})
+	gemm(&mmTask{kind: mmTransB, out: out, a: a, b: b, m: m, k: k, n: n, acc: true})
 }
 
 // MatMulTransAAccInto computes out += aᵀ @ b for a[k,m], b[k,n], out[m,n] —
@@ -339,7 +339,7 @@ func MatMulTransAAccInto(out, a, b *Tensor) { gemmTensors(mmTransA, true, out, a
 // Convolution's input-gradient lowering (dcol += Wᵀ @ dy) reads the weights
 // in place through it instead of materializing their transpose per sample.
 func MatMulTransAAccSlices(out, a, b []float32, k, m, n int) {
-	gemm(mmTask{kind: mmTransA, out: out, a: a, b: b, m: m, k: k, n: n, acc: true})
+	gemm(&mmTask{kind: mmTransA, out: out, a: a, b: b, m: m, k: k, n: n, acc: true})
 }
 
 // matMulEp is the TOLERANCE tier's raw-slice entry, reached only through the
@@ -353,7 +353,7 @@ func matMulEp(out, a, b []float32, m, k, n int, acc bool, ep RowEpilogue) {
 		matMulPackedEp(out, a, b, m, k, n, acc, ep)
 		return
 	}
-	t := mmTask{kind: mmAB, out: out, a: a, b: b, m: m, k: k, n: n, acc: acc, ep: ep}
+	t := &mmTask{kind: mmAB, out: out, a: a, b: b, m: m, k: k, n: n, acc: acc, ep: ep}
 	if rb, ok := ep.(*RowBias); ok {
 		t.bias, t.act, t.ep = rb.Bias, rb.Act, nil
 	}

@@ -130,7 +130,7 @@ func TestDepthwiseGradWMatchesTapDot(t *testing.T) {
 			want := slices.Clone(junk)
 			refDepthwiseGradW(want, dy, img, d)
 			got := slices.Clone(junk)
-			DepthwiseConvPlaneGradW(got, dy, img, gradWScratch(d), d)
+			DepthwiseConvPlaneGradW(got, dy, img, gradWScratch(d), &d)
 			exactEqual(t, name+" dW vs tap-outer", got, want)
 
 			col := make([]float32, taps*cols)
@@ -153,28 +153,32 @@ func TestDepthwiseGradWLargeKernel(t *testing.T) {
 		img, dy, junk := vecOperand(r, c.h*c.w), vecOperand(r, d.ColCols()), vecOperand(r, c.kh*c.kw)
 		want, got := slices.Clone(junk), slices.Clone(junk)
 		refDepthwiseGradW(want, dy, img, d)
-		DepthwiseConvPlaneGradW(got, dy, img, gradWScratch(d), d)
+		DepthwiseConvPlaneGradW(got, dy, img, gradWScratch(d), &d)
 		exactEqual(t, fmt.Sprintf("%dx%d k%dx%d s%d p%d", c.h, c.w, c.kh, c.kw, c.stride, c.pad), got, want)
 	}
 }
 
-// TestIm2ColMatchesBranchingLoop: the margin-clearing Im2Col against the loop
-// that tested every element, over junk, on the plane table with one and three
-// channels, and at stride 2 — the vector gather's — for every pad, kernel
-// 1/3/5 and widths 1–33. Pure data movement, so −0, denormals and NaN must
-// arrive as bits.
+// TestIm2ColMatchesBranchingLoop: Im2Col under both settings of the switch
+// — the vector lowering's one call per sample at column stride 2, the
+// margin-clearing Go loop otherwise — against the loop that tested every
+// element, over junk: on the plane table with one and three channels, and at
+// column stride 2 on 1–4 channels, plane heights 1 (the ECG net's), 2 and 5,
+// widths 1–33 (odd and even, through the eight-lane block and its masked
+// tail), kernels 1, 2, 3 and 5 where they fit, pads 0–2 and row strides 2
+// and 1. Pure data movement, so −0, denormals, infinities and NaNs of two
+// payloads must arrive as bits.
 func TestIm2ColMatchesBranchingLoop(t *testing.T) {
 	vectest.BothSettings(t, func(t *testing.T) {
 		r := frand.New(173)
-		check := func(name string, d ConvDims) {
-			for _, inC := range []int{1, 3} {
+		check := func(name string, d ConvDims, inCs ...int) {
+			for _, inC := range inCs {
 				d.InC = inC
-				img := vecOperand(r, inC*d.InH*d.InW)
+				img := operandWith(r, inC*d.InH*d.InW, gradSpecials)
 				img[0], img[len(img)-1] = float32(math.NaN()), float32(math.Copysign(0, -1))
 				want := vecOperand(r, d.ColRows()*d.ColCols())
 				got := slices.Clone(want)
 				refIm2Col(want, img, d)
-				Im2Col(got, img, d)
+				Im2Col(got, img, &d)
 				for i := range want {
 					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 						t.Fatalf("%s c%d: col[%d] = %v, want %v", name, inC, i, got[i], want[i])
@@ -182,12 +186,19 @@ func TestIm2ColMatchesBranchingLoop(t *testing.T) {
 				}
 			}
 		}
-		forPlaneGeoms(check)
-		for w := 1; w <= 33; w++ {
-			for _, k := range []int{1, 3, 5} {
-				for _, pad := range []int{0, 1, 2} {
-					if d, err := NewConvDims(1, 5, w, k, k, 2, pad); err == nil {
-						check(fmt.Sprintf("5x%d k%d s2 p%d", w, k, pad), d)
+		forPlaneGeoms(func(name string, d ConvDims) { check(name, d, 1, 3) })
+		for _, h := range []int{1, 2, 5} {
+			for w := 1; w <= 33; w++ {
+				for _, k := range []int{1, 2, 3, 5} {
+					for pad := 0; pad <= 2; pad++ {
+						d, err := NewConvDims(1, h, w, k, k, 2, pad)
+						if err != nil {
+							continue // kernel larger than the padded plane
+						}
+						for _, strideH := range []int{2, 1} {
+							d.StrideH, d.OutH = strideH, (h+2*pad-k)/strideH+1
+							check(fmt.Sprintf("%dx%d k%d s%d×2 p%d", h, w, k, strideH, pad), d, 1, 2, 3, 4)
+						}
 					}
 				}
 			}
@@ -243,7 +254,7 @@ func BenchmarkDepthwiseGradW(b *testing.B) {
 			}
 		}
 		b.Run(c.name, func(b *testing.B) {
-			benchAgainstRef(b, 9*c.planes*cols, ref, func() { DepthwiseConvPlaneGradW(dw, dy, img, scratch, d) })
+			benchAgainstRef(b, 9*c.planes*cols, ref, func() { DepthwiseConvPlaneGradW(dw, dy, img, scratch, &d) })
 		})
 	}
 }
@@ -258,7 +269,7 @@ func BenchmarkIm2Col(b *testing.B) {
 	img := Randn(frand.New(6), 1, 3*32*32).Data()
 	col := make([]float32, d.ColRows()*d.ColCols())
 	b.Run("stem", func(b *testing.B) {
-		benchAgainstRef(b, len(col), func() { refIm2Col(col, img, d) }, func() { Im2Col(col, img, d) })
+		benchAgainstRef(b, len(col), func() { refIm2Col(col, img, d) }, func() { Im2Col(col, img, &d) })
 	})
 }
 
@@ -288,7 +299,7 @@ func BenchmarkDepthwisePlane(b *testing.B) {
 		for i := range bias {
 			bias[i] = 0.25
 		}
-		fwdHS := func() { DepthwiseConvPlane(y, img, w, d, bias, vec.ActHardSwish) }
+		fwdHS := func() { DepthwiseConvPlane(y, img, w, &d, bias, vec.ActHardSwish) }
 		if c.planes > 1 {
 			vecs := float64(c.planes * d.OutH * ((d.OutW + 7) / 8))
 			b.Run(c.name+"/fwd+hswish", func(b *testing.B) {
@@ -310,10 +321,10 @@ func BenchmarkDepthwisePlane(b *testing.B) {
 				vec.Live = prev
 			}
 		}
-		fwd := func() { DepthwiseConvPlane(y, img, w, d, bias, vec.ActIdentity) }
+		fwd := func() { DepthwiseConvPlane(y, img, w, &d, bias, vec.ActIdentity) }
 		b.Run(c.name+"/fwd", func(b *testing.B) { benchAgainstRef(b, 9*d.ColCols(), scalar(fwd), fwd) })
 		b.Run(c.name+"/fwd+hswish", func(b *testing.B) { benchAgainstRef(b, 9*d.ColCols(), scalar(fwdHS), fwdHS) })
-		dx := func() { DepthwiseConvPlaneGradX(dimg, dy, w, d) }
+		dx := func() { DepthwiseConvPlaneGradX(dimg, dy, w, &d) }
 		b.Run(c.name+"/dx", func(b *testing.B) { benchAgainstRef(b, 9*d.ColCols(), scalar(dx), dx) })
 	}
 }

@@ -275,7 +275,7 @@ func TestIm2ColIdentityKernel(t *testing.T) {
 		img[i] = float32(i)
 	}
 	col := make([]float32, d.ColRows()*d.ColCols())
-	Im2Col(col, img, d)
+	Im2Col(col, img, &d)
 	for i := range img {
 		if col[i] != img[i] {
 			t.Fatalf("1x1 im2col mismatch at %d", i)
@@ -287,7 +287,7 @@ func TestIm2ColPaddingZeros(t *testing.T) {
 	d, _ := NewConvDims(1, 2, 2, 3, 3, 1, 1)
 	img := []float32{1, 2, 3, 4}
 	col := make([]float32, d.ColRows()*d.ColCols())
-	Im2Col(col, img, d)
+	Im2Col(col, img, &d)
 	// kernel tap (0,0) at output (0,0) looks at input (-1,-1): padding zero.
 	if col[0] != 0 {
 		t.Fatalf("padding tap should be 0, got %v", col[0])
@@ -323,13 +323,13 @@ func TestIm2ColCol2ImAdjoint(t *testing.T) {
 			y[i] = float32(r.NormFloat64())
 		}
 		cx := make([]float32, len(y))
-		Im2Col(cx, x, d)
+		Im2Col(cx, x, &d)
 		var lhs float64
 		for i := range y {
 			lhs += float64(cx[i]) * float64(y[i])
 		}
 		iy := make([]float32, len(x))
-		Col2Im(iy, y, d)
+		Col2Im(iy, y, &d)
 		var rhs float64
 		for i := range x {
 			rhs += float64(x[i]) * float64(iy[i])
@@ -425,7 +425,7 @@ func BenchmarkIm2Col32(b *testing.B) {
 	col := make([]float32, d.ColRows()*d.ColCols())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Im2Col(col, img, d)
+		Im2Col(col, img, &d)
 	}
 }
 

@@ -281,7 +281,9 @@ func gradWScratch(d ConvDims) []float32 { return make([]float32, d.DepthwiseGrad
 // both gradients over all planes accumulating onto it, once on finite
 // operands and once with ±0, ±Inf and NaN in the weights, dy, the image and
 // the accumulators. Runs with specials compare through
-// vectest.NaNClassEqual. dW also matches the tap-outer oracle plane by plane.
+// vectest.NaNClassEqual. dW also matches the tap-outer oracle plane by plane,
+// and the planes with specials, lowered as one sample's channels, match the
+// Go lowering loop bit for bit (checkIm2Col).
 func runVecPlaneCase(t *testing.T, h, w, k, stride, pad, planes int, seed uint64) {
 	t.Helper()
 	d, err := NewConvDims(1, h, w, k, k, stride, pad)
@@ -303,15 +305,15 @@ func runVecPlaneCase(t *testing.T, h, w, k, stride, pad, planes int, seed uint64
 	run := func(on bool) [][]float32 {
 		vectest.SetLive(t, on)
 		dw, dx, dwS, dxS := slices.Clone(junkW), slices.Clone(junkX), slices.Clone(junkWS), slices.Clone(junkXS)
-		DepthwiseConvPlaneGradW(dw, dy, img, gradWScratch(d), d)
-		DepthwiseConvPlaneGradX(dx, dy, wt, d)
-		DepthwiseConvPlaneGradW(dwS, dyS, imgS, gradWScratch(d), d)
-		DepthwiseConvPlaneGradX(dxS, dyS, wtS, d)
+		DepthwiseConvPlaneGradW(dw, dy, img, gradWScratch(d), &d)
+		DepthwiseConvPlaneGradX(dx, dy, wt, &d)
+		DepthwiseConvPlaneGradW(dwS, dyS, imgS, gradWScratch(d), &d)
+		DepthwiseConvPlaneGradX(dxS, dyS, wtS, &d)
 		res := [][]float32{dw, dx, dwS, dxS}
 		for _, act := range storeActs {
 			y, yS := slices.Clone(junkY), slices.Clone(junkY)
-			DepthwiseConvPlane(y, img, wt, d, bias, act)
-			DepthwiseConvPlane(yS, imgF, wtF, d, biasF, act)
+			DepthwiseConvPlane(y, img, wt, &d, bias, act)
+			DepthwiseConvPlane(yS, imgF, wtF, &d, biasF, act)
 			res = append(res, y, yS)
 		}
 		return res
@@ -329,6 +331,11 @@ func runVecPlaneCase(t *testing.T, h, w, k, stride, pad, planes int, seed uint64
 		exactEqual(t, fmt.Sprintf("%s forward act %d", name, act), got[4+2*i], want[4+2*i])
 		vectest.NaNClassEqual(t, fmt.Sprintf("%s forward specials act %d", name, act), got[5+2*i], want[5+2*i])
 	}
+	// The same planes as the channels of one sample, lowered at the case's
+	// stride in both directions: at stride 2 the vector lowering's one call.
+	lowered := d
+	lowered.InC = planes
+	checkIm2Col(t, name, lowered, imgS, vecOperand(r, lowered.ColRows()*cols))
 	for c := 0; c < planes; c++ {
 		for i, ops := range [][4][]float32{{junkW, dy, img, got[0]}, {junkWS, dyS, imgS, got[2]}} {
 			tapOuter := slices.Clone(ops[0][c*taps : (c+1)*taps])
@@ -340,12 +347,14 @@ func runVecPlaneCase(t *testing.T, h, w, k, stride, pad, planes int, seed uint64
 
 // FuzzVecPlanesMatchGeneric is FuzzVecMatchesGeneric's sibling for the
 // depthwise plane kernels (DepthwiseConvPlane with its biases under each of
-// the three acts, …GradW and …GradX, each over 1–17 planes) and the routines
-// under them (vec.Depthwise3x3, vec.GradX3x3, vec.GradW3x3): random plane sizes,
-// kernels, strides, pads, plane counts and seeds at tol 0 — dW against the
-// tap-outer oracle too — seeded with the lowered sweep's geometries
-// (depthwise_test.go), the widths around the 8-lane block of both strides, and
-// plane counts around the weight gradient's eight lanes.
+// the three acts, …GradW and …GradX, each over 1–17 planes), the lowering of
+// those planes as one sample's channels (Im2Col), and the routines under them
+// (vec.Depthwise3x3, vec.GradX3x3, vec.GradW3x3, vec.Im2Col2): random plane
+// sizes, kernels, strides, pads, plane counts and seeds at tol 0 — dW against
+// the tap-outer oracle too — seeded with the lowered sweep's geometries
+// (depthwise_test.go), the widths around the 8-lane block of both strides,
+// plane counts around the weight gradient's eight lanes, and the ECG net's
+// one-row planes.
 func FuzzVecPlanesMatchGeneric(f *testing.F) {
 	for i, hw := range [][2]int{{7, 11}, {9, 5}, {13, 10}, {1, 1}, {2, 3}} {
 		for _, k := range []int{1, 3, 5} {
@@ -372,6 +381,13 @@ func FuzzVecPlanesMatchGeneric(f *testing.F) {
 			f.Add(uint8(hw-1), uint8(hw-1), uint8(2), uint8(stride-1), uint8(hw%3), uint8(hw-1), uint64(200+hw))
 		}
 	}
+	// The ECG net's one-row planes at its 3×3 stride-2 pad-1 geometry, through
+	// the lowering's eight-lane blocks and masked tail, on 1–24 channels.
+	for i, w := range []int{9, 16, 17, 31, 64, 65} {
+		for _, planes := range []int{1, 8, 24} {
+			f.Add(uint8(0), uint8(w-1), uint8(2), uint8(1), uint8(1), uint8(planes-1), uint64(300+i))
+		}
+	}
 	// The target maps each byte onto its range from 1 (pad from 0), so a seed
 	// passes one less.
 	f.Fuzz(func(t *testing.T, h, w, k, stride, pad, planes uint8, seed uint64) {
@@ -392,6 +408,11 @@ func gradDims(stride int, f func(d ConvDims)) {
 			}
 		}
 	}
+}
+
+// im2col2 hands d's geometry to vec.Im2Col2.
+func im2col2(col, img []float32, d ConvDims) {
+	vec.Im2Col2(col, img, d.InC, d.InH, d.InW, d.KH, d.KW, d.StrideH, d.PadH, d.PadW, d.OutH, d.OutW)
 }
 
 // gradX3x3 hands d's geometry and len(w)/9 planes to vec.GradX3x3.
@@ -438,36 +459,15 @@ func testGradsMatchScalar(t *testing.T, stride int, r *frand.RNG) {
 	})
 }
 
-// TestVecStride2TapsMatchGeneric drives the stride-2 routines directly
-// against the scalar loops they replace: the de-interleaving im2col gather
-// against its row loop, on slices that END at the last element the row loop
-// touches (2(n−1) past the row start, never the odd element after it), and
-// the gather-form input gradient and plane-lane weight gradient at stride 2
-// against planeGradX and the tap-outer oracle (TestVecPlaneAxpyMatchesGeneric's
-// sweep). The gather copies NaN, −0 and denormals as bits and leaves the
-// elements between its destination rows alone; the input gradient's pixels
-// that no tap reaches — an odd last column at pad 0 — hold −0, NaN and
-// denormals and must keep their bits.
+// TestVecStride2TapsMatchGeneric drives the stride-2 gradient routines
+// directly against the scalar loops they replace: the gather-form input
+// gradient and the plane-lane weight gradient at stride 2 against planeGradX
+// and the tap-outer oracle (TestVecPlaneAxpyMatchesGeneric's sweep). The
+// input gradient's pixels that no tap reaches — an odd last column at pad 0 —
+// hold −0, NaN and denormals and must keep their bits.
 func TestVecStride2TapsMatchGeneric(t *testing.T) {
 	vectest.Require(t)
 	r := frand.New(78)
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 23, 24, 25, 40} {
-		for _, rows := range []int{1, 2, 5} {
-			narrow, wide := n+3, 2*n+4
-			// gather: col[j] = img[2j]
-			src := operandWith(r, (rows-1)*wide+2*n-1, foldSpecials)
-			dst := vecOperand(r, (rows-1)*narrow+n)
-			want := slices.Clone(dst)
-			for y := 0; y < rows; y++ {
-				for j := 0; j < n; j++ {
-					want[y*narrow+j] = src[y*wide+2*j]
-				}
-			}
-			got := slices.Clone(dst)
-			vec.Gather2(got, narrow, src, wide, rows, n)
-			exactEqual(t, fmt.Sprintf("gather %dx%d", rows, n), got, want)
-		}
-	}
 	odd := []float32{float32(math.Copysign(0, -1)), float32(math.NaN()), -1e-41, 0}
 	for _, w := range []int{4, 6, 8, 16, 18} { // pad 0 reaches no pixel of an even width's last column
 		d, err := NewConvDims(1, 5, w, 3, 3, 2, 0)
@@ -490,6 +490,21 @@ func TestVecStride2TapsMatchGeneric(t *testing.T) {
 		}
 	}
 	testGradsMatchScalar(t, 2, r)
+}
+
+// checkIm2Col lowers img on d under both settings of the switch, each over
+// the same junk, and requires identical bits: the routine only moves data, so
+// NaN payloads, −0 and denormals arrive as bits in every build, -race
+// included, and every margin is written as +0 over the junk.
+func checkIm2Col(t *testing.T, name string, d ConvDims, img, junk []float32) {
+	t.Helper()
+	var got [2][]float32
+	for i, on := range []bool{false, true} {
+		vectest.SetLive(t, on)
+		got[i] = slices.Clone(junk)
+		Im2Col(got[i], img, &d)
+	}
+	exactEqual(t, name+" im2col", got[1], got[0])
 }
 
 // depthwise3x3 hands d's geometry and len(w)/9 planes to vec.Depthwise3x3,
@@ -531,7 +546,7 @@ func TestVecDepthwiseZeroSkipParity(t *testing.T) {
 				forward := func(on bool, img, wt []float32, bias float32, act vec.Act) []float32 {
 					vectest.SetLive(t, on)
 					y := vecOperand(r, d.ColCols()) // junk: the kernel must overwrite
-					DepthwiseConvPlane(y, img, wt, d, []float32{bias}, act)
+					DepthwiseConvPlane(y, img, wt, &d, []float32{bias}, act)
 					return y
 				}
 				poisoned := vecOperand(r, 7*w)
@@ -579,8 +594,8 @@ func TestVecDepthwiseZeroSkipParity(t *testing.T) {
 				grads := func(on bool, dy, wt []float32) (dx, dw []float32) {
 					vectest.SetLive(t, on)
 					dx, dw = slices.Clone(junkX), slices.Clone(junkW)
-					DepthwiseConvPlaneGradX(dx, dy, wt, d)
-					DepthwiseConvPlaneGradW(dw, dy, poisoned, gradWScratch(d), d)
+					DepthwiseConvPlaneGradX(dx, dy, wt, &d)
+					DepthwiseConvPlaneGradW(dw, dy, poisoned, gradWScratch(d), &d)
 					return dx, dw
 				}
 				gotX, gotW := grads(true, poisonedDy, zeros)
@@ -665,7 +680,7 @@ func TestVecDepthwisePlanesMatchGeneric(t *testing.T) {
 					run := func(on bool) []float32 {
 						vectest.SetLive(t, on)
 						y := vecOperand(r, planes*d.ColCols()) // junk: the kernel must overwrite
-						DepthwiseConvPlane(y, img, wt, d, bias, act)
+						DepthwiseConvPlane(y, img, wt, &d, bias, act)
 						return y
 					}
 					vectest.NaNClassEqual(t, fmt.Sprintf("%d planes s%d w%d act %d", planes, stride, w, act), run(true), run(false))
@@ -687,6 +702,14 @@ func TestVecKernelsRejectShortSlices(t *testing.T) {
 		t.Fatal(err)
 	}
 	scratch := plane3x3.DepthwiseGradWScratch()
+	stem, err := NewConvDims(3, 8, 8, 3, 3, 2, 1) // 3×8×8 → [27, 4·4]
+	if err != nil {
+		t.Fatal(err)
+	}
+	ecg, err := NewConvDims(2, 1, 9, 3, 3, 2, 1) // 2×1×9 → [18, 1·5]
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		call func()
@@ -701,10 +724,13 @@ func TestVecKernelsRejectShortSlices(t *testing.T) {
 		{"transB out", func() { vec.DotTransB(full(m*n-1), full(m*k), full(n*k), m, k, n, false) }},
 		{"transB a", func() { vec.DotTransB(full(m*n), full(m*k-1), full(n*k), m, k, n, false) }},
 		{"transB b", func() { vec.DotTransB(full(m*n), full(m*k), full(n*k-1), m, k, n, true) }},
-		{"gather dst", func() { vec.Gather2(full(2*12+n-1), 12, full(2*20+2*n-1), 20, 3, n) }},
-		{"gather src", func() { vec.Gather2(full(2*12+n), 12, full(2*20+2*n-2), 20, 3, n) }},
-		{"gather src stride", func() { vec.Gather2(full(2*12+n), 12, full(80), 2*n-2, 3, n) }},
-		{"gather dst stride", func() { vec.Gather2(full(80), n-1, full(2*20+2*n-1), 20, 3, n) }},
+		{"im2col col", func() { im2col2(full(3*9*4*4-1), full(3*8*8), stem) }},
+		{"im2col img", func() { im2col2(full(3*9*4*4), full(3*8*8-1), stem) }},
+		{"im2col one row col", func() { im2col2(full(2*9*5-1), full(2*9), ecg) }},
+		{"im2col one row img", func() { im2col2(full(2*9*5), full(2*9-1), ecg) }},
+		{"im2col geometry", func() {
+			im2col2(full(3*9*4*4), full(3*8*8), ConvDims{InC: 3, InH: 8, KH: 3, KW: 3, StrideH: 2, OutH: 4, OutW: 4})
+		}},
 		{"dW 3x3 dw", func() { vec.GradW3x3(full(17), full(2*6*7), full(2*6*7), full(scratch), 2, 6, 7, 6, 7, 1, 1, 1, 1) }},
 		{"dW 3x3 dy", func() { gradW3x3(full(18), full(2*6*7-1), full(2*6*7), full(scratch), plane3x3) }},
 		{"dW 3x3 img", func() { gradW3x3(full(18), full(2*6*7), full(2*6*7-1), full(scratch), plane3x3) }},
@@ -749,7 +775,8 @@ func TestVecKernelsRejectShortSlices(t *testing.T) {
 	vec.Gemm(nil, 4, nil, 1, 1, nil, 4, 0, 4, 3, false, nil, vec.ActReLU)
 	vec.Gemm(nil, 4, nil, 1, 1, nil, 4, 2, 0, 3, true, nil, vec.ActHardSwish)
 	vec.DotTransB(nil, nil, nil, 0, 3, 4, true)
-	vec.Gather2(nil, 4, nil, 8, 0, 4)
+	im2col2(nil, nil, ConvDims{InC: 0, KH: 3, KW: 3, OutH: 4, OutW: 4})
+	im2col2(nil, nil, ConvDims{InC: 3, KH: 3, KW: 3, OutH: 4, OutW: 0})
 	gradW3x3(nil, nil, nil, nil, ConvDims{OutH: 2, OutW: 2})
 	vec.GradW3x3(nil, nil, nil, nil, 2, 0, 2, 2, 2, 1, 1, 0, 0)
 	gradX3x3(nil, nil, nil, ConvDims{OutH: 2, StrideH: 3, StrideW: 3})

@@ -31,18 +31,18 @@
 //     input positions of a 3×3 depthwise input gradient, each gathering its
 //     taps the same way; eight planes of a 3×3 depthwise weight gradient,
 //     one register per tap, fed by an in-register transpose; eight channels
-//     of a batch-norm sum; neighbouring planes of a plane mean; the elements
-//     of an elementwise sweep. Every target still receives its terms one at
-//     a time in the Go loop's ascending order, with the same zero-skip (±0
-//     skipped, NaN not) in the AXPY forms, the depthwise forward and its
-//     input gradient and none in the dot forms. Where a reduction's order IS
-//     the result (batch norm's float64 sums, a tap's dot product over a
-//     plane, a plane's sum), the targets beside it are what fills the
-//     machine. One step is elided where it provably changes no stored bit:
-//     the depthwise forward's interior rows start a sum at its first product
-//     instead of adding it onto +0, on planes whose bias is not −0. The two
-//     chains can differ only when every term is −0 (+0 against −0), and
-//     adding any bias but −0 turns both into the same value.
+//     of a batch-norm sum; eight planes of a plane sum, laid out the same
+//     way; the elements of an elementwise sweep. Every target still receives
+//     its terms one at a time in the Go loop's ascending order, with the same
+//     zero-skip (±0 skipped, NaN not) in the AXPY forms, the depthwise
+//     forward and its input gradient and none in the dot forms. Where a
+//     reduction's order IS the result (batch norm's float64 sums, a tap's dot
+//     product over a plane, a plane's sum), the targets beside it are what
+//     fills the machine. One step is elided where it provably changes no
+//     stored bit: the depthwise forward's interior rows start a sum at its
+//     first product instead of adding it onto +0, on planes whose bias is not
+//     −0. The two chains can differ only when every term is −0 (+0 against
+//     −0), and adding any bias but −0 turns both into the same value.
 //  2. No FMA. Each step is the Go loop's operation for operation: one
 //     VMULPS then one VADDPS (VMULPD/VADDPD in float64), the two roundings
 //     of the compiler's MULSS + ADDSS (GOAMD64=v1 never fuses). A fused
@@ -51,10 +51,14 @@
 //     can meet (the fold, the depthwise forward and gradients, the GEMM's
 //     fused store), the routines take the operands in the order a plain
 //     build compiles the Go loop, so the first one's sign and payload
-//     survive, and the parity tests check those bits. Go does not specify
+//     survive, and the parity tests check those bits; a plane sum's
+//     running sum is the first operand of each add. Go does not specify
 //     which NaN survives, though, and a -race build swaps some of those
 //     operands; under -race alone the parity tests hold NaN for NaN, and
-//     every other value bit for bit.
+//     every other value bit for bit. One multiply has no single order even
+//     in a plain build: the plane dot's Go loop compiles a·b with a first in
+//     some of its side-by-side chains and b first in others, so where a and
+//     b are both NaN only NaN is defined; PlaneSums takes a first.
 //  3. A reduction takes lanes only when its consumer is a decision and a
 //     proven guard falls back to the serial chain. SqDist is the one such
 //     routine: it returns the gate's squared distance in lane order, and
@@ -79,10 +83,11 @@
 // reduction bnSumDot recomputes x̂ and z from x with bnNormalize's
 // operations, stores dz = act′(z)·dy and folds Σdz and Σdz·x̂ in one pass, so
 // no x̂, pre-activation or separate activation pass is ever stored or run.
-// The package has 16 routines. Three training-path loops have none and stay
-// Go: the conv bias gradient's row sums, the plane sums of pooling and
-// squeeze-excite (four side-by-side chains), and im2col at any stride but 2,
-// where Gather2 copies the columns.
+// The package has 17 routines. Im2Col2 lowers a whole sample at column
+// stride 2, margins included; the lowering's Go loop still runs at column
+// stride 1, where each span is one contiguous copy. PlaneSums is the plane
+// sum of pooling, the squeeze-excite squeeze and backward, and the conv bias
+// gradient.
 //
 // # Layout
 //

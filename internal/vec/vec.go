@@ -62,17 +62,20 @@ func Gemm(out []float32, ldc int, a []float32, ars, acs int, b []float32, ldb, m
 	gemm(&out[0], ldc, &a[0], ars, acs, &b[0], ldb, m, n, k, bp, acc, act)
 }
 
-// Gather2 copies dst[r·dstStride+j] = src[r·srcStride+2j] for r < rows,
-// j < n: the rows of one (channel, tap) row of a stride-2 im2col.
-func Gather2(dst []float32, dstStride int, src []float32, srcStride int, rows, n int) {
-	if rows <= 0 || n <= 0 {
+// Im2Col2 writes the stride-2 im2col matrix of one sample, every (channel,
+// tap) row in one call: for c < inC, ky < kh, kx < kw, oy < outH, ox < outW,
+// col[((c·kh+ky)·kw+kx)·outH·outW + oy·outW + ox] = img[c·inH·inW + iy·inW +
+// ix] with iy = oy·strideH − padH + ky and ix = 2·ox − padW + kx, and +0
+// where (iy, ix) lies outside the inH×inW plane: tensor.Im2Col's bits at
+// column stride 2.
+func Im2Col2(col, img []float32, inC, inH, inW, kh, kw, strideH, padH, padW, outH, outW int) {
+	if inC <= 0 || kh <= 0 || kw <= 0 || outH <= 0 || outW <= 0 {
 		return
 	}
-	short("stride-2 gather dst stride", n, dstStride)
-	short("stride-2 gather dst", (rows-1)*dstStride+n, len(dst))
-	short("stride-2 gather src stride", 2*n-1, srcStride)
-	short("stride-2 gather src", (rows-1)*srcStride+2*n-1, len(src))
-	gather2(&dst[0], dstStride, &src[0], srcStride, rows, n)
+	short("stride-2 im2col geometry", 1, min(inH, inW, strideH))
+	short("stride-2 im2col col", inC*kh*kw*outH*outW, len(col))
+	short("stride-2 im2col img", inC*inH*inW, len(img))
+	im2col2(&col[0], &img[0], inC, inH, inW, kh, kw, strideH, padH, padW, outH, outW)
 }
 
 // GradX3x3 accumulates the 3×3 depthwise input gradients of planes
@@ -202,6 +205,41 @@ func DotTransB(out, a, b []float32, m, k, n int, acc bool) {
 		return
 	}
 	dotTransB(&out[0], &a[0], &b[0], m, k, n, acc)
+}
+
+// PlaneSumsMin is the fewest planes PlaneSums takes: its lanes lie across
+// eight planes.
+const PlaneSumsMin = 8
+
+// PlaneSums computes the sum of each of planes ≥ PlaneSumsMin planes of n
+// elements, n apart in a: s_i = Σ_j a[i·n+j], or Σ_j a[i·n+j]·b[i·n+j] when b
+// is not nil, each one chain from +0 in ascending j with the running sum the
+// first operand of every add (a product rounded before its add, no FMA). It
+// stores out[i] = s_i, or adds out[i] += s_i when acc: the bits of
+// internal/nn's plane-mean, plane-dot and bias-gradient loops.
+func PlaneSums(out, a, b []float32, planes, n int, acc bool) {
+	if planes <= 0 {
+		return
+	}
+	short("plane sums planes", PlaneSumsMin, planes)
+	short("plane sums out", planes, len(out))
+	if n <= 0 { // every sum is the +0 it started from; += +0 still turns a -0 into +0
+		for i := range out[:planes] {
+			if acc {
+				out[i] += 0
+			} else {
+				out[i] = 0
+			}
+		}
+		return
+	}
+	short("plane sums a", planes*n, len(a))
+	var bp *float32
+	if b != nil {
+		short("plane sums b", planes*n, len(b))
+		bp = &b[0]
+	}
+	planeSums(&out[0], &a[0], bp, planes, n, acc)
 }
 
 // FoldScaled computes dst[j] += w·float64(src[j]) for the first len(src)&^3

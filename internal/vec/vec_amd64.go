@@ -37,7 +37,7 @@ func gemm(c *float32, ldc int, a *float32, ars, acs int, b *float32, ldb, m, n, 
 func dotTransB(out, a, b *float32, m, k, n int, acc bool)
 
 //go:noescape
-func gather2(dst *float32, dstStride int, src *float32, srcStride int, rows, n int)
+func im2col2(col, img *float32, inC, inH, inW, kh, kw, strideH, padH, padW, outH, outW int)
 
 //go:noescape
 func gradX3x3(dimg, dy, w *float32, planes, outH, outW, inH, inW, strideH, strideW, padH, padW int)
@@ -77,3 +77,6 @@ func bnSumSq(sum, dot *float64, a *float32, stride, rows, n int)
 
 //go:noescape
 func bnSumDot(sum, dot *float64, dz, dy, x *float32, stride, rows, n int, mean, inv, gamma, beta *float32, act Act)
+
+//go:noescape
+func planeSums(out, a, b *float32, planes, n int, acc bool)

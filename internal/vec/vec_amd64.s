@@ -533,84 +533,202 @@ dotDone:
 	VZEROUPPER
 	RET
 
-// func gather2(dst *float32, dstStride int, src *float32, srcStride int, rows, n int)
+// func im2col2(col, img *float32, inC, inH, inW, kh, kw, strideH, padH, padW, outH, outW int)
 //
-// dst[r·dstStride + j] = src[r·srcStride + 2j]   (r < rows, j < n)
+// col[((c·kh + ky)·kw + kx)·outH·outW + oy·outW + ox] = img[c·inH·inW + iy·inW + ix],
+// iy = oy·strideH − padH + ky, ix = 2·ox − padW + kx, or +0 where (iy, ix)
+// lies outside the inH×inW plane: the stride-2 im2col of one sample, every
+// (channel, ky, kx) row in one call. Every element is its own target, so the
+// lanes are eight consecutive ox, and the work is the de-interleave: fifteen
+// image elements cover eight ox, read as elements 0–7 and 7–14 of the block
+// and taken apart with one VSHUFPS and one VPERMPD.
 //
-// The stride-2 im2col row walk: it touches every second element of the wide
-// side. Every element is its own target, so the lanes are eight consecutive
-// j; what is new is the de-interleave. Fifteen wide elements cover eight j,
-// and they are read as elements 0–7 and 7–14 — never a sixteenth, which the
-// slice need not have. A last block of n%8 j goes through lane masks, so
-// nothing is read or written past element 2(n−1).
+// What depends only on the geometry is settled once per call — the store
+// mask of a last partial block (outW%8 lanes), the lane indices the margin
+// masks start from — or once per tap column: the blocks whose fifteen
+// elements all lie inside an image row and whose eight lanes all exist,
+// [left, fast) in ox, which run as two plain loads and one plain store with
+// no test. An output row whose tap row iy lies outside the image is stored
+// as +0 (one unsigned compare of iy against inH). In a row inside it, every
+// other block — a padded margin, a last partial block — reads through the
+// masks of the elements with 0 ≤ ix < inW, so a margin lane reads +0 and no
+// read leaves the row, and stores only the lanes that exist.
 //
-// Register plan: DI/R8 dst and its row step, SI/R9 src and its row step, R13
-// rows, R10 = n, and for a tail of r = n%8: Y9 the first r lanes (the narrow
-// side), Y10 the first min(8, 2r−1) lanes and Y11 the first max(0, 2r−8)
-// lanes (the wide side's two reads).
-TEXT ·gather2(SB), NOSPLIT, $0-48
+// Register plan: DI the col row, SI image row iy (element 0; outside the
+// image when iy is), R8 channel c's plane, R9 ky, R10 kx − padW, R11 iy, R12
+// output rows left, R13 ox, R14 outW, AX the fast blocks' end, BX ix of lane
+// 0, CX columns left, DX scratch; Y10 lane indices 7 … 14, Y11 the last
+// block's store mask, Y12 +0, Y13 −1 (int32), Y14 inW (int32), Y15 lane
+// indices 0 … 7; on the frame the fast blocks' start and the loop counts.
+TEXT ·im2col2(SB), NOSPLIT, $40-96
 	PCALIGN $64
-	MOVQ dst+0(FP), DI
-	MOVQ dstStride+8(FP), R8
-	SHLQ $2, R8
-	MOVQ src+16(FP), SI
-	MOVQ srcStride+24(FP), R9
-	SHLQ $2, R9
-	MOVQ rows+32(FP), R13
-	MOVQ n+40(FP), R10
-	MOVQ R10, R11
-	ANDQ $7, R11
-	LEAQ vecMask<>(SB), R12
-	MOVQ R11, BX
-	NEGQ BX
-	VMOVDQU 32(R12)(BX*4), Y9
-	LEAQ -1(R11)(R11*1), BX
-	MOVQ $8, CX
-	CMPQ BX, CX
-	CMOVQGT CX, BX
-	MOVQ $0, CX
-	CMPQ BX, CX
-	CMOVQLT CX, BX
-	NEGQ BX
-	VMOVDQU 32(R12)(BX*4), Y10
-	LEAQ -8(R11)(R11*1), BX
-	CMPQ BX, CX
-	CMOVQLT CX, BX
-	NEGQ BX
-	VMOVDQU 32(R12)(BX*4), Y11
+	MOVQ col+0(FP), DI
+	MOVQ img+8(FP), R8
+	MOVQ outW+88(FP), R14
+	MOVQ inC+16(FP), DX
+	MOVQ DX, cleft-8(SP)
+	MOVQ inW+32(FP), CX
+	MOVQ strideH+56(FP), DX
+	IMULQ CX, DX
+	SHLQ $2, DX
+	MOVQ DX, rowstep-24(SP)
+	MOVQ inH+24(FP), DX
+	IMULQ CX, DX
+	SHLQ $2, DX
+	MOVQ DX, plane-32(SP)
+	VMOVDQU dwLanes<>(SB), Y15
+	VPCMPEQD Y13, Y13, Y13
+	VXORPS Y12, Y12, Y12
+	VMOVD CX, X14
+	VPBROADCASTD X14, Y14
+	MOVQ $7, DX
+	VMOVD DX, X10
+	VPBROADCASTD X10, Y10
+	VPADDD Y15, Y10, Y10
+	MOVQ R14, CX
+	ANDQ $7, CX
+	NEGQ CX
+	LEAQ vecMask<>(SB), DX
+	VMOVDQU 32(DX)(CX*4), Y11   // first outW%8 lanes
 
-g2Row:
-	XORQ AX, AX             // dst offset, bytes; src is at twice that
-	MOVQ R10, BX
+i2Chan:
+	XORQ R9, R9
 
-g2Blk:
-	CMPQ BX, $8
-	JLT  g2Tail
-	VMOVUPS (SI)(AX*2), Y0
-	VMOVUPS 28(SI)(AX*2), Y1
+i2Ky:
+	MOVQ padW+72(FP), R10
+	NEGQ R10
+	MOVQ kw+48(FP), DX
+	MOVQ DX, kxleft-16(SP)
+
+i2Tap:
+	// The fast blocks of tap column kx: from the first multiple of 8 with
+	// ix ≥ 0 to past the last one with ix + 15 ≤ inW and ox + 8 ≤ outW.
+	MOVQ R10, DX
+	NEGQ DX
+	XORQ CX, CX
+	CMPQ DX, CX
+	CMOVQLT CX, DX
+	INCQ DX
+	SHRQ $1, DX
+	ADDQ $7, DX
+	ANDQ $-8, DX
+	MOVQ DX, left-40(SP)
+	MOVQ inW+32(FP), CX
+	SUBQ $15, CX
+	SUBQ R10, CX
+	SARQ $1, CX
+	LEAQ -8(R14), BX
+	CMPQ BX, CX
+	CMOVQLT BX, CX
+	MOVQ DX, AX
+	TESTQ CX, CX
+	JS   i2TapRows
+	ANDQ $-8, CX
+	ADDQ $8, CX
+	CMPQ CX, DX
+	CMOVQGT CX, AX
+
+i2TapRows:
+	MOVQ R9, R11
+	SUBQ padH+64(FP), R11       // iy of output row 0
+	MOVQ R11, SI
+	IMULQ inW+32(FP), SI
+	LEAQ (R8)(SI*4), SI
+	MOVQ outH+80(FP), R12
+
+i2Row:
+	CMPQ R11, inH+24(FP)
+	JAE  i2Zero                 // iy < 0 or iy ≥ inH
+	XORQ R13, R13
+	CMPQ R13, left-40(SP)
+	JLT  i2Edge
+
+i2Fast:
+	CMPQ R13, AX
+	JGE  i2Right
+
+i2FastBlk:
+	LEAQ (R10)(R13*2), BX       // ix = 2·ox − padW + kx
+	VMOVUPS (SI)(BX*4), Y0
+	VMOVUPS 28(SI)(BX*4), Y1
 	VSHUFPS $0xD8, Y1, Y0, Y0   // e0 e2 e8 e10 | e4 e6 e12 e14
 	VPERMPD $0xD8, Y0, Y0       // e0 e2 e4 e6 e8 e10 e12 e14
-	VMOVUPS Y0, (DI)(AX*1)
-	ADDQ $32, AX
-	SUBQ $8, BX
-	JMP  g2Blk
+	VMOVUPS Y0, (DI)(R13*4)
+	ADDQ $8, R13
+	CMPQ R13, AX
+	JLT  i2FastBlk
 
-g2Tail:
-	TESTQ BX, BX
-	JZ    g2Next
-	VMASKMOVPS (SI)(AX*2), Y10, Y0
-	VMASKMOVPS 28(SI)(AX*2), Y11, Y1
-	VSHUFPS $0xD8, Y1, Y0, Y0
-	VPERMPD $0xD8, Y0, Y0
-	VMASKMOVPS Y0, Y9, (DI)(AX*1)
+i2Right:
+	CMPQ R13, R14
+	JLT  i2Edge
 
-g2Next:
-	ADDQ R8, DI
-	ADDQ R9, SI
-	DECQ R13
-	JNZ  g2Row
+i2Next:
+	LEAQ (DI)(R14*4), DI
+	ADDQ strideH+56(FP), R11
+	ADDQ rowstep-24(SP), SI
+	DECQ R12
+	JNZ  i2Row
+	INCQ R10
+	DECQ kxleft-16(SP)
+	JNZ  i2Tap
+	INCQ R9
+	CMPQ R9, kh+40(FP)
+	JLT  i2Ky
+	ADDQ plane-32(SP), R8
+	DECQ cleft-8(SP)
+	JNZ  i2Chan
 	VZEROUPPER
 	RET
+
+i2Edge:
+	LEAQ (R10)(R13*2), BX
+	VMOVD BX, X2
+	VPBROADCASTD X2, Y2
+	VPADDD Y15, Y2, Y3          // ix of elements 0–7
+	VPADDD Y10, Y2, Y4          // … and 7–14
+	VPCMPGTD Y13, Y3, Y5
+	VPCMPGTD Y3, Y14, Y3
+	VPAND Y5, Y3, Y3            // 0 ≤ ix < inW
+	VPCMPGTD Y13, Y4, Y5
+	VPCMPGTD Y4, Y14, Y4
+	VPAND Y5, Y4, Y4
+	VMASKMOVPS (SI)(BX*4), Y3, Y0
+	VMASKMOVPS 28(SI)(BX*4), Y4, Y1
+	VSHUFPS $0xD8, Y1, Y0, Y0
+	VPERMPD $0xD8, Y0, Y0
+	MOVQ R14, CX
+	SUBQ R13, CX
+	CMPQ CX, $8
+	JLT  i2Part
+	VMOVUPS Y0, (DI)(R13*4)
+	ADDQ $8, R13
+	CMPQ R13, R14
+	JGE  i2Next
+	CMPQ R13, left-40(SP)
+	JLT  i2Edge
+	JMP  i2Fast
+
+i2Part:
+	VMASKMOVPS Y0, Y11, (DI)(R13*4)
+	JMP  i2Next
+
+i2Zero:
+	XORQ R13, R13
+	MOVQ R14, CX
+
+i2ZeroBlk:
+	CMPQ CX, $8
+	JLT  i2ZeroTail
+	VMOVUPS Y12, (DI)(R13*4)
+	ADDQ $8, R13
+	SUBQ $8, CX
+	JMP  i2ZeroBlk
+
+i2ZeroTail:
+	TESTQ CX, CX
+	JZ   i2Next
+	VMASKMOVPS Y12, Y11, (DI)(R13*4)
+	JMP  i2Next
 
 // The 3×3 depthwise input gradients of a run of planes, in gather form. Each
 // input pixel is one target: it starts from its own value in dimg and takes
@@ -2873,3 +2991,270 @@ bndNext:
 	JNZ  bndRow
 	BNSTORE(sum+0(FP), dot+8(FP))
 	RET
+
+// The plane sums. A plane's sum is one chain — that order is the result — so
+// the lanes are planes, laid out as the batch-norm reductions lay out their
+// channels: eight neighbouring planes (n elements each, n apart) read four
+// consecutive j at a time as rows, planes k and k+4 in the two halves of one
+// register, transposed in place (BNTRANSPOSE) so that each column register
+// holds one j for the eight planes, and added onto the eight sums in
+// ascending j with the running sum as the first source of every VADDPS, the
+// Go loop's s += v. The dot form multiplies each column of a by the same
+// column of b first, a the first source, and adds the rounded product: two
+// roundings, no FMA.
+//
+// A plane's chain takes one add per element, so a pass over one group of
+// eight waits on that add's latency; the sum form runs two groups side by
+// side while sixteen planes remain. A last group of fewer than eight is
+// recomputed as the last eight planes and stores only its new lanes.
+//
+// Register plan: R9 = 4n (plane pitch, bytes), R10 = 12n, DI out, SI / R8
+// planes 0–3 / 4–7 of a's group, DX / R12 the same of b's group (dot form)
+// or of the second group (sum form), CX j left, AX bytes advanced along j,
+// R11 planes left, R13 the group's pitch (32n bytes), R14 acc, BX scratch;
+// Y0–Y5 the rows and columns, Y8–Y13 the dot form's b rows and columns,
+// Y14 / Y15 the two groups' sums, X6 the j-tail mask, X7 scratch.
+
+// PSCOLS adds four j of the eight planes at p|q into sum.
+#define PSCOLS(p, q, sum) \
+	BNLOAD(p, q, Y0, X0, Y1, X1, Y2, X2, Y3, X3); \
+	BNTRANSPOSE(Y0, Y1, Y2, Y3, Y2, Y0, Y4, Y5); \
+	VADDPS Y2, sum, sum; \
+	VADDPS Y0, sum, sum; \
+	VADDPS Y4, sum, sum; \
+	VADDPS Y5, sum, sum
+
+// PSDOTCOLS adds four j of the eight planes' products a·b (a at p|q, b at
+// bp|bq) into Y14.
+#define PSDOTCOLS(p, q, bp, bq) \
+	BNLOAD(p, q, Y0, X0, Y1, X1, Y2, X2, Y3, X3); \
+	BNTRANSPOSE(Y0, Y1, Y2, Y3, Y2, Y0, Y4, Y5); \
+	BNLOAD(bp, bq, Y8, X8, Y9, X9, Y10, X10, Y11, X11); \
+	BNTRANSPOSE(Y8, Y9, Y10, Y11, Y10, Y8, Y12, Y13); \
+	VMULPS Y10, Y2, Y2; \
+	VMULPS Y8, Y0, Y0; \
+	VMULPS Y12, Y4, Y4; \
+	VMULPS Y13, Y5, Y5; \
+	VADDPS Y2, Y14, Y14; \
+	VADDPS Y0, Y14, Y14; \
+	VADDPS Y4, Y14, Y14; \
+	VADDPS Y5, Y14, Y14
+
+// PSTAILCOLS loads the last CX (1–3) j of the eight planes at p|q through X6
+// and leaves their columns in Y2, Y0, Y4.
+#define PSTAILCOLS(p, q) \
+	BNLOADMASK(p, q, X6, X7, Y0, X0, Y1, X1, Y2, X2, Y3, X3); \
+	BNTRANSPOSE(Y0, Y1, Y2, Y3, Y2, Y0, Y4, Y5)
+
+// PSSTORE writes the eight sums in sum to DI, or adds them onto it when acc
+// (R14 ≠ 0): out + sum, out the first source, as the Go loop's db[r] += t[r].
+#define PSSTORE(sum) \
+	TESTQ R14, R14; \
+	JZ   3(PC); \
+	VMOVUPS (DI), Y7; \
+	VADDPS sum, Y7, sum; \
+	VMOVUPS sum, (DI)
+
+// func planeSums(out, a, b *float32, planes, n int, acc bool)
+//
+// out[i] (+)= Σ_j a[i·n + j] (· b[i·n + j] when b is not nil) for
+// i < planes ≥ 8, j < n.
+TEXT ·planeSums(SB), NOSPLIT, $0-41
+	PCALIGN $64
+	MOVQ out+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ planes+24(FP), R11
+	MOVBQZX acc+40(FP), R14
+	MOVQ n+32(FP), R9
+	SHLQ $2, R9
+	LEAQ (R9)(R9*2), R10
+	MOVQ R9, R13
+	SHLQ $3, R13
+	MOVQ n+32(FP), CX
+	ANDQ $3, CX
+	BNTAILMASK(X6)
+	TESTQ DX, DX
+	JNZ  psDot
+
+psPair:
+	CMPQ R11, $16
+	JLT  psOne
+	LEAQ (SI)(R9*4), R8
+	LEAQ (SI)(R13*1), DX
+	LEAQ (DX)(R9*4), R12
+	VXORPS Y14, Y14, Y14
+	VXORPS Y15, Y15, Y15
+	XORQ AX, AX
+	MOVQ n+32(FP), CX
+
+psPairBlk:
+	CMPQ CX, $4
+	JLT  psPairTail
+	PSCOLS(SI, R8, Y14)
+	PSCOLS(DX, R12, Y15)
+	ADDQ $16, SI
+	ADDQ $16, R8
+	ADDQ $16, DX
+	ADDQ $16, R12
+	ADDQ $16, AX
+	SUBQ $4, CX
+	JMP  psPairBlk
+
+psPairTail:
+	TESTQ CX, CX
+	JZ   psPairStore
+	PSTAILCOLS(SI, R8)
+	VADDPS Y2, Y14, Y14
+	CMPQ CX, $2
+	JLT  psPairTailB
+	VADDPS Y0, Y14, Y14
+	CMPQ CX, $3
+	JLT  psPairTailB
+	VADDPS Y4, Y14, Y14
+
+psPairTailB:
+	PSTAILCOLS(DX, R12)
+	VADDPS Y2, Y15, Y15
+	CMPQ CX, $2
+	JLT  psPairStore
+	VADDPS Y0, Y15, Y15
+	CMPQ CX, $3
+	JLT  psPairStore
+	VADDPS Y4, Y15, Y15
+
+psPairStore:
+	PSSTORE(Y14)
+	ADDQ $32, DI
+	PSSTORE(Y15)
+	ADDQ $32, DI
+	SUBQ AX, SI
+	LEAQ (SI)(R13*2), SI
+	SUBQ $16, R11
+	JMP  psPair
+
+psOne:
+	TESTQ R11, R11
+	JZ   psDone
+	CMPQ R11, $8
+	JGE  psOneGo
+	// The last r < 8 planes: step back to the last eight, keep the new lanes.
+	MOVQ $8, BX
+	SUBQ R11, BX
+	SHLQ $2, BX
+	SUBQ BX, DI
+	IMULQ n+32(FP), BX
+	SUBQ BX, SI
+
+psOneGo:
+	LEAQ (SI)(R9*4), R8
+	VXORPS Y14, Y14, Y14
+	XORQ AX, AX
+	MOVQ n+32(FP), CX
+
+psOneBlk:
+	CMPQ CX, $4
+	JLT  psOneTail
+	PSCOLS(SI, R8, Y14)
+	ADDQ $16, SI
+	ADDQ $16, R8
+	ADDQ $16, AX
+	SUBQ $4, CX
+	JMP  psOneBlk
+
+psOneTail:
+	TESTQ CX, CX
+	JZ   psOneStore
+	PSTAILCOLS(SI, R8)
+	VADDPS Y2, Y14, Y14
+	CMPQ CX, $2
+	JLT  psOneStore
+	VADDPS Y0, Y14, Y14
+	CMPQ CX, $3
+	JLT  psOneStore
+	VADDPS Y4, Y14, Y14
+
+psOneStore:
+	SUBQ AX, SI
+	ADDQ R13, SI
+	CMPQ R11, $8
+	JLT  psLast
+	PSSTORE(Y14)
+	ADDQ $32, DI
+	SUBQ $8, R11
+	JMP  psOne
+
+psLast:
+	// Lanes 8−r … 7 are the new planes: the mask of the last r lanes.
+	LEAQ vecMask<>(SB), BX
+	VMOVDQU 32(BX)(R11*4), Y7
+	TESTQ R14, R14
+	JZ   3(PC)
+	VMASKMOVPS (DI), Y7, Y0
+	VADDPS Y14, Y0, Y14
+	VMASKMOVPS Y14, Y7, (DI)
+
+psDone:
+	VZEROUPPER
+	RET
+
+psDot:
+	TESTQ R11, R11
+	JZ   psDone
+	CMPQ R11, $8
+	JGE  psDotGo
+	MOVQ $8, BX
+	SUBQ R11, BX
+	SHLQ $2, BX
+	SUBQ BX, DI
+	IMULQ n+32(FP), BX
+	SUBQ BX, SI
+	SUBQ BX, DX
+
+psDotGo:
+	LEAQ (SI)(R9*4), R8
+	LEAQ (DX)(R9*4), R12
+	VXORPS Y14, Y14, Y14
+	XORQ AX, AX
+	MOVQ n+32(FP), CX
+
+psDotBlk:
+	CMPQ CX, $4
+	JLT  psDotTail
+	PSDOTCOLS(SI, R8, DX, R12)
+	ADDQ $16, SI
+	ADDQ $16, R8
+	ADDQ $16, DX
+	ADDQ $16, R12
+	ADDQ $16, AX
+	SUBQ $4, CX
+	JMP  psDotBlk
+
+psDotTail:
+	TESTQ CX, CX
+	JZ   psDotStore
+	PSTAILCOLS(SI, R8)
+	BNLOADMASK(DX, R12, X6, X7, Y8, X8, Y9, X9, Y10, X10, Y11, X11)
+	BNTRANSPOSE(Y8, Y9, Y10, Y11, Y10, Y8, Y12, Y13)
+	VMULPS Y10, Y2, Y2
+	VADDPS Y2, Y14, Y14
+	CMPQ CX, $2
+	JLT  psDotStore
+	VMULPS Y8, Y0, Y0
+	VADDPS Y0, Y14, Y14
+	CMPQ CX, $3
+	JLT  psDotStore
+	VMULPS Y12, Y4, Y4
+	VADDPS Y4, Y14, Y14
+
+psDotStore:
+	SUBQ AX, SI
+	ADDQ R13, SI
+	SUBQ AX, DX
+	ADDQ R13, DX
+	CMPQ R11, $8
+	JLT  psLast
+	PSSTORE(Y14)
+	ADDQ $32, DI
+	SUBQ $8, R11
+	JMP  psDot

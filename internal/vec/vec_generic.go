@@ -15,7 +15,7 @@ func gemm(c *float32, ldc int, a *float32, ars, acs int, b *float32, ldb, m, n, 
 
 func dotTransB(out, a, b *float32, m, k, n int, acc bool) { panic(none) }
 
-func gather2(dst *float32, dstStride int, src *float32, srcStride int, rows, n int) {
+func im2col2(col, img *float32, inC, inH, inW, kh, kw, strideH, padH, padW, outH, outW int) {
 	panic(none)
 }
 
@@ -56,3 +56,5 @@ func bnSumSq(sum, dot *float64, a *float32, stride, rows, n int) { panic(none) }
 func bnSumDot(sum, dot *float64, dz, dy, x *float32, stride, rows, n int, mean, inv, gamma, beta *float32, act Act) {
 	panic(none)
 }
+
+func planeSums(out, a, b *float32, planes, n int, acc bool) { panic(none) }
