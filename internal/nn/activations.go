@@ -24,7 +24,8 @@ func NewReLU() *ReLU { return &ReLU{} }
 func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := l.allocUninit(x.Shape()...)
 	xd := x.Data()
-	applyAct(y.Data(), xd, vec.ActReLU)
+	copy(y.Data(), xd)
+	tensor.ApplyAct(y.Data(), vec.ActReLU)
 	if train {
 		if cap(l.mask) < len(xd) {
 			l.mask = make([]bool, len(xd))

@@ -74,7 +74,7 @@ func (l *Residual) sum(y, s *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Residual shape mismatch %v vs %v", y.Shape(), s.Shape()))
 	}
 	out := l.allocUninit(y.Shape()...)
-	addInto(out.Data(), y.Data(), s.Data())
+	tensor.Add(out.Data(), y.Data(), s.Data())
 	return out
 }
 
@@ -309,7 +309,7 @@ func (l *SEBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	// dz[n,c] = Σ_hw dy·x ;  dx (direct path) = dy·z
 	dz := l.allocUninit(l.z.Shape()...)
 	dzd := dz.Data()
-	planeDot(dzd, gd, l.x.Data(), hw)
+	planeSums(dzd, gd, l.x.Data(), hw, false)
 	dx := l.allocUninit(l.x.Shape()...)
 	dxd := dx.Data()
 	scaleRows(dxd, gd, l.z.Data(), hw)

@@ -32,7 +32,8 @@ import (
 // accumulate every output, dW and dx
 // element in the lowered kernels' per-target order, so for finite inputs
 // they are bit-identical to the lowered path (the caveat is spelled out on
-// tensor.DepthwiseConvPlane).
+// tensor.DepthwiseConvPlane). The bias gradient takes no geometry: it is the
+// plane sums of dy, one planeSums call per sample (foldBiasGrad).
 //
 // Training runs on one goroutine: a network is one client's model, and
 // training parallelism is one model per worker.
@@ -247,54 +248,12 @@ func (l *Conv2D) backward(grad *tensor.Tensor, wantDX bool) *tensor.Tensor {
 
 // foldBiasGrad adds db[r] += Σ spatial dy of output channel r for each of n
 // samples, stride apart, in ascending sample order; channel r of sample i is
-// the cols elements from dy[i·stride + r·cols]. Each row's sum is its own
-// chain from +0 over its elements ascending, added onto db[r] once finished.
-// With the vector kernels live, each sample's [len(db), cols] block is one
-// vec.PlaneSums call that adds its eight-lane chains onto db; the Go loop,
-// foldRowSums, runs four samples' chains side by side.
+// the cols elements from dy[i·stride + r·cols]. Each sample's [len(db), cols]
+// block is one planeSums call that adds each row's finished chain onto db[r].
 func foldBiasGrad(db, dy []float32, stride, n, cols int) {
-	if vec.Live && len(db) >= vec.PlaneSumsMin {
-		for i := 0; i < n; i++ {
-			vec.PlaneSums(db, dy[i*stride:][:len(db)*cols], nil, len(db), cols, true)
-		}
-		return
+	for i := 0; i < n; i++ {
+		planeSums(db, dy[i*stride:][:len(db)*cols], nil, cols, true)
 	}
-	for r := range db {
-		db[r] = foldRowSums(db[r], dy[r*cols:], stride, n, cols)
-	}
-}
-
-// foldRowSums adds the sums of n rows of cols elements, stride apart, onto s
-// in ascending row order: s += Σ rows[i·stride : i·stride+cols] for i < n —
-// foldBiasGrad's Go loop for one output channel, vec.PlaneSums' bits. Each
-// row's sum is its own accumulator from +0 over its elements ascending — an
-// independent chain — so four rows run side by side.
-func foldRowSums(s float32, rows []float32, stride, n, cols int) float32 {
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		r0 := rows[i*stride:][:cols]
-		// Re-sliced to len(r0) so the compiler drops the inner bounds checks.
-		r1, r2, r3 := rows[(i+1)*stride:][:len(r0)], rows[(i+2)*stride:][:len(r0)], rows[(i+3)*stride:][:len(r0)]
-		var s0, s1, s2, s3 float32
-		for j, v := range r0 {
-			s0 += v
-			s1 += r1[j]
-			s2 += r2[j]
-			s3 += r3[j]
-		}
-		s += s0
-		s += s1
-		s += s2
-		s += s3
-	}
-	for ; i < n; i++ {
-		var si float32
-		for _, v := range rows[i*stride:][:cols] {
-			si += v
-		}
-		s += si
-	}
-	return s
 }
 
 // Params implements Layer.

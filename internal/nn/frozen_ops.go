@@ -8,32 +8,6 @@ import (
 	"heteroswitch/internal/vec"
 )
 
-// applyAct computes yd[i] = act(xd[i]) for every i of xd — the ReLU layer's
-// forward sweep and batch norm's activation in its Go loops and eval forward.
-func applyAct(yd, xd []float32, act vec.Act) {
-	yd = yd[:len(xd)]
-	switch act {
-	case vec.ActReLU:
-		for i, v := range xd {
-			if v > 0 {
-				yd[i] = v
-			} else {
-				yd[i] = 0
-			}
-		}
-	case vec.ActHardSwish:
-		if vec.Live {
-			vec.HardSwish(yd, xd)
-			return
-		}
-		for i, v := range xd {
-			yd[i] = v * tensor.HardSigmoid(v)
-		}
-	default:
-		copy(yd, xd)
-	}
-}
-
 // hardSigmoid computes z[i] = tensor.HardSigmoid(u[i]) for every i of u: the
 // squeeze-excite gate, trained and frozen.
 func hardSigmoid(z, u []float32) {
@@ -302,21 +276,8 @@ func (r *frozenResidual) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: frozen Residual shape mismatch %v vs %v", y.Shape(), s.Shape()))
 	}
 	out := f.alloc(y.Shape()...)
-	addInto(out.Data(), y.Data(), s.Data())
+	tensor.Add(out.Data(), y.Data(), s.Data())
 	return out
-}
-
-// addInto computes od[i] = yd[i] + sd[i]: the residual sum, frozen and
-// trained (forward and backward).
-func addInto(od, yd, sd []float32) {
-	if vec.Live {
-		vec.Add(od, yd, sd)
-		return
-	}
-	sd = sd[:len(yd)]
-	for i, v := range yd {
-		od[i] = v + sd[i]
-	}
 }
 
 // inferFolded accumulates the folded projection onto the body output in
@@ -435,79 +396,85 @@ func scaleRows(od, xd, z []float32, hw int) {
 
 // planeMean sets od[i] to the mean of plane i of xd (planes of hw values) for
 // every i of od — the one kernel of GlobalAvgPool and the SE squeeze, trained
-// and frozen: the plane's sum times 1/hw. Each plane's sum is one chain from
-// +0 in the serial ascending order. With the vector kernels live, eight or
-// more planes take vec.PlaneSums, eight chains in the lanes; the Go loop runs
-// the chains of four neighbouring planes side by side.
+// and frozen: the plane's planeSums chain times 1/hw.
 func planeMean(od, xd []float32, hw int) {
+	planeSums(od, xd, nil, hw, false)
 	inv := 1 / float32(hw)
-	planes := len(od)
-	if vec.Live && planes >= vec.PlaneSumsMin {
-		vec.PlaneSums(od, xd, nil, planes, hw, false)
-		for i := range od {
-			od[i] *= inv
-		}
-		return
-	}
-	i := 0
-	for ; i+4 <= planes; i += 4 {
-		r0 := xd[i*hw:][:hw]
-		// Re-sliced to len(r0) so the compiler drops the inner bounds checks.
-		r1, r2, r3 := xd[(i+1)*hw:][:len(r0)], xd[(i+2)*hw:][:len(r0)], xd[(i+3)*hw:][:len(r0)]
-		var s0, s1, s2, s3 float32
-		for j, v := range r0 {
-			s0 += v
-			s1 += r1[j]
-			s2 += r2[j]
-			s3 += r3[j]
-		}
-		o := od[i : i+4]
-		o[0], o[1], o[2], o[3] = s0*inv, s1*inv, s2*inv, s3*inv
-	}
-	for ; i < planes; i++ {
-		var s float32
-		for _, v := range xd[i*hw : (i+1)*hw] {
-			s += v
-		}
-		od[i] = s * inv
+	for i := range od {
+		od[i] *= inv
 	}
 }
 
-// planeDot sets od[i] to Σ_j ad[i·hw+j]·bd[i·hw+j] for every plane i of od,
-// the squeeze-excite backward's dz: each plane one chain from +0 in ascending
-// j, each product rounded before its add — vec.PlaneSums' dot form, or
-// planeMean's four side-by-side chains.
-func planeDot(od, ad, bd []float32, hw int) {
+// planeSums computes s_i = Σ_j a[i·n+j] for every plane i of od (planes of n
+// values), or Σ_j a[i·n+j]·b[i·n+j] when b is not nil, and stores od[i] = s_i,
+// or adds od[i] += s_i when acc: the plane mean's sums, the squeeze-excite
+// backward's dz and, once per sample, the conv bias gradient. Each s_i is one
+// chain from +0 in ascending j, each product rounded before its add, with the
+// running sum the first operand of every add and a the first of every
+// multiply. With the vector kernels live, eight or more planes take
+// vec.PlaneSums, eight chains in the lanes; the Go loop, chains4, runs the
+// chains of four neighbouring planes side by side, a last group of fewer than
+// four repeating its first plane in the chains it does not store.
+func planeSums(od, a, b []float32, n int, acc bool) {
 	planes := len(od)
 	if vec.Live && planes >= vec.PlaneSumsMin {
-		vec.PlaneSums(od, ad, bd, planes, hw, false)
+		vec.PlaneSums(od, a, b, planes, n, acc)
 		return
 	}
-	i := 0
-	for ; i+4 <= planes; i += 4 {
-		a0 := ad[i*hw:][:hw]
-		// Re-sliced to len(a0) so the compiler drops the inner bounds checks.
-		a1, a2, a3 := ad[(i+1)*hw:][:len(a0)], ad[(i+2)*hw:][:len(a0)], ad[(i+3)*hw:][:len(a0)]
-		b0, b1, b2, b3 := bd[i*hw:][:len(a0)], bd[(i+1)*hw:][:len(a0)], bd[(i+2)*hw:][:len(a0)], bd[(i+3)*hw:][:len(a0)]
-		var s0, s1, s2, s3 float32
-		for j, v := range a0 {
-			s0 += v * b0[j]
-			s1 += a1[j] * b1[j]
-			s2 += a2[j] * b2[j]
-			s3 += a3[j] * b3[j]
+	for i := 0; i < planes; i += 4 {
+		o := od[i:min(i+4, planes)]
+		// Each chain's plane offset; chains past the last plane repeat plane i.
+		at := [4]int{i * n, i * n, i * n, i * n}
+		for k := range o {
+			at[k] = (i + k) * n
 		}
-		o := od[i : i+4]
-		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
-	}
-	for ; i < planes; i++ {
-		var s float32
-		b := bd[i*hw : (i+1)*hw]
-		for j, v := range ad[i*hw : (i+1)*hw] {
-			s += v * b[j]
+		s0, s1, s2, s3 := chains4(a, b, at, n)
+		sums := [4]float32{s0, s1, s2, s3}
+		for k, t := range o {
+			if acc {
+				sums[k] = onto(t, sums[k])
+			}
+			o[k] = sums[k]
 		}
-		od[i] = s
 	}
 }
+
+// chains4 returns the sums of the four n-element planes of a at offsets at
+// (their dots with b's planes when b is not nil), four chains side by side.
+// Each product indexes a and b inside the branch that forms it: that shape
+// compiles every multiply with b as the memory operand, so a is the first
+// (TestPlaneDotMatchesOneChain holds the NaN it keeps). It is a leaf of its
+// own: inline beside planeSums' onto call, the loop's registers spill and
+// BenchmarkPlaneSums' generic arm runs at half speed.
+func chains4(a, b []float32, at [4]int, n int) (s0, s1, s2, s3 float32) {
+	a0 := a[at[0]:][:n]
+	// Re-sliced to len(a0) so the compiler drops the inner bounds checks.
+	a1, a2, a3 := a[at[1]:][:len(a0)], a[at[2]:][:len(a0)], a[at[3]:][:len(a0)]
+	var b0, b1, b2, b3 []float32
+	if b != nil {
+		b0, b1, b2, b3 = b[at[0]:][:len(a0)], b[at[1]:][:len(a0)], b[at[2]:][:len(a0)], b[at[3]:][:len(a0)]
+	}
+	for j := range a0 {
+		var v0, v1, v2, v3 float32
+		if b != nil {
+			v0, v1, v2, v3 = a0[j]*b0[j], a1[j]*b1[j], a2[j]*b2[j], a3[j]*b3[j]
+		} else {
+			v0, v1, v2, v3 = a0[j], a1[j], a2[j], a3[j]
+		}
+		s0 += v0
+		s1 += v1
+		s2 += v2
+		s3 += v3
+	}
+	return
+}
+
+// onto returns t + s with t the first operand, so t's NaN survives where both
+// are NaN: the accumulating store of planeSums. Inlined, the compiler may
+// take s first.
+//
+//go:noinline
+func onto(t, s float32) float32 { return t + s }
 
 // refold implements refolder for the excitation layers.
 func (s *frozenSE) refold() {

@@ -104,7 +104,7 @@ func (l *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 					od[base+j] = g*xv + b
 				}
 				if l.act != vec.ActIdentity {
-					applyAct(od[base:base+hw], od[base:base+hw], l.act)
+					tensor.ApplyAct(od[base:base+hw], l.act)
 				}
 			}
 		}
@@ -125,7 +125,7 @@ func (l *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 	}
 	if l.act != vec.ActIdentity {
-		applyAct(od, od, l.act)
+		tensor.ApplyAct(od, l.act)
 	}
 	return out
 }

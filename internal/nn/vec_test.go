@@ -63,13 +63,13 @@ func runVecActCase(t *testing.T, n, rows int, seed uint64) {
 	}
 	run := func(on bool) [][]float32 {
 		vectest.SetLive(t, on)
-		act := make([]float32, n)
-		applyAct(act, x, vec.ActHardSwish)
+		act := slices.Clone(x)
+		tensor.ApplyAct(act, vec.ActHardSwish)
 		planes := slices.Clone(conv.Forward(tensor.FromSlice(slices.Clone(x), 1, 1, 1, n), true).Data())
 		scaled := make([]float32, rows*n)
 		scaleRows(scaled, slices.Repeat(x, rows), z, n)
 		sum := make([]float32, n)
-		addInto(sum, x, dy)
+		tensor.Add(sum, x, dy)
 		res := [][]float32{act, planes, scaled, sum}
 		for _, a := range vecBNActs {
 			for i := range bias {
@@ -475,7 +475,7 @@ func BenchmarkPlaneSums(b *testing.B) {
 }
 
 // FuzzVecSweepsMatchGeneric is ROADMAP hardening item (b) for this package's
-// vector sweeps (vec.HardSwish, vec.BiasAct, and batch norm with its
+// vector sweeps (vec.BiasAct, and batch norm with its
 // activation: vec.BNNormalize, vec.BNSumSq, vec.BNSumDot, vec.BNGradX):
 // random lengths, row counts, channel counts through both reduction tiles and
 // their remainders, plane strides, activations and seeds through the
@@ -582,8 +582,9 @@ func planeOperand(r *frand.RNG, planes, hw int) []float32 {
 	return xd
 }
 
-// nan2 is the second NaN payload of the plane-sum tests; negZero is −0.
-var nan2, negZero = math.Float32frombits(0xffc00123), float32(math.Copysign(0, -1))
+// nan2 is the second NaN payload of the plane-sum tests, nanB the one the
+// plane dot's b meets a's NaNs with; negZero is −0.
+var nan2, nanB, negZero = math.Float32frombits(0xffc00123), math.Float32frombits(0x7fc00bbb), float32(math.Copysign(0, -1))
 
 // sumFirst is s + v with s's NaN surviving when both are NaN, as an add
 // whose first operand is s returns it. Go leaves the operand order of its
@@ -595,14 +596,23 @@ func sumFirst(s, v float32) float32 {
 	return s + v
 }
 
+// mulFirst is a·b with a's NaN surviving when both are NaN, as sumFirst is
+// for the add.
+func mulFirst(a, b float32) float32 {
+	if a != a {
+		return a
+	}
+	return a * b
+}
+
 // oneChain is Σ a[j] (Σ a[j]·b[j] when b is not nil) from +0 in ascending j,
-// the running sum the first operand of every add: the serial chain every
-// plane sum promises.
+// the running sum the first operand of every add and a the first of every
+// multiply: the serial chain every plane sum promises.
 func oneChain(a, b []float32) float32 {
 	var s float32
 	for j, v := range a {
 		if b != nil {
-			v *= b[j]
+			v = mulFirst(v, b[j])
 		}
 		s = sumFirst(s, v)
 	}
@@ -613,6 +623,11 @@ func oneChain(a, b []float32) float32 {
 // routine's eight lanes, whole groups, the two-group pairs of the sum form
 // and every remainder.
 const planeSumPlanes = 33
+
+// The three tests below hold planeSums' three forms against oneChain, each
+// through its caller: the stored sum (the plane mean), the dot (the
+// squeeze-excite backward) and the accumulating sum (the conv bias gradient,
+// once per sample).
 
 // TestPlaneMeanMatchesOneChain: the plane mean gives each plane exactly the
 // one ascending chain the reference pooling layers run, times 1/hw, under
@@ -645,11 +660,10 @@ func TestPlaneMeanMatchesOneChain(t *testing.T) {
 
 // TestPlaneDotMatchesOneChain: the squeeze-excite backward's plane dot
 // against one serial chain per plane, each product rounded before its add,
-// under both settings, on TestPlaneMeanMatchesOneChain's sweep: a's two NaN
-// payloads meet in the chain's adds, and b puts 1 under a's all −0 plane, so
-// its products stay −0. No product multiplies two NaNs: the Go loop's four
-// side-by-side chains compile that multiply with a first in some chains and
-// b first in others, so only NaN, not its payload, is defined there.
+// under both settings, on TestPlaneMeanMatchesOneChain's sweep: every NaN of
+// a meets b's NaN nanB in its product, where a's must survive; a's two NaN
+// payloads then meet in the chain's adds; and b puts 1 under a's all −0
+// plane, so its products stay −0.
 func TestPlaneDotMatchesOneChain(t *testing.T) {
 	r := frand.New(87)
 	for _, on := range []bool{false, true} {
@@ -658,8 +672,8 @@ func TestPlaneDotMatchesOneChain(t *testing.T) {
 			for hw := 1; hw <= 70; hw++ {
 				ad, bd := planeOperand(r, planes+1, hw), sweepOperand(r, (planes+1)*hw, 2)
 				for j, v := range ad {
-					if v != v && bd[j] != bd[j] {
-						bd[j] = 1
+					if v != v {
+						bd[j] = nanB
 					}
 				}
 				if planes > 2 {
@@ -670,7 +684,7 @@ func TestPlaneDotMatchesOneChain(t *testing.T) {
 				for _, lo := range []int{0, 1} {
 					got := make([]float32, planes+1)
 					want := slices.Clone(got)
-					planeDot(got[lo:lo+planes], ad[lo*hw:], bd[lo*hw:], hw)
+					planeSums(got[lo:lo+planes], ad[lo*hw:], bd[lo*hw:], hw, false)
 					for i := lo; i < lo+planes; i++ {
 						want[i] = oneChain(ad[i*hw:(i+1)*hw], bd[i*hw:(i+1)*hw])
 					}
@@ -742,7 +756,7 @@ func TestVecRowSweepsStayInsideSlices(t *testing.T) {
 		for i, on := range []bool{false, true} {
 			vectest.SetLive(t, on)
 			out := guarded(make([]float32, n))
-			addInto(out, guarded(a), guarded(b))
+			tensor.Add(out, guarded(a), guarded(b))
 			want[i] = out
 		}
 		exactSlice(t, fmt.Sprintf("guarded residual sum n=%d", n), want[1], want[0])
@@ -756,7 +770,7 @@ func TestVecRowSweepsStayInsideSlices(t *testing.T) {
 				vectest.SetLive(t, on)
 				mean, dot, db := guarded(make([]float32, planes)), guarded(make([]float32, planes)), guarded(acc)
 				planeMean(mean, guarded(a), hw)
-				planeDot(dot, guarded(a), guarded(b), hw)
+				planeSums(dot, guarded(a), guarded(b), hw, false)
 				foldBiasGrad(db, guarded(a), planes*hw, 1, hw)
 				want[i] = [3][]float32{mean, dot, db}
 			}
@@ -783,7 +797,6 @@ func TestVecSweepsRejectShortSlices(t *testing.T) {
 		name string
 		call func()
 	}{
-		{"hard-swish y", func() { vec.HardSwish(f(8), f(9)) }},
 		{"bias y", func() { vec.BiasAct(f(3*9-1), 3, 9, f(3), vec.ActIdentity) }},
 		{"bias bias", func() { vec.BiasAct(f(3*9), 3, 9, f(2), vec.ActHardSwish) }},
 		{"bias relu", func() { vec.BiasAct(f(3*9), 3, 9, f(2), vec.ActReLU) }},
@@ -820,7 +833,6 @@ func TestVecSweepsRejectShortSlices(t *testing.T) {
 			tc.call()
 		}()
 	}
-	vec.HardSwish(nil, nil)
 	vec.BiasAct(nil, 0, 9, nil, vec.ActHardSwish)
 	vec.BiasAct(nil, 3, 0, nil, vec.ActReLU)
 	vec.BNNormalize(nil, nil, 4, 0, 4, 0, 1, 1, 0, vec.ActHardSwish)
@@ -878,7 +890,7 @@ func frozenAutoMatchesSerial(t *testing.T) {
 }
 
 // refSEForward and refSEBackward are SEBlock's passes as they ran before the
-// block took the frozen op's kernels (planeMean, scaleRows) and planeDot and
+// block took the frozen op's kernels (planeMean, scaleRows), planeSums and
 // BiasAct: one serial loop per plane. They drive the block's own excitation
 // layers, so a block run through them is the oracle of a twin run through
 // Forward and Backward.

@@ -43,24 +43,7 @@ func gemmAB(out, a, b []float32, m, k, n int, acc bool, bias []float32, act vec.
 			BiasAct(out[i*n:(i+1)*n], bi, act)
 		}
 	case act != vec.ActIdentity:
-		rowAct(out[:m*n], act)
-	}
-}
-
-// rowAct computes y[j] = act(y[j]), act ReLU or hard-swish, with no bias add,
-// so a −0 sum stays −0 through hard-swish: the store epilogue of a bias-less
-// GEMM.
-func rowAct(y []float32, act vec.Act) {
-	if act == vec.ActReLU {
-		for j, v := range y {
-			if !(v > 0) {
-				y[j] = 0
-			}
-		}
-		return
-	}
-	for j, v := range y {
-		y[j] = v * HardSigmoid(v)
+		ApplyAct(out[:m*n], act)
 	}
 }
 

@@ -7,18 +7,26 @@ import (
 	"heteroswitch/internal/vec"
 )
 
-// AddInPlace computes t += o elementwise; with vec.Live set, vec.Add does,
-// keeping t's NaN where both operands are NaN, as the Go loop does.
+// AddInPlace computes t += o elementwise.
 func (t *Tensor) AddInPlace(o *Tensor) {
 	if len(t.data) != len(o.data) {
 		panic(fmt.Sprintf("tensor: AddInPlace size mismatch %v vs %v", t.shape, o.shape))
 	}
+	Add(t.data, t.data, o.data)
+}
+
+// Add computes out[i] = a[i] + b[i] for every i of a: AddInPlace and the
+// residual sum, frozen and trained (forward and backward). With vec.Live set,
+// vec.Add does, keeping a's NaN where both operands are NaN, as the Go loop
+// does.
+func Add(out, a, b []float32) {
 	if vec.Live {
-		vec.Add(t.data, t.data, o.data)
+		vec.Add(out, a, b)
 		return
 	}
-	for i := range t.data {
-		t.data[i] += o.data[i]
+	b = b[:len(a)]
+	for i := range out[:len(a)] {
+		out[i] = a[i] + b[i]
 	}
 }
 
@@ -101,8 +109,8 @@ func HardSigmoid(v float32) float32 {
 }
 
 // BiasAct computes y[j] = act(y[j] + bias) over one output row: the conv
-// epilogue wherever no vector store carries it, and the Go form of the
-// vector GEMM's store epilogue.
+// epilogue wherever no vector store carries it, the Go form of the vector
+// GEMM's store epilogue, and (through ApplyAct) every activation sweep.
 func BiasAct(y []float32, bias float32, act vec.Act) {
 	if vec.Live {
 		b := [1]float32{bias}
@@ -129,3 +137,12 @@ func BiasAct(y []float32, bias float32, act vec.Act) {
 		}
 	}
 }
+
+// ApplyAct computes y[j] = act(y[j]) in place, act ReLU or hard-swish:
+// BiasAct with bias −0. v + (−0) is v for every float32, −0 and NaN payloads
+// included (a signalling NaN comes back quiet, which neither act can tell:
+// ReLU maps a NaN to +0, hard-swish quiets it), where +0 would turn a −0 into
+// +0 and so a −0 sum through hard-swish into +0. It is batch norm's
+// activation in its eval pass and its Go loops, the ReLU layer's forward, and
+// the epilogue of a bias-less Go GEMM.
+func ApplyAct(y []float32, act vec.Act) { BiasAct(y, float32(math.Copysign(0, -1)), act) }

@@ -853,6 +853,81 @@ func TestVecBiasActMatchesGeneric(t *testing.T) {
 	}
 }
 
+// applyActLoop and rowActLoop are the activation loops ApplyAct replaced, as
+// they ran: the nn package's sweep y = act(x) (ReLU and hard-swish) and the
+// Go GEMM's bias-less epilogue, which zeroes in place what is not positive.
+func applyActLoop(yd, xd []float32, act vec.Act) {
+	yd = yd[:len(xd)]
+	switch act {
+	case vec.ActReLU:
+		for i, v := range xd {
+			if v > 0 {
+				yd[i] = v
+			} else {
+				yd[i] = 0
+			}
+		}
+	case vec.ActHardSwish:
+		for i, v := range xd {
+			yd[i] = v * HardSigmoid(v)
+		}
+	}
+}
+
+func rowActLoop(y []float32, act vec.Act) {
+	if act == vec.ActReLU {
+		for j, v := range y {
+			if !(v > 0) {
+				y[j] = 0
+			}
+		}
+		return
+	}
+	for j, v := range y {
+		y[j] = v * HardSigmoid(v)
+	}
+}
+
+// TestApplyActMatchesReplacedLoops: ApplyAct, under both settings of the
+// switch, stores the bits of applyActLoop and rowActLoop for ReLU and
+// hard-swish, on lengths through the 8-wide blocks and the masked tail, over
+// ±0, ±Inf, the smallest subnormals, ±MaxFloat32, ±3 and their neighbours,
+// NaNs of both signs (one signalling) and random bit patterns. The adds of
+// −0 must leave every value, a −0 and a NaN's payload included, as it was.
+func TestApplyActMatchesReplacedLoops(t *testing.T) {
+	specials := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, math.MaxFloat32, -math.MaxFloat32}
+	for _, k := range []float32{3, -3} {
+		specials = append(specials, k, math.Nextafter32(k, 0), math.Nextafter32(k, 2*k))
+	}
+	for _, b := range []uint32{0x7fc00000, 0xffc00123, 0x7fc00aaa, 0xff800321} {
+		specials = append(specials, math.Float32frombits(b))
+	}
+	vectest.BothSettings(t, func(t *testing.T) {
+		r := frand.New(89)
+		for n := 1; n <= 67; n++ {
+			x := make([]float32, n)
+			for i := range x {
+				if r.Intn(2) == 0 {
+					x[i] = specials[r.Intn(len(specials))]
+				} else {
+					x[i] = math.Float32frombits(uint32(r.Uint64()))
+				}
+			}
+			for _, act := range []vec.Act{vec.ActReLU, vec.ActHardSwish} {
+				name := fmt.Sprintf("act %d, n=%d", act, n)
+				want, got := make([]float32, n), slices.Clone(x)
+				applyActLoop(want, x, act)
+				ApplyAct(got, act)
+				vectest.NaNClassEqual(t, name+" against the nn sweep", got, want)
+				want = slices.Clone(x)
+				rowActLoop(want, act)
+				vectest.NaNClassEqual(t, name+" against the GEMM epilogue", got, want)
+			}
+		}
+	})
+}
+
 // convGemmShapes are TinyMobileNetV3's stem (lowered) and pointwise convs at
 // batch 1 as GEMMs: m output channels, k the fan-in, n output pixels.
 var convGemmShapes = []struct {

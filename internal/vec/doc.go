@@ -52,13 +52,13 @@
 //     fused store), the routines take the operands in the order a plain
 //     build compiles the Go loop, so the first one's sign and payload
 //     survive, and the parity tests check those bits; a plane sum's
-//     running sum is the first operand of each add. Go does not specify
-//     which NaN survives, though, and a -race build swaps some of those
-//     operands; under -race alone the parity tests hold NaN for NaN, and
-//     every other value bit for bit. One multiply has no single order even
-//     in a plain build: the plane dot's Go loop compiles a·b with a first in
-//     some of its side-by-side chains and b first in others, so where a and
-//     b are both NaN only NaN is defined; PlaneSums takes a first.
+//     running sum is the first operand of each add, and a the first of each
+//     multiply of its dot form. Go does not specify which NaN survives,
+//     though, and a -race build swaps some of those operands; under -race
+//     alone the parity tests hold NaN for NaN, and every other value bit for
+//     bit. In a plain build every side-by-side chain of the plane sums' one
+//     Go loop multiplies with a first, as PlaneSums does, so where a and b
+//     are both NaN, a's NaN survives in both.
 //  3. A reduction takes lanes only when its consumer is a decision and a
 //     proven guard falls back to the serial chain. SqDist is the one such
 //     routine: it returns the gate's squared distance in lane order, and
@@ -83,11 +83,15 @@
 // reduction bnSumDot recomputes x̂ and z from x with bnNormalize's
 // operations, stores dz = act′(z)·dy and folds Σdz and Σdz·x̂ in one pass, so
 // no x̂, pre-activation or separate activation pass is ever stored or run.
-// The package has 17 routines. Im2Col2 lowers a whole sample at column
-// stride 2, margins included; the lowering's Go loop still runs at column
-// stride 1, where each span is one contiguous copy. PlaneSums is the plane
-// sum of pooling, the squeeze-excite squeeze and backward, and the conv bias
-// gradient.
+// Five routines take an Act — Gemm, Depthwise3x3, BiasAct, BNNormalize and
+// BNSumDot — and an activation with no sum to finish is BiasAct with bias −0
+// (tensor.ApplyAct), so none applies an Act alone.
+//
+// The package has 16 routines besides the CPU probe's two. Im2Col2 lowers a
+// whole sample at column stride 2, margins included; the lowering's Go loop
+// still runs at column stride 1, where each span is one contiguous copy.
+// PlaneSums is the plane sum of pooling, the squeeze-excite squeeze and
+// backward, and the conv bias gradient.
 //
 // # Layout
 //

@@ -214,9 +214,9 @@ const PlaneSumsMin = 8
 // PlaneSums computes the sum of each of planes ≥ PlaneSumsMin planes of n
 // elements, n apart in a: s_i = Σ_j a[i·n+j], or Σ_j a[i·n+j]·b[i·n+j] when b
 // is not nil, each one chain from +0 in ascending j with the running sum the
-// first operand of every add (a product rounded before its add, no FMA). It
-// stores out[i] = s_i, or adds out[i] += s_i when acc: the bits of
-// internal/nn's plane-mean, plane-dot and bias-gradient loops.
+// first operand of every add and a the first of every multiply (a product
+// rounded before its add, no FMA). It stores out[i] = s_i, or adds
+// out[i] += s_i when acc: the bits of internal/nn's planeSums Go loop.
 func PlaneSums(out, a, b []float32, planes, n int, acc bool) {
 	if planes <= 0 {
 		return
@@ -271,15 +271,6 @@ func SqDist(a, b []float32) (float64, int) {
 // The sweeps of internal/nn's layers and frozen ops. The elementwise ones
 // take their lanes across elements; the batch-norm reductions across
 // BNChannels channels.
-
-// HardSwish computes y[i] = x[i]·hardSigmoid(x[i]) over len(x) elements.
-func HardSwish(y, x []float32) {
-	if len(x) == 0 {
-		return
-	}
-	short("hard-swish", len(x), len(y))
-	hardSwish(&y[0], &x[0], len(x))
-}
 
 // BiasAct computes y[r·n+j] = act(y[r·n+j] + bias[r]) for r < rows, j < n:
 // the epilogue of a conv plane that no GEMM stores.

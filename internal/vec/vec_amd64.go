@@ -55,9 +55,6 @@ func foldScaled(dst *float64, src *float32, w float64, n int)
 func sqDist(a, b *float32, n int) float64
 
 //go:noescape
-func hardSwish(y, x *float32, n int)
-
-//go:noescape
 func biasAct(y *float32, rows, n int, bias *float32, act Act)
 
 //go:noescape

@@ -2290,39 +2290,6 @@ sqDone:
 	LEAQ vecMask<>(SB), reg; \
 	VMOVDQU 32(reg)(tmp*4), Y9
 
-// func hardSwish(y, x *float32, n int)
-//
-// y[i] = x[i] · hardSigmoid(x[i])
-TEXT ·hardSwish(SB), NOSPLIT, $0-24
-	PCALIGN $64
-	MOVQ y+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ n+16(FP), BX
-	HSCONST
-	XORQ AX, AX
-
-hswBlk:
-	CMPQ BX, $8
-	JLT  hswTail
-	VMOVUPS (SI)(AX*1), Y0
-	HSWISH(Y0, Y1)
-	VMOVUPS Y0, (DI)(AX*1)
-	ADDQ $32, AX
-	SUBQ $8, BX
-	JMP  hswBlk
-
-hswTail:
-	TESTQ BX, BX
-	JZ    hswDone
-	TAILMASK(BX, CX)
-	VMASKMOVPS (SI)(AX*1), Y9, Y0
-	HSWISH(Y0, Y1)
-	VMASKMOVPS Y0, Y9, (DI)(AX*1)
-
-hswDone:
-	VZEROUPPER
-	RET
-
 // func biasAct(y *float32, rows, n int, bias *float32, act Act)
 //
 // y[r·n + j] = act(y[r·n + j] + bias[r]), act finished as in gemm: the conv

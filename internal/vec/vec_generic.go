@@ -35,8 +35,6 @@ func foldScaled(dst *float64, src *float32, w float64, n int) { panic(none) }
 
 func sqDist(a, b *float32, n int) float64 { panic(none) }
 
-func hardSwish(y, x *float32, n int) { panic(none) }
-
 func biasAct(y *float32, rows, n int, bias *float32, act Act) { panic(none) }
 
 func scaleRows(y, x, z *float32, rows, n int) { panic(none) }
