@@ -48,10 +48,11 @@ func main() {
 	hetero.Transform = core.RandomGaussianFilter(0.5, 2.5)
 
 	for _, strat := range []fl.Strategy{fl.FedAvg{}, hetero} {
-		srv, err := experiments.RunFLWithLoss(experiments.DefaultOptions(), strat, train, counts, cfg, builder, nn.MSE{})
+		srv, _, err := experiments.NewFL(experiments.DefaultOptions(), strat, train, counts, cfg, builder, nn.MSE{})
 		if err != nil {
 			log.Fatal(err)
 		}
+		srv.Run(nil)
 		net := srv.GlobalNet()
 
 		// Same waveforms through all four sensors: how much do predictions

@@ -33,13 +33,13 @@ func TestSceneToTrainingPipeline(t *testing.T) {
 		Rounds: 30, ClientsPerRound: 9, BatchSize: 10, LocalEpochs: 1,
 		LR: 0.1, Seed: 5, Workers: 4,
 	}
-	srv, err := experiments.RunFL(opts, fl.FedAvg{}, dd, experiments.EqualCounts(9, 18), cfg,
-		experiments.SimpleCNNBuilder(5, dd.Classes))
+	tr, _, err := experiments.NewFL(opts, fl.FedAvg{}, dd.Train, experiments.EqualCounts(9, 18), cfg,
+		experiments.SimpleCNNBuilder(5, dd.Classes), nn.SoftmaxCrossEntropy{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := metrics.Accuracy(srv.GlobalNet(), dd.AllTest(), 16)
-	if acc < 0.25 { // chance is 1/12 ≈ 8.3%
+	score, _ := experiments.Evaluate(tr, fl.FedAvg{}.Name(), []*dataset.Dataset{dd.AllTest()}, nil)
+	if acc := score.PerDevice[0]; acc < 0.25 { // chance is 1/12 ≈ 8.3%
 		t.Fatalf("federated model failed to learn: accuracy %v", acc)
 	}
 }
@@ -59,22 +59,21 @@ func TestHeteroSwitchRunsOnRealWorkload(t *testing.T) {
 		LR: 0.1, Seed: 9, Workers: 4,
 	}
 	hs := core.New()
-	srv, err := experiments.RunFL(opts, hs, dd, experiments.EqualCounts(9, 18), cfg,
-		experiments.SimpleCNNBuilder(9, dd.Classes))
+	tr, _, err := experiments.NewFL(opts, hs, dd.Train, experiments.EqualCounts(9, 18), cfg,
+		experiments.SimpleCNNBuilder(9, dd.Classes), nn.SoftmaxCrossEntropy{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	score, net := experiments.Evaluate(tr, hs.Name(), []*dataset.Dataset{dd.AllTest()}, nil)
 	if _, has := hs.LEMA(); !has {
 		t.Fatal("L_EMA never initialized on the vision workload")
 	}
-	net := srv.GlobalNet()
 	for _, p := range net.Snapshot().Params {
 		if p.HasNaN() {
 			t.Fatal("HeteroSwitch diverged on the vision workload")
 		}
 	}
-	acc := metrics.Accuracy(net, dd.AllTest(), 16)
-	if acc < 0.15 {
+	if acc := score.PerDevice[0]; acc < 0.15 {
 		t.Fatalf("HeteroSwitch failed to learn: %v", acc)
 	}
 }

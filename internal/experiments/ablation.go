@@ -42,7 +42,7 @@ func ablationRig(opts Options) (func(name string, strat fl.Strategy) (MethodScor
 		if err != nil {
 			return MethodScore{}, err
 		}
-		score, _ := Evaluate(tr, name, dd, nil)
+		score, _ := Evaluate(tr, name, dd.Test, nil)
 		return score, nil
 	}, nil
 }

@@ -66,18 +66,20 @@ func Fig1(opts Options) (*Fig1Result, error) {
 	homoTrain := map[int]*dataset.Dataset{s9: dataset.Concat(pool...)}
 	homoCounts := make([]int, len(dd.Profiles))
 	homoCounts[s9] = 20
-	srv, err := RunFLWithLoss(opts, fl.FedAvg{}, homoTrain, homoCounts, cfg, builder, nn.SoftmaxCrossEntropy{})
+	tr, _, err := NewFL(opts, fl.FedAvg{}, homoTrain, homoCounts, cfg, builder, nn.SoftmaxCrossEntropy{})
 	if err != nil {
 		return nil, err
 	}
-	homoAcc := metrics.Accuracy(srv.GlobalNet(), dd.Test[s9], 16)
+	homo, _ := Evaluate(tr, fl.FedAvg{}.Name(), dd.Test[s9:s9+1], nil)
+	homoAcc := homo.PerDevice[0]
 
-	// Heterogeneous: market-share mix, evaluated across all devices.
-	srv, err = RunFL(opts, fl.FedAvg{}, dd, MarketShareCounts(dd, 20), cfg, builder)
+	// Heterogeneous: market-share mix, evaluated on the pooled test set.
+	tr, _, err = NewFL(opts, fl.FedAvg{}, dd.Train, MarketShareCounts(dd, 20), cfg, builder, nn.SoftmaxCrossEntropy{})
 	if err != nil {
 		return nil, err
 	}
-	heteroAcc := metrics.Accuracy(srv.GlobalNet(), dd.AllTest(), 16)
+	hetero, _ := Evaluate(tr, fl.FedAvg{}.Name(), []*dataset.Dataset{dd.AllTest()}, nil)
+	heteroAcc := hetero.PerDevice[0]
 
 	return &Fig1Result{
 		HomogeneousDevice: "S9",
@@ -159,10 +161,7 @@ func CrossDevice(opts Options, mode dataset.CaptureMode) (*CrossDeviceResult, er
 			net := builder()
 			net.SetIntraOp(budget)
 			TrainCentralized(net, dd.Train[i], epochs, 10, 0.05, frand.New(opts.Seed^uint64(i+7)))
-			res.Acc[i] = make([]float64, n)
-			for j := 0; j < n; j++ {
-				res.Acc[i][j] = metrics.Accuracy(net, dd.Test[j], 16)
-			}
+			res.Acc[i] = PerDeviceAccuracies(net, dd, 16)
 		}
 	})
 	for i := 0; i < n; i++ {

@@ -3,9 +3,9 @@
 // device population, runs the training protocol, and returns a result whose
 // String() renders the same rows/series the paper reports.
 //
-// Every harness that reports the paper's worst-case / variance / average
-// triple reads it through Evaluate, so which round, batch and statistic
-// score a method is decided in one place.
+// Every federated accuracy harness reads its accuracies through Evaluate, on
+// the test sets it passes, so which round, batch and statistic score a
+// method is decided in one place. Every federation is built through NewFL.
 //
 // Every harness accepts Options with a Scale knob: Scale=1 is the intended
 // reproduction size (minutes on a laptop CPU), small scales (0.1-0.3) run in
@@ -73,8 +73,7 @@ type Options struct {
 // a simclock virtual-time simulation). The zero value keeps every harness
 // synchronous.
 type AsyncOptions struct {
-	// Enabled switches RunFL/RunFLWithLoss to the asynchronous server, for
-	// every strategy.
+	// Enabled switches NewFL to the asynchronous server, for every strategy.
 	Enabled bool
 	// StalenessAlpha is the polynomial discount exponent 1/(1+s)^α; 0
 	// disables discounting.
@@ -332,25 +331,6 @@ type Trainer interface {
 	GlobalNet() *nn.Network
 }
 
-// RunFL builds a population from dd.Train according to counts, runs the
-// strategy for cfg.Rounds (synchronously, or on the async server when
-// opts.Async.Enabled), and returns the trained server.
-func RunFL(opts Options, strategy fl.Strategy, dd *DeviceData, counts []int, cfg fl.Config, builder models.Builder) (Trainer, error) {
-	return RunFLWithLoss(opts, strategy, dd.Train, counts, cfg, builder, nn.SoftmaxCrossEntropy{})
-}
-
-// RunFLWithLoss is RunFL with an explicit per-device dataset map and loss
-// (the multi-label and regression experiments use BCE / MSE).
-func RunFLWithLoss(opts Options, strategy fl.Strategy, perDevice map[int]*dataset.Dataset, counts []int,
-	cfg fl.Config, builder models.Builder, loss nn.Loss) (Trainer, error) {
-	srv, _, err := NewFL(opts, strategy, perDevice, counts, cfg, builder, loss)
-	if err != nil {
-		return nil, err
-	}
-	srv.Run(nil)
-	return srv, nil
-}
-
 // NewFL is the one way to stand up a federation: it builds the population
 // from perDevice according to counts and returns the trainer for strategy —
 // the barrier server, or the event-loop server when opts.Async.Enabled —
@@ -403,21 +383,29 @@ func (o Options) newFL(strategy fl.Strategy, perDevice map[int]*dataset.Dataset,
 	return srv, cfg, err
 }
 
-// Evaluate is the one readout of every harness that reports the Table 4
-// triple: it runs tr for its configured rounds, invoking each (when non-nil)
-// with every round's stats, then scores the final global network on each of
-// dd.Test at batch 16. It returns the score and the network it scored.
-func Evaluate(tr Trainer, method string, dd *DeviceData, each func(fl.RoundStats)) (MethodScore, *nn.Network) {
+// Evaluate is the one readout of every federated accuracy harness: it runs
+// tr for its configured rounds, invoking each (when non-nil) with every
+// round's stats, then scores the final global network on each of tests (the
+// per-device sets, one device's, or the pooled dd.AllTest()) at batch 16.
+// It returns the score, PerDevice in tests' order, and the network it scored.
+func Evaluate(tr Trainer, method string, tests []*dataset.Dataset, each func(fl.RoundStats)) (MethodScore, *nn.Network) {
 	tr.Run(each)
 	net := tr.GlobalNet()
-	return scoreFromAccuracies(method, PerDeviceAccuracies(net, dd, 16)), net
+	return scoreFromAccuracies(method, accuracies(net, tests, 16)), net
 }
 
 // PerDeviceAccuracies evaluates the network on each of dd.Test, returning
-// the accuracies in device order.
+// the accuracies in device order. The harnesses score through Evaluate; this
+// is kept because cmd/perfbook times the per-device loop through it.
 func PerDeviceAccuracies(net *nn.Network, dd *DeviceData, batch int) []float64 {
-	out := make([]float64, len(dd.Test))
-	for i, ds := range dd.Test {
+	return accuracies(net, dd.Test, batch)
+}
+
+// accuracies is the one per-set accuracy loop: net's accuracy on each of
+// sets, in order.
+func accuracies(net *nn.Network, sets []*dataset.Dataset, batch int) []float64 {
+	out := make([]float64, len(sets))
+	for i, ds := range sets {
 		out[i] = metrics.Accuracy(net, ds, batch)
 	}
 	return out

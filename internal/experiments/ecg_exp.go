@@ -84,16 +84,18 @@ func ECG(opts Options) (*ECGResult, error) {
 	}
 
 	res := &ECGResult{}
-	srv, err := RunFLWithLoss(opts, fl.FedAvg{}, train, counts, cfg, builder, nn.MSE{})
+	srv, _, err := NewFL(opts, fl.FedAvg{}, train, counts, cfg, builder, nn.MSE{})
 	if err != nil {
 		return nil, err
 	}
+	srv.Run(nil)
 	res.FedAvgDeviation, res.FedAvgSpread = evalRig(srv)
 
-	srv, err = RunFLWithLoss(opts, hetero, train, counts, cfg, builder, nn.MSE{})
+	srv, _, err = NewFL(opts, hetero, train, counts, cfg, builder, nn.MSE{})
 	if err != nil {
 		return nil, err
 	}
+	srv.Run(nil)
 	res.HeteroDeviation, res.HeteroSpread = evalRig(srv)
 	return res, nil
 }

@@ -22,6 +22,7 @@ func TestFig5Structure(t *testing.T) {
 	if !strings.Contains(res.String(), "LODO") {
 		t.Fatal("rendering broken")
 	}
+	pinTable(t, res, "9d1fd5969b572ebfae553c8d9eae66474737d1fd186a4cdcf11ee58605a13b59")
 }
 
 func TestFig9Structure(t *testing.T) {
@@ -40,6 +41,7 @@ func TestFig9Structure(t *testing.T) {
 			t.Fatalf("sweep %s malformed", sw.Param)
 		}
 	}
+	pinTable(t, res, "8d211241aa7e7bf18bb4663f2bca2a88b922df61715f79e6c7dc2542238846c3")
 }
 
 func TestTable4Structure(t *testing.T) {
@@ -124,4 +126,5 @@ func TestUnseenDGStructure(t *testing.T) {
 			t.Fatal("worst unseen accuracy above average")
 		}
 	}
+	pinTable(t, res, "27aaf99f18c9494ee4b185c408dd6b3f2de767764c6c4d22177684f75cbe9eec")
 }

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -16,6 +19,16 @@ func tinyOpts(scale float64) Options {
 	opts.Scale = scale
 	opts.Seed = 42
 	return opts
+}
+
+// pinTable fails unless the rendered table hashes to want (hex sha256), so a
+// change to a harness's training or readout cannot move its bytes unnoticed.
+func pinTable(t *testing.T, res fmt.Stringer, want string) {
+	t.Helper()
+	sum := sha256.Sum256([]byte(res.String()))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("table digest %s, want %s:\n%s", got, want, res)
+	}
 }
 
 func TestOptionsScaled(t *testing.T) {
@@ -123,6 +136,7 @@ func TestFig1Structure(t *testing.T) {
 	if !strings.Contains(res.String(), "homogeneous") {
 		t.Fatal("rendering broken")
 	}
+	pinTable(t, res, "ea14c8b1665b893da512cbd971eb1561d94bf2ac74a70b6fbace25edad4a034e")
 }
 
 func TestTable2Structure(t *testing.T) {
@@ -141,6 +155,7 @@ func TestTable2Structure(t *testing.T) {
 	if !strings.Contains(res.String(), "MeanOthers") {
 		t.Fatal("rendering broken")
 	}
+	pinTable(t, res, "d7262f1f3f193623bcef2d382c6e598b25ac307502fcae0044e75d4785b07cd9")
 }
 
 func TestFig3Structure(t *testing.T) {
@@ -236,6 +251,7 @@ func TestECGStructure(t *testing.T) {
 	if !strings.Contains(res.String(), "HeteroSwitch+RGF") {
 		t.Fatal("rendering broken")
 	}
+	pinTable(t, res, "b416e42a2bce6f9ee53cfc249033285ca6d76379dfd1ffb15edeef7c23d7379b")
 }
 
 func TestTable6Structure(t *testing.T) {
@@ -251,6 +267,7 @@ func TestTable6Structure(t *testing.T) {
 			t.Fatalf("AP out of range: %+v", row)
 		}
 	}
+	pinTable(t, res, "d8b49a7f998bd9d191da76ba19f1a8f378f970beb3ed7d457491f8eaa693a3ed")
 }
 
 func TestAsyncSweepStructure(t *testing.T) {
@@ -288,8 +305,8 @@ func TestAsyncSweepStructure(t *testing.T) {
 }
 
 // Options.Async must reroute every strategy through the async server inside
-// the shared RunFL funnel, and its zero value none.
-func TestRunFLHonorsAsyncOptions(t *testing.T) {
+// NewFL, and its zero value none; every trainer it builds still runs.
+func TestNewFLHonorsAsyncOptions(t *testing.T) {
 	opts := tinyOpts(0.1)
 	opts.Async = AsyncOptions{Enabled: true, StalenessAlpha: 0.5, LatencyModel: "uniform:0.5,2"}
 	dd, err := BuildDeviceData(opts, 1, 1, dataset.ModeProcessed)
@@ -299,22 +316,25 @@ func TestRunFLHonorsAsyncOptions(t *testing.T) {
 	cfg := fl.Config{Rounds: 2, ClientsPerRound: 4, BatchSize: 4, LocalEpochs: 1,
 		LR: 0.1, Seed: opts.Seed, Workers: 2}
 	counts := MarketShareCounts(dd, 9)
+	builder := SimpleCNNBuilder(opts.Seed, dd.Classes)
 	var srv Trainer
 	for _, strat := range []fl.Strategy{fl.FedAvg{}, &fl.FedProx{Mu: 0.1}, &fl.QFedAvg{Q: 1e-6},
 		&fl.Scaffold{TotalClients: 9}, core.New()} {
-		srv, err = RunFL(opts, strat, dd, counts, cfg, SimpleCNNBuilder(opts.Seed, dd.Classes))
+		srv, _, err = NewFL(opts, strat, dd.Train, counts, cfg, builder, nn.SoftmaxCrossEntropy{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := srv.(*fl.AsyncServer); !ok {
 			t.Fatalf("%s: async options ignored: got %T", strat.Name(), srv)
 		}
+		srv.Run(nil)
 	}
 	opts.Async = AsyncOptions{}
-	srv, err = RunFL(opts, &fl.QFedAvg{Q: 1e-6}, dd, counts, cfg, SimpleCNNBuilder(opts.Seed, dd.Classes))
+	srv, _, err = NewFL(opts, &fl.QFedAvg{Q: 1e-6}, dd.Train, counts, cfg, builder, nn.SoftmaxCrossEntropy{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.Run(nil)
 	if _, ok := srv.(*fl.Server); !ok {
 		t.Fatalf("zero async options must stay synchronous: got %T", srv)
 	}
@@ -364,7 +384,7 @@ func TestEvaluate(t *testing.T) {
 			t.Fatal(err)
 		}
 		var rounds []int
-		score, net := Evaluate(tr, "m", dd, func(s fl.RoundStats) { rounds = append(rounds, s.Round) })
+		score, net := Evaluate(tr, "m", dd.Test, func(s fl.RoundStats) { rounds = append(rounds, s.Round) })
 		if len(rounds) != cfg.Rounds {
 			t.Fatalf("async=%v: each saw rounds %v, want 0..%d once each", async, rounds, cfg.Rounds-1)
 		}

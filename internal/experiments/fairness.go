@@ -50,7 +50,7 @@ func Fig4(opts Options) (*Fig4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	score, _ := Evaluate(tr, fl.FedAvg{}.Name(), dd, nil)
+	score, _ := Evaluate(tr, fl.FedAvg{}.Name(), dd.Test, nil)
 
 	dominant := map[string]bool{}
 	for _, n := range device.DominantNames() {
@@ -108,16 +108,17 @@ func Fig5(opts Options) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	refScore, _ := Evaluate(ref, fl.FedAvg{}.Name(), dd, nil)
+	refScore, _ := Evaluate(ref, fl.FedAvg{}.Name(), dd.Test, nil)
 	res := &Fig5Result{RefAcc: refScore.PerDevice}
 	for j := 0; j < n; j++ {
 		counts := EqualCounts(n, n*perDeviceClients)
 		counts[j] = 0
-		srv, err := RunFL(opts, fl.FedAvg{}, dd, counts, cfg, builder)
+		tr, _, err := NewFL(opts, fl.FedAvg{}, dd.Train, counts, cfg, builder, nn.SoftmaxCrossEntropy{})
 		if err != nil {
 			return nil, err
 		}
-		acc := metrics.Accuracy(srv.GlobalNet(), dd.Test[j], 16)
+		lodo, _ := Evaluate(tr, fl.FedAvg{}.Name(), dd.Test[j:j+1], nil)
+		acc := lodo.PerDevice[0]
 		res.DeviceNames = append(res.DeviceNames, dd.Profiles[j].Name)
 		res.LodoAcc = append(res.LodoAcc, acc)
 		res.Degradation = append(res.Degradation, metrics.Degradation(res.RefAcc[j], acc))

@@ -62,10 +62,11 @@ func Table6(opts Options) (*Table6Result, error) {
 	}
 	res := &Table6Result{}
 	for _, strat := range strategies {
-		srv, err := RunFLWithLoss(opts, strat, fed.Train, counts, flCfg, builder, nn.BCEWithLogits{})
+		srv, _, err := NewFL(opts, strat, fed.Train, counts, flCfg, builder, nn.BCEWithLogits{})
 		if err != nil {
 			return nil, fmt.Errorf("table6 %s: %w", strat.Name(), err)
 		}
+		srv.Run(nil)
 		net := srv.GlobalNet()
 		// Per-device-type averaged precision.
 		var aps []float64

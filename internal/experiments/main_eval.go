@@ -101,7 +101,7 @@ func Table4(opts Options) (*Table4Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table4 %s: %w", strat.Name(), err)
 		}
-		score, _ := Evaluate(tr, strat.Name(), dd, nil)
+		score, _ := Evaluate(tr, strat.Name(), dd.Test, nil)
 		res.Scores = append(res.Scores, score)
 	}
 	return res, nil
@@ -153,7 +153,7 @@ func Table5(opts Options) (*Table5Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("table5 %s/%s: %w", arch, strat.Name(), err)
 			}
-			scores[i], _ = Evaluate(tr, strat.Name(), dd, nil)
+			scores[i], _ = Evaluate(tr, strat.Name(), dd.Test, nil)
 		}
 		res.Rows = append(res.Rows, struct {
 			Arch           string

@@ -5,7 +5,7 @@ import (
 
 	"heteroswitch/internal/dataset"
 	"heteroswitch/internal/fl"
-	"heteroswitch/internal/metrics"
+	"heteroswitch/internal/nn"
 )
 
 // Fig9Result is the hyperparameter sensitivity study (App. A.2 / Fig. 9):
@@ -47,12 +47,14 @@ func Fig9(opts Options) (*Fig9Result, error) {
 	baseRounds := opts.scaled(80)
 
 	base := opts.FLConfig(baseRounds, 10, 10, 0.1)
+	pooled := []*dataset.Dataset{dd.AllTest()}
 	eval := func(cfg fl.Config) (float64, error) {
-		srv, err := RunFL(opts, fl.FedAvg{}, dd, counts, cfg, builder)
+		tr, _, err := NewFL(opts, fl.FedAvg{}, dd.Train, counts, cfg, builder, nn.SoftmaxCrossEntropy{})
 		if err != nil {
 			return 0, err
 		}
-		return metrics.Accuracy(srv.GlobalNet(), dd.AllTest(), 16), nil
+		score, _ := Evaluate(tr, fl.FedAvg{}.Name(), pooled, nil)
+		return score.PerDevice[0], nil
 	}
 
 	// One row per panel: the values swept and how each is set on the base

@@ -52,7 +52,9 @@ func UnseenDG(opts Options) (*UnseenResult, error) {
 	rng := frand.New(opts.Seed)
 	testScenes := gen.RenderSet(opts.scaled(testPerClass), rng.SplitNamed("test-scenes"))
 	const numUnseen = 3
-	unseenTests := make([]*dataset.Dataset, numUnseen)
+	// The seen devices' test sets, then the unseen ones: one readout scores
+	// both, split at len(dd.Test).
+	tests := append(make([]*dataset.Dataset, 0, len(dd.Test)+numUnseen), dd.Test...)
 	res := &UnseenResult{}
 	urng := frand.New(opts.Seed ^ 0x0ddba11)
 	for i := 0; i < numUnseen; i++ {
@@ -62,7 +64,7 @@ func UnseenDG(opts Options) (*UnseenResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		unseenTests[i] = ds
+		tests = append(tests, ds)
 	}
 
 	cfg := opts.FLConfig(opts.scaled(80), 12, 10, 0.1)
@@ -74,17 +76,14 @@ func UnseenDG(opts Options) (*UnseenResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		seen, net := Evaluate(tr, strat.Name(), dd, nil)
-		var unseen []float64
-		for _, ds := range unseenTests {
-			unseen = append(unseen, metrics.Accuracy(net, ds, 16))
-		}
+		score, _ := Evaluate(tr, strat.Name(), tests, nil)
+		seen, unseen := score.PerDevice[:len(dd.Test)], score.PerDevice[len(dd.Test):]
 		res.Rows = append(res.Rows, struct {
 			Method    string
 			SeenAvg   float64
 			UnseenAvg float64
 			UnseenMin float64
-		}{strat.Name(), seen.AvgAcc, metrics.Mean(unseen), metrics.Worst(unseen)})
+		}{strat.Name(), metrics.Mean(seen), metrics.Mean(unseen), metrics.Worst(unseen)})
 	}
 	return res, nil
 }
