@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"heteroswitch/internal/core"
 	"heteroswitch/internal/dataset"
@@ -69,7 +70,7 @@ func ECG(opts Options) (*ECGResult, error) {
 			truth := truths[i]
 			minP, maxP := preds[0], preds[0]
 			for _, p := range preds {
-				devSum += absF(p-truth) / truth
+				devSum += math.Abs(p-truth) / truth
 				if p < minP {
 					minP = p
 				}
@@ -98,11 +99,4 @@ func ECG(opts Options) (*ECGResult, error) {
 	srv.Run(nil)
 	res.HeteroDeviation, res.HeteroSpread = evalRig(srv)
 	return res, nil
-}
-
-func absF(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

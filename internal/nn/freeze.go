@@ -12,10 +12,10 @@ import (
 // flattened (nested Networks inline), every BatchNorm2D that directly
 // follows a Conv2D is folded into the conv's weights and bias (using the
 // RUNNING statistics, so no batch reduction runs at all), and the activation
-// that follows a matmul layer is fused into the kernel as a row epilogue. An
-// op exists only to fold, fuse or recurse: a conv or dense layer with what it
-// absorbs, a residual sum (whose 1×1 projection may fold), a Parallel or
-// squeeze-excite block over frozen children. Every other layer runs its own
+// that follows a matmul layer is fused into the kernel's store with the
+// bias. An op exists only to fold, fuse or recurse: a conv or dense layer with
+// what it absorbs, a residual's plain sum, a Parallel or squeeze-excite block
+// over frozen children. Every other layer runs its own
 // Forward(x, false), and no eval forward writes a buffer for a backward pass,
 // so the frozen forward touches strictly less memory than
 // Network.Forward(x, false).
@@ -186,12 +186,7 @@ func compile(flat []Layer) []frozenOp {
 		case *SEBlock:
 			ops = append(ops, &frozenSE{se: l, fc1: &frozenDense{l: l.fc1, act: vec.ActReLU}, fc2: &frozenDense{l: l.fc2}})
 		case *Residual:
-			op := &frozenResidual{
-				body: compileLayer(l.Body),
-				proj: compileLayer(l.Proj),
-			}
-			op.foldProj()
-			ops = append(ops, op)
+			ops = append(ops, &frozenResidual{body: compileLayer(l.Body), proj: compileLayer(l.Proj)})
 		case *Parallel:
 			op := &frozenParallel{l: l}
 			for _, b := range l.Branches {

@@ -98,9 +98,9 @@ func frozenFixtures() []frozenFixture {
 				nn.NewDense(r, 8, 5),
 			)
 		}},
-		{"residual-conv-proj-folded", 3, func(r *frand.RNG) *nn.Network {
-			// BN-free 1×1 projection: folds onto the skip path as a single
-			// accumulating affine at Freeze time.
+		{"residual-conv-proj", 3, func(r *frand.RNG) *nn.Network {
+			// BN-free 1×1 projection: both branches run as frozen convs and
+			// the sum is the reference forward's.
 			body := nn.NewNetwork(
 				nn.NewConv2D(r, 3, 8, 3, 1, 1, 1),
 				nn.NewReLU(),
@@ -113,8 +113,7 @@ func frozenFixtures() []frozenFixture {
 			)
 		}},
 		{"residual-strided-proj", 3, func(r *frand.RNG) *nn.Network {
-			// Stride-2 1×1 projection: NOT foldable, keeps the materialized
-			// skip-path branch covered.
+			// Stride-2 1×1 projection with batch norm on both branches.
 			body := nn.NewNetwork(
 				nn.NewConv2D(r, 3, 8, 3, 2, 1, 1),
 				nn.NewBatchNorm2D(8, vec.ActIdentity),
@@ -370,8 +369,9 @@ func TestFrozenConcurrentReplicas(t *testing.T) {
 // exactly (the SqueezeNet-shaped contract). The net covers all three conv
 // kernels of the fast path — general im2col, the direct depthwise tap loop,
 // and the lowering-free pointwise matmul — which all promise the im2col
-// matmul's per-target accumulation order, each with a ReLU in its store, and
-// a squeeze-excite block, whose frozen gate runs the training block's sweep.
+// matmul's per-target accumulation order, each with a ReLU in its store, a
+// residual with a 1×1 projection, whose sum is the reference's one pass, and a
+// squeeze-excite block, whose frozen gate runs the training block's sweep.
 // Bit-identity to the reference forward is the oracle tier's contract, which
 // the default backend runs.
 func TestFrozenPureFusionBitIdentical(t *testing.T) {
@@ -384,6 +384,10 @@ func TestFrozenPureFusionBitIdentical(t *testing.T) {
 		nn.NewMaxPool2D(2, 2),
 		nn.NewConv2D(r, 8, 12, 1, 1, 0, 1),
 		nn.NewReLU(),
+		nn.NewResidual(
+			nn.NewNetwork(nn.NewConv2D(r, 12, 12, 3, 1, 1, 1), nn.NewReLU()),
+			nn.NewNetwork(nn.NewConv2D(r, 12, 12, 1, 1, 0, 1)),
+		),
 		nn.NewSEBlock(r, 12, 3),
 		nn.NewGlobalAvgPool(),
 		nn.NewDense(r, 12, 5),

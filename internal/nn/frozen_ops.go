@@ -40,7 +40,6 @@ type frozenConv struct {
 	// weights-as-A matrix; group gi dispatches rows [gi·gcOut, (gi+1)·gcOut).
 	pw tensor.PackedWeights
 
-	eps      []tensor.RowBias // one per group: its biases and the stored act
 	dims     tensor.ConvDims
 	inH, inW int
 	cols     []float32 // per-chunk im2col scratch
@@ -50,7 +49,7 @@ type frozenConv struct {
 	xd, od []float32
 }
 
-// build sizes the folded buffers and the per-group epilogues.
+// build sizes the folded buffers.
 func (c *frozenConv) build() {
 	l := c.l
 	fanIn := (l.InC / l.Groups) * l.KH * l.KW
@@ -60,11 +59,6 @@ func (c *frozenConv) build() {
 	} else {
 		c.wf = l.W.W.Data()
 		c.bf = l.B.W.Data()
-	}
-	gcOut := l.OutC / l.Groups
-	c.eps = make([]tensor.RowBias, l.Groups)
-	for gi := range c.eps {
-		c.eps[gi] = tensor.RowBias{Bias: c.bf[gi*gcOut : (gi+1)*gcOut], Act: c.act}
 	}
 }
 
@@ -173,43 +167,25 @@ func (c *frozenConv) inferIter(it int, col []float32) {
 	img := c.xd[i*imgStride+gi*gcIn*h*w : i*imgStride+(gi+1)*gcIn*h*w]
 	wg := c.wf[gi*gcOut*fanIn : (gi+1)*gcOut*fanIn]
 	y := c.od[i*outStride+gi*gcOut*cols : i*outStride+(gi+1)*gcOut*cols]
+	bias := c.bf[gi*gcOut : (gi+1)*gcOut]
 	if l.kernel() == convPointwise {
 		// The im2col matrix IS the image slice.
-		tensor.MatMulWASlicesEp(y, wg, &c.pw, gi*gcOut, gcOut, img, cols, false, &c.eps[gi])
+		tensor.MatMulWASlicesEp(y, wg, &c.pw, gi*gcOut, gcOut, img, cols, bias, c.act)
 		return
 	}
 	tensor.Im2Col(col, img, d)
-	tensor.MatMulWASlicesEp(y, wg, &c.pw, gi*gcOut, gcOut, col, cols, false, &c.eps[gi])
+	tensor.MatMulWASlicesEp(y, wg, &c.pw, gi*gcOut, gcOut, col, cols, bias, c.act)
 }
 
 // Fused dense -----------------------------------------------------------------
 
-// frozenDense is Dense's inference op: one fused matmul whose row epilogue
-// (Apply) adds the bias and applies the ReLU the layer absorbed, if any.
+// frozenDense is Dense's inference op: one fused matmul that adds the bias,
+// one per unit, and applies the ReLU the layer absorbed, if any.
 type frozenDense struct {
 	l   *Dense
 	act vec.Act // the identity or ReLU
 
 	pw tensor.PackedWeights // the weights-as-B handle
-}
-
-// Apply implements tensor.RowEpilogue on one output row (one sample):
-// row[j] = act(row[j] + bias[j]).
-func (d *frozenDense) Apply(row []float32, _ int) {
-	bias := d.l.B.W.Data()[:len(row)]
-	if d.act != vec.ActReLU {
-		for j := range row {
-			row[j] += bias[j]
-		}
-		return
-	}
-	for j, v := range row {
-		if v += bias[j]; v > 0 {
-			row[j] = v
-		} else {
-			row[j] = 0
-		}
-	}
 }
 
 // refold implements refolder: the weights-as-B handle rebinds to the
@@ -222,55 +198,21 @@ func (d *frozenDense) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: frozen Dense input %v, want [N %d]", x.Shape(), d.l.In))
 	}
 	y := f.alloc(x.Dim(0), d.l.Out)
-	tensor.MatMulWBSlicesEp(y.Data(), x.Data(), d.l.W.W.Data(), &d.pw, x.Dim(0), false, d)
+	tensor.MatMulWBSlicesEp(y.Data(), x.Data(), d.l.W.W.Data(), &d.pw, x.Dim(0), d.l.B.W.Data(), d.act)
 	return y
 }
 
 // Composites ------------------------------------------------------------------
 
-// frozenResidual runs both frozen branches and sums them, mirroring
-// Residual.Forward's one-pass sum exactly — unless the projection folded
-// into a single affine (foldedProj non-nil), in which case the skip path
-// never materializes: the projection's W′x + b′ is accumulated directly
-// onto the body output by the accumulating fused matmul, one pass over y
-// instead of a projection tensor plus an elementwise sum.
+// frozenResidual runs both frozen branches and sums them in one pass,
+// mirroring Residual.Forward exactly.
 type frozenResidual struct {
 	body, proj []frozenOp
-
-	// foldedProj is proj's single op when the projection compiled down to
-	// one pointwise conv with everything folded in (1×1, stride 1, no pad,
-	// one group, BN absorbed by the conv fold, no activation) — exactly the
-	// ResNet/MobileNet downsample-projection shape. Folding reassociates
-	// the skip add ((y + W′x) + b′ versus y + (W′x + b′)), so it lives
-	// under the same ≤1e-5 tolerance contract as BN folding.
-	foldedProj *frozenConv
-}
-
-// foldProj detects the foldable projection shape at compile time.
-func (r *frozenResidual) foldProj() {
-	// An empty body compiles runOps to the input itself; accumulating onto
-	// it would clobber x, so the fold requires a real body.
-	if len(r.body) == 0 || len(r.proj) != 1 {
-		return
-	}
-	fc, ok := r.proj[0].(*frozenConv)
-	if !ok || fc.act != vec.ActIdentity {
-		return
-	}
-	l := fc.l
-	if l.Groups != 1 || l.KH != 1 || l.KW != 1 || l.Stride != 1 || l.Pad != 0 {
-		return
-	}
-	r.foldedProj = fc
 }
 
 // infer implements frozenOp.
 func (r *frozenResidual) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 	y := runOps(f, r.body, x)
-	if r.foldedProj != nil {
-		r.inferFolded(x, y)
-		return y
-	}
 	s := runOps(f, r.proj, x)
 	if !y.SameShape(s) {
 		panic(fmt.Sprintf("nn: frozen Residual shape mismatch %v vs %v", y.Shape(), s.Shape()))
@@ -278,27 +220,6 @@ func (r *frozenResidual) infer(f *Frozen, x *tensor.Tensor) *tensor.Tensor {
 	out := f.alloc(y.Shape()...)
 	tensor.Add(out.Data(), y.Data(), s.Data())
 	return out
-}
-
-// inferFolded accumulates the folded projection onto the body output in
-// place: y_i += W′ @ x_i + b′, one sample at a time.
-func (r *frozenResidual) inferFolded(x, y *tensor.Tensor) {
-	fc := r.foldedProj
-	l := fc.l
-	if x.NDim() != 4 || x.Dim(1) != l.InC {
-		panic(fmt.Sprintf("nn: frozen Residual projection input %v, want [N %d H W]", x.Shape(), l.InC))
-	}
-	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
-	if y.NDim() != 4 || y.Dim(0) != n || y.Dim(1) != l.OutC || y.Dim(2) != h || y.Dim(3) != w {
-		panic(fmt.Sprintf("nn: frozen Residual shape mismatch %v vs projection [%d %d %d %d]",
-			y.Shape(), n, l.OutC, h, w))
-	}
-	xd, yd, hw := x.Data(), y.Data(), h*w
-	for i := 0; i < n; i++ {
-		xi := xd[i*l.InC*hw : (i+1)*l.InC*hw]
-		yi := yd[i*l.OutC*hw : (i+1)*l.OutC*hw]
-		tensor.MatMulWASlicesEp(yi, fc.wf, &fc.pw, 0, l.OutC, xi, hw, true, &fc.eps[0])
-	}
 }
 
 // refold implements refolder, recursing into both branches.

@@ -24,14 +24,15 @@ import (
 //     package doc states when that is and the kernel rules that make the two
 //     bit-identical.
 //
-//   - The TOLERANCE tier: the two epilogue-fused, weight-stationary entry
-//     points the frozen inference path compiles to (MatMulWASlicesEp,
-//     MatMulWBSlicesEp, over matMulEp). These dispatch through the
-//     process-wide Backend below: auto and serial run the oracle kernels, a
-//     forced BackendPacked the packed, cache-blocked GEBP kernel, whose
-//     k-blocking reassociates partial sums. nn.Network.Freeze's contract
-//     (≤1e-5 max-abs vs the reference forward, identical argmax) absorbs
-//     that.
+//   - The TOLERANCE tier: the two weight-stationary entry points the frozen
+//     inference path compiles to, act(x·W + bias) with the bias per output
+//     row (MatMulWASlicesEp, a conv's channels) or per output column
+//     (MatMulWBSlicesEp, a dense layer's units), over matMulEp. These
+//     dispatch through the process-wide Backend below: auto and serial run
+//     the oracle kernels, a forced BackendPacked the packed, cache-blocked
+//     GEBP kernel, whose k-blocking reassociates partial sums.
+//     nn.Network.Freeze's contract (≤1e-5 max-abs vs the reference forward,
+//     identical argmax) absorbs that.
 //
 // Every entry point of both tiers runs on the calling goroutine; this
 // package spawns no work. The frozen forward's intra-op budget splits a

@@ -182,7 +182,7 @@ func TestVecGemmStaysInsideSlices(t *testing.T) {
 		for _, acc := range []bool{false, true} {
 			vectest.SetLive(t, false)
 			want := slices.Clone(base)
-			gemmAB(want, a, b, m, k, n, acc, bias, vec.ActHardSwish)
+			gemmAB(want, a, b, m, k, n, acc, epilogue{bias: bias, act: vec.ActHardSwish})
 			vectest.SetLive(t, true)
 			got := guarded(t, base)
 			vec.Gemm(got, n, guarded(t, a), k, 1, guarded(t, b), n, m, n, k, acc, guarded(t, bias), vec.ActHardSwish)

@@ -41,8 +41,8 @@ import (
 // lane extraction, two integer adds, and one dequant multiply, and the
 // recovered dot product is bit-for-bit the signed int8 dot.
 // Dequantization multiplies once per target, out = float32(dot) · rowFactor
-// · colScale (fixed multiply order), then the caller's row epilogue (bias +
-// activation) runs in float32 exactly as on the float backends.
+// · colScale (fixed multiply order), then the caller's epilogue (bias +
+// activation) is swept in float32 exactly as on the float backends.
 //
 // Determinism: per-row/per-tensor maxabs reductions scan in fixed index
 // order (float max is exact, so even the order would not matter),
@@ -253,10 +253,10 @@ func quantPackB(words []uint64, colSums []int32, b []float32, k, n int, inv floa
 // int8Store unbias-corrects and dequantizes one microkernel row's four lane
 // accumulators into w valid output columns: dot_j = lane_j + adj + corr_j,
 // where adj is the row's correction (−128·rowSum, with k·16384 folded into
-// exactly one side) and corr_j the column's precomputed correction; out (+)=
+// exactly one side) and corr_j the column's precomputed correction; out =
 // float32(dot_j) · r · cs[j]. cs == nil means the column scale is uniform
 // and already folded into r (the conv path).
-func int8Store(dst []float32, w int, add bool, adj int64, corr []int64, r float32, cs []float32, l0, l1, l2, l3 uint32) {
+func int8Store(dst []float32, w int, adj int64, corr []int64, r float32, cs []float32, l0, l1, l2, l3 uint32) {
 	s0, s1, s2, s3 := r, r, r, r
 	if cs != nil {
 		if w > 0 {
@@ -285,25 +285,6 @@ func int8Store(dst []float32, w int, add bool, adj int64, corr []int64, r float3
 	if w > 3 {
 		v3 = s3 * float32(int64(l3)+adj+corr[3])
 	}
-	if add {
-		switch w {
-		case 4:
-			dst[0] += v0
-			dst[1] += v1
-			dst[2] += v2
-			dst[3] += v3
-		case 3:
-			dst[0] += v0
-			dst[1] += v1
-			dst[2] += v2
-		case 2:
-			dst[0] += v0
-			dst[1] += v1
-		case 1:
-			dst[0] += v0
-		}
-		return
-	}
 	switch w {
 	case 4:
 		dst[0], dst[1], dst[2], dst[3] = v0, v1, v2, v3
@@ -320,7 +301,7 @@ func int8Store(dst []float32, w int, add bool, adj int64, corr []int64, r float3
 // uint64 SWAR accumulators (two 32-bit lanes each) — one 64-bit multiply
 // per (row, word) feeds two output columns — then unbiases and dequantizes
 // into the float32 output.
-func int8Micro2x4(c []float32, ldc int, a0, a1 []uint8, panel []uint64, k, w int, add bool, adj0, adj1 int64, corr []int64, r0, r1 float32, cs []float32) {
+func int8Micro2x4(c []float32, ldc int, a0, a1 []uint8, panel []uint64, k, w int, adj0, adj1 int64, corr []int64, r0, r1 float32, cs []float32) {
 	var acc00, acc01, acc10, acc11 uint64
 	// 8-step unroll with one bounds guard per block: the multiply port is
 	// the only real bottleneck (32 IMULs per block drive 64 MACs), so
@@ -379,14 +360,14 @@ func int8Micro2x4(c []float32, ldc int, a0, a1 []uint8, panel []uint64, k, w int
 		acc10 += av1 * p0
 		acc11 += av1 * p1
 	}
-	int8Store(c, w, add, adj0, corr, r0, cs,
+	int8Store(c, w, adj0, corr, r0, cs,
 		uint32(acc00), uint32(acc00>>32), uint32(acc01), uint32(acc01>>32))
-	int8Store(c[ldc:], w, add, adj1, corr, r1, cs,
+	int8Store(c[ldc:], w, adj1, corr, r1, cs,
 		uint32(acc10), uint32(acc10>>32), uint32(acc11), uint32(acc11>>32))
 }
 
 // int8Micro1x4 is the single-row tail microkernel.
-func int8Micro1x4(c []float32, a []uint8, panel []uint64, k, w int, add bool, adj int64, corr []int64, r float32, cs []float32) {
+func int8Micro1x4(c []float32, a []uint8, panel []uint64, k, w int, adj int64, corr []int64, r float32, cs []float32) {
 	var acc0, acc1 uint64
 	a = a[:k:k]
 	kk := 0
@@ -422,7 +403,7 @@ func int8Micro1x4(c []float32, a []uint8, panel []uint64, k, w int, add bool, ad
 		acc0 += av * panel[kk*2]
 		acc1 += av * panel[kk*2+1]
 	}
-	int8Store(c, w, add, adj, corr, r, cs,
+	int8Store(c, w, adj, corr, r, cs,
 		uint32(acc0), uint32(acc0>>32), uint32(acc1), uint32(acc1>>32))
 }
 
@@ -431,8 +412,8 @@ func int8Micro1x4(c []float32, a []uint8, panel []uint64, k, w int, add bool, ad
 // sweep), then packMR row blocks with a 1-row tail. No k-blocking — the
 // integer accumulator is exact at any depth within int8MaxK. radj/corr are
 // the precomputed per-row and per-column unbias corrections (k·16384 folded
-// into exactly one of them by the drivers).
-func int8Rows(out []float32, qa []uint8, panels []uint64, radj, corr []int64, rs, cs []float32, m, k, n int, accum bool, ep RowEpilogue) {
+// into exactly one of them by the drivers); ep is swept over the finished rows.
+func int8Rows(out []float32, qa []uint8, panels []uint64, radj, corr []int64, rs, cs []float32, m, k, n int, ep epilogue) {
 	np := (n + packNR - 1) / packNR
 	for p := 0; p < np; p++ {
 		panel := panels[p*k*2 : (p+1)*k*2]
@@ -445,40 +426,38 @@ func int8Rows(out []float32, qa []uint8, panels []uint64, radj, corr []int64, rs
 		}
 		i := 0
 		for ; i+packMR <= m; i += packMR {
-			int8Micro2x4(out[i*n+j0:], n, qa[i*k:], qa[(i+1)*k:], panel, k, w, accum,
+			int8Micro2x4(out[i*n+j0:], n, qa[i*k:], qa[(i+1)*k:], panel, k, w,
 				radj[i], radj[i+1], cb, rs[i], rs[i+1], csp)
 		}
 		for ; i < m; i++ {
-			int8Micro1x4(out[i*n+j0:], qa[i*k:], panel, k, w, accum, radj[i], cb, rs[i], csp)
+			int8Micro1x4(out[i*n+j0:], qa[i*k:], panel, k, w, radj[i], cb, rs[i], csp)
 		}
 	}
-	if ep != nil {
-		applyEpilogue(ep, out, m, n)
-	}
+	ep.sweep(out, m, n)
 }
 
-// matMulInt8B is the dense (weights-as-B) int8 driver: out[m,n] (+)=
+// matMulInt8B is the dense (weights-as-B) int8 driver: out[m,n] =
 // a[m,k] @ W with A quantized per row per call and W's lane-packed panels,
 // column corrections (k·16384 included), and column scales taken from the
 // version-stationary handle.
-func matMulInt8B(out, a []float32, pw *PackedWeights, m int, accum bool, ep RowEpilogue) {
+func matMulInt8B(out, a []float32, pw *PackedWeights, m int, ep epilogue) {
 	k, n := pw.k, pw.n
 	if k > int8MaxK {
 		panic(fmt.Sprintf("tensor: int8 reduction depth %d exceeds %d", k, int8MaxK))
 	}
 	s := getInt8Scratch(m*k, 0, 0, m, m)
 	quantizeRows(s.q, s.adj, s.rs, a, m, k)
-	int8Rows(out, s.q, pw.qpanels, s.adj, pw.qcorr, s.rs, pw.scales, m, k, n, accum, ep)
+	int8Rows(out, s.q, pw.qpanels, s.adj, pw.qcorr, s.rs, pw.scales, m, k, n, ep)
 	putInt8Scratch(s)
 }
 
-// matMulInt8A is the conv (weights-as-A) int8 driver: out[rows,n] (+)=
+// matMulInt8A is the conv (weights-as-A) int8 driver: out[rows,n] =
 // W[rowOff:rowOff+rows] @ b with b (the im2col matrix) quantized per tensor
 // per call and W's biased rows, row corrections, and row scales taken from
 // the handle. The per-tensor b scale folds into the per-row dequant factor,
 // so the store's column scale is uniform (cs == nil); k·16384 rides on the
 // per-column corrections computed here.
-func matMulInt8A(out []float32, pw *PackedWeights, rowOff, rows int, b []float32, n int, accum bool, ep RowEpilogue) {
+func matMulInt8A(out []float32, pw *PackedWeights, rowOff, rows int, b []float32, n int, ep epilogue) {
 	k := pw.k
 	if k > int8MaxK {
 		panic(fmt.Sprintf("tensor: int8 reduction depth %d exceeds %d", k, int8MaxK))
@@ -496,6 +475,6 @@ func matMulInt8A(out []float32, pw *PackedWeights, rowOff, rows int, b []float32
 		s.rs[i] = pw.scales[rowOff+i] * bScale
 	}
 	int8Rows(out, pw.qrows[rowOff*k:(rowOff+rows)*k], s.words, pw.qcorr[rowOff:rowOff+rows], s.adj,
-		s.rs, nil, rows, k, n, accum, ep)
+		s.rs, nil, rows, k, n, ep)
 	putInt8Scratch(s)
 }

@@ -24,27 +24,24 @@ const mmBlock = 64
 // the reference the differential tests compare against.
 
 // gemmAB computes out[m,n] = init + a[m,k] @ b[k,n], all row-major flat
-// slices, init +0 or (acc) out itself, and stores row i as act(sum +
-// bias[i]), a nil bias adding nothing. The vector routine writes each output
-// once with that epilogue in its store; the Go path clears, accumulates and
-// sweeps.
-func gemmAB(out, a, b []float32, m, k, n int, acc bool, bias []float32, act vec.Act) {
-	if vec.Live {
-		vec.Gemm(out, n, a, k, 1, b, n, m, n, k, acc, bias, act)
-		return
-	}
-	if !acc {
-		clear(out[:m*n])
-	}
-	matmulAcc(out, a, b, m, k, n)
+// slices, init +0 or (acc) out itself, and stores it through ep. The vector
+// routine writes each output once with a row bias and act in its store; the
+// Go path clears, accumulates and sweeps, and so does a column bias on either
+// path.
+func gemmAB(out, a, b []float32, m, k, n int, acc bool, ep epilogue) {
 	switch {
-	case bias != nil:
-		for i, bi := range bias[:m] {
-			BiasAct(out[i*n:(i+1)*n], bi, act)
+	case vec.Live && !ep.cols:
+		vec.Gemm(out, n, a, k, 1, b, n, m, n, k, acc, ep.bias, ep.act)
+		return
+	case vec.Live:
+		vec.Gemm(out, n, a, k, 1, b, n, m, n, k, acc, nil, vec.ActIdentity)
+	default:
+		if !acc {
+			clear(out[:m*n])
 		}
-	case act != vec.ActIdentity:
-		ApplyAct(out[:m*n], act)
+		matmulAcc(out, a, b, m, k, n)
 	}
+	ep.sweep(out, m, n)
 }
 
 // matmulAcc is the blocked, register-tiled Go kernel: out[m,n] += a[m,k] @
@@ -193,15 +190,6 @@ func matMulTransAAccRange(out, a, b []float32, k, m, n, i0, i1 int) {
 
 // Descriptor and dispatcher ---------------------------------------------------
 
-// RowEpilogue post-processes completed output rows of a matmul in place —
-// bias adds and activation functions fused into the kernel call, right after
-// the rows are computed, so the epilogue runs on cache-warm data and the
-// output is never re-traversed by a separate layer pass. Apply receives the
-// row index r and the row slice out[r*n : (r+1)*n].
-type RowEpilogue interface {
-	Apply(row []float32, r int)
-}
-
 type mmKind uint8
 
 const (
@@ -212,37 +200,65 @@ const (
 
 func (kind mmKind) String() string { return [...]string{"a @ b", "a @ bᵀ", "aᵀ @ b"}[kind] }
 
-// RowBias is a conv's epilogue as data: output row r is stored as
-// act(sum + Bias[r]). The a @ b kernel applies it in its store; the packed
-// and int8 kernels sweep it over their finished rows (Apply).
-type RowBias struct {
-	Bias []float32
-	Act  vec.Act
+// epilogue is a fused matmul's store as data: every output v becomes
+// act(v + bias), with one bias per output row (a conv's channels) or, when
+// cols is set, one per output column (a dense layer's units). A nil bias adds
+// nothing.
+type epilogue struct {
+	bias []float32
+	act  vec.Act
+	cols bool
 }
 
-// Apply implements RowEpilogue.
-func (e *RowBias) Apply(row []float32, r int) { BiasAct(row, e.Bias[r], e.Act) }
+// sweep applies the epilogue over the finished rows of out[m,n].
+func (e epilogue) sweep(out []float32, m, n int) {
+	if e.bias == nil {
+		if e.act != vec.ActIdentity {
+			ApplyAct(out[:m*n], e.act)
+		}
+		return
+	}
+	for r := range m {
+		row := out[r*n : (r+1)*n]
+		if e.cols {
+			colBiasAct(row, e.bias[:n], e.act)
+		} else {
+			BiasAct(row, e.bias[r], e.act)
+		}
+	}
+}
+
+// colBiasAct computes row[j] = act(row[j] + bias[j]) for every j of row.
+func colBiasAct(row, bias []float32, act vec.Act) {
+	bias = bias[:len(row)]
+	if act != vec.ActReLU {
+		for j := range row {
+			row[j] += bias[j]
+		}
+		if act != vec.ActIdentity {
+			ApplyAct(row, act)
+		}
+		return
+	}
+	for j, v := range row {
+		if v += bias[j]; v > 0 {
+			row[j] = v
+		} else {
+			row[j] = 0
+		}
+	}
+}
 
 // mmTask is the one GEMM descriptor: every entry point fills one and hands it
 // to gemm. out is [m,n] and k the reduction depth for every kind; acc keeps
-// out's contents instead of overwriting them; a non-nil bias (a @ b only) is
-// the per-row RowBias epilogue, stored with the sums; ep, when non-nil, is
-// swept over the finished rows.
+// out's contents instead of overwriting them; the epilogue (a @ b only) is
+// what the kernel stores.
 type mmTask struct {
 	kind      mmKind
 	out, a, b []float32
 	m, k, n   int
 	acc       bool
-	bias      []float32
-	act       vec.Act
-	ep        RowEpilogue
-}
-
-// applyEpilogue runs ep over output rows [0, m).
-func applyEpilogue(ep RowEpilogue, out []float32, m, n int) {
-	for r := 0; r < m; r++ {
-		ep.Apply(out[r*n:(r+1)*n], r)
-	}
+	epilogue
 }
 
 // gemm is the one way in to the oracle kernels: the operand check, then the
@@ -252,19 +268,13 @@ func gemm(t *mmTask) {
 		panic(fmt.Sprintf("tensor: matmul %v with m=%d k=%d n=%d needs out %d, a %d, b %d elements, have %d, %d, %d",
 			t.kind, t.m, t.k, t.n, t.m*t.n, t.m*t.k, t.k*t.n, len(t.out), len(t.a), len(t.b)))
 	}
-	if t.bias != nil && len(t.bias) < t.m {
-		panic(fmt.Sprintf("tensor: matmul %v with m=%d has %d biases", t.kind, t.m, len(t.bias)))
-	}
 	switch t.kind {
 	case mmAB:
-		gemmAB(t.out[:t.m*t.n], t.a[:t.m*t.k], t.b, t.m, t.k, t.n, t.acc, t.bias, t.act)
+		gemmAB(t.out[:t.m*t.n], t.a[:t.m*t.k], t.b, t.m, t.k, t.n, t.acc, t.epilogue)
 	case mmTransB:
 		matMulTransB(t.out[:t.m*t.n], t.a[:t.m*t.k], t.b, t.m, t.k, t.n, t.acc)
 	case mmTransA:
 		matMulTransAAccRange(t.out, t.a, t.b, t.k, t.m, t.n, 0, t.m)
-	}
-	if t.ep != nil {
-		applyEpilogue(t.ep, t.out, t.m, t.n)
 	}
 }
 
@@ -301,7 +311,7 @@ func MatMulInto(out, a, b *Tensor) { gemmTensors(mmAB, false, out, a, b) }
 // element of row i when bias is non-nil — a conv's bias, added in the
 // kernel's store.
 func MatMulSlices(out, a, b []float32, m, k, n int, bias []float32) {
-	gemm(&mmTask{kind: mmAB, out: out, a: a, b: b, m: m, k: k, n: n, bias: bias})
+	gemm(&mmTask{kind: mmAB, out: out, a: a, b: b, m: m, k: k, n: n, epilogue: epilogue{bias: bias}})
 }
 
 // MatMulTransBInto computes out = a @ bᵀ for a[m,k], b[n,k], out[m,n],
@@ -326,19 +336,14 @@ func MatMulTransAAccSlices(out, a, b []float32, k, m, n int) {
 }
 
 // matMulEp is the TOLERANCE tier's raw-slice entry, reached only through the
-// weight-stationary MatMulW{A,B}SlicesEp of weights.go: out[m,n] (+)= a @ b
-// with ep fused over the finished rows. It — and nothing above — dispatches
-// through the process-wide Backend (backend.go) and may run the packed GEBP
-// kernel instead of the oracle kernels. The packed kernel sweeps every ep; the
-// oracle kernel takes a *RowBias as data and stores it with the sums.
-func matMulEp(out, a, b []float32, m, k, n int, acc bool, ep RowEpilogue) {
+// weight-stationary MatMulW{A,B}SlicesEp of weights.go: out[m,n] = a @ b
+// stored through ep. It — and nothing above — dispatches through the
+// process-wide Backend (backend.go) and may run the packed GEBP kernel
+// instead of the oracle kernels.
+func matMulEp(out, a, b []float32, m, k, n int, ep epilogue) {
 	if usePacked(m, k, n) {
-		matMulPackedEp(out, a, b, m, k, n, acc, ep)
+		matMulPackedEp(out, a, b, m, k, n, ep)
 		return
 	}
-	t := &mmTask{kind: mmAB, out: out, a: a, b: b, m: m, k: k, n: n, acc: acc, ep: ep}
-	if rb, ok := ep.(*RowBias); ok {
-		t.bias, t.act, t.ep = rb.Bias, rb.Act, nil
-	}
-	gemm(t)
+	gemm(&mmTask{kind: mmAB, out: out, a: a, b: b, m: m, k: k, n: n, epilogue: ep})
 }

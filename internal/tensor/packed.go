@@ -5,7 +5,7 @@ import "sync"
 // Packed cache-blocked GEBP matmul — the tolerance-tier backend behind the
 // epilogue-fused entry points (see backend.go for the tier contract).
 //
-// Shape of the computation: out[m,n] (+)= a[m,k] @ b[k,n], with b packed
+// Shape of the computation: out[m,n] = a[m,k] @ b[k,n], with b packed
 // into contiguous packNR-wide column panels (panel-major, zero-padded to the
 // panel width) so the microkernel streams B with unit stride instead of the
 // row-major stride-n walk the oracle kernels pay. Where the panels come from
@@ -96,8 +96,7 @@ func packB(buf, b []float32, k, n int) {
 }
 
 // packedStore writes one microkernel row's accumulators into w valid output
-// columns, adding when a previous k-block (or an accumulating caller)
-// already owns the output.
+// columns, adding when a previous k-block already owns the output.
 func packedStore(dst []float32, w int, add bool, c0, c1, c2, c3 float32) {
 	if add {
 		switch w {
@@ -170,14 +169,14 @@ func packedMicro1x4(c []float32, a []float32, panel []float32, k0, kMax, w int, 
 // runPackedPanels executes the GEBP driver against an ALREADY-PACKED
 // panel-major B — either a pooled per-call buffer or a PackedWeights
 // handle's version-stationary panels: k-blocks outermost (the first block
-// initializes the output unless the caller accumulates; later blocks add),
-// then panels (each panel's k-slab is the L1-resident operand), then packMR
-// row blocks with a 1-row tail; ep is swept over the finished rows.
-func runPackedPanels(out, a, panels []float32, m, k, n int, accum bool, ep RowEpilogue) {
+// initializes the output, later blocks add), then panels (each panel's
+// k-slab is the L1-resident operand), then packMR row blocks with a 1-row
+// tail; ep is swept over the finished rows.
+func runPackedPanels(out, a, panels []float32, m, k, n int, ep epilogue) {
 	np := (n + packNR - 1) / packNR
 	for k0 := 0; k0 < k; k0 += packKC {
 		kMax := min(k0+packKC, k)
-		add := accum || k0 > 0
+		add := k0 > 0
 		for p := 0; p < np; p++ {
 			panel := panels[p*k*packNR : (p+1)*k*packNR]
 			j0 := p * packNR
@@ -191,20 +190,18 @@ func runPackedPanels(out, a, panels []float32, m, k, n int, accum bool, ep RowEp
 			}
 		}
 	}
-	if ep != nil {
-		applyEpilogue(ep, out, m, n)
-	}
+	ep.sweep(out, m, n)
 }
 
-// matMulPackedEp is the packed backend's per-call entry: out[m,n] (+)=
-// a[m,k] @ b[k,n] with ep fused over the finished rows, b packed into a
+// matMulPackedEp is the packed backend's per-call entry: out[m,n] =
+// a[m,k] @ b[k,n] with ep swept over the finished rows, b packed into a
 // pooled buffer for the duration of the call. The caller has already decided
 // dispatch via usePacked; k ≥ 1 is required (the first k-block initializes
 // the output).
-func matMulPackedEp(out, a, b []float32, m, k, n int, accum bool, ep RowEpilogue) {
+func matMulPackedEp(out, a, b []float32, m, k, n int, ep epilogue) {
 	np := (n + packNR - 1) / packNR
 	pb := getPackBuf(np * k * packNR)
 	packB(pb.data, b, k, n)
-	runPackedPanels(out, a, pb.data, m, k, n, accum, ep)
+	runPackedPanels(out, a, pb.data, m, k, n, ep)
 	putPackBuf(pb)
 }

@@ -7,6 +7,7 @@ import (
 
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/israce"
+	"heteroswitch/internal/vec"
 	"heteroswitch/internal/vectest"
 )
 
@@ -51,11 +52,11 @@ func rowArgmax(row []float32) int {
 }
 
 // runFusedEp computes out via matMulEp under a forced backend.
-func runFusedEp(b Backend, out, a, bb []float32, m, k, n int, ep RowEpilogue) {
+func runFusedEp(b Backend, out, a, bb []float32, m, k, n int, ep epilogue) {
 	prev := ActiveBackend()
 	SetBackend(b)
 	defer SetBackend(prev)
-	matMulEp(out, a, bb, m, k, n, false, ep)
+	matMulEp(out, a, bb, m, k, n, ep)
 }
 
 // fanInScaled builds a k×n "weight" operand with Kaiming-style 1/sqrt(k)
@@ -79,20 +80,19 @@ func packedTolOK(got, want float32) bool {
 
 // TestPackedMatchesOracle: forced packed vs forced serial on the fused entry
 // point, every shape, ≤1e-5 (relative past unit magnitude) with
-// identical per-row argmax — the contract the frozen path holds, with and
-// without an epilogue.
+// identical per-row argmax — the contract the frozen path holds, for every
+// fused store.
 func TestPackedMatchesOracle(t *testing.T) {
 	r := frand.New(91)
 	for _, sz := range packedShapes {
 		a := Randn(r, 1, sz.m, sz.k)
 		b := fanInScaled(r, sz.k, sz.n)
-		bias := Randn(r, 1, sz.m)
-		for _, ep := range []RowEpilogue{nil, &testEpilogue{bias: bias.Data()}} {
+		for _, ep := range fusedStores(r, sz.m, sz.n) {
 			want := make([]float32, sz.m*sz.n)
 			runFusedEp(BackendSerial, want, a.Data(), b.Data(), sz.m, sz.k, sz.n, ep)
 			got := make([]float32, sz.m*sz.n)
 			runFusedEp(BackendPacked, got, a.Data(), b.Data(), sz.m, sz.k, sz.n, ep)
-			name := fmt.Sprintf("packed %dx%dx%d ep=%v", sz.m, sz.k, sz.n, ep != nil)
+			name := fmt.Sprintf("packed %dx%dx%d %s", sz.m, sz.k, sz.n, epName(ep))
 			for i := range got {
 				if !packedTolOK(got[i], want[i]) {
 					t.Fatalf("%s: element %d packed %v vs serial %v exceeds 1e-5", name, i, got[i], want[i])
@@ -108,34 +108,6 @@ func TestPackedMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestPackedAccMatchesOracle covers the accumulating fused entry
-// (out += a @ b) both backends must agree on — the Residual skip-path fold
-// depends on it.
-func TestPackedAccMatchesOracle(t *testing.T) {
-	r := frand.New(92)
-	for _, sz := range packedShapes {
-		a := Randn(r, 1, sz.m, sz.k)
-		b := fanInScaled(r, sz.k, sz.n)
-		base := Randn(r, 1, sz.m, sz.n)
-		bias := Randn(r, 1, sz.m)
-		ep := &testEpilogue{bias: bias.Data()}
-		want := append([]float32(nil), base.Data()...)
-		prev := ActiveBackend()
-		SetBackend(BackendSerial)
-		matMulEp(want, a.Data(), b.Data(), sz.m, sz.k, sz.n, true, ep)
-		got := append([]float32(nil), base.Data()...)
-		SetBackend(BackendPacked)
-		matMulEp(got, a.Data(), b.Data(), sz.m, sz.k, sz.n, true, ep)
-		SetBackend(prev)
-		name := fmt.Sprintf("packedAcc %dx%dx%d", sz.m, sz.k, sz.n)
-		for i := range got {
-			if !packedTolOK(got[i], want[i]) {
-				t.Fatalf("%s: element %d packed %v vs serial %v exceeds 1e-5", name, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestSerialBackendBitIdentical: with backend=serial the fused entries are
 // bit-identical to the oracle kernels plus a separate epilogue pass — the
 // pre-dispatch behavior, tol 0.
@@ -145,21 +117,7 @@ func TestSerialBackendBitIdentical(t *testing.T) {
 
 func testSerialBackendBitIdentical(t *testing.T) {
 	forceBackend(t, BackendSerial)
-	r := frand.New(93)
-	for _, sz := range packedShapes {
-		a := Randn(r, 1, sz.m, sz.k)
-		b := Randn(r, 1, sz.k, sz.n)
-		bias := Randn(r, 1, sz.m)
-		ep := &testEpilogue{bias: bias.Data()}
-		want := make([]float32, sz.m*sz.n)
-		matmulAcc(want, a.Data(), b.Data(), sz.m, sz.k, sz.n)
-		for i := 0; i < sz.m; i++ {
-			ep.Apply(want[i*sz.n:(i+1)*sz.n], i)
-		}
-		got := make([]float32, sz.m*sz.n)
-		matMulEp(got, a.Data(), b.Data(), sz.m, sz.k, sz.n, false, ep)
-		exactEqual(t, fmt.Sprintf("serial backend %dx%dx%d", sz.m, sz.k, sz.n), got, want)
-	}
+	fusedMatchesUnfused(t, frand.New(93), packedShapes)
 }
 
 // TestAutoDispatch pins the dispatch edges on the Go loops, as a -tags
@@ -195,9 +153,9 @@ func autoIsTheOracle(t *testing.T) {
 	const m, k, n = 16, 768, 40
 	a, b := Randn(r, 1, m*k).Data(), Randn(r, 1, k*n).Data()
 	got, want := make([]float32, m*n), make([]float32, m*n)
-	matMulEp(got, a, b, m, k, n, false, nil)
+	matMulEp(got, a, b, m, k, n, epilogue{})
 	SetBackend(BackendSerial)
-	matMulEp(want, a, b, m, k, n, false, nil)
+	matMulEp(want, a, b, m, k, n, epilogue{})
 	exactEqual(t, "auto vs serial", got, want)
 	if usePacked(1024, 1024, 1024) {
 		t.Fatal("usePacked must be false when serial is forced")
@@ -230,12 +188,11 @@ func TestPackedZeroAllocSteadyState(t *testing.T) {
 	r := frand.New(95)
 	a := Randn(r, 1, m, k)
 	b := Randn(r, 1, k, n)
-	bias := Randn(r, 1, m)
-	ep := &testEpilogue{bias: bias.Data()}
+	ep := epilogue{bias: Randn(r, 1, m).Data(), act: vec.ActHardSwish}
 	out := make([]float32, m*n)
-	matMulEp(out, a.Data(), b.Data(), m, k, n, false, ep) // warm the pool
+	matMulEp(out, a.Data(), b.Data(), m, k, n, ep) // warm the pool
 	allocs := testing.AllocsPerRun(20, func() {
-		matMulEp(out, a.Data(), b.Data(), m, k, n, false, ep)
+		matMulEp(out, a.Data(), b.Data(), m, k, n, ep)
 	})
 	if allocs != 0 {
 		t.Fatalf("packed dispatch steady state allocates %.1f/op, want 0", allocs)
@@ -265,7 +222,7 @@ func BenchmarkMatMulPacked(b *testing.B) {
 				run := func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						matMulEp(out, a.Data(), bb.Data(), sz.m, sz.k, sz.n, false, nil)
+						matMulEp(out, a.Data(), bb.Data(), sz.m, sz.k, sz.n, epilogue{})
 					}
 				}
 				if be == BackendSerial {

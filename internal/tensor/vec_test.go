@@ -116,7 +116,7 @@ func runVecCase(t *testing.T, c vecCase, seed uint64) {
 	run := func(on bool) [][]float32 {
 		vectest.SetLive(t, on)
 		acc := slices.Clone(base)
-		gemmAB(acc, a, b, m, k, n, true, nil, vec.ActIdentity)
+		gemmAB(acc, a, b, m, k, n, true, epilogue{})
 		ta := slices.Clone(base)
 		matMulTransAAccRange(ta, at, b, k, m, n, 0, m)
 		tr := slices.Clone(base)
@@ -130,7 +130,7 @@ func runVecCase(t *testing.T, c vecCase, seed uint64) {
 			for _, act := range storeActs {
 				for _, accumulate := range []bool{false, true} {
 					o := slices.Clone(storeBase)
-					gemmAB(o, a, b, m, k, n, accumulate, rb, act)
+					gemmAB(o, a, b, m, k, n, accumulate, epilogue{bias: rb, act: act})
 					res = append(res, o)
 				}
 			}
@@ -186,7 +186,7 @@ func TestVecZeroSkipParity(t *testing.T) {
 		run := func(on bool) []float32 {
 			vectest.SetLive(t, on)
 			out := slices.Clone(base)
-			gemmAB(out, a, b, m, k, n, false, []float32{0.25, -0.5, 1}, vec.ActHardSwish)
+			gemmAB(out, a, b, m, k, n, false, epilogue{bias: []float32{0.25, -0.5, 1}, act: vec.ActHardSwish})
 			return out
 		}
 		want, got := run(false), run(true)
@@ -231,7 +231,7 @@ func TestVecGemmWithoutTerms(t *testing.T) {
 						want[i] = v
 					}
 					got := slices.Clone(base)
-					gemmAB(got, nil, nil, 2, 0, 3, acc, bias, act)
+					gemmAB(got, nil, nil, 2, 0, 3, acc, epilogue{bias: bias, act: act})
 					vectest.NaNClassEqual(t, fmt.Sprintf("k=0 bias %v act %d acc %v", bias != nil, act, acc), got, want)
 				}
 			}

@@ -1,6 +1,10 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+
+	"heteroswitch/internal/vec"
+)
 
 // Weight-stationary packed panels ---------------------------------------------
 //
@@ -235,36 +239,38 @@ func (pw *PackedWeights) quantizeA(w []float32) {
 // handle's quantized form, and the packed float backend reuses the handle's
 // panels instead of re-packing per call.
 
-// MatMulWBSlicesEp computes out[m,n] (+)= a[m,k] @ W for a weights-as-B
-// handle (k, n from the handle), ep fused over the finished rows — the
-// frozen dense entry. w is the caller's own float weights [k,n], used only
-// when the handle lacks the active backend's form (never when the int8 or
-// cached-panel fast path runs).
-func MatMulWBSlicesEp(out, a, w []float32, pw *PackedWeights, m int, accum bool, ep RowEpilogue) {
+// MatMulWBSlicesEp computes out[m,n] = act(a[m,k] @ W + bias) for a
+// weights-as-B handle (k, n from the handle), with one bias per output column
+// (a dense layer's units) — the frozen dense entry. w is the caller's own
+// float weights [k,n], used only when the handle lacks the active backend's
+// form (never when the int8 or cached-panel fast path runs).
+func MatMulWBSlicesEp(out, a, w []float32, pw *PackedWeights, m int, bias []float32, act vec.Act) {
 	k, n := pw.k, pw.n
+	ep := epilogue{bias: bias, act: act, cols: true}
 	if ActiveBackend() == BackendInt8 && pw.hasInt8 {
-		matMulInt8B(out, a, pw, m, accum, ep)
+		matMulInt8B(out, a, pw, m, ep)
 		return
 	}
 	if usePacked(m, k, n) && pw.hasFloat {
-		runPackedPanels(out, a, pw.fpanels, m, k, n, accum, ep)
+		runPackedPanels(out, a, pw.fpanels, m, k, n, ep)
 		return
 	}
-	matMulEp(out, a, w, m, k, n, accum, ep)
+	matMulEp(out, a, w, m, k, n, ep)
 }
 
-// MatMulWASlicesEp computes out[rows,n] (+)= W[rowOff:rowOff+rows] @ b for
-// a weights-as-A handle — the frozen conv entry. rowOff/rows select the
-// group's output-channel rows within the handle (grouped convolutions pack
-// all groups into one handle); w is the caller's own float rows for that
-// window, ALREADY offset (the fallback operand). A conv's ep is its
-// *RowBias, which the oracle kernel stores with the sums and the packed and
-// int8 kernels sweep afterwards.
-func MatMulWASlicesEp(out, w []float32, pw *PackedWeights, rowOff, rows int, b []float32, n int, accum bool, ep RowEpilogue) {
+// MatMulWASlicesEp computes out[rows,n] = act(W[rowOff:rowOff+rows] @ b +
+// bias) for a weights-as-A handle, with one bias per output row (a conv's
+// channels) — the frozen conv entry. rowOff/rows select the group's output-channel
+// rows within the handle (grouped convolutions pack all groups into one
+// handle); w is the caller's own float rows for that window, ALREADY offset
+// (the fallback operand). The oracle kernel stores the bias and act with the
+// sums; the packed and int8 kernels sweep them afterwards.
+func MatMulWASlicesEp(out, w []float32, pw *PackedWeights, rowOff, rows int, b []float32, n int, bias []float32, act vec.Act) {
 	k := pw.k
+	ep := epilogue{bias: bias, act: act}
 	if ActiveBackend() == BackendInt8 && pw.hasInt8 {
-		matMulInt8A(out, pw, rowOff, rows, b, n, accum, ep)
+		matMulInt8A(out, pw, rowOff, rows, b, n, ep)
 		return
 	}
-	matMulEp(out, w, b, rows, k, n, accum, ep)
+	matMulEp(out, w, b, rows, k, n, ep)
 }
