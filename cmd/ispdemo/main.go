@@ -72,7 +72,7 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			im, err := s9.CaptureWithPipeline(sc, pipe, frand.New(*seed^0xabc))
+			im, err := s9.WithISP(pipe).CaptureProcessed(sc, frand.New(*seed^0xabc))
 			if err != nil {
 				fatal(err)
 			}

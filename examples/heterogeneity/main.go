@@ -69,7 +69,7 @@ func main() {
 
 	fmt.Println("\n3. ISP stage contributions (S9 sensor, baseline vs stage omitted):")
 	s9, _ := device.ByName("S9")
-	base, err := s9.CaptureWithPipeline(sc, isp.Baseline(), frand.New(5))
+	base, err := s9.WithISP(isp.Baseline()).CaptureProcessed(sc, frand.New(5))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		im, err := s9.CaptureWithPipeline(sc, pipe, frand.New(5))
+		im, err := s9.WithISP(pipe).CaptureProcessed(sc, frand.New(5))
 		if err != nil {
 			log.Fatal(err)
 		}

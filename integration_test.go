@@ -93,18 +93,12 @@ func TestDevicePipelineIsolatesSystemHeterogeneity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := dataset.Capture(scenes, s9, 0, dataset.ModeProcessed, 32, 12, frand.New(1))
+	sets, err := dataset.CaptureDevices(scenes, []*device.Profile{s9, s9, g4}, dataset.ModeProcessed, 32, 12,
+		[]int{0, 0, 1}, []*frand.RNG{frand.New(1), frand.New(1), frand.New(1)}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := dataset.Capture(scenes, s9, 0, dataset.ModeProcessed, 32, 12, frand.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := dataset.Capture(scenes, g4, 1, dataset.ModeProcessed, 32, 12, frand.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b, c := sets[0], sets[1], sets[2]
 	for i := range a.Samples {
 		if !a.Samples[i].X.AllClose(b.Samples[i].X, 0) {
 			t.Fatal("same device+seed must reproduce identical tensors")

@@ -108,11 +108,12 @@ var specialValues = []float32{
 func capturedImage(tb testing.TB) *tensor.Tensor {
 	tb.Helper()
 	scenes := scene.NewImageNet12(64).RenderSet(1, frand.New(42))
-	ds, err := dataset.Capture(scenes[:1], device.Profiles()[0], 0, dataset.ModeProcessed, 32, 12, frand.New(43))
+	sets, err := dataset.CaptureDevices(scenes[:1], device.Profiles()[:1], dataset.ModeProcessed, 32, 12,
+		[]int{0}, []*frand.RNG{frand.New(43)}, 1)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return ds.Samples[0].X
+	return sets[0].Samples[0].X
 }
 
 // wbGammaFallbacks replays ops calls of RandomWBGamma(wbDeg, gammaDeg) on the

@@ -112,78 +112,45 @@ const (
 	ModeRAW
 )
 
-// Capture photographs every scene with the given device and returns a
-// dataset of outRes×outRes tensors labelled with the scene class and the
-// provided device index.
-func Capture(scenes []scene.Scene, dev *device.Profile, devIndex int,
-	mode CaptureMode, outRes, numClasses int, rng *frand.RNG) (*Dataset, error) {
-	return captureOne(scenes, dev, devIndex, mode.develop(), outRes, numClasses, rng)
+// developers maps each capture mode to how it develops one RAW frame of a
+// device into scratch storage. It is a table so that a test can swap in a
+// develop step that fails, which no real frame does.
+var developers = [...]func(dev *device.Profile, raw *isp.RAW, sc *isp.Scratch) (*isp.Image, error){
+	ModeProcessed: (*device.Profile).Develop,
+	ModeRAW: func(_ *device.Profile, raw *isp.RAW, sc *isp.Scratch) (*isp.Image, error) {
+		return sc.ProcessRAWOnly(raw), nil
+	},
 }
 
-// CaptureWithPipeline photographs every scene with the device's sensor but a
-// caller-supplied ISP pipeline (no vendor tuning) — the ISP-stage ablation
-// path (§3.4).
-func CaptureWithPipeline(scenes []scene.Scene, dev *device.Profile, devIndex int,
-	pipe isp.Pipeline, outRes, numClasses int, rng *frand.RNG) (*Dataset, error) {
-	develop := func(dev *device.Profile, raw *isp.RAW, sc *isp.Scratch) (*isp.Image, error) {
-		im, err := sc.Process(pipe, raw)
-		if err != nil {
-			return nil, fmt.Errorf("device %s: %w", dev.Name, err)
-		}
-		return im, nil
-	}
-	return captureOne(scenes, dev, devIndex, develop, outRes, numClasses, rng)
-}
-
-// captureOne is captureGrid for a single device, on the calling goroutine.
-func captureOne(scenes []scene.Scene, dev *device.Profile, devIndex int, develop developFunc,
-	outRes, numClasses int, rng *frand.RNG) (*Dataset, error) {
-	sets, err := captureGrid(scenes, []*device.Profile{dev}, devIndex, develop,
-		outRes, numClasses, []*frand.RNG{rng}, 1)
-	if err != nil {
-		return nil, err
-	}
-	return sets[0], nil
-}
-
-// CaptureDevices is Capture for a whole device population photographing the
-// same scenes: device i captures every scene in order on its own stream
-// rngs[i] and is tagged with index i. The images, not the devices, are
-// spread over the workers, so unequal devices keep every worker busy, and
-// the result is the one len(devs) Capture calls would give at any worker
-// count.
-func CaptureDevices(scenes []scene.Scene, devs []*device.Profile, mode CaptureMode,
-	outRes, numClasses int, rngs []*frand.RNG, workers int) ([]*Dataset, error) {
-	return captureGrid(scenes, devs, 0, mode.develop(), outRes, numClasses, rngs, workers)
-}
-
-// developFunc develops one RAW frame of a device into scratch storage.
-type developFunc func(dev *device.Profile, raw *isp.RAW, sc *isp.Scratch) (*isp.Image, error)
-
-func (m CaptureMode) develop() developFunc {
-	if m == ModeRAW {
-		return func(_ *device.Profile, raw *isp.RAW, sc *isp.Scratch) (*isp.Image, error) {
-			return sc.ProcessRAWOnly(raw), nil
-		}
-	}
-	return (*device.Profile).Develop
-}
-
-// captureGrid is the one capture loop: every device photographs every scene.
+// CaptureDevices is the one capture loop: every device photographs every
+// scene, and device i's dataset holds one outRes×outRes tensor per scene,
+// labelled with the scene's class and tagged tags[i]. Device i captures the
+// scenes in order on its own stream rngs[i]. An ISP-stage ablation is a
+// device too (Profile.WithISP).
+//
 // A capture has two halves. Exposure draws the sensor noise from the
-// device's RNG stream, so a device's exposures run one after another, in
-// scene order, under the device's lock. Development (ISP, tuning, resize,
-// tensor) is a pure function of the exposed frame, so it runs outside the
-// lock, and any worker may develop any image. Work is handed out scene-major
-// (scene 0 on every device, then scene 1, …): image t belongs to device
-// t mod D, and the k-th worker to reach a device exposes that device's k-th
-// scene, which is what makes the result independent of scheduling.
+// device's stream, so a device's exposures run one after another, in scene
+// order, under the device's lock. Development (ISP, tuning, resize, tensor)
+// is a pure function of the exposed frame, so it runs outside the lock, and
+// any worker may develop any image. The images, not the devices, are spread
+// over the workers, so unequal devices keep every worker busy. Work is
+// handed out scene-major (scene 0 on every device, then scene 1, …): image t
+// belongs to device t mod D, and the k-th worker to reach a device exposes
+// that device's k-th scene. So the result is the same at every worker count,
+// and the same as one call per device.
 //
 // Each worker owns one isp.Scratch, reset per image, holding every
 // intermediate; the sample tensor is the only per-image allocation that
-// outlives the image. Device i's samples are tagged firstIndex+i.
-func captureGrid(scenes []scene.Scene, devs []*device.Profile, firstIndex int, develop developFunc,
-	outRes, numClasses int, rngs []*frand.RNG, workers int) ([]*Dataset, error) {
+// outlives the image.
+func CaptureDevices(scenes []scene.Scene, devs []*device.Profile, mode CaptureMode,
+	outRes, numClasses int, tags []int, rngs []*frand.RNG, workers int) ([]*Dataset, error) {
+	if len(tags) != len(devs) || len(rngs) != len(devs) {
+		return nil, fmt.Errorf("dataset: capture: %d devices, %d tags, %d streams", len(devs), len(tags), len(rngs))
+	}
+	if mode < 0 || int(mode) >= len(developers) {
+		return nil, fmt.Errorf("dataset: capture: unknown mode %d", mode)
+	}
+	develop := developers[mode]
 	// A scene is resized once per sensor resolution that several devices
 	// share, not once per device; a resolution with one device is resized
 	// per image inside Expose, through the scratch.
@@ -229,7 +196,7 @@ func captureGrid(scenes []scene.Scene, devs []*device.Profile, firstIndex int, d
 				return
 			}
 			i := int(t % int64(len(devs)))
-			dev, c := devs[i], &chains[i]
+			dev, tag, c := devs[i], tags[i], &chains[i]
 			sc.Reset()
 
 			c.mu.Lock()
@@ -255,7 +222,7 @@ func captureGrid(scenes []scene.Scene, devs []*device.Profile, firstIndex int, d
 			sets[i].Samples[j] = Sample{
 				X:      sc.Resize(im, outRes, outRes).ToTensor(),
 				Label:  scenes[j].Class,
-				Device: firstIndex + i,
+				Device: tag,
 			}
 		}
 	}

@@ -144,10 +144,7 @@ func TestCaptureProducesLabeledTensors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := Capture(scenes, dev, 7, ModeProcessed, 32, 12, frand.New(22))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds := captureOne(t, scenes, dev, 7, ModeProcessed, frand.New(22))
 	if ds.Len() != 12 {
 		t.Fatalf("captured %d samples", ds.Len())
 	}
@@ -169,43 +166,27 @@ func TestCaptureRAWDiffersFromProcessed(t *testing.T) {
 	gen := scene.NewImageNet12(64)
 	scenes := gen.RenderSet(1, frand.New(31))[:2]
 	dev, _ := device.ByName("G4")
-	proc, err := Capture(scenes, dev, 0, ModeProcessed, 32, 12, frand.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := Capture(scenes, dev, 0, ModeRAW, 32, 12, frand.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	proc := captureOne(t, scenes, dev, 0, ModeProcessed, frand.New(1))
+	raw := captureOne(t, scenes, dev, 0, ModeRAW, frand.New(1))
 	if proc.Samples[0].X.AllClose(raw.Samples[0].X, 1e-4) {
 		t.Fatal("RAW capture identical to processed capture")
 	}
 }
 
-func TestCaptureWithPipeline(t *testing.T) {
-	gen := scene.NewImageNet12(64)
-	scenes := gen.RenderSet(1, frand.New(41))[:2]
-	dev, _ := device.ByName("S9")
-	noTone, err := isp.Baseline().Option(isp.StageTone, 1)
+// captureOne is CaptureDevices for one device, on the calling goroutine.
+func captureOne(t *testing.T, scenes []scene.Scene, dev *device.Profile, tag int,
+	mode CaptureMode, rng *frand.RNG) *Dataset {
+	t.Helper()
+	sets, err := CaptureDevices(scenes, []*device.Profile{dev}, mode, 32, 12, []int{tag}, []*frand.RNG{rng}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := CaptureWithPipeline(scenes, dev, 0, isp.Baseline(), 32, 12, frand.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := CaptureWithPipeline(scenes, dev, 0, noTone, 32, 12, frand.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Samples[0].X.AllClose(b.Samples[0].X, 1e-5) {
-		t.Fatal("tone-omitted pipeline produced identical tensors")
-	}
+	return sets[0]
 }
 
-// refCapture is the capture loop as it was before captureGrid: the public,
-// allocating device calls, one image after another.
-func refCapture(t *testing.T, scenes []scene.Scene, dev *device.Profile, devIndex int,
+// refCapture is the capture loop as it was before CaptureDevices: the
+// public, allocating device calls, one image after another.
+func refCapture(t *testing.T, scenes []scene.Scene, dev *device.Profile, tag int,
 	mode CaptureMode, outRes int, rng *frand.RNG) []Sample {
 	t.Helper()
 	var out []Sample
@@ -218,7 +199,27 @@ func refCapture(t *testing.T, scenes []scene.Scene, dev *device.Profile, devInde
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, Sample{X: im.Resize(outRes, outRes).ToTensor(), Label: sc.Class, Device: devIndex})
+		out = append(out, Sample{X: im.Resize(outRes, outRes).ToTensor(), Label: sc.Class, Device: tag})
+	}
+	return out
+}
+
+// refPipeline is refCapture for a device's sensor under pipe alone: the
+// sensor's capture, then the pipeline, with no vendor tuning.
+func refPipeline(t *testing.T, scenes []scene.Scene, dev *device.Profile, tag int,
+	pipe isp.Pipeline, outRes int, rng *frand.RNG) []Sample {
+	t.Helper()
+	var out []Sample
+	for _, sc := range scenes {
+		raw, err := dev.Sensor.Capture(sc.Image, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		im, err := pipe.Process(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, Sample{X: im.Resize(outRes, outRes).ToTensor(), Label: sc.Class, Device: tag})
 	}
 	return out
 }
@@ -246,36 +247,40 @@ func sameSamples(t *testing.T, what string, got, want []Sample) {
 }
 
 // Image-grain scheduling must not show in the data: at every worker count,
-// CaptureDevices gives what one allocating capture loop per device gives.
-// The population repeats a resolution (the shared pre-resized scenes), has
-// a lone one (resized per image) and one at scene size (no resize at all),
-// and more workers than devices.
+// CaptureDevices gives what one allocating capture loop per device gives,
+// each device's samples carrying its own tag (two devices share one). The
+// population repeats a resolution (the shared pre-resized scenes), has a
+// lone one (resized per image) and one at scene size (no resize at all),
+// and more workers than devices. The ISP-stage ablation arm runs the tuned
+// S9 and S22 under a non-baseline pipeline through Profile.WithISP, against
+// the sensor's capture and that pipeline alone.
 func TestCaptureDevicesMatchesPerDeviceLoops(t *testing.T) {
 	gen := scene.NewImageNet12(64)
 	scenes := gen.RenderSet(1, frand.New(51))[:5]
-	var devs []*device.Profile
-	for _, name := range []string{"S9", "Pixel5", "G7", "S6"} { // 48, 64, 48, 32
-		dev, err := device.ByName(name)
-		if err != nil {
-			t.Fatal(err)
+	byName := func(names ...string) []*device.Profile {
+		var devs []*device.Profile
+		for _, name := range names {
+			dev, err := device.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			devs = append(devs, dev)
 		}
-		devs = append(devs, dev)
+		return devs
 	}
-	streams := func() []*frand.RNG {
-		rngs := make([]*frand.RNG, len(devs))
+	devs := byName("S9", "Pixel5", "G7", "S6") // 48, 64, 48, 32
+	tags := []int{7, 100, 7, 3}
+	streams := func(n int) []*frand.RNG {
+		rngs := make([]*frand.RNG, n)
 		for i := range rngs {
 			rngs[i] = frand.New(uint64(100 + i))
 		}
 		return rngs
 	}
-	for _, mode := range []CaptureMode{ModeProcessed, ModeRAW} {
-		rngs := streams()
-		want := make([][]Sample, len(devs))
-		for i, dev := range devs {
-			want[i] = refCapture(t, scenes, dev, i, mode, 32, rngs[i])
-		}
+	check := func(what string, devs []*device.Profile, mode CaptureMode, tags []int, want [][]Sample) {
+		t.Helper()
 		for _, workers := range []int{0, 1, 2, 3, 8} {
-			got, err := CaptureDevices(scenes, devs, mode, 32, 12, streams(), workers)
+			got, err := CaptureDevices(scenes, devs, mode, 32, 12, tags, streams(len(devs)), workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -283,20 +288,42 @@ func TestCaptureDevicesMatchesPerDeviceLoops(t *testing.T) {
 				if got[i].NumClasses != 12 {
 					t.Fatalf("NumClasses %d", got[i].NumClasses)
 				}
-				sameSamples(t, fmt.Sprintf("mode %d workers %d %s", mode, workers, devs[i].Name), got[i].Samples, want[i])
+				sameSamples(t, fmt.Sprintf("%s workers %d %s", what, workers, devs[i].Name), got[i].Samples, want[i])
 			}
 		}
-		// Capture is the one-device case and leaves the stream where the
+	}
+	for _, mode := range []CaptureMode{ModeProcessed, ModeRAW} {
+		rngs := streams(len(devs))
+		want := make([][]Sample, len(devs))
+		for i, dev := range devs {
+			want[i] = refCapture(t, scenes, dev, tags[i], mode, 32, rngs[i])
+		}
+		check(fmt.Sprintf("mode %d", mode), devs, mode, tags, want)
+		// One device is the one-call case and leaves the stream where the
 		// allocating loop leaves it.
 		rng, ref := frand.New(100), frand.New(100)
-		one, err := Capture(scenes, devs[0], 9, mode, 32, 12, rng)
+		sets, err := CaptureDevices(scenes, devs[:1], mode, 32, 12, []int{9}, []*frand.RNG{rng}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameSamples(t, "Capture", one.Samples, refCapture(t, scenes, devs[0], 9, mode, 32, ref))
+		sameSamples(t, "one device", sets[0].Samples, refCapture(t, scenes, devs[0], 9, mode, 32, ref))
 		if rng.Uint64() != ref.Uint64() {
-			t.Fatal("Capture consumed its stream differently")
+			t.Fatal("a one-device capture consumed its stream differently")
 		}
+	}
+
+	pipe := isp.Baseline()
+	pipe.WB, pipe.Compress = isp.WBWhitePatch, isp.CompressNone
+	tuned := byName("S9", "S22") // tuning 0.95/1.15 and 0.88/1.25
+	ablated := []*device.Profile{tuned[0].WithISP(pipe), tuned[1].WithISP(pipe)}
+	rngs := streams(len(tuned))
+	want := make([][]Sample, len(tuned))
+	for i, dev := range tuned {
+		want[i] = refPipeline(t, scenes, dev, i, pipe, 32, rngs[i])
+	}
+	check("WithISP", ablated, ModeProcessed, []int{0, 1}, want)
+	if tuned[0].ISP != isp.Baseline() || tuned[0].ToneGamma != 0.95 || tuned[0].Saturation != 1.15 {
+		t.Fatalf("WithISP changed the profile it copies: %+v", tuned[0])
 	}
 }
 
@@ -309,14 +336,17 @@ func TestCaptureGridPropagatesDevelopErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
-	develop := func(dev *device.Profile, raw *isp.RAW, sc *isp.Scratch) (*isp.Image, error) {
+	defer func(raw func(*device.Profile, *isp.RAW, *isp.Scratch) (*isp.Image, error)) {
+		developers[ModeRAW] = raw
+	}(developers[ModeRAW])
+	developers[ModeRAW] = func(dev *device.Profile, raw *isp.RAW, sc *isp.Scratch) (*isp.Image, error) {
 		if raw.Pix[0] >= 0 { // always
 			return nil, fmt.Errorf("device %s: %w", dev.Name, boom)
 		}
 		return sc.ProcessRAWOnly(raw), nil
 	}
 	for _, workers := range []int{1, 4} {
-		_, err := captureGrid(scenes, []*device.Profile{dev, dev}, 0, develop, 16, 12,
+		_, err := CaptureDevices(scenes, []*device.Profile{dev, dev}, ModeRAW, 16, 12, []int{0, 1},
 			[]*frand.RNG{frand.New(1), frand.New(2)}, workers)
 		if !errors.Is(err, boom) || !strings.Contains(err.Error(), "capture class") {
 			t.Fatalf("workers %d: error %v", workers, err)

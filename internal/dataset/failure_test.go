@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"strings"
 	"testing"
 
 	"heteroswitch/internal/device"
@@ -9,7 +10,7 @@ import (
 )
 
 // Failure injection: an invalid sensor configuration must surface as an
-// error from Capture (wrapped with device context), never a panic.
+// error from CaptureDevices (wrapped with device context), never a panic.
 func TestCapturePropagatesSensorErrors(t *testing.T) {
 	gen := scene.NewImageNet12(16)
 	scenes := gen.RenderSet(1, frand.New(1))[:1]
@@ -19,11 +20,40 @@ func TestCapturePropagatesSensorErrors(t *testing.T) {
 	}
 	broken := *dev
 	broken.Sensor.Resolution = 1 // fails Validate
-	if _, err := Capture(scenes, &broken, 0, ModeProcessed, 16, 12, frand.New(1)); err == nil {
-		t.Fatal("expected sensor validation error")
+	for _, mode := range []CaptureMode{ModeProcessed, ModeRAW} {
+		_, err := CaptureDevices(scenes, []*device.Profile{dev, &broken}, mode, 16, 12, []int{0, 1},
+			[]*frand.RNG{frand.New(1), frand.New(2)}, 2)
+		if err == nil || !strings.Contains(err.Error(), "device S9") {
+			t.Fatalf("mode %d: error %v, want the broken device's validation error", mode, err)
+		}
 	}
-	if _, err := Capture(scenes, &broken, 0, ModeRAW, 16, 12, frand.New(1)); err == nil {
-		t.Fatal("expected sensor validation error in RAW mode")
+}
+
+// A call whose tags or streams do not match its devices, or whose mode is
+// unknown, is refused before anything is captured.
+func TestCaptureDevicesRejectsBadArguments(t *testing.T) {
+	scenes := scene.NewImageNet12(16).RenderSet(1, frand.New(1))[:1]
+	dev, err := device.ByName("S9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	devs, rngs := []*device.Profile{dev, dev}, []*frand.RNG{frand.New(1), frand.New(2)}
+	for _, c := range []struct {
+		name string
+		mode CaptureMode
+		tags []int
+		rngs []*frand.RNG
+		want string
+	}{
+		{"one tag", ModeProcessed, []int{0}, rngs, "2 devices, 1 tags, 2 streams"},
+		{"one stream", ModeProcessed, []int{0, 1}, rngs[:1], "2 devices, 2 tags, 1 streams"},
+		{"mode 2", CaptureMode(2), []int{0, 1}, rngs, "unknown mode 2"},
+		{"mode -1", CaptureMode(-1), []int{0, 1}, rngs, "unknown mode -1"},
+	} {
+		_, err := CaptureDevices(scenes, devs, c.mode, 16, 12, c.tags, c.rngs, 1)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
 	}
 }
 

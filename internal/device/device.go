@@ -50,7 +50,7 @@ type Profile struct {
 
 	// Vendor rendering tuning applied after the ISP pipeline: an extra tone
 	// gamma (<1 brightens/adds contrast pop, >1 flattens) and a saturation
-	// factor around Rec.601 luma.
+	// factor around Rec.601 luma. 0 or 1 leaves the ISP's image as it is.
 	ToneGamma  float64
 	Saturation float64
 }
@@ -90,18 +90,13 @@ func (p *Profile) Develop(raw *isp.RAW, sc *isp.Scratch) (*isp.Image, error) {
 	return im, nil
 }
 
-// CaptureWithPipeline photographs a scene but develops it with an arbitrary
-// pipeline (no vendor tuning) — used by the ISP-stage ablation experiments.
-func (p *Profile) CaptureWithPipeline(scene *isp.Image, pipe isp.Pipeline, rng *frand.RNG) (*isp.Image, error) {
-	raw, err := p.Sensor.Capture(scene, rng)
-	if err != nil {
-		return nil, fmt.Errorf("device %s: %w", p.Name, err)
-	}
-	im, err := pipe.Process(raw)
-	if err != nil {
-		return nil, fmt.Errorf("device %s: %w", p.Name, err)
-	}
-	return im, nil
+// WithISP returns a copy of the device that develops with pipe and no vendor
+// tuning: the device's sensor under an arbitrary ISP, which is how the
+// ISP-stage ablation (§3.4) photographs.
+func (p *Profile) WithISP(pipe isp.Pipeline) *Profile {
+	q := *p
+	q.ISP, q.ToneGamma, q.Saturation = pipe, 0, 0
+	return &q
 }
 
 // CaptureRAW photographs a scene and returns the minimally-converted RAW

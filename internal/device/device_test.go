@@ -171,7 +171,11 @@ func TestRAWMoreHeterogeneousThanProcessed(t *testing.T) {
 	}
 }
 
-func TestCaptureWithPipelineDiffersFromDefault(t *testing.T) {
+// WithISP is the device's sensor under another pipeline and no vendor
+// tuning: it develops exactly what the sensor's capture and that pipeline
+// alone give, switching one stage moves the image, and the profile it
+// copies keeps its own ISP and tuning.
+func TestWithISPDevelopsThePipelineAlone(t *testing.T) {
 	gen := scene.NewImageNet12(64)
 	sc := gen.Render(7, frand.New(7))
 	p, _ := ByName("S9")
@@ -179,16 +183,32 @@ func TestCaptureWithPipelineDiffersFromDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := p.CaptureWithPipeline(sc, isp.Baseline(), frand.New(11))
+	a, err := p.WithISP(isp.Baseline()).CaptureProcessed(sc, frand.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.CaptureWithPipeline(sc, noWB, frand.New(11))
+	b, err := p.WithISP(noWB).CaptureProcessed(sc, frand.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.MSE(b) < 1e-6 {
 		t.Error("omitting white balance changed nothing")
+	}
+	raw, err := p.Sensor.Capture(sc, frand.New(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := noWB.Process(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ref.Pix {
+		if math.Float64bits(b.Pix[i]) != math.Float64bits(ref.Pix[i]) {
+			t.Fatalf("sample %d: %v, the pipeline alone gives %v", i, b.Pix[i], ref.Pix[i])
+		}
+	}
+	if p.ISP != isp.Baseline() || p.ToneGamma != 0.95 || p.Saturation != 1.15 {
+		t.Fatalf("WithISP changed the profile it copies: %+v", p)
 	}
 }
 

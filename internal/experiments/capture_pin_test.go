@@ -152,19 +152,30 @@ func TestTable3CellDigestsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
+	// One device per cell, each the S9 sensor under the cell's pipeline on
+	// the same stream, all in one capture.
+	var cells []string
+	var devs []*device.Profile
+	var tags []int
+	var rngs []*frand.RNG
 	for stage := isp.StageDemosaic; stage < isp.NumStages; stage++ {
 		for opt := 0; opt <= 2; opt++ {
 			pipe, err := isp.Baseline().Option(stage, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ds, err := dataset.CaptureWithPipeline(scenes, s9, 7, pipe, 32, gen.NumClasses(), frand.New(42^0xbbbb))
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(&sb, "%v/%s %s\n", stage, stageOptionName(pipe, stage), sampleDigest(ds))
+			cells = append(cells, fmt.Sprintf("%v/%s", stage, stageOptionName(pipe, stage)))
+			devs, tags = append(devs, s9.WithISP(pipe)), append(tags, 7)
+			rngs = append(rngs, frand.New(42^0xbbbb))
 		}
+	}
+	sets, err := dataset.CaptureDevices(scenes, devs, dataset.ModeProcessed, 32, gen.NumClasses(), tags, rngs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for i, ds := range sets {
+		fmt.Fprintf(&sb, "%s %s\n", cells[i], sampleDigest(ds))
 	}
 	if got := sb.String(); got != pinnedTable3 {
 		t.Errorf("Table-3 cell bytes moved\n got:\n%s want:\n%s", got, pinnedTable3)
@@ -192,17 +203,25 @@ func TestRandomDeviceDigestsPinned(t *testing.T) {
 	gen := scene.NewImageNet12(64)
 	scenes := gen.RenderSet(1, frand.New(7).SplitNamed("random-scenes"))
 	rng := frand.New(7 ^ 0x0dd)
-	var sb strings.Builder
+	// Each profile is drawn, then its noise stream split off, from one
+	// stream; the twelve capture in one call.
+	profs := make([]*device.Profile, 12)
+	tags := make([]int, len(profs))
+	rngs := make([]*frand.RNG, len(profs))
 	var noCompress, noTone bool
-	for i := 0; i < 12; i++ {
-		prof := device.Random(rng.Split(), fmt.Sprintf("rand-%02d", i))
-		noCompress = noCompress || prof.ISP.Compress == isp.CompressNone
-		noTone = noTone || prof.ISP.Tone == isp.ToneNone
-		ds, err := dataset.Capture(scenes, prof, 100+i, dataset.ModeProcessed, 32, gen.NumClasses(), rng.Split())
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(&sb, "%s %v %s\n", prof.Name, prof.ISP, sampleDigest(ds))
+	for i := range profs {
+		profs[i] = device.Random(rng.Split(), fmt.Sprintf("rand-%02d", i))
+		tags[i], rngs[i] = 100+i, rng.Split()
+		noCompress = noCompress || profs[i].ISP.Compress == isp.CompressNone
+		noTone = noTone || profs[i].ISP.Tone == isp.ToneNone
+	}
+	sets, err := dataset.CaptureDevices(scenes, profs, dataset.ModeProcessed, 32, gen.NumClasses(), tags, rngs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for i, prof := range profs {
+		fmt.Fprintf(&sb, "%s %v %s\n", prof.Name, prof.ISP, sampleDigest(sets[i]))
 	}
 	if !noCompress || !noTone {
 		t.Fatalf("random profiles must reach CompressNone (%v) and ToneNone (%v)", noCompress, noTone)
@@ -213,7 +232,9 @@ func TestRandomDeviceDigestsPinned(t *testing.T) {
 }
 
 // pinnedFlair pins the FLAIR substitute, which interleaves scene generation
-// and capture on one RNG stream through Profile.CaptureProcessed directly.
+// and capture on one RNG stream, exposing and developing each image itself
+// (prof.Develop(prof.Sensor.Expose(…))) rather than through
+// dataset.CaptureDevices.
 const pinnedFlair = "e8a84c86dec7e940"
 
 func TestFlairDigestPinned(t *testing.T) {

@@ -54,15 +54,18 @@ func Fig1(opts Options) (*Fig1Result, error) {
 	gen := scene.NewImageNet12(64)
 	rng := frand.New(opts.Seed)
 	trainScenes := gen.RenderSet(opts.scaled(8), rng.SplitNamed("train-scenes"))
-	pool := []*dataset.Dataset{dd.Train[s9]}
+	var devs []*device.Profile
+	var tags []int
+	var rngs []*frand.RNG
 	for rep := 1; rep < len(dd.Profiles); rep++ {
-		crng := frand.New(opts.Seed ^ uint64(rep)*0xfeed)
-		ds, err := dataset.Capture(trainScenes, dd.Profiles[s9], s9, dataset.ModeProcessed, OutRes, dd.Classes, crng)
-		if err != nil {
-			return nil, err
-		}
-		pool = append(pool, ds)
+		devs, tags = append(devs, dd.Profiles[s9]), append(tags, s9)
+		rngs = append(rngs, frand.New(opts.Seed^uint64(rep)*0xfeed))
 	}
+	replicas, err := dataset.CaptureDevices(trainScenes, devs, dataset.ModeProcessed, OutRes, dd.Classes, tags, rngs, opts.Workers)
+	if err != nil {
+		return nil, err
+	}
+	pool := append([]*dataset.Dataset{dd.Train[s9]}, replicas...)
 	homoTrain := map[int]*dataset.Dataset{s9: dataset.Concat(pool...)}
 	homoCounts := make([]int, len(dd.Profiles))
 	homoCounts[s9] = 20
@@ -233,15 +236,19 @@ func Fig3(opts Options) (*Fig3Result, error) {
 	profiles := device.Profiles()
 
 	base := isp.Baseline()
+	// captureAll photographs the scenes with every sensor under pipe, the
+	// devices side by side on opts.Workers.
 	captureAll := func(scenes []scene.Scene, pipe isp.Pipeline, salt uint64) (*dataset.Dataset, error) {
-		parts := make([]*dataset.Dataset, len(profiles))
+		devs := make([]*device.Profile, len(profiles))
+		tags := make([]int, len(profiles))
+		rngs := make([]*frand.RNG, len(profiles))
 		for i, p := range profiles {
-			crng := frand.New(opts.Seed ^ salt ^ uint64(i+1)*0x9e37)
-			ds, err := dataset.CaptureWithPipeline(scenes, p, i, pipe, OutRes, gen.NumClasses(), crng)
-			if err != nil {
-				return nil, err
-			}
-			parts[i] = ds
+			devs[i], tags[i] = p.WithISP(pipe), i
+			rngs[i] = frand.New(opts.Seed ^ salt ^ uint64(i+1)*0x9e37)
+		}
+		parts, err := dataset.CaptureDevices(scenes, devs, dataset.ModeProcessed, OutRes, gen.NumClasses(), tags, rngs, opts.Workers)
+		if err != nil {
+			return nil, err
 		}
 		return dataset.Concat(parts...), nil
 	}

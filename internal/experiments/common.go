@@ -149,11 +149,15 @@ func (o *Options) BindFlags(fs *flag.FlagSet) {
 }
 
 // Apply is the one place the options are checked: it rejects a scale that is
-// not finite and positive, a negative worker count, intra-op budget or async
-// depth, and a latency model or fault spec that does not parse, naming the
-// flag. Run and NewFL call it; a binary calls it itself before any work, so a
-// bad flag fails before the device federation is captured.
+// not finite and positive; a negative worker count, intra-op budget, async
+// depth, attempt cap or staleness cap; a delta-norm gate that is negative or
+// NaN; a timeout or backoff that is negative or not finite; a staleness
+// exponent that is not finite; and a latency model or fault spec that does
+// not parse, naming the flag. Run and NewFL call it; a binary calls it
+// itself before any work, so a bad flag fails before the device federation
+// is captured.
 func (o Options) Apply() error {
+	a := o.Async
 	switch {
 	case !(o.Scale > 0) || math.IsInf(o.Scale, 1):
 		return fmt.Errorf("experiments: -scale %g: want a finite value > 0", o.Scale)
@@ -161,10 +165,22 @@ func (o Options) Apply() error {
 		return fmt.Errorf("experiments: -workers %d: want >= 0", o.Workers)
 	case o.IntraOp < 0:
 		return fmt.Errorf("experiments: -intraop %d: want >= 0", o.IntraOp)
-	case o.Async.Depth < 0:
-		return fmt.Errorf("experiments: -async-depth %d: want >= 0", o.Async.Depth)
+	case a.Depth < 0:
+		return fmt.Errorf("experiments: -async-depth %d: want >= 0", a.Depth)
+	case !(o.MaxDeltaNorm >= 0):
+		return fmt.Errorf("experiments: -max-delta-norm %g: want >= 0", o.MaxDeltaNorm)
+	case !(a.Timeout >= 0) || math.IsInf(a.Timeout, 1):
+		return fmt.Errorf("experiments: -fault-timeout %g: want a finite value >= 0", a.Timeout)
+	case !(a.RetryBackoff >= 0) || math.IsInf(a.RetryBackoff, 1):
+		return fmt.Errorf("experiments: -fault-backoff %g: want a finite value >= 0", a.RetryBackoff)
+	case a.MaxAttempts < 0:
+		return fmt.Errorf("experiments: -fault-attempts %d: want >= 0", a.MaxAttempts)
+	case a.MaxStaleness < 0:
+		return fmt.Errorf("experiments: -max-staleness %d: want >= 0", a.MaxStaleness)
+	case math.IsNaN(a.StalenessAlpha) || math.IsInf(a.StalenessAlpha, 0):
+		return fmt.Errorf("experiments: -staleness-alpha %g: want a finite value", a.StalenessAlpha)
 	}
-	if _, err := simclock.ParseModel(o.Async.LatencyModel, o.Seed); err != nil {
+	if _, err := simclock.ParseModel(a.LatencyModel, o.Seed); err != nil {
 		return fmt.Errorf("experiments: -latency-model: %w", err)
 	}
 	if _, err := faults.ParseSpec(o.Faults, o.Seed); err != nil {
@@ -241,9 +257,10 @@ func (dd *DeviceData) DeviceIndex(name string) int {
 func (dd *DeviceData) AllTest() *dataset.Dataset { return dataset.Concat(dd.Test...) }
 
 // BuildDeviceData renders perClassTrain+perClassTest scenes per class and
-// captures them with every Table-1 device: each device photographs the
-// train scenes and then the test scenes on its own noise stream, with the
-// images spread over opts.Workers (dataset.CaptureDevices).
+// captures them with every Table-1 device in one dataset.CaptureDevices
+// call: device i photographs the train scenes and then the test scenes on
+// its own noise stream, its samples tagged i, with the images spread over
+// opts.Workers.
 func BuildDeviceData(opts Options, perClassTrain, perClassTest int, mode dataset.CaptureMode) (*DeviceData, error) {
 	gen := scene.NewImageNet12(64)
 	rng := frand.New(opts.Seed)
@@ -251,12 +268,13 @@ func BuildDeviceData(opts Options, perClassTrain, perClassTest int, mode dataset
 	testScenes := gen.RenderSet(perClassTest, rng.SplitNamed("test-scenes"))
 	profiles := device.Profiles()
 
+	tags := make([]int, len(profiles))
 	rngs := make([]*frand.RNG, len(profiles))
 	for i := range rngs {
-		rngs[i] = frand.New(opts.Seed ^ uint64(i+1)*0x9e3779b97f4a7c15)
+		tags[i], rngs[i] = i, frand.New(opts.Seed^uint64(i+1)*0x9e3779b97f4a7c15)
 	}
 	scenes := append(trainScenes[:len(trainScenes):len(trainScenes)], testScenes...)
-	sets, err := dataset.CaptureDevices(scenes, profiles, mode, OutRes, gen.NumClasses(), rngs, opts.Workers)
+	sets, err := dataset.CaptureDevices(scenes, profiles, mode, OutRes, gen.NumClasses(), tags, rngs, opts.Workers)
 	if err != nil {
 		return nil, err
 	}

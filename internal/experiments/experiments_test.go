@@ -169,6 +169,7 @@ func TestFig3Structure(t *testing.T) {
 	if res.BaselineAcc <= 0 {
 		t.Fatalf("baseline accuracy %v", res.BaselineAcc)
 	}
+	pinTable(t, res, "9c5429a2d276033187b2668784f744b2fce63e07a339dc1bf4ce515c65169616")
 }
 
 func TestFig7Structure(t *testing.T) {

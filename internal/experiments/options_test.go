@@ -134,6 +134,20 @@ func TestOptionsAreCheckedByRunAndNewFL(t *testing.T) {
 		{"depth -1", mod(func(o *Options) { o.Async.Depth = -1 }), "-async-depth"},
 		{"latency const:inf", mod(func(o *Options) { o.Async.LatencyModel = "const:inf" }), "-latency-model"},
 		{"faults bad clause", mod(func(o *Options) { o.Faults = "crash:0.5+flaky:x" }), "-faults"},
+		{"max delta norm +Inf", mod(func(o *Options) { o.MaxDeltaNorm = math.Inf(1) }), ""},
+		{"max delta norm -1", mod(func(o *Options) { o.MaxDeltaNorm = -1 }), "-max-delta-norm"},
+		{"max delta norm NaN", mod(func(o *Options) { o.MaxDeltaNorm = math.NaN() }), "-max-delta-norm"},
+		{"fault timeout -1", mod(func(o *Options) { o.Async.Timeout = -1 }), "-fault-timeout"},
+		{"fault timeout NaN", mod(func(o *Options) { o.Async.Timeout = math.NaN() }), "-fault-timeout"},
+		{"fault timeout +Inf", mod(func(o *Options) { o.Async.Timeout = math.Inf(1) }), "-fault-timeout"},
+		{"fault backoff -1", mod(func(o *Options) { o.Async.RetryBackoff = -1 }), "-fault-backoff"},
+		{"fault backoff NaN", mod(func(o *Options) { o.Async.RetryBackoff = math.NaN() }), "-fault-backoff"},
+		{"fault backoff +Inf", mod(func(o *Options) { o.Async.RetryBackoff = math.Inf(1) }), "-fault-backoff"},
+		{"fault attempts -1", mod(func(o *Options) { o.Async.MaxAttempts = -1 }), "-fault-attempts"},
+		{"max staleness -2", mod(func(o *Options) { o.Async.MaxStaleness = -2 }), "-max-staleness"},
+		{"staleness alpha NaN", mod(func(o *Options) { o.Async.StalenessAlpha = math.NaN() }), "-staleness-alpha"},
+		{"staleness alpha +Inf", mod(func(o *Options) { o.Async.StalenessAlpha = math.Inf(1) }), "-staleness-alpha"},
+		{"staleness alpha -Inf", mod(func(o *Options) { o.Async.StalenessAlpha = math.Inf(-1) }), "-staleness-alpha"},
 	}
 	perDevice, counts, cfg, builder := tinyFederation()
 	for _, c := range cases {

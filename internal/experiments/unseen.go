@@ -56,16 +56,21 @@ func UnseenDG(opts Options) (*UnseenResult, error) {
 	// both, split at len(dd.Test).
 	tests := append(make([]*dataset.Dataset, 0, len(dd.Test)+numUnseen), dd.Test...)
 	res := &UnseenResult{}
+	// Each device is drawn, then its noise stream split off, from one stream.
 	urng := frand.New(opts.Seed ^ 0x0ddba11)
-	for i := 0; i < numUnseen; i++ {
-		prof := device.Random(urng, fmt.Sprintf("unseen-%d", i))
-		res.UnseenNames = append(res.UnseenNames, prof.Name)
-		ds, err := dataset.Capture(testScenes, prof, 100+i, dataset.ModeProcessed, OutRes, dd.Classes, urng.Split())
-		if err != nil {
-			return nil, err
-		}
-		tests = append(tests, ds)
+	profs := make([]*device.Profile, numUnseen)
+	tags := make([]int, numUnseen)
+	rngs := make([]*frand.RNG, numUnseen)
+	for i := range profs {
+		profs[i] = device.Random(urng, fmt.Sprintf("unseen-%d", i))
+		tags[i], rngs[i] = 100+i, urng.Split()
+		res.UnseenNames = append(res.UnseenNames, profs[i].Name)
 	}
+	unseen, err := dataset.CaptureDevices(testScenes, profs, dataset.ModeProcessed, OutRes, dd.Classes, tags, rngs, opts.Workers)
+	if err != nil {
+		return nil, err
+	}
+	tests = append(tests, unseen...)
 
 	cfg := opts.FLConfig(opts.scaled(80), 12, 10, 0.1)
 	counts := MarketShareCounts(dd, opts.scaled(60))

@@ -120,6 +120,12 @@ func (a AsyncConfig) validate() error {
 	if a.Timeout <= 0 && (a.MaxAttempts > 0 || a.RetryBackoff > 0) {
 		return fmt.Errorf("fl: async attempt cap/backoff configured without a timeout")
 	}
+	// A NaN exponent weighs every stale fold NaN and −Inf weighs it +Inf;
+	// either would reach the global model through the fold scale. +Inf goes
+	// with them: MaxStaleness is the way to drop every stale fold.
+	if p, ok := a.Staleness.(PolynomialStaleness); ok && (math.IsNaN(p.Alpha) || math.IsInf(p.Alpha, 0)) {
+		return fmt.Errorf("fl: non-finite staleness exponent %g", p.Alpha)
+	}
 	return nil
 }
 

@@ -323,6 +323,13 @@ func TestNewAsyncServerValidation(t *testing.T) {
 			t.Fatalf("timeout %v, backoff %v must be rejected", a.Timeout, a.RetryBackoff)
 		}
 	}
+	// A NaN exponent weighs a stale fold NaN and −Inf weighs it +Inf.
+	for _, alpha := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		a := AsyncConfig{Staleness: PolynomialStaleness{Alpha: alpha}}
+		if _, err := NewAsyncServer(cfg, builder, loss, FedAvg{}, clients, a); err == nil {
+			t.Fatalf("staleness exponent %v must be rejected", alpha)
+		}
+	}
 	if _, err := NewAsyncServer(cfg, builder, loss, FedAvg{}, nil, AsyncConfig{}); err == nil {
 		t.Fatal("empty population must be rejected")
 	}
