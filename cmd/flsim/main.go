@@ -24,6 +24,7 @@ import (
 	"heteroswitch/internal/metrics"
 	"heteroswitch/internal/models"
 	"heteroswitch/internal/nn"
+	"heteroswitch/internal/scene"
 )
 
 func main() {
@@ -45,11 +46,29 @@ func main() {
 	opts.Workers, opts.Async.LatencyModel = 4, "straggler:0.5,2,0.15,8"
 	opts.BindFlags(flag.CommandLine)
 	flag.Parse()
+	// Every flag is checked before the federation is captured.
 	if err := opts.Apply(); err != nil {
 		fatal(err)
 	}
+	switch {
+	case *perClass < 1:
+		fatal(fmt.Errorf("-per-class %d: want >= 1", *perClass))
+	case *clients < 1:
+		fatal(fmt.Errorf("-clients %d: want >= 1", *clients))
+	}
 	strat, err := experiments.Method(*method, *clients)
 	if err != nil {
+		fatal(err)
+	}
+	// BuildDeviceData captures the ImageNet-12 scenes, so the model has their
+	// classes.
+	builder, err := models.BuilderFor(models.Arch(*model), opts.Seed, 3, scene.NewImageNet12(64).NumClasses())
+	if err != nil {
+		fatal(err)
+	}
+	cfg := opts.FLConfig(*rounds, *k, *batch, *lr)
+	cfg.LocalEpochs = *epochs
+	if err := cfg.Validate(); err != nil {
 		fatal(err)
 	}
 
@@ -58,12 +77,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	builder, err := models.BuilderFor(models.Arch(*model), opts.Seed, 3, dd.Classes)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := opts.FLConfig(*rounds, *k, *batch, *lr)
-	cfg.LocalEpochs = *epochs
 	srv, cfg, err := experiments.NewFL(opts, strat, dd.Train, experiments.MarketShareCounts(dd, *clients),
 		cfg, builder, nn.SoftmaxCrossEntropy{})
 	if err != nil {

@@ -9,11 +9,14 @@
 //
 // -list prints the experiment ids (the registry's, experiments.Names()).
 // Scale 1.0 is the full-size configuration; smaller scales run faster and
-// preserve trends. -async reruns the FL-driving harnesses on the asynchronous
-// staleness-aware server (deterministic virtual-time simulation); async-sweep
-// compares the two regimes under straggler latency distributions directly,
-// and train-serve runs the async trainer and the serving stack on one
-// virtual clock.
+// preserve trends. Every flag's default is experiments.DefaultOptions.
+// -async reruns the FL-driving harnesses on the asynchronous staleness-aware
+// server (deterministic virtual-time simulation). async-sweep compares the
+// two regimes under straggler latency distributions directly, on fixed arms
+// that no -async flag changes. train-serve runs the async trainer and the
+// serving stack on one virtual clock; its trainer takes the -async settings
+// with or without -async, and an empty -latency-model there means
+// uniform:0.5,2.
 package main
 
 import (

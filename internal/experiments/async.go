@@ -83,6 +83,10 @@ func (tr *asyncTrajectory) roundsToTarget(target float64) int {
 // regime pushed into the time domain: a fixed slice of devices is
 // persistently slow, so the synchronous barrier pays the tail latency every
 // round while the async server folds fresh results and discounts stale ones.
+//
+// The five arms are fixed engine settings, so the -async flags do not move
+// the table. Of the shared flags it reads -seed, -scale, -workers, -intraop,
+// -faults and -max-delta-norm.
 func AsyncSweep(opts Options) (*AsyncSweepResult, error) {
 	dd, err := BuildDeviceData(opts, opts.scaled(6), opts.scaled(3), dataset.ModeProcessed)
 	if err != nil {
@@ -94,43 +98,25 @@ func AsyncSweep(opts Options) (*AsyncSweepResult, error) {
 	test := dd.AllTest()
 	evalEvery := max(1, cfg.Rounds/8)
 
-	alpha := opts.Async.StalenessAlpha
-	if alpha == 0 {
-		alpha = 0.5
-	}
-	uniform, straggler := "uniform:0.5,2", "straggler:0.5,2,0.15,8"
-	if spec := opts.Async.LatencyModel; spec != "" {
-		m, err := simclock.ParseModel(spec, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		// The spec replaces the matching arm; refusing the rest beats
-		// silently running the defaults the operator thought they overrode.
-		switch m.(type) {
-		case simclock.Uniform:
-			uniform = spec
-		case simclock.StragglerTail:
-			straggler = spec
-		default:
-			return nil, fmt.Errorf("async sweep: latency model %q has no arm here; use a uniform: or straggler: spec", spec)
-		}
-	}
+	const uniform, straggler = "uniform:0.5,2", "straggler:0.5,2,0.15,8"
 	tail, err := simclock.ParseModel(straggler, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
 
-	// run trains one arm — the barrier server when async is nil — through the
-	// constructor every federation is built by, and records its trajectory.
-	run := func(async *AsyncOptions) (*asyncTrajectory, error) {
-		srv, _, err := opts.newFL(fl.FedAvg{}, dd.Train, counts, cfg, builder, nn.SoftmaxCrossEntropy{}, async)
+	// run trains one arm through NewFL on a copy of opts that carries the
+	// arm's engine settings, and records its trajectory.
+	run := func(async AsyncOptions) (*asyncTrajectory, error) {
+		o := opts
+		o.Async = async
+		srv, _, err := NewFL(o, fl.FedAvg{}, dd.Train, counts, cfg, builder, nn.SoftmaxCrossEntropy{})
 		if err != nil {
 			return nil, err
 		}
 		tr := &asyncTrajectory{}
 		step := 0
 		srv.Run(func(s fl.RoundStats) {
-			if async == nil {
+			if !async.Enabled {
 				// The barrier pays the slowest sampled client every round; the
 				// sync arm's virtual clock accrues that max so the time axis is
 				// comparable with the async arms (same model, same step keying).
@@ -155,14 +141,13 @@ func AsyncSweep(opts Options) (*AsyncSweepResult, error) {
 
 	arms := []struct {
 		name, latency string
-		async         *AsyncOptions
+		async         AsyncOptions
 	}{
-		{"sync (barrier pays tail)", "straggler", nil},
-		{"async zero-latency (sanity ≡ sync)", "zero", &AsyncOptions{LatencyModel: "zero", Depth: 1}},
-		{"async uniform, poly discount", "uniform", &AsyncOptions{StalenessAlpha: alpha, LatencyModel: uniform, Depth: 2}},
-		{"async straggler, no discount", "straggler", &AsyncOptions{LatencyModel: straggler, Depth: 2}},
-		{fmt.Sprintf("async straggler, poly(%.2g)", alpha), "straggler",
-			&AsyncOptions{StalenessAlpha: alpha, LatencyModel: straggler, Depth: 2}},
+		{"sync (barrier pays tail)", "straggler", AsyncOptions{}},
+		{"async zero-latency (sanity ≡ sync)", "zero", AsyncOptions{Enabled: true, LatencyModel: "zero", Depth: 1}},
+		{"async uniform, poly discount", "uniform", AsyncOptions{Enabled: true, StalenessAlpha: 0.5, LatencyModel: uniform, Depth: 2}},
+		{"async straggler, no discount", "straggler", AsyncOptions{Enabled: true, LatencyModel: straggler, Depth: 2}},
+		{"async straggler, poly(0.5)", "straggler", AsyncOptions{Enabled: true, StalenessAlpha: 0.5, LatencyModel: straggler, Depth: 2}},
 	}
 
 	res := &AsyncSweepResult{Rounds: cfg.Rounds}

@@ -97,26 +97,6 @@ type AsyncOptions struct {
 	MaxStaleness int
 }
 
-// Config resolves the options into an fl.AsyncConfig for a harness whose
-// round size is k, seeding the latency model from seed.
-func (a AsyncOptions) Config(k int, seed uint64) (fl.AsyncConfig, error) {
-	lat, err := simclock.ParseModel(a.LatencyModel, seed)
-	if err != nil {
-		return fl.AsyncConfig{}, err
-	}
-	depth := max(a.Depth, 1)
-	return fl.AsyncConfig{
-		Staleness:    fl.PolynomialStaleness{Alpha: a.StalenessAlpha},
-		Latency:      lat,
-		Concurrency:  depth * k,
-		Buffer:       k,
-		Timeout:      a.Timeout,
-		RetryBackoff: a.RetryBackoff,
-		MaxAttempts:  a.MaxAttempts,
-		MaxStaleness: a.MaxStaleness,
-	}, nil
-}
-
 // BindMachineFlags declares the three flags every binary needs — -seed,
 // -workers, -intraop — on fs, bound straight to o's fields.
 // Each default is the field's value at bind time, so a binary states its own
@@ -131,21 +111,22 @@ func (o *Options) BindMachineFlags(fs *flag.FlagSet) {
 // straight to o's fields: the machine flags (BindMachineFlags) plus the
 // aggregation-engine and fault-injection flags -async, -staleness-alpha,
 // -latency-model, -async-depth, -faults, -max-delta-norm, -fault-timeout,
-// -fault-backoff, -fault-attempts, -max-staleness. -latency-model defaults to
-// the field's value at bind time, like the machine flags.
+// -fault-backoff, -fault-attempts, -max-staleness. Every default is the
+// field's value at bind time: bind on DefaultOptions, setting a field first
+// where a binary's own default differs.
 func (o *Options) BindFlags(fs *flag.FlagSet) {
 	o.BindMachineFlags(fs)
 	a := &o.Async
-	fs.BoolVar(&a.Enabled, "async", false, "asynchronous staleness-aware aggregation on a deterministic virtual-time simulation (no round waits for its stragglers)")
-	fs.Float64Var(&a.StalenessAlpha, "staleness-alpha", 0.5, "polynomial staleness discount 1/(1+s)^alpha for async folds (0 = no discount); also parameterizes heterobench's async-sweep")
-	fs.StringVar(&a.LatencyModel, "latency-model", a.LatencyModel, "virtual client latency for -async runs: zero, const:D, uniform:LO,HI, straggler:LO,HI,P,FACTOR (empty = zero; heterobench's async-sweep replaces its matching arm with it)")
-	fs.IntVar(&a.Depth, "async-depth", 2, "in-flight async jobs as a multiple of K (1 = no overlap, so no staleness)")
-	fs.StringVar(&o.Faults, "faults", "", "seeded fault injection: crash:P, flaky:P,R, corrupt:P,MODE, churn:PERIOD,ON, combined with '+' (empty = fault-free; crash/flaky/churn need -async, crash/flaky also -fault-timeout)")
-	fs.Float64Var(&o.MaxDeltaNorm, "max-delta-norm", 0, "update validation gate: reject client deltas with non-finite values or L2 norm above this (0 = gate off, unless -faults is set, then +Inf = non-finite check only)")
-	fs.Float64Var(&a.Timeout, "fault-timeout", 0, "async per-job virtual timeout before deterministic reissue (0 = no timeouts)")
-	fs.Float64Var(&a.RetryBackoff, "fault-backoff", 0, "base virtual reissue backoff, doubled each attempt (needs -fault-timeout)")
-	fs.IntVar(&a.MaxAttempts, "fault-attempts", 0, "max dispatch attempts per job before its client counts failed (0 = 3 when timeouts are on)")
-	fs.IntVar(&a.MaxStaleness, "max-staleness", 0, "drop async results staler than this many aggregation windows instead of folding them (0 = fold everything)")
+	fs.BoolVar(&a.Enabled, "async", a.Enabled, "asynchronous staleness-aware aggregation on a deterministic virtual-time simulation (no round waits for its stragglers)")
+	fs.Float64Var(&a.StalenessAlpha, "staleness-alpha", a.StalenessAlpha, "polynomial staleness discount 1/(1+s)^alpha for async folds (0 = no discount)")
+	fs.StringVar(&a.LatencyModel, "latency-model", a.LatencyModel, "virtual client latency for -async runs: zero, const:D, uniform:LO,HI, straggler:LO,HI,P,FACTOR (empty = zero)")
+	fs.IntVar(&a.Depth, "async-depth", a.Depth, "in-flight async jobs as a multiple of K (1 = no overlap, so no staleness)")
+	fs.StringVar(&o.Faults, "faults", o.Faults, "seeded fault injection: crash:P, flaky:P,R, corrupt:P,MODE, churn:PERIOD,ON, combined with '+' (empty = fault-free; crash/flaky/churn need -async, crash/flaky also -fault-timeout)")
+	fs.Float64Var(&o.MaxDeltaNorm, "max-delta-norm", o.MaxDeltaNorm, "update validation gate: reject client deltas with non-finite values or L2 norm above this (0 = gate off, unless -faults is set, then +Inf = non-finite check only)")
+	fs.Float64Var(&a.Timeout, "fault-timeout", a.Timeout, "async per-job virtual timeout before deterministic reissue (0 = no timeouts)")
+	fs.Float64Var(&a.RetryBackoff, "fault-backoff", a.RetryBackoff, "base virtual reissue backoff, doubled each attempt (needs -fault-timeout)")
+	fs.IntVar(&a.MaxAttempts, "fault-attempts", a.MaxAttempts, "max dispatch attempts per job before its client counts failed (0 = 3 when timeouts are on)")
+	fs.IntVar(&a.MaxStaleness, "max-staleness", a.MaxStaleness, "drop async results staler than this many aggregation windows instead of folding them (0 = fold everything)")
 }
 
 // Apply is the one place the options are checked: it rejects a scale that is
@@ -189,10 +170,13 @@ func (o Options) Apply() error {
 	return nil
 }
 
-// DefaultOptions returns the standard configuration (Scale 1), training on
-// every CPU (at most 8 workers).
+// DefaultOptions returns the standard configuration, which is also every
+// shared flag's default: Scale 1, seed 42, training on every CPU (at most 8
+// workers), synchronous aggregation, and for an -async run a staleness
+// exponent of 0.5 at pipeline depth 2.
 func DefaultOptions() Options {
-	return Options{Scale: 1, Seed: 42, Workers: min(runtime.NumCPU(), 8)}
+	return Options{Scale: 1, Seed: 42, Workers: min(runtime.NumCPU(), 8),
+		Async: AsyncOptions{StalenessAlpha: 0.5, Depth: 2}}
 }
 
 // FLConfig is the fl.Config every harness and flsim run: E=1 with the caller's
@@ -349,29 +333,15 @@ type Trainer interface {
 	GlobalNet() *nn.Network
 }
 
-// NewFL is the one way to stand up a federation: it builds the population
-// from perDevice according to counts and returns the trainer for strategy —
-// the barrier server, or the event-loop server when opts.Async.Enabled —
-// without running it, together with the configuration it resolved (K clamped
-// to the population, the robustness options applied).
+// NewFL is the one way to stand up a federation. It checks opts (Apply),
+// builds the population from perDevice according to counts, clamps K to it
+// and applies the fault model and the update gate; then it returns the
+// trainer for strategy, without running it, and the configuration it
+// resolved. The trainer is the barrier server (*fl.Server), or the event-loop
+// server (*fl.AsyncServer) on opts.Async when opts.Async.Enabled.
 func NewFL(opts Options, strategy fl.Strategy, perDevice map[int]*dataset.Dataset, counts []int,
 	cfg fl.Config, builder models.Builder, loss nn.Loss) (Trainer, fl.Config, error) {
-	var async *AsyncOptions
-	if opts.Async.Enabled {
-		async = &opts.Async
-	}
-	return opts.newFL(strategy, perDevice, counts, cfg, builder, loss, async)
-}
-
-// newFL is the constructor behind NewFL and behind the harnesses that pick
-// their own engine per arm (AsyncSweep, TrainWhileServe): check and apply the
-// options, build the population, clamp K to it, resolve faults and the gate,
-// then the barrier server when async is nil and otherwise the event-loop
-// server (an *fl.AsyncServer) on async resolved for the clamped K. The engine
-// is this argument, never async.Enabled.
-func (o Options) newFL(strategy fl.Strategy, perDevice map[int]*dataset.Dataset, counts []int,
-	cfg fl.Config, builder models.Builder, loss nn.Loss, async *AsyncOptions) (Trainer, fl.Config, error) {
-	if err := o.Apply(); err != nil {
+	if err := opts.Apply(); err != nil {
 		return nil, cfg, err
 	}
 	clients, err := fl.BuildPopulation(perDevice, counts, cfg.Seed)
@@ -382,22 +352,33 @@ func (o Options) newFL(strategy fl.Strategy, perDevice map[int]*dataset.Dataset,
 	// A configured fault model defaults the gate to +Inf (reject non-finite
 	// updates) so injected corruption can never silently poison the global
 	// model; an explicit MaxDeltaNorm always wins.
-	if cfg.Faults, err = faults.ParseSpec(o.Faults, cfg.Seed); err != nil {
+	if cfg.Faults, err = faults.ParseSpec(opts.Faults, cfg.Seed); err != nil {
 		return nil, cfg, err
 	}
-	cfg.MaxDeltaNorm = o.MaxDeltaNorm
+	cfg.MaxDeltaNorm = opts.MaxDeltaNorm
 	if cfg.Faults != nil && cfg.MaxDeltaNorm == 0 {
 		cfg.MaxDeltaNorm = math.Inf(1)
 	}
-	if async == nil {
+	a := opts.Async
+	if !a.Enabled {
 		srv, err := fl.NewServer(cfg, builder, loss, strategy, clients)
 		return srv, cfg, err
 	}
-	acfg, err := async.Config(cfg.ClientsPerRound, cfg.Seed)
+	lat, err := simclock.ParseModel(a.LatencyModel, cfg.Seed)
 	if err != nil {
 		return nil, cfg, err
 	}
-	srv, err := fl.NewAsyncServer(cfg, builder, loss, strategy, clients, acfg)
+	k := cfg.ClientsPerRound
+	srv, err := fl.NewAsyncServer(cfg, builder, loss, strategy, clients, fl.AsyncConfig{
+		Staleness:    fl.PolynomialStaleness{Alpha: a.StalenessAlpha},
+		Latency:      lat,
+		Concurrency:  max(a.Depth, 1) * k,
+		Buffer:       k,
+		Timeout:      a.Timeout,
+		RetryBackoff: a.RetryBackoff,
+		MaxAttempts:  a.MaxAttempts,
+		MaxStaleness: a.MaxStaleness,
+	})
 	return srv, cfg, err
 }
 

@@ -271,11 +271,15 @@ func TestTable6Structure(t *testing.T) {
 	pinTable(t, res, "d8b49a7f998bd9d191da76ba19f1a8f378f970beb3ed7d457491f8eaa693a3ed")
 }
 
+// asyncSweepDigest is the sha256 of AsyncSweep's table on tinyOpts(0.1).
+const asyncSweepDigest = "8434c947d176b02f35ec107870bef95b1747dfc9693da977cb39773807e29b59"
+
 func TestAsyncSweepStructure(t *testing.T) {
 	res, err := AsyncSweep(tinyOpts(0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	pinTable(t, res, asyncSweepDigest)
 	if len(res.Arms) != 5 {
 		t.Fatalf("arms %d, want 5", len(res.Arms))
 	}
@@ -303,6 +307,19 @@ func TestAsyncSweepStructure(t *testing.T) {
 	if !strings.Contains(res.String(), "rounds-to-target") {
 		t.Fatal("rendering broken")
 	}
+}
+
+// The sweep's arms are fixed engine settings: no -async flag reaches them,
+// so a latency model with no matching arm, no discount and a deeper
+// pipeline print the table of the plain run.
+func TestAsyncSweepArmsAreFixed(t *testing.T) {
+	opts := tinyOpts(0.1)
+	opts.Async = AsyncOptions{Enabled: true, LatencyModel: "const:1", StalenessAlpha: 0, Depth: 5}
+	res, err := AsyncSweep(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinTable(t, res, asyncSweepDigest)
 }
 
 // Options.Async must reroute every strategy through the async server inside
@@ -342,7 +359,8 @@ func TestNewFLHonorsAsyncOptions(t *testing.T) {
 	if srv.GlobalNet() == nil {
 		t.Fatal("trained server returned no network")
 	}
-	if _, err := (AsyncOptions{LatencyModel: "bogus"}).Config(4, 1); err == nil {
+	opts.Async = AsyncOptions{Enabled: true, LatencyModel: "bogus"}
+	if _, _, err := NewFL(opts, fl.FedAvg{}, dd.Train, counts, cfg, builder, nn.SoftmaxCrossEntropy{}); err == nil {
 		t.Fatal("bad latency spec must error")
 	}
 }

@@ -14,33 +14,36 @@ import (
 	"heteroswitch/internal/tensor"
 )
 
-// Every bound flag parses into its field; an unset flag leaves the receiver's
-// value where the receiver supplies the default (the machine flags and
-// -latency-model) and the documented constant elsewhere; -h lists each name
-// once.
+// Every bound flag parses into its field; an unset flag leaves the
+// receiver's value, so an empty command line on DefaultOptions parses to
+// exactly DefaultOptions(); -h lists each name once.
 func TestBindFlagsRoundTrip(t *testing.T) {
+	// receiver differs from DefaultOptions in every bound field.
 	receiver := DefaultOptions()
 	receiver.Seed, receiver.Workers, receiver.IntraOp = 7, 3, 5
-	receiver.Async.LatencyModel = "const:1"
+	receiver.Faults, receiver.MaxDeltaNorm = "corrupt:0.1,inf", 9
+	receiver.Async = AsyncOptions{
+		Enabled: true, StalenessAlpha: 0.75, LatencyModel: "const:1", Depth: 3,
+		Timeout: 2, RetryBackoff: 0.25, MaxAttempts: 4, MaxStaleness: 1,
+	}
 
-	bind := func() (*flag.FlagSet, *Options) {
-		o := receiver
+	bind := func(o Options) (*flag.FlagSet, *Options) {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		o.BindFlags(fs)
 		return fs, &o
 	}
 
-	fs, got := bind()
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	want := receiver
-	want.Async.StalenessAlpha, want.Async.Depth = 0.5, 2
-	if *got != want {
-		t.Fatalf("no flags set:\n got %+v\nwant %+v", *got, want)
+	for _, from := range []Options{DefaultOptions(), receiver} {
+		fs, got := bind(from)
+		if err := fs.Parse(nil); err != nil {
+			t.Fatal(err)
+		}
+		if *got != from {
+			t.Fatalf("no flags set:\n got %+v\nwant %+v", *got, from)
+		}
 	}
 
-	fs, got = bind()
+	fs, got := bind(DefaultOptions())
 	args := []string{
 		"-seed", "99", "-workers", "6", "-intraop", "2",
 		"-async", "-staleness-alpha", "0.25", "-latency-model", "uniform:1,3", "-async-depth", "4",
@@ -50,7 +53,7 @@ func TestBindFlagsRoundTrip(t *testing.T) {
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	want = receiver
+	want := DefaultOptions()
 	want.Seed, want.Workers, want.IntraOp = 99, 6, 2
 	want.Faults, want.MaxDeltaNorm = "corrupt:0.3,nan", 100
 	want.Async = AsyncOptions{
@@ -123,7 +126,7 @@ func TestOptionsAreCheckedByRunAndNewFL(t *testing.T) {
 		{"defaults", mod(func(*Options) {}), ""},
 		{"scale 1", mod(func(o *Options) { o.Scale = 1 }), ""},
 		{"workers 0", mod(func(o *Options) { o.Workers = 0 }), ""},
-		{"depth 0 async", mod(func(o *Options) { o.Async.Enabled = true }), ""},
+		{"depth 0 async", mod(func(o *Options) { o.Async.Enabled, o.Async.Depth = true, 0 }), ""},
 		{"depth 3 async", mod(func(o *Options) { o.Async = AsyncOptions{Enabled: true, Depth: 3} }), ""},
 		{"scale 0", mod(func(o *Options) { o.Scale = 0 }), "-scale"},
 		{"scale -1", mod(func(o *Options) { o.Scale = -1 }), "-scale"},

@@ -91,27 +91,27 @@ func RunTrainServe(spec TrainServeSpec) (*TrainServeReport, error) {
 }
 
 // TrainWhileServe is the registry harness: the Table-1 federated workload
-// trained asynchronously under a straggler-free uniform latency while the
-// just-trained model serves a closed-loop request stream, with
-// deadline-ordered (EDF) batch flush on the serving side. Scale drives both
-// the training rounds and the offered serving load.
+// trained asynchronously while the just-trained model serves a closed-loop
+// request stream, with deadline-ordered (EDF) batch flush on the serving
+// side. The trainer is NewFL's async engine on opts.Async, whether or not
+// Enabled is set; an empty LatencyModel means the straggler-free
+// uniform:0.5,2. Scale drives both the training rounds and the offered
+// serving load.
 func TrainWhileServe(opts Options) (*TrainServeReport, error) {
 	dd, err := BuildDeviceData(opts, opts.scaled(4), opts.scaled(testPerClass), dataset.ModeProcessed)
 	if err != nil {
 		return nil, err
 	}
-	aopts := opts.Async
-	if aopts.LatencyModel == "" {
+	train := opts
+	train.Async.Enabled = true
+	if train.Async.LatencyModel == "" {
 		// Zero latency would finalize every window at t=0 and serve nothing
 		// stale; spread the publishes so requests interleave with them.
-		aopts.LatencyModel = "uniform:0.5,2"
-	}
-	if aopts.Depth == 0 {
-		aopts.Depth = 2
+		train.Async.LatencyModel = "uniform:0.5,2"
 	}
 	builder := SimpleCNNBuilder(opts.Seed, dd.Classes)
-	trainer, _, err := opts.newFL(fl.FedAvg{}, dd.Train, MarketShareCounts(dd, 12),
-		opts.FLConfig(opts.scaled(12), 4, 8, 0.1), builder, nn.SoftmaxCrossEntropy{}, &aopts)
+	trainer, _, err := NewFL(train, fl.FedAvg{}, dd.Train, MarketShareCounts(dd, 12),
+		opts.FLConfig(opts.scaled(12), 4, 8, 0.1), builder, nn.SoftmaxCrossEntropy{})
 	if err != nil {
 		return nil, err
 	}

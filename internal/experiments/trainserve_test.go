@@ -128,13 +128,15 @@ func TestRunTrainServeDeterminism(t *testing.T) {
 	}
 }
 
-// The registry harness runs end to end at tiny scale on the real device
-// population.
+// The registry harness runs end to end at small scale on the real device
+// population, on DefaultOptions' async settings: the bytes heterobench
+// prints with no -async flag. Scale 0.3 trains four windows, enough for the
+// staleness discount to move them.
 func TestTrainWhileServeHarness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy: full device capture + FL run")
 	}
-	res, err := Run("train-serve", tinyOpts(0.1))
+	res, err := Run("train-serve", tinyOpts(0.3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,4 +150,5 @@ func TestTrainWhileServeHarness(t *testing.T) {
 	if !strings.Contains(rep.String(), "output_digest") {
 		t.Fatalf("serving digest missing:\n%s", rep)
 	}
+	pinTable(t, rep, "449b853546e6af9dc5d4d00f8c3425e451fd16d17e68f2d1071fd4bef91025b5")
 }

@@ -18,10 +18,11 @@ type Server struct {
 }
 
 // NewServer builds a server with a fresh global model from the builder and
-// one training replica per cfg.Workers.
+// one training replica per cfg.Workers, at most one per client a round
+// samples (K): a round never splits over more shards than it has clients.
 func NewServer(cfg Config, builder Builder, loss nn.Loss, strategy Strategy, clients []*Client) (*Server, error) {
 	s := &Server{}
-	w := max(cfg.Workers, 1)
+	w := min(max(cfg.Workers, 1), cfg.ClientsPerRound)
 	if err := s.init(cfg, builder, loss, strategy, clients, w, w, w); err != nil {
 		return nil, err
 	}

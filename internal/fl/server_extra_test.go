@@ -40,3 +40,16 @@ func TestCommunicationAccounting(t *testing.T) {
 		t.Fatalf("bytes down/up = %d/%d, want %d", stats.BytesDown, stats.BytesUp, wantDown)
 	}
 }
+
+// A round splits over at most K shards, so the barrier server builds at most
+// K replicas, accumulators and scratch sets, whatever Workers asks for.
+func TestServerBuildsAtMostKReplicas(t *testing.T) {
+	for _, c := range []struct{ workers, want int }{{8, 4}, {4, 4}, {3, 3}, {0, 1}} {
+		srv := fixtureServer(t, FedAvg{}, c.workers) // K = 4
+		if len(srv.nets) != c.want || len(srv.accs) != c.want || len(srv.scratch) != c.want {
+			t.Fatalf("Workers %d, K 4: %d replicas, %d accumulators, %d scratch sets; want %d each",
+				c.workers, len(srv.nets), len(srv.accs), len(srv.scratch), c.want)
+		}
+		srv.RunRound(0)
+	}
+}

@@ -22,7 +22,9 @@ type LoadConfig struct {
 	// Service prices a batch's virtual execution time. nil means
 	// AffineService{Base: 1, PerItem: 0.25}.
 	Service ServiceModel
-	// Seed seeds the request-content stream and any nil models.
+	// Seed seeds the default arrival model: a nil Arrival becomes
+	// ClosedLoop{Seed: Seed}, whose zero think time draws nothing. Request
+	// content is not drawn (see Inputs), so no other output depends on it.
 	Seed uint64
 	// PublishEvery republishes the model (same values, new version) every N
 	// completed batches, exercising version-cache churn: replica reloads and
