@@ -39,7 +39,7 @@ func main() {
 		si := dd.DeviceIndex(src)
 		net := builder()
 		net.SetIntraOp(opts.IntraOpBudget()) // the evaluation below runs the frozen forward
-		experiments.TrainCentralized(net, dd.Train[si], 20, 10, 0.05, frand.New(opts.Seed))
+		experiments.TrainCentralized(net, dd.Train[si], 20, frand.New(opts.Seed))
 		fmt.Printf("%-8s", src)
 		for _, tg := range targets {
 			ti := dd.DeviceIndex(tg)

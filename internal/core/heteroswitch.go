@@ -46,8 +46,8 @@ type HeteroSwitch struct {
 	Mode Mode
 	// Alpha is the EMA smoothing factor of eq. 1 (paper: 0.9).
 	Alpha float64
-	// Transform perturbs one sample tensor; defaults to RandomWBGamma with
-	// the appendix's tuned degrees (WB 0.001, gamma 0.9).
+	// Transform perturbs one sample tensor; New sets RandomWBGamma with the
+	// appendix's tuned degrees (WB 0.001, gamma 0.9), its one source.
 	Transform TransformFunc
 
 	mu      sync.Mutex
@@ -104,11 +104,7 @@ func (h *HeteroSwitch) LocalUpdate(ctx *fl.ClientContext) fl.ClientResult {
 	// Lines 6-8: random ISP transformation on the client's data.
 	data := ctx.Client.Data
 	if switch1 {
-		tf := h.Transform
-		if tf == nil {
-			tf = RandomWBGamma(0.001, 0.9)
-		}
-		data = TransformDataset(data, tf, ctx.RNG)
+		data = TransformDataset(data, h.Transform, ctx.RNG)
 	}
 
 	// Lines 9-21: local SGD; when Switch 1 is on, maintain the per-batch

@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"heteroswitch/internal/core"
-	"heteroswitch/internal/dataset"
 	"heteroswitch/internal/fl"
-	"heteroswitch/internal/nn"
 )
 
 // AblationResult is a generic labelled score list used by the design-choice
@@ -28,30 +26,11 @@ func (r *AblationResult) String() string {
 	return t.String()
 }
 
-// ablationRig builds the shared workload and returns an evaluator.
-func ablationRig(opts Options) (func(name string, strat fl.Strategy) (MethodScore, error), error) {
-	dd, err := BuildDeviceData(opts, opts.scaled(10), opts.scaled(testPerClass), dataset.ModeProcessed)
-	if err != nil {
-		return nil, err
-	}
-	cfg := opts.FLConfig(opts.scaled(80), 12, 10, 0.1)
-	counts := MarketShareCounts(dd, opts.scaled(60))
-	builder := SimpleCNNBuilder(opts.Seed, dd.Classes)
-	return func(name string, strat fl.Strategy) (MethodScore, error) {
-		tr, _, err := NewFL(opts, strat, dd.Train, counts, cfg, builder, nn.SoftmaxCrossEntropy{})
-		if err != nil {
-			return MethodScore{}, err
-		}
-		score, _ := Evaluate(tr, name, dd.Test, nil)
-		return score, nil
-	}, nil
-}
-
 // AblationSwitches isolates the contribution of Switch 1 and Switch 2: no
 // mechanism (FedAvg), transform always-on, transform+SWAD always-on, and the
 // full switched algorithm.
 func AblationSwitches(opts Options) (*AblationResult, error) {
-	run, err := ablationRig(opts)
+	r, err := ablationWorkload.capture(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +45,7 @@ func AblationSwitches(opts Options) (*AblationResult, error) {
 		{"switched (HeteroSwitch)", core.New()},
 	}
 	for _, v := range variants {
-		s, err := run(v.name, v.strat)
+		s, err := r.score(v.name, v.strat, r.Test)
 		if err != nil {
 			return nil, err
 		}
@@ -77,7 +56,7 @@ func AblationSwitches(opts Options) (*AblationResult, error) {
 
 // AblationEMAAlpha sweeps eq. 1's smoothing factor (the paper fixes 0.9).
 func AblationEMAAlpha(opts Options) (*AblationResult, error) {
-	run, err := ablationRig(opts)
+	r, err := ablationWorkload.capture(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +64,7 @@ func AblationEMAAlpha(opts Options) (*AblationResult, error) {
 	for _, alpha := range []float64{0.5, 0.7, 0.9, 0.99} {
 		hs := core.New()
 		hs.Alpha = alpha
-		s, err := run(fmt.Sprintf("alpha=%.2f", alpha), hs)
+		s, err := r.score(fmt.Sprintf("alpha=%.2f", alpha), hs, r.Test)
 		if err != nil {
 			return nil, err
 		}
@@ -97,7 +76,7 @@ func AblationEMAAlpha(opts Options) (*AblationResult, error) {
 // AblationDegrees sweeps the transformation degrees of eqs. 2-3 over the
 // appendix's search grid corners.
 func AblationDegrees(opts Options) (*AblationResult, error) {
-	run, err := ablationRig(opts)
+	r, err := ablationWorkload.capture(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +91,7 @@ func AblationDegrees(opts Options) (*AblationResult, error) {
 	for _, g := range grid {
 		hs := core.New()
 		hs.Transform = core.RandomWBGamma(g.wb, g.gamma)
-		s, err := run(fmt.Sprintf("wb=%.3f gamma=%.1f", g.wb, g.gamma), hs)
+		s, err := r.score(fmt.Sprintf("wb=%.3f gamma=%.1f", g.wb, g.gamma), hs, r.Test)
 		if err != nil {
 			return nil, err
 		}

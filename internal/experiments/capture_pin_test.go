@@ -238,7 +238,7 @@ func TestRandomDeviceDigestsPinned(t *testing.T) {
 const pinnedFlair = "e8a84c86dec7e940"
 
 func TestFlairDigestPinned(t *testing.T) {
-	fed, err := flair.Build(flair.Config{NumDeviceTypes: 4, SamplesPerDevice: 3, TestPerDevice: 2, Classes: 12, OutRes: 32, Seed: 42})
+	fed, err := flair.Build(flair.Config{NumDeviceTypes: 4, SamplesPerDevice: 3, TestPerDevice: 2, OutRes: 32, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,9 +51,7 @@ func Fig1(opts Options) (*Fig1Result, error) {
 	// the pool matches the heterogeneous arm's size, then give it to all
 	// clients and evaluate on S9.
 	s9 := dd.DeviceIndex("S9")
-	gen := scene.NewImageNet12(64)
-	rng := frand.New(opts.Seed)
-	trainScenes := gen.RenderSet(opts.scaled(8), rng.SplitNamed("train-scenes"))
+	trainScenes, _, _ := sceneSets(opts.Seed, opts.scaled(8), 0)
 	var devs []*device.Profile
 	var tags []int
 	var rngs []*frand.RNG
@@ -163,7 +161,7 @@ func CrossDevice(opts Options, mode dataset.CaptureMode) (*CrossDeviceResult, er
 		for i := lo; i < hi; i++ {
 			net := builder()
 			net.SetIntraOp(budget)
-			TrainCentralized(net, dd.Train[i], epochs, 10, 0.05, frand.New(opts.Seed^uint64(i+7)))
+			TrainCentralized(net, dd.Train[i], epochs, frand.New(opts.Seed^uint64(i+7)))
 			res.Acc[i] = PerDeviceAccuracies(net, dd, 16)
 		}
 	})
@@ -229,10 +227,7 @@ func (r *Fig3Result) String() string {
 // the accuracy drop when each test-time stage is switched to its Table-3
 // Option 1 / Option 2 algorithm.
 func Fig3(opts Options) (*Fig3Result, error) {
-	gen := scene.NewImageNet12(64)
-	rng := frand.New(opts.Seed)
-	trainScenes := gen.RenderSet(opts.scaled(8), rng.SplitNamed("train-scenes"))
-	testScenes := gen.RenderSet(opts.scaled(testPerClass), rng.SplitNamed("test-scenes"))
+	trainScenes, testScenes, classes := sceneSets(opts.Seed, opts.scaled(8), opts.scaled(testPerClass))
 	profiles := device.Profiles()
 
 	base := isp.Baseline()
@@ -246,7 +241,7 @@ func Fig3(opts Options) (*Fig3Result, error) {
 			devs[i], tags[i] = p.WithISP(pipe), i
 			rngs[i] = frand.New(opts.Seed ^ salt ^ uint64(i+1)*0x9e37)
 		}
-		parts, err := dataset.CaptureDevices(scenes, devs, dataset.ModeProcessed, OutRes, gen.NumClasses(), tags, rngs, opts.Workers)
+		parts, err := dataset.CaptureDevices(scenes, devs, dataset.ModeProcessed, OutRes, classes, tags, rngs, opts.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -262,9 +257,9 @@ func Fig3(opts Options) (*Fig3Result, error) {
 		return nil, err
 	}
 
-	net := SimpleCNNBuilder(opts.Seed, gen.NumClasses())()
+	net := SimpleCNNBuilder(opts.Seed, classes)()
 	net.SetIntraOp(opts.IntraOpBudget())
-	TrainCentralized(net, train, opts.scaled(20), 10, 0.05, frand.New(opts.Seed^3))
+	TrainCentralized(net, train, opts.scaled(20), frand.New(opts.Seed^3))
 	baseAcc := metrics.Accuracy(net, baseTest, 16)
 
 	res := &Fig3Result{BaselineAcc: baseAcc}

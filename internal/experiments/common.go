@@ -240,16 +240,25 @@ func (dd *DeviceData) DeviceIndex(name string) int {
 // AllTest concatenates every device's test set.
 func (dd *DeviceData) AllTest() *dataset.Dataset { return dataset.Concat(dd.Test...) }
 
-// BuildDeviceData renders perClassTrain+perClassTest scenes per class and
-// captures them with every Table-1 device in one dataset.CaptureDevices
-// call: device i photographs the train scenes and then the test scenes on
-// its own noise stream, its samples tagged i, with the images spread over
-// opts.Workers.
-func BuildDeviceData(opts Options, perClassTrain, perClassTest int, mode dataset.CaptureMode) (*DeviceData, error) {
+// sceneSets renders the shared latent scenes of the controlled collection
+// protocol, perClassTrain train and perClassTest test scenes per class (0
+// renders none), and returns them with the class count. It is their one
+// source: BuildDeviceData captures them, and Fig 1's S9 replicas, Fig 3 and
+// unseen-dg take them from here, so every device photographs the same scenes.
+func sceneSets(seed uint64, perClassTrain, perClassTest int) (train, test []scene.Scene, classes int) {
 	gen := scene.NewImageNet12(64)
-	rng := frand.New(opts.Seed)
-	trainScenes := gen.RenderSet(perClassTrain, rng.SplitNamed("train-scenes"))
-	testScenes := gen.RenderSet(perClassTest, rng.SplitNamed("test-scenes"))
+	rng := frand.New(seed)
+	trainRNG, testRNG := rng.SplitNamed("train-scenes"), rng.SplitNamed("test-scenes")
+	return gen.RenderSet(perClassTrain, trainRNG), gen.RenderSet(perClassTest, testRNG), gen.NumClasses()
+}
+
+// BuildDeviceData renders perClassTrain+perClassTest scenes per class
+// (sceneSets) and captures them with every Table-1 device in one
+// dataset.CaptureDevices call: device i photographs the train scenes and
+// then the test scenes on its own noise stream, its samples tagged i, with
+// the images spread over opts.Workers.
+func BuildDeviceData(opts Options, perClassTrain, perClassTest int, mode dataset.CaptureMode) (*DeviceData, error) {
+	trainScenes, testScenes, classes := sceneSets(opts.Seed, perClassTrain, perClassTest)
 	profiles := device.Profiles()
 
 	tags := make([]int, len(profiles))
@@ -258,14 +267,14 @@ func BuildDeviceData(opts Options, perClassTrain, perClassTest int, mode dataset
 		tags[i], rngs[i] = i, frand.New(opts.Seed^uint64(i+1)*0x9e3779b97f4a7c15)
 	}
 	scenes := append(trainScenes[:len(trainScenes):len(trainScenes)], testScenes...)
-	sets, err := dataset.CaptureDevices(scenes, profiles, mode, OutRes, gen.NumClasses(), tags, rngs, opts.Workers)
+	sets, err := dataset.CaptureDevices(scenes, profiles, mode, OutRes, classes, tags, rngs, opts.Workers)
 	if err != nil {
 		return nil, err
 	}
 	dd := &DeviceData{
 		Profiles: profiles,
 		Train:    map[int]*dataset.Dataset{},
-		Classes:  gen.NumClasses(),
+		Classes:  classes,
 	}
 	n := len(trainScenes)
 	for i, ds := range sets {
@@ -275,14 +284,14 @@ func BuildDeviceData(opts Options, perClassTrain, perClassTest int, mode dataset
 	return dd, nil
 }
 
-// TrainCentralized runs plain minibatch SGD for the given epochs — the
-// single-device training used by the characterization experiments (§3) —
-// on the serial kernels. The budget of the frozen forward that evaluates
-// the model afterwards is the caller's to set (nn.Network.SetIntraOp).
-func TrainCentralized(net *nn.Network, ds *dataset.Dataset, epochs, batch int, lr float64, rng *frand.RNG) {
+// TrainCentralized runs plain minibatch SGD for the given epochs at §3's
+// B = 10 and η = 0.05 — the single-device training of the characterization
+// experiments — on the serial kernels. The budget of the frozen forward that
+// evaluates the model afterwards is the caller's (nn.Network.SetIntraOp).
+func TrainCentralized(net *nn.Network, ds *dataset.Dataset, epochs int, rng *frand.RNG) {
 	cfg := fl.Config{
 		Rounds: 1, ClientsPerRound: 1,
-		BatchSize: batch, LocalEpochs: epochs, LR: lr, Workers: 1,
+		BatchSize: 10, LocalEpochs: epochs, LR: 0.05, Workers: 1,
 	}
 	fl.TrainLocal(net, ds, cfg, nn.SoftmaxCrossEntropy{}, rng, nil, nil)
 }

@@ -64,6 +64,7 @@ func TestTable4Structure(t *testing.T) {
 			t.Fatalf("%s per-device length %d", w, len(res.Scores[i].PerDevice))
 		}
 	}
+	pinTable(t, res, "4ad390a3db77431418208ab8af64d7a80cffbff122c483aec268bc54265798b0")
 }
 
 func TestTable5Structure(t *testing.T) {
@@ -82,6 +83,7 @@ func TestTable5Structure(t *testing.T) {
 			t.Fatalf("row method names: %+v", row)
 		}
 	}
+	pinTable(t, res, "52449a5f8f07ffeefacaccb8fb4541c0dc35116b30c3ce072581972b7d60f47d")
 }
 
 func TestAblationSwitchesStructure(t *testing.T) {
@@ -95,6 +97,7 @@ func TestAblationSwitchesStructure(t *testing.T) {
 	if len(res.Scores) != 4 {
 		t.Fatalf("variants %d", len(res.Scores))
 	}
+	pinTable(t, res, "2557f7ec4eb67ad8f7c838c58bb484543f9b89c8e302f40aa21b9f528a1cb2ca")
 }
 
 func TestFig2RunsRAWMode(t *testing.T) {
@@ -108,6 +111,7 @@ func TestFig2RunsRAWMode(t *testing.T) {
 	if !strings.Contains(res.String(), "RAW") {
 		t.Fatal("Fig2 should label itself as RAW")
 	}
+	pinTable(t, res, "c4350c3b8d1fd7a4e549b1ebc26e739201024413a6488ae9966c1590f70c0534")
 }
 
 func TestUnseenDGStructure(t *testing.T) {
@@ -126,5 +130,5 @@ func TestUnseenDGStructure(t *testing.T) {
 			t.Fatal("worst unseen accuracy above average")
 		}
 	}
-	pinTable(t, res, "27aaf99f18c9494ee4b185c408dd6b3f2de767764c6c4d22177684f75cbe9eec")
+	pinTable(t, res, "6ad1020d95a4977680db33087ca5b6e9799918600d0f1126206a90e04ec778a4")
 }

@@ -9,7 +9,9 @@ import (
 
 	"heteroswitch/internal/core"
 	"heteroswitch/internal/dataset"
+	"heteroswitch/internal/device"
 	"heteroswitch/internal/fl"
+	"heteroswitch/internal/frand"
 	"heteroswitch/internal/metrics"
 	"heteroswitch/internal/nn"
 )
@@ -122,6 +124,61 @@ func TestBuildDeviceDataDeterministic(t *testing.T) {
 	}
 	if !a.Train[3].Samples[0].X.AllClose(b.Train[3].Samples[0].X, 0) {
 		t.Fatal("device data not deterministic (parallel capture ordering?)")
+	}
+}
+
+// unseen-dg's unseen devices photograph exactly the scenes behind
+// BuildDeviceData's test sets, pixel for pixel. sceneSets' test scenes are
+// those scenes: re-photographed by the Table-1 devices on BuildDeviceData's
+// noise streams, after its train scenes, they give dd.Test bit for bit. And
+// unseenTests' sets are those scenes re-photographed by its random devices
+// on their own noise streams.
+func TestUnseenDevicesPhotographTheTestScenes(t *testing.T) {
+	for _, seed := range []uint64{1, 42} {
+		opts := tinyOpts(0.1)
+		opts.Seed = seed
+		perTrain, perTest := opts.scaled(ablationWorkload.perClass), opts.scaled(testPerClass)
+		dd, err := BuildDeviceData(opts, perTrain, perTest, dataset.ModeProcessed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		train, test, classes := sceneSets(seed, perTrain, perTest)
+		tags := make([]int, len(dd.Profiles))
+		rngs := make([]*frand.RNG, len(dd.Profiles))
+		for i := range rngs {
+			tags[i], rngs[i] = i, frand.New(seed^uint64(i+1)*0x9e3779b97f4a7c15)
+		}
+		again, err := dataset.CaptureDevices(append(train, test...), dd.Profiles, dataset.ModeProcessed, OutRes, classes, tags, rngs, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ds := range again {
+			got := &dataset.Dataset{Samples: ds.Samples[len(train):]}
+			if sampleDigest(got) != sampleDigest(dd.Test[i]) {
+				t.Fatalf("seed %d: %s's test set is not a capture of sceneSets' test scenes", seed, dd.Profiles[i].Name)
+			}
+		}
+
+		drawn, unseen, err := unseenTests(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		urng := frand.New(seed ^ 0x0ddba11)
+		profs := make([]*device.Profile, len(drawn))
+		tags, rngs = tags[:len(drawn)], rngs[:len(drawn)]
+		for i, p := range drawn {
+			profs[i] = device.Random(urng, p.Name)
+			tags[i], rngs[i] = 100+i, urng.Split()
+		}
+		want, err := dataset.CaptureDevices(test, profs, dataset.ModeProcessed, OutRes, classes, tags, rngs, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range profs {
+			if len(unseen[i].Samples) != len(test) || sampleDigest(unseen[i]) != sampleDigest(want[i]) {
+				t.Fatalf("seed %d: %s did not photograph the test scenes behind dd.Test", seed, p.Name)
+			}
+		}
 	}
 }
 

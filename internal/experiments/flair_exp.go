@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"heteroswitch/internal/core"
-	"heteroswitch/internal/fl"
 	"heteroswitch/internal/flair"
 	"heteroswitch/internal/metrics"
 	"heteroswitch/internal/models"
@@ -36,32 +34,26 @@ func (r *Table6Result) String() string {
 // Table6 builds the multi-device-type multi-label federation and compares
 // FedAvg, HeteroSwitch, q-FedAvg, and FedProx on averaged precision.
 func Table6(opts Options) (*Table6Result, error) {
-	cfg := flair.DefaultConfig()
-	cfg.NumDeviceTypes = opts.scaled(24)
-	cfg.SamplesPerDevice = opts.scaled(12)
-	cfg.TestPerDevice = opts.scaled(6)
-	cfg.OutRes = OutRes
-	cfg.Seed = opts.Seed
+	cfg := flair.Config{NumDeviceTypes: opts.scaled(24), SamplesPerDevice: opts.scaled(12),
+		TestPerDevice: opts.scaled(6), OutRes: OutRes, Seed: opts.Seed}
 	fed, err := flair.Build(cfg)
 	if err != nil {
 		return nil, err
 	}
 
-	builder, err := models.BuilderFor(models.ArchMobileNet, opts.Seed, 3, cfg.Classes)
+	builder, err := models.BuilderFor(models.ArchMobileNet, opts.Seed, 3, fed.Train[0].NumClasses)
 	if err != nil {
 		return nil, err
 	}
 	flCfg := opts.FLConfig(opts.scaled(80), min(12, cfg.NumDeviceTypes), 6, 0.1)
 	counts := EqualCounts(cfg.NumDeviceTypes, cfg.NumDeviceTypes) // one client per device type
 
-	strategies := []fl.Strategy{
-		fl.FedAvg{},
-		core.New(),
-		&fl.QFedAvg{Q: 1e-6},
-		&fl.FedProx{Mu: 1e-1},
-	}
 	res := &Table6Result{}
-	for _, strat := range strategies {
+	for _, name := range []string{"fedavg", "heteroswitch", "qfedavg", "fedprox"} {
+		strat, err := Method(name, cfg.NumDeviceTypes)
+		if err != nil {
+			return nil, err
+		}
 		srv, _, err := NewFL(opts, strat, fed.Train, counts, flCfg, builder, nn.BCEWithLogits{})
 		if err != nil {
 			return nil, fmt.Errorf("table6 %s: %w", strat.Name(), err)

@@ -83,25 +83,65 @@ func Method(name string, totalClients int) (fl.Strategy, error) {
 	return nil, fmt.Errorf("unknown method %q", name)
 }
 
-// Table4 runs the full main-evaluation sweep with TinyMobileNetV3.
-func Table4(opts Options) (*Table4Result, error) {
-	dd, err := BuildDeviceData(opts, opts.scaled(12), opts.scaled(testPerClass), dataset.ModeProcessed)
+// fedWorkload sizes a device-federation harness at Scale 1 (each size is
+// scaled): perClass train scenes per class on every Table-1 device, then
+// rounds of K = k at B = 10, η = 0.1 over clients market-share clients,
+// training the network model builds.
+type fedWorkload struct {
+	perClass, rounds, k, clients int
+	model                        func(seed uint64, classes int) models.Builder
+}
+
+var (
+	// §6's main evaluation; Table 5 retrains it per architecture.
+	table4Workload = fedWorkload{perClass: 12, rounds: 120, k: 20, clients: 100, model: MobileNetBuilder}
+	// The smaller federation of the ablations and unseen-dg.
+	ablationWorkload = fedWorkload{perClass: 10, rounds: 80, k: 12, clients: 60, model: SimpleCNNBuilder}
+)
+
+// fedRig is a fedWorkload captured at one Options, with what score trains.
+type fedRig struct {
+	*DeviceData
+	opts    Options
+	cfg     fl.Config
+	counts  []int
+	builder models.Builder
+}
+
+// capture builds w's device federation at opts.
+func (w fedWorkload) capture(opts Options) (*fedRig, error) {
+	dd, err := BuildDeviceData(opts, opts.scaled(w.perClass), opts.scaled(testPerClass), dataset.ModeProcessed)
 	if err != nil {
 		return nil, err
 	}
-	cfg := opts.FLConfig(opts.scaled(120), 20, 10, 0.1) // §6: K=20, B=10, η=0.1
-	n := opts.scaled(100)
-	counts := MarketShareCounts(dd, n)
-	builder := MobileNetBuilder(opts.Seed, dd.Classes)
+	return &fedRig{DeviceData: dd, opts: opts, cfg: opts.FLConfig(opts.scaled(w.rounds), w.k, 10, 0.1),
+		counts: MarketShareCounts(dd, opts.scaled(w.clients)), builder: w.model(opts.Seed, dd.Classes)}, nil
+}
 
+// score trains strat on r's federation (NewFL) and scores the final global
+// model on tests (Evaluate) under name.
+func (r *fedRig) score(name string, strat fl.Strategy, tests []*dataset.Dataset) (MethodScore, error) {
+	tr, _, err := NewFL(r.opts, strat, r.Train, r.counts, r.cfg, r.builder, nn.SoftmaxCrossEntropy{})
+	if err != nil {
+		return MethodScore{}, err
+	}
+	score, _ := Evaluate(tr, name, tests, nil)
+	return score, nil
+}
+
+// Table4 runs the full main-evaluation sweep with TinyMobileNetV3.
+func Table4(opts Options) (*Table4Result, error) {
+	r, err := table4Workload.capture(opts)
+	if err != nil {
+		return nil, err
+	}
 	res := &Table4Result{}
 	for _, m := range methods {
-		strat := m.build(n)
-		tr, _, err := NewFL(opts, strat, dd.Train, counts, cfg, builder, nn.SoftmaxCrossEntropy{})
+		strat := m.build(opts.scaled(table4Workload.clients))
+		score, err := r.score(strat.Name(), strat, r.Test)
 		if err != nil {
 			return nil, fmt.Errorf("table4 %s: %w", strat.Name(), err)
 		}
-		score, _ := Evaluate(tr, strat.Name(), dd.Test, nil)
 		res.Scores = append(res.Scores, score)
 	}
 	return res, nil
@@ -130,30 +170,23 @@ func (r *Table5Result) String() string {
 	return t.String()
 }
 
-// Table5 runs the architecture sweep.
+// Table5 retrains Table 4's workload per architecture.
 func Table5(opts Options) (*Table5Result, error) {
-	dd, err := BuildDeviceData(opts, opts.scaled(12), opts.scaled(testPerClass), dataset.ModeProcessed)
+	r, err := table4Workload.capture(opts)
 	if err != nil {
 		return nil, err
 	}
-	cfg := opts.FLConfig(opts.scaled(120), 20, 10, 0.1) // Table 4's configuration
-	n := opts.scaled(100)
-	counts := MarketShareCounts(dd, n)
-
 	archs := []models.Arch{models.ArchMobileNet, models.ArchShuffleNet, models.ArchSqueezeNet}
 	res := &Table5Result{}
 	for _, arch := range archs {
-		builder, err := models.BuilderFor(arch, opts.Seed, 3, dd.Classes)
-		if err != nil {
+		if r.builder, err = models.BuilderFor(arch, opts.Seed, 3, r.Classes); err != nil {
 			return nil, err
 		}
 		var scores [2]MethodScore
 		for i, strat := range []fl.Strategy{fl.FedAvg{}, core.New()} {
-			tr, _, err := NewFL(opts, strat, dd.Train, counts, cfg, builder, nn.SoftmaxCrossEntropy{})
-			if err != nil {
+			if scores[i], err = r.score(strat.Name(), strat, r.Test); err != nil {
 				return nil, fmt.Errorf("table5 %s/%s: %w", arch, strat.Name(), err)
 			}
-			scores[i], _ = Evaluate(tr, strat.Name(), dd.Test, nil)
 		}
 		res.Rows = append(res.Rows, struct {
 			Arch           string

@@ -9,8 +9,6 @@ import (
 	"heteroswitch/internal/fl"
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/metrics"
-	"heteroswitch/internal/nn"
-	"heteroswitch/internal/scene"
 )
 
 // UnseenResult extends the paper's domain-generalization evaluation with
@@ -40,49 +38,34 @@ func (r *UnseenResult) String() string {
 	return t.String()
 }
 
-// UnseenDG trains on the nine Table-1 devices and evaluates on freshly drawn
-// random device profiles.
+// UnseenDG trains the ablation workload on the nine Table-1 devices under
+// FedAvg and HeteroSwitch and scores each on the seen devices' test sets and
+// on the test sets of three freshly drawn random device profiles
+// (unseenTests). Every unseen device photographs exactly the test scenes
+// behind the seen ones, so the seen-vs-unseen gap is the device change
+// alone.
 func UnseenDG(opts Options) (*UnseenResult, error) {
-	dd, err := BuildDeviceData(opts, opts.scaled(10), opts.scaled(testPerClass), dataset.ModeProcessed)
+	r, err := ablationWorkload.capture(opts)
 	if err != nil {
 		return nil, err
 	}
-	// Unseen devices capture the SAME test scenes.
-	gen := scene.NewImageNet12(64)
-	rng := frand.New(opts.Seed)
-	testScenes := gen.RenderSet(opts.scaled(testPerClass), rng.SplitNamed("test-scenes"))
-	const numUnseen = 3
-	// The seen devices' test sets, then the unseen ones: one readout scores
-	// both, split at len(dd.Test).
-	tests := append(make([]*dataset.Dataset, 0, len(dd.Test)+numUnseen), dd.Test...)
+	profs, unseen, err := unseenTests(opts)
+	if err != nil {
+		return nil, err
+	}
 	res := &UnseenResult{}
-	// Each device is drawn, then its noise stream split off, from one stream.
-	urng := frand.New(opts.Seed ^ 0x0ddba11)
-	profs := make([]*device.Profile, numUnseen)
-	tags := make([]int, numUnseen)
-	rngs := make([]*frand.RNG, numUnseen)
-	for i := range profs {
-		profs[i] = device.Random(urng, fmt.Sprintf("unseen-%d", i))
-		tags[i], rngs[i] = 100+i, urng.Split()
-		res.UnseenNames = append(res.UnseenNames, profs[i].Name)
+	for _, p := range profs {
+		res.UnseenNames = append(res.UnseenNames, p.Name)
 	}
-	unseen, err := dataset.CaptureDevices(testScenes, profs, dataset.ModeProcessed, OutRes, dd.Classes, tags, rngs, opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-	tests = append(tests, unseen...)
-
-	cfg := opts.FLConfig(opts.scaled(80), 12, 10, 0.1)
-	counts := MarketShareCounts(dd, opts.scaled(60))
-	builder := SimpleCNNBuilder(opts.Seed, dd.Classes)
-
+	// The seen devices' test sets, then the unseen ones: one readout scores
+	// both, split at len(r.Test).
+	tests := append(r.Test[:len(r.Test):len(r.Test)], unseen...)
 	for _, strat := range []fl.Strategy{fl.FedAvg{}, core.New()} {
-		tr, _, err := NewFL(opts, strat, dd.Train, counts, cfg, builder, nn.SoftmaxCrossEntropy{})
+		score, err := r.score(strat.Name(), strat, tests)
 		if err != nil {
 			return nil, err
 		}
-		score, _ := Evaluate(tr, strat.Name(), tests, nil)
-		seen, unseen := score.PerDevice[:len(dd.Test)], score.PerDevice[len(dd.Test):]
+		seen, unseen := score.PerDevice[:len(r.Test)], score.PerDevice[len(r.Test):]
 		res.Rows = append(res.Rows, struct {
 			Method    string
 			SeenAvg   float64
@@ -91,4 +74,23 @@ func UnseenDG(opts Options) (*UnseenResult, error) {
 		}{strat.Name(), metrics.Mean(seen), metrics.Mean(unseen), metrics.Worst(unseen)})
 	}
 	return res, nil
+}
+
+// unseenTests draws three random device profiles, each followed by its noise
+// stream, from one seed-derived stream, and returns them with what each
+// (tagged 100+i) photographs of the test scenes behind the Table-1 devices'
+// test sets at opts, which it takes from sceneSets.
+func unseenTests(opts Options) ([]*device.Profile, []*dataset.Dataset, error) {
+	const numUnseen = 3
+	_, testScenes, classes := sceneSets(opts.Seed, 0, opts.scaled(testPerClass))
+	urng := frand.New(opts.Seed ^ 0x0ddba11)
+	profs := make([]*device.Profile, numUnseen)
+	tags := make([]int, numUnseen)
+	rngs := make([]*frand.RNG, numUnseen)
+	for i := range profs {
+		profs[i] = device.Random(urng, fmt.Sprintf("unseen-%d", i))
+		tags[i], rngs[i] = 100+i, urng.Split()
+	}
+	sets, err := dataset.CaptureDevices(testScenes, profs, dataset.ModeProcessed, OutRes, classes, tags, rngs, opts.Workers)
+	return profs, sets, err
 }

@@ -285,7 +285,9 @@ func DeviceCounts(shares []float64, n int) []int {
 
 // BuildPopulation creates clients per device according to counts, splitting
 // each device's dataset evenly (round-robin after shuffle) among its
-// clients. perDevice maps device index → that device's training pool.
+// clients. perDevice maps device index → that device's training pool. It
+// fails on a device with more clients than samples, which would leave some
+// of its clients empty.
 func BuildPopulation(perDevice map[int]*dataset.Dataset, counts []int, seed uint64) ([]*Client, error) {
 	rng := frand.New(seed)
 	var clients []*Client
@@ -298,6 +300,9 @@ func BuildPopulation(perDevice map[int]*dataset.Dataset, counts []int, seed uint
 		ds, ok := perDevice[dev]
 		if !ok || ds.Len() == 0 {
 			return nil, fmt.Errorf("fl: no data for device %d with %d clients", dev, k)
+		}
+		if k > ds.Len() {
+			return nil, fmt.Errorf("fl: device %d has %d samples for %d clients", dev, ds.Len(), k)
 		}
 		shards := ds.PartitionIID(k, rng.Split())
 		for _, sh := range shards {

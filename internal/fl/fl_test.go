@@ -2,6 +2,7 @@ package fl
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"heteroswitch/internal/dataset"
@@ -168,6 +169,29 @@ func TestBuildPopulation(t *testing.T) {
 func TestBuildPopulationErrors(t *testing.T) {
 	if _, err := BuildPopulation(map[int]*dataset.Dataset{}, []int{1}, 1); err == nil {
 		t.Fatal("missing device data should error")
+	}
+}
+
+// A device with more clients than samples would leave clients empty; the
+// error names the device, its sample count and its client count. Exactly as
+// many clients as samples is fine: one sample each.
+func TestBuildPopulationRejectsMoreClientsThanSamples(t *testing.T) {
+	perDevice := fixtureData(3, 1)
+	_, err := BuildPopulation(perDevice, []int{3, 4}, 5)
+	if err == nil {
+		t.Fatal("4 clients for 3 samples should error")
+	}
+	if want := "device 1 has 3 samples for 4 clients"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not say %q", err, want)
+	}
+	clients, err := BuildPopulation(perDevice, []int{3, 3}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range clients {
+		if c.Data.Len() != 1 {
+			t.Fatalf("client %d holds %d samples, want 1", c.ID, c.Data.Len())
+		}
 	}
 }
 

@@ -21,21 +21,8 @@ type Config struct {
 	NumDeviceTypes   int // distinct device profiles (FLAIR: >1000; scaled down)
 	SamplesPerDevice int // training images captured per device type
 	TestPerDevice    int // held-out images per device type
-	Classes          int // label-space size (12 to match the scene recipes)
 	OutRes           int // final tensor resolution
 	Seed             uint64
-}
-
-// DefaultConfig returns a laptop-scale configuration.
-func DefaultConfig() Config {
-	return Config{
-		NumDeviceTypes:   24,
-		SamplesPerDevice: 12,
-		TestPerDevice:    6,
-		Classes:          12,
-		OutRes:           32,
-		Seed:             1,
-	}
 }
 
 // Federation is the generated multi-label federated dataset.
@@ -54,9 +41,6 @@ func Build(cfg Config) (*Federation, error) {
 	}
 	rng := frand.New(cfg.Seed)
 	gen := scene.NewImageNet12(64)
-	if cfg.Classes != gen.NumClasses() {
-		return nil, fmt.Errorf("flair: classes %d unsupported (scene recipes provide %d)", cfg.Classes, gen.NumClasses())
-	}
 	fed := &Federation{
 		Train: map[int]*dataset.Dataset{},
 		Test:  map[int]*dataset.Dataset{},
@@ -72,7 +56,7 @@ func Build(cfg Config) (*Federation, error) {
 		// one scratch that lives as long as the device's gamma table.
 		var sc isp.Scratch
 		capture := func(n int) (*dataset.Dataset, error) {
-			ds := &dataset.Dataset{NumClasses: cfg.Classes}
+			ds := &dataset.Dataset{NumClasses: gen.NumClasses()}
 			for i := 0; i < n; i++ {
 				im, labels := gen.MultiLabelScene(rng)
 				sc.Reset()

@@ -11,7 +11,6 @@ func smallConfig() Config {
 		NumDeviceTypes:   4,
 		SamplesPerDevice: 3,
 		TestPerDevice:    2,
-		Classes:          12,
 		OutRes:           16,
 		Seed:             5,
 	}
@@ -73,11 +72,6 @@ func TestBuildValidation(t *testing.T) {
 	cfg.NumDeviceTypes = 0
 	if _, err := Build(cfg); err == nil {
 		t.Fatal("zero devices should fail")
-	}
-	cfg = smallConfig()
-	cfg.Classes = 5
-	if _, err := Build(cfg); err == nil {
-		t.Fatal("unsupported class count should fail")
 	}
 }
 

@@ -68,10 +68,10 @@ func (r *RNG) Split() *RNG {
 	return New(r.Uint64() ^ 0xa5a5a5a55a5a5a5a)
 }
 
-// SplitNamed derives a child generator whose stream depends on both the
-// parent state and the given label, so the same parent can deterministically
-// produce distinct streams for named subsystems regardless of call order of
-// other Splits.
+// SplitNamed derives a child generator from one parent draw mixed with the
+// label, so one parent state yields a distinct stream per label. Like Split
+// it advances the parent, so the child depends on every Split and SplitNamed
+// made on the parent before it, and re-deriving it takes the same order.
 func (r *RNG) SplitNamed(label string) *RNG {
 	h := uint64(14695981039346656037) // FNV-1a offset basis
 	for i := 0; i < len(label); i++ {

@@ -188,6 +188,25 @@ func TestSplitNamedStable(t *testing.T) {
 	}
 }
 
+// SplitNamed consumes a parent draw, so a named child depends on the
+// splits made before it: after one Split, SplitNamed("x") is not the stream
+// a fresh parent's SplitNamed("x") gives.
+func TestSplitNamedDependsOnEarlierSplits(t *testing.T) {
+	fresh := New(37).SplitNamed("x")
+	a := New(37)
+	a.Split()
+	after := a.SplitNamed("x")
+	same := 0
+	for i := 0; i < 100; i++ {
+		if fresh.Uint64() == after.Uint64() {
+			same++
+		}
+	}
+	if same > 2 {
+		t.Fatalf("SplitNamed after a Split matched a fresh parent's on %d of 100 draws", same)
+	}
+}
+
 func TestSplitNamedDistinctLabels(t *testing.T) {
 	a := New(37)
 	b := New(37)
