@@ -73,7 +73,7 @@ func main() {
 	}
 
 	fmt.Printf("building device federation (9 devices, %d scenes/class)...\n", *perClass)
-	dd, err := experiments.BuildDeviceData(opts, *perClass, 4, dataset.ModeProcessed)
+	dd, err := experiments.BuildDeviceData(opts, *perClass, experiments.PerClassTest, dataset.ModeProcessed)
 	if err != nil {
 		fatal(err)
 	}

@@ -180,8 +180,8 @@ func (h *HeteroSwitch) updateLEMA(lcur float64) {
 type accumulator struct {
 	weights fl.Accumulator
 	h       *HeteroSwitch
-	lossSum float64 // Σ L_train,k · n_k over this shard
-	total   float64 // Σ n_k over this shard
+	lossSum float64 // Σ L_train,k · n_k over this window
+	total   float64 // Σ n_k over this window
 }
 
 // NewAccumulator implements fl.Strategy.
@@ -190,8 +190,8 @@ func (h *HeteroSwitch) NewAccumulator(global nn.Weights, cfg fl.Config) fl.Accum
 }
 
 // Reset implements fl.Accumulator.
-func (a *accumulator) Reset(global nn.Weights, cfg fl.Config) {
-	a.weights.Reset(global, cfg)
+func (a *accumulator) Reset(global nn.Weights) {
+	a.weights.Reset(global)
 	a.lossSum = 0
 	a.total = 0
 }
@@ -207,14 +207,6 @@ func (a *accumulator) Fold(r fl.ClientResult, scale float64) {
 	n := scale * float64(r.NumSamples)
 	a.lossSum += r.TrainLoss * n
 	a.total += n
-}
-
-// Merge implements fl.Accumulator.
-func (a *accumulator) Merge(other fl.Accumulator) {
-	b := other.(*accumulator)
-	a.weights.Merge(b.weights)
-	a.lossSum += b.lossSum
-	a.total += b.total
 }
 
 // FinalizeInto implements fl.Accumulator: FedAvg's average plus the eq. 1

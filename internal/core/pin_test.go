@@ -152,11 +152,11 @@ func TestPinnedAggregationBytes(t *testing.T) {
 	}
 }
 
-// The barrier server's shards merge float64 sums that round to float32 once,
-// at finalize, so the merge order — the one thing Workers changes — stays
-// below float32 resolution and the sync pins hold at every worker count.
-// Workers is the one training-parallelism knob, so this is a contract, not
-// a coincidence of one configuration.
+// The barrier server folds every round into one accumulator in sampling
+// order, whatever replica trained a client, so Workers changes no sum and the
+// sync pins hold at every worker count. Workers is the one
+// training-parallelism knob, so this is a contract, not a coincidence of one
+// configuration.
 func TestSyncPinsHoldAtEveryWorkerCount(t *testing.T) {
 	for _, s := range pinStrategies {
 		for _, maxNorm := range []float64{100, math.Inf(1)} {

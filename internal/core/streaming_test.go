@@ -26,7 +26,7 @@ func weightedAverage(results []fl.ClientResult) nn.Weights {
 }
 
 // HeteroSwitch's row of the aggregation oracle (internal/fl holds the other
-// strategies'): for every shard count and a full, a discounted, and a zero
+// strategies'): for eight random rounds and a full, a discounted, and a zero
 // fold scale, the accumulator path equals the closed-form rule — FedAvg's
 // weighted average plus eq. 1 over the round's sample-weighted mean train
 // loss. A uniform scale cancels in both; scale 0 is "nothing folded": global
@@ -34,9 +34,9 @@ func weightedAverage(results []fl.ClientResult) nn.Weights {
 func TestHeteroSwitchAccumulatorMatchesClosedForm(t *testing.T) {
 	cfg := fl.Default()
 	const prior = 1.7 // L_EMA going into the round
-	for shards := 1; shards <= 8; shards++ {
+	for seed := uint64(1); seed <= 8; seed++ {
 		for _, scale := range []float64{1, 0.5, 0} {
-			r := frand.New(uint64(shards)*17 + 3)
+			r := frand.New(seed*17 + 3)
 			results := make([]fl.ClientResult, 13)
 			var lossSum, total float64
 			for i := range results {
@@ -56,41 +56,35 @@ func TestHeteroSwitchAccumulatorMatchesClosedForm(t *testing.T) {
 
 			hs := New()
 			hs.updateLEMA(prior)
-			accs := make([]fl.Accumulator, shards)
-			for i := range accs {
-				accs[i] = hs.NewAccumulator(global, cfg)
-			}
-			for i, res := range results {
-				accs[i%shards].Fold(res, scale)
-			}
-			for _, acc := range accs[1:] {
-				accs[0].Merge(acc)
+			acc := hs.NewAccumulator(global, cfg)
+			for _, res := range results {
+				acc.Fold(res, scale)
 			}
 			got := global.Zero()
-			updated := accs[0].FinalizeInto(got)
+			updated := acc.FinalizeInto(got)
 			lema, _ := hs.LEMA()
 
 			if scale == 0 {
 				if updated || lema != prior {
-					t.Fatalf("shards=%d: zero-scale folds produced an update (L_EMA %v)", shards, lema)
+					t.Fatalf("seed=%d: zero-scale folds produced an update (L_EMA %v)", seed, lema)
 				}
 				continue
 			}
 			if !updated {
-				t.Fatalf("shards=%d scale=%g: no update", shards, scale)
+				t.Fatalf("seed=%d scale=%g: no update", seed, scale)
 			}
 			if want := hs.Alpha*(lossSum/total) + (1-hs.Alpha)*prior; math.Abs(lema-want) > 1e-9 {
-				t.Fatalf("shards=%d scale=%g: L_EMA %v, want %v", shards, scale, lema, want)
+				t.Fatalf("seed=%d scale=%g: L_EMA %v, want %v", seed, scale, lema, want)
 			}
 			want := weightedAverage(results)
 			for i := range want.Params {
 				if !got.Params[i].AllClose(want.Params[i], 1e-5) {
-					t.Fatalf("shards=%d scale=%g: param %d off the weighted average", shards, scale, i)
+					t.Fatalf("seed=%d scale=%g: param %d off the weighted average", seed, scale, i)
 				}
 			}
 			for i := range want.States {
 				if !got.States[i].AllClose(want.States[i], 1e-5) {
-					t.Fatalf("shards=%d scale=%g: state %d off the weighted average", shards, scale, i)
+					t.Fatalf("seed=%d scale=%g: state %d off the weighted average", seed, scale, i)
 				}
 			}
 		}
@@ -131,10 +125,6 @@ func (a absentAccumulator) Fold(r fl.ClientResult, scale float64) {
 	if r.ClientID != a.target {
 		a.Accumulator.Fold(r, scale)
 	}
-}
-
-func (a absentAccumulator) Merge(other fl.Accumulator) {
-	a.Accumulator.Merge(other.(absentAccumulator).Accumulator)
 }
 
 // The validation gate keeps a poisoned update out of HeteroSwitch on both
@@ -191,8 +181,8 @@ func TestHeteroSwitchGateKeepsPoisonOut(t *testing.T) {
 	}
 }
 
-// Race coverage for the lema mutex and the shard-merge path: parallel
-// workers and full switching (LocalUpdate reads LEMA while FinalizeInto
+// Race coverage for the lema mutex and the window executor: parallel
+// replicas and full switching (LocalUpdate reads LEMA while FinalizeInto
 // writes it). Run with -race in CI.
 func TestHeteroSwitchParallelRace(t *testing.T) {
 	clients, _ := toyPopulation(47)

@@ -40,7 +40,7 @@ func (r *Fig1Result) String() string {
 // photographing the shared scene set (distinct sensor-noise realizations),
 // mirroring how the heterogeneous arm is nine different phones doing so.
 func Fig1(opts Options) (*Fig1Result, error) {
-	dd, err := BuildDeviceData(opts, opts.scaled(8), opts.scaled(testPerClass), dataset.ModeProcessed)
+	dd, err := BuildDeviceData(opts, opts.scaled(8), opts.scaled(PerClassTest), dataset.ModeProcessed)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +140,7 @@ func (r *CrossDeviceResult) String() string {
 // with its own RNG and arena, so the matrix is byte-identical at every worker
 // count.
 func CrossDevice(opts Options, mode dataset.CaptureMode) (*CrossDeviceResult, error) {
-	dd, err := BuildDeviceData(opts, opts.scaled(8), opts.scaled(testPerClass), mode)
+	dd, err := BuildDeviceData(opts, opts.scaled(8), opts.scaled(PerClassTest), mode)
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +227,7 @@ func (r *Fig3Result) String() string {
 // the accuracy drop when each test-time stage is switched to its Table-3
 // Option 1 / Option 2 algorithm.
 func Fig3(opts Options) (*Fig3Result, error) {
-	trainScenes, testScenes, classes := sceneSets(opts.Seed, opts.scaled(8), opts.scaled(testPerClass))
+	trainScenes, testScenes, classes := sceneSets(opts.Seed, opts.scaled(8), opts.scaled(PerClassTest))
 	profiles := device.Profiles()
 
 	base := isp.Baseline()

@@ -201,11 +201,11 @@ func (o Options) FLConfig(rounds, k, batch int, lr float64) fl.Config {
 // with).
 func (o Options) IntraOpBudget() int { return parallel.Share(o.IntraOp, 1) }
 
-// testPerClass is the number of test scenes per class each device captures
+// PerClassTest is the number of test scenes per class each device captures
 // at Scale 1 in the device-federation harnesses, scaled like every other
-// size: 25 scenes of 12 classes put one device's accuracy on a 1/300 grid,
-// where the 4 it replaced left it on a 1/48 one.
-const testPerClass = 25
+// size, and in flsim: 25 scenes of 12 classes put one device's accuracy on a
+// 1/300 grid, where the 4 it replaced left it on a 1/48 one.
+const PerClassTest = 25
 
 // scaled returns max(1, round(n*Scale)).
 func (o Options) scaled(n int) int {

@@ -137,7 +137,7 @@ func TestUnseenDevicesPhotographTheTestScenes(t *testing.T) {
 	for _, seed := range []uint64{1, 42} {
 		opts := tinyOpts(0.1)
 		opts.Seed = seed
-		perTrain, perTest := opts.scaled(ablationWorkload.perClass), opts.scaled(testPerClass)
+		perTrain, perTest := opts.scaled(ablationWorkload.perClass), opts.scaled(PerClassTest)
 		dd, err := BuildDeviceData(opts, perTrain, perTest, dataset.ModeProcessed)
 		if err != nil {
 			t.Fatal(err)

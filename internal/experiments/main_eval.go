@@ -110,7 +110,7 @@ type fedRig struct {
 
 // capture builds w's device federation at opts.
 func (w fedWorkload) capture(opts Options) (*fedRig, error) {
-	dd, err := BuildDeviceData(opts, opts.scaled(w.perClass), opts.scaled(testPerClass), dataset.ModeProcessed)
+	dd, err := BuildDeviceData(opts, opts.scaled(w.perClass), opts.scaled(PerClassTest), dataset.ModeProcessed)
 	if err != nil {
 		return nil, err
 	}

@@ -98,7 +98,7 @@ func RunTrainServe(spec TrainServeSpec) (*TrainServeReport, error) {
 // uniform:0.5,2. Scale drives both the training rounds and the offered
 // serving load.
 func TrainWhileServe(opts Options) (*TrainServeReport, error) {
-	dd, err := BuildDeviceData(opts, opts.scaled(4), opts.scaled(testPerClass), dataset.ModeProcessed)
+	dd, err := BuildDeviceData(opts, opts.scaled(4), opts.scaled(PerClassTest), dataset.ModeProcessed)
 	if err != nil {
 		return nil, err
 	}

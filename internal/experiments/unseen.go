@@ -82,7 +82,7 @@ func UnseenDG(opts Options) (*UnseenResult, error) {
 // test sets at opts, which it takes from sceneSets.
 func unseenTests(opts Options) ([]*device.Profile, []*dataset.Dataset, error) {
 	const numUnseen = 3
-	_, testScenes, classes := sceneSets(opts.Seed, 0, opts.scaled(testPerClass))
+	_, testScenes, classes := sceneSets(opts.Seed, 0, opts.scaled(PerClassTest))
 	urng := frand.New(opts.Seed ^ 0x0ddba11)
 	profs := make([]*device.Profile, numUnseen)
 	tags := make([]int, numUnseen)

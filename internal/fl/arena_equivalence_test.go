@@ -168,7 +168,7 @@ func TestEvalLossArenaBitIdentical(t *testing.T) {
 
 // A reset accumulator must behave exactly like a freshly constructed one —
 // the contract that lets the server keep one accumulator (and its model-sized
-// float64 sum buffers) per worker for its whole lifetime — for every strategy.
+// float64 sum buffers) for its whole lifetime — for every strategy.
 func TestFedAvgAccumulatorResetMatchesFresh(t *testing.T) {
 	for i, s := range allStrategies() {
 		r := frand.New(77)
@@ -182,7 +182,7 @@ func TestFedAvgAccumulatorResetMatchesFresh(t *testing.T) {
 			pooled.Fold(res, 1)
 		}
 		_ = finalize(pooled, global)
-		pooled.Reset(next, Default())
+		pooled.Reset(next)
 		for _, res := range round2 {
 			pooled.Fold(res, 1)
 		}
@@ -207,7 +207,7 @@ func TestResetAccumulatorEmptyRound(t *testing.T) {
 	}, 1)
 	_ = finalize(acc, global)
 	next := nn.Weights{Params: []*tensor.Tensor{tensor.Full(5, 4)}}
-	acc.Reset(next, Default())
+	acc.Reset(next)
 	if out := finalize(acc, next); !sharesStorage(out, next) {
 		t.Fatal("reset accumulator with no results did not keep the new global weights")
 	}

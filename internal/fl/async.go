@@ -3,7 +3,6 @@ package fl
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"heteroswitch/internal/nn"
 	"heteroswitch/internal/simclock"
@@ -48,7 +47,7 @@ type AsyncConfig struct {
 	// Latency models each dispatched job's virtual duration. nil means zero
 	// latency: every job completes at its dispatch instant, which (with the
 	// default Concurrency/Buffer) makes the async run, at any Workers,
-	// bit-identical to the synchronous server at Workers = 1.
+	// bit-identical to the synchronous server.
 	Latency simclock.LatencyModel
 	// Concurrency is the number of jobs kept in flight. 0 means
 	// cfg.ClientsPerRound. Values above Buffer overlap aggregation windows:
@@ -162,9 +161,9 @@ type asyncEvent struct {
 // Each window runs in three phases. Plan pops the window's Buffer
 // completions off the clock with everything that reads no training result:
 // timeouts, reissues, failures and their replacements, the staleness drop
-// rule and discount. Execute runs the planned steps on the engine's crew of
-// W = min(Config.Workers, Buffer) replicas (at least 1), which split the
-// frozen forward's budget as the barrier server's do: every replica claims
+// rule and discount. Execute runs the planned steps through the engine's
+// window executor, as the barrier server runs its round, on
+// W = min(Config.Workers, Buffer) replicas (at least 1): every replica claims
 // and trains steps in plan order, and replica 0, on the calling goroutine,
 // also folds each result into the one accumulator in plan order. Account
 // releases the versions and adds the stats in the same order, and the window
@@ -179,13 +178,13 @@ type asyncEvent struct {
 // with the same Config (Workers and IntraOp aside), AsyncConfig and
 // population are bit-identical. A run with zero latency, no discount, and
 // Concurrency == Buffer == ClientsPerRound is bit-identical to the
-// synchronous server at Workers = 1, for every strategy. No wall-clock time
+// synchronous server, for every strategy. No wall-clock time
 // is read anywhere in the loop.
 type AsyncServer struct {
 	engine
 	Async AsyncConfig
-	// OnPublish, when non-nil, is invoked synchronously from finalizeWindow
-	// for every window that installed a new global version, with the new
+	// OnPublish, when non-nil, is invoked synchronously from RunRound for
+	// every window that installed a new global version, with the new
 	// version counter, the new global weights, and the virtual time of the
 	// publish. This is the training→serving wiring point: a serving store
 	// subscribes here instead of polling. The weights are only guaranteed
@@ -208,20 +207,6 @@ type AsyncServer struct {
 	seq    int
 	// window counts completed aggregation windows (== RoundStats.Round).
 	window int
-	exec   execState
-}
-
-// execState is what the crew's replicas share while they execute a window:
-// the claim and fold cursors under mu. A claimed step that is not yet folded
-// lies in [folded, folded+len(scratch)), so step i trains into the engine's
-// scratch[i%len(scratch)] without colliding with another.
-// The engine holds 2W scratch sets, room for a step in training on each
-// replica and as many trained ones waiting for the fold; a replica that runs
-// further ahead waits.
-type execState struct {
-	mu           sync.Mutex
-	cond         sync.Cond
-	next, folded int
 }
 
 // NewAsyncServer builds an asynchronous server with a fresh global model.
@@ -231,14 +216,12 @@ func NewAsyncServer(cfg Config, builder Builder, loss nn.Loss, strategy Strategy
 	if err := s.Async.validate(); err != nil {
 		return nil, err
 	}
-	w := min(max(cfg.Workers, 1), s.Async.Buffer)
-	if err := s.init(cfg, builder, loss, strategy, clients, w, 1, 2*w); err != nil {
+	if err := s.init(cfg, builder, loss, strategy, clients, min(max(cfg.Workers, 1), s.Async.Buffer)); err != nil {
 		return nil, err
 	}
 	if cfg.Faults.NeedsTimeout() && s.Async.Timeout <= 0 {
 		return nil, fmt.Errorf("fl: fault model %q can lose dispatched jobs; AsyncConfig.Timeout must be > 0", cfg.Faults)
 	}
-	s.exec.cond.L = &s.exec.mu
 	return s, nil
 }
 
@@ -304,8 +287,7 @@ func (s *AsyncServer) RunRound() RoundStats {
 	s.window++
 	s.admit(&st)
 	s.plan(&st)
-	s.exec.next, s.exec.folded = 0, 0
-	s.crew(len(s.nets), s.work)
+	s.execute()
 	// The version only moves at finalize, so staleness is still the plan's.
 	for i := range s.steps {
 		p := &s.steps[i]
@@ -319,7 +301,9 @@ func (s *AsyncServer) RunRound() RoundStats {
 	st.MeanStaleness /= float64(s.Async.Buffer)
 	st.MeanDiscount /= float64(s.Async.Buffer)
 
-	s.finalizeWindow()
+	if s.finalize() && s.OnPublish != nil {
+		s.OnPublish(s.version, s.Global, s.clock.Now())
+	}
 	st.VirtualTime = s.clock.Now()
 	st.Version = s.version
 	return st.finish()
@@ -385,73 +369,6 @@ func (s *AsyncServer) plan(st *tally) {
 			res: ClientResult{ClientID: job.client.ID, DeviceIdx: job.client.Device}, ready: discount == 0,
 		})
 	}
-}
-
-// work is replica w's part of the execute phase, one loop on every replica.
-// Replica 0 folds step folded into the one accumulator as soon as it is
-// ready; otherwise every replica claims and trains the next step in plan
-// order, against the exact global version broadcast at the job's dispatch.
-// Replica 0 returns once every step is folded, the others once every step is
-// claimed, so with W = 1 each step trains, then folds, in plan order. The
-// version store is only read while the crew runs.
-func (s *AsyncServer) work(w int) {
-	x := &s.exec
-	x.mu.Lock()
-	for {
-		if w == 0 && x.folded < len(s.steps) && s.steps[x.folded].ready {
-			x.mu.Unlock()
-			s.steps[x.folded].fold(s.accs[0])
-			x.mu.Lock()
-			x.folded++
-		} else if i := s.claim(); i >= 0 {
-			x.mu.Unlock()
-			s.train(w, &s.steps[i], &s.scratch[i%len(s.scratch)])
-			x.mu.Lock()
-			s.steps[i].ready = true
-		} else if w == 0 && x.folded == len(s.steps) || w != 0 && x.next == len(s.steps) {
-			x.mu.Unlock()
-			return
-		} else {
-			x.cond.Wait()
-			continue
-		}
-		x.cond.Broadcast()
-	}
-}
-
-// claim hands out the next step to train, or −1 when every step is claimed
-// or the next one must wait: for the scratch ring to turn, or for the fold of
-// an earlier trained step of the same client in [folded, next) (SCAFFOLD's
-// per-client state needs it), a span the ring bounds to 2W steps. Steps are
-// claimed in plan order. The caller holds the execute mutex.
-func (s *AsyncServer) claim() int {
-	x := &s.exec
-	for x.next < len(s.steps) && s.steps[x.next].ready {
-		x.next++
-	}
-	if x.next == len(s.steps) || x.next >= x.folded+len(s.scratch) {
-		return -1
-	}
-	c := s.steps[x.next].client
-	for j := x.folded; j < x.next; j++ {
-		if s.steps[j].client == c && s.steps[j].scale != 0 {
-			return -1
-		}
-	}
-	x.next++
-	return x.next - 1
-}
-
-// finalizeWindow turns the window's accumulator into the next global
-// version through the engine's finalize and rewinds the accumulator to it. A
-// window whose folds all carried zero weight (every discount was 0) leaves
-// the global — and the version counter — unchanged, so staleness keeps
-// measuring real model drift.
-func (s *AsyncServer) finalizeWindow() {
-	if s.finalize(s.accs[0]) && s.OnPublish != nil {
-		s.OnPublish(s.version, s.Global, s.clock.Now())
-	}
-	s.accs[0].Reset(s.Global, s.Cfg)
 }
 
 // Run executes cfg.Rounds aggregation windows, invoking callback (if

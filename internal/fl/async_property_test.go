@@ -12,8 +12,7 @@ import (
 // fixed set of (staleness version, delta) pairs — i.e. fixed (result,
 // discount) inputs — any two arrival permutations aggregate to the same
 // weights far below float32 precision (float64 sums make the order's effect
-// double-precision rounding only), mirroring the shard-invariance property
-// of the synchronous path — for every strategy.
+// double-precision rounding only) — for every strategy.
 func TestAsyncWeightedFoldOrderInvariance(t *testing.T) {
 	policy := PolynomialStaleness{Alpha: 0.6}
 	f := func(seed uint16, kRaw uint8) bool {
@@ -100,8 +99,8 @@ func TestZeroScaleFoldIsNoOp(t *testing.T) {
 				with.Fold(res, float64(i%2)) // every other fold zeroed
 			}
 			a := finalize(with, global)
-			b := streamAggregate(allStrategies()[i], global, kept, 1, 1, Default())
-			halved := streamAggregate(allStrategies()[i], global, kept, 1, 0.5, Default())
+			b := streamAggregate(allStrategies()[i], global, kept, 1, Default())
+			halved := streamAggregate(allStrategies()[i], global, kept, 0.5, Default())
 			for i := range a.Params {
 				if a.Params[i].HasNaN() || !a.Params[i].AllClose(b.Params[i], 0) ||
 					!halved.Params[i].AllClose(b.Params[i], 1e-6) {

@@ -13,15 +13,13 @@ import (
 // engine is the aggregation core that Server and AsyncServer both embed:
 // construction and validation, the client-sampling stream, the client step
 // (train → corrupt → gate, then fold), the round's stats fold, the replicas
-// with their accumulators and scratch sets, the version store behind the
-// global, one finalize, GlobalNet, the window's steps and the crew of W
-// replicas that runs them. What is left to the two servers is how a window
-// is planned and folded — balanced shards merged in a tree, or one virtual-
-// time event loop whose replica 0 folds in event order. Nothing here knows
-// which driver is calling: where the two differ (the global a step trains
-// against, its RNG and corruption keys, its fold scale, its replica,
-// accumulator and scratch set) the step carries the difference or takes it as
-// an argument.
+// with their scratch ring and the one accumulator, the version store behind
+// the global, one finalize, GlobalNet, and the window executor that runs a
+// window's steps on the crew of W replicas. What is left to the two servers
+// is how a window is planned — the round's draw, or one virtual-time event
+// loop — and accounted. Nothing here knows which driver is calling: where
+// the two differ (the global a step trains against, its RNG and corruption
+// keys, its fold scale) the step carries the difference.
 //
 // Every weight buffer has one owner. A scratch set belongs to the step
 // training into it until the step is folded. Every global version lives in
@@ -42,15 +40,13 @@ type engine struct {
 	builder Builder
 	// rng is the client-sampling stream; draw is its only reader.
 	rng *frand.RNG
-	// nets are the training replicas, one per concurrent step, and accs the
-	// accumulators: one per replica on the barrier server, which merges its
-	// shards, and one on the event loop, which folds every step into it. Both
-	// live as long as the server, so the model-sized float64 sum buffers are
-	// allocated once, not per round.
+	// nets are the training replicas, one per concurrent step, and acc the
+	// one accumulator every step of a window folds into. Both live as long as
+	// the server, so the model-sized float64 sum buffers are allocated once,
+	// not per window.
 	nets []*nn.Network
-	accs []Accumulator
-	// scratch holds the weight sets steps train into: one per replica on the
-	// barrier server, a ring of two per replica on the event loop.
+	acc  Accumulator
+	// scratch is the ring of weight sets steps train into, two per replica.
 	scratch []nn.Weights
 	// store holds every global version still referenced; version numbers
 	// the live one and counts the globals installed so far.
@@ -58,16 +54,31 @@ type engine struct {
 	version int
 	// wb is the on-the-wire size of one weight set.
 	wb int64
-	// steps is the window, reused every window; joined waits for the crew.
+	// steps is the window, reused every window; exec is what the crew shares
+	// while it runs them, and joined waits for the crew.
 	steps  []step
+	exec   execState
 	joined sync.WaitGroup
+}
+
+// execState is what the crew's replicas share while they execute a window:
+// the claim and fold cursors under mu. A claimed step that is not yet folded
+// lies in [folded, folded+len(scratch)), so step i trains into the engine's
+// scratch[i%len(scratch)] without colliding with another.
+// The engine holds 2W scratch sets, room for a step in training on each
+// replica and as many trained ones waiting for the fold; a replica that runs
+// further ahead waits.
+type execState struct {
+	mu           sync.Mutex
+	cond         sync.Cond
+	next, folded int
 }
 
 // init validates cfg against the population and builds the core with a fresh
 // global model as version 0, the given number of replicas, which split the
-// frozen forward's kernel budget evenly, and the given numbers of
-// accumulators and scratch sets.
-func (e *engine) init(cfg Config, builder Builder, loss nn.Loss, strategy Strategy, clients []*Client, replicas, accs, scratch int) error {
+// frozen forward's kernel budget evenly, two scratch sets per replica and
+// the one accumulator.
+func (e *engine) init(cfg Config, builder Builder, loss nn.Loss, strategy Strategy, clients []*Client, replicas int) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -88,24 +99,23 @@ func (e *engine) init(cfg Config, builder Builder, loss nn.Loss, strategy Strate
 	e.Global = e.nets[0].Snapshot()
 	e.store.Retain(0, e.Global)
 	e.wb = weightBytes(e.Global)
-	e.accs = make([]Accumulator, accs)
-	for i := range e.accs {
-		e.accs[i] = strategy.NewAccumulator(e.Global, cfg)
-	}
-	e.scratch = make([]nn.Weights, scratch)
+	e.acc = strategy.NewAccumulator(e.Global, cfg)
+	e.scratch = make([]nn.Weights, 2*replicas)
 	for i := range e.scratch {
 		e.scratch[i] = e.Global.Zero()
 	}
+	e.exec.cond.L = &e.exec.mu
 	return nil
 }
 
-// finalize turns acc into the next global version, written into a recycled
-// buffer, and reports whether it did. An accumulator that aggregated nothing
-// (every update rejected or weighted 0) leaves the global — and the version
-// counter — unchanged.
-func (e *engine) finalize(acc Accumulator) bool {
+// finalize turns the window's accumulator into the next global version,
+// written into a recycled buffer, and reports whether it did. An accumulator
+// that aggregated nothing (every update rejected or weighted 0) leaves the
+// global — and the version counter, which the event loop's staleness counts
+// — unchanged.
+func (e *engine) finalize() bool {
 	buf := e.store.TakeBuffer(e.Global)
-	if !acc.FinalizeInto(buf) {
+	if !e.acc.FinalizeInto(buf) {
 		e.store.GiveBuffer(buf)
 		return false
 	}
@@ -161,9 +171,8 @@ type step struct {
 	// scale is the fold scale: 1 on the barrier server, the staleness
 	// discount on the event loop, where 0 skips training.
 	scale float64
-	// The replica that trains the step writes res and rejected; on the event
-	// loop it then sets ready under the execute mutex. A skipped step is ready
-	// from the plan on.
+	// The replica that trains the step writes res and rejected, then sets
+	// ready under the execute mutex. A skipped step is ready from the plan on.
 	res      ClientResult
 	rejected bool
 	ready    bool
@@ -196,9 +205,10 @@ func (e *engine) train(w int, p *step, scratch *nn.Weights) {
 	p.rejected = !updateValid(p.global, p.res.Weights, e.Cfg.MaxDeltaNorm)
 }
 
-// fold is the second half of the client step: an admitted, trained result
-// joins acc at the step's scale, and the result keeps only its scalar stats —
-// its weights alias the scratch the next step trains into.
+// fold is the second half of the client step, run by replica 0 in window
+// order: an admitted, trained result joins acc at the step's scale, and the
+// result keeps only its scalar stats — its weights alias the scratch a later
+// step trains into.
 func (p *step) fold(acc Accumulator) {
 	if !p.rejected && p.scale != 0 {
 		acc.Fold(p.res, p.scale)
@@ -206,18 +216,78 @@ func (p *step) fold(acc Accumulator) {
 	p.res.Weights = Weights{}
 }
 
-// crew runs one window on n replicas: work(0) on the calling goroutine and
-// work(1) … work(n−1) each on its own, and returns once all of them have.
-func (e *engine) crew(n int, work func(w int)) {
-	for w := 1; w < n; w++ {
+// execute rewinds the accumulator to the global the window updates and runs
+// the window's steps on the crew of replicas: work(0) on the calling
+// goroutine and work(1) … work(W−1) each on its own. It returns once every
+// step is folded into the accumulator, in window order.
+func (e *engine) execute() {
+	e.acc.Reset(e.Global)
+	e.exec.next, e.exec.folded = 0, 0
+	for w := 1; w < len(e.nets); w++ {
 		e.joined.Add(1)
 		go func() {
 			defer e.joined.Done()
-			work(w)
+			e.work(w)
 		}()
 	}
-	work(0)
+	e.work(0)
 	e.joined.Wait()
+}
+
+// work is replica w's part of the window, one loop on every replica.
+// Replica 0 folds step folded into the accumulator as soon as it is ready;
+// otherwise every replica claims and trains the next step in window order.
+// Replica 0 returns once every step is folded, the others once every step is
+// claimed, so with W = 1 each step trains, then folds, in window order, and
+// at any W the fold order is the window order: W only changes which replica
+// trains a step. The version store is only read while the crew runs.
+func (e *engine) work(w int) {
+	x := &e.exec
+	x.mu.Lock()
+	for {
+		if w == 0 && x.folded < len(e.steps) && e.steps[x.folded].ready {
+			x.mu.Unlock()
+			e.steps[x.folded].fold(e.acc)
+			x.mu.Lock()
+			x.folded++
+		} else if i := e.claim(); i >= 0 {
+			x.mu.Unlock()
+			e.train(w, &e.steps[i], &e.scratch[i%len(e.scratch)])
+			x.mu.Lock()
+			e.steps[i].ready = true
+		} else if w == 0 && x.folded == len(e.steps) || w != 0 && x.next == len(e.steps) {
+			x.mu.Unlock()
+			return
+		} else {
+			x.cond.Wait()
+			continue
+		}
+		x.cond.Broadcast()
+	}
+}
+
+// claim hands out the next step to train, or −1 when every step is claimed
+// or the next one must wait: for the scratch ring to turn, or for the fold of
+// an earlier trained step of the same client in [folded, next) (SCAFFOLD's
+// per-client state needs it; a barrier round draws distinct clients, so only
+// the event loop ever waits here), a span the ring bounds to 2W steps. Steps
+// are claimed in window order. The caller holds the execute mutex.
+func (e *engine) claim() int {
+	x := &e.exec
+	for x.next < len(e.steps) && e.steps[x.next].ready {
+		x.next++
+	}
+	if x.next == len(e.steps) || x.next >= x.folded+len(e.scratch) {
+		return -1
+	}
+	c := e.steps[x.next].client
+	for j := x.folded; j < x.next; j++ {
+		if e.steps[j].client == c && e.steps[j].scale != 0 {
+			return -1
+		}
+	}
+	x.next++
+	return x.next - 1
 }
 
 // tally is one round's RoundStats under construction.

@@ -53,10 +53,6 @@ func (a absentAccumulator) Fold(r ClientResult, scale float64) {
 	}
 }
 
-func (a absentAccumulator) Merge(other Accumulator) {
-	a.Accumulator.Merge(other.(absentAccumulator).Accumulator)
-}
-
 // requireScaffoldUntouchedBy checks that SCAFFOLD kept no trace of the target
 // client's rejected updates: its control variate is still the zero it was
 // created as, nothing is left staged, and the server variate equals the
@@ -270,10 +266,6 @@ func (a finiteFoldsAccumulator) Fold(r ClientResult, scale float64) {
 		a.t.Errorf("client %d: a non-finite update passed the gate and reached the fold", r.ClientID)
 	}
 	a.Accumulator.Fold(r, scale)
-}
-
-func (a finiteFoldsAccumulator) Merge(other Accumulator) {
-	a.Accumulator.Merge(other.(finiteFoldsAccumulator).Accumulator)
 }
 
 func weightsFinite(w nn.Weights) bool {

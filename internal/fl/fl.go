@@ -5,26 +5,23 @@
 // (internal/core) plugs into.
 //
 // There is one aggregation core (engine.go): the client-sampling stream, the
-// client step — train, corrupt, gate, fold — the training replicas with
-// their accumulators, the crew that runs a window's steps on them, and the
-// RoundStats accounting. Two drivers plan and fold windows on it and are
-// otherwise thin: Server is the paper's synchronous round (K clients in W
-// balanced shards, each folded on its own replica and merged in a tree),
-// AsyncServer a staleness-aware event loop on a simulated clock whose
-// replicas claim each window's steps in plan order while replica 0, on the
-// calling goroutine, folds them. Every strategy, and every
-// comparison between strategies, therefore passes through the same step and
-// the same accounting.
+// client step — train, corrupt, gate, fold — the training replicas, the one
+// accumulator, the window executor whose replicas claim and train a window's
+// steps in order while replica 0, on the calling goroutine, folds them in
+// that order, and the RoundStats accounting. Two drivers plan windows for it
+// and are otherwise thin: Server is the paper's synchronous round (the K
+// clients it draws are the window), AsyncServer a staleness-aware event loop
+// on a simulated clock (the window is its next Buffer completions). Every
+// strategy, and every comparison between strategies, therefore passes
+// through the same step, the same fold and the same accounting.
 //
 // Determinism: given the same Config.Seed, population, and strategy, every
-// run produces identical results even with Workers > 1. On the barrier
-// server, clients are partitioned over the workers as a pure function of the
-// sampled list, each worker folds its shard in sampling order, and the shards
-// merge in a fixed tree on the main goroutine. On the event loop, fold order
-// is the event order whatever replica trains a step, so its results are
-// bit-identical at every Workers and IntraOp; it reads no wall-clock time,
-// and at zero latency it is bit-identical to the barrier server at
-// Workers = 1.
+// run produces identical results even with Workers > 1. Workers only changes
+// which replica trains a step, never the fold order — sampling order on the
+// barrier server, event order on the event loop — so both drivers' results
+// are bit-identical at every Workers and IntraOp. The event loop reads no
+// wall-clock time, and at zero latency it is bit-identical to the barrier
+// server.
 package fl
 
 import (
@@ -48,14 +45,13 @@ type Config struct {
 	LR              float64 // η: local learning rate (plain SGD, the paper's setup)
 	Seed            uint64  // master seed
 	// Workers is the number of parallel client trainers, each with its own
-	// replica (<=1 means serial): the barrier server's shards, or the event
-	// loop's replicas (at most AsyncConfig.Buffer of them). It is the one
+	// replica (<=1 means serial): at most ClientsPerRound of them on the
+	// barrier server and AsyncConfig.Buffer on the event loop. It is the one
 	// training-parallelism knob; every replica trains on the serial kernels.
-	// The event loop folds in event order on one goroutine, so its results
-	// never depend on Workers. The barrier server merges its shards' float64
-	// sums, rounded to float32 once at finalize, so the merge order Workers
-	// sets stays below float32 resolution: TestSyncPinsHoldAtEveryWorkerCount
-	// holds its pinned bytes at Workers 1–4.
+	// Both drivers fold a window's results in window order on one goroutine,
+	// so their results never depend on Workers:
+	// TestSyncPinsHoldAtEveryWorkerCount and
+	// TestAsyncPinsHoldAtEveryWorkerCount hold the pinned bytes at 1–4.
 	Workers int
 	// IntraOp is the total parallelism budget of the replicas' frozen
 	// (evaluation) forward, e.g. fl.EvalLoss: the number of cores it may
@@ -185,10 +181,10 @@ type Strategy interface {
 	// LocalUpdate trains ctx.Net (which holds the global weights) on the
 	// client's data and returns the updated weights plus losses.
 	LocalUpdate(ctx *ClientContext) ClientResult
-	// NewAccumulator returns an empty accumulator for a round against the
-	// given global weights. A server calls it once per training replica, at
-	// construction, and keeps the accumulator for its whole lifetime; an
-	// accumulator is used from one goroutine at a time.
+	// NewAccumulator returns an empty accumulator for a window against the
+	// given global weights. A server calls it once, at construction, and
+	// keeps the accumulator for its whole lifetime; it is used from one
+	// goroutine at a time.
 	NewAccumulator(global nn.Weights, cfg Config) Accumulator
 }
 

@@ -203,7 +203,7 @@ func TestFedAvgAggregateWeighted(t *testing.T) {
 		{NumSamples: 1, Weights: mk(0)},
 		{NumSamples: 3, Weights: mk(4)},
 	}
-	out := streamAggregate(FedAvg{}, mk(99), results, 1, 1, Default())
+	out := streamAggregate(FedAvg{}, mk(99), results, 1, Default())
 	if math.Abs(float64(out.Params[0].At(0))-3) > 1e-6 {
 		t.Fatalf("weighted average = %v, want 3", out.Params[0].At(0))
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // OnPublish is the training→serving wiring point: it must fire synchronously
-// from finalizeWindow, exactly once per installed global version, carrying
+// from RunRound, exactly once per installed global version, carrying
 // the freshly installed weights and the window's finalize instant.
 func TestOnPublishFiresPerInstalledVersion(t *testing.T) {
 	srv := asyncFixtureServer(t, FedAvg{}, AsyncConfig{}, 1)

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
+	"sync"
 	"testing"
+
+	"heteroswitch/internal/nn"
 )
 
 // The sampler once flipped a per-client dropout coin after each draw; with
@@ -41,15 +44,56 @@ func TestCommunicationAccounting(t *testing.T) {
 	}
 }
 
-// A round splits over at most K shards, so the barrier server builds at most
-// K replicas, accumulators and scratch sets, whatever Workers asks for.
+// A round has K steps to train, so the barrier server builds at most K
+// replicas, whatever Workers asks for, with two scratch sets each and one
+// accumulator.
 func TestServerBuildsAtMostKReplicas(t *testing.T) {
 	for _, c := range []struct{ workers, want int }{{8, 4}, {4, 4}, {3, 3}, {0, 1}} {
 		srv := fixtureServer(t, FedAvg{}, c.workers) // K = 4
-		if len(srv.nets) != c.want || len(srv.accs) != c.want || len(srv.scratch) != c.want {
-			t.Fatalf("Workers %d, K 4: %d replicas, %d accumulators, %d scratch sets; want %d each",
-				c.workers, len(srv.nets), len(srv.accs), len(srv.scratch), c.want)
+		if len(srv.nets) != c.want || len(srv.scratch) != 2*c.want || srv.acc == nil {
+			t.Fatalf("Workers %d, K 4: %d replicas, %d scratch sets, accumulator %v; want %d, %d and one",
+				c.workers, len(srv.nets), len(srv.scratch), srv.acc, c.want, 2*c.want)
 		}
 		srv.RunRound(0)
+	}
+}
+
+// recording is FedAvg whose accumulator appends every folded client's ID to
+// folded, under a mutex, so a fold from any goroutine is seen.
+type recording struct {
+	FedAvg
+	mu     *sync.Mutex
+	folded *[]int
+}
+
+func (r recording) NewAccumulator(global nn.Weights, cfg Config) Accumulator {
+	return recordingAccumulator{r.FedAvg.NewAccumulator(global, cfg), r}
+}
+
+type recordingAccumulator struct {
+	Accumulator
+	r recording
+}
+
+func (a recordingAccumulator) Fold(res ClientResult, scale float64) {
+	a.r.mu.Lock()
+	*a.r.folded = append(*a.r.folded, res.ClientID)
+	a.r.mu.Unlock()
+	a.Accumulator.Fold(res, scale)
+}
+
+// The barrier server folds every round in sampling order at every worker
+// count: Workers only changes which replica trains a client, never the order
+// its result reaches the accumulator.
+func TestServerFoldsInSamplingOrder(t *testing.T) {
+	for workers := 1; workers <= 4; workers++ {
+		var folded []int
+		srv := fixtureServer(t, recording{mu: new(sync.Mutex), folded: &folded}, workers)
+		srv.Run(func(st RoundStats) {
+			if !slices.Equal(folded, st.Sampled) {
+				t.Fatalf("workers %d, round %d: folded %v, sampled %v", workers, st.Round, folded, st.Sampled)
+			}
+			folded = folded[:0]
+		})
 	}
 }

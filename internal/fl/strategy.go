@@ -117,13 +117,6 @@ func (a *qFedAvgAccumulator) Fold(r ClientResult, scale float64) {
 	a.denom += scale * (a.q*math.Pow(f, a.q-1)*normSq + fq/a.lr)
 }
 
-// Merge implements Accumulator.
-func (a *qFedAvgAccumulator) Merge(other Accumulator) {
-	b := other.(*qFedAvgAccumulator)
-	a.fedAvgAccumulator.Merge(&b.fedAvgAccumulator)
-	a.denom += b.denom
-}
-
 // FinalizeInto implements Accumulator. Every denominator term is at least
 // F_k^q/η > 0 for Q ≥ 0 and finite non-negative losses, so a non-positive
 // denominator means nothing was folded (or a negative Q overshot); either
@@ -146,9 +139,9 @@ func (a *qFedAvgAccumulator) FinalizeInto(dst nn.Weights) bool {
 }
 
 // Reset implements Accumulator.
-func (a *qFedAvgAccumulator) Reset(global nn.Weights, cfg Config) {
-	a.fedAvgAccumulator.Reset(global, cfg)
-	a.lr, a.global, a.denom = cfg.LR, global, 0
+func (a *qFedAvgAccumulator) Reset(global nn.Weights) {
+	a.fedAvgAccumulator.Reset(global)
+	a.global, a.denom = global, 0
 }
 
 // Scaffold implements SCAFFOLD (Karimireddy et al. 2020): client and server
@@ -275,14 +268,6 @@ func (a *scaffoldAccumulator) Fold(r ClientResult, scale float64) {
 	}
 }
 
-// Merge implements Accumulator.
-func (a *scaffoldAccumulator) Merge(other Accumulator) {
-	b := other.(*scaffoldAccumulator)
-	a.fedAvgAccumulator.Merge(&b.fedAvgAccumulator)
-	a.dc.merge(&b.dc)
-	a.folded += b.folded
-}
-
 // FinalizeInto implements Accumulator. Whatever is still staged by now
 // belongs to results the round never folded (the gate rejected them); it is
 // dropped, so a rejected update leaves no trace.
@@ -310,8 +295,8 @@ func (a *scaffoldAccumulator) FinalizeInto(dst nn.Weights) bool {
 }
 
 // Reset implements Accumulator.
-func (a *scaffoldAccumulator) Reset(global nn.Weights, cfg Config) {
-	a.fedAvgAccumulator.Reset(global, cfg)
+func (a *scaffoldAccumulator) Reset(global nn.Weights) {
+	a.fedAvgAccumulator.Reset(global)
 	a.dc.reset()
 	a.folded = 0
 }

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"slices"
 	"testing"
 	"testing/quick"
 
-	"heteroswitch/internal/dataset"
 	"heteroswitch/internal/faults"
 	"heteroswitch/internal/frand"
 	"heteroswitch/internal/nn"
@@ -54,18 +52,14 @@ func sharesStorage(a, b nn.Weights) bool {
 	return len(a.States) > 0 && len(b.States) > 0 && a.States[0] == b.States[0]
 }
 
-// streamAggregate folds results at the given scale through `shards`
-// accumulators round-robin and merges them tree-style — the server's
-// aggregation path, minus the goroutines.
-func streamAggregate(s Strategy, global nn.Weights, results []ClientResult, shards int, scale float64, cfg Config) nn.Weights {
-	accs := make([]Accumulator, shards)
-	for i := range accs {
-		accs[i] = s.NewAccumulator(global, cfg)
+// streamAggregate folds results at the given scale through one accumulator
+// in order — the server's aggregation path, minus the replicas.
+func streamAggregate(s Strategy, global nn.Weights, results []ClientResult, scale float64, cfg Config) nn.Weights {
+	acc := s.NewAccumulator(global, cfg)
+	for _, r := range results {
+		acc.Fold(r, scale)
 	}
-	for i, r := range results {
-		accs[i%shards].Fold(r, scale)
-	}
-	return finalize(mergeShards(accs), global)
+	return finalize(acc, global)
 }
 
 // The closed-form aggregation rules, kept as the accumulators' oracle. They
@@ -155,9 +149,9 @@ func requireWeightsClose(t *testing.T, what string, got, want nn.Weights, tol fl
 	}
 }
 
-// The aggregation oracle: for every strategy in this package, every shard
-// count the server can produce, and a full, a discounted, and a zero fold
-// scale, the accumulator path equals the closed-form rule. A uniform scale
+// The aggregation oracle: for every strategy in this package, eight random
+// rounds, and a full, a discounted, and a zero fold scale, the accumulator
+// path equals the closed-form rule. A uniform scale
 // cancels in every weight rule; SCAFFOLD's control-variate step scales with
 // it; scale 0 is "nothing folded" — global kept, no strategy state touched.
 // (HeteroSwitch's row lives in internal/core, which this package cannot
@@ -177,10 +171,10 @@ func TestAccumulatorsMatchClosedForm(t *testing.T) {
 			func(g nn.Weights, rs []ClientResult) nn.Weights { return qFFLReference(q, g, rs, cfg) }},
 		{"Scaffold", func() Strategy { return &Scaffold{TotalClients: totalClients} }, average},
 	} {
-		for shards := 1; shards <= 8; shards++ {
+		for seed := uint64(1); seed <= 8; seed++ {
 			for _, scale := range []float64{1, 0.5, 0} {
-				what := fmt.Sprintf("%s/shards=%d/scale=%g", tc.name, shards, scale)
-				r := frand.New(uint64(shards)*131 + 7)
+				what := fmt.Sprintf("%s/seed=%d/scale=%g", tc.name, seed, scale)
+				r := frand.New(seed*131 + 7)
 				results := randResults(r, 13, 9)
 				global := randWeightsLike(r, results[0].Weights, 1)
 				for _, res := range results {
@@ -207,7 +201,7 @@ func TestAccumulatorsMatchClosedForm(t *testing.T) {
 					}
 				}
 
-				got := streamAggregate(strat, global, results, shards, scale, cfg)
+				got := streamAggregate(strat, global, results, scale, cfg)
 				if scale == 0 {
 					if !sharesStorage(got, global) {
 						t.Fatalf("%s: zero-scale folds still produced an update", what)
@@ -257,18 +251,17 @@ func TestQFedAvgNonPositiveDenominatorKeepsGlobal(t *testing.T) {
 
 // Property: streaming FedAvg aggregation is numerically equivalent (within
 // float32 tolerance) to the closed-form weightedAverage, for randomized
-// client counts, sample sizes, weight values, and shard (worker) counts.
+// client counts, sample sizes and weight values.
 func TestStreamingFedAvgMatchesWeightedAverage(t *testing.T) {
-	f := func(seed uint16, kRaw, dimRaw, shardsRaw uint8) bool {
+	f := func(seed uint16, kRaw, dimRaw uint8) bool {
 		r := frand.New(uint64(seed) + 11)
 		k := int(kRaw)%24 + 1
 		dim := int(dimRaw)%16 + 1
-		shards := int(shardsRaw)%8 + 1
 		results := randResults(r, k, dim)
 		global := results[0].Weights.Zero()
 
 		want := weightedAverage(results)
-		got := streamAggregate(FedAvg{}, global, results, shards, 1, Default())
+		got := streamAggregate(FedAvg{}, global, results, 1, Default())
 
 		for i := range want.Params {
 			if !got.Params[i].AllClose(want.Params[i], 1e-4) {
@@ -284,103 +277,6 @@ func TestStreamingFedAvgMatchesWeightedAverage(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: the streamed aggregate is insensitive to the shard split — any
-// two worker counts agree far below float32 precision. (Float64 shard sums
-// bound the split's effect to double-precision rounding; exact bit equality
-// is not guaranteed because float64 addition is still non-associative.)
-func TestStreamingShardInvariance(t *testing.T) {
-	f := func(seed uint16, kRaw, s1Raw, s2Raw uint8) bool {
-		r := frand.New(uint64(seed) + 23)
-		k := int(kRaw)%24 + 1
-		s1 := int(s1Raw)%8 + 1
-		s2 := int(s2Raw)%8 + 1
-		results := randResults(r, k, 9)
-		global := results[0].Weights.Zero()
-		a := streamAggregate(FedAvg{}, global, results, s1, 1, Default())
-		b := streamAggregate(FedAvg{}, global, results, s2, 1, Default())
-		for i := range a.Params {
-			if !a.Params[i].AllClose(b.Params[i], 1e-6) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: the client→worker partition is a pure function of the sampled
-// clients' sample counts that places every sampling index exactly once,
-// ascending within its shard, is the identity at one worker, and keeps every
-// shard's load within one client of the mean — without allocating once its
-// scratch has grown.
-func TestShardPlanProperties(t *testing.T) {
-	mkClients := func(r *frand.RNG, k int) []*Client {
-		out := make([]*Client, k)
-		for i := range out {
-			ds := &dataset.Dataset{Samples: make([]dataset.Sample, r.Intn(97))}
-			out[i] = NewClient(i, 0, ds, 1)
-		}
-		return out
-	}
-	var reused shardPlan
-	f := func(seed uint16, kRaw, wRaw uint8) bool {
-		r := frand.New(uint64(seed) + 61)
-		k := int(kRaw)%48 + 1
-		workers := min(int(wRaw)%8+1, k)
-		sampled := mkClients(r, k)
-
-		shards := reused.split(sampled, workers)
-		if len(shards) != workers {
-			return false
-		}
-		seen := make([]int, k)
-		total, largest, maxLoad := 0, 0, 0
-		for _, shard := range shards {
-			load := 0
-			for j, i := range shard {
-				if j > 0 && shard[j-1] >= i {
-					return false // not ascending
-				}
-				seen[i]++
-				load += sampled[i].Data.Len()
-			}
-			maxLoad = max(maxLoad, load)
-			total += load
-		}
-		for i, n := range seen {
-			if n != 1 {
-				return false
-			}
-			largest = max(largest, sampled[i].Data.Len())
-		}
-		if float64(maxLoad) > float64(total)/float64(workers)+float64(largest) {
-			return false
-		}
-		// Pure: a fresh plan, which never saw the earlier inputs, agrees
-		// (an empty shard is nil in the fresh plan and [] in the reused one).
-		var fresh shardPlan
-		if !slices.EqualFunc(fresh.split(sampled, workers), shards, slices.Equal[[]int]) {
-			return false
-		}
-		for i, idx := range fresh.split(sampled, 1)[0] {
-			if idx != i {
-				return false // identity at one worker
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-
-	sampled := mkClients(frand.New(3), 48)
-	if n := testing.AllocsPerRun(20, func() { reused.split(sampled, 4) }); n != 0 {
-		t.Fatalf("planning a round allocated %v times with warm scratch", n)
 	}
 }
 
@@ -490,9 +386,9 @@ func TestStreamingCapabilityMatrix(t *testing.T) {
 	}
 }
 
-// Race coverage: parallel workers exercise the shard-merge path, the
-// per-worker scratch sets, and per-worker accumulators concurrently. Run with
-// -race in CI.
+// Race coverage: parallel replicas exercise the window executor's claim and
+// fold cursors, the scratch ring and the one accumulator concurrently. Run
+// with -race in CI.
 func TestRunRoundParallelRace(t *testing.T) {
 	srv := fixtureServer(t, FedAvg{}, 4)
 	var sampled int
