@@ -1,6 +1,6 @@
 // Command flserve runs the deterministic serving load harness: it stands up
-// the serving stack (refcounted version store, micro-batcher, per-worker
-// frozen replicas) for one model and drives it with a seeded open- or
+// the serving stack (refcounted version store, micro-batcher, the harness's
+// frozen replica) for one model and drives it with a seeded open- or
 // closed-loop arrival process in virtual time. Everything printed is a pure
 // function of the flags: two invocations with the same flags produce
 // byte-identical output — including per-request output digests and the

@@ -92,7 +92,7 @@ func main() {
 	}
 	var reissues, failed, rejected, staleDropped, deferred int
 	var wasted int64
-	score, _ := experiments.Evaluate(srv, strat.Name(), dd.Test, func(s fl.RoundStats) {
+	score := experiments.Evaluate(srv, strat.Name(), dd.Test, func(s fl.RoundStats) {
 		reissues += s.Reissues
 		failed += s.Failed
 		rejected += len(s.Rejected)

@@ -47,7 +47,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		score, _ := experiments.Evaluate(srv, strat.Name(), dd.Test, nil)
+		score := experiments.Evaluate(srv, strat.Name(), dd.Test, nil)
 		var pcts []float64
 		fmt.Printf("\n%s:\n", strat.Name())
 		for i, p := range dd.Profiles {

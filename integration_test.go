@@ -38,7 +38,7 @@ func TestSceneToTrainingPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	score, _ := experiments.Evaluate(tr, fl.FedAvg{}.Name(), []*dataset.Dataset{dd.AllTest()}, nil)
+	score := experiments.Evaluate(tr, fl.FedAvg{}.Name(), []*dataset.Dataset{dd.AllTest()}, nil)
 	if acc := score.PerDevice[0]; acc < 0.25 { // chance is 1/12 ≈ 8.3%
 		t.Fatalf("federated model failed to learn: accuracy %v", acc)
 	}
@@ -64,11 +64,11 @@ func TestHeteroSwitchRunsOnRealWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	score, net := experiments.Evaluate(tr, hs.Name(), []*dataset.Dataset{dd.AllTest()}, nil)
+	score := experiments.Evaluate(tr, hs.Name(), []*dataset.Dataset{dd.AllTest()}, nil)
 	if _, has := hs.LEMA(); !has {
 		t.Fatal("L_EMA never initialized on the vision workload")
 	}
-	for _, p := range net.Snapshot().Params {
+	for _, p := range tr.GlobalNet().Snapshot().Params {
 		if p.HasNaN() {
 			t.Fatal("HeteroSwitch diverged on the vision workload")
 		}

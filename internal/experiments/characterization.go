@@ -71,7 +71,7 @@ func Fig1(opts Options) (*Fig1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	homo, _ := Evaluate(tr, fl.FedAvg{}.Name(), dd.Test[s9:s9+1], nil)
+	homo := Evaluate(tr, fl.FedAvg{}.Name(), dd.Test[s9:s9+1], nil)
 	homoAcc := homo.PerDevice[0]
 
 	// Heterogeneous: market-share mix, evaluated on the pooled test set.
@@ -79,7 +79,7 @@ func Fig1(opts Options) (*Fig1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	hetero, _ := Evaluate(tr, fl.FedAvg{}.Name(), []*dataset.Dataset{dd.AllTest()}, nil)
+	hetero := Evaluate(tr, fl.FedAvg{}.Name(), []*dataset.Dataset{dd.AllTest()}, nil)
 	heteroAcc := hetero.PerDevice[0]
 
 	return &Fig1Result{

@@ -395,11 +395,11 @@ func NewFL(opts Options, strategy fl.Strategy, perDevice map[int]*dataset.Datase
 // tr for its configured rounds, invoking each (when non-nil) with every
 // round's stats, then scores the final global network on each of tests (the
 // per-device sets, one device's, or the pooled dd.AllTest()) at batch 16.
-// It returns the score, PerDevice in tests' order, and the network it scored.
-func Evaluate(tr Trainer, method string, tests []*dataset.Dataset, each func(fl.RoundStats)) (MethodScore, *nn.Network) {
+// The score's PerDevice is in tests' order; the network it scored is
+// tr.GlobalNet().
+func Evaluate(tr Trainer, method string, tests []*dataset.Dataset, each func(fl.RoundStats)) MethodScore {
 	tr.Run(each)
-	net := tr.GlobalNet()
-	return scoreFromAccuracies(method, accuracies(net, tests, 16)), net
+	return scoreFromAccuracies(method, accuracies(tr.GlobalNet(), tests, 16))
 }
 
 // PerDeviceAccuracies evaluates the network on each of dd.Test, returning

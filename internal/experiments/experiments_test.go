@@ -460,7 +460,7 @@ func TestEvaluate(t *testing.T) {
 			t.Fatal(err)
 		}
 		var rounds []int
-		score, net := Evaluate(tr, "m", dd.Test, func(s fl.RoundStats) { rounds = append(rounds, s.Round) })
+		score := Evaluate(tr, "m", dd.Test, func(s fl.RoundStats) { rounds = append(rounds, s.Round) })
 		if len(rounds) != cfg.Rounds {
 			t.Fatalf("async=%v: each saw rounds %v, want 0..%d once each", async, rounds, cfg.Rounds-1)
 		}
@@ -473,7 +473,7 @@ func TestEvaluate(t *testing.T) {
 		accs := make([]float64, len(dd.Test))
 		for i, ds := range dd.Test {
 			accs[i] = metrics.Accuracy(global, ds, 16)
-			if score.PerDevice[i] != accs[i] || metrics.Accuracy(net, ds, 16) != accs[i] {
+			if score.PerDevice[i] != accs[i] {
 				t.Fatalf("async=%v: PerDevice[%d] = %v, want %v", async, i, score.PerDevice[i], accs[i])
 			}
 		}

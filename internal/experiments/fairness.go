@@ -50,7 +50,7 @@ func Fig4(opts Options) (*Fig4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	score, _ := Evaluate(tr, fl.FedAvg{}.Name(), dd.Test, nil)
+	score := Evaluate(tr, fl.FedAvg{}.Name(), dd.Test, nil)
 
 	dominant := map[string]bool{}
 	for _, n := range device.DominantNames() {
@@ -108,7 +108,7 @@ func Fig5(opts Options) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	refScore, _ := Evaluate(ref, fl.FedAvg{}.Name(), dd.Test, nil)
+	refScore := Evaluate(ref, fl.FedAvg{}.Name(), dd.Test, nil)
 	res := &Fig5Result{RefAcc: refScore.PerDevice}
 	for j := 0; j < n; j++ {
 		counts := EqualCounts(n, n*perDeviceClients)
@@ -117,7 +117,7 @@ func Fig5(opts Options) (*Fig5Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		lodo, _ := Evaluate(tr, fl.FedAvg{}.Name(), dd.Test[j:j+1], nil)
+		lodo := Evaluate(tr, fl.FedAvg{}.Name(), dd.Test[j:j+1], nil)
 		acc := lodo.PerDevice[0]
 		res.DeviceNames = append(res.DeviceNames, dd.Profiles[j].Name)
 		res.LodoAcc = append(res.LodoAcc, acc)

@@ -125,7 +125,7 @@ func (r *fedRig) score(name string, strat fl.Strategy, tests []*dataset.Dataset)
 	if err != nil {
 		return MethodScore{}, err
 	}
-	score, _ := Evaluate(tr, name, tests, nil)
+	score := Evaluate(tr, name, tests, nil)
 	return score, nil
 }
 

@@ -53,7 +53,7 @@ func Fig9(opts Options) (*Fig9Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		score, _ := Evaluate(tr, fl.FedAvg{}.Name(), pooled, nil)
+		score := Evaluate(tr, fl.FedAvg{}.Name(), pooled, nil)
 		return score.PerDevice[0], nil
 	}
 

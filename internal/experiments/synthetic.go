@@ -138,7 +138,7 @@ func Fig8(opts Options) (*Fig8Result, error) {
 		if err != nil {
 			return MethodScore{}, err
 		}
-		score, _ := Evaluate(tr, strat.Name(), dd.Test, nil)
+		score := Evaluate(tr, strat.Name(), dd.Test, nil)
 		return score, nil
 	}
 

@@ -38,8 +38,8 @@ const (
 )
 
 // BuilderFor returns a deterministic Builder for the named architecture on
-// inC-channel images with the given number of classes. Unknown names return
-// an error.
+// inC-channel images with the given number of classes. Unknown names, and
+// fewer than one input channel or class, return an error.
 func BuilderFor(arch Arch, seed uint64, inC, classes int) (Builder, error) {
 	var model func(r *frand.RNG, inC, classes int) *nn.Network
 	switch arch {
@@ -54,6 +54,9 @@ func BuilderFor(arch Arch, seed uint64, inC, classes int) (Builder, error) {
 	}
 	if model == nil {
 		return nil, fmt.Errorf("models: unknown architecture %q", arch)
+	}
+	if inC < 1 || classes < 1 {
+		return nil, fmt.Errorf("models: want at least 1 input channel and 1 class, have %d and %d", inC, classes)
 	}
 	return func() *nn.Network { return model(frand.New(seed), inC, classes) }, nil
 }

@@ -97,6 +97,19 @@ func TestBuilderUnknownArch(t *testing.T) {
 	}
 }
 
+// A model needs at least one input channel and one class: BuilderFor says so
+// instead of building a network with no outputs or panicking on a negative
+// tensor dimension.
+func TestBuilderRejectsEmptyShapes(t *testing.T) {
+	for _, arch := range []Arch{ArchMobileNet, ArchShuffleNet, ArchSqueezeNet, ArchSimpleCNN} {
+		for _, c := range [][2]int{{3, 0}, {3, -2}, {0, 12}, {-1, 12}} {
+			if _, err := BuilderFor(arch, 1, c[0], c[1]); err == nil {
+				t.Errorf("%s: BuilderFor(inC %d, classes %d) returned no error", arch, c[0], c[1])
+			}
+		}
+	}
+}
+
 func TestWeightsTransferAcrossBuilds(t *testing.T) {
 	b, _ := BuilderFor(ArchMobileNet, 11, 3, 12)
 	n1 := b()

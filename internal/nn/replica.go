@@ -62,7 +62,7 @@ func (r *Replica) Infer(x *tensor.Tensor) *tensor.Tensor {
 
 // ReplicaPool hands out replicas to concurrent request goroutines. It is a
 // fixed-size blocking pool on a buffered channel: Get blocks until a replica
-// is free (admission control — at most Size batches execute at once), and
+// is free (admission control — at most n batches execute at once), and
 // both Get and Put are allocation-free, keeping the steady-state request
 // path at 0 allocs/op. The replicas share nothing but the read-only weights.
 type ReplicaPool struct {
@@ -79,12 +79,10 @@ func NewReplicaPool(n int, build func() *Network, intraOp int) *ReplicaPool {
 	return p
 }
 
-// Size returns the number of replicas owned by the pool.
-func (p *ReplicaPool) Size() int { return cap(p.ch) }
-
 // Free returns the number of replicas currently idle in the pool. A quiesced
-// server must report Free() == Size(); anything less means a borrower leaked
-// a replica (the serving error-path regression tests assert exactly this).
+// server must report all n of them free; anything less means a borrower
+// leaked a replica (the serving error-path regression tests assert exactly
+// this).
 func (p *ReplicaPool) Free() int { return len(p.ch) }
 
 // Get blocks until a replica is free and transfers it to the caller.

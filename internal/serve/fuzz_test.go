@@ -165,8 +165,8 @@ func FuzzParseFlush(f *testing.F) {
 // net — batch size, budget, up to four workers, admission depth and
 // deadline, open or closed arrivals, service prices and publish churn all
 // drawn from the input — every run accounts for each request exactly once
-// (served, shed at admission or shed at its deadline), leaves the replica
-// pool full and only the current version live, never holds more than Depth
+// (served, shed at admission or shed at its deadline), never borrows from
+// the replica pool, leaves only the current version live, never holds more than Depth
 // requests pending, and, without churn, reports the same under EDF as under
 // FIFO.
 func FuzzLoadInvariants(f *testing.F) {
@@ -206,8 +206,8 @@ func FuzzLoadInvariants(f *testing.F) {
 				t.Fatalf("%+v: %d served + %d shed at admission + %d shed at deadline of %d requests, want %d",
 					cfg, rep.Served, rep.ShedQueue, rep.ShedDeadline, rep.Requests, lc.Requests)
 			}
-			if free, size := srv.pool.Free(), srv.pool.Size(); free != size {
-				t.Fatalf("%+v: %d of %d replicas free after the run", cfg, free, size)
+			if free := srv.pool.Free(); free != cfg.Workers {
+				t.Fatalf("%+v: %d of %d pool replicas free after the run", cfg, free, cfg.Workers)
 			}
 			if live := srv.Store().Live(); live != 1 {
 				t.Fatalf("%+v: %d live versions after the run, want 1", cfg, live)

@@ -147,10 +147,9 @@ type loadState struct {
 	reissues int
 
 	// staging[n-1] is the [n, sample...] input tensor batches of size n are
-	// assembled into before the frozen forward; batchOut takes its output
-	// before the rows scatter to outs by request id.
-	staging  []*tensor.Tensor
-	batchOut []float32
+	// assembled into before the frozen forward, for every size up to the
+	// largest batch the run can form, min(MaxBatch, Requests).
+	staging []*tensor.Tensor
 
 	hist Histogram
 
@@ -191,9 +190,9 @@ func (s *Server) finish() (Report, error) {
 
 // failed returns the run's error, nil for a healthy run. A failed run first
 // releases the version pin of each batch still queued and recycles it; a
-// batch in service holds nothing, having returned its replica and its pin
-// at dispatch. Every exit that surfaces the error goes through here, so only
-// the current version is live afterwards. It is idempotent.
+// batch in service holds nothing, having released its pin at dispatch.
+// Every exit that surfaces the error goes through here, so only the current
+// version is live afterwards. It is idempotent.
 func (ld *loadState) failed() error {
 	if ld.err == nil {
 		return nil
@@ -207,8 +206,8 @@ func (ld *loadState) failed() error {
 }
 
 // beginLoad validates the config, preallocates every steady-state buffer,
-// warms the replicas (arena, frozen fold, im2col scratch), and schedules the
-// initial arrivals.
+// warms the harness replica (arena, frozen fold, im2col scratch), building
+// it on the server's first load, and schedules the initial arrivals.
 func (s *Server) beginLoad(lc LoadConfig) error {
 	lc = lc.withDefaults()
 	if lc.Requests < 1 {
@@ -229,52 +228,43 @@ func (s *Server) beginLoad(lc LoadConfig) error {
 		}
 	}
 
-	// Staging tensors for every batch size, plus a warmup forward per size on
-	// EVERY replica, so each worker's arena, frozen fold, and im2col scratch
-	// hold every shape before time starts — the steady-state event loop then
-	// allocates nothing.
-	sample := lc.Inputs[0].Shape()
-	ld.staging = make([]*tensor.Tensor, s.cfg.MaxBatch)
-	shape := append([]int{0}, sample...)
-	for n := 1; n <= s.cfg.MaxBatch; n++ {
+	// Staging tensors for every batch size the run can form, plus a warm-up
+	// forward per size on the harness replica, so its arena, frozen fold and
+	// im2col scratch hold every shape before time starts — the steady-state
+	// event loop then allocates nothing.
+	maxN := min(s.cfg.MaxBatch, lc.Requests)
+	ld.staging = make([]*tensor.Tensor, maxN)
+	shape := append([]int{0}, lc.Inputs[0].Shape()...)
+	for n := 1; n <= maxN; n++ {
 		shape[0] = n
 		ld.staging[n-1] = tensor.New(shape...)
 		for r := 0; r < n; r++ {
 			copy(ld.staging[n-1].Data()[r*ld.sampleSize:], lc.Inputs[r%len(lc.Inputs)].Data())
 		}
 	}
-	v, w := s.store.Acquire()
-	reps := make([]*nn.Replica, s.pool.Size())
-	for i := range reps {
-		reps[i] = s.pool.Get()
-		if err := reps[i].Ensure(v, w); err != nil {
-			for _, r := range reps[:i+1] {
-				s.pool.Put(r)
-			}
-			s.store.Release(v)
-			return err
-		}
-		for n := 1; n <= s.cfg.MaxBatch; n++ {
-			out := reps[i].Infer(ld.staging[n-1])
-			ld.outDim = out.Size() / n
-		}
+	if s.rep == nil {
+		s.rep = nn.NewReplica(s.build, s.cfg.IntraOp)
 	}
-	for _, r := range reps {
-		s.pool.Put(r)
+	v, w := s.store.Acquire()
+	err := s.rep.Ensure(v, w)
+	for n := 1; err == nil && n <= maxN; n++ {
+		ld.outDim = s.rep.Infer(ld.staging[n-1]).Size() / n
 	}
 	s.store.Release(v)
+	if err != nil {
+		return err
+	}
 
-	ld.batchOut = make([]float32, s.cfg.MaxBatch*ld.outDim)
 	ld.arrTime = make([]float64, lc.Requests)
 	ld.lat = make([]float64, lc.Requests)
 	ld.outs = make([]float32, lc.Requests*ld.outDim)
-	ld.forming = make([]int, 0, s.cfg.MaxBatch)
+	ld.forming = make([]int, 0, maxN)
 	prealloc := s.cfg.Workers + lc.Concurrency + 4
 	if prealloc > lc.Requests {
 		prealloc = lc.Requests
 	}
 	for i := 0; i < prealloc; i++ {
-		ld.freeBatches = append(ld.freeBatches, &batch{ids: make([]int, 0, s.cfg.MaxBatch)})
+		ld.freeBatches = append(ld.freeBatches, &batch{ids: make([]int, 0, maxN)})
 	}
 
 	if lc.Arrival.Closed() {
@@ -490,9 +480,9 @@ func (ld *loadState) feed(id int) bool {
 }
 
 // startService executes the batch NOW (the compute is real: assemble inputs,
-// run them through Server.infer under the version pinned at flush, copy
-// outputs out by request id), releases the pin, and schedules the completion
-// at now + the service model's virtual duration. Under a deadline policy,
+// run them through the harness replica under the version pinned at flush,
+// copy outputs out by request id), releases the pin, and schedules the
+// completion at now + the service model's virtual duration. Under a deadline policy,
 // requests whose queueing wait already blew the deadline are shed here — at
 // the last instant before they would burn service capacity. A fully-shed or
 // failed batch releases its pin and never takes a worker: busy counts only
@@ -528,15 +518,16 @@ func (ld *loadState) startService(b *batch) {
 	for r, id := range b.ids {
 		copy(x.Data()[r*ld.sampleSize:(r+1)*ld.sampleSize], ld.lc.Inputs[id%len(ld.lc.Inputs)].Data())
 	}
-	if _, err := ld.srv.infer(b.version, b.w, x, ld.batchOut); err != nil {
+	if err := ld.srv.rep.Ensure(b.version, b.w); err != nil {
 		ld.unpin(b)
 		ld.err = err
 		return
 	}
+	out := ld.srv.rep.Infer(x).Data()
 	ld.srv.store.Release(b.version)
 	b.w = nn.Weights{}
 	for r, id := range b.ids {
-		copy(ld.outs[id*ld.outDim:(id+1)*ld.outDim], ld.batchOut[r*ld.outDim:(r+1)*ld.outDim])
+		copy(ld.outs[id*ld.outDim:(id+1)*ld.outDim], out[r*ld.outDim:(r+1)*ld.outDim])
 	}
 	ld.busy++
 	ld.batchSeq++
@@ -594,7 +585,7 @@ func (ld *loadState) getBatch() *batch {
 		ld.freeBatches = ld.freeBatches[:n-1]
 		return b
 	}
-	return &batch{ids: make([]int, 0, ld.srv.cfg.MaxBatch)}
+	return &batch{ids: make([]int, 0, len(ld.staging))}
 }
 
 // putBatch returns a batch struct to the free stack.

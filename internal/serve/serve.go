@@ -24,10 +24,12 @@ type Config struct {
 	// service at once, and the size of the frozen replica pool PredictInto
 	// callers share. 0 means 1.
 	Workers int
-	// IntraOp is the total intra-op core budget, split evenly across
-	// workers (each replica gets at least 1). A replica's share splits a
-	// batch's conv iterations (samples × groups); a batch-1 request runs on
-	// one core. 0 means the machine (parallel.Workers()).
+	// IntraOp is the total intra-op core budget. Each of the pool's Workers
+	// replicas gets IntraOp/Workers cores (at least 1); the load harness
+	// computes one batch at a time on one replica of its own, which gets
+	// all of them. A replica's cores split a batch's conv iterations
+	// (samples × groups); a batch-1 request runs on one core. 0 means the
+	// machine (parallel.Workers()).
 	IntraOp int
 	// Admission is the overload policy. The zero value disables admission
 	// control entirely: no request is shed, and the report's digest folds
@@ -142,8 +144,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("serve: non-positive max-batch/workers/intraop: %d/%d/%d",
 			c.MaxBatch, c.Workers, c.IntraOp)
 	}
-	if c.BatchBudget < 0 {
-		return fmt.Errorf("serve: negative batch budget %g", c.BatchBudget)
+	if !(c.BatchBudget >= 0 && c.BatchBudget <= math.MaxFloat64) {
+		return fmt.Errorf("serve: batch budget %g, want a finite budget >= 0", c.BatchBudget)
 	}
 	if c.Admission.Depth < 0 || c.Admission.Deadline < 0 ||
 		math.IsNaN(c.Admission.Deadline) {
@@ -155,23 +157,27 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Server owns the serving stack: the refcounted version store, one frozen
-// replica per worker, and the micro-batcher state of the load harness.
-// Publish/Republish and PredictInto are safe for concurrent use; the load
-// harness (RunLoad) drives the whole stack from one goroutine in virtual
-// time and must not run concurrently with itself.
+// Server owns the serving stack: the refcounted version store, the frozen
+// replica pool PredictInto callers share, and the load harness's own replica
+// and micro-batcher state. Publish/Republish and PredictInto are safe for
+// concurrent use; the load harness (RunLoad) drives the whole stack from one
+// goroutine in virtual time and must not run concurrently with itself.
 type Server struct {
 	cfg   Config
 	store *Store
 	pool  *nn.ReplicaPool
+	build func() *nn.Network
 
-	ld loadState
+	// rep is the load harness's replica, built by the first load at the
+	// whole IntraOp budget: the harness computes one batch at a time.
+	rep *nn.Replica
+	ld  loadState
 }
 
 // NewServer builds a serving stack for the model builder, publishing w as
-// version 0. Each of cfg.Workers replicas is granted IntraOp/Workers cores
-// (at least 1), mirroring fl's intra-op share so the replicas' conv loops
-// never oversubscribe the budget.
+// version 0. Each of cfg.Workers pool replicas is granted IntraOp/Workers
+// cores (at least 1), mirroring fl's intra-op share so concurrent
+// PredictInto callers never oversubscribe the budget.
 func NewServer(build func() *nn.Network, w nn.Weights, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -181,6 +187,7 @@ func NewServer(build func() *nn.Network, w nn.Weights, cfg Config) (*Server, err
 		cfg:   cfg,
 		store: NewStore(w),
 		pool:  nn.NewReplicaPool(cfg.Workers, build, parallel.Share(cfg.IntraOp, cfg.Workers)),
+		build: build,
 	}, nil
 }
 
@@ -188,30 +195,20 @@ func NewServer(build func() *nn.Network, w nn.Weights, cfg Config) (*Server, err
 func (s *Server) Store() *Store { return s.store }
 
 // PredictInto serves one request synchronously on the calling goroutine: it
-// pins the current model version, runs it through infer, and returns the
-// version that served the request and the number of values written to dst.
-// Concurrent callers race only for replicas; the version pin guarantees each
-// request is served end-to-end by the exact version current at its
-// admission, even while Publish runs.
+// pins the current model version, borrows a pool replica (blocking while all
+// Workers replicas are busy), loads that version into it if it holds
+// another, runs the frozen forward on x, copies the output into dst and
+// returns the replica. It returns the version that served the request and
+// the number of values written to dst. Concurrent callers race only for
+// replicas; the version pin guarantees each request is served end-to-end by
+// the exact version current at its admission, even while Publish runs.
 func (s *Server) PredictInto(dst []float32, x *tensor.Tensor) (version, n int, err error) {
 	v, w := s.store.Acquire()
 	defer s.store.Release(v)
-	if n, err = s.infer(v, w, x, dst); err != nil {
-		return 0, 0, err
-	}
-	return v, n, nil
-}
-
-// infer is the one execution path of both PredictInto and the load harness:
-// it borrows a replica (blocking while all Workers replicas are busy — the
-// pool is the admission valve), loads version v's weights w into it if it
-// holds another, runs the frozen forward on x, copies the output into dst
-// and returns the replica. The caller holds the pin on v across the call.
-func (s *Server) infer(v int, w nn.Weights, x *tensor.Tensor, dst []float32) (int, error) {
 	rep := s.pool.Get()
 	defer s.pool.Put(rep)
-	if err := rep.Ensure(v, w); err != nil {
-		return 0, err
+	if err = rep.Ensure(v, w); err != nil {
+		return 0, 0, err
 	}
-	return copy(dst, rep.Infer(x).Data()), nil
+	return v, copy(dst, rep.Infer(x).Data()), nil
 }

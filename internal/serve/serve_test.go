@@ -110,6 +110,46 @@ func TestLoadDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// NewServer refuses a configuration the harness could not run, before it
+// builds a replica. A NaN or infinite batch budget would otherwise surface
+// only at the first arrival, as an unschedulable deadline.
+func TestNewServerRejectsBadConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"max-batch -1", Config{MaxBatch: -1}},
+		{"workers -1", Config{Workers: -1}},
+		{"intraop -1", Config{IntraOp: -1}},
+		{"batch budget -1", Config{BatchBudget: -1}},
+		{"batch budget NaN", Config{BatchBudget: math.NaN()}},
+		{"batch budget +Inf", Config{BatchBudget: math.Inf(1)}},
+		{"admission depth -1", Config{Admission: AdmissionConfig{Depth: -1}}},
+		{"admission deadline NaN", Config{Admission: AdmissionConfig{Deadline: math.NaN()}}},
+		{"flush 7", Config{Flush: 7}},
+	} {
+		if _, err := NewServer(testBuilder(), testWeights(t), tc.cfg); err == nil {
+			t.Errorf("%s: NewServer accepted it", tc.name)
+		}
+	}
+}
+
+// A run sizes its staging tensors for the largest batch it can form,
+// min(MaxBatch, Requests), not for MaxBatch alone.
+func TestLoadStagesOnlyFormableBatches(t *testing.T) {
+	s := testServer(t, Config{MaxBatch: 64, Workers: 1, IntraOp: 1})
+	rep, err := s.RunLoad(LoadConfig{Requests: 4, Concurrency: 4, Inputs: testInputs(4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.ld.staging); n != 4 {
+		t.Fatalf("%d staging tensors, want 4 (one per batch size up to Requests)", n)
+	}
+	if rep.Served != 4 {
+		t.Fatalf("served %d of 4 requests", rep.Served)
+	}
+}
+
 // TestLoadRejectsBadConfig: a negative population or publish period is an
 // error before the run starts; an arrival model that prices a request at a
 // negative, NaN or infinite delay, or a service model that prices a batch at

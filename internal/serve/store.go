@@ -1,14 +1,17 @@
 // Package serve is the serving front end for the frozen inference path: a
-// refcounted cache of published model versions, a per-version micro-batcher
-// under a virtual-time latency budget, per-worker frozen replicas executing
-// batches, and a deterministic closed-loop load harness on internal/simclock.
-// A replica's intra-op budget splits a batch's conv iterations (samples ×
-// groups) across the parallel pool; a batch-1 request runs on one core.
+// refcounted cache of published model versions, a pool of Config.Workers
+// frozen replicas that PredictInto callers share at IntraOp/Workers cores
+// each, and a deterministic closed-loop load harness on internal/simclock:
+// a per-version micro-batcher under a virtual-time latency budget whose
+// batches compute, one at a time, on the harness's own replica at the whole
+// IntraOp budget. A replica's intra-op budget splits a batch's conv
+// iterations (samples × groups) across the parallel pool; a batch-1 request
+// runs on one core.
 //
 // Determinism contract: the load harness never reads the wall clock — every
 // arrival, batch deadline, and service completion is a virtual-time event
 // whose schedule is a pure function of (seed, config), and batch outputs run
-// through nn.Frozen replicas that are bit-identical at every intra-op
+// through an nn.Frozen replica that is bit-identical at every intra-op
 // budget. Two runs with the same LoadConfig therefore produce bit-identical
 // per-request outputs, latency histograms, and quantiles, at any -intraop.
 package serve
