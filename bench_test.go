@@ -9,6 +9,7 @@ package heteroswitch
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"heteroswitch/internal/dataset"
@@ -71,16 +72,17 @@ func BenchmarkUnseenDeviceDG(b *testing.B) { runExperiment(b, "unseen-dg") }
 
 // Aggregation-pipeline benchmarks ---------------------------------------------
 
-// benchServer builds a K-client federation over a ~10k-parameter dense model
-// with tiny per-client datasets, so weight-snapshot traffic dominates the
+// benchServer builds a federation of len(sizes) clients, client i holding
+// sizes[i] samples, over a ~10k-parameter dense model, drawing k clients a
+// round. With tiny per-client datasets weight-snapshot traffic dominates the
 // allocation profile of a round.
-func benchServer(b *testing.B, k, workers int) *fl.Server {
+func benchServer(b *testing.B, sizes []int, k, batch, workers int) *fl.Server {
 	b.Helper()
 	r := frand.New(99)
-	clients := make([]*fl.Client, k)
-	for i := range clients {
+	clients := make([]*fl.Client, len(sizes))
+	for i, n := range sizes {
 		ds := &dataset.Dataset{NumClasses: 2}
-		for j := 0; j < 2; j++ {
+		for j := 0; j < n; j++ {
 			x := tensor.Randn(r, 0.5, 1, 8, 8)
 			ds.Samples = append(ds.Samples, dataset.Sample{X: x, Label: j % 2})
 		}
@@ -91,7 +93,7 @@ func benchServer(b *testing.B, k, workers int) *fl.Server {
 		return nn.NewNetwork(nn.NewFlatten(), nn.NewDense(br, 64, 128), nn.NewReLU(), nn.NewDense(br, 128, 10))
 	}
 	cfg := fl.Config{
-		Rounds: 1, ClientsPerRound: k, BatchSize: 2, LocalEpochs: 1,
+		Rounds: 1, ClientsPerRound: k, BatchSize: batch, LocalEpochs: 1,
 		LR: 0.1, Seed: 1, Workers: workers,
 	}
 	srv, err := fl.NewServer(cfg, builder, nn.SoftmaxCrossEntropy{}, fl.FedAvg{}, clients)
@@ -101,20 +103,44 @@ func benchServer(b *testing.B, k, workers int) *fl.Server {
 	return srv
 }
 
+// table4Sizes is the client-size spread of perfbook's paper_table4
+// population (60 clients by market share, 4 to 96 samples): at batch 10 a
+// client takes 1 to 10 local steps.
+func table4Sizes() []int {
+	var sizes []int
+	for _, c := range []struct{ n, clients int }{
+		{96, 2}, {48, 4}, {32, 3}, {20, 1}, {19, 4}, {14, 5}, {13, 2}, {6, 16}, {5, 4}, {4, 19},
+	} {
+		for range c.clients {
+			sizes = append(sizes, c.n)
+		}
+	}
+	return sizes
+}
+
 // BenchmarkServerRound measures one communication round at K∈{8,64,512}
-// participants. The acceptance target: weight-buffer allocations scale with
-// Workers, not K (compare B/op across K).
+// participants of two samples each. The acceptance target: weight-buffer
+// allocations scale with Workers, not K (compare B/op across K). The skewed
+// arm draws K=10 of a population spread like paper_table4's on two replicas,
+// where the order the replicas claim steps in decides how long one waits on
+// the other.
 func BenchmarkServerRound(b *testing.B) {
 	const workers = 4
 	for _, k := range []int{8, 64, 512} {
 		b.Run(fmt.Sprintf("K=%d/W=%d", k, workers), func(b *testing.B) {
-			srv := benchServer(b, k, workers)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				srv.RunRound(i)
-			}
+			benchRounds(b, benchServer(b, slices.Repeat([]int{2}, k), k, 2, workers))
 		})
+	}
+	b.Run("K=10/W=2/skewed", func(b *testing.B) {
+		benchRounds(b, benchServer(b, table4Sizes(), 10, 10, 2))
+	})
+}
+
+func benchRounds(b *testing.B, srv *fl.Server) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		srv.RunRound(i)
 	}
 }
 
@@ -166,17 +192,23 @@ func BenchmarkAsyncServerRound(b *testing.B) {
 }
 
 // BenchmarkTrainLocal measures the per-client training hot path in isolation:
-// one fl.TrainLocal call (all epochs × batches) per iteration. With the
-// per-network tensor arena, steady-state allocs/op must not scale with
-// batches × layers — this is the allocation-side acceptance benchmark for
-// the zero-allocation training loop.
+// one fl.TrainLocal call (all epochs × batches) per iteration, and reports
+// µs per trained sample. With the per-network tensor arena, steady-state
+// allocs/op must not scale with batches × layers — this is the
+// allocation-side acceptance benchmark for the zero-allocation training
+// loop. The TinyMobileNetV3 arm trains as Table 4 does: 3×32×32 inputs, 12
+// classes, batch 10, one epoch.
 func BenchmarkTrainLocal(b *testing.B) {
+	small := fl.Config{Rounds: 1, ClientsPerRound: 1, BatchSize: 8, LocalEpochs: 2, LR: 0.05, Seed: 1}
+	table4 := fl.Config{Rounds: 1, ClientsPerRound: 1, BatchSize: 10, LocalEpochs: 1, LR: 0.1, Seed: 1}
 	cases := []struct {
-		name    string
-		shape   []int
-		builder func() *nn.Network
+		name             string
+		shape            []int
+		classes, samples int
+		cfg              fl.Config
+		builder          func() *nn.Network
 	}{
-		{"MLP", []int{1, 8, 8}, func() *nn.Network {
+		{"MLP", []int{1, 8, 8}, 4, 64, small, func() *nn.Network {
 			br := frand.New(7)
 			return nn.NewNetwork(
 				nn.NewFlatten(),
@@ -184,7 +216,7 @@ func BenchmarkTrainLocal(b *testing.B) {
 				nn.NewDense(br, 64, 4),
 			)
 		}},
-		{"ConvNet", []int{1, 8, 8}, func() *nn.Network {
+		{"ConvNet", []int{1, 8, 8}, 4, 64, small, func() *nn.Network {
 			br := frand.New(7)
 			return nn.NewNetwork(
 				nn.NewConv2D(br, 1, 4, 3, 1, 1, 1),
@@ -195,27 +227,29 @@ func BenchmarkTrainLocal(b *testing.B) {
 				nn.NewDense(br, 4*4*4, 4),
 			)
 		}},
+		{"TinyMobileNetV3", []int{3, 32, 32}, 12, 40, table4, experiments.MobileNetBuilder(7, 12)},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			r := frand.New(17)
-			ds := &dataset.Dataset{NumClasses: 4}
-			for i := 0; i < 64; i++ {
+			ds := &dataset.Dataset{NumClasses: tc.classes}
+			for i := 0; i < tc.samples; i++ {
 				ds.Samples = append(ds.Samples, dataset.Sample{
-					X: tensor.Randn(r, 0.5, tc.shape...), Label: i % 4,
+					X: tensor.Randn(r, 0.5, tc.shape...), Label: i % tc.classes,
 				})
 			}
 			net := tc.builder()
-			cfg := fl.Config{
-				Rounds: 1, ClientsPerRound: 1, BatchSize: 8, LocalEpochs: 2,
-				LR: 0.05, Seed: 1,
-			}
 			rng := frand.New(3)
+			// One call first, so the timed ones find the network's arena
+			// grown.
+			fl.TrainLocal(net, ds, tc.cfg, nn.SoftmaxCrossEntropy{}, rng, nil, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				fl.TrainLocal(net, ds, cfg, nn.SoftmaxCrossEntropy{}, rng, nil, nil)
+				fl.TrainLocal(net, ds, tc.cfg, nn.SoftmaxCrossEntropy{}, rng, nil, nil)
 			}
+			trained := float64(b.N * tc.samples * tc.cfg.LocalEpochs)
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/trained, "us/sample")
 		})
 	}
 }

@@ -164,8 +164,9 @@ type asyncEvent struct {
 // rule and discount. Execute runs the planned steps through the engine's
 // window executor, as the barrier server runs its round, on
 // W = min(Config.Workers, Buffer) replicas (at least 1): every replica claims
-// and trains steps in plan order, and replica 0, on the calling goroutine,
-// also folds each result into the one accumulator in plan order. Account
+// and trains steps costliest first within a ring of min(4W, Buffer) scratch
+// sets, and replica 0, on the calling goroutine, also folds each result into
+// the one accumulator in plan order. Account
 // releases the versions and adds the stats in the same order, and the window
 // finalizes.
 //
@@ -216,7 +217,7 @@ func NewAsyncServer(cfg Config, builder Builder, loss nn.Loss, strategy Strategy
 	if err := s.Async.validate(); err != nil {
 		return nil, err
 	}
-	if err := s.init(cfg, builder, loss, strategy, clients, min(max(cfg.Workers, 1), s.Async.Buffer)); err != nil {
+	if err := s.init(cfg, builder, loss, strategy, clients, s.Async.Buffer); err != nil {
 		return nil, err
 	}
 	if cfg.Faults.NeedsTimeout() && s.Async.Timeout <= 0 {

@@ -46,7 +46,8 @@ type engine struct {
 	// not per window.
 	nets []*nn.Network
 	acc  Accumulator
-	// scratch is the ring of weight sets steps train into, two per replica.
+	// scratch is the ring of weight sets steps train into: min(4W, window
+	// length) of them.
 	scratch []nn.Weights
 	// store holds every global version still referenced; version numbers
 	// the live one and counts the globals installed so far.
@@ -62,23 +63,27 @@ type engine struct {
 }
 
 // execState is what the crew's replicas share while they execute a window:
-// the claim and fold cursors under mu. A claimed step that is not yet folded
-// lies in [folded, folded+len(scratch)), so step i trains into the engine's
-// scratch[i%len(scratch)] without colliding with another.
-// The engine holds 2W scratch sets, room for a step in training on each
-// replica and as many trained ones waiting for the fold; a replica that runs
-// further ahead waits.
+// the claim and fold cursors under mu. Steps are claimed only from the ring's
+// span [folded, folded+len(scratch)), so step i trains into the engine's
+// scratch[i%len(scratch)] without colliding with another. The engine holds
+// min(4W, window length) scratch sets, room for a step in training on each
+// replica and three times as many trained ones waiting for the fold, so a
+// long client at the fold cursor leaves the other replicas work to claim; a
+// replica that runs further ahead waits. next is the first step that is
+// neither ready nor training: every step is claimed once it reaches the
+// window's end.
 type execState struct {
 	mu           sync.Mutex
 	cond         sync.Cond
 	next, folded int
 }
 
-// init validates cfg against the population and builds the core with a fresh
-// global model as version 0, the given number of replicas, which split the
-// frozen forward's kernel budget evenly, two scratch sets per replica and
+// init validates cfg against the population and builds the core for windows
+// of the given length with a fresh global model as version 0, W =
+// min(Workers, window) replicas (at least 1), which split the frozen
+// forward's kernel budget evenly, a ring of min(4W, window) scratch sets and
 // the one accumulator.
-func (e *engine) init(cfg Config, builder Builder, loss nn.Loss, strategy Strategy, clients []*Client, replicas int) error {
+func (e *engine) init(cfg Config, builder Builder, loss nn.Loss, strategy Strategy, clients []*Client, window int) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -90,6 +95,7 @@ func (e *engine) init(cfg Config, builder Builder, loss nn.Loss, strategy Strate
 	}
 	e.Cfg, e.Strategy, e.Loss, e.Clients, e.builder = cfg, strategy, loss, clients, builder
 	e.rng = frand.New(cfg.Seed ^ 0x5ca1ab1e)
+	replicas := min(max(cfg.Workers, 1), window)
 	e.nets = make([]*nn.Network, replicas)
 	share := intraOpShare(cfg, replicas)
 	for i := range e.nets {
@@ -100,7 +106,7 @@ func (e *engine) init(cfg Config, builder Builder, loss nn.Loss, strategy Strate
 	e.store.Retain(0, e.Global)
 	e.wb = weightBytes(e.Global)
 	e.acc = strategy.NewAccumulator(e.Global, cfg)
-	e.scratch = make([]nn.Weights, 2*replicas)
+	e.scratch = make([]nn.Weights, min(4*replicas, window))
 	for i := range e.scratch {
 		e.scratch[i] = e.Global.Zero()
 	}
@@ -171,10 +177,12 @@ type step struct {
 	// scale is the fold scale: 1 on the barrier server, the staleness
 	// discount on the event loop, where 0 skips training.
 	scale float64
-	// The replica that trains the step writes res and rejected, then sets
-	// ready under the execute mutex. A skipped step is ready from the plan on.
+	// claim sets training under the execute mutex; the replica that trains
+	// the step writes res and rejected, then sets ready under the mutex. A
+	// skipped step is ready from the plan on.
 	res      ClientResult
 	rejected bool
+	training bool
 	ready    bool
 }
 
@@ -206,9 +214,9 @@ func (e *engine) train(w int, p *step, scratch *nn.Weights) {
 }
 
 // fold is the second half of the client step, run by replica 0 in window
-// order: an admitted, trained result joins acc at the step's scale, and the
-// result keeps only its scalar stats — its weights alias the scratch a later
-// step trains into.
+// order, whatever order the steps trained in: an admitted, trained result
+// joins acc at the step's scale, and the result keeps only its scalar stats —
+// its weights alias the scratch a later step trains into.
 func (p *step) fold(acc Accumulator) {
 	if !p.rejected && p.scale != 0 {
 		acc.Fold(p.res, p.scale)
@@ -236,11 +244,11 @@ func (e *engine) execute() {
 
 // work is replica w's part of the window, one loop on every replica.
 // Replica 0 folds step folded into the accumulator as soon as it is ready;
-// otherwise every replica claims and trains the next step in window order.
-// Replica 0 returns once every step is folded, the others once every step is
-// claimed, so with W = 1 each step trains, then folds, in window order, and
-// at any W the fold order is the window order: W only changes which replica
-// trains a step. The version store is only read while the crew runs.
+// otherwise every replica claims and trains the costliest step the ring
+// allows. Replica 0 returns once every step is folded, the others once every
+// step is claimed, so at any W the fold order is the window order: W only
+// changes which replica trains a step, and when. The version store is only
+// read while the crew runs.
 func (e *engine) work(w int) {
 	x := &e.exec
 	x.mu.Lock()
@@ -266,28 +274,43 @@ func (e *engine) work(w int) {
 	}
 }
 
-// claim hands out the next step to train, or −1 when every step is claimed
-// or the next one must wait: for the scratch ring to turn, or for the fold of
-// an earlier trained step of the same client in [folded, next) (SCAFFOLD's
-// per-client state needs it; a barrier round draws distinct clients, so only
-// the event loop ever waits here), a span the ring bounds to 2W steps. Steps
-// are claimed in window order. The caller holds the execute mutex.
+// claim hands out the costliest unclaimed step in the ring's span [folded,
+// folded+len(scratch)), ties to the lower window index, and marks it
+// training; or −1 when no step there may start. A step's cost is its
+// client's sample count, which fixes its local steps. A step waits while an
+// earlier step of its client in [folded, i), claimed or not, is unfolded
+// (SCAFFOLD's per-client state needs it; a barrier round draws distinct
+// clients, so only the event loop ever waits here). The step at the fold
+// cursor never waits, so the window always moves. The caller holds the
+// execute mutex.
 func (e *engine) claim() int {
 	x := &e.exec
-	for x.next < len(e.steps) && e.steps[x.next].ready {
+	for x.next < len(e.steps) && (e.steps[x.next].ready || e.steps[x.next].training) {
 		x.next++
 	}
-	if x.next == len(e.steps) || x.next >= x.folded+len(e.scratch) {
-		return -1
-	}
-	c := e.steps[x.next].client
-	for j := x.folded; j < x.next; j++ {
-		if e.steps[j].client == c && e.steps[j].scale != 0 {
-			return -1
+	best, cost := -1, -1
+	for i := x.next; i < min(len(e.steps), x.folded+len(e.scratch)); i++ {
+		p := &e.steps[i]
+		if n := p.client.Data.Len(); !p.ready && !p.training && n > cost && !e.waits(i) {
+			best, cost = i, n
 		}
 	}
-	x.next++
-	return x.next - 1
+	if best >= 0 {
+		e.steps[best].training = true
+	}
+	return best
+}
+
+// waits reports whether step i must wait for the fold of an earlier step of
+// its client in [folded, i). The caller holds the execute mutex.
+func (e *engine) waits(i int) bool {
+	c := e.steps[i].client
+	for j := e.exec.folded; j < i; j++ {
+		if e.steps[j].client == c && e.steps[j].scale != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // tally is one round's RoundStats under construction.

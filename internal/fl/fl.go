@@ -7,8 +7,9 @@
 // There is one aggregation core (engine.go): the client-sampling stream, the
 // client step — train, corrupt, gate, fold — the training replicas, the one
 // accumulator, the window executor whose replicas claim and train a window's
-// steps in order while replica 0, on the calling goroutine, folds them in
-// that order, and the RoundStats accounting. Two drivers plan windows for it
+// steps costliest first within a ring of min(4W, window) scratch sets while
+// replica 0, on the calling goroutine, folds them in window order, and the
+// RoundStats accounting. Two drivers plan windows for it
 // and are otherwise thin: Server is the paper's synchronous round (the K
 // clients it draws are the window), AsyncServer a staleness-aware event loop
 // on a simulated clock (the window is its next Buffer completions). Every

@@ -20,7 +20,7 @@ type Server struct {
 // samples (K): a round never has more steps to train at once than clients.
 func NewServer(cfg Config, builder Builder, loss nn.Loss, strategy Strategy, clients []*Client) (*Server, error) {
 	s := &Server{}
-	if err := s.init(cfg, builder, loss, strategy, clients, min(max(cfg.Workers, 1), cfg.ClientsPerRound)); err != nil {
+	if err := s.init(cfg, builder, loss, strategy, clients, cfg.ClientsPerRound); err != nil {
 		return nil, err
 	}
 	if cfg.Faults.NeedsVirtualTime() {
@@ -33,11 +33,11 @@ func NewServer(cfg Config, builder Builder, loss nn.Loss, strategy Strategy, cli
 //
 // The round's K sampled clients are the window's steps, in sampling order,
 // each at scale 1 and keyed by the round. The replicas claim and train them
-// in that order, two scratch sets each, while replica 0 folds every result
-// into the one accumulator in sampling order, so peak weight memory is
-// O(workers), not O(K), and the fold order — the only order the aggregate's
-// float64 sums see — is the sampling order at every worker count: a fixed
-// Config is bit-identical at every Workers.
+// costliest first within a ring of min(4W, K) scratch sets, while replica 0
+// folds every result into the one accumulator in sampling order, so peak
+// weight memory is O(workers), not O(K), and the fold order — the only order
+// the aggregate's float64 sums see — is the sampling order at every worker
+// count: a fixed Config is bit-identical at every Workers.
 func (s *Server) RunRound(round int) RoundStats {
 	s.sampled = s.draw(s.sampled[:0])
 	st := s.tally(round)

@@ -7,8 +7,8 @@ import (
 
 // Accumulator folds client results into running aggregation state — the one
 // aggregation path. The server core keeps one, and replica 0 folds each
-// admitted result into it in window order as soon as it is trained, so peak
-// weight memory is O(replicas), not O(K). An accumulator lives as long as its
+// admitted result into it in window order as soon as it and every earlier
+// step are trained, so peak weight memory is O(replicas), not O(K). An accumulator lives as long as its
 // server: the window executor Resets it at the start of every window.
 type Accumulator interface {
 	// Fold adds one admitted client result at the given scale, which
